@@ -15,10 +15,9 @@ use hdoms_hdc::parallel::par_map;
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
 use hdoms_oms::search::{SearchHit, SimilarityBackend};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`AnnSoloBackend`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnSoloConfig {
     /// Preprocessing shared with the pipeline.
     pub preprocess: PreprocessConfig,

@@ -16,10 +16,9 @@ use hdoms_hdc::multibit::IdPrecision;
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig};
 use hdoms_oms::search::{ExactBackend, ExactBackendConfig, SearchHit, SimilarityBackend};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`HyperOmsBackend`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HyperOmsConfig {
     /// Preprocessing shared with the pipeline.
     pub preprocess: PreprocessConfig,
@@ -35,6 +34,31 @@ pub struct HyperOmsConfig {
     /// independently initialised implementations (visible as partial
     /// disagreement in the Fig. 10 Venn diagram).
     pub seed: u64,
+}
+
+impl HyperOmsConfig {
+    /// The [`ExactBackend`] configuration HyperOMS is: binary (1-bit) ID
+    /// hypervectors, conventional bit-granular level vectors, no
+    /// injected errors. The one mapping both [`HyperOmsBackend::build`]
+    /// and `hdoms-index`'s warm reconstruction, append and streaming
+    /// encoders go through, run on `threads` workers.
+    pub fn exact_config(&self, threads: usize) -> ExactBackendConfig {
+        ExactBackendConfig {
+            preprocess: self.preprocess,
+            encoder: EncoderConfig {
+                dim: self.dim,
+                q_levels: self.q_levels,
+                id_precision: IdPrecision::Bits1,
+                level_style: LevelStyle::Random,
+                num_bins: self.preprocess.num_bins(),
+                seed: self.seed,
+            },
+            threads,
+            encode_ber: 0.0,
+            storage_ber: 0.0,
+            noise_seed: 0,
+        }
+    }
 }
 
 impl Default for HyperOmsConfig {
@@ -59,24 +83,7 @@ pub struct HyperOmsBackend {
 impl HyperOmsBackend {
     /// Build the backend (encodes the whole library with binary IDs).
     pub fn build(library: &SpectralLibrary, config: HyperOmsConfig) -> HyperOmsBackend {
-        let inner = ExactBackend::build(
-            library,
-            ExactBackendConfig {
-                preprocess: config.preprocess,
-                encoder: EncoderConfig {
-                    dim: config.dim,
-                    q_levels: config.q_levels,
-                    id_precision: IdPrecision::Bits1,
-                    level_style: LevelStyle::Random,
-                    num_bins: config.preprocess.num_bins(),
-                    seed: config.seed,
-                },
-                threads: config.threads,
-                encode_ber: 0.0,
-                storage_ber: 0.0,
-                noise_seed: 0,
-            },
-        );
+        let inner = ExactBackend::build(library, config.exact_config(config.threads));
         HyperOmsBackend { inner }
     }
 
@@ -91,6 +98,12 @@ impl HyperOmsBackend {
     /// hypervectors in benches).
     pub fn inner(&self) -> &ExactBackend {
         &self.inner
+    }
+
+    /// Unwrap into the underlying exact backend (the sharded scorer
+    /// drives its encode and scan halves separately).
+    pub fn into_inner(self) -> ExactBackend {
+        self.inner
     }
 }
 

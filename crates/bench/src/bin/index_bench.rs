@@ -8,16 +8,16 @@
 //!   (the copying path over the current format),
 //! * `load_speedup` — cold build / warm load (the PR-1 acceptance bar
 //!   was ≥ 5×),
-//! * `load_ms_v1` — the v1 decoding path (real file open): read +
-//!   checksum + materialise every hypervector from a v1 image,
+//! * `load_ms_copying` — the copying path as a real file open: read +
+//!   checksum + materialise every hypervector,
 //! * `load_ms_mapped` — the zero-copy path (real file open): map (or
 //!   stream once into) a single backing buffer, decode shard metadata,
 //!   and search the hypervector words in place,
-//! * `mapped_speedup` — `load_ms_v1 / load_ms_mapped` (acceptance bar
+//! * `mapped_speedup` — `load_ms_copying / load_ms_mapped` (acceptance bar
 //!   ≥ 5×; on a single-CPU bandwidth-bound host both paths reduce to
 //!   image-sized memory sweeps and the ratio compresses toward ~2×),
-//! * `rss_ratio_v1` / `rss_ratio_mapped` — peak live heap during the
-//!   load divided by the index image size (the v1 path holds the file
+//! * `rss_ratio_copying` / `rss_ratio_mapped` — peak live heap during the
+//!   load divided by the index image size (the copying path holds the file
 //!   bytes *and* the decoded table at its peak; the mapped path holds
 //!   shard metadata only when `mmap` is enabled — the default — since
 //!   the words stay in the page cache),
@@ -108,7 +108,6 @@ fn main() {
     let index = builder.from_library(&workload.library);
     let cold_build_s = start.elapsed().as_secs_f64();
     let bytes = index.to_bytes();
-    let bytes_v1 = index.to_bytes_version(1);
 
     // Warm load (copying path, current format): decode + verify.
     let start = Instant::now();
@@ -116,44 +115,41 @@ fn main() {
     let warm_load_s = start.elapsed().as_secs_f64();
     let load_speedup = cold_build_s / warm_load_s.max(1e-9);
 
-    // v1 decoding path vs mapped zero-copy path, as real file opens
-    // (both pay the I/O; the page cache is warm from the writes), with
+    // Copying decode vs mapped zero-copy path, as real file opens of
+    // one image (both pay the I/O; the page cache is warm from the write), with
     // peak-heap accounting. Best of three: the paths are deterministic,
     // so the minimum is the measurement and the spread is scheduler
     // noise. On a single-CPU host both paths are bound by how many
     // times they touch the image bytes (read + checksum + materialise
     // vs map + checksum), which caps the ratio near 2-3×; with worker
-    // cores the materialisation cost of the v1 path grows relative to
+    // cores the materialisation cost of the copying path grows relative to
     // the bandwidth-parallel mapped scan and the ratio widens.
     let dir = std::env::temp_dir();
-    let v1_path = dir.join(format!("hdoms-index-bench-v1-{}.hdx", std::process::id()));
-    let v2_path = dir.join(format!("hdoms-index-bench-v2-{}.hdx", std::process::id()));
-    std::fs::write(&v1_path, &bytes_v1).expect("write v1 image");
-    std::fs::write(&v2_path, &bytes).expect("write v2 image");
-    let (mut v1_s, mut v1_peak) = (f64::INFINITY, usize::MAX);
+    let path = dir.join(format!("hdoms-index-bench-{}.hdx", std::process::id()));
+    std::fs::write(&path, &bytes).expect("write image");
+    let (mut copying_s, mut copying_peak) = (f64::INFINITY, usize::MAX);
     let (mut mapped_s, mut mapped_peak) = (f64::INFINITY, usize::MAX);
     let mut mapped = None;
     for _ in 0..3 {
-        let (v1_loaded, s, peak) = measure(|| {
+        let (copied, s, peak) = measure(|| {
             hdoms_index::IndexReader::with_threads(THREADS)
-                .open_with(&v1_path)
-                .expect("v1 file loads")
+                .open_with(&path)
+                .expect("copying open")
         });
-        (v1_s, v1_peak) = (v1_s.min(s), v1_peak.min(peak));
-        drop(v1_loaded);
+        (copying_s, copying_peak) = (copying_s.min(s), copying_peak.min(peak));
+        drop(copied);
         let (m, s, peak) =
-            measure(|| LibraryIndex::open_mapped(&v2_path, THREADS).expect("mapped open"));
+            measure(|| LibraryIndex::open_mapped(&path, THREADS).expect("mapped open"));
         (mapped_s, mapped_peak) = (mapped_s.min(s), mapped_peak.min(peak));
         mapped = Some(m);
     }
     let mapped = mapped.expect("three rounds ran");
     assert!(mapped.shared_references().is_mapped());
-    std::fs::remove_file(&v1_path).ok();
-    std::fs::remove_file(&v2_path).ok();
-    let load_ms_v1 = v1_s * 1e3;
+    std::fs::remove_file(&path).ok();
+    let load_ms_copying = copying_s * 1e3;
     let load_ms_mapped = mapped_s * 1e3;
-    let mapped_speedup = v1_s / mapped_s.max(1e-9);
-    let rss_ratio_v1 = v1_peak as f64 / bytes_v1.len() as f64;
+    let mapped_speedup = copying_s / mapped_s.max(1e-9);
+    let rss_ratio_copying = copying_peak as f64 / bytes.len() as f64;
     let rss_ratio_mapped = mapped_peak as f64 / bytes.len() as f64;
 
     // Search throughput, flat vs sharded vs mapped, over identical
@@ -191,10 +187,12 @@ fn main() {
     println!("index size        {:>10} bytes", bytes.len());
     println!("cold build        {cold_build_s:>10.3} s");
     println!("warm load         {warm_load_s:>10.3} s   ({load_speedup:.1}x faster)");
-    println!("v1 decode load    {load_ms_v1:>10.3} ms  (peak heap {rss_ratio_v1:.2}x image)");
+    println!(
+        "copying load      {load_ms_copying:>10.3} ms  (peak heap {rss_ratio_copying:.2}x image)"
+    );
     println!(
         "mapped load       {load_ms_mapped:>10.3} ms  (peak heap {rss_ratio_mapped:.2}x image, \
-         {mapped_speedup:.1}x faster than v1 decode)"
+         {mapped_speedup:.1}x faster than the copying load)"
     );
     println!("search unsharded  {:>10.1} queries/s", qps_unsharded);
     println!("search sharded    {:>10.1} queries/s", qps_sharded);
@@ -204,17 +202,17 @@ fn main() {
         eprintln!("WARNING: warm load is below the 5x acceptance bar");
     }
     if mapped_speedup < 5.0 {
-        eprintln!("WARNING: mapped open is below the 5x-vs-v1-decode acceptance bar");
+        eprintln!("WARNING: mapped open is below the 5x-vs-copying-load acceptance bar");
     }
 
-    // Machine-readable trailer (hand-rolled: the workspace serde is a
-    // no-op shim).
+    // Machine-readable trailer (hand-rolled: no JSON crate resolves
+    // offline).
     println!(
         "{{\"bench\":\"index\",\"workload\":\"{}\",\"dim\":{},\"scale\":{},\"seed\":{},\
          \"references\":{},\"shards\":{},\"index_bytes\":{},\
          \"cold_build_s\":{:.6},\"warm_load_s\":{:.6},\"load_speedup\":{:.3},\
-         \"load_ms_v1\":{:.3},\"load_ms_mapped\":{:.3},\"mapped_speedup\":{:.3},\
-         \"rss_ratio_v1\":{:.3},\"rss_ratio_mapped\":{:.3},\
+         \"load_ms_copying\":{:.3},\"load_ms_mapped\":{:.3},\"mapped_speedup\":{:.3},\
+         \"rss_ratio_copying\":{:.3},\"rss_ratio_mapped\":{:.3},\
          \"qps_unsharded\":{:.3},\"qps_sharded\":{:.3},\"qps_mapped\":{:.3},\
          \"psms_identical\":{}}}",
         workload.spec.name,
@@ -227,10 +225,10 @@ fn main() {
         cold_build_s,
         warm_load_s,
         load_speedup,
-        load_ms_v1,
+        load_ms_copying,
         load_ms_mapped,
         mapped_speedup,
-        rss_ratio_v1,
+        rss_ratio_copying,
         rss_ratio_mapped,
         qps_unsharded,
         qps_sharded,

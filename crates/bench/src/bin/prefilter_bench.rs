@@ -243,8 +243,8 @@ fn main() {
         fdr_tolerance
     );
 
-    // Machine-readable trailer (hand-rolled: the workspace serde is a
-    // no-op shim).
+    // Machine-readable trailer (hand-rolled: no JSON crate resolves
+    // offline).
     println!(
         "{{\"bench\":\"prefilter\",\"dim\":{},\"scale\":{},\"seed\":{},\"k\":{k},\
          \"tiny_psms_identical\":{},\

@@ -385,8 +385,8 @@ fn main() {
         });
     }
 
-    // Machine-readable trailer (hand-rolled: the workspace serde is a
-    // no-op shim).
+    // Machine-readable trailer (hand-rolled: no JSON crate resolves
+    // offline).
     let scales_json: Vec<String> = rows
         .iter()
         .map(|r| {

@@ -577,8 +577,8 @@ fn main() {
     println!("identical PSMs      {psms_identical:>10}");
     println!("session identical   {session_identical:>10}");
 
-    // Machine-readable trailer (hand-rolled: the workspace serde is a
-    // no-op shim).
+    // Machine-readable trailer (hand-rolled: no JSON crate resolves
+    // offline).
     println!(
         "{{\"bench\":\"serve\",\"workload\":\"{}\",\"dim\":{},\"scale\":{},\"seed\":{},\
          \"references\":{},\"shards\":{},\"queries\":{},\"residency_s\":{:.6},\

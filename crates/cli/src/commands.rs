@@ -101,13 +101,11 @@ enum SearchTarget<'a> {
 
 /// Wire the one engine every search path runs through: cold builds
 /// (`exact`/`hyperoms`/`rram` encode the library and shard it;
-/// `annsolo` plugs its backend in directly) and warm index loads
-/// (sharded by default, flat with `--sharded false`).
+/// `annsolo` plugs its backend in directly) and warm index loads.
 fn engine_for(
     spec: &str,
     target: SearchTarget<'_>,
     dim: usize,
-    sharded: bool,
     threads: usize,
 ) -> Result<Engine, String> {
     let engine = match target {
@@ -157,11 +155,7 @@ fn engine_for(
             )
         }
         SearchTarget::Warm(index) => {
-            if sharded {
-                Engine::from_index(index, threads).map_err(|e| e.to_string())?
-            } else {
-                Engine::from_index_flat(index, threads).map_err(|e| e.to_string())?
-            }
+            Engine::from_index(index, threads).map_err(|e| e.to_string())?
         }
     };
     Ok(engine)
@@ -189,7 +183,6 @@ pub fn search(args: &[String]) -> Result<(), String> {
         "fdr",
         "dim",
         "seed",
-        "sharded",
         "threads",
         "prefilter",
     ])?;
@@ -197,7 +190,6 @@ pub fn search(args: &[String]) -> Result<(), String> {
     let out_path = flags.require("out")?;
     let fdr: f64 = flags.get_or("fdr", 0.01)?;
     let dim: usize = flags.get_or("dim", 8192)?;
-    let sharded: bool = flags.get_or("sharded", true)?;
     let threads: usize = flags.get_or("threads", hdoms_hdc::parallel::default_threads())?;
     let window = parse_window(&flags)?;
     let backend_name = flags.get("backend").unwrap_or("exact").to_owned();
@@ -209,7 +201,7 @@ pub fn search(args: &[String]) -> Result<(), String> {
         (Some(_), _) if flags.get("backend").is_some() => {
             return Err(
                 "--backend applies to cold searches; a prebuilt --index already fixes \
-                 its backend (use --sharded true|false to pick the search mode)"
+                 its backend"
                     .to_owned(),
             )
         }
@@ -228,7 +220,7 @@ pub fn search(args: &[String]) -> Result<(), String> {
         (None, None) => return Err("search needs --library or --index".to_owned()),
     };
 
-    let mut engine = engine_for(&backend_name, target, dim, sharded, threads)?;
+    let mut engine = engine_for(&backend_name, target, dim, threads)?;
     engine
         .set_prefilter(prefilter)
         .map_err(|e| format!("--prefilter {}: {e}", prefilter.render()))?;
@@ -570,7 +562,7 @@ pub fn compare(args: &[String]) -> Result<(), String> {
         .transpose()?;
 
     let run_spec = |spec: &str| -> Result<PipelineOutcome, String> {
-        let (target, backend_name, sharded) = match spec {
+        let (target, backend_name) = match spec {
             "index" | "index-sharded" => {
                 let Some(index) = &loaded_index else {
                     return Err(format!("backend spec {spec:?} needs --index"));
@@ -580,17 +572,16 @@ pub fn compare(args: &[String]) -> Result<(), String> {
                 (
                     SearchTarget::Warm(index.clone()),
                     index.kind().name().to_owned(),
-                    spec == "index-sharded",
                 )
             }
             cold => {
                 let Some(library) = &library else {
                     return Err(format!("backend spec {cold:?} needs --library"));
                 };
-                (SearchTarget::Cold(library), cold.to_owned(), false)
+                (SearchTarget::Cold(library), cold.to_owned())
             }
         };
-        let engine = Arc::new(engine_for(&backend_name, target, dim, sharded, threads)?);
+        let engine = Arc::new(engine_for(&backend_name, target, dim, threads)?);
         let (outcome, _) = engine.search(&queries, window, fdr);
         Ok(outcome)
     };

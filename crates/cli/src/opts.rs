@@ -32,15 +32,15 @@ USAGE:
                  --out <psms.tsv>
                  [--backend exact|annsolo|hyperoms|rram] [--window open|standard]
                  [--fdr <f64>] [--dim <usize>] [--seed <u64>]
-                 [--sharded true|false] [--threads <usize>]
-                 [--prefilter off|k=<usize>]
+                 [--threads <usize>] [--prefilter off|k=<usize>]
                  (--prefilter k=N narrows each precursor window to the
                   top-N sketch-scored candidates before the exact scan;
-                  needs a sharded index. See docs/PREFILTER.md)
+                  every backend but annsolo. See docs/PREFILTER.md)
   hdoms compare  --queries <q.mgf> --backend-a <spec> --backend-b <spec>
                  [--library <lib.mgf>] [--index <lib.hdx>]
                  [--window open|standard] [--fdr <f64>] [--dim <usize>]
-                 (spec: exact|annsolo|hyperoms|rram|index|index-sharded)
+                 (spec: exact|annsolo|hyperoms|rram|index; index-sharded
+                  is the same engine under its older name)
   hdoms serve    --index <name>=<lib.hdx> [--index <name2>=<more.hdx> ...]
                  (--listen <host:port> | --stdio true) [--threads <usize>]
                  [--workers <usize>] [--queue-depth <usize>]

@@ -16,10 +16,9 @@ use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
 use hdoms_oms::search::{SearchHit, SharedReferences, SimilarityBackend};
 use hdoms_rram::array::CrossbarConfig;
-use serde::{Deserialize, Serialize};
 
 /// Full accelerator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceleratorConfig {
     /// Offline preprocessing (§3.1).
     pub preprocess: PreprocessConfig,
@@ -50,7 +49,7 @@ impl Default for AcceleratorConfig {
 }
 
 /// Statistics gathered while building the accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BuildStats {
     /// Library entries successfully encoded and stored.
     pub references_stored: usize,

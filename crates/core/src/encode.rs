@@ -24,11 +24,10 @@ use hdoms_rram::array::CrossbarConfig;
 use hdoms_rram::device::DeviceModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Error statistics for one in-memory encoding, measured against the
 /// noise-free software encoding of the same spectrum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodeStats {
     /// Output bits that differ from the software ground truth.
     pub bit_errors: u32,

@@ -9,10 +9,9 @@
 //! `parallel_tiles` parameter into a quantity derived from data size.
 
 use hdoms_rram::chip::ChipSpec;
-use serde::{Deserialize, Serialize};
 
 /// A planned placement of a reference library on crossbar tiles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LibraryMapping {
     /// References (columns) stored.
     pub references: u64,

@@ -26,8 +26,6 @@
 //! assumption, so the model reproduces its magnitude class rather than
 //! the exact value.
 
-use serde::{Deserialize, Serialize};
-
 /// Paper-reported Fig. 12 / §5.3.3 values, for side-by-side printing.
 pub mod paper {
     /// Speedup of this work over HyperOMS on GPU.
@@ -49,7 +47,7 @@ pub mod paper {
 
 /// The abstract size of a search workload, in the units the cost model
 /// needs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadShape {
     /// Number of query spectra.
     pub queries: f64,
@@ -113,7 +111,7 @@ impl WorkloadShape {
 }
 
 /// Cost model of the proposed accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RramModel {
     /// Sensing cycle time (ns). The Nature 2022 chip class senses in
     /// ~100 ns.
@@ -182,7 +180,7 @@ impl RramModel {
 }
 
 /// Cost model of a GPU baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuModel {
     /// Device name for reports.
     pub name: String,
@@ -225,7 +223,7 @@ impl GpuModel {
 }
 
 /// Cost model of the CPU baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuModel {
     /// Device name for reports.
     pub name: String,
@@ -255,7 +253,7 @@ impl CpuModel {
 }
 
 /// One row of the Fig. 12 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ToolPerf {
     /// Tool and platform, e.g. `"ANN-SoLo (CPU)"`.
     pub tool: String,
@@ -266,7 +264,7 @@ pub struct ToolPerf {
 }
 
 /// The full Fig. 12 comparison for one workload shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
     /// The workload the report describes.
     pub shape: WorkloadShape,

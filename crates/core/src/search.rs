@@ -28,10 +28,9 @@ use hdoms_rram::array::CrossbarConfig;
 use hdoms_rram::device::DeviceModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Statistics of one in-memory similarity evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchStats {
     /// The analog MAC estimate (bipolar dot product units).
     pub estimated_dot: f64,

@@ -6,11 +6,10 @@
 //! layer's resident wiring). This crate collapses them into two types:
 //!
 //! * [`Engine`] — **one builder for every construction path**. Cold
-//!   ([`Engine::from_library`]), warm ([`Engine::open`] /
-//!   [`Engine::from_index`] / [`Engine::from_index_flat`]), mapped
-//!   ([`Engine::open_mapped`] — the zero-copy default for serving:
-//!   the `.hdx` file's bytes are searched in place), shared-table
-//!   ([`Engine::from_shared`]), or bring-your-own backend
+//!   ([`Engine::from_library`]), mapped ([`Engine::open_mapped`] — the
+//!   zero-copy default for serving: the `.hdx` file's bytes are
+//!   searched in place), warm from an already-loaded index
+//!   ([`Engine::from_index`]), or bring-your-own backend
 //!   ([`Engine::from_backend`]). An engine owns everything a search
 //!   needs — the scoring backend, the mass-sorted candidate index, and
 //!   the per-reference metadata (mass, decoy flag, peptide) — so callers
@@ -23,9 +22,13 @@
 //!   produce (accumulate-then-filter, the cross-batch FDR mode the
 //!   per-batch serve protocol could not express).
 //!
+//! Every query — a one-shot [`Engine::search`], a [`Session::submit`],
+//! or several coalesced requests through [`Engine::search_groups`] —
+//! runs the same private body: a solo search is a group of one.
+//!
 //! Byte-for-byte equivalence with the classic
 //! [`OmsPipeline`](hdoms_oms::pipeline::OmsPipeline) paths is structural,
-//! not accidental: `Session` calls the same [`assemble_psms`] /
+//! not accidental: that body calls the same [`assemble_psms`] /
 //! [`filter_fdr`] stages the pipeline calls, in the same order
 //! (`crates/engine/tests/equivalence.rs` asserts the rendered PSM
 //! tables are identical).
@@ -62,8 +65,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 use hdoms_index::{
-    IndexBuilder, IndexConfig, IndexError, IndexReader, IndexedBackendKind, LibraryIndex,
-    ShardedBackend,
+    IndexBuilder, IndexConfig, IndexError, IndexReader, LibraryIndex, ShardedBackend,
 };
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
@@ -74,14 +76,11 @@ use hdoms_oms::candidates::CandidateIndex;
 use hdoms_oms::fdr::{filter_fdr, FdrOutcome};
 use hdoms_oms::pipeline::{assemble_psms, PipelineOutcome, ReferenceCatalog};
 use hdoms_oms::psm::Psm;
-use hdoms_oms::search::{
-    ExactBackend, ExactBackendConfig, SearchHit, SharedReferences, SimilarityBackend,
-};
+use hdoms_oms::search::{SearchHit, SimilarityBackend};
 use hdoms_oms::window::PrecursorWindow;
 use hdoms_prefilter::{PrefilterConfig, PrefilterStats, SketchIndex};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 pub use hdoms_index::ShardTiming;
 
@@ -184,59 +183,23 @@ impl EngineBackend {
         }
     }
 
-    /// Score a batch under a worker budget, returning the hits plus
-    /// per-shard timings (empty for flat backends, which have no shards
-    /// to time) and the prefilter stage's per-batch accounting (zeroed
-    /// when `prefilter` is `None`). `workers` of `None` means "the
-    /// backend's own configured parallelism" (the unscheduled paths);
-    /// `Some(n)` caps the batch at `n` workers (the serve scheduler's
-    /// grants). Flat backends drive their own internal parallelism and
-    /// ignore the cap — the serve layer always runs sharded engines,
-    /// which honour it exactly. Every path is traced: per-shard
-    /// accounting is a few atomic adds per shard run, and keeping one
-    /// code path is what guarantees instrumented and uninstrumented
-    /// output are the same bytes.
-    fn search_batch(
-        &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-        workers: Option<usize>,
-        prefilter: Option<(&SketchIndex, usize)>,
-    ) -> (Vec<Option<SearchHit>>, Vec<ShardTiming>, PrefilterStats) {
-        match self {
-            EngineBackend::Sharded(b) => {
-                b.search_batch_prefiltered(queries, candidates, workers, prefilter)
-            }
-            EngineBackend::Flat(b) => (
-                b.search_batch(queries, candidates),
-                Vec::new(),
-                PrefilterStats::default(),
-            ),
-        }
-    }
-
-    /// Shard visits a batch of candidate lists costs (0 for flat
-    /// backends, which have no shards to visit).
-    fn shards_touched(&self, candidates: &[Vec<u32>]) -> usize {
-        match self {
-            EngineBackend::Sharded(b) => b.shards_touched(candidates),
-            EngineBackend::Flat(_) => 0,
-        }
-    }
-
-    /// [`EngineBackend::search_batch`] over a merged multi-request
-    /// batch: query `i` belongs to group `group_of[i]`, and shard
-    /// timings / prefilter stats come back per group. Queries of a
-    /// group must be contiguous (the coalescing caller concatenates
-    /// group by group). Sharded backends score the merged batch in one
-    /// pass with per-group clocks; flat backends fall back to one call
-    /// per group (they keep no per-shard or prefilter accounting
-    /// either way).
+    /// Score a merged batch of one or more request groups under a
+    /// worker budget: query `i` belongs to group `group_of[i]`, and
+    /// per-shard timings and the prefilter stage's accounting come back
+    /// per group (empty / zeroed for flat backends, which have no shards
+    /// to time and no cascade). Queries of a group must be contiguous
+    /// (callers concatenate group by group). Sharded backends score the
+    /// merged batch in one pass with per-group clocks; flat backends
+    /// drive their own internal parallelism, ignore the cap — the serve
+    /// layer always runs sharded engines, which honour it exactly — and
+    /// take one call per group. Keeping one traced code path is what
+    /// guarantees instrumented and uninstrumented output are the same
+    /// bytes.
     fn search_batch_grouped(
         &self,
         queries: &[BinnedSpectrum],
         candidates: &[Vec<u32>],
-        workers: Option<usize>,
+        workers: usize,
         prefilter: Option<(&SketchIndex, usize)>,
         group_of: &[u32],
         group_count: usize,
@@ -249,7 +212,7 @@ impl EngineBackend {
             EngineBackend::Sharded(b) => b.search_batch_grouped(
                 queries,
                 candidates,
-                workers,
+                Some(workers),
                 prefilter,
                 group_of,
                 group_count,
@@ -347,11 +310,9 @@ impl EngineMetrics {
 /// | constructor | replaces |
 /// |---|---|
 /// | [`Engine::from_library`] | cold `ExactBackend::build` / `OmsAccelerator::build` / `HyperOmsBackend::build` + manual candidate index |
-/// | [`Engine::open`] / [`Engine::from_index`] | `IndexReader::open` + `LibraryIndex::sharded_backend` + `peptides_by_id` + `candidate_index` |
-/// | [`Engine::open_mapped`] | the zero-copy load: `LibraryIndex::open_mapped` + the same wiring, searching the file buffer in place |
-/// | [`Engine::from_index_flat`] | `LibraryIndex::to_exact_backend` / `to_hyperoms_backend` / `to_accelerator` |
-/// | [`Engine::from_shared`] | `ExactBackend::from_shared` over an existing reference table |
-/// | [`Engine::from_backend`] | any custom [`SimilarityBackend`] (e.g. the baselines crate) |
+/// | [`Engine::open_mapped`] | the zero-copy load: `LibraryIndex::open_mapped` + the wiring below, searching the file buffer in place |
+/// | [`Engine::from_index`] | `LibraryIndex::sharded_backend` + `peptides_by_id` + `candidate_index` over any loaded index (`IndexReader::open` for the copying decode) |
+/// | [`Engine::from_backend`] | any [`SimilarityBackend`]: the baselines crate, or an index's flat `to_exact_backend` / `to_hyperoms_backend` / `to_accelerator` as the unsharded reference |
 ///
 /// Queries run through a [`Session`] (streaming, cross-batch FDR) or the
 /// one-shot [`Engine::search`] convenience (per-batch FDR, the classic
@@ -385,26 +346,14 @@ impl Engine {
             .expect("an index built here always reconstructs its own kind")
     }
 
-    /// **Warm** construction from a `.hdx` file: load, validate, and wire
-    /// the shard-parallel engine. Hypervectors are materialised (the
-    /// copying path); prefer [`Engine::open_mapped`] for serving.
-    ///
-    /// # Errors
-    ///
-    /// Propagates load failures ([`IndexError`]).
-    pub fn open(path: &Path, threads: usize) -> Result<Engine, IndexError> {
-        let index = IndexReader::with_threads(threads).open_with(path)?;
-        Engine::from_index(index, threads)
-    }
-
     /// **Mapped** construction from a `.hdx` file: the file is read (or
     /// `mmap`ed, with the index crate's `mmap` feature) into one backing
     /// buffer and searched **in place** — no per-reference hypervector
     /// is materialised, so open time and resident memory stop scaling
     /// with the encoded-library payload. Searches produce PSM tables
-    /// byte-identical to [`Engine::open`] and [`Engine::from_library`]
-    /// over the same references (asserted in
-    /// `crates/engine/tests/equivalence.rs`).
+    /// byte-identical to [`Engine::from_library`] and to a copying
+    /// load (`IndexReader::open` + [`Engine::from_index`]) over the same
+    /// references (asserted in `crates/engine/tests/equivalence.rs`).
     ///
     /// This is the default path for `hdoms serve` and
     /// `hdoms search --index`. A v1-format file loads through the
@@ -441,72 +390,11 @@ impl Engine {
         })
     }
 
-    /// Like [`Engine::from_index`] but with the **flat** (unsharded)
-    /// backend of the index's kind — the `search --sharded false` mode,
-    /// kept for apples-to-apples comparisons against the sharded walk.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the index cannot reconstruct its backend kind.
-    pub fn from_index_flat(index: LibraryIndex, threads: usize) -> Result<Engine, IndexError> {
-        let backend: Box<dyn SimilarityBackend + Send + Sync> = match index.kind() {
-            IndexedBackendKind::Exact(_) => Box::new(index.to_exact_backend(threads)?),
-            IndexedBackendKind::HyperOms(_) => Box::new(index.to_hyperoms_backend(threads)?),
-            IndexedBackendKind::Rram(_) => Box::new(index.to_accelerator(threads)?),
-        };
-        let meta = ReferenceMeta::from_index(&index);
-        let candidates = index.candidate_index();
-        Ok(Engine {
-            backend: EngineBackend::Flat(backend),
-            meta,
-            candidates,
-            preprocess: index.kind().preprocess(),
-            index: Some(index),
-            threads: threads.max(1),
-            metrics: None,
-            prefilter: PrefilterConfig::Off,
-        })
-    }
-
-    /// Construction over an **existing shared reference table**: the
-    /// engine holds another `Arc` handle to `references` instead of a
-    /// copy (the `ExactBackend::from_shared` path, with the candidate
-    /// index and catalog wiring done here instead of by the caller).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `references` and `meta` disagree in length or a stored
-    /// hypervector's dimension disagrees with the encoder configuration.
-    pub fn from_shared(
-        config: ExactBackendConfig,
-        references: SharedReferences,
-        meta: ReferenceMeta,
-        threads: usize,
-    ) -> Engine {
-        assert_eq!(
-            references.len(),
-            meta.len(),
-            "reference table and metadata must describe the same references"
-        );
-        let preprocess = config.preprocess;
-        let backend = ExactBackend::from_shared(config, references);
-        let candidates = meta.candidate_index();
-        Engine {
-            backend: EngineBackend::Flat(Box::new(backend)),
-            meta,
-            candidates,
-            preprocess,
-            index: None,
-            threads: threads.max(1),
-            metrics: None,
-            prefilter: PrefilterConfig::Off,
-        }
-    }
-
     /// Construction over **any** scoring backend (the escape hatch for
-    /// backends without an index kind, e.g. the ANN-SoLo baseline).
-    /// `preprocess` must match the configuration the backend's references
-    /// were preprocessed with.
+    /// backends without an index kind, e.g. the ANN-SoLo baseline, and
+    /// for an index's flat backends when a test wants the unsharded
+    /// reference scan). `preprocess` must match the configuration the
+    /// backend's references were preprocessed with.
     ///
     /// # Panics
     ///
@@ -532,8 +420,8 @@ impl Engine {
     }
 
     /// The loaded/built persistent index, for engines that have one
-    /// (cold and warm constructions; `None` for [`Engine::from_shared`]
-    /// and [`Engine::from_backend`]).
+    /// (cold and warm constructions; `None` for
+    /// [`Engine::from_backend`]).
     pub fn index(&self) -> Option<&LibraryIndex> {
         self.index.as_ref()
     }
@@ -560,37 +448,34 @@ impl Engine {
     /// (flat backends exist for apples-to-apples scans of the full
     /// candidate list); `Off` always succeeds.
     pub fn set_prefilter(&mut self, config: PrefilterConfig) -> Result<(), String> {
-        if !config.is_off() {
-            self.validate_prefilter()?;
-            // Force the sketch build now (a no-op when the `.hdx` v3
-            // section was loaded) so queries never pay it.
-            self.index
-                .as_ref()
-                .expect("validated index-backed")
-                .sketch_index();
-        }
+        self.ready_prefilter(config)?;
         self.prefilter = config;
         Ok(())
     }
 
-    /// Check that this engine can run a `TopK` prefilter.
-    fn validate_prefilter(&self) -> Result<(), String> {
+    /// Check that this engine can run `config` and, for `TopK`, force
+    /// the sketch build now (a no-op when the `.hdx` v3 section was
+    /// loaded) so queries never pay it.
+    fn ready_prefilter(&self, config: PrefilterConfig) -> Result<(), String> {
+        if config.is_off() {
+            return Ok(());
+        }
         if !matches!(self.backend, EngineBackend::Sharded(_)) {
             return Err(
                 "the prefilter requires the sharded backend (flat backends exist to scan the full candidate list)"
                     .to_owned(),
             );
         }
-        if self.index.is_none() {
+        let Some(index) = &self.index else {
             return Err("the prefilter requires an index-backed engine".to_owned());
-        }
+        };
+        index.sketch_index();
         Ok(())
     }
 
     /// Resolve a prefilter configuration into the sketch handle the
     /// backend scores with. `Off` resolves to `None`; `TopK` fetches the
-    /// index's cached sketch (built at [`Engine::set_prefilter`] /
-    /// [`Session::set_prefilter`] time).
+    /// index's cached sketch (built when the configuration was set).
     fn resolve_prefilter(&self, config: PrefilterConfig) -> Option<(Arc<SketchIndex>, usize)> {
         let k = config.top_k()?;
         let index = self
@@ -672,7 +557,7 @@ impl Engine {
     /// `OmsPipeline::run_catalog` behaviour (and what keeps the serve
     /// protocol's `query` verb byte-identical to a local
     /// `search --index`). Equivalent to one [`Session::submit`] followed
-    /// by [`Session::finalize`].
+    /// by [`Session::finalize`], at the engine's configured parallelism.
     ///
     /// # Panics
     ///
@@ -683,11 +568,7 @@ impl Engine {
         window: PrecursorWindow,
         alpha: f64,
     ) -> (PipelineOutcome, BatchReceipt) {
-        let mut session = self.session(window);
-        let mut receipt = session.submit(spectra);
-        let (outcome, finalize_ms) = session.finalize_traced(alpha);
-        receipt.stages.finalize_ms = finalize_ms;
-        (outcome, receipt)
+        self.search_with_workers(spectra, window, alpha, self.threads)
     }
 
     /// [`Engine::search`] under an explicit worker budget: the batch
@@ -715,7 +596,8 @@ impl Engine {
     /// [`Engine::search_with_workers`] with a per-batch prefilter
     /// override: `Some(config)` runs this batch under `config` instead
     /// of the engine's default (the serve protocol's per-request
-    /// `prefilter` option routes here), `None` uses the default.
+    /// `prefilter` option routes here), `None` uses the default. This is
+    /// [`Engine::search_groups`] over one group.
     ///
     /// # Errors
     ///
@@ -733,31 +615,25 @@ impl Engine {
         workers: usize,
         prefilter: Option<PrefilterConfig>,
     ) -> Result<(PipelineOutcome, BatchReceipt), String> {
-        let mut session = self.session(window);
-        if let Some(config) = prefilter {
-            session.set_prefilter(config)?;
-        }
-        let mut receipt = session.submit_with_workers(spectra, workers);
-        let (outcome, finalize_ms) = session.finalize_traced(alpha);
-        receipt.stages.finalize_ms = finalize_ms;
-        Ok((outcome, receipt))
+        let mut results = self.search_groups(&[spectra], window, alpha, workers, prefilter)?;
+        Ok(results.pop().expect("one group in, one result out"))
     }
 
-    /// Execute several independent requests as **one merged scoring
-    /// batch** and split the results back out per request — the
-    /// cross-request coalescing seam the serve layer drives.
+    /// Execute one or more independent requests as **one merged scoring
+    /// batch** and split the results back out per request, FDR filtered
+    /// per request — the seam every one-shot search goes through, and
+    /// the one the serve layer's cross-request coalescing drives with
+    /// several groups.
     ///
     /// Group `g` of the result is byte-identical (PSMs, threshold,
-    /// identifications, candidate counts) to
-    /// [`Engine::search_with_workers_opts`] over `groups[g]` alone:
-    /// preprocessing and candidate generation run per group on the
-    /// group's own spectra, per-query scoring is independent of batch
-    /// composition, the backend's per-group clocks keep shard and
+    /// identifications, candidate counts) to searching `groups[g]`
+    /// alone: preprocessing and candidate generation run per group on
+    /// the group's own spectra, per-query scoring is independent of
+    /// batch composition, the backend's per-group clocks keep shard and
     /// prefilter accounting exact, and FDR is filtered per group over
-    /// that group's own PSMs. Only wall-clock figures differ from an
-    /// uncoalesced run: the merged scoring stage's time is apportioned
-    /// across groups by binned-query count, and each receipt's
-    /// `latency_ms` is its stage sum.
+    /// that group's own PSMs. Only wall-clock figures depend on the
+    /// company a group keeps: the merged scoring stage's time is
+    /// apportioned across groups by binned-query count.
     ///
     /// Each group counts as one engine batch in the attached metrics
     /// (one observation per group in every stage histogram), so
@@ -783,18 +659,46 @@ impl Engine {
         window.validate();
         assert!(alpha > 0.0 && alpha < 1.0, "FDR level must be in (0, 1)");
         let config = prefilter.unwrap_or(self.prefilter);
-        if !config.is_off() {
-            self.validate_prefilter()?;
-            self.index
-                .as_ref()
-                .expect("validated index-backed")
-                .sketch_index();
-        }
-        let narrowing = self.resolve_prefilter(config);
+        self.ready_prefilter(config)?;
+        let scored = self.score_groups(groups, &window, workers, config);
+        Ok(scored
+            .into_iter()
+            .map(|group| {
+                // A session of one batch: its totals are that batch's
+                // receipt plus the finalize stage.
+                let mut session = self.session(window);
+                let mut receipt = session.absorb(group);
+                let (outcome, totals) = session.finalize_traced(alpha);
+                receipt.stages = totals.stages;
+                receipt.latency_ms = totals.latency_ms;
+                (outcome, receipt)
+            })
+            .collect())
+    }
+
+    /// The one execute body under [`Session::submit`],
+    /// [`Engine::search`] and [`Engine::search_groups`]: per group,
+    /// preprocess and generate candidate lists; score the concatenation
+    /// in one backend pass; per group again, assemble PSMs, take the
+    /// counted accounting and record the registry series. FDR is the
+    /// caller's business (a session pools it across submits).
+    ///
+    /// `prefilter` must have passed [`Engine::ready_prefilter`].
+    fn score_groups(
+        &self,
+        groups: &[&[Spectrum]],
+        window: &PrecursorWindow,
+        workers: usize,
+        prefilter: PrefilterConfig,
+    ) -> Vec<ScoredGroup> {
+        let narrowing = self.resolve_prefilter(prefilter);
 
         // Per-group preprocess + candidate generation: identical inputs
         // to what each request would produce alone, concatenated group
-        // by group so the merged batch stays group-contiguous.
+        // by group so the merged batch stays group-contiguous. Each
+        // stage is timed where it runs, so the per-stage figures in
+        // receipts, `BatchStats`, and the `hdoms_stage_*_ms` histograms
+        // all come from one measurement.
         struct GroupPrep {
             start: usize,
             len: usize,
@@ -807,22 +711,29 @@ impl Engine {
         let mut merged_cands: Vec<Vec<u32>> = Vec::new();
         let mut preps: Vec<GroupPrep> = Vec::with_capacity(groups.len());
         for spectra in groups {
-            let ((mut binned, rejected), encode_ms) =
+            let ((binned, rejected), encode_ms) =
                 hdoms_obs::trace::timed(|| pre.run_batch(spectra));
-            let (mut cands, candidates_ms) = hdoms_obs::trace::timed(|| {
-                hdoms_oms::search::candidate_lists(&self.candidates, &window, &binned)
+            let (cands, candidates_ms) = hdoms_obs::trace::timed(|| {
+                hdoms_oms::search::candidate_lists(&self.candidates, window, &binned)
             });
-            let start = merged_binned.len();
-            let len = binned.len();
-            merged_binned.append(&mut binned);
-            merged_cands.append(&mut cands);
             preps.push(GroupPrep {
-                start,
-                len,
+                start: merged_binned.len(),
+                len: binned.len(),
                 rejected,
                 encode_ms,
                 candidates_ms,
             });
+            if merged_binned.is_empty() {
+                // The solo case takes the group's vectors whole: a
+                // copy would land a fresh buffer above the candidate
+                // lists on the heap, and freeing it after them hands a
+                // wide open batch's whole candidate arena back to the
+                // OS on every pass (~0.5% of an open-window pass).
+                (merged_binned, merged_cands) = (binned, cands);
+            } else {
+                merged_binned.extend(binned);
+                merged_cands.extend(cands);
+            }
         }
         let group_of: Vec<u32> = preps
             .iter()
@@ -833,65 +744,67 @@ impl Engine {
 
         // One scoring pass over the merged batch; accounting splits by
         // group inside the backend.
-        let ((hits, mut group_timings, group_stats), score_ms) = hdoms_obs::trace::timed(|| {
+        let ((hits, group_timings, group_stats), score_ms) = hdoms_obs::trace::timed(|| {
             self.backend.search_batch_grouped(
                 &merged_binned,
                 &merged_cands,
-                Some(workers.max(1)),
+                workers.max(1),
                 narrowing.as_ref().map(|(sketch, k)| (sketch.as_ref(), *k)),
                 &group_of,
-                groups.len().max(1),
+                groups.len(),
             )
         });
 
-        let mut results = Vec::with_capacity(groups.len());
-        for (g, prep) in preps.iter().enumerate() {
+        let mut scored = Vec::with_capacity(groups.len());
+        for (((spectra, prep), shard_timings), stats) in groups
+            .iter()
+            .zip(&preps)
+            .zip(group_timings)
+            .zip(group_stats)
+        {
             let range = prep.start..prep.start + prep.len;
-            let binned_g = &merged_binned[range.clone()];
-            let hits_g = &hits[range.clone()];
-            let cands_g = &merged_cands[range];
-            let psms = assemble_psms(binned_g, hits_g, &self.meta);
-            let batch_psms = psms.len();
-            let window_candidates: usize = cands_g.iter().map(Vec::len).sum();
-            let (candidates_scored, candidates_pre, shards_touched, sketch_ms) =
-                if narrowing.is_none() {
-                    let shards = self.backend.shards_touched(cands_g);
-                    (window_candidates, window_candidates, shards, 0.0)
-                } else {
-                    let stats = &group_stats[g];
-                    let shards: u64 = group_timings[g].iter().map(|t| t.visits).sum();
-                    (
-                        stats.candidates_post as usize,
-                        stats.candidates_pre as usize,
-                        shards as usize,
-                        stats.sketch_ms,
-                    )
-                };
+            let psms = assemble_psms(
+                &merged_binned[range.clone()],
+                &hits[range.clone()],
+                &self.meta,
+            );
+            // Counted accounting: every shard run the scan scored
+            // recorded one visit; with the prefilter on the exact scan
+            // saw only the narrowed lists, so the candidate counts come
+            // from the prefilter clock, and with it off they are the
+            // window totals.
+            let shards_touched: u64 = shard_timings.iter().map(|t| t.visits).sum();
+            let (candidates_pre, candidates_scored, sketch_ms) = if narrowing.is_some() {
+                (
+                    stats.candidates_pre as usize,
+                    stats.candidates_post as usize,
+                    stats.sketch_ms,
+                )
+            } else {
+                let window_candidates = merged_cands[range].iter().map(Vec::len).sum();
+                (window_candidates, window_candidates, 0.0)
+            };
             // The merged scoring pass's wall-clock, apportioned by how
             // much of the batch each group contributed (time is not
             // part of the identity contract; counts above are exact).
             let score_share = if total_binned == 0 {
-                score_ms / groups.len().max(1) as f64
+                score_ms / groups.len() as f64
             } else {
                 score_ms * prep.len as f64 / total_binned as f64
             };
-            let (
-                FdrOutcome {
-                    accepted,
-                    threshold_score,
-                    decoys_above,
-                    ..
-                },
-                finalize_ms,
-            ) = hdoms_obs::trace::timed(|| filter_fdr(&psms, alpha));
+            let stages = StageTimings {
+                encode_ms: prep.encode_ms,
+                candidates_ms: prep.candidates_ms,
+                score_ms: score_share,
+                finalize_ms: 0.0,
+            };
             if let Some(metrics) = &self.metrics {
                 metrics.batches.inc();
-                metrics.queries.add(groups[g].len() as u64);
-                metrics.psms.add(batch_psms as u64);
-                metrics.stage_encode_ms.record_ms(prep.encode_ms);
-                metrics.stage_candidates_ms.record_ms(prep.candidates_ms);
-                metrics.stage_score_ms.record_ms(score_share);
-                metrics.stage_finalize_ms.record_ms(finalize_ms);
+                metrics.queries.add(spectra.len() as u64);
+                metrics.psms.add(psms.len() as u64);
+                metrics.stage_encode_ms.record_ms(stages.encode_ms);
+                metrics.stage_candidates_ms.record_ms(stages.candidates_ms);
+                metrics.stage_score_ms.record_ms(stages.score_ms);
                 if narrowing.is_some() {
                     metrics.prefilter_candidates_pre.add(candidates_pre as u64);
                     metrics
@@ -900,51 +813,46 @@ impl Engine {
                     metrics.prefilter_sketch_ms.record_ms(sketch_ms);
                 }
             }
-            let stages = StageTimings {
-                encode_ms: prep.encode_ms,
-                candidates_ms: prep.candidates_ms,
-                score_ms: score_share,
-                finalize_ms,
-            };
-            let mean_candidates = if prep.len == 0 {
-                0.0
-            } else {
-                candidates_scored as f64 / prep.len as f64
-            };
-            let receipt = BatchReceipt {
-                batch: 1,
-                queries: groups[g].len(),
-                rejected_queries: prep.rejected,
-                psms: batch_psms,
-                total_psms: batch_psms,
-                candidates_scored,
-                candidates_pre,
-                candidates_post: candidates_scored,
-                sketch_ms,
-                shards_touched,
-                latency_ms: stages.encode_ms + stages.candidates_ms + score_share + finalize_ms,
-                stages,
-                shard_timings: std::mem::take(&mut group_timings[g]),
-            };
-            let outcome = PipelineOutcome {
-                backend_name: self.backend.name(),
+            scored.push(ScoredGroup {
+                binned: prep.len,
+                receipt: BatchReceipt {
+                    batch: 1,
+                    queries: spectra.len(),
+                    rejected_queries: prep.rejected,
+                    psms: psms.len(),
+                    total_psms: psms.len(),
+                    candidates_scored,
+                    candidates_pre,
+                    candidates_post: candidates_scored,
+                    sketch_ms,
+                    shards_touched: shards_touched as usize,
+                    latency_ms: stages.total_ms(),
+                    stages,
+                    shard_timings,
+                },
                 psms,
-                accepted,
-                threshold_score,
-                decoys_above,
-                rejected_queries: prep.rejected,
-                total_queries: groups[g].len(),
-                mean_candidates,
-            };
-            results.push((outcome, receipt));
+            });
         }
-        Ok(results)
+        scored
     }
+}
+
+/// One group out of [`Engine::score_groups`]: its raw PSMs, how many of
+/// its spectra survived preprocessing, and its receipt as a batch of
+/// its own (`batch` 1, `total_psms` its own PSMs, finalize not yet run)
+/// — [`Session::absorb`] re-bases those onto the session's running
+/// totals.
+struct ScoredGroup {
+    psms: Vec<Psm>,
+    binned: usize,
+    receipt: BatchReceipt,
 }
 
 /// What one [`Session::submit`] did: per-batch counts plus the session's
 /// running totals, with the batch's span decomposition.
-#[derive(Debug, Clone, PartialEq)]
+/// [`Session::finalize_traced`] reports the whole session in the same
+/// shape.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchReceipt {
     /// 1-based ordinal of this batch within the session.
     pub batch: usize,
@@ -970,7 +878,12 @@ pub struct BatchReceipt {
     pub sketch_ms: f64,
     /// Shard visits this batch cost (0 on unsharded engines).
     pub shards_touched: usize,
-    /// Wall-clock time spent on this batch, milliseconds.
+    /// Engine time attributed to this batch, milliseconds: by
+    /// definition the sum of `stages` — its own encode and candidate
+    /// stages, its binned-query share of the scoring pass it ran in
+    /// (the whole pass when it ran alone), and the FDR filter once one
+    /// has run. There is no second clock: whatever a caller observes
+    /// beyond this (PSM assembly, bookkeeping, queueing) is residual.
     pub latency_ms: f64,
     /// The batch's wall-clock decomposed into pipeline stages
     /// (`finalize_ms` is 0 on a submit receipt; the one-shot
@@ -995,17 +908,10 @@ pub struct Session {
     window: PrecursorWindow,
     prefilter: PrefilterConfig,
     psms: Vec<Psm>,
-    batches: usize,
-    total_queries: usize,
-    rejected_queries: usize,
     binned_queries: usize,
-    candidates_scored: usize,
-    candidates_pre: usize,
-    candidates_post: usize,
-    sketch_ms: f64,
-    shards_touched: usize,
-    latency_ms: f64,
-    stages: StageTimings,
+    /// Every submitted batch's receipt summed into one (see
+    /// [`Session::finalize_traced`]).
+    totals: BatchReceipt,
 }
 
 impl Session {
@@ -1022,17 +928,8 @@ impl Session {
             window,
             prefilter,
             psms: Vec::new(),
-            batches: 0,
-            total_queries: 0,
-            rejected_queries: 0,
             binned_queries: 0,
-            candidates_scored: 0,
-            candidates_pre: 0,
-            candidates_post: 0,
-            sketch_ms: 0.0,
-            shards_touched: 0,
-            latency_ms: 0.0,
-            stages: StageTimings::default(),
+            totals: BatchReceipt::default(),
         }
     }
 
@@ -1051,14 +948,7 @@ impl Session {
     /// Fails when `config` is `TopK` on an engine that cannot prefilter
     /// (see [`Engine::set_prefilter`]).
     pub fn set_prefilter(&mut self, config: PrefilterConfig) -> Result<(), String> {
-        if !config.is_off() {
-            self.engine.validate_prefilter()?;
-            self.engine
-                .index
-                .as_ref()
-                .expect("validated index-backed")
-                .sketch_index();
-        }
+        self.engine.ready_prefilter(config)?;
         self.prefilter = config;
         Ok(())
     }
@@ -1075,12 +965,12 @@ impl Session {
 
     /// Batches submitted so far.
     pub fn batches(&self) -> usize {
-        self.batches
+        self.totals.batch
     }
 
     /// Queries submitted so far (before preprocessing).
     pub fn total_queries(&self) -> usize {
-        self.total_queries
+        self.totals.queries
     }
 
     /// Raw PSMs accumulated so far.
@@ -1088,52 +978,11 @@ impl Session {
         self.psms.len()
     }
 
-    /// Candidate references scored so far.
-    pub fn candidates_scored(&self) -> usize {
-        self.candidates_scored
-    }
-
-    /// Precursor-window candidates generated so far, before prefilter
-    /// narrowing (equals [`Session::candidates_scored`] when the
-    /// prefilter is off).
-    pub fn candidates_pre(&self) -> usize {
-        self.candidates_pre
-    }
-
-    /// Candidates forwarded to the exact scan so far (always equals
-    /// [`Session::candidates_scored`]).
-    pub fn candidates_post(&self) -> usize {
-        self.candidates_post
-    }
-
-    /// Wall-clock milliseconds spent in the sketch prefilter so far.
-    pub fn sketch_ms(&self) -> f64 {
-        self.sketch_ms
-    }
-
-    /// Shard visits so far (0 on unsharded engines).
-    pub fn shards_touched(&self) -> usize {
-        self.shards_touched
-    }
-
-    /// Wall-clock milliseconds spent in [`Session::submit`] so far.
-    pub fn latency_ms(&self) -> f64 {
-        self.latency_ms
-    }
-
-    /// Per-stage wall-clock accumulated across every submitted batch
-    /// (`finalize_ms` stays 0 until [`Session::finalize_traced`] runs —
-    /// which consumes the session, so this accessor reports the submit
-    /// stages only).
-    pub fn stage_timings(&self) -> StageTimings {
-        self.stages
-    }
-
-    /// Encode, search, and accumulate one batch of query spectra. No FDR
-    /// filtering happens here — raw PSMs collect until
-    /// [`Session::finalize`].
+    /// Encode, search, and accumulate one batch of query spectra at the
+    /// engine's configured parallelism. No FDR filtering happens here —
+    /// raw PSMs collect until [`Session::finalize`].
     pub fn submit(&mut self, spectra: &[Spectrum]) -> BatchReceipt {
-        self.submit_inner(spectra, None)
+        self.submit_with_workers(spectra, self.engine.threads)
     }
 
     /// [`Session::submit`] under an explicit worker budget: this batch
@@ -1143,101 +992,34 @@ impl Session {
     /// batch's granted budget; accumulated PSMs — and therefore the
     /// finalized table — are byte-identical across budgets.
     pub fn submit_with_workers(&mut self, spectra: &[Spectrum], workers: usize) -> BatchReceipt {
-        self.submit_inner(spectra, Some(workers.max(1)))
+        let mut scored =
+            self.engine
+                .score_groups(&[spectra], &self.window, workers, self.prefilter);
+        self.absorb(scored.pop().expect("one group in, one group out"))
     }
 
-    fn submit_inner(&mut self, spectra: &[Spectrum], workers: Option<usize>) -> BatchReceipt {
-        let start = Instant::now();
-        // The span decomposition: each stage is timed where it runs, so
-        // the per-stage figures in receipts, `BatchStats`, and the
-        // `hdoms_stage_*_ms` histograms all come from one measurement.
-        let pre = Preprocessor::new(self.engine.preprocess);
-        let ((binned, rejected), encode_ms) = hdoms_obs::trace::timed(|| pre.run_batch(spectra));
-        let (cands, candidates_ms) = hdoms_obs::trace::timed(|| {
-            hdoms_oms::search::candidate_lists(&self.engine.candidates, &self.window, &binned)
-        });
-        let narrowing = self.engine.resolve_prefilter(self.prefilter);
-        let ((hits, shard_timings, prefilter_stats), score_ms) = hdoms_obs::trace::timed(|| {
-            self.engine.backend.search_batch(
-                &binned,
-                &cands,
-                workers,
-                narrowing.as_ref().map(|(sketch, k)| (sketch.as_ref(), *k)),
-            )
-        });
-        let psms = assemble_psms(&binned, &hits, &self.engine.meta);
-        // With the prefilter off, accounting is computed exactly as it
-        // always was (the byte-identity contract covers receipts too).
-        // With it on, the exact scan saw only the narrowed lists, so
-        // `candidates_scored` comes from the prefilter clock and shard
-        // visits from the traced per-shard timings.
-        let window_candidates: usize = cands.iter().map(Vec::len).sum();
-        let (candidates_scored, candidates_pre, shards_touched, sketch_ms) = if narrowing.is_none()
-        {
-            let shards = self.engine.backend.shards_touched(&cands);
-            (window_candidates, window_candidates, shards, 0.0)
-        } else {
-            let shards: u64 = shard_timings.iter().map(|t| t.visits).sum();
-            (
-                prefilter_stats.candidates_post as usize,
-                prefilter_stats.candidates_pre as usize,
-                shards as usize,
-                prefilter_stats.sketch_ms,
-            )
-        };
-        let latency_ms = start.elapsed().as_secs_f64() * 1e3;
-        let stages = StageTimings {
-            encode_ms,
-            candidates_ms,
-            score_ms,
-            finalize_ms: 0.0,
-        };
-
-        self.batches += 1;
-        self.total_queries += spectra.len();
-        self.rejected_queries += rejected;
-        self.binned_queries += binned.len();
-        self.candidates_scored += candidates_scored;
-        self.candidates_pre += candidates_pre;
-        self.candidates_post += candidates_scored;
-        self.sketch_ms += sketch_ms;
-        self.shards_touched += shards_touched;
-        self.latency_ms += latency_ms;
-        self.stages.accumulate(&stages);
-        let batch_psms = psms.len();
-        self.psms.extend(psms);
-
-        if let Some(metrics) = &self.engine.metrics {
-            metrics.batches.inc();
-            metrics.queries.add(spectra.len() as u64);
-            metrics.psms.add(batch_psms as u64);
-            metrics.stage_encode_ms.record_ms(encode_ms);
-            metrics.stage_candidates_ms.record_ms(candidates_ms);
-            metrics.stage_score_ms.record_ms(score_ms);
-            if narrowing.is_some() {
-                metrics.prefilter_candidates_pre.add(candidates_pre as u64);
-                metrics
-                    .prefilter_candidates_post
-                    .add(candidates_scored as u64);
-                metrics.prefilter_sketch_ms.record_ms(sketch_ms);
-            }
-        }
-
-        BatchReceipt {
-            batch: self.batches,
-            queries: spectra.len(),
-            rejected_queries: rejected,
-            psms: batch_psms,
-            total_psms: self.psms.len(),
-            candidates_scored,
-            candidates_pre,
-            candidates_post: candidates_scored,
-            sketch_ms,
-            shards_touched,
-            latency_ms,
-            stages,
-            shard_timings,
-        }
+    /// Fold one scored group into the session's running totals and
+    /// re-base its receipt onto them.
+    fn absorb(&mut self, group: ScoredGroup) -> BatchReceipt {
+        let mut receipt = group.receipt;
+        self.binned_queries += group.binned;
+        self.psms.extend(group.psms);
+        let totals = &mut self.totals;
+        totals.batch += 1;
+        totals.queries += receipt.queries;
+        totals.rejected_queries += receipt.rejected_queries;
+        totals.psms = self.psms.len();
+        totals.total_psms = self.psms.len();
+        totals.candidates_scored += receipt.candidates_scored;
+        totals.candidates_pre += receipt.candidates_pre;
+        totals.candidates_post += receipt.candidates_post;
+        totals.sketch_ms += receipt.sketch_ms;
+        totals.shards_touched += receipt.shards_touched;
+        totals.stages.accumulate(&receipt.stages);
+        totals.latency_ms = totals.stages.total_ms();
+        receipt.batch = totals.batch;
+        receipt.total_psms = totals.total_psms;
+        receipt
     }
 
     /// Filter FDR at `alpha` over **all** PSMs submitted so far and close
@@ -1253,15 +1035,18 @@ impl Session {
         self.finalize_traced(alpha).0
     }
 
-    /// [`Session::finalize`], additionally reporting the wall-clock the
-    /// FDR stage took (milliseconds) — the `finalize` span the serve
-    /// layer surfaces in its stats and the `hdoms_stage_finalize_ms`
-    /// histogram records.
+    /// [`Session::finalize`], additionally reporting the session as one
+    /// receipt: `batch` counts the batches submitted, every count and
+    /// stage figure sums across them, `stages.finalize_ms` is this FDR
+    /// pass (the `finalize` span the serve layer surfaces in its stats
+    /// and the `hdoms_stage_finalize_ms` histogram records), and
+    /// `shard_timings` stays empty — per-shard clocks are reported batch
+    /// by batch.
     ///
     /// # Panics
     ///
     /// Panics unless `0 < alpha < 1`.
-    pub fn finalize_traced(self, alpha: f64) -> (PipelineOutcome, f64) {
+    pub fn finalize_traced(self, alpha: f64) -> (PipelineOutcome, BatchReceipt) {
         assert!(alpha > 0.0 && alpha < 1.0, "FDR level must be in (0, 1)");
         let (
             FdrOutcome {
@@ -1275,10 +1060,13 @@ impl Session {
         if let Some(metrics) = &self.engine.metrics {
             metrics.stage_finalize_ms.record_ms(finalize_ms);
         }
+        let mut totals = self.totals;
+        totals.stages.finalize_ms = finalize_ms;
+        totals.latency_ms = totals.stages.total_ms();
         let mean_candidates = if self.binned_queries == 0 {
             0.0
         } else {
-            self.candidates_scored as f64 / self.binned_queries as f64
+            totals.candidates_scored as f64 / self.binned_queries as f64
         };
         (
             PipelineOutcome {
@@ -1287,11 +1075,11 @@ impl Session {
                 accepted,
                 threshold_score,
                 decoys_above,
-                rejected_queries: self.rejected_queries,
-                total_queries: self.total_queries,
+                rejected_queries: totals.rejected_queries,
+                total_queries: totals.queries,
                 mean_candidates,
             },
-            finalize_ms,
+            totals,
         )
     }
 }
@@ -1299,6 +1087,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdoms_index::IndexedBackendKind;
     use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 
     fn tiny_engine(seed: u64) -> (SyntheticWorkload, Arc<Engine>) {
@@ -1428,28 +1217,5 @@ mod tests {
                 assert_eq!(receipt.shards_touched, solo_receipt.shards_touched);
             }
         }
-    }
-
-    #[test]
-    fn from_shared_reuses_the_reference_table() {
-        let (workload, engine) = tiny_engine(25);
-        let index = engine.index().expect("index-backed");
-        let IndexedBackendKind::Exact(config) = index.kind() else {
-            panic!("tiny engine is exact")
-        };
-        let shared = Engine::from_shared(
-            *config,
-            index.shared_references().clone(),
-            ReferenceMeta::from_index(index),
-            2,
-        );
-        assert_eq!(shared.reference_count(), workload.library.len());
-        let shared = Arc::new(shared);
-        let (outcome, _) = shared.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
-        let (sharded_outcome, _) =
-            engine.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
-        // Same scores through the flat shared-table engine as through the
-        // sharded one (sharding never changes scores).
-        assert_eq!(outcome.psms, sharded_outcome.psms);
     }
 }

@@ -6,7 +6,7 @@
 
 use hdoms_baselines::annsolo::{AnnSoloBackend, AnnSoloConfig};
 use hdoms_engine::{Engine, ReferenceMeta, Session};
-use hdoms_index::{IndexConfig, IndexedBackendKind};
+use hdoms_index::{IndexConfig, IndexReader, IndexedBackendKind};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
 use hdoms_oms::psm::render_table;
@@ -28,6 +28,15 @@ fn tiny_engine(seed: u64) -> (SyntheticWorkload, Arc<Engine>) {
     }
     let engine = Arc::new(Engine::from_library(&workload.library, config));
     (workload, engine)
+}
+
+/// The copying load: `IndexReader` materialises every hypervector, then
+/// the same wiring `Engine::open_mapped` does over the file buffer.
+fn open_copying(path: &std::path::Path) -> Arc<Engine> {
+    let index = IndexReader::with_threads(THREADS)
+        .open_with(path)
+        .expect("copying load");
+    Arc::new(Engine::from_index(index, THREADS).expect("an index wires its own kind"))
 }
 
 /// The classic path: `OmsPipeline::run_catalog` over the same index and
@@ -149,7 +158,7 @@ fn custom_backend_engines_match_the_pipeline() {
 fn mapped_engine_matches_open_and_cold_byte_for_byte() {
     // The zero-copy acceptance contract: `Engine::open_mapped` (searching
     // the `.hdx` bytes in place) renders PSM tables byte-identical to
-    // `Engine::open` (materialised hypervectors) and to the cold
+    // a copying load (materialised hypervectors) and to the cold
     // `Engine::from_library` build that produced the index.
     let (workload, cold) = tiny_engine(9006);
     let path = std::env::temp_dir().join(format!(
@@ -160,7 +169,7 @@ fn mapped_engine_matches_open_and_cold_byte_for_byte() {
         .expect("cold keeps index")
         .write(&path)
         .unwrap();
-    let warm = Arc::new(Engine::open(&path, THREADS).expect("copying load"));
+    let warm = open_copying(&path);
     let mapped = Arc::new(Engine::open_mapped(&path, THREADS).expect("mapped load"));
     std::fs::remove_file(&path).ok();
 
@@ -299,7 +308,7 @@ fn kernel_variants_render_byte_identical_psm_tables() {
         .expect("cold keeps index")
         .write(&path)
         .unwrap();
-    let warm = Arc::new(Engine::open(&path, THREADS).expect("copying load"));
+    let warm = open_copying(&path);
     let mapped = Arc::new(Engine::open_mapped(&path, THREADS).expect("mapped load"));
     std::fs::remove_file(&path).ok();
     assert!(mapped
@@ -361,7 +370,7 @@ fn warm_engine_over_persisted_index_matches_cold() {
         .expect("cold keeps index")
         .write(&path)
         .unwrap();
-    let warm = Arc::new(Engine::open(&path, THREADS).expect("persisted engine loads"));
+    let warm = open_copying(&path);
     std::fs::remove_file(&path).ok();
 
     let (cold_outcome, _) = cold.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
@@ -369,10 +378,13 @@ fn warm_engine_over_persisted_index_matches_cold() {
     assert_eq!(cold_outcome, warm_outcome);
 
     // The flat (unsharded) warm mode scores identically too.
-    let flat = Arc::new(
-        Engine::from_index_flat(warm.index().expect("warm keeps index").clone(), THREADS)
-            .expect("same kind"),
-    );
+    let index = warm.index().expect("warm keeps index");
+    let flat = Arc::new(Engine::from_backend(
+        Box::new(index.to_exact_backend(THREADS).expect("same kind")),
+        index.kind().preprocess(),
+        ReferenceMeta::from_index(index),
+        THREADS,
+    ));
     let (flat_outcome, flat_receipt) =
         flat.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
     assert_eq!(flat_outcome.psms, warm_outcome.psms);

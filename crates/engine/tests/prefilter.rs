@@ -180,7 +180,12 @@ fn topk_is_rejected_off_the_sharded_index_path() {
         .index()
         .expect("cold keeps index")
         .clone();
-    let mut flat = Engine::from_index_flat(index, THREADS).expect("same kind");
+    let mut flat = Engine::from_backend(
+        Box::new(index.to_exact_backend(THREADS).expect("same kind")),
+        index.kind().preprocess(),
+        ReferenceMeta::from_index(&index),
+        THREADS,
+    );
     assert!(flat.set_prefilter(PrefilterConfig::TopK(16)).is_err());
     assert!(flat.set_prefilter(PrefilterConfig::Off).is_ok());
 

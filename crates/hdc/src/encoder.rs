@@ -20,10 +20,9 @@ use crate::parallel::par_map;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Encoder parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncoderConfig {
     /// Hypervector dimension `D`. The paper uses 8192 for its quality
     /// results and sweeps 1024–8192 in Fig. 13.
@@ -59,7 +58,7 @@ impl Default for EncoderConfig {
 
 /// ID-Level encoder: owns the item memories and turns binned spectra into
 /// binary hypervectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdLevelEncoder {
     config: EncoderConfig,
     id_memory: IdMemory,

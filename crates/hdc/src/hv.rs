@@ -5,12 +5,11 @@
 //! handful of XOR + popcount instructions per 64 dimensions.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A binary (bipolar) hypervector of fixed dimension, bit-packed into
 /// `u64` words.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BinaryHypervector {
     dim: usize,
     words: Vec<u64>,

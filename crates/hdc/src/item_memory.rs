@@ -18,10 +18,9 @@ use crate::multibit::IdPrecision;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How level hypervectors are generated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LevelStyle {
     /// Fully random base vector with bit-granular flips (the conventional
     /// scheme; requires bit-serial input feeding in hardware).
@@ -41,7 +40,7 @@ pub enum LevelStyle {
 ///
 /// Stored flattened (`num_positions × dim` components) for cache-friendly
 /// sequential encoding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdMemory {
     num_positions: usize,
     dim: usize,
@@ -108,7 +107,7 @@ impl IdMemory {
 
 /// The level item memory: `q` binary hypervectors with linearly decaying
 /// mutual similarity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LevelMemory {
     dim: usize,
     q: usize,

@@ -17,7 +17,6 @@
 //! * runtime-dispatched SIMD distance kernels (AVX2 / AVX-512
 //!   `vpopcntdq` with a portable fallback) plus the query-blocked batch
 //!   kernel every scan tiles through ([`kernels`]),
-//! * exact top-k Hamming search with thread-parallel batching ([`search`]),
 //! * bit-error injection for robustness studies ([`corrupt`]), and
 //! * a tiny scoped-thread parallel-map helper shared by the search stacks
 //!   ([`parallel`]).
@@ -54,7 +53,6 @@ pub mod kernels;
 pub mod multibit;
 pub mod ops;
 pub mod parallel;
-pub mod search;
 pub mod similarity;
 
 pub use buffer::WordBuffer;

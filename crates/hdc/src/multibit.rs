@@ -8,13 +8,12 @@
 
 use crate::hv::BinaryHypervector;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Bit width of ID hypervector components (§4.2.2).
 ///
 /// `Bits1` is the conventional binary scheme; `Bits3` is the paper's
 /// best-performing setting (`ID ∈ {-4,…,4} \ {0}`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IdPrecision {
     /// Components in `{-1, +1}`.
     Bits1,
@@ -65,7 +64,7 @@ impl IdPrecision {
 
 /// A hypervector with small signed integer components, used for position
 /// (`ID`) hypervectors.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MultiBitHypervector {
     precision: IdPrecision,
     components: Vec<i8>,

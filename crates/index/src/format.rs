@@ -1,6 +1,8 @@
 //! The versioned `HDX` on-disk format: section layout and config codecs.
 //!
-//! ## Layout (format versions 1–3)
+//! ## Layout (format versions 1–3; the writer emits version 3 only,
+//! versions 1 and 2 are decode-only — golden images under
+//! `tests/fixtures/` keep their readers honest)
 //!
 //! ```text
 //! preamble   magic "HDOMSIDX" (8) · format version u32 · header length u64
@@ -182,8 +184,8 @@ impl IndexedBackendKind {
 /// The encoded hypervector itself lives in the index's flat shared
 /// reference table (keyed by [`IndexEntry::id`]), not in the entry — that
 /// is what lets a loaded index and every warm backend reconstructed from
-/// it share a single copy of the encoded library. On disk the hypervector
-/// is still serialised inline with its entry (see [`put_shard`]).
+/// it share a single copy of the encoded library. On disk the hypervectors
+/// sit in each shard's word block (see [`put_shard_v2`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexEntry {
     /// Dense library id (also the slot in the flat reference table).
@@ -233,9 +235,9 @@ pub struct MlcState {
 }
 
 // ---------------------------------------------------------------------------
-// Config codecs. Hand-rolled field-by-field: the workspace's serde is a
-// no-op shim (no network), and explicit codecs keep the format stable under
-// struct reordering anyway.
+// Config codecs. Hand-rolled field-by-field: no serialisation crate resolves
+// offline, and explicit codecs keep the format stable under struct
+// reordering anyway.
 // ---------------------------------------------------------------------------
 
 fn put_preprocess(w: &mut Writer, c: &PreprocessConfig) {
@@ -491,31 +493,6 @@ pub fn get_build_stats(r: &mut Reader<'_>) -> Result<BuildStats, IndexError> {
     })
 }
 
-/// Encode one shard's entries into a standalone **v1** section payload,
-/// pulling each entry's hypervector from the flat `references` table by
-/// id (words are serialised inline with their entry).
-///
-/// # Panics
-///
-/// Panics if an entry id falls outside `references` or a stored
-/// hypervector's dimension disagrees with `dim`.
-pub fn put_shard(shard: &Shard, dim: usize, references: &SharedReferences) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.usize(shard.entries.len());
-    for e in &shard.entries {
-        put_entry_meta(&mut w, e);
-        match references.hv(e.id as usize) {
-            None => w.u8(0),
-            Some(hv) => {
-                assert_eq!(hv.dim(), dim, "stored hypervector dimension mismatch");
-                w.u8(1);
-                w.u64_slice(hv.words());
-            }
-        }
-    }
-    w.into_bytes()
-}
-
 /// Encode one shard's entries into a standalone **v2** section payload:
 /// the entry metadata records first (with a presence flag instead of
 /// inline words), zero padding to an 8-byte boundary, then every present
@@ -602,9 +579,8 @@ pub fn shard_v2_payload_len(
 
 /// Encode the container header (the per-index metadata block that
 /// precedes every section): backend kind, build statistics, shard
-/// geometry, section lengths. `sketch_len` is `Some` exactly when the
-/// image carries a v3 sketch section (pass `None` when serialising v1/v2
-/// images, which have no such header field). Both the in-memory
+/// geometry, section lengths (the v3 layout — older headers, which lack
+/// the `sketch_len` field, are decode-only). Both the in-memory
 /// serialiser and the streaming builder emit their headers through this
 /// function, so the two paths cannot drift.
 pub fn encode_header(
@@ -613,7 +589,7 @@ pub fn encode_header(
     entries_per_shard: usize,
     entry_count: usize,
     mlc_len: usize,
-    sketch_len: Option<usize>,
+    sketch_len: usize,
     shard_lens: &[usize],
 ) -> Vec<u8> {
     let mut header = Writer::new();
@@ -622,9 +598,7 @@ pub fn encode_header(
     header.usize(entries_per_shard);
     header.usize(entry_count);
     header.usize(mlc_len);
-    if let Some(len) = sketch_len {
-        header.usize(len);
-    }
+    header.usize(sketch_len);
     header.usize(shard_lens.len());
     for &len in shard_lens {
         header.usize(len);

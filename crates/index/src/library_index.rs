@@ -4,22 +4,22 @@ use crate::format::{
     self, IndexEntry, IndexError, IndexedBackendKind, MlcState, Shard, CHECKSUM_SEED,
     FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION,
 };
-use crate::sharded::ShardedBackend;
+use crate::sharded::{Scorer, ShardedBackend};
 use crate::wire::{Reader, Writer};
 use crate::xxhash::xxh64;
-use hdoms_baselines::hyperoms::{HyperOmsBackend, HyperOmsConfig};
+use hdoms_baselines::hyperoms::HyperOmsBackend;
 use hdoms_core::accelerator::{BuildStats, OmsAccelerator};
 use hdoms_core::encode::InMemoryEncoder;
-use hdoms_hdc::encoder::{EncoderConfig, IdLevelEncoder};
-use hdoms_hdc::item_memory::LevelStyle;
-use hdoms_hdc::multibit::IdPrecision;
+use hdoms_hdc::encoder::IdLevelEncoder;
 use hdoms_hdc::parallel::par_map;
 use hdoms_hdc::{BinaryHypervector, WordBuffer};
 use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
 use hdoms_ms::preprocess::Preprocessor;
 use hdoms_oms::candidates::CandidateIndex;
 use hdoms_oms::pipeline::ReferenceCatalog;
-use hdoms_oms::search::{ExactBackend, ExactBackendConfig, MappedReferences, SharedReferences};
+use hdoms_oms::search::{
+    ExactBackend, ExactBackendConfig, MappedReferences, SharedReferences, SimilarityBackend,
+};
 use hdoms_prefilter::{SketchIndex, SKETCH_WORDS};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -423,10 +423,8 @@ impl LibraryIndex {
                 self.kind.name()
             )));
         };
-        let inner = ExactBackend::from_shared(
-            hyperoms_exact_config(config, threads),
-            self.references.clone(),
-        );
+        let inner =
+            ExactBackend::from_shared(config.exact_config(threads), self.references.clone());
         Ok(HyperOmsBackend::from_exact(inner))
     }
 
@@ -479,28 +477,29 @@ impl LibraryIndex {
     ///
     /// Propagates the kind mismatch errors of the reconstruction methods.
     pub fn sharded_backend(&self, threads: usize) -> Result<ShardedBackend, IndexError> {
-        let assignment = self.shard_assignment();
-        let shard_count = self.shards.len();
-        match &self.kind {
-            IndexedBackendKind::Exact(_) => Ok(ShardedBackend::over_exact(
-                self.to_exact_backend(threads)?,
-                assignment,
-                shard_count,
-                threads,
-            )),
-            IndexedBackendKind::HyperOms(_) => Ok(ShardedBackend::over_hyperoms(
-                self.to_hyperoms_backend(threads)?,
-                assignment,
-                shard_count,
-                threads,
-            )),
-            IndexedBackendKind::Rram(_) => Ok(ShardedBackend::over_accelerator(
-                self.to_accelerator(threads)?,
-                assignment,
-                shard_count,
-                threads,
-            )),
-        }
+        let scorer = match &self.kind {
+            IndexedBackendKind::Exact(_) => {
+                let backend = self.to_exact_backend(threads)?;
+                Scorer::Exact {
+                    name: backend.name(),
+                    backend,
+                }
+            }
+            IndexedBackendKind::HyperOms(_) => {
+                let backend = self.to_hyperoms_backend(threads)?;
+                Scorer::Exact {
+                    name: backend.name(),
+                    backend: backend.into_inner(),
+                }
+            }
+            IndexedBackendKind::Rram(_) => Scorer::Rram(self.to_accelerator(threads)?),
+        };
+        Ok(ShardedBackend::new(
+            scorer,
+            self.shard_assignment(),
+            self.shards.len(),
+            threads,
+        ))
     }
 
     // -- incremental append ----------------------------------------------
@@ -534,7 +533,7 @@ impl LibraryIndex {
                     .collect()
             }
             IndexedBackendKind::HyperOms(config) => {
-                let exact = hyperoms_exact_config(config, threads);
+                let exact = config.exact_config(threads);
                 let encoder = IdLevelEncoder::new(exact.encoder);
                 let pre = Preprocessor::new(exact.preprocess);
                 ExactBackend::encode_chunk(&encoder, &pre, &exact, new_entries, first_id)
@@ -645,38 +644,18 @@ impl LibraryIndex {
 
     // -- persistence -----------------------------------------------------
 
-    /// Serialise to the current `HDX` byte format (see [`crate::format`]).
+    /// Serialise to the current `HDX` byte format (see [`crate::format`]):
+    /// shard hypervector words laid out 8-aligned for in-place mapped
+    /// loads, plus the persisted prefilter sketch section. Older
+    /// versions are decode-only.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_version(FORMAT_VERSION)
-    }
-
-    /// Serialise with an explicit format version: `3` (the default) adds
-    /// the persisted prefilter sketch section; `2` lays shard
-    /// hypervector words out 8-aligned for in-place mapped loads without
-    /// the sketch section; `1` reproduces the original inline-words
-    /// layout for older readers.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a version outside the supported range.
-    pub fn to_bytes_version(&self, version: u32) -> Vec<u8> {
-        assert!(
-            (MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version),
-            "unsupported format version {version}"
-        );
         let dim = self.dim();
         let mlc_bytes = self.mlc.as_ref().map(format::put_mlc_state);
-        let sketch_bytes = (version >= 3).then(|| format::put_sketches(&self.sketch_index()));
+        let sketch_bytes = format::put_sketches(&self.sketch_index());
         let shard_bytes: Vec<Vec<u8>> = self
             .shards
             .iter()
-            .map(|s| {
-                if version >= 2 {
-                    format::put_shard_v2(s, dim, &self.references)
-                } else {
-                    format::put_shard(s, dim, &self.references)
-                }
-            })
+            .map(|s| format::put_shard_v2(s, dim, &self.references))
             .collect();
 
         let shard_lens: Vec<usize> = shard_bytes.iter().map(Vec::len).collect();
@@ -686,38 +665,27 @@ impl LibraryIndex {
             self.entries_per_shard,
             self.entry_count,
             mlc_bytes.as_ref().map_or(0, Vec::len),
-            (version >= 3).then(|| sketch_bytes.as_ref().map_or(0, Vec::len)),
+            sketch_bytes.len(),
             &shard_lens,
         );
 
         let mut out = Writer::new();
         out.raw(&MAGIC);
-        out.u32(version);
+        out.u32(FORMAT_VERSION);
         out.usize(header.len());
         out.raw(&header);
         out.u64(xxh64(&header, CHECKSUM_SEED));
-        // In v2+, zero padding brings every section payload to an
-        // 8-aligned absolute offset, so the word blocks inside v2 shard
-        // payloads land 8-aligned in the file.
-        let pad_if_v2 = |out: &mut Writer| {
-            if version >= 2 {
-                for _ in 0..format::pad_to_8(out.len()) {
-                    out.u8(0);
-                }
+        // Zero padding brings every section payload to an 8-aligned
+        // absolute offset, so the word blocks inside shard payloads land
+        // 8-aligned in the file.
+        let sections = mlc_bytes
+            .iter()
+            .chain(std::iter::once(&sketch_bytes))
+            .chain(&shard_bytes);
+        for bytes in sections {
+            for _ in 0..format::pad_to_8(out.len()) {
+                out.u8(0);
             }
-        };
-        if let Some(bytes) = &mlc_bytes {
-            pad_if_v2(&mut out);
-            out.raw(bytes);
-            out.u64(xxh64(bytes, CHECKSUM_SEED));
-        }
-        if let Some(bytes) = &sketch_bytes {
-            pad_if_v2(&mut out);
-            out.raw(bytes);
-            out.u64(xxh64(bytes, CHECKSUM_SEED));
-        }
-        for bytes in &shard_bytes {
-            pad_if_v2(&mut out);
             out.raw(bytes);
             out.u64(xxh64(bytes, CHECKSUM_SEED));
         }
@@ -1236,25 +1204,5 @@ impl ReferenceCatalog for LibraryIndex {
 
     fn candidate_index(&self) -> CandidateIndex {
         CandidateIndex::from_masses(self.entries().map(|e| (e.neutral_mass, e.id)))
-    }
-}
-
-/// The exact-backend configuration HyperOMS uses (mirrors
-/// `HyperOmsBackend::build`).
-pub(crate) fn hyperoms_exact_config(config: &HyperOmsConfig, threads: usize) -> ExactBackendConfig {
-    ExactBackendConfig {
-        preprocess: config.preprocess,
-        encoder: EncoderConfig {
-            dim: config.dim,
-            q_levels: config.q_levels,
-            id_precision: IdPrecision::Bits1,
-            level_style: LevelStyle::Random,
-            num_bins: config.preprocess.num_bins(),
-            seed: config.seed,
-        },
-        threads,
-        encode_ber: 0.0,
-        storage_ber: 0.0,
-        noise_seed: 0,
     }
 }

@@ -17,7 +17,6 @@
 //! reference) evaluation is deterministic and the merge applies the same
 //! `(score desc, id asc)` tie-break the flat scan applies.
 
-use hdoms_baselines::hyperoms::HyperOmsBackend;
 use hdoms_core::accelerator::OmsAccelerator;
 use hdoms_hdc::parallel::par_map;
 use hdoms_hdc::BinaryHypervector;
@@ -33,17 +32,20 @@ use std::time::Instant;
 /// "score a candidate subset", which is what shard fan-out needs (the flat
 /// [`SimilarityBackend`] entry point re-encodes per call).
 #[allow(clippy::large_enum_variant)] // one instance per backend, never collected
-enum Scorer {
-    Exact(ExactBackend),
-    HyperOms(HyperOmsBackend),
+pub(crate) enum Scorer {
+    /// The exact HD scan under the report name of the backend it stands
+    /// for (HyperOMS is this scan under a binary-ID configuration).
+    Exact {
+        backend: ExactBackend,
+        name: String,
+    },
     Rram(OmsAccelerator),
 }
 
 impl Scorer {
     fn name(&self) -> String {
         match self {
-            Scorer::Exact(b) => b.name(),
-            Scorer::HyperOms(b) => b.name(),
+            Scorer::Exact { name, .. } => name.clone(),
             Scorer::Rram(b) => b.name(),
         }
     }
@@ -51,8 +53,7 @@ impl Scorer {
     /// Encode one query (with the backend's configured error injection).
     fn prepare(&self, binned: &BinnedSpectrum) -> BinaryHypervector {
         match self {
-            Scorer::Exact(b) => b.encode_query(binned),
-            Scorer::HyperOms(b) => b.inner().encode_query(binned),
+            Scorer::Exact { backend, .. } => backend.encode_query(binned),
             Scorer::Rram(b) => b.encoder().encode(binned),
         }
     }
@@ -65,8 +66,14 @@ impl Scorer {
         candidates: &[u32],
     ) -> Option<SearchHit> {
         match self {
-            Scorer::Exact(b) => exact_best(b, query_hv, candidates),
-            Scorer::HyperOms(b) => exact_best(b.inner(), query_hv, candidates),
+            // The shared kernel-tiled scan (same scoring and tie-break
+            // as `ExactBackend::search_batch`).
+            Scorer::Exact { backend, .. } => hdoms_oms::search::best_hit(
+                backend.shared_references(),
+                backend.encoder().config().dim,
+                query_hv,
+                candidates,
+            ),
             Scorer::Rram(b) => b
                 .search_engine()
                 .search_best(query_hv, query_id, candidates)
@@ -75,24 +82,9 @@ impl Scorer {
     }
 }
 
-/// The flat exact scan over a candidate subset: the shared kernel-tiled
-/// scan (same scoring and tie-break as `ExactBackend::search_batch`).
-fn exact_best(
-    backend: &ExactBackend,
-    query_hv: &BinaryHypervector,
-    candidates: &[u32],
-) -> Option<SearchHit> {
-    hdoms_oms::search::best_hit(
-        backend.shared_references(),
-        backend.encoder().config().dim,
-        query_hv,
-        candidates,
-    )
-}
-
-/// Wall-clock spent scoring one shard during a traced batch search.
+/// Wall-clock spent scoring one shard during a batch search.
 ///
-/// Produced by [`ShardedBackend::search_batch_traced`], sorted by shard
+/// Produced by [`ShardedBackend::search_batch_grouped`], sorted by shard
 /// position, covering only shards the batch actually visited. `ms` sums
 /// every scoring visit the batch paid the shard (across queries and
 /// worker threads — on a parallel batch the per-shard figures can sum
@@ -107,7 +99,7 @@ pub struct ShardTiming {
     pub ms: f64,
 }
 
-/// Per-shard accumulators for one traced batch: plain atomics so the
+/// Per-shard accumulators for one batch: plain atomics so the
 /// scoring closures can record from any worker thread without locks.
 struct ShardClock {
     ns: Vec<AtomicU64>,
@@ -141,7 +133,7 @@ impl ShardClock {
     }
 }
 
-/// Registry handles the backend records into during traced searches.
+/// Registry handles the backend records into during searches.
 struct BackendMetrics {
     score_ms: Arc<Histogram>,
     visits: Arc<Counter>,
@@ -239,44 +231,14 @@ pub struct ShardedBackend {
 }
 
 impl ShardedBackend {
-    pub(crate) fn over_exact(
-        backend: ExactBackend,
+    pub(crate) fn new(
+        scorer: Scorer,
         shard_of: Vec<u32>,
         shard_count: usize,
         threads: usize,
     ) -> ShardedBackend {
         ShardedBackend {
-            scorer: Scorer::Exact(backend),
-            shard_of,
-            shard_count,
-            threads: threads.max(1),
-            metrics: None,
-        }
-    }
-
-    pub(crate) fn over_hyperoms(
-        backend: HyperOmsBackend,
-        shard_of: Vec<u32>,
-        shard_count: usize,
-        threads: usize,
-    ) -> ShardedBackend {
-        ShardedBackend {
-            scorer: Scorer::HyperOms(backend),
-            shard_of,
-            shard_count,
-            threads: threads.max(1),
-            metrics: None,
-        }
-    }
-
-    pub(crate) fn over_accelerator(
-        backend: OmsAccelerator,
-        shard_of: Vec<u32>,
-        shard_count: usize,
-        threads: usize,
-    ) -> ShardedBackend {
-        ShardedBackend {
-            scorer: Scorer::Rram(backend),
+            scorer,
             shard_of,
             shard_count,
             threads: threads.max(1),
@@ -291,9 +253,8 @@ impl ShardedBackend {
 
     /// Register this backend's series with a metrics [`Registry`]:
     /// `hdoms_shard_score_ms` (a histogram of per-shard-visit scoring
-    /// wall-clock) and `hdoms_shard_visits_total`. Both are recorded
-    /// only on the traced path ([`ShardedBackend::search_batch_traced`])
-    /// — the untraced entry points stay timer-free.
+    /// wall-clock) and `hdoms_shard_visits_total`, recorded by every
+    /// search once attached.
     pub fn attach_metrics(&mut self, registry: &Registry) {
         self.metrics = Some(BackendMetrics {
             score_ms: registry.histogram(
@@ -305,15 +266,6 @@ impl ShardedBackend {
                 "Shard-scoring visits performed by traced batch searches",
             ),
         });
-    }
-
-    /// How many shard visits a batch of candidate lists costs: the sum
-    /// over queries of the number of shard runs each query's (mass-sorted)
-    /// candidate list spans. This is the "shards touched" figure the serve
-    /// layer reports per batch — it is a pure accounting walk and performs
-    /// no scoring.
-    pub fn shards_touched(&self, candidates: &[Vec<u32>]) -> usize {
-        candidates.iter().map(|c| self.shard_runs(c).len()).sum()
     }
 
     /// Partition a mass-sorted candidate list into its shard runs.
@@ -336,32 +288,20 @@ impl ShardedBackend {
         runs
     }
 
-    /// Evaluate one query: encode once, score each shard run, merge.
+    /// Evaluate one query: encode once, narrow the candidate list
+    /// through the prefilter's sketch stage when one is passed, score
+    /// each shard run (timed into `clock` and the attached registry
+    /// series), merge.
     ///
     /// `parallel_shards` (> 1) switches the per-shard scoring onto that
     /// many worker threads (used when the batch itself is too small to
     /// parallelise over queries).
-    fn search_one(
+    fn search_query(
         &self,
         binned: &BinnedSpectrum,
         candidates: &[u32],
         parallel_shards: usize,
-    ) -> Option<SearchHit> {
-        self.search_one_clocked(binned, candidates, parallel_shards, None, None)
-    }
-
-    /// [`ShardedBackend::search_one`], optionally timing each shard
-    /// run into `clock` (and the attached registry series), and
-    /// optionally narrowing the candidate list through the prefilter's
-    /// sketch stage first. The untimed, unfiltered call compiles down
-    /// to the pre-tracing code path: no clock reads or sketch work
-    /// happen unless the respective option is passed.
-    fn search_one_clocked(
-        &self,
-        binned: &BinnedSpectrum,
-        candidates: &[u32],
-        parallel_shards: usize,
-        clock: Option<&ShardClock>,
+        clock: &ShardClock,
         prefilter: Option<(&SketchIndex, usize, &PrefilterClock)>,
     ) -> Option<SearchHit> {
         if candidates.is_empty() {
@@ -388,9 +328,6 @@ impl ShardedBackend {
         };
         let runs = self.shard_runs(candidates);
         let score = |run: &[u32]| -> Option<SearchHit> {
-            let Some(clock) = clock else {
-                return self.scorer.best(&query_hv, binned.id, run);
-            };
             let start = Instant::now();
             let hit = self.scorer.best(&query_hv, binned.id, run);
             let ns = start.elapsed().as_nanos() as u64;
@@ -409,92 +346,26 @@ impl ShardedBackend {
         }
     }
 
-    /// [`SimilarityBackend::search_batch`] with an explicit worker
-    /// budget: the batch uses at most `workers` threads, whatever the
-    /// backend was constructed with. This is the entry point the serve
-    /// layer's scheduler drives — a granted batch must not oversubscribe
-    /// the machine beyond its share — and `workers == 1` runs entirely
-    /// inline on the calling thread.
+    /// [`ShardedBackend::search_batch_grouped`] over one group: the
+    /// hits plus one [`ShardTiming`] per visited shard (sorted by shard
+    /// position) and the prefilter stage's accounting.
     ///
-    /// Scores are bit-identical across worker budgets (every evaluation
-    /// is deterministic and order-preserving), so a budgeted search
-    /// renders the same PSM table a full-parallelism search renders.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `queries` and `candidates` do not pair up.
-    pub fn search_batch_with(
-        &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-        workers: usize,
-    ) -> Vec<Option<SearchHit>> {
-        let workers = workers.max(1);
-        assert_eq!(
-            queries.len(),
-            candidates.len(),
-            "queries and candidate lists must pair up"
-        );
-        if queries.len() >= workers {
-            // Enough queries to keep every worker busy: parallelise over
-            // queries, keep each query's shard walk sequential (better
-            // locality, no nested parallelism).
-            let jobs: Vec<usize> = (0..queries.len()).collect();
-            par_map(&jobs, workers, |&i| {
-                self.search_one(&queries[i], &candidates[i], 1)
-            })
-        } else {
-            // Few queries (interactive / tail of a batch): go wide over
-            // each query's shards instead.
-            queries
-                .iter()
-                .zip(candidates)
-                .map(|(q, c)| self.search_one(q, c, workers))
-                .collect()
-        }
-    }
-
-    /// [`ShardedBackend::search_batch_with`], additionally timing every
-    /// shard-scoring visit: returns the identical hits **plus** one
-    /// [`ShardTiming`] per visited shard (sorted by shard position).
-    /// This is the entry point the engine's span tracing drives; the
-    /// timing accumulators are atomics, so the figures are exact
-    /// whichever way the batch was parallelised, and the hits are
-    /// byte-identical to the untraced path (timing wraps the scoring
-    /// calls, it never reorders or alters them).
-    ///
-    /// `workers` of `None` uses the backend's configured parallelism
-    /// (the unscheduled paths); `Some(n)` caps the batch at `n` worker
-    /// threads (the serve scheduler's grants).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `queries` and `candidates` do not pair up.
-    pub fn search_batch_traced(
-        &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-        workers: Option<usize>,
-    ) -> (Vec<Option<SearchHit>>, Vec<ShardTiming>) {
-        let (hits, timings, _) = self.search_batch_prefiltered(queries, candidates, workers, None);
-        (hits, timings)
-    }
-
-    /// [`ShardedBackend::search_batch_traced`] with the two-stage
-    /// cascade: when `prefilter` is `Some((sketch, k))`, every query's
-    /// candidate list is narrowed to its top-`k` sketch scorers
+    /// When `prefilter` is `Some((sketch, k))`, every query's candidate
+    /// list is narrowed to its top-`k` sketch scorers
     /// ([`SketchIndex::narrow`]) between the one-time query encode and
     /// the shard walk, and the returned [`PrefilterStats`] account the
     /// pre/post candidate counts plus the sketch stage's summed
-    /// wall-clock.
+    /// wall-clock. With `prefilter` of `None` the stats come back
+    /// zeroed (the caller reports the unfiltered candidate total for
+    /// both stage counts). With `k` at or above every window size the
+    /// narrowed lists equal the input lists, so hits, timings *and*
+    /// per-stage counts match the unfiltered scan exactly.
     ///
-    /// With `prefilter` of `None` the scan, hits and timings are
-    /// byte-identical to [`ShardedBackend::search_batch_traced`] and the
-    /// stats come back zeroed (the caller reports the unfiltered
-    /// candidate total for both stage counts). With `k` at or above
-    /// every window size the narrowed lists equal the input lists, so
-    /// hits, timings *and* per-stage counts match the unfiltered scan
-    /// exactly.
+    /// `workers` of `None` uses the backend's configured parallelism;
+    /// `Some(n)` caps the batch at `n` worker threads (the serve
+    /// scheduler's grants; `1` runs entirely inline on the calling
+    /// thread). Scores are bit-identical across worker budgets — every
+    /// evaluation is deterministic and order-preserving.
     ///
     /// # Panics
     ///
@@ -517,8 +388,8 @@ impl ShardedBackend {
         )
     }
 
-    /// [`ShardedBackend::search_batch_prefiltered`] over a **merged**
-    /// batch of several request groups: query `i` belongs to group
+    /// The one search loop, over a **merged** batch of one or more
+    /// request groups: query `i` belongs to group
     /// `group_of[i]` (`0..group_count`), and the per-shard timings and
     /// prefilter stats come back **per group**, exactly as if each
     /// group had been searched alone — the clocks are indexed by group,
@@ -573,18 +444,23 @@ impl ShardedBackend {
         let search = |i: usize, parallel_shards: usize| {
             let group = group_of[i] as usize;
             let narrowing = prefilter.map(|(sketch, k)| (sketch, k, &pclocks[group]));
-            self.search_one_clocked(
+            self.search_query(
                 &queries[i],
                 &candidates[i],
                 parallel_shards,
-                Some(&clocks[group]),
+                &clocks[group],
                 narrowing,
             )
         };
         let hits = if queries.len() >= workers {
+            // Enough queries to keep every worker busy: parallelise over
+            // queries, keep each query's shard walk sequential (better
+            // locality, no nested parallelism).
             let jobs: Vec<usize> = (0..queries.len()).collect();
             par_map(&jobs, workers, |&i| search(i, 1))
         } else {
+            // Few queries (interactive / tail of a batch): go wide over
+            // each query's shards instead.
             (0..queries.len()).map(|i| search(i, workers)).collect()
         };
         (
@@ -609,6 +485,7 @@ impl SimilarityBackend for ShardedBackend {
         queries: &[BinnedSpectrum],
         candidates: &[Vec<u32>],
     ) -> Vec<Option<SearchHit>> {
-        self.search_batch_with(queries, candidates, self.threads)
+        self.search_batch_prefiltered(queries, candidates, None, None)
+            .0
     }
 }

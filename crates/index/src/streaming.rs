@@ -27,7 +27,7 @@ use crate::format::{
     self, IndexEntry, IndexError, IndexedBackendKind, MlcState, CHECKSUM_SEED, FORMAT_VERSION,
     MAGIC,
 };
-use crate::library_index::{hyperoms_exact_config, IndexConfig};
+use crate::library_index::IndexConfig;
 use crate::xxhash::xxh64;
 use hdoms_core::accelerator::{BuildStats, OmsAccelerator};
 use hdoms_core::encode::InMemoryEncoder;
@@ -109,7 +109,7 @@ impl ChunkEncoder {
                 }
             }
             IndexedBackendKind::HyperOms(config) => {
-                let exact = hyperoms_exact_config(config, threads);
+                let exact = config.exact_config(threads);
                 ChunkEncoder::Exact {
                     encoder: IdLevelEncoder::new(exact.encoder),
                     pre: Preprocessor::new(exact.preprocess),
@@ -439,7 +439,7 @@ impl StreamingIndexBuilder {
             per_shard,
             entry_count,
             mlc_bytes.as_ref().map_or(0, Vec::len),
-            Some(sketch_bytes.len()),
+            sketch_bytes.len(),
             &shard_lens,
         );
 
@@ -581,7 +581,7 @@ fn read_spill_block(
 
 /// A positioned writer that reproduces the container's section framing:
 /// zero padding to the next 8-aligned absolute offset, the payload, then
-/// its checksum — exactly what `to_bytes_version` emits for v2+.
+/// its checksum — exactly what `LibraryIndex::to_bytes` emits.
 struct SectionSink<W: Write> {
     out: W,
     pos: usize,

@@ -2,6 +2,7 @@
 //! identity, corruption rejection, warm-load search equivalence, and
 //! append-vs-cold-rebuild equivalence.
 
+use hdoms_baselines::hyperoms::{HyperOmsBackend, HyperOmsConfig};
 use hdoms_core::accelerator::{AcceleratorConfig, OmsAccelerator};
 use hdoms_index::{
     IndexBuilder, IndexConfig, IndexError, IndexReader, IndexedBackendKind, LibraryIndex,
@@ -156,7 +157,11 @@ fn outcomes_for(
             let accel = index.to_accelerator(THREADS).expect("rram kind");
             pipeline.run_catalog(&workload.queries, index, &accel)
         }
-        _ => {
+        IndexedBackendKind::HyperOms(_) => {
+            let hyperoms = index.to_hyperoms_backend(THREADS).expect("hyperoms kind");
+            pipeline.run_catalog(&workload.queries, index, &hyperoms)
+        }
+        IndexedBackendKind::Exact(_) => {
             let exact = index.to_exact_backend(THREADS).expect("exact kind");
             pipeline.run_catalog(&workload.queries, index, &exact)
         }
@@ -218,6 +223,36 @@ fn warm_load_searches_like_cold_build_rram() {
     let (flat, sharded) = outcomes_for(&restored, &workload);
     assert_eq!(cold.psms, flat.psms);
     assert_eq!(cold.psms, sharded.psms);
+}
+
+#[test]
+fn warm_load_searches_like_cold_build_hyperoms() {
+    // The HyperOMS → exact configuration mapping lives once
+    // (`HyperOmsConfig::exact_config`): a warm index reconstruction and
+    // a cold `HyperOmsBackend::build` must agree hit for hit.
+    let workload = tiny_workload(23);
+    let pipeline_handle = pipeline();
+
+    let config = HyperOmsConfig {
+        preprocess: pipeline_handle.config().preprocess,
+        dim: TEST_DIM,
+        threads: THREADS,
+        ..HyperOmsConfig::default()
+    };
+    let cold_backend = HyperOmsBackend::build(&workload.library, config);
+    let cold = pipeline_handle.run_catalog(&workload.queries, &workload.library, &cold_backend);
+    assert!(!cold.psms.is_empty());
+
+    let built = build_index(IndexedBackendKind::HyperOms(config), &workload.library, 48);
+    let restored = LibraryIndex::from_bytes(&built.to_bytes(), THREADS).expect("roundtrip");
+    let (flat, sharded) = outcomes_for(&restored, &workload);
+    assert_eq!(cold.psms, flat.psms, "warm flat PSMs differ from cold");
+    assert_eq!(
+        cold.psms, sharded.psms,
+        "warm sharded PSMs differ from cold"
+    );
+    assert_eq!(cold.accepted, sharded.accepted);
+    assert!(sharded.backend_name.starts_with("sharded(hyperoms, "));
 }
 
 #[test]

@@ -11,18 +11,21 @@
 //!    over a v2 file image) performs **zero** per-reference hypervector
 //!    allocations: its allocation traffic is bounded by the metadata,
 //!    and the copying path exceeds it by at least the full payload;
-//! 4. versioning — v1, v2 and v3 file images cross round-trip with
-//!    identical search storage, and the v3 sketch section matches the
-//!    on-the-fly derivation older images fall back to.
+//! 4. versioning — golden v1, v2 and v3 file images
+//!    (`tests/fixtures/`) open on both paths with identical entries and
+//!    search storage, the v3 sketch section matches the on-the-fly
+//!    derivation older images fall back to, and `to_bytes()` reproduces
+//!    the v3 file byte for byte.
 //!
 //! The allocator counter is process-global, so every test that measures
 //! it (or allocates heavily while another measures) serialises on one
 //! mutex.
 
-use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
+use hdoms_index::{IndexBuilder, IndexConfig, IndexReader, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_oms::search::{ExactBackendConfig, SharedReferences};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -228,62 +231,51 @@ fn mapped_load_performs_zero_per_reference_hypervector_allocations() {
 }
 
 #[test]
-fn v1_v2_and_v3_images_cross_roundtrip() {
+fn golden_v1_v2_and_v3_images_decode_alike() {
     let _serial = ALLOCATOR_WINDOWS.lock().unwrap();
-    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 102);
-    let mut exact = ExactBackendConfig::default();
-    exact.encoder.dim = 512;
-    let index = IndexBuilder::new(IndexConfig {
-        kind: IndexedBackendKind::Exact(exact),
-        entries_per_shard: 64,
-        threads: 4,
-    })
-    .from_library(&workload.library);
+    // The writer emits v3 only, so v1/v2 decode is pinned by images
+    // written once by the last commit that could write them (a dozen
+    // tiny-workload entries, targets and decoys, dim 512, three shards).
+    // A round-trip test cannot catch a layout drift — it is symmetric
+    // in writer and reader — these files can.
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let path = |version: u32| fixtures.join(format!("v{version}.hdx"));
+    let copied: Vec<LibraryIndex> = (1..=3)
+        .map(|v| IndexReader::open(&path(v)).expect("copying open"))
+        .collect();
+    let mapped: Vec<LibraryIndex> = (1..=3)
+        .map(|v| LibraryIndex::open_mapped(&path(v), 2).expect("mapped open"))
+        .collect();
 
-    // v1 image → copying load → identical index.
-    let v1 = index.to_bytes_version(1);
-    let from_v1 = LibraryIndex::from_bytes(&v1, 4).expect("v1 loads");
-    assert_eq!(from_v1, index);
+    let golden = &copied[0];
+    assert_eq!(golden.entry_count(), 12);
+    assert_eq!(golden.dim(), 512);
+    assert_eq!(golden.shards().len(), 3);
+    assert_eq!(golden.entries().filter(|e| e.is_decoy).count(), 6);
+    assert_eq!(golden.entries().next().unwrap().peptide, "IVENNDSR");
+    assert_eq!(golden.shared_references().present_count(), 12);
+    for index in copied.iter().chain(&mapped) {
+        assert!(index.entries().eq(golden.entries()));
+        assert_eq!(index.shared_references(), golden.shared_references());
+        assert_eq!(index, golden);
+    }
 
-    // The mapped loader accepts a v1 image too, via the documented
-    // copying fallback.
-    let from_v1_mapped =
-        LibraryIndex::from_buffer(hdoms_hdc::WordBuffer::from_bytes(&v1), 4).expect("v1 fallback");
-    assert!(!from_v1_mapped.shared_references().is_mapped());
-    assert_eq!(from_v1_mapped, index);
+    // The mapped loader accepts a v1 image via the documented copying
+    // fallback; v2 and v3 are searchable in place.
+    assert!(!mapped[0].shared_references().is_mapped());
+    assert!(mapped[1].shared_references().is_mapped());
+    assert!(mapped[2].shared_references().is_mapped());
+    assert!(copied.iter().all(|i| !i.shared_references().is_mapped()));
 
-    // v1 → load → re-serialise as v2 → mapped load: same index, now
-    // searchable in place.
-    let v2 = from_v1.to_bytes_version(2);
-    let from_v2 =
-        LibraryIndex::from_buffer(hdoms_hdc::WordBuffer::from_bytes(&v2), 4).expect("v2 loads");
-    assert!(from_v2.shared_references().is_mapped());
-    assert_eq!(from_v2, index);
+    // A v1/v2 image carries no sketch section; deriving it on the fly
+    // must produce exactly the table the v3 image persisted.
+    assert_eq!(mapped[0].sketch_index(), mapped[2].sketch_index());
+    assert_eq!(mapped[1].sketch_index(), mapped[2].sketch_index());
 
-    // v3 (the default) adds the persisted prefilter sketch section and
-    // still mapped-loads in place.
-    let v3 = index.to_bytes_version(3);
-    assert_eq!(v3, index.to_bytes(), "v3 is the default encoding");
-    let from_v3 =
-        LibraryIndex::from_buffer(hdoms_hdc::WordBuffer::from_bytes(&v3), 4).expect("v3 loads");
-    assert!(from_v3.shared_references().is_mapped());
-    assert_eq!(from_v3, index);
-
-    // …and back down: every loaded image re-serialises byte-identically
-    // at every older version, so v1/v2 readers keep working against
-    // down-converted files.
-    assert_eq!(from_v2.to_bytes_version(1), v1);
-    assert_eq!(from_v3.to_bytes_version(1), v1);
-    assert_eq!(from_v3.to_bytes_version(2), v2);
-
-    // A v2 image carries no sketch section; deriving it on the fly must
-    // produce exactly the table the v3 image persisted.
-    assert_eq!(from_v2.sketch_index(), from_v3.sketch_index());
-
-    // The three images really differ on disk (alignment, sketch
-    // section), but agree byte-for-byte about every hypervector.
-    assert_ne!(v1, v2);
-    assert_ne!(v2, v3);
-    assert_eq!(from_v1.shared_references(), from_v2.shared_references());
-    assert_eq!(from_v2.shared_references(), from_v3.shared_references());
+    // Today's writer reproduces the v3 file byte for byte — from the
+    // opened v3 image, and from the older images (the upgrade path).
+    let v3 = std::fs::read(path(3)).expect("v3 fixture");
+    for index in copied.iter().chain(&mapped) {
+        assert_eq!(index.to_bytes(), v3);
+    }
 }

@@ -11,8 +11,8 @@
 //! * memory — a live-bytes peak-tracking global allocator asserts the
 //!   streaming build's peak heap stays below the encoded payload (and is
 //!   governed by the spill threshold), while the in-memory build's peak
-//!   exceeds it. The allocator is process-global, so the measuring test
-//!   serialises on a mutex like `memory_sharing.rs` does.
+//!   exceeds it. The allocator is process-global, so every test in the
+//!   file serialises on a mutex like `memory_sharing.rs` does.
 
 use hdoms_baselines::hyperoms::HyperOmsConfig;
 use hdoms_core::accelerator::AcceleratorConfig;
@@ -27,7 +27,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Tracks live heap bytes and their high-water mark. Unlike the gross
 /// allocation counter in `memory_sharing.rs`, frees are subtracted:
@@ -66,8 +66,18 @@ unsafe impl GlobalAlloc for PeakAllocator {
 #[global_allocator]
 static PEAK_COUNTER: PeakAllocator = PeakAllocator;
 
-/// Serialises tests that measure (or heavily disturb) the global peak.
+/// Serialises every test in this binary: the high-water mark above is
+/// process-wide, so a sibling allocating on another thread inside the
+/// heap test's window would inflate its peaks.
 static ALLOCATOR_WINDOWS: Mutex<()> = Mutex::new(());
+
+/// Take the serialising lock. The mutex guards no data, so a sibling
+/// that panicked while holding it leaves nothing to distrust.
+fn serial() -> MutexGuard<'static, ()> {
+    ALLOCATOR_WINDOWS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Run `f` and return its value plus the peak of live bytes *above* the
 /// live level at entry.
@@ -149,6 +159,7 @@ proptest! {
         spill in 1usize..70,
         threads in 1usize..5,
     ) {
+        let _serial = serial();
         let library = scaled_library(peptides, factor, seed);
         let config = IndexConfig {
             kind: exact_kind(TEST_DIM),
@@ -168,6 +179,7 @@ proptest! {
 /// A single-entry library streams to the same bytes and opens cleanly.
 #[test]
 fn single_entry_library_matches() {
+    let _serial = serial();
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 3);
     let library: SpectralLibrary = workload.library.iter().take(1).cloned().collect();
     let config = IndexConfig {
@@ -197,6 +209,7 @@ fn single_entry_library_matches() {
 /// the buffered iterator path all produce identical bytes.
 #[test]
 fn push_granularity_is_invisible() {
+    let _serial = serial();
     let library = scaled_library(15, 2, 21);
     let config = IndexConfig {
         kind: exact_kind(TEST_DIM),
@@ -233,6 +246,7 @@ fn push_granularity_is_invisible() {
 /// must agree on it, and the image must load with matching statistics.
 #[test]
 fn all_rejected_entries_still_match() {
+    let _serial = serial();
     let library = scaled_library(10, 1, 5);
     let mut exact = ExactBackendConfig::default();
     exact.encoder.dim = TEST_DIM;
@@ -268,6 +282,7 @@ fn all_rejected_entries_still_match() {
 /// streams byte-identically too.
 #[test]
 fn hyperoms_kind_matches() {
+    let _serial = serial();
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 8);
     let config = IndexConfig {
         kind: hyperoms_kind(TEST_DIM),
@@ -291,6 +306,7 @@ fn hyperoms_kind_matches() {
 /// left-fold must reproduce it bit for bit.
 #[test]
 fn rram_kind_matches() {
+    let _serial = serial();
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 9);
     let config = IndexConfig {
         kind: rram_kind(TEST_DIM),
@@ -317,6 +333,7 @@ fn rram_kind_matches() {
 /// searches identically to the in-memory build it mirrors.
 #[test]
 fn streamed_image_opens_and_searches() {
+    let _serial = serial();
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 14);
     let config = IndexConfig {
         kind: exact_kind(TEST_DIM),
@@ -352,6 +369,7 @@ fn streamed_image_opens_and_searches() {
 /// Structured configuration errors, not panics.
 #[test]
 fn invalid_configurations_are_rejected() {
+    let _serial = serial();
     let path = temp_path("invalid-config");
     let config = StreamingConfig {
         spill_threshold: 0,
@@ -376,6 +394,7 @@ fn invalid_configurations_are_rejected() {
 /// spill and the temporary image.
 #[test]
 fn truncated_spill_is_structured_error() {
+    let _serial = serial();
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 31);
     let path = temp_path("truncated");
     let mut builder = StreamingIndexBuilder::create(
@@ -415,6 +434,7 @@ fn truncated_spill_is_structured_error() {
 /// structured I/O error, and abandoning a builder removes its spill.
 #[test]
 fn missing_spill_is_structured_error() {
+    let _serial = serial();
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 32);
     let path = temp_path("missing-spill");
     let streaming = StreamingConfig {
@@ -451,7 +471,7 @@ fn missing_spill_is_structured_error() {
 /// that bounds it.
 #[test]
 fn streaming_peak_heap_is_bounded_by_spill_threshold() {
-    let _serial = ALLOCATOR_WINDOWS.lock().unwrap();
+    let _serial = serial();
     // ~6k entries at dim 8192 → ~6.1 MB payload, comfortably above the
     // streaming side tables (sketch signatures + entry metadata + spill
     // offsets, ~2.5 MB) and the encoder item memory (~1.4 MB).

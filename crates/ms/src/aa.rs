@@ -4,14 +4,12 @@
 //! masses (the mass a residue contributes inside a peptide chain, i.e. the
 //! free amino-acid mass minus one water).
 
-use serde::{Deserialize, Serialize};
-
 /// One of the twenty proteinogenic amino-acid residues.
 ///
 /// Leucine and isoleucine are distinct variants even though their masses are
 /// identical; search tools conventionally treat them as indistinguishable at
 /// the spectrum level, which falls out naturally from equal masses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum AminoAcid {
     Gly,

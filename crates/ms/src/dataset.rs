@@ -22,11 +22,10 @@ use crate::spectrum::{Spectrum, SpectrumOrigin};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use std::collections::HashSet;
 
 /// Ground truth for one query spectrum.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QueryTruth {
     /// The query is an unmodified re-measurement of library target entry
     /// `library_id`.
@@ -65,7 +64,7 @@ impl QueryTruth {
 }
 
 /// Specification of a synthetic workload.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Human-readable name, e.g. `"iPRG2012(x0.01)"`.
     pub name: String,
@@ -156,7 +155,7 @@ impl WorkloadSpec {
 }
 
 /// A fully generated workload: library, queries and per-query ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticWorkload {
     /// The specification this workload was generated from.
     pub spec: WorkloadSpec,
@@ -312,7 +311,7 @@ pub fn sample_target_peptides(rng: &mut StdRng, spec: &WorkloadSpec) -> Vec<Pept
 
 /// Specification of a [`ScaledLibrary`]: a base preset multiplied by an
 /// augmentation factor.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScaledLibrarySpec {
     /// The base workload whose library is scaled (only its library
     /// fields — peptides, charge, fragmentation — are used).

@@ -11,10 +11,9 @@ use crate::aa::AminoAcid;
 use crate::peptide::Peptide;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::Serialize;
 
 /// A protein: a named amino-acid sequence.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Protein {
     /// Accession / name.
     pub name: String,
@@ -52,7 +51,7 @@ impl Protein {
 }
 
 /// Digestion parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DigestConfig {
     /// Maximum missed cleavage sites left inside a peptide (0–2 typical).
     pub missed_cleavages: usize,

@@ -10,10 +10,9 @@
 use crate::peptide::Peptide;
 use crate::spectrum::{Peak, Spectrum, SpectrumOrigin};
 use crate::{PROTON_MASS, WATER_MASS};
-use serde::{Deserialize, Serialize};
 
 /// Ion series type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IonKind {
     /// N-terminal fragment (prefix).
     B,
@@ -22,7 +21,7 @@ pub enum IonKind {
 }
 
 /// A theoretical fragment ion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FragmentIon {
     /// Series type.
     pub kind: IonKind,
@@ -35,7 +34,7 @@ pub struct FragmentIon {
 }
 
 /// Configuration for theoretical spectrum generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FragmentConfig {
     /// Maximum fragment charge to generate. Fragments are generated at
     /// charges `1..=max_fragment_charge.min(precursor_charge)`.

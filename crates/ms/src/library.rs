@@ -3,10 +3,9 @@
 use crate::fragment::{theoretical_spectrum, FragmentConfig};
 use crate::peptide::Peptide;
 use crate::spectrum::{Spectrum, SpectrumOrigin};
-use serde::Serialize;
 
 /// One reference entry: the spectrum plus the peptide it was generated from.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LibraryEntry {
     /// The reference spectrum. Its `id` equals the entry's index in the
     /// library.
@@ -22,7 +21,7 @@ pub struct LibraryEntry {
 ///
 /// Entry `id`s are dense indices `0..len`, so search results can refer to
 /// entries by `u32` id.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpectralLibrary {
     entries: Vec<LibraryEntry>,
 }

@@ -6,11 +6,10 @@
 //! synthetic workloads, with Unimod-style monoisotopic mass shifts.
 
 use crate::aa::AminoAcid;
-use serde::Serialize;
 use std::fmt;
 
 /// Which residues a modification may attach to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Target {
     /// Any residue.
     Any,
@@ -20,7 +19,7 @@ pub enum Target {
 
 /// A post-translational modification: a named monoisotopic mass shift with a
 /// residue-specificity rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Modification {
     name: &'static str,
     mass_shift: f64,

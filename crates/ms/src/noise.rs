@@ -20,7 +20,6 @@
 use crate::spectrum::{Peak, Spectrum};
 use rand::Rng;
 use rand_distr_shim::{sample_lognormal, sample_normal};
-use serde::{Deserialize, Serialize};
 
 /// Minimal Box–Muller sampling helpers so we do not need `rand_distr`.
 mod rand_distr_shim {
@@ -41,7 +40,7 @@ mod rand_distr_shim {
 }
 
 /// Parameters of the instrument noise model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
     /// Probability that a true fragment peak is observed (0..=1).
     pub peak_survival: f64,

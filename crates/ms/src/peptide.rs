@@ -6,7 +6,6 @@ use crate::{PROTON_MASS, WATER_MASS};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use std::fmt;
 
 /// A peptide: a sequence of amino-acid residues, optionally carrying one
@@ -15,14 +14,14 @@ use std::fmt;
 /// The synthetic workloads in this reproduction only ever place a single
 /// modification per peptide, mirroring the paper's open-search setting where
 /// the precursor mass delta is explained by one dominant PTM.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Peptide {
     residues: Vec<AminoAcid>,
     modification: Option<PlacedModification>,
 }
 
 /// A modification applied at a specific zero-based residue index.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacedModification {
     /// The modification identity (name and mass shift).
     pub modification: Modification,

@@ -9,11 +9,10 @@
 //! result so the strongest bin has value 1.
 
 use crate::spectrum::{Spectrum, SpectrumOrigin};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How raw intensities are scaled before binning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntensityScaling {
     /// Use raw intensities.
     None,
@@ -24,7 +23,7 @@ pub enum IntensityScaling {
 }
 
 /// Preprocessing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreprocessConfig {
     /// Discard peaks below this fraction of the base-peak intensity.
     pub intensity_threshold: f64,
@@ -67,7 +66,7 @@ impl PreprocessConfig {
 }
 
 /// A binned peak: bin index plus scaled, max-normalised intensity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BinnedPeak {
     /// Bin index in `0..num_bins`.
     pub bin: u32,
@@ -77,7 +76,7 @@ pub struct BinnedPeak {
 
 /// A preprocessed spectrum: sparse vector of (bin, intensity) pairs sorted
 /// by bin index, plus the precursor metadata the search needs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinnedSpectrum {
     /// Original spectrum id.
     pub id: u32,

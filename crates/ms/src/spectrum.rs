@@ -1,10 +1,9 @@
 //! Mass spectra: peaks, precursor information and basic spectrum algebra.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single fragment peak: a mass-to-charge position and an intensity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Peak {
     /// Mass-to-charge ratio (Thomson).
     pub mz: f64,
@@ -34,7 +33,7 @@ impl Peak {
 
 /// Provenance of a spectrum, used to keep target/decoy bookkeeping and the
 /// synthetic ground truth together with the data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpectrumOrigin {
     /// A reference spectrum generated from a real (target) peptide.
     Target,
@@ -46,7 +45,7 @@ pub enum SpectrumOrigin {
 
 /// An MS/MS spectrum: a precursor (m/z + charge) and a peak list sorted by
 /// m/z.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Spectrum {
     /// Identifier unique within its collection (library index or query index).
     pub id: u32,

@@ -5,9 +5,9 @@
 //! for the paper's encode → associative-search → FDR pipeline, queue
 //! behaviour under admission pressure, and structured logs an operator
 //! can grep or ship. This crate is that window, built on `std` alone
-//! (the workspace's `serde` is a no-op offline shim, so everything —
-//! including the Prometheus text exposition and the JSON log lines —
-//! is hand-rolled).
+//! (no serialisation crate resolves offline, so everything — including
+//! the Prometheus text exposition and the JSON log lines — is
+//! hand-rolled).
 //!
 //! Three pieces, usable independently:
 //!

@@ -17,7 +17,7 @@
 //!     .emit();
 //! ```
 //!
-//! JSON lines are hand-rolled (the workspace `serde` is a no-op shim):
+//! JSON lines are hand-rolled (no JSON crate resolves offline):
 //! `{"ts":<unix-ms>,"level":"info","event":"serve.start",...fields}`.
 
 use std::io::Write;

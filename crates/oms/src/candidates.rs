@@ -6,10 +6,9 @@
 
 use crate::window::PrecursorWindow;
 use hdoms_ms::library::SpectralLibrary;
-use serde::{Deserialize, Serialize};
 
 /// An index over reference neutral masses supporting range queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateIndex {
     /// (neutral mass, library id), sorted by mass.
     by_mass: Vec<(f64, u32)>,

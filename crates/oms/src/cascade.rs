@@ -19,10 +19,9 @@ use crate::search::{candidate_lists, SimilarityBackend};
 use crate::window::PrecursorWindow;
 use hdoms_ms::dataset::SyntheticWorkload;
 use hdoms_ms::preprocess::Preprocessor;
-use serde::Serialize;
 
 /// Result of a cascade run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CascadeOutcome {
     /// Accepted PSMs from the standard (first) pass.
     pub standard_accepted: Vec<Psm>,
@@ -58,7 +57,7 @@ impl CascadeOutcome {
 }
 
 /// Cascade configuration: the two windows and per-pass FDR level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CascadeConfig {
     /// First-pass (narrow) window.
     pub standard_window: PrecursorWindow,

@@ -8,10 +8,9 @@
 //! level (canonically 1 %) and accepts the target PSMs above it.
 
 use crate::psm::Psm;
-use serde::{Deserialize, Serialize};
 
 /// Result of FDR filtering.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FdrOutcome {
     /// Accepted target PSMs (score above the chosen threshold), in
     /// descending score order.

@@ -18,7 +18,6 @@ use hdoms_ms::dataset::SyntheticWorkload;
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
 use hdoms_ms::spectrum::Spectrum;
-use serde::Serialize;
 use std::collections::{BTreeSet, HashSet};
 
 /// The reference-side metadata the pipeline needs to turn backend hits
@@ -105,7 +104,7 @@ where
 }
 
 /// Pipeline configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Preprocessing applied to query spectra (must match the backend's
     /// library preprocessing for scores to be meaningful).
@@ -148,7 +147,7 @@ impl PipelineConfig {
 }
 
 /// The result of one pipeline run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineOutcome {
     /// Name of the backend that produced the scores.
     pub backend_name: String,
@@ -227,7 +226,7 @@ impl PipelineOutcome {
 /// Ground-truth evaluation of a pipeline run (synthetic workloads only —
 /// real data has no ground truth, which is why the paper compares tool
 /// agreement instead, Fig. 10).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalStats {
     /// Accepted identifications.
     pub accepted: usize,

@@ -8,10 +8,9 @@
 //! the modifications present in the sample — without any prior list.
 
 use crate::psm::Psm;
-use serde::Serialize;
 
 /// One detected delta-mass peak.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaPeak {
     /// Centroid of the delta-mass peak in daltons (intensity-weighted
     /// mean of the member deltas).
@@ -21,7 +20,7 @@ pub struct DeltaPeak {
 }
 
 /// Histogram of precursor mass deltas with peak detection.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaMassProfile {
     bin_width: f64,
     /// (bin lower edge, count), only non-empty bins, ascending.

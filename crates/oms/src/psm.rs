@@ -1,11 +1,10 @@
 //! Peptide-spectrum matches (PSMs) and the canonical PSM table format.
 
 use crate::pipeline::PipelineOutcome;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of searching one query spectrum: its best-scoring library
 /// entry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Psm {
     /// Query spectrum id.
     pub query_id: u32,

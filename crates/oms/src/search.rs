@@ -14,10 +14,8 @@ use hdoms_hdc::parallel::par_map;
 use hdoms_hdc::{BinaryHypervector, HvRef, WordBuffer};
 use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
-use hdoms_prefilter::SketchIndex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Sentinel marking an absent hypervector in a mapped offset table.
@@ -298,7 +296,7 @@ impl From<MappedReferences> for SharedReferences {
 }
 
 /// One best-match result from a backend.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchHit {
     /// Library entry id of the best match.
     pub reference: u32,
@@ -426,7 +424,7 @@ pub trait SimilarityBackend {
 }
 
 /// Configuration for [`ExactBackend`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExactBackendConfig {
     /// Preprocessing applied to the reference library (queries are
     /// preprocessed by the pipeline with its own config; keep them equal).
@@ -471,10 +469,6 @@ pub struct ExactBackend {
     /// the reference failed preprocessing (too few peaks). Shared, so a
     /// warm load from a persistent index does not duplicate the words.
     reference_hvs: SharedReferences,
-    /// The two-stage cascade's sketch stage, when enabled: each query's
-    /// candidate list is narrowed to the top-K sketch scorers before the
-    /// exact scan ([`ExactBackend::set_prefilter`]).
-    prefilter: Option<(Arc<SketchIndex>, usize)>,
 }
 
 impl ExactBackend {
@@ -489,7 +483,6 @@ impl ExactBackend {
             config,
             encoder,
             reference_hvs: reference_hvs.into(),
-            prefilter: None,
         }
     }
 
@@ -574,7 +567,6 @@ impl ExactBackend {
             config,
             encoder,
             reference_hvs,
-            prefilter: None,
         }
     }
 
@@ -643,44 +635,7 @@ impl ExactBackend {
             config,
             encoder: self.encoder.clone(),
             reference_hvs,
-            // A sketch built over the clean references no longer matches
-            // corrupted storage — derived variants start unfiltered.
-            prefilter: None,
         }
-    }
-
-    /// Enable the two-stage cascade: narrow every candidate list to the
-    /// `k` best scorers under `sketch` before the exact scan. `sketch`
-    /// must cover this backend's reference table (same slots, same
-    /// hypervector width).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k` is zero or the sketch shape disagrees with the
-    /// reference table.
-    pub fn set_prefilter(&mut self, sketch: Arc<SketchIndex>, k: usize) {
-        assert!(k > 0, "prefilter K must be >= 1 (clear it to disable)");
-        assert_eq!(
-            sketch.len(),
-            self.reference_hvs.len(),
-            "sketch slots must cover the reference table"
-        );
-        assert_eq!(
-            sketch.full_words(),
-            self.config.encoder.dim.div_ceil(64),
-            "sketch samples a different hypervector width than the encoder"
-        );
-        self.prefilter = Some((sketch, k));
-    }
-
-    /// Disable the cascade (return to scanning every candidate).
-    pub fn clear_prefilter(&mut self) {
-        self.prefilter = None;
-    }
-
-    /// The active sketch index and K, when the cascade is enabled.
-    pub fn prefilter(&self) -> Option<(&Arc<SketchIndex>, usize)> {
-        self.prefilter.as_ref().map(|(sketch, k)| (sketch, *k))
     }
 
     /// Encode one query, applying the configured encode-path bit errors.
@@ -723,18 +678,6 @@ impl SimilarityBackend for ExactBackend {
             "queries and candidate lists must pair up"
         );
         let dim = self.encoder.config().dim;
-        if let Some((sketch, k)) = &self.prefilter {
-            // The cascade narrows each query's list individually, so the
-            // narrowed lists of consecutive queries rarely coincide —
-            // take the per-query scan (encode → sketch → narrow → exact).
-            let jobs: Vec<usize> = (0..queries.len()).collect();
-            return par_map(&jobs, self.config.threads, |&i| {
-                let query_hv = self.encode_query(&queries[i]);
-                let signature = sketch.sketch_query(query_hv.words());
-                let narrowed = sketch.narrow(&signature, &candidates[i], *k);
-                best_hit(&self.reference_hvs, dim, &query_hv, &narrowed)
-            });
-        }
         // Consecutive queries sharing one candidate list form a query
         // block for the blocked kernel (one reference sweep per block);
         // everything else takes the 1 × R tiled scan. Either way the

@@ -7,10 +7,8 @@
 //! at the cost of a vastly larger candidate set, which is exactly the
 //! scaling problem the paper's accelerator attacks.
 
-use serde::{Deserialize, Serialize};
-
 /// The accepted range of `query − reference` neutral-mass deltas.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PrecursorWindow {
     /// Standard search: `|Δm| ≤ ppm · 10⁻⁶ · query_mass`.
     StandardPpm(f64),

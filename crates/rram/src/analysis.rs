@@ -12,10 +12,9 @@
 use crate::config::MlcConfig;
 use crate::device::DeviceModel;
 use crate::levels::LevelMap;
-use serde::{Deserialize, Serialize};
 
 /// Analytical storage-error prediction for one configuration and age.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageErrorPrediction {
     /// Probability that a random symbol decodes to the wrong level.
     pub symbol_error_rate: f64,

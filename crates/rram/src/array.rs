@@ -29,10 +29,9 @@
 use crate::config::MlcConfig;
 use crate::device::DeviceModel;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Crossbar geometry and analog front-end parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossbarConfig {
     /// Device model for the cells.
     pub mlc: MlcConfig,
@@ -122,7 +121,7 @@ impl CrossbarConfig {
 
 /// A programmed crossbar tile: `pairs × cols` differential weights with
 /// their relaxed (observed) conductances frozen at programming+settling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossbarArray {
     config: CrossbarConfig,
     pairs: usize,

@@ -12,7 +12,6 @@
 //! evaluation alongside the error rates.
 
 use crate::config::MlcConfig;
-use serde::{Deserialize, Serialize};
 
 /// Density of SLC RRAM relative to high-density SRAM in the same node
 /// (reference 8 of the paper).
@@ -24,7 +23,7 @@ pub const SLC_RRAM_VS_SRAM_DENSITY: f64 = 3.0;
 pub const CELL_AREA_130NM_UM2: f64 = 1.2;
 
 /// A chip built from identical crossbar tiles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipSpec {
     /// Device configuration (bits per cell).
     pub mlc: MlcConfig,

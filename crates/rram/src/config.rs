@@ -1,7 +1,5 @@
 //! MLC RRAM device configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the multi-level-cell RRAM device model.
 ///
 /// Conductances are in microsiemens (µS) to match Figure 8 of the paper
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// Figure 7 (storage bit error rate over time for 1/2/3 bits per cell)
 /// matches the paper's chip measurements in magnitude and ordering; see
 /// `device.rs` for the model itself.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MlcConfig {
     /// Bits stored per cell (1, 2 or 3 → 2/4/8 conductance levels).
     pub bits_per_cell: u8,

@@ -25,10 +25,9 @@
 
 use crate::config::MlcConfig;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Samples observed conductances for programmed cells under relaxation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceModel {
     config: MlcConfig,
 }

@@ -1,12 +1,11 @@
 //! Conductance level maps: targets, decoding and symbol/bit conversion.
 
 use crate::config::MlcConfig;
-use serde::{Deserialize, Serialize};
 
 /// The conductance level map of an n-bit cell: `2^n` evenly spaced targets
 /// from 0 to `g_max`, decoded back by nearest-target matching (equivalent
 /// to midpoint thresholds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LevelMap {
     bits: u8,
     targets: Vec<f64>,

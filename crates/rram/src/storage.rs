@@ -13,10 +13,9 @@ use crate::device::DeviceModel;
 use crate::levels::LevelMap;
 use hdoms_hdc::BinaryHypervector;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate statistics from reading a store back.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StorageStats {
     /// Total data bits stored.
     pub bits_total: u64,
@@ -49,7 +48,7 @@ impl StorageStats {
 }
 
 /// A bank of MLC cells holding a batch of equally-sized hypervectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HypervectorStore {
     config: MlcConfig,
     level_map: LevelMap,

@@ -1,7 +1,7 @@
 //! A minimal JSON value, parser and canonical encoder.
 //!
-//! The workspace's `serde` is a no-op offline shim, so the serve protocol
-//! hand-rolls its JSON. The dialect is deliberately small and **canonical
+//! No JSON crate resolves offline, so the serve protocol hand-rolls its
+//! JSON. The dialect is deliberately small and **canonical
 //! on encode**: no whitespace, object keys in insertion order, floats in
 //! Rust's shortest round-trip notation, integral values printed without a
 //! fraction. Parsing is lenient about whitespace, so hand-written client

@@ -46,8 +46,8 @@
 //! (`hdoms serve --metrics`); instrumentation never changes output
 //! bytes (see `docs/OBSERVABILITY.md`).
 //!
-//! [`json`] is the hand-rolled canonical JSON underneath (the workspace's
-//! `serde` is a no-op offline shim).
+//! [`json`] is the hand-rolled canonical JSON underneath (no JSON crate
+//! resolves offline).
 //!
 //! The `hdoms` CLI exposes this as `hdoms serve` (daemon) and
 //! `hdoms query` (remote batch search); `crates/bench`'s `serve_bench`

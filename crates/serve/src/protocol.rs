@@ -537,8 +537,8 @@ pub struct BatchStats {
     /// Score of the weakest accepted PSM (`null` on the wire when no PSM
     /// was accepted).
     pub threshold_score: f64,
-    /// Total shard visits across the batch (see
-    /// [`ShardedBackend::shards_touched`](hdoms_index::ShardedBackend::shards_touched)).
+    /// Total shard visits across the batch: the sum over queries of the
+    /// shard runs each query's candidate list spans.
     pub shards_touched: usize,
     /// Total candidate references scored across the batch.
     pub candidates_scored: usize,

@@ -6,11 +6,12 @@ use crate::protocol::{
     QueryResult, Request, Response, ServerStats, SubmitReceipt, PROTOCOL_VERSION,
 };
 use crate::scheduler::{ScheduleError, Scheduler, SchedulerConfig, Tier};
-use hdoms_engine::{Engine, Session, ShardTiming};
+use hdoms_engine::{BatchReceipt, Engine, Session, ShardTiming};
 use hdoms_index::{IndexError, LibraryIndex};
 use hdoms_ms::spectrum::Spectrum;
 use hdoms_obs::log::Logger;
 use hdoms_obs::metrics::{Counter, Gauge, Histogram, Registry};
+use hdoms_oms::pipeline::PipelineOutcome;
 use hdoms_oms::psm::table_rows;
 use hdoms_prefilter::PrefilterConfig;
 use std::collections::HashMap;
@@ -783,65 +784,9 @@ impl Server {
         if request.tier == Tier::Interactive && self.coalesce_window_ms > 0 {
             return self.query_coalesced(client, request, &engine, spectra);
         }
-
-        let permit = self.scheduler.admit_as(client, request.tier)?;
-        let start = Instant::now();
-        let (outcome, receipt) = engine.search_with_workers_opts(
-            &spectra,
-            request.window.window(),
-            request.fdr,
-            permit.workers(),
-            request.prefilter,
-        )?;
-        let latency_ms = start.elapsed().as_secs_f64() * 1e3;
-        let (wait_ms, queued, workers) =
-            (permit.wait_ms(), permit.queued_behind(), permit.workers());
-        drop(permit);
-        self.residency_touch(&request.index, &receipt.shard_timings);
-
-        self.metrics.batches.inc();
-        self.metrics.queries.add(outcome.total_queries as u64);
-        self.metrics.psms.add(outcome.psms.len() as u64);
-        self.metrics
-            .identifications
-            .add(outcome.identifications() as u64);
-        self.metrics.batch_latency_ms.record_ms(latency_ms);
-        self.logger
-            .debug("query.batch")
-            .str("index", &request.index)
-            .u64("client", client)
-            .u64("queries", outcome.total_queries as u64)
-            .u64("identifications", outcome.identifications() as u64)
-            .f64("latency_ms", latency_ms)
-            .f64("wait_ms", wait_ms)
-            .emit();
-
-        let rows = table_rows(engine.peptides(), &outcome);
-        Ok(QueryResult {
-            index: request.index.clone(),
-            stats: BatchStats {
-                latency_ms,
-                wait_ms,
-                queued,
-                workers,
-                queries: outcome.total_queries,
-                rejected_queries: outcome.rejected_queries,
-                psms: outcome.psms.len(),
-                identifications: outcome.identifications(),
-                threshold_score: outcome.threshold_score,
-                shards_touched: receipt.shards_touched,
-                candidates_scored: receipt.candidates_scored,
-                candidates_pre: receipt.candidates_pre,
-                candidates_post: receipt.candidates_post,
-                sketch_ms: receipt.sketch_ms,
-                encode_ms: receipt.stages.encode_ms,
-                candidates_ms: receipt.stages.candidates_ms,
-                score_ms: receipt.stages.score_ms,
-                finalize_ms: receipt.stages.finalize_ms,
-                backend: outcome.backend_name.clone(),
-            },
-            rows,
-        })
+        // A solo query is a coalesced batch of one member.
+        let mut results = self.execute(client, request, &engine, &[spectra])?;
+        Ok(results.pop().expect("one member in, one result out"))
     }
 
     /// Divert an interactive query through the coalescer: join (or
@@ -916,7 +861,11 @@ impl Server {
         // From here on, every member gets an answer: the completion
         // guard backfills error results and notifies on any exit.
         let completion = GroupCompletion { group: &group };
-        let outcome = self.execute_coalesced(client, request, engine, &members);
+        let outcome = self.execute(client, request, engine, &members);
+        if outcome.is_ok() {
+            self.metrics.coalesced_batches.inc();
+            self.metrics.coalesced_requests.add(members.len() as u64);
+        }
         let mine = {
             let mut state = group.state.lock().expect("coalesce group lock");
             match outcome {
@@ -939,17 +888,19 @@ impl Server {
         mine
     }
 
-    /// Admit once, run the merged groups through one engine call, and
-    /// build each member's [`QueryResult`] from its own per-group
-    /// outcome and receipt.
-    fn execute_coalesced(
+    /// The one execute body behind every `query`: admit once under the
+    /// request's tier, run `members` (one decoded spectrum set per
+    /// request; a solo query is the only member) through one engine
+    /// call, and build each member's [`QueryResult`] from its own
+    /// per-group outcome and receipt.
+    fn execute(
         &self,
         client: u64,
         request: &QueryRequest,
         engine: &Arc<Engine>,
         members: &[Vec<Spectrum>],
     ) -> Result<Vec<QueryResult>, ServeError> {
-        let permit = self.scheduler.admit_as(client, Tier::Interactive)?;
+        let permit = self.scheduler.admit_as(client, request.tier)?;
         let groups: Vec<&[Spectrum]> = members.iter().map(Vec::as_slice).collect();
         let start = Instant::now();
         let outcomes = engine.search_groups(
@@ -959,66 +910,50 @@ impl Server {
             permit.workers(),
             request.prefilter,
         )?;
-        let latency_ms = start.elapsed().as_secs_f64() * 1e3;
-        let (wait_ms, queued, workers) =
-            (permit.wait_ms(), permit.queued_behind(), permit.workers());
+        // Every member waited for the whole merged batch: its
+        // experienced latency is the merged wall-clock, and the one
+        // admission's wait/queue/workers apply to all members alike.
+        let admission = Admission {
+            latency_ms: start.elapsed().as_secs_f64() * 1e3,
+            wait_ms: permit.wait_ms(),
+            queued: permit.queued_behind(),
+            workers: permit.workers(),
+        };
         drop(permit);
 
-        self.metrics.coalesced_batches.inc();
-        self.metrics.coalesced_requests.add(members.len() as u64);
         let mut results = Vec::with_capacity(outcomes.len());
         for (outcome, receipt) in outcomes {
             self.residency_touch(&request.index, &receipt.shard_timings);
             // Per-member server metrics: each member is one logical
             // batch, keeping counters comparable with and without
-            // coalescing. The histogram records each member's
-            // attributed (per-group) execution cost.
+            // coalescing.
             self.metrics.batches.inc();
             self.metrics.queries.add(outcome.total_queries as u64);
             self.metrics.psms.add(outcome.psms.len() as u64);
             self.metrics
                 .identifications
                 .add(outcome.identifications() as u64);
-            self.metrics.batch_latency_ms.record_ms(receipt.latency_ms);
-            let rows = table_rows(engine.peptides(), &outcome);
-            results.push(QueryResult {
-                index: request.index.clone(),
-                stats: BatchStats {
-                    // Every member waited for the whole merged batch:
-                    // its experienced latency is the merged wall-clock,
-                    // and the one admission's wait/queue/workers apply
-                    // to all members alike.
-                    latency_ms,
-                    wait_ms,
-                    queued,
-                    workers,
-                    queries: outcome.total_queries,
-                    rejected_queries: outcome.rejected_queries,
-                    psms: outcome.psms.len(),
-                    identifications: outcome.identifications(),
-                    threshold_score: outcome.threshold_score,
-                    shards_touched: receipt.shards_touched,
-                    candidates_scored: receipt.candidates_scored,
-                    candidates_pre: receipt.candidates_pre,
-                    candidates_post: receipt.candidates_post,
-                    sketch_ms: receipt.sketch_ms,
-                    encode_ms: receipt.stages.encode_ms,
-                    candidates_ms: receipt.stages.candidates_ms,
-                    score_ms: receipt.stages.score_ms,
-                    finalize_ms: receipt.stages.finalize_ms,
-                    backend: outcome.backend_name.clone(),
-                },
-                rows,
-            });
+            self.metrics
+                .batch_latency_ms
+                .record_ms(admission.latency_ms);
+            self.logger
+                .debug("query.batch")
+                .str("index", &request.index)
+                .u64("client", client)
+                .u64("members", members.len() as u64)
+                .u64("queries", outcome.total_queries as u64)
+                .u64("identifications", outcome.identifications() as u64)
+                .f64("latency_ms", admission.latency_ms)
+                .f64("wait_ms", admission.wait_ms)
+                .emit();
+            results.push(query_result(
+                request.index.clone(),
+                engine,
+                &outcome,
+                &receipt,
+                admission,
+            ));
         }
-        self.logger
-            .debug("query.coalesced")
-            .str("index", &request.index)
-            .u64("client", client)
-            .u64("members", members.len() as u64)
-            .f64("latency_ms", latency_ms)
-            .f64("wait_ms", wait_ms)
-            .emit();
         Ok(results)
     }
 
@@ -1179,16 +1114,8 @@ impl Server {
         let open = self.take_session(id)?.consume();
         let start = Instant::now();
         let engine = Arc::clone(open.session.engine());
-        let index = open.index;
-        let submitted_ms = open.session.latency_ms();
-        let wait_ms = open.wait_ms;
-        let candidates_scored = open.session.candidates_scored();
-        let candidates_pre = open.session.candidates_pre();
-        let candidates_post = open.session.candidates_post();
-        let sketch_ms = open.session.sketch_ms();
-        let shards_touched = open.session.shards_touched();
-        let stages = open.session.stage_timings();
-        let (outcome, finalize_ms) = open.session.finalize_traced(fdr);
+        let (outcome, receipt) = open.session.finalize_traced(fdr);
+        let submitted_ms = receipt.latency_ms - receipt.stages.finalize_ms;
         let latency_ms = submitted_ms + start.elapsed().as_secs_f64() * 1e3;
 
         self.metrics
@@ -1202,35 +1129,18 @@ impl Server {
             .f64("latency_ms", latency_ms)
             .emit();
 
-        let rows = table_rows(engine.peptides(), &outcome);
-        Ok(QueryResult {
-            index,
-            stats: BatchStats {
-                latency_ms,
-                // The finalize itself runs unscheduled (the FDR filter
-                // is cheap); wait_ms reports what the session's submits
-                // spent queued, workers 0 marks the unscheduled batch.
-                wait_ms,
-                queued: 0,
-                workers: 0,
-                queries: outcome.total_queries,
-                rejected_queries: outcome.rejected_queries,
-                psms: outcome.psms.len(),
-                identifications: outcome.identifications(),
-                threshold_score: outcome.threshold_score,
-                shards_touched,
-                candidates_scored,
-                candidates_pre,
-                candidates_post,
-                sketch_ms,
-                encode_ms: stages.encode_ms,
-                candidates_ms: stages.candidates_ms,
-                score_ms: stages.score_ms,
-                finalize_ms,
-                backend: outcome.backend_name.clone(),
-            },
-            rows,
-        })
+        // The finalize itself runs unscheduled (the FDR filter is
+        // cheap); wait_ms reports what the session's submits spent
+        // queued, workers 0 marks the unscheduled batch.
+        let admission = Admission {
+            latency_ms,
+            wait_ms: open.wait_ms,
+            queued: 0,
+            workers: 0,
+        };
+        Ok(query_result(
+            open.index, &engine, &outcome, &receipt, admission,
+        ))
     }
 
     /// Discard an open session without producing a result (the
@@ -1486,6 +1396,53 @@ fn summarize(name: &str, engine: &Engine) -> IndexSummary {
         dim: index.dim(),
         entries: index.entry_count(),
         shards: index.shards().len(),
+    }
+}
+
+/// What the serving layer measured around a batch (the engine's receipt
+/// carries everything measured inside it).
+#[derive(Clone, Copy)]
+struct Admission {
+    latency_ms: f64,
+    wait_ms: f64,
+    queued: usize,
+    workers: usize,
+}
+
+/// One answered batch on the wire: the rendered rows, and statistics
+/// drawn from the outcome's counts, the engine receipt's accounting and
+/// stage timings, and the serving layer's own measurements.
+fn query_result(
+    index: String,
+    engine: &Engine,
+    outcome: &PipelineOutcome,
+    receipt: &BatchReceipt,
+    admission: Admission,
+) -> QueryResult {
+    QueryResult {
+        index,
+        stats: BatchStats {
+            latency_ms: admission.latency_ms,
+            wait_ms: admission.wait_ms,
+            queued: admission.queued,
+            workers: admission.workers,
+            queries: outcome.total_queries,
+            rejected_queries: outcome.rejected_queries,
+            psms: outcome.psms.len(),
+            identifications: outcome.identifications(),
+            threshold_score: outcome.threshold_score,
+            shards_touched: receipt.shards_touched,
+            candidates_scored: receipt.candidates_scored,
+            candidates_pre: receipt.candidates_pre,
+            candidates_post: receipt.candidates_post,
+            sketch_ms: receipt.sketch_ms,
+            encode_ms: receipt.stages.encode_ms,
+            candidates_ms: receipt.stages.candidates_ms,
+            score_ms: receipt.stages.score_ms,
+            finalize_ms: receipt.stages.finalize_ms,
+            backend: outcome.backend_name.clone(),
+        },
+        rows: table_rows(engine.peptides(), outcome),
     }
 }
 

@@ -30,7 +30,7 @@ fn build_index(library: &hdoms_ms::library::SpectralLibrary) -> LibraryIndex {
     IndexBuilder::new(config).from_library(library)
 }
 
-/// The CLI `search --index --sharded` path, in process: same pipeline
+/// The CLI `search --index` path, in process: same pipeline
 /// configuration `pipeline_for` builds, same sharded backend.
 fn local_search_table(index: &LibraryIndex, workload: &SyntheticWorkload) -> String {
     let mut config = PipelineConfig {

@@ -1,14 +1,21 @@
 //! Cross-crate integration tests: the full paper pipeline from raw
 //! synthetic spectra to FDR-filtered identifications, on software and on
-//! the simulated RRAM accelerator.
+//! the simulated RRAM accelerator — and one case through the index →
+//! engine → serve stack, so tier-1 reaches the one query path.
 
 use hdoms::core::accelerator::AcceleratorConfig;
 use hdoms::engine::Engine;
 use hdoms::hdc::item_memory::LevelStyle;
-use hdoms::index::{IndexConfig, IndexedBackendKind};
+use hdoms::index::{IndexBuilder, IndexConfig, IndexedBackendKind};
 use hdoms::ms::dataset::{SyntheticWorkload, WorkloadSpec};
+use hdoms::ms::spectrum::Spectrum;
 use hdoms::oms::pipeline::{OmsPipeline, PipelineConfig};
+use hdoms::oms::psm::{render_table, render_table_rows};
 use hdoms::oms::window::PrecursorWindow;
+use hdoms::prefilter::PrefilterConfig;
+use hdoms::serve::protocol::{QueryRequest, QuerySpectrum, Request, Response, WindowKind};
+use hdoms::serve::scheduler::Tier;
+use hdoms::serve::server::Server;
 use std::sync::Arc;
 
 fn small_accelerator_config() -> AcceleratorConfig {
@@ -85,4 +92,107 @@ fn pipeline_deterministic_end_to_end() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 1004);
     let pipeline = OmsPipeline::new(PipelineConfig::fast_test());
     assert_eq!(pipeline.run_exact(&workload), pipeline.run_exact(&workload));
+}
+
+/// Tier-1's reach into the index → engine → serve stack: every entry
+/// point runs the one query path (a solo search is a group of one), so
+/// over one mapped `.hdx` image a one-shot search, a two-batch session,
+/// a batch-tier served query and two coalesced interactive queries must
+/// render the same bytes — with the prefilter off and at a covering `k`.
+#[test]
+fn every_entry_point_renders_the_same_rows() {
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 1005);
+    let mut config = IndexConfig {
+        entries_per_shard: 64,
+        threads: 2,
+        ..IndexConfig::default()
+    };
+    if let IndexedBackendKind::Exact(exact) = &mut config.kind {
+        exact.encoder.dim = 1024;
+    }
+    let path = std::env::temp_dir().join(format!("hdoms-e2e-{}.hdx", std::process::id()));
+    IndexBuilder::new(config)
+        .from_library(&workload.library)
+        .write(&path)
+        .expect("image written");
+    let engine = Arc::new(Engine::open_mapped(&path, 2).expect("mapped open"));
+    let mut server = Server::new(2);
+    server.set_coalesce_window_ms(300);
+    server
+        .load_index("tiny", path.to_str().expect("utf-8 temp path"))
+        .expect("index resident");
+    std::fs::remove_file(&path).ok();
+
+    let window = PrecursorWindow::open_default();
+    let local = |spectra: &[Spectrum], prefilter| {
+        let (outcome, _) = engine
+            .search_with_workers_opts(spectra, window, 0.01, 2, Some(prefilter))
+            .expect("sharded engines prefilter");
+        render_table(engine.peptides(), &outcome)
+    };
+    let served = |client: u64, spectra: &[Spectrum], tier, prefilter| {
+        let request = Request::Query(QueryRequest {
+            index: "tiny".to_owned(),
+            window: WindowKind::Open,
+            fdr: 0.01,
+            tier,
+            prefilter: Some(prefilter),
+            spectra: spectra.iter().map(QuerySpectrum::from_spectrum).collect(),
+        });
+        match server.handle_as(client, &request) {
+            Response::Result(result) => render_table_rows(&result.rows),
+            other => panic!("query answered with {other:?}"),
+        }
+    };
+
+    let (first, second) = workload.queries.split_at(workload.queries.len() / 2);
+    let covering = PrefilterConfig::TopK(workload.library.len());
+    let (expected, _) = engine.search(&workload.queries, window, 0.01);
+    let expected = render_table(engine.peptides(), &expected);
+    assert!(expected.lines().count() > 1, "the search found PSMs");
+    for prefilter in [PrefilterConfig::Off, covering] {
+        assert_eq!(local(&workload.queries, prefilter), expected);
+
+        let mut session = engine.session(window);
+        session.set_prefilter(prefilter).expect("sharded engine");
+        session.submit(first);
+        session.submit(second);
+        let streamed = session.finalize(0.01);
+        assert_eq!(render_table(engine.peptides(), &streamed), expected);
+
+        assert_eq!(
+            served(1, &workload.queries, Tier::Batch, prefilter),
+            expected
+        );
+
+        // Two interactive clients inside one coalescing window: each
+        // gets the rows a solo search of its own spectra renders. The
+        // window is generous, but a stalled thread can still miss it —
+        // rows must match either way; retry until a merge is observed.
+        let mut merged = false;
+        for _ in 0..5 {
+            let before = server.stats();
+            let barrier = std::sync::Barrier::new(2);
+            let (a, b) = std::thread::scope(|scope| {
+                let volley = |client, spectra| {
+                    let (barrier, served) = (&barrier, &served);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        served(client, spectra, Tier::Interactive, prefilter)
+                    })
+                };
+                let (a, b) = (volley(2, first), volley(3, second));
+                (a.join().expect("client 2"), b.join().expect("client 3"))
+            });
+            assert_eq!(a, local(first, prefilter));
+            assert_eq!(b, local(second, prefilter));
+            let after = server.stats();
+            assert_eq!(after.coalesced_requests - before.coalesced_requests, 2);
+            merged = after.coalesced_batches - before.coalesced_batches == 1;
+            if merged {
+                break;
+            }
+        }
+        assert!(merged, "two lockstep interactive queries never coalesced");
+    }
 }
