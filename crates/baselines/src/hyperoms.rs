@@ -10,68 +10,10 @@
 //! configures [`ExactBackend`]. The GPU itself only changes throughput,
 //! which the performance model in `hdoms-core` accounts for separately.
 
-use hdoms_hdc::encoder::EncoderConfig;
-use hdoms_hdc::item_memory::LevelStyle;
-use hdoms_hdc::multibit::IdPrecision;
 use hdoms_ms::library::SpectralLibrary;
-use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig};
-use hdoms_oms::search::{ExactBackend, ExactBackendConfig, SearchHit, SimilarityBackend};
-
-/// Configuration for [`HyperOmsBackend`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HyperOmsConfig {
-    /// Preprocessing shared with the pipeline.
-    pub preprocess: PreprocessConfig,
-    /// Hypervector dimension (HyperOMS also runs D = 8192 for its quality
-    /// results).
-    pub dim: usize,
-    /// Intensity quantisation levels.
-    pub q_levels: usize,
-    /// Worker threads (the CPU stand-in for GPU parallelism).
-    pub threads: usize,
-    /// Item-memory seed. Deliberately distinct from the default encoder
-    /// seed of the paper's accelerator so the two tools behave like
-    /// independently initialised implementations (visible as partial
-    /// disagreement in the Fig. 10 Venn diagram).
-    pub seed: u64,
-}
-
-impl HyperOmsConfig {
-    /// The [`ExactBackend`] configuration HyperOMS is: binary (1-bit) ID
-    /// hypervectors, conventional bit-granular level vectors, no
-    /// injected errors. The one mapping both [`HyperOmsBackend::build`]
-    /// and `hdoms-index`'s warm reconstruction, append and streaming
-    /// encoders go through, run on `threads` workers.
-    pub fn exact_config(&self, threads: usize) -> ExactBackendConfig {
-        ExactBackendConfig {
-            preprocess: self.preprocess,
-            encoder: EncoderConfig {
-                dim: self.dim,
-                q_levels: self.q_levels,
-                id_precision: IdPrecision::Bits1,
-                level_style: LevelStyle::Random,
-                num_bins: self.preprocess.num_bins(),
-                seed: self.seed,
-            },
-            threads,
-            encode_ber: 0.0,
-            storage_ber: 0.0,
-            noise_seed: 0,
-        }
-    }
-}
-
-impl Default for HyperOmsConfig {
-    fn default() -> HyperOmsConfig {
-        HyperOmsConfig {
-            preprocess: PreprocessConfig::default(),
-            dim: 8192,
-            q_levels: 32,
-            threads: hdoms_hdc::parallel::default_threads(),
-            seed: 0x417e_4045,
-        }
-    }
-}
+use hdoms_ms::preprocess::BinnedSpectrum;
+pub use hdoms_oms::search::HyperOmsConfig;
+use hdoms_oms::search::{ExactBackend, SearchHit, SimilarityBackend};
 
 /// The HyperOMS-style backend: a thin configuration shell over
 /// [`ExactBackend`].
@@ -99,12 +41,6 @@ impl HyperOmsBackend {
     pub fn inner(&self) -> &ExactBackend {
         &self.inner
     }
-
-    /// Unwrap into the underlying exact backend (the sharded scorer
-    /// drives its encode and scan halves separately).
-    pub fn into_inner(self) -> ExactBackend {
-        self.inner
-    }
 }
 
 impl SimilarityBackend for HyperOmsBackend {
@@ -124,10 +60,12 @@ impl SimilarityBackend for HyperOmsBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdoms_hdc::encoder::EncoderConfig;
+    use hdoms_hdc::multibit::IdPrecision;
     use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
     use hdoms_ms::preprocess::Preprocessor;
     use hdoms_oms::candidates::CandidateIndex;
-    use hdoms_oms::search::candidate_lists;
+    use hdoms_oms::search::{candidate_lists, ExactBackendConfig};
     use hdoms_oms::window::PrecursorWindow;
 
     fn test_config() -> HyperOmsConfig {

@@ -7,7 +7,7 @@ use hdoms_baselines::hyperoms::HyperOmsConfig;
 use hdoms_core::accelerator::AcceleratorConfig;
 use hdoms_engine::{Engine, ReferenceMeta};
 use hdoms_index::{
-    IndexBuilder, IndexConfig, IndexReader, IndexedBackendKind, LibraryIndex, StreamingConfig,
+    IndexConfig, IndexReader, IndexedBackendKind, LibraryIndex, StreamingConfig,
     StreamingIndexBuilder,
 };
 use hdoms_ms::dataset::{ScaledLibrary, ScaledLibrarySpec, SyntheticWorkload, WorkloadSpec};
@@ -207,7 +207,7 @@ pub fn search(args: &[String]) -> Result<(), String> {
         }
         (Some(index_path), _) => {
             // Mapped by default: the index file is searched in place
-            // from one backing buffer (v1 files fall back to copying).
+            // from one backing buffer (a v1 file's words are repacked).
             let loaded_index = IndexReader::with_threads(threads)
                 .open_mapped_with(Path::new(index_path))
                 .map_err(|e| e.to_string())?;
@@ -277,11 +277,28 @@ fn backend_kind(spec: &str, dim: usize) -> Result<IndexedBackendKind, String> {
     }
 }
 
-/// Above this estimated hypervector payload, `index build --stream auto`
-/// switches to the spill-based streaming builder: the in-memory path
-/// holds the payload at least twice (reference table + serialised
-/// image), which at a GiB of payload means multiple GiB of peak heap.
-const STREAM_AUTO_PAYLOAD_BYTES: u64 = 1 << 30;
+/// The streaming-build configuration `index build` and `synth` share:
+/// `--backend`, `--dim`, `--shard-size`, `--threads`, `--spill-threshold`.
+fn streaming_config(flags: &Flags) -> Result<StreamingConfig, String> {
+    let dim: usize = flags.get_or("dim", 8192)?;
+    let shard_size: usize = flags.get_or("shard-size", 1024)?;
+    let threads: usize = flags.get_or("threads", hdoms_hdc::parallel::default_threads())?;
+    let spill_threshold: usize = flags.get_or("spill-threshold", 8192)?;
+    if shard_size == 0 {
+        return Err("--shard-size must be positive".to_owned());
+    }
+    if spill_threshold == 0 {
+        return Err("--spill-threshold must be positive".to_owned());
+    }
+    Ok(StreamingConfig {
+        index: IndexConfig {
+            kind: backend_kind(flags.get("backend").unwrap_or("exact"), dim)?,
+            entries_per_shard: shard_size,
+            threads,
+        },
+        spill_threshold,
+    })
+}
 
 fn index_build(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
@@ -292,84 +309,29 @@ fn index_build(args: &[String]) -> Result<(), String> {
         "dim",
         "shard-size",
         "threads",
-        "stream",
         "spill-threshold",
     ])?;
     let library_path = flags.require("library")?;
     let out_path = flags.require("out")?;
-    let dim: usize = flags.get_or("dim", 8192)?;
-    let shard_size: usize = flags.get_or("shard-size", 1024)?;
-    let threads: usize = flags.get_or("threads", hdoms_hdc::parallel::default_threads())?;
-    let stream_flag = flags.get("stream").unwrap_or("auto");
-    let spill_threshold: usize = flags.get_or("spill-threshold", 8192)?;
-    if shard_size == 0 {
-        return Err("--shard-size must be positive".to_owned());
-    }
-    if spill_threshold == 0 {
-        return Err("--spill-threshold must be positive".to_owned());
-    }
-
-    let kind = backend_kind(flags.get("backend").unwrap_or("exact"), dim)?;
+    let config = streaming_config(&flags)?;
     let library = read_library_file(library_path)?;
-
-    // Guardrail: pick the streaming builder by default once the encoded
-    // payload is large enough that holding it (twice) in memory hurts.
-    let estimated_payload = (library.len() * dim.div_ceil(64) * 8) as u64;
-    let streaming = match stream_flag {
-        "on" => true,
-        "off" => false,
-        "auto" => estimated_payload > STREAM_AUTO_PAYLOAD_BYTES,
-        other => return Err(format!("invalid --stream {other:?} (auto|on|off)")),
-    };
     Logger::stderr(Level::Info, false)
         .info("index.build")
-        .str("mode", if streaming { "streaming" } else { "in-memory" })
-        .str("stream", stream_flag)
         .u64("entries", library.len() as u64)
-        .u64("estimated_payload_bytes", estimated_payload)
-        .u64("spill_threshold", spill_threshold as u64)
+        .u64("spill_threshold", config.spill_threshold as u64)
         .emit();
 
+    // Always the spill-based builder: encoded words never sit in memory
+    // beyond one spill-threshold chunk, whatever the library size.
     let start = std::time::Instant::now();
-    if streaming {
-        let config = StreamingConfig {
-            index: IndexConfig {
-                kind,
-                entries_per_shard: shard_size,
-                threads,
-            },
-            spill_threshold,
-        };
-        let report =
-            StreamingIndexBuilder::build_from_library(config, Path::new(out_path), &library)
-                .map_err(|e| e.to_string())?;
-        println!(
-            "indexed {} references ({} rejected) into {} shards in {:.2} s \
-             (streaming, {} bytes spilled) → {out_path}",
-            report.build_stats.references_stored,
-            report.build_stats.references_rejected,
-            report.shard_count,
-            start.elapsed().as_secs_f64(),
-            report.spilled_bytes,
-        );
-        return Ok(());
-    }
-    let index = IndexBuilder::new(IndexConfig {
-        kind,
-        entries_per_shard: shard_size,
-        threads,
-    })
-    .from_library(&library);
-    let build_s = start.elapsed().as_secs_f64();
-    index
-        .write(Path::new(out_path))
+    let report = StreamingIndexBuilder::build_from_library(config, Path::new(out_path), &library)
         .map_err(|e| e.to_string())?;
     println!(
         "indexed {} references ({} rejected) into {} shards in {:.2} s → {out_path}",
-        index.build_stats().references_stored,
-        index.build_stats().references_rejected,
-        index.shards().len(),
-        build_s,
+        report.build_stats.references_stored,
+        report.build_stats.references_rejected,
+        report.shard_count,
+        start.elapsed().as_secs_f64(),
     );
     Ok(())
 }
@@ -396,26 +358,16 @@ pub fn synth(args: &[String]) -> Result<(), String> {
     let scale: f64 = flags.get_or("scale", 0.01)?;
     let factor: usize = flags.get_or("factor", 1)?;
     let seed: u64 = flags.get_or("seed", 0xF1605)?;
-    let dim: usize = flags.get_or("dim", 8192)?;
-    let shard_size: usize = flags.get_or("shard-size", 1024)?;
-    let threads: usize = flags.get_or("threads", hdoms_hdc::parallel::default_threads())?;
-    let spill_threshold: usize = flags.get_or("spill-threshold", 8192)?;
     if factor == 0 {
         return Err("--factor must be positive".to_owned());
     }
-    if shard_size == 0 {
-        return Err("--shard-size must be positive".to_owned());
-    }
-    if spill_threshold == 0 {
-        return Err("--spill-threshold must be positive".to_owned());
-    }
+    let config = streaming_config(&flags)?;
     let base = match flags.get("preset").unwrap_or("tiny") {
         "iprg2012" => WorkloadSpec::iprg2012(scale),
         "hek293" => WorkloadSpec::hek293(scale),
         "tiny" => WorkloadSpec::tiny(),
         other => return Err(format!("unknown preset {other:?}")),
     };
-    let kind = backend_kind(flags.get("backend").unwrap_or("exact"), dim)?;
     let entries = 2usize
         .checked_mul(base.reference_peptides)
         .and_then(|n| n.checked_mul(factor))
@@ -433,19 +385,11 @@ pub fn synth(args: &[String]) -> Result<(), String> {
         .str("preset", &base.name)
         .u64("factor", factor as u64)
         .u64("entries", entries as u64)
-        .u64("dim", dim as u64)
-        .u64("spill_threshold", spill_threshold as u64)
+        .u64("dim", config.index.kind.dim() as u64)
+        .u64("spill_threshold", config.spill_threshold as u64)
         .emit();
 
     let scaled = ScaledLibrary::new(ScaledLibrarySpec { base, factor, seed });
-    let config = StreamingConfig {
-        index: IndexConfig {
-            kind,
-            entries_per_shard: shard_size,
-            threads,
-        },
-        spill_threshold,
-    };
     let start = std::time::Instant::now();
     let report = StreamingIndexBuilder::build_from_iter(config, Path::new(out_path), scaled.iter())
         .map_err(|e| e.to_string())?;

@@ -20,11 +20,10 @@ USAGE:
   hdoms index build  --library <lib.mgf> --out <lib.hdx>
                      [--backend exact|hyperoms|rram] [--dim <usize>]
                      [--shard-size <usize>] [--threads <usize>]
-                     [--stream auto|on|off] [--spill-threshold <usize>]
-                     (--stream auto, the default, picks the bounded-memory
-                      streaming builder once the estimated hypervector
-                      payload exceeds 1 GiB; both builders emit the
-                      identical image. See docs/SCALE.md)
+                     [--spill-threshold <usize>]
+                     (bounded-memory: entries are encoded and spilled
+                      --spill-threshold at a time, whatever the library
+                      size. See docs/SCALE.md)
   hdoms index info   --index <lib.hdx>
   hdoms index append --index <lib.hdx> --library <more.mgf> [--out <new.hdx>]
                      [--threads <usize>]

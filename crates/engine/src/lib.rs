@@ -310,9 +310,9 @@ impl EngineMetrics {
 /// | constructor | replaces |
 /// |---|---|
 /// | [`Engine::from_library`] | cold `ExactBackend::build` / `OmsAccelerator::build` / `HyperOmsBackend::build` + manual candidate index |
-/// | [`Engine::open_mapped`] | the zero-copy load: `LibraryIndex::open_mapped` + the wiring below, searching the file buffer in place |
-/// | [`Engine::from_index`] | `LibraryIndex::sharded_backend` + `peptides_by_id` + `candidate_index` over any loaded index (`IndexReader::open` for the copying decode) |
-/// | [`Engine::from_backend`] | any [`SimilarityBackend`]: the baselines crate, or an index's flat `to_exact_backend` / `to_hyperoms_backend` / `to_accelerator` as the unsharded reference |
+/// | [`Engine::open_mapped`] | `LibraryIndex::open_mapped` + the wiring below, searching the `mmap`ed file in place |
+/// | [`Engine::from_index`] | `LibraryIndex::sharded_backend` + `peptides_by_id` + `candidate_index` over any loaded index (`IndexReader::open` for the same loader over a heap read) |
+/// | [`Engine::from_backend`] | any [`SimilarityBackend`]: the baselines crate, or an index's flat `to_exact_backend` / `to_accelerator` as the unsharded reference |
 ///
 /// Queries run through a [`Session`] (streaming, cross-batch FDR) or the
 /// one-shot [`Engine::search`] convenience (per-batch FDR, the classic
@@ -346,18 +346,19 @@ impl Engine {
             .expect("an index built here always reconstructs its own kind")
     }
 
-    /// **Mapped** construction from a `.hdx` file: the file is read (or
-    /// `mmap`ed, with the index crate's `mmap` feature) into one backing
-    /// buffer and searched **in place** — no per-reference hypervector
-    /// is materialised, so open time and resident memory stop scaling
-    /// with the encoded-library payload. Searches produce PSM tables
-    /// byte-identical to [`Engine::from_library`] and to a copying
-    /// load (`IndexReader::open` + [`Engine::from_index`]) over the same
+    /// **Mapped** construction from a `.hdx` file: the file is `mmap`ed
+    /// (with the index crate's `mmap` feature; read onto the heap
+    /// otherwise) as one backing buffer and searched **in place** — no
+    /// per-reference hypervector is materialised, so open time and
+    /// resident heap stop scaling with the encoded-library payload.
+    /// Searches produce PSM tables byte-identical to
+    /// [`Engine::from_library`] and to a heap-read load
+    /// (`IndexReader::open` + [`Engine::from_index`]) over the same
     /// references (asserted in `crates/engine/tests/equivalence.rs`).
     ///
     /// This is the default path for `hdoms serve` and
-    /// `hdoms search --index`. A v1-format file loads through the
-    /// copying fallback automatically.
+    /// `hdoms search --index`. A v1-format file's unaligned words are
+    /// repacked into a heap buffer automatically.
     ///
     /// # Errors
     ///

@@ -30,12 +30,13 @@ fn tiny_engine(seed: u64) -> (SyntheticWorkload, Arc<Engine>) {
     (workload, engine)
 }
 
-/// The copying load: `IndexReader` materialises every hypervector, then
-/// the same wiring `Engine::open_mapped` does over the file buffer.
-fn open_copying(path: &std::path::Path) -> Arc<Engine> {
+/// The heap-read load: `IndexReader` reads the file into one heap buffer
+/// and runs the one loader over it, then the same wiring
+/// `Engine::open_mapped` does over the `mmap`ed file.
+fn open_heap_read(path: &std::path::Path) -> Arc<Engine> {
     let index = IndexReader::with_threads(THREADS)
         .open_with(path)
-        .expect("copying load");
+        .expect("heap-read load");
     Arc::new(Engine::from_index(index, THREADS).expect("an index wires its own kind"))
 }
 
@@ -158,7 +159,7 @@ fn custom_backend_engines_match_the_pipeline() {
 fn mapped_engine_matches_open_and_cold_byte_for_byte() {
     // The zero-copy acceptance contract: `Engine::open_mapped` (searching
     // the `.hdx` bytes in place) renders PSM tables byte-identical to
-    // a copying load (materialised hypervectors) and to the cold
+    // a heap-read load (the same image in a heap buffer) and to the cold
     // `Engine::from_library` build that produced the index.
     let (workload, cold) = tiny_engine(9006);
     let path = std::env::temp_dir().join(format!(
@@ -169,7 +170,7 @@ fn mapped_engine_matches_open_and_cold_byte_for_byte() {
         .expect("cold keeps index")
         .write(&path)
         .unwrap();
-    let warm = open_copying(&path);
+    let warm = open_heap_read(&path);
     let mapped = Arc::new(Engine::open_mapped(&path, THREADS).expect("mapped load"));
     std::fs::remove_file(&path).ok();
 
@@ -308,7 +309,7 @@ fn kernel_variants_render_byte_identical_psm_tables() {
         .expect("cold keeps index")
         .write(&path)
         .unwrap();
-    let warm = open_copying(&path);
+    let warm = open_heap_read(&path);
     let mapped = Arc::new(Engine::open_mapped(&path, THREADS).expect("mapped load"));
     std::fs::remove_file(&path).ok();
     assert!(mapped
@@ -370,7 +371,7 @@ fn warm_engine_over_persisted_index_matches_cold() {
         .expect("cold keeps index")
         .write(&path)
         .unwrap();
-    let warm = open_copying(&path);
+    let warm = open_heap_read(&path);
     std::fs::remove_file(&path).ok();
 
     let (cold_outcome, _) = cold.search(&workload.queries, PrecursorWindow::open_default(), 0.01);

@@ -83,6 +83,23 @@ impl WordBuffer {
         })
     }
 
+    /// The heap words back, when this handle is the only one on heap
+    /// storage — the in-place growth path of a reference table. A file
+    /// mapping cannot grow and a buffer other handles still view must
+    /// not move under them, so both come back untouched as `Err`.
+    pub fn into_heap_words(self) -> Result<Vec<u64>, WordBuffer> {
+        let len = self.len;
+        match Arc::try_unwrap(self.storage) {
+            Ok(Storage::Owned(words)) => Ok(words),
+            #[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
+            Ok(mapped @ Storage::Mapped(_)) => Err(WordBuffer {
+                storage: Arc::new(mapped),
+                len,
+            }),
+            Err(storage) => Err(WordBuffer { storage, len }),
+        }
+    }
+
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.len
@@ -185,6 +202,17 @@ impl WordBuffer {
     /// Number of live handles on this buffer's storage.
     pub fn handle_count(&self) -> usize {
         Arc::strong_count(&self.storage)
+    }
+}
+
+impl From<Vec<u64>> for WordBuffer {
+    /// Heap storage over whole words, without copying them.
+    fn from(words: Vec<u64>) -> WordBuffer {
+        let len = words.len() * 8;
+        WordBuffer {
+            storage: Arc::new(Storage::Owned(words)),
+            len,
+        }
     }
 }
 
@@ -353,6 +381,18 @@ mod tests {
     }
 
     #[test]
+    fn heap_words_come_back_only_to_a_sole_holder() {
+        let buffer = WordBuffer::from(vec![1u64, 2, 3]);
+        assert_eq!(buffer.len(), 24);
+        let other = buffer.clone();
+        let buffer = buffer
+            .into_heap_words()
+            .expect_err("another handle views it");
+        drop(other);
+        assert_eq!(buffer.into_heap_words().expect("sole holder"), [1, 2, 3]);
+    }
+
+    #[test]
     #[should_panic(expected = "8-aligned")]
     fn misaligned_word_slice_rejected() {
         let buffer = WordBuffer::from_bytes(&[0u8; 32]);
@@ -419,6 +459,7 @@ mod tests {
             mapped.words(8, 1),
             WordBuffer::from_bytes(&bytes).words(8, 1)
         );
+        assert!(mapped.into_heap_words().is_err(), "a mapping cannot grow");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -31,8 +31,9 @@
 //! loaded through [`LibraryIndex::open_mapped`](crate::LibraryIndex::open_mapped)
 //! is therefore searchable **in place**: the word block offsets become a
 //! mapped reference table over the single file buffer, and no
-//! per-reference hypervector is ever materialised. Version 1 files stay
-//! readable through the original copying decoder.
+//! per-reference hypervector is ever materialised. A version 1 file,
+//! whose words sit unaligned inside the entry records, stays readable:
+//! the loader repacks them once into a fresh flat buffer.
 //!
 //! **Version 3** adds one optional section — the prefilter's
 //! folded-hypervector sketch signatures
@@ -45,18 +46,21 @@
 //! ([`crate::LibraryIndex::sketch_index`]).
 
 use crate::wire::{Reader, WireError, Writer};
-use hdoms_baselines::hyperoms::HyperOmsConfig;
+use crate::xxhash::xxh64;
 use hdoms_core::accelerator::{AcceleratorConfig, BuildStats};
 use hdoms_hdc::encoder::EncoderConfig;
 use hdoms_hdc::item_memory::LevelStyle;
 use hdoms_hdc::multibit::IdPrecision;
-use hdoms_hdc::BinaryHypervector;
+use hdoms_ms::library::LibraryEntry;
 use hdoms_ms::preprocess::{IntensityScaling, PreprocessConfig};
-use hdoms_oms::search::{ExactBackendConfig, SharedReferences};
+use hdoms_oms::search::{ExactBackendConfig, HyperOmsConfig};
 use hdoms_prefilter::SketchIndex;
 use hdoms_rram::array::CrossbarConfig;
 use hdoms_rram::config::MlcConfig;
 use std::fmt;
+use std::fs::{self, File};
+use std::io::{BufWriter, Write};
+use std::path::Path;
 
 /// Magic bytes opening every index file.
 pub const MAGIC: [u8; 8] = *b"HDOMSIDX";
@@ -65,9 +69,9 @@ pub const MAGIC: [u8; 8] = *b"HDOMSIDX";
 /// newer.
 pub const FORMAT_VERSION: u32 = 3;
 
-/// Oldest format version readers still decode (v1 loads through the
-/// copying path; v2 and v3 support mapped loads; only v3 carries the
-/// persisted prefilter sketch section).
+/// Oldest format version readers still decode (v2 and v3 are searched
+/// in place; v1 words are unaligned and get repacked once at load; only
+/// v3 carries the persisted prefilter sketch section).
 pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Zero bytes needed after `pos` to reach an 8-byte boundary.
@@ -179,13 +183,86 @@ impl IndexedBackendKind {
     }
 }
 
+impl IndexedBackendKind {
+    /// Reject a decoded configuration the encoder constructors would
+    /// panic on. The header is input from outside the program: its
+    /// checksum proves the bytes are the ones written, not that a sane
+    /// writer wrote them — so what
+    /// [`IdLevelEncoder::new`](hdoms_hdc::encoder::IdLevelEncoder::new)
+    /// and [`InMemoryEncoder::from_programmed`](hdoms_core::encode::InMemoryEncoder::from_programmed)
+    /// assert (given the persisted MLC state, when there is one) is
+    /// checked here first, and an open fails with
+    /// [`IndexError::Invalid`] instead of a later search panicking.
+    pub(crate) fn validate(&self, mlc: Option<&MlcState>) -> Result<(), IndexError> {
+        let need = |ok: bool, why: &str| {
+            ok.then_some(()).ok_or_else(|| {
+                IndexError::Invalid(format!("{} backend configuration: {why}", self.name()))
+            })
+        };
+        // Preprocessing first: `num_bins()` (which the HyperOMS encoder
+        // mapping below calls) overflows on a non-finite bin count.
+        let pre = self.preprocess();
+        let bins = ((pre.max_mz - pre.min_mz) / pre.bin_width).ceil();
+        need(
+            pre.min_mz.is_finite() && pre.min_mz < pre.max_mz && pre.bin_width > 0.0,
+            "preprocess m/z range must be finite and non-empty, bin_width positive",
+        )?;
+        need(
+            bins < f64::from(u32::MAX),
+            "preprocess m/z range over bin_width must fit the u32 bin index",
+        )?;
+        let enc = match self {
+            IndexedBackendKind::Exact(c) => c.encoder,
+            IndexedBackendKind::HyperOms(c) => c.exact_config(1).encoder,
+            IndexedBackendKind::Rram(c) => c.encoder,
+        };
+        let (dim, two_q) = (enc.dim, enc.q_levels.saturating_mul(2));
+        need(dim >= 1, "encoder.dim must be positive")?;
+        need(enc.q_levels >= 2, "encoder.q_levels must be at least 2")?;
+        need(
+            match enc.level_style {
+                LevelStyle::Random => dim >= two_q,
+                LevelStyle::Chunked { num_chunks } => two_q <= num_chunks && num_chunks <= dim,
+            },
+            "level vectors need dim ≥ 2q (random) or 2q ≤ num_chunks ≤ dim (chunked)",
+        )?;
+        let weights = enc.num_bins.checked_mul(dim);
+        need(
+            weights.is_some() && pre.num_bins() <= enc.num_bins,
+            "encoder.num_bins must cover every preprocessing bin, num_bins × dim be representable",
+        )?;
+        match self {
+            IndexedBackendKind::Exact(c) => need(
+                (0.0..=1.0).contains(&c.encode_ber) && (0.0..=1.0).contains(&c.storage_ber),
+                "injected bit-error rates must lie in [0, 1]",
+            ),
+            IndexedBackendKind::HyperOms(_) => Ok(()),
+            IndexedBackendKind::Rram(c) => {
+                c.crossbar.check().or_else(|why| need(false, why))?;
+                need(
+                    c.crossbar.mlc.bits_per_cell == enc.id_precision.bits(),
+                    "mlc.bits_per_cell must equal the ID precision",
+                )?;
+                need(
+                    mlc.is_none_or(|state| {
+                        Some(state.w_eff.len()) == weights
+                            && state.sigma_delta.is_finite()
+                            && state.sigma_delta >= 0.0
+                    }),
+                    "MLC section must hold num_bins × dim weights and a finite σ_δ ≥ 0",
+                )
+            }
+        }
+    }
+}
+
 /// One indexed reference: the search metadata.
 ///
 /// The encoded hypervector itself lives in the index's flat shared
 /// reference table (keyed by [`IndexEntry::id`]), not in the entry — that
 /// is what lets a loaded index and every warm backend reconstructed from
 /// it share a single copy of the encoded library. On disk the hypervectors
-/// sit in each shard's word block (see [`put_shard_v2`]).
+/// sit in each shard's word block (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexEntry {
     /// Dense library id (also the slot in the flat reference table).
@@ -200,6 +277,28 @@ pub struct IndexEntry {
     pub is_decoy: bool,
     /// The peptide sequence string (for PSM reports without the library).
     pub peptide: String,
+}
+
+impl IndexEntry {
+    /// The global `(mass, id)` order every builder sorts entries into
+    /// before cutting fixed-size shards.
+    pub(crate) fn shard_order(a: &IndexEntry, b: &IndexEntry) -> std::cmp::Ordering {
+        a.neutral_mass
+            .total_cmp(&b.neutral_mass)
+            .then(a.id.cmp(&b.id))
+    }
+
+    /// The search metadata of library entry `entry` under dense id `id`.
+    pub(crate) fn of(id: u32, entry: &LibraryEntry) -> IndexEntry {
+        IndexEntry {
+            id,
+            neutral_mass: entry.spectrum.neutral_mass(),
+            precursor_mz: entry.spectrum.precursor_mz,
+            precursor_charge: entry.spectrum.precursor_charge,
+            is_decoy: entry.is_decoy,
+            peptide: entry.peptide.to_string(),
+        }
+    }
 }
 
 /// A contiguous precursor-mass bucket of entries, sorted by mass.
@@ -493,117 +592,149 @@ pub fn get_build_stats(r: &mut Reader<'_>) -> Result<BuildStats, IndexError> {
     })
 }
 
-/// Encode one shard's entries into a standalone **v2** section payload:
-/// the entry metadata records first (with a presence flag instead of
-/// inline words), zero padding to an 8-byte boundary, then every present
-/// hypervector's `ceil(dim / 64)` packed words concatenated in entry
-/// order. Provided the payload itself starts at an 8-aligned file
-/// offset (the v2 container guarantees it), every word block is
-/// 8-aligned in the file and can be searched in place.
-///
-/// # Panics
-///
-/// Panics if an entry id falls outside `references` or a stored
-/// hypervector's dimension disagrees with `dim`.
-pub fn put_shard_v2(shard: &Shard, dim: usize, references: &SharedReferences) -> Vec<u8> {
-    let result = put_shard_v2_with(
-        &shard.entries,
-        |id| references.hv(id as usize).is_some(),
-        |id, w| {
-            let hv = references.hv(id as usize).expect("flagged present");
-            assert_eq!(hv.dim(), dim, "stored hypervector dimension mismatch");
-            for &word in hv.words() {
-                w.u64(word);
-            }
-            Ok::<(), std::convert::Infallible>(())
-        },
-    );
-    match result {
-        Ok(bytes) => bytes,
-        Err(never) => match never {},
-    }
+/// Everything of a `.hdx` image except where its hypervector words come
+/// from: the one container writer ([`ImageLayout::write`]) lays these
+/// fields out around words the caller supplies per entry — out of a
+/// reference table for a loaded or cold-built index, out of a spill file
+/// for the streaming builder — so the two cannot drift.
+pub(crate) struct ImageLayout<'a> {
+    pub kind: &'a IndexedBackendKind,
+    pub stats: &'a BuildStats,
+    pub entries_per_shard: usize,
+    pub mlc: Option<&'a MlcState>,
+    /// The shards' entries in file order, each sorted by `(mass, id)`.
+    pub shards: Vec<&'a [IndexEntry]>,
 }
 
-/// The generalised **v2** shard serialiser behind [`put_shard_v2`]: the
-/// caller supplies the presence predicate and a word-block writer instead
-/// of an in-memory reference table, so the hypervector words can come
-/// from anywhere — including a spill file, which is how the streaming
-/// index builder emits a shard without ever materialising its
-/// hypervectors as [`BinaryHypervector`]s.
-///
-/// `write_words(id, w)` must append exactly `ceil(dim / 64)` packed
-/// little-endian `u64` words for entry `id` (the same bytes
-/// [`put_shard_v2`] would write); it is called once per present entry, in
-/// entry order, and its error aborts serialisation.
-pub fn put_shard_v2_with<E>(
-    entries: &[IndexEntry],
-    present: impl Fn(u32) -> bool,
-    mut write_words: impl FnMut(u32, &mut Writer) -> Result<(), E>,
-) -> Result<Vec<u8>, E> {
-    let mut w = Writer::new();
-    w.usize(entries.len());
-    for e in entries {
-        put_entry_meta(&mut w, e);
-        w.u8(u8::from(present(e.id)));
-    }
-    for _ in 0..pad_to_8(w.len()) {
-        w.u8(0);
-    }
-    for e in entries {
-        if present(e.id) {
-            write_words(e.id, &mut w)?;
+impl ImageLayout<'_> {
+    /// Write the image to `out` at the current format version and
+    /// return its length in bytes: preamble, checksummed header, then
+    /// the MLC, sketch and shard sections, each zero-padded to an
+    /// 8-aligned absolute offset and followed by its XXH64 trailer.
+    ///
+    /// A shard section payload is the entry metadata records (with a
+    /// presence flag instead of inline words), zero padding to an 8-byte
+    /// boundary, then every present hypervector's `ceil(dim / 64)`
+    /// packed words concatenated in entry order — so every word block is
+    /// 8-aligned in the file and can be searched in place. Every section
+    /// length is computable from the metadata alone, which is what lets
+    /// the header go out first and the shards follow one at a time
+    /// through one reused payload buffer: nothing the size of the
+    /// hypervector payload is ever resident here.
+    ///
+    /// `present(id)` says whether entry `id` has a stored hypervector;
+    /// `write_words(id, w)` must append exactly its packed little-endian
+    /// words. It is called once per present entry, in entry order.
+    ///
+    /// # Errors
+    ///
+    /// A failing `out` or `write_words` aborts the write with its error.
+    pub(crate) fn write<W: Write>(
+        &self,
+        out: W,
+        sketch_bytes: Vec<u8>,
+        present: impl Fn(u32) -> bool,
+        mut write_words: impl FnMut(u32, &mut Writer) -> Result<(), IndexError>,
+    ) -> Result<u64, IndexError> {
+        let dim = self.kind.dim();
+        let mlc_bytes = self.mlc.map(put_mlc_state);
+
+        let mut header = Writer::new();
+        put_kind(&mut header, self.kind);
+        put_build_stats(&mut header, self.stats);
+        header.usize(self.entries_per_shard);
+        header.usize(self.shards.iter().map(|entries| entries.len()).sum());
+        header.usize(mlc_bytes.as_ref().map_or(0, Vec::len));
+        header.usize(sketch_bytes.len());
+        header.usize(self.shards.len());
+        for entries in &self.shards {
+            // Per entry: u32 id + f64 mass + f64 m/z + u8 charge + u8
+            // decoy + (u64 length + bytes) peptide + u8 presence.
+            let meta: usize = 8 + entries.iter().map(|e| 31 + e.peptide.len()).sum::<usize>();
+            let stored = entries.iter().filter(|e| present(e.id)).count();
+            header.usize(meta + pad_to_8(meta) + stored * dim.div_ceil(64) * 8);
         }
+        let header = header.into_bytes();
+
+        let mut sink = SectionSink { out, pos: 0 };
+        sink.raw(&MAGIC)?;
+        sink.raw(&FORMAT_VERSION.to_le_bytes())?;
+        sink.raw(&(header.len() as u64).to_le_bytes())?;
+        sink.raw(&header)?;
+        sink.raw(&xxh64(&header, CHECKSUM_SEED).to_le_bytes())?;
+        if let Some(bytes) = &mlc_bytes {
+            sink.section(bytes)?;
+        }
+        sink.section(&sketch_bytes)?;
+        drop(sketch_bytes);
+
+        let mut payload = Writer::new();
+        for entries in &self.shards {
+            payload.clear();
+            payload.usize(entries.len());
+            for e in *entries {
+                put_entry_meta(&mut payload, e);
+                payload.u8(u8::from(present(e.id)));
+            }
+            for _ in 0..pad_to_8(payload.len()) {
+                payload.u8(0);
+            }
+            for e in entries.iter().filter(|e| present(e.id)) {
+                write_words(e.id, &mut payload)?;
+            }
+            sink.section(payload.as_bytes())?;
+        }
+        Ok(sink.pos as u64)
     }
-    Ok(w.into_bytes())
 }
 
-/// The exact byte length [`put_shard_v2`] / [`put_shard_v2_with`] will
-/// produce for a shard holding `entries`, computed from the metadata
-/// alone: the v2 layout is `count` + per-entry metadata-and-presence
-/// records, zero padding to an 8-byte boundary, then one
-/// `ceil(dim / 64) * 8`-byte word block per present entry. Knowing every
-/// section length before serialising any hypervector words is what lets
-/// the streaming builder write the container header first and then emit
-/// shards one at a time.
-pub fn shard_v2_payload_len(
-    entries: &[IndexEntry],
-    dim: usize,
-    present: impl Fn(u32) -> bool,
-) -> usize {
-    // Per entry: u32 id + f64 mass + f64 m/z + u8 charge + u8 decoy +
-    // (u64 length + bytes) peptide + u8 presence = 31 + peptide bytes.
-    let meta: usize = 8 + entries.iter().map(|e| 31 + e.peptide.len()).sum::<usize>();
-    let stored = entries.iter().filter(|e| present(e.id)).count();
-    meta + pad_to_8(meta) + stored * dim.div_ceil(64) * 8
+/// A positioned writer that frames sections: zero padding to the next
+/// 8-aligned absolute offset, the payload, then its checksum.
+struct SectionSink<W: Write> {
+    out: W,
+    pos: usize,
 }
 
-/// Encode the container header (the per-index metadata block that
-/// precedes every section): backend kind, build statistics, shard
-/// geometry, section lengths (the v3 layout — older headers, which lack
-/// the `sketch_len` field, are decode-only). Both the in-memory
-/// serialiser and the streaming builder emit their headers through this
-/// function, so the two paths cannot drift.
-pub fn encode_header(
-    kind: &IndexedBackendKind,
-    stats: &BuildStats,
-    entries_per_shard: usize,
-    entry_count: usize,
-    mlc_len: usize,
-    sketch_len: usize,
-    shard_lens: &[usize],
-) -> Vec<u8> {
-    let mut header = Writer::new();
-    put_kind(&mut header, kind);
-    put_build_stats(&mut header, stats);
-    header.usize(entries_per_shard);
-    header.usize(entry_count);
-    header.usize(mlc_len);
-    header.usize(sketch_len);
-    header.usize(shard_lens.len());
-    for &len in shard_lens {
-        header.usize(len);
+impl<W: Write> SectionSink<W> {
+    fn raw(&mut self, bytes: &[u8]) -> Result<(), IndexError> {
+        self.out.write_all(bytes)?;
+        self.pos += bytes.len();
+        Ok(())
     }
-    header.into_bytes()
+
+    fn section(&mut self, payload: &[u8]) -> Result<(), IndexError> {
+        const ZEROS: [u8; 8] = [0u8; 8];
+        let pad = pad_to_8(self.pos);
+        self.raw(&ZEROS[..pad])?;
+        self.raw(payload)?;
+        self.raw(&xxh64(payload, CHECKSUM_SEED).to_le_bytes())
+    }
+}
+
+/// Run `body` against a buffered temp file next to `out` (`out` with
+/// extension `hdx.tmp`, so the final rename stays on one filesystem) and
+/// rename it into place, so a crashed or failed write never leaves a
+/// half-image behind: on any error — create, `body`, flush or rename —
+/// the temp file is removed here, once, for every caller.
+pub(crate) fn write_atomically<T>(
+    out: &Path,
+    body: impl FnOnce(&mut BufWriter<File>) -> Result<T, IndexError>,
+) -> Result<T, IndexError> {
+    let tmp = out.with_extension("hdx.tmp");
+    let result = File::create(&tmp)
+        .map_err(IndexError::from)
+        .and_then(|file| {
+            let mut file = BufWriter::new(file);
+            let value = body(&mut file)?;
+            file.flush()?;
+            drop(file);
+            fs::rename(&tmp, out)?;
+            Ok(value)
+        });
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    result
 }
 
 fn put_entry_meta(w: &mut Writer, e: &IndexEntry) {
@@ -616,73 +747,39 @@ fn put_entry_meta(w: &mut Writer, e: &IndexEntry) {
 }
 
 /// Decode one **v1** shard section payload into its metadata entries
-/// plus the present `(id, hypervector)` pairs (destined for the flat
-/// table).
-pub fn get_shard(
-    bytes: &[u8],
-    dim: usize,
-) -> Result<(Shard, Vec<(u32, BinaryHypervector)>), IndexError> {
+/// plus, for every present hypervector, `(id, byte offset of its words
+/// *within this payload*)`. A v1 payload carries each entry's words
+/// inline after its record, length-prefixed and unaligned, so the loader
+/// cannot search them in place — it copies them out once.
+pub fn get_shard(bytes: &[u8], dim: usize) -> Result<(Shard, Vec<(u32, usize)>), IndexError> {
     let mut r = Reader::new(bytes);
     let count = r.checked_len("shard.entry_count", 1)?;
     let mut entries = Vec::with_capacity(count);
-    let mut hvs = Vec::with_capacity(count);
+    let mut offsets = Vec::with_capacity(count);
     for _ in 0..count {
-        let id = r.u32("entry.id")?;
-        let neutral_mass = r.f64("entry.neutral_mass")?;
-        let precursor_mz = r.f64("entry.precursor_mz")?;
-        let precursor_charge = r.u8("entry.precursor_charge")?;
-        let is_decoy = match r.u8("entry.is_decoy")? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(WireError::InvalidValue {
-                    what: "entry.is_decoy",
-                    value: u64::from(other),
-                }
-                .into())
+        let (entry, hv_present) = get_entry_meta(&mut r)?;
+        if hv_present {
+            let words = r.checked_len("entry.hv_words", 8)?;
+            let expected = dim.div_ceil(64);
+            if words != expected {
+                return Err(IndexError::Invalid(format!(
+                    "entry {}: hypervector has {words} words, dimension {dim} needs {expected}",
+                    entry.id
+                )));
             }
-        };
-        let peptide = r.str("entry.peptide")?;
-        match r.u8("entry.hv_present")? {
-            0 => {}
-            1 => {
-                let words = r.checked_len("entry.hv_words", 8)?;
-                let expected = dim.div_ceil(64);
-                if words != expected {
-                    return Err(IndexError::Invalid(format!(
-                        "entry {id}: hypervector has {words} words, dimension {dim} needs {expected}"
-                    )));
-                }
-                let bytes = r.raw(words * 8, "entry.hv_words")?;
-                hvs.push((id, hypervector_from_bytes(dim, bytes)));
-            }
-            other => {
-                return Err(WireError::InvalidValue {
-                    what: "entry.hv_present",
-                    value: u64::from(other),
-                }
-                .into())
-            }
+            offsets.push((entry.id, bytes.len() - r.remaining()));
+            r.raw(words * 8, "entry.hv_words")?;
         }
-        entries.push(IndexEntry {
-            id,
-            neutral_mass,
-            precursor_mz,
-            precursor_charge,
-            is_decoy,
-            peptide,
-        });
+        entries.push(entry);
     }
     r.expect_end("shard")?;
-    Ok((Shard { entries }, hvs))
+    Ok((Shard { entries }, offsets))
 }
 
 /// Decode one **v2** shard section payload into its metadata entries
 /// plus, for every present hypervector, `(id, byte offset of its word
 /// block *within this payload*)`. The caller adds the payload's
-/// absolute file offset to turn these into mapped-table offsets — or
-/// materialises owned hypervectors from the same ranges (the copying
-/// v2 path).
+/// absolute file offset to turn these into reference-table offsets.
 ///
 /// Validates everything the mapped search path relies on: the padding
 /// bytes are zero, every word block's unused tail bits are zero, and
@@ -768,17 +865,6 @@ fn get_entry_meta(r: &mut Reader<'_>) -> Result<(IndexEntry, bool), IndexError> 
         },
         hv_present,
     ))
-}
-
-/// Rebuild a bit-packed hypervector by filling its words straight from
-/// the file buffer (no intermediate per-entry allocation).
-pub(crate) fn hypervector_from_bytes(dim: usize, bytes: &[u8]) -> BinaryHypervector {
-    let mut hv = BinaryHypervector::zeros(dim);
-    for (word, chunk) in hv.words_mut().iter_mut().zip(bytes.chunks_exact(8)) {
-        *word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-    }
-    hv.mask_tail();
-    hv
 }
 
 /// Encode the MLC section payload.

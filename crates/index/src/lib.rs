@@ -26,13 +26,16 @@
 //! its backends hold a single copy of the encoded library — which is
 //! what makes the long-lived `hdoms-serve` layer affordable.
 //!
-//! Format **v2** goes one step further: shard hypervector words are laid
-//! out 8-aligned, so [`LibraryIndex::open_mapped`] searches the file's
-//! bytes **in place** from one backing buffer (`mmap`ed under the
-//! default `mmap` feature on Unix, one streamed read otherwise) — no
-//! per-reference hypervector is ever materialised, opens stop scaling
-//! with the encoded payload, and resident heap drops to the metadata.
-//! The full byte-level format is specified in `docs/FORMAT.md`.
+//! Since format **v2** shard hypervector words are laid out 8-aligned,
+//! so the one loader ([`LibraryIndex::from_buffer`]) searches the file's
+//! bytes **in place** from one backing buffer — a heap read
+//! ([`IndexReader::open`]) or, for [`LibraryIndex::open_mapped`] under
+//! the default `mmap` feature on Unix, the mapped file itself. No
+//! per-reference hypervector is ever materialised, and over a mapping
+//! resident heap drops to the metadata. The image likewise has one
+//! writer, shared by [`LibraryIndex::write`] and the bounded-memory
+//! [`StreamingIndexBuilder`]. The full byte-level format is specified
+//! in `docs/FORMAT.md`.
 //!
 //! ## Workflow
 //!

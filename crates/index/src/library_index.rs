@@ -1,28 +1,29 @@
 //! The in-memory index, its builder, its reader, and incremental append.
 
 use crate::format::{
-    self, IndexEntry, IndexError, IndexedBackendKind, MlcState, Shard, CHECKSUM_SEED,
+    self, ImageLayout, IndexEntry, IndexError, IndexedBackendKind, MlcState, Shard, CHECKSUM_SEED,
     FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION,
 };
 use crate::sharded::{Scorer, ShardedBackend};
-use crate::wire::{Reader, Writer};
+use crate::streaming::{rram_encoder, ChunkEncoder, StatsFold};
+use crate::wire::Reader;
 use crate::xxhash::xxh64;
-use hdoms_baselines::hyperoms::HyperOmsBackend;
 use hdoms_core::accelerator::{BuildStats, OmsAccelerator};
-use hdoms_core::encode::InMemoryEncoder;
-use hdoms_hdc::encoder::IdLevelEncoder;
 use hdoms_hdc::parallel::par_map;
-use hdoms_hdc::{BinaryHypervector, WordBuffer};
+use hdoms_hdc::WordBuffer;
 use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
-use hdoms_ms::preprocess::Preprocessor;
 use hdoms_oms::candidates::CandidateIndex;
 use hdoms_oms::pipeline::ReferenceCatalog;
-use hdoms_oms::search::{
-    ExactBackend, ExactBackendConfig, MappedReferences, SharedReferences, SimilarityBackend,
-};
+use hdoms_oms::search::{ExactBackend, ExactBackendConfig, SharedReferences, SimilarityBackend};
 use hdoms_prefilter::{SketchIndex, SKETCH_WORDS};
+use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
+
+/// Entries a cold build encodes per step: the transient per-entry
+/// hypervectors of one step are packed into the flat table and dropped
+/// before the next, so a build holds the encoded library once, not twice.
+const ENCODE_CHUNK: usize = 8192;
 
 /// How an index is built.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +50,7 @@ impl Default for IndexConfig {
 
 /// Builds a [`LibraryIndex`] from a spectral library.
 ///
-/// The builder runs the configured backend's own constructor, so the
+/// The builder runs the configured backend's own per-id encoder, so the
 /// persisted hypervectors are byte-identical to a cold build:
 ///
 /// ```
@@ -88,9 +89,9 @@ impl IndexBuilder {
     /// threads) and lay the result out as precursor-mass shards.
     ///
     /// The encoding path is byte-identical to a cold backend build: the
-    /// builder literally runs the corresponding backend constructor and
-    /// persists its reference hypervectors, so a warm-loaded search
-    /// produces the same PSMs as a cold one.
+    /// builder runs the per-id chunk encoder the backend constructors
+    /// are written over (the same one the streaming builder and appends
+    /// run), so a warm-loaded search produces the same PSMs as a cold one.
     ///
     /// # Panics
     ///
@@ -98,55 +99,19 @@ impl IndexBuilder {
     /// contracts as the underlying backend constructors).
     pub fn from_library(&self, library: &SpectralLibrary) -> LibraryIndex {
         assert!(!library.is_empty(), "cannot index an empty library");
-        let threads = self.config.threads;
-        let (references, build_stats, mlc): (SharedReferences, _, _) = match &self.config.kind {
-            IndexedBackendKind::Exact(config) => {
-                let mut config = *config;
-                config.threads = threads;
-                let backend = ExactBackend::build(library, config);
-                let stats = stats_from_shared(backend.shared_references());
-                (backend.shared_references().clone(), stats, None)
-            }
-            IndexedBackendKind::HyperOms(config) => {
-                let mut config = *config;
-                config.threads = threads;
-                let backend = HyperOmsBackend::build(library, config);
-                let stats = stats_from_shared(backend.inner().shared_references());
-                (backend.inner().shared_references().clone(), stats, None)
-            }
-            IndexedBackendKind::Rram(config) => {
-                let mut config = *config;
-                config.threads = threads;
-                let accel = OmsAccelerator::build(library, config);
-                let stats = *accel.build_stats();
-                let mlc = MlcState {
-                    w_eff: accel.encoder().programmed_weights().to_vec(),
-                    sigma_delta: accel.encoder().sigma_delta(),
-                };
-                (
-                    accel.search_engine().shared_references().clone(),
-                    stats,
-                    Some(mlc),
-                )
-            }
-        };
+        let encoder = ChunkEncoder::new(&self.config.kind, None, self.config.threads);
+        let mut references = SharedReferences::from(Vec::new());
+        let mut stats = StatsFold::default();
+        for chunk in library.entries().chunks(ENCODE_CHUNK) {
+            let encoded = encoder.encode(chunk, references.len() as u32);
+            references.append(encoded.into_iter().map(|slot| stats.push(slot)));
+        }
 
         let mut entries: Vec<IndexEntry> = library
             .iter()
-            .map(|e| IndexEntry {
-                id: e.spectrum.id,
-                neutral_mass: e.spectrum.neutral_mass(),
-                precursor_mz: e.spectrum.precursor_mz,
-                precursor_charge: e.spectrum.precursor_charge,
-                is_decoy: e.is_decoy,
-                peptide: e.peptide.to_string(),
-            })
+            .map(|e| IndexEntry::of(e.spectrum.id, e))
             .collect();
-        entries.sort_by(|a, b| {
-            a.neutral_mass
-                .total_cmp(&b.neutral_mass)
-                .then(a.id.cmp(&b.id))
-        });
+        entries.sort_by(IndexEntry::shard_order);
 
         let per_shard = self.config.entries_per_shard;
         let shards: Vec<Shard> = entries
@@ -160,8 +125,8 @@ impl IndexBuilder {
             kind: self.config.kind.clone(),
             entries_per_shard: per_shard,
             entry_count: library.len(),
-            build_stats,
-            mlc,
+            build_stats: stats.onto(None),
+            mlc: encoder.mlc_state(),
             shards,
             references,
             by_id: Vec::new(),
@@ -170,15 +135,6 @@ impl IndexBuilder {
         };
         index.rebuild_by_id();
         index
-    }
-}
-
-fn stats_from_shared(refs: &SharedReferences) -> BuildStats {
-    let stored = refs.present_count();
-    BuildStats {
-        references_stored: stored,
-        references_rejected: refs.len() - stored,
-        mean_encode_ber: 0.0,
     }
 }
 
@@ -198,14 +154,13 @@ fn stats_from_shared(refs: &SharedReferences) -> BuildStats {
 /// encoded library. Cloning a `LibraryIndex` likewise shares the table.
 ///
 /// Equality compares logical content: the peptide cache is derived
-/// state and ignored, and owned vs mapped reference tables with the
-/// same bits compare equal.
+/// state and ignored, and reference tables with the same bits compare
+/// equal wherever their words live.
 ///
-/// The table comes in two representations (see [`SharedReferences`]):
-/// owned hypervectors (cold builds, v1 loads, appends) or word slices
-/// inside the single file buffer a v2 index was loaded from
-/// ([`LibraryIndex::open_mapped`]) — searches go through the same
-/// lookup either way, so every backend above is representation-blind.
+/// The table has one representation (see [`SharedReferences`]): word
+/// slices inside one buffer — a heap buffer after a cold build, a v1
+/// load or an append, the file image itself (read or `mmap`ed) after a
+/// v2+ load — so every backend above searches the same way either way.
 #[derive(Debug, Clone)]
 pub struct LibraryIndex {
     kind: IndexedBackendKind,
@@ -352,27 +307,29 @@ impl LibraryIndex {
     }
 
     /// Release the resident pages holding `shard`'s hypervector words
-    /// back to the OS (mapped indexes only — owned tables cannot drop
-    /// pages piecemeal). Returns the bytes actually released: 0 for
-    /// owned tables, unknown shard positions, or word spans too small to
-    /// cover one whole page. Released words refault from the backing
-    /// file on the next touch, so a later search over the shard scores
-    /// identically — it just pays the page faults to reload.
+    /// back to the OS (file-mapped indexes only — a heap buffer has no
+    /// backing file to refault from). Returns the bytes actually
+    /// released: 0 for heap tables, unknown shard positions, or word
+    /// spans too small to cover one whole page. Released words refault
+    /// from the backing file on the next touch, so a later search over
+    /// the shard scores identically — it just pays the page faults to
+    /// reload.
     pub fn release_shard_words(&self, shard: usize) -> usize {
-        let Some(mapped) = self.references.as_mapped() else {
-            return 0;
-        };
+        let references = &self.references;
         let Some(entries) = self.shards.get(shard).map(|s| &s.entries) else {
             return 0;
         };
+        if !references.is_mapped() {
+            return 0;
+        }
         // A v2+ shard section lays its word blocks out contiguously, so
         // the shard's words occupy exactly [min offset, max offset +
-        // hv_bytes) of the backing buffer.
-        let hv_bytes = mapped.hv_bytes() as u64;
+        // hv_bytes) of the mapped file.
+        let hv_bytes = references.hv_bytes() as u64;
         let mut lo = u64::MAX;
         let mut hi = 0u64;
         for e in entries {
-            if let Some(at) = mapped.offset_of(e.id as usize) {
+            if let Some(at) = references.offset_of(e.id as usize) {
                 lo = lo.min(at);
                 hi = hi.max(at + hv_bytes);
             }
@@ -380,7 +337,7 @@ impl LibraryIndex {
         if lo >= hi {
             return 0;
         }
-        mapped
+        references
             .buffer()
             .release_range(lo as usize, (hi - lo) as usize)
     }
@@ -409,25 +366,6 @@ impl LibraryIndex {
         Ok(ExactBackend::from_shared(config, self.references.clone()))
     }
 
-    /// Reconstruct the HyperOMS-style backend without re-encoding (the
-    /// reference table is shared, not cloned).
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`IndexError::Invalid`] when the index was built for a
-    /// different backend kind.
-    pub fn to_hyperoms_backend(&self, threads: usize) -> Result<HyperOmsBackend, IndexError> {
-        let IndexedBackendKind::HyperOms(config) = &self.kind else {
-            return Err(IndexError::Invalid(format!(
-                "index was built for the {:?} backend, not hyperoms",
-                self.kind.name()
-            )));
-        };
-        let inner =
-            ExactBackend::from_shared(config.exact_config(threads), self.references.clone());
-        Ok(HyperOmsBackend::from_exact(inner))
-    }
-
     /// Reconstruct the MLC-RRAM accelerator without re-encoding the
     /// library: the ID item memory is restored from the persisted
     /// differential weight pairs and the stored reference hypervectors
@@ -452,16 +390,9 @@ impl LibraryIndex {
         };
         let mut config = *config;
         config.threads = threads;
-        let encoder = InMemoryEncoder::from_programmed(
-            config.encoder,
-            config.crossbar,
-            mlc.w_eff.clone(),
-            mlc.sigma_delta,
-            config.seed,
-        );
         Ok(OmsAccelerator::from_parts(
             config,
-            encoder,
+            rram_encoder(&config, Some(mlc)),
             self.references.clone(),
             self.build_stats,
         ))
@@ -485,13 +416,13 @@ impl LibraryIndex {
                     backend,
                 }
             }
-            IndexedBackendKind::HyperOms(_) => {
-                let backend = self.to_hyperoms_backend(threads)?;
-                Scorer::Exact {
-                    name: backend.name(),
-                    backend: backend.into_inner(),
-                }
-            }
+            IndexedBackendKind::HyperOms(config) => Scorer::Exact {
+                name: self.kind.name().to_owned(),
+                backend: ExactBackend::from_shared(
+                    config.exact_config(threads),
+                    self.references.clone(),
+                ),
+            },
             IndexedBackendKind::Rram(_) => Scorer::Rram(self.to_accelerator(threads)?),
         };
         Ok(ShardedBackend::new(
@@ -521,86 +452,18 @@ impl LibraryIndex {
             return;
         }
         let first_id = self.entry_count as u32;
-        let encoded: Vec<(Option<BinaryHypervector>, f64)> = match &self.kind {
-            IndexedBackendKind::Exact(config) => {
-                let encoder = IdLevelEncoder::new(config.encoder);
-                let pre = Preprocessor::new(config.preprocess);
-                let mut config = *config;
-                config.threads = threads;
-                ExactBackend::encode_chunk(&encoder, &pre, &config, new_entries, first_id)
-                    .into_iter()
-                    .map(|hv| (hv, 0.0))
-                    .collect()
-            }
-            IndexedBackendKind::HyperOms(config) => {
-                let exact = config.exact_config(threads);
-                let encoder = IdLevelEncoder::new(exact.encoder);
-                let pre = Preprocessor::new(exact.preprocess);
-                ExactBackend::encode_chunk(&encoder, &pre, &exact, new_entries, first_id)
-                    .into_iter()
-                    .map(|hv| (hv, 0.0))
-                    .collect()
-            }
-            IndexedBackendKind::Rram(config) => {
-                let mlc = self
-                    .mlc
-                    .as_ref()
-                    .expect("rram index carries MLC state by construction");
-                let encoder = InMemoryEncoder::from_programmed(
-                    config.encoder,
-                    config.crossbar,
-                    mlc.w_eff.clone(),
-                    mlc.sigma_delta,
-                    config.seed,
-                );
-                let pre = Preprocessor::new(config.preprocess);
-                OmsAccelerator::encode_chunk(&encoder, &pre, new_entries, first_id, threads)
-                    .into_iter()
-                    .map(|slot| match slot {
-                        Some((hv, ber)) => (Some(hv), ber),
-                        None => (None, 0.0),
-                    })
-                    .collect()
-            }
-        };
+        let encoded =
+            ChunkEncoder::new(&self.kind, self.mlc.as_ref(), threads).encode(new_entries, first_id);
 
-        // Fold the new encodings into the build statistics (exact update:
-        // the stored mean is re-weighted by the stored counts).
-        let new_stored = encoded.iter().filter(|(hv, _)| hv.is_some()).count();
-        let new_ber_sum: f64 = encoded
-            .iter()
-            .filter(|(hv, _)| hv.is_some())
-            .map(|&(_, ber)| ber)
-            .sum();
-        let old_stored = self.build_stats.references_stored;
-        let total_stored = old_stored + new_stored;
-        self.build_stats.mean_encode_ber = if total_stored == 0 {
-            0.0
-        } else {
-            (self.build_stats.mean_encode_ber * old_stored as f64 + new_ber_sum)
-                / total_stored as f64
-        };
-        self.build_stats.references_stored = total_stored;
-        self.build_stats.references_rejected += new_entries.len() - new_stored;
-
-        // New ids are `entry_count..`, so the flat table simply extends.
-        // Appending is copy-on-write: an owned table shared with warm
-        // backends (or a mapped table pinned to its file buffer) pays a
-        // one-time materialisation; the common case (append offline,
-        // then serve) stays zero-copy.
+        // New ids are `entry_count..`, so the flat table simply extends
+        // (in place when this index alone holds a heap buffer; see
+        // [`SharedReferences::append`] for the repack otherwise).
+        let mut stats = StatsFold::default();
         self.references
-            .append(encoded.into_iter().map(|(hv, _)| hv));
+            .append(encoded.into_iter().map(|slot| stats.push(slot)));
+        self.build_stats = stats.onto(Some(&self.build_stats));
         for (offset, entry) in new_entries.iter().enumerate() {
-            let id = first_id + offset as u32;
-            let indexed = IndexEntry {
-                id,
-                neutral_mass: entry.spectrum.neutral_mass(),
-                precursor_mz: entry.spectrum.precursor_mz,
-                precursor_charge: entry.spectrum.precursor_charge,
-                is_decoy: entry.is_decoy,
-                peptide: entry.peptide.to_string(),
-            };
-            self.insert_entry(indexed);
+            self.insert_entry(IndexEntry::of(first_id + offset as u32, entry));
         }
         self.entry_count += new_entries.len();
         self.rebuild_by_id();
@@ -649,172 +512,134 @@ impl LibraryIndex {
     /// loads, plus the persisted prefilter sketch section. Older
     /// versions are decode-only.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let dim = self.dim();
-        let mlc_bytes = self.mlc.as_ref().map(format::put_mlc_state);
-        let sketch_bytes = format::put_sketches(&self.sketch_index());
-        let shard_bytes: Vec<Vec<u8>> = self
-            .shards
-            .iter()
-            .map(|s| format::put_shard_v2(s, dim, &self.references))
-            .collect();
-
-        let shard_lens: Vec<usize> = shard_bytes.iter().map(Vec::len).collect();
-        let header = format::encode_header(
-            &self.kind,
-            &self.build_stats,
-            self.entries_per_shard,
-            self.entry_count,
-            mlc_bytes.as_ref().map_or(0, Vec::len),
-            sketch_bytes.len(),
-            &shard_lens,
-        );
-
-        let mut out = Writer::new();
-        out.raw(&MAGIC);
-        out.u32(FORMAT_VERSION);
-        out.usize(header.len());
-        out.raw(&header);
-        out.u64(xxh64(&header, CHECKSUM_SEED));
-        // Zero padding brings every section payload to an 8-aligned
-        // absolute offset, so the word blocks inside shard payloads land
-        // 8-aligned in the file.
-        let sections = mlc_bytes
-            .iter()
-            .chain(std::iter::once(&sketch_bytes))
-            .chain(&shard_bytes);
-        for bytes in sections {
-            for _ in 0..format::pad_to_8(out.len()) {
-                out.u8(0);
-            }
-            out.raw(bytes);
-            out.u64(xxh64(bytes, CHECKSUM_SEED));
-        }
-        out.into_bytes()
+        let mut bytes = Vec::new();
+        self.write_to(&mut bytes)
+            .expect("writing to memory cannot fail");
+        bytes
     }
 
     /// Write the index to `path` (atomically: a temp file is renamed into
-    /// place so a crashed write never leaves a half-index behind).
+    /// place so a crashed write never leaves a half-index behind, and a
+    /// failed one removes its temp file). The image streams out shard by
+    /// shard — the write holds one shard's payload, never a second copy
+    /// of the encoded library.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn write(&self, path: &Path) -> Result<(), IndexError> {
-        let bytes = self.to_bytes();
-        let tmp = path.with_extension("hdx.tmp");
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        format::write_atomically(path, |out| self.write_to(out)).map(drop)
     }
 
-    /// Decode from bytes, verifying magic, version and every section
-    /// checksum; shards are checksum-verified and decoded in parallel
-    /// over `threads`. Hypervectors are **materialised** regardless of
-    /// format version (the copying path; see
-    /// [`LibraryIndex::from_buffer`] for the zero-copy one).
+    /// Stream the image into `out` through the one container writer
+    /// ([`ImageLayout::write`]), the words coming out of the reference
+    /// table; returns the image length.
+    pub(crate) fn write_to<W: Write>(&self, out: W) -> Result<u64, IndexError> {
+        let references = &self.references;
+        ImageLayout {
+            kind: &self.kind,
+            stats: &self.build_stats,
+            entries_per_shard: self.entries_per_shard,
+            mlc: self.mlc.as_ref(),
+            shards: self.shards.iter().map(|s| &s.entries[..]).collect(),
+        }
+        .write(
+            out,
+            format::put_sketches(&self.sketch_index()),
+            |id| references.hv(id as usize).is_some(),
+            |id, w| {
+                let hv = references.hv(id as usize).expect("flagged present");
+                for &word in hv.words() {
+                    w.u64(word);
+                }
+                Ok(())
+            },
+        )
+    }
+
+    /// Decode from bytes: [`LibraryIndex::from_buffer`] over a heap
+    /// buffer holding a copy of `bytes` (the one copy — the references
+    /// are then searched inside it, not materialised out of it).
     ///
     /// # Errors
     ///
     /// Any structural, checksum or semantic problem aborts the load with
     /// a descriptive [`IndexError`] — a corrupted index never half-loads.
     pub fn from_bytes(bytes: &[u8], threads: usize) -> Result<LibraryIndex, IndexError> {
-        let sections = parse_sections(bytes)?;
-        let dim = sections.kind.dim();
-        let version = sections.version;
-        let jobs: Vec<(usize, SectionRange)> =
-            sections.shards.iter().copied().enumerate().collect();
+        LibraryIndex::from_buffer(WordBuffer::from_bytes(bytes), threads)
+    }
+
+    /// The one loader: verify magic, version and every section checksum
+    /// (shards in parallel over `threads`), then search the index
+    /// straight out of `buffer` — a whole `.hdx` image, on the heap or
+    /// `mmap`ed. For a v2+ image the reference table becomes offsets
+    /// into `buffer`: no per-reference hypervector is materialised, so
+    /// load time and resident memory stop scaling with the hypervector
+    /// payload. Only a v1 image, whose words sit unaligned inside the
+    /// entry records, is repacked once into a fresh flat heap buffer.
+    ///
+    /// # Errors
+    ///
+    /// Any structural, checksum or semantic problem aborts the load with
+    /// a descriptive [`IndexError`] — a corrupted index never half-loads.
+    pub fn from_buffer(buffer: WordBuffer, threads: usize) -> Result<LibraryIndex, IndexError> {
+        let bytes = buffer.as_bytes();
+        let (mut index, version, sections) = parse_sections(bytes)?;
+        let in_place = version >= 2;
+        let dim = index.dim();
+        let entry_count = index.entry_count;
+        let jobs: Vec<(usize, SectionRange)> = sections.iter().copied().enumerate().collect();
         let decoded = par_map(&jobs, threads, |&(i, section)| {
             let payload = section.verify(bytes, &format!("shard {i}"))?;
-            if version >= 2 {
-                let (shard, offsets) = format::get_shard_v2(payload, dim)?;
-                let words = dim.div_ceil(64);
-                let hvs = offsets
-                    .into_iter()
-                    .map(|(id, at)| {
-                        (
-                            id,
-                            format::hypervector_from_bytes(dim, &payload[at..at + words * 8]),
-                        )
-                    })
-                    .collect();
-                Ok((shard, hvs))
+            if in_place {
+                format::get_shard_v2(payload, dim)
             } else {
                 format::get_shard(payload, dim)
             }
         });
-        let mut shards = Vec::with_capacity(decoded.len());
-        let mut references = vec![None; sections.entry_count];
-        for shard in decoded {
-            let (shard, hvs) = shard?;
-            for (id, hv) in hvs {
-                let slot = references.get_mut(id as usize).ok_or_else(|| {
-                    IndexError::Invalid(format!(
-                        "entry id {id} outside the declared count {}",
-                        sections.entry_count
-                    ))
-                })?;
-                *slot = Some(hv);
-            }
-            shards.push(shard);
-        }
-        sections.into_index(shards, SharedReferences::from(references))
-    }
-
-    /// **Zero-copy** load: search the index straight out of `buffer`
-    /// (typically a whole `.hdx` file read or mapped into one
-    /// allocation). For a v2 file the reference table becomes offsets
-    /// into `buffer` — no per-reference hypervector is materialised, so
-    /// load time and resident memory stop scaling with the hypervector
-    /// payload. A v1 file falls back to the copying decoder.
-    ///
-    /// Searches score identically to [`LibraryIndex::from_bytes`]
-    /// loads: both representations expose the same words.
-    ///
-    /// # Errors
-    ///
-    /// Same failure surface as [`LibraryIndex::from_bytes`].
-    pub fn from_buffer(buffer: WordBuffer, threads: usize) -> Result<LibraryIndex, IndexError> {
-        let bytes = buffer.as_bytes();
-        let sections = parse_sections(bytes)?;
-        if sections.version < 2 {
-            return LibraryIndex::from_bytes(bytes, threads);
-        }
-        let dim = sections.kind.dim();
-        let entry_count = sections.entry_count;
-        let jobs: Vec<(usize, SectionRange)> =
-            sections.shards.iter().copied().enumerate().collect();
-        let decoded = par_map(&jobs, threads, |&(i, section)| {
-            let payload = section.verify(bytes, &format!("shard {i}"))?;
-            let (shard, offsets) = format::get_shard_v2(payload, dim)?;
-            // Lift payload-relative word offsets to absolute buffer
-            // offsets (the payload itself starts 8-aligned, so absolute
-            // offsets stay 8-aligned).
-            let absolute: Vec<(u32, u64)> = offsets
-                .into_iter()
-                .map(|(id, at)| (id, (section.start + at) as u64))
-                .collect();
-            Ok::<_, IndexError>((shard, absolute))
-        });
-        let mut shards = Vec::with_capacity(decoded.len());
         let mut offsets = vec![u64::MAX; entry_count];
-        for shard in decoded {
-            let (shard, absolute) = shard?;
-            for (id, at) in absolute {
+        for (shard, section) in decoded.into_iter().zip(&sections) {
+            let (shard, relative) = shard?;
+            for (id, at) in relative {
                 let slot = offsets.get_mut(id as usize).ok_or_else(|| {
                     IndexError::Invalid(format!(
                         "entry id {id} outside the declared count {entry_count}"
                     ))
                 })?;
-                *slot = at;
+                // Lift the payload-relative offset to an absolute one (a
+                // v2+ payload starts 8-aligned and pads its word blocks
+                // to 8, so these stay 8-aligned).
+                *slot = (section.start + at) as u64;
             }
-            shards.push(shard);
+            index.shards.push(shard);
         }
-        let references = MappedReferences::new(buffer.clone(), dim, offsets);
-        sections.into_index(shards, SharedReferences::Mapped(references))
+        index.references = if in_place {
+            SharedReferences::new(buffer.clone(), dim, offsets)
+        } else {
+            let hv_bytes = dim.div_ceil(64) * 8;
+            let tail_mask = u64::MAX >> (hv_bytes * 8 - dim);
+            let mut words = Vec::with_capacity(entry_count * hv_bytes / 8);
+            for offset in offsets.iter_mut().filter(|offset| **offset != u64::MAX) {
+                let block = &bytes[*offset as usize..*offset as usize + hv_bytes];
+                *offset = (words.len() * 8) as u64;
+                words.extend(
+                    block
+                        .chunks_exact(8)
+                        .map(|word| u64::from_le_bytes(word.try_into().expect("8-byte chunk"))),
+                );
+                *words.last_mut().expect("dim is positive") &= tail_mask;
+            }
+            SharedReferences::new(WordBuffer::from(words), dim, offsets)
+        };
+        index.validate()?;
+        index.rebuild_by_id();
+        Ok(index)
     }
 
-    /// Open `path` for **in-place search**: the file is read once into a
-    /// single aligned buffer (or `mmap`ed with the `mmap` feature) and
-    /// handed to [`LibraryIndex::from_buffer`].
+    /// Open `path` for **in-place search**: the file is `mmap`ed (with
+    /// the `mmap` feature; read once into a single aligned heap buffer
+    /// otherwise, exactly as [`IndexReader::open`] does) and handed to
+    /// [`LibraryIndex::from_buffer`].
     ///
     /// # Errors
     ///
@@ -824,11 +649,7 @@ impl LibraryIndex {
         #[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
         let buffer = WordBuffer::map_file(path)?;
         #[cfg(not(all(unix, target_pointer_width = "64", feature = "mmap")))]
-        let buffer = {
-            let file = std::fs::File::open(path)?;
-            let len = file.metadata()?.len() as usize;
-            WordBuffer::from_reader(file, len)?
-        };
+        let buffer = read_file(path)?;
         LibraryIndex::from_buffer(buffer, threads)
     }
 
@@ -896,6 +717,13 @@ impl LibraryIndex {
     }
 }
 
+/// Read the file at `path` into one aligned heap buffer.
+fn read_file(path: &Path) -> std::io::Result<WordBuffer> {
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len() as usize;
+    WordBuffer::from_reader(file, len)
+}
+
 /// One checksummed section's location inside an index file (the payload
 /// is *not* yet verified — verification happens in parallel per shard).
 #[derive(Debug, Clone, Copy)]
@@ -921,76 +749,15 @@ impl SectionRange {
     }
 }
 
-/// Everything the container walk establishes before shard payloads are
-/// touched: the verified header fields plus where each shard section
-/// lives. Shared by the copying ([`LibraryIndex::from_bytes`]) and
-/// mapped ([`LibraryIndex::from_buffer`]) loaders, so the two paths
-/// cannot drift.
-struct ParsedSections {
-    version: u32,
-    kind: IndexedBackendKind,
-    build_stats: BuildStats,
-    entries_per_shard: usize,
-    entry_count: usize,
-    mlc: Option<MlcState>,
-    sketches: Option<SketchIndex>,
-    shards: Vec<SectionRange>,
-}
-
-impl ParsedSections {
-    /// Assemble, validate, and finish a [`LibraryIndex`] once a loader
-    /// has produced the shards and a reference table.
-    fn into_index(
-        self,
-        shards: Vec<Shard>,
-        references: SharedReferences,
-    ) -> Result<LibraryIndex, IndexError> {
-        let mut index = LibraryIndex {
-            kind: self.kind,
-            entries_per_shard: self.entries_per_shard,
-            entry_count: self.entry_count,
-            build_stats: self.build_stats,
-            mlc: self.mlc,
-            shards,
-            references,
-            by_id: Vec::new(),
-            peptides: OnceLock::new(),
-            sketches: OnceLock::new(),
-        };
-        if let Some(sketches) = self.sketches {
-            if sketches.len() != index.entry_count {
-                return Err(IndexError::Invalid(format!(
-                    "sketch section covers {} slots for {} declared entries",
-                    sketches.len(),
-                    index.entry_count
-                )));
-            }
-            if sketches.full_words() != index.dim().div_ceil(64) {
-                return Err(IndexError::Invalid(format!(
-                    "sketch section samples a {}-word hypervector, dimension {} has {}",
-                    sketches.full_words(),
-                    index.dim(),
-                    index.dim().div_ceil(64)
-                )));
-            }
-            index
-                .sketches
-                .set(Arc::new(sketches))
-                .expect("freshly constructed cache is empty");
-        }
-        index.validate()?;
-        index.rebuild_by_id();
-        Ok(index)
-    }
-}
-
-/// Walk the container: magic, version, header (checksum-verified), MLC
-/// section (checksum-verified), and the location of every shard section.
-/// In v2 files the zero padding preceding each section payload is
-/// consumed and must actually be zero — pad bytes sit outside the
-/// checksummed payloads, so this is what keeps "any flipped bit fails
-/// the load" true.
-fn parse_sections(bytes: &[u8]) -> Result<ParsedSections, IndexError> {
+/// Walk the container: magic, version, header, MLC and sketch sections
+/// (each checksum-verified), and the location of every shard section —
+/// everything established before shard payloads are touched, returned
+/// as an index still without shards or references, the format version,
+/// and where each shard lives. In v2 files the zero padding preceding
+/// each section payload is consumed and must actually be zero — pad
+/// bytes sit outside the checksummed payloads, so this is what keeps
+/// "any flipped bit fails the load" true.
+fn parse_sections(bytes: &[u8]) -> Result<(LibraryIndex, u32, Vec<SectionRange>), IndexError> {
     let mut r = Reader::new(bytes);
     let magic = r.raw(8, "magic")?;
     if magic != MAGIC {
@@ -1051,33 +818,39 @@ fn parse_sections(bytes: &[u8]) -> Result<ParsedSections, IndexError> {
         Ok(())
     };
 
-    let mlc = if mlc_len == 0 {
-        None
-    } else {
+    // One checksummed section ahead of the shards (labels: section
+    // name, payload, checksum): nothing for length 0, else its payload.
+    let mut section = |len: usize, what: [&'static str; 3]| {
+        if len == 0 {
+            return Ok(None);
+        }
         skip_pad(&mut r)?;
-        let payload = r.raw(mlc_len, "mlc_section")?;
-        let hash = r.u64("mlc_checksum")?;
-        if xxh64(payload, CHECKSUM_SEED) != hash {
+        let payload = r.raw(len, what[1])?;
+        if xxh64(payload, CHECKSUM_SEED) != r.u64(what[2])? {
             return Err(IndexError::ChecksumMismatch {
-                section: "mlc".to_owned(),
+                section: what[0].to_owned(),
             });
         }
-        Some(format::get_mlc_state(payload)?)
+        Ok(Some(payload))
     };
-
-    let sketches = if sketch_len == 0 {
-        None
-    } else {
-        skip_pad(&mut r)?;
-        let payload = r.raw(sketch_len, "sketch_section")?;
-        let hash = r.u64("sketch_checksum")?;
-        if xxh64(payload, CHECKSUM_SEED) != hash {
-            return Err(IndexError::ChecksumMismatch {
-                section: "sketch".to_owned(),
-            });
+    let mlc = section(mlc_len, ["mlc", "mlc_section", "mlc_checksum"])?
+        .map(format::get_mlc_state)
+        .transpose()?;
+    kind.validate(mlc.as_ref())?;
+    let sketches = OnceLock::new();
+    if let Some(payload) = section(sketch_len, ["sketch", "sketch_section", "sketch_checksum"])? {
+        let decoded = format::get_sketches(payload)?;
+        let full_words = kind.dim().div_ceil(64);
+        if decoded.len() != entry_count || decoded.full_words() != full_words {
+            return Err(IndexError::Invalid(format!(
+                "sketch section covers {} slots of {}-word hypervectors, the header \
+                 declares {entry_count} entries of {full_words} words",
+                decoded.len(),
+                decoded.full_words(),
+            )));
         }
-        Some(format::get_sketches(payload)?)
-    };
+        let _ = sketches.set(Arc::new(decoded));
+    }
 
     let mut shards = Vec::with_capacity(shard_count);
     for &len in &shard_lens {
@@ -1089,16 +862,19 @@ fn parse_sections(bytes: &[u8]) -> Result<ParsedSections, IndexError> {
     }
     r.expect_end("index file")?;
 
-    Ok(ParsedSections {
-        version,
+    let index = LibraryIndex {
         kind,
-        build_stats,
         entries_per_shard,
         entry_count,
+        build_stats,
         mlc,
+        shards: Vec::with_capacity(shard_count),
+        references: SharedReferences::from(Vec::new()),
+        by_id: Vec::new(),
+        peptides: OnceLock::new(),
         sketches,
-        shards,
-    })
+    };
+    Ok((index, version, shards))
 }
 
 /// Reads `HDX` index files.
@@ -1143,10 +919,11 @@ impl IndexReader {
 
     /// Load and validate an index from `path`.
     ///
-    /// The file is read in one streamed pass and shard sections are
-    /// checksum-verified and decoded in parallel; hypervector bit words
-    /// are filled straight from the file buffer into each hypervector,
-    /// with no intermediate per-entry buffers.
+    /// The file is read in one streamed pass into one heap buffer and
+    /// handed to [`LibraryIndex::from_buffer`]: shard sections are
+    /// checksum-verified and decoded in parallel, and the references are
+    /// searched inside that buffer — the same loader
+    /// [`IndexReader::open_mapped`] runs over an `mmap` of the file.
     ///
     /// # Errors
     ///
@@ -1162,14 +939,12 @@ impl IndexReader {
     ///
     /// See [`IndexReader::open`].
     pub fn open_with(&self, path: &Path) -> Result<LibraryIndex, IndexError> {
-        let bytes = std::fs::read(path)?;
-        LibraryIndex::from_bytes(&bytes, self.threads)
+        LibraryIndex::from_buffer(read_file(path)?, self.threads)
     }
 
-    /// Load an index for **in-place search** (see
-    /// [`LibraryIndex::open_mapped`]): a v2 file is searched straight
-    /// out of its single backing buffer with no per-reference
-    /// materialisation; a v1 file falls back to the copying path.
+    /// Load an index over an `mmap` of the file (see
+    /// [`LibraryIndex::open_mapped`]), so cold shards' pages can be
+    /// released and refault from it.
     ///
     /// # Errors
     ///

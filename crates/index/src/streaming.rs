@@ -1,9 +1,11 @@
 //! Streaming index construction: encode, spill, and serialise one
-//! bounded chunk at a time.
+//! bounded chunk at a time — plus the per-kind chunk encoder and the
+//! build-statistics fold every build path (this one, the in-memory
+//! [`IndexBuilder`](crate::IndexBuilder), appends, warm accelerator
+//! reconstruction) is written over.
 //!
 //! [`IndexBuilder`](crate::IndexBuilder) holds the whole encoded library
-//! in memory — every reference hypervector, plus a second copy inside
-//! the serialised image — which caps the library size at available RAM.
+//! in memory, which caps the library size at available RAM.
 //! [`StreamingIndexBuilder`] removes that cap: entries are encoded in
 //! chunks of at most `spill_threshold`, each chunk's hypervector words
 //! are appended to a temporary **spill file** immediately, and the final
@@ -16,20 +18,15 @@
 //! The output is **byte-for-byte identical** to
 //! `IndexBuilder::from_library(...).to_bytes()` over the same entries in
 //! the same order: encoding is deterministic per (configuration, dense
-//! id), the v2 shard payload length is computable from metadata alone
-//! ([`format::shard_v2_payload_len`]), and header, sketch section, and
-//! shard payloads are emitted through the same codec functions the
-//! in-memory path uses ([`format::encode_header`],
-//! [`format::put_shard_v2_with`]). The differential test suite
-//! (`tests/streaming_equivalence.rs`) pins that guarantee.
+//! id) and runs through the same `ChunkEncoder`, and both images go
+//! out through the one container writer (`format::ImageLayout::write`),
+//! differing only in where it fetches each entry's words. The
+//! differential test suite (`tests/streaming_equivalence.rs`) pins that
+//! guarantee.
 
-use crate::format::{
-    self, IndexEntry, IndexError, IndexedBackendKind, MlcState, CHECKSUM_SEED, FORMAT_VERSION,
-    MAGIC,
-};
+use crate::format::{self, ImageLayout, IndexEntry, IndexError, IndexedBackendKind, MlcState};
 use crate::library_index::IndexConfig;
-use crate::xxhash::xxh64;
-use hdoms_core::accelerator::{BuildStats, OmsAccelerator};
+use hdoms_core::accelerator::{AcceleratorConfig, BuildStats, OmsAccelerator};
 use hdoms_core::encode::InMemoryEncoder;
 use hdoms_hdc::encoder::IdLevelEncoder;
 use hdoms_hdc::BinaryHypervector;
@@ -80,11 +77,12 @@ pub struct StreamingBuildReport {
     pub build_stats: BuildStats,
 }
 
-/// The per-chunk encoder behind the streaming build: the same
-/// deterministic per-id encode the backend constructors run, dispatched
-/// by backend kind ([`ExactBackend::encode_chunk`] /
-/// [`OmsAccelerator::encode_chunk`]).
-enum ChunkEncoder {
+/// The one per-kind encoder of the index: the deterministic per-id
+/// encode the backend constructors run ([`ExactBackend::encode_chunk`] /
+/// [`OmsAccelerator::encode_chunk`]), dispatched by backend kind once,
+/// here, for cold builds, streaming builds and appends alike.
+#[allow(clippy::large_enum_variant)] // one instance per build, never collected
+pub(crate) enum ChunkEncoder {
     Exact {
         encoder: IdLevelEncoder,
         pre: Preprocessor,
@@ -93,32 +91,47 @@ enum ChunkEncoder {
     Rram {
         encoder: InMemoryEncoder,
         pre: Preprocessor,
+        threads: usize,
     },
 }
 
+/// The in-memory encoder of an RRAM-kind index: restored verbatim from
+/// the persisted MLC programming state when there is one (so it encodes
+/// bit-identically to the encoder that was persisted), freshly
+/// programmed from the seed otherwise.
+pub(crate) fn rram_encoder(config: &AcceleratorConfig, mlc: Option<&MlcState>) -> InMemoryEncoder {
+    match mlc {
+        Some(mlc) => InMemoryEncoder::from_programmed(
+            config.encoder,
+            config.crossbar,
+            mlc.w_eff.clone(),
+            mlc.sigma_delta,
+            config.seed,
+        ),
+        None => InMemoryEncoder::new(config.encoder, config.crossbar, config.seed),
+    }
+}
+
 impl ChunkEncoder {
-    fn new(kind: &IndexedBackendKind, threads: usize) -> ChunkEncoder {
+    /// The encoder for `kind` on `threads` workers; `mlc` is the
+    /// index's persisted programming state, if it has one.
+    pub(crate) fn new(
+        kind: &IndexedBackendKind,
+        mlc: Option<&MlcState>,
+        threads: usize,
+    ) -> ChunkEncoder {
+        let exact = |config: ExactBackendConfig| ChunkEncoder::Exact {
+            encoder: IdLevelEncoder::new(config.encoder),
+            pre: Preprocessor::new(config.preprocess),
+            config,
+        };
         match kind {
-            IndexedBackendKind::Exact(config) => {
-                let mut config = *config;
-                config.threads = threads;
-                ChunkEncoder::Exact {
-                    encoder: IdLevelEncoder::new(config.encoder),
-                    pre: Preprocessor::new(config.preprocess),
-                    config,
-                }
-            }
-            IndexedBackendKind::HyperOms(config) => {
-                let exact = config.exact_config(threads);
-                ChunkEncoder::Exact {
-                    encoder: IdLevelEncoder::new(exact.encoder),
-                    pre: Preprocessor::new(exact.preprocess),
-                    config: exact,
-                }
-            }
+            IndexedBackendKind::Exact(config) => exact(ExactBackendConfig { threads, ..*config }),
+            IndexedBackendKind::HyperOms(config) => exact(config.exact_config(threads)),
             IndexedBackendKind::Rram(config) => ChunkEncoder::Rram {
-                encoder: InMemoryEncoder::new(config.encoder, config.crossbar, config.seed),
+                encoder: rram_encoder(config, mlc),
                 pre: Preprocessor::new(config.preprocess),
+                threads,
             },
         }
     }
@@ -126,11 +139,10 @@ impl ChunkEncoder {
     /// Encode `entries` as dense ids `first_id..`, returning each slot's
     /// hypervector plus its encoding bit-error rate (0 for the exact
     /// software paths).
-    fn encode(
+    pub(crate) fn encode(
         &self,
         entries: &[LibraryEntry],
         first_id: u32,
-        threads: usize,
     ) -> Vec<Option<(BinaryHypervector, f64)>> {
         match self {
             ChunkEncoder::Exact {
@@ -141,19 +153,70 @@ impl ChunkEncoder {
                 .into_iter()
                 .map(|slot| slot.map(|hv| (hv, 0.0)))
                 .collect(),
-            ChunkEncoder::Rram { encoder, pre } => {
-                OmsAccelerator::encode_chunk(encoder, pre, entries, first_id, threads)
-            }
+            ChunkEncoder::Rram {
+                encoder,
+                pre,
+                threads,
+            } => OmsAccelerator::encode_chunk(encoder, pre, entries, first_id, *threads),
         }
     }
 
-    fn mlc_state(&self) -> Option<MlcState> {
+    /// The MLC programming state to persist (RRAM kind only).
+    pub(crate) fn mlc_state(&self) -> Option<MlcState> {
         match self {
             ChunkEncoder::Exact { .. } => None,
             ChunkEncoder::Rram { encoder, .. } => Some(MlcState {
                 w_eff: encoder.programmed_weights().to_vec(),
                 sigma_delta: encoder.sigma_delta(),
             }),
+        }
+    }
+}
+
+/// The build-statistics fold, written once: encoded slots go in one at a
+/// time in id order (the BER sum is a left fold, so every build path
+/// reaches bit-identical statistics), and [`StatsFold::onto`] lands them
+/// on whatever the index already recorded.
+#[derive(Debug, Default)]
+pub(crate) struct StatsFold {
+    stored: usize,
+    rejected: usize,
+    ber_sum: f64,
+}
+
+impl StatsFold {
+    /// Record one encoded slot and hand its hypervector on.
+    pub(crate) fn push(
+        &mut self,
+        slot: Option<(BinaryHypervector, f64)>,
+    ) -> Option<BinaryHypervector> {
+        let (hv, ber) = slot.unzip();
+        self.stored += usize::from(hv.is_some());
+        self.rejected += usize::from(hv.is_none());
+        self.ber_sum += ber.unwrap_or(0.0);
+        hv
+    }
+
+    /// The statistics of `prior` (nothing, for a fresh build) extended
+    /// by the folded slots — an exact update: the stored mean is
+    /// re-weighted by the stored counts.
+    pub(crate) fn onto(&self, prior: Option<&BuildStats>) -> BuildStats {
+        let (old_stored, old_rejected, old_mean) = prior.map_or((0, 0, 0.0), |p| {
+            (
+                p.references_stored,
+                p.references_rejected,
+                p.mean_encode_ber,
+            )
+        });
+        let stored = old_stored + self.stored;
+        BuildStats {
+            references_stored: stored,
+            references_rejected: old_rejected + self.rejected,
+            mean_encode_ber: if stored == 0 {
+                0.0
+            } else {
+                (old_mean * old_stored as f64 + self.ber_sum) / stored as f64
+            },
         }
     }
 }
@@ -165,13 +228,14 @@ impl ChunkEncoder {
 /// file, [`StreamingIndexBuilder::push_entries`] feeds entries in id
 /// order (any call granularity — chunking past the spill threshold is
 /// internal), and [`StreamingIndexBuilder::finish`] sorts the metadata,
-/// writes the image atomically (temp file + rename, like
-/// [`LibraryIndex::write`](crate::LibraryIndex::write)), and deletes the
-/// spill. The conveniences
+/// writes the image atomically (temp file + rename, through the same
+/// writer as [`LibraryIndex::write`](crate::LibraryIndex::write)), and
+/// deletes the spill. The conveniences
 /// [`StreamingIndexBuilder::build_from_library`] and
 /// [`StreamingIndexBuilder::build_from_iter`] wrap the three calls.
 ///
-/// Dropping an unfinished builder removes its spill and temp files.
+/// Dropping an unfinished builder removes its spill file (a failed
+/// finish has already removed its temp image).
 ///
 /// ```
 /// use hdoms_index::streaming::{StreamingConfig, StreamingIndexBuilder};
@@ -203,7 +267,6 @@ pub struct StreamingIndexBuilder {
     config: IndexConfig,
     spill_threshold: usize,
     out_path: PathBuf,
-    tmp_path: PathBuf,
     spill_path: PathBuf,
     spill: BufWriter<File>,
     /// Spill-file byte offset of each entry's word block, by dense id
@@ -218,11 +281,7 @@ pub struct StreamingIndexBuilder {
     sketch_selected: Vec<u32>,
     sketch_table: Vec<u64>,
     sketch_present: Vec<u64>,
-    // Running build statistics, accumulated in id order so the
-    // final mean is bit-identical to the in-memory left fold.
-    ber_sum: f64,
-    stored: usize,
-    rejected: usize,
+    stats: StatsFold,
     finished: bool,
 }
 
@@ -239,9 +298,8 @@ impl std::fmt::Debug for StreamingIndexBuilder {
 
 impl StreamingIndexBuilder {
     /// Open a streaming build that will finish into `out`. The spill
-    /// file (`out` with extension `hdx.spill`) and the temporary image
-    /// (`out` with extension `hdx.tmp`) live next to the output so the
-    /// final rename stays on one filesystem.
+    /// file (`out` with extension `hdx.spill`) lives next to the output,
+    /// as the temporary image will.
     ///
     /// # Errors
     ///
@@ -263,14 +321,12 @@ impl StreamingIndexBuilder {
             ));
         }
         let spill_path = out.with_extension("hdx.spill");
-        let tmp_path = out.with_extension("hdx.tmp");
         let spill = BufWriter::new(File::create(&spill_path)?);
-        let encoder = ChunkEncoder::new(&config.index.kind, config.index.threads);
+        let encoder = ChunkEncoder::new(&config.index.kind, None, config.index.threads);
         let full_words = config.index.kind.dim().div_ceil(64).max(1);
         Ok(StreamingIndexBuilder {
             spill_threshold: config.spill_threshold,
             out_path: out.to_path_buf(),
-            tmp_path,
             spill_path,
             spill,
             spill_offsets: Vec::new(),
@@ -280,9 +336,7 @@ impl StreamingIndexBuilder {
             sketch_selected: SketchIndex::word_selection(full_words, SKETCH_WORDS),
             sketch_table: Vec::new(),
             sketch_present: Vec::new(),
-            ber_sum: 0.0,
-            stored: 0,
-            rejected: 0,
+            stats: StatsFold::default(),
             finished: false,
             config: config.index,
         })
@@ -320,28 +374,19 @@ impl StreamingIndexBuilder {
         let width = self.sketch_selected.len();
         for chunk in entries.chunks(self.spill_threshold) {
             let first_id = self.metas.len() as u32;
-            let encoded = self.encoder.encode(chunk, first_id, self.config.threads);
+            let encoded = self.encoder.encode(chunk, first_id);
             for (offset, (entry, slot)) in chunk.iter().zip(encoded).enumerate() {
                 let id = first_id + offset as u32;
-                self.metas.push(IndexEntry {
-                    id,
-                    neutral_mass: entry.spectrum.neutral_mass(),
-                    precursor_mz: entry.spectrum.precursor_mz,
-                    precursor_charge: entry.spectrum.precursor_charge,
-                    is_decoy: entry.is_decoy,
-                    peptide: entry.peptide.to_string(),
-                });
+                self.metas.push(IndexEntry::of(id, entry));
                 if self.sketch_present.len() * 64 <= id as usize {
                     self.sketch_present.push(0);
                 }
-                match slot {
-                    Some((hv, ber)) => {
+                match self.stats.push(slot) {
+                    Some(hv) => {
                         let words = hv.words();
                         self.sketch_table
                             .extend(self.sketch_selected.iter().map(|&w| words[w as usize]));
                         self.sketch_present[id as usize / 64] |= 1u64 << (id as usize % 64);
-                        self.ber_sum += ber;
-                        self.stored += 1;
                         self.spill_offsets.push(self.spilled_bytes);
                         for &word in words {
                             self.spill.write_all(&word.to_le_bytes())?;
@@ -351,7 +396,6 @@ impl StreamingIndexBuilder {
                     None => {
                         self.sketch_table.extend(std::iter::repeat_n(0u64, width));
                         self.spill_offsets.push(u64::MAX);
-                        self.rejected += 1;
                     }
                 }
             }
@@ -390,96 +434,63 @@ impl StreamingIndexBuilder {
             )));
         }
 
+        let image = self.out_path.clone();
+        let report = format::write_atomically(&image, |out| self.assemble(out, &spill))?;
+        fs::remove_file(&self.spill_path)?;
+        self.finished = true;
+        Ok(report)
+    }
+
+    /// Lay the pushed entries out as shards — the same global
+    /// `(mass, id)` sort and fixed-size cut the in-memory builder
+    /// performs — and stream the image into `out` through the one
+    /// container writer, each shard's word blocks read back from `spill`.
+    fn assemble<W: Write>(
+        &mut self,
+        out: W,
+        spill: &File,
+    ) -> Result<StreamingBuildReport, IndexError> {
         let dim = self.config.kind.dim();
-        let entry_count = self.metas.len();
-        let build_stats = BuildStats {
-            references_stored: self.stored,
-            references_rejected: self.rejected,
-            mean_encode_ber: if self.stored == 0 {
-                0.0
-            } else {
-                self.ber_sum / self.stored as f64
-            },
-        };
-
-        // Shard layout: the same global (mass, id) sort and fixed-size
-        // cut the in-memory builder performs.
+        let build_stats = self.stats.onto(None);
         let mut metas = std::mem::take(&mut self.metas);
-        metas.sort_by(|a, b| {
-            a.neutral_mass
-                .total_cmp(&b.neutral_mass)
-                .then(a.id.cmp(&b.id))
-        });
-        let per_shard = self.config.entries_per_shard;
+        metas.sort_by(IndexEntry::shard_order);
         let offsets = std::mem::take(&mut self.spill_offsets);
-        let present = |id: u32| offsets[id as usize] != u64::MAX;
-        let shard_lens: Vec<usize> = metas
-            .chunks(per_shard)
-            .map(|chunk| format::shard_v2_payload_len(chunk, dim, present))
-            .collect();
 
-        // Section payloads that precede the shards. The sketch table is
-        // moved into the section bytes and dropped before any shard is
-        // assembled, so it is not resident twice.
-        let mlc_bytes = self.encoder.mlc_state().as_ref().map(format::put_mlc_state);
+        // The sketch table is moved into the section bytes and dropped
+        // before any shard is assembled, so it is not resident twice.
         let sketch = SketchIndex::from_parts(
             dim.div_ceil(64).max(1),
             std::mem::take(&mut self.sketch_selected),
             std::mem::take(&mut self.sketch_table),
             std::mem::take(&mut self.sketch_present),
-            entry_count,
+            metas.len(),
         )
         .map_err(IndexError::Invalid)?;
         let sketch_bytes = format::put_sketches(&sketch);
         drop(sketch);
 
-        let header = format::encode_header(
-            &self.config.kind,
-            &build_stats,
-            per_shard,
-            entry_count,
-            mlc_bytes.as_ref().map_or(0, Vec::len),
-            sketch_bytes.len(),
-            &shard_lens,
-        );
-
-        let mut sink = SectionSink {
-            out: BufWriter::new(File::create(&self.tmp_path)?),
-            pos: 0,
+        let mlc = self.encoder.mlc_state();
+        let layout = ImageLayout {
+            kind: &self.config.kind,
+            stats: &build_stats,
+            entries_per_shard: self.config.entries_per_shard,
+            mlc: mlc.as_ref(),
+            shards: metas.chunks(self.config.entries_per_shard).collect(),
         };
-        sink.raw(&MAGIC)?;
-        sink.raw(&FORMAT_VERSION.to_le_bytes())?;
-        sink.raw(&(header.len() as u64).to_le_bytes())?;
-        sink.raw(&header)?;
-        sink.raw(&xxh64(&header, CHECKSUM_SEED).to_le_bytes())?;
-        if let Some(bytes) = &mlc_bytes {
-            sink.section(bytes)?;
-        }
-        sink.section(&sketch_bytes)?;
-        drop(sketch_bytes);
-
-        // One shard at a time: serialise its payload (word blocks read
-        // back from the spill) and stream it out.
-        let block_bytes = dim.div_ceil(64) * 8;
-        let mut block = vec![0u8; block_bytes];
-        for chunk in metas.chunks(per_shard) {
-            let payload = format::put_shard_v2_with(chunk, present, |id, w| {
-                read_spill_block(&spill, &mut block, offsets[id as usize], &self.spill_path)?;
+        let mut block = vec![0u8; dim.div_ceil(64) * 8];
+        let index_bytes = layout.write(
+            out,
+            sketch_bytes,
+            |id| offsets[id as usize] != u64::MAX,
+            |id, w| {
+                read_spill_block(spill, &mut block, offsets[id as usize], &self.spill_path)?;
                 w.raw(&block);
-                Ok::<(), IndexError>(())
-            })?;
-            sink.section(&payload)?;
-        }
-        let index_bytes = sink.pos as u64;
-        sink.out.flush()?;
-        drop(sink);
-        fs::rename(&self.tmp_path, &self.out_path)?;
-        fs::remove_file(&self.spill_path)?;
-        self.finished = true;
-
+                Ok(())
+            },
+        )?;
         Ok(StreamingBuildReport {
-            entry_count,
-            shard_count: shard_lens.len(),
+            entry_count: metas.len(),
+            shard_count: layout.shards.len(),
             index_bytes,
             spilled_bytes: self.spilled_bytes,
             build_stats,
@@ -539,7 +550,6 @@ impl Drop for StreamingIndexBuilder {
     fn drop(&mut self) {
         if !self.finished {
             let _ = fs::remove_file(&self.spill_path);
-            let _ = fs::remove_file(&self.tmp_path);
         }
     }
 }
@@ -579,26 +589,71 @@ fn read_spill_block(
     })
 }
 
-/// A positioned writer that reproduces the container's section framing:
-/// zero padding to the next 8-aligned absolute offset, the payload, then
-/// its checksum — exactly what `LibraryIndex::to_bytes` emits.
-struct SectionSink<W: Write> {
-    out: W,
-    pos: usize,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::IndexBuilder;
+    use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 
-impl<W: Write> SectionSink<W> {
-    fn raw(&mut self, bytes: &[u8]) -> Result<(), IndexError> {
-        self.out.write_all(bytes)?;
-        self.pos += bytes.len();
-        Ok(())
+    /// Accepts `budget` bytes, then fails like a full disk.
+    struct FailAfter {
+        budget: usize,
     }
 
-    fn section(&mut self, payload: &[u8]) -> Result<(), IndexError> {
-        const ZEROS: [u8; 8] = [0u8; 8];
-        let pad = format::pad_to_8(self.pos);
-        self.raw(&ZEROS[..pad])?;
-        self.raw(payload)?;
-        self.raw(&xxh64(payload, CHECKSUM_SEED).to_le_bytes())
+    impl Write for FailAfter {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::other("injected: no space left"));
+            }
+            let taken = bytes.len().min(self.budget);
+            self.budget -= taken;
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Both callers of the one container writer — the table-backed
+    /// `LibraryIndex::write_to` and the spill-backed streaming assembly —
+    /// surface a write that dies mid-header, mid-sketch or mid-shard as
+    /// `IndexError::Io`, without panicking.
+    #[test]
+    fn a_failing_write_is_an_io_error_from_both_callers() {
+        let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 61);
+        let mut config = StreamingConfig::default();
+        config.index.entries_per_shard = 64;
+        config.index.threads = 2;
+        if let IndexedBackendKind::Exact(exact) = &mut config.index.kind {
+            exact.encoder.dim = 512;
+        }
+        let index = IndexBuilder::new(config.index.clone()).from_library(&workload.library);
+        let image = index.to_bytes();
+        let out = std::env::temp_dir().join(format!("hdoms-failing-{}.hdx", std::process::id()));
+        let streamed = |sink: &mut dyn Write| {
+            let mut builder = StreamingIndexBuilder::create(config.clone(), &out).unwrap();
+            builder.push_entries(workload.library.entries()).unwrap();
+            let spill = File::open(builder.spill_path()).unwrap();
+            builder.assemble(sink, &spill)
+        };
+
+        // Inside the header, inside the sketch section that follows it,
+        // and inside the last shard.
+        let header_len = u64::from_le_bytes(image[12..20].try_into().unwrap()) as usize;
+        for budget in [
+            20 + header_len / 2,
+            20 + header_len + 512,
+            image.len() - 100,
+        ] {
+            let died = index.write_to(FailAfter { budget });
+            assert!(matches!(died, Err(IndexError::Io(_))), "{died:?}");
+            let died = streamed(&mut FailAfter { budget });
+            assert!(matches!(died, Err(IndexError::Io(_))), "{died:?}");
+        }
+        // With room for all of it, the two bodies agree byte for byte.
+        let mut whole = Vec::new();
+        streamed(&mut whole).unwrap();
+        assert_eq!(whole, image);
     }
 }

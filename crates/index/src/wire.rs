@@ -90,6 +90,17 @@ impl Writer {
         self.buf
     }
 
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forget the written bytes but keep the allocation, so one buffer
+    /// serves a run of same-sized payloads.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -139,6 +150,9 @@ impl Writer {
     /// Append a length-prefixed slice of `u64` words.
     pub fn u64_slice(&mut self, v: &[u64]) {
         self.usize(v.len());
+        // One exact growth, not a doubling chain: the sketch table this
+        // carries is the largest thing a write allocates.
+        self.buf.reserve(v.len() * 8);
         for &w in v {
             self.u64(w);
         }

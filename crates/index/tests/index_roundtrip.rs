@@ -157,8 +157,14 @@ fn outcomes_for(
             let accel = index.to_accelerator(THREADS).expect("rram kind");
             pipeline.run_catalog(&workload.queries, index, &accel)
         }
-        IndexedBackendKind::HyperOms(_) => {
-            let hyperoms = index.to_hyperoms_backend(THREADS).expect("hyperoms kind");
+        IndexedBackendKind::HyperOms(config) => {
+            // The flat HyperOMS backend is composed above the index: the
+            // exact scan under the binary-ID configuration, sharing the
+            // index's table.
+            let hyperoms = HyperOmsBackend::from_exact(ExactBackend::from_shared(
+                config.exact_config(THREADS),
+                index.shared_references().clone(),
+            ));
             pipeline.run_catalog(&workload.queries, index, &hyperoms)
         }
         IndexedBackendKind::Exact(_) => {
@@ -400,8 +406,16 @@ fn kind_mismatch_is_an_error() {
     let workload = tiny_workload(41);
     let index = build_index(exact_kind(), &workload.library, 64);
     assert!(index.to_accelerator(THREADS).is_err());
-    assert!(index.to_hyperoms_backend(THREADS).is_err());
     assert!(index.to_exact_backend(THREADS).is_ok());
+    let workload = tiny_workload(41);
+    let hyperoms = IndexedBackendKind::HyperOms(HyperOmsConfig {
+        dim: TEST_DIM,
+        ..HyperOmsConfig::default()
+    });
+    let index = build_index(hyperoms, &workload.library, 64);
+    assert!(index.to_exact_backend(THREADS).is_err());
+    assert!(index.to_accelerator(THREADS).is_err());
+    assert!(index.sharded_backend(THREADS).is_ok());
 }
 
 #[test]
@@ -452,5 +466,58 @@ fn checksum_valid_but_absurd_entry_count_rejected() {
             assert!(message.contains("entry count"), "message was {message:?}")
         }
         other => panic!("expected a clean rejection, got {other:?}"),
+    }
+}
+
+/// A header is input from outside the program: a checksum-valid image
+/// whose encoder configuration no encoder can be built from must fail
+/// *open* with a structured error on every entry point — it used to load
+/// and then panic inside `IdLevelEncoder::new` on the first
+/// `sharded_backend` (so on `index.load` over the wire).
+#[test]
+fn checksum_valid_but_unusable_encoder_config_fails_open() {
+    use hdoms_index::format::CHECKSUM_SEED;
+    use hdoms_index::xxhash::xxh64;
+
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3.hdx");
+    let bytes = std::fs::read(golden).expect("v3 fixture");
+    let header_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+    let header = 20..20 + header_len;
+    // Header offsets of the exact kind's encoder fields: q_levels at 58,
+    // num_chunks at 68 (the golden image is chunked), num_bins at 76.
+    let patches: [(usize, u64, &str); 4] = [
+        (58, 0, "q_levels"),
+        (58, 1, "q_levels"),
+        (68, 0, "num_chunks"),
+        (76, 0, "num_bins"),
+    ];
+    for (offset, value, needle) in patches {
+        let mut patched = bytes.clone();
+        let at = header.start + offset;
+        patched[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let hash = xxh64(&patched[header.clone()], CHECKSUM_SEED);
+        patched[header.end..header.end + 8].copy_from_slice(&hash.to_le_bytes());
+
+        let path = std::env::temp_dir().join(format!(
+            "hdoms-bad-config-{}-{offset}-{value}.hdx",
+            std::process::id()
+        ));
+        std::fs::write(&path, &patched).unwrap();
+        let opens = [
+            LibraryIndex::from_bytes(&patched, THREADS),
+            LibraryIndex::from_buffer(hdoms_hdc::WordBuffer::from_bytes(&patched), THREADS),
+            IndexReader::open(&path),
+            LibraryIndex::open_mapped(&path, THREADS),
+        ];
+        std::fs::remove_file(&path).ok();
+        for opened in opens {
+            match opened {
+                Err(IndexError::Invalid(message)) => assert!(
+                    message.contains(needle),
+                    "{needle} = {value}: message was {message:?}"
+                ),
+                other => panic!("{needle} = {value}: expected a clean rejection, got {other:?}"),
+            }
+        }
     }
 }

@@ -7,15 +7,18 @@
 //!    allocated during warm construction to a small fraction of the
 //!    hypervector payload (the old cloning path allocated at least one
 //!    full payload);
-//! 3. zero-copy — the mapped load path (`LibraryIndex::from_buffer`
-//!    over a v2 file image) performs **zero** per-reference hypervector
-//!    allocations: its allocation traffic is bounded by the metadata,
-//!    and the copying path exceeds it by at least the full payload;
+//! 3. zero-copy — the loader (`LibraryIndex::from_buffer` over a v2+
+//!    file image) performs **zero** per-reference hypervector
+//!    allocations: its allocation traffic is bounded by the metadata;
+//!    a cold build's table is one flat heap buffer, not one allocation
+//!    per reference; and `write` streams shard by shard instead of
+//!    assembling the image (or any second copy of the payload) in memory;
 //! 4. versioning — golden v1, v2 and v3 file images
-//!    (`tests/fixtures/`) open on both paths with identical entries and
-//!    search storage, the v3 sketch section matches the on-the-fly
-//!    derivation older images fall back to, and `to_bytes()` reproduces
-//!    the v3 file byte for byte.
+//!    (`tests/fixtures/`) open through a heap read and through `mmap`
+//!    with identical entries, search storage and search results, the v3
+//!    sketch section matches the on-the-fly derivation older images
+//!    fall back to, and `to_bytes()` reproduces the v3 file byte for
+//!    byte.
 //!
 //! The allocator counter is process-global, so every test that measures
 //! it (or allocates heavily while another measures) serialises on one
@@ -23,6 +26,7 @@
 
 use hdoms_index::{IndexBuilder, IndexConfig, IndexReader, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
+use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
 use hdoms_oms::search::{ExactBackendConfig, SharedReferences};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
@@ -186,40 +190,30 @@ fn mapped_load_performs_zero_per_reference_hypervector_allocations() {
     let bytes = index.to_bytes();
 
     // Build the backing buffer *outside* the measurement window: the one
-    // whole-file allocation is the load's input, exactly as the bytes
-    // slice is the copying path's input.
+    // whole-file allocation is the load's input.
     let buffer = hdoms_hdc::WordBuffer::from_bytes(&bytes);
 
     let before = ALLOCATED.load(Ordering::Relaxed);
     let mapped = LibraryIndex::from_buffer(buffer, 4).expect("mapped load");
     let mapped_alloc = ALLOCATED.load(Ordering::Relaxed) - before;
 
-    let before = ALLOCATED.load(Ordering::Relaxed);
-    let copied = LibraryIndex::from_bytes(&bytes, 4).expect("copying load");
-    let copied_alloc = ALLOCATED.load(Ordering::Relaxed) - before;
-
-    assert!(mapped.shared_references().is_mapped());
-    assert!(!copied.shared_references().is_mapped());
-    // Zero per-reference hypervector allocations: the mapped load's
-    // traffic stays far below the payload it would have materialised…
+    // Zero per-reference hypervector allocations: the load's traffic
+    // stays far below the payload it would have materialised.
     assert!(
         mapped_alloc < payload / 2,
         "mapped load allocated {mapped_alloc} bytes against a \
          {payload}-byte hypervector payload — it is materialising \
          references"
     );
-    // …and the copying load pays at least the full payload on top of
-    // the identical metadata work.
-    assert!(
-        copied_alloc >= mapped_alloc + payload,
-        "copying load ({copied_alloc} B) should exceed the mapped load \
-         ({mapped_alloc} B) by the payload ({payload} B)"
-    );
 
-    // Both representations expose identical search storage and
-    // metadata.
-    assert_eq!(mapped, copied);
+    // The image and the cold build expose identical search storage and
+    // metadata, whichever buffer the words live in.
+    assert_eq!(mapped, index);
     assert_eq!(mapped.shared_references(), index.shared_references());
+    assert_eq!(
+        LibraryIndex::from_bytes(&bytes, 4).expect("heap load"),
+        mapped
+    );
 
     // Warm backends over the mapped index share the buffer, not copies.
     let backend = mapped.to_exact_backend(1).expect("exact kind");
@@ -228,6 +222,53 @@ fn mapped_load_performs_zero_per_reference_hypervector_allocations() {
         backend.shared_references()
     ));
     assert_eq!(mapped.shared_references().handle_count(), 2);
+}
+
+#[test]
+fn cold_table_is_one_buffer_and_write_streams_shard_by_shard() {
+    let _serial = ALLOCATOR_WINDOWS.lock().unwrap();
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::iprg2012(0.01), 102);
+    let mut exact = ExactBackendConfig::default();
+    exact.encoder.dim = 4096;
+    let index = IndexBuilder::new(IndexConfig {
+        kind: IndexedBackendKind::Exact(exact),
+        entries_per_shard: 512,
+        threads: 8,
+    })
+    .from_library(&workload.library);
+    let payload = payload_bytes(&index);
+    assert!(payload > 4_000_000, "workload too small to be meaningful");
+
+    // A cold build packs its encodings into one heap buffer holding the
+    // payload and nothing else: the words of consecutive present ids are
+    // adjacent, not one allocation each.
+    let table = index.shared_references();
+    assert!(!table.is_mapped());
+    assert_eq!(table.buffer().len(), payload);
+    let offsets: Vec<u64> = (0..table.len())
+        .filter_map(|id| table.offset_of(id))
+        .collect();
+    assert!(offsets
+        .windows(2)
+        .all(|pair| pair[1] == pair[0] + table.hv_bytes() as u64));
+
+    // The sketch table is lazily derived cache state, not write traffic.
+    index.sketch_index();
+    let path = std::env::temp_dir().join(format!("hdoms-write-alloc-{}.hdx", std::process::id()));
+    let before = ALLOCATED.load(Ordering::Relaxed);
+    index.write(&path).expect("write");
+    let write_alloc = ALLOCATED.load(Ordering::Relaxed) - before;
+    let written = std::fs::read(&path).expect("written image");
+    std::fs::remove_file(&path).ok();
+    // One shard's payload at a time through one reused buffer — the old
+    // writer held every serialised shard plus the assembled image, two
+    // payloads' worth.
+    assert!(
+        write_alloc < payload / 2,
+        "write allocated {write_alloc} bytes against a {payload}-byte \
+         hypervector payload — it is assembling the image in memory"
+    );
+    assert_eq!(written, index.to_bytes());
 }
 
 #[test]
@@ -241,7 +282,7 @@ fn golden_v1_v2_and_v3_images_decode_alike() {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let path = |version: u32| fixtures.join(format!("v{version}.hdx"));
     let copied: Vec<LibraryIndex> = (1..=3)
-        .map(|v| IndexReader::open(&path(v)).expect("copying open"))
+        .map(|v| IndexReader::open(&path(v)).expect("heap-read open"))
         .collect();
     let mapped: Vec<LibraryIndex> = (1..=3)
         .map(|v| LibraryIndex::open_mapped(&path(v), 2).expect("mapped open"))
@@ -260,12 +301,35 @@ fn golden_v1_v2_and_v3_images_decode_alike() {
         assert_eq!(index, golden);
     }
 
-    // The mapped loader accepts a v1 image via the documented copying
-    // fallback; v2 and v3 are searchable in place.
+    // A v1 image's unaligned words are repacked into a heap buffer even
+    // when the file was mapped; v2 and v3 are searched in place, inside
+    // the mapping when `open_mapped` really maps (the `mmap` feature).
+    // A heap read is never a mapping, whatever the version.
+    let maps = cfg!(all(unix, target_pointer_width = "64", feature = "mmap"));
     assert!(!mapped[0].shared_references().is_mapped());
-    assert!(mapped[1].shared_references().is_mapped());
-    assert!(mapped[2].shared_references().is_mapped());
+    assert_eq!(mapped[1].shared_references().is_mapped(), maps);
+    assert_eq!(mapped[2].shared_references().is_mapped(), maps);
     assert!(copied.iter().all(|i| !i.shared_references().is_mapped()));
+
+    // One loader under both opens: the same index, the same rows.
+    let queries = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 7).queries;
+    let mut config = PipelineConfig::fast_test();
+    config.exact.encoder.dim = golden.dim();
+    let pipeline = OmsPipeline::new(config);
+    let rows = |index: &LibraryIndex| {
+        let backend = index.sharded_backend(2).expect("kind matches");
+        pipeline.run_catalog(&queries, index, &backend).psms
+    };
+    let golden_rows = rows(golden);
+    assert!(
+        !golden_rows.is_empty(),
+        "the golden library matches nothing"
+    );
+    for (heap, mapped) in copied.iter().zip(&mapped) {
+        assert_eq!(heap, mapped);
+        assert_eq!(rows(heap), golden_rows);
+        assert_eq!(rows(mapped), golden_rows);
+    }
 
     // A v1/v2 image carries no sketch section; deriving it on the fly
     // must produce exactly the table the v3 image persisted.

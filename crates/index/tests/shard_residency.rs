@@ -2,8 +2,10 @@
 //!
 //! 1. accounting — `shard_word_bytes` sums to exactly the bytes the
 //!    stored hypervectors occupy, shard by shard;
-//! 2. owned no-op — a cold-built (owned-table) index releases nothing;
-//! 3. release + reload — a mapped index releases whole pages for a
+//! 2. heap no-op — an index whose table lives in a heap buffer (cold
+//!    built, or read from a file without `mmap`) releases nothing and
+//!    does not call itself mapped, so the serve layer never tracks it;
+//! 3. release + reload — a file-mapped index releases whole pages for a
 //!    cold shard and every hypervector read afterwards is byte-identical
 //!    (the words refault from the backing file), so eviction can never
 //!    change search results.
@@ -29,6 +31,7 @@ fn build_index() -> LibraryIndex {
 
 /// All stored hypervector words, densely by id, for byte-identity
 /// comparison across a release.
+#[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
 fn words_by_id(index: &LibraryIndex) -> Vec<Option<Vec<u64>>> {
     (0..index.entry_count())
         .map(|id| {
@@ -54,13 +57,21 @@ fn shard_word_bytes_account_for_every_stored_hypervector() {
 #[test]
 fn owned_indexes_release_nothing() {
     let index = build_index();
-    assert!(!index.shared_references().is_mapped());
-    for shard in 0..index.shards().len() {
-        assert_eq!(index.release_shard_words(shard), 0);
+    let path = std::env::temp_dir().join(format!("hdoms-shard-heap-{}.hdx", std::process::id()));
+    index.write(&path).unwrap();
+    let heap_read = IndexReader::open(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    for index in [&index, &heap_read] {
+        assert!(!index.shared_references().is_mapped());
+        for shard in 0..index.shards().len() {
+            assert_eq!(index.release_shard_words(shard), 0);
+        }
+        assert_eq!(index.release_shard_words(usize::MAX), 0, "unknown shard");
     }
-    assert_eq!(index.release_shard_words(usize::MAX), 0, "unknown shard");
 }
 
+// Without `mmap`, `open_mapped` is the heap read the test above covers.
+#[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
 #[test]
 fn released_shards_reload_byte_identically() {
     let index = build_index();

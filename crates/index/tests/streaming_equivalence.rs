@@ -462,11 +462,61 @@ fn missing_spill_is_structured_error() {
     assert!(!spill.exists(), "dropped builder must remove its spill");
 }
 
+/// A rename that cannot land — the output path is a non-empty directory
+/// — fails both writers with a structured I/O error and leaves nothing
+/// behind: the shared atomic writer removes its `.hdx.tmp` on every
+/// error path, and the failed builder its `.hdx.spill`.
+#[test]
+fn failed_rename_leaves_no_temp_or_spill_behind() {
+    let _serial = serial();
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 33);
+    let dir = std::env::temp_dir().join(format!("hdoms-streq-{}-rename", std::process::id()));
+    let target = dir.join("lib.hdx");
+    fs::create_dir_all(&target).unwrap();
+    fs::write(target.join("occupant"), b"x").unwrap();
+    let leftovers = || -> Vec<PathBuf> {
+        let mut names: Vec<PathBuf> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        names.sort();
+        names
+    };
+
+    let index = IndexConfig {
+        kind: exact_kind(TEST_DIM),
+        entries_per_shard: 64,
+        threads: 2,
+    };
+    let built = IndexBuilder::new(index.clone()).from_library(&workload.library);
+    let err = built.write(&target).expect_err("renamed over a directory");
+    assert!(matches!(err, IndexError::Io(_)), "got {err}");
+    assert_eq!(
+        leftovers(),
+        std::slice::from_ref(&target),
+        "write left files behind"
+    );
+
+    let streaming = StreamingConfig {
+        index,
+        spill_threshold: 32,
+    };
+    let err = StreamingIndexBuilder::build_from_library(streaming, &target, &workload.library)
+        .expect_err("renamed over a directory");
+    assert!(matches!(err, IndexError::Io(_)), "got {err}");
+    assert_eq!(
+        leftovers(),
+        std::slice::from_ref(&target),
+        "finish left files behind"
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The memory claim itself, counted rather than eyeballed: with a small
 /// spill threshold the streaming build's peak live heap stays *below*
 /// the encoded payload, while (a) the in-memory build-and-write path
-/// exceeds the payload (it holds the reference table plus the serialised
-/// image), and (b) raising the spill threshold to the library size drags
+/// exceeds the payload (it holds the whole reference table, plus the
+/// side tables on top), and (b) raising the spill threshold to the library size drags
 /// the streaming peak above the payload too — the threshold is the knob
 /// that bounds it.
 #[test]

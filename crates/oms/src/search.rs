@@ -5,11 +5,19 @@
 //! agnostic to *how* scoring happens — exact Hamming on CPU (here), the
 //! baselines crate's cosine scoring, or the core crate's simulated
 //! in-RRAM search all implement this trait.
+//!
+//! The binary-hypervector backends all scan one [`SharedReferences`]
+//! table: the encoded library as one flat buffer of packed words, on the
+//! heap after a cold build or inside a mapped `.hdx` image after a warm
+//! load — the same layout either way, so nothing above the table knows
+//! which.
 
 use crate::window::PrecursorWindow;
 use hdoms_hdc::corrupt::{flip_bits, flip_bits_in_place};
 use hdoms_hdc::encoder::{EncoderConfig, IdLevelEncoder};
+use hdoms_hdc::item_memory::LevelStyle;
 use hdoms_hdc::kernels::{self, QUERY_TILE, REFERENCE_TILE};
+use hdoms_hdc::multibit::IdPrecision;
 use hdoms_hdc::parallel::par_map;
 use hdoms_hdc::{BinaryHypervector, HvRef, WordBuffer};
 use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
@@ -18,45 +26,35 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Sentinel marking an absent hypervector in a mapped offset table.
+/// Sentinel marking an absent hypervector in the offset table.
 const NO_HV: u64 = u64::MAX;
 
 /// A dense reference-hypervector table, indexed by library id (absent
 /// slots mark entries preprocessing rejected).
 ///
+/// There is one representation: every stored hypervector's packed words
+/// live in one shared [`WordBuffer`], located by a dense `id → byte
+/// offset` table, and [`SharedReferences::hv`] hands out borrowed
+/// [`HvRef`] views into it. Where the buffer's bytes live is the
+/// buffer's business — a heap `Vec<u64>` for a cold build (which
+/// [`SharedReferences::append`] grows), a whole `.hdx` file image read
+/// or `mmap`ed for a warm load (the file bytes *are* the search bits) —
+/// so an "owned" table is simply one whose buffer is on the heap.
+///
 /// The table is reference-counted so one encoded library can back many
 /// consumers at once — a loaded `hdoms-index`, a flat [`ExactBackend`],
 /// and a sharded backend all share the same words instead of each holding
-/// a private copy. Two representations exist behind one lookup API
-/// ([`SharedReferences::hv`] hands out borrowed [`HvRef`] views either
-/// way):
-///
-/// * [`SharedReferences::Owned`] — materialised
-///   [`BinaryHypervector`]s (cold builds, v1 index loads, appends);
-/// * [`SharedReferences::Mapped`] — word slices living directly inside a
-///   single index-file backing buffer (the zero-copy `.hdx` v2 load
-///   path: no per-reference allocation, the file bytes *are* the search
-///   bits).
+/// a private copy.
 #[derive(Debug, Clone)]
-pub enum SharedReferences {
-    /// Materialised hypervectors behind one shared allocation.
-    Owned(Arc<Vec<Option<BinaryHypervector>>>),
-    /// Borrowed word slices inside one shared backing buffer.
-    Mapped(MappedReferences),
-}
-
-/// The mapped representation: one backing buffer (typically a whole
-/// `.hdx` file) plus a dense `id → byte offset` table locating each
-/// stored hypervector's packed words inside it.
-#[derive(Debug, Clone)]
-pub struct MappedReferences {
+pub struct SharedReferences {
     buffer: WordBuffer,
+    /// Dimension of every stored reference (0 while none is stored).
     dim: usize,
     /// Byte offset of each reference's word block ([`NO_HV`] = absent).
     offsets: Arc<Vec<u64>>,
 }
 
-impl MappedReferences {
+impl SharedReferences {
     /// Wrap `buffer` as a reference table: `offsets[id]` is the byte
     /// offset of reference `id`'s `ceil(dim / 64)` packed words, or
     /// `u64::MAX` for an entry preprocessing rejected.
@@ -69,7 +67,7 @@ impl MappedReferences {
     ///
     /// Panics if `dim` is zero or any offset is misaligned, out of
     /// bounds, or points at words with dirty tail bits.
-    pub fn new(buffer: WordBuffer, dim: usize, offsets: Vec<u64>) -> MappedReferences {
+    pub fn new(buffer: WordBuffer, dim: usize, offsets: Vec<u64>) -> SharedReferences {
         assert!(dim > 0, "hypervector dimension must be positive");
         let words = dim.div_ceil(64);
         for &offset in offsets.iter().filter(|&&offset| offset != NO_HV) {
@@ -78,7 +76,7 @@ impl MappedReferences {
             // the tail invariant.
             let _ = HvRef::new(dim, buffer.words(offset, words));
         }
-        MappedReferences {
+        SharedReferences {
             buffer,
             dim,
             offsets: Arc::new(offsets),
@@ -90,28 +88,6 @@ impl MappedReferences {
         &self.buffer
     }
 
-    /// Hypervector dimension of every stored reference.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The view for reference `id`, or `None` for an absent slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is beyond the table (a candidate list disagreeing
-    /// with the reference table is a wiring bug, not an absent entry).
-    #[inline]
-    pub fn hv(&self, id: usize) -> Option<HvRef<'_>> {
-        let offset = self.offsets[id];
-        if offset == NO_HV {
-            return None;
-        }
-        let words = self.buffer.words(offset as usize, self.dim.div_ceil(64));
-        // Validated in `new`, so skip the re-checks on the hot path.
-        Some(HvRef::new_unchecked(self.dim, words))
-    }
-
     /// Number of slots (present or absent).
     pub fn len(&self) -> usize {
         self.offsets.len()
@@ -120,6 +96,45 @@ impl MappedReferences {
     /// Whether the table has no slots.
     pub fn is_empty(&self) -> bool {
         self.offsets.is_empty()
+    }
+
+    /// The view for reference `id` (`None` for an absent slot).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is beyond the table — a backend handed a
+    /// candidate id its reference table does not cover is mis-wired,
+    /// and silently skipping it would drop matches instead of failing
+    /// loudly.
+    #[inline]
+    pub fn hv(&self, id: usize) -> Option<HvRef<'_>> {
+        let offset = self.offsets[id];
+        if offset == NO_HV {
+            return None;
+        }
+        let words = self.buffer.words(offset as usize, self.dim.div_ceil(64));
+        // Validated in `new` (or packed by `append` from hypervectors
+        // that hold the invariant), so skip the re-checks on the hot path.
+        Some(HvRef::new_unchecked(self.dim, words))
+    }
+
+    /// Iterate every slot in id order.
+    pub fn iter(&self) -> impl Iterator<Item = Option<HvRef<'_>>> + '_ {
+        (0..self.len()).map(|id| self.hv(id))
+    }
+
+    /// Number of present (non-rejected) references.
+    pub fn present_count(&self) -> usize {
+        self.iter().flatten().count()
+    }
+
+    /// The common dimension of the stored references, or `None` when no
+    /// reference is present.
+    pub fn dim(&self) -> Option<usize> {
+        self.offsets
+            .iter()
+            .any(|&offset| offset != NO_HV)
+            .then_some(self.dim)
     }
 
     /// Byte offset of reference `id`'s packed words inside the backing
@@ -141,157 +156,94 @@ impl MappedReferences {
     pub fn hv_bytes(&self) -> usize {
         self.dim.div_ceil(64) * 8
     }
-}
-
-impl SharedReferences {
-    /// Number of slots (present or absent).
-    pub fn len(&self) -> usize {
-        match self {
-            SharedReferences::Owned(table) => table.len(),
-            SharedReferences::Mapped(mapped) => mapped.len(),
-        }
-    }
-
-    /// Whether the table has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The view for reference `id` (`None` for an absent slot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is beyond the table — a backend handed a
-    /// candidate id its reference table does not cover is mis-wired,
-    /// and silently skipping it would drop matches instead of failing
-    /// loudly.
-    #[inline]
-    pub fn hv(&self, id: usize) -> Option<HvRef<'_>> {
-        match self {
-            SharedReferences::Owned(table) => table[id].as_ref().map(|hv| hv.as_view()),
-            SharedReferences::Mapped(mapped) => mapped.hv(id),
-        }
-    }
-
-    /// Iterate every slot in id order.
-    pub fn iter(&self) -> impl Iterator<Item = Option<HvRef<'_>>> + '_ {
-        (0..self.len()).map(|id| self.hv(id))
-    }
-
-    /// Number of present (non-rejected) references.
-    pub fn present_count(&self) -> usize {
-        self.iter().flatten().count()
-    }
-
-    /// The common dimension of the stored references, or `None` when no
-    /// reference is present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if present references disagree in dimension (only
-    /// possible for the `Owned` variant — a mapped table fixes one
-    /// dimension at construction).
-    pub fn dim(&self) -> Option<usize> {
-        match self {
-            SharedReferences::Owned(table) => {
-                let mut views = table.iter().flatten();
-                let dim = views.next()?.dim();
-                assert!(
-                    views.all(|hv| hv.dim() == dim),
-                    "all references must share a dimension"
-                );
-                Some(dim)
-            }
-            SharedReferences::Mapped(mapped) => mapped
-                .offsets
-                .iter()
-                .any(|&offset| offset != NO_HV)
-                .then_some(mapped.dim),
-        }
-    }
 
     /// Whether two handles share the same underlying storage (the
     /// zero-copy guarantee warm backends rely on).
     pub fn ptr_eq(a: &SharedReferences, b: &SharedReferences) -> bool {
-        match (a, b) {
-            (SharedReferences::Owned(x), SharedReferences::Owned(y)) => Arc::ptr_eq(x, y),
-            (SharedReferences::Mapped(x), SharedReferences::Mapped(y)) => {
-                WordBuffer::ptr_eq(&x.buffer, &y.buffer) && Arc::ptr_eq(&x.offsets, &y.offsets)
-            }
-            _ => false,
-        }
+        WordBuffer::ptr_eq(&a.buffer, &b.buffer) && Arc::ptr_eq(&a.offsets, &b.offsets)
     }
 
-    /// Number of live handles on the underlying storage (owned table or
-    /// mapped backing buffer).
+    /// Number of live handles on the backing buffer.
     pub fn handle_count(&self) -> usize {
-        match self {
-            SharedReferences::Owned(table) => Arc::strong_count(table),
-            SharedReferences::Mapped(mapped) => mapped.buffer.handle_count(),
-        }
+        self.buffer.handle_count()
     }
 
-    /// Whether this table is the mapped (zero-copy) representation.
+    /// Whether the backing buffer is a file mapping — the one kind of
+    /// table whose cold pages can be handed back to the OS and refault
+    /// from the file ([`WordBuffer::release_range`]); heap tables,
+    /// cold-built or read from a file alike, cannot.
     pub fn is_mapped(&self) -> bool {
-        matches!(self, SharedReferences::Mapped(_))
+        self.buffer.is_mapped()
     }
 
-    /// The mapped representation, when this table is mapped (`None` for
-    /// owned tables, whose heap pages cannot be released piecemeal).
-    pub fn as_mapped(&self) -> Option<&MappedReferences> {
-        match self {
-            SharedReferences::Mapped(mapped) => Some(mapped),
-            SharedReferences::Owned(_) => None,
-        }
-    }
-
-    /// Materialise an owned copy of every stored hypervector (the one
-    /// deliberate copy in the system — used by mutation paths like
-    /// append, which cannot grow a file-backed table in place).
-    pub fn to_owned_table(&self) -> Vec<Option<BinaryHypervector>> {
-        self.iter()
-            .map(|slot| slot.map(|hv| hv.to_hypervector()))
-            .collect()
-    }
-
-    /// Append new slots. An `Owned` table extends in place
-    /// (copy-on-write if other handles share it); a `Mapped` table is
-    /// first materialised, since the backing file buffer cannot grow.
+    /// Append new slots. A heap buffer this table alone holds grows in
+    /// place; a file mapping cannot grow and a buffer other handles
+    /// view must not move under them, so either is first repacked — the
+    /// stored words copied out of it into a fresh heap buffer (the one
+    /// deliberate copy in the system; the common case, append offline
+    /// then serve, stays zero-copy).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a new hypervector's dimension disagrees with the
+    /// stored ones.
     pub fn append(&mut self, new_slots: impl IntoIterator<Item = Option<BinaryHypervector>>) {
-        if let SharedReferences::Mapped(_) = self {
-            *self = SharedReferences::Owned(Arc::new(self.to_owned_table()));
+        let new_slots = new_slots.into_iter();
+        let hv_words = self.dim.div_ceil(64);
+        let offsets = Arc::make_mut(&mut self.offsets);
+        let buffer = std::mem::replace(&mut self.buffer, WordBuffer::from(Vec::new()));
+        let mut words = buffer.into_heap_words().unwrap_or_else(|shared| {
+            let mut packed = Vec::with_capacity(offsets.len() * hv_words);
+            for offset in offsets.iter_mut().filter(|offset| **offset != NO_HV) {
+                let at = packed.len() * 8;
+                packed.extend_from_slice(shared.words(*offset as usize, hv_words));
+                *offset = at as u64;
+            }
+            packed
+        });
+        words.reserve(new_slots.size_hint().0 * hv_words);
+        for slot in new_slots {
+            offsets.push(match slot {
+                Some(hv) => {
+                    if self.dim == 0 {
+                        self.dim = hv.dim();
+                    }
+                    assert_eq!(hv.dim(), self.dim, "all references must share a dimension");
+                    let at = words.len() * 8;
+                    words.extend_from_slice(hv.words());
+                    at as u64
+                }
+                None => NO_HV,
+            });
         }
-        let SharedReferences::Owned(table) = self else {
-            unreachable!("mapped tables were just materialised");
-        };
-        Arc::make_mut(table).extend(new_slots);
+        self.buffer = WordBuffer::from(words);
     }
 }
 
 impl PartialEq for SharedReferences {
-    /// Logical equality: same slots with the same bits, regardless of
-    /// representation — a mapped table equals the owned table it was
-    /// loaded from.
+    /// Logical equality: same slots with the same bits, wherever the
+    /// words live — a mapped table equals the heap table it was written
+    /// from.
     fn eq(&self, other: &SharedReferences) -> bool {
         self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
 impl From<Vec<Option<BinaryHypervector>>> for SharedReferences {
+    /// Pack `table` into one heap buffer — a single allocation, not one
+    /// per reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if present hypervectors disagree in dimension.
     fn from(table: Vec<Option<BinaryHypervector>>) -> SharedReferences {
-        SharedReferences::Owned(Arc::new(table))
-    }
-}
-
-impl From<Arc<Vec<Option<BinaryHypervector>>>> for SharedReferences {
-    fn from(table: Arc<Vec<Option<BinaryHypervector>>>) -> SharedReferences {
-        SharedReferences::Owned(table)
-    }
-}
-
-impl From<MappedReferences> for SharedReferences {
-    fn from(mapped: MappedReferences) -> SharedReferences {
-        SharedReferences::Mapped(mapped)
+        let mut references = SharedReferences {
+            buffer: WordBuffer::from(Vec::new()),
+            dim: table.iter().flatten().next().map_or(0, |hv| hv.dim()),
+            offsets: Arc::new(Vec::with_capacity(table.len())),
+        };
+        references.append(table);
+        references
     }
 }
 
@@ -458,6 +410,66 @@ impl Default for ExactBackendConfig {
     }
 }
 
+/// The HyperOMS-style configuration of the exact backend (HyperOMS, Kang
+/// et al., PACT 2022, is [`ExactBackend`] under binary IDs and
+/// bit-granular level vectors). It lives next to [`ExactBackendConfig`]
+/// because a persistent index stores it as a backend kind;
+/// `hdoms_baselines::hyperoms` re-exports it beside the backend shell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HyperOmsConfig {
+    /// Preprocessing shared with the pipeline.
+    pub preprocess: PreprocessConfig,
+    /// Hypervector dimension (HyperOMS also runs D = 8192 for its quality
+    /// results).
+    pub dim: usize,
+    /// Intensity quantisation levels.
+    pub q_levels: usize,
+    /// Worker threads (the CPU stand-in for GPU parallelism).
+    pub threads: usize,
+    /// Item-memory seed. Deliberately distinct from the default encoder
+    /// seed of the paper's accelerator so the two tools behave like
+    /// independently initialised implementations (visible as partial
+    /// disagreement in the Fig. 10 Venn diagram).
+    pub seed: u64,
+}
+
+impl HyperOmsConfig {
+    /// The [`ExactBackend`] configuration HyperOMS is: binary (1-bit) ID
+    /// hypervectors, conventional bit-granular level vectors, no
+    /// injected errors. The one mapping both `HyperOmsBackend::build`
+    /// and `hdoms-index`'s chunk encoder go through, run on `threads`
+    /// workers.
+    pub fn exact_config(&self, threads: usize) -> ExactBackendConfig {
+        ExactBackendConfig {
+            preprocess: self.preprocess,
+            encoder: EncoderConfig {
+                dim: self.dim,
+                q_levels: self.q_levels,
+                id_precision: IdPrecision::Bits1,
+                level_style: LevelStyle::Random,
+                num_bins: self.preprocess.num_bins(),
+                seed: self.seed,
+            },
+            threads,
+            encode_ber: 0.0,
+            storage_ber: 0.0,
+            noise_seed: 0,
+        }
+    }
+}
+
+impl Default for HyperOmsConfig {
+    fn default() -> HyperOmsConfig {
+        HyperOmsConfig {
+            preprocess: PreprocessConfig::default(),
+            dim: 8192,
+            q_levels: 32,
+            threads: hdoms_hdc::parallel::default_threads(),
+            seed: 0x417e_4045,
+        }
+    }
+}
+
 /// Exact HD backend: ID-Level encoding + exact Hamming scoring, optionally
 /// with injected bit errors (the software equivalent of HyperOMS, and the
 /// reference point the RRAM backend is compared against).
@@ -543,10 +555,10 @@ impl ExactBackend {
     /// is deterministic in the config, so persisted hypervectors qualify).
     ///
     /// The backend holds another handle to the caller's table instead of
-    /// a private copy — whether that table is owned hypervectors or word
-    /// slices inside a mapped index buffer — so a resident index and
-    /// every backend reconstructed from it keep exactly one copy of the
-    /// encoded library in memory.
+    /// a private copy — wherever that table's buffer lives, heap or
+    /// mapped index file — so a resident index and every backend
+    /// reconstructed from it keep exactly one copy of the encoded
+    /// library in memory.
     ///
     /// # Panics
     ///

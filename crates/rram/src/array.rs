@@ -87,35 +87,54 @@ impl CrossbarConfig {
         self.activated_rows / 2
     }
 
+    /// Check the configuration, naming the first rule violated — the
+    /// non-panicking form, for configurations decoded from outside the
+    /// program (an index header).
+    ///
+    /// # Errors
+    ///
+    /// An odd/zero row count, `activated_rows` not in `2..=rows` or odd,
+    /// zero columns, an ADC outside 1–12 bits, negative noise terms, or
+    /// anything [`MlcConfig::check`] rejects.
+    pub fn check(&self) -> Result<(), &'static str> {
+        self.mlc.check()?;
+        let rules = [
+            (
+                self.rows >= 2 && self.rows.is_multiple_of(2),
+                "rows must be even and ≥ 2",
+            ),
+            (self.cols >= 1, "need at least one column"),
+            (
+                self.activated_rows >= 2
+                    && self.activated_rows.is_multiple_of(2)
+                    && self.activated_rows <= self.rows,
+                "activated_rows must be even and in 2..=rows",
+            ),
+            (
+                (1..=12).contains(&self.adc_bits),
+                "ADC resolution must be 1..=12 bits",
+            ),
+            (self.sense_sigma >= 0.0, "sense noise must be non-negative"),
+            (
+                self.ir_drop_factor >= 0.0,
+                "IR-drop factor must be non-negative",
+            ),
+            (self.age_s >= 0.0, "age must be non-negative"),
+        ];
+        rules
+            .iter()
+            .try_for_each(|&(ok, why)| ok.then_some(()).ok_or(why))
+    }
+
     /// Validate the configuration.
     ///
     /// # Panics
     ///
-    /// Panics on an odd/zero row count, `activated_rows` not in
-    /// `2..=rows` or odd, zero columns, or an ADC outside 1–12 bits.
+    /// Panics with the rule [`CrossbarConfig::check`] names.
     pub fn validate(&self) {
-        self.mlc.validate();
-        assert!(
-            self.rows >= 2 && self.rows.is_multiple_of(2),
-            "rows must be even and ≥ 2"
-        );
-        assert!(self.cols >= 1, "need at least one column");
-        assert!(
-            self.activated_rows >= 2
-                && self.activated_rows.is_multiple_of(2)
-                && self.activated_rows <= self.rows,
-            "activated_rows must be even and in 2..=rows"
-        );
-        assert!(
-            (1..=12).contains(&self.adc_bits),
-            "ADC resolution must be 1..=12 bits"
-        );
-        assert!(self.sense_sigma >= 0.0, "sense noise must be non-negative");
-        assert!(
-            self.ir_drop_factor >= 0.0,
-            "IR-drop factor must be non-negative"
-        );
-        assert!(self.age_s >= 0.0, "age must be non-negative");
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
     }
 }
 

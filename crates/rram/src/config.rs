@@ -79,32 +79,52 @@ impl MlcConfig {
         1usize << self.bits_per_cell
     }
 
+    /// Check the parameter ranges, naming the first one violated — the
+    /// non-panicking form, for configurations decoded from outside the
+    /// program (an index header).
+    ///
+    /// # Errors
+    ///
+    /// A parameter out of its physical range (non-positive `g_max`,
+    /// negative noise scales, `defect_rate` outside `[0, 1]`, or
+    /// unsupported `bits_per_cell`).
+    pub fn check(&self) -> Result<(), &'static str> {
+        let rules = [
+            (
+                (1..=3).contains(&self.bits_per_cell),
+                "bits per cell must be 1, 2 or 3",
+            ),
+            (self.g_max_us > 0.0, "g_max must be positive"),
+            (
+                self.lambda_program_us >= 0.0
+                    && self.lambda_relax_us >= 0.0
+                    && self.drift_us >= 0.0,
+                "noise scales must be non-negative",
+            ),
+            (self.relax_tau_s > 0.0, "relaxation tau must be positive"),
+            (
+                (0.0..=1.0).contains(&self.defect_rate),
+                "defect rate must be in [0, 1]",
+            ),
+            (
+                self.stability_floor >= 0.0 && self.stability_span >= 0.0,
+                "stability multipliers must be non-negative",
+            ),
+        ];
+        rules
+            .iter()
+            .try_for_each(|&(ok, why)| ok.then_some(()).ok_or(why))
+    }
+
     /// Validate the parameter ranges.
     ///
     /// # Panics
     ///
-    /// Panics when a parameter is out of its physical range (non-positive
-    /// `g_max`, negative noise scales, `defect_rate` outside `[0, 1]`, or
-    /// unsupported `bits_per_cell`).
+    /// Panics with the rule [`MlcConfig::check`] names.
     pub fn validate(&self) {
-        assert!(
-            (1..=3).contains(&self.bits_per_cell),
-            "bits per cell must be 1, 2 or 3"
-        );
-        assert!(self.g_max_us > 0.0, "g_max must be positive");
-        assert!(
-            self.lambda_program_us >= 0.0 && self.lambda_relax_us >= 0.0 && self.drift_us >= 0.0,
-            "noise scales must be non-negative"
-        );
-        assert!(self.relax_tau_s > 0.0, "relaxation tau must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.defect_rate),
-            "defect rate must be in [0, 1]"
-        );
-        assert!(
-            self.stability_floor >= 0.0 && self.stability_span >= 0.0,
-            "stability multipliers must be non-negative"
-        );
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
     }
 }
 

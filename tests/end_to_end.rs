@@ -6,7 +6,9 @@
 use hdoms::core::accelerator::AcceleratorConfig;
 use hdoms::engine::Engine;
 use hdoms::hdc::item_memory::LevelStyle;
-use hdoms::index::{IndexBuilder, IndexConfig, IndexedBackendKind};
+use hdoms::index::{
+    IndexBuilder, IndexConfig, IndexedBackendKind, StreamingConfig, StreamingIndexBuilder,
+};
 use hdoms::ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms::ms::spectrum::Spectrum;
 use hdoms::oms::pipeline::{OmsPipeline, PipelineConfig};
@@ -99,6 +101,8 @@ fn pipeline_deterministic_end_to_end() {
 /// over one mapped `.hdx` image a one-shot search, a two-batch session,
 /// a batch-tier served query and two coalesced interactive queries must
 /// render the same bytes — with the prefilter off and at a covering `k`.
+/// The image itself has one writer: the streaming builder must produce
+/// the file `write` produced, byte for byte, and the same rows from it.
 #[test]
 fn every_entry_point_renders_the_same_rows() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 1005);
@@ -111,11 +115,24 @@ fn every_entry_point_renders_the_same_rows() {
         exact.encoder.dim = 1024;
     }
     let path = std::env::temp_dir().join(format!("hdoms-e2e-{}.hdx", std::process::id()));
-    IndexBuilder::new(config)
+    IndexBuilder::new(config.clone())
         .from_library(&workload.library)
         .write(&path)
         .expect("image written");
     let engine = Arc::new(Engine::open_mapped(&path, 2).expect("mapped open"));
+    let streamed_path = path.with_extension("streamed.hdx");
+    let streaming = StreamingConfig {
+        index: config,
+        spill_threshold: 100,
+    };
+    StreamingIndexBuilder::build_from_library(streaming, &streamed_path, &workload.library)
+        .expect("image streamed");
+    assert_eq!(
+        std::fs::read(&streamed_path).expect("streamed image"),
+        std::fs::read(&path).expect("written image"),
+    );
+    let streamed = Arc::new(Engine::open_mapped(&streamed_path, 2).expect("mapped open"));
+    std::fs::remove_file(&streamed_path).ok();
     let mut server = Server::new(2);
     server.set_coalesce_window_ms(300);
     server
@@ -150,6 +167,8 @@ fn every_entry_point_renders_the_same_rows() {
     let (expected, _) = engine.search(&workload.queries, window, 0.01);
     let expected = render_table(engine.peptides(), &expected);
     assert!(expected.lines().count() > 1, "the search found PSMs");
+    let (rows, _) = streamed.search(&workload.queries, window, 0.01);
+    assert_eq!(render_table(streamed.peptides(), &rows), expected);
     for prefilter in [PrefilterConfig::Off, covering] {
         assert_eq!(local(&workload.queries, prefilter), expected);
 
