@@ -9,7 +9,7 @@
 //!   the one loader),
 //! * `load_speedup` — cold build / warm load (the PR-1 acceptance bar
 //!   was ≥ 5×),
-//! * `load_ms_heap` — a real file open through `IndexReader::open`: read
+//! * `load_ms_heap` — a real file open through `LibraryIndex::open`: read
 //!   the file into one heap buffer, checksum, decode shard metadata,
 //! * `load_ms_mapped` — the same loader over an `mmap` of the file
 //!   (`LibraryIndex::open_mapped`): the words are searched in place
@@ -127,11 +127,8 @@ fn main() {
     let (mut mapped_s, mut mapped_peak) = (f64::INFINITY, usize::MAX);
     let mut mapped = None;
     for _ in 0..3 {
-        let (heap, s, peak) = measure(|| {
-            hdoms_index::IndexReader::with_threads(THREADS)
-                .open_with(&path)
-                .expect("heap-read open")
-        });
+        let (heap, s, peak) =
+            measure(|| LibraryIndex::open(&path, THREADS).expect("heap-read open"));
         (heap_s, heap_peak) = (heap_s.min(s), heap_peak.min(peak));
         drop(heap);
         let (m, s, peak) =

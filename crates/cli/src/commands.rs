@@ -7,8 +7,7 @@ use hdoms_baselines::hyperoms::HyperOmsConfig;
 use hdoms_core::accelerator::AcceleratorConfig;
 use hdoms_engine::{Engine, ReferenceMeta};
 use hdoms_index::{
-    IndexConfig, IndexReader, IndexedBackendKind, LibraryIndex, StreamingConfig,
-    StreamingIndexBuilder,
+    IndexConfig, IndexedBackendKind, LibraryIndex, StreamingConfig, StreamingIndexBuilder,
 };
 use hdoms_ms::dataset::{ScaledLibrary, ScaledLibrarySpec, SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::library::SpectralLibrary;
@@ -208,8 +207,7 @@ pub fn search(args: &[String]) -> Result<(), String> {
         (Some(index_path), _) => {
             // Mapped by default: the index file is searched in place
             // from one backing buffer (a v1 file's words are repacked).
-            let loaded_index = IndexReader::with_threads(threads)
-                .open_mapped_with(Path::new(index_path))
+            let loaded_index = LibraryIndex::open_mapped(Path::new(index_path), threads)
                 .map_err(|e| e.to_string())?;
             SearchTarget::Warm(loaded_index)
         }
@@ -410,7 +408,11 @@ fn index_info(args: &[String]) -> Result<(), String> {
     flags.check_known(&["index"])?;
     let index_path = flags.require("index")?;
     let bytes = fs::metadata(index_path).map_err(|e| e.to_string())?.len();
-    let index = IndexReader::open(Path::new(index_path)).map_err(|e| e.to_string())?;
+    let index = LibraryIndex::open(
+        Path::new(index_path),
+        hdoms_hdc::parallel::default_threads(),
+    )
+    .map_err(|e| e.to_string())?;
     let stats = index.build_stats();
     println!("index {index_path} ({bytes} bytes)");
     println!(
@@ -452,9 +454,8 @@ fn index_append(args: &[String]) -> Result<(), String> {
     let out_path = flags.get("out").unwrap_or(index_path).to_owned();
     let threads: usize = flags.get_or("threads", hdoms_hdc::parallel::default_threads())?;
 
-    let mut index = IndexReader::with_threads(threads)
-        .open_with(Path::new(index_path))
-        .map_err(|e| e.to_string())?;
+    let mut index =
+        LibraryIndex::open(Path::new(index_path), threads).map_err(|e| e.to_string())?;
     let extra = read_library_file(library_path)?;
     let before = index.entry_count();
     index.append_entries(extra.entries(), threads);
@@ -498,11 +499,7 @@ pub fn compare(args: &[String]) -> Result<(), String> {
     let library = flags.get("library").map(read_library_file).transpose()?;
     let loaded_index = flags
         .get("index")
-        .map(|p| {
-            IndexReader::with_threads(threads)
-                .open_mapped_with(Path::new(p))
-                .map_err(|e| e.to_string())
-        })
+        .map(|p| LibraryIndex::open_mapped(Path::new(p), threads).map_err(|e| e.to_string()))
         .transpose()?;
 
     let run_spec = |spec: &str| -> Result<PipelineOutcome, String> {
@@ -708,11 +705,9 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         };
         // Resident indexes are mapped: one backing buffer per file,
         // searched in place for the lifetime of the server.
-        let index = IndexReader::with_threads(threads)
-            .open_mapped_with(Path::new(path))
+        let index = LibraryIndex::open_mapped(Path::new(path), threads)
             .map_err(|e| format!("loading {path}: {e}"))?;
-        server.add_index(name, index).map_err(|e| e.to_string())?;
-        let resident = server.summaries().pop().expect("just added");
+        let resident = server.add_index(name, index).map_err(|e| e.to_string())?;
         logger
             .info("serve.resident")
             .str("name", name)

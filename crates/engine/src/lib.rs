@@ -64,9 +64,7 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-use hdoms_index::{
-    IndexBuilder, IndexConfig, IndexError, IndexReader, LibraryIndex, ShardedBackend,
-};
+use hdoms_index::{IndexBuilder, IndexConfig, IndexError, LibraryIndex, ShardedBackend};
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
 use hdoms_ms::spectrum::Spectrum;
@@ -311,7 +309,7 @@ impl EngineMetrics {
 /// |---|---|
 /// | [`Engine::from_library`] | cold `ExactBackend::build` / `OmsAccelerator::build` / `HyperOmsBackend::build` + manual candidate index |
 /// | [`Engine::open_mapped`] | `LibraryIndex::open_mapped` + the wiring below, searching the `mmap`ed file in place |
-/// | [`Engine::from_index`] | `LibraryIndex::sharded_backend` + `peptides_by_id` + `candidate_index` over any loaded index (`IndexReader::open` for the same loader over a heap read) |
+/// | [`Engine::from_index`] | `LibraryIndex::sharded_backend` + `peptides_by_id` + `candidate_index` over any loaded index (`LibraryIndex::open` for the same loader over a heap read) |
 /// | [`Engine::from_backend`] | any [`SimilarityBackend`]: the baselines crate, or an index's flat `to_exact_backend` / `to_accelerator` as the unsharded reference |
 ///
 /// Queries run through a [`Session`] (streaming, cross-batch FDR) or the
@@ -353,7 +351,7 @@ impl Engine {
     /// resident heap stop scaling with the encoded-library payload.
     /// Searches produce PSM tables byte-identical to
     /// [`Engine::from_library`] and to a heap-read load
-    /// (`IndexReader::open` + [`Engine::from_index`]) over the same
+    /// (`LibraryIndex::open` + [`Engine::from_index`]) over the same
     /// references (asserted in `crates/engine/tests/equivalence.rs`).
     ///
     /// This is the default path for `hdoms serve` and
@@ -364,7 +362,7 @@ impl Engine {
     ///
     /// Propagates load failures ([`IndexError`]).
     pub fn open_mapped(path: &Path, threads: usize) -> Result<Engine, IndexError> {
-        let index = IndexReader::with_threads(threads).open_mapped_with(path)?;
+        let index = LibraryIndex::open_mapped(path, threads)?;
         Engine::from_index(index, threads)
     }
 

@@ -6,7 +6,7 @@
 
 use hdoms_baselines::annsolo::{AnnSoloBackend, AnnSoloConfig};
 use hdoms_engine::{Engine, ReferenceMeta, Session};
-use hdoms_index::{IndexConfig, IndexReader, IndexedBackendKind};
+use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
 use hdoms_oms::psm::render_table;
@@ -30,13 +30,11 @@ fn tiny_engine(seed: u64) -> (SyntheticWorkload, Arc<Engine>) {
     (workload, engine)
 }
 
-/// The heap-read load: `IndexReader` reads the file into one heap buffer
+/// The heap-read load: `LibraryIndex::open` reads the file into one heap buffer
 /// and runs the one loader over it, then the same wiring
 /// `Engine::open_mapped` does over the `mmap`ed file.
 fn open_heap_read(path: &std::path::Path) -> Arc<Engine> {
-    let index = IndexReader::with_threads(THREADS)
-        .open_with(path)
-        .expect("heap-read load");
+    let index = LibraryIndex::open(path, THREADS).expect("heap-read load");
     Arc::new(Engine::from_index(index, THREADS).expect("an index wires its own kind"))
 }
 

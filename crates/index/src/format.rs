@@ -20,7 +20,7 @@
 //!
 //! Every section carries its own [XXH64](crate::xxhash::xxh64) digest, so
 //! corruption is pinned to a section, and shard payloads can be decoded
-//! independently — which is what lets [`IndexReader`](crate::IndexReader)
+//! independently — which is what lets [`LibraryIndex::from_buffer`](crate::LibraryIndex::from_buffer)
 //! validate and decode shards in parallel.
 //!
 //! **Version 2** changes only the shard sections, for the zero-copy load

@@ -29,7 +29,7 @@
 //! Since format **v2** shard hypervector words are laid out 8-aligned,
 //! so the one loader ([`LibraryIndex::from_buffer`]) searches the file's
 //! bytes **in place** from one backing buffer — a heap read
-//! ([`IndexReader::open`]) or, for [`LibraryIndex::open_mapped`] under
+//! ([`LibraryIndex::open`]) or, for [`LibraryIndex::open_mapped`] under
 //! the default `mmap` feature on Unix, the mapped file itself. No
 //! per-reference hypervector is ever materialised, and over a mapping
 //! resident heap drops to the metadata. The image likewise has one
@@ -40,7 +40,7 @@
 //! ## Workflow
 //!
 //! ```
-//! use hdoms_index::{IndexBuilder, IndexConfig, IndexReader};
+//! use hdoms_index::{IndexBuilder, IndexConfig, LibraryIndex};
 //! use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 //! use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
 //!
@@ -57,7 +57,7 @@
 //! index.write(&dir).unwrap();
 //!
 //! // Warm load: no re-encoding, and searches produce identical PSMs.
-//! let loaded = IndexReader::open(&dir).unwrap();
+//! let loaded = LibraryIndex::open(&dir, 4).unwrap();
 //! let backend = loaded.sharded_backend(4).unwrap();
 //! let mut pipeline_config = PipelineConfig::fast_test();
 //! pipeline_config.exact.encoder.dim = 2048;
@@ -83,6 +83,6 @@ pub mod wire;
 pub mod xxhash;
 
 pub use format::{IndexEntry, IndexError, IndexedBackendKind, MlcState, Shard};
-pub use library_index::{IndexBuilder, IndexConfig, IndexReader, LibraryIndex};
+pub use library_index::{IndexBuilder, IndexConfig, LibraryIndex};
 pub use sharded::{ShardTiming, ShardedBackend};
 pub use streaming::{StreamingBuildReport, StreamingConfig, StreamingIndexBuilder};

@@ -636,10 +636,26 @@ impl LibraryIndex {
         Ok(index)
     }
 
+    /// Load and validate an index from `path` over a **heap read**: the
+    /// file is read in one streamed pass into one aligned heap buffer
+    /// and handed to [`LibraryIndex::from_buffer`] — the same loader
+    /// [`LibraryIndex::open_mapped`] runs over an `mmap` of the file, so
+    /// the references are searched inside that buffer, not materialised
+    /// out of it.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem, format, checksum and semantic failures all surface as
+    /// [`IndexError`].
+    pub fn open(path: &Path, threads: usize) -> Result<LibraryIndex, IndexError> {
+        LibraryIndex::from_buffer(read_file(path)?, threads)
+    }
+
     /// Open `path` for **in-place search**: the file is `mmap`ed (with
     /// the `mmap` feature; read once into a single aligned heap buffer
-    /// otherwise, exactly as [`IndexReader::open`] does) and handed to
-    /// [`LibraryIndex::from_buffer`].
+    /// otherwise, exactly as [`LibraryIndex::open`] does) and handed to
+    /// [`LibraryIndex::from_buffer`], so cold shards' pages can be
+    /// released and refault from it.
     ///
     /// # Errors
     ///
@@ -875,93 +891,6 @@ fn parse_sections(bytes: &[u8]) -> Result<(LibraryIndex, u32, Vec<SectionRange>)
         sketches,
     };
     Ok((index, version, shards))
-}
-
-/// Reads `HDX` index files.
-///
-/// ```
-/// use hdoms_index::{IndexBuilder, IndexConfig, IndexReader, IndexedBackendKind};
-/// use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
-///
-/// let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 8);
-/// let mut config = IndexConfig { threads: 2, ..IndexConfig::default() };
-/// if let IndexedBackendKind::Exact(exact) = &mut config.kind {
-///     exact.encoder.dim = 512;
-/// }
-/// let index = IndexBuilder::new(config).from_library(&workload.library);
-///
-/// let path = std::env::temp_dir().join(format!("hdoms-reader-doc-{}.hdx", std::process::id()));
-/// index.write(&path).unwrap();
-/// let loaded = IndexReader::with_threads(2).open_with(&path).unwrap();
-/// assert_eq!(loaded, index);
-/// # std::fs::remove_file(&path).ok();
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct IndexReader {
-    threads: usize,
-}
-
-impl Default for IndexReader {
-    fn default() -> IndexReader {
-        IndexReader {
-            threads: hdoms_hdc::parallel::default_threads(),
-        }
-    }
-}
-
-impl IndexReader {
-    /// A reader decoding shards over `threads` workers.
-    pub fn with_threads(threads: usize) -> IndexReader {
-        IndexReader {
-            threads: threads.max(1),
-        }
-    }
-
-    /// Load and validate an index from `path`.
-    ///
-    /// The file is read in one streamed pass into one heap buffer and
-    /// handed to [`LibraryIndex::from_buffer`]: shard sections are
-    /// checksum-verified and decoded in parallel, and the references are
-    /// searched inside that buffer — the same loader
-    /// [`IndexReader::open_mapped`] runs over an `mmap` of the file.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem, format, checksum and semantic failures all surface as
-    /// [`IndexError`].
-    pub fn open(path: &Path) -> Result<LibraryIndex, IndexError> {
-        IndexReader::default().open_with(path)
-    }
-
-    /// Like [`IndexReader::open`] with this reader's thread setting.
-    ///
-    /// # Errors
-    ///
-    /// See [`IndexReader::open`].
-    pub fn open_with(&self, path: &Path) -> Result<LibraryIndex, IndexError> {
-        LibraryIndex::from_buffer(read_file(path)?, self.threads)
-    }
-
-    /// Load an index over an `mmap` of the file (see
-    /// [`LibraryIndex::open_mapped`]), so cold shards' pages can be
-    /// released and refault from it.
-    ///
-    /// # Errors
-    ///
-    /// See [`IndexReader::open`].
-    pub fn open_mapped(path: &Path) -> Result<LibraryIndex, IndexError> {
-        IndexReader::default().open_mapped_with(path)
-    }
-
-    /// Like [`IndexReader::open_mapped`] with this reader's thread
-    /// setting.
-    ///
-    /// # Errors
-    ///
-    /// See [`IndexReader::open`].
-    pub fn open_mapped_with(&self, path: &Path) -> Result<LibraryIndex, IndexError> {
-        LibraryIndex::open_mapped(path, self.threads)
-    }
 }
 
 impl ReferenceCatalog for LibraryIndex {

@@ -239,7 +239,7 @@ impl StatsFold {
 ///
 /// ```
 /// use hdoms_index::streaming::{StreamingConfig, StreamingIndexBuilder};
-/// use hdoms_index::{IndexBuilder, IndexReader, IndexedBackendKind};
+/// use hdoms_index::{IndexBuilder, IndexedBackendKind, LibraryIndex};
 /// use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 ///
 /// let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 7);
@@ -259,7 +259,7 @@ impl StatsFold {
 /// // Byte-identical to the in-memory build.
 /// let in_memory = IndexBuilder::new(config.index).from_library(&workload.library);
 /// assert_eq!(std::fs::read(&path).unwrap(), in_memory.to_bytes());
-/// # let loaded = IndexReader::open(&path).unwrap();
+/// # let loaded = LibraryIndex::open(&path, 2).unwrap();
 /// # assert_eq!(loaded, in_memory);
 /// # std::fs::remove_file(&path).ok();
 /// ```

@@ -4,9 +4,7 @@
 
 use hdoms_baselines::hyperoms::{HyperOmsBackend, HyperOmsConfig};
 use hdoms_core::accelerator::{AcceleratorConfig, OmsAccelerator};
-use hdoms_index::{
-    IndexBuilder, IndexConfig, IndexError, IndexReader, IndexedBackendKind, LibraryIndex,
-};
+use hdoms_index::{IndexBuilder, IndexConfig, IndexError, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig, PipelineOutcome};
@@ -424,9 +422,7 @@ fn file_roundtrip_through_reader() {
     let index = build_index(exact_kind(), &workload.library, 64);
     let path = std::env::temp_dir().join("hdoms-test-roundtrip.hdx");
     index.write(&path).expect("write");
-    let loaded = IndexReader::with_threads(THREADS)
-        .open_with(&path)
-        .expect("open");
+    let loaded = LibraryIndex::open(&path, THREADS).expect("open");
     std::fs::remove_file(&path).ok();
     assert_eq!(index, loaded);
 }
@@ -506,7 +502,7 @@ fn checksum_valid_but_unusable_encoder_config_fails_open() {
         let opens = [
             LibraryIndex::from_bytes(&patched, THREADS),
             LibraryIndex::from_buffer(hdoms_hdc::WordBuffer::from_bytes(&patched), THREADS),
-            IndexReader::open(&path),
+            LibraryIndex::open(&path, THREADS),
             LibraryIndex::open_mapped(&path, THREADS),
         ];
         std::fs::remove_file(&path).ok();

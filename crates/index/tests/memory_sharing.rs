@@ -24,7 +24,7 @@
 //! it (or allocates heavily while another measures) serialises on one
 //! mutex.
 
-use hdoms_index::{IndexBuilder, IndexConfig, IndexReader, IndexedBackendKind, LibraryIndex};
+use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
 use hdoms_oms::search::{ExactBackendConfig, SharedReferences};
@@ -282,7 +282,7 @@ fn golden_v1_v2_and_v3_images_decode_alike() {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let path = |version: u32| fixtures.join(format!("v{version}.hdx"));
     let copied: Vec<LibraryIndex> = (1..=3)
-        .map(|v| IndexReader::open(&path(v)).expect("heap-read open"))
+        .map(|v| LibraryIndex::open(&path(v), 4).expect("heap-read open"))
         .collect();
     let mapped: Vec<LibraryIndex> = (1..=3)
         .map(|v| LibraryIndex::open_mapped(&path(v), 2).expect("mapped open"))

@@ -10,7 +10,7 @@
 //!    (the words refault from the backing file), so eviction can never
 //!    change search results.
 
-use hdoms_index::{IndexBuilder, IndexConfig, IndexReader, IndexedBackendKind, LibraryIndex};
+use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 
 /// A small index whose shards each span several pages (dim 4096 → 512
@@ -59,7 +59,7 @@ fn owned_indexes_release_nothing() {
     let index = build_index();
     let path = std::env::temp_dir().join(format!("hdoms-shard-heap-{}.hdx", std::process::id()));
     index.write(&path).unwrap();
-    let heap_read = IndexReader::open(&path).unwrap();
+    let heap_read = LibraryIndex::open(&path, 2).unwrap();
     std::fs::remove_file(&path).ok();
     for index in [&index, &heap_read] {
         assert!(!index.shared_references().is_mapped());
@@ -78,7 +78,7 @@ fn released_shards_reload_byte_identically() {
     let path =
         std::env::temp_dir().join(format!("hdoms-shard-residency-{}.hdx", std::process::id()));
     index.write(&path).unwrap();
-    let mapped = IndexReader::open_mapped(&path).unwrap();
+    let mapped = LibraryIndex::open_mapped(&path, 2).unwrap();
     assert!(mapped.shared_references().is_mapped());
 
     let before = words_by_id(&mapped);

@@ -17,7 +17,7 @@
 use hdoms_baselines::hyperoms::HyperOmsConfig;
 use hdoms_core::accelerator::AcceleratorConfig;
 use hdoms_index::streaming::{StreamingConfig, StreamingIndexBuilder};
-use hdoms_index::{IndexBuilder, IndexConfig, IndexError, IndexReader, IndexedBackendKind};
+use hdoms_index::{IndexBuilder, IndexConfig, IndexError, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{ScaledLibrary, ScaledLibrarySpec, SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
@@ -199,7 +199,7 @@ fn single_entry_library_matches() {
     )
     .expect("streaming build");
     assert_eq!(fs::read(&path).unwrap(), in_memory.to_bytes());
-    let loaded = IndexReader::open(&path).expect("open streamed single-entry index");
+    let loaded = LibraryIndex::open(&path, 2).expect("open streamed single-entry index");
     assert_eq!(loaded.entry_count(), 1);
     assert_eq!(loaded, in_memory);
     fs::remove_file(&path).ok();
@@ -273,7 +273,7 @@ fn all_rejected_entries_still_match() {
     assert_eq!(report.build_stats.references_rejected, library.len());
     assert_eq!(report.spilled_bytes, 0);
     assert_eq!(fs::read(&path).unwrap(), in_memory.to_bytes());
-    let loaded = IndexReader::open(&path).expect("open all-rejected index");
+    let loaded = LibraryIndex::open(&path, 2).expect("open all-rejected index");
     assert_eq!(loaded.build_stats(), in_memory.build_stats());
     fs::remove_file(&path).ok();
 }
@@ -351,7 +351,7 @@ fn streamed_image_opens_and_searches() {
         &workload.library,
     )
     .unwrap();
-    let loaded = IndexReader::open(&path).expect("open streamed index");
+    let loaded = LibraryIndex::open(&path, 2).expect("open streamed index");
     assert_eq!(loaded, in_memory);
 
     let backend = loaded.sharded_backend(4).expect("sharded backend");

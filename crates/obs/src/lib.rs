@@ -9,7 +9,7 @@
 //! the Prometheus text exposition and the JSON log lines — is
 //! hand-rolled).
 //!
-//! Three pieces, usable independently:
+//! Four pieces, usable independently:
 //!
 //! * [`metrics`] — a lock-cheap registry of named [`metrics::Counter`]s,
 //!   [`metrics::Gauge`]s, and fixed-bucket log₂ latency
@@ -22,6 +22,10 @@
 //!   [`trace::StageTimings`] record the engine reports per batch.
 //! * [`log`] — a level-filtered structured logger emitting JSON-lines
 //!   or plain text, one event per line, replacing ad-hoc `eprintln!`.
+//! * [`json`] — the stack's one JSON value, parser and canonical
+//!   formatter: the logger writes its lines through it and
+//!   `hdoms-serve` re-exports it as the codec under the wire protocol,
+//!   so a string is escaped in exactly one function.
 //!
 //! [`export`] serves a registry's Prometheus rendering over a tiny
 //! HTTP/1.0 responder (`hdoms serve --metrics host:port`).
@@ -48,6 +52,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod export;
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod trace;

@@ -17,9 +17,10 @@
 //!     .emit();
 //! ```
 //!
-//! JSON lines are hand-rolled (no JSON crate resolves offline):
+//! JSON lines are written through [`crate::json`]'s formatters:
 //! `{"ts":<unix-ms>,"level":"info","event":"serve.start",...fields}`.
 
+use crate::json::{write_number, write_string};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -164,17 +165,18 @@ impl Logger {
         let mut line = String::with_capacity(80);
         if self.inner.json {
             line.push_str(&format!(
-                "{{\"ts\":{ts},\"level\":\"{}\",\"event\":\"{}\"",
-                level.name(),
-                escape_json(event)
+                "{{\"ts\":{ts},\"level\":\"{}\",\"event\":",
+                level.name()
             ));
+            write_string(event, &mut line);
             for (key, value) in fields {
-                line.push_str(&format!(",\"{}\":", escape_json(key)));
+                line.push(',');
+                write_string(key, &mut line);
+                line.push(':');
                 match value {
-                    FieldValue::Str(s) => line.push_str(&format!("\"{}\"", escape_json(s))),
+                    FieldValue::Str(s) => write_string(s, &mut line),
                     FieldValue::U64(n) => line.push_str(&n.to_string()),
-                    FieldValue::F64(x) if x.is_finite() => line.push_str(&x.to_string()),
-                    FieldValue::F64(_) => line.push_str("null"),
+                    FieldValue::F64(x) => write_number(*x, &mut line),
                     FieldValue::Bool(b) => line.push_str(if *b { "true" } else { "false" }),
                 }
             }
@@ -238,22 +240,6 @@ impl Event<'_> {
     pub fn emit(self) {
         self.logger.emit(self.level, &self.event, &self.fields);
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

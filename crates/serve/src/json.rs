@@ -1,13 +1,7 @@
-//! A minimal JSON value, parser and canonical encoder.
-//!
-//! No JSON crate resolves offline, so the serve protocol hand-rolls its
-//! JSON. The dialect is deliberately small and **canonical
-//! on encode**: no whitespace, object keys in insertion order, floats in
-//! Rust's shortest round-trip notation, integral values printed without a
-//! fraction. Parsing is lenient about whitespace, so hand-written client
-//! requests work, while `parse → encode` reproduces any canonically
-//! encoded document byte-for-byte — the property the protocol docs test
-//! relies on (see `docs/PROTOCOL.md`).
+//! The canonical JSON value, parser and encoder under the protocol — a
+//! re-export of [`hdoms_obs::json`], the stack's one JSON formatter
+//! (the structured logger writes its lines through the same string and
+//! number formatters).
 //!
 //! ```
 //! use hdoms_serve::json::Json;
@@ -17,524 +11,4 @@
 //! assert_eq!(v.encode(), r#"{"type":"ping","n":3,"ratio":0.5}"#);
 //! ```
 
-use std::fmt;
-
-/// A JSON value. Objects preserve insertion order (no sorting, no
-/// deduplication), which keeps the canonical encoding stable.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (JSON does not distinguish integers from floats).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object: ordered `(key, value)` pairs.
-    Obj(Vec<(String, Json)>),
-}
-
-/// A parse failure, with the byte offset it happened at.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// What went wrong.
-    pub message: String,
-    /// Byte offset into the input.
-    pub at: usize,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.at, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-impl Json {
-    /// Convenience constructor for a string value.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// The value of `key`, if this is an object containing it.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string content, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The numeric value as a `u64`, if this is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Parse a JSON document (exactly one value, ignoring surrounding
-    /// whitespace).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] naming the byte offset of the first
-    /// malformed token, trailing garbage, or over-deep nesting (the
-    /// recursion limit is 64 levels).
-    pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
-        Ok(value)
-    }
-
-    /// Canonical encoding: no whitespace, insertion-ordered keys, shortest
-    /// round-trip numbers. Non-finite numbers (which JSON cannot express)
-    /// encode as `null`.
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    fn encode_into(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => encode_number(*n, out),
-            Json::Str(s) => encode_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.encode_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    encode_string(key, out);
-                    out.push(':');
-                    value.encode_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Largest float whose integral values are exactly representable (2^53).
-const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
-
-fn encode_number(n: f64, out: &mut String) {
-    if !n.is_finite() {
-        out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() <= MAX_EXACT_INT {
-        out.push_str(&format!("{}", n as i64));
-    } else {
-        out.push_str(&format!("{n}"));
-    }
-}
-
-fn encode_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-const MAX_DEPTH: usize = 64;
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: impl Into<String>) -> JsonError {
-        JsonError {
-            message: message.into(),
-            at: self.pos,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, expected: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(expected) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {:?}", expected as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("expected {word:?}")))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.err(format!("unexpected character {:?}", other as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.eat(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Consume a run of plain (unescaped) bytes in one go.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xd800..0xdc00).contains(&code) {
-                                if self.peek() != Some(b'\\') {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 1;
-                                self.eat(b'u').map_err(|_| self.err("unpaired surrogate"))?;
-                                let low = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&low) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let combined = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
-                                char::from_u32(combined)
-                                    .ok_or_else(|| self.err("invalid surrogate pair"))?
-                            } else {
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u escape"))?
-                            };
-                            out.push(c);
-                            continue; // hex4 already advanced
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => return Err(self.err("control character in string")),
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    /// Read 4 hex digits starting at `pos` (positioned on the first
-    /// digit), leaving `pos` just past them.
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let digits = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let text = std::str::from_utf8(digits).map_err(|_| self.err("non-hex in \\u escape"))?;
-        let code = u32::from_str_radix(text, 16).map_err(|_| self.err("non-hex in \\u escape"))?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(b'0'..=b'9') = self.peek() {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while let Some(b'0'..=b'9') = self.peek() {
-                self.pos += 1;
-            }
-        }
-        if let Some(b'e' | b'E') = self.peek() {
-            self.pos += 1;
-            if let Some(b'+' | b'-') = self.peek() {
-                self.pos += 1;
-            }
-            while let Some(b'0'..=b'9') = self.peek() {
-                self.pos += 1;
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(format!("malformed number {text:?}")))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scalar_roundtrips() {
-        for doc in [
-            "null",
-            "true",
-            "false",
-            "0",
-            "-7",
-            "42",
-            "0.5",
-            "-0.25",
-            "1e-9",
-            "\"\"",
-            "\"hi\\n\\\"there\\\"\"",
-        ] {
-            let v = Json::parse(doc).unwrap();
-            let enc = v.encode();
-            assert_eq!(Json::parse(&enc).unwrap(), v, "doc {doc:?}");
-        }
-    }
-
-    #[test]
-    fn canonical_encoding_is_stable() {
-        let doc = r#"{"a":[1,2.5,{"b":"x"}],"c":null,"d":true}"#;
-        assert_eq!(Json::parse(doc).unwrap().encode(), doc);
-    }
-
-    #[test]
-    fn whitespace_tolerated_on_parse() {
-        let v = Json::parse(" { \"a\" : [ 1 , 2 ] }\n").unwrap();
-        assert_eq!(v.encode(), r#"{"a":[1,2]}"#);
-    }
-
-    #[test]
-    fn numbers_roundtrip_exactly() {
-        for n in [
-            0.0,
-            1.0,
-            -1.0,
-            0.1,
-            421.76,
-            1.0 / 3.0,
-            f64::MIN_POSITIVE,
-            1.7976931348623157e308,
-            9_007_199_254_740_991.0,
-        ] {
-            let enc = Json::Num(n).encode();
-            let back = Json::parse(&enc).unwrap().as_f64().unwrap();
-            assert_eq!(back.to_bits(), n.to_bits(), "value {n} encoded as {enc}");
-        }
-    }
-
-    #[test]
-    fn integral_floats_print_without_fraction() {
-        assert_eq!(Json::Num(3.0).encode(), "3");
-        assert_eq!(Json::Num(-2.0).encode(), "-2");
-        assert_eq!(Json::Num(2.5).encode(), "2.5");
-    }
-
-    #[test]
-    fn non_finite_encodes_as_null() {
-        assert_eq!(Json::Num(f64::NAN).encode(), "null");
-        assert_eq!(Json::Num(f64::INFINITY).encode(), "null");
-    }
-
-    #[test]
-    fn unicode_escapes() {
-        let v = Json::parse("\"\u{e9}\\u0001\u{1f600}\"").unwrap();
-        assert_eq!(v.as_str().unwrap(), "\u{e9}\u{1}\u{1f600}");
-        // Canonical encode keeps printable unicode raw, controls escaped.
-        assert_eq!(v.encode(), "\"\u{e9}\\u0001\u{1f600}\"");
-    }
-
-    #[test]
-    fn surrogate_pairs_decode() {
-        let v = Json::parse("\"\\ud83d\\ude00\"").unwrap();
-        assert_eq!(v.as_str().unwrap(), "\u{1f600}");
-        assert!(Json::parse("\"\\ud83d\"").is_err(), "unpaired high");
-        assert!(Json::parse("\"\\ud83dAB\"").is_err(), "missing low escape");
-    }
-
-    #[test]
-    fn errors_carry_position() {
-        let err = Json::parse("{\"a\":}").unwrap_err();
-        assert_eq!(err.at, 5);
-        assert!(Json::parse("[1,2").is_err());
-        assert!(Json::parse("[1] garbage").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-    }
-
-    #[test]
-    fn deep_nesting_rejected() {
-        let doc = format!("{}1{}", "[".repeat(100), "]".repeat(100));
-        assert!(Json::parse(&doc).is_err());
-    }
-
-    #[test]
-    fn object_helpers() {
-        let v = Json::parse(r#"{"s":"x","n":3,"b":false,"a":[1]}"#).unwrap();
-        assert_eq!(v.get("s").and_then(Json::as_str), Some("x"));
-        assert_eq!(v.get("n").and_then(Json::as_u64), Some(3));
-        assert_eq!(v.get("b").and_then(Json::as_bool), Some(false));
-        assert_eq!(
-            v.get("a").and_then(Json::as_arr).map(<[Json]>::len),
-            Some(1)
-        );
-        assert!(v.get("missing").is_none());
-    }
-}
+pub use hdoms_obs::json::{Json, JsonError};

@@ -59,7 +59,7 @@
 //! use hdoms_serve::protocol::{Request, Response};
 //! use hdoms_serve::server::Server;
 //!
-//! // Encode once (normally: `hdoms index build`, then IndexReader::open).
+//! // Encode once (normally: `hdoms index build`, then LibraryIndex::open_mapped).
 //! let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 9);
 //! let mut config = IndexConfig::default();
 //! config.threads = 2;

@@ -3,8 +3,15 @@
 //! One request or response per line, each a single canonical JSON object
 //! with a `"type"` tag (see `docs/PROTOCOL.md` for the full specification
 //! — its example payloads are asserted byte-for-byte by this crate's
-//! `protocol_docs` test). Version [`PROTOCOL_VERSION`] is reported by the
-//! `pong` response.
+//! `protocol_docs` test). [`PROTOCOL_VERSION`] is reported by the `pong`
+//! response.
+//!
+//! Every wire object is declared **once**, as a field table handed to
+//! `wire_object!`: the struct, its canonical encoding (the fields in
+//! table order) and its decoder (every field required, each validated by
+//! its type's `Wire` impl) all come from that table. To add a field,
+//! add one line to the object's table and the value to its example in
+//! `docs/PROTOCOL.md`; nothing else names it.
 //!
 //! ```
 //! use hdoms_serve::protocol::{Request, Response};
@@ -23,22 +30,247 @@ use hdoms_oms::psm::{Psm, PsmTableRow};
 use hdoms_oms::window::PrecursorWindow;
 use hdoms_prefilter::PrefilterConfig;
 
-/// Wire protocol version, reported by `pong`. Bumped on any incompatible
-/// message change (v5: tiered serving — the `tier` option on `query` and
-/// `session.open`, the `prefilter` option on `session.open`, and per-tier
-/// scheduler slices, coalescing counters, and shard-residency accounting
-/// in `server.stats`; v4: prefilter — the per-request `prefilter` option
-/// on `query`, and sketch-cascade accounting
-/// (`candidates_pre`/`candidates_post`/`sketch_ms`) in `stats`,
-/// `receipt`, and `server.stats`; v3: observability — per-stage pipeline
-/// timings in `stats`, stage and per-shard timings in `receipt`, and the
-/// `server.metrics` verb; v2: scheduler — structured `busy`/`deadline`
-/// error codes, queue-wait/budget fields in `stats` and `receipt`, and
-/// the `server.stats` verb).
+/// Wire protocol version, reported by `pong`. Version 5 is the protocol:
+/// every response field is required on decode, so no other version
+/// interoperates with it, and the number is bumped on any incompatible
+/// message change.
 pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Default FDR level applied when a query request omits `"fdr"`.
 pub const DEFAULT_FDR: f64 = 0.01;
+
+/// How one kind of value crosses the wire: its canonical JSON form and
+/// the validating decoder that reads it back. `what` names the field
+/// being decoded, for the error text.
+trait Wire: Sized {
+    fn to_json(&self) -> Json;
+    fn from_json(v: &Json, what: &str) -> Result<Self, String>;
+}
+
+/// Unsigned integers, range-checked against the target type: a value
+/// beyond it is **rejected**, never wrapped (a charge of 257 must error,
+/// not silently search as charge 1). Integers are exact up to 2^53;
+/// [`Json::as_u64`] refuses anything larger.
+macro_rules! wire_uint {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                Json::Num(*self as f64)
+            }
+            fn from_json(v: &Json, what: &str) -> Result<$ty, String> {
+                let n = v
+                    .as_u64()
+                    .ok_or_else(|| format!("{what} must be a non-negative integer"))?;
+                <$ty>::try_from(n)
+                    .map_err(|_| format!("{what} {n} out of range (max {})", <$ty>::MAX))
+            }
+        }
+    )*};
+}
+wire_uint!(u8, u32, u64, usize);
+
+/// Signed integers (gauges may go negative); non-integral numbers are
+/// rejected.
+impl Wire for i64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self as f64)
+    }
+    fn from_json(v: &Json, what: &str) -> Result<i64, String> {
+        let x = f64::from_json(v, what)?;
+        if x.fract() != 0.0 || x < i64::MIN as f64 || x > i64::MAX as f64 {
+            return Err(format!("{what} must be an integer"));
+        }
+        Ok(x as i64)
+    }
+}
+
+impl Wire for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+    fn from_json(v: &Json, what: &str) -> Result<f64, String> {
+        v.as_f64().ok_or_else(|| format!("{what} must be a number"))
+    }
+}
+
+impl Wire for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn from_json(v: &Json, what: &str) -> Result<bool, String> {
+        v.as_bool()
+            .ok_or_else(|| format!("{what} must be a boolean"))
+    }
+}
+
+impl Wire for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn from_json(v: &Json, what: &str) -> Result<String, String> {
+        let s = v
+            .as_str()
+            .ok_or_else(|| format!("{what} must be a string"))?;
+        Ok(s.to_owned())
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(Wire::to_json).collect())
+    }
+    fn from_json(v: &Json, what: &str) -> Result<Vec<T>, String> {
+        v.as_arr()
+            .ok_or_else(|| format!("{what} must be an array"))?
+            .iter()
+            .map(|item| T::from_json(item, what))
+            .collect()
+    }
+}
+
+/// The value of a field that may be omitted: present is `Some`, and
+/// `None` is never written (see [`Optional`]).
+impl<T: Wire> Wire for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, Wire::to_json)
+    }
+    fn from_json(v: &Json, what: &str) -> Result<Option<T>, String> {
+        T::from_json(v, what).map(Some)
+    }
+}
+
+/// A named series map (`{"name":value,...}`), entries in wire order —
+/// metrics maps round-trip verbatim because [`Json::Obj`] preserves
+/// insertion order.
+impl<T: Wire> Wire for Vec<(String, T)> {
+    fn to_json(&self) -> Json {
+        Json::Obj(
+            self.iter()
+                .map(|(name, value)| (name.clone(), value.to_json()))
+                .collect(),
+        )
+    }
+    fn from_json(v: &Json, what: &str) -> Result<Vec<(String, T)>, String> {
+        let Json::Obj(pairs) = v else {
+            return Err(format!("{what} must be an object"));
+        };
+        pairs
+            .iter()
+            .map(|(name, value)| Ok((name.clone(), T::from_json(value, name)?)))
+            .collect()
+    }
+}
+
+/// A fragment peak, `[mz, intensity]`.
+impl Wire for (f64, f64) {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![Json::Num(self.0), Json::Num(self.1)])
+    }
+    fn from_json(v: &Json, _what: &str) -> Result<(f64, f64), String> {
+        match v.as_arr() {
+            Some([mz, intensity]) => Ok((
+                f64::from_json(mz, "peak mz")?,
+                f64::from_json(intensity, "peak intensity")?,
+            )),
+            _ => Err("each peak must be a [mz, intensity] pair".to_owned()),
+        }
+    }
+}
+
+/// The enums that travel as their name: written with the type's own
+/// renderer, read back through its own `parse`.
+macro_rules! wire_named {
+    ($($ty:ty => $name:expr),*) => {$(
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                Json::str($name(*self))
+            }
+            fn from_json(v: &Json, what: &str) -> Result<$ty, String> {
+                <$ty>::parse(v.as_str().ok_or_else(|| format!("{what} must be a string"))?)
+            }
+        }
+    )*};
+}
+wire_named!(
+    WindowKind => WindowKind::name,
+    Tier => Tier::name,
+    PrefilterConfig => PrefilterConfig::render,
+    // `General` has no name: it is the omitted default, never written.
+    ErrorCode => |code: ErrorCode| code.name().unwrap_or_default()
+);
+
+/// The acceptance threshold is `+∞` when a batch accepted nothing
+/// ([`hdoms_oms::fdr::filter_fdr`]); JSON cannot express that, so the
+/// wire uses `null` (what a non-finite number encodes as) and this
+/// decoder — `threshold_score`'s alone — restores `+∞`.
+fn null_is_infinity(v: &Json) -> Result<f64, String> {
+    match v {
+        Json::Null => Ok(f64::INFINITY),
+        _ => f64::from_json(v, "threshold_score"),
+    }
+}
+
+fn required<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
+    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
+}
+
+/// A required object field, validated by its type.
+fn field<T: Wire>(v: &Json, key: &str) -> Result<T, String> {
+    T::from_json(required(v, key)?, key)
+}
+
+/// One declaration per wire object: from the field table come the
+/// struct (first form; the second and third describe a struct defined
+/// elsewhere), its canonical encoding — the fields in table order — and
+/// its decoder, in which every field is required and `as path` swaps in
+/// a named decoder for that one field. The third form is for a wire
+/// object that is flat where the struct is not: each field names the
+/// place it is read from, and the trailing expression rebuilds the
+/// struct from the decoded fields.
+macro_rules! wire_object {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty $(as $decode:path)? ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $ty ),*
+        }
+        wire_object! {
+            impl $name as this { $( $field: $ty $(as $decode)? = this.$field ),* }
+            => $name { $($field),* }
+        }
+    };
+    (impl $name:ident { $( $field:ident: $ty:ty ),* $(,)? }) => {
+        wire_object! {
+            impl $name as this { $( $field: $ty = this.$field ),* } => $name { $($field),* }
+        }
+    };
+    (
+        impl $name:ident as $this:ident {
+            $( $field:ident: $ty:ty $(as $decode:path)? = $place:expr ),* $(,)?
+        } => $build:expr
+    ) => {
+        impl Wire for $name {
+            fn to_json(&self) -> Json {
+                let $this = self;
+                Json::Obj(vec![
+                    $( (stringify!($field).to_owned(), Wire::to_json(&$place)) ),*
+                ])
+            }
+            fn from_json(v: &Json, _what: &str) -> Result<$name, String> {
+                $( let $field: $ty = wire_object!(@decode v, $field $(, $decode)?); )*
+                Ok($build)
+            }
+        }
+    };
+    (@decode $v:ident, $field:ident) => { field($v, stringify!($field))? };
+    (@decode $v:ident, $field:ident, $decode:path) => {
+        $decode(required($v, stringify!($field))?)?
+    };
+}
 
 /// Machine-readable classification of an `error` response, so clients
 /// can react without parsing prose. `General` (the catch-all for
@@ -122,18 +354,20 @@ impl WindowKind {
     }
 }
 
-/// One query spectrum on the wire: precursor information plus the peak
-/// list as `[mz, intensity]` pairs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuerySpectrum {
-    /// Client-chosen id, echoed back in the PSM rows.
-    pub id: u32,
-    /// Precursor m/z.
-    pub precursor_mz: f64,
-    /// Precursor charge state.
-    pub precursor_charge: u8,
-    /// Fragment peaks as `(mz, intensity)` pairs.
-    pub peaks: Vec<(f64, f64)>,
+wire_object! {
+    /// One query spectrum on the wire: precursor information plus the peak
+    /// list as `[mz, intensity]` pairs.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct QuerySpectrum {
+        /// Client-chosen id, echoed back in the PSM rows.
+        pub id: u32,
+        /// Precursor m/z.
+        pub precursor_mz: f64,
+        /// Precursor charge state.
+        pub precursor_charge: u8,
+        /// Fragment peaks as `(mz, intensity)` pairs.
+        pub peaks: Vec<(f64, f64)>,
+    }
 }
 
 impl QuerySpectrum {
@@ -187,51 +421,6 @@ impl QuerySpectrum {
             peaks,
             SpectrumOrigin::Query,
         ))
-    }
-
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("id".into(), Json::Num(f64::from(self.id))),
-            ("precursor_mz".into(), Json::Num(self.precursor_mz)),
-            (
-                "precursor_charge".into(),
-                Json::Num(f64::from(self.precursor_charge)),
-            ),
-            (
-                "peaks".into(),
-                Json::Arr(
-                    self.peaks
-                        .iter()
-                        .map(|&(mz, i)| Json::Arr(vec![Json::Num(mz), Json::Num(i)]))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<QuerySpectrum, String> {
-        let peaks = req_field(v, "peaks")?
-            .as_arr()
-            .ok_or("spectrum peaks must be an array")?
-            .iter()
-            .map(|p| {
-                let pair = p
-                    .as_arr()
-                    .filter(|a| a.len() == 2)
-                    .ok_or_else(|| "each peak must be a [mz, intensity] pair".to_owned())?;
-                Ok((num(&pair[0], "peak mz")?, num(&pair[1], "peak intensity")?))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(QuerySpectrum {
-            id: u32_field(v, "id")?,
-            precursor_mz: num(req_field(v, "precursor_mz")?, "precursor_mz")?,
-            precursor_charge: uint_in(
-                req_field(v, "precursor_charge")?,
-                "precursor_charge",
-                u64::from(u8::MAX),
-            )? as u8,
-            peaks,
-        })
     }
 }
 
@@ -328,80 +517,132 @@ pub enum Request {
     ServerMetrics,
 }
 
+/// An optional request field: its wire key, the value an omitted one
+/// takes, and whether the canonical encoding spells that default out or
+/// omits it. The first four below are every optional field a request
+/// has — the one place their defaults live, shared by `query`,
+/// `session.open` and `session.finalize`.
+struct Optional<T> {
+    key: &'static str,
+    default: T,
+    written_at_default: bool,
+}
+
+const WINDOW: Optional<WindowKind> = Optional {
+    key: "window",
+    default: WindowKind::Open,
+    written_at_default: true,
+};
+const FDR: Optional<f64> = Optional {
+    key: "fdr",
+    default: DEFAULT_FDR,
+    written_at_default: true,
+};
+const TIER: Optional<Tier> = Optional {
+    key: "tier",
+    default: Tier::Batch,
+    written_at_default: false,
+};
+/// `None` stands for the server's configured default
+/// (`hdoms serve --prefilter`).
+const PREFILTER: Optional<Option<PrefilterConfig>> = Optional {
+    key: "prefilter",
+    default: None,
+    written_at_default: false,
+};
+/// The one optional response field: an `error`'s classification.
+const CODE: Optional<ErrorCode> = Optional {
+    key: "code",
+    default: ErrorCode::General,
+    written_at_default: false,
+};
+
+impl<T: Wire + Copy> Optional<T> {
+    /// The field's value in `v`: validated when present, else the default.
+    fn decode(&self, v: &Json) -> Result<T, String> {
+        v.get(self.key)
+            .map_or(Ok(self.default), |value| T::from_json(value, self.key))
+    }
+}
+
+/// A message under construction: the `type` tag, then its fields in
+/// wire order.
+struct Message(Vec<(String, Json)>);
+
+impl Message {
+    fn new(kind: &str) -> Message {
+        Message(vec![("type".to_owned(), Json::str(kind))])
+    }
+
+    fn with<T: Wire>(mut self, key: &str, value: &T) -> Message {
+        self.0.push((key.to_owned(), value.to_json()));
+        self
+    }
+
+    /// Append a wire object's own fields (`receipt`, `stats` and
+    /// `metrics` carry theirs at the top level, beside the tag).
+    fn flatten(mut self, body: &impl Wire) -> Message {
+        if let Json::Obj(fields) = body.to_json() {
+            self.0.extend(fields);
+        }
+        self
+    }
+
+    /// Write an optional field: always when the canonical encoding
+    /// spells its default out, else only when `value` differs from it.
+    fn with_optional<T: Wire + PartialEq>(self, field: &Optional<T>, value: &T) -> Message {
+        if field.written_at_default || *value != field.default {
+            self.with(field.key, value)
+        } else {
+            self
+        }
+    }
+
+    fn encode(self) -> String {
+        Json::Obj(self.0).encode()
+    }
+}
+
 impl Request {
     /// Encode as one canonical JSON line (no trailing newline).
     pub fn encode(&self) -> String {
-        let v = match self {
-            Request::Ping => Json::Obj(vec![("type".into(), Json::str("ping"))]),
-            Request::ListIndexes => Json::Obj(vec![("type".into(), Json::str("list_indexes"))]),
-            Request::Query(q) => {
-                let mut fields = vec![
-                    ("type".into(), Json::str("query")),
-                    ("index".into(), Json::str(q.index.clone())),
-                    ("window".into(), Json::str(q.window.name())),
-                    ("fdr".into(), Json::Num(q.fdr)),
-                ];
-                if q.tier != Tier::default() {
-                    fields.push(("tier".into(), Json::str(q.tier.name())));
-                }
-                if let Some(prefilter) = q.prefilter {
-                    fields.push(("prefilter".into(), Json::str(prefilter.render())));
-                }
-                fields.push((
-                    "spectra".into(),
-                    Json::Arr(q.spectra.iter().map(QuerySpectrum::to_json).collect()),
-                ));
-                Json::Obj(fields)
-            }
+        let message = match self {
+            Request::Ping => Message::new("ping"),
+            Request::ListIndexes => Message::new("list_indexes"),
+            Request::Query(q) => Message::new("query")
+                .with("index", &q.index)
+                .with_optional(&WINDOW, &q.window)
+                .with_optional(&FDR, &q.fdr)
+                .with_optional(&TIER, &q.tier)
+                .with_optional(&PREFILTER, &q.prefilter)
+                .with("spectra", &q.spectra),
             Request::SessionOpen {
                 index,
                 window,
                 tier,
                 prefilter,
-            } => {
-                let mut fields = vec![
-                    ("type".into(), Json::str("session.open")),
-                    ("index".into(), Json::str(index.clone())),
-                    ("window".into(), Json::str(window.name())),
-                ];
-                if *tier != Tier::default() {
-                    fields.push(("tier".into(), Json::str(tier.name())));
-                }
-                if let Some(prefilter) = prefilter {
-                    fields.push(("prefilter".into(), Json::str(prefilter.render())));
-                }
-                Json::Obj(fields)
+            } => Message::new("session.open")
+                .with("index", index)
+                .with_optional(&WINDOW, window)
+                .with_optional(&TIER, tier)
+                .with_optional(&PREFILTER, prefilter),
+            Request::SessionSubmit { session, spectra } => Message::new("session.submit")
+                .with("session", session)
+                .with("spectra", spectra),
+            Request::SessionFinalize { session, fdr } => Message::new("session.finalize")
+                .with("session", session)
+                .with_optional(&FDR, fdr),
+            Request::SessionClose { session } => {
+                Message::new("session.close").with("session", session)
             }
-            Request::SessionSubmit { session, spectra } => Json::Obj(vec![
-                ("type".into(), Json::str("session.submit")),
-                ("session".into(), Json::Num(*session as f64)),
-                (
-                    "spectra".into(),
-                    Json::Arr(spectra.iter().map(QuerySpectrum::to_json).collect()),
-                ),
-            ]),
-            Request::SessionFinalize { session, fdr } => Json::Obj(vec![
-                ("type".into(), Json::str("session.finalize")),
-                ("session".into(), Json::Num(*session as f64)),
-                ("fdr".into(), Json::Num(*fdr)),
-            ]),
-            Request::SessionClose { session } => Json::Obj(vec![
-                ("type".into(), Json::str("session.close")),
-                ("session".into(), Json::Num(*session as f64)),
-            ]),
-            Request::IndexLoad { name, path } => Json::Obj(vec![
-                ("type".into(), Json::str("index.load")),
-                ("name".into(), Json::str(name.clone())),
-                ("path".into(), Json::str(path.clone())),
-            ]),
-            Request::IndexUnload { name } => Json::Obj(vec![
-                ("type".into(), Json::str("index.unload")),
-                ("name".into(), Json::str(name.clone())),
-            ]),
-            Request::ServerStats => Json::Obj(vec![("type".into(), Json::str("server.stats"))]),
-            Request::ServerMetrics => Json::Obj(vec![("type".into(), Json::str("server.metrics"))]),
+            Request::IndexLoad { name, path } => Message::new("index.load")
+                .with("name", name)
+                .with("path", path),
+            Request::IndexUnload { name } => Message::new("index.unload").with("name", name),
+            Request::ServerStats => Message::new("server.stats"),
+            Request::ServerMetrics => Message::new("server.metrics"),
         };
-        v.encode()
+        message.encode()
     }
 
     /// Decode one request line.
@@ -412,160 +653,123 @@ impl Request {
     /// problem (malformed JSON, unknown type, missing/mistyped field).
     pub fn decode(line: &str) -> Result<Request, String> {
         let v = Json::parse(line).map_err(|e| e.to_string())?;
-        match req_field(&v, "type")?.as_str() {
-            Some("ping") => Ok(Request::Ping),
-            Some("list_indexes") => Ok(Request::ListIndexes),
-            Some("query") => {
-                let spectra = req_field(&v, "spectra")?
-                    .as_arr()
-                    .ok_or("spectra must be an array")?
-                    .iter()
-                    .map(QuerySpectrum::from_json)
-                    .collect::<Result<Vec<_>, String>>()?;
-                let window = match v.get("window") {
-                    None => WindowKind::Open,
-                    Some(w) => WindowKind::parse(w.as_str().ok_or("window must be a string")?)?,
-                };
-                let fdr = match v.get("fdr") {
-                    None => DEFAULT_FDR,
-                    Some(f) => num(f, "fdr")?,
-                };
-                let prefilter = match v.get("prefilter") {
-                    None => None,
-                    Some(p) => Some(PrefilterConfig::parse(
-                        p.as_str().ok_or("prefilter must be a string")?,
-                    )?),
-                };
-                Ok(Request::Query(QueryRequest {
-                    index: req_field(&v, "index")?
-                        .as_str()
-                        .ok_or("index must be a string")?
-                        .to_owned(),
-                    window,
-                    fdr,
-                    tier: tier_field(&v)?,
-                    prefilter,
-                    spectra,
-                }))
-            }
-            Some("session.open") => Ok(Request::SessionOpen {
-                index: string(&v, "index")?,
-                window: match v.get("window") {
-                    None => WindowKind::Open,
-                    Some(w) => WindowKind::parse(w.as_str().ok_or("window must be a string")?)?,
-                },
-                tier: tier_field(&v)?,
-                prefilter: match v.get("prefilter") {
-                    None => None,
-                    Some(p) => Some(PrefilterConfig::parse(
-                        p.as_str().ok_or("prefilter must be a string")?,
-                    )?),
-                },
+        Ok(match required(&v, "type")?.as_str() {
+            Some("ping") => Request::Ping,
+            Some("list_indexes") => Request::ListIndexes,
+            Some("query") => Request::Query(QueryRequest {
+                index: field(&v, "index")?,
+                window: WINDOW.decode(&v)?,
+                fdr: FDR.decode(&v)?,
+                tier: TIER.decode(&v)?,
+                prefilter: PREFILTER.decode(&v)?,
+                spectra: field(&v, "spectra")?,
             }),
-            Some("session.submit") => Ok(Request::SessionSubmit {
-                session: uint(req_field(&v, "session")?, "session")?,
-                spectra: req_field(&v, "spectra")?
-                    .as_arr()
-                    .ok_or("spectra must be an array")?
-                    .iter()
-                    .map(QuerySpectrum::from_json)
-                    .collect::<Result<Vec<_>, String>>()?,
-            }),
-            Some("session.finalize") => Ok(Request::SessionFinalize {
-                session: uint(req_field(&v, "session")?, "session")?,
-                fdr: match v.get("fdr") {
-                    None => DEFAULT_FDR,
-                    Some(f) => num(f, "fdr")?,
-                },
-            }),
-            Some("session.close") => Ok(Request::SessionClose {
-                session: uint(req_field(&v, "session")?, "session")?,
-            }),
-            Some("index.load") => Ok(Request::IndexLoad {
-                name: string(&v, "name")?,
-                path: string(&v, "path")?,
-            }),
-            Some("index.unload") => Ok(Request::IndexUnload {
-                name: string(&v, "name")?,
-            }),
-            Some("server.stats") => Ok(Request::ServerStats),
-            Some("server.metrics") => Ok(Request::ServerMetrics),
-            Some(other) => Err(format!("unknown request type {other:?}")),
-            None => Err("request type must be a string".to_owned()),
-        }
+            Some("session.open") => Request::SessionOpen {
+                index: field(&v, "index")?,
+                window: WINDOW.decode(&v)?,
+                tier: TIER.decode(&v)?,
+                prefilter: PREFILTER.decode(&v)?,
+            },
+            Some("session.submit") => Request::SessionSubmit {
+                session: field(&v, "session")?,
+                spectra: field(&v, "spectra")?,
+            },
+            Some("session.finalize") => Request::SessionFinalize {
+                session: field(&v, "session")?,
+                fdr: FDR.decode(&v)?,
+            },
+            Some("session.close") => Request::SessionClose {
+                session: field(&v, "session")?,
+            },
+            Some("index.load") => Request::IndexLoad {
+                name: field(&v, "name")?,
+                path: field(&v, "path")?,
+            },
+            Some("index.unload") => Request::IndexUnload {
+                name: field(&v, "name")?,
+            },
+            Some("server.stats") => Request::ServerStats,
+            Some("server.metrics") => Request::ServerMetrics,
+            Some(other) => return Err(format!("unknown request type {other:?}")),
+            None => return Err("request type must be a string".to_owned()),
+        })
     }
 }
 
-/// A one-line summary of a resident index (the `indexes` response).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexSummary {
-    /// Name the index was registered under.
-    pub name: String,
-    /// Backend kind ("exact" | "hyperoms" | "rram").
-    pub backend: String,
-    /// Hypervector dimension.
-    pub dim: usize,
-    /// Number of indexed references.
-    pub entries: usize,
-    /// Number of precursor-mass shards.
-    pub shards: usize,
+wire_object! {
+    /// A one-line summary of a resident index (the `indexes` response).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct IndexSummary {
+        /// Name the index was registered under.
+        pub name: String,
+        /// Backend kind ("exact" | "hyperoms" | "rram").
+        pub backend: String,
+        /// Hypervector dimension.
+        pub dim: usize,
+        /// Number of indexed references.
+        pub entries: usize,
+        /// Number of precursor-mass shards.
+        pub shards: usize,
+    }
 }
 
-/// Per-batch serving statistics, reported with every `result` response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchStats {
-    /// Wall-clock time spent answering the batch, milliseconds.
-    pub latency_ms: f64,
-    /// Time the batch waited in the scheduler queue before its worker
-    /// budget was granted, milliseconds (for a session finalize: the
-    /// accumulated wait of every submitted batch).
-    pub wait_ms: f64,
-    /// Batches already waiting in the queue when this one was
-    /// submitted (0 for a finalize, which does not queue).
-    pub queued: usize,
-    /// Worker budget the scheduler granted the batch (0 for a finalize,
-    /// which runs unscheduled).
-    pub workers: usize,
-    /// Queries in the batch.
-    pub queries: usize,
-    /// Queries dropped by preprocessing (too few peaks).
-    pub rejected_queries: usize,
-    /// Best-hit PSMs produced.
-    pub psms: usize,
-    /// PSMs accepted at the requested FDR.
-    pub identifications: usize,
-    /// Score of the weakest accepted PSM (`null` on the wire when no PSM
-    /// was accepted).
-    pub threshold_score: f64,
-    /// Total shard visits across the batch: the sum over queries of the
-    /// shard runs each query's candidate list spans.
-    pub shards_touched: usize,
-    /// Total candidate references scored across the batch.
-    pub candidates_scored: usize,
-    /// Precursor-window candidates generated across the batch, before
-    /// any prefilter narrowing (equals `candidates_scored` when the
-    /// prefilter is off).
-    pub candidates_pre: usize,
-    /// Candidates forwarded to the exact scan after prefilter narrowing
-    /// (always equals `candidates_scored`).
-    pub candidates_post: usize,
-    /// Time spent scoring sketches and narrowing candidate lists,
-    /// milliseconds (0 when the prefilter is off).
-    pub sketch_ms: f64,
-    /// Time spent encoding query spectra into hypervectors,
-    /// milliseconds (for a session finalize: accumulated across every
-    /// submitted batch; likewise for the other stage timings).
-    pub encode_ms: f64,
-    /// Time spent building precursor-window candidate lists,
-    /// milliseconds.
-    pub candidates_ms: f64,
-    /// Time spent scoring candidates against the index shards,
-    /// milliseconds.
-    pub score_ms: f64,
-    /// Time spent in FDR finalization, milliseconds.
-    pub finalize_ms: f64,
-    /// Name of the backend that served the batch.
-    pub backend: String,
+wire_object! {
+    /// Per-batch serving statistics, reported with every `result` response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BatchStats {
+        /// Wall-clock time spent answering the batch, milliseconds.
+        pub latency_ms: f64,
+        /// Time the batch waited in the scheduler queue before its worker
+        /// budget was granted, milliseconds (for a session finalize: the
+        /// accumulated wait of every submitted batch).
+        pub wait_ms: f64,
+        /// Batches already waiting in the queue when this one was
+        /// submitted (0 for a finalize, which does not queue).
+        pub queued: usize,
+        /// Worker budget the scheduler granted the batch (0 for a finalize,
+        /// which runs unscheduled).
+        pub workers: usize,
+        /// Queries in the batch.
+        pub queries: usize,
+        /// Queries dropped by preprocessing (too few peaks).
+        pub rejected_queries: usize,
+        /// Best-hit PSMs produced.
+        pub psms: usize,
+        /// PSMs accepted at the requested FDR.
+        pub identifications: usize,
+        /// Score of the weakest accepted PSM (`null` on the wire when no PSM
+        /// was accepted).
+        pub threshold_score: f64 as null_is_infinity,
+        /// Total shard visits across the batch: the sum over queries of the
+        /// shard runs each query's candidate list spans.
+        pub shards_touched: usize,
+        /// Total candidate references scored across the batch.
+        pub candidates_scored: usize,
+        /// Precursor-window candidates generated across the batch, before
+        /// any prefilter narrowing (equals `candidates_scored` when the
+        /// prefilter is off).
+        pub candidates_pre: usize,
+        /// Candidates forwarded to the exact scan after prefilter narrowing
+        /// (always equals `candidates_scored`).
+        pub candidates_post: usize,
+        /// Time spent scoring sketches and narrowing candidate lists,
+        /// milliseconds (0 when the prefilter is off).
+        pub sketch_ms: f64,
+        /// Time spent encoding query spectra into hypervectors,
+        /// milliseconds (for a session finalize: accumulated across every
+        /// submitted batch; likewise for the other stage timings).
+        pub encode_ms: f64,
+        /// Time spent building precursor-window candidate lists,
+        /// milliseconds.
+        pub candidates_ms: f64,
+        /// Time spent scoring candidates against the index shards,
+        /// milliseconds.
+        pub score_ms: f64,
+        /// Time spent in FDR finalization, milliseconds.
+        pub finalize_ms: f64,
+        /// Name of the backend that served the batch.
+        pub backend: String,
+    }
 }
 
 /// The result of one `query` request.
@@ -581,166 +785,216 @@ pub struct QueryResult {
     pub stats: BatchStats,
 }
 
-/// Per-submit accounting, reported by the `receipt` response: what the
-/// batch itself cost plus the session's running PSM total.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubmitReceipt {
-    /// Session the batch was submitted to.
-    pub session: u64,
-    /// 1-based ordinal of the batch within the session.
-    pub batch: usize,
-    /// Queries in the batch.
-    pub queries: usize,
-    /// Queries dropped by preprocessing (too few peaks).
-    pub rejected_queries: usize,
-    /// Best-hit PSMs the batch produced (unfiltered — FDR runs at
-    /// finalize).
-    pub psms: usize,
-    /// Raw PSMs accumulated across the session so far.
-    pub total_psms: usize,
-    /// Candidate references scored in the batch.
-    pub candidates_scored: usize,
-    /// Precursor-window candidates the batch generated, before any
-    /// prefilter narrowing.
-    pub candidates_pre: usize,
-    /// Candidates forwarded to the exact scan after prefilter narrowing
-    /// (always equals `candidates_scored`).
-    pub candidates_post: usize,
-    /// Time the batch spent in the sketch prefilter, milliseconds.
-    pub sketch_ms: f64,
-    /// Shard visits the batch cost.
-    pub shards_touched: usize,
-    /// Worker budget the scheduler granted the batch.
-    pub workers: usize,
-    /// Wall-clock time spent searching the batch, milliseconds.
-    pub latency_ms: f64,
-    /// Time the batch waited in the scheduler queue, milliseconds.
-    pub wait_ms: f64,
-    /// Time spent encoding query spectra into hypervectors,
-    /// milliseconds.
-    pub encode_ms: f64,
-    /// Time spent building precursor-window candidate lists,
-    /// milliseconds.
-    pub candidates_ms: f64,
-    /// Time spent scoring candidates against the index shards,
-    /// milliseconds (there is no finalize stage at submit time — FDR
-    /// runs once, at `session.finalize`).
-    pub score_ms: f64,
-    /// Per-shard scoring cost of the batch: which shards were visited,
-    /// how often, and the wall-clock scoring time each absorbed.
-    pub shard_timings: Vec<ShardTiming>,
+wire_object! {
+    /// Per-submit accounting, reported by the `receipt` response: what the
+    /// batch itself cost plus the session's running PSM total.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SubmitReceipt {
+        /// Session the batch was submitted to.
+        pub session: u64,
+        /// 1-based ordinal of the batch within the session.
+        pub batch: usize,
+        /// Queries in the batch.
+        pub queries: usize,
+        /// Queries dropped by preprocessing (too few peaks).
+        pub rejected_queries: usize,
+        /// Best-hit PSMs the batch produced (unfiltered — FDR runs at
+        /// finalize).
+        pub psms: usize,
+        /// Raw PSMs accumulated across the session so far.
+        pub total_psms: usize,
+        /// Candidate references scored in the batch.
+        pub candidates_scored: usize,
+        /// Precursor-window candidates the batch generated, before any
+        /// prefilter narrowing.
+        pub candidates_pre: usize,
+        /// Candidates forwarded to the exact scan after prefilter narrowing
+        /// (always equals `candidates_scored`).
+        pub candidates_post: usize,
+        /// Time the batch spent in the sketch prefilter, milliseconds.
+        pub sketch_ms: f64,
+        /// Shard visits the batch cost.
+        pub shards_touched: usize,
+        /// Worker budget the scheduler granted the batch.
+        pub workers: usize,
+        /// Wall-clock time spent searching the batch, milliseconds.
+        pub latency_ms: f64,
+        /// Time the batch waited in the scheduler queue, milliseconds.
+        pub wait_ms: f64,
+        /// Time spent encoding query spectra into hypervectors,
+        /// milliseconds.
+        pub encode_ms: f64,
+        /// Time spent building precursor-window candidate lists,
+        /// milliseconds.
+        pub candidates_ms: f64,
+        /// Time spent scoring candidates against the index shards,
+        /// milliseconds (there is no finalize stage at submit time — FDR
+        /// runs once, at `session.finalize`).
+        pub score_ms: f64,
+        /// Per-shard scoring cost of the batch: which shards were visited,
+        /// how often, and the wall-clock scoring time each absorbed.
+        pub shard_timings: Vec<ShardTiming>,
+    }
 }
 
-/// The scheduler and resident-set counters reported by the
-/// `server.stats` verb: configuration, the queue right now, and
-/// lifetime totals since the server started.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerStats {
-    /// Configured worker-token budget (`hdoms serve --workers`).
-    pub workers: usize,
-    /// Configured queue bound (`--queue-depth`).
-    pub queue_depth: usize,
-    /// Configured soft queue deadline in milliseconds (`--deadline-ms`,
-    /// 0 = none).
-    pub deadline_ms: u64,
-    /// Configured interactive grants per batch grant under contention
-    /// (`--interactive-weight`).
-    pub interactive_weight: usize,
-    /// Configured interactive queue bound (`--interactive-queue-depth`).
-    pub interactive_queue_depth: usize,
-    /// Configured interactive coalescing window in milliseconds
-    /// (`--coalesce-window-ms`, 0 = coalescing off).
-    pub coalesce_window_ms: u64,
-    /// Configured resident-shard memory budget in bytes
-    /// (`--memory-budget`, 0 = unlimited).
-    pub memory_budget: u64,
-    /// Batches waiting in the queue right now.
-    pub queued: usize,
-    /// Batches executing right now.
-    pub in_flight: usize,
-    /// Worker tokens granted right now (≤ `workers`).
-    pub workers_busy: usize,
-    /// Most tokens ever granted at once (≤ `workers` always — the
-    /// bounded-in-flight invariant).
-    pub peak_workers_busy: usize,
-    /// Batches granted a budget so far.
-    pub admitted: u64,
-    /// Admitted batches that finished and returned their budget.
-    pub completed: u64,
-    /// Submissions rejected with the `busy` error.
-    pub rejected_busy: u64,
-    /// Batches shed with the `deadline` error.
-    pub shed_deadline: u64,
-    /// Total queue wait across admitted **and** deadline-shed batches,
-    /// milliseconds (shed batches waited too; excluding them would
-    /// understate tail wait exactly when admission pressure builds).
-    pub total_wait_ms: f64,
-    /// The interactive tier's slice of the scheduler counters (same
-    /// lock acquisition as the aggregates, so sums are never torn).
-    pub interactive: TierStats,
-    /// The batch tier's slice of the scheduler counters.
-    pub batch: TierStats,
-    /// Engine batches executed by the coalescer so far (one per merged
-    /// admission; a lone request inside the window still counts as a
-    /// single-member batch, so shed work never inflates the ratio).
-    pub coalesced_batches: u64,
-    /// Interactive requests answered out of coalesced batches so far
-    /// (`coalesced_requests / coalesced_batches` is the merge ratio).
-    pub coalesced_requests: u64,
-    /// Lifetime precursor-window candidates that entered the sketch
-    /// prefilter (0 until a prefiltered batch runs — the
-    /// `hdoms_prefilter_candidates_pre_total` counter).
-    pub prefilter_candidates_pre: u64,
-    /// Lifetime candidates the prefilter forwarded to the exact scan
-    /// (the `hdoms_prefilter_candidates_post_total` counter).
-    pub prefilter_candidates_post: u64,
-    /// Lifetime wall-clock spent in the sketch prefilter, milliseconds
-    /// (the `hdoms_prefilter_sketch_ms` histogram's sum).
-    pub prefilter_sketch_ms: f64,
-    /// Bytes of shard hypervector words resident right now, across
-    /// every mapped index (what `--memory-budget` bounds).
-    pub resident_bytes: u64,
-    /// Mapped shards resident right now.
-    pub resident_shards: usize,
-    /// Cold shards evicted (pages released to the OS) so far.
-    pub evictions: u64,
-    /// Evicted shards reloaded on demand by a later search so far.
-    pub reloads: u64,
-    /// Open streaming sessions.
-    pub open_sessions: usize,
-    /// Resident indexes.
-    pub resident_indexes: usize,
+wire_object! {
+    /// The scheduler and resident-set counters reported by the
+    /// `server.stats` verb: configuration, the queue right now, and
+    /// lifetime totals since the server started.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ServerStats {
+        /// Configured worker-token budget (`hdoms serve --workers`).
+        pub workers: usize,
+        /// Configured queue bound (`--queue-depth`).
+        pub queue_depth: usize,
+        /// Configured soft queue deadline in milliseconds (`--deadline-ms`,
+        /// 0 = none).
+        pub deadline_ms: u64,
+        /// Configured interactive grants per batch grant under contention
+        /// (`--interactive-weight`).
+        pub interactive_weight: usize,
+        /// Configured interactive queue bound (`--interactive-queue-depth`).
+        pub interactive_queue_depth: usize,
+        /// Configured interactive coalescing window in milliseconds
+        /// (`--coalesce-window-ms`, 0 = coalescing off).
+        pub coalesce_window_ms: u64,
+        /// Configured resident-shard memory budget in bytes
+        /// (`--memory-budget`, 0 = unlimited).
+        pub memory_budget: u64,
+        /// Batches waiting in the queue right now.
+        pub queued: usize,
+        /// Batches executing right now.
+        pub in_flight: usize,
+        /// Worker tokens granted right now (≤ `workers`).
+        pub workers_busy: usize,
+        /// Most tokens ever granted at once (≤ `workers` always — the
+        /// bounded-in-flight invariant).
+        pub peak_workers_busy: usize,
+        /// Batches granted a budget so far.
+        pub admitted: u64,
+        /// Admitted batches that finished and returned their budget.
+        pub completed: u64,
+        /// Submissions rejected with the `busy` error.
+        pub rejected_busy: u64,
+        /// Batches shed with the `deadline` error.
+        pub shed_deadline: u64,
+        /// Total queue wait across admitted **and** deadline-shed batches,
+        /// milliseconds (shed batches waited too; excluding them would
+        /// understate tail wait exactly when admission pressure builds).
+        pub total_wait_ms: f64,
+        /// The interactive tier's slice of the scheduler counters (same
+        /// lock acquisition as the aggregates, so sums are never torn).
+        pub interactive: TierStats,
+        /// The batch tier's slice of the scheduler counters.
+        pub batch: TierStats,
+        /// Engine batches executed by the coalescer so far (one per merged
+        /// admission; a lone request inside the window still counts as a
+        /// single-member batch, so shed work never inflates the ratio).
+        pub coalesced_batches: u64,
+        /// Interactive requests answered out of coalesced batches so far
+        /// (`coalesced_requests / coalesced_batches` is the merge ratio).
+        pub coalesced_requests: u64,
+        /// Lifetime precursor-window candidates that entered the sketch
+        /// prefilter (0 until a prefiltered batch runs — the
+        /// `hdoms_prefilter_candidates_pre_total` counter).
+        pub prefilter_candidates_pre: u64,
+        /// Lifetime candidates the prefilter forwarded to the exact scan
+        /// (the `hdoms_prefilter_candidates_post_total` counter).
+        pub prefilter_candidates_post: u64,
+        /// Lifetime wall-clock spent in the sketch prefilter, milliseconds
+        /// (the `hdoms_prefilter_sketch_ms` histogram's sum).
+        pub prefilter_sketch_ms: f64,
+        /// Bytes of shard hypervector words resident right now, across
+        /// every mapped index (what `--memory-budget` bounds).
+        pub resident_bytes: u64,
+        /// Mapped shards resident right now.
+        pub resident_shards: usize,
+        /// Cold shards evicted (pages released to the OS) so far.
+        pub evictions: u64,
+        /// Evicted shards reloaded on demand by a later search so far.
+        pub reloads: u64,
+        /// Open streaming sessions.
+        pub open_sessions: usize,
+        /// Resident indexes.
+        pub resident_indexes: usize,
+    }
 }
 
-/// A five-number summary of one latency histogram, reported by the
-/// `server.metrics` verb. Quantiles are bucket upper bounds from the
-/// registry's log₂ histogram — conservative (never understated), with
-/// resolution of one bucket.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSummary {
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of all recorded samples, milliseconds.
-    pub sum_ms: f64,
-    /// Median latency, milliseconds.
-    pub p50_ms: f64,
-    /// 90th-percentile latency, milliseconds.
-    pub p90_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    pub p99_ms: f64,
+wire_object! {
+    /// A five-number summary of one latency histogram, reported by the
+    /// `server.metrics` verb. Quantiles are bucket upper bounds from the
+    /// registry's log₂ histogram — conservative (never understated), with
+    /// resolution of one bucket.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct HistogramSummary {
+        /// Samples recorded.
+        pub count: u64,
+        /// Sum of all recorded samples, milliseconds.
+        pub sum_ms: f64,
+        /// Median latency, milliseconds.
+        pub p50_ms: f64,
+        /// 90th-percentile latency, milliseconds.
+        pub p90_ms: f64,
+        /// 99th-percentile latency, milliseconds.
+        pub p99_ms: f64,
+    }
 }
 
-/// A point-in-time dump of the server's metrics registry (the
-/// `server.metrics` verb). Series are sorted by name; the same names
-/// appear in the Prometheus text exposition (`hdoms serve --metrics`).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MetricsReport {
-    /// Monotone counters, by name.
-    pub counters: Vec<(String, u64)>,
-    /// Point-in-time gauges, by name.
-    pub gauges: Vec<(String, i64)>,
-    /// Latency histograms, by name.
-    pub histograms: Vec<(String, HistogramSummary)>,
+wire_object! {
+    /// A point-in-time dump of the server's metrics registry (the
+    /// `server.metrics` verb). Series are sorted by name; the same names
+    /// appear in the Prometheus text exposition (`hdoms serve --metrics`).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct MetricsReport {
+        /// Monotone counters, by name.
+        pub counters: Vec<(String, u64)>,
+        /// Point-in-time gauges, by name.
+        pub gauges: Vec<(String, i64)>,
+        /// Latency histograms, by name.
+        pub histograms: Vec<(String, HistogramSummary)>,
+    }
+}
+
+// The wire objects whose structs other modules own.
+wire_object! {
+    impl TierStats {
+        queued: usize,
+        in_flight: usize,
+        admitted: u64,
+        completed: u64,
+        rejected_busy: u64,
+        shed_deadline: u64,
+        total_wait_ms: f64,
+    }
+}
+wire_object! {
+    impl ShardTiming {
+        shard: u32,
+        visits: u64,
+        ms: f64,
+    }
+}
+// One PSM row is flat on the wire; the struct nests the match.
+wire_object! {
+    impl PsmTableRow as row {
+        query_id: u32 = row.psm.query_id,
+        reference_id: u32 = row.psm.reference_id,
+        peptide: String = row.peptide,
+        score: f64 = row.psm.score,
+        is_decoy: bool = row.psm.is_decoy,
+        precursor_delta: f64 = row.psm.precursor_delta,
+        accepted: bool = row.accepted,
+    } => PsmTableRow {
+        psm: Psm {
+            query_id,
+            reference_id,
+            score,
+            is_decoy,
+            precursor_delta,
+        },
+        peptide,
+        accepted,
+    }
 }
 
 /// A server response.
@@ -793,191 +1047,37 @@ pub enum Response {
 
 impl Response {
     /// A [`Response::Error`] with the default [`ErrorCode::General`]
-    /// classification (the pre-scheduler error shape).
+    /// classification.
     pub fn error(message: impl Into<String>) -> Response {
         Response::Error {
             code: ErrorCode::General,
             message: message.into(),
         }
     }
+
     /// Encode as one canonical JSON line (no trailing newline).
     pub fn encode(&self) -> String {
-        let v = match self {
-            Response::Pong { protocol } => Json::Obj(vec![
-                ("type".into(), Json::str("pong")),
-                ("protocol".into(), Json::Num(f64::from(*protocol))),
-            ]),
-            Response::Error { code, message } => {
-                let mut fields = vec![("type".into(), Json::str("error"))];
-                if let Some(name) = code.name() {
-                    fields.push(("code".into(), Json::str(name)));
-                }
-                fields.push(("message".into(), Json::str(message.clone())));
-                Json::Obj(fields)
-            }
-            Response::Indexes(indexes) => Json::Obj(vec![
-                ("type".into(), Json::str("indexes")),
-                (
-                    "indexes".into(),
-                    Json::Arr(indexes.iter().map(summary_to_json).collect()),
-                ),
-            ]),
-            Response::Result(r) => Json::Obj(vec![
-                ("type".into(), Json::str("result")),
-                ("index".into(), Json::str(r.index.clone())),
-                (
-                    "psms".into(),
-                    Json::Arr(r.rows.iter().map(row_to_json).collect()),
-                ),
-                ("stats".into(), stats_to_json(&r.stats)),
-            ]),
-            Response::SessionOpened { session, index } => Json::Obj(vec![
-                ("type".into(), Json::str("session")),
-                ("session".into(), Json::Num(*session as f64)),
-                ("index".into(), Json::str(index.clone())),
-            ]),
-            Response::Receipt(r) => Json::Obj(vec![
-                ("type".into(), Json::str("receipt")),
-                ("session".into(), Json::Num(r.session as f64)),
-                ("batch".into(), Json::Num(r.batch as f64)),
-                ("queries".into(), Json::Num(r.queries as f64)),
-                (
-                    "rejected_queries".into(),
-                    Json::Num(r.rejected_queries as f64),
-                ),
-                ("psms".into(), Json::Num(r.psms as f64)),
-                ("total_psms".into(), Json::Num(r.total_psms as f64)),
-                (
-                    "candidates_scored".into(),
-                    Json::Num(r.candidates_scored as f64),
-                ),
-                ("candidates_pre".into(), Json::Num(r.candidates_pre as f64)),
-                (
-                    "candidates_post".into(),
-                    Json::Num(r.candidates_post as f64),
-                ),
-                ("sketch_ms".into(), Json::Num(r.sketch_ms)),
-                ("shards_touched".into(), Json::Num(r.shards_touched as f64)),
-                ("workers".into(), Json::Num(r.workers as f64)),
-                ("latency_ms".into(), Json::Num(r.latency_ms)),
-                ("wait_ms".into(), Json::Num(r.wait_ms)),
-                ("encode_ms".into(), Json::Num(r.encode_ms)),
-                ("candidates_ms".into(), Json::Num(r.candidates_ms)),
-                ("score_ms".into(), Json::Num(r.score_ms)),
-                (
-                    "shard_timings".into(),
-                    Json::Arr(r.shard_timings.iter().map(shard_timing_to_json).collect()),
-                ),
-            ]),
-            Response::SessionClosed { session } => Json::Obj(vec![
-                ("type".into(), Json::str("closed")),
-                ("session".into(), Json::Num(*session as f64)),
-            ]),
-            Response::Loaded(summary) => Json::Obj(vec![
-                ("type".into(), Json::str("loaded")),
-                ("index".into(), summary_to_json(summary)),
-            ]),
-            Response::Unloaded { name } => Json::Obj(vec![
-                ("type".into(), Json::str("unloaded")),
-                ("name".into(), Json::str(name.clone())),
-            ]),
-            Response::Stats(s) => Json::Obj(vec![
-                ("type".into(), Json::str("stats")),
-                ("workers".into(), Json::Num(s.workers as f64)),
-                ("queue_depth".into(), Json::Num(s.queue_depth as f64)),
-                ("deadline_ms".into(), Json::Num(s.deadline_ms as f64)),
-                (
-                    "interactive_weight".into(),
-                    Json::Num(s.interactive_weight as f64),
-                ),
-                (
-                    "interactive_queue_depth".into(),
-                    Json::Num(s.interactive_queue_depth as f64),
-                ),
-                (
-                    "coalesce_window_ms".into(),
-                    Json::Num(s.coalesce_window_ms as f64),
-                ),
-                ("memory_budget".into(), Json::Num(s.memory_budget as f64)),
-                ("queued".into(), Json::Num(s.queued as f64)),
-                ("in_flight".into(), Json::Num(s.in_flight as f64)),
-                ("workers_busy".into(), Json::Num(s.workers_busy as f64)),
-                (
-                    "peak_workers_busy".into(),
-                    Json::Num(s.peak_workers_busy as f64),
-                ),
-                ("admitted".into(), Json::Num(s.admitted as f64)),
-                ("completed".into(), Json::Num(s.completed as f64)),
-                ("rejected_busy".into(), Json::Num(s.rejected_busy as f64)),
-                ("shed_deadline".into(), Json::Num(s.shed_deadline as f64)),
-                ("total_wait_ms".into(), Json::Num(s.total_wait_ms)),
-                ("interactive".into(), tier_stats_to_json(&s.interactive)),
-                ("batch".into(), tier_stats_to_json(&s.batch)),
-                (
-                    "coalesced_batches".into(),
-                    Json::Num(s.coalesced_batches as f64),
-                ),
-                (
-                    "coalesced_requests".into(),
-                    Json::Num(s.coalesced_requests as f64),
-                ),
-                (
-                    "prefilter_candidates_pre".into(),
-                    Json::Num(s.prefilter_candidates_pre as f64),
-                ),
-                (
-                    "prefilter_candidates_post".into(),
-                    Json::Num(s.prefilter_candidates_post as f64),
-                ),
-                (
-                    "prefilter_sketch_ms".into(),
-                    Json::Num(s.prefilter_sketch_ms),
-                ),
-                ("resident_bytes".into(), Json::Num(s.resident_bytes as f64)),
-                (
-                    "resident_shards".into(),
-                    Json::Num(s.resident_shards as f64),
-                ),
-                ("evictions".into(), Json::Num(s.evictions as f64)),
-                ("reloads".into(), Json::Num(s.reloads as f64)),
-                ("open_sessions".into(), Json::Num(s.open_sessions as f64)),
-                (
-                    "resident_indexes".into(),
-                    Json::Num(s.resident_indexes as f64),
-                ),
-            ]),
-            Response::Metrics(m) => Json::Obj(vec![
-                ("type".into(), Json::str("metrics")),
-                (
-                    "counters".into(),
-                    Json::Obj(
-                        m.counters
-                            .iter()
-                            .map(|(name, value)| (name.clone(), Json::Num(*value as f64)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "gauges".into(),
-                    Json::Obj(
-                        m.gauges
-                            .iter()
-                            .map(|(name, value)| (name.clone(), Json::Num(*value as f64)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "histograms".into(),
-                    Json::Obj(
-                        m.histograms
-                            .iter()
-                            .map(|(name, h)| (name.clone(), histogram_to_json(h)))
-                            .collect(),
-                    ),
-                ),
-            ]),
+        let message = match self {
+            Response::Pong { protocol } => Message::new("pong").with("protocol", protocol),
+            Response::Error { code, message } => Message::new("error")
+                .with_optional(&CODE, code)
+                .with("message", message),
+            Response::Indexes(indexes) => Message::new("indexes").with("indexes", indexes),
+            Response::Result(r) => Message::new("result")
+                .with("index", &r.index)
+                .with("psms", &r.rows)
+                .with("stats", &r.stats),
+            Response::SessionOpened { session, index } => Message::new("session")
+                .with("session", session)
+                .with("index", index),
+            Response::Receipt(receipt) => Message::new("receipt").flatten(receipt),
+            Response::SessionClosed { session } => Message::new("closed").with("session", session),
+            Response::Loaded(summary) => Message::new("loaded").with("index", summary),
+            Response::Unloaded { name } => Message::new("unloaded").with("name", name),
+            Response::Stats(stats) => Message::new("stats").flatten(stats),
+            Response::Metrics(report) => Message::new("metrics").flatten(report),
         };
-        v.encode()
+        message.encode()
     }
 
     /// Decode one response line.
@@ -988,404 +1088,38 @@ impl Response {
     /// problem.
     pub fn decode(line: &str) -> Result<Response, String> {
         let v = Json::parse(line).map_err(|e| e.to_string())?;
-        match req_field(&v, "type")?.as_str() {
-            Some("pong") => Ok(Response::Pong {
-                protocol: uint_in(req_field(&v, "protocol")?, "protocol", u64::from(u32::MAX))?
-                    as u32,
+        Ok(match required(&v, "type")?.as_str() {
+            Some("pong") => Response::Pong {
+                protocol: field(&v, "protocol")?,
+            },
+            Some("error") => Response::Error {
+                code: CODE.decode(&v)?,
+                message: field(&v, "message")?,
+            },
+            Some("indexes") => Response::Indexes(field(&v, "indexes")?),
+            Some("result") => Response::Result(QueryResult {
+                index: field(&v, "index")?,
+                rows: field(&v, "psms")?,
+                stats: field(&v, "stats")?,
             }),
-            Some("error") => Ok(Response::Error {
-                code: match v.get("code") {
-                    None => ErrorCode::General,
-                    Some(c) => ErrorCode::parse(c.as_str().ok_or("code must be a string")?)?,
-                },
-                message: req_field(&v, "message")?
-                    .as_str()
-                    .ok_or("message must be a string")?
-                    .to_owned(),
-            }),
-            Some("indexes") => {
-                let indexes = req_field(&v, "indexes")?
-                    .as_arr()
-                    .ok_or("indexes must be an array")?
-                    .iter()
-                    .map(summary_from_json)
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(Response::Indexes(indexes))
-            }
-            Some("result") => {
-                let rows = req_field(&v, "psms")?
-                    .as_arr()
-                    .ok_or("psms must be an array")?
-                    .iter()
-                    .map(row_from_json)
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(Response::Result(QueryResult {
-                    index: string(&v, "index")?,
-                    rows,
-                    stats: stats_from_json(req_field(&v, "stats")?)?,
-                }))
-            }
-            Some("session") => Ok(Response::SessionOpened {
-                session: uint(req_field(&v, "session")?, "session")?,
-                index: string(&v, "index")?,
-            }),
-            Some("receipt") => Ok(Response::Receipt(SubmitReceipt {
-                session: uint(req_field(&v, "session")?, "session")?,
-                batch: uint(req_field(&v, "batch")?, "batch")? as usize,
-                queries: uint(req_field(&v, "queries")?, "queries")? as usize,
-                rejected_queries: uint(req_field(&v, "rejected_queries")?, "rejected_queries")?
-                    as usize,
-                psms: uint(req_field(&v, "psms")?, "psms")? as usize,
-                total_psms: uint(req_field(&v, "total_psms")?, "total_psms")? as usize,
-                candidates_scored: uint(req_field(&v, "candidates_scored")?, "candidates_scored")?
-                    as usize,
-                candidates_pre: uint(req_field(&v, "candidates_pre")?, "candidates_pre")? as usize,
-                candidates_post: uint(req_field(&v, "candidates_post")?, "candidates_post")?
-                    as usize,
-                sketch_ms: num(req_field(&v, "sketch_ms")?, "sketch_ms")?,
-                shards_touched: uint(req_field(&v, "shards_touched")?, "shards_touched")? as usize,
-                workers: uint(req_field(&v, "workers")?, "workers")? as usize,
-                latency_ms: num(req_field(&v, "latency_ms")?, "latency_ms")?,
-                wait_ms: num(req_field(&v, "wait_ms")?, "wait_ms")?,
-                encode_ms: num(req_field(&v, "encode_ms")?, "encode_ms")?,
-                candidates_ms: num(req_field(&v, "candidates_ms")?, "candidates_ms")?,
-                score_ms: num(req_field(&v, "score_ms")?, "score_ms")?,
-                shard_timings: req_field(&v, "shard_timings")?
-                    .as_arr()
-                    .ok_or("shard_timings must be an array")?
-                    .iter()
-                    .map(shard_timing_from_json)
-                    .collect::<Result<Vec<_>, String>>()?,
-            })),
-            Some("closed") => Ok(Response::SessionClosed {
-                session: uint(req_field(&v, "session")?, "session")?,
-            }),
-            Some("loaded") => Ok(Response::Loaded(summary_from_json(req_field(
-                &v, "index",
-            )?)?)),
-            Some("unloaded") => Ok(Response::Unloaded {
-                name: string(&v, "name")?,
-            }),
-            Some("stats") => Ok(Response::Stats(ServerStats {
-                workers: uint(req_field(&v, "workers")?, "workers")? as usize,
-                queue_depth: uint(req_field(&v, "queue_depth")?, "queue_depth")? as usize,
-                deadline_ms: uint(req_field(&v, "deadline_ms")?, "deadline_ms")?,
-                interactive_weight: uint(
-                    req_field(&v, "interactive_weight")?,
-                    "interactive_weight",
-                )? as usize,
-                interactive_queue_depth: uint(
-                    req_field(&v, "interactive_queue_depth")?,
-                    "interactive_queue_depth",
-                )? as usize,
-                coalesce_window_ms: uint(
-                    req_field(&v, "coalesce_window_ms")?,
-                    "coalesce_window_ms",
-                )?,
-                memory_budget: uint(req_field(&v, "memory_budget")?, "memory_budget")?,
-                queued: uint(req_field(&v, "queued")?, "queued")? as usize,
-                in_flight: uint(req_field(&v, "in_flight")?, "in_flight")? as usize,
-                workers_busy: uint(req_field(&v, "workers_busy")?, "workers_busy")? as usize,
-                peak_workers_busy: uint(req_field(&v, "peak_workers_busy")?, "peak_workers_busy")?
-                    as usize,
-                admitted: uint(req_field(&v, "admitted")?, "admitted")?,
-                completed: uint(req_field(&v, "completed")?, "completed")?,
-                rejected_busy: uint(req_field(&v, "rejected_busy")?, "rejected_busy")?,
-                shed_deadline: uint(req_field(&v, "shed_deadline")?, "shed_deadline")?,
-                total_wait_ms: num(req_field(&v, "total_wait_ms")?, "total_wait_ms")?,
-                interactive: tier_stats_from_json(req_field(&v, "interactive")?)?,
-                batch: tier_stats_from_json(req_field(&v, "batch")?)?,
-                coalesced_batches: uint(req_field(&v, "coalesced_batches")?, "coalesced_batches")?,
-                coalesced_requests: uint(
-                    req_field(&v, "coalesced_requests")?,
-                    "coalesced_requests",
-                )?,
-                prefilter_candidates_pre: uint(
-                    req_field(&v, "prefilter_candidates_pre")?,
-                    "prefilter_candidates_pre",
-                )?,
-                prefilter_candidates_post: uint(
-                    req_field(&v, "prefilter_candidates_post")?,
-                    "prefilter_candidates_post",
-                )?,
-                prefilter_sketch_ms: num(
-                    req_field(&v, "prefilter_sketch_ms")?,
-                    "prefilter_sketch_ms",
-                )?,
-                resident_bytes: uint(req_field(&v, "resident_bytes")?, "resident_bytes")?,
-                resident_shards: uint(req_field(&v, "resident_shards")?, "resident_shards")?
-                    as usize,
-                evictions: uint(req_field(&v, "evictions")?, "evictions")?,
-                reloads: uint(req_field(&v, "reloads")?, "reloads")?,
-                open_sessions: uint(req_field(&v, "open_sessions")?, "open_sessions")? as usize,
-                resident_indexes: uint(req_field(&v, "resident_indexes")?, "resident_indexes")?
-                    as usize,
-            })),
-            Some("metrics") => Ok(Response::Metrics(MetricsReport {
-                counters: obj_entries(req_field(&v, "counters")?, "counters")?
-                    .iter()
-                    .map(|(name, value)| Ok((name.clone(), uint(value, "counter value")?)))
-                    .collect::<Result<Vec<_>, String>>()?,
-                gauges: obj_entries(req_field(&v, "gauges")?, "gauges")?
-                    .iter()
-                    .map(|(name, value)| Ok((name.clone(), int(value, "gauge value")?)))
-                    .collect::<Result<Vec<_>, String>>()?,
-                histograms: obj_entries(req_field(&v, "histograms")?, "histograms")?
-                    .iter()
-                    .map(|(name, value)| Ok((name.clone(), histogram_from_json(value)?)))
-                    .collect::<Result<Vec<_>, String>>()?,
-            })),
-            Some(other) => Err(format!("unknown response type {other:?}")),
-            None => Err("response type must be a string".to_owned()),
-        }
+            Some("session") => Response::SessionOpened {
+                session: field(&v, "session")?,
+                index: field(&v, "index")?,
+            },
+            Some("receipt") => Response::Receipt(Wire::from_json(&v, "receipt")?),
+            Some("closed") => Response::SessionClosed {
+                session: field(&v, "session")?,
+            },
+            Some("loaded") => Response::Loaded(field(&v, "index")?),
+            Some("unloaded") => Response::Unloaded {
+                name: field(&v, "name")?,
+            },
+            Some("stats") => Response::Stats(Wire::from_json(&v, "stats")?),
+            Some("metrics") => Response::Metrics(Wire::from_json(&v, "metrics")?),
+            Some(other) => return Err(format!("unknown response type {other:?}")),
+            None => return Err("response type must be a string".to_owned()),
+        })
     }
-}
-
-fn summary_to_json(s: &IndexSummary) -> Json {
-    Json::Obj(vec![
-        ("name".into(), Json::str(s.name.clone())),
-        ("backend".into(), Json::str(s.backend.clone())),
-        ("dim".into(), Json::Num(s.dim as f64)),
-        ("entries".into(), Json::Num(s.entries as f64)),
-        ("shards".into(), Json::Num(s.shards as f64)),
-    ])
-}
-
-fn summary_from_json(v: &Json) -> Result<IndexSummary, String> {
-    Ok(IndexSummary {
-        name: string(v, "name")?,
-        backend: string(v, "backend")?,
-        dim: uint(req_field(v, "dim")?, "dim")? as usize,
-        entries: uint(req_field(v, "entries")?, "entries")? as usize,
-        shards: uint(req_field(v, "shards")?, "shards")? as usize,
-    })
-}
-
-fn row_to_json(row: &PsmTableRow) -> Json {
-    Json::Obj(vec![
-        ("query_id".into(), Json::Num(f64::from(row.psm.query_id))),
-        (
-            "reference_id".into(),
-            Json::Num(f64::from(row.psm.reference_id)),
-        ),
-        ("peptide".into(), Json::str(row.peptide.clone())),
-        ("score".into(), Json::Num(row.psm.score)),
-        ("is_decoy".into(), Json::Bool(row.psm.is_decoy)),
-        ("precursor_delta".into(), Json::Num(row.psm.precursor_delta)),
-        ("accepted".into(), Json::Bool(row.accepted)),
-    ])
-}
-
-fn row_from_json(v: &Json) -> Result<PsmTableRow, String> {
-    Ok(PsmTableRow {
-        psm: Psm {
-            query_id: u32_field(v, "query_id")?,
-            reference_id: u32_field(v, "reference_id")?,
-            score: num(req_field(v, "score")?, "score")?,
-            is_decoy: req_field(v, "is_decoy")?
-                .as_bool()
-                .ok_or("is_decoy must be a boolean")?,
-            precursor_delta: num(req_field(v, "precursor_delta")?, "precursor_delta")?,
-        },
-        peptide: string(v, "peptide")?,
-        accepted: req_field(v, "accepted")?
-            .as_bool()
-            .ok_or("accepted must be a boolean")?,
-    })
-}
-
-fn stats_to_json(s: &BatchStats) -> Json {
-    Json::Obj(vec![
-        ("latency_ms".into(), Json::Num(s.latency_ms)),
-        ("wait_ms".into(), Json::Num(s.wait_ms)),
-        ("queued".into(), Json::Num(s.queued as f64)),
-        ("workers".into(), Json::Num(s.workers as f64)),
-        ("queries".into(), Json::Num(s.queries as f64)),
-        (
-            "rejected_queries".into(),
-            Json::Num(s.rejected_queries as f64),
-        ),
-        ("psms".into(), Json::Num(s.psms as f64)),
-        (
-            "identifications".into(),
-            Json::Num(s.identifications as f64),
-        ),
-        ("threshold_score".into(), Json::Num(s.threshold_score)),
-        ("shards_touched".into(), Json::Num(s.shards_touched as f64)),
-        (
-            "candidates_scored".into(),
-            Json::Num(s.candidates_scored as f64),
-        ),
-        ("candidates_pre".into(), Json::Num(s.candidates_pre as f64)),
-        (
-            "candidates_post".into(),
-            Json::Num(s.candidates_post as f64),
-        ),
-        ("sketch_ms".into(), Json::Num(s.sketch_ms)),
-        ("encode_ms".into(), Json::Num(s.encode_ms)),
-        ("candidates_ms".into(), Json::Num(s.candidates_ms)),
-        ("score_ms".into(), Json::Num(s.score_ms)),
-        ("finalize_ms".into(), Json::Num(s.finalize_ms)),
-        ("backend".into(), Json::str(s.backend.clone())),
-    ])
-}
-
-fn stats_from_json(v: &Json) -> Result<BatchStats, String> {
-    Ok(BatchStats {
-        latency_ms: num(req_field(v, "latency_ms")?, "latency_ms")?,
-        wait_ms: num(req_field(v, "wait_ms")?, "wait_ms")?,
-        queued: uint(req_field(v, "queued")?, "queued")? as usize,
-        workers: uint(req_field(v, "workers")?, "workers")? as usize,
-        queries: uint(req_field(v, "queries")?, "queries")? as usize,
-        rejected_queries: uint(req_field(v, "rejected_queries")?, "rejected_queries")? as usize,
-        psms: uint(req_field(v, "psms")?, "psms")? as usize,
-        identifications: uint(req_field(v, "identifications")?, "identifications")? as usize,
-        threshold_score: threshold_from_json(req_field(v, "threshold_score")?)?,
-        shards_touched: uint(req_field(v, "shards_touched")?, "shards_touched")? as usize,
-        candidates_scored: uint(req_field(v, "candidates_scored")?, "candidates_scored")? as usize,
-        candidates_pre: uint(req_field(v, "candidates_pre")?, "candidates_pre")? as usize,
-        candidates_post: uint(req_field(v, "candidates_post")?, "candidates_post")? as usize,
-        sketch_ms: num(req_field(v, "sketch_ms")?, "sketch_ms")?,
-        encode_ms: num(req_field(v, "encode_ms")?, "encode_ms")?,
-        candidates_ms: num(req_field(v, "candidates_ms")?, "candidates_ms")?,
-        score_ms: num(req_field(v, "score_ms")?, "score_ms")?,
-        finalize_ms: num(req_field(v, "finalize_ms")?, "finalize_ms")?,
-        backend: string(v, "backend")?,
-    })
-}
-
-fn shard_timing_to_json(t: &ShardTiming) -> Json {
-    Json::Obj(vec![
-        ("shard".into(), Json::Num(f64::from(t.shard))),
-        ("visits".into(), Json::Num(t.visits as f64)),
-        ("ms".into(), Json::Num(t.ms)),
-    ])
-}
-
-fn shard_timing_from_json(v: &Json) -> Result<ShardTiming, String> {
-    Ok(ShardTiming {
-        shard: u32_field(v, "shard")?,
-        visits: uint(req_field(v, "visits")?, "visits")?,
-        ms: num(req_field(v, "ms")?, "ms")?,
-    })
-}
-
-/// The optional `tier` field of a request (defaults to [`Tier::Batch`]
-/// when omitted — pre-v5 clients never send it).
-fn tier_field(v: &Json) -> Result<Tier, String> {
-    match v.get("tier") {
-        None => Ok(Tier::default()),
-        Some(t) => Tier::parse(t.as_str().ok_or("tier must be a string")?),
-    }
-}
-
-fn tier_stats_to_json(t: &TierStats) -> Json {
-    Json::Obj(vec![
-        ("queued".into(), Json::Num(t.queued as f64)),
-        ("in_flight".into(), Json::Num(t.in_flight as f64)),
-        ("admitted".into(), Json::Num(t.admitted as f64)),
-        ("completed".into(), Json::Num(t.completed as f64)),
-        ("rejected_busy".into(), Json::Num(t.rejected_busy as f64)),
-        ("shed_deadline".into(), Json::Num(t.shed_deadline as f64)),
-        ("total_wait_ms".into(), Json::Num(t.total_wait_ms)),
-    ])
-}
-
-fn tier_stats_from_json(v: &Json) -> Result<TierStats, String> {
-    Ok(TierStats {
-        queued: uint(req_field(v, "queued")?, "queued")? as usize,
-        in_flight: uint(req_field(v, "in_flight")?, "in_flight")? as usize,
-        admitted: uint(req_field(v, "admitted")?, "admitted")?,
-        completed: uint(req_field(v, "completed")?, "completed")?,
-        rejected_busy: uint(req_field(v, "rejected_busy")?, "rejected_busy")?,
-        shed_deadline: uint(req_field(v, "shed_deadline")?, "shed_deadline")?,
-        total_wait_ms: num(req_field(v, "total_wait_ms")?, "total_wait_ms")?,
-    })
-}
-
-fn histogram_to_json(h: &HistogramSummary) -> Json {
-    Json::Obj(vec![
-        ("count".into(), Json::Num(h.count as f64)),
-        ("sum_ms".into(), Json::Num(h.sum_ms)),
-        ("p50_ms".into(), Json::Num(h.p50_ms)),
-        ("p90_ms".into(), Json::Num(h.p90_ms)),
-        ("p99_ms".into(), Json::Num(h.p99_ms)),
-    ])
-}
-
-fn histogram_from_json(v: &Json) -> Result<HistogramSummary, String> {
-    Ok(HistogramSummary {
-        count: uint(req_field(v, "count")?, "count")?,
-        sum_ms: num(req_field(v, "sum_ms")?, "sum_ms")?,
-        p50_ms: num(req_field(v, "p50_ms")?, "p50_ms")?,
-        p90_ms: num(req_field(v, "p90_ms")?, "p90_ms")?,
-        p99_ms: num(req_field(v, "p99_ms")?, "p99_ms")?,
-    })
-}
-
-/// The entries of a JSON object in wire order (metrics maps round-trip
-/// verbatim because [`Json::Obj`] preserves insertion order).
-fn obj_entries<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
-    match v {
-        Json::Obj(pairs) => Ok(pairs),
-        _ => Err(format!("{what} must be an object")),
-    }
-}
-
-/// A signed integer (gauges may go negative); non-integral numbers are
-/// rejected.
-fn int(v: &Json, what: &str) -> Result<i64, String> {
-    let x = num(v, what)?;
-    if x.fract() != 0.0 || x < i64::MIN as f64 || x > i64::MAX as f64 {
-        return Err(format!("{what} must be an integer"));
-    }
-    Ok(x as i64)
-}
-
-fn req_field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn num(v: &Json, what: &str) -> Result<f64, String> {
-    v.as_f64().ok_or_else(|| format!("{what} must be a number"))
-}
-
-/// The acceptance threshold is `+∞` when a batch accepted nothing
-/// ([`hdoms_oms::fdr::filter_fdr`]); JSON cannot express that, so the
-/// wire uses `null` and the decoder restores `+∞`.
-fn threshold_from_json(v: &Json) -> Result<f64, String> {
-    match v {
-        Json::Null => Ok(f64::INFINITY),
-        _ => num(v, "threshold_score"),
-    }
-}
-
-fn uint(v: &Json, what: &str) -> Result<u64, String> {
-    v.as_u64()
-        .ok_or_else(|| format!("{what} must be a non-negative integer"))
-}
-
-/// Like [`uint`] with an inclusive upper bound — values beyond the target
-/// type are **rejected**, never wrapped (a charge of 257 must error, not
-/// silently search as charge 1).
-fn uint_in(v: &Json, what: &str, max: u64) -> Result<u64, String> {
-    let n = uint(v, what)?;
-    if n > max {
-        return Err(format!("{what} {n} out of range (max {max})"));
-    }
-    Ok(n)
-}
-
-/// A required `u32` object field, range-checked.
-fn u32_field(v: &Json, key: &'static str) -> Result<u32, String> {
-    Ok(uint_in(req_field(v, key)?, key, u64::from(u32::MAX))? as u32)
-}
-
-fn string(v: &Json, key: &str) -> Result<String, String> {
-    req_field(v, key)?
-        .as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| format!("{key} must be a string"))
 }
 
 #[cfg(test)]

@@ -66,6 +66,12 @@ impl From<String> for ServeError {
     }
 }
 
+impl From<IndexError> for ServeError {
+    fn from(error: IndexError) -> ServeError {
+        ServeError::from(error.to_string())
+    }
+}
+
 impl From<ScheduleError> for ServeError {
     fn from(error: ScheduleError) -> ServeError {
         ServeError {
@@ -183,13 +189,16 @@ struct ResidencyState {
     resident_bytes: u64,
     evictions: u64,
     reloads: u64,
-    indexes: HashMap<String, IndexResidency>,
+    indexes: Vec<IndexResidency>,
 }
 
-/// Per-index residency entry. Holds its own engine handle so eviction
-/// under the residency lock reaches the index directly, without ever
-/// taking the resident-set lock (the lock order is always resident set
-/// → residency, never the reverse).
+/// Per-index residency entry, identified by its engine (`Arc::ptr_eq`),
+/// never by the name it was registered under: a session that outlives
+/// `index.unload` keeps searching its own engine, and must not be
+/// accounted against a namesake loaded since. Holding the engine handle
+/// also lets eviction under the residency lock reach the index
+/// directly, without ever taking the resident-set lock (the lock order
+/// is always resident set → residency, never the reverse).
 struct IndexResidency {
     engine: Arc<Engine>,
     shards: Vec<ShardResidence>,
@@ -545,44 +554,46 @@ impl Server {
         }
     }
 
-    /// Register `index` under `name` and make it resident: the engine —
-    /// shard-parallel backend, candidate index, reference metadata — is
-    /// wired once, sharing the index's reference table.
+    /// Register `index` under `name` and make it resident — the one
+    /// door to residency, behind startup loads and the `index.load` verb
+    /// alike: the engine — shard-parallel backend, candidate index,
+    /// reference metadata — is wired once, sharing the index's reference
+    /// table, given the server's registry and default prefilter, then
+    /// entered into the resident set and the shard-residency accounting.
     ///
     /// # Errors
     ///
-    /// Fails on a duplicate name or an index whose backend cannot be
-    /// reconstructed (see [`Engine::from_index`]).
-    pub fn add_index(&self, name: &str, index: LibraryIndex) -> Result<(), IndexError> {
+    /// Fails on an empty or duplicate name, or an index whose backend
+    /// cannot be reconstructed (see [`Engine::from_index`]).
+    pub fn add_index(&self, name: &str, index: LibraryIndex) -> Result<IndexSummary, ServeError> {
         if name.is_empty() {
-            return Err(IndexError::Invalid("index name must be non-empty".into()));
+            return Err(IndexError::Invalid("index name must be non-empty".into()).into());
         }
         // Wire the engine before taking the write lock: reconstruction
         // is the expensive part and must not stall concurrent queries.
         let mut engine = Engine::from_index(index, self.threads)?;
         engine.attach_metrics(&self.registry);
-        engine
-            .set_prefilter(self.prefilter)
-            .map_err(IndexError::Invalid)?;
+        engine.set_prefilter(self.prefilter)?;
         let engine = Arc::new(engine);
-        self.register_engine(name, Arc::clone(&engine))?;
-        self.residency_register(name, &engine);
-        Ok(())
-    }
-
-    fn register_engine(&self, name: &str, engine: Arc<Engine>) -> Result<(), IndexError> {
+        // Summarize from our own handle, not a re-lookup: a concurrent
+        // `index.unload` racing this load must not turn into a panic.
+        let summary = summarize(name, &engine);
         let mut indexes = self.indexes.write().expect("index set lock");
         if indexes.iter().any(|r| r.name == name) {
             return Err(IndexError::Invalid(format!(
                 "an index named {name:?} is already resident"
-            )));
+            ))
+            .into());
         }
+        // Residency is entered under the resident-set lock, so an
+        // `index.unload` can never find the name before its entry.
+        self.residency_register(&engine);
         indexes.push(ResidentIndex {
             name: name.to_owned(),
             engine,
         });
         self.metrics.resident_indexes.set(indexes.len() as i64);
-        Ok(())
+        Ok(summary)
     }
 
     /// Load a `.hdx` file from the server's filesystem and make it
@@ -592,8 +603,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Load failures and duplicate names, plus the scheduler's
-    /// `busy`/`deadline` rejections.
+    /// Load failures and everything [`Server::add_index`] refuses, plus
+    /// the scheduler's `busy`/`deadline` rejections.
     pub fn load_index(&self, name: &str, path: &str) -> Result<IndexSummary, ServeError> {
         self.load_index_as(LOCAL_CLIENT, name, path)
     }
@@ -616,20 +627,10 @@ impl Server {
         // Mapped load: the file is searched in place from one backing
         // buffer, so `index.load` cost stops scaling with the encoded
         // library payload.
-        let index = hdoms_index::IndexReader::with_threads(permit.workers().min(self.threads))
-            .open_mapped_with(Path::new(path))
+        let index = LibraryIndex::open_mapped(Path::new(path), permit.workers().min(self.threads))
             .map_err(|e| format!("loading {path}: {e}"))?;
-        let mut engine = Engine::from_index(index, self.threads).map_err(|e| e.to_string())?;
-        engine.attach_metrics(&self.registry);
-        engine.set_prefilter(self.prefilter)?;
-        let engine = Arc::new(engine);
+        let summary = self.add_index(name, index)?;
         drop(permit);
-        // Summarize from our own handle, not a re-lookup: a concurrent
-        // `index.unload` racing this load must not turn into a panic.
-        let summary = summarize(name, &engine);
-        self.register_engine(name, Arc::clone(&engine))
-            .map_err(|e| e.to_string())?;
-        self.residency_register(name, &engine);
         self.logger
             .info("index.load")
             .str("name", name)
@@ -646,16 +647,16 @@ impl Server {
     /// # Errors
     ///
     /// Unknown name.
-    pub fn unload_index(&self, name: &str) -> Result<(), String> {
+    pub fn unload_index(&self, name: &str) -> Result<(), ServeError> {
         let mut indexes = self.indexes.write().expect("index set lock");
         let position = indexes
             .iter()
             .position(|r| r.name == name)
             .ok_or_else(|| format!("unknown index {name:?}"))?;
-        indexes.remove(position);
+        let resident = indexes.remove(position);
         self.metrics.resident_indexes.set(indexes.len() as i64);
+        self.residency_unregister(&resident.engine);
         drop(indexes);
-        self.residency_unregister(name);
         self.logger.info("index.unload").str("name", name).emit();
         Ok(())
     }
@@ -697,6 +698,10 @@ impl Server {
     /// `index.load`) under, so concurrent connections are served fairly.
     /// Transports draw ids from [`Server::next_client_id`].
     pub fn handle_as(&self, client: u64, request: &Request) -> Response {
+        /// The verb's answer, or the failure as an `error` response.
+        fn respond<T>(result: Result<T, ServeError>, ok: impl FnOnce(T) -> Response) -> Response {
+            result.map_or_else(ServeError::into_response, ok)
+        }
         match request {
             Request::Ping => Response::Pong {
                 protocol: PROTOCOL_VERSION,
@@ -704,46 +709,35 @@ impl Server {
             Request::ListIndexes => Response::Indexes(self.summaries()),
             Request::ServerStats => Response::Stats(self.stats()),
             Request::ServerMetrics => Response::Metrics(self.metrics_report()),
-            Request::Query(q) => match self.query_batch_as(client, q) {
-                Ok(result) => Response::Result(result),
-                Err(error) => error.into_response(),
-            },
+            Request::Query(q) => respond(self.query_batch_as(client, q), Response::Result),
             Request::SessionOpen {
                 index,
                 window,
                 tier,
                 prefilter,
-            } => match self.open_session_opts(index, window.window(), *tier, *prefilter) {
-                Ok(session) => Response::SessionOpened {
+            } => respond(
+                self.open_session_opts(index, window.window(), *tier, *prefilter),
+                |session| Response::SessionOpened {
                     session,
                     index: index.clone(),
                 },
-                Err(message) => Response::error(message),
-            },
-            Request::SessionSubmit { session, spectra } => {
-                match self.submit_session_as(client, *session, spectra) {
-                    Ok(receipt) => Response::Receipt(receipt),
-                    Err(error) => error.into_response(),
-                }
-            }
+            ),
+            Request::SessionSubmit { session, spectra } => respond(
+                self.submit_session_as(client, *session, spectra),
+                Response::Receipt,
+            ),
             Request::SessionFinalize { session, fdr } => {
-                match self.finalize_session(*session, *fdr) {
-                    Ok(result) => Response::Result(result),
-                    Err(message) => Response::error(message),
-                }
+                respond(self.finalize_session(*session, *fdr), Response::Result)
             }
-            Request::SessionClose { session } => match self.close_session(*session) {
-                Ok(()) => Response::SessionClosed { session: *session },
-                Err(message) => Response::error(message),
-            },
-            Request::IndexLoad { name, path } => match self.load_index_as(client, name, path) {
-                Ok(summary) => Response::Loaded(summary),
-                Err(error) => error.into_response(),
-            },
-            Request::IndexUnload { name } => match self.unload_index(name) {
-                Ok(()) => Response::Unloaded { name: name.clone() },
-                Err(message) => Response::error(message),
-            },
+            Request::SessionClose { session } => respond(self.close_session(*session), |()| {
+                Response::SessionClosed { session: *session }
+            }),
+            Request::IndexLoad { name, path } => {
+                respond(self.load_index_as(client, name, path), Response::Loaded)
+            }
+            Request::IndexUnload { name } => respond(self.unload_index(name), |()| {
+                Response::Unloaded { name: name.clone() }
+            }),
         }
     }
 
@@ -923,7 +917,7 @@ impl Server {
 
         let mut results = Vec::with_capacity(outcomes.len());
         for (outcome, receipt) in outcomes {
-            self.residency_touch(&request.index, &receipt.shard_timings);
+            self.residency_touch(engine, &receipt.shard_timings);
             // Per-member server metrics: each member is one logical
             // batch, keeping counters comparable with and without
             // coalescing.
@@ -968,7 +962,7 @@ impl Server {
         &self,
         index: &str,
         window: hdoms_oms::window::PrecursorWindow,
-    ) -> Result<u64, String> {
+    ) -> Result<u64, ServeError> {
         self.open_session_opts(index, window, Tier::default(), None)
     }
 
@@ -987,7 +981,7 @@ impl Server {
         window: hdoms_oms::window::PrecursorWindow,
         tier: Tier,
         prefilter: Option<PrefilterConfig>,
-    ) -> Result<u64, String> {
+    ) -> Result<u64, ServeError> {
         let engine = self
             .engine(index)
             .ok_or_else(|| format!("unknown index {index:?}"))?;
@@ -999,7 +993,8 @@ impl Server {
         if sessions.len() >= MAX_SESSIONS {
             return Err(format!(
                 "server at capacity ({MAX_SESSIONS} open sessions); finalize one first"
-            ));
+            )
+            .into());
         }
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
         sessions.insert(
@@ -1065,7 +1060,7 @@ impl Server {
         let (wait_ms, workers) = (permit.wait_ms(), permit.workers());
         drop(permit);
         lease.add_wait(wait_ms);
-        self.residency_touch(&lease.index_name(), &receipt.shard_timings);
+        self.residency_touch(lease.session().engine(), &receipt.shard_timings);
         self.metrics.batches.inc();
         self.metrics.queries.add(receipt.queries as u64);
         self.metrics.psms.add(receipt.psms as u64);
@@ -1107,7 +1102,7 @@ impl Server {
     /// # Errors
     ///
     /// Unknown or busy session, or an FDR level outside (0, 1).
-    pub fn finalize_session(&self, id: u64, fdr: f64) -> Result<QueryResult, String> {
+    pub fn finalize_session(&self, id: u64, fdr: f64) -> Result<QueryResult, ServeError> {
         check_fdr(fdr)?;
         // Consuming the lease removes the slot immediately: the session
         // is spent whatever happens next.
@@ -1151,22 +1146,20 @@ impl Server {
     /// # Errors
     ///
     /// Unknown or busy session.
-    pub fn close_session(&self, id: u64) -> Result<(), String> {
+    pub fn close_session(&self, id: u64) -> Result<(), ServeError> {
         let _ = self.take_session(id)?.consume();
         Ok(())
     }
 
     /// Take session `id` out of the map, leaving a `Busy` marker owned
     /// by the returned lease.
-    fn take_session(&self, id: u64) -> Result<SessionLease<'_>, String> {
+    fn take_session(&self, id: u64) -> Result<SessionLease<'_>, ServeError> {
         let mut sessions = self.sessions.lock().expect("session map lock");
         match sessions.remove(&id) {
-            None => Err(format!("unknown session {id}")),
+            None => Err(format!("unknown session {id}").into()),
             Some(SessionSlot::Busy) => {
                 sessions.insert(id, SessionSlot::Busy);
-                Err(format!(
-                    "session {id} is busy (one request at a time per session)"
-                ))
+                Err(format!("session {id} is busy (one request at a time per session)").into())
             }
             Some(SessionSlot::Ready(open)) => {
                 sessions.insert(id, SessionSlot::Busy);
@@ -1182,7 +1175,7 @@ impl Server {
     /// Start residency tracking for a newly resident index. Only mapped
     /// indexes are tracked — owned tables have no backing file to
     /// refault from, so there is nothing safe to evict.
-    fn residency_register(&self, name: &str, engine: &Arc<Engine>) {
+    fn residency_register(&self, engine: &Arc<Engine>) {
         let Some(index) = engine.index() else {
             return;
         };
@@ -1207,23 +1200,26 @@ impl Server {
             })
             .collect();
         state.resident_bytes += total;
-        state.indexes.insert(
-            name.to_owned(),
-            IndexResidency {
-                engine: Arc::clone(engine),
-                shards,
-            },
-        );
+        state.indexes.push(IndexResidency {
+            engine: Arc::clone(engine),
+            shards,
+        });
         self.enforce_budget(&mut state);
         self.publish_residency(&state);
     }
 
     /// Stop tracking an unloaded index (its resident bytes leave the
     /// budget; open sessions keep the engine alive but untracked).
-    fn residency_unregister(&self, name: &str) {
+    fn residency_unregister(&self, engine: &Arc<Engine>) {
         let mut state = self.residency.state.lock().expect("residency lock");
-        if let Some(entry) = state.indexes.remove(name) {
-            let freed: u64 = entry
+        let tracked = state
+            .indexes
+            .iter()
+            .position(|entry| Arc::ptr_eq(&entry.engine, engine));
+        if let Some(at) = tracked {
+            let freed: u64 = state
+                .indexes
+                .remove(at)
                 .shards
                 .iter()
                 .filter(|s| s.resident)
@@ -1234,10 +1230,10 @@ impl Server {
         }
     }
 
-    /// Mark the shards a batch visited as most-recently-used, count any
-    /// that a search just faulted back in, then evict cold shards while
-    /// over budget.
-    fn residency_touch(&self, name: &str, timings: &[ShardTiming]) {
+    /// Mark the shards a batch visited on `engine` as most-recently-used,
+    /// count any that a search just faulted back in, then evict cold
+    /// shards while over budget.
+    fn residency_touch(&self, engine: &Arc<Engine>, timings: &[ShardTiming]) {
         if timings.is_empty() {
             return;
         }
@@ -1245,7 +1241,11 @@ impl Server {
         let mut clock = state.clock;
         let mut reloads = 0u64;
         let mut reloaded_bytes = 0u64;
-        let Some(entry) = state.indexes.get_mut(name) else {
+        let Some(entry) = state
+            .indexes
+            .iter_mut()
+            .find(|entry| Arc::ptr_eq(&entry.engine, engine))
+        else {
             return; // owned index, or unloaded while the batch ran
         };
         for timing in timings {
@@ -1276,21 +1276,19 @@ impl Server {
     /// converge); its sub-page words stay cached until normal reclaim.
     fn enforce_budget(&self, state: &mut ResidencyState) {
         while state.budget > 0 && state.resident_bytes > state.budget {
-            let mut victim: Option<(String, usize, u64)> = None;
-            for (name, entry) in &state.indexes {
+            let mut victim: Option<(usize, usize, u64)> = None;
+            for (index, entry) in state.indexes.iter().enumerate() {
                 for (at, shard) in entry.shards.iter().enumerate() {
-                    let colder = victim
-                        .as_ref()
-                        .is_none_or(|(_, _, touch)| shard.last_touch < *touch);
+                    let colder = victim.is_none_or(|(_, _, touch)| shard.last_touch < touch);
                     if shard.resident && colder {
-                        victim = Some((name.clone(), at, shard.last_touch));
+                        victim = Some((index, at, shard.last_touch));
                     }
                 }
             }
-            let Some((name, at, _)) = victim else {
+            let Some((index, at, _)) = victim else {
                 break; // nothing left to evict; the floor is the floor
             };
-            let entry = state.indexes.get_mut(&name).expect("victim exists");
+            let entry = &mut state.indexes[index];
             entry
                 .engine
                 .index()
@@ -1317,7 +1315,7 @@ impl Server {
 fn resident_shard_count(state: &ResidencyState) -> usize {
     state
         .indexes
-        .values()
+        .iter()
         .map(|entry| entry.shards.iter().filter(|s| s.resident).count())
         .sum()
 }
@@ -1343,15 +1341,6 @@ impl SessionLease<'_> {
     /// The priority class the session was opened under.
     fn tier(&self) -> Tier {
         self.open.as_ref().expect("lease not consumed").tier
-    }
-
-    /// The resident-index name the session searches.
-    fn index_name(&self) -> String {
-        self.open
-            .as_ref()
-            .expect("lease not consumed")
-            .index
-            .clone()
     }
 
     /// Accumulate scheduler queue wait onto the session (reported with
@@ -1446,11 +1435,11 @@ fn query_result(
     }
 }
 
-fn check_fdr(fdr: f64) -> Result<(), String> {
+fn check_fdr(fdr: f64) -> Result<(), ServeError> {
     if fdr > 0.0 && fdr < 1.0 {
         Ok(())
     } else {
-        Err(format!("fdr {fdr} outside (0, 1)"))
+        Err(format!("fdr {fdr} outside (0, 1)").into())
     }
 }
 
@@ -1720,6 +1709,30 @@ mod tests {
         let (workload, server) = tiny_server();
         let index = tiny_index(&workload);
         assert!(server.add_index("tiny", index).is_err());
+    }
+
+    /// `add_index` and the `index.load` verb are one door: an empty or
+    /// already-resident name is refused through either, with the same
+    /// text, and nothing is left behind in the listing.
+    #[test]
+    fn both_doors_refuse_empty_and_duplicate_names() {
+        let (workload, server) = tiny_server();
+        let path =
+            std::env::temp_dir().join(format!("hdoms-serve-doors-{}.hdx", std::process::id()));
+        tiny_index(&workload).write(&path).unwrap();
+        for (name, needle) in [("", "must be non-empty"), ("tiny", "already resident")] {
+            let direct = server.add_index(name, tiny_index(&workload)).unwrap_err();
+            assert!(direct.message.contains(needle), "add_index: {direct}");
+            let wire = server.handle(&Request::IndexLoad {
+                name: name.to_owned(),
+                path: path.to_str().unwrap().to_owned(),
+            });
+            assert_eq!(wire, Response::error(direct.message), "index.load {name:?}");
+        }
+        std::fs::remove_file(&path).ok();
+        let names: Vec<String> = server.summaries().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["tiny"]);
+        assert_eq!(server.stats().resident_indexes, 1);
     }
 
     #[test]

@@ -309,3 +309,49 @@ fn eviction_under_budget_reloads_on_demand_without_changing_results() {
         "no further evictions"
     );
 }
+
+/// Shard residency is accounted per *engine*, not per name: a session
+/// that outlives `index.unload` keeps searching its own engine, and its
+/// batches must not flip a namesake's evicted shards back to resident
+/// (phantom reloads a real budget would then pay for with hot shards).
+#[test]
+fn a_stale_session_never_touches_a_namesakes_residency() {
+    let (a, b) = (
+        SyntheticWorkload::generate(&WorkloadSpec::tiny(), 95),
+        SyntheticWorkload::generate(&WorkloadSpec::tiny(), 96),
+    );
+    let image = |tag: &str, workload: &SyntheticWorkload| {
+        let path = std::env::temp_dir().join(format!(
+            "hdoms-tiered-namesake-{tag}-{}.hdx",
+            std::process::id()
+        ));
+        tiny_index(workload).write(&path).unwrap();
+        path
+    };
+    let (path_a, path_b) = (image("a", &a), image("b", &b));
+
+    let mut server = Server::with_scheduler(4, SchedulerConfig::default());
+    server.load_index("w", path_a.to_str().unwrap()).unwrap();
+    let stale = server.open_session("w", WindowKind::Open.window()).unwrap();
+    server.unload_index("w").unwrap();
+    server.load_index("w", path_b.to_str().unwrap()).unwrap();
+    std::fs::remove_file(&path_a).ok();
+    std::fs::remove_file(&path_b).ok();
+
+    // Evict every shard of B, then lift the budget so nothing below
+    // re-evicts: whatever becomes resident again was touched.
+    server.set_memory_budget(1);
+    let evicted = server.stats();
+    assert_eq!((evicted.resident_shards, evicted.resident_bytes), (0, 0));
+    server.set_memory_budget(0);
+
+    // The stale session searches only A's (unloaded, untracked) engine.
+    let receipt = server.submit_session(stale, &spectra_of(&a)).unwrap();
+    assert!(
+        !receipt.shard_timings.is_empty(),
+        "the batch visited shards"
+    );
+    let after = server.stats();
+    assert_eq!(after.reloads, 0, "nothing searched B");
+    assert_eq!((after.resident_shards, after.resident_bytes), (0, 0));
+}

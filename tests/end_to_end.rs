@@ -215,3 +215,142 @@ fn every_entry_point_renders_the_same_rows() {
         assert!(merged, "two lockstep interactive queries never coalesced");
     }
 }
+
+/// Tier-1's hostile-line smoke: request lines that are well-formed JSON
+/// but hostile in value — absurd precursors and peak lists, degenerate
+/// intensities, extreme `prefilter`/`fdr`/session-id spellings, index
+/// paths that are not images — crossed with both windows, both tiers and
+/// every prefilter spelling, through `Request::decode` → `Server::handle`
+/// and through session open → submit → finalize. Every line is answered
+/// with a `Response` that encodes to one line and decodes back; nothing
+/// panics (a panic fails the test).
+#[test]
+fn hostile_lines_always_get_a_response() {
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 1006);
+    let mut config = IndexConfig {
+        entries_per_shard: 64,
+        threads: 2,
+        ..IndexConfig::default()
+    };
+    if let IndexedBackendKind::Exact(exact) = &mut config.kind {
+        exact.encoder.dim = 1024;
+    }
+    let server = Server::new(2);
+    let index = IndexBuilder::new(config).from_library(&workload.library);
+    server.add_index("tiny", index).expect("index resident");
+
+    let peaks = |n: usize, mz: &dyn Fn(usize) -> f64, intensity: f64| {
+        let pairs: Vec<String> = (0..n).map(|i| format!("[{},{intensity}]", mz(i))).collect();
+        format!("[{}]", pairs.join(","))
+    };
+    let spread = |i: usize| 150.0 + 7.3 * i as f64;
+    let spectrum = |mz: f64, charge: u8, peaks: &str| {
+        format!(r#"{{"id":7,"precursor_mz":{mz},"precursor_charge":{charge},"peaks":{peaks}}}"#)
+    };
+    let hostile_spectra = [
+        spectrum(1e300, 255, &peaks(30, &spread, 1.0)),
+        spectrum(500.0, 2, &peaks(30, &|i| 1e300 + i as f64, 1.0)),
+        spectrum(500.0, 2, &peaks(30, &spread, 1e308)),
+        spectrum(500.0, 2, &peaks(30, &spread, 1e-320)),
+        spectrum(500.0, 2, &peaks(30, &spread, 0.0)),
+        spectrum(500.0, 2, &peaks(40, &|_| 333.333, 1.0)),
+        spectrum(500.0, 2, &peaks(400, &|i| 300.0 + 0.001 * i as f64, 1.0)),
+        spectrum(500.0, 2, "[]"),
+    ];
+    let options = [
+        "",
+        r#","prefilter":"off""#,
+        r#","prefilter":"k=0""#,
+        r#","prefilter":"k=1""#,
+        r#","prefilter":"k=default""#,
+        r#","prefilter":"k=18446744073709551615""#,
+        r#","prefilter":"K=3""#,
+        r#","fdr":1e-320"#,
+        r#","fdr":0.9999999999999999"#,
+    ];
+
+    let answer = |line: &str| -> Response {
+        let response = match Request::decode(line) {
+            Ok(request) => server.handle(&request),
+            Err(message) => Response::error(message),
+        };
+        let encoded = response.encode();
+        assert!(!encoded.contains('\n'), "one line per response: {encoded}");
+        assert_eq!(
+            Response::decode(&encoded).as_ref(),
+            Ok(&response),
+            "the answer to {line} does not survive the wire"
+        );
+        response
+    };
+
+    let mut lines = 0;
+    for spectrum in &hostile_spectra {
+        for window in ["open", "standard"] {
+            for tier in ["batch", "interactive"] {
+                for option in options {
+                    answer(&format!(
+                        r#"{{"type":"query","index":"tiny","window":"{window}","tier":"{tier}"{option},"spectra":[{spectrum}]}}"#
+                    ));
+                    lines += 1;
+                }
+            }
+        }
+    }
+    for line in [
+        r#"{"type":"index.load","name":"root","path":"/"}"#,
+        r#"{"type":"index.load","name":"null","path":"/dev/null"}"#,
+        r#"{"type":"session.submit","session":9007199254740992,"spectra":[]}"#,
+        r#"{"type":"session.finalize","session":9007199254740992}"#,
+        r#"{"type":"session.close","session":9007199254740992}"#,
+    ] {
+        assert!(matches!(answer(line), Response::Error { .. }), "{line}");
+        lines += 1;
+    }
+    assert!(lines > 289, "the matrix shrank to {lines} lines");
+
+    // Session sequences: each hostile spectrum under the defaults, then
+    // the option spellings over the coincident-peaks spectrum.
+    let defaults = ("open", "batch", "", "");
+    let sequences = hostile_spectra.iter().map(|s| (s, defaults)).chain(
+        [
+            ("standard", "interactive", r#","prefilter":"off""#, ""),
+            ("open", "interactive", r#","prefilter":"k=1""#, ""),
+            (
+                "standard",
+                "batch",
+                r#","prefilter":"k=18446744073709551615""#,
+                "",
+            ),
+            ("open", "batch", r#","prefilter":"k=0""#, ""),
+            ("open", "batch", "", r#","fdr":1e-320"#),
+            ("standard", "interactive", "", r#","fdr":1"#),
+        ]
+        .map(|options| (&hostile_spectra[5], options)),
+    );
+    let mut sessions = 0;
+    for (spectrum, (window, tier, prefilter, fdr)) in sequences {
+        let opened = answer(&format!(
+            r#"{{"type":"session.open","index":"tiny","window":"{window}","tier":"{tier}"{prefilter}}}"#
+        ));
+        // A refused open (`k=0`) leaves no session: the rest of the
+        // sequence then runs against an id the server never issued.
+        let id = match opened {
+            Response::SessionOpened { session, .. } => session,
+            _ => 1 << 40,
+        };
+        for _ in 0..2 {
+            answer(&format!(
+                r#"{{"type":"session.submit","session":{id},"spectra":[{spectrum},{spectrum}]}}"#
+            ));
+        }
+        answer(&format!(
+            r#"{{"type":"session.finalize","session":{id}{fdr}}}"#
+        ));
+        // A finalize refused for its FDR level leaves the session open.
+        answer(&format!(r#"{{"type":"session.close","session":{id}}}"#));
+        sessions += 1;
+    }
+    assert_eq!(sessions, 14);
+    assert_eq!(server.stats().open_sessions, 0, "no sequence leaked a slot");
+}
