@@ -13,7 +13,7 @@
 use hdoms_hdc::parallel::par_map;
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
-use hdoms_oms::search::{SearchHit, SimilarityBackend};
+use hdoms_oms::search::{RunScorer, SearchHit};
 
 /// The plain-cosine backend.
 #[derive(Debug, Clone)]
@@ -72,44 +72,24 @@ impl BruteForceBackend {
     }
 }
 
-impl SimilarityBackend for BruteForceBackend {
-    fn name(&self) -> String {
+impl RunScorer for BruteForceBackend {
+    /// Scores the binned query directly: nothing to encode.
+    type Query = ();
+
+    fn report_name(&self) -> String {
         "brute-cosine".to_owned()
     }
 
-    fn search_batch(
-        &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-    ) -> Vec<Option<SearchHit>> {
-        assert_eq!(
-            queries.len(),
-            candidates.len(),
-            "queries and candidate lists must pair up"
-        );
-        let jobs: Vec<(usize, &BinnedSpectrum)> = queries.iter().enumerate().collect();
-        par_map(&jobs, self.threads, |&(i, query)| {
-            let mut best: Option<SearchHit> = None;
-            for &cand in &candidates[i] {
-                let Some(reference) = &self.references[cand as usize] else {
-                    continue;
-                };
-                if self.norms[cand as usize] == 0.0 {
-                    continue;
-                }
-                let score = Self::cosine(query, reference);
-                let better = match &best {
-                    None => true,
-                    Some(b) => score > b.score || (score == b.score && cand < b.reference),
-                };
-                if better {
-                    best = Some(SearchHit {
-                        reference: cand,
-                        score,
-                    });
-                }
-            }
-            best
+    fn threads(&self) -> usize {
+        self.threads
+    }
+
+    fn prepare(&self, _binned: &BinnedSpectrum) {}
+
+    fn best_in(&self, query: &BinnedSpectrum, _: &(), run: &[u32]) -> Option<SearchHit> {
+        SearchHit::best_of(run, |cand| {
+            let reference = self.references[cand as usize].as_ref()?;
+            (self.norms[cand as usize] != 0.0).then(|| Self::cosine(query, reference))
         })
     }
 }
@@ -119,7 +99,7 @@ mod tests {
     use super::*;
     use hdoms_ms::dataset::{QueryTruth, SyntheticWorkload, WorkloadSpec};
     use hdoms_oms::candidates::CandidateIndex;
-    use hdoms_oms::search::candidate_lists;
+    use hdoms_oms::search::{candidate_lists, SimilarityBackend};
     use hdoms_oms::window::PrecursorWindow;
 
     #[test]

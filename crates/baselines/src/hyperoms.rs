@@ -6,55 +6,20 @@
 //! hypervectors and replaces the floating-point similarity with massively
 //! parallel integer Hamming operations. Its algorithmic content is the
 //! exact HD backend with *binary* (1-bit) ID hypervectors and
-//! conventional bit-granular level vectors — precisely how this module
+//! conventional bit-granular level vectors — precisely how [`build`]
 //! configures [`ExactBackend`]. The GPU itself only changes throughput,
 //! which the performance model in `hdoms-core` accounts for separately.
 
 use hdoms_ms::library::SpectralLibrary;
-use hdoms_ms::preprocess::BinnedSpectrum;
+use hdoms_oms::search::ExactBackend;
 pub use hdoms_oms::search::HyperOmsConfig;
-use hdoms_oms::search::{ExactBackend, SearchHit, SimilarityBackend};
 
-/// The HyperOMS-style backend: a thin configuration shell over
-/// [`ExactBackend`].
-#[derive(Debug, Clone)]
-pub struct HyperOmsBackend {
-    inner: ExactBackend,
-}
-
-impl HyperOmsBackend {
-    /// Build the backend (encodes the whole library with binary IDs).
-    pub fn build(library: &SpectralLibrary, config: HyperOmsConfig) -> HyperOmsBackend {
-        let inner = ExactBackend::build(library, config.exact_config(config.threads));
-        HyperOmsBackend { inner }
-    }
-
-    /// Wrap an already-built exact backend (the warm-load path used by
-    /// `hdoms-index`): the caller guarantees `inner` was configured the
-    /// HyperOMS way (binary IDs, bit-serial level vectors).
-    pub fn from_exact(inner: ExactBackend) -> HyperOmsBackend {
-        HyperOmsBackend { inner }
-    }
-
-    /// Access the underlying exact backend (e.g. for encoded reference
-    /// hypervectors in benches).
-    pub fn inner(&self) -> &ExactBackend {
-        &self.inner
-    }
-}
-
-impl SimilarityBackend for HyperOmsBackend {
-    fn name(&self) -> String {
-        "hyperoms".to_owned()
-    }
-
-    fn search_batch(
-        &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-    ) -> Vec<Option<SearchHit>> {
-        self.inner.search_batch(queries, candidates)
-    }
+/// Build the HyperOMS-style backend: HyperOMS is a configuration and a
+/// name, not a type — [`ExactBackend`] over the library encoded with
+/// binary IDs ([`HyperOmsConfig::exact_config`]), reporting as
+/// `"hyperoms"` (the name an index-backed HyperOMS search reports too).
+pub fn build(library: &SpectralLibrary, config: HyperOmsConfig) -> ExactBackend {
+    ExactBackend::build(library, config.exact_config(config.threads)).named("hyperoms")
 }
 
 #[cfg(test)]
@@ -65,7 +30,7 @@ mod tests {
     use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
     use hdoms_ms::preprocess::Preprocessor;
     use hdoms_oms::candidates::CandidateIndex;
-    use hdoms_oms::search::{candidate_lists, ExactBackendConfig};
+    use hdoms_oms::search::{candidate_lists, ExactBackendConfig, SimilarityBackend};
     use hdoms_oms::window::PrecursorWindow;
 
     fn test_config() -> HyperOmsConfig {
@@ -79,7 +44,7 @@ mod tests {
     #[test]
     fn finds_true_references() {
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 123);
-        let backend = HyperOmsBackend::build(&workload.library, test_config());
+        let backend = build(&workload.library, test_config());
         let pre = Preprocessor::default();
         let (queries, _) = pre.run_batch(&workload.queries);
         let index = CandidateIndex::build(&workload.library);
@@ -102,11 +67,8 @@ mod tests {
     #[test]
     fn uses_binary_ids() {
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 124);
-        let backend = HyperOmsBackend::build(&workload.library, test_config());
-        assert_eq!(
-            backend.inner().encoder().config().id_precision,
-            IdPrecision::Bits1
-        );
+        let backend = build(&workload.library, test_config());
+        assert_eq!(backend.encoder().config().id_precision, IdPrecision::Bits1);
         assert_eq!(backend.name(), "hyperoms");
     }
 
@@ -115,7 +77,7 @@ mod tests {
         // The Venn-diagram premise: independently seeded tools agree on
         // most but not all identifications.
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 125);
-        let hyperoms = HyperOmsBackend::build(&workload.library, test_config());
+        let hyperoms = build(&workload.library, test_config());
         let exact = ExactBackend::build(
             &workload.library,
             ExactBackendConfig {

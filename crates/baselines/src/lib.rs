@@ -12,10 +12,13 @@
 //!   [`hyperoms`] on top of the exact HD backend (binary IDs, bit-serial
 //!   level vectors — the configuration HyperOMS uses).
 //!
-//! Both plug into the [`hdoms_oms::search::SimilarityBackend`] trait so
-//! the Fig. 10 agreement study and the Fig. 12 performance model can run
-//! all tools through the same pipeline. A full-precision [`bruteforce`]
-//! cosine oracle rounds out the set for sanity checks.
+//! Each is a [`hdoms_oms::search::RunScorer`] — the cosine scorers have
+//! nothing to encode (`Query = ()`) and score one candidate run; HyperOMS
+//! is not a type of its own at all — so the one flat loop drives them as
+//! [`hdoms_oms::search::SimilarityBackend`]s and the Fig. 10 agreement
+//! study and the Fig. 12 performance model can run all tools through the
+//! same pipeline. A full-precision [`bruteforce`] cosine oracle rounds
+//! out the set for sanity checks.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -26,4 +29,4 @@ pub mod hyperoms;
 
 pub use annsolo::{AnnSoloBackend, AnnSoloConfig};
 pub use bruteforce::BruteForceBackend;
-pub use hyperoms::{HyperOmsBackend, HyperOmsConfig};
+pub use hyperoms::HyperOmsConfig;

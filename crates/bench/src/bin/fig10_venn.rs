@@ -10,7 +10,7 @@
 //! (add `--scale 0.02` for a bigger workload)
 
 use hdoms_baselines::annsolo::{AnnSoloBackend, AnnSoloConfig};
-use hdoms_baselines::hyperoms::{HyperOmsBackend, HyperOmsConfig};
+use hdoms_baselines::hyperoms::{self, HyperOmsConfig};
 use hdoms_bench::{fmt, print_table, FigureOptions};
 use hdoms_core::accelerator::AcceleratorConfig;
 use hdoms_engine::Engine;
@@ -46,7 +46,7 @@ fn main() {
         let annsolo = AnnSoloBackend::build(&workload.library, AnnSoloConfig::default());
 
         eprintln!("[{}] building HyperOMS…", spec.name);
-        let hyperoms = HyperOmsBackend::build(
+        let hyperoms = hyperoms::build(
             &workload.library,
             HyperOmsConfig {
                 dim: options.dim,

@@ -3,18 +3,23 @@
 //! Data flow (§4 of the paper): spectra are preprocessed offline, encoded
 //! *in memory* (the ID item memory lives in RRAM), the encoded reference
 //! hypervectors are stored as differential binary weights, and Hamming
-//! search runs *in memory* against them. The accelerator implements
-//! [`SimilarityBackend`], so the standard OMS pipeline — candidate
-//! windowing and FDR filtering — drives it exactly like the software
+//! search runs *in memory* against them. The accelerator is a
+//! [`RunScorer`] — `prepare` is the in-memory encode, `best_in` the
+//! in-memory search — so the flat loop and the shard fan-out written
+//! over that seam, and with them the standard OMS pipeline (candidate
+//! windowing and FDR filtering), drive it exactly like the software
 //! baselines, which is what the Fig. 10/11/13 quality comparisons need.
+//! The library side goes through the one
+//! [`encode_chunk`] with the [`InMemoryEncoder`] as its
+//! `ReferenceEncoder`, folded into [`BuildStats`] by [`StatsFold`].
 
 use crate::encode::InMemoryEncoder;
 use crate::search::InMemorySearch;
 use hdoms_hdc::encoder::EncoderConfig;
-use hdoms_hdc::parallel::par_map;
-use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
+use hdoms_hdc::BinaryHypervector;
+use hdoms_ms::library::SpectralLibrary;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
-use hdoms_oms::search::{SearchHit, SharedReferences, SimilarityBackend};
+use hdoms_oms::search::{encode_chunk, RunScorer, SearchHit, SharedReferences};
 use hdoms_rram::array::CrossbarConfig;
 
 /// Full accelerator configuration.
@@ -60,6 +65,52 @@ pub struct BuildStats {
     pub mean_encode_ber: f64,
 }
 
+/// The build-statistics fold, written once: encoded slots go in one at a
+/// time in id order (the BER sum is a left fold, so every build path —
+/// [`OmsAccelerator::build`], `hdoms-index`'s cold and streaming builds,
+/// appends — reaches bit-identical statistics), and [`StatsFold::onto`]
+/// lands them on whatever was already recorded.
+#[derive(Debug, Default)]
+pub struct StatsFold {
+    stored: usize,
+    rejected: usize,
+    ber_sum: f64,
+}
+
+impl StatsFold {
+    /// Record one encoded slot and hand its hypervector on.
+    pub fn push(&mut self, slot: Option<(BinaryHypervector, f64)>) -> Option<BinaryHypervector> {
+        let (hv, ber) = slot.unzip();
+        self.stored += usize::from(hv.is_some());
+        self.rejected += usize::from(hv.is_none());
+        self.ber_sum += ber.unwrap_or(0.0);
+        hv
+    }
+
+    /// The statistics of `prior` (nothing, for a fresh build) extended
+    /// by the folded slots — an exact update: the stored mean is
+    /// re-weighted by the stored counts.
+    pub fn onto(&self, prior: Option<&BuildStats>) -> BuildStats {
+        let (old_stored, old_rejected, old_mean) = prior.map_or((0, 0, 0.0), |p| {
+            (
+                p.references_stored,
+                p.references_rejected,
+                p.mean_encode_ber,
+            )
+        });
+        let stored = old_stored + self.stored;
+        BuildStats {
+            references_stored: stored,
+            references_rejected: old_rejected + self.rejected,
+            mean_encode_ber: if stored == 0 {
+                0.0
+            } else {
+                (old_mean * old_stored as f64 + self.ber_sum) / stored as f64
+            },
+        }
+    }
+}
+
 /// The accelerator: in-memory encoder + in-memory search over the encoded
 /// library.
 #[derive(Debug, Clone)]
@@ -83,77 +134,13 @@ impl OmsAccelerator {
         assert!(!library.is_empty(), "cannot build over an empty library");
         let encoder = InMemoryEncoder::new(config.encoder, config.crossbar, config.seed);
         let pre = Preprocessor::new(config.preprocess);
-        let encoded: Vec<Option<(hdoms_hdc::BinaryHypervector, f64)>> =
-            OmsAccelerator::encode_chunk(&encoder, &pre, library.entries(), 0, config.threads);
-        let references_stored = encoded.iter().flatten().count();
-        let references_rejected = encoded.len() - references_stored;
-        let mean_encode_ber = if references_stored == 0 {
-            0.0
-        } else {
-            encoded.iter().flatten().map(|(_, ber)| ber).sum::<f64>() / references_stored as f64
-        };
-        let references: Vec<Option<hdoms_hdc::BinaryHypervector>> = encoded
-            .into_iter()
-            .map(|slot| slot.map(|(hv, _)| hv))
-            .collect();
-        let search = InMemorySearch::new(
-            config.crossbar,
-            references,
-            config.seed ^ 0x5ea4c4,
-            config.threads,
-        );
-        OmsAccelerator {
-            config,
-            encoder,
-            search,
-            build_stats: BuildStats {
-                references_stored,
-                references_rejected,
-                mean_encode_ber,
-            },
-        }
-    }
-
-    /// Encode a dense run of library entries exactly as a cold
-    /// [`OmsAccelerator::build`] encodes ids `first_id..first_id + len`:
-    /// each entry's spectrum id is treated as `first_id + offset` (the
-    /// dense id the entry will occupy) before preprocessing and in-memory
-    /// encoding, and each slot carries the per-reference encoding
-    /// bit-error rate alongside the hypervector.
-    ///
-    /// This is the chunked entry point behind streaming index builds and
-    /// index appends: the in-memory encoder is deterministic per
-    /// construction seed, so feeding a library through one bounded chunk
-    /// at a time yields bit-for-bit the hypervectors (and BER stream) a
-    /// whole-library build would produce. `encoder` must be the encoder a
-    /// cold build would use — [`InMemoryEncoder::new`] for fresh builds,
-    /// [`InMemoryEncoder::from_programmed`] when extending an existing
-    /// index against its persisted MLC state.
-    pub fn encode_chunk(
-        encoder: &InMemoryEncoder,
-        pre: &Preprocessor,
-        entries: &[LibraryEntry],
-        first_id: u32,
-        threads: usize,
-    ) -> Vec<Option<(hdoms_hdc::BinaryHypervector, f64)>> {
-        let jobs: Vec<(u32, &LibraryEntry)> = entries
-            .iter()
-            .enumerate()
-            .map(|(offset, entry)| (first_id + offset as u32, entry))
-            .collect();
-        par_map(&jobs, threads, |&(id, entry)| {
-            let binned = if entry.spectrum.id == id {
-                pre.run(&entry.spectrum).ok()
-            } else {
-                let mut spectrum = entry.spectrum.clone();
-                spectrum.id = id;
-                pre.run(&spectrum).ok()
-            };
-            binned.map(|binned| {
-                let (hv, stats) = encoder.encode_with_stats(&binned);
-                (hv, stats.bit_error_rate())
-            })
-        })
+        let mut stats = StatsFold::default();
+        let references: Vec<Option<BinaryHypervector>> =
+            encode_chunk(&encoder, &pre, library.entries(), 0, config.threads)
+                .into_iter()
+                .map(|slot| stats.push(slot))
+                .collect();
+        OmsAccelerator::from_parts(config, encoder, references, stats.onto(None))
     }
 
     /// Reassemble an accelerator from previously-built parts without
@@ -174,8 +161,8 @@ impl OmsAccelerator {
     ///
     /// # Panics
     ///
-    /// Panics if the encoder/crossbar configurations disagree or no
-    /// reference survived preprocessing.
+    /// Panics if the encoder/crossbar configurations disagree or a
+    /// stored reference's dimension is not the encoder's.
     pub fn from_parts(
         config: AcceleratorConfig,
         encoder: InMemoryEncoder,
@@ -184,9 +171,9 @@ impl OmsAccelerator {
     ) -> OmsAccelerator {
         let search = InMemorySearch::new(
             config.crossbar,
+            config.encoder.dim,
             references,
             config.seed ^ 0x5ea4c4,
-            config.threads,
         );
         OmsAccelerator {
             config,
@@ -217,32 +204,35 @@ impl OmsAccelerator {
     }
 }
 
-impl SimilarityBackend for OmsAccelerator {
-    fn name(&self) -> String {
+impl RunScorer for OmsAccelerator {
+    type Query = BinaryHypervector;
+
+    fn report_name(&self) -> String {
         format!(
             "rram-accelerator({}b/cell,{}rows)",
             self.config.crossbar.mlc.bits_per_cell, self.config.crossbar.activated_rows
         )
     }
 
-    fn search_batch(
+    fn threads(&self) -> usize {
+        self.config.threads
+    }
+
+    /// Encode the query in memory (no statistics: a query has no use for
+    /// the software ground truth).
+    fn prepare(&self, binned: &BinnedSpectrum) -> BinaryHypervector {
+        self.encoder.encode(binned)
+    }
+
+    /// Search the run in memory; the analog noise is keyed on
+    /// `(query id, reference id)`, so it does not depend on the run.
+    fn best_in(
         &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-    ) -> Vec<Option<SearchHit>> {
-        assert_eq!(
-            queries.len(),
-            candidates.len(),
-            "queries and candidate lists must pair up"
-        );
-        let jobs: Vec<usize> = (0..queries.len()).collect();
-        par_map(&jobs, self.config.threads, |&i| {
-            let binned = &queries[i];
-            let query_hv = self.encoder.encode(binned);
-            self.search
-                .search_best(&query_hv, binned.id, &candidates[i])
-                .map(|(reference, score)| SearchHit { reference, score })
-        })
+        binned: &BinnedSpectrum,
+        query: &BinaryHypervector,
+        run: &[u32],
+    ) -> Option<SearchHit> {
+        self.search.search_best(query, binned.id, run)
     }
 }
 
@@ -252,6 +242,7 @@ mod tests {
     use hdoms_hdc::item_memory::LevelStyle;
     use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
     use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
+    use hdoms_oms::search::SimilarityBackend;
     use hdoms_rram::config::MlcConfig;
 
     fn test_config() -> AcceleratorConfig {

@@ -14,16 +14,27 @@
 //! conductance terms. The mapping is monotone, so sign information is
 //! exact and magnitude information only mildly warped — the final
 //! `Sign()` quantisation (§4.2.3) is what makes the scheme robust.
+//!
+//! Programming and readout are the chip model's own: each ID component
+//! is written through [`CrossbarConfig::program_pair`] and each
+//! activated peak group is read out through [`CrossbarConfig::sense`] —
+//! the same sensing cycle `CrossbarArray::mvm` (Fig. 9b) and the
+//! in-memory search run, so Fig. 9a measures the one Eq. 5 chain through
+//! this caller. [`InMemoryEncoder`] is the accelerator's
+//! [`ReferenceEncoder`] (library side, with the bit-error rate the build
+//! statistics fold) and, through [`InMemoryEncoder::encode`], its query
+//! encoder.
 
 use hdoms_hdc::encoder::{EncoderConfig, IdLevelEncoder};
 use hdoms_hdc::item_memory::LevelStyle;
 use hdoms_hdc::similarity::hamming_distance;
 use hdoms_hdc::BinaryHypervector;
 use hdoms_ms::preprocess::BinnedSpectrum;
+use hdoms_oms::search::ReferenceEncoder;
 use hdoms_rram::array::CrossbarConfig;
 use hdoms_rram::device::DeviceModel;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Error statistics for one in-memory encoding, measured against the
 /// noise-free software encoding of the same spectrum.
@@ -100,11 +111,7 @@ impl InMemoryEncoder {
                     .position(|&a| a == component)
                     .expect("component drawn from alphabet");
                 let v = rank as f64 / (levels - 1) as f64 * 2.0 - 1.0;
-                let target_plus = 0.5 * (1.0 + v) * g_max;
-                let target_minus = 0.5 * (1.0 - v) * g_max;
-                let gp = device.sample_conductance(&mut rng, target_plus, crossbar.age_s);
-                let gm = device.sample_conductance(&mut rng, target_minus, crossbar.age_s);
-                let delta = ((gp - target_plus) - (gm - target_minus)) / g_max;
+                let (gp, gm, delta) = crossbar.program_pair(&device, v, &mut rng);
                 dev_sq += delta * delta;
                 w_eff.push(((gp - gm) / g_max) as f32);
             }
@@ -207,7 +214,9 @@ impl InMemoryEncoder {
     }
 
     /// Encode `spectrum` in memory, returning the hypervector and the
-    /// error statistics vs the software ground truth.
+    /// error statistics vs the software ground truth (which costs a full
+    /// software encode on top — the library side pays it for the build
+    /// statistics, queries go through [`InMemoryEncoder::encode`]).
     ///
     /// Deterministic per `(construction seed, spectrum id)`.
     ///
@@ -215,13 +224,36 @@ impl InMemoryEncoder {
     ///
     /// Panics if a peak bin exceeds the programmed ID memory.
     pub fn encode_with_stats(&self, spectrum: &BinnedSpectrum) -> (BinaryHypervector, EncodeStats) {
+        let (hv, cycles) = self.encode_counting(spectrum);
+        let truth = self.software.encode(spectrum);
+        let stats = EncodeStats {
+            bit_errors: hamming_distance(&hv, &truth),
+            dim: self.dim as u32,
+            cycles,
+        };
+        (hv, stats)
+    }
+
+    /// Encode `spectrum` in memory — the same hypervector as
+    /// [`InMemoryEncoder::encode_with_stats`], without the software
+    /// ground-truth encode the statistics need.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a peak bin exceeds the programmed ID memory.
+    pub fn encode(&self, spectrum: &BinnedSpectrum) -> BinaryHypervector {
+        self.encode_counting(spectrum).0
+    }
+
+    /// The in-memory encode: the hypervector and the sensing cycles it
+    /// consumed.
+    fn encode_counting(&self, spectrum: &BinnedSpectrum) -> (BinaryHypervector, u32) {
         let mut rng = StdRng::seed_from_u64(
             self.seed
                 .wrapping_mul(0xa076_1d64_78bd_642f)
                 .wrapping_add(u64::from(spectrum.id)),
         );
         let group = self.crossbar.pairs_per_cycle();
-        let adc_levels = (1usize << self.crossbar.adc_bits) as f64;
         let chunk_size = self.chunk_size();
         let lm = self.software.level_memory();
 
@@ -264,17 +296,7 @@ impl InMemoryEncoder {
                         v += inputs[start + row] * f64::from(self.w_eff[bin * self.dim + d]);
                     }
                     v /= n;
-                    if self.crossbar.sense_sigma > 0.0 {
-                        v += sample_normal(&mut rng, self.crossbar.sense_sigma);
-                    }
-                    let ir_sigma = self.crossbar.ir_drop_factor * self.sigma_delta;
-                    if ir_sigma > 0.0 {
-                        v += sample_normal(&mut rng, ir_sigma);
-                    }
-                    let clamped = v.clamp(-1.0, 1.0);
-                    let code = ((clamped + 1.0) / 2.0 * (adc_levels - 1.0)).round();
-                    let v_hat = code / (adc_levels - 1.0) * 2.0 - 1.0;
-                    acc[d] += v_hat * n;
+                    acc[d] += self.crossbar.sense(v, n, self.sigma_delta, &mut rng);
                 }
                 start = end;
             }
@@ -287,7 +309,7 @@ impl InMemoryEncoder {
         // comparator treats |acc| < ½ as the zero tie rather than trusting
         // the sign of a sub-LSB analog residue.
         let mut hv = BinaryHypervector::zeros(self.dim);
-        let tie = self.software.quantize_accumulator(&vec![0i32; self.dim]);
+        let tie = self.software.tie_break();
         for (d, &v) in acc.iter().enumerate() {
             let bit = if v > 0.5 {
                 true
@@ -298,26 +320,15 @@ impl InMemoryEncoder {
             };
             hv.set(d, bit);
         }
-
-        let truth = self.software.encode(spectrum);
-        let stats = EncodeStats {
-            bit_errors: hamming_distance(&hv, &truth),
-            dim: self.dim as u32,
-            cycles,
-        };
-        (hv, stats)
-    }
-
-    /// Encode without statistics.
-    pub fn encode(&self, spectrum: &BinnedSpectrum) -> BinaryHypervector {
-        self.encode_with_stats(spectrum).0
+        (hv, cycles)
     }
 }
 
-fn sample_normal<R: Rng>(rng: &mut R, sigma: f64) -> f64 {
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let v: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
-    sigma * (-2.0 * u.ln()).sqrt() * v.cos()
+impl ReferenceEncoder for InMemoryEncoder {
+    fn encode_reference(&self, binned: &BinnedSpectrum) -> (BinaryHypervector, f64) {
+        let (hv, stats) = self.encode_with_stats(binned);
+        (hv, stats.bit_error_rate())
+    }
 }
 
 #[cfg(test)]

@@ -17,17 +17,19 @@
 //! one sensing cycle the deviations of the `activated_rows/2` pairs sum;
 //! with ≥ 8 pairs per cycle the sum is well-approximated as Gaussian with
 //! variance `n · σ_δ²` (central limit theorem over the independent Laplace
-//! per-cell terms — the approximation is documented in `EXPERIMENTS.md`),
-//! on top of sensing noise and ADC quantisation exactly as in
-//! [`hdoms_rram::array`].
+//! per-cell terms — the approximation is documented in `EXPERIMENTS.md`).
+//! That one draw goes in front of the chip model's own sensing cycle
+//! ([`CrossbarConfig::sense`]: sensing noise, IR drop, clamp, ADC) — the
+//! cycle `CrossbarArray::mvm` and the in-memory encoder run, so the
+//! `rram_sim`, Fig. 10 and Fig. 13 identifications are read out through
+//! the same Eq. 5 chain Fig. 9 measures.
 
-use hdoms_hdc::parallel::par_map;
 use hdoms_hdc::{BinaryHypervector, HvView};
-use hdoms_oms::search::SharedReferences;
-use hdoms_rram::array::CrossbarConfig;
+use hdoms_oms::search::{SearchHit, SharedReferences};
+use hdoms_rram::array::{sample_normal, CrossbarConfig};
 use hdoms_rram::device::DeviceModel;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Statistics of one in-memory similarity evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,12 +55,12 @@ pub struct InMemorySearch {
     sigma_delta: f64,
     dim: usize,
     seed: u64,
-    threads: usize,
 }
 
 impl InMemorySearch {
-    /// Store `references` (one slot per library id; `None` marks entries
-    /// that failed preprocessing) in the simulated crossbars.
+    /// Store `references` — `dim`-dimensional hypervectors, one slot per
+    /// library id (`None` marks entries that failed preprocessing, and
+    /// every slot may be one) — in the simulated crossbars.
     ///
     /// Accepts either an owned `Vec` (cold build) or an existing
     /// [`SharedReferences`] handle (warm load from `hdoms-index`) — the
@@ -66,17 +68,17 @@ impl InMemorySearch {
     ///
     /// # Panics
     ///
-    /// Panics if `crossbar` is invalid or reference dimensions disagree.
+    /// Panics if `crossbar` is invalid or a stored reference's dimension
+    /// is not `dim`.
     pub fn new(
         crossbar: CrossbarConfig,
+        dim: usize,
         references: impl Into<SharedReferences>,
         seed: u64,
-        threads: usize,
     ) -> InMemorySearch {
         let references = references.into();
         crossbar.validate();
-        // `dim()` asserts all present references agree.
-        let dim = references.dim().expect("at least one stored reference");
+        references.assert_dim(dim);
         // σ of one Laplace(λ) is λ√2; the differential pair subtracts two
         // independent extreme-level cells.
         let device = DeviceModel::new(crossbar.mlc);
@@ -89,7 +91,6 @@ impl InMemorySearch {
             sigma_delta,
             dim,
             seed,
-            threads,
         }
     }
 
@@ -135,7 +136,6 @@ impl InMemorySearch {
                     .wrapping_mul(0x2545_f491_4f6c_dd1d),
         );
         let group = self.crossbar.pairs_per_cycle();
-        let adc_levels = (1usize << self.crossbar.adc_bits) as f64;
         let mut acc = 0.0f64;
         let mut cycles = 0u32;
         let mut exact = 0i64;
@@ -149,25 +149,13 @@ impl InMemorySearch {
             let mac = 2.0 * same as f64 - n; // matches − mismatches
             exact += mac as i64;
             // Analog path: normalised voltage + weight deviation (CLT over
-            // the group) + sensing noise → ADC.
+            // the group), then the sensing cycle.
             let mut v = mac / n;
             let sigma_group = self.sigma_delta / n.sqrt();
             if sigma_group > 0.0 {
                 v += sample_normal(&mut rng, sigma_group);
             }
-            if self.crossbar.sense_sigma > 0.0 {
-                v += sample_normal(&mut rng, self.crossbar.sense_sigma);
-            }
-            // IR-drop / settling error: conductance deviations aggregate
-            // coherently across the driven rows (see CrossbarConfig).
-            let ir_sigma = self.crossbar.ir_drop_factor * self.sigma_delta;
-            if ir_sigma > 0.0 {
-                v += sample_normal(&mut rng, ir_sigma);
-            }
-            let clamped = v.clamp(-1.0, 1.0);
-            let code = ((clamped + 1.0) / 2.0 * (adc_levels - 1.0)).round();
-            let v_hat = code / (adc_levels - 1.0) * 2.0 - 1.0;
-            acc += v_hat * n;
+            acc += self.crossbar.sense(v, n, self.sigma_delta, &mut rng);
             start = end;
         }
         Some(SearchStats {
@@ -184,39 +172,10 @@ impl InMemorySearch {
         query: &BinaryHypervector,
         query_id: u32,
         candidates: &[u32],
-    ) -> Option<(u32, f64)> {
-        let mut best: Option<(u32, f64)> = None;
-        for &cand in candidates {
-            let Some(stats) = self.evaluate(query, query_id, cand) else {
-                continue;
-            };
-            let score = stats.estimated_dot / self.dim as f64;
-            let better = match best {
-                None => true,
-                Some((b_ref, b_score)) => score > b_score || (score == b_score && cand < b_ref),
-            };
-            if better {
-                best = Some((cand, score));
-            }
-        }
-        best
-    }
-
-    /// Batched best-match search, parallel over queries.
-    pub fn search_batch(
-        &self,
-        queries: &[(u32, BinaryHypervector)],
-        candidates: &[Vec<u32>],
-    ) -> Vec<Option<(u32, f64)>> {
-        assert_eq!(
-            queries.len(),
-            candidates.len(),
-            "queries and candidates must pair up"
-        );
-        let jobs: Vec<usize> = (0..queries.len()).collect();
-        par_map(&jobs, self.threads, |&i| {
-            let (qid, hv) = &queries[i];
-            self.search_best(hv, *qid, &candidates[i])
+    ) -> Option<SearchHit> {
+        SearchHit::best_of(candidates, |reference| {
+            let stats = self.evaluate(query, query_id, reference)?;
+            Some(stats.estimated_dot / self.dim as f64)
         })
     }
 }
@@ -233,12 +192,6 @@ where
 {
     debug_assert!(start < end && end <= a.dim());
     hdoms_hdc::kernels::active().matching_bits_words(a.words(), b.words(), start, end)
-}
-
-fn sample_normal<R: Rng>(rng: &mut R, sigma: f64) -> f64 {
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let v: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
-    sigma * (-2.0 * u.ln()).sqrt() * v.cos()
 }
 
 #[cfg(test)]
@@ -287,7 +240,7 @@ mod tests {
     #[test]
     fn ideal_hardware_recovers_exact_dot() {
         let refs = random_refs(10, 1024, 2);
-        let search = InMemorySearch::new(ideal_crossbar(), refs.clone(), 3, 1);
+        let search = InMemorySearch::new(ideal_crossbar(), 1024, refs.clone(), 3);
         let mut rng = StdRng::seed_from_u64(4);
         let q = BinaryHypervector::random(&mut rng, 1024);
         for id in 0..10u32 {
@@ -305,7 +258,7 @@ mod tests {
     #[test]
     fn noisy_hardware_rmse_small_relative_to_match_gap() {
         let refs = random_refs(50, 2048, 5);
-        let search = InMemorySearch::new(CrossbarConfig::default(), refs.clone(), 6, 1);
+        let search = InMemorySearch::new(CrossbarConfig::default(), 2048, refs.clone(), 6);
         let mut rng = StdRng::seed_from_u64(7);
         let q = BinaryHypervector::random(&mut rng, 2048);
         let mut se = 0.0f64;
@@ -332,18 +285,21 @@ mod tests {
             near.flip(i * 10); // 10 % corrupted copy
         }
         refs[37] = Some(near);
-        let search = InMemorySearch::new(CrossbarConfig::default(), refs, 10, 1);
+        let search = InMemorySearch::new(CrossbarConfig::default(), dim, refs, 10);
         let candidates: Vec<u32> = (0..100).collect();
-        let (best, score) = search.search_best(&q, 0, &candidates).unwrap();
-        assert_eq!(best, 37, "true match must win despite analog noise");
-        assert!(score > 0.5);
+        let best = search.search_best(&q, 0, &candidates).unwrap();
+        assert_eq!(
+            best.reference, 37,
+            "true match must win despite analog noise"
+        );
+        assert!(best.score > 0.5);
     }
 
     #[test]
     fn empty_slots_are_skipped() {
         let mut refs = random_refs(5, 512, 11);
         refs[2] = None;
-        let search = InMemorySearch::new(CrossbarConfig::default(), refs, 12, 1);
+        let search = InMemorySearch::new(CrossbarConfig::default(), 512, refs, 12);
         let mut rng = StdRng::seed_from_u64(13);
         let q = BinaryHypervector::random(&mut rng, 512);
         assert!(search.evaluate(&q, 0, 2).is_none());
@@ -354,7 +310,7 @@ mod tests {
     #[test]
     fn deterministic_per_ids() {
         let refs = random_refs(5, 512, 14);
-        let search = InMemorySearch::new(CrossbarConfig::default(), refs, 15, 1);
+        let search = InMemorySearch::new(CrossbarConfig::default(), 512, refs, 15);
         let mut rng = StdRng::seed_from_u64(16);
         let q = BinaryHypervector::random(&mut rng, 512);
         let a = search.evaluate(&q, 3, 1).unwrap();
@@ -367,25 +323,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential_and_parallel() {
-        let refs = random_refs(30, 512, 17);
-        let mut rng = StdRng::seed_from_u64(18);
-        let queries: Vec<(u32, BinaryHypervector)> = (0..8)
-            .map(|i| (i, BinaryHypervector::random(&mut rng, 512)))
-            .collect();
-        let candidates: Vec<Vec<u32>> = (0..8).map(|_| (0..30).collect()).collect();
-        let s1 = InMemorySearch::new(CrossbarConfig::default(), refs.clone(), 19, 1);
-        let s8 = InMemorySearch::new(CrossbarConfig::default(), refs, 19, 8);
-        assert_eq!(
-            s1.search_batch(&queries, &candidates),
-            s8.search_batch(&queries, &candidates)
-        );
-    }
-
-    #[test]
     fn cycles_per_query_formula() {
         let refs = random_refs(2, 8192, 20);
-        let search = InMemorySearch::new(CrossbarConfig::default(), refs, 21, 1);
+        let search = InMemorySearch::new(CrossbarConfig::default(), 8192, refs, 21);
         // 8192 dims / 32 pairs per cycle = 256.
         assert_eq!(search.cycles_per_query(), 256);
     }

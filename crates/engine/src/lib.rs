@@ -307,7 +307,7 @@ impl EngineMetrics {
 ///
 /// | constructor | replaces |
 /// |---|---|
-/// | [`Engine::from_library`] | cold `ExactBackend::build` / `OmsAccelerator::build` / `HyperOmsBackend::build` + manual candidate index |
+/// | [`Engine::from_library`] | cold `ExactBackend::build` / `OmsAccelerator::build` + manual candidate index |
 /// | [`Engine::open_mapped`] | `LibraryIndex::open_mapped` + the wiring below, searching the `mmap`ed file in place |
 /// | [`Engine::from_index`] | `LibraryIndex::sharded_backend` + `peptides_by_id` + `candidate_index` over any loaded index (`LibraryIndex::open` for the same loader over a heap read) |
 /// | [`Engine::from_backend`] | any [`SimilarityBackend`]: the baselines crate, or an index's flat `to_exact_backend` / `to_accelerator` as the unsharded reference |

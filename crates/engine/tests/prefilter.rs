@@ -1,8 +1,9 @@
 //! Acceptance contract of the two-stage candidate cascade: `Off` is
 //! byte-identical to the pre-cascade engine, `TopK(K ≥ window)` is
 //! exactly equivalent to `Off` (PSMs **and** receipts), a lossy K
-//! preserves the 1% FDR identification count on the evaluation
-//! workload, and the knob is rejected on engines that cannot run it.
+//! keeps recall@K ≥ 0.99 at a ≥ 3× smaller scan and preserves the 1% FDR
+//! identification count on the evaluation workload, and the knob is
+//! rejected on engines that cannot run it.
 
 use hdoms_engine::{BatchReceipt, Engine, ReferenceMeta};
 use hdoms_index::{IndexConfig, IndexedBackendKind};
@@ -11,6 +12,7 @@ use hdoms_oms::psm::render_table;
 use hdoms_oms::window::PrecursorWindow;
 use hdoms_prefilter::{PrefilterConfig, DEFAULT_TOP_K};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 const THREADS: usize = 4;
@@ -96,10 +98,12 @@ fn off_engine_is_byte_identical_whether_set_explicitly_or_not() {
 
 #[test]
 fn lossy_k_preserves_fdr_identifications_on_iprg() {
-    // The recall contract at the default K on the evaluation workload:
-    // precursor windows (~650 candidates at this scale) are narrowed
-    // ~2.5x, yet the 1% FDR identification count moves by at most 2%.
-    let workload = SyntheticWorkload::generate(&WorkloadSpec::iprg2012(0.01), 7003);
+    // The recall contract at the default K on the evaluation workload
+    // (the scale the retired `prefilter_bench` asserted it at): precursor
+    // windows (~1300 candidates) are narrowed at least 3x (~5x measured),
+    // yet at least 99% of the unfiltered run's identifications survive
+    // and the 1% FDR identification count moves by at most 2%.
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::iprg2012(0.02), 7003);
     let window = PrecursorWindow::open_default();
 
     let off = Arc::new(engine_for(&workload, DIM, 256));
@@ -124,6 +128,27 @@ fn lossy_k_preserves_fdr_identifications_on_iprg() {
     assert!(
         ids_k.abs_diff(ids_off) <= tolerance,
         "1% FDR ids moved {ids_off} -> {ids_k} (tolerance {tolerance})"
+    );
+
+    // recall@K over identifications: of the unfiltered run's accepted
+    // (1% FDR) PSMs, the share the cascade reproduces exactly (same
+    // query → same reference).
+    let best_of = |outcome: &hdoms_oms::pipeline::PipelineOutcome| -> HashMap<u32, u32> {
+        let psms = outcome.psms.iter();
+        psms.map(|p| (p.query_id, p.reference_id)).collect()
+    };
+    let (reference, cascaded) = (best_of(&off_outcome), best_of(&topk_outcome));
+    let accepted = off_outcome.accepted_query_ids();
+    let preserved = accepted
+        .iter()
+        .filter(|q| cascaded.get(q) == reference.get(q))
+        .count();
+    let recall = preserved as f64 / accepted.len().max(1) as f64;
+    let reduction = topk_receipt.candidates_pre as f64 / topk_receipt.candidates_post as f64;
+    assert!(recall >= 0.99, "recall@{DEFAULT_TOP_K} is {recall:.4}");
+    assert!(
+        reduction >= 3.0,
+        "candidate-scan reduction is {reduction:.2}x"
     );
 }
 

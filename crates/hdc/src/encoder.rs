@@ -121,6 +121,14 @@ impl IdLevelEncoder {
         &self.level_memory
     }
 
+    /// The fixed per-dimension resolution of `Sign(0)` — what
+    /// [`IdLevelEncoder::quantize_accumulator`] emits wherever the
+    /// accumulator is zero. The in-memory encoder applies the same
+    /// tie-break to its analog accumulator.
+    pub fn tie_break(&self) -> &BinaryHypervector {
+        &self.tie_break
+    }
+
     /// The raw encoding accumulator `Σ ID_i ⊗ LV_i` (before `Sign`).
     ///
     /// The in-memory encoding path perturbs this accumulator with the

@@ -26,8 +26,9 @@
 //! `HDOMS_KERNEL` environment variable (`scalar` | `simd` | `auto`,
 //! default `auto` = best SIMD the CPU reports, scalar otherwise) and can
 //! be swapped at runtime with [`set_active`] — which is how the
-//! equivalence suites and `kernel_bench` run every variant inside one
-//! process. Explicit [`KernelDispatch`] values ([`KernelDispatch::scalar`],
+//! equivalence suites run every variant inside one process (and
+//! `bench_suite` reports `hdc.kernel_pair_scores_per_s` under whichever
+//! the environment selects). Explicit [`KernelDispatch`] values ([`KernelDispatch::scalar`],
 //! [`KernelDispatch::resolve`]) bypass the global entirely.
 //!
 //! # The output contract
@@ -552,8 +553,8 @@ pub fn active() -> KernelDispatch {
 /// Override the process-wide kernel, returning what the request
 /// resolved to. Output bytes are identical across kernels (the
 /// equivalence suites' contract), so swapping mid-run only changes
-/// speed — the equivalence tests and `kernel_bench` use exactly that to
-/// compare variants inside one process.
+/// speed — the equivalence tests use exactly that to compare variants
+/// inside one process.
 pub fn set_active(kind: KernelKind) -> KernelDispatch {
     let resolved = KernelDispatch::resolve(kind);
     ACTIVE.store(code_of(resolved), Ordering::Relaxed);

@@ -4,17 +4,17 @@ use crate::format::{
     self, ImageLayout, IndexEntry, IndexError, IndexedBackendKind, MlcState, Shard, CHECKSUM_SEED,
     FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION,
 };
-use crate::sharded::{Scorer, ShardedBackend};
-use crate::streaming::{rram_encoder, ChunkEncoder, StatsFold};
+use crate::sharded::{BoxedScorer, ShardedBackend};
+use crate::streaming::{rram_encoder, ChunkEncoder};
 use crate::wire::Reader;
 use crate::xxhash::xxh64;
-use hdoms_core::accelerator::{BuildStats, OmsAccelerator};
+use hdoms_core::accelerator::{BuildStats, OmsAccelerator, StatsFold};
 use hdoms_hdc::parallel::par_map;
 use hdoms_hdc::WordBuffer;
 use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
 use hdoms_oms::candidates::CandidateIndex;
 use hdoms_oms::pipeline::ReferenceCatalog;
-use hdoms_oms::search::{ExactBackend, ExactBackendConfig, SharedReferences, SimilarityBackend};
+use hdoms_oms::search::{ExactBackend, ExactBackendConfig, SharedReferences};
 use hdoms_prefilter::{SketchIndex, SKETCH_WORDS};
 use std::io::Write;
 use std::path::Path;
@@ -408,22 +408,15 @@ impl LibraryIndex {
     ///
     /// Propagates the kind mismatch errors of the reconstruction methods.
     pub fn sharded_backend(&self, threads: usize) -> Result<ShardedBackend, IndexError> {
-        let scorer = match &self.kind {
-            IndexedBackendKind::Exact(_) => {
-                let backend = self.to_exact_backend(threads)?;
-                Scorer::Exact {
-                    name: backend.name(),
-                    backend,
-                }
-            }
-            IndexedBackendKind::HyperOms(config) => Scorer::Exact {
-                name: self.kind.name().to_owned(),
-                backend: ExactBackend::from_shared(
-                    config.exact_config(threads),
-                    self.references.clone(),
-                ),
-            },
-            IndexedBackendKind::Rram(_) => Scorer::Rram(self.to_accelerator(threads)?),
+        let scorer: BoxedScorer = match &self.kind {
+            IndexedBackendKind::Exact(_) => Box::new(self.to_exact_backend(threads)?),
+            // HyperOMS is the exact scan under its binary-ID
+            // configuration and its own report name.
+            IndexedBackendKind::HyperOms(config) => Box::new(
+                ExactBackend::from_shared(config.exact_config(threads), self.references.clone())
+                    .named(self.kind.name()),
+            ),
+            IndexedBackendKind::Rram(_) => Box::new(self.to_accelerator(threads)?),
         };
         Ok(ShardedBackend::new(
             scorer,

@@ -13,74 +13,28 @@
 //!   shard runs, so even a single interactive query saturates the
 //!   workers.
 //!
-//! Scores are bit-identical to the flat backends: every per-(query,
-//! reference) evaluation is deterministic and the merge applies the same
-//! `(score desc, id asc)` tie-break the flat scan applies.
+//! This is the second loop over the backend seam
+//! ([`hdoms_oms::search::RunScorer`]: encode a query once, score one
+//! candidate run), beside the flat per-query loop in `hdoms-oms` — the
+//! backend behind it is whichever the index kind names, boxed, and
+//! nothing here knows which. Scores are bit-identical to the flat loop:
+//! every per-(query, reference) evaluation is deterministic and
+//! per-shard winners merge through the same
+//! [`SearchHit::fold_into`] order the scans reduce through.
 
-use hdoms_core::accelerator::OmsAccelerator;
 use hdoms_hdc::parallel::par_map;
 use hdoms_hdc::BinaryHypervector;
 use hdoms_ms::preprocess::BinnedSpectrum;
 use hdoms_obs::metrics::{Counter, Histogram, Registry};
-use hdoms_oms::search::{ExactBackend, SearchHit, SimilarityBackend};
+use hdoms_oms::search::{RunScorer, SearchHit, SimilarityBackend};
 use hdoms_prefilter::{PrefilterStats, SketchIndex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A backend whose per-query evaluation splits into "encode once" and
-/// "score a candidate subset", which is what shard fan-out needs (the flat
-/// [`SimilarityBackend`] entry point re-encodes per call).
-#[allow(clippy::large_enum_variant)] // one instance per backend, never collected
-pub(crate) enum Scorer {
-    /// The exact HD scan under the report name of the backend it stands
-    /// for (HyperOMS is this scan under a binary-ID configuration).
-    Exact {
-        backend: ExactBackend,
-        name: String,
-    },
-    Rram(OmsAccelerator),
-}
-
-impl Scorer {
-    fn name(&self) -> String {
-        match self {
-            Scorer::Exact { name, .. } => name.clone(),
-            Scorer::Rram(b) => b.name(),
-        }
-    }
-
-    /// Encode one query (with the backend's configured error injection).
-    fn prepare(&self, binned: &BinnedSpectrum) -> BinaryHypervector {
-        match self {
-            Scorer::Exact { backend, .. } => backend.encode_query(binned),
-            Scorer::Rram(b) => b.encoder().encode(binned),
-        }
-    }
-
-    /// Best hit among `candidates` for an already-encoded query.
-    fn best(
-        &self,
-        query_hv: &BinaryHypervector,
-        query_id: u32,
-        candidates: &[u32],
-    ) -> Option<SearchHit> {
-        match self {
-            // The shared kernel-tiled scan (same scoring and tie-break
-            // as `ExactBackend::search_batch`).
-            Scorer::Exact { backend, .. } => hdoms_oms::search::best_hit(
-                backend.shared_references(),
-                backend.encoder().config().dim,
-                query_hv,
-                candidates,
-            ),
-            Scorer::Rram(b) => b
-                .search_engine()
-                .search_best(query_hv, query_id, candidates)
-                .map(|(reference, score)| SearchHit { reference, score }),
-        }
-    }
-}
+/// The backend a [`ShardedBackend`] fans out over: any hypervector
+/// scorer (the sketch prefilter reads the encoded query's words).
+pub(crate) type BoxedScorer = Box<dyn RunScorer<Query = BinaryHypervector> + Send>;
 
 /// Wall-clock spent scoring one shard during a batch search.
 ///
@@ -173,17 +127,11 @@ impl PrefilterClock {
     }
 }
 
-/// Merge per-shard best hits with the flat scan's tie-break.
+/// Merge per-shard best hits in the flat scan's order.
 fn merge_hits(hits: impl IntoIterator<Item = Option<SearchHit>>) -> Option<SearchHit> {
     let mut best: Option<SearchHit> = None;
     for hit in hits.into_iter().flatten() {
-        let better = match &best {
-            None => true,
-            Some(b) => hit.score > b.score || (hit.score == b.score && hit.reference < b.reference),
-        };
-        if better {
-            best = Some(hit);
-        }
+        hit.fold_into(&mut best);
     }
     best
 }
@@ -222,7 +170,7 @@ fn merge_hits(hits: impl IntoIterator<Item = Option<SearchHit>>) -> Option<Searc
 /// assert!(!outcome.psms.is_empty());
 /// ```
 pub struct ShardedBackend {
-    scorer: Scorer,
+    scorer: BoxedScorer,
     /// Dense id → shard position.
     shard_of: Vec<u32>,
     shard_count: usize,
@@ -232,7 +180,7 @@ pub struct ShardedBackend {
 
 impl ShardedBackend {
     pub(crate) fn new(
-        scorer: Scorer,
+        scorer: BoxedScorer,
         shard_of: Vec<u32>,
         shard_count: usize,
         threads: usize,
@@ -329,7 +277,7 @@ impl ShardedBackend {
         let runs = self.shard_runs(candidates);
         let score = |run: &[u32]| -> Option<SearchHit> {
             let start = Instant::now();
-            let hit = self.scorer.best(&query_hv, binned.id, run);
+            let hit = self.scorer.best_in(binned, &query_hv, run);
             let ns = start.elapsed().as_nanos() as u64;
             clock.record(self.shard_of[run[0] as usize] as usize, ns);
             if let Some(metrics) = &self.metrics {
@@ -475,7 +423,7 @@ impl SimilarityBackend for ShardedBackend {
     fn name(&self) -> String {
         format!(
             "sharded({}, {} shards)",
-            self.scorer.name(),
+            self.scorer.report_name(),
             self.shard_count
         )
     }

@@ -1,8 +1,10 @@
 //! Streaming index construction: encode, spill, and serialise one
-//! bounded chunk at a time — plus the per-kind chunk encoder and the
-//! build-statistics fold every build path (this one, the in-memory
-//! [`IndexBuilder`](crate::IndexBuilder), appends, warm accelerator
-//! reconstruction) is written over.
+//! bounded chunk at a time — plus the index's chunk encoder, which
+//! every build path (this one, the in-memory
+//! [`IndexBuilder`](crate::IndexBuilder), appends) encodes through: the
+//! kind picks a [`ReferenceEncoder`] once, at construction, and from
+//! then on it is the one `hdoms_oms::search::encode_chunk` body folded
+//! by the one [`StatsFold`].
 //!
 //! [`IndexBuilder`](crate::IndexBuilder) holds the whole encoded library
 //! in memory, which caps the library size at available RAM.
@@ -26,17 +28,19 @@
 
 use crate::format::{self, ImageLayout, IndexEntry, IndexError, IndexedBackendKind, MlcState};
 use crate::library_index::IndexConfig;
-use hdoms_core::accelerator::{AcceleratorConfig, BuildStats, OmsAccelerator};
+use hdoms_core::accelerator::{AcceleratorConfig, BuildStats, StatsFold};
 use hdoms_core::encode::InMemoryEncoder;
-use hdoms_hdc::encoder::IdLevelEncoder;
 use hdoms_hdc::BinaryHypervector;
 use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
 use hdoms_ms::preprocess::Preprocessor;
-use hdoms_oms::search::{ExactBackend, ExactBackendConfig};
+use hdoms_oms::search::{
+    encode_chunk, ExactBackend, ExactBackendConfig, ReferenceEncoder, SharedReferences,
+};
 use hdoms_prefilter::{SketchIndex, SKETCH_WORDS};
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Configuration for [`StreamingIndexBuilder`].
 #[derive(Debug, Clone, PartialEq)]
@@ -77,22 +81,16 @@ pub struct StreamingBuildReport {
     pub build_stats: BuildStats,
 }
 
-/// The one per-kind encoder of the index: the deterministic per-id
-/// encode the backend constructors run ([`ExactBackend::encode_chunk`] /
-/// [`OmsAccelerator::encode_chunk`]), dispatched by backend kind once,
-/// here, for cold builds, streaming builds and appends alike.
-#[allow(clippy::large_enum_variant)] // one instance per build, never collected
-pub(crate) enum ChunkEncoder {
-    Exact {
-        encoder: IdLevelEncoder,
-        pre: Preprocessor,
-        config: ExactBackendConfig,
-    },
-    Rram {
-        encoder: InMemoryEncoder,
-        pre: Preprocessor,
-        threads: usize,
-    },
+/// The library encoder of one index: the [`ReferenceEncoder`] its
+/// backend kind names, with the preprocessing and thread count it runs
+/// under — for cold builds, streaming builds and appends alike.
+pub(crate) struct ChunkEncoder {
+    encoder: Arc<dyn ReferenceEncoder + Send>,
+    /// The same encoder again when it is the in-memory one, for the MLC
+    /// programming state an RRAM-kind image persists.
+    in_memory: Option<Arc<InMemoryEncoder>>,
+    pre: Preprocessor,
+    threads: usize,
 }
 
 /// The in-memory encoder of an RRAM-kind index: restored verbatim from
@@ -114,25 +112,36 @@ pub(crate) fn rram_encoder(config: &AcceleratorConfig, mlc: Option<&MlcState>) -
 
 impl ChunkEncoder {
     /// The encoder for `kind` on `threads` workers; `mlc` is the
-    /// index's persisted programming state, if it has one.
+    /// index's persisted programming state, if it has one. The software
+    /// kinds encode through an [`ExactBackend`] over no references.
     pub(crate) fn new(
         kind: &IndexedBackendKind,
         mlc: Option<&MlcState>,
         threads: usize,
     ) -> ChunkEncoder {
-        let exact = |config: ExactBackendConfig| ChunkEncoder::Exact {
-            encoder: IdLevelEncoder::new(config.encoder),
+        let software = |config: ExactBackendConfig| ChunkEncoder {
+            encoder: Arc::new(ExactBackend::from_shared(
+                config,
+                SharedReferences::from(Vec::new()),
+            )),
+            in_memory: None,
             pre: Preprocessor::new(config.preprocess),
-            config,
+            threads,
         };
         match kind {
-            IndexedBackendKind::Exact(config) => exact(ExactBackendConfig { threads, ..*config }),
-            IndexedBackendKind::HyperOms(config) => exact(config.exact_config(threads)),
-            IndexedBackendKind::Rram(config) => ChunkEncoder::Rram {
-                encoder: rram_encoder(config, mlc),
-                pre: Preprocessor::new(config.preprocess),
-                threads,
-            },
+            IndexedBackendKind::Exact(config) => {
+                software(ExactBackendConfig { threads, ..*config })
+            }
+            IndexedBackendKind::HyperOms(config) => software(config.exact_config(threads)),
+            IndexedBackendKind::Rram(config) => {
+                let encoder = Arc::new(rram_encoder(config, mlc));
+                ChunkEncoder {
+                    encoder: encoder.clone(),
+                    in_memory: Some(encoder),
+                    pre: Preprocessor::new(config.preprocess),
+                    threads,
+                }
+            }
         }
     }
 
@@ -144,80 +153,18 @@ impl ChunkEncoder {
         entries: &[LibraryEntry],
         first_id: u32,
     ) -> Vec<Option<(BinaryHypervector, f64)>> {
-        match self {
-            ChunkEncoder::Exact {
-                encoder,
-                pre,
-                config,
-            } => ExactBackend::encode_chunk(encoder, pre, config, entries, first_id)
-                .into_iter()
-                .map(|slot| slot.map(|hv| (hv, 0.0)))
-                .collect(),
-            ChunkEncoder::Rram {
-                encoder,
-                pre,
-                threads,
-            } => OmsAccelerator::encode_chunk(encoder, pre, entries, first_id, *threads),
-        }
+        encode_chunk(&*self.encoder, &self.pre, entries, first_id, self.threads)
     }
 
-    /// The MLC programming state to persist (RRAM kind only).
+    /// The MLC programming state to persist (RRAM kind only). The
+    /// weights are copied out here, when an image is written, not at
+    /// construction: the table would otherwise sit beside the encode
+    /// chunks for the whole build.
     pub(crate) fn mlc_state(&self) -> Option<MlcState> {
-        match self {
-            ChunkEncoder::Exact { .. } => None,
-            ChunkEncoder::Rram { encoder, .. } => Some(MlcState {
-                w_eff: encoder.programmed_weights().to_vec(),
-                sigma_delta: encoder.sigma_delta(),
-            }),
-        }
-    }
-}
-
-/// The build-statistics fold, written once: encoded slots go in one at a
-/// time in id order (the BER sum is a left fold, so every build path
-/// reaches bit-identical statistics), and [`StatsFold::onto`] lands them
-/// on whatever the index already recorded.
-#[derive(Debug, Default)]
-pub(crate) struct StatsFold {
-    stored: usize,
-    rejected: usize,
-    ber_sum: f64,
-}
-
-impl StatsFold {
-    /// Record one encoded slot and hand its hypervector on.
-    pub(crate) fn push(
-        &mut self,
-        slot: Option<(BinaryHypervector, f64)>,
-    ) -> Option<BinaryHypervector> {
-        let (hv, ber) = slot.unzip();
-        self.stored += usize::from(hv.is_some());
-        self.rejected += usize::from(hv.is_none());
-        self.ber_sum += ber.unwrap_or(0.0);
-        hv
-    }
-
-    /// The statistics of `prior` (nothing, for a fresh build) extended
-    /// by the folded slots — an exact update: the stored mean is
-    /// re-weighted by the stored counts.
-    pub(crate) fn onto(&self, prior: Option<&BuildStats>) -> BuildStats {
-        let (old_stored, old_rejected, old_mean) = prior.map_or((0, 0, 0.0), |p| {
-            (
-                p.references_stored,
-                p.references_rejected,
-                p.mean_encode_ber,
-            )
-        });
-        let stored = old_stored + self.stored;
-        BuildStats {
-            references_stored: stored,
-            references_rejected: old_rejected + self.rejected,
-            mean_encode_ber: if stored == 0 {
-                0.0
-            } else {
-                (old_mean * old_stored as f64 + self.ber_sum) / stored as f64
-            },
-        }
+        self.in_memory.as_ref().map(|encoder| MlcState {
+            w_eff: encoder.programmed_weights().to_vec(),
+            sigma_delta: encoder.sigma_delta(),
+        })
     }
 }
 

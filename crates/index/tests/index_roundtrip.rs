@@ -2,7 +2,7 @@
 //! identity, corruption rejection, warm-load search equivalence, and
 //! append-vs-cold-rebuild equivalence.
 
-use hdoms_baselines::hyperoms::{HyperOmsBackend, HyperOmsConfig};
+use hdoms_baselines::hyperoms::{self, HyperOmsConfig};
 use hdoms_core::accelerator::{AcceleratorConfig, OmsAccelerator};
 use hdoms_index::{IndexBuilder, IndexConfig, IndexError, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
@@ -159,10 +159,11 @@ fn outcomes_for(
             // The flat HyperOMS backend is composed above the index: the
             // exact scan under the binary-ID configuration, sharing the
             // index's table.
-            let hyperoms = HyperOmsBackend::from_exact(ExactBackend::from_shared(
+            let hyperoms = ExactBackend::from_shared(
                 config.exact_config(THREADS),
                 index.shared_references().clone(),
-            ));
+            )
+            .named("hyperoms");
             pipeline.run_catalog(&workload.queries, index, &hyperoms)
         }
         IndexedBackendKind::Exact(_) => {
@@ -233,7 +234,7 @@ fn warm_load_searches_like_cold_build_rram() {
 fn warm_load_searches_like_cold_build_hyperoms() {
     // The HyperOMS → exact configuration mapping lives once
     // (`HyperOmsConfig::exact_config`): a warm index reconstruction and
-    // a cold `HyperOmsBackend::build` must agree hit for hit.
+    // a cold `hyperoms::build` must agree hit for hit.
     let workload = tiny_workload(23);
     let pipeline_handle = pipeline();
 
@@ -243,7 +244,7 @@ fn warm_load_searches_like_cold_build_hyperoms() {
         threads: THREADS,
         ..HyperOmsConfig::default()
     };
-    let cold_backend = HyperOmsBackend::build(&workload.library, config);
+    let cold_backend = hyperoms::build(&workload.library, config);
     let cold = pipeline_handle.run_catalog(&workload.queries, &workload.library, &cold_backend);
     assert!(!cold.psms.is_empty());
 
@@ -257,6 +258,111 @@ fn warm_load_searches_like_cold_build_hyperoms() {
     );
     assert_eq!(cold.accepted, sharded.accepted);
     assert!(sharded.backend_name.starts_with("sharded(hyperoms, "));
+}
+
+/// Pins the encoders' bits across commits. Every other identity in the
+/// suite (cold ≡ streamed ≡ appended ≡ warm) is symmetric in the encoder,
+/// and the golden `fixtures/v{1,2,3}.hdx` are only ever decoded and
+/// re-serialised, never re-encoded — so a change that flipped one bit of
+/// every hypervector would pass them all. The constants were recorded
+/// from the build of the commit *before* the one that added this test.
+///
+/// The `rram` kind gets no constant: its encode stream runs through
+/// `f64::ln`/`cos`, which libm does not promise bit for bit across
+/// platforms. It is compared against the parent commit's binary at PR
+/// time instead (the verify skill's "Same bytes as the parent").
+#[test]
+fn library_encoding_is_pinned() {
+    use hdoms_index::xxhash::xxh64;
+    use hdoms_oms::psm::render_table;
+
+    let workload = tiny_workload(7);
+    // `threads` is serialised into the header: pin it, the default
+    // follows the machine.
+    let mut exact = ExactBackendConfig::default();
+    exact.encoder.dim = TEST_DIM;
+    exact.threads = THREADS;
+    let hyperoms = HyperOmsConfig {
+        dim: TEST_DIM,
+        threads: THREADS,
+        ..HyperOmsConfig::default()
+    };
+    // (kind, digest of the image, digest of the rendered PSM rows): the
+    // 3-bit chunked default, and binary IDs under random level vectors.
+    let pinned = [
+        (
+            IndexedBackendKind::Exact(exact),
+            0xed5f_7dde_cf7d_4560_u64,
+            0xe369_2e16_a9f6_30b6_u64,
+        ),
+        (
+            IndexedBackendKind::HyperOms(hyperoms),
+            0xb3cc_22ec_a8c0_a56a,
+            0x5a50_e6b5_a492_0329,
+        ),
+    ];
+    for (kind, image_digest, rows_digest) in pinned {
+        let index = build_index(kind, &workload.library, 64);
+        let name = index.kind().name();
+        assert_eq!(
+            xxh64(&index.to_bytes(), 0),
+            image_digest,
+            "{name}: the encoded library changed"
+        );
+        let sharded = index.sharded_backend(THREADS).expect("kind matches");
+        let outcome = pipeline().run_catalog(&workload.queries, &index, &sharded);
+        assert!(!outcome.psms.is_empty());
+        let rows = render_table(&index.peptides_by_id(), &outcome);
+        assert_eq!(
+            xxh64(rows.as_bytes(), 0),
+            rows_digest,
+            "{name}: the PSM rows changed"
+        );
+    }
+}
+
+/// A library whose every reference preprocessing rejects (too few
+/// peaks) builds, serialises and loads — and must then also wire up and
+/// search to nothing, for every kind. The `rram` kind used to panic in
+/// `sharded_backend` (so in `Engine::from_index` and the wire's
+/// `index.load`): the in-memory search took its dimension from the
+/// stored references and insisted on having one.
+#[test]
+fn an_all_rejected_library_wires_up_and_finds_nothing() {
+    let workload = tiny_workload(24);
+    let starved: SpectralLibrary = workload
+        .library
+        .iter()
+        .take(6)
+        .map(|entry| {
+            let mut entry = entry.clone();
+            let peaks = entry.spectrum.peaks()[..2].to_vec();
+            entry.spectrum = hdoms_ms::spectrum::Spectrum::new(
+                entry.spectrum.id,
+                entry.spectrum.precursor_mz,
+                entry.spectrum.precursor_charge,
+                peaks,
+                entry.spectrum.origin,
+            );
+            entry
+        })
+        .collect();
+    let hyperoms = IndexedBackendKind::HyperOms(HyperOmsConfig {
+        dim: TEST_DIM,
+        ..HyperOmsConfig::default()
+    });
+    for kind in [exact_kind(), hyperoms, rram_kind()] {
+        let built = build_index(kind, &starved, 64);
+        let name = built.kind().name();
+        assert_eq!(built.build_stats().references_stored, 0, "{name}");
+        assert_eq!(built.build_stats().references_rejected, 6, "{name}");
+        let reloaded = LibraryIndex::from_bytes(&built.to_bytes(), THREADS).expect("roundtrip");
+        for index in [built, reloaded] {
+            let sharded = index.sharded_backend(THREADS).expect("kind matches");
+            let outcome = pipeline().run_catalog(&workload.queries, &index, &sharded);
+            assert!(outcome.psms.is_empty(), "{name}: {:?}", outcome.psms);
+        }
+    }
 }
 
 #[test]

@@ -1,10 +1,24 @@
 //! Search backends: the pluggable scoring stage of the pipeline.
 //!
-//! A [`SimilarityBackend`] receives preprocessed query spectra plus their
-//! candidate lists and returns each query's best match. The pipeline is
-//! agnostic to *how* scoring happens — exact Hamming on CPU (here), the
-//! baselines crate's cosine scoring, or the core crate's simulated
-//! in-RRAM search all implement this trait.
+//! A scoring backend is two functions, the two operations of the paper's
+//! crossbar: a [`RunScorer`] **prepares** a query once (§4.2 encode, with
+//! the backend's own error injection) and finds the **best hit in one
+//! run** of candidate ids (§4.1 search). Everything around them is
+//! written once: the flat per-query loop (every [`RunScorer`] is a
+//! [`SimilarityBackend`] through it — what the pipeline, the figure
+//! binaries and `Engine::from_backend` drive), the shard fan-out of
+//! `hdoms-index`'s `ShardedBackend` (the loop every production query
+//! runs, tested hit for hit against the flat one), and the
+//! `(score desc, id asc)` order every byte-identity gate depends on
+//! ([`SearchHit::fold_into`]).
+//!
+//! To add a backend, implement [`RunScorer`]: exact Hamming on CPU
+//! ([`ExactBackend`]; HyperOMS is that backend under a binary-ID
+//! configuration and the report name `"hyperoms"`), the baselines
+//! crate's cosine scorers and the core crate's simulated in-RRAM search
+//! are each a few lines. A backend whose library is hypervectors also
+//! implements [`ReferenceEncoder`], so every build path (cold,
+//! streaming, append) encodes through the one [`encode_chunk`].
 //!
 //! The binary-hypervector backends all scan one [`SharedReferences`]
 //! table: the encoded library as one flat buffer of packed words, on the
@@ -16,7 +30,7 @@ use crate::window::PrecursorWindow;
 use hdoms_hdc::corrupt::{flip_bits, flip_bits_in_place};
 use hdoms_hdc::encoder::{EncoderConfig, IdLevelEncoder};
 use hdoms_hdc::item_memory::LevelStyle;
-use hdoms_hdc::kernels::{self, QUERY_TILE, REFERENCE_TILE};
+use hdoms_hdc::kernels::{self, REFERENCE_TILE};
 use hdoms_hdc::multibit::IdPrecision;
 use hdoms_hdc::parallel::par_map;
 use hdoms_hdc::{BinaryHypervector, HvRef, WordBuffer};
@@ -135,6 +149,21 @@ impl SharedReferences {
             .iter()
             .any(|&offset| offset != NO_HV)
             .then_some(self.dim)
+    }
+
+    /// Check that the stored references are `dim`-dimensional; a table
+    /// storing none agrees with any dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a reference is stored and its dimension is not `dim`.
+    pub fn assert_dim(&self, dim: usize) {
+        if let Some(stored) = self.dim() {
+            assert_eq!(
+                stored, dim,
+                "reference hypervector dimensions must match the encoder"
+            );
+        }
     }
 
     /// Byte offset of reference `id`'s packed words inside the backing
@@ -256,108 +285,50 @@ pub struct SearchHit {
     pub score: f64,
 }
 
-/// Fold one scored reference tile into the running best hit with the
-/// canonical `(score desc, id asc)` tie-break.
-fn fold_tile(dim: usize, ids: &[u32], scores: &[i64], best: &mut Option<SearchHit>) {
-    for (&cand, &raw) in ids.iter().zip(scores) {
-        let score = raw as f64 / dim as f64;
+impl SearchHit {
+    /// Fold this hit into the running best under the canonical
+    /// `(score desc, id asc)` order: a higher score wins, and of two
+    /// equal scores the lower reference id. Every scan and every merge
+    /// reduces through here, so a flat scan, a shard fan-out and any
+    /// candidate order agree on the winner.
+    #[inline]
+    pub fn fold_into(self, best: &mut Option<SearchHit>) {
         let better = match best {
             None => true,
-            Some(b) => score > b.score || (score == b.score && cand < b.reference),
+            Some(b) => {
+                self.score > b.score || (self.score == b.score && self.reference < b.reference)
+            }
         };
         if better {
-            *best = Some(SearchHit {
-                reference: cand,
-                score,
-            });
+            *best = Some(self);
         }
+    }
+
+    /// The best hit over `run` for a backend that scores one candidate
+    /// at a time: `score` gives each candidate's score, or `None` for a
+    /// candidate with nothing stored.
+    pub fn best_of(run: &[u32], mut score: impl FnMut(u32) -> Option<f64>) -> Option<SearchHit> {
+        let mut best: Option<SearchHit> = None;
+        for &reference in run {
+            if let Some(score) = score(reference) {
+                SearchHit { reference, score }.fold_into(&mut best);
+            }
+        }
+        best
     }
 }
 
-/// The flat exact scan every exact backend shares: score `query_hv`
-/// against the present entries of `candidates` in
-/// [`REFERENCE_TILE`]-sized tiles on the process-wide active kernel
-/// ([`hdoms_hdc::kernels::active`]) and return the best hit under the
-/// `(score desc, id asc)` tie-break — identical results to the pairwise
-/// formulation, whatever the kernel or tile shape.
-///
-/// Returns `None` when no candidate has a stored hypervector.
-///
-/// # Panics
-///
-/// Panics if a candidate id is beyond the reference table or `dim`
-/// disagrees with the stored hypervectors.
-pub fn best_hit(
-    references: &SharedReferences,
-    dim: usize,
-    query_hv: &BinaryHypervector,
-    candidates: &[u32],
-) -> Option<SearchHit> {
-    let kernel = kernels::active();
-    let query = query_hv.words();
-    let mut best: Option<SearchHit> = None;
-    let cap = REFERENCE_TILE.min(candidates.len());
-    let mut ids: Vec<u32> = Vec::with_capacity(cap);
-    let mut tile: Vec<&[u64]> = Vec::with_capacity(cap);
-    let mut scores = [0i64; REFERENCE_TILE];
-    for &cand in candidates {
-        let Some(ref_hv) = references.hv(cand as usize) else {
-            continue;
-        };
-        ids.push(cand);
-        tile.push(ref_hv.words());
-        if ids.len() == REFERENCE_TILE {
-            kernel.dot_many(dim, query, &tile, &mut scores);
-            fold_tile(dim, &ids, &scores, &mut best);
-            ids.clear();
-            tile.clear();
-        }
+/// Fold one scored reference tile into the running best hit.
+fn fold_tile(dim: usize, ids: &[u32], scores: &[i64], best: &mut Option<SearchHit>) {
+    for (&reference, &raw) in ids.iter().zip(scores) {
+        let score = raw as f64 / dim as f64;
+        SearchHit { reference, score }.fold_into(best);
     }
-    if !ids.is_empty() {
-        let out = &mut scores[..ids.len()];
-        kernel.dot_many(dim, query, &tile, out);
-        fold_tile(dim, &ids, out, &mut best);
-    }
-    best
 }
 
-/// The query-blocked scan: score a whole block of queries sharing one
-/// candidate list through
-/// [`score_block`](hdoms_hdc::kernels::KernelDispatch::score_block), so each
-/// reference tile is swept once per block instead of once per query.
-/// Hit `i` pairs with `query_hvs[i]`; results are identical to running
-/// [`best_hit`] per query.
-fn best_hits_block(
-    references: &SharedReferences,
-    dim: usize,
-    query_hvs: &[BinaryHypervector],
-    candidates: &[u32],
-) -> Vec<Option<SearchHit>> {
-    let kernel = kernels::active();
-    let queries: Vec<&[u64]> = query_hvs.iter().map(|q| q.words()).collect();
-    let q_count = queries.len();
-    let mut best: Vec<Option<SearchHit>> = vec![None; q_count];
-    let mut ids: Vec<u32> = Vec::with_capacity(candidates.len());
-    let mut refs: Vec<&[u64]> = Vec::with_capacity(candidates.len());
-    for &cand in candidates {
-        if let Some(ref_hv) = references.hv(cand as usize) {
-            ids.push(cand);
-            refs.push(ref_hv.words());
-        }
-    }
-    let mut scores = vec![0i64; q_count * REFERENCE_TILE];
-    for (tile_ids, tile_refs) in ids.chunks(REFERENCE_TILE).zip(refs.chunks(REFERENCE_TILE)) {
-        let r = tile_ids.len();
-        let out = &mut scores[..q_count * r];
-        kernel.score_block(dim, &queries, tile_refs, out);
-        for (qi, slot) in best.iter_mut().enumerate() {
-            fold_tile(dim, tile_ids, &out[qi * r..(qi + 1) * r], slot);
-        }
-    }
-    best
-}
-
-/// A pluggable scoring backend for the OMS pipeline.
+/// A pluggable scoring backend for the OMS pipeline, object-safe so an
+/// engine can hold any of them boxed. Backends implement [`RunScorer`];
+/// the flat per-query loop below is their `SimilarityBackend` view.
 pub trait SimilarityBackend {
     /// A short human-readable name ("exact-hd", "ann-solo", …) used in
     /// reports.
@@ -373,6 +344,109 @@ pub trait SimilarityBackend {
         queries: &[BinnedSpectrum],
         candidates: &[Vec<u32>],
     ) -> Vec<Option<SearchHit>>;
+}
+
+/// What a scoring backend is: encode a query once, score one run of
+/// candidates. Results must be deterministic per `(query, reference)` —
+/// independent of which run a candidate arrives in and of the other
+/// candidates — so that splitting a candidate list into runs and merging
+/// the per-run winners with [`SearchHit::fold_into`] equals one scan of
+/// the whole list.
+pub trait RunScorer: Sync {
+    /// The prepared form of one query — its encoded hypervector for the
+    /// HD backends, `()` for backends that score the binned spectrum
+    /// directly.
+    type Query;
+
+    /// The name reports carry ("exact-hd", "ann-solo", …).
+    fn report_name(&self) -> String;
+
+    /// Worker threads the flat loop spreads a batch over.
+    fn threads(&self) -> usize;
+
+    /// Encode `binned` once, applying the backend's configured
+    /// encode-path error injection.
+    fn prepare(&self, binned: &BinnedSpectrum) -> Self::Query;
+
+    /// The best hit for the prepared query among the references in `run`
+    /// (`None` when the run holds no stored reference), under the
+    /// [`SearchHit::fold_into`] order.
+    fn best_in(
+        &self,
+        binned: &BinnedSpectrum,
+        query: &Self::Query,
+        run: &[u32],
+    ) -> Option<SearchHit>;
+}
+
+/// The flat per-query loop, written once: prepare each query and score
+/// its whole candidate list as a single run, in parallel over queries.
+/// This is the reference `ShardedBackend`'s fan-out is tested against.
+impl<S: RunScorer> SimilarityBackend for S {
+    fn name(&self) -> String {
+        self.report_name()
+    }
+
+    fn search_batch(
+        &self,
+        queries: &[BinnedSpectrum],
+        candidates: &[Vec<u32>],
+    ) -> Vec<Option<SearchHit>> {
+        assert_eq!(
+            queries.len(),
+            candidates.len(),
+            "queries and candidate lists must pair up"
+        );
+        let jobs: Vec<usize> = (0..queries.len()).collect();
+        par_map(&jobs, self.threads(), |&i| {
+            let query = self.prepare(&queries[i]);
+            self.best_in(&queries[i], &query, &candidates[i])
+        })
+    }
+}
+
+/// The library side of a hypervector backend: encode one preprocessed
+/// reference exactly as a cold build stores it.
+pub trait ReferenceEncoder: Sync {
+    /// The stored hypervector of `binned` (deterministic in the
+    /// encoder's configuration and `binned.id`, the dense library id)
+    /// and its encoding bit-error rate against the noise-free software
+    /// encoding — 0 for the software encoders.
+    fn encode_reference(&self, binned: &BinnedSpectrum) -> (BinaryHypervector, f64);
+}
+
+/// The one library-encode body, behind the backend constructors,
+/// streaming index builds and index appends alike: encode a dense run of
+/// entries exactly as a cold build encodes ids `first_id..first_id + len`.
+/// Each entry's spectrum id is treated as `first_id + offset` (the dense
+/// id it will occupy), so preprocessing, encoding and any per-reference
+/// noise stream are keyed on the final id, and feeding a library through
+/// one bounded chunk at a time yields bit-for-bit the hypervectors (and
+/// bit-error rates) of a whole-library build. A slot is `None` when
+/// preprocessing rejected the entry; `pre` must carry the preprocessing
+/// configuration `encoder` was built for.
+pub fn encode_chunk<E: ReferenceEncoder + ?Sized>(
+    encoder: &E,
+    pre: &Preprocessor,
+    entries: &[LibraryEntry],
+    first_id: u32,
+    threads: usize,
+) -> Vec<Option<(BinaryHypervector, f64)>> {
+    let jobs: Vec<(u32, &LibraryEntry)> = entries
+        .iter()
+        .enumerate()
+        .map(|(offset, entry)| (first_id + offset as u32, entry))
+        .collect();
+    par_map(&jobs, threads, |&(id, entry)| {
+        let binned = if entry.spectrum.id == id {
+            pre.run(&entry.spectrum).ok()
+        } else {
+            let mut spectrum = entry.spectrum.clone();
+            spectrum.id = id;
+            pre.run(&spectrum).ok()
+        };
+        binned.map(|binned| encoder.encode_reference(&binned))
+    })
 }
 
 /// Configuration for [`ExactBackend`].
@@ -414,7 +488,7 @@ impl Default for ExactBackendConfig {
 /// et al., PACT 2022, is [`ExactBackend`] under binary IDs and
 /// bit-granular level vectors). It lives next to [`ExactBackendConfig`]
 /// because a persistent index stores it as a backend kind;
-/// `hdoms_baselines::hyperoms` re-exports it beside the backend shell.
+/// `hdoms_baselines::hyperoms` re-exports it beside the cold constructor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HyperOmsConfig {
     /// Preprocessing shared with the pipeline.
@@ -436,9 +510,8 @@ pub struct HyperOmsConfig {
 impl HyperOmsConfig {
     /// The [`ExactBackend`] configuration HyperOMS is: binary (1-bit) ID
     /// hypervectors, conventional bit-granular level vectors, no
-    /// injected errors. The one mapping both `HyperOmsBackend::build`
-    /// and `hdoms-index`'s chunk encoder go through, run on `threads`
-    /// workers.
+    /// injected errors. The one mapping both `hdoms_baselines::hyperoms`'s
+    /// cold build and `hdoms-index` go through, run on `threads` workers.
     pub fn exact_config(&self, threads: usize) -> ExactBackendConfig {
         ExactBackendConfig {
             preprocess: self.preprocess,
@@ -472,7 +545,10 @@ impl Default for HyperOmsConfig {
 
 /// Exact HD backend: ID-Level encoding + exact Hamming scoring, optionally
 /// with injected bit errors (the software equivalent of HyperOMS, and the
-/// reference point the RRAM backend is compared against).
+/// reference point the RRAM backend is compared against). It is both
+/// halves of the seam: a [`RunScorer`] over its reference table and the
+/// [`ReferenceEncoder`] that fills one — a backend over an empty table
+/// is the software kinds' library encoder.
 #[derive(Debug, Clone)]
 pub struct ExactBackend {
     config: ExactBackendConfig,
@@ -481,71 +557,33 @@ pub struct ExactBackend {
     /// the reference failed preprocessing (too few peaks). Shared, so a
     /// warm load from a persistent index does not duplicate the words.
     reference_hvs: SharedReferences,
+    /// Report name standing in for the derived one (see
+    /// [`ExactBackend::named`]).
+    name: Option<String>,
+}
+
+impl ExactBackendConfig {
+    /// Apply the configured storage errors to reference `id`'s stored
+    /// bits (a stream of its own per reference; nothing at rate zero).
+    fn corrupt_stored(&self, id: u64, hv: &mut BinaryHypervector) {
+        if self.storage_ber > 0.0 {
+            let seed = self.noise_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(id));
+            flip_bits_in_place(&mut rng, hv, self.storage_ber);
+        }
+    }
 }
 
 impl ExactBackend {
     /// Build the backend: preprocess and encode the whole library, then
     /// apply storage errors if configured.
     pub fn build(library: &SpectralLibrary, config: ExactBackendConfig) -> ExactBackend {
-        let encoder = IdLevelEncoder::new(config.encoder);
+        let mut backend = ExactBackend::from_shared(config, SharedReferences::from(Vec::new()));
         let pre = Preprocessor::new(config.preprocess);
-        let reference_hvs =
-            ExactBackend::encode_chunk(&encoder, &pre, &config, library.entries(), 0);
-        ExactBackend {
-            config,
-            encoder,
-            reference_hvs: reference_hvs.into(),
-        }
-    }
-
-    /// Encode a dense run of library entries exactly as a cold
-    /// [`ExactBackend::build`] encodes ids `first_id..first_id + len`:
-    /// each entry's spectrum id is treated as `first_id + offset` (the
-    /// dense id the entry will occupy), so preprocessing, encoding, and
-    /// the per-reference storage-error stream are all keyed on the final
-    /// id rather than whatever id the source spectrum carried.
-    ///
-    /// This is the chunked entry point behind streaming index builds and
-    /// index appends: feeding a library through it one bounded chunk at a
-    /// time yields bit-for-bit the hypervectors a whole-library
-    /// [`ExactBackend::build`] would store, without ever holding more
-    /// than one chunk of encodings in memory. `config` supplies the
-    /// storage-error knobs and the thread count; `encoder` and `pre` must
-    /// have been constructed from that same config.
-    pub fn encode_chunk(
-        encoder: &IdLevelEncoder,
-        pre: &Preprocessor,
-        config: &ExactBackendConfig,
-        entries: &[LibraryEntry],
-        first_id: u32,
-    ) -> Vec<Option<BinaryHypervector>> {
-        let jobs: Vec<(u32, &LibraryEntry)> = entries
-            .iter()
-            .enumerate()
-            .map(|(offset, entry)| (first_id + offset as u32, entry))
-            .collect();
-        par_map(&jobs, config.threads, |&(id, entry)| {
-            let binned = if entry.spectrum.id == id {
-                pre.run(&entry.spectrum).ok()
-            } else {
-                let mut spectrum = entry.spectrum.clone();
-                spectrum.id = id;
-                pre.run(&spectrum).ok()
-            };
-            binned.map(|binned| {
-                let mut hv = encoder.encode(&binned);
-                if config.storage_ber > 0.0 {
-                    let mut rng = StdRng::seed_from_u64(
-                        config
-                            .noise_seed
-                            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                            .wrapping_add(u64::from(id)),
-                    );
-                    flip_bits_in_place(&mut rng, &mut hv, config.storage_ber);
-                }
-                hv
-            })
-        })
+        let encoded = encode_chunk(&backend, &pre, library.entries(), 0, config.threads);
+        let slots = encoded.into_iter().map(|slot| slot.map(|(hv, _)| hv));
+        backend.reference_hvs.append(slots);
+        backend
     }
 
     /// Reassemble a backend from already-encoded reference hypervectors
@@ -569,17 +607,21 @@ impl ExactBackend {
         reference_hvs: SharedReferences,
     ) -> ExactBackend {
         let encoder = IdLevelEncoder::new(config.encoder);
-        if let Some(dim) = reference_hvs.dim() {
-            assert_eq!(
-                dim, config.encoder.dim,
-                "reference hypervector dimensions must match the encoder"
-            );
-        }
+        reference_hvs.assert_dim(config.encoder.dim);
         ExactBackend {
             config,
             encoder,
             reference_hvs,
+            name: None,
         }
+    }
+
+    /// The same backend under the report name `name` — how a tool that
+    /// *is* this scan under a particular configuration reports itself
+    /// (HyperOMS: [`HyperOmsConfig::exact_config`] named `"hyperoms"`).
+    pub fn named(mut self, name: &str) -> ExactBackend {
+        self.name = Some(name.to_owned());
+        self
     }
 
     /// The encoder (shared configuration with the pipeline's quality
@@ -627,13 +669,8 @@ impl ExactBackend {
                     .enumerate()
                     .map(|(id, slot)| {
                         slot.map(|hv| {
-                            let mut rng = StdRng::seed_from_u64(
-                                noise_seed
-                                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                                    .wrapping_add(id as u64),
-                            );
                             let mut owned = hv.to_hypervector();
-                            flip_bits_in_place(&mut rng, &mut owned, storage_ber);
+                            config.corrupt_stored(id as u64, &mut owned);
                             owned
                         })
                     })
@@ -647,6 +684,7 @@ impl ExactBackend {
             config,
             encoder: self.encoder.clone(),
             reference_hvs,
+            name: self.name.clone(),
         }
     }
 
@@ -667,9 +705,21 @@ impl ExactBackend {
     }
 }
 
-impl SimilarityBackend for ExactBackend {
-    fn name(&self) -> String {
-        if self.config.encode_ber > 0.0 || self.config.storage_ber > 0.0 {
+impl ReferenceEncoder for ExactBackend {
+    fn encode_reference(&self, binned: &BinnedSpectrum) -> (BinaryHypervector, f64) {
+        let mut hv = self.encoder.encode(binned);
+        self.config.corrupt_stored(u64::from(binned.id), &mut hv);
+        (hv, 0.0)
+    }
+}
+
+impl RunScorer for ExactBackend {
+    type Query = BinaryHypervector;
+
+    fn report_name(&self) -> String {
+        if let Some(name) = &self.name {
+            name.clone()
+        } else if self.config.encode_ber > 0.0 || self.config.storage_ber > 0.0 {
             format!(
                 "exact-hd(ber={:.4}/{:.4})",
                 self.config.encode_ber, self.config.storage_ber
@@ -679,45 +729,55 @@ impl SimilarityBackend for ExactBackend {
         }
     }
 
-    fn search_batch(
+    fn threads(&self) -> usize {
+        self.config.threads
+    }
+
+    fn prepare(&self, binned: &BinnedSpectrum) -> BinaryHypervector {
+        self.encode_query(binned)
+    }
+
+    /// The exact scan: score the query against the present entries of
+    /// `run` in [`REFERENCE_TILE`]-sized tiles on the process-wide active
+    /// kernel ([`hdoms_hdc::kernels::active`]) — identical results to the
+    /// pairwise formulation, whatever the kernel or tile shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a candidate id is beyond the reference table.
+    fn best_in(
         &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-    ) -> Vec<Option<SearchHit>> {
-        assert_eq!(
-            queries.len(),
-            candidates.len(),
-            "queries and candidate lists must pair up"
-        );
+        _binned: &BinnedSpectrum,
+        query_hv: &BinaryHypervector,
+        run: &[u32],
+    ) -> Option<SearchHit> {
         let dim = self.encoder.config().dim;
-        // Consecutive queries sharing one candidate list form a query
-        // block for the blocked kernel (one reference sweep per block);
-        // everything else takes the 1 × R tiled scan. Either way the
-        // hits are identical to the pairwise formulation.
-        let mut groups: Vec<(usize, usize)> = Vec::new();
-        let mut start = 0usize;
-        for i in 1..=queries.len() {
-            if i == queries.len() || i - start == QUERY_TILE || candidates[i] != candidates[start] {
-                groups.push((start, i));
-                start = i;
+        let kernel = kernels::active();
+        let query = query_hv.words();
+        let mut best: Option<SearchHit> = None;
+        let cap = REFERENCE_TILE.min(run.len());
+        let mut ids: Vec<u32> = Vec::with_capacity(cap);
+        let mut tile: Vec<&[u64]> = Vec::with_capacity(cap);
+        let mut scores = [0i64; REFERENCE_TILE];
+        for &cand in run {
+            let Some(ref_hv) = self.reference_hvs.hv(cand as usize) else {
+                continue;
+            };
+            ids.push(cand);
+            tile.push(ref_hv.words());
+            if ids.len() == REFERENCE_TILE {
+                kernel.dot_many(dim, query, &tile, &mut scores);
+                fold_tile(dim, &ids, &scores, &mut best);
+                ids.clear();
+                tile.clear();
             }
         }
-        let per_group = par_map(&groups, self.config.threads, |&(s, e)| {
-            if e - s == 1 {
-                let query_hv = self.encode_query(&queries[s]);
-                vec![best_hit(
-                    &self.reference_hvs,
-                    dim,
-                    &query_hv,
-                    &candidates[s],
-                )]
-            } else {
-                let query_hvs: Vec<BinaryHypervector> =
-                    queries[s..e].iter().map(|b| self.encode_query(b)).collect();
-                best_hits_block(&self.reference_hvs, dim, &query_hvs, &candidates[s])
-            }
-        });
-        per_group.into_iter().flatten().collect()
+        if !ids.is_empty() {
+            let out = &mut scores[..ids.len()];
+            kernel.dot_many(dim, query, &tile, out);
+            fold_tile(dim, &ids, out, &mut best);
+        }
+        best
     }
 }
 
@@ -869,71 +929,6 @@ mod tests {
             },
         );
         assert!(noisy.name().contains("ber"));
-    }
-
-    #[test]
-    fn blocked_groups_match_per_query_scans() {
-        // Hand every query the same candidate list so search_batch
-        // groups them into query blocks for the blocked kernel, then
-        // check each hit against the singleton tiled scan.
-        let (_, backend, queries, _) = setup();
-        let all: Vec<u32> = (0..backend.shared_references().len() as u32).collect();
-        let shared: Vec<Vec<u32>> = queries.iter().map(|_| all.clone()).collect();
-        let blocked = backend.search_batch(&queries, &shared);
-        let dim = backend.encoder().config().dim;
-        let singles: Vec<Option<SearchHit>> = queries
-            .iter()
-            .map(|q| {
-                let hv = backend.encode_query(q);
-                best_hit(backend.shared_references(), dim, &hv, &all)
-            })
-            .collect();
-        assert_eq!(blocked, singles);
-        assert!(blocked.iter().any(Option::is_some));
-    }
-
-    #[test]
-    fn mixed_grouping_boundaries_match_per_query_scans() {
-        // Regression for the candidate-block grouping: a batch where
-        // *some* consecutive queries share a candidate list and others
-        // differ exercises every group boundary — shared runs longer
-        // than QUERY_TILE (forced splits), singleton runs, empty lists,
-        // and back-to-back distinct lists. Each hit must equal the
-        // per-query tiled scan regardless of how the batch was cut.
-        let (_, backend, queries, cands) = setup();
-        let n = backend.shared_references().len() as u32;
-        let all: Vec<u32> = (0..n).collect();
-        let evens: Vec<u32> = (0..n).step_by(2).collect();
-        let mixed: Vec<Vec<u32>> = (0..queries.len())
-            .map(|i| match i % 7 {
-                // A long shared run (wraps past QUERY_TILE across the
-                // batch), a second shared run, per-query windows, an
-                // empty list, and a singleton distinct list.
-                0..=2 => all.clone(),
-                3 | 4 => evens.clone(),
-                5 => Vec::new(),
-                _ => cands[i].clone(),
-            })
-            .collect();
-        let grouped = backend.search_batch(&queries, &mixed);
-        let dim = backend.encoder().config().dim;
-        let singles: Vec<Option<SearchHit>> = queries
-            .iter()
-            .zip(&mixed)
-            .map(|(q, c)| {
-                let hv = backend.encode_query(q);
-                best_hit(backend.shared_references(), dim, &hv, c)
-            })
-            .collect();
-        assert_eq!(grouped, singles);
-        assert!(grouped.iter().any(Option::is_some));
-        assert!(
-            grouped
-                .iter()
-                .zip(&mixed)
-                .any(|(h, c)| c.is_empty() && h.is_none()),
-            "the empty-list lane must survive grouping as None"
-        );
     }
 
     #[test]

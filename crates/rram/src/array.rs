@@ -136,6 +136,57 @@ impl CrossbarConfig {
             panic!("{why}");
         }
     }
+
+    /// One sensing cycle — the readout half of Eq. 5, written once for
+    /// every MVM the chip performs ([`CrossbarArray::mvm`], the in-memory
+    /// encoder and the in-memory search of `hdoms-core`): the normalised
+    /// source-line voltage `v` of one activated group of `n` weight
+    /// pairs picks up the sensing noise, then the IR-drop error
+    /// `ir_drop_factor × sigma_delta` (σ_δ being the per-pair conductance
+    /// deviation of the array driven), is clamped to the full-scale range
+    /// and digitised by the ADC. Returns the de-normalised partial MAC
+    /// `v̂ · n` the digital accumulator adds.
+    ///
+    /// Draws come from `rng` in that order, and a zero-σ term draws
+    /// nothing, so an ideal device leaves the stream untouched.
+    #[inline]
+    pub fn sense<R: Rng>(&self, mut v: f64, n: f64, sigma_delta: f64, rng: &mut R) -> f64 {
+        if self.sense_sigma > 0.0 {
+            v += sample_normal(rng, self.sense_sigma);
+        }
+        let ir_sigma = self.ir_drop_factor * sigma_delta;
+        if ir_sigma > 0.0 {
+            v += sample_normal(rng, ir_sigma);
+        }
+        // ADC over the full-scale normalised range [-1, 1].
+        let adc_levels = (1usize << self.adc_bits) as f64;
+        let clamped = v.clamp(-1.0, 1.0);
+        let code = ((clamped + 1.0) / 2.0 * (adc_levels - 1.0)).round();
+        let v_hat = code / (adc_levels - 1.0) * 2.0 - 1.0;
+        v_hat * n
+    }
+
+    /// Program one differential weight pair (Eq. 2/3): map the quantised
+    /// weight `w ∈ [-1, 1]` to its two target conductances and sample the
+    /// relaxed cells at `age_s` (`g⁺` first, then `g⁻`). Returns
+    /// `(g⁺, g⁻, δ)` with `δ` the pair's normalised conductance deviation
+    /// `((g⁺ − target⁺) − (g⁻ − target⁻)) / g_max`, whose RMS over an
+    /// array is the σ_δ that [`CrossbarConfig::sense`] takes.
+    #[inline]
+    pub fn program_pair<R: Rng>(
+        &self,
+        device: &DeviceModel,
+        w: f64,
+        rng: &mut R,
+    ) -> (f64, f64, f64) {
+        let g_max = self.mlc.g_max_us;
+        let target_plus = 0.5 * (1.0 + w) * g_max;
+        let target_minus = 0.5 * (1.0 - w) * g_max;
+        let gp = device.sample_conductance(rng, target_plus, self.age_s);
+        let gm = device.sample_conductance(rng, target_minus, self.age_s);
+        let delta = ((gp - target_plus) - (gm - target_minus)) / g_max;
+        (gp, gm, delta)
+    }
 }
 
 /// A programmed crossbar tile: `pairs × cols` differential weights with
@@ -203,7 +254,6 @@ impl CrossbarArray {
         );
 
         let device = DeviceModel::new(config.mlc);
-        let g_max = config.mlc.g_max_us;
         let cols = weights.len();
         let mut quantized = Vec::with_capacity(cols * pairs);
         let mut g_plus = Vec::with_capacity(cols * pairs);
@@ -216,12 +266,8 @@ impl CrossbarArray {
                     "weight {w} outside the normalised range [-1, 1]"
                 );
                 let q = Self::quantize_weight(&config.mlc, w);
-                let target_plus = 0.5 * (1.0 + q) * g_max;
-                let target_minus = 0.5 * (1.0 - q) * g_max;
                 quantized.push(q);
-                let gp = device.sample_conductance(rng, target_plus, config.age_s);
-                let gm = device.sample_conductance(rng, target_minus, config.age_s);
-                let delta = ((gp - target_plus) - (gm - target_minus)) / g_max;
+                let (gp, gm, delta) = config.program_pair(&device, q, rng);
                 dev_sq += delta * delta;
                 g_plus.push(gp);
                 g_minus.push(gm);
@@ -288,7 +334,6 @@ impl CrossbarArray {
         );
         let group = self.config.pairs_per_cycle();
         let g_max = self.config.mlc.g_max_us;
-        let adc_levels = (1usize << self.config.adc_bits) as f64;
         let mut out = vec![0.0f64; self.cols];
         for (col, acc) in out.iter_mut().enumerate() {
             let base = col * self.pairs;
@@ -302,18 +347,7 @@ impl CrossbarArray {
                     v += input * (self.g_plus[idx] - self.g_minus[idx]);
                 }
                 v /= n * g_max;
-                if self.config.sense_sigma > 0.0 {
-                    v += sample_normal(rng, self.config.sense_sigma);
-                }
-                let ir_sigma = self.config.ir_drop_factor * self.sigma_delta;
-                if ir_sigma > 0.0 {
-                    v += sample_normal(rng, ir_sigma);
-                }
-                // ADC over the full-scale normalised range [-1, 1].
-                let clamped = v.clamp(-1.0, 1.0);
-                let code = ((clamped + 1.0) / 2.0 * (adc_levels - 1.0)).round();
-                let v_hat = code / (adc_levels - 1.0) * 2.0 - 1.0;
-                *acc += v_hat * n;
+                *acc += self.config.sense(v, n, self.sigma_delta, rng);
                 start = end;
             }
         }
@@ -346,8 +380,10 @@ impl CrossbarArray {
     }
 }
 
-/// Box–Muller standard normal scaled by `sigma`.
-fn sample_normal<R: Rng>(rng: &mut R, sigma: f64) -> f64 {
+/// Box–Muller standard normal scaled by `sigma` (two uniform draws per
+/// sample) — the one Gaussian every analog noise term of the chip model
+/// is drawn through.
+pub fn sample_normal<R: Rng>(rng: &mut R, sigma: f64) -> f64 {
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     let v: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
     sigma * (-2.0 * u.ln()).sqrt() * v.cos()

@@ -1,13 +1,15 @@
 //! Cross-crate integration tests: the full paper pipeline from raw
 //! synthetic spectra to FDR-filtered identifications, on software and on
 //! the simulated RRAM accelerator — and one case through the index →
-//! engine → serve stack, so tier-1 reaches the one query path.
+//! engine → serve stack, so tier-1 reaches the one query path, hostile
+//! request lines and corrupted index images included.
 
 use hdoms::core::accelerator::AcceleratorConfig;
 use hdoms::engine::Engine;
 use hdoms::hdc::item_memory::LevelStyle;
 use hdoms::index::{
-    IndexBuilder, IndexConfig, IndexedBackendKind, StreamingConfig, StreamingIndexBuilder,
+    IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex, StreamingConfig,
+    StreamingIndexBuilder,
 };
 use hdoms::ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms::ms::spectrum::Spectrum;
@@ -353,4 +355,76 @@ fn hostile_lines_always_get_a_response() {
     }
     assert_eq!(sessions, 14);
     assert_eq!(server.stats().open_sessions, 0, "no sequence leaked a slot");
+}
+
+/// Tier-1's corrupted-image smoke: the image
+/// `every_entry_point_renders_the_same_rows` serves, with one byte
+/// flipped inside the header, inside the sketch section and inside a
+/// shard section, and truncated at each of those points. Every door an
+/// image comes in through answers with a structured error — none loads
+/// it, none panics (a panic fails the test) — and the server goes on
+/// answering afterwards.
+#[test]
+fn corrupted_images_fail_every_door_with_a_structured_error() {
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 1005);
+    let mut config = IndexConfig {
+        entries_per_shard: 64,
+        threads: 2,
+        ..IndexConfig::default()
+    };
+    if let IndexedBackendKind::Exact(exact) = &mut config.kind {
+        exact.encoder.dim = 1024;
+    }
+    let image = IndexBuilder::new(config)
+        .from_library(&workload.library)
+        .to_bytes();
+    // The header follows magic, version and its own length; the sketch
+    // section follows the header's checksum (a software image has no MLC
+    // section); the image ends inside its last shard section.
+    let header_len = u64::from_le_bytes(image[12..20].try_into().expect("8 bytes")) as usize;
+    let points = [
+        ("header", 20 + header_len / 2),
+        ("sketch", 20 + header_len + 512),
+        ("shard", image.len() - 100),
+    ];
+
+    let server = Server::new(2);
+    let path = std::env::temp_dir().join(format!("hdoms-e2e-corrupt-{}.hdx", std::process::id()));
+    let file = path.to_str().expect("utf-8 temp path");
+    for (section, at) in points {
+        let mut flipped = image.clone();
+        flipped[at] ^= 0x01;
+        for (damage, bytes) in [("flipped", &flipped[..]), ("truncated", &image[..at])] {
+            let what = format!("{section} {damage} at byte {at}");
+            std::fs::write(&path, bytes).expect("corrupted image written");
+            assert!(LibraryIndex::open(&path, 2).is_err(), "open: {what}");
+            assert!(
+                LibraryIndex::open_mapped(&path, 2).is_err(),
+                "open_mapped: {what}"
+            );
+            assert!(
+                Engine::open_mapped(&path, 2).is_err(),
+                "Engine::open_mapped: {what}"
+            );
+            assert!(
+                server.load_index("bad", file).is_err(),
+                "load_index: {what}"
+            );
+            let line = format!(r#"{{"type":"index.load","name":"bad","path":"{file}"}}"#);
+            let request = Request::decode(&line).expect("a well-formed line");
+            assert!(
+                matches!(server.handle(&request), Response::Error { .. }),
+                "index.load: {what}"
+            );
+        }
+    }
+    std::fs::remove_file(&path).ok();
+    assert!(matches!(
+        server.handle(&Request::Ping),
+        Response::Pong { .. }
+    ));
+    assert!(
+        server.summaries().is_empty(),
+        "no corrupted image went resident"
+    );
 }
