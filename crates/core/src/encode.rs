@@ -25,7 +25,7 @@
 //! statistics fold) and, through [`InMemoryEncoder::encode`], its query
 //! encoder.
 
-use hdoms_hdc::encoder::{EncoderConfig, IdLevelEncoder};
+use hdoms_hdc::encoder::{sign_pack, EncoderConfig, IdLevelEncoder};
 use hdoms_hdc::item_memory::LevelStyle;
 use hdoms_hdc::similarity::hamming_distance;
 use hdoms_hdc::BinaryHypervector;
@@ -103,8 +103,7 @@ impl InMemoryEncoder {
         let mut w_eff = Vec::with_capacity(num_bins * dim);
         let mut dev_sq = 0.0f64;
         for bin in 0..num_bins {
-            let id = software.id_memory().id(bin);
-            for &component in id {
+            for component in software.id_memory().id(bin) {
                 // Monotone map: alphabet rank → differential grid point.
                 let rank = alphabet
                     .iter()
@@ -308,18 +307,7 @@ impl InMemoryEncoder {
         // the ADC, and the true MAC is integer-valued, so the digital
         // comparator treats |acc| < ½ as the zero tie rather than trusting
         // the sign of a sub-LSB analog residue.
-        let mut hv = BinaryHypervector::zeros(self.dim);
-        let tie = self.software.tie_break();
-        for (d, &v) in acc.iter().enumerate() {
-            let bit = if v > 0.5 {
-                true
-            } else if v < -0.5 {
-                false
-            } else {
-                tie.bit(d)
-            };
-            hv.set(d, bit);
-        }
+        let hv = sign_pack(&acc, 0.5, self.software.tie_break());
         (hv, cycles)
     }
 }

@@ -8,13 +8,24 @@
 //! ```
 //!
 //! where `ID_i` is the position hypervector of the peak's m/z bin and
-//! `LV_i` the level hypervector of its quantised intensity. The encoder
-//! exposes the raw accumulator alongside the signed result because the
-//! RRAM backend needs to inject analog error *before* the sign
-//! quantisation (§4.2.3).
+//! `LV_i` the level hypervector of its quantised intensity.
+//!
+//! The encoder owns the item memories and resolves each peak to an
+//! [`EncodeRow`] (its nibble-packed ID row and bipolar level row); the
+//! arithmetic is the blocked kernel [`KernelDispatch::encode_blocks`]
+//! on the process-wide [`kernels::active`] selection, and `Sign` is the
+//! word-wise [`sign_pack`]. [`IdLevelEncoder::encode`] fuses the two —
+//! each 64-dimension block of sums is packed into its output word while
+//! still in registers, so no `D`-long accumulator exists on that path —
+//! while [`IdLevelEncoder::accumulate`] and
+//! [`IdLevelEncoder::quantize_accumulator`] expose the same two pieces
+//! apart, for studies that want the raw sums.
+//!
+//! [`KernelDispatch::encode_blocks`]: crate::kernels::KernelDispatch::encode_blocks
 
 use crate::hv::BinaryHypervector;
 use crate::item_memory::{IdMemory, LevelMemory, LevelStyle};
+use crate::kernels::{self, sign_word, EncodeRow, ENCODE_BLOCK};
 use crate::multibit::IdPrecision;
 use crate::parallel::par_map;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig};
@@ -63,9 +74,10 @@ pub struct IdLevelEncoder {
     config: EncoderConfig,
     id_memory: IdMemory,
     level_memory: LevelMemory,
-    /// Bipolar (±1 as i8) expansion of each level hypervector, precomputed
-    /// so the accumulation loop is a branch-free multiply-add.
-    level_bipolar: Vec<Vec<i8>>,
+    /// Bipolar (±1 as i8) expansion of the level hypervectors, one flat
+    /// `q_levels × dim` table, precomputed so the kernel's inner loop is
+    /// branch-free.
+    level_bipolar: Vec<i8>,
     /// Resolves `Sign(0)` deterministically: a random but fixed ±1 per
     /// dimension.
     tie_break: BinaryHypervector,
@@ -93,7 +105,7 @@ impl IdLevelEncoder {
             config.level_style,
         );
         let level_bipolar = (0..config.q_levels)
-            .map(|q| level_memory.level(q).to_bipolar())
+            .flat_map(|q| level_memory.level(q).to_bipolar())
             .collect();
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0x71e);
         let tie_break = BinaryHypervector::random(&mut rng, config.dim);
@@ -129,33 +141,60 @@ impl IdLevelEncoder {
         &self.tie_break
     }
 
-    /// The raw encoding accumulator `Σ ID_i ⊗ LV_i` (before `Sign`).
-    ///
-    /// The in-memory encoding path perturbs this accumulator with the
-    /// analog error model before quantising, so it is public API
-    /// (C-INTERMEDIATE).
+    /// Resolve each peak to its kernel row: the packed ID row of its bin
+    /// and the bipolar level row of its quantised intensity.
+    fn rows(&self, spectrum: &BinnedSpectrum) -> Vec<EncodeRow<'_>> {
+        let dim = self.config.dim;
+        spectrum
+            .peaks()
+            .iter()
+            .map(|peak| {
+                let bin = peak.bin as usize;
+                assert!(
+                    bin < self.config.num_bins,
+                    "bin {bin} outside ID memory ({} bins) — preprocessor/encoder mismatch",
+                    self.config.num_bins
+                );
+                let level = self.level_memory.quantize(peak.intensity);
+                (
+                    self.id_memory.packed(bin),
+                    &self.level_bipolar[level * dim..(level + 1) * dim],
+                )
+            })
+            .collect()
+    }
+
+    /// Run the blocked kernel over `spectrum`'s rows on the active
+    /// dispatch, handing each block of sums to `sink`.
+    fn for_each_block(
+        &self,
+        spectrum: &BinnedSpectrum,
+        sink: impl FnMut(usize, &[i32; ENCODE_BLOCK]),
+    ) {
+        kernels::active().encode_blocks(
+            &self.rows(spectrum),
+            self.config.id_precision.max_abs(),
+            self.config.dim,
+            sink,
+        );
+    }
+
+    /// The raw encoding accumulator `Σ ID_i ⊗ LV_i` (before `Sign`): the
+    /// kernel's blocked sums written out. Public for studies of the sums
+    /// themselves (C-INTERMEDIATE); [`IdLevelEncoder::encode`] never
+    /// materialises it.
     ///
     /// # Panics
     ///
     /// Panics if a peak's bin index is outside `0..num_bins` — that means
     /// the preprocessor and encoder configurations disagree.
     pub fn accumulate(&self, spectrum: &BinnedSpectrum) -> Vec<i32> {
-        let dim = self.config.dim;
-        let mut acc = vec![0i32; dim];
-        for peak in spectrum.peaks() {
-            let bin = peak.bin as usize;
-            assert!(
-                bin < self.config.num_bins,
-                "bin {bin} outside ID memory ({} bins) — preprocessor/encoder mismatch",
-                self.config.num_bins
-            );
-            let level = self.level_memory.quantize(peak.intensity);
-            let id = self.id_memory.id(bin);
-            let lv = &self.level_bipolar[level];
-            for d in 0..dim {
-                acc[d] += i32::from(id[d]) * i32::from(lv[d]);
-            }
-        }
+        let mut acc = vec![0i32; self.config.dim];
+        self.for_each_block(spectrum, |block, sums| {
+            let out = &mut acc[block * ENCODE_BLOCK..];
+            let width = out.len().min(ENCODE_BLOCK);
+            out[..width].copy_from_slice(&sums[..width]);
+        });
         acc
     }
 
@@ -166,23 +205,25 @@ impl IdLevelEncoder {
     ///
     /// Panics if `acc.len()` differs from the configured dimension.
     pub fn quantize_accumulator(&self, acc: &[i32]) -> BinaryHypervector {
-        assert_eq!(acc.len(), self.config.dim, "accumulator length mismatch");
-        let mut hv = BinaryHypervector::zeros(self.config.dim);
-        for (d, &v) in acc.iter().enumerate() {
-            let bit = match v.cmp(&0) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Less => false,
-                std::cmp::Ordering::Equal => self.tie_break.bit(d),
-            };
-            hv.set(d, bit);
-        }
-        hv
+        sign_pack(acc, 0, &self.tie_break)
     }
 
-    /// Encode one spectrum: [`IdLevelEncoder::accumulate`] then
-    /// [`IdLevelEncoder::quantize_accumulator`].
+    /// Encode one spectrum — [`IdLevelEncoder::accumulate`] then
+    /// [`IdLevelEncoder::quantize_accumulator`], fused: each block of
+    /// sums becomes its output word directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a peak's bin index is outside `0..num_bins`.
     pub fn encode(&self, spectrum: &BinnedSpectrum) -> BinaryHypervector {
-        self.quantize_accumulator(&self.accumulate(spectrum))
+        let tie = self.tie_break.words();
+        let mut words = vec![0u64; tie.len()];
+        self.for_each_block(spectrum, |block, sums| {
+            words[block] = sign_word(sums, 0, tie[block]);
+        });
+        // Lanes beyond `dim` sum to zero and so take the tie-break's
+        // tail bits, which are zero: `from_words` checks exactly that.
+        BinaryHypervector::from_words(self.config.dim, words)
     }
 
     /// Encode a batch on `threads` threads, preserving order.
@@ -193,6 +234,27 @@ impl IdLevelEncoder {
     ) -> Vec<BinaryHypervector> {
         par_map(spectra, threads, |s| self.encode(s))
     }
+}
+
+/// `Sign` over a whole accumulator, word-wise ([`sign_word`] per 64
+/// lanes): `+1` above `dead_band`, `-1` below `-dead_band`, the `tie`
+/// vector's bit inside it. The integer encoder quantises with a zero
+/// dead band; the in-memory encoder's analog accumulator with `½`.
+///
+/// # Panics
+///
+/// Panics if `acc` and `tie` differ in dimension.
+pub fn sign_pack<T>(acc: &[T], dead_band: T, tie: &BinaryHypervector) -> BinaryHypervector
+where
+    T: Copy + PartialOrd + std::ops::Neg<Output = T>,
+{
+    assert_eq!(acc.len(), tie.dim(), "accumulator length mismatch");
+    let words = acc
+        .chunks(ENCODE_BLOCK)
+        .zip(tie.words())
+        .map(|(lanes, &tie)| sign_word(lanes, dead_band, tie))
+        .collect();
+    BinaryHypervector::from_words(acc.len(), words)
 }
 
 #[cfg(test)]
@@ -300,17 +362,6 @@ mod tests {
     fn quantize_checks_length() {
         let enc = IdLevelEncoder::new(small_config());
         let _ = enc.quantize_accumulator(&[0i32; 7]);
-    }
-
-    #[test]
-    fn batch_matches_sequential() {
-        let w = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 8);
-        let pre = Preprocessor::default();
-        let (batch, _) = pre.run_batch(&w.queries);
-        let enc = IdLevelEncoder::new(small_config());
-        let seq: Vec<_> = batch.iter().map(|b| enc.encode(b)).collect();
-        let par = enc.encode_batch(&batch, 4);
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //!   inputs chunk-by-chunk (MVM-style) instead of bit-serially.
 
 use crate::hv::BinaryHypervector;
+use crate::kernels::{pack_id_row, packed_row_len, unpack_id_row};
 use crate::multibit::IdPrecision;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -38,14 +39,16 @@ pub enum LevelStyle {
 
 /// The position-ID item memory: one multi-bit hypervector per m/z bin.
 ///
-/// Stored flattened (`num_positions × dim` components) for cache-friendly
-/// sequential encoding.
+/// Stored flattened and nibble-packed (`num_positions` rows of
+/// [`packed_row_len`]`(dim)` bytes, the layout of [`pack_id_row`]): half
+/// a byte per component resident, and the rows the encode kernel
+/// streams are the stored ones.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IdMemory {
     num_positions: usize,
     dim: usize,
     precision: IdPrecision,
-    data: Vec<i8>,
+    data: Vec<u8>,
 }
 
 impl IdMemory {
@@ -63,9 +66,12 @@ impl IdMemory {
         assert!(num_positions > 0, "need at least one position");
         assert!(dim > 0, "hypervector dimension must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
-        let data = (0..num_positions * dim)
-            .map(|_| precision.sample(&mut rng))
-            .collect();
+        let mut data = Vec::with_capacity(num_positions * packed_row_len(dim));
+        let mut row = vec![0i8; dim];
+        for _ in 0..num_positions {
+            row.fill_with(|| precision.sample(&mut rng));
+            data.extend(pack_id_row(&row));
+        }
         IdMemory {
             num_positions,
             dim,
@@ -74,19 +80,29 @@ impl IdMemory {
         }
     }
 
-    /// The ID hypervector components for `position`.
+    /// The packed ID row of `position` — what the encode kernel reads.
     ///
     /// # Panics
     ///
     /// Panics if `position >= num_positions`.
     #[inline]
-    pub fn id(&self, position: usize) -> &[i8] {
+    pub fn packed(&self, position: usize) -> &[u8] {
         assert!(
             position < self.num_positions,
             "position {position} out of bounds ({} positions)",
             self.num_positions
         );
-        &self.data[position * self.dim..(position + 1) * self.dim]
+        let len = packed_row_len(self.dim);
+        &self.data[position * len..(position + 1) * len]
+    }
+
+    /// The ID hypervector components for `position`, unpacked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position >= num_positions`.
+    pub fn id(&self, position: usize) -> Vec<i8> {
+        unpack_id_row(self.packed(position), self.dim)
     }
 
     /// Number of positions (m/z bins).
@@ -241,19 +257,9 @@ impl LevelMemory {
 /// Expand per-chunk values into a full binary hypervector. Chunks are the
 /// contiguous ranges `[c*ceil(dim/n), (c+1)*ceil(dim/n))` clipped to `dim`.
 fn expand_chunks(chunk_values: &[i8], dim: usize) -> BinaryHypervector {
-    let n = chunk_values.len();
-    let chunk_size = dim.div_ceil(n);
-    let mut hv = BinaryHypervector::zeros(dim);
-    for (c, &v) in chunk_values.iter().enumerate() {
-        if v > 0 {
-            let start = c * chunk_size;
-            let end = ((c + 1) * chunk_size).min(dim);
-            for d in start..end {
-                hv.set(d, true);
-            }
-        }
-    }
-    hv
+    let chunk_size = dim.div_ceil(chunk_values.len());
+    let bipolar: Vec<i8> = (0..dim).map(|d| chunk_values[d / chunk_size]).collect();
+    BinaryHypervector::from_bipolar(&bipolar)
 }
 
 #[cfg(test)]
@@ -274,7 +280,7 @@ mod tests {
         for p in IdPrecision::ALL {
             let m = IdMemory::generate(1, 10, 128, p);
             for pos in 0..10 {
-                for &c in m.id(pos) {
+                for c in m.id(pos) {
                     assert!(c != 0 && c.abs() <= p.max_abs());
                 }
             }

@@ -1,4 +1,4 @@
-//! Runtime-dispatched SIMD distance kernels.
+//! Runtime-dispatched SIMD kernels: distance and encode.
 //!
 //! Every similarity the system computes — Hamming distance, bipolar dot
 //! product, the masked `matching_bits` partial MACs of the RRAM model —
@@ -19,6 +19,28 @@
 //! before being evicted — the CPU analogue of HyperOMS's massively
 //! parallel GPU formulation, and what the flat scan cannot do one pair
 //! at a time.
+//!
+//! A fourth primitive sits beside the three XOR+popcount ones: the
+//! **blocked ID-Level encode kernel**
+//! [`KernelDispatch::encode_blocks`], the only loop in the workspace
+//! that computes `Σ ID_i ⊗ LV_i` (Eq. (1)). It walks the hypervector one
+//! [`ENCODE_BLOCK`]-dimension output word at a time with the spectrum's
+//! peaks *inside* the block, so the partial sums of a word never leave
+//! registers: `id[d] · lv[d]` — the ID rows arrive nibble-packed
+//! ([`pack_id_row`]), half the bytes to keep resident and to stream —
+//! is added into **i8** lanes for runs of
+//! [`encode_run_len`]`(max_abs)` peaks — `127 / max_abs`, 31 at the
+//! 3-bit alphabet, and 31 × 4 = 124 cannot wrap an i8 — each run is
+//! widened once into i32 lanes, and the finished block is handed to the
+//! caller's sink, which either writes the sums out or packs their signs
+//! straight into a word with [`sign_word`]. Integer sums are exact in
+//! any order, so the result is bit-identical to the naive per-peak
+//! full-width loop by construction. The body is safe Rust over 64-lane
+//! blocks, written once and instantiated twice — portably, and under
+//! `#[target_feature(enable = "avx2")]` so the same loops vectorise
+//! 32 lanes wide; the AVX-512 selection routes to the AVX2 instantiation
+//! (wider lanes would buy nothing: the kernel waits on a spectrum's ID
+//! rows streaming in, not on its arithmetic).
 //!
 //! # Selection
 //!
@@ -57,6 +79,90 @@ pub const REFERENCE_TILE: usize = 32;
 /// grouping queries for [`KernelDispatch::score_block`] use this as the
 /// natural block size.
 pub const QUERY_TILE: usize = 8;
+
+/// Dimensions per block of the encode kernel: one output word.
+pub const ENCODE_BLOCK: usize = 64;
+
+/// One activated row of the encode kernel: a peak's nibble-packed ID row
+/// ([`pack_id_row`], [`packed_row_len`]`(dim)` bytes) and the bipolar
+/// level hypervector of its intensity — every component `+1` or `-1`,
+/// `dim` long.
+pub type EncodeRow<'a> = (&'a [u8], &'a [i8]);
+
+/// How many rows the encode kernel adds into its i8 lanes before
+/// widening: the longest run whose partial sum cannot wrap when every
+/// product is bounded by `max_abs` (`127 / max_abs`).
+///
+/// # Panics
+///
+/// Panics if `max_abs` is not positive.
+pub fn encode_run_len(max_abs: i8) -> usize {
+    assert!(max_abs > 0, "the product bound must be positive");
+    (i8::MAX / max_abs) as usize
+}
+
+/// What a packed ID nibble adds to its component: nibbles hold
+/// `component + 8`.
+const NIBBLE_BIAS: i8 = 8;
+
+/// The packed byte of two padding components (`0`, stored as the bias).
+const PADDING_BYTE: u8 = NIBBLE_BIAS as u8 * 0x11;
+
+/// Bytes per packed block, and lanes per half of an unpacked one.
+const HALF: usize = ENCODE_BLOCK / 2;
+
+/// Bytes in one packed ID row of `dim` components: half a byte per
+/// component, padded to whole [`ENCODE_BLOCK`]s.
+pub fn packed_row_len(dim: usize) -> usize {
+    dim.div_ceil(ENCODE_BLOCK) * HALF
+}
+
+/// Pack an ID row two components to the byte, the form the encode
+/// kernel streams (half the bytes of an `i8` row, resident and per
+/// spectrum). Block `b` of 64 components is 32 bytes; byte `j` of it
+/// holds component `64·b + j` in its low nibble and `64·b + 32 + j` in
+/// its high one, each biased by 8, so a block unpacks into two
+/// contiguous 32-lane halves without a shuffle. Components beyond the
+/// row's end are the padding `0`.
+///
+/// # Panics
+///
+/// Panics if a component is outside `-7..=7`.
+pub fn pack_id_row(components: &[i8]) -> Vec<u8> {
+    let mut packed = vec![PADDING_BYTE; packed_row_len(components.len())];
+    for (d, &c) in components.iter().enumerate() {
+        assert!(
+            (-7..=7).contains(&c),
+            "ID component {c} does not fit a nibble"
+        );
+        let (byte, shift) = nibble_of(d);
+        packed[byte] = packed[byte] & !(0x0f << shift) | ((c + NIBBLE_BIAS) as u8) << shift;
+    }
+    packed
+}
+
+/// The inverse of [`pack_id_row`]: the first `dim` components of a
+/// packed row.
+///
+/// # Panics
+///
+/// Panics if `packed` is not [`packed_row_len`]`(dim)` bytes.
+pub fn unpack_id_row(packed: &[u8], dim: usize) -> Vec<i8> {
+    assert_eq!(packed.len(), packed_row_len(dim), "packed row length");
+    (0..dim)
+        .map(|d| {
+            let (byte, shift) = nibble_of(d);
+            (packed[byte] >> shift & 0x0f) as i8 - NIBBLE_BIAS
+        })
+        .collect()
+}
+
+/// Where component `d` lives in a packed row: its byte, and its
+/// nibble's shift within it (0 or 4).
+fn nibble_of(d: usize) -> (usize, u32) {
+    let (block, lane) = (d / ENCODE_BLOCK, d % ENCODE_BLOCK);
+    (block * HALF + lane % HALF, if lane < HALF { 0 } else { 4 })
+}
 
 /// A kernel *request*: what the caller asked for, before resolving
 /// against what the CPU supports (parsed from `HDOMS_KERNEL` or passed
@@ -332,6 +438,123 @@ impl KernelDispatch {
             }
         }
     }
+
+    /// The blocked ID-Level encode kernel: the sums `Σ id[d] · lv[d]`
+    /// over `rows`, one [`ENCODE_BLOCK`]-dimension block at a time.
+    /// `sink(b, sums)` receives block `b` — dimensions `64·b ..` — as
+    /// 64 i32 lanes; in a ragged final block the lanes beyond `dim` are
+    /// zero. `max_abs` bounds every `|id[d]|` and sets the i8 run length
+    /// ([`encode_run_len`]). An ID component beyond the bound or a level
+    /// component other than ±1 is a panic in a debug build and a wrong
+    /// (never unsafe) sum in release.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim` is zero, `max_abs` is not positive, or a row is
+    /// not a [`packed_row_len`]`(dim)`-byte ID row beside a `dim`-long
+    /// level row.
+    pub fn encode_blocks<F>(&self, rows: &[EncodeRow<'_>], max_abs: i8, dim: usize, sink: F)
+    where
+        F: FnMut(usize, &[i32; ENCODE_BLOCK]),
+    {
+        assert!(dim > 0, "hypervector dimension must be positive");
+        assert!(
+            rows.iter()
+                .all(|(id, lv)| id.len() == packed_row_len(dim) && lv.len() == dim),
+            "every encode row must hold dim = {dim} components"
+        );
+        let run = encode_run_len(max_abs);
+        match self.imp {
+            Impl::Scalar => encode_blocks_body(rows, run, dim, sink),
+            // SAFETY: `Impl::Avx2` and `Impl::Avx512` are only constructed
+            // by `best_simd`, after `is_x86_feature_detected!("avx2")` —
+            // the wrapper's sole precondition; its body is safe code.
+            #[cfg(target_arch = "x86_64")]
+            Impl::Avx2 | Impl::Avx512 => unsafe { x86::encode_blocks_avx2(rows, run, dim, sink) },
+        }
+    }
+}
+
+/// The encode kernel's body, written once: for each block, the rows in
+/// runs of `run`, each run summed in i8 lanes and widened once. Inlined
+/// into the portable call and into the `avx2` wrapper, which is what
+/// gives the same loops two instruction sets.
+#[inline(always)]
+fn encode_blocks_body<F>(rows: &[EncodeRow<'_>], run: usize, dim: usize, mut sink: F)
+where
+    F: FnMut(usize, &[i32; ENCODE_BLOCK]),
+{
+    for (block, start) in (0..dim).step_by(ENCODE_BLOCK).enumerate() {
+        let width = (dim - start).min(ENCODE_BLOCK);
+        let mut sums = [0i32; ENCODE_BLOCK];
+        for group in rows.chunks(run) {
+            let mut lanes = [0i8; ENCODE_BLOCK];
+            for (id, lv) in group {
+                let id: [u8; HALF] = id[block * HALF..(block + 1) * HALF]
+                    .try_into()
+                    .expect("a slice of HALF bytes");
+                let lv = load_block(lv, start, width);
+                for j in 0..HALF {
+                    let low = (id[j] & 0x0f) as i8 - NIBBLE_BIAS;
+                    let high = (id[j] >> 4) as i8 - NIBBLE_BIAS;
+                    lanes[j] += signed(low, lv[j]);
+                    lanes[HALF + j] += signed(high, lv[HALF + j]);
+                }
+            }
+            for d in 0..ENCODE_BLOCK {
+                sums[d] += i32::from(lanes[d]);
+            }
+        }
+        sink(block, &sums);
+    }
+}
+
+/// `id · lv` for `lv = ±1` without a multiply (no vector ISA here has an
+/// 8-bit one): `m` is 0 or −1, and `(id ^ m) − m` is `id` or `−id`.
+/// Padding lanes are `0 · 0`.
+#[inline(always)]
+fn signed(id: i8, lv: i8) -> i8 {
+    debug_assert!(lv.abs() == 1 || (id, lv) == (0, 0));
+    let m = lv >> 7;
+    (id ^ m) - m
+}
+
+/// `row[start..start + width]` as a full block, zero-padded when the
+/// block is the ragged tail (`width < 64`).
+#[inline(always)]
+fn load_block(row: &[i8], start: usize, width: usize) -> [i8; ENCODE_BLOCK] {
+    match row[start..start + width].try_into() {
+        Ok(block) => block,
+        Err(_) => {
+            let mut block = [0i8; ENCODE_BLOCK];
+            block[..width].copy_from_slice(&row[start..start + width]);
+            block
+        }
+    }
+}
+
+/// The word-wise `Sign`: bit `d` of the result is `1` where
+/// `lanes[d] > dead_band`, `0` where `lanes[d] < -dead_band`, and bit `d`
+/// of `tie` inside the dead band (`Sign(0)` for an integer accumulator
+/// with `dead_band = 0`; `|v| ≤ ½` for the analog one). A word's lanes
+/// beyond `lanes.len()` count as zero: they take `tie`'s bits, which a
+/// tail-masked tie-break vector keeps clear.
+///
+/// # Panics
+///
+/// Panics if `lanes` holds more than 64 values.
+#[inline(always)]
+pub fn sign_word<T>(lanes: &[T], dead_band: T, tie: u64) -> u64
+where
+    T: Copy + PartialOrd + std::ops::Neg<Output = T>,
+{
+    assert!(lanes.len() <= 64, "one word packs at most 64 lanes");
+    let (mut pos, mut neg) = (0u64, 0u64);
+    for (d, &v) in lanes.iter().enumerate() {
+        pos |= u64::from(v > dead_band) << d;
+        neg |= u64::from(v < -dead_band) << d;
+    }
+    pos | (tie & !neg)
 }
 
 /// Tail-masked Hamming distance over a resolved pair primitive: full
@@ -360,18 +583,18 @@ fn scalar_xor_popcount(a: &[u64], b: &[u64]) -> u64 {
         .sum()
 }
 
-/// The best SIMD implementation this CPU reports, or scalar.
+/// The best SIMD implementation this CPU reports, or scalar. Both SIMD
+/// selections require `avx2` (the encode kernel runs its AVX2
+/// instantiation under either).
 fn best_simd() -> Impl {
     #[cfg(target_arch = "x86_64")]
-    {
+    if std::arch::is_x86_feature_detected!("avx2") {
         if std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
         {
             return Impl::Avx512;
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Impl::Avx2;
-        }
+        return Impl::Avx2;
     }
     Impl::Scalar
 }
@@ -387,6 +610,25 @@ mod x86 {
     //! scalar path, so any slice the safe API accepts is sound here.
 
     use std::arch::x86_64::*;
+
+    /// The encode kernel's body compiled with AVX2 enabled: no
+    /// intrinsics and no pointers — `encode_blocks_body` is safe Rust
+    /// and inlines here, so its 64-lane loops vectorise 32 lanes wide.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx2`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn encode_blocks_avx2<F>(
+        rows: &[super::EncodeRow<'_>],
+        run: usize,
+        dim: usize,
+        sink: F,
+    ) where
+        F: FnMut(usize, &[i32; super::ENCODE_BLOCK]),
+    {
+        super::encode_blocks_body(rows, run, dim, sink)
+    }
 
     /// Safe entry to the AVX2 primitive (caller: dispatch resolved
     /// after feature detection).

@@ -5,16 +5,31 @@
 //! (ragged Q/R remainders included). Output bytes never depend on which
 //! kernel ran; only wall-clock does.
 //!
+//! The blocked ID-Level encode kernel is under the same contract: both
+//! instantiations produce the sums — and the encoder the hypervector —
+//! of the naive per-peak, full-width `Sign(Σ id·lv)` loop, which
+//! survives only here as the oracle. CI runs this file in a debug build,
+//! so overflow checks patrol the kernel's i8 lanes on the same inputs.
+//!
 //! A separate regression section poisons the padding bits beyond `dim`
 //! in the final word — bits the [`hdoms_hdc::hv::HvRef::new_unchecked`]
 //! release path never validates — and asserts no kernel lets them reach
 //! a distance.
 
+use hdoms_hdc::encoder::{sign_pack, EncoderConfig, IdLevelEncoder};
 use hdoms_hdc::hv::BinaryHypervector;
-use hdoms_hdc::kernels::{set_active, KernelDispatch, KernelKind, QUERY_TILE, REFERENCE_TILE};
+use hdoms_hdc::item_memory::LevelStyle;
+use hdoms_hdc::kernels::{
+    encode_run_len, pack_id_row, set_active, unpack_id_row, EncodeRow, KernelDispatch, KernelKind,
+    ENCODE_BLOCK, QUERY_TILE, REFERENCE_TILE,
+};
+use hdoms_hdc::multibit::IdPrecision;
 use hdoms_hdc::similarity::{dot, hamming_distance};
+use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
+use hdoms_ms::spectrum::{Peak, Spectrum, SpectrumOrigin};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// The reference implementation everything is checked against: plain
@@ -278,5 +293,294 @@ fn poisoned_padding_bits_never_reach_matching_bits() {
                 kernel.name()
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The encode kernel.
+// ---------------------------------------------------------------------
+
+/// Bins the encode tests draw peaks from — enough for 400 distinct ones.
+const ENCODE_BINS: usize = 420;
+
+/// A preprocessor that keeps every peak it is given (no threshold, no
+/// top-N below 400, empty spectra allowed) over [`ENCODE_BINS`] bins.
+fn keep_all_preprocessor() -> Preprocessor {
+    let base = PreprocessConfig::default();
+    Preprocessor::new(PreprocessConfig {
+        intensity_threshold: 0.0,
+        max_peaks: 400,
+        min_peaks: 0,
+        max_mz: base.min_mz + ENCODE_BINS as f64 * base.bin_width,
+        ..base
+    })
+}
+
+/// A binned spectrum with exactly `peaks` peaks in distinct random bins.
+fn binned_with_peaks(
+    pre: &Preprocessor,
+    rng: &mut StdRng,
+    id: u32,
+    peaks: usize,
+) -> BinnedSpectrum {
+    let cfg = pre.config();
+    let mut bins: Vec<usize> = (0..ENCODE_BINS).collect();
+    bins.shuffle(rng);
+    let raw = bins[..peaks]
+        .iter()
+        .map(|&bin| {
+            let mz = cfg.min_mz + (bin as f64 + 0.5) * cfg.bin_width;
+            Peak::new(mz, rng.gen_range(0.01..1.0))
+        })
+        .collect();
+    let binned = pre
+        .run(&Spectrum::new(id, 500.0, 2, raw, SpectrumOrigin::Query))
+        .expect("min_peaks is zero");
+    assert_eq!(binned.peaks().len(), peaks);
+    binned
+}
+
+fn encoder_for(
+    pre: &Preprocessor,
+    dim: usize,
+    id_precision: IdPrecision,
+    chunked: bool,
+    seed: u64,
+) -> IdLevelEncoder {
+    IdLevelEncoder::new(EncoderConfig {
+        dim,
+        q_levels: 2,
+        id_precision,
+        level_style: if chunked {
+            LevelStyle::Chunked { num_chunks: 4 }
+        } else {
+            LevelStyle::Random
+        },
+        num_bins: pre.config().num_bins(),
+        seed,
+    })
+}
+
+/// The oracle: the naive per-peak, full-width `Σ id·lv`, read from the
+/// item memories one component at a time.
+fn naive_accumulate(enc: &IdLevelEncoder, spectrum: &BinnedSpectrum) -> Vec<i32> {
+    let mut acc = vec![0i32; enc.config().dim];
+    for peak in spectrum.peaks() {
+        let id = enc.id_memory().id(peak.bin as usize);
+        let lv = enc
+            .level_memory()
+            .level(enc.level_memory().quantize(peak.intensity));
+        for (d, slot) in acc.iter_mut().enumerate() {
+            *slot += i32::from(id[d]) * i32::from(lv.component(d));
+        }
+    }
+    acc
+}
+
+/// The oracle's `Sign`, one bit at a time.
+fn naive_sign(acc: &[i32], tie: &BinaryHypervector) -> BinaryHypervector {
+    let mut hv = BinaryHypervector::zeros(acc.len());
+    for (d, &v) in acc.iter().enumerate() {
+        hv.set(d, v > 0 || (v == 0 && tie.bit(d)));
+    }
+    hv
+}
+
+/// `kernel`'s blocked sums over `rows`, written out `dim` long; lanes a
+/// ragged final block carries beyond `dim` must be zero.
+fn kernel_sums(
+    kernel: KernelDispatch,
+    rows: &[EncodeRow<'_>],
+    max_abs: i8,
+    dim: usize,
+) -> Vec<i32> {
+    let mut acc = vec![0i32; dim];
+    let mut blocks = 0usize;
+    kernel.encode_blocks(rows, max_abs, dim, |block, sums| {
+        assert_eq!(block, blocks, "{} blocks out of order", kernel.name());
+        blocks += 1;
+        let start = block * ENCODE_BLOCK;
+        let width = (dim - start).min(ENCODE_BLOCK);
+        acc[start..start + width].copy_from_slice(&sums[..width]);
+        assert!(
+            sums[width..].iter().all(|&v| v == 0),
+            "{} left sums beyond dim {dim}",
+            kernel.name()
+        );
+    });
+    assert_eq!(blocks, dim.div_ceil(ENCODE_BLOCK));
+    acc
+}
+
+/// One encode-equivalence case: both kernel instantiations, the
+/// encoder's split and fused forms (on whichever kernel `HDOMS_KERNEL`
+/// selected — CI runs this file under both) and the oracle all agree,
+/// and no bit beyond `dim` is set.
+fn check_encode(dim: usize, id_precision: IdPrecision, chunked: bool, peaks: usize, seed: u64) {
+    let case = format!("dim {dim}, {id_precision:?}, chunked {chunked}, {peaks} peaks");
+    let pre = keep_all_preprocessor();
+    let enc = encoder_for(&pre, dim, id_precision, chunked, seed);
+    let spectrum = binned_with_peaks(&pre, &mut StdRng::seed_from_u64(seed), 7, peaks);
+    let expected_acc = naive_accumulate(&enc, &spectrum);
+    let expected = naive_sign(&expected_acc, enc.tie_break());
+
+    let levels: Vec<Vec<i8>> = (0..enc.config().q_levels)
+        .map(|q| enc.level_memory().level(q).to_bipolar())
+        .collect();
+    let rows: Vec<EncodeRow<'_>> = spectrum
+        .peaks()
+        .iter()
+        .map(|p| {
+            let level = enc.level_memory().quantize(p.intensity);
+            (
+                enc.id_memory().packed(p.bin as usize),
+                levels[level].as_slice(),
+            )
+        })
+        .collect();
+    for kernel in variants() {
+        let acc = kernel_sums(kernel, &rows, id_precision.max_abs(), dim);
+        assert_eq!(acc, expected_acc, "{} sums, {case}", kernel.name());
+        assert_eq!(sign_pack(&acc, 0, enc.tie_break()), expected);
+    }
+    assert_eq!(enc.accumulate(&spectrum), expected_acc, "{case}");
+    let hv = enc.encode(&spectrum);
+    assert_eq!(hv, expected, "fused encode, {case}");
+    assert_eq!(hv, enc.quantize_accumulator(&expected_acc));
+    assert!(hv.tail_is_masked(), "bits set beyond dim, {case}");
+    if peaks == 0 {
+        assert_eq!(&expected, enc.tie_break(), "empty spectrum, {case}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Encode: scalar ≡ SIMD ≡ the naive oracle over arbitrary dims
+    /// (below one block, whole blocks, ragged tails — 4 is the smallest
+    /// a two-level memory can be built at), every ID precision, both
+    /// level styles, and peak counts from the empty spectrum to far
+    /// beyond `max_peaks`.
+    #[test]
+    fn encode_kernels_match_naive(
+        dim in 4usize..=1100,
+        peaks in 0usize..=400,
+        seed in any::<u64>(),
+    ) {
+        for id_precision in IdPrecision::ALL {
+            for chunked in [false, true] {
+                check_encode(dim, id_precision, chunked, peaks, seed);
+            }
+        }
+    }
+
+    /// The raw kernel on rows no item memory would produce — any dim
+    /// from 1, random alphabet components, random level signs: both
+    /// instantiations equal the naive sums.
+    #[test]
+    fn encode_blocks_match_naive_sums(
+        dim in 1usize..=1100,
+        count in 0usize..=400,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for id_precision in IdPrecision::ALL {
+            let ids: Vec<Vec<i8>> = (0..count)
+                .map(|_| (0..dim).map(|_| id_precision.sample(&mut rng)).collect())
+                .collect();
+            let lvs: Vec<Vec<i8>> = (0..count)
+                .map(|_| (0..dim).map(|_| if rng.gen_bool(0.5) { 1 } else { -1 }).collect())
+                .collect();
+            let packed: Vec<Vec<u8>> = ids.iter().map(|id| pack_id_row(id)).collect();
+            let rows: Vec<EncodeRow<'_>> = packed
+                .iter()
+                .zip(&lvs)
+                .map(|(id, lv)| (id.as_slice(), lv.as_slice()))
+                .collect();
+            let mut expected = vec![0i32; dim];
+            for ((id, row), lv) in ids.iter().zip(&packed).zip(&lvs) {
+                prop_assert_eq!(&unpack_id_row(row, dim), id, "pack round trip at dim {}", dim);
+                for d in 0..dim {
+                    expected[d] += i32::from(id[d]) * i32::from(lv[d]);
+                }
+            }
+            for kernel in variants() {
+                prop_assert_eq!(
+                    kernel_sums(kernel, &rows, id_precision.max_abs(), dim),
+                    expected.clone(),
+                    "{} at dim {}, {} rows", kernel.name(), dim, count
+                );
+            }
+        }
+    }
+}
+
+/// Peak counts on and around every i8 flush boundary — runs of 31, 63
+/// and 127 rows at the 3-, 2- and 1-bit alphabets — at a sub-block, a
+/// whole-block and a ragged dimension.
+#[test]
+fn encode_is_exact_across_every_flush_boundary() {
+    for dim in [40usize, 128, 1000] {
+        for id_precision in IdPrecision::ALL {
+            let run = encode_run_len(id_precision.max_abs());
+            for peaks in [0, 1, run - 1, run, run + 1, 2 * run, 2 * run + 1, 400] {
+                for chunked in [false, true] {
+                    check_encode(dim, id_precision, chunked, peaks, 0x5eed ^ peaks as u64);
+                }
+            }
+        }
+    }
+}
+
+/// The worst case the i8 lanes can see: every product `+max_abs` (and
+/// its negation), for row counts on, just past and far past one run.
+/// The sums must be exactly `±n·max_abs` — one wrapped lane would show.
+#[test]
+fn encode_lanes_never_wrap_at_the_alphabet_extremes() {
+    for dim in [64usize, 100] {
+        for id_precision in IdPrecision::ALL {
+            let max_abs = id_precision.max_abs();
+            let run = encode_run_len(max_abs);
+            assert!(run * max_abs as usize <= i8::MAX as usize);
+            assert!((run + 1) * max_abs as usize > i8::MAX as usize);
+            let id = pack_id_row(&vec![max_abs; dim]);
+            for sign in [1i8, -1] {
+                let lv = vec![sign; dim];
+                for n in [run, run + 1, 4 * run, 400] {
+                    let rows: Vec<EncodeRow<'_>> = vec![(id.as_slice(), lv.as_slice()); n];
+                    let expected = vec![i32::from(sign) * i32::from(max_abs) * n as i32; dim];
+                    for kernel in variants() {
+                        assert_eq!(
+                            kernel_sums(kernel, &rows, max_abs, dim),
+                            expected,
+                            "{} wrapped at {n} rows of {sign}·{max_abs}",
+                            kernel.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `encode_batch` is `encode` in order, on one thread or several.
+#[test]
+fn encode_batch_matches_sequential() {
+    let pre = keep_all_preprocessor();
+    let enc = encoder_for(&pre, 1000, IdPrecision::Bits3, true, 11);
+    let mut rng = StdRng::seed_from_u64(12);
+    let spectra: Vec<BinnedSpectrum> = (0..9u32)
+        .map(|id| {
+            let peaks = rng.gen_range(0..=200);
+            binned_with_peaks(&pre, &mut rng, id, peaks)
+        })
+        .collect();
+    let sequential: Vec<BinaryHypervector> = spectra.iter().map(|s| enc.encode(s)).collect();
+    for threads in [1, 4] {
+        assert_eq!(
+            enc.encode_batch(&spectra, threads),
+            sequential,
+            "{threads} threads"
+        );
     }
 }

@@ -552,7 +552,10 @@ impl Default for HyperOmsConfig {
 #[derive(Debug, Clone)]
 pub struct ExactBackend {
     config: ExactBackendConfig,
-    encoder: IdLevelEncoder,
+    /// Shared with every backend derived from this one
+    /// ([`ExactBackend::with_error_rates`]): the item memories are
+    /// ~6 MB at the default configuration.
+    encoder: Arc<IdLevelEncoder>,
     /// Encoded reference hypervectors, indexed by library id; `None` when
     /// the reference failed preprocessing (too few peaks). Shared, so a
     /// warm load from a persistent index does not duplicate the words.
@@ -606,7 +609,7 @@ impl ExactBackend {
         config: ExactBackendConfig,
         reference_hvs: SharedReferences,
     ) -> ExactBackend {
-        let encoder = IdLevelEncoder::new(config.encoder);
+        let encoder = Arc::new(IdLevelEncoder::new(config.encoder));
         reference_hvs.assert_dim(config.encoder.dim);
         ExactBackend {
             config,
@@ -682,7 +685,7 @@ impl ExactBackend {
         };
         ExactBackend {
             config,
-            encoder: self.encoder.clone(),
+            encoder: Arc::clone(&self.encoder),
             reference_hvs,
             name: self.name.clone(),
         }
