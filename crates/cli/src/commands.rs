@@ -110,20 +110,7 @@ fn engine_for(
     let engine = match target {
         SearchTarget::Cold(library) => {
             let kind = match spec {
-                "exact" => {
-                    let mut config = ExactBackendConfig::default();
-                    config.encoder.dim = dim;
-                    IndexedBackendKind::Exact(config)
-                }
-                "hyperoms" => IndexedBackendKind::HyperOms(HyperOmsConfig {
-                    dim,
-                    ..HyperOmsConfig::default()
-                }),
-                "rram" => {
-                    let mut config = AcceleratorConfig::default();
-                    config.encoder.dim = dim;
-                    IndexedBackendKind::Rram(config)
-                }
+                "exact" | "hyperoms" | "rram" => backend_kind(spec, dim)?,
                 "annsolo" => {
                     let config = AnnSoloConfig {
                         threads,

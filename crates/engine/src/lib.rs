@@ -567,36 +567,17 @@ impl Engine {
         window: PrecursorWindow,
         alpha: f64,
     ) -> (PipelineOutcome, BatchReceipt) {
-        self.search_with_workers(spectra, window, alpha, self.threads)
-    }
-
-    /// [`Engine::search`] under an explicit worker budget: the batch
-    /// uses at most `workers` threads instead of the engine's configured
-    /// parallelism. This is the entry point the serve layer's scheduler
-    /// drives — each admitted batch runs with exactly the budget it was
-    /// granted, so concurrent batches never oversubscribe the machine.
-    /// PSM tables are byte-identical across budgets (scoring is
-    /// deterministic and order-preserving).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid window or FDR level.
-    pub fn search_with_workers(
-        self: &Arc<Self>,
-        spectra: &[Spectrum],
-        window: PrecursorWindow,
-        alpha: f64,
-        workers: usize,
-    ) -> (PipelineOutcome, BatchReceipt) {
-        self.search_with_workers_opts(spectra, window, alpha, workers, None)
+        self.search_with_workers_opts(spectra, window, alpha, self.threads, None)
             .expect("no per-batch prefilter override to validate")
     }
 
-    /// [`Engine::search_with_workers`] with a per-batch prefilter
-    /// override: `Some(config)` runs this batch under `config` instead
-    /// of the engine's default (the serve protocol's per-request
-    /// `prefilter` option routes here), `None` uses the default. This is
-    /// [`Engine::search_groups`] over one group.
+    /// [`Engine::search`] under an explicit worker budget — the batch
+    /// uses at most `workers` threads instead of the engine's configured
+    /// parallelism, and PSM tables are byte-identical across budgets
+    /// (scoring is deterministic and order-preserving) — with a
+    /// per-batch prefilter override: `Some(config)` runs this batch
+    /// under `config` instead of the engine's default, `None` uses the
+    /// default. This is [`Engine::search_groups`] over one group.
     ///
     /// # Errors
     ///
@@ -972,11 +953,6 @@ impl Session {
         self.totals.queries
     }
 
-    /// Raw PSMs accumulated so far.
-    pub fn psm_count(&self) -> usize {
-        self.psms.len()
-    }
-
     /// Encode, search, and accumulate one batch of query spectra at the
     /// engine's configured parallelism. No FDR filtering happens here —
     /// raw PSMs collect until [`Session::finalize`].
@@ -1155,12 +1131,15 @@ mod tests {
         let (workload, engine) = tiny_engine(26);
         let (full, _) = engine.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
         for workers in [1, 2, 3, 7] {
-            let (budgeted, receipt) = engine.search_with_workers(
-                &workload.queries,
-                PrecursorWindow::open_default(),
-                0.01,
-                workers,
-            );
+            let (budgeted, receipt) = engine
+                .search_with_workers_opts(
+                    &workload.queries,
+                    PrecursorWindow::open_default(),
+                    0.01,
+                    workers,
+                    None,
+                )
+                .expect("no override to validate");
             assert_eq!(
                 budgeted.psms, full.psms,
                 "worker budget {workers} changed the PSMs"

@@ -44,20 +44,6 @@ pub fn flip_bits<R: Rng>(rng: &mut R, hv: &BinaryHypervector, ber: f64) -> Binar
     out
 }
 
-/// Corrupt every hypervector in `hvs` with independent errors at rate
-/// `ber`.
-///
-/// # Panics
-///
-/// Panics unless `0.0 <= ber <= 1.0`.
-pub fn flip_bits_batch<R: Rng>(
-    rng: &mut R,
-    hvs: &[BinaryHypervector],
-    ber: f64,
-) -> Vec<BinaryHypervector> {
-    hvs.iter().map(|hv| flip_bits(rng, hv, ber)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,16 +86,6 @@ mod tests {
         let a = flip_bits(&mut StdRng::seed_from_u64(9), &hv, 0.1);
         let b = flip_bits(&mut StdRng::seed_from_u64(9), &hv, 0.1);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn batch_corrupts_independently() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let hv = BinaryHypervector::random(&mut rng, 2048);
-        let batch = flip_bits_batch(&mut rng, &[hv.clone(), hv.clone()], 0.1);
-        // Same source vector, independent errors → the two corruptions
-        // should differ from each other.
-        assert_ne!(batch[0], batch[1]);
     }
 
     #[test]

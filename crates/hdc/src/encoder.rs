@@ -67,6 +67,27 @@ impl Default for EncoderConfig {
     }
 }
 
+impl EncoderConfig {
+    /// Whether an encoder can be built from this configuration, naming
+    /// the first rule violated — the non-panicking form, for
+    /// configurations decoded from outside the program (an index
+    /// header).
+    ///
+    /// # Errors
+    ///
+    /// A zero `dim`, fewer than two levels, level vectors that do not
+    /// fit `dim` (random: `dim ≥ 2q`; chunked: `2q ≤ num_chunks ≤ dim`),
+    /// or an ID memory that is empty or whose `num_bins × dim` weights
+    /// are not representable.
+    pub fn check(&self) -> Result<(), &'static str> {
+        self.level_style.check(self.dim, self.q_levels)?;
+        match self.num_bins.checked_mul(self.dim) {
+            Some(weights) if weights > 0 => Ok(()),
+            _ => Err("encoder.num_bins must be positive, num_bins × dim representable"),
+        }
+    }
+}
+
 /// ID-Level encoder: owns the item memories and turns binned spectra into
 /// binary hypervectors.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,9 +110,11 @@ impl IdLevelEncoder {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate configurations (zero dim, fewer than two
-    /// levels, chunk constraints) — see [`LevelMemory::generate`].
+    /// Panics with the rule [`EncoderConfig::check`] names.
     pub fn new(config: EncoderConfig) -> IdLevelEncoder {
+        if let Err(why) = config.check() {
+            panic!("{why}");
+        }
         let id_memory = IdMemory::generate(
             config.seed ^ 0x1d,
             config.num_bins,

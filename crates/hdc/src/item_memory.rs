@@ -37,6 +37,29 @@ pub enum LevelStyle {
     },
 }
 
+impl LevelStyle {
+    /// Whether `q` level hypervectors of this style fit `dim`
+    /// dimensions: consecutive levels differ in `units / 2q` whole units
+    /// (bits, or chunks), which must be at least one.
+    pub(crate) fn check(self, dim: usize, q: usize) -> Result<(), &'static str> {
+        let two_q = q.saturating_mul(2);
+        let rules = [
+            (dim >= 1, "encoder.dim must be positive"),
+            (q >= 2, "encoder.q_levels must be at least 2"),
+            (
+                match self {
+                    LevelStyle::Random => dim >= two_q,
+                    LevelStyle::Chunked { num_chunks } => two_q <= num_chunks && num_chunks <= dim,
+                },
+                "level vectors need dim ≥ 2q (random) or 2q ≤ num_chunks ≤ dim (chunked)",
+            ),
+        ];
+        rules
+            .iter()
+            .try_for_each(|&(ok, why)| ok.then_some(()).ok_or(why))
+    }
+}
+
 /// The position-ID item memory: one multi-bit hypervector per m/z bin.
 ///
 /// Stored flattened and nibble-packed (`num_positions` rows of
@@ -56,15 +79,17 @@ impl IdMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `num_positions` or `dim` is zero.
+    /// Panics on an empty memory (no positions, or dimension 0).
     pub fn generate(
         seed: u64,
         num_positions: usize,
         dim: usize,
         precision: IdPrecision,
     ) -> IdMemory {
-        assert!(num_positions > 0, "need at least one position");
-        assert!(dim > 0, "hypervector dimension must be positive");
+        assert!(
+            num_positions > 0 && dim > 0,
+            "an ID memory needs positions and a dimension"
+        );
         let mut rng = StdRng::seed_from_u64(seed);
         let mut data = Vec::with_capacity(num_positions * packed_row_len(dim));
         let mut row = vec![0i8; dim];
@@ -129,9 +154,6 @@ pub struct LevelMemory {
     q: usize,
     style: LevelStyle,
     levels: Vec<BinaryHypervector>,
-    /// For [`LevelStyle::Chunked`]: per-level chunk values (`±1` per chunk),
-    /// the form the in-memory encoder feeds into the array.
-    chunk_values: Vec<Vec<i8>>,
 }
 
 impl LevelMemory {
@@ -139,22 +161,20 @@ impl LevelMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `q < 2`, if `dim / (2q) == 0` for the random style, or if
-    /// `num_chunks < 2q` / `num_chunks > dim` for the chunked style.
+    /// Panics on a geometry [`EncoderConfig::check`](crate::encoder::EncoderConfig::check)
+    /// rejects: `q < 2`, `dim < 2q` for the random style, or
+    /// `num_chunks` outside `2q..=dim` for the chunked style.
     pub fn generate(seed: u64, dim: usize, q: usize, style: LevelStyle) -> LevelMemory {
-        assert!(q >= 2, "need at least two quantisation levels");
-        assert!(dim > 0, "hypervector dimension must be positive");
+        if let Err(why) = style.check(dim, q) {
+            panic!("{why}: dim {dim}, q {q}, {style:?}");
+        }
         let mut rng = StdRng::seed_from_u64(seed ^ 0x001e_7e11);
+        let mut levels = Vec::with_capacity(q);
         match style {
             LevelStyle::Random => {
                 let flips_per_level = dim / (2 * q);
-                assert!(
-                    flips_per_level >= 1,
-                    "dim {dim} too small for {q} levels (dim/(2q) must be ≥ 1)"
-                );
                 let mut perm: Vec<usize> = (0..dim).collect();
                 perm.shuffle(&mut rng);
-                let mut levels = Vec::with_capacity(q);
                 let mut current = BinaryHypervector::random(&mut rng, dim);
                 levels.push(current.clone());
                 for j in 1..q {
@@ -163,50 +183,30 @@ impl LevelMemory {
                     }
                     levels.push(current.clone());
                 }
-                LevelMemory {
-                    dim,
-                    q,
-                    style,
-                    levels,
-                    chunk_values: Vec::new(),
-                }
             }
             LevelStyle::Chunked { num_chunks } => {
-                assert!(
-                    num_chunks >= 2 * q,
-                    "num_chunks {num_chunks} must be at least 2q = {}",
-                    2 * q
-                );
-                assert!(
-                    num_chunks <= dim,
-                    "num_chunks {num_chunks} cannot exceed dim {dim}"
-                );
                 let chunk_flips = num_chunks / (2 * q);
                 let mut perm: Vec<usize> = (0..num_chunks).collect();
                 perm.shuffle(&mut rng);
+                // One ±1 value per chunk — the form the in-memory
+                // encoder feeds into the array.
                 let mut current: Vec<i8> = (0..num_chunks)
                     .map(|_| if rng.gen_bool(0.5) { 1 } else { -1 })
                     .collect();
-                let mut chunk_values = Vec::with_capacity(q);
-                chunk_values.push(current.clone());
+                levels.push(expand_chunks(&current, dim));
                 for j in 1..q {
                     for &c in &perm[(j - 1) * chunk_flips..j * chunk_flips] {
                         current[c] = -current[c];
                     }
-                    chunk_values.push(current.clone());
-                }
-                let levels = chunk_values
-                    .iter()
-                    .map(|cv| expand_chunks(cv, dim))
-                    .collect();
-                LevelMemory {
-                    dim,
-                    q,
-                    style,
-                    levels,
-                    chunk_values,
+                    levels.push(expand_chunks(&current, dim));
                 }
             }
+        }
+        LevelMemory {
+            dim,
+            q,
+            style,
+            levels,
         }
     }
 
@@ -218,12 +218,6 @@ impl LevelMemory {
     #[inline]
     pub fn level(&self, level: usize) -> &BinaryHypervector {
         &self.levels[level]
-    }
-
-    /// For chunked memories, the per-chunk values (`±1`) of `level`; empty
-    /// slice family for the random style.
-    pub fn chunk_values(&self, level: usize) -> Option<&[i8]> {
-        self.chunk_values.get(level).map(Vec::as_slice)
     }
 
     /// Quantise a normalised intensity in `[0, 1]` to a level index in
@@ -334,10 +328,8 @@ mod tests {
         let chunk_size = dim.div_ceil(n);
         for level in 0..16 {
             let hv = lm.level(level);
-            let cv = lm.chunk_values(level).unwrap();
-            assert_eq!(cv.len(), n);
-            for (c, &chunk_value) in cv.iter().enumerate() {
-                let expect = chunk_value > 0;
+            for c in 0..n {
+                let expect = hv.bit(c * chunk_size);
                 for d in c * chunk_size..((c + 1) * chunk_size).min(dim) {
                     assert_eq!(hv.bit(d), expect, "level {level} chunk {c} dim {d}");
                 }
@@ -355,20 +347,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must be at least 2q")]
+    #[should_panic(expected = "2q ≤ num_chunks ≤ dim")]
     fn chunked_rejects_too_few_chunks() {
         let _ = LevelMemory::generate(1, 1024, 32, LevelStyle::Chunked { num_chunks: 32 });
     }
 
     #[test]
-    #[should_panic(expected = "too small")]
+    #[should_panic(expected = "dim ≥ 2q")]
     fn random_rejects_tiny_dim() {
         let _ = LevelMemory::generate(1, 16, 32, LevelStyle::Random);
-    }
-
-    #[test]
-    fn random_style_has_no_chunk_values() {
-        let lm = LevelMemory::generate(1, 512, 8, LevelStyle::Random);
-        assert_eq!(lm.chunk_values(0), None);
     }
 }

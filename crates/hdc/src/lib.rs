@@ -9,8 +9,7 @@
 //!
 //! * bit-packed binary hypervectors with fast Hamming/dot operations
 //!   ([`hv`], [`similarity`]),
-//! * multi-bit hypervectors with the 1/2/3-bit ID alphabets of §4.2.2
-//!   ([`multibit`]),
+//! * the 1/2/3-bit ID component alphabets of §4.2.2 ([`multibit`]),
 //! * the ID and level item memories of ID-Level encoding, including the
 //!   *chunked* level hypervectors of §4.2.1 ([`item_memory`]),
 //! * the ID-Level encoder itself, Eq. (1) of the paper ([`encoder`]),
@@ -51,7 +50,6 @@ pub mod hv;
 pub mod item_memory;
 pub mod kernels;
 pub mod multibit;
-pub mod ops;
 pub mod parallel;
 pub mod similarity;
 
@@ -60,5 +58,5 @@ pub use encoder::{EncoderConfig, IdLevelEncoder};
 pub use hv::{BinaryHypervector, HvRef, HvView};
 pub use item_memory::LevelStyle;
 pub use kernels::{KernelDispatch, KernelKind};
-pub use multibit::{IdPrecision, MultiBitHypervector};
+pub use multibit::IdPrecision;
 pub use similarity::{hamming_distance, normalized_similarity};

@@ -3,7 +3,6 @@
 use hdoms_hdc::encoder::{EncoderConfig, IdLevelEncoder};
 use hdoms_hdc::hv::BinaryHypervector;
 use hdoms_hdc::item_memory::{LevelMemory, LevelStyle};
-use hdoms_hdc::multibit::{IdPrecision, MultiBitHypervector};
 use hdoms_hdc::parallel::par_map;
 use hdoms_hdc::similarity::{dot, hamming_distance, normalized_similarity};
 use hdoms_ms::preprocess::{PreprocessConfig, Preprocessor};
@@ -71,22 +70,6 @@ proptest! {
                 last = d;
             }
         }
-    }
-
-    /// Multi-bit dot against a binary vector is bounded by dim × max_abs.
-    #[test]
-    fn multibit_dot_bounds(seed in any::<u64>(), bits in 1u8..=3) {
-        let precision = match bits {
-            1 => IdPrecision::Bits1,
-            2 => IdPrecision::Bits2,
-            _ => IdPrecision::Bits3,
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mb = MultiBitHypervector::random(&mut rng, 128, precision);
-        let b = BinaryHypervector::random(&mut rng, 128);
-        let d = mb.dot_binary(&b);
-        let bound = 128 * i64::from(precision.max_abs());
-        prop_assert!((-bound..=bound).contains(&d));
     }
 
     /// The encoder never panics on arbitrary valid spectra and always

@@ -1,4 +1,6 @@
-//! The versioned `HDX` on-disk format: section layout and config codecs.
+//! The versioned `HDX` on-disk format: section layout, the one section
+//! frame and one codec per persisted record. `docs/FORMAT.md` is the
+//! byte-level specification; this is its implementation.
 //!
 //! ## Layout (format versions 1–3; the writer emits version 3 only,
 //! versions 1 and 2 are decode-only — golden images under
@@ -6,16 +8,15 @@
 //!
 //! ```text
 //! preamble   magic "HDOMSIDX" (8) · format version u32 · header length u64
-//! header     backend kind + configs · build stats · dim · entry count ·
-//!            shard boundaries · shard table (byte length per shard) ·
-//!            MLC section length · sketch section length (v3)
-//!                                                       + XXH64 trailer
+//! header     backend kind + configs · build stats · entries per shard ·
+//!            entry count · MLC section length · sketch section length
+//!            (v3) · shard table (byte length per shard)  + XXH64 trailer
 //! mlc        differential ID-memory weight pairs (f32) · σ_δ
 //!            (present only for the RRAM accelerator kind) + XXH64 trailer
-//! sketch     folded-hypervector prefilter signatures (v3 only; see
-//!            [`put_sketches`])                           + XXH64 trailer
-//! shard[i]   entry records (id, masses, charge, decoy flag, peptide,
-//!            optional encoded hypervector)               + XXH64 trailer
+//! sketch     folded-hypervector prefilter signatures (v3 only)
+//!                                                       + XXH64 trailer
+//! shard[i]   entry count · entry records, each with a presence flag ·
+//!            the present hypervectors' words               + XXH64 trailer
 //! ```
 //!
 //! Every section carries its own [XXH64](crate::xxhash::xxh64) digest, so
@@ -23,29 +24,35 @@
 //! independently — which is what lets [`LibraryIndex::from_buffer`](crate::LibraryIndex::from_buffer)
 //! validate and decode shards in parallel.
 //!
-//! **Version 2** changes only the shard sections, for the zero-copy load
-//! path: every section payload is preceded by zero padding bringing its
-//! absolute file offset to a multiple of 8, and a shard's hypervector
-//! words move out of the entry records into one contiguous,
-//! internally-8-aligned word block at the end of the payload. A v2 file
-//! loaded through [`LibraryIndex::open_mapped`](crate::LibraryIndex::open_mapped)
-//! is therefore searchable **in place**: the word block offsets become a
-//! mapped reference table over the single file buffer, and no
-//! per-reference hypervector is ever materialised. A version 1 file,
-//! whose words sit unaligned inside the entry records, stays readable:
-//! the loader repacks them once into a fresh flat buffer.
-//!
-//! **Version 3** adds one optional section — the prefilter's
-//! folded-hypervector sketch signatures
+//! **Version 1** keeps each hypervector's words inline after its entry
+//! record, length-prefixed and unaligned: the loader repacks them once
+//! into a fresh flat buffer. **Version 2** zero-pads every section
+//! payload to an 8-aligned absolute file offset and moves a shard's
+//! words into one contiguous, internally 8-aligned block behind its
+//! entry records (zero padding between), so a file is searchable **in
+//! place**: the word block offsets become a reference table over the
+//! single file buffer, and no per-reference hypervector is ever
+//! materialised. **Version 3** adds one optional section — the
+//! prefilter's folded-hypervector sketch signatures
 //! ([`hdoms_prefilter::SketchIndex`]) — between the MLC and shard
-//! sections, plus its length field at the end of the header. Nothing
-//! about the v2 sections changes: a v3 file with the sketch section
-//! stripped (and the header field dropped) is byte-identical to the v2
-//! encoding, v1/v2 files stay readable, and loading a v1/v2 file simply
-//! derives the sketches on the fly when a search wants them
+//! sections, plus its length field in the header; a v1/v2 file derives
+//! the sketches on the fly when a search wants them
 //! ([`crate::LibraryIndex::sketch_index`]).
+//!
+//! ## One spelling per persisted fact
+//!
+//! Every record — the seven configs, the kind tag, the build stats, the
+//! header, the shard entry, the MLC state and the sketch section — is
+//! one `record!` field list. From that list come its bytes (`Put`), its
+//! validating decoder with the decode-error labels (`Get`:
+//! `"encoder.q_levels"`, …) and its row in `docs/FORMAT.md` (held to the
+//! document by the unit test below); its encoded length is what the
+//! encoder appends, and a field's offset is where a decode of the cut
+//! record stops. Every section is framed — zero pad to 8, payload,
+//! XXH64 — by one type, `Frame`, whichever way the bytes flow, and one
+//! function, `decode_shard`, reads a shard payload of any version.
 
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{Reader, WireError};
 use crate::xxhash::xxh64;
 use hdoms_core::accelerator::{AcceleratorConfig, BuildStats};
 use hdoms_hdc::encoder::EncoderConfig;
@@ -139,6 +146,12 @@ impl From<WireError> for IndexError {
     }
 }
 
+/// `Ok` when `ok` holds, [`IndexError::Invalid`] saying `why()` otherwise.
+pub(crate) fn need<S: Into<String>>(ok: bool, why: impl FnOnce() -> S) -> Result<(), IndexError> {
+    ok.then_some(())
+        .ok_or_else(|| IndexError::Invalid(why().into()))
+}
+
 /// Which search backend's encoded hypervectors the index stores.
 ///
 /// The stored bits depend on the backend: the software backends encode
@@ -181,71 +194,58 @@ impl IndexedBackendKind {
             IndexedBackendKind::Rram(c) => c.encoder.dim,
         }
     }
-}
 
-impl IndexedBackendKind {
     /// Reject a decoded configuration the encoder constructors would
     /// panic on. The header is input from outside the program: its
     /// checksum proves the bytes are the ones written, not that a sane
-    /// writer wrote them — so what
-    /// [`IdLevelEncoder::new`](hdoms_hdc::encoder::IdLevelEncoder::new)
-    /// and [`InMemoryEncoder::from_programmed`](hdoms_core::encode::InMemoryEncoder::from_programmed)
-    /// assert (given the persisted MLC state, when there is one) is
-    /// checked here first, and an open fails with
-    /// [`IndexError::Invalid`] instead of a later search panicking.
+    /// writer wrote them — so each config's own `check()` (what
+    /// [`IdLevelEncoder::new`](hdoms_hdc::encoder::IdLevelEncoder::new),
+    /// [`Preprocessor::new`](hdoms_ms::preprocess::Preprocessor::new) and
+    /// the crossbar panic on) runs here first, then the conditions that
+    /// span records and the persisted MLC state (present exactly for the
+    /// RRAM kind), and an open fails with [`IndexError::Invalid`] instead
+    /// of a later search panicking.
     pub(crate) fn validate(&self, mlc: Option<&MlcState>) -> Result<(), IndexError> {
-        let need = |ok: bool, why: &str| {
-            ok.then_some(()).ok_or_else(|| {
-                IndexError::Invalid(format!("{} backend configuration: {why}", self.name()))
-            })
+        let rram = matches!(self, IndexedBackendKind::Rram(_));
+        need(mlc.is_some() || !rram, || {
+            "rram index is missing its MLC section"
+        })?;
+        need(mlc.is_none() || rram, || {
+            "software index carries an MLC section"
+        })?;
+        let invalid = |why: &str| {
+            IndexError::Invalid(format!("{} backend configuration: {why}", self.name()))
         };
+        let must = |ok: bool, why: &str| ok.then_some(()).ok_or_else(|| invalid(why));
         // Preprocessing first: `num_bins()` (which the HyperOMS encoder
         // mapping below calls) overflows on a non-finite bin count.
         let pre = self.preprocess();
-        let bins = ((pre.max_mz - pre.min_mz) / pre.bin_width).ceil();
-        need(
-            pre.min_mz.is_finite() && pre.min_mz < pre.max_mz && pre.bin_width > 0.0,
-            "preprocess m/z range must be finite and non-empty, bin_width positive",
-        )?;
-        need(
-            bins < f64::from(u32::MAX),
-            "preprocess m/z range over bin_width must fit the u32 bin index",
-        )?;
+        pre.check().map_err(invalid)?;
         let enc = match self {
             IndexedBackendKind::Exact(c) => c.encoder,
             IndexedBackendKind::HyperOms(c) => c.exact_config(1).encoder,
             IndexedBackendKind::Rram(c) => c.encoder,
         };
-        let (dim, two_q) = (enc.dim, enc.q_levels.saturating_mul(2));
-        need(dim >= 1, "encoder.dim must be positive")?;
-        need(enc.q_levels >= 2, "encoder.q_levels must be at least 2")?;
-        need(
-            match enc.level_style {
-                LevelStyle::Random => dim >= two_q,
-                LevelStyle::Chunked { num_chunks } => two_q <= num_chunks && num_chunks <= dim,
-            },
-            "level vectors need dim ≥ 2q (random) or 2q ≤ num_chunks ≤ dim (chunked)",
-        )?;
-        let weights = enc.num_bins.checked_mul(dim);
-        need(
-            weights.is_some() && pre.num_bins() <= enc.num_bins,
-            "encoder.num_bins must cover every preprocessing bin, num_bins × dim be representable",
+        enc.check().map_err(invalid)?;
+        must(
+            pre.num_bins() <= enc.num_bins,
+            "encoder.num_bins must cover every preprocessing bin",
         )?;
         match self {
-            IndexedBackendKind::Exact(c) => need(
+            IndexedBackendKind::Exact(c) => must(
                 (0.0..=1.0).contains(&c.encode_ber) && (0.0..=1.0).contains(&c.storage_ber),
                 "injected bit-error rates must lie in [0, 1]",
             ),
             IndexedBackendKind::HyperOms(_) => Ok(()),
             IndexedBackendKind::Rram(c) => {
-                c.crossbar.check().or_else(|why| need(false, why))?;
-                need(
+                c.crossbar.check().map_err(invalid)?;
+                must(
                     c.crossbar.mlc.bits_per_cell == enc.id_precision.bits(),
                     "mlc.bits_per_cell must equal the ID precision",
                 )?;
-                need(
-                    mlc.is_none_or(|state| {
-                        Some(state.w_eff.len()) == weights
+                must(
+                    mlc.is_some_and(|state| {
+                        state.w_eff.len() == enc.num_bins * enc.dim
                             && state.sigma_delta.is_finite()
                             && state.sigma_delta >= 0.0
                     }),
@@ -334,262 +334,392 @@ pub struct MlcState {
 }
 
 // ---------------------------------------------------------------------------
-// Config codecs. Hand-rolled field-by-field: no serialisation crate resolves
-// offline, and explicit codecs keep the format stable under struct
-// reordering anyway.
+// Field codecs: crate-private, statically dispatched (no serialisation
+// crate resolves offline). Everything is little-endian and packed.
 // ---------------------------------------------------------------------------
 
-fn put_preprocess(w: &mut Writer, c: &PreprocessConfig) {
-    w.f64(c.intensity_threshold);
-    w.usize(c.max_peaks);
-    w.usize(c.min_peaks);
-    w.f64(c.min_mz);
-    w.f64(c.max_mz);
-    w.f64(c.bin_width);
-    w.u8(match c.scaling {
-        IntensityScaling::None => 0,
-        IntensityScaling::Sqrt => 1,
-        IntensityScaling::Rank => 2,
-    });
+/// The encoding half of a persisted field — implemented for the borrowed
+/// forms (`[T]`, `str`), so a slice is written without a copy.
+pub(crate) trait Put {
+    /// Append the encoding.
+    fn put(&self, w: &mut Vec<u8>);
 }
 
-fn get_preprocess(r: &mut Reader<'_>) -> Result<PreprocessConfig, IndexError> {
-    Ok(PreprocessConfig {
-        intensity_threshold: r.f64("preprocess.intensity_threshold")?,
-        max_peaks: r.u64("preprocess.max_peaks")? as usize,
-        min_peaks: r.u64("preprocess.min_peaks")? as usize,
-        min_mz: r.f64("preprocess.min_mz")?,
-        max_mz: r.f64("preprocess.max_mz")?,
-        bin_width: r.f64("preprocess.bin_width")?,
-        scaling: match r.u8("preprocess.scaling")? {
-            0 => IntensityScaling::None,
-            1 => IntensityScaling::Sqrt,
-            2 => IntensityScaling::Rank,
-            other => {
-                return Err(WireError::InvalidValue {
-                    what: "preprocess.scaling",
-                    value: u64::from(other),
+/// The decoding half: the validating reader — and, for the test that
+/// holds `docs/FORMAT.md` to the field lists, how the field reads there.
+pub(crate) trait Get: Sized {
+    /// Decode, labelling failures `what`.
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, IndexError>;
+    /// `"<type> <name>"` — or, for a record, its own name.
+    #[cfg(test)]
+    fn doc(name: &str) -> String;
+}
+
+/// A record: a named field list with a row in `docs/FORMAT.md`.
+#[cfg(test)]
+pub(crate) trait Record {
+    /// `name: field · field · …`, as the document spells it.
+    fn row() -> String;
+}
+
+/// Fixed-width scalars (`$wire` is the type on disk: every `usize` is a
+/// `u64` there) and, per scalar, `T[]`: a `u64` element count bounded by
+/// the bytes left before anything is allocated, then the elements.
+macro_rules! scalars {
+    ($($ty:ident as $wire:ident),*) => {$(
+        impl Put for $ty {
+            fn put(&self, w: &mut Vec<u8>) {
+                w.extend_from_slice(&(*self as $wire).to_le_bytes());
+            }
+        }
+        impl Get for $ty {
+            fn get(r: &mut Reader<'_>, what: &'static str) -> Result<$ty, IndexError> {
+                let bytes = r.raw(std::mem::size_of::<$wire>(), what)?;
+                Ok(<$wire>::from_le_bytes(bytes.try_into().expect("sized read")) as $ty)
+            }
+            #[cfg(test)]
+            fn doc(name: &str) -> String {
+                format!("{} {name}", stringify!($wire))
+            }
+        }
+        impl Put for [$ty] {
+            fn put(&self, w: &mut Vec<u8>) {
+                self.len().put(w);
+                w.reserve(std::mem::size_of_val(self));
+                self.iter().for_each(|x| x.put(w));
+            }
+        }
+        impl Get for Vec<$ty> {
+            fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<$ty>, IndexError> {
+                let size = std::mem::size_of::<$wire>();
+                let count = r.checked_len(what, size)?;
+                let body = r.raw(count * size, what)?;
+                let elem = |c: &[u8]| <$wire>::from_le_bytes(c.try_into().expect("sized chunk"));
+                Ok(body.chunks_exact(size).map(|c| elem(c) as $ty).collect())
+            }
+            #[cfg(test)]
+            fn doc(name: &str) -> String {
+                format!("{}[] {name}", stringify!($wire))
+            }
+        }
+    )*};
+}
+scalars!(
+    u8 as u8,
+    u32 as u32,
+    u64 as u64,
+    f32 as f32,
+    f64 as f64,
+    usize as u64
+);
+
+/// `str`: a `u8[]` that must be UTF-8.
+impl Put for str {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.as_bytes().put(w);
+    }
+}
+
+impl Get for String {
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<String, IndexError> {
+        Ok(String::from_utf8(Vec::get(r, what)?).map_err(|_| WireError::InvalidUtf8 { what })?)
+    }
+    #[cfg(test)]
+    fn doc(name: &str) -> String {
+        format!("str {name}")
+    }
+}
+
+/// A field persisted as a one-byte tag: one table gives the encoder, the
+/// range-checking decoder and the documented legend.
+macro_rules! tagged {
+    ($ty:ty { $($tag:literal = $name:literal => $($value:tt)::+),* $(,)? }) => {
+        impl Put for $ty {
+            fn put(&self, w: &mut Vec<u8>) {
+                w.push(match self { $($($value)::+ => $tag,)* });
+            }
+        }
+        impl Get for $ty {
+            fn get(r: &mut Reader<'_>, what: &'static str) -> Result<$ty, IndexError> {
+                match u8::get(r, what)? {
+                    $($tag => Ok($($value)::+),)*
+                    other => Err(WireError::InvalidValue { what, value: u64::from(other) }.into()),
                 }
-                .into())
             }
+            #[cfg(test)]
+            fn doc(name: &str) -> String {
+                format!("u8 {name} ({})", [$(concat!($tag, " = ", $name)),*].join(", "))
+            }
+        }
+    };
+}
+tagged!(bool { 0 = "false" => false, 1 = "true" => true });
+tagged!(IntensityScaling {
+    0 = "none" => IntensityScaling::None,
+    1 = "sqrt" => IntensityScaling::Sqrt,
+    2 = "rank" => IntensityScaling::Rank,
+});
+tagged!(IdPrecision {
+    1 = "1-bit" => IdPrecision::Bits1,
+    2 = "2-bit" => IdPrecision::Bits2,
+    3 = "3-bit" => IdPrecision::Bits3,
+});
+
+/// One declaration per persisted record: from the field list — names
+/// and wire types, in wire order — come its [`Put`], its [`Get`] (every
+/// field labelled `"<record>.<field>"`) and its [`Record`] row. The
+/// `struct` form declares the struct as well; the `impl` form describes
+/// one defined elsewhere — with a binder, each field names the place it
+/// is written from and the trailing expression rebuilds the value from
+/// the decoded fields; `[since N]` marks a field images older than
+/// format `N` lack (it decodes to its default there); the `enum` form is
+/// a one-byte tag choosing the record that follows.
+macro_rules! record {
+    (@get $r:ident, $ty:ty, $label:expr) => { <$ty>::get($r, $label)? };
+    (@get $r:ident, $ty:ty, $label:expr, $since:literal) => {
+        if $r.version >= $since { <$ty>::get($r, $label)? } else { <$ty>::default() }
+    };
+    (
+        $(#[$meta:meta])*
+        struct $name:ident as $prefix:literal {
+            $($field:ident: $ty:ty $([since $since:literal])?),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub(crate) struct $name {
+            $(pub(crate) $field: $ty),*
+        }
+        record!(impl $name as $prefix { $($field: $ty $([since $since])?),* });
+    };
+    (impl $name:ident as $prefix:literal {
+        $($field:ident: $ty:ty $([since $since:literal])?),* $(,)?
+    }) => {
+        record! {
+            impl $name as $prefix, this { $($field: $ty $([since $since])? = this.$field),* }
+            => Ok($name { $($field),* })
+        }
+    };
+    (
+        impl $name:ident as $prefix:literal, $this:ident {
+            $($field:ident: $ty:ty $([since $since:literal])? = $place:expr),* $(,)?
+        } => $build:expr
+    ) => {
+        impl Put for $name {
+            fn put(&self, w: &mut Vec<u8>) {
+                let $this = self;
+                $($place.put(w);)*
+            }
+        }
+        impl Get for $name {
+            fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<$name, IndexError> {
+                $(let $field = record!(
+                    @get r, $ty, concat!($prefix, ".", stringify!($field)) $(, $since)?
+                );)*
+                $build
+            }
+            #[cfg(test)]
+            fn doc(_name: &str) -> String {
+                $prefix.to_owned()
+            }
+        }
+        #[cfg(test)]
+        impl Record for $name {
+            fn row() -> String {
+                let fields = [$(
+                    <$ty>::doc(stringify!($field)) $(+ concat!(" (v", $since, "+)"))?
+                ),*];
+                format!("{}: {}", $prefix, fields.join(" · "))
+            }
+        }
+    };
+    (enum $name:ident as $prefix:literal { $($tag:literal => $variant:ident($ty:ty)),* $(,)? }) => {
+        impl Put for $name {
+            fn put(&self, w: &mut Vec<u8>) {
+                match self {
+                    $($name::$variant(c) => {
+                        w.push($tag);
+                        c.put(w);
+                    })*
+                }
+            }
+        }
+        impl Get for $name {
+            fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<$name, IndexError> {
+                match u8::get(r, $prefix)? {
+                    $($tag => Ok($name::$variant(<$ty>::get(r, $prefix)?)),)*
+                    other => Err(WireError::InvalidValue { what: $prefix, value: u64::from(other) }.into()),
+                }
+            }
+            #[cfg(test)]
+            fn doc(_name: &str) -> String {
+                $prefix.to_owned()
+            }
+        }
+        #[cfg(test)]
+        impl Record for $name {
+            fn row() -> String {
+                let choices = [$(format!("{} = {}", $tag, <$ty>::doc(""))),*];
+                format!("{}: u8 tag · {}", $prefix, choices.join(" | "))
+            }
+        }
+    };
+}
+
+record!(impl PreprocessConfig as "preprocess" {
+    intensity_threshold: f64,
+    max_peaks: usize,
+    min_peaks: usize,
+    min_mz: f64,
+    max_mz: f64,
+    bin_width: f64,
+    scaling: IntensityScaling,
+});
+
+// The level style takes two slots: whether it is chunked, then the chunk
+// count (0, and ignored, when it is random).
+record! {
+    impl LevelStyle as "level_style", this {
+        chunked: bool = matches!(this, LevelStyle::Chunked { .. }),
+        num_chunks: usize = match *this {
+            LevelStyle::Chunked { num_chunks } => num_chunks,
+            LevelStyle::Random => 0,
         },
-    })
+    } => Ok(if chunked { LevelStyle::Chunked { num_chunks } } else { LevelStyle::Random })
 }
 
-fn put_encoder(w: &mut Writer, c: &EncoderConfig) {
-    w.usize(c.dim);
-    w.usize(c.q_levels);
-    w.u8(match c.id_precision {
-        IdPrecision::Bits1 => 1,
-        IdPrecision::Bits2 => 2,
-        IdPrecision::Bits3 => 3,
-    });
-    match c.level_style {
-        LevelStyle::Random => {
-            w.u8(0);
-            w.usize(0);
-        }
-        LevelStyle::Chunked { num_chunks } => {
-            w.u8(1);
-            w.usize(num_chunks);
-        }
-    }
-    w.usize(c.num_bins);
-    w.u64(c.seed);
-}
+record!(impl EncoderConfig as "encoder" {
+    dim: usize,
+    q_levels: usize,
+    id_precision: IdPrecision,
+    level_style: LevelStyle,
+    num_bins: usize,
+    seed: u64,
+});
 
-fn get_encoder(r: &mut Reader<'_>) -> Result<EncoderConfig, IndexError> {
-    let dim = r.u64("encoder.dim")? as usize;
-    let q_levels = r.u64("encoder.q_levels")? as usize;
-    let id_precision = match r.u8("encoder.id_precision")? {
-        1 => IdPrecision::Bits1,
-        2 => IdPrecision::Bits2,
-        3 => IdPrecision::Bits3,
-        other => {
-            return Err(WireError::InvalidValue {
-                what: "encoder.id_precision",
-                value: u64::from(other),
-            }
-            .into())
-        }
-    };
-    let style_tag = r.u8("encoder.level_style")?;
-    let num_chunks = r.u64("encoder.num_chunks")? as usize;
-    let level_style = match style_tag {
-        0 => LevelStyle::Random,
-        1 => LevelStyle::Chunked { num_chunks },
-        other => {
-            return Err(WireError::InvalidValue {
-                what: "encoder.level_style",
-                value: u64::from(other),
-            }
-            .into())
-        }
-    };
-    Ok(EncoderConfig {
-        dim,
-        q_levels,
-        id_precision,
-        level_style,
-        num_bins: r.u64("encoder.num_bins")? as usize,
-        seed: r.u64("encoder.seed")?,
-    })
-}
+record!(impl MlcConfig as "mlc" {
+    bits_per_cell: u8,
+    g_max_us: f64,
+    lambda_program_us: f64,
+    lambda_relax_us: f64,
+    relax_tau_s: f64,
+    drift_us: f64,
+    stability_floor: f64,
+    stability_span: f64,
+    defect_rate: f64,
+});
 
-fn put_mlc(w: &mut Writer, c: &MlcConfig) {
-    w.u8(c.bits_per_cell);
-    w.f64(c.g_max_us);
-    w.f64(c.lambda_program_us);
-    w.f64(c.lambda_relax_us);
-    w.f64(c.relax_tau_s);
-    w.f64(c.drift_us);
-    w.f64(c.stability_floor);
-    w.f64(c.stability_span);
-    w.f64(c.defect_rate);
-}
+record!(impl CrossbarConfig as "crossbar" {
+    mlc: MlcConfig,
+    rows: usize,
+    cols: usize,
+    activated_rows: usize,
+    adc_bits: u8,
+    sense_sigma: f64,
+    ir_drop_factor: f64,
+    age_s: f64,
+});
 
-fn get_mlc(r: &mut Reader<'_>) -> Result<MlcConfig, IndexError> {
-    Ok(MlcConfig {
-        bits_per_cell: r.u8("mlc.bits_per_cell")?,
-        g_max_us: r.f64("mlc.g_max_us")?,
-        lambda_program_us: r.f64("mlc.lambda_program_us")?,
-        lambda_relax_us: r.f64("mlc.lambda_relax_us")?,
-        relax_tau_s: r.f64("mlc.relax_tau_s")?,
-        drift_us: r.f64("mlc.drift_us")?,
-        stability_floor: r.f64("mlc.stability_floor")?,
-        stability_span: r.f64("mlc.stability_span")?,
-        defect_rate: r.f64("mlc.defect_rate")?,
-    })
-}
+// `threads` is a reserved slot in all three kinds: builders write 1 and
+// every loader overrides it with its own worker count.
+record!(impl ExactBackendConfig as "exact" {
+    preprocess: PreprocessConfig,
+    encoder: EncoderConfig,
+    threads: usize,
+    encode_ber: f64,
+    storage_ber: f64,
+    noise_seed: u64,
+});
 
-fn put_crossbar(w: &mut Writer, c: &CrossbarConfig) {
-    put_mlc(w, &c.mlc);
-    w.usize(c.rows);
-    w.usize(c.cols);
-    w.usize(c.activated_rows);
-    w.u8(c.adc_bits);
-    w.f64(c.sense_sigma);
-    w.f64(c.ir_drop_factor);
-    w.f64(c.age_s);
-}
+record!(impl HyperOmsConfig as "hyperoms" {
+    preprocess: PreprocessConfig,
+    dim: usize,
+    q_levels: usize,
+    threads: usize,
+    seed: u64,
+});
 
-fn get_crossbar(r: &mut Reader<'_>) -> Result<CrossbarConfig, IndexError> {
-    Ok(CrossbarConfig {
-        mlc: get_mlc(r)?,
-        rows: r.u64("crossbar.rows")? as usize,
-        cols: r.u64("crossbar.cols")? as usize,
-        activated_rows: r.u64("crossbar.activated_rows")? as usize,
-        adc_bits: r.u8("crossbar.adc_bits")?,
-        sense_sigma: r.f64("crossbar.sense_sigma")?,
-        ir_drop_factor: r.f64("crossbar.ir_drop_factor")?,
-        age_s: r.f64("crossbar.age_s")?,
-    })
-}
+record!(impl AcceleratorConfig as "accelerator" {
+    preprocess: PreprocessConfig,
+    encoder: EncoderConfig,
+    crossbar: CrossbarConfig,
+    threads: usize,
+    seed: u64,
+});
 
-fn put_exact(w: &mut Writer, c: &ExactBackendConfig) {
-    put_preprocess(w, &c.preprocess);
-    put_encoder(w, &c.encoder);
-    w.usize(c.threads);
-    w.f64(c.encode_ber);
-    w.f64(c.storage_ber);
-    w.u64(c.noise_seed);
-}
+record!(enum IndexedBackendKind as "backend.kind" {
+    0 => Exact(ExactBackendConfig),
+    1 => HyperOms(HyperOmsConfig),
+    2 => Rram(AcceleratorConfig),
+});
 
-fn get_exact(r: &mut Reader<'_>) -> Result<ExactBackendConfig, IndexError> {
-    Ok(ExactBackendConfig {
-        preprocess: get_preprocess(r)?,
-        encoder: get_encoder(r)?,
-        threads: r.u64("exact.threads")? as usize,
-        encode_ber: r.f64("exact.encode_ber")?,
-        storage_ber: r.f64("exact.storage_ber")?,
-        noise_seed: r.u64("exact.noise_seed")?,
-    })
-}
+record!(impl BuildStats as "stats" {
+    references_stored: usize,
+    references_rejected: usize,
+    mean_encode_ber: f64,
+});
 
-fn put_hyperoms(w: &mut Writer, c: &HyperOmsConfig) {
-    put_preprocess(w, &c.preprocess);
-    w.usize(c.dim);
-    w.usize(c.q_levels);
-    w.usize(c.threads);
-    w.u64(c.seed);
-}
-
-fn get_hyperoms(r: &mut Reader<'_>) -> Result<HyperOmsConfig, IndexError> {
-    Ok(HyperOmsConfig {
-        preprocess: get_preprocess(r)?,
-        dim: r.u64("hyperoms.dim")? as usize,
-        q_levels: r.u64("hyperoms.q_levels")? as usize,
-        threads: r.u64("hyperoms.threads")? as usize,
-        seed: r.u64("hyperoms.seed")?,
-    })
-}
-
-fn put_accelerator(w: &mut Writer, c: &AcceleratorConfig) {
-    put_preprocess(w, &c.preprocess);
-    put_encoder(w, &c.encoder);
-    put_crossbar(w, &c.crossbar);
-    w.usize(c.threads);
-    w.u64(c.seed);
-}
-
-fn get_accelerator(r: &mut Reader<'_>) -> Result<AcceleratorConfig, IndexError> {
-    Ok(AcceleratorConfig {
-        preprocess: get_preprocess(r)?,
-        encoder: get_encoder(r)?,
-        crossbar: get_crossbar(r)?,
-        threads: r.u64("accelerator.threads")? as usize,
-        seed: r.u64("accelerator.seed")?,
-    })
-}
-
-/// Encode a backend kind (tag + its config).
-pub fn put_kind(w: &mut Writer, kind: &IndexedBackendKind) {
-    match kind {
-        IndexedBackendKind::Exact(c) => {
-            w.u8(0);
-            put_exact(w, c);
-        }
-        IndexedBackendKind::HyperOms(c) => {
-            w.u8(1);
-            put_hyperoms(w, c);
-        }
-        IndexedBackendKind::Rram(c) => {
-            w.u8(2);
-            put_accelerator(w, c);
-        }
+record! {
+    /// The header section: what [`ImageLayout::write`] lays out first
+    /// and the loader reads back before it touches any other section.
+    struct Header as "header" {
+        kind: IndexedBackendKind,
+        stats: BuildStats,
+        entries_per_shard: usize,
+        entry_count: usize,
+        mlc_len: usize,
+        sketch_len: usize [since 3],
+        shard_lens: Vec<usize>,
     }
 }
 
-/// Decode a backend kind.
-pub fn get_kind(r: &mut Reader<'_>) -> Result<IndexedBackendKind, IndexError> {
-    Ok(match r.u8("backend.kind")? {
-        0 => IndexedBackendKind::Exact(get_exact(r)?),
-        1 => IndexedBackendKind::HyperOms(get_hyperoms(r)?),
-        2 => IndexedBackendKind::Rram(get_accelerator(r)?),
-        other => {
-            return Err(WireError::InvalidValue {
-                what: "backend.kind",
-                value: u64::from(other),
-            }
-            .into())
-        }
-    })
+// In a shard payload each entry record is followed by one `bool`:
+// whether the entry has a stored hypervector.
+record!(impl IndexEntry as "entry" {
+    id: u32,
+    neutral_mass: f64,
+    precursor_mz: f64,
+    precursor_charge: u8,
+    is_decoy: bool,
+    peptide: String,
+});
+
+record!(impl MlcState as "mlc_state" {
+    w_eff: Vec<f32>,
+    sigma_delta: f64,
+});
+
+// The v3 sketch section; rebuilding it re-runs the structural validation
+// of `SketchIndex::from_parts`.
+record! {
+    impl SketchIndex as "sketch", this {
+        full_words: usize = this.full_words(),
+        selected: Vec<u32> = this.selected(),
+        slots: usize = this.len(),
+        present: Vec<u64> = this.present_bits(),
+        table: Vec<u64> = this.table(),
+    } => SketchIndex::from_parts(full_words, selected, table, present, slots)
+        .map_err(IndexError::Invalid)
 }
 
-/// Encode build statistics.
-pub fn put_build_stats(w: &mut Writer, s: &BuildStats) {
-    w.usize(s.references_stored);
-    w.usize(s.references_rejected);
-    w.f64(s.mean_encode_ber);
+/// The whole encoding of `value`, as a section payload.
+pub(crate) fn encode<T: Put + ?Sized>(value: &T) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    value.put(&mut bytes);
+    bytes
 }
 
-/// Decode build statistics.
-pub fn get_build_stats(r: &mut Reader<'_>) -> Result<BuildStats, IndexError> {
-    Ok(BuildStats {
-        references_stored: r.u64("stats.references_stored")? as usize,
-        references_rejected: r.u64("stats.references_rejected")? as usize,
-        mean_encode_ber: r.f64("stats.mean_encode_ber")?,
-    })
+/// Decode the payload of a section of a format-`version` image, which
+/// must be exactly one `T`.
+pub(crate) fn decode<T: Get>(
+    payload: &[u8],
+    section: &'static str,
+    version: u32,
+) -> Result<T, IndexError> {
+    let mut r = Reader::new(payload);
+    r.version = version;
+    let value = T::get(&mut r, section)?;
+    r.expect_end(section)?;
+    Ok(value)
 }
 
 /// Everything of a `.hdx` image except where its hypervector words come
@@ -607,20 +737,13 @@ pub(crate) struct ImageLayout<'a> {
 }
 
 impl ImageLayout<'_> {
-    /// Write the image to `out` at the current format version and
-    /// return its length in bytes: preamble, checksummed header, then
-    /// the MLC, sketch and shard sections, each zero-padded to an
-    /// 8-aligned absolute offset and followed by its XXH64 trailer.
-    ///
-    /// A shard section payload is the entry metadata records (with a
-    /// presence flag instead of inline words), zero padding to an 8-byte
-    /// boundary, then every present hypervector's `ceil(dim / 64)`
-    /// packed words concatenated in entry order — so every word block is
-    /// 8-aligned in the file and can be searched in place. Every section
-    /// length is computable from the metadata alone, which is what lets
-    /// the header go out first and the shards follow one at a time
-    /// through one reused payload buffer: nothing the size of the
-    /// hypervector payload is ever resident here.
+    /// Write the image to `out` at the current format version (the
+    /// layout of the module docs) and return its length in bytes:
+    /// preamble, header, then the MLC, sketch and shard sections, each in
+    /// its [`Frame`]. Every section length is known from the metadata
+    /// alone, which is what lets the header go out first and the shards
+    /// follow one at a time through one reused payload buffer: nothing
+    /// the size of the hypervector payload is ever resident here.
     ///
     /// `present(id)` says whether entry `id` has a stored hypervector;
     /// `write_words(id, w)` must append exactly its packed little-endian
@@ -631,83 +754,128 @@ impl ImageLayout<'_> {
     /// A failing `out` or `write_words` aborts the write with its error.
     pub(crate) fn write<W: Write>(
         &self,
-        out: W,
+        mut out: W,
         sketch_bytes: Vec<u8>,
         present: impl Fn(u32) -> bool,
-        mut write_words: impl FnMut(u32, &mut Writer) -> Result<(), IndexError>,
+        mut write_words: impl FnMut(u32, &mut Vec<u8>) -> Result<(), IndexError>,
     ) -> Result<u64, IndexError> {
-        let dim = self.kind.dim();
-        let mlc_bytes = self.mlc.map(put_mlc_state);
+        let hv_bytes = self.kind.dim().div_ceil(64) * 8;
+        let mlc_bytes = self.mlc.map(encode);
+        // A shard's metadata — count, records, flags — padded to 8.
+        let mut payload = Vec::new();
+        let put_meta = |payload: &mut Vec<u8>, entries: &[IndexEntry]| {
+            payload.clear();
+            entries.len().put(payload);
+            for e in entries {
+                e.put(payload);
+                present(e.id).put(payload);
+            }
+            payload.extend_from_slice(&[0u8; 8][..pad_to_8(payload.len())]);
+        };
+        let header = encode(&Header {
+            kind: self.kind.clone(),
+            stats: *self.stats,
+            entries_per_shard: self.entries_per_shard,
+            entry_count: self.shards.iter().map(|entries| entries.len()).sum(),
+            mlc_len: mlc_bytes.as_ref().map_or(0, Vec::len),
+            sketch_len: sketch_bytes.len(),
+            shard_lens: (self.shards.iter())
+                .map(|entries| {
+                    put_meta(&mut payload, entries);
+                    let stored = entries.iter().filter(|e| present(e.id)).count();
+                    payload.len() + stored * hv_bytes
+                })
+                .collect(),
+        });
 
-        let mut header = Writer::new();
-        put_kind(&mut header, self.kind);
-        put_build_stats(&mut header, self.stats);
-        header.usize(self.entries_per_shard);
-        header.usize(self.shards.iter().map(|entries| entries.len()).sum());
-        header.usize(mlc_bytes.as_ref().map_or(0, Vec::len));
-        header.usize(sketch_bytes.len());
-        header.usize(self.shards.len());
-        for entries in &self.shards {
-            // Per entry: u32 id + f64 mass + f64 m/z + u8 charge + u8
-            // decoy + (u64 length + bytes) peptide + u8 presence.
-            let meta: usize = 8 + entries.iter().map(|e| 31 + e.peptide.len()).sum::<usize>();
-            let stored = entries.iter().filter(|e| present(e.id)).count();
-            header.usize(meta + pad_to_8(meta) + stored * dim.div_ceil(64) * 8);
-        }
-        let header = header.into_bytes();
-
-        let mut sink = SectionSink { out, pos: 0 };
-        sink.raw(&MAGIC)?;
-        sink.raw(&FORMAT_VERSION.to_le_bytes())?;
-        sink.raw(&(header.len() as u64).to_le_bytes())?;
-        sink.raw(&header)?;
-        sink.raw(&xxh64(&header, CHECKSUM_SEED).to_le_bytes())?;
+        let mut preamble = MAGIC.to_vec();
+        FORMAT_VERSION.put(&mut preamble);
+        header.len().put(&mut preamble);
+        out.write_all(&preamble)?;
+        let mut pos = preamble.len();
+        Frame::write(&mut out, &mut pos, false, &header)?;
         if let Some(bytes) = &mlc_bytes {
-            sink.section(bytes)?;
+            Frame::write(&mut out, &mut pos, true, bytes)?;
         }
-        sink.section(&sketch_bytes)?;
+        Frame::write(&mut out, &mut pos, true, &sketch_bytes)?;
         drop(sketch_bytes);
 
-        let mut payload = Writer::new();
         for entries in &self.shards {
-            payload.clear();
-            payload.usize(entries.len());
-            for e in *entries {
-                put_entry_meta(&mut payload, e);
-                payload.u8(u8::from(present(e.id)));
-            }
-            for _ in 0..pad_to_8(payload.len()) {
-                payload.u8(0);
-            }
+            put_meta(&mut payload, entries);
             for e in entries.iter().filter(|e| present(e.id)) {
                 write_words(e.id, &mut payload)?;
             }
-            sink.section(payload.as_bytes())?;
+            Frame::write(&mut out, &mut pos, true, &payload)?;
         }
-        Ok(sink.pos as u64)
+        Ok(pos as u64)
     }
 }
 
-/// A positioned writer that frames sections: zero padding to the next
-/// 8-aligned absolute offset, the payload, then its checksum.
-struct SectionSink<W: Write> {
-    out: W,
-    pos: usize,
+/// How every section sits in an image, whichever way the bytes flow:
+/// zero bytes up to the next 8-aligned absolute offset (`padded`: every
+/// section of a v2+ image but the header), the payload, then the
+/// payload's XXH64. Read back, a frame is where a payload lies and what
+/// it must hash to — located first, verified when wanted.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame {
+    /// Absolute byte offset of the payload.
+    pub start: usize,
+    len: usize,
+    hash: u64,
 }
 
-impl<W: Write> SectionSink<W> {
-    fn raw(&mut self, bytes: &[u8]) -> Result<(), IndexError> {
-        self.out.write_all(bytes)?;
-        self.pos += bytes.len();
+impl Frame {
+    /// Frame `payload` into `out`, which stands at absolute offset `pos`.
+    fn write<W: Write>(
+        out: &mut W,
+        pos: &mut usize,
+        padded: bool,
+        payload: &[u8],
+    ) -> Result<(), IndexError> {
+        let pad = if padded { pad_to_8(*pos) } else { 0 };
+        out.write_all(&[0u8; 8][..pad])?;
+        out.write_all(payload)?;
+        out.write_all(&xxh64(payload, CHECKSUM_SEED).to_le_bytes())?;
+        *pos += pad + payload.len() + 8;
         Ok(())
     }
 
-    fn section(&mut self, payload: &[u8]) -> Result<(), IndexError> {
-        const ZEROS: [u8; 8] = [0u8; 8];
-        let pad = pad_to_8(self.pos);
-        self.raw(&ZEROS[..pad])?;
-        self.raw(payload)?;
-        self.raw(&xxh64(payload, CHECKSUM_SEED).to_le_bytes())
+    /// Walk `r` — over the rest of an `image_len`-byte image — past the
+    /// frame of a `len`-byte payload. The pad bytes sit outside the
+    /// checksummed payload, so they must actually be zero: that is what
+    /// keeps "any flipped bit fails the load" true.
+    pub(crate) fn locate(
+        r: &mut Reader<'_>,
+        image_len: usize,
+        padded: bool,
+        len: usize,
+        section: &'static str,
+    ) -> Result<Frame, IndexError> {
+        if padded {
+            let pad = r.raw(pad_to_8(image_len - r.remaining()), section)?;
+            need(pad.iter().all(|&b| b == 0), || {
+                "nonzero alignment padding between sections"
+            })?;
+        }
+        let start = image_len - r.remaining();
+        r.raw(len, section)?;
+        let hash = u64::get(r, section)?;
+        Ok(Frame { start, len, hash })
+    }
+
+    /// The payload inside `image`, after verifying its checksum.
+    pub(crate) fn verify<'a>(
+        &self,
+        image: &'a [u8],
+        section: &str,
+    ) -> Result<&'a [u8], IndexError> {
+        let payload = &image[self.start..self.start + self.len];
+        if xxh64(payload, CHECKSUM_SEED) != self.hash {
+            return Err(IndexError::ChecksumMismatch {
+                section: section.to_owned(),
+            });
+        }
+        Ok(payload)
     }
 }
 
@@ -737,183 +905,139 @@ pub(crate) fn write_atomically<T>(
     result
 }
 
-fn put_entry_meta(w: &mut Writer, e: &IndexEntry) {
-    w.u32(e.id);
-    w.f64(e.neutral_mass);
-    w.f64(e.precursor_mz);
-    w.u8(e.precursor_charge);
-    w.u8(u8::from(e.is_decoy));
-    w.str(&e.peptide);
-}
-
-/// Decode one **v1** shard section payload into its metadata entries
-/// plus, for every present hypervector, `(id, byte offset of its words
-/// *within this payload*)`. A v1 payload carries each entry's words
-/// inline after its record, length-prefixed and unaligned, so the loader
-/// cannot search them in place — it copies them out once.
-pub fn get_shard(bytes: &[u8], dim: usize) -> Result<(Shard, Vec<(u32, usize)>), IndexError> {
+/// Decode one shard section payload of a format-`version` image into its
+/// metadata entries plus, for every present hypervector, `(id, byte
+/// offset of its words *within this payload*)` — the caller adds the
+/// payload's absolute file offset. The entry records are the same in
+/// every version; what differs is where the words sit (module docs).
+/// For the v2+ block everything the mapped search path relies on is
+/// checked here: the padding bytes are zero, every word block's unused
+/// tail bits are zero, and the payload is consumed exactly.
+pub(crate) fn decode_shard(
+    bytes: &[u8],
+    dim: usize,
+    version: u32,
+) -> Result<(Shard, Vec<(u32, usize)>), IndexError> {
+    let at = |r: &Reader<'_>| bytes.len() - r.remaining();
+    let hv_bytes = dim.div_ceil(64) * 8;
+    let spare_bits = hv_bytes * 8 - dim;
     let mut r = Reader::new(bytes);
     let count = r.checked_len("shard.entry_count", 1)?;
     let mut entries = Vec::with_capacity(count);
-    let mut offsets = Vec::with_capacity(count);
+    let mut offsets = Vec::new();
     for _ in 0..count {
-        let (entry, hv_present) = get_entry_meta(&mut r)?;
-        if hv_present {
-            let words = r.checked_len("entry.hv_words", 8)?;
-            let expected = dim.div_ceil(64);
-            if words != expected {
-                return Err(IndexError::Invalid(format!(
-                    "entry {}: hypervector has {words} words, dimension {dim} needs {expected}",
-                    entry.id
-                )));
+        let entry = IndexEntry::get(&mut r, "entry")?;
+        if bool::get(&mut r, "entry.hv_present")? {
+            if version == 1 {
+                let words = r.checked_len("entry.hv_words", 8)?;
+                need(words * 8 == hv_bytes, || {
+                    let (id, needs) = (entry.id, hv_bytes / 8);
+                    format!(
+                        "entry {id}: hypervector has {words} words, dimension {dim} needs {needs}"
+                    )
+                })?;
+                offsets.push((entry.id, at(&r)));
+                r.raw(hv_bytes, "entry.hv_words")?;
+            } else {
+                offsets.push((entry.id, 0)); // set below, where the block is
             }
-            offsets.push((entry.id, bytes.len() - r.remaining()));
-            r.raw(words * 8, "entry.hv_words")?;
         }
         entries.push(entry);
+    }
+    if version >= 2 {
+        let pad = r.raw(pad_to_8(at(&r)), "shard.padding")?;
+        need(pad.iter().all(|&b| b == 0), || {
+            "nonzero alignment padding in shard section"
+        })?;
+        for (id, offset) in &mut offsets {
+            *offset = at(&r);
+            let block = r.raw(hv_bytes, "shard.hv_words")?;
+            let last = block
+                .last_chunk()
+                .map_or(0, |word| u64::from_le_bytes(*word));
+            need(spare_bits == 0 || last >> (64 - spare_bits) == 0, || {
+                format!("entry {id}: hypervector tail bits beyond dimension {dim} are set")
+            })?;
+        }
     }
     r.expect_end("shard")?;
     Ok((Shard { entries }, offsets))
 }
 
-/// Decode one **v2** shard section payload into its metadata entries
-/// plus, for every present hypervector, `(id, byte offset of its word
-/// block *within this payload*)`. The caller adds the payload's
-/// absolute file offset to turn these into reference-table offsets.
-///
-/// Validates everything the mapped search path relies on: the padding
-/// bytes are zero, every word block's unused tail bits are zero, and
-/// the payload is consumed exactly.
-pub fn get_shard_v2(bytes: &[u8], dim: usize) -> Result<(Shard, Vec<(u32, usize)>), IndexError> {
-    let mut r = Reader::new(bytes);
-    let count = r.checked_len("shard.entry_count", 1)?;
-    let mut entries = Vec::with_capacity(count);
-    let mut present: Vec<u32> = Vec::new();
-    for _ in 0..count {
-        let (entry, hv_present) = get_entry_meta(&mut r)?;
-        if hv_present {
-            present.push(entry.id);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `value` written, then read back as a `T` with nothing left over.
+    fn round<T: Get + PartialEq<P> + fmt::Debug, P: Put + fmt::Debug + ?Sized>(value: &P) {
+        assert_eq!(&decode::<T>(&encode(value), "x", 3).unwrap(), value);
+    }
+
+    #[test]
+    fn scalars_strings_and_slices_round_trip() {
+        round::<u8, _>(&7);
+        round::<u32, _>(&0xdead_beef);
+        round::<u64, _>(&(u64::MAX - 1));
+        round::<f64, _>(&-123.456);
+        round::<f32, _>(&0.25);
+        round::<usize, _>(&usize::MAX);
+        round::<bool, _>(&true);
+        round::<String, str>("peptide/КИРИЛЛИЦА");
+        round::<Vec<u64>, [u64]>(&[1, 2, 3]);
+        round::<Vec<f32>, [f32]>(&[0.5, -0.5]);
+        assert!(decode::<u8>(&[1, 2], "x", 3).is_err(), "a byte trails");
+    }
+
+    #[test]
+    fn malformed_fields_are_errors_not_panics() {
+        let words = encode(&[1u64, 2, 3, 4][..]);
+        for cut in 0..words.len() {
+            let cut_read = Vec::<u64>::get(&mut Reader::new(&words[..cut]), "words");
+            assert!(cut_read.is_err(), "cut at {cut} accepted");
         }
-        entries.push(entry);
+        // A length prefix claiming 2^64 elements allocates nothing.
+        let huge = Vec::<u64>::get(&mut Reader::new(&encode(&u64::MAX)), "words");
+        let huge = huge.unwrap_err().to_string();
+        assert!(huge.contains("implausible length for words"), "{huge}");
+        let text = String::get(&mut Reader::new(&encode(&[0xffu8, 0xfe][..])), "peptide");
+        let text = text.unwrap_err().to_string();
+        assert_eq!(text, "index decode error: invalid UTF-8 in peptide");
+        let tag = bool::get(&mut Reader::new(&[2]), "entry.is_decoy").unwrap_err();
+        assert!(tag
+            .to_string()
+            .contains("invalid value 2 for entry.is_decoy"));
     }
-    let meta_len = bytes.len() - r.remaining();
-    let pad = r.raw(pad_to_8(meta_len), "shard.padding")?;
-    if pad.iter().any(|&b| b != 0) {
-        return Err(IndexError::Invalid(
-            "nonzero alignment padding in shard section".to_owned(),
-        ));
-    }
-    let word_count = dim.div_ceil(64);
-    let block_len = word_count * 8;
-    let mut offsets = Vec::with_capacity(present.len());
-    let mut offset = meta_len + pad.len();
-    for id in present {
-        let block = r.raw(block_len, "shard.hv_words")?;
-        let tail_bits = dim % 64;
-        if tail_bits != 0 {
-            let last =
-                u64::from_le_bytes(block[block_len - 8..].try_into().expect("8-byte tail word"));
-            if last & !((1u64 << tail_bits) - 1) != 0 {
-                return Err(IndexError::Invalid(format!(
-                    "entry {id}: hypervector tail bits beyond dimension {dim} are set"
-                )));
-            }
+
+    /// `docs/FORMAT.md` is checked documentation: the row of every
+    /// record — `preprocess: f64 intensity_threshold · u64 max_peaks · …`
+    /// — is rendered from the field list its codec comes from and must
+    /// appear in the document, whitespace aside.
+    #[test]
+    fn every_record_row_is_in_the_document() {
+        let squeeze = |text: &str| text.split_whitespace().collect::<Vec<_>>().join(" ");
+        let doc = squeeze(include_str!("../../../docs/FORMAT.md"));
+        let rows = [
+            PreprocessConfig::row(),
+            EncoderConfig::row(),
+            LevelStyle::row(),
+            MlcConfig::row(),
+            CrossbarConfig::row(),
+            ExactBackendConfig::row(),
+            HyperOmsConfig::row(),
+            AcceleratorConfig::row(),
+            IndexedBackendKind::row(),
+            BuildStats::row(),
+            Header::row(),
+            IndexEntry::row(),
+            MlcState::row(),
+            SketchIndex::row(),
+        ];
+        for row in rows {
+            let spelled = doc.contains(&squeeze(&row));
+            assert!(
+                spelled,
+                "docs/FORMAT.md does not spell this record as the code does:\n  {row}"
+            );
         }
-        offsets.push((id, offset));
-        offset += block_len;
     }
-    r.expect_end("shard")?;
-    Ok((Shard { entries }, offsets))
-}
-
-fn get_entry_meta(r: &mut Reader<'_>) -> Result<(IndexEntry, bool), IndexError> {
-    let id = r.u32("entry.id")?;
-    let neutral_mass = r.f64("entry.neutral_mass")?;
-    let precursor_mz = r.f64("entry.precursor_mz")?;
-    let precursor_charge = r.u8("entry.precursor_charge")?;
-    let is_decoy = match r.u8("entry.is_decoy")? {
-        0 => false,
-        1 => true,
-        other => {
-            return Err(WireError::InvalidValue {
-                what: "entry.is_decoy",
-                value: u64::from(other),
-            }
-            .into())
-        }
-    };
-    let peptide = r.str("entry.peptide")?;
-    let hv_present = match r.u8("entry.hv_present")? {
-        0 => false,
-        1 => true,
-        other => {
-            return Err(WireError::InvalidValue {
-                what: "entry.hv_present",
-                value: u64::from(other),
-            }
-            .into())
-        }
-    };
-    Ok((
-        IndexEntry {
-            id,
-            neutral_mass,
-            precursor_mz,
-            precursor_charge,
-            is_decoy,
-            peptide,
-        },
-        hv_present,
-    ))
-}
-
-/// Encode the MLC section payload.
-pub fn put_mlc_state(state: &MlcState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.f32_slice(&state.w_eff);
-    w.f64(state.sigma_delta);
-    w.into_bytes()
-}
-
-/// Decode the MLC section payload.
-pub fn get_mlc_state(bytes: &[u8]) -> Result<MlcState, IndexError> {
-    let mut r = Reader::new(bytes);
-    let w_eff = r.f32_slice("mlc_state.w_eff")?;
-    let sigma_delta = r.f64("mlc_state.sigma_delta")?;
-    r.expect_end("mlc_state")?;
-    Ok(MlcState { w_eff, sigma_delta })
-}
-
-/// Encode the **v3** prefilter sketch section payload: the full
-/// hypervector word count, the sampled word indices, the slot count, the
-/// presence bitset, and the dense `slots × words` signature table.
-pub fn put_sketches(sketch: &SketchIndex) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.usize(sketch.full_words());
-    w.usize(sketch.selected().len());
-    for &word in sketch.selected() {
-        w.u32(word);
-    }
-    w.usize(sketch.len());
-    w.u64_slice(sketch.present_bits());
-    w.u64_slice(sketch.table());
-    w.into_bytes()
-}
-
-/// Decode the **v3** prefilter sketch section payload, validating the
-/// structural invariants [`SketchIndex::from_parts`] enforces.
-pub fn get_sketches(bytes: &[u8]) -> Result<SketchIndex, IndexError> {
-    let mut r = Reader::new(bytes);
-    let full_words = r.u64("sketch.full_words")? as usize;
-    let count = r.checked_len("sketch.selected_count", 4)?;
-    let mut selected = Vec::with_capacity(count);
-    for _ in 0..count {
-        selected.push(r.u32("sketch.selected")?);
-    }
-    let slots = r.u64("sketch.slots")? as usize;
-    let present = r.u64_slice("sketch.present")?;
-    let table = r.u64_slice("sketch.table")?;
-    r.expect_end("sketch")?;
-    SketchIndex::from_parts(full_words, selected, table, present, slots)
-        .map_err(IndexError::Invalid)
 }

@@ -1,13 +1,12 @@
 //! The in-memory index, its builder, its reader, and incremental append.
 
 use crate::format::{
-    self, ImageLayout, IndexEntry, IndexError, IndexedBackendKind, MlcState, Shard, CHECKSUM_SEED,
-    FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION,
+    self, need, Frame, Get, Header, ImageLayout, IndexEntry, IndexError, IndexedBackendKind,
+    MlcState, Put, Shard, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION,
 };
 use crate::sharded::{BoxedScorer, ShardedBackend};
 use crate::streaming::{rram_encoder, ChunkEncoder};
 use crate::wire::Reader;
-use crate::xxhash::xxh64;
 use hdoms_core::accelerator::{BuildStats, OmsAccelerator, StatsFold};
 use hdoms_hdc::parallel::par_map;
 use hdoms_hdc::WordBuffer;
@@ -45,6 +44,22 @@ impl Default for IndexConfig {
             entries_per_shard: 1024,
             threads: hdoms_hdc::parallel::default_threads(),
         }
+    }
+}
+
+impl IndexConfig {
+    /// The kind as an image records it. The configs' `threads` is a
+    /// reserved slot there — every loader overrides it with its own
+    /// worker count — so builders write the constant 1: an image must
+    /// not depend on the core count of the machine that built it.
+    pub(crate) fn recorded_kind(&self) -> IndexedBackendKind {
+        let mut kind = self.kind.clone();
+        match &mut kind {
+            IndexedBackendKind::Exact(c) => c.threads = 1,
+            IndexedBackendKind::HyperOms(c) => c.threads = 1,
+            IndexedBackendKind::Rram(c) => c.threads = 1,
+        }
+        kind
     }
 }
 
@@ -122,7 +137,7 @@ impl IndexBuilder {
             .collect();
 
         let mut index = LibraryIndex {
-            kind: self.config.kind.clone(),
+            kind: self.config.recorded_kind(),
             entries_per_shard: per_shard,
             entry_count: library.len(),
             build_stats: stats.onto(None),
@@ -240,13 +255,8 @@ impl LibraryIndex {
     /// shared — calling this per session (as the serve layer does) costs
     /// one `Arc` bump, not an allocation per peptide.
     pub fn peptides_by_id(&self) -> Arc<[String]> {
-        Arc::clone(self.peptides.get_or_init(|| {
-            let mut peptides = vec![String::new(); self.entry_count];
-            for e in self.entries() {
-                peptides[e.id as usize] = e.peptide.clone();
-            }
-            peptides.into()
-        }))
+        let peptides = || self.dense(String::new(), |_, e| e.peptide.clone()).into();
+        Arc::clone(self.peptides.get_or_init(peptides))
     }
 
     /// The shared handle to the flat reference table. Warm backends built
@@ -275,13 +285,19 @@ impl LibraryIndex {
 
     /// Shard assignment by dense id (`shard_of[id]` = shard position).
     pub fn shard_assignment(&self) -> Vec<u32> {
-        let mut assignment = vec![0u32; self.entry_count];
+        self.dense(0, |shard, _| shard as u32)
+    }
+
+    /// A dense `id → of(shard position, entry)` table over every entry
+    /// (`empty` where the shards hold no such id).
+    fn dense<T: Clone>(&self, empty: T, of: impl Fn(usize, &IndexEntry) -> T) -> Vec<T> {
+        let mut table = vec![empty; self.entry_count];
         for (s, shard) in self.shards.iter().enumerate() {
             for e in &shard.entries {
-                assignment[e.id as usize] = s as u32;
+                table[e.id as usize] = of(s, e);
             }
         }
-        assignment
+        table
     }
 
     // -- residency --------------------------------------------------------
@@ -292,17 +308,10 @@ impl LibraryIndex {
     /// it is what [`LibraryIndex::release_shard_words`] can hand back to
     /// the OS for a cold shard, and what a touched shard re-occupies.
     pub fn shard_word_bytes(&self) -> Vec<u64> {
-        let hv_bytes = (self.dim().div_ceil(64) * 8) as u64;
-        self.shards
-            .iter()
-            .map(|s| {
-                let present = s
-                    .entries
-                    .iter()
-                    .filter(|e| self.references.hv(e.id as usize).is_some())
-                    .count();
-                present as u64 * hv_bytes
-            })
+        let hv_bytes = self.references.hv_bytes() as u64;
+        let stored = |e: &&IndexEntry| self.references.hv(e.id as usize).is_some();
+        (self.shards.iter())
+            .map(|s| s.entries.iter().filter(stored).count() as u64 * hv_bytes)
             .collect()
     }
 
@@ -326,14 +335,10 @@ impl LibraryIndex {
         // the shard's words occupy exactly [min offset, max offset +
         // hv_bytes) of the mapped file.
         let hv_bytes = references.hv_bytes() as u64;
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for e in entries {
-            if let Some(at) = references.offset_of(e.id as usize) {
-                lo = lo.min(at);
-                hi = hi.max(at + hv_bytes);
-            }
-        }
+        let blocks = (entries.iter()).filter_map(|e| references.offset_of(e.id as usize));
+        let (lo, hi) = blocks.fold((u64::MAX, 0), |(lo, hi), at| {
+            (lo.min(at), hi.max(at + hv_bytes))
+        });
         if lo >= hi {
             return 0;
         }
@@ -343,6 +348,13 @@ impl LibraryIndex {
     }
 
     // -- backend reconstruction ------------------------------------------
+
+    fn built_for_another_kind(&self, wanted: &str) -> IndexError {
+        let built = self.kind.name();
+        IndexError::Invalid(format!(
+            "index was built for the {built:?} backend, not {wanted}"
+        ))
+    }
 
     /// Reconstruct the software-exact backend without re-encoding.
     ///
@@ -356,10 +368,7 @@ impl LibraryIndex {
     /// different backend kind.
     pub fn to_exact_backend(&self, threads: usize) -> Result<ExactBackend, IndexError> {
         let IndexedBackendKind::Exact(config) = &self.kind else {
-            return Err(IndexError::Invalid(format!(
-                "index was built for the {:?} backend, not exact",
-                self.kind.name()
-            )));
+            return Err(self.built_for_another_kind("exact"));
         };
         let mut config = *config;
         config.threads = threads;
@@ -378,16 +387,11 @@ impl LibraryIndex {
     /// different backend kind or the MLC section is missing.
     pub fn to_accelerator(&self, threads: usize) -> Result<OmsAccelerator, IndexError> {
         let IndexedBackendKind::Rram(config) = &self.kind else {
-            return Err(IndexError::Invalid(format!(
-                "index was built for the {:?} backend, not rram",
-                self.kind.name()
-            )));
+            return Err(self.built_for_another_kind("rram"));
         };
-        let Some(mlc) = &self.mlc else {
-            return Err(IndexError::Invalid(
-                "rram index is missing its MLC programming state".to_owned(),
-            ));
-        };
+        let mlc = self.mlc.as_ref().ok_or_else(|| {
+            IndexError::Invalid("rram index is missing its MLC programming state".to_owned())
+        })?;
         let mut config = *config;
         config.threads = threads;
         Ok(OmsAccelerator::from_parts(
@@ -468,13 +472,7 @@ impl LibraryIndex {
     /// Recompute the dense `id → (mass, decoy)` side table from the
     /// shards and invalidate the lazy peptide cache.
     fn rebuild_by_id(&mut self) {
-        let mut by_id = vec![(f64::NAN, false); self.entry_count];
-        for shard in &self.shards {
-            for e in &shard.entries {
-                by_id[e.id as usize] = (e.neutral_mass, e.is_decoy);
-            }
-        }
-        self.by_id = by_id;
+        self.by_id = self.dense((f64::NAN, false), |_, e| (e.neutral_mass, e.is_decoy));
         self.peptides = OnceLock::new();
     }
 
@@ -538,13 +536,11 @@ impl LibraryIndex {
         }
         .write(
             out,
-            format::put_sketches(&self.sketch_index()),
+            format::encode(&*self.sketch_index()),
             |id| references.hv(id as usize).is_some(),
             |id, w| {
                 let hv = references.hv(id as usize).expect("flagged present");
-                for &word in hv.words() {
-                    w.u64(word);
-                }
+                hv.words().iter().for_each(|word| word.put(w));
                 Ok(())
             },
         )
@@ -578,35 +574,28 @@ impl LibraryIndex {
     pub fn from_buffer(buffer: WordBuffer, threads: usize) -> Result<LibraryIndex, IndexError> {
         let bytes = buffer.as_bytes();
         let (mut index, version, sections) = parse_sections(bytes)?;
-        let in_place = version >= 2;
         let dim = index.dim();
         let entry_count = index.entry_count;
-        let jobs: Vec<(usize, SectionRange)> = sections.iter().copied().enumerate().collect();
+        let jobs: Vec<(usize, Frame)> = sections.iter().copied().enumerate().collect();
         let decoded = par_map(&jobs, threads, |&(i, section)| {
             let payload = section.verify(bytes, &format!("shard {i}"))?;
-            if in_place {
-                format::get_shard_v2(payload, dim)
-            } else {
-                format::get_shard(payload, dim)
-            }
+            format::decode_shard(payload, dim, version)
         });
         let mut offsets = vec![u64::MAX; entry_count];
         for (shard, section) in decoded.into_iter().zip(&sections) {
             let (shard, relative) = shard?;
             for (id, at) in relative {
-                let slot = offsets.get_mut(id as usize).ok_or_else(|| {
-                    IndexError::Invalid(format!(
-                        "entry id {id} outside the declared count {entry_count}"
-                    ))
+                need((id as usize) < entry_count, || {
+                    format!("entry id {id} outside the declared count {entry_count}")
                 })?;
                 // Lift the payload-relative offset to an absolute one (a
                 // v2+ payload starts 8-aligned and pads its word blocks
                 // to 8, so these stay 8-aligned).
-                *slot = (section.start + at) as u64;
+                offsets[id as usize] = (section.start + at) as u64;
             }
             index.shards.push(shard);
         }
-        index.references = if in_place {
+        index.references = if version >= 2 {
             SharedReferences::new(buffer.clone(), dim, offsets)
         } else {
             let hv_bytes = dim.div_ceil(64) * 8;
@@ -663,35 +652,28 @@ impl LibraryIndex {
     }
 
     /// Structural sanity: dense unique ids, mass-sorted shards, monotone
-    /// shard ranges, MLC state present exactly for the RRAM kind, and a
-    /// reference table the size of the declared entry count.
+    /// shard ranges, and a reference table the size of the declared
+    /// entry count.
     fn validate(&self) -> Result<(), IndexError> {
-        if self.entry_count == 0 || self.shards.is_empty() {
-            return Err(IndexError::Invalid(
-                "index holds no entries (the builder never produces one)".to_owned(),
-            ));
-        }
-        if self.references.len() != self.entry_count {
-            return Err(IndexError::Invalid(format!(
-                "reference table holds {} slots for {} declared entries",
-                self.references.len(),
-                self.entry_count
-            )));
-        }
+        let count = self.entry_count;
+        need(count > 0 && !self.shards.is_empty(), || {
+            "index holds no entries (the builder never produces one)"
+        })?;
+        need(self.references.len() == count, || {
+            let slots = self.references.len();
+            format!("reference table holds {slots} slots for {count} declared entries")
+        })?;
         let mut seen = vec![false; self.entry_count];
         let mut previous_hi = f64::NEG_INFINITY;
         for (s, shard) in self.shards.iter().enumerate() {
             let mut previous = (f64::NEG_INFINITY, 0u32);
             for e in &shard.entries {
-                let slot = seen.get_mut(e.id as usize).ok_or_else(|| {
-                    IndexError::Invalid(format!(
-                        "entry id {} outside the declared count {}",
-                        e.id, self.entry_count
-                    ))
+                let id = e.id;
+                need((id as usize) < count, || {
+                    format!("entry id {id} outside the declared count {count}")
                 })?;
-                if std::mem::replace(slot, true) {
-                    return Err(IndexError::Invalid(format!("duplicate entry id {}", e.id)));
-                }
+                let seen_before = std::mem::replace(&mut seen[id as usize], true);
+                need(!seen_before, || format!("duplicate entry id {id}"))?;
                 if (e.neutral_mass, e.id) < previous {
                     return Err(IndexError::Invalid(format!(
                         "shard {s} is not sorted by (mass, id) at entry {}",
@@ -709,20 +691,9 @@ impl LibraryIndex {
                 previous_hi = hi;
             }
         }
-        if seen.iter().any(|&present| !present) {
-            return Err(IndexError::Invalid(
-                "entry ids are not dense over the declared count".to_owned(),
-            ));
-        }
-        match (&self.kind, &self.mlc) {
-            (IndexedBackendKind::Rram(_), None) => Err(IndexError::Invalid(
-                "rram index is missing its MLC section".to_owned(),
-            )),
-            (IndexedBackendKind::Exact(_) | IndexedBackendKind::HyperOms(_), Some(_)) => Err(
-                IndexError::Invalid("software index carries an MLC section".to_owned()),
-            ),
-            _ => Ok(()),
-        }
+        need(seen.iter().all(|&present| present), || {
+            "entry ids are not dense over the declared count"
+        })
     }
 }
 
@@ -733,151 +704,70 @@ fn read_file(path: &Path) -> std::io::Result<WordBuffer> {
     WordBuffer::from_reader(file, len)
 }
 
-/// One checksummed section's location inside an index file (the payload
-/// is *not* yet verified — verification happens in parallel per shard).
-#[derive(Debug, Clone, Copy)]
-struct SectionRange {
-    /// Absolute byte offset of the payload (8-aligned in v2 files).
-    start: usize,
-    /// Payload length in bytes.
-    len: usize,
-    /// The stored XXH64 trailer.
-    hash: u64,
-}
-
-impl SectionRange {
-    /// The payload slice, after verifying its checksum.
-    fn verify<'a>(&self, bytes: &'a [u8], section: &str) -> Result<&'a [u8], IndexError> {
-        let payload = &bytes[self.start..self.start + self.len];
-        if xxh64(payload, CHECKSUM_SEED) != self.hash {
-            return Err(IndexError::ChecksumMismatch {
-                section: section.to_owned(),
-            });
-        }
-        Ok(payload)
-    }
-}
-
 /// Walk the container: magic, version, header, MLC and sketch sections
-/// (each checksum-verified), and the location of every shard section —
+/// (each checksum-verified), and the [`Frame`] of every shard section —
 /// everything established before shard payloads are touched, returned
 /// as an index still without shards or references, the format version,
-/// and where each shard lives. In v2 files the zero padding preceding
-/// each section payload is consumed and must actually be zero — pad
-/// bytes sit outside the checksummed payloads, so this is what keeps
-/// "any flipped bit fails the load" true.
-fn parse_sections(bytes: &[u8]) -> Result<(LibraryIndex, u32, Vec<SectionRange>), IndexError> {
+/// and where each shard lies.
+fn parse_sections(bytes: &[u8]) -> Result<(LibraryIndex, u32, Vec<Frame>), IndexError> {
     let mut r = Reader::new(bytes);
-    let magic = r.raw(8, "magic")?;
-    if magic != MAGIC {
+    if r.raw(8, "magic")? != MAGIC {
         return Err(IndexError::BadMagic);
     }
-    let version = r.u32("format_version")?;
+    let version = u32::get(&mut r, "format_version")?;
     if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
         return Err(IndexError::UnsupportedVersion { found: version });
     }
     let header_len = r.checked_len("header_len", 1)?;
-    let header_bytes = r.raw(header_len, "header")?;
-    let header_hash = r.u64("header_checksum")?;
-    if xxh64(header_bytes, CHECKSUM_SEED) != header_hash {
-        return Err(IndexError::ChecksumMismatch {
-            section: "header".to_owned(),
-        });
-    }
-
-    let mut h = Reader::new(header_bytes);
-    let kind = format::get_kind(&mut h)?;
-    let build_stats = format::get_build_stats(&mut h)?;
-    let entries_per_shard = h.u64("header.entries_per_shard")? as usize;
-    let entry_count = h.u64("header.entry_count")? as usize;
+    let header = Frame::locate(&mut r, bytes.len(), false, header_len, "header")?;
+    let header: Header = format::decode(header.verify(bytes, "header")?, "header", version)?;
     // Every entry costs well over one byte on disk, so a declared
     // count beyond the file size is corruption — reject it before any
     // count-sized allocation (validate/rebuild_by_id) can run.
-    if entry_count > bytes.len() {
-        return Err(IndexError::Invalid(format!(
-            "declared entry count {entry_count} exceeds the file size ({} bytes)",
-            bytes.len()
-        )));
-    }
-    let mlc_len = h.u64("header.mlc_len")? as usize;
-    let sketch_len = if version >= 3 {
-        h.u64("header.sketch_len")? as usize
-    } else {
-        0
-    };
-    let shard_count = h.checked_len("header.shard_count", 8)?;
-    let mut shard_lens = Vec::with_capacity(shard_count);
-    for _ in 0..shard_count {
-        shard_lens.push(h.u64("header.shard_len")? as usize);
-    }
-    h.expect_end("header")?;
-    if entries_per_shard == 0 {
-        return Err(IndexError::Invalid("entries_per_shard is zero".to_owned()));
-    }
+    let (count, size) = (header.entry_count, bytes.len());
+    need(count <= size, || {
+        format!("declared entry count {count} exceeds the file size ({size} bytes)")
+    })?;
+    need(header.entries_per_shard > 0, || "entries_per_shard is zero")?;
 
-    let skip_pad = |r: &mut Reader<'_>| -> Result<(), IndexError> {
-        if version >= 2 {
-            let pad = r.raw(format::pad_to_8(bytes.len() - r.remaining()), "section_pad")?;
-            if pad.iter().any(|&b| b != 0) {
-                return Err(IndexError::Invalid(
-                    "nonzero alignment padding between sections".to_owned(),
-                ));
-            }
-        }
-        Ok(())
+    // One section ahead of the shards: nothing for length 0, else its
+    // verified payload.
+    let padded = version >= 2;
+    let mut section = |len: usize, name: &'static str| match len {
+        0 => Ok(None),
+        _ => Frame::locate(&mut r, bytes.len(), padded, len, name)?
+            .verify(bytes, name)
+            .map(Some),
     };
-
-    // One checksummed section ahead of the shards (labels: section
-    // name, payload, checksum): nothing for length 0, else its payload.
-    let mut section = |len: usize, what: [&'static str; 3]| {
-        if len == 0 {
-            return Ok(None);
-        }
-        skip_pad(&mut r)?;
-        let payload = r.raw(len, what[1])?;
-        if xxh64(payload, CHECKSUM_SEED) != r.u64(what[2])? {
-            return Err(IndexError::ChecksumMismatch {
-                section: what[0].to_owned(),
-            });
-        }
-        Ok(Some(payload))
-    };
-    let mlc = section(mlc_len, ["mlc", "mlc_section", "mlc_checksum"])?
-        .map(format::get_mlc_state)
+    let mlc = section(header.mlc_len, "mlc")?
+        .map(|payload| format::decode::<MlcState>(payload, "mlc_state", version))
         .transpose()?;
-    kind.validate(mlc.as_ref())?;
+    header.kind.validate(mlc.as_ref())?;
     let sketches = OnceLock::new();
-    if let Some(payload) = section(sketch_len, ["sketch", "sketch_section", "sketch_checksum"])? {
-        let decoded = format::get_sketches(payload)?;
-        let full_words = kind.dim().div_ceil(64);
-        if decoded.len() != entry_count || decoded.full_words() != full_words {
-            return Err(IndexError::Invalid(format!(
-                "sketch section covers {} slots of {}-word hypervectors, the header \
-                 declares {entry_count} entries of {full_words} words",
-                decoded.len(),
-                decoded.full_words(),
-            )));
-        }
+    if let Some(payload) = section(header.sketch_len, "sketch")? {
+        let decoded: SketchIndex = format::decode(payload, "sketch", version)?;
+        let full_words = header.kind.dim().div_ceil(64);
+        let (slots, words) = (decoded.len(), decoded.full_words());
+        need(slots == count && words == full_words, || {
+            format!(
+                "sketch section covers {slots} slots of {words}-word hypervectors, the header \
+                 declares {count} entries of {full_words} words"
+            )
+        })?;
         let _ = sketches.set(Arc::new(decoded));
     }
-
-    let mut shards = Vec::with_capacity(shard_count);
-    for &len in &shard_lens {
-        skip_pad(&mut r)?;
-        let start = bytes.len() - r.remaining();
-        let _payload = r.raw(len, "shard_section")?;
-        let hash = r.u64("shard_checksum")?;
-        shards.push(SectionRange { start, len, hash });
-    }
+    let shards = (header.shard_lens.iter())
+        .map(|&len| Frame::locate(&mut r, bytes.len(), padded, len, "shard"))
+        .collect::<Result<Vec<Frame>, IndexError>>()?;
     r.expect_end("index file")?;
 
     let index = LibraryIndex {
-        kind,
-        entries_per_shard,
-        entry_count,
-        build_stats,
+        kind: header.kind,
+        entries_per_shard: header.entries_per_shard,
+        entry_count: header.entry_count,
+        build_stats: header.stats,
         mlc,
-        shards: Vec::with_capacity(shard_count),
+        shards: Vec::with_capacity(shards.len()),
         references: SharedReferences::from(Vec::new()),
         by_id: Vec::new(),
         peptides: OnceLock::new(),

@@ -97,6 +97,7 @@ struct BackendMetrics {
 /// narrowing closures can record from any worker thread without locks
 /// (sketch wall-clock is summed in integer nanoseconds and converted
 /// once).
+#[derive(Default)]
 struct PrefilterClock {
     pre: AtomicU64,
     post: AtomicU64,
@@ -104,14 +105,6 @@ struct PrefilterClock {
 }
 
 impl PrefilterClock {
-    fn new() -> PrefilterClock {
-        PrefilterClock {
-            pre: AtomicU64::new(0),
-            post: AtomicU64::new(0),
-            ns: AtomicU64::new(0),
-        }
-    }
-
     fn record(&self, pre: u64, post: u64, ns: u64) {
         self.pre.fetch_add(pre, Ordering::Relaxed);
         self.post.fetch_add(post, Ordering::Relaxed);
@@ -222,18 +215,8 @@ impl ShardedBackend {
     /// simply do not occur in the list, so the returned runs are exactly
     /// the overlapping shards.
     fn shard_runs<'c>(&self, candidates: &'c [u32]) -> Vec<&'c [u32]> {
-        let mut runs = Vec::new();
-        let mut start = 0usize;
-        while start < candidates.len() {
-            let shard = self.shard_of[candidates[start] as usize];
-            let mut end = start + 1;
-            while end < candidates.len() && self.shard_of[candidates[end] as usize] == shard {
-                end += 1;
-            }
-            runs.push(&candidates[start..end]);
-            start = end;
-        }
-        runs
+        let shard = |id: &u32| self.shard_of[*id as usize];
+        candidates.chunk_by(|a, b| shard(a) == shard(b)).collect()
     }
 
     /// Evaluate one query: encode once, narrow the candidate list
@@ -387,8 +370,9 @@ impl ShardedBackend {
         let clocks: Vec<ShardClock> = (0..group_count)
             .map(|_| ShardClock::new(self.shard_count))
             .collect();
-        let pclocks: Vec<PrefilterClock> =
-            (0..group_count).map(|_| PrefilterClock::new()).collect();
+        let pclocks: Vec<PrefilterClock> = (0..group_count)
+            .map(|_| PrefilterClock::default())
+            .collect();
         let search = |i: usize, parallel_shards: usize| {
             let group = group_of[i] as usize;
             let narrowing = prefilter.map(|(sketch, k)| (sketch, k, &pclocks[group]));

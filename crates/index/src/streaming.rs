@@ -20,13 +20,19 @@
 //! The output is **byte-for-byte identical** to
 //! `IndexBuilder::from_library(...).to_bytes()` over the same entries in
 //! the same order: encoding is deterministic per (configuration, dense
-//! id) and runs through the same `ChunkEncoder`, and both images go
-//! out through the one container writer (`format::ImageLayout::write`),
-//! differing only in where it fetches each entry's words. The
+//! id) and runs through the same `ChunkEncoder`, the sketch section
+//! grows slot by slot through the same `SketchIndex::push` that
+//! `SketchIndex::build` loops over, and both images go out through the
+//! one container writer (`format::ImageLayout::write`, every record
+//! through its one field-list codec, every section in the one
+//! `format::Frame`), differing only in where it fetches each entry's
+//! words. The
 //! differential test suite (`tests/streaming_equivalence.rs`) pins that
 //! guarantee.
 
-use crate::format::{self, ImageLayout, IndexEntry, IndexError, IndexedBackendKind, MlcState};
+use crate::format::{
+    self, need, ImageLayout, IndexEntry, IndexError, IndexedBackendKind, MlcState,
+};
 use crate::library_index::IndexConfig;
 use hdoms_core::accelerator::{AcceleratorConfig, BuildStats, StatsFold};
 use hdoms_core::encode::InMemoryEncoder;
@@ -223,11 +229,8 @@ pub struct StreamingIndexBuilder {
     /// Per-entry metadata in arrival (id) order; sorted by mass at finish.
     metas: Vec<IndexEntry>,
     encoder: ChunkEncoder,
-    // Incrementally replicated sketch-section state (matches
-    // `SketchIndex::build` fed the same slots in id order).
-    sketch_selected: Vec<u32>,
-    sketch_table: Vec<u64>,
-    sketch_present: Vec<u64>,
+    /// The sketch section, grown one slot per pushed entry.
+    sketch: SketchIndex,
     stats: StatsFold,
     finished: bool,
 }
@@ -257,20 +260,14 @@ impl StreamingIndexBuilder {
         config: StreamingConfig,
         out: &Path,
     ) -> Result<StreamingIndexBuilder, IndexError> {
-        if config.index.entries_per_shard == 0 {
-            return Err(IndexError::Invalid(
-                "entries_per_shard must be positive".to_owned(),
-            ));
-        }
-        if config.spill_threshold == 0 {
-            return Err(IndexError::Invalid(
-                "spill_threshold must be positive".to_owned(),
-            ));
-        }
+        let positive = config.index.entries_per_shard > 0;
+        need(positive, || "entries_per_shard must be positive")?;
+        need(config.spill_threshold > 0, || {
+            "spill_threshold must be positive"
+        })?;
         let spill_path = out.with_extension("hdx.spill");
         let spill = BufWriter::new(File::create(&spill_path)?);
         let encoder = ChunkEncoder::new(&config.index.kind, None, config.index.threads);
-        let full_words = config.index.kind.dim().div_ceil(64).max(1);
         Ok(StreamingIndexBuilder {
             spill_threshold: config.spill_threshold,
             out_path: out.to_path_buf(),
@@ -280,12 +277,13 @@ impl StreamingIndexBuilder {
             spilled_bytes: 0,
             metas: Vec::new(),
             encoder,
-            sketch_selected: SketchIndex::word_selection(full_words, SKETCH_WORDS),
-            sketch_table: Vec::new(),
-            sketch_present: Vec::new(),
+            sketch: SketchIndex::new(config.index.kind.dim(), SKETCH_WORDS),
             stats: StatsFold::default(),
             finished: false,
-            config: config.index,
+            config: IndexConfig {
+                kind: config.index.recorded_kind(),
+                ..config.index
+            },
         })
     }
 
@@ -311,39 +309,27 @@ impl StreamingIndexBuilder {
     /// [`IndexError::Io`] if the spill write fails;
     /// [`IndexError::Invalid`] past `u32::MAX` entries.
     pub fn push_entries(&mut self, entries: &[LibraryEntry]) -> Result<(), IndexError> {
-        if self.metas.len() + entries.len() > u32::MAX as usize {
-            return Err(IndexError::Invalid(format!(
-                "library exceeds the id space: {} entries",
-                self.metas.len() + entries.len()
-            )));
-        }
+        let total = self.metas.len() + entries.len();
+        need(total <= u32::MAX as usize, || {
+            format!("library exceeds the id space: {total} entries")
+        })?;
         let block_bytes = (self.config.kind.dim().div_ceil(64) * 8) as u64;
-        let width = self.sketch_selected.len();
         for chunk in entries.chunks(self.spill_threshold) {
-            let first_id = self.metas.len() as u32;
-            let encoded = self.encoder.encode(chunk, first_id);
-            for (offset, (entry, slot)) in chunk.iter().zip(encoded).enumerate() {
-                let id = first_id + offset as u32;
-                self.metas.push(IndexEntry::of(id, entry));
-                if self.sketch_present.len() * 64 <= id as usize {
-                    self.sketch_present.push(0);
-                }
-                match self.stats.push(slot) {
+            let encoded = self.encoder.encode(chunk, self.metas.len() as u32);
+            for (entry, slot) in chunk.iter().zip(encoded) {
+                self.metas
+                    .push(IndexEntry::of(self.metas.len() as u32, entry));
+                let hv = self.stats.push(slot);
+                self.sketch.push(hv.as_ref().map(|hv| hv.words()));
+                match hv {
                     Some(hv) => {
-                        let words = hv.words();
-                        self.sketch_table
-                            .extend(self.sketch_selected.iter().map(|&w| words[w as usize]));
-                        self.sketch_present[id as usize / 64] |= 1u64 << (id as usize % 64);
                         self.spill_offsets.push(self.spilled_bytes);
-                        for &word in words {
+                        for &word in hv.words() {
                             self.spill.write_all(&word.to_le_bytes())?;
                         }
                         self.spilled_bytes += block_bytes;
                     }
-                    None => {
-                        self.sketch_table.extend(std::iter::repeat_n(0u64, width));
-                        self.spill_offsets.push(u64::MAX);
-                    }
+                    None => self.spill_offsets.push(u64::MAX),
                 }
             }
         }
@@ -364,22 +350,18 @@ impl StreamingIndexBuilder {
     /// with between pushes and finish); [`IndexError::Io`] on
     /// filesystem failures.
     pub fn finish(mut self) -> Result<StreamingBuildReport, IndexError> {
-        if self.metas.is_empty() {
-            return Err(IndexError::Invalid(
-                "cannot index an empty library".to_owned(),
-            ));
-        }
+        need(!self.metas.is_empty(), || "cannot index an empty library")?;
         self.spill.flush()?;
         let spill = File::open(&self.spill_path)?;
         let spill_len = spill.metadata()?.len();
-        if spill_len != self.spilled_bytes {
-            return Err(IndexError::Invalid(format!(
+        need(spill_len == self.spilled_bytes, || {
+            format!(
                 "spill file {} holds {spill_len} bytes but {} were spilled \
                  (truncated or corrupted between push and finish)",
                 self.spill_path.display(),
                 self.spilled_bytes
-            )));
-        }
+            )
+        })?;
 
         let image = self.out_path.clone();
         let report = format::write_atomically(&image, |out| self.assemble(out, &spill))?;
@@ -403,18 +385,10 @@ impl StreamingIndexBuilder {
         metas.sort_by(IndexEntry::shard_order);
         let offsets = std::mem::take(&mut self.spill_offsets);
 
-        // The sketch table is moved into the section bytes and dropped
-        // before any shard is assembled, so it is not resident twice.
-        let sketch = SketchIndex::from_parts(
-            dim.div_ceil(64).max(1),
-            std::mem::take(&mut self.sketch_selected),
-            std::mem::take(&mut self.sketch_table),
-            std::mem::take(&mut self.sketch_present),
-            metas.len(),
-        )
-        .map_err(IndexError::Invalid)?;
-        let sketch_bytes = format::put_sketches(&sketch);
-        drop(sketch);
+        // The sketch table is dropped once it is section bytes, before
+        // any shard is assembled, so it is not resident twice.
+        let sketch_bytes = format::encode(&self.sketch);
+        self.sketch = SketchIndex::new(dim, SKETCH_WORDS);
 
         let mlc = self.encoder.mlc_state();
         let layout = ImageLayout {
@@ -424,15 +398,15 @@ impl StreamingIndexBuilder {
             mlc: mlc.as_ref(),
             shards: metas.chunks(self.config.entries_per_shard).collect(),
         };
-        let mut block = vec![0u8; dim.div_ceil(64) * 8];
+        let hv_bytes = dim.div_ceil(64) * 8;
         let index_bytes = layout.write(
             out,
             sketch_bytes,
             |id| offsets[id as usize] != u64::MAX,
             |id, w| {
-                read_spill_block(spill, &mut block, offsets[id as usize], &self.spill_path)?;
-                w.raw(&block);
-                Ok(())
+                let at = w.len();
+                w.resize(at + hv_bytes, 0);
+                read_spill_block(spill, &mut w[at..], offsets[id as usize], &self.spill_path)
             },
         )?;
         Ok(StreamingBuildReport {

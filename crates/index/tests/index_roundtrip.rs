@@ -39,6 +39,51 @@ fn tiny_workload(seed: u64) -> SyntheticWorkload {
     SyntheticWorkload::generate(&WorkloadSpec::tiny(), seed)
 }
 
+/// Write `header` into `image` as its header section: length, bytes,
+/// and a checksum that holds.
+fn seal_header(image: &mut Vec<u8>, header: &[u8]) {
+    use hdoms_index::format::CHECKSUM_SEED;
+    use hdoms_index::xxhash::xxh64;
+
+    let old_len = u64::from_le_bytes(image[12..20].try_into().unwrap()) as usize;
+    let mut sealed = header.to_vec();
+    sealed.extend(xxh64(header, CHECKSUM_SEED).to_le_bytes());
+    image[12..20].copy_from_slice(&(header.len() as u64).to_le_bytes());
+    image.splice(20..20 + old_len + 8, sealed);
+}
+
+/// Offset, inside the header section of `image`, of the field the
+/// decoder labels `label` (`"encoder.q_levels"`) — read off the field
+/// list through its decode-error labels: a header cut exactly where a
+/// field starts fails reading that field with nothing available.
+fn header_offset_of(image: &[u8], label: &str) -> usize {
+    use hdoms_index::wire::WireError;
+
+    let header_len = u64::from_le_bytes(image[12..20].try_into().unwrap()) as usize;
+    let header = image[20..20 + header_len].to_vec();
+    (0..header_len)
+        .find(|&cut| {
+            let mut cut_image = image.to_vec();
+            seal_header(&mut cut_image, &header[..cut]);
+            matches!(
+                LibraryIndex::from_bytes(&cut_image, 1),
+                Err(IndexError::Wire(WireError::UnexpectedEnd { what, available: 0, .. }))
+                    if what == label
+            )
+        })
+        .unwrap_or_else(|| panic!("no header field is labelled {label:?}"))
+}
+
+/// Overwrite the `u64` header field `label` of `image` with `value` and
+/// re-seal the header checksum, so only what reads the field can object.
+fn patch_header(image: &mut Vec<u8>, label: &str, value: u64) {
+    let at = header_offset_of(image, label);
+    let header_len = u64::from_le_bytes(image[12..20].try_into().unwrap()) as usize;
+    let mut header = image[20..20 + header_len].to_vec();
+    header[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    seal_header(image, &header);
+}
+
 fn pipeline() -> OmsPipeline {
     let mut config = PipelineConfig::fast_test();
     config.exact.encoder.dim = TEST_DIM;
@@ -60,6 +105,64 @@ proptest! {
         prop_assert_eq!(&index, &restored);
         // And the byte encoding itself is deterministic.
         prop_assert_eq!(bytes, restored.to_bytes());
+    }
+}
+
+/// What every door must do with a damaged image: fail with a structured
+/// [`IndexError`], or — for damage the format cannot see — open an index
+/// that answers an open-window search without panicking (a panic fails
+/// the test) and without naming a reference outside the library.
+fn fails_or_searches(bytes: &[u8], what: &str) {
+    let path = std::env::temp_dir().join(format!(
+        "hdoms-mutated-{}-{:?}.hdx",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, bytes).expect("damaged image written");
+    let doors = [
+        LibraryIndex::from_bytes(bytes, 2),
+        LibraryIndex::open(&path, 2),
+        LibraryIndex::open_mapped(&path, 2),
+    ];
+    std::fs::remove_file(&path).ok();
+    for index in doors.into_iter().flatten() {
+        let backend = index
+            .sharded_backend(2)
+            .unwrap_or_else(|e| panic!("{what}: opened but not searchable: {e}"));
+        let outcome = pipeline().run_catalog(&tiny_workload(7).queries, &index, &backend);
+        for psm in &outcome.psms {
+            assert!(
+                (psm.reference_id as usize) < index.entry_count(),
+                "{what}: reference {} of {}",
+                psm.reference_id,
+                index.entry_count()
+            );
+        }
+    }
+}
+
+fn golden_v3() -> Vec<u8> {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3.hdx");
+    std::fs::read(golden).expect("v3 fixture")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Any single-byte mutation of the golden v3 image, at any position,
+    /// fails every open or leaves a searchable index (ROADMAP 3a).
+    #[test]
+    fn any_single_byte_mutation_fails_or_searches(at in 0usize..2480, mask in 1u8..=255) {
+        let mut bytes = golden_v3();
+        prop_assert_eq!(bytes.len(), 2480);
+        bytes[at] ^= mask;
+        fails_or_searches(&bytes, &format!("byte {at} ^ {mask:#04x}"));
+    }
+
+    /// So does any truncation, to any length.
+    #[test]
+    fn any_truncation_fails_or_searches(len in 0usize..2480) {
+        fails_or_searches(&golden_v3()[..len], &format!("cut to {len} bytes"));
     }
 }
 
@@ -277,14 +380,10 @@ fn library_encoding_is_pinned() {
     use hdoms_oms::psm::render_table;
 
     let workload = tiny_workload(7);
-    // `threads` is serialised into the header: pin it, the default
-    // follows the machine.
     let mut exact = ExactBackendConfig::default();
     exact.encoder.dim = TEST_DIM;
-    exact.threads = THREADS;
     let hyperoms = HyperOmsConfig {
         dim: TEST_DIM,
-        threads: THREADS,
         ..HyperOmsConfig::default()
     };
     // (kind, digest of the image, digest of the rendered PSM rows): the
@@ -304,8 +403,14 @@ fn library_encoding_is_pinned() {
     for (kind, image_digest, rows_digest) in pinned {
         let index = build_index(kind, &workload.library, 64);
         let name = index.kind().name();
+        // The digests were recorded when builders still wrote their
+        // worker count (`THREADS`) into the configs' `threads` slot; it
+        // is a reserved slot written as 1 now. Put the old value back:
+        // nothing else in the image may have moved.
+        let mut image = index.to_bytes();
+        patch_header(&mut image, &format!("{name}.threads"), THREADS as u64);
         assert_eq!(
-            xxh64(&index.to_bytes(), 0),
+            xxh64(&image, 0),
             image_digest,
             "{name}: the encoded library changed"
         );
@@ -571,6 +676,21 @@ fn checksum_valid_but_absurd_entry_count_rejected() {
     }
 }
 
+/// An rram image whose (checksum-valid) header declares no MLC section
+/// fails open with the message it always had.
+#[test]
+fn rram_image_without_its_mlc_section_fails_open() {
+    let workload = tiny_workload(5);
+    let mut image = build_index(rram_kind(), &workload.library, 64).to_bytes();
+    patch_header(&mut image, "header.mlc_len", 0);
+    match LibraryIndex::from_bytes(&image, THREADS) {
+        Err(IndexError::Invalid(message)) => {
+            assert_eq!(message, "rram index is missing its MLC section");
+        }
+        other => panic!("expected a clean rejection, got {other:?}"),
+    }
+}
+
 /// A header is input from outside the program: a checksum-valid image
 /// whose encoder configuration no encoder can be built from must fail
 /// *open* with a structured error on every entry point — it used to load
@@ -578,30 +698,21 @@ fn checksum_valid_but_absurd_entry_count_rejected() {
 /// `sharded_backend` (so on `index.load` over the wire).
 #[test]
 fn checksum_valid_but_unusable_encoder_config_fails_open() {
-    use hdoms_index::format::CHECKSUM_SEED;
-    use hdoms_index::xxhash::xxh64;
-
-    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3.hdx");
-    let bytes = std::fs::read(golden).expect("v3 fixture");
-    let header_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-    let header = 20..20 + header_len;
-    // Header offsets of the exact kind's encoder fields: q_levels at 58,
-    // num_chunks at 68 (the golden image is chunked), num_bins at 76.
-    let patches: [(usize, u64, &str); 4] = [
-        (58, 0, "q_levels"),
-        (58, 1, "q_levels"),
-        (68, 0, "num_chunks"),
-        (76, 0, "num_bins"),
+    let bytes = golden_v3();
+    // The exact kind's encoder fields (the golden image is chunked), by
+    // the labels of the encoder record's field list.
+    let patches: [(&str, u64, &str); 4] = [
+        ("encoder.q_levels", 0, "q_levels"),
+        ("encoder.q_levels", 1, "q_levels"),
+        ("level_style.num_chunks", 0, "num_chunks"),
+        ("encoder.num_bins", 0, "num_bins"),
     ];
-    for (offset, value, needle) in patches {
+    for (label, value, needle) in patches {
         let mut patched = bytes.clone();
-        let at = header.start + offset;
-        patched[at..at + 8].copy_from_slice(&value.to_le_bytes());
-        let hash = xxh64(&patched[header.clone()], CHECKSUM_SEED);
-        patched[header.end..header.end + 8].copy_from_slice(&hash.to_le_bytes());
+        patch_header(&mut patched, label, value);
 
         let path = std::env::temp_dir().join(format!(
-            "hdoms-bad-config-{}-{offset}-{value}.hdx",
+            "hdoms-bad-config-{}-{label}-{value}.hdx",
             std::process::id()
         ));
         std::fs::write(&path, &patched).unwrap();

@@ -176,6 +176,55 @@ proptest! {
     }
 }
 
+/// An image does not depend on the machine that built it: the configs'
+/// `threads` (which defaults to the core count) is a reserved slot,
+/// written as 1 by both builders whatever the kind carries.
+#[test]
+fn the_kinds_thread_count_does_not_reach_the_image() {
+    let _serial = serial();
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 19);
+    let with_threads = |kind: &IndexedBackendKind, threads: usize| {
+        let mut kind = kind.clone();
+        match &mut kind {
+            IndexedBackendKind::Exact(c) => c.threads = threads,
+            IndexedBackendKind::HyperOms(c) => c.threads = threads,
+            IndexedBackendKind::Rram(c) => c.threads = threads,
+        }
+        IndexConfig {
+            kind,
+            entries_per_shard: 64,
+            threads: 2,
+        }
+    };
+    for kind in [
+        exact_kind(TEST_DIM),
+        hyperoms_kind(TEST_DIM),
+        rram_kind(256),
+    ] {
+        let name = kind.name();
+        let images: Vec<Vec<u8>> = [1, 7]
+            .into_iter()
+            .flat_map(|threads| {
+                let config = with_threads(&kind, threads);
+                let in_memory = IndexBuilder::new(config.clone()).from_library(&workload.library);
+                let streamed = stream_bytes(
+                    StreamingConfig {
+                        index: config,
+                        spill_threshold: 100,
+                    },
+                    &workload.library,
+                    &format!("threads-{name}-{threads}"),
+                );
+                [in_memory.to_bytes(), streamed]
+            })
+            .collect();
+        assert!(
+            images.windows(2).all(|pair| pair[0] == pair[1]),
+            "{name}: the image depends on the kind's thread count"
+        );
+    }
+}
+
 /// A single-entry library streams to the same bytes and opens cleanly.
 #[test]
 fn single_entry_library_matches() {

@@ -63,6 +63,32 @@ impl PreprocessConfig {
     pub fn num_bins(&self) -> usize {
         ((self.max_mz - self.min_mz) / self.bin_width).ceil() as usize + 1
     }
+
+    /// Whether spectra can be binned under this configuration, naming
+    /// the first rule violated — the non-panicking form, for
+    /// configurations decoded from outside the program (an index
+    /// header).
+    ///
+    /// # Errors
+    ///
+    /// A non-finite or empty m/z range, a non-positive `bin_width`, or
+    /// a range holding more bins than the `u32` bin index can address.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let bins = ((self.max_mz - self.min_mz) / self.bin_width).ceil();
+        let rules = [
+            (
+                self.min_mz.is_finite() && self.min_mz < self.max_mz && self.bin_width > 0.0,
+                "preprocess m/z range must be finite and non-empty, bin_width positive",
+            ),
+            (
+                bins < f64::from(u32::MAX),
+                "preprocess m/z range over bin_width must fit the u32 bin index",
+            ),
+        ];
+        rules
+            .iter()
+            .try_for_each(|&(ok, why)| ok.then_some(()).ok_or(why))
+    }
 }
 
 /// A binned peak: bin index plus scaled, max-normalised intensity.
@@ -141,7 +167,14 @@ pub struct Preprocessor {
 
 impl Preprocessor {
     /// Create a preprocessor with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the rule [`PreprocessConfig::check`] names.
     pub fn new(config: PreprocessConfig) -> Preprocessor {
+        if let Err(why) = config.check() {
+            panic!("{why}");
+        }
         Preprocessor { config }
     }
 

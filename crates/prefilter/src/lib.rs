@@ -159,6 +159,51 @@ impl SketchIndex {
             .collect()
     }
 
+    /// An index over no slots yet, sampling `target_words` words
+    /// (clamped to the full width) of `dim`-dimensional hypervectors;
+    /// [`SketchIndex::push`] grows it slot by slot.
+    pub fn new(dim: usize, target_words: usize) -> SketchIndex {
+        let full_words = dim.div_ceil(64).max(1);
+        SketchIndex {
+            full_words,
+            selected: SketchIndex::word_selection(full_words, target_words),
+            table: Vec::new(),
+            present: Vec::new(),
+            slots: 0,
+        }
+    }
+
+    /// Append the signature of the next dense reference id: the sampled
+    /// words of `hv`, or — for `None`, a slot preprocessing rejected —
+    /// a zero row marked absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a present slot's word count differs from
+    /// `ceil(dim / 64)`.
+    pub fn push(&mut self, hv: Option<&[u64]>) {
+        let id = self.slots;
+        if self.present.len() * 64 <= id {
+            self.present.push(0u64);
+        }
+        match hv {
+            Some(words) => {
+                assert_eq!(
+                    words.len(),
+                    self.full_words,
+                    "reference {id}: word count does not match the sketched dimension"
+                );
+                self.table
+                    .extend(self.selected.iter().map(|&w| words[w as usize]));
+                self.present[id / 64] |= 1u64 << (id % 64);
+            }
+            None => self
+                .table
+                .extend(std::iter::repeat_n(0u64, self.selected.len())),
+        }
+        self.slots += 1;
+    }
+
     /// Build signatures for every slot of a reference table. `refs`
     /// yields one `Option<&[u64]>` per dense reference id, in id
     /// order — `None` marks a slot preprocessing rejected. `dim` is
@@ -174,37 +219,9 @@ impl SketchIndex {
         target_words: usize,
         refs: impl Iterator<Item = Option<&'a [u64]>>,
     ) -> SketchIndex {
-        let full_words = dim.div_ceil(64).max(1);
-        let selected = SketchIndex::word_selection(full_words, target_words);
-        let width = selected.len();
-        let mut table = Vec::new();
-        let mut present = Vec::new();
-        let mut slots = 0usize;
-        for (id, hv) in refs.enumerate() {
-            if present.len() * 64 <= id {
-                present.push(0u64);
-            }
-            match hv {
-                Some(words) => {
-                    assert_eq!(
-                        words.len(),
-                        full_words,
-                        "reference {id}: word count does not match dim {dim}"
-                    );
-                    table.extend(selected.iter().map(|&w| words[w as usize]));
-                    present[id / 64] |= 1u64 << (id % 64);
-                }
-                None => table.extend(std::iter::repeat_n(0u64, width)),
-            }
-            slots += 1;
-        }
-        SketchIndex {
-            full_words,
-            selected,
-            table,
-            present,
-            slots,
-        }
+        let mut sketch = SketchIndex::new(dim, target_words);
+        refs.for_each(|hv| sketch.push(hv));
+        sketch
     }
 
     /// Reassemble a sketch index from its serialized parts (the `.hdx`
@@ -521,6 +538,42 @@ mod tests {
         let mut expected: Vec<u32> = ranked[..k].iter().map(|&(_, id)| id).collect();
         expected.sort_unstable();
         assert_eq!(survivors, expected);
+    }
+
+    #[test]
+    fn pushing_slot_by_slot_builds_the_same_index() {
+        let dim = 1100; // 18 words, the last one partial
+        let refs = random_refs(70, dim, 7);
+        let slots: Vec<Option<&[u64]>> = refs
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (i % 3 != 1).then(|| r.words()))
+            .collect();
+        let built = SketchIndex::build(dim, SKETCH_WORDS, slots.iter().copied());
+        let mut pushed = SketchIndex::new(dim, SKETCH_WORDS);
+        assert!(pushed.is_empty());
+        for (id, &slot) in slots.iter().enumerate() {
+            pushed.push(slot);
+            assert_eq!(pushed.len(), id + 1);
+            assert_eq!(pushed.is_present(id as u32), slot.is_some());
+        }
+        assert_eq!(pushed, built);
+        // And both are what the parts say they should be.
+        let selected = SketchIndex::word_selection(18, SKETCH_WORDS);
+        let table: Vec<u64> = slots
+            .iter()
+            .flat_map(|slot| {
+                selected
+                    .iter()
+                    .map(move |&w| slot.map_or(0, |s| s[w as usize]))
+            })
+            .collect();
+        let mut present = vec![0u64; 2];
+        for (id, _) in slots.iter().enumerate().filter(|(_, s)| s.is_some()) {
+            present[id / 64] |= 1 << (id % 64);
+        }
+        let from_parts = SketchIndex::from_parts(18, selected, table, present, 70).unwrap();
+        assert_eq!(pushed, from_parts);
     }
 
     #[test]
