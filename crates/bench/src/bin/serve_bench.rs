@@ -96,11 +96,16 @@ struct Contention {
 /// query set as 16-query batches through `server`'s scheduler; batches
 /// rejected with `busy`/`deadline` count as shed.
 fn run_contention(server: &Server, spectra: &[QuerySpectrum], clients: usize) -> Contention {
-    let wait_hist = server.registry().histogram(
-        "hdoms_queue_wait_ms",
-        "Scheduler queue wait per batch, admitted and deadline-shed alike",
-    );
-    let hist_baseline = wait_hist.snapshot();
+    // Read, not registered: the scheduler's series table declares it.
+    let wait_hist = || {
+        let snapshot = server.registry().snapshot();
+        let found = snapshot
+            .histograms
+            .into_iter()
+            .find(|(name, _)| name == "hdoms_queue_wait_ms");
+        found.expect("the scheduler registers its wait histogram").1
+    };
+    let hist_baseline = wait_hist();
     let per_client: Vec<Vec<&[QuerySpectrum]>> = (0..clients)
         .map(|c| {
             spectra
@@ -164,7 +169,7 @@ fn run_contention(server: &Server, spectra: &[QuerySpectrum], clients: usize) ->
     // cross-check: the log₂-bucket readout must land within one bucket
     // of the exact sample percentiles (the two use slightly different
     // rank conventions, so adjacency — not equality — is the contract).
-    let delta = wait_hist.snapshot().since(&hist_baseline);
+    let delta = wait_hist().since(&hist_baseline);
     assert_eq!(
         delta.count(),
         waits.len() as u64,

@@ -5,6 +5,10 @@
 //! query batch, scrape the endpoint over raw TCP, and assert the
 //! Prometheus text carries a non-zero `hdoms_query_batches_total` plus
 //! all four per-stage pipeline histograms.
+//! With `crates/serve/tests/metrics_storm.rs` — which reconciles every
+//! registry counter against per-client receipts under a 16-client storm
+//! with a concurrent torn-read probe — this is CI's observability gate,
+//! in both test passes.
 
 use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};

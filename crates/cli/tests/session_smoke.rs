@@ -4,6 +4,8 @@
 //! diff the returned PSM table against the local engine run. Also
 //! exercises the per-batch `query` verb (one batch must equal the local
 //! run too) so the compatibility path stays guarded.
+//! (CI's release test pass is the run that counts: the spawned binary
+//! is the optimised one.)
 
 use hdoms_engine::Engine;
 use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind};

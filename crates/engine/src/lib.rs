@@ -68,7 +68,7 @@ use hdoms_index::{IndexBuilder, IndexConfig, IndexError, LibraryIndex, ShardedBa
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
 use hdoms_ms::spectrum::Spectrum;
-use hdoms_obs::metrics::{Counter, Histogram, Registry};
+use hdoms_obs::metrics::Registry;
 use hdoms_obs::trace::StageTimings;
 use hdoms_oms::candidates::CandidateIndex;
 use hdoms_oms::fdr::{filter_fdr, FdrOutcome};
@@ -190,9 +190,7 @@ impl EngineBackend {
     /// merged batch in one pass with per-group clocks; flat backends
     /// drive their own internal parallelism, ignore the cap — the serve
     /// layer always runs sharded engines, which honour it exactly — and
-    /// take one call per group. Keeping one traced code path is what
-    /// guarantees instrumented and uninstrumented output are the same
-    /// bytes.
+    /// take one call per group.
     fn search_batch_grouped(
         &self,
         queries: &[BinnedSpectrum],
@@ -234,66 +232,46 @@ impl EngineBackend {
     }
 }
 
-/// Registry handles an instrumented engine records into (see
-/// [`Engine::attach_metrics`]). All series are shared by name across
-/// engines registered with the same registry, so a server hosting many
-/// indexes reports one set of pipeline series.
-struct EngineMetrics {
-    batches: Arc<Counter>,
-    queries: Arc<Counter>,
-    psms: Arc<Counter>,
-    stage_encode_ms: Arc<Histogram>,
-    stage_candidates_ms: Arc<Histogram>,
-    stage_score_ms: Arc<Histogram>,
-    stage_finalize_ms: Arc<Histogram>,
-    prefilter_candidates_pre: Arc<Counter>,
-    prefilter_candidates_post: Arc<Counter>,
-    prefilter_sketch_ms: Arc<Histogram>,
+hdoms_obs::metrics::series! {
+    /// The series every engine records into, always: unregistered
+    /// handles from construction, a shared registry's once
+    /// [`Engine::attach_metrics`] names it. Series are shared by name, so
+    /// a server hosting many indexes reports one set of pipeline series —
+    /// and reads the `prefilter_*` handles here for `server.stats`
+    /// instead of keeping totals of its own.
+    pub struct EngineSeries {
+        batches: Counter = "hdoms_engine_batches_total", "Query batches executed by instrumented engines";
+        queries: Counter = "hdoms_engine_queries_total", "Query spectra submitted to instrumented engines";
+        psms: Counter = "hdoms_engine_psms_total", "Best-hit PSMs produced by instrumented engines";
+        stage_encode_ms: Histogram = "hdoms_stage_encode_ms", "Per-batch wall-clock of the encode stage (preprocess + hypervector encoding)";
+        stage_candidates_ms: Histogram = "hdoms_stage_candidates_ms", "Per-batch wall-clock of the precursor-window candidate-generation stage";
+        stage_score_ms: Histogram = "hdoms_stage_score_ms", "Per-batch wall-clock of the shard-scoring stage (associative search)";
+        stage_finalize_ms: Histogram = "hdoms_stage_finalize_ms", "Per-finalize wall-clock of the target-decoy FDR stage";
+        prefilter_candidates_pre: Counter = "hdoms_prefilter_candidates_pre_total", "Precursor-window candidates entering the sketch prefilter";
+        prefilter_candidates_post: Counter = "hdoms_prefilter_candidates_post_total", "Candidates surviving the sketch prefilter into the exact scan";
+        prefilter_sketch_ms: Histogram = "hdoms_prefilter_sketch_ms", "Per-batch wall-clock of the sketch scoring + narrowing stage";
+    }
 }
 
-impl EngineMetrics {
-    fn register(registry: &Registry) -> EngineMetrics {
-        EngineMetrics {
-            batches: registry.counter(
-                "hdoms_engine_batches_total",
-                "Query batches executed by instrumented engines",
-            ),
-            queries: registry.counter(
-                "hdoms_engine_queries_total",
-                "Query spectra submitted to instrumented engines",
-            ),
-            psms: registry.counter(
-                "hdoms_engine_psms_total",
-                "Best-hit PSMs produced by instrumented engines",
-            ),
-            stage_encode_ms: registry.histogram(
-                "hdoms_stage_encode_ms",
-                "Per-batch wall-clock of the encode stage (preprocess + hypervector encoding)",
-            ),
-            stage_candidates_ms: registry.histogram(
-                "hdoms_stage_candidates_ms",
-                "Per-batch wall-clock of the precursor-window candidate-generation stage",
-            ),
-            stage_score_ms: registry.histogram(
-                "hdoms_stage_score_ms",
-                "Per-batch wall-clock of the shard-scoring stage (associative search)",
-            ),
-            stage_finalize_ms: registry.histogram(
-                "hdoms_stage_finalize_ms",
-                "Per-finalize wall-clock of the target-decoy FDR stage",
-            ),
-            prefilter_candidates_pre: registry.counter(
-                "hdoms_prefilter_candidates_pre_total",
-                "Precursor-window candidates entering the sketch prefilter",
-            ),
-            prefilter_candidates_post: registry.counter(
-                "hdoms_prefilter_candidates_post_total",
-                "Candidates surviving the sketch prefilter into the exact scan",
-            ),
-            prefilter_sketch_ms: registry.histogram(
-                "hdoms_prefilter_sketch_ms",
-                "Per-batch wall-clock of the sketch scoring + narrowing stage",
-            ),
+impl EngineSeries {
+    /// Record one scored batch from its finished receipt — the only
+    /// place the per-batch series move, so they cannot disagree with
+    /// the receipt the caller is handed. The prefilter trio moves only
+    /// for a batch that ran the cascade (`prefiltered`).
+    fn record_batch(&self, receipt: &BatchReceipt, prefiltered: bool) {
+        self.batches.inc();
+        self.queries.add(receipt.queries as u64);
+        self.psms.add(receipt.psms as u64);
+        self.stage_encode_ms.record_ms(receipt.stages.encode_ms);
+        self.stage_candidates_ms
+            .record_ms(receipt.stages.candidates_ms);
+        self.stage_score_ms.record_ms(receipt.stages.score_ms);
+        if prefiltered {
+            self.prefilter_candidates_pre
+                .add(receipt.candidates_pre as u64);
+            self.prefilter_candidates_post
+                .add(receipt.candidates_post as u64);
+            self.prefilter_sketch_ms.record_ms(receipt.sketch_ms);
         }
     }
 }
@@ -322,7 +300,7 @@ pub struct Engine {
     preprocess: PreprocessConfig,
     index: Option<LibraryIndex>,
     threads: usize,
-    metrics: Option<EngineMetrics>,
+    series: EngineSeries,
     prefilter: PrefilterConfig,
 }
 
@@ -384,7 +362,7 @@ impl Engine {
             preprocess: index.kind().preprocess(),
             index: Some(index),
             threads: threads.max(1),
-            metrics: None,
+            series: EngineSeries::default(),
             prefilter: PrefilterConfig::Off,
         })
     }
@@ -413,7 +391,7 @@ impl Engine {
             preprocess,
             index: None,
             threads: threads.max(1),
-            metrics: None,
+            series: EngineSeries::default(),
             prefilter: PrefilterConfig::Off,
         }
     }
@@ -525,22 +503,22 @@ impl Engine {
         self.threads
     }
 
-    /// Register this engine's observability series with `registry` and
-    /// start recording into them: batch/query/PSM counters, the four
-    /// per-stage latency histograms (`hdoms_stage_{encode,candidates,
-    /// score,finalize}_ms`), and — on sharded engines — the backend's
-    /// per-shard-visit series. Call before wrapping the engine in an
-    /// `Arc` (the server does this for every resident engine).
+    /// Point this engine's series ([`EngineSeries`], and on sharded
+    /// engines the backend's per-shard-visit series) at `registry`, so
+    /// they are exported with everything else registered there. Call
+    /// before wrapping the engine in an `Arc` (the server does this for
+    /// every resident engine). Series are shared by name, so many
+    /// engines on one registry report together.
     ///
-    /// Instrumentation is observational only: an engine with metrics
-    /// attached produces byte-identical PSM tables to one without
-    /// (asserted in `crates/engine/tests/equivalence.rs`). Series are
-    /// shared by name, so many engines on one registry report together.
+    /// Recording itself is unconditional — an engine nobody attached
+    /// records into handles nobody reads — so attaching changes where the
+    /// numbers land and nothing else: PSM tables are byte-identical
+    /// either way (asserted in `crates/engine/tests/equivalence.rs`).
     pub fn attach_metrics(&mut self, registry: &Registry) {
         if let EngineBackend::Sharded(backend) = &mut self.backend {
             backend.attach_metrics(registry);
         }
-        self.metrics = Some(EngineMetrics::register(registry));
+        self.series = EngineSeries::register(registry);
     }
 
     /// Open a query session (shorthand for [`Session::new`]).
@@ -778,38 +756,25 @@ impl Engine {
                 score_ms: score_share,
                 finalize_ms: 0.0,
             };
-            if let Some(metrics) = &self.metrics {
-                metrics.batches.inc();
-                metrics.queries.add(spectra.len() as u64);
-                metrics.psms.add(psms.len() as u64);
-                metrics.stage_encode_ms.record_ms(stages.encode_ms);
-                metrics.stage_candidates_ms.record_ms(stages.candidates_ms);
-                metrics.stage_score_ms.record_ms(stages.score_ms);
-                if narrowing.is_some() {
-                    metrics.prefilter_candidates_pre.add(candidates_pre as u64);
-                    metrics
-                        .prefilter_candidates_post
-                        .add(candidates_scored as u64);
-                    metrics.prefilter_sketch_ms.record_ms(sketch_ms);
-                }
-            }
+            let receipt = BatchReceipt {
+                batch: 1,
+                queries: spectra.len(),
+                rejected_queries: prep.rejected,
+                psms: psms.len(),
+                total_psms: psms.len(),
+                candidates_scored,
+                candidates_pre,
+                candidates_post: candidates_scored,
+                sketch_ms,
+                shards_touched: shards_touched as usize,
+                latency_ms: stages.total_ms(),
+                stages,
+                shard_timings,
+            };
+            self.series.record_batch(&receipt, narrowing.is_some());
             scored.push(ScoredGroup {
                 binned: prep.len,
-                receipt: BatchReceipt {
-                    batch: 1,
-                    queries: spectra.len(),
-                    rejected_queries: prep.rejected,
-                    psms: psms.len(),
-                    total_psms: psms.len(),
-                    candidates_scored,
-                    candidates_pre,
-                    candidates_post: candidates_scored,
-                    sketch_ms,
-                    shards_touched: shards_touched as usize,
-                    latency_ms: stages.total_ms(),
-                    stages,
-                    shard_timings,
-                },
+                receipt,
                 psms,
             });
         }
@@ -1032,9 +997,7 @@ impl Session {
             },
             finalize_ms,
         ) = hdoms_obs::trace::timed(|| filter_fdr(&self.psms, alpha));
-        if let Some(metrics) = &self.engine.metrics {
-            metrics.stage_finalize_ms.record_ms(finalize_ms);
-        }
+        self.engine.series.stage_finalize_ms.record_ms(finalize_ms);
         let mut totals = self.totals;
         totals.stages.finalize_ms = finalize_ms;
         totals.latency_ms = totals.stages.total_ms();

@@ -3,6 +3,17 @@
 //! single run over the concatenated workload — and the one-shot
 //! per-batch path (the old `query` behaviour) stays reachable and stays
 //! equal to the classic `OmsPipeline` paths.
+//!
+//! The `mapped_*` tests are the one-loader regression gate. There is no
+//! copying load to compare against any more — every open runs
+//! `LibraryIndex::from_buffer` over one buffer holding the image — so
+//! they pin mapped ≡ heap-buffer ≡ cold build: `Engine::open_mapped`
+//! (mmap) must render PSM tables byte-identical to `LibraryIndex::open`
+//! (heap read) + `Engine::from_index` and to `Engine::from_library`. A
+//! failure there means the in-place search path silently diverged.
+//! `kernel_variants_*` is the engine-level half of CI's kernel gate:
+//! byte-identical tables across distance kernels over a mapped
+//! iprg2012 index.
 
 use hdoms_baselines::annsolo::{AnnSoloBackend, AnnSoloConfig};
 use hdoms_engine::{Engine, ReferenceMeta, Session};

@@ -4,6 +4,11 @@
 //! keeps recall@K ≥ 0.99 at a ≥ 3× smaller scan and preserves the 1% FDR
 //! identification count on the evaluation workload, and the knob is
 //! rejected on engines that cannot run it.
+//! The per-batch override must match the engine default. The recall
+//! and reduction assertions are the retired `prefilter_bench`'s, run in
+//! process; they want the release test pass (seconds there, a minute in
+//! debug). `crates/serve/tests/metrics_storm.rs` reconciles the
+//! prefilter series against receipts and `server.stats`.
 
 use hdoms_engine::{BatchReceipt, Engine, ReferenceMeta};
 use hdoms_index::{IndexConfig, IndexedBackendKind};

@@ -83,15 +83,6 @@ impl BinaryHypervector {
         &self.words
     }
 
-    /// Mutable access to the packed words.
-    ///
-    /// Callers must keep the unused tail bits of the last word zero; use
-    /// [`BinaryHypervector::mask_tail`] after bulk edits.
-    #[inline]
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
     /// Zero any bits beyond `dim` in the last word.
     pub fn mask_tail(&mut self) {
         let rem = self.dim % 64;

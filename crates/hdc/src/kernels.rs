@@ -225,7 +225,7 @@ impl KernelDispatch {
     }
 
     /// The best SIMD kernel this CPU supports, or the scalar kernel on a
-    /// machine with none (check [`KernelDispatch::is_simd`]).
+    /// machine with none (its [`KernelDispatch::name`] says which).
     pub fn simd() -> KernelDispatch {
         KernelDispatch { imp: best_simd() }
     }
@@ -248,11 +248,6 @@ impl KernelDispatch {
             #[cfg(target_arch = "x86_64")]
             Impl::Avx512 => "avx512-vpopcntdq",
         }
-    }
-
-    /// Whether this dispatch runs a vectorised path.
-    pub fn is_simd(&self) -> bool {
-        self.imp != Impl::Scalar
     }
 
     /// The resolved word-pair primitive.
@@ -370,44 +365,12 @@ impl KernelDispatch {
         }
     }
 
-    /// The query-blocked batch kernel: Hamming distances of Q queries ×
-    /// R references, `out[q * R + r] = hamming(queries[q],
-    /// references[r])`. Queries are tiled so each reference's words are
-    /// scored against a whole query block while they are cache-hot;
-    /// ragged tails (Q or R not a multiple of the tile) are handled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != queries.len() * references.len()` or any
-    /// slice's length is not `ceil(dim / 64)`.
-    pub fn hamming_block(
-        &self,
-        dim: usize,
-        queries: &[&[u64]],
-        references: &[&[u64]],
-        out: &mut [u32],
-    ) {
-        assert_eq!(
-            out.len(),
-            queries.len() * references.len(),
-            "out must hold one distance per (query, reference) pair"
-        );
-        let f = self.pair_fn();
-        let r_count = references.len();
-        for (tile_idx, q_tile) in queries.chunks(QUERY_TILE).enumerate() {
-            let q_base = tile_idx * QUERY_TILE;
-            for (ri, reference) in references.iter().enumerate() {
-                for (qi, query) in q_tile.iter().enumerate() {
-                    out[(q_base + qi) * r_count + ri] = hamming_with(f, dim, query, reference);
-                }
-            }
-        }
-    }
-
-    /// [`KernelDispatch::hamming_block`] emitting bipolar dot products:
-    /// `out[q * R + r] = dim − 2·hamming(queries[q], references[r])` —
-    /// the score every backend ranks by, one query block per reference
-    /// sweep.
+    /// The query-blocked batch kernel: bipolar dot products of Q queries
+    /// × R references, `out[q * R + r] = dim − 2·hamming(queries[q],
+    /// references[r])` — the score every backend ranks by. Queries are
+    /// tiled so each reference's words are scored against a whole query
+    /// block while they are cache-hot; ragged tails (Q or R not a
+    /// multiple of the tile) are handled.
     ///
     /// # Panics
     ///
@@ -815,13 +778,6 @@ mod tests {
         assert_eq!(KernelKind::parse("SIMD"), Some(KernelKind::Simd));
         assert_eq!(KernelKind::parse("Auto"), Some(KernelKind::Auto));
         assert_eq!(KernelKind::parse("gpu"), None);
-    }
-
-    #[test]
-    fn scalar_never_reports_simd() {
-        let scalar = KernelDispatch::scalar();
-        assert_eq!(scalar.name(), "scalar");
-        assert!(!scalar.is_simd());
     }
 
     #[test]

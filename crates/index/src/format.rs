@@ -57,6 +57,7 @@ use crate::xxhash::xxh64;
 use hdoms_core::accelerator::{AcceleratorConfig, BuildStats};
 use hdoms_hdc::encoder::EncoderConfig;
 use hdoms_hdc::item_memory::LevelStyle;
+use hdoms_hdc::kernels::packed_row_len;
 use hdoms_hdc::multibit::IdPrecision;
 use hdoms_ms::library::LibraryEntry;
 use hdoms_ms::preprocess::{IntensityScaling, PreprocessConfig};
@@ -89,6 +90,13 @@ pub fn pad_to_8(pos: usize) -> usize {
 /// Seed mixed into every section checksum (diversifies from other XXH64
 /// users of the same bytes).
 pub const CHECKSUM_SEED: u64 = 0x8d0a_51dc;
+
+/// The most item-memory bytes a header may ask an open to regenerate:
+/// the ID rows ([`packed_row_len`]`(dim)` bytes per bin) plus the level
+/// rows (`dim` bytes per level). No file size justifies them — they are
+/// derived from the seed, not stored — so the bound is a policy: 1 GiB,
+/// over 150× the default configuration's 5.7 MB.
+pub const MAX_ITEM_MEMORY_BYTES: usize = 1 << 30;
 
 /// Anything that can go wrong building, writing or loading an index.
 #[derive(Debug)]
@@ -230,6 +238,15 @@ impl IndexedBackendKind {
         must(
             pre.num_bins() <= enc.num_bins,
             "encoder.num_bins must cover every preprocessing bin",
+        )?;
+        let level_bytes = enc.q_levels.checked_mul(enc.dim);
+        let item_bytes = enc
+            .num_bins
+            .checked_mul(packed_row_len(enc.dim))
+            .and_then(|id_bytes| id_bytes.checked_add(level_bytes?));
+        must(
+            item_bytes.is_some_and(|bytes| bytes <= MAX_ITEM_MEMORY_BYTES),
+            "item memories (num_bins ID rows + q_levels level rows) exceed MAX_ITEM_MEMORY_BYTES",
         )?;
         match self {
             IndexedBackendKind::Exact(c) => must(

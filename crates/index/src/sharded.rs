@@ -25,11 +25,10 @@
 use hdoms_hdc::parallel::par_map;
 use hdoms_hdc::BinaryHypervector;
 use hdoms_ms::preprocess::BinnedSpectrum;
-use hdoms_obs::metrics::{Counter, Histogram, Registry};
+use hdoms_obs::metrics::Registry;
 use hdoms_oms::search::{RunScorer, SearchHit, SimilarityBackend};
 use hdoms_prefilter::{PrefilterStats, SketchIndex};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The backend a [`ShardedBackend`] fans out over: any hypervector
@@ -87,10 +86,14 @@ impl ShardClock {
     }
 }
 
-/// Registry handles the backend records into during searches.
-struct BackendMetrics {
-    score_ms: Arc<Histogram>,
-    visits: Arc<Counter>,
+hdoms_obs::metrics::series! {
+    /// What every shard-scoring visit records, always (into
+    /// unregistered handles until [`ShardedBackend::attach_metrics`]
+    /// names a registry).
+    struct ShardSeries {
+        score_ms: Histogram = "hdoms_shard_score_ms", "Wall-clock of one shard-scoring visit (one query x one shard run)";
+        visits: Counter = "hdoms_shard_visits_total", "Shard-scoring visits performed by traced batch searches";
+    }
 }
 
 /// Batch-wide cascade accumulators: plain atomics so the per-query
@@ -168,7 +171,7 @@ pub struct ShardedBackend {
     shard_of: Vec<u32>,
     shard_count: usize,
     threads: usize,
-    metrics: Option<BackendMetrics>,
+    series: ShardSeries,
 }
 
 impl ShardedBackend {
@@ -183,7 +186,7 @@ impl ShardedBackend {
             shard_of,
             shard_count,
             threads: threads.max(1),
-            metrics: None,
+            series: ShardSeries::default(),
         }
     }
 
@@ -192,21 +195,11 @@ impl ShardedBackend {
         self.shard_count
     }
 
-    /// Register this backend's series with a metrics [`Registry`]:
-    /// `hdoms_shard_score_ms` (a histogram of per-shard-visit scoring
-    /// wall-clock) and `hdoms_shard_visits_total`, recorded by every
-    /// search once attached.
+    /// Point this backend's series — `hdoms_shard_score_ms` (a histogram
+    /// of per-shard-visit scoring wall-clock) and
+    /// `hdoms_shard_visits_total` — at a shared metrics [`Registry`].
     pub fn attach_metrics(&mut self, registry: &Registry) {
-        self.metrics = Some(BackendMetrics {
-            score_ms: registry.histogram(
-                "hdoms_shard_score_ms",
-                "Wall-clock of one shard-scoring visit (one query x one shard run)",
-            ),
-            visits: registry.counter(
-                "hdoms_shard_visits_total",
-                "Shard-scoring visits performed by traced batch searches",
-            ),
-        });
+        self.series = ShardSeries::register(registry);
     }
 
     /// Partition a mass-sorted candidate list into its shard runs.
@@ -221,8 +214,8 @@ impl ShardedBackend {
 
     /// Evaluate one query: encode once, narrow the candidate list
     /// through the prefilter's sketch stage when one is passed, score
-    /// each shard run (timed into `clock` and the attached registry
-    /// series), merge.
+    /// each shard run (timed into `clock` and the backend's series),
+    /// merge.
     ///
     /// `parallel_shards` (> 1) switches the per-shard scoring onto that
     /// many worker threads (used when the batch itself is too small to
@@ -263,10 +256,8 @@ impl ShardedBackend {
             let hit = self.scorer.best_in(binned, &query_hv, run);
             let ns = start.elapsed().as_nanos() as u64;
             clock.record(self.shard_of[run[0] as usize] as usize, ns);
-            if let Some(metrics) = &self.metrics {
-                metrics.score_ms.record_ms(ns as f64 / 1e6);
-                metrics.visits.inc();
-            }
+            self.series.score_ms.record_ms(ns as f64 / 1e6);
+            self.series.visits.inc();
             hit
         };
         if parallel_shards > 1 && runs.len() > 1 {

@@ -701,11 +701,16 @@ fn checksum_valid_but_unusable_encoder_config_fails_open() {
     let bytes = golden_v3();
     // The exact kind's encoder fields (the golden image is chunked), by
     // the labels of the encoder record's field list.
-    let patches: [(&str, u64, &str); 4] = [
+    // The last row is the abort the re-sealing sweep found: billions of
+    // bins pass every per-record rule, and the first `sharded_backend`
+    // then asked the allocator for the ID memory (terabytes here) —
+    // `MAX_ITEM_MEMORY_BYTES` refuses it at open, before any allocation.
+    let patches: [(&str, u64, &str); 5] = [
         ("encoder.q_levels", 0, "q_levels"),
         ("encoder.q_levels", 1, "q_levels"),
         ("level_style.num_chunks", 0, "num_chunks"),
         ("encoder.num_bins", 0, "num_bins"),
+        ("encoder.num_bins", 1 << 32, "MAX_ITEM_MEMORY_BYTES"),
     ];
     for (label, value, needle) in patches {
         let mut patched = bytes.clone();

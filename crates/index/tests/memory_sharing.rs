@@ -20,6 +20,17 @@
 //!    fall back to, and `to_bytes()` reproduces the v3 file byte for
 //!    byte.
 //!
+//! The golden images are what keeps the codec honest: every persisted
+//! record is one `record!` field list in `src/format.rs` (its encoder,
+//! its validating decoder and its docs/FORMAT.md row all come from it —
+//! the unit test `every_record_row_is_in_the_document` holds the
+//! document to the lists), every section sits in the one
+//! `format::Frame`, and v1 and v2+ shard payloads go through the one
+//! `format::decode_shard`; a round trip is symmetric in writer and
+//! reader and would not see a field list drift, these files do. A
+//! failure here means something started materialising references
+//! again, or the on-disk layout drifted.
+//!
 //! The allocator counter is process-global, so every test that measures
 //! it (or allocates heavily while another measures) serialises on one
 //! mutex.

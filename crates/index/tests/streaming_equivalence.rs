@@ -13,6 +13,10 @@
 //!   governed by the spill threshold), while the in-memory build's peak
 //!   exceeds it. The allocator is process-global, so every test in the
 //!   file serialises on a mutex like `memory_sharing.rs` does.
+//!
+//! CI's "Streaming-build scale smoke" (`scale_bench --smoke --verify`)
+//! is the other half of the streaming-build gate: the same byte-compare
+//! and bounded-heap assertion at 2×10⁴ and 10⁵ references.
 
 use hdoms_baselines::hyperoms::HyperOmsConfig;
 use hdoms_core::accelerator::AcceleratorConfig;

@@ -143,14 +143,6 @@ impl Peptide {
         }
     }
 
-    /// Return an unmodified copy of this peptide.
-    pub fn without_modification(&self) -> Peptide {
-        Peptide {
-            residues: self.residues.clone(),
-            modification: None,
-        }
-    }
-
     /// Monoisotopic neutral mass (residue masses + one water + any
     /// modification delta).
     ///

@@ -146,11 +146,6 @@ impl Histogram {
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Record an elapsed [`std::time::Duration`].
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record_ms(d.as_secs_f64() * 1e3);
-    }
-
     /// A consistent point-in-time copy of the bucket counts and sum.
     pub fn snapshot(&self) -> HistogramSnapshot {
         // Sum before buckets (the reverse of the record order), so the
@@ -392,6 +387,63 @@ impl Registry {
         out
     }
 }
+
+/// One declaration per series: a component lists its series **once** —
+/// handle field, kind ([`Counter`] | [`Gauge`] | [`Histogram`]), exported
+/// name, help text — and from that table come the struct of `Arc`
+/// handles, `register` (every series registered against, or looked up
+/// in, one [`Registry`]) and `Default` (the same handles in no registry
+/// at all: a component records unconditionally and is pointed at a
+/// shared registry when someone wants to look). The
+/// catalog in `docs/OBSERVABILITY.md` is held to what these tables
+/// register by `crates/serve/tests/metrics_storm.rs`.
+///
+/// ```
+/// hdoms_obs::metrics::series! {
+///     /// What a cache counts.
+///     struct CacheSeries {
+///         hits: Counter = "cache_hits_total", "Lookups answered from the cache";
+///         bytes: Gauge = "cache_bytes", "Bytes cached right now";
+///     }
+/// }
+/// let registry = hdoms_obs::metrics::Registry::new();
+/// let series = CacheSeries::register(&registry);
+/// series.hits.inc();
+/// series.bytes.set(64);
+/// assert!(registry.render_prometheus().contains("cache_hits_total 1"));
+/// CacheSeries::default().hits.inc(); // unregistered: recorded, never exported
+/// ```
+#[macro_export]
+macro_rules! series {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $field:ident: $kind:ident = $series:literal, $help:literal; )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Default)]
+        $vis struct $name {
+            $(
+                #[doc = concat!("`", $series, "`: ", $help, ".")]
+                $vis $field: ::std::sync::Arc<$crate::metrics::$kind>,
+            )+
+        }
+        impl $name {
+            /// Register (or look up, by name) every series of the table
+            /// in `registry`.
+            $vis fn register(registry: &$crate::metrics::Registry) -> $name {
+                $name {
+                    $( $field: $crate::series!(@$kind registry, $series, $help), )+
+                }
+            }
+        }
+    };
+    (@Counter $registry:ident, $series:literal, $help:literal) => { $registry.counter($series, $help) };
+    (@Gauge $registry:ident, $series:literal, $help:literal) => { $registry.gauge($series, $help) };
+    (@Histogram $registry:ident, $series:literal, $help:literal) => { $registry.histogram($series, $help) };
+}
+pub use series;
 
 /// A point-in-time copy of a whole [`Registry`], each kind sorted by
 /// name.

@@ -13,7 +13,7 @@
 
 use crate::candidates::CandidateIndex;
 use crate::fdr::filter_fdr;
-use crate::pipeline::{OmsPipeline, PipelineOutcome};
+use crate::pipeline::{assemble_psms, OmsPipeline, PipelineOutcome};
 use crate::psm::Psm;
 use crate::search::{candidate_lists, SimilarityBackend};
 use crate::window::PrecursorWindow;
@@ -103,7 +103,7 @@ pub fn run_cascade<B: SimilarityBackend + ?Sized>(
     let std_cands = candidate_lists(&index, &config.standard_window, &queries);
     let standard_pairs: u64 = std_cands.iter().map(|c| c.len() as u64).sum();
     let hits = backend.search_batch(&queries, &std_cands);
-    let psms = build_psms(workload, &queries, &hits);
+    let psms = assemble_psms(&queries, &hits, &workload.library);
     let standard_accepted = filter_fdr(&psms, config.fdr_level).accepted;
     let identified: std::collections::HashSet<u32> =
         standard_accepted.iter().map(|p| p.query_id).collect();
@@ -117,7 +117,7 @@ pub fn run_cascade<B: SimilarityBackend + ?Sized>(
     let open_cands = candidate_lists(&index, &config.open_window, &remaining);
     let open_pairs: u64 = open_cands.iter().map(|c| c.len() as u64).sum();
     let hits = backend.search_batch(&remaining, &open_cands);
-    let psms = build_psms(workload, &remaining, &hits);
+    let psms = assemble_psms(&remaining, &hits, &workload.library);
     let open_accepted = filter_fdr(&psms, config.fdr_level).accepted;
 
     CascadeOutcome {
@@ -127,32 +127,6 @@ pub fn run_cascade<B: SimilarityBackend + ?Sized>(
         standard_pairs,
         open_pairs,
     }
-}
-
-fn build_psms(
-    workload: &SyntheticWorkload,
-    queries: &[hdoms_ms::preprocess::BinnedSpectrum],
-    hits: &[Option<crate::search::SearchHit>],
-) -> Vec<Psm> {
-    queries
-        .iter()
-        .zip(hits)
-        .filter_map(|(binned, hit)| {
-            hit.map(|h| {
-                let entry = workload
-                    .library
-                    .get(h.reference)
-                    .expect("backend returned a valid library id");
-                Psm {
-                    query_id: binned.id,
-                    reference_id: h.reference,
-                    score: h.score,
-                    is_decoy: entry.is_decoy,
-                    precursor_delta: binned.neutral_mass - entry.spectrum.neutral_mass(),
-                }
-            })
-        })
-        .collect()
 }
 
 /// Compare a cascade against the single-pass pipeline outcome: the pairs

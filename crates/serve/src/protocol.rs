@@ -23,9 +23,13 @@
 //! ```
 
 use crate::json::Json;
-use crate::scheduler::{Tier, TierStats};
-use hdoms_engine::ShardTiming;
+use crate::scheduler::{SchedulerStats, Tier, TierStats};
+use crate::server::{Admission, ServerSeries};
+use hdoms_engine::{BatchReceipt, EngineSeries, ShardTiming};
+use hdoms_index::LibraryIndex;
 use hdoms_ms::spectrum::{Peak, Spectrum, SpectrumOrigin};
+use hdoms_obs::metrics::HistogramSnapshot;
+use hdoms_oms::pipeline::PipelineOutcome;
 use hdoms_oms::psm::{Psm, PsmTableRow};
 use hdoms_oms::window::PrecursorWindow;
 use hdoms_prefilter::PrefilterConfig;
@@ -226,8 +230,30 @@ fn field<T: Wire>(v: &Json, key: &str) -> Result<T, String> {
 /// a named decoder for that one field. The third form is for a wire
 /// object that is flat where the struct is not: each field names the
 /// place it is read from, and the trailing expression rebuilds the
-/// struct from the decoded fields.
+/// struct from the decoded fields. The `from (sources)` form is the
+/// first plus the object's one constructor: each field line ends in the
+/// expression over the sources that fills it, so a number the server
+/// reports is added in one line — field, wire name and where it comes
+/// from.
 macro_rules! wire_object {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident from ( $( $arg:ident: $argty:ty ),* $(,)? ) {
+            $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty $(as $decode:path)? = $source:expr ),* $(,)?
+        }
+    ) => {
+        wire_object! {
+            $(#[$meta])*
+            pub struct $name { $( $(#[$fmeta])* pub $field: $ty $(as $decode)? ),* }
+        }
+        impl $name {
+            /// The one place this object is filled in: every field from
+            /// the source its table line names.
+            pub(crate) fn new($( $arg: $argty ),*) -> $name {
+                $name { $( $field: $source ),* }
+            }
+        }
+    };
     (
         $(#[$meta:meta])*
         pub struct $name:ident {
@@ -699,76 +725,80 @@ impl Request {
 wire_object! {
     /// A one-line summary of a resident index (the `indexes` response).
     #[derive(Debug, Clone, PartialEq)]
-    pub struct IndexSummary {
+    pub struct IndexSummary from (name: &str, index: &LibraryIndex) {
         /// Name the index was registered under.
-        pub name: String,
+        pub name: String = name.to_owned(),
         /// Backend kind ("exact" | "hyperoms" | "rram").
-        pub backend: String,
+        pub backend: String = index.kind().name().to_owned(),
         /// Hypervector dimension.
-        pub dim: usize,
+        pub dim: usize = index.dim(),
         /// Number of indexed references.
-        pub entries: usize,
+        pub entries: usize = index.entry_count(),
         /// Number of precursor-mass shards.
-        pub shards: usize,
+        pub shards: usize = index.shards().len(),
     }
 }
 
 wire_object! {
     /// Per-batch serving statistics, reported with every `result` response.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct BatchStats {
+    pub struct BatchStats from (
+        outcome: &PipelineOutcome,
+        receipt: &BatchReceipt,
+        admission: Admission,
+    ) {
         /// Wall-clock time spent answering the batch, milliseconds.
-        pub latency_ms: f64,
+        pub latency_ms: f64 = admission.latency_ms,
         /// Time the batch waited in the scheduler queue before its worker
         /// budget was granted, milliseconds (for a session finalize: the
         /// accumulated wait of every submitted batch).
-        pub wait_ms: f64,
+        pub wait_ms: f64 = admission.wait_ms,
         /// Batches already waiting in the queue when this one was
         /// submitted (0 for a finalize, which does not queue).
-        pub queued: usize,
+        pub queued: usize = admission.queued,
         /// Worker budget the scheduler granted the batch (0 for a finalize,
         /// which runs unscheduled).
-        pub workers: usize,
+        pub workers: usize = admission.workers,
         /// Queries in the batch.
-        pub queries: usize,
+        pub queries: usize = outcome.total_queries,
         /// Queries dropped by preprocessing (too few peaks).
-        pub rejected_queries: usize,
+        pub rejected_queries: usize = outcome.rejected_queries,
         /// Best-hit PSMs produced.
-        pub psms: usize,
+        pub psms: usize = outcome.psms.len(),
         /// PSMs accepted at the requested FDR.
-        pub identifications: usize,
+        pub identifications: usize = outcome.identifications(),
         /// Score of the weakest accepted PSM (`null` on the wire when no PSM
         /// was accepted).
-        pub threshold_score: f64 as null_is_infinity,
+        pub threshold_score: f64 as null_is_infinity = outcome.threshold_score,
         /// Total shard visits across the batch: the sum over queries of the
         /// shard runs each query's candidate list spans.
-        pub shards_touched: usize,
+        pub shards_touched: usize = receipt.shards_touched,
         /// Total candidate references scored across the batch.
-        pub candidates_scored: usize,
+        pub candidates_scored: usize = receipt.candidates_scored,
         /// Precursor-window candidates generated across the batch, before
         /// any prefilter narrowing (equals `candidates_scored` when the
         /// prefilter is off).
-        pub candidates_pre: usize,
+        pub candidates_pre: usize = receipt.candidates_pre,
         /// Candidates forwarded to the exact scan after prefilter narrowing
         /// (always equals `candidates_scored`).
-        pub candidates_post: usize,
+        pub candidates_post: usize = receipt.candidates_post,
         /// Time spent scoring sketches and narrowing candidate lists,
         /// milliseconds (0 when the prefilter is off).
-        pub sketch_ms: f64,
+        pub sketch_ms: f64 = receipt.sketch_ms,
         /// Time spent encoding query spectra into hypervectors,
         /// milliseconds (for a session finalize: accumulated across every
         /// submitted batch; likewise for the other stage timings).
-        pub encode_ms: f64,
+        pub encode_ms: f64 = receipt.stages.encode_ms,
         /// Time spent building precursor-window candidate lists,
         /// milliseconds.
-        pub candidates_ms: f64,
+        pub candidates_ms: f64 = receipt.stages.candidates_ms,
         /// Time spent scoring candidates against the index shards,
         /// milliseconds.
-        pub score_ms: f64,
+        pub score_ms: f64 = receipt.stages.score_ms,
         /// Time spent in FDR finalization, milliseconds.
-        pub finalize_ms: f64,
+        pub finalize_ms: f64 = receipt.stages.finalize_ms,
         /// Name of the backend that served the batch.
-        pub backend: String,
+        pub backend: String = outcome.backend_name.clone(),
     }
 }
 
@@ -789,51 +819,51 @@ wire_object! {
     /// Per-submit accounting, reported by the `receipt` response: what the
     /// batch itself cost plus the session's running PSM total.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct SubmitReceipt {
+    pub struct SubmitReceipt from (session: u64, receipt: BatchReceipt, admission: Admission) {
         /// Session the batch was submitted to.
-        pub session: u64,
+        pub session: u64 = session,
         /// 1-based ordinal of the batch within the session.
-        pub batch: usize,
+        pub batch: usize = receipt.batch,
         /// Queries in the batch.
-        pub queries: usize,
+        pub queries: usize = receipt.queries,
         /// Queries dropped by preprocessing (too few peaks).
-        pub rejected_queries: usize,
+        pub rejected_queries: usize = receipt.rejected_queries,
         /// Best-hit PSMs the batch produced (unfiltered — FDR runs at
         /// finalize).
-        pub psms: usize,
+        pub psms: usize = receipt.psms,
         /// Raw PSMs accumulated across the session so far.
-        pub total_psms: usize,
+        pub total_psms: usize = receipt.total_psms,
         /// Candidate references scored in the batch.
-        pub candidates_scored: usize,
+        pub candidates_scored: usize = receipt.candidates_scored,
         /// Precursor-window candidates the batch generated, before any
         /// prefilter narrowing.
-        pub candidates_pre: usize,
+        pub candidates_pre: usize = receipt.candidates_pre,
         /// Candidates forwarded to the exact scan after prefilter narrowing
         /// (always equals `candidates_scored`).
-        pub candidates_post: usize,
+        pub candidates_post: usize = receipt.candidates_post,
         /// Time the batch spent in the sketch prefilter, milliseconds.
-        pub sketch_ms: f64,
+        pub sketch_ms: f64 = receipt.sketch_ms,
         /// Shard visits the batch cost.
-        pub shards_touched: usize,
+        pub shards_touched: usize = receipt.shards_touched,
         /// Worker budget the scheduler granted the batch.
-        pub workers: usize,
+        pub workers: usize = admission.workers,
         /// Wall-clock time spent searching the batch, milliseconds.
-        pub latency_ms: f64,
+        pub latency_ms: f64 = admission.latency_ms,
         /// Time the batch waited in the scheduler queue, milliseconds.
-        pub wait_ms: f64,
+        pub wait_ms: f64 = admission.wait_ms,
         /// Time spent encoding query spectra into hypervectors,
         /// milliseconds.
-        pub encode_ms: f64,
+        pub encode_ms: f64 = receipt.stages.encode_ms,
         /// Time spent building precursor-window candidate lists,
         /// milliseconds.
-        pub candidates_ms: f64,
+        pub candidates_ms: f64 = receipt.stages.candidates_ms,
         /// Time spent scoring candidates against the index shards,
         /// milliseconds (there is no finalize stage at submit time — FDR
         /// runs once, at `session.finalize`).
-        pub score_ms: f64,
+        pub score_ms: f64 = receipt.stages.score_ms,
         /// Per-shard scoring cost of the batch: which shards were visited,
         /// how often, and the wall-clock scoring time each absorbed.
-        pub shard_timings: Vec<ShardTiming>,
+        pub shard_timings: Vec<ShardTiming> = receipt.shard_timings,
     }
 }
 
@@ -842,81 +872,89 @@ wire_object! {
     /// `server.stats` verb: configuration, the queue right now, and
     /// lifetime totals since the server started.
     #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct ServerStats {
+    pub struct ServerStats from (
+        scheduler: &SchedulerStats,
+        series: &ServerSeries,
+        pipeline: &EngineSeries,
+        coalesce_window_ms: u64,
+        memory_budget: u64,
+        open_sessions: usize,
+        resident_indexes: usize,
+    ) {
         /// Configured worker-token budget (`hdoms serve --workers`).
-        pub workers: usize,
+        pub workers: usize = scheduler.workers,
         /// Configured queue bound (`--queue-depth`).
-        pub queue_depth: usize,
+        pub queue_depth: usize = scheduler.queue_depth,
         /// Configured soft queue deadline in milliseconds (`--deadline-ms`,
         /// 0 = none).
-        pub deadline_ms: u64,
+        pub deadline_ms: u64 = scheduler.deadline_ms,
         /// Configured interactive grants per batch grant under contention
         /// (`--interactive-weight`).
-        pub interactive_weight: usize,
+        pub interactive_weight: usize = scheduler.interactive_weight,
         /// Configured interactive queue bound (`--interactive-queue-depth`).
-        pub interactive_queue_depth: usize,
+        pub interactive_queue_depth: usize = scheduler.interactive_queue_depth,
         /// Configured interactive coalescing window in milliseconds
         /// (`--coalesce-window-ms`, 0 = coalescing off).
-        pub coalesce_window_ms: u64,
+        pub coalesce_window_ms: u64 = coalesce_window_ms,
         /// Configured resident-shard memory budget in bytes
         /// (`--memory-budget`, 0 = unlimited).
-        pub memory_budget: u64,
+        pub memory_budget: u64 = memory_budget,
         /// Batches waiting in the queue right now.
-        pub queued: usize,
+        pub queued: usize = scheduler.queued,
         /// Batches executing right now.
-        pub in_flight: usize,
+        pub in_flight: usize = scheduler.in_flight,
         /// Worker tokens granted right now (≤ `workers`).
-        pub workers_busy: usize,
+        pub workers_busy: usize = scheduler.workers_busy,
         /// Most tokens ever granted at once (≤ `workers` always — the
         /// bounded-in-flight invariant).
-        pub peak_workers_busy: usize,
+        pub peak_workers_busy: usize = scheduler.peak_workers_busy,
         /// Batches granted a budget so far.
-        pub admitted: u64,
+        pub admitted: u64 = scheduler.admitted,
         /// Admitted batches that finished and returned their budget.
-        pub completed: u64,
+        pub completed: u64 = scheduler.completed,
         /// Submissions rejected with the `busy` error.
-        pub rejected_busy: u64,
+        pub rejected_busy: u64 = scheduler.rejected_busy,
         /// Batches shed with the `deadline` error.
-        pub shed_deadline: u64,
+        pub shed_deadline: u64 = scheduler.shed_deadline,
         /// Total queue wait across admitted **and** deadline-shed batches,
         /// milliseconds (shed batches waited too; excluding them would
         /// understate tail wait exactly when admission pressure builds).
-        pub total_wait_ms: f64,
+        pub total_wait_ms: f64 = scheduler.total_wait_ms,
         /// The interactive tier's slice of the scheduler counters (same
         /// lock acquisition as the aggregates, so sums are never torn).
-        pub interactive: TierStats,
+        pub interactive: TierStats = *scheduler.tier(Tier::Interactive),
         /// The batch tier's slice of the scheduler counters.
-        pub batch: TierStats,
+        pub batch: TierStats = *scheduler.tier(Tier::Batch),
         /// Engine batches executed by the coalescer so far (one per merged
         /// admission; a lone request inside the window still counts as a
         /// single-member batch, so shed work never inflates the ratio).
-        pub coalesced_batches: u64,
+        pub coalesced_batches: u64 = series.coalesced_batches.get(),
         /// Interactive requests answered out of coalesced batches so far
         /// (`coalesced_requests / coalesced_batches` is the merge ratio).
-        pub coalesced_requests: u64,
+        pub coalesced_requests: u64 = series.coalesced_requests.get(),
         /// Lifetime precursor-window candidates that entered the sketch
         /// prefilter (0 until a prefiltered batch runs — the
         /// `hdoms_prefilter_candidates_pre_total` counter).
-        pub prefilter_candidates_pre: u64,
+        pub prefilter_candidates_pre: u64 = pipeline.prefilter_candidates_pre.get(),
         /// Lifetime candidates the prefilter forwarded to the exact scan
         /// (the `hdoms_prefilter_candidates_post_total` counter).
-        pub prefilter_candidates_post: u64,
+        pub prefilter_candidates_post: u64 = pipeline.prefilter_candidates_post.get(),
         /// Lifetime wall-clock spent in the sketch prefilter, milliseconds
         /// (the `hdoms_prefilter_sketch_ms` histogram's sum).
-        pub prefilter_sketch_ms: f64,
+        pub prefilter_sketch_ms: f64 = pipeline.prefilter_sketch_ms.snapshot().sum_ms(),
         /// Bytes of shard hypervector words resident right now, across
         /// every mapped index (what `--memory-budget` bounds).
-        pub resident_bytes: u64,
+        pub resident_bytes: u64 = series.resident_bytes.get() as u64,
         /// Mapped shards resident right now.
-        pub resident_shards: usize,
+        pub resident_shards: usize = series.resident_shards.get() as usize,
         /// Cold shards evicted (pages released to the OS) so far.
-        pub evictions: u64,
+        pub evictions: u64 = series.shard_evictions.get(),
         /// Evicted shards reloaded on demand by a later search so far.
-        pub reloads: u64,
+        pub reloads: u64 = series.shard_reloads.get(),
         /// Open streaming sessions.
-        pub open_sessions: usize,
+        pub open_sessions: usize = open_sessions,
         /// Resident indexes.
-        pub resident_indexes: usize,
+        pub resident_indexes: usize = resident_indexes,
     }
 }
 
@@ -926,17 +964,17 @@ wire_object! {
     /// registry's log₂ histogram — conservative (never understated), with
     /// resolution of one bucket.
     #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct HistogramSummary {
+    pub struct HistogramSummary from (histogram: &HistogramSnapshot) {
         /// Samples recorded.
-        pub count: u64,
+        pub count: u64 = histogram.count(),
         /// Sum of all recorded samples, milliseconds.
-        pub sum_ms: f64,
+        pub sum_ms: f64 = histogram.sum_ms(),
         /// Median latency, milliseconds.
-        pub p50_ms: f64,
+        pub p50_ms: f64 = histogram.p50_ms(),
         /// 90th-percentile latency, milliseconds.
-        pub p90_ms: f64,
+        pub p90_ms: f64 = histogram.p90_ms(),
         /// 99th-percentile latency, milliseconds.
-        pub p99_ms: f64,
+        pub p99_ms: f64 = histogram.p99_ms(),
     }
 }
 

@@ -63,10 +63,10 @@
 //! assert_eq!(scheduler.stats().completed, 1);
 //! ```
 
-use hdoms_obs::metrics::{Counter, Gauge, Histogram, Registry};
+use hdoms_obs::metrics::Registry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default bound on waiting batches (matches the TCP front end's
@@ -293,43 +293,29 @@ impl SchedulerStats {
     }
 }
 
-/// Registry handles an instrumented scheduler records into (see
-/// [`Scheduler::with_metrics`]).
-struct SchedMetrics {
-    queue_wait_ms: Arc<Histogram>,
-    admitted: Arc<Counter>,
-    completed: Arc<Counter>,
-    rejected_busy: Arc<Counter>,
-    shed_deadline: Arc<Counter>,
-    workers_busy: Arc<Gauge>,
+hdoms_obs::metrics::series! {
+    /// The aggregate series the scheduler exports. The per-tier
+    /// [`TierStats`] under the state lock stay the store —
+    /// [`SchedulerStats`] promises a per-tier snapshot from one lock
+    /// acquisition — and every decision moves both in
+    /// [`Scheduler::count`], nowhere else.
+    struct SchedSeries {
+        queue_wait_ms: Histogram = "hdoms_queue_wait_ms", "Scheduler queue wait per batch, admitted and deadline-shed alike";
+        admitted: Counter = "hdoms_sched_admitted_total", "Batches granted a worker budget";
+        completed: Counter = "hdoms_sched_completed_total", "Admitted batches whose permit was returned";
+        rejected_busy: Counter = "hdoms_sched_rejected_busy_total", "Submissions rejected at admission with the busy error";
+        shed_deadline: Counter = "hdoms_sched_shed_deadline_total", "Batches shed after waiting past the soft deadline";
+        workers_busy: Gauge = "hdoms_workers_busy", "Worker tokens granted right now";
+    }
 }
 
-impl SchedMetrics {
-    fn register(registry: &Registry) -> SchedMetrics {
-        SchedMetrics {
-            queue_wait_ms: registry.histogram(
-                "hdoms_queue_wait_ms",
-                "Scheduler queue wait per batch, admitted and deadline-shed alike",
-            ),
-            admitted: registry.counter(
-                "hdoms_sched_admitted_total",
-                "Batches granted a worker budget",
-            ),
-            completed: registry.counter(
-                "hdoms_sched_completed_total",
-                "Admitted batches whose permit was returned",
-            ),
-            rejected_busy: registry.counter(
-                "hdoms_sched_rejected_busy_total",
-                "Submissions rejected at admission with the busy error",
-            ),
-            shed_deadline: registry.counter(
-                "hdoms_sched_shed_deadline_total",
-                "Batches shed after waiting past the soft deadline",
-            ),
-            workers_busy: registry.gauge("hdoms_workers_busy", "Worker tokens granted right now"),
-        }
-    }
+/// What became of one submission (queue wait in milliseconds where the
+/// batch queued at all).
+enum Decision {
+    Admitted(f64),
+    Shed(f64),
+    RejectedBusy,
+    Completed,
 }
 
 /// One tier's waiting queue: per-client FIFOs granted round-robin.
@@ -339,45 +325,29 @@ struct TierQueue {
     pending: HashMap<u64, VecDeque<u64>>,
     /// Round-robin order over clients with waiting tickets.
     clients: VecDeque<u64>,
-    /// Waiting (ungranted) tickets in this tier.
-    queued: usize,
-}
-
-/// One tier's lifetime counters.
-#[derive(Default, Clone, Copy)]
-struct TierCounters {
-    in_flight: usize,
-    admitted: u64,
-    completed: u64,
-    rejected_busy: u64,
-    shed_deadline: u64,
-    total_wait_ms: f64,
 }
 
 struct State {
-    /// Total worker tokens (the configured budget).
-    workers: usize,
-    /// Free worker tokens.
+    /// Free worker tokens (of the configured `workers`).
     available: usize,
     /// Ticket id → granted budget (`None` while waiting; granted
     /// tickets stay here until picked up by their submitter).
     tickets: HashMap<u64, Option<usize>>,
     /// Per-tier waiting queues (indexed by `Tier as usize`).
     queues: [TierQueue; TIER_COUNT],
-    /// Configured interactive grants per batch grant.
-    interactive_weight: usize,
     /// Interactive grants remaining before a batch grant is owed
     /// (consumed only while both tiers have waiters).
     interactive_credit: usize,
     peak_busy: usize,
     next_ticket: u64,
-    /// Per-tier lifetime counters (indexed by `Tier as usize`).
-    counters: [TierCounters; TIER_COUNT],
+    /// Per-tier queue lengths and lifetime counters (indexed by
+    /// `Tier as usize`) — the store [`Scheduler::stats`] copies out.
+    tiers: [TierStats; TIER_COUNT],
 }
 
 impl State {
     fn total_queued(&self) -> usize {
-        self.queues.iter().map(|q| q.queued).sum()
+        self.tiers.iter().map(|t| t.queued).sum()
     }
 }
 
@@ -389,12 +359,22 @@ pub struct Scheduler {
     config: SchedulerConfig,
     state: Mutex<State>,
     granted: Condvar,
-    metrics: Option<SchedMetrics>,
+    series: SchedSeries,
 }
 
 impl Scheduler {
-    /// A scheduler over `config.workers` worker tokens (at least one).
+    /// A scheduler over `config.workers` worker tokens (at least one),
+    /// recording into a registry of its own.
     pub fn new(config: SchedulerConfig) -> Scheduler {
+        Scheduler::with_metrics(config, &Registry::new())
+    }
+
+    /// A scheduler whose series are registered in `registry`: the
+    /// `hdoms_queue_wait_ms` histogram (admitted and shed batches
+    /// alike), the `hdoms_sched_*_total` counters, and the
+    /// `hdoms_workers_busy` gauge. The registry is the export path;
+    /// [`Scheduler::stats`] reads the per-tier store either way.
+    pub fn with_metrics(config: SchedulerConfig, registry: &Registry) -> Scheduler {
         let workers = config.workers.max(1);
         let interactive_weight = config.interactive_weight.max(1);
         Scheduler {
@@ -403,31 +383,43 @@ impl Scheduler {
                 interactive_weight,
                 ..config
             },
-            metrics: None,
+            series: SchedSeries::register(registry),
             state: Mutex::new(State {
-                workers,
                 available: workers,
                 tickets: HashMap::new(),
                 queues: Default::default(),
-                interactive_weight,
                 interactive_credit: interactive_weight,
                 peak_busy: 0,
                 next_ticket: 1,
-                counters: Default::default(),
+                tiers: Default::default(),
             }),
             granted: Condvar::new(),
         }
     }
 
-    /// A scheduler that additionally records every admission decision
-    /// into `registry`: the `hdoms_queue_wait_ms` histogram (admitted
-    /// and shed batches alike), the `hdoms_sched_*_total` counters, and
-    /// the `hdoms_workers_busy` gauge. The internal [`SchedulerStats`]
-    /// counters are kept regardless; the registry is the export path.
-    pub fn with_metrics(config: SchedulerConfig, registry: &Registry) -> Scheduler {
-        let mut scheduler = Scheduler::new(config);
-        scheduler.metrics = Some(SchedMetrics::register(registry));
-        scheduler
+    /// The one site a decision is counted: the tier's slice of the
+    /// store (which [`Scheduler::stats`] snapshots under the lock the
+    /// caller holds) and the aggregate series move together.
+    fn count(&self, state: &mut State, tier: Tier, decision: Decision) {
+        let stats = &mut state.tiers[tier as usize];
+        let (count, total, wait_ms) = match decision {
+            Decision::Admitted(ms) => (&mut stats.admitted, &self.series.admitted, Some(ms)),
+            Decision::Shed(ms) => (
+                &mut stats.shed_deadline,
+                &self.series.shed_deadline,
+                Some(ms),
+            ),
+            Decision::RejectedBusy => (&mut stats.rejected_busy, &self.series.rejected_busy, None),
+            Decision::Completed => (&mut stats.completed, &self.series.completed, None),
+        };
+        *count += 1;
+        total.inc();
+        if let Some(wait_ms) = wait_ms {
+            stats.total_wait_ms += wait_ms;
+            self.series.queue_wait_ms.record_ms(wait_ms);
+        }
+        let busy = self.config.workers - state.available;
+        self.series.workers_busy.set(busy as i64);
     }
 
     /// The configuration the scheduler runs with.
@@ -472,12 +464,9 @@ impl Scheduler {
         // (tokens free and nobody ahead of it anywhere).
         let immediate = state.total_queued() == 0 && state.available > 0;
         let depth = self.config.depth_for(tier);
-        if state.queues[tier as usize].queued >= depth && !immediate {
-            let queued = state.queues[tier as usize].queued;
-            state.counters[tier as usize].rejected_busy += 1;
-            if let Some(metrics) = &self.metrics {
-                metrics.rejected_busy.inc();
-            }
+        let queued = state.tiers[tier as usize].queued;
+        if queued >= depth && !immediate {
+            self.count(&mut state, tier, Decision::RejectedBusy);
             return Err(ScheduleError::Busy {
                 queued,
                 queue_depth: depth,
@@ -496,8 +485,8 @@ impl Scheduler {
         if fifo.len() == 1 {
             queue.clients.push_back(client);
         }
-        queue.queued += 1;
-        if Self::grant_ready(&mut state) {
+        state.tiers[tier as usize].queued += 1;
+        if self.grant_ready(&mut state) {
             // Another waiter may have been granted alongside us.
             self.granted.notify_all();
         }
@@ -510,15 +499,7 @@ impl Scheduler {
             {
                 state.tickets.remove(&ticket);
                 let wait_ms = enqueued.elapsed().as_secs_f64() * 1e3;
-                state.counters[tier as usize].admitted += 1;
-                state.counters[tier as usize].total_wait_ms += wait_ms;
-                if let Some(metrics) = &self.metrics {
-                    metrics.admitted.inc();
-                    metrics.queue_wait_ms.record_ms(wait_ms);
-                    metrics
-                        .workers_busy
-                        .set((state.workers - state.available) as i64);
-                }
+                self.count(&mut state, tier, Decision::Admitted(wait_ms));
                 return Ok(WorkPermit {
                     scheduler: self,
                     budget,
@@ -540,12 +521,7 @@ impl Scheduler {
                         // would be understated exactly when it matters.
                         let waited_ms = enqueued.elapsed().as_secs_f64() * 1e3;
                         Self::abandon(&mut state, ticket, client, tier);
-                        state.counters[tier as usize].shed_deadline += 1;
-                        state.counters[tier as usize].total_wait_ms += waited_ms;
-                        if let Some(metrics) = &self.metrics {
-                            metrics.shed_deadline.inc();
-                            metrics.queue_wait_ms.record_ms(waited_ms);
-                        }
+                        self.count(&mut state, tier, Decision::Shed(waited_ms));
                         return Err(ScheduleError::Deadline {
                             waited_ms: waited_ms as u64,
                             deadline_ms: self.config.deadline_ms,
@@ -565,9 +541,9 @@ impl Scheduler {
     /// one (no credit is consumed — there is no contention to
     /// arbitrate). Both waiting: interactive while credit remains, then
     /// one batch grant and the credit refills.
-    fn pick_tier(state: &mut State) -> Option<Tier> {
-        let interactive = state.queues[Tier::Interactive as usize].queued > 0;
-        let batch = state.queues[Tier::Batch as usize].queued > 0;
+    fn pick_tier(&self, state: &mut State) -> Option<Tier> {
+        let interactive = state.tiers[Tier::Interactive as usize].queued > 0;
+        let batch = state.tiers[Tier::Batch as usize].queued > 0;
         match (interactive, batch) {
             (false, false) => None,
             (true, false) => Some(Tier::Interactive),
@@ -577,7 +553,7 @@ impl Scheduler {
                     state.interactive_credit -= 1;
                     Some(Tier::Interactive)
                 } else {
-                    state.interactive_credit = state.interactive_weight;
+                    state.interactive_credit = self.config.interactive_weight;
                     Some(Tier::Batch)
                 }
             }
@@ -589,10 +565,10 @@ impl Scheduler {
     /// grant takes an even share of what is free (at least one token,
     /// everything when the queues are about to drain). Returns whether
     /// anything was granted (callers then wake the waiters).
-    fn grant_ready(state: &mut State) -> bool {
+    fn grant_ready(&self, state: &mut State) -> bool {
         let mut granted_any = false;
         while state.available > 0 {
-            let Some(tier) = Self::pick_tier(state) else {
+            let Some(tier) = self.pick_tier(state) else {
                 break;
             };
             let queue = &mut state.queues[tier as usize];
@@ -610,15 +586,15 @@ impl Scheduler {
             } else {
                 queue.clients.push_back(client);
             }
-            queue.queued -= 1;
+            state.tiers[tier as usize].queued -= 1;
             // Even share over everyone still waiting (plus this batch),
             // clamped to [1, available]: a lone batch takes everything,
             // a storm degrades to one token each.
             let share = state.available / (state.total_queued() + 1);
             let budget = share.clamp(1, state.available);
             state.available -= budget;
-            state.counters[tier as usize].in_flight += 1;
-            state.peak_busy = state.peak_busy.max(state.workers - state.available);
+            state.tiers[tier as usize].in_flight += 1;
+            state.peak_busy = state.peak_busy.max(self.config.workers - state.available);
             granted_any = true;
             *state
                 .tickets
@@ -639,21 +615,15 @@ impl Scheduler {
                 queue.clients.retain(|&c| c != client);
             }
         }
-        queue.queued -= 1;
+        state.tiers[tier as usize].queued -= 1;
     }
 
     fn release(&self, budget: usize, tier: Tier) {
         let mut state = self.state.lock().expect("scheduler state lock");
         state.available += budget;
-        state.counters[tier as usize].in_flight -= 1;
-        state.counters[tier as usize].completed += 1;
-        let _ = Self::grant_ready(&mut state);
-        if let Some(metrics) = &self.metrics {
-            metrics.completed.inc();
-            metrics
-                .workers_busy
-                .set((state.workers - state.available) as i64);
-        }
+        state.tiers[tier as usize].in_flight -= 1;
+        let _ = self.grant_ready(&mut state);
+        self.count(&mut state, tier, Decision::Completed);
         drop(state);
         self.granted.notify_all();
     }
@@ -663,20 +633,7 @@ impl Scheduler {
     /// can never observe tier counters torn against each other.
     pub fn stats(&self) -> SchedulerStats {
         let state = self.state.lock().expect("scheduler state lock");
-        let mut tiers = [TierStats::default(); TIER_COUNT];
-        for tier in Tier::ALL {
-            let i = tier as usize;
-            let c = &state.counters[i];
-            tiers[i] = TierStats {
-                queued: state.queues[i].queued,
-                in_flight: c.in_flight,
-                admitted: c.admitted,
-                completed: c.completed,
-                rejected_busy: c.rejected_busy,
-                shed_deadline: c.shed_deadline,
-                total_wait_ms: c.total_wait_ms,
-            };
-        }
+        let tiers = state.tiers;
         SchedulerStats {
             workers: self.config.workers,
             queue_depth: self.config.queue_depth,

@@ -6,11 +6,11 @@ use crate::protocol::{
     QueryResult, Request, Response, ServerStats, SubmitReceipt, PROTOCOL_VERSION,
 };
 use crate::scheduler::{ScheduleError, Scheduler, SchedulerConfig, Tier};
-use hdoms_engine::{BatchReceipt, Engine, Session, ShardTiming};
+use hdoms_engine::{BatchReceipt, Engine, EngineSeries, Session, ShardTiming};
 use hdoms_index::{IndexError, LibraryIndex};
 use hdoms_ms::spectrum::Spectrum;
-use hdoms_obs::log::Logger;
-use hdoms_obs::metrics::{Counter, Gauge, Histogram, Registry};
+use hdoms_obs::log::{Event, Logger};
+use hdoms_obs::metrics::Registry;
 use hdoms_oms::pipeline::PipelineOutcome;
 use hdoms_oms::psm::table_rows;
 use hdoms_prefilter::PrefilterConfig;
@@ -169,26 +169,18 @@ impl Drop for GroupCompletion<'_> {
 }
 
 /// Shard-residency accounting for mapped indexes: which shards'
-/// hypervector pages are resident, their LRU order, and the lifetime
-/// eviction/reload counters — all under one lock so `server.stats`
-/// reads a consistent snapshot. Owned indexes (no backing file to
-/// refault from) are never tracked.
-#[derive(Default)]
-struct Residency {
-    state: Mutex<ResidencyState>,
-}
-
+/// hypervector pages are resident and their LRU order. The totals —
+/// resident bytes and shards, lifetime evictions and reloads — live in
+/// the `hdoms_resident_*` / `hdoms_shard_*` series and nowhere else;
+/// they move only under this lock, so `server.stats` reads a consistent
+/// snapshot by holding it. Owned indexes (no backing file to refault
+/// from) are never tracked.
 #[derive(Default)]
 struct ResidencyState {
     /// Resident-byte ceiling; 0 means unlimited (no eviction).
     budget: u64,
     /// Logical LRU clock, bumped per shard touch.
     clock: u64,
-    /// Bytes of shard hypervector words resident across every tracked
-    /// index.
-    resident_bytes: u64,
-    evictions: u64,
-    reloads: u64,
     indexes: Vec<IndexResidency>,
 }
 
@@ -257,99 +249,42 @@ pub struct Server {
     threads: usize,
     scheduler: Scheduler,
     registry: Arc<Registry>,
-    metrics: ServerMetricsSet,
+    series: ServerSeries,
+    /// The engines' series on this server's registry — the handles
+    /// every resident engine records into, read by `server.stats`.
+    pipeline: EngineSeries,
     logger: Logger,
     prefilter: PrefilterConfig,
     /// Interactive queries arriving within this many milliseconds of
     /// each other merge into one engine batch; 0 disables coalescing.
     coalesce_window_ms: u64,
     coalescer: Coalescer,
-    residency: Residency,
+    residency: Mutex<ResidencyState>,
     indexes: RwLock<Vec<ResidentIndex>>,
     sessions: Mutex<HashMap<u64, SessionSlot>>,
     next_session: AtomicU64,
     next_client: AtomicU64,
 }
 
-/// The server-level series in the registry (engine, backend, and
-/// scheduler register their own alongside these).
-struct ServerMetricsSet {
-    batches: Arc<Counter>,
-    queries: Arc<Counter>,
-    psms: Arc<Counter>,
-    identifications: Arc<Counter>,
-    batch_latency_ms: Arc<Histogram>,
-    open_sessions: Arc<Gauge>,
-    resident_indexes: Arc<Gauge>,
-    /// Handles to the engine-recorded `hdoms_prefilter_*` series
-    /// (registration is idempotent by name, so these are the *same*
-    /// counters every resident engine records into — `server.stats`
-    /// reads them without a registry scan).
-    prefilter_candidates_pre: Arc<Counter>,
-    prefilter_candidates_post: Arc<Counter>,
-    prefilter_sketch_ms: Arc<Histogram>,
-    coalesced_batches: Arc<Counter>,
-    coalesced_requests: Arc<Counter>,
-    resident_bytes: Arc<Gauge>,
-    resident_shards: Arc<Gauge>,
-    shard_evictions: Arc<Counter>,
-    shard_reloads: Arc<Counter>,
-}
-
-impl ServerMetricsSet {
-    fn register(registry: &Registry) -> ServerMetricsSet {
-        ServerMetricsSet {
-            batches: registry.counter(
-                "hdoms_query_batches_total",
-                "Query batches served (one-shot queries and session submits)",
-            ),
-            queries: registry.counter("hdoms_queries_total", "Query spectra received"),
-            psms: registry.counter("hdoms_psms_total", "Best-hit PSMs produced"),
-            identifications: registry.counter(
-                "hdoms_identifications_total",
-                "PSMs accepted at the requested FDR",
-            ),
-            batch_latency_ms: registry.histogram(
-                "hdoms_batch_latency_ms",
-                "Wall-clock batch latency as served, excluding queue wait",
-            ),
-            open_sessions: registry.gauge("hdoms_open_sessions", "Open streaming sessions"),
-            resident_indexes: registry.gauge("hdoms_resident_indexes", "Resident indexes"),
-            prefilter_candidates_pre: registry.counter(
-                "hdoms_prefilter_candidates_pre_total",
-                "Precursor-window candidates entering the sketch prefilter",
-            ),
-            prefilter_candidates_post: registry.counter(
-                "hdoms_prefilter_candidates_post_total",
-                "Candidates surviving the sketch prefilter into the exact scan",
-            ),
-            prefilter_sketch_ms: registry.histogram(
-                "hdoms_prefilter_sketch_ms",
-                "Per-batch wall-clock of the sketch scoring + narrowing stage",
-            ),
-            coalesced_batches: registry.counter(
-                "hdoms_coalesced_batches_total",
-                "Merged engine batches executed by the interactive coalescer",
-            ),
-            coalesced_requests: registry.counter(
-                "hdoms_coalesced_requests_total",
-                "Interactive requests answered through coalesced batches",
-            ),
-            resident_bytes: registry.gauge(
-                "hdoms_resident_bytes",
-                "Mapped shard hypervector bytes currently resident",
-            ),
-            resident_shards: registry
-                .gauge("hdoms_resident_shards", "Mapped shards currently resident"),
-            shard_evictions: registry.counter(
-                "hdoms_shard_evictions_total",
-                "Cold shards whose pages were released under the memory budget",
-            ),
-            shard_reloads: registry.counter(
-                "hdoms_shard_reloads_total",
-                "Evicted shards faulted back in by a later search",
-            ),
-        }
+hdoms_obs::metrics::series! {
+    /// The server-level series in the registry (engine, backend, and
+    /// scheduler register their own alongside these). The residency
+    /// four are the store, not a mirror: they move only under the
+    /// residency lock.
+    pub(crate) struct ServerSeries {
+        batches: Counter = "hdoms_query_batches_total", "Query batches served (one-shot queries and session submits)";
+        queries: Counter = "hdoms_queries_total", "Query spectra received";
+        psms: Counter = "hdoms_psms_total", "Best-hit PSMs produced";
+        identifications: Counter = "hdoms_identifications_total", "PSMs accepted at the requested FDR";
+        batch_latency_ms: Histogram = "hdoms_batch_latency_ms", "Wall-clock batch latency as served, excluding queue wait";
+        open_sessions: Gauge = "hdoms_open_sessions", "Open streaming sessions";
+        resident_indexes: Gauge = "hdoms_resident_indexes", "Resident indexes";
+        coalesced_batches: Counter = "hdoms_coalesced_batches_total", "Merged engine batches executed by the interactive coalescer";
+        coalesced_requests: Counter = "hdoms_coalesced_requests_total", "Interactive requests answered through coalesced batches";
+        resident_bytes: Gauge = "hdoms_resident_bytes", "Mapped shard hypervector bytes currently resident";
+        resident_shards: Gauge = "hdoms_resident_shards", "Mapped shards currently resident";
+        shard_evictions: Counter = "hdoms_shard_evictions_total", "Cold shards whose pages were released under the memory budget";
+        shard_reloads: Counter = "hdoms_shard_reloads_total", "Evicted shards faulted back in by a later search";
     }
 }
 
@@ -376,17 +311,17 @@ impl Server {
     pub fn with_scheduler(threads: usize, config: SchedulerConfig) -> Server {
         let registry = Arc::new(Registry::new());
         let scheduler = Scheduler::with_metrics(config, &registry);
-        let metrics = ServerMetricsSet::register(&registry);
         Server {
             threads: threads.max(1),
             scheduler,
+            series: ServerSeries::register(&registry),
+            pipeline: EngineSeries::register(&registry),
             registry,
-            metrics,
             logger: Logger::disabled(),
             prefilter: PrefilterConfig::Off,
             coalesce_window_ms: 0,
             coalescer: Coalescer::default(),
-            residency: Residency::default(),
+            residency: Mutex::default(),
             indexes: RwLock::new(Vec::new()),
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
@@ -451,15 +386,14 @@ impl Server {
     /// Evicted shards refault from the backing file on their next
     /// search, so eviction never changes results, only latency.
     pub fn set_memory_budget(&mut self, bytes: u64) {
-        let mut state = self.residency.state.lock().expect("residency lock");
+        let mut state = self.residency.lock().expect("residency lock");
         state.budget = bytes;
         self.enforce_budget(&mut state);
-        self.publish_residency(&state);
     }
 
     /// The configured resident-memory budget in bytes (0 = unlimited).
     pub fn memory_budget(&self) -> u64 {
-        self.residency.state.lock().expect("residency lock").budget
+        self.residency.lock().expect("residency lock").budget
     }
 
     /// The batch scheduler (admission control, fair queue, worker
@@ -483,48 +417,21 @@ impl Server {
     /// residency, plus the size of the resident set and the
     /// open-session count.
     pub fn stats(&self) -> ServerStats {
-        let s = self.scheduler.stats();
-        let (resident_bytes, resident_shards, evictions, reloads, memory_budget) = {
-            let state = self.residency.state.lock().expect("residency lock");
-            (
-                state.resident_bytes,
-                resident_shard_count(&state),
-                state.evictions,
-                state.reloads,
-                state.budget,
-            )
-        };
-        ServerStats {
-            workers: s.workers,
-            queue_depth: s.queue_depth,
-            deadline_ms: s.deadline_ms,
-            interactive_weight: s.interactive_weight,
-            interactive_queue_depth: s.interactive_queue_depth,
-            coalesce_window_ms: self.coalesce_window_ms,
-            memory_budget,
-            queued: s.queued,
-            in_flight: s.in_flight,
-            workers_busy: s.workers_busy,
-            peak_workers_busy: s.peak_workers_busy,
-            admitted: s.admitted,
-            completed: s.completed,
-            rejected_busy: s.rejected_busy,
-            shed_deadline: s.shed_deadline,
-            total_wait_ms: s.total_wait_ms,
-            interactive: *s.tier(Tier::Interactive),
-            batch: *s.tier(Tier::Batch),
-            coalesced_batches: self.metrics.coalesced_batches.get(),
-            coalesced_requests: self.metrics.coalesced_requests.get(),
-            prefilter_candidates_pre: self.metrics.prefilter_candidates_pre.get(),
-            prefilter_candidates_post: self.metrics.prefilter_candidates_post.get(),
-            prefilter_sketch_ms: self.metrics.prefilter_sketch_ms.snapshot().sum_ms(),
-            resident_bytes,
-            resident_shards,
-            evictions,
-            reloads,
-            open_sessions: self.open_sessions(),
-            resident_indexes: self.indexes.read().expect("index set lock").len(),
-        }
+        let scheduler = self.scheduler.stats();
+        let open_sessions = self.open_sessions();
+        let resident_indexes = self.indexes.read().expect("index set lock").len();
+        // The residency series move only under this lock: held, they
+        // read as one snapshot (taken last — resident set → residency).
+        let residency = self.residency.lock().expect("residency lock");
+        ServerStats::new(
+            &scheduler,
+            &self.series,
+            &self.pipeline,
+            self.coalesce_window_ms,
+            residency.budget,
+            open_sessions,
+            resident_indexes,
+        )
     }
 
     /// The `server.metrics` report: every registered counter, gauge, and
@@ -538,18 +445,7 @@ impl Server {
             histograms: snapshot
                 .histograms
                 .into_iter()
-                .map(|(name, h)| {
-                    (
-                        name,
-                        HistogramSummary {
-                            count: h.count(),
-                            sum_ms: h.sum_ms(),
-                            p50_ms: h.p50_ms(),
-                            p90_ms: h.p90_ms(),
-                            p99_ms: h.p99_ms(),
-                        },
-                    )
-                })
+                .map(|(name, histogram)| (name, HistogramSummary::new(&histogram)))
                 .collect(),
         }
     }
@@ -592,7 +488,7 @@ impl Server {
             name: name.to_owned(),
             engine,
         });
-        self.metrics.resident_indexes.set(indexes.len() as i64);
+        self.publish_sizes(None, Some(indexes.len()));
         Ok(summary)
     }
 
@@ -654,7 +550,7 @@ impl Server {
             .position(|r| r.name == name)
             .ok_or_else(|| format!("unknown index {name:?}"))?;
         let resident = indexes.remove(position);
-        self.metrics.resident_indexes.set(indexes.len() as i64);
+        self.publish_sizes(None, Some(indexes.len()));
         self.residency_unregister(&resident.engine);
         drop(indexes);
         self.logger.info("index.unload").str("name", name).emit();
@@ -684,6 +580,18 @@ impl Server {
     /// Open sessions (for monitoring and tests).
     pub fn open_sessions(&self) -> usize {
         self.sessions.lock().expect("session map lock").len()
+    }
+
+    /// The one place the session map's and the resident set's sizes
+    /// reach their gauges: whoever grew or shrank one of them calls
+    /// this with that collection's lock still held.
+    fn publish_sizes(&self, sessions: Option<usize>, indexes: Option<usize>) {
+        if let Some(open) = sessions {
+            self.series.open_sessions.set(open as i64);
+        }
+        if let Some(resident) = indexes {
+            self.series.resident_indexes.set(resident as i64);
+        }
     }
 
     /// Answer one protocol request on behalf of [`LOCAL_CLIENT`].
@@ -857,8 +765,8 @@ impl Server {
         let completion = GroupCompletion { group: &group };
         let outcome = self.execute(client, request, engine, &members);
         if outcome.is_ok() {
-            self.metrics.coalesced_batches.inc();
-            self.metrics.coalesced_requests.add(members.len() as u64);
+            self.series.coalesced_batches.inc();
+            self.series.coalesced_requests.add(members.len() as u64);
         }
         let mine = {
             let mut state = group.state.lock().expect("coalesce group lock");
@@ -917,29 +825,16 @@ impl Server {
 
         let mut results = Vec::with_capacity(outcomes.len());
         for (outcome, receipt) in outcomes {
-            self.residency_touch(engine, &receipt.shard_timings);
-            // Per-member server metrics: each member is one logical
-            // batch, keeping counters comparable with and without
-            // coalescing.
-            self.metrics.batches.inc();
-            self.metrics.queries.add(outcome.total_queries as u64);
-            self.metrics.psms.add(outcome.psms.len() as u64);
-            self.metrics
-                .identifications
-                .add(outcome.identifications() as u64);
-            self.metrics
-                .batch_latency_ms
-                .record_ms(admission.latency_ms);
-            self.logger
+            // Each member is one logical batch, keeping counters
+            // comparable with and without coalescing.
+            let event = self
+                .logger
                 .debug("query.batch")
                 .str("index", &request.index)
                 .u64("client", client)
-                .u64("members", members.len() as u64)
-                .u64("queries", outcome.total_queries as u64)
-                .u64("identifications", outcome.identifications() as u64)
-                .f64("latency_ms", admission.latency_ms)
-                .f64("wait_ms", admission.wait_ms)
-                .emit();
+                .u64("members", members.len() as u64);
+            let identifications = Some(outcome.identifications());
+            self.record(event, Some(engine), &receipt, identifications, admission);
             results.push(query_result(
                 request.index.clone(),
                 engine,
@@ -1006,7 +901,7 @@ impl Server {
                 wait_ms: 0.0,
             })),
         );
-        self.metrics.open_sessions.set(sessions.len() as i64);
+        self.publish_sizes(Some(sessions.len()), None);
         self.logger
             .debug("session.open")
             .u64("session", id)
@@ -1057,43 +952,25 @@ impl Server {
         let receipt = lease
             .session()
             .submit_with_workers(&spectra, permit.workers());
-        let (wait_ms, workers) = (permit.wait_ms(), permit.workers());
+        // A submit has no second clock: as served, its latency is the
+        // receipt's own stage sum.
+        let admission = Admission {
+            latency_ms: receipt.latency_ms,
+            wait_ms: permit.wait_ms(),
+            queued: permit.queued_behind(),
+            workers: permit.workers(),
+        };
         drop(permit);
-        lease.add_wait(wait_ms);
-        self.residency_touch(lease.session().engine(), &receipt.shard_timings);
-        self.metrics.batches.inc();
-        self.metrics.queries.add(receipt.queries as u64);
-        self.metrics.psms.add(receipt.psms as u64);
-        self.metrics.batch_latency_ms.record_ms(receipt.latency_ms);
-        self.logger
+        lease.add_wait(admission.wait_ms);
+        let event = self
+            .logger
             .debug("session.submit")
             .u64("session", id)
             .u64("client", client)
-            .u64("batch", receipt.batch as u64)
-            .u64("queries", receipt.queries as u64)
-            .f64("latency_ms", receipt.latency_ms)
-            .f64("wait_ms", wait_ms)
-            .emit();
-        Ok(SubmitReceipt {
-            session: id,
-            batch: receipt.batch,
-            queries: receipt.queries,
-            rejected_queries: receipt.rejected_queries,
-            psms: receipt.psms,
-            total_psms: receipt.total_psms,
-            candidates_scored: receipt.candidates_scored,
-            candidates_pre: receipt.candidates_pre,
-            candidates_post: receipt.candidates_post,
-            sketch_ms: receipt.sketch_ms,
-            shards_touched: receipt.shards_touched,
-            workers,
-            latency_ms: receipt.latency_ms,
-            wait_ms,
-            encode_ms: receipt.stages.encode_ms,
-            candidates_ms: receipt.stages.candidates_ms,
-            score_ms: receipt.stages.score_ms,
-            shard_timings: receipt.shard_timings,
-        })
+            .u64("batch", receipt.batch as u64);
+        let engine = lease.session().engine();
+        self.record(event, Some(engine), &receipt, None, admission);
+        Ok(SubmitReceipt::new(id, receipt, admission))
     }
 
     /// Filter FDR once over everything the session accumulated, return
@@ -1113,17 +990,6 @@ impl Server {
         let submitted_ms = receipt.latency_ms - receipt.stages.finalize_ms;
         let latency_ms = submitted_ms + start.elapsed().as_secs_f64() * 1e3;
 
-        self.metrics
-            .identifications
-            .add(outcome.identifications() as u64);
-        self.logger
-            .debug("session.finalize")
-            .u64("session", id)
-            .u64("queries", outcome.total_queries as u64)
-            .u64("identifications", outcome.identifications() as u64)
-            .f64("latency_ms", latency_ms)
-            .emit();
-
         // The finalize itself runs unscheduled (the FDR filter is
         // cheap); wait_ms reports what the session's submits spent
         // queued, workers 0 marks the unscheduled batch.
@@ -1133,9 +999,45 @@ impl Server {
             queued: 0,
             workers: 0,
         };
+        let event = self.logger.debug("session.finalize").u64("session", id);
+        let identifications = Some(outcome.identifications());
+        self.record(event, None, &receipt, identifications, admission);
         Ok(query_result(
             open.index, &engine, &outcome, &receipt, admission,
         ))
+    }
+
+    /// The one place a served verb reaches the server's series and the
+    /// debug log, so the two cannot disagree. `event` arrives carrying
+    /// the verb's own identifying fields and leaves with the counts;
+    /// `ran` is the engine when the verb ran a scheduled batch (`query`,
+    /// `session.submit`) — which then counts as one, touches the shards
+    /// it visited and logs its queue wait — and `None` for a finalize,
+    /// whose `receipt` is the session's totals, counted batch by batch
+    /// already.
+    fn record(
+        &self,
+        event: Event<'_>,
+        ran: Option<&Arc<Engine>>,
+        receipt: &BatchReceipt,
+        identifications: Option<usize>,
+        admission: Admission,
+    ) {
+        let mut event = event.u64("queries", receipt.queries as u64);
+        if let Some(accepted) = identifications {
+            self.series.identifications.add(accepted as u64);
+            event = event.u64("identifications", accepted as u64);
+        }
+        event = event.f64("latency_ms", admission.latency_ms);
+        if let Some(engine) = ran {
+            self.residency_touch(engine, &receipt.shard_timings);
+            self.series.batches.inc();
+            self.series.queries.add(receipt.queries as u64);
+            self.series.psms.add(receipt.psms as u64);
+            self.series.batch_latency_ms.record_ms(admission.latency_ms);
+            event = event.f64("wait_ms", admission.wait_ms);
+        }
+        event.emit();
     }
 
     /// Discard an open session without producing a result (the
@@ -1183,8 +1085,7 @@ impl Server {
             return;
         }
         let bytes = index.shard_word_bytes();
-        let total: u64 = bytes.iter().sum();
-        let mut state = self.residency.state.lock().expect("residency lock");
+        let mut state = self.residency.lock().expect("residency lock");
         let clock = state.clock;
         state.clock += bytes.len() as u64;
         let shards = bytes
@@ -1199,34 +1100,32 @@ impl Server {
                 resident: true,
             })
             .collect();
-        state.resident_bytes += total;
+        self.series
+            .resident_bytes
+            .add(bytes.iter().sum::<u64>() as i64);
+        self.series.resident_shards.add(bytes.len() as i64);
         state.indexes.push(IndexResidency {
             engine: Arc::clone(engine),
             shards,
         });
         self.enforce_budget(&mut state);
-        self.publish_residency(&state);
     }
 
     /// Stop tracking an unloaded index (its resident bytes leave the
     /// budget; open sessions keep the engine alive but untracked).
     fn residency_unregister(&self, engine: &Arc<Engine>) {
-        let mut state = self.residency.state.lock().expect("residency lock");
+        let mut state = self.residency.lock().expect("residency lock");
         let tracked = state
             .indexes
             .iter()
             .position(|entry| Arc::ptr_eq(&entry.engine, engine));
         if let Some(at) = tracked {
-            let freed: u64 = state
-                .indexes
-                .remove(at)
-                .shards
-                .iter()
-                .filter(|s| s.resident)
-                .map(|s| s.bytes)
-                .sum();
-            state.resident_bytes = state.resident_bytes.saturating_sub(freed);
-            self.publish_residency(&state);
+            for shard in state.indexes.remove(at).shards {
+                if shard.resident {
+                    self.series.resident_bytes.sub(shard.bytes as i64);
+                    self.series.resident_shards.sub(1);
+                }
+            }
         }
     }
 
@@ -1237,10 +1136,8 @@ impl Server {
         if timings.is_empty() {
             return;
         }
-        let mut state = self.residency.state.lock().expect("residency lock");
+        let mut state = self.residency.lock().expect("residency lock");
         let mut clock = state.clock;
-        let mut reloads = 0u64;
-        let mut reloaded_bytes = 0u64;
         let Some(entry) = state
             .indexes
             .iter_mut()
@@ -1258,16 +1155,13 @@ impl Server {
                 // The search refaulted the shard's pages from the
                 // backing file: it is resident again.
                 shard.resident = true;
-                reloads += 1;
-                reloaded_bytes += shard.bytes;
+                self.series.shard_reloads.inc();
+                self.series.resident_bytes.add(shard.bytes as i64);
+                self.series.resident_shards.add(1);
             }
         }
         state.clock = clock;
-        state.reloads += reloads;
-        state.resident_bytes += reloaded_bytes;
-        self.metrics.shard_reloads.add(reloads);
         self.enforce_budget(&mut state);
-        self.publish_residency(&state);
     }
 
     /// While over budget, release the least-recently-searched resident
@@ -1275,7 +1169,7 @@ impl Server {
     /// page still leaves the resident set (the accounting must
     /// converge); its sub-page words stay cached until normal reclaim.
     fn enforce_budget(&self, state: &mut ResidencyState) {
-        while state.budget > 0 && state.resident_bytes > state.budget {
+        while state.budget > 0 && self.series.resident_bytes.get() as u64 > state.budget {
             let mut victim: Option<(usize, usize, u64)> = None;
             for (index, entry) in state.indexes.iter().enumerate() {
                 for (at, shard) in entry.shards.iter().enumerate() {
@@ -1296,28 +1190,11 @@ impl Server {
                 .release_shard_words(at);
             let shard = &mut entry.shards[at];
             shard.resident = false;
-            state.resident_bytes = state.resident_bytes.saturating_sub(shard.bytes);
-            state.evictions += 1;
-            self.metrics.shard_evictions.inc();
+            self.series.resident_bytes.sub(shard.bytes as i64);
+            self.series.resident_shards.sub(1);
+            self.series.shard_evictions.inc();
         }
     }
-
-    /// Mirror the residency snapshot into the metrics gauges.
-    fn publish_residency(&self, state: &ResidencyState) {
-        self.metrics.resident_bytes.set(state.resident_bytes as i64);
-        self.metrics
-            .resident_shards
-            .set(resident_shard_count(state) as i64);
-    }
-}
-
-/// Resident shards across every tracked index.
-fn resident_shard_count(state: &ResidencyState) -> usize {
-    state
-        .indexes
-        .iter()
-        .map(|entry| entry.shards.iter().filter(|s| s.resident).count())
-        .sum()
 }
 
 /// A session taken out of the map for exclusive use. While the lease
@@ -1369,7 +1246,7 @@ impl Drop for SessionLease<'_> {
             }
             None => {
                 sessions.remove(&self.id);
-                self.server.metrics.open_sessions.set(sessions.len() as i64);
+                self.server.publish_sizes(Some(sessions.len()), None);
             }
         }
     }
@@ -1379,23 +1256,17 @@ fn summarize(name: &str, engine: &Engine) -> IndexSummary {
     let index = engine
         .index()
         .expect("server engines are always index-backed");
-    IndexSummary {
-        name: name.to_owned(),
-        backend: index.kind().name().to_owned(),
-        dim: index.dim(),
-        entries: index.entry_count(),
-        shards: index.shards().len(),
-    }
+    IndexSummary::new(name, index)
 }
 
 /// What the serving layer measured around a batch (the engine's receipt
 /// carries everything measured inside it).
 #[derive(Clone, Copy)]
-struct Admission {
-    latency_ms: f64,
-    wait_ms: f64,
-    queued: usize,
-    workers: usize,
+pub(crate) struct Admission {
+    pub(crate) latency_ms: f64,
+    pub(crate) wait_ms: f64,
+    pub(crate) queued: usize,
+    pub(crate) workers: usize,
 }
 
 /// One answered batch on the wire: the rendered rows, and statistics
@@ -1410,27 +1281,7 @@ fn query_result(
 ) -> QueryResult {
     QueryResult {
         index,
-        stats: BatchStats {
-            latency_ms: admission.latency_ms,
-            wait_ms: admission.wait_ms,
-            queued: admission.queued,
-            workers: admission.workers,
-            queries: outcome.total_queries,
-            rejected_queries: outcome.rejected_queries,
-            psms: outcome.psms.len(),
-            identifications: outcome.identifications(),
-            threshold_score: outcome.threshold_score,
-            shards_touched: receipt.shards_touched,
-            candidates_scored: receipt.candidates_scored,
-            candidates_pre: receipt.candidates_pre,
-            candidates_post: receipt.candidates_post,
-            sketch_ms: receipt.sketch_ms,
-            encode_ms: receipt.stages.encode_ms,
-            candidates_ms: receipt.stages.candidates_ms,
-            score_ms: receipt.stages.score_ms,
-            finalize_ms: receipt.stages.finalize_ms,
-            backend: outcome.backend_name.clone(),
-        },
+        stats: BatchStats::new(outcome, receipt, admission),
         rows: table_rows(engine.peptides(), outcome),
     }
 }

@@ -11,12 +11,23 @@
 //!    continuously *during* the storm; counters are monotonic across
 //!    snapshots, derived values are internally consistent, and gauges
 //!    stay within their physical bounds.
+//!
+//! Beside the storm: the prefilter series against receipts and
+//! `server.stats`; one `query` and one session over the wire verbs with
+//! the cascade on and shards evicting, where receipt, registry and
+//! `server.stats` must tell one story; the catalog in
+//! `docs/OBSERVABILITY.md` against what a server registers; and the
+//! scheduler's two constructors against each other. (CI's release test
+//! pass runs this file as its "Metrics smoke", with
+//! `crates/cli/tests/metrics_smoke.rs` scraping the live exposition.)
 
 use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
+use hdoms_obs::metrics::Registry;
 use hdoms_obs::metrics::{HistogramSnapshot, Snapshot};
-use hdoms_serve::protocol::{QueryRequest, QuerySpectrum, WindowKind};
-use hdoms_serve::scheduler::SchedulerConfig;
+use hdoms_prefilter::PrefilterConfig;
+use hdoms_serve::protocol::{QueryRequest, QuerySpectrum, Request, Response, WindowKind};
+use hdoms_serve::scheduler::{ScheduleError, Scheduler, SchedulerConfig, Tier};
 use hdoms_serve::server::Server;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -292,4 +303,281 @@ fn prefiltered_batches_reconcile_registry_receipts_and_server_stats() {
     assert_eq!(stats.prefilter_candidates_pre, pre_sum);
     assert_eq!(stats.prefilter_candidates_post, post_sum);
     assert!((stats.prefilter_sketch_ms - sketch.sum_ms()).abs() < 1e-9);
+}
+
+/// ROADMAP 4(d), the part that exists today: one `query` and one
+/// `session.open → submit → finalize` through [`Server::handle`], the
+/// cascade on, over a mapped index squeezed until it evicts. The wire
+/// `stats`/`receipt`, the registry and `server.stats` are three views of
+/// the same numbers: counts agree exactly, clocks to the histogram's
+/// half-nanosecond rounding per sample, and what `server.stats` and
+/// `/metrics` both report is read off one handle, so it is *equal*.
+#[test]
+fn wire_receipts_registry_and_server_stats_tell_one_story() {
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 9012);
+    let path = std::env::temp_dir().join(format!("hdoms-one-story-{}.hdx", std::process::id()));
+    build_index(&workload.library).write(&path).unwrap();
+    let mut server = Server::new(2);
+    server.set_prefilter(PrefilterConfig::TopK(16));
+    server.load_index("w", path.to_str().unwrap()).unwrap();
+    std::fs::remove_file(&path).ok();
+    let resident = server.stats().resident_bytes;
+    assert!(resident > 0, "a mapped index is tracked");
+    server.set_memory_budget(resident / 2);
+
+    let stats_of = |server: &Server| match server.handle(&Request::ServerStats) {
+        Response::Stats(stats) => stats,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    let (before, stats_before) = (server.registry().snapshot(), stats_of(&server));
+    assert!(stats_before.evictions > 0, "the squeeze evicted");
+
+    let spectra = batch_of(&workload);
+    let half = spectra.len() / 2;
+    let Response::Result(queried) =
+        server.handle(&Request::Query(request_for(spectra[..half].to_vec())))
+    else {
+        panic!("query answered");
+    };
+    let Response::SessionOpened { session, .. } = server.handle(&Request::SessionOpen {
+        index: "w".to_owned(),
+        window: WindowKind::Open,
+        tier: Tier::Batch,
+        prefilter: None,
+    }) else {
+        panic!("session opened");
+    };
+    let Response::Receipt(receipt) = server.handle(&Request::SessionSubmit {
+        session,
+        spectra: spectra[half..].to_vec(),
+    }) else {
+        panic!("submit answered");
+    };
+    let Response::Result(finalized) =
+        server.handle(&Request::SessionFinalize { session, fdr: 0.01 })
+    else {
+        panic!("finalize answered");
+    };
+    let (after, stats_after) = (server.registry().snapshot(), stats_of(&server));
+
+    // Wire ↔ registry, counts: exact.
+    let moved = |name: &str| counter(&after, name) - counter(&before, name);
+    let queries = (queried.stats.queries + receipt.queries) as u64;
+    assert_eq!(queries, spectra.len() as u64);
+    assert_eq!(moved("hdoms_query_batches_total"), 2);
+    assert_eq!(moved("hdoms_queries_total"), queries);
+    assert_eq!(moved("hdoms_engine_queries_total"), queries);
+    assert_eq!(
+        moved("hdoms_identifications_total"),
+        (queried.stats.identifications + finalized.stats.identifications) as u64
+    );
+    assert_eq!(
+        moved("hdoms_prefilter_candidates_pre_total"),
+        (queried.stats.candidates_pre + receipt.candidates_pre) as u64
+    );
+    assert_eq!(
+        moved("hdoms_prefilter_candidates_post_total"),
+        (queried.stats.candidates_post + receipt.candidates_post) as u64
+    );
+    let visits: u64 = receipt.shard_timings.iter().map(|t| t.visits).sum();
+    assert_eq!(visits, receipt.shards_touched as u64);
+    assert_eq!(
+        moved("hdoms_shard_visits_total"),
+        queried.stats.shards_touched as u64 + visits
+    );
+
+    // Wire ↔ registry, clocks: each histogram saw the very figure the
+    // wire reported, rounded to whole nanoseconds once per sample.
+    let spent = |name: &str| histogram(&after, name).since(histogram(&before, name));
+    for (name, wire_ms) in [
+        (
+            "hdoms_stage_encode_ms",
+            queried.stats.encode_ms + receipt.encode_ms,
+        ),
+        (
+            "hdoms_stage_candidates_ms",
+            queried.stats.candidates_ms + receipt.candidates_ms,
+        ),
+        (
+            "hdoms_stage_score_ms",
+            queried.stats.score_ms + receipt.score_ms,
+        ),
+        (
+            "hdoms_stage_finalize_ms",
+            queried.stats.finalize_ms + finalized.stats.finalize_ms,
+        ),
+        (
+            "hdoms_prefilter_sketch_ms",
+            queried.stats.sketch_ms + receipt.sketch_ms,
+        ),
+        (
+            "hdoms_batch_latency_ms",
+            queried.stats.latency_ms + receipt.latency_ms,
+        ),
+    ] {
+        let recorded = spent(name);
+        assert_eq!(recorded.count(), 2, "{name}: one sample per batch");
+        assert!(
+            (recorded.sum_ms() - wire_ms).abs() <= 1e-6 + 1e-9,
+            "{name}: registry {} ms, wire {wire_ms} ms",
+            recorded.sum_ms()
+        );
+    }
+    // The finalize reports the session's own submit clocks, to the float.
+    assert_eq!(finalized.stats.encode_ms, receipt.encode_ms);
+    assert_eq!(finalized.stats.score_ms, receipt.score_ms);
+    assert_eq!(finalized.stats.sketch_ms, receipt.sketch_ms);
+
+    // `server.stats` ↔ registry: one handle behind both, so equal — the
+    // residency totals included, now that they have no second copy.
+    for (stats, snap) in [(&stats_before, &before), (&stats_after, &after)] {
+        assert_eq!(
+            stats.prefilter_candidates_pre,
+            counter(snap, "hdoms_prefilter_candidates_pre_total")
+        );
+        assert_eq!(
+            stats.prefilter_candidates_post,
+            counter(snap, "hdoms_prefilter_candidates_post_total")
+        );
+        assert_eq!(
+            stats.prefilter_sketch_ms,
+            histogram(snap, "hdoms_prefilter_sketch_ms").sum_ms()
+        );
+        assert_eq!(
+            stats.evictions,
+            counter(snap, "hdoms_shard_evictions_total")
+        );
+        assert_eq!(stats.reloads, counter(snap, "hdoms_shard_reloads_total"));
+        assert_eq!(
+            stats.resident_bytes as i64,
+            gauge(snap, "hdoms_resident_bytes")
+        );
+        assert_eq!(
+            stats.resident_shards as i64,
+            gauge(snap, "hdoms_resident_shards")
+        );
+        assert!(stats.resident_bytes <= stats.memory_budget);
+    }
+    assert!(
+        stats_after.reloads > stats_before.reloads,
+        "searching the evicted half faulted shards back in"
+    );
+    assert_eq!(stats_after.completed - stats_before.completed, 2);
+}
+
+/// `docs/OBSERVABILITY.md` is checked documentation: the `(name, type)`
+/// of every series a server with one resident index registers — each
+/// declared once, in a `series!` table — is a row of a catalog table,
+/// and every `hdoms_*` row the catalog lists is registered.
+#[test]
+fn the_catalog_lists_exactly_what_a_server_registers() {
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 9013);
+    let server = Server::new(2);
+    server
+        .add_index("w", build_index(&workload.library))
+        .expect("servable index");
+    let snap = server.registry().snapshot();
+    let mut registered: Vec<(String, String)> = Vec::new();
+    let mut list = |kind: &str, names: Vec<&String>| {
+        registered.extend(names.into_iter().map(|n| (n.clone(), kind.to_owned())));
+    };
+    list("counter", snap.counters.iter().map(|(n, _)| n).collect());
+    list("gauge", snap.gauges.iter().map(|(n, _)| n).collect());
+    list(
+        "histogram",
+        snap.histograms.iter().map(|(n, _)| n).collect(),
+    );
+    registered.sort();
+
+    let mut documented: Vec<(String, String)> = include_str!("../../../docs/OBSERVABILITY.md")
+        .lines()
+        .filter_map(|line| {
+            let mut cells = line.split('|').map(str::trim).skip(1);
+            let name = cells.next()?.strip_prefix("`hdoms_")?.strip_suffix('`')?;
+            Some((format!("hdoms_{name}"), cells.next()?.to_owned()))
+        })
+        .collect();
+    documented.sort();
+    assert_eq!(
+        documented, registered,
+        "docs/OBSERVABILITY.md's catalog (left) and the registry (right) disagree"
+    );
+}
+
+/// `Scheduler::new` is `with_metrics` on a registry nobody reads: one
+/// scripted sequence — a grant, a `busy` rejection, a deadline shed, a
+/// release, a second grant — leaves both with the same snapshot (the
+/// two waits aside, which are clocks), and the shared registry carries
+/// the aggregates of the per-tier store.
+#[test]
+fn both_scheduler_constructors_grant_shed_and_count_alike() {
+    let config = SchedulerConfig {
+        workers: 1,
+        queue_depth: 1,
+        deadline_ms: 20,
+        interactive_weight: 2,
+        interactive_queue_depth: 0,
+    };
+    let registry = Registry::new();
+    let script = |scheduler: Scheduler| {
+        let running = scheduler.admit_as(1, Tier::Batch).expect("free token");
+        assert_eq!(running.workers(), 1);
+        // Interactive may not queue at all; batch queues, then sheds.
+        let busy = scheduler.admit_as(2, Tier::Interactive).err();
+        assert!(matches!(busy, Some(ScheduleError::Busy { .. })), "{busy:?}");
+        let shed = scheduler.admit_as(3, Tier::Batch).err();
+        assert!(
+            matches!(shed, Some(ScheduleError::Deadline { .. })),
+            "{shed:?}"
+        );
+        drop(running);
+        drop(
+            scheduler
+                .admit_as(2, Tier::Interactive)
+                .expect("token back"),
+        );
+        let mut stats = scheduler.stats();
+        let waited = stats.total_wait_ms;
+        stats.total_wait_ms = 0.0;
+        stats.tiers.iter_mut().for_each(|t| t.total_wait_ms = 0.0);
+        (stats, waited)
+    };
+    let (plain, plain_waited) = script(Scheduler::new(config));
+    let (shared, shared_waited) = script(Scheduler::with_metrics(config, &registry));
+    assert_eq!(plain, shared);
+    assert!(
+        plain_waited >= 20.0 && shared_waited >= 20.0,
+        "the shed waited"
+    );
+    assert_eq!(
+        (
+            shared.admitted,
+            shared.completed,
+            shared.rejected_busy,
+            shared.shed_deadline
+        ),
+        (2, 2, 1, 1)
+    );
+
+    let snap = registry.snapshot();
+    assert_eq!(
+        counter(&snap, "hdoms_sched_admitted_total"),
+        shared.admitted
+    );
+    assert_eq!(
+        counter(&snap, "hdoms_sched_completed_total"),
+        shared.completed
+    );
+    assert_eq!(
+        counter(&snap, "hdoms_sched_rejected_busy_total"),
+        shared.rejected_busy
+    );
+    assert_eq!(
+        counter(&snap, "hdoms_sched_shed_deadline_total"),
+        shared.shed_deadline
+    );
+    let wait = histogram(&snap, "hdoms_queue_wait_ms");
+    assert_eq!(wait.count(), shared.admitted + shared.shed_deadline);
+    assert!((wait.sum_ms() - shared_waited).abs() < 1e-3);
+    assert_eq!(gauge(&snap, "hdoms_workers_busy"), 0);
 }

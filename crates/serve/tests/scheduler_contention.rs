@@ -3,6 +3,8 @@
 //! structured `busy`/`deadline` rejections, and — the load-bearing
 //! invariant — scheduled output **byte-identical** to unscheduled
 //! single-client runs, over real TCP.
+//! This is CI's multi-client contention gate; the release test pass is
+//! the run whose storm is fast enough to contend.
 
 use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};

@@ -10,6 +10,9 @@
 //!    counters exactly (one atomic snapshot);
 //! 4. under a memory budget cold shards are evicted, searches fault
 //!    them back in on demand, and results never change.
+//!
+//! This is CI's tiered-serving gate: a mixed-tier storm for (3),
+//! lockstep interactive volleys for (1), in both test passes.
 
 use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};

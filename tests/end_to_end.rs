@@ -428,3 +428,61 @@ fn corrupted_images_fail_every_door_with_a_structured_error() {
         "no corrupted image went resident"
     );
 }
+
+/// A checksum-valid header can ask for more than damage: `num_bins` in
+/// the billions passes every per-record rule, and the ID memory an open
+/// regenerates for it would be terabytes. Every door above the loader
+/// refuses it with a structured error (`format::MAX_ITEM_MEMORY_BYTES`)
+/// instead of asking the allocator — the process used to abort here.
+#[test]
+fn a_resealed_header_asking_for_terabytes_fails_every_door() {
+    use hdoms::index::format::CHECKSUM_SEED;
+    use hdoms::index::xxhash::xxh64;
+
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 1006);
+    let mut config = IndexConfig {
+        entries_per_shard: 64,
+        threads: 2,
+        ..IndexConfig::default()
+    };
+    // A bin count no other header field spells, so its slot can be found.
+    let IndexedBackendKind::Exact(exact) = &mut config.kind else {
+        panic!("the default kind is exact");
+    };
+    exact.encoder.dim = 1024;
+    exact.encoder.num_bins += 7777;
+    let num_bins = exact.encoder.num_bins as u64;
+    let mut image = IndexBuilder::new(config)
+        .from_library(&workload.library)
+        .to_bytes();
+    let header_len = u64::from_le_bytes(image[12..20].try_into().expect("8 bytes")) as usize;
+    let header = 20..20 + header_len;
+    let slots: Vec<usize> = (header.start..header.end - 8)
+        .filter(|&at| image[at..at + 8] == num_bins.to_le_bytes())
+        .collect();
+    assert_eq!(slots.len(), 1, "encoder.num_bins is spelled once");
+    image[slots[0]..slots[0] + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
+    let sealed = xxh64(&image[header.clone()], CHECKSUM_SEED);
+    image[header.end..header.end + 8].copy_from_slice(&sealed.to_le_bytes());
+
+    let path = std::env::temp_dir().join(format!("hdoms-e2e-greedy-{}.hdx", std::process::id()));
+    let file = path.to_str().expect("utf-8 temp path");
+    std::fs::write(&path, &image).expect("patched image written");
+    let server = Server::new(2);
+    let refusals = [
+        Engine::open_mapped(&path, 2).err().map(|e| e.to_string()),
+        server.load_index("greedy", file).err().map(|e| e.message),
+    ];
+    let line = format!(r#"{{"type":"index.load","name":"greedy","path":"{file}"}}"#);
+    let wire = server.handle(&Request::decode(&line).expect("a well-formed line"));
+    std::fs::remove_file(&path).ok();
+    for refusal in refusals {
+        let message = refusal.expect("the patched image must not open");
+        assert!(message.contains("MAX_ITEM_MEMORY_BYTES"), "{message}");
+    }
+    assert!(
+        matches!(wire, Response::Error { .. }),
+        "index.load: {wire:?}"
+    );
+    assert!(server.summaries().is_empty(), "nothing went resident");
+}
