@@ -44,62 +44,27 @@ use hdoms_index::{
     StreamingIndexBuilder,
 };
 use hdoms_ms::dataset::{ScaledLibrary, ScaledLibrarySpec, SyntheticWorkload, WorkloadSpec};
+use hdoms_obs::alloc::CountingAllocator;
 use hdoms_oms::search::ExactBackendConfig;
 use hdoms_oms::window::PrecursorWindow;
 use hdoms_prefilter::{PrefilterConfig, DEFAULT_TOP_K};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// FDR threshold for the throughput searches.
 const FDR: f64 = 0.01;
 
-/// Tracks live heap bytes and the high-water mark, so the streaming
-/// build's peak residency is measurable without OS introspection.
-struct PeakAllocator;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn note_alloc(size: usize) {
-    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for PeakAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc(new_size.saturating_sub(layout.size()));
-        if new_size < layout.size() {
-            LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
+/// Live heap bytes and their high-water mark make the streaming build's
+/// peak residency measurable without OS introspection.
 #[global_allocator]
-static PEAK_ALLOC: PeakAllocator = PeakAllocator;
+static PEAK_ALLOC: CountingAllocator = CountingAllocator;
 
 /// Run `f`, returning (result, seconds, peak live-heap delta).
 fn measure<T>(f: impl FnOnce() -> T) -> (T, f64, usize) {
-    let live_before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(live_before, Ordering::Relaxed);
     let start = Instant::now();
-    let value = f();
-    let seconds = start.elapsed().as_secs_f64();
-    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(live_before);
-    (value, seconds, peak)
+    let (value, peak) = CountingAllocator::peak_during(f);
+    (value, start.elapsed().as_secs_f64(), peak)
 }
 
 /// The process peak resident set (`VmHWM`) in bytes, or 0 where
@@ -231,12 +196,12 @@ fn main() {
     // Measure its live footprint once so the smoke bound covers only the
     // marginal, library-dependent heap.
     let encoder_live = {
-        let before = LIVE.load(Ordering::Relaxed);
+        let before = CountingAllocator::live();
         let IndexedBackendKind::Exact(exact) = index_config(options.dim).kind else {
             unreachable!("scale bench builds exact indexes");
         };
         let encoder = hdoms_hdc::encoder::IdLevelEncoder::new(exact.encoder);
-        let live = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+        let live = CountingAllocator::live().saturating_sub(before);
         drop(encoder);
         live
     };

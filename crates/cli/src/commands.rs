@@ -107,44 +107,32 @@ fn engine_for(
     dim: usize,
     threads: usize,
 ) -> Result<Engine, String> {
-    let engine = match target {
-        SearchTarget::Cold(library) => {
-            let kind = match spec {
-                "exact" | "hyperoms" | "rram" => backend_kind(spec, dim)?,
-                "annsolo" => {
-                    let config = AnnSoloConfig {
-                        threads,
-                        ..AnnSoloConfig::default()
-                    };
-                    let backend = AnnSoloBackend::build(library, config);
-                    return Ok(Engine::from_backend(
-                        Box::new(backend),
-                        config.preprocess,
-                        ReferenceMeta::from_library(library),
-                        threads,
-                    ));
-                }
-                other => {
-                    return Err(format!(
-                        "backend {other:?} needs a prebuilt index \
-                         (exact|annsolo|hyperoms|rram run cold)"
-                    ))
-                }
+    Ok(match target {
+        SearchTarget::Cold(library) if spec == "annsolo" => {
+            let config = AnnSoloConfig {
+                threads,
+                ..AnnSoloConfig::default()
             };
-            Engine::from_library(
-                library,
-                IndexConfig {
-                    kind,
-                    threads,
-                    ..IndexConfig::default()
-                },
+            Engine::from_backend(
+                Box::new(AnnSoloBackend::build(library, config)),
+                config.preprocess,
+                ReferenceMeta::from_library(library),
+                threads,
             )
         }
+        SearchTarget::Cold(library) => Engine::from_library(
+            library,
+            IndexConfig {
+                kind: backend_kind(spec, dim)
+                    .map_err(|e| format!("{e}; a cold search also takes annsolo"))?,
+                threads,
+                ..IndexConfig::default()
+            },
+        ),
         SearchTarget::Warm(index) => {
             Engine::from_index(index, threads).map_err(|e| e.to_string())?
         }
-    };
-    Ok(engine)
+    })
 }
 
 fn parse_window(flags: &Flags) -> Result<PrecursorWindow, String> {
@@ -168,7 +156,6 @@ pub fn search(args: &[String]) -> Result<(), String> {
         "window",
         "fdr",
         "dim",
-        "seed",
         "threads",
         "prefilter",
     ])?;
@@ -181,16 +168,17 @@ pub fn search(args: &[String]) -> Result<(), String> {
     let backend_name = flags.get("backend").unwrap_or("exact").to_owned();
     let prefilter = PrefilterConfig::parse(flags.get("prefilter").unwrap_or("off"))?;
 
+    if flags.get("index").is_some() {
+        let fixed = [("backend", "backend"), ("dim", "dimension")];
+        if let Some((flag, what)) = fixed.iter().find(|(flag, _)| flags.get(flag).is_some()) {
+            return Err(format!(
+                "--{flag} applies to cold searches; a prebuilt --index already fixes its {what}"
+            ));
+        }
+    }
     let queries = read_queries(queries_path)?;
     let loaded_library;
     let target = match (flags.get("index"), flags.get("library")) {
-        (Some(_), _) if flags.get("backend").is_some() => {
-            return Err(
-                "--backend applies to cold searches; a prebuilt --index already fixes \
-                 its backend"
-                    .to_owned(),
-            )
-        }
         (Some(index_path), _) => {
             // Mapped by default: the index file is searched in place
             // from one backing buffer (a v1 file's words are repacked).

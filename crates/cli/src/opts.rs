@@ -30,7 +30,7 @@ USAGE:
   hdoms search   --queries <q.mgf> (--library <lib.mgf> | --index <lib.hdx>)
                  --out <psms.tsv>
                  [--backend exact|annsolo|hyperoms|rram] [--window open|standard]
-                 [--fdr <f64>] [--dim <usize>] [--seed <u64>]
+                 [--fdr <f64>] [--dim <usize>]
                  [--threads <usize>] [--prefilter off|k=<usize>]
                  (--prefilter k=N narrows each precursor window to the
                   top-N sketch-scored candidates before the exact scan;

@@ -160,3 +160,27 @@ fn served_stdio_session_matches_local_run() {
 
     std::fs::remove_file(&index_path).ok();
 }
+
+/// `search` refuses what it would otherwise accept and ignore, naming
+/// the flag: `--seed` (nothing reads it) and `--dim` beside `--index`
+/// (the image fixes its dimension, as it fixes its backend).
+#[test]
+fn search_refuses_flags_it_would_ignore() {
+    for (target, flag) in [("--library", "--seed"), ("--index", "--dim")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hdoms"))
+            .args([
+                "search",
+                "--queries",
+                "q.mgf",
+                target,
+                "lib",
+                "--out",
+                "o.tsv",
+            ])
+            .args([flag, "512"])
+            .output()
+            .expect("spawn hdoms search");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success() && stderr.contains(flag), "{stderr}");
+    }
+}

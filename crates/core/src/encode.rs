@@ -35,6 +35,7 @@ use hdoms_rram::array::CrossbarConfig;
 use hdoms_rram::device::DeviceModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Error statistics for one in-memory encoding, measured against the
 /// noise-free software encoding of the same spectrum.
@@ -55,14 +56,15 @@ impl EncodeStats {
     }
 }
 
-/// The in-memory ID-Level encoder.
+/// The in-memory ID-Level encoder. A clone is a second handle, not a
+/// second chip: the item memories and the programmed weights are shared.
 #[derive(Debug, Clone)]
 pub struct InMemoryEncoder {
-    software: IdLevelEncoder,
+    software: Arc<IdLevelEncoder>,
     crossbar: CrossbarConfig,
     /// Effective differential weights `(g⁺−g⁻)/g_max` of the programmed ID
     /// memory after relaxation, flattened `[bin][dim]`.
-    w_eff: Vec<f32>,
+    w_eff: Arc<[f32]>,
     /// RMS normalised per-pair conductance deviation of the programmed ID
     /// memory — scales the IR-drop error term.
     sigma_delta: f64,
@@ -92,7 +94,7 @@ impl InMemoryEncoder {
             encoder.id_precision.bits(),
             crossbar.mlc.bits_per_cell
         );
-        let software = IdLevelEncoder::new(encoder);
+        let software = Arc::new(IdLevelEncoder::new(encoder));
         let device = DeviceModel::new(crossbar.mlc);
         let g_max = crossbar.mlc.g_max_us;
         let levels = crossbar.mlc.levels();
@@ -100,10 +102,12 @@ impl InMemoryEncoder {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1dc0de);
         let dim = encoder.dim;
         let num_bins = encoder.num_bins;
-        let mut w_eff = Vec::with_capacity(num_bins * dim);
+        // Programmed in place, in the one allocation every handle shares.
+        let mut w_eff: Arc<[f32]> = std::iter::repeat_n(0.0, num_bins * dim).collect();
+        let cells = Arc::get_mut(&mut w_eff).expect("no second handle yet");
         let mut dev_sq = 0.0f64;
-        for bin in 0..num_bins {
-            for component in software.id_memory().id(bin) {
+        for (bin, row) in cells.chunks_exact_mut(dim).enumerate() {
+            for (cell, component) in row.iter_mut().zip(software.id_memory().id(bin)) {
                 // Monotone map: alphabet rank → differential grid point.
                 let rank = alphabet
                     .iter()
@@ -112,7 +116,7 @@ impl InMemoryEncoder {
                 let v = rank as f64 / (levels - 1) as f64 * 2.0 - 1.0;
                 let (gp, gm, delta) = crossbar.program_pair(&device, v, &mut rng);
                 dev_sq += delta * delta;
-                w_eff.push(((gp - gm) / g_max) as f32);
+                *cell = ((gp - gm) / g_max) as f32;
             }
         }
         let sigma_delta = (dev_sq / (num_bins * dim) as f64).sqrt();
@@ -131,7 +135,7 @@ impl InMemoryEncoder {
     /// warm-load path used by `hdoms-index`): the differential weight
     /// pairs `w_eff` and their RMS deviation are restored verbatim instead
     /// of re-sampling the device model, so the rebuilt encoder produces
-    /// bit-identical encodings to the one that was persisted.
+    /// bit-identical encodings to the one persisted (sharing `w_eff`).
     ///
     /// # Panics
     ///
@@ -140,7 +144,7 @@ impl InMemoryEncoder {
     pub fn from_programmed(
         encoder: EncoderConfig,
         crossbar: CrossbarConfig,
-        w_eff: Vec<f32>,
+        w_eff: Arc<[f32]>,
         sigma_delta: f64,
         seed: u64,
     ) -> InMemoryEncoder {
@@ -159,9 +163,8 @@ impl InMemoryEncoder {
             sigma_delta.is_finite() && sigma_delta >= 0.0,
             "sigma_delta must be finite and non-negative"
         );
-        let software = IdLevelEncoder::new(encoder);
         InMemoryEncoder {
-            software,
+            software: Arc::new(IdLevelEncoder::new(encoder)),
             crossbar,
             w_eff,
             sigma_delta,
@@ -173,8 +176,8 @@ impl InMemoryEncoder {
 
     /// The effective differential weights `(g⁺−g⁻)/g_max` of the
     /// programmed ID memory, flattened `[bin][dim]` — the MLC programming
-    /// state a persistent index stores for warm reloads.
-    pub fn programmed_weights(&self) -> &[f32] {
+    /// state a persistent index stores (this handle) for warm reloads.
+    pub fn programmed_weights(&self) -> &Arc<[f32]> {
         &self.w_eff
     }
 

@@ -64,7 +64,9 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-use hdoms_index::{IndexBuilder, IndexConfig, IndexError, LibraryIndex, ShardedBackend};
+use hdoms_index::{
+    IndexBuilder, IndexConfig, IndexError, LibraryIndex, QueryRecord, ShardedBackend,
+};
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
 use hdoms_ms::spectrum::Spectrum;
@@ -74,96 +76,14 @@ use hdoms_oms::candidates::CandidateIndex;
 use hdoms_oms::fdr::{filter_fdr, FdrOutcome};
 use hdoms_oms::pipeline::{assemble_psms, PipelineOutcome, ReferenceCatalog};
 use hdoms_oms::psm::Psm;
-use hdoms_oms::search::{SearchHit, SimilarityBackend};
+use hdoms_oms::search::SimilarityBackend;
 use hdoms_oms::window::PrecursorWindow;
-use hdoms_prefilter::{PrefilterConfig, PrefilterStats, SketchIndex};
+use hdoms_prefilter::{PrefilterConfig, SketchIndex};
 use std::path::Path;
 use std::sync::Arc;
 
 pub use hdoms_index::ShardTiming;
-
-/// The per-reference metadata an engine needs to turn backend hits into
-/// PSMs and table rows: neutral mass (precursor delta), decoy flag
-/// (FDR), and peptide sequence (reports). Dense by reference id.
-///
-/// The peptide table is reference-counted: an engine built over a
-/// [`LibraryIndex`] shares the index's cached table instead of cloning
-/// every sequence.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ReferenceMeta {
-    masses: Vec<f64>,
-    decoys: Vec<bool>,
-    peptides: Arc<[String]>,
-}
-
-impl ReferenceMeta {
-    /// Capture the metadata of a raw spectral library.
-    pub fn from_library(library: &SpectralLibrary) -> ReferenceMeta {
-        let mut meta = ReferenceMeta::default();
-        let mut peptides = Vec::with_capacity(library.len());
-        for entry in library.iter() {
-            meta.masses.push(entry.spectrum.neutral_mass());
-            meta.decoys.push(entry.is_decoy);
-            peptides.push(entry.peptide.to_string());
-        }
-        meta.peptides = peptides.into();
-        meta
-    }
-
-    /// Capture the metadata of a loaded persistent index. The peptide
-    /// table is shared with the index (one `Arc` bump), not copied.
-    pub fn from_index(index: &LibraryIndex) -> ReferenceMeta {
-        let n = index.entry_count();
-        let mut meta = ReferenceMeta {
-            masses: vec![f64::NAN; n],
-            decoys: vec![false; n],
-            peptides: index.peptides_by_id(),
-        };
-        for e in index.entries() {
-            meta.masses[e.id as usize] = e.neutral_mass;
-            meta.decoys[e.id as usize] = e.is_decoy;
-        }
-        meta
-    }
-
-    /// Number of references described.
-    pub fn len(&self) -> usize {
-        self.masses.len()
-    }
-
-    /// Whether the metadata is empty.
-    pub fn is_empty(&self) -> bool {
-        self.masses.is_empty()
-    }
-
-    /// Peptide sequences by dense reference id.
-    pub fn peptides(&self) -> &[String] {
-        &self.peptides
-    }
-}
-
-impl ReferenceCatalog for ReferenceMeta {
-    fn reference_count(&self) -> usize {
-        self.masses.len()
-    }
-
-    fn reference_mass(&self, id: u32) -> Option<f64> {
-        self.masses.get(id as usize).copied()
-    }
-
-    fn reference_is_decoy(&self, id: u32) -> Option<bool> {
-        self.decoys.get(id as usize).copied()
-    }
-
-    fn candidate_index(&self) -> CandidateIndex {
-        CandidateIndex::from_masses(
-            self.masses
-                .iter()
-                .enumerate()
-                .map(|(id, &mass)| (mass, id as u32)),
-        )
-    }
-}
+pub use hdoms_oms::pipeline::ReferenceMeta;
 
 /// The scoring stage an engine drives: the shard-parallel backend for
 /// index-backed engines, or any boxed [`SimilarityBackend`] otherwise.
@@ -181,52 +101,29 @@ impl EngineBackend {
         }
     }
 
-    /// Score a merged batch of one or more request groups under a
-    /// worker budget: query `i` belongs to group `group_of[i]`, and
-    /// per-shard timings and the prefilter stage's accounting come back
-    /// per group (empty / zeroed for flat backends, which have no shards
-    /// to time and no cascade). Queries of a group must be contiguous
-    /// (callers concatenate group by group). Sharded backends score the
-    /// merged batch in one pass with per-group clocks; flat backends
-    /// drive their own internal parallelism, ignore the cap — the serve
-    /// layer always runs sharded engines, which honour it exactly — and
-    /// take one call per group.
-    fn search_batch_grouped(
+    /// Score one batch under a worker budget: one [`QueryRecord`] per
+    /// query. Flat backends have no shards to time and no cascade (their
+    /// records carry the hit alone), drive their own internal
+    /// parallelism and ignore the cap — the serve layer always runs
+    /// sharded engines, which honour it exactly.
+    fn search_batch_traced(
         &self,
         queries: &[BinnedSpectrum],
         candidates: &[Vec<u32>],
         workers: usize,
         prefilter: Option<(&SketchIndex, usize)>,
-        group_of: &[u32],
-        group_count: usize,
-    ) -> (
-        Vec<Option<SearchHit>>,
-        Vec<Vec<ShardTiming>>,
-        Vec<PrefilterStats>,
-    ) {
+    ) -> Vec<QueryRecord> {
         match self {
-            EngineBackend::Sharded(b) => b.search_batch_grouped(
-                queries,
-                candidates,
-                Some(workers),
-                prefilter,
-                group_of,
-                group_count,
-            ),
+            EngineBackend::Sharded(b) => {
+                b.search_batch_traced(queries, candidates, Some(workers), prefilter)
+            }
             EngineBackend::Flat(b) => {
-                let mut hits = Vec::with_capacity(queries.len());
-                let mut at = 0usize;
-                for group in 0..group_count as u32 {
-                    let len = group_of[at..].iter().take_while(|&&g| g == group).count();
-                    hits.extend(b.search_batch(&queries[at..at + len], &candidates[at..at + len]));
-                    at += len;
-                }
-                debug_assert_eq!(at, queries.len(), "group ids must be contiguous");
-                (
-                    hits,
-                    vec![Vec::new(); group_count],
-                    vec![PrefilterStats::default(); group_count],
-                )
+                let hits = b.search_batch(queries, candidates);
+                let record = |hit| QueryRecord {
+                    hit,
+                    ..QueryRecord::default()
+                };
+                hits.into_iter().map(record).collect()
             }
         }
     }
@@ -287,7 +184,7 @@ impl EngineSeries {
 /// |---|---|
 /// | [`Engine::from_library`] | cold `ExactBackend::build` / `OmsAccelerator::build` + manual candidate index |
 /// | [`Engine::open_mapped`] | `LibraryIndex::open_mapped` + the wiring below, searching the `mmap`ed file in place |
-/// | [`Engine::from_index`] | `LibraryIndex::sharded_backend` + `peptides_by_id` + `candidate_index` over any loaded index (`LibraryIndex::open` for the same loader over a heap read) |
+/// | [`Engine::from_index`] | `LibraryIndex::sharded_backend` + `catalog` + `candidate_index` over any loaded index (`LibraryIndex::open` for the same loader over a heap read) |
 /// | [`Engine::from_backend`] | any [`SimilarityBackend`]: the baselines crate, or an index's flat `to_exact_backend` / `to_accelerator` as the unsharded reference |
 ///
 /// Queries run through a [`Session`] (streaming, cross-batch FDR) or the
@@ -295,7 +192,9 @@ impl EngineSeries {
 /// behaviour).
 pub struct Engine {
     backend: EngineBackend,
-    meta: ReferenceMeta,
+    /// The reference catalog: the index's own table for index-backed
+    /// engines (shared, not re-derived).
+    meta: Arc<ReferenceMeta>,
     candidates: CandidateIndex,
     preprocess: PreprocessConfig,
     index: Option<LibraryIndex>,
@@ -353,12 +252,10 @@ impl Engine {
     /// Fails when the index cannot reconstruct its backend kind.
     pub fn from_index(index: LibraryIndex, threads: usize) -> Result<Engine, IndexError> {
         let backend = index.sharded_backend(threads)?;
-        let meta = ReferenceMeta::from_index(&index);
-        let candidates = index.candidate_index();
         Ok(Engine {
             backend: EngineBackend::Sharded(backend),
-            meta,
-            candidates,
+            meta: index.catalog(),
+            candidates: index.candidate_index(),
             preprocess: index.kind().preprocess(),
             index: Some(index),
             threads: threads.max(1),
@@ -382,12 +279,14 @@ impl Engine {
         meta: ReferenceMeta,
         threads: usize,
     ) -> Engine {
-        assert!(!meta.is_empty(), "an engine needs at least one reference");
-        let candidates = meta.candidate_index();
+        assert!(
+            meta.reference_count() > 0,
+            "an engine needs at least one reference"
+        );
         Engine {
             backend: EngineBackend::Flat(backend),
-            meta,
-            candidates,
+            candidates: meta.candidate_index(),
+            meta: Arc::new(meta),
             preprocess,
             index: None,
             threads: threads.max(1),
@@ -485,7 +384,7 @@ impl Engine {
 
     /// Number of references the engine searches over.
     pub fn reference_count(&self) -> usize {
-        self.meta.len()
+        self.meta.reference_count()
     }
 
     /// Peptide sequences by dense reference id (for PSM tables).
@@ -587,9 +486,9 @@ impl Engine {
     /// identifications, candidate counts) to searching `groups[g]`
     /// alone: preprocessing and candidate generation run per group on
     /// the group's own spectra, per-query scoring is independent of
-    /// batch composition, the backend's per-group clocks keep shard and
-    /// prefilter accounting exact, and FDR is filtered per group over
-    /// that group's own PSMs. Only wall-clock figures depend on the
+    /// batch composition, shard and prefilter accounting is summed from
+    /// the group's own per-query records, and FDR is filtered per group
+    /// over that group's own PSMs. Only wall-clock figures depend on the
     /// company a group keeps: the merged scoring stage's time is
     /// apportioned across groups by binned-query count.
     ///
@@ -637,9 +536,9 @@ impl Engine {
     /// The one execute body under [`Session::submit`],
     /// [`Engine::search`] and [`Engine::search_groups`]: per group,
     /// preprocess and generate candidate lists; score the concatenation
-    /// in one backend pass; per group again, assemble PSMs, take the
-    /// counted accounting and record the registry series. FDR is the
-    /// caller's business (a session pools it across submits).
+    /// in one backend pass; per group again, assemble PSMs, sum the
+    /// group's own per-query records and record the registry series.
+    /// FDR is the caller's business (a session pools it across submits).
     ///
     /// `prefilter` must have passed [`Engine::ready_prefilter`].
     fn score_groups(
@@ -693,54 +592,33 @@ impl Engine {
                 merged_cands.extend(cands);
             }
         }
-        let group_of: Vec<u32> = preps
-            .iter()
-            .enumerate()
-            .flat_map(|(g, p)| std::iter::repeat_n(g as u32, p.len))
-            .collect();
         let total_binned = merged_binned.len();
 
-        // One scoring pass over the merged batch; accounting splits by
-        // group inside the backend.
-        let ((hits, group_timings, group_stats), score_ms) = hdoms_obs::trace::timed(|| {
-            self.backend.search_batch_grouped(
+        // One scoring pass over the merged batch: one record per query,
+        // so a group's accounting is the sum over its own range.
+        let (records, score_ms) = hdoms_obs::trace::timed(|| {
+            self.backend.search_batch_traced(
                 &merged_binned,
                 &merged_cands,
                 workers.max(1),
                 narrowing.as_ref().map(|(sketch, k)| (sketch.as_ref(), *k)),
-                &group_of,
-                groups.len(),
             )
         });
 
         let mut scored = Vec::with_capacity(groups.len());
-        for (((spectra, prep), shard_timings), stats) in groups
-            .iter()
-            .zip(&preps)
-            .zip(group_timings)
-            .zip(group_stats)
-        {
+        for (spectra, prep) in groups.iter().zip(&preps) {
             let range = prep.start..prep.start + prep.len;
-            let psms = assemble_psms(
-                &merged_binned[range.clone()],
-                &hits[range.clone()],
-                &self.meta,
-            );
+            let hits: Vec<_> = records[range.clone()].iter().map(|r| r.hit).collect();
+            let psms = assemble_psms(&merged_binned[range.clone()], &hits, &*self.meta);
             // Counted accounting: every shard run the scan scored
-            // recorded one visit; with the prefilter on the exact scan
-            // saw only the narrowed lists, so the candidate counts come
-            // from the prefilter clock, and with it off they are the
-            // window totals.
+            // recorded one visit, and with the prefilter on the exact
+            // scan saw only the narrowed lists its records count.
+            let (shard_timings, stats) = QueryRecord::sum(&records[range.clone()]);
             let shards_touched: u64 = shard_timings.iter().map(|t| t.visits).sum();
-            let (candidates_pre, candidates_scored, sketch_ms) = if narrowing.is_some() {
-                (
-                    stats.candidates_pre as usize,
-                    stats.candidates_post as usize,
-                    stats.sketch_ms,
-                )
-            } else {
-                let window_candidates = merged_cands[range].iter().map(Vec::len).sum();
-                (window_candidates, window_candidates, 0.0)
+            let candidates_pre: usize = merged_cands[range].iter().map(Vec::len).sum();
+            let candidates_scored = match narrowing {
+                Some(_) => stats.candidates_post as usize,
+                None => candidates_pre,
             };
             // The merged scoring pass's wall-clock, apportioned by how
             // much of the batch each group contributed (time is not
@@ -765,7 +643,7 @@ impl Engine {
                 candidates_scored,
                 candidates_pre,
                 candidates_post: candidates_scored,
-                sketch_ms,
+                sketch_ms: stats.sketch_ms,
                 shards_touched: shards_touched as usize,
                 latency_ms: stages.total_ms(),
                 stages,

@@ -13,12 +13,15 @@
 //! failure there means the in-place search path silently diverged.
 //! `kernel_variants_*` is the engine-level half of CI's kernel gate:
 //! byte-identical tables across distance kernels over a mapped
-//! iprg2012 index.
+//! iprg2012 index. `every_construction_derives_the_one_catalog` holds an
+//! index's per-id tables — built in one walk over its shards — to the
+//! library they describe and to the engine that reads them.
 
 use hdoms_baselines::annsolo::{AnnSoloBackend, AnnSoloConfig};
 use hdoms_engine::{Engine, ReferenceMeta, Session};
-use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
+use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
+use hdoms_ms::library::SpectralLibrary;
 use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
 use hdoms_oms::psm::render_table;
 use hdoms_oms::window::PrecursorWindow;
@@ -392,7 +395,7 @@ fn warm_engine_over_persisted_index_matches_cold() {
     let flat = Arc::new(Engine::from_backend(
         Box::new(index.to_exact_backend(THREADS).expect("same kind")),
         index.kind().preprocess(),
-        ReferenceMeta::from_index(index),
+        ReferenceMeta::clone(&index.catalog()),
         THREADS,
     ));
     let (flat_outcome, flat_receipt) =
@@ -402,4 +405,121 @@ fn warm_engine_over_persisted_index_matches_cold() {
         flat_receipt.shards_touched, 0,
         "flat engines have no shards"
     );
+}
+
+#[test]
+fn every_construction_derives_the_one_catalog() {
+    // However an index comes to be — cold build, heap load, mapped
+    // load, append — its catalog is the library's, its engine reads
+    // that very table, and its id → shard table describes its shards.
+    let library = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 9008).library;
+    let mut config = IndexConfig {
+        entries_per_shard: 64,
+        threads: THREADS,
+        ..IndexConfig::default()
+    };
+    if let IndexedBackendKind::Exact(exact) = &mut config.kind {
+        exact.encoder.dim = 512;
+    }
+    let builder = IndexBuilder::new(config);
+    let cold = builder.from_library(&library);
+    let path = std::env::temp_dir().join(format!("hdoms-catalog-{}.hdx", std::process::id()));
+    cold.write(&path).expect("write index");
+    let (head, tail) = library.entries().split_at(library.len() / 3);
+    let mut appended = builder.from_library(&head.iter().cloned().collect::<SpectralLibrary>());
+    let held = Arc::as_ptr(&appended.catalog());
+    appended.append_entries(tail, THREADS);
+    assert_eq!(
+        Arc::as_ptr(&appended.catalog()),
+        held,
+        "an append grows the catalog the index holds: no old row is copied"
+    );
+    let constructions = [
+        ("cold", cold),
+        (
+            "heap",
+            LibraryIndex::open(&path, THREADS).expect("heap load"),
+        ),
+        (
+            "mapped",
+            LibraryIndex::open_mapped(&path, THREADS).expect("mapped load"),
+        ),
+        ("appended", appended),
+    ];
+    std::fs::remove_file(&path).ok();
+
+    let expected = ReferenceMeta::from_library(&library);
+    for (name, index) in constructions {
+        let catalog = index.catalog();
+        assert_eq!(*catalog, expected, "{name}: catalog");
+        assert!(
+            Arc::ptr_eq(&catalog, &index.catalog()),
+            "{name}: re-derived"
+        );
+        let shard_of = index.shard_assignment();
+        assert_eq!(shard_of.len(), library.len(), "{name}: id → shard table");
+        for (s, shard) in index.shards().iter().enumerate() {
+            for e in &shard.entries {
+                assert_eq!(shard_of[e.id as usize], s as u32, "{name}: id {}", e.id);
+            }
+        }
+        let engine = Engine::from_index(index, THREADS).expect("an index wires its own kind");
+        assert!(std::ptr::eq(engine.meta(), &*catalog), "{name}: engine");
+    }
+}
+
+#[test]
+fn an_engine_scores_each_shard_its_index_reaches_in_one_run() {
+    // One mass on both sides of a shard boundary, then a third entry of
+    // that mass appended into the earlier shard (the index crate's
+    // `a_mass_shared_across_a_shard_boundary_costs_one_visit_per_shard`):
+    // the engine's candidate index is the index's own shard walk, so a
+    // receipt counts one visit per shard a query reaches — counted here
+    // as the distinct shards among each query's candidates.
+    use hdoms_ms::preprocess::Preprocessor;
+    use hdoms_oms::pipeline::ReferenceCatalog;
+    use hdoms_oms::search::candidate_lists;
+    use std::collections::BTreeSet;
+
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 9009);
+    let mut config = IndexConfig {
+        entries_per_shard: 16,
+        threads: THREADS,
+        ..IndexConfig::default()
+    };
+    if let IndexedBackendKind::Exact(exact) = &mut config.kind {
+        exact.encoder.dim = 512;
+    }
+    let builder = IndexBuilder::new(config);
+    let edge = builder.from_library(&workload.library).shards()[0]
+        .entries
+        .last()
+        .expect("a full shard")
+        .id;
+    let twin = workload.library.get(edge).expect("edge id").clone();
+    let library: SpectralLibrary = (workload.library.iter().cloned())
+        .chain([twin.clone()])
+        .collect();
+    let mut index = builder.from_library(&library);
+    index.append_entries(&[twin], THREADS);
+    let shard_of = index.shard_assignment();
+    assert_eq!(shard_of[library.len()], 0, "the third twin joins shard 0");
+    assert_eq!(
+        index.shards()[0].mass_hi(),
+        index.shards()[1].mass_lo(),
+        "the cut must fall between the twins"
+    );
+
+    let window = PrecursorWindow::open_default();
+    let (binned, _) = Preprocessor::new(index.kind().preprocess()).run_batch(&workload.queries);
+    let reached: usize = candidate_lists(&index.candidate_index(), &window, &binned)
+        .iter()
+        .map(|list| {
+            let shards: BTreeSet<u32> = list.iter().map(|&id| shard_of[id as usize]).collect();
+            shards.len()
+        })
+        .sum();
+    let engine = Arc::new(Engine::from_index(index, THREADS).expect("own kind"));
+    let (_, receipt) = engine.search(&workload.queries, window, 0.01);
+    assert_eq!(receipt.shards_touched, reached);
 }

@@ -213,7 +213,7 @@ fn topk_is_rejected_off_the_sharded_index_path() {
     let mut flat = Engine::from_backend(
         Box::new(index.to_exact_backend(THREADS).expect("same kind")),
         index.kind().preprocess(),
-        ReferenceMeta::from_index(&index),
+        ReferenceMeta::clone(&index.catalog()),
         THREADS,
     );
     assert!(flat.set_prefilter(PrefilterConfig::TopK(16)).is_err());

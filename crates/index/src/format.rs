@@ -69,6 +69,7 @@ use std::fmt;
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Magic bytes opening every index file.
 pub const MAGIC: [u8; 8] = *b"HDOMSIDX";
@@ -339,12 +340,13 @@ impl Shard {
 
 /// MLC programming state persisted for the RRAM accelerator kind: the
 /// effective differential weight pairs of the programmed position-ID item
-/// memory, so a warm load skips re-sampling the device model.
+/// memory, so a warm load skips re-sampling the device model. The
+/// weights are the allocation the index's in-memory encoder reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MlcState {
     /// Effective differential weights `(g⁺−g⁻)/g_max`, flattened
     /// `[bin][dim]`.
-    pub w_eff: Vec<f32>,
+    pub w_eff: Arc<[f32]>,
     /// RMS per-pair normalised conductance deviation of the programmed
     /// array.
     pub sigma_delta: f64,
@@ -380,10 +382,12 @@ pub(crate) trait Record {
 }
 
 /// Fixed-width scalars (`$wire` is the type on disk: every `usize` is a
-/// `u64` there) and, per scalar, `T[]`: a `u64` element count bounded by
-/// the bytes left before anything is allocated, then the elements.
+/// `u64` there) and, per scalar, `T[]` read into `$array` (the weights'
+/// `f32[]` straight into the slice they are shared as): a `u64` element
+/// count bounded by the bytes left before anything is allocated, then
+/// the elements.
 macro_rules! scalars {
-    ($($ty:ident as $wire:ident),*) => {$(
+    ($($ty:ident as $wire:ident in $array:ty),*) => {$(
         impl Put for $ty {
             fn put(&self, w: &mut Vec<u8>) {
                 w.extend_from_slice(&(*self as $wire).to_le_bytes());
@@ -406,8 +410,8 @@ macro_rules! scalars {
                 self.iter().for_each(|x| x.put(w));
             }
         }
-        impl Get for Vec<$ty> {
-            fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<$ty>, IndexError> {
+        impl Get for $array {
+            fn get(r: &mut Reader<'_>, what: &'static str) -> Result<$array, IndexError> {
                 let size = std::mem::size_of::<$wire>();
                 let count = r.checked_len(what, size)?;
                 let body = r.raw(count * size, what)?;
@@ -422,12 +426,12 @@ macro_rules! scalars {
     )*};
 }
 scalars!(
-    u8 as u8,
-    u32 as u32,
-    u64 as u64,
-    f32 as f32,
-    f64 as f64,
-    usize as u64
+    u8 as u8 in Vec<u8>,
+    u32 as u32 in Vec<u32>,
+    u64 as u64 in Vec<u64>,
+    f32 as f32 in Arc<[f32]>,
+    f64 as f64 in Vec<f64>,
+    usize as u64 in Vec<usize>
 );
 
 /// `str`: a `u8[]` that must be UTF-8.
@@ -701,7 +705,7 @@ record!(impl IndexEntry as "entry" {
 });
 
 record!(impl MlcState as "mlc_state" {
-    w_eff: Vec<f32>,
+    w_eff: Arc<[f32]>,
     sigma_delta: f64,
 });
 
@@ -1001,7 +1005,8 @@ mod tests {
         round::<bool, _>(&true);
         round::<String, str>("peptide/КИРИЛЛИЦА");
         round::<Vec<u64>, [u64]>(&[1, 2, 3]);
-        round::<Vec<f32>, [f32]>(&[0.5, -0.5]);
+        let weights = decode::<Arc<[f32]>>(&encode(&[0.5f32, -0.5][..]), "x", 3);
+        assert_eq!(*weights.unwrap(), [0.5, -0.5]);
         assert!(decode::<u8>(&[1, 2], "x", 3).is_err(), "a byte trails");
     }
 

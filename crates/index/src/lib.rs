@@ -21,10 +21,11 @@
 //!   rejected at load time.
 //!
 //! A loaded index keeps its hypervectors in one flat shared table
-//! ([`LibraryIndex::shared_references`]); every warm backend constructor
-//! **shares** that table instead of cloning it, so a resident index plus
-//! its backends hold a single copy of the encoded library — which is
-//! what makes the long-lived `hdoms-serve` layer affordable.
+//! ([`LibraryIndex::shared_references`]), its per-id catalog and id →
+//! shard table behind `Arc`s, and its kind's one backend (item memories,
+//! programmed weights); everything handed out of it **shares** those, so
+//! a resident index plus its backends and engines hold one of each —
+//! which is what makes the long-lived `hdoms-serve` layer affordable.
 //!
 //! Since format **v2** shard hypervector words are laid out 8-aligned,
 //! so the one loader ([`LibraryIndex::from_buffer`]) searches the file's
@@ -84,5 +85,5 @@ pub mod xxhash;
 
 pub use format::{IndexEntry, IndexError, IndexedBackendKind, MlcState, Shard};
 pub use library_index::{IndexBuilder, IndexConfig, LibraryIndex};
-pub use sharded::{ShardTiming, ShardedBackend};
+pub use sharded::{QueryRecord, ShardTiming, ShardedBackend};
 pub use streaming::{StreamingBuildReport, StreamingConfig, StreamingIndexBuilder};

@@ -5,15 +5,18 @@ use crate::format::{
     MlcState, Put, Shard, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION,
 };
 use crate::sharded::{BoxedScorer, ShardedBackend};
-use crate::streaming::{rram_encoder, ChunkEncoder};
 use crate::wire::Reader;
-use hdoms_core::accelerator::{BuildStats, OmsAccelerator, StatsFold};
+use hdoms_core::accelerator::{AcceleratorConfig, BuildStats, OmsAccelerator, StatsFold};
+use hdoms_core::encode::InMemoryEncoder;
 use hdoms_hdc::parallel::par_map;
-use hdoms_hdc::WordBuffer;
+use hdoms_hdc::{BinaryHypervector, WordBuffer};
 use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
+use hdoms_ms::preprocess::{BinnedSpectrum, Preprocessor};
 use hdoms_oms::candidates::CandidateIndex;
-use hdoms_oms::pipeline::ReferenceCatalog;
-use hdoms_oms::search::{ExactBackend, ExactBackendConfig, SharedReferences};
+use hdoms_oms::pipeline::{ReferenceCatalog, ReferenceMeta};
+use hdoms_oms::search::{
+    encode_chunk, ExactBackend, ExactBackendConfig, ReferenceEncoder, SharedReferences,
+};
 use hdoms_prefilter::{SketchIndex, SKETCH_WORDS};
 use std::io::Write;
 use std::path::Path;
@@ -114,11 +117,13 @@ impl IndexBuilder {
     /// contracts as the underlying backend constructors).
     pub fn from_library(&self, library: &SpectralLibrary) -> LibraryIndex {
         assert!(!library.is_empty(), "cannot index an empty library");
-        let encoder = ChunkEncoder::new(&self.config.kind, None, self.config.threads);
+        let kind = self.config.recorded_kind();
+        let backend = KindBackend::new(&kind, None);
+        let (pre, threads) = (Preprocessor::new(kind.preprocess()), self.config.threads);
         let mut references = SharedReferences::from(Vec::new());
         let mut stats = StatsFold::default();
         for chunk in library.entries().chunks(ENCODE_CHUNK) {
-            let encoded = encoder.encode(chunk, references.len() as u32);
+            let encoded = encode_chunk(&backend, &pre, chunk, references.len() as u32, threads);
             references.append(encoded.into_iter().map(|slot| stats.push(slot)));
         }
 
@@ -137,19 +142,91 @@ impl IndexBuilder {
             .collect();
 
         let mut index = LibraryIndex {
-            kind: self.config.recorded_kind(),
+            kind,
             entries_per_shard: per_shard,
             entry_count: library.len(),
             build_stats: stats.onto(None),
-            mlc: encoder.mlc_state(),
+            mlc: backend.mlc_state(),
             shards,
             references,
-            by_id: Vec::new(),
-            peptides: OnceLock::new(),
+            catalog: Arc::default(),
+            shard_of: Arc::default(),
+            backend: Arc::new(OnceLock::from(backend)),
             sketches: OnceLock::new(),
         };
-        index.rebuild_by_id();
+        index.derive_per_id(0);
         index
+    }
+}
+
+/// The one backend of an index's kind: every build path — cold,
+/// streaming, append — encodes the library through it, and over the
+/// finished table it is the scorer the index hands out. Built once per
+/// index (clones share it); item memories and programmed weights sit
+/// behind `Arc`s, so a handle encodes queries with the very memory
+/// that encoded the references.
+#[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)] // one instance per index, never collected
+pub(crate) enum KindBackend {
+    /// The exact scan, here over no references — for the HyperOMS kind
+    /// under its binary-ID configuration and its own report name.
+    Software(ExactBackend),
+    /// The accelerator's in-memory encoder; the search half is derived
+    /// from the configuration when a scorer is handed out.
+    Rram(AcceleratorConfig, InMemoryEncoder),
+}
+
+impl KindBackend {
+    /// The kind → backend mapping, spelled here and nowhere else. With
+    /// `mlc` — an index's persisted programming state — the in-memory
+    /// encoder is restored over those very weights (bit-identical to the
+    /// one persisted); without, it is freshly programmed from the seed.
+    pub(crate) fn new(kind: &IndexedBackendKind, mlc: Option<&MlcState>) -> KindBackend {
+        let software = |config: ExactBackendConfig| {
+            ExactBackend::from_shared(config, SharedReferences::from(Vec::new()))
+        };
+        match kind {
+            IndexedBackendKind::Exact(config) => KindBackend::Software(software(*config)),
+            IndexedBackendKind::HyperOms(config) => {
+                KindBackend::Software(software(config.exact_config(1)).named(kind.name()))
+            }
+            IndexedBackendKind::Rram(config) => {
+                let (encoder, crossbar, seed) = (config.encoder, config.crossbar, config.seed);
+                let in_memory = match mlc {
+                    Some(mlc) => InMemoryEncoder::from_programmed(
+                        encoder,
+                        crossbar,
+                        Arc::clone(&mlc.w_eff),
+                        mlc.sigma_delta,
+                        seed,
+                    ),
+                    None => InMemoryEncoder::new(encoder, crossbar, seed),
+                };
+                KindBackend::Rram(*config, in_memory)
+            }
+        }
+    }
+
+    /// The MLC programming state an RRAM-kind image persists: a handle
+    /// on the encoder's own weights, not a copy.
+    pub(crate) fn mlc_state(&self) -> Option<MlcState> {
+        let KindBackend::Rram(_, encoder) = self else {
+            return None;
+        };
+        Some(MlcState {
+            w_eff: Arc::clone(encoder.programmed_weights()),
+            sigma_delta: encoder.sigma_delta(),
+        })
+    }
+}
+
+/// The library side: every build path runs [`encode_chunk`] over this.
+impl ReferenceEncoder for KindBackend {
+    fn encode_reference(&self, binned: &BinnedSpectrum) -> (BinaryHypervector, f64) {
+        match self {
+            KindBackend::Software(backend) => backend.encode_reference(binned),
+            KindBackend::Rram(_, encoder) => encoder.encode_reference(binned),
+        }
     }
 }
 
@@ -168,9 +245,9 @@ impl IndexBuilder {
 /// backends reconstructed from it hold exactly **one** copy of the
 /// encoded library. Cloning a `LibraryIndex` likewise shares the table.
 ///
-/// Equality compares logical content: the peptide cache is derived
-/// state and ignored, and reference tables with the same bits compare
-/// equal wherever their words live.
+/// Equality compares logical content: the per-id tables, the backend
+/// and the sketch cache are derived state and ignored, and reference
+/// tables with the same bits compare equal wherever their words live.
 ///
 /// The table has one representation (see [`SharedReferences`]): word
 /// slices inside one buffer — a heap buffer after a cold build, a v1
@@ -186,15 +263,15 @@ pub struct LibraryIndex {
     shards: Vec<Shard>,
     /// The flat `id → hypervector` table shared with warm backends.
     references: SharedReferences,
-    /// Dense `id → (neutral mass, is_decoy)` side table, derived from the
-    /// shards, so per-PSM catalog lookups are O(1) instead of scanning
-    /// every shard (rebuilt on construction and append).
-    by_id: Vec<(f64, bool)>,
-    /// Dense `id → peptide` table, built lazily on the first
-    /// [`LibraryIndex::peptides_by_id`] call and then shared with every
-    /// caller (cleared on mutation) — loads stay free of per-peptide
-    /// clones, and per-session serve calls cost one `Arc` bump.
-    peptides: OnceLock<Arc<[String]>>,
+    /// The per-id facts — `id → (neutral mass, is_decoy, peptide)` and
+    /// `id → shard position` — derived from the shards in one walk
+    /// ([`LibraryIndex::derive_per_id`]), shared with every engine and
+    /// sharded backend over this index.
+    catalog: Arc<ReferenceMeta>,
+    shard_of: Arc<[u32]>,
+    /// The kind's one backend, built on first use and shared with this
+    /// index's clones.
+    backend: Arc<OnceLock<KindBackend>>,
     /// The prefilter's folded-hypervector sketch table, pre-populated on
     /// a v3 load and derived lazily otherwise (see
     /// [`LibraryIndex::sketch_index`]); cleared on mutation.
@@ -210,7 +287,7 @@ impl PartialEq for LibraryIndex {
             && self.mlc == other.mlc
             && self.shards == other.shards
             && self.references == other.references
-        // `by_id`, `peptides` and `sketches` are derived state.
+        // `catalog`, `shard_of`, `backend` and `sketches` are derived state.
     }
 }
 
@@ -250,13 +327,16 @@ impl LibraryIndex {
         self.shards.iter().flat_map(|s| s.entries.iter())
     }
 
+    /// The dense per-id catalog (mass, decoy flag, peptide) — the table
+    /// an engine over this index reads, shared rather than re-derived.
+    pub fn catalog(&self) -> Arc<ReferenceMeta> {
+        Arc::clone(&self.catalog)
+    }
+
     /// Peptide sequences by dense reference id (for PSM tables without
-    /// the library file). The table is built once per index mutation and
-    /// shared — calling this per session (as the serve layer does) costs
-    /// one `Arc` bump, not an allocation per peptide.
-    pub fn peptides_by_id(&self) -> Arc<[String]> {
-        let peptides = || self.dense(String::new(), |_, e| e.peptide.clone()).into();
-        Arc::clone(self.peptides.get_or_init(peptides))
+    /// the library file): the catalog's table, one `Arc` bump per call.
+    pub fn peptides_by_id(&self) -> Arc<Vec<String>> {
+        Arc::clone(self.catalog.peptides())
     }
 
     /// The shared handle to the flat reference table. Warm backends built
@@ -284,20 +364,26 @@ impl LibraryIndex {
     }
 
     /// Shard assignment by dense id (`shard_of[id]` = shard position).
-    pub fn shard_assignment(&self) -> Vec<u32> {
-        self.dense(0, |shard, _| shard as u32)
+    pub fn shard_assignment(&self) -> Arc<[u32]> {
+        Arc::clone(&self.shard_of)
     }
 
-    /// A dense `id → of(shard position, entry)` table over every entry
-    /// (`empty` where the shards hold no such id).
-    fn dense<T: Clone>(&self, empty: T, of: impl Fn(usize, &IndexEntry) -> T) -> Vec<T> {
-        let mut table = vec![empty; self.entry_count];
-        for (s, shard) in self.shards.iter().enumerate() {
-            for e in &shard.entries {
-                table[e.id as usize] = of(s, e);
-            }
-        }
-        table
+    /// The one walk over the shards that derives the per-id facts — the
+    /// id → shard table, and the catalog rows of ids `known..` (a
+    /// catalog already holds the rest: an append copies no old row) —
+    /// run wherever the shards change (construct, load, append).
+    fn derive_per_id(&mut self, known: usize) {
+        let mut shard_of: Arc<[u32]> = std::iter::repeat_n(0, self.entry_count).collect();
+        let slots = Arc::get_mut(&mut shard_of).expect("no second handle yet");
+        let entries = (self.shards.iter().enumerate())
+            .flat_map(|(s, shard)| shard.entries.iter().map(move |e| (s as u32, e)));
+        let rows = entries.filter_map(|(s, e)| {
+            slots[e.id as usize] = s;
+            let row = || (e.id, e.neutral_mass, e.is_decoy, e.peptide.clone());
+            (e.id as usize >= known).then(row)
+        });
+        Arc::make_mut(&mut self.catalog).grow(self.entry_count, rows);
+        self.shard_of = shard_of;
     }
 
     // -- residency --------------------------------------------------------
@@ -356,47 +442,47 @@ impl LibraryIndex {
         ))
     }
 
-    /// Reconstruct the software-exact backend without re-encoding.
-    ///
-    /// The returned backend **shares** this index's reference table — no
-    /// hypervector words are copied, so index + backend together hold one
-    /// copy of the encoded library.
+    /// The kind's one backend ([`KindBackend`]), built on first use.
+    fn backend(&self) -> &KindBackend {
+        (self.backend).get_or_init(|| KindBackend::new(&self.kind, self.mlc.as_ref()))
+    }
+
+    /// The software-exact backend over this index's references, without
+    /// re-encoding. It **shares** the index's reference table and item
+    /// memories — no hypervector words are copied and no encoder is
+    /// regenerated, so index + backend together hold one copy of each.
     ///
     /// # Errors
     ///
     /// Fails with [`IndexError::Invalid`] when the index was built for a
     /// different backend kind.
     pub fn to_exact_backend(&self, threads: usize) -> Result<ExactBackend, IndexError> {
-        let IndexedBackendKind::Exact(config) = &self.kind else {
-            return Err(self.built_for_another_kind("exact"));
-        };
-        let mut config = *config;
-        config.threads = threads;
-        Ok(ExactBackend::from_shared(config, self.references.clone()))
+        match self.backend() {
+            // HyperOMS is software too, but reports under its own kind.
+            KindBackend::Software(backend) if matches!(self.kind, IndexedBackendKind::Exact(_)) => {
+                Ok(backend.over(self.references.clone(), threads))
+            }
+            _ => Err(self.built_for_another_kind("exact")),
+        }
     }
 
-    /// Reconstruct the MLC-RRAM accelerator without re-encoding the
-    /// library: the ID item memory is restored from the persisted
-    /// differential weight pairs and the stored reference hypervectors
-    /// become the search weights directly (shared with this index, not
-    /// cloned).
+    /// The MLC-RRAM accelerator over this index's references, without
+    /// re-encoding the library: its in-memory encoder is the index's own
+    /// (the ID item memory restored from the persisted differential
+    /// weight pairs, shared, not cloned) and the stored reference
+    /// hypervectors become the search weights directly (shared too).
     ///
     /// # Errors
     ///
     /// Fails with [`IndexError::Invalid`] when the index was built for a
-    /// different backend kind or the MLC section is missing.
+    /// different backend kind.
     pub fn to_accelerator(&self, threads: usize) -> Result<OmsAccelerator, IndexError> {
-        let IndexedBackendKind::Rram(config) = &self.kind else {
+        let KindBackend::Rram(config, encoder) = self.backend() else {
             return Err(self.built_for_another_kind("rram"));
         };
-        let mlc = self.mlc.as_ref().ok_or_else(|| {
-            IndexError::Invalid("rram index is missing its MLC programming state".to_owned())
-        })?;
-        let mut config = *config;
-        config.threads = threads;
         Ok(OmsAccelerator::from_parts(
-            config,
-            rram_encoder(&config, Some(mlc)),
+            AcceleratorConfig { threads, ..*config },
+            encoder.clone(),
             self.references.clone(),
             self.build_stats,
         ))
@@ -410,17 +496,13 @@ impl LibraryIndex {
     ///
     /// # Errors
     ///
-    /// Propagates the kind mismatch errors of the reconstruction methods.
+    /// None today: every kind has a scorer.
     pub fn sharded_backend(&self, threads: usize) -> Result<ShardedBackend, IndexError> {
-        let scorer: BoxedScorer = match &self.kind {
-            IndexedBackendKind::Exact(_) => Box::new(self.to_exact_backend(threads)?),
-            // HyperOMS is the exact scan under its binary-ID
-            // configuration and its own report name.
-            IndexedBackendKind::HyperOms(config) => Box::new(
-                ExactBackend::from_shared(config.exact_config(threads), self.references.clone())
-                    .named(self.kind.name()),
-            ),
-            IndexedBackendKind::Rram(_) => Box::new(self.to_accelerator(threads)?),
+        let scorer: BoxedScorer = match self.backend() {
+            KindBackend::Software(backend) => {
+                Box::new(backend.over(self.references.clone(), threads))
+            }
+            KindBackend::Rram(..) => Box::new(self.to_accelerator(threads)?),
         };
         Ok(ShardedBackend::new(
             scorer,
@@ -449,8 +531,8 @@ impl LibraryIndex {
             return;
         }
         let first_id = self.entry_count as u32;
-        let encoded =
-            ChunkEncoder::new(&self.kind, self.mlc.as_ref(), threads).encode(new_entries, first_id);
+        let pre = Preprocessor::new(self.kind.preprocess());
+        let encoded = encode_chunk(self.backend(), &pre, new_entries, first_id, threads);
 
         // New ids are `entry_count..`, so the flat table simply extends
         // (in place when this index alone holds a heap buffer; see
@@ -463,17 +545,10 @@ impl LibraryIndex {
             self.insert_entry(IndexEntry::of(first_id + offset as u32, entry));
         }
         self.entry_count += new_entries.len();
-        self.rebuild_by_id();
+        self.derive_per_id(first_id as usize);
         // The sketch table covers the old slots only — rebuild on the
         // next prefiltered search (or persist).
         self.sketches = OnceLock::new();
-    }
-
-    /// Recompute the dense `id → (mass, decoy)` side table from the
-    /// shards and invalidate the lazy peptide cache.
-    fn rebuild_by_id(&mut self) {
-        self.by_id = self.dense((f64::NAN, false), |_, e| (e.neutral_mass, e.is_decoy));
-        self.peptides = OnceLock::new();
     }
 
     /// Place one entry into the shard covering its mass, splitting the
@@ -614,7 +689,7 @@ impl LibraryIndex {
             SharedReferences::new(WordBuffer::from(words), dim, offsets)
         };
         index.validate()?;
-        index.rebuild_by_id();
+        index.derive_per_id(0);
         Ok(index)
     }
 
@@ -723,7 +798,7 @@ fn parse_sections(bytes: &[u8]) -> Result<(LibraryIndex, u32, Vec<Frame>), Index
     let header: Header = format::decode(header.verify(bytes, "header")?, "header", version)?;
     // Every entry costs well over one byte on disk, so a declared
     // count beyond the file size is corruption — reject it before any
-    // count-sized allocation (validate/rebuild_by_id) can run.
+    // count-sized allocation (validate/derive_per_id) can run.
     let (count, size) = (header.entry_count, bytes.len());
     need(count <= size, || {
         format!("declared entry count {count} exceeds the file size ({size} bytes)")
@@ -769,8 +844,9 @@ fn parse_sections(bytes: &[u8]) -> Result<(LibraryIndex, u32, Vec<Frame>), Index
         mlc,
         shards: Vec::with_capacity(shards.len()),
         references: SharedReferences::from(Vec::new()),
-        by_id: Vec::new(),
-        peptides: OnceLock::new(),
+        catalog: Arc::default(),
+        shard_of: Arc::default(),
+        backend: Arc::default(),
         sketches,
     };
     Ok((index, version, shards))
@@ -782,13 +858,16 @@ impl ReferenceCatalog for LibraryIndex {
     }
 
     fn reference_mass(&self, id: u32) -> Option<f64> {
-        self.by_id.get(id as usize).map(|&(mass, _)| mass)
+        self.catalog.reference_mass(id)
     }
 
     fn reference_is_decoy(&self, id: u32) -> Option<bool> {
-        self.by_id.get(id as usize).map(|&(_, decoy)| decoy)
+        self.catalog.reference_is_decoy(id)
     }
 
+    /// Fed from the shard walk: equal masses stay in shard order (also
+    /// where an append left one mass on both sides of a shard boundary),
+    /// so a query's candidates fall into ascending shard runs.
     fn candidate_index(&self) -> CandidateIndex {
         CandidateIndex::from_masses(self.entries().map(|e| (e.neutral_mass, e.id)))
     }

@@ -28,7 +28,8 @@ use hdoms_ms::preprocess::BinnedSpectrum;
 use hdoms_obs::metrics::Registry;
 use hdoms_oms::search::{RunScorer, SearchHit, SimilarityBackend};
 use hdoms_prefilter::{PrefilterStats, SketchIndex};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The backend a [`ShardedBackend`] fans out over: any hypervector
@@ -37,11 +38,11 @@ pub(crate) type BoxedScorer = Box<dyn RunScorer<Query = BinaryHypervector> + Sen
 
 /// Wall-clock spent scoring one shard during a batch search.
 ///
-/// Produced by [`ShardedBackend::search_batch_grouped`], sorted by shard
-/// position, covering only shards the batch actually visited. `ms` sums
-/// every scoring visit the batch paid the shard (across queries and
-/// worker threads — on a parallel batch the per-shard figures can sum
-/// to more than the batch's wall-clock).
+/// Summed out of a batch's [`QueryRecord`]s by [`QueryRecord::sum`],
+/// sorted by shard position, covering only shards the batch actually
+/// visited. `ms` sums every scoring visit the batch paid the shard
+/// (across queries and worker threads — on a parallel batch the
+/// per-shard figures can sum to more than the batch's wall-clock).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardTiming {
     /// Shard position (as in [`crate::LibraryIndex::shards`]).
@@ -52,37 +53,53 @@ pub struct ShardTiming {
     pub ms: f64,
 }
 
-/// Per-shard accumulators for one batch: plain atomics so the
-/// scoring closures can record from any worker thread without locks.
-struct ShardClock {
-    ns: Vec<AtomicU64>,
-    visits: Vec<AtomicU64>,
+/// The account of one query of a batch
+/// ([`ShardedBackend::search_batch_traced`]): what it found and what it
+/// cost, in integer counts and integer nanoseconds (the prefilter's all
+/// 0 when the batch ran unfiltered). Scoring is per query, so these are
+/// the whole of a search's accounting — any grouping of a batch (a
+/// request, a coalesced member, the batch itself) is a
+/// [`QueryRecord::sum`] over its queries' records.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct QueryRecord {
+    /// The best hit (`None` when no candidate was stored).
+    pub hit: Option<SearchHit>,
+    /// One `(shard position, scoring nanoseconds)` per shard run scored,
+    /// ascending in shard position; empty (and unallocated) for a query
+    /// with no candidates.
+    pub visits: Vec<(u32, u64)>,
+    /// Precursor-window candidates entering the sketch stage.
+    pub candidates_pre: u64,
+    /// Candidates the sketch stage forwarded to the exact scan.
+    pub candidates_post: u64,
+    /// Nanoseconds spent scoring sketches and narrowing.
+    pub sketch_ns: u64,
 }
 
-impl ShardClock {
-    fn new(shard_count: usize) -> ShardClock {
-        ShardClock {
-            ns: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
-            visits: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
+impl QueryRecord {
+    /// Sum the accounts of `records`: one [`ShardTiming`] per shard any
+    /// of them visited (sorted by shard position; nanoseconds are summed
+    /// as integers and converted once) and the prefilter stage's totals.
+    pub fn sum(records: &[QueryRecord]) -> (Vec<ShardTiming>, PrefilterStats) {
+        let mut shards: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+        let (mut stats, mut sketch_ns) = (PrefilterStats::default(), 0);
+        for record in records {
+            for &(shard, ns) in &record.visits {
+                let (visits, total) = shards.entry(shard).or_default();
+                *visits += 1;
+                *total += ns;
+            }
+            stats.candidates_pre += record.candidates_pre;
+            stats.candidates_post += record.candidates_post;
+            sketch_ns += record.sketch_ns;
         }
-    }
-
-    fn record(&self, shard: usize, ns: u64) {
-        self.ns[shard].fetch_add(ns, Ordering::Relaxed);
-        self.visits[shard].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn timings(&self) -> Vec<ShardTiming> {
-        (0..self.ns.len())
-            .filter_map(|shard| {
-                let visits = self.visits[shard].load(Ordering::Relaxed);
-                (visits > 0).then(|| ShardTiming {
-                    shard: shard as u32,
-                    visits,
-                    ms: self.ns[shard].load(Ordering::Relaxed) as f64 / 1e6,
-                })
-            })
-            .collect()
+        stats.sketch_ms = sketch_ns as f64 / 1e6;
+        let timings = shards.into_iter().map(|(shard, (visits, ns))| ShardTiming {
+            shard,
+            visits,
+            ms: ns as f64 / 1e6,
+        });
+        (timings.collect(), stats)
     }
 }
 
@@ -94,42 +111,6 @@ hdoms_obs::metrics::series! {
         score_ms: Histogram = "hdoms_shard_score_ms", "Wall-clock of one shard-scoring visit (one query x one shard run)";
         visits: Counter = "hdoms_shard_visits_total", "Shard-scoring visits performed by traced batch searches";
     }
-}
-
-/// Batch-wide cascade accumulators: plain atomics so the per-query
-/// narrowing closures can record from any worker thread without locks
-/// (sketch wall-clock is summed in integer nanoseconds and converted
-/// once).
-#[derive(Default)]
-struct PrefilterClock {
-    pre: AtomicU64,
-    post: AtomicU64,
-    ns: AtomicU64,
-}
-
-impl PrefilterClock {
-    fn record(&self, pre: u64, post: u64, ns: u64) {
-        self.pre.fetch_add(pre, Ordering::Relaxed);
-        self.post.fetch_add(post, Ordering::Relaxed);
-        self.ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    fn stats(&self) -> PrefilterStats {
-        PrefilterStats {
-            candidates_pre: self.pre.load(Ordering::Relaxed),
-            candidates_post: self.post.load(Ordering::Relaxed),
-            sketch_ms: self.ns.load(Ordering::Relaxed) as f64 / 1e6,
-        }
-    }
-}
-
-/// Merge per-shard best hits in the flat scan's order.
-fn merge_hits(hits: impl IntoIterator<Item = Option<SearchHit>>) -> Option<SearchHit> {
-    let mut best: Option<SearchHit> = None;
-    for hit in hits.into_iter().flatten() {
-        hit.fold_into(&mut best);
-    }
-    best
 }
 
 /// Sharded, shard-parallel search backend over an indexed library.
@@ -167,8 +148,8 @@ fn merge_hits(hits: impl IntoIterator<Item = Option<SearchHit>>) -> Option<Searc
 /// ```
 pub struct ShardedBackend {
     scorer: BoxedScorer,
-    /// Dense id → shard position.
-    shard_of: Vec<u32>,
+    /// Dense id → shard position: the index's table, shared.
+    shard_of: Arc<[u32]>,
     shard_count: usize,
     threads: usize,
     series: ShardSeries,
@@ -177,7 +158,7 @@ pub struct ShardedBackend {
 impl ShardedBackend {
     pub(crate) fn new(
         scorer: BoxedScorer,
-        shard_of: Vec<u32>,
+        shard_of: Arc<[u32]>,
         shard_count: usize,
         threads: usize,
     ) -> ShardedBackend {
@@ -202,20 +183,10 @@ impl ShardedBackend {
         self.series = ShardSeries::register(registry);
     }
 
-    /// Partition a mass-sorted candidate list into its shard runs.
-    ///
-    /// Candidates belonging to shards the precursor window does not reach
-    /// simply do not occur in the list, so the returned runs are exactly
-    /// the overlapping shards.
-    fn shard_runs<'c>(&self, candidates: &'c [u32]) -> Vec<&'c [u32]> {
-        let shard = |id: &u32| self.shard_of[*id as usize];
-        candidates.chunk_by(|a, b| shard(a) == shard(b)).collect()
-    }
-
     /// Evaluate one query: encode once, narrow the candidate list
     /// through the prefilter's sketch stage when one is passed, score
-    /// each shard run (timed into `clock` and the backend's series),
-    /// merge.
+    /// each shard run (timed into the record and the backend's series),
+    /// fold the per-shard winners in the flat scan's order.
     ///
     /// `parallel_shards` (> 1) switches the per-shard scoring onto that
     /// many worker threads (used when the batch itself is too small to
@@ -225,11 +196,11 @@ impl ShardedBackend {
         binned: &BinnedSpectrum,
         candidates: &[u32],
         parallel_shards: usize,
-        clock: &ShardClock,
-        prefilter: Option<(&SketchIndex, usize, &PrefilterClock)>,
-    ) -> Option<SearchHit> {
+        prefilter: Option<(&SketchIndex, usize)>,
+    ) -> QueryRecord {
+        let mut record = QueryRecord::default();
         if candidates.is_empty() {
-            return None;
+            return record;
         }
         let query_hv = self.scorer.prepare(binned);
         // The sketch stage sits between encode and the shard walk: the
@@ -238,50 +209,80 @@ impl ShardedBackend {
         let narrowed: Vec<u32>;
         let candidates = match prefilter {
             None => candidates,
-            Some((sketch, k, pclock)) => {
+            Some((sketch, k)) => {
                 let start = Instant::now();
                 let signature = sketch.sketch_query(query_hv.words());
                 narrowed = sketch.narrow(&signature, candidates, k);
-                pclock.record(
-                    candidates.len() as u64,
-                    narrowed.len() as u64,
-                    start.elapsed().as_nanos() as u64,
-                );
+                record.candidates_pre = candidates.len() as u64;
+                record.candidates_post = narrowed.len() as u64;
+                record.sketch_ns = start.elapsed().as_nanos() as u64;
                 &narrowed
             }
         };
-        let runs = self.shard_runs(candidates);
-        let score = |run: &[u32]| -> Option<SearchHit> {
+        // The shard runs: candidates arrive mass-sorted and shards are
+        // mass-contiguous, so shard positions form non-decreasing runs —
+        // exactly the shards the precursor window reaches.
+        let shard = |id: &u32| self.shard_of[*id as usize];
+        let runs: Vec<&[u32]> = candidates.chunk_by(|a, b| shard(a) == shard(b)).collect();
+        let score = |run: &[u32]| {
             let start = Instant::now();
             let hit = self.scorer.best_in(binned, &query_hv, run);
             let ns = start.elapsed().as_nanos() as u64;
-            clock.record(self.shard_of[run[0] as usize] as usize, ns);
             self.series.score_ms.record_ms(ns as f64 / 1e6);
             self.series.visits.inc();
-            hit
+            (hit, (shard(&run[0]), ns))
+        };
+        record.visits.reserve_exact(runs.len());
+        let fold = |(hit, visit): (Option<SearchHit>, (u32, u64))| {
+            if let Some(hit) = hit {
+                hit.fold_into(&mut record.hit);
+            }
+            record.visits.push(visit);
         };
         if parallel_shards > 1 && runs.len() > 1 {
-            let hits = par_map(&runs, parallel_shards, |run| score(run));
-            merge_hits(hits)
+            let scored = par_map(&runs, parallel_shards, |run| score(run));
+            scored.into_iter().for_each(fold);
         } else {
-            merge_hits(runs.into_iter().map(score))
+            runs.into_iter().map(score).for_each(fold);
         }
+        record
     }
 
-    /// [`ShardedBackend::search_batch_grouped`] over one group: the
-    /// hits plus one [`ShardTiming`] per visited shard (sorted by shard
-    /// position) and the prefilter stage's accounting.
+    /// [`ShardedBackend::search_batch_traced`] summed over the batch
+    /// ([`QueryRecord::sum`]): the hits, one [`ShardTiming`] per visited
+    /// shard and the prefilter stage's accounting. With `prefilter` of
+    /// `None` the stats come back zeroed (the caller reports the
+    /// unfiltered candidate total for both stage counts).
+    ///
+    /// # Panics
+    ///
+    /// As [`ShardedBackend::search_batch_traced`].
+    pub fn search_batch_prefiltered(
+        &self,
+        queries: &[BinnedSpectrum],
+        candidates: &[Vec<u32>],
+        workers: Option<usize>,
+        prefilter: Option<(&SketchIndex, usize)>,
+    ) -> (Vec<Option<SearchHit>>, Vec<ShardTiming>, PrefilterStats) {
+        let records = self.search_batch_traced(queries, candidates, workers, prefilter);
+        let (timings, stats) = QueryRecord::sum(&records);
+        (records.iter().map(|r| r.hit).collect(), timings, stats)
+    }
+
+    /// The one search loop: one [`QueryRecord`] per query, in input
+    /// order. Scoring is per query and independent of batch composition,
+    /// so a record is bit-identical (hit and counts; nanoseconds are
+    /// wall-clock) whatever batch its query rides in — which is the
+    /// cross-request coalescing seam: the serve layer merges concurrent
+    /// requests into one batch here and the engine sums each request's
+    /// own range of records back out.
     ///
     /// When `prefilter` is `Some((sketch, k))`, every query's candidate
     /// list is narrowed to its top-`k` sketch scorers
     /// ([`SketchIndex::narrow`]) between the one-time query encode and
-    /// the shard walk, and the returned [`PrefilterStats`] account the
-    /// pre/post candidate counts plus the sketch stage's summed
-    /// wall-clock. With `prefilter` of `None` the stats come back
-    /// zeroed (the caller reports the unfiltered candidate total for
-    /// both stage counts). With `k` at or above every window size the
-    /// narrowed lists equal the input lists, so hits, timings *and*
-    /// per-stage counts match the unfiltered scan exactly.
+    /// the shard walk. With `k` at or above every window size the
+    /// narrowed lists equal the input lists, so hits and visits match
+    /// the unfiltered scan exactly.
     ///
     /// `workers` of `None` uses the backend's configured parallelism;
     /// `Some(n)` caps the batch at `n` worker threads (the serve
@@ -293,89 +294,23 @@ impl ShardedBackend {
     ///
     /// Panics when `queries` and `candidates` do not pair up, or the
     /// sketch does not cover the backend's reference ids.
-    pub fn search_batch_prefiltered(
+    pub fn search_batch_traced(
         &self,
         queries: &[BinnedSpectrum],
         candidates: &[Vec<u32>],
         workers: Option<usize>,
         prefilter: Option<(&SketchIndex, usize)>,
-    ) -> (Vec<Option<SearchHit>>, Vec<ShardTiming>, PrefilterStats) {
-        let group_of = vec![0u32; queries.len()];
-        let (hits, mut timings, mut stats) =
-            self.search_batch_grouped(queries, candidates, workers, prefilter, &group_of, 1);
-        (
-            hits,
-            timings.pop().expect("one group was requested"),
-            stats.pop().expect("one group was requested"),
-        )
-    }
-
-    /// The one search loop, over a **merged** batch of one or more
-    /// request groups: query `i` belongs to group
-    /// `group_of[i]` (`0..group_count`), and the per-shard timings and
-    /// prefilter stats come back **per group**, exactly as if each
-    /// group had been searched alone — the clocks are indexed by group,
-    /// so the accounting is precise even when the prefilter narrows
-    /// different groups by different amounts.
-    ///
-    /// The hits come back in input order. Scoring is per-query and
-    /// independent of batch composition, so they are bit-identical to
-    /// searching each group separately; only the accounting needs the
-    /// group map. This is the cross-request coalescing seam: the serve
-    /// layer merges concurrent interactive requests into one batch here
-    /// and splits receipts back out per request.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `queries`, `candidates` and `group_of` do not pair
-    /// up, a group id is at or beyond `group_count`, or the sketch does
-    /// not cover the backend's reference ids.
-    pub fn search_batch_grouped(
-        &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-        workers: Option<usize>,
-        prefilter: Option<(&SketchIndex, usize)>,
-        group_of: &[u32],
-        group_count: usize,
-    ) -> (
-        Vec<Option<SearchHit>>,
-        Vec<Vec<ShardTiming>>,
-        Vec<PrefilterStats>,
-    ) {
+    ) -> Vec<QueryRecord> {
         let workers = workers.unwrap_or(self.threads).max(1);
         assert_eq!(
             queries.len(),
             candidates.len(),
             "queries and candidate lists must pair up"
         );
-        assert_eq!(
-            queries.len(),
-            group_of.len(),
-            "queries and group ids must pair up"
-        );
-        assert!(
-            group_of.iter().all(|&g| (g as usize) < group_count),
-            "group id out of range"
-        );
-        let clocks: Vec<ShardClock> = (0..group_count)
-            .map(|_| ShardClock::new(self.shard_count))
-            .collect();
-        let pclocks: Vec<PrefilterClock> = (0..group_count)
-            .map(|_| PrefilterClock::default())
-            .collect();
         let search = |i: usize, parallel_shards: usize| {
-            let group = group_of[i] as usize;
-            let narrowing = prefilter.map(|(sketch, k)| (sketch, k, &pclocks[group]));
-            self.search_query(
-                &queries[i],
-                &candidates[i],
-                parallel_shards,
-                &clocks[group],
-                narrowing,
-            )
+            self.search_query(&queries[i], &candidates[i], parallel_shards, prefilter)
         };
-        let hits = if queries.len() >= workers {
+        if queries.len() >= workers {
             // Enough queries to keep every worker busy: parallelise over
             // queries, keep each query's shard walk sequential (better
             // locality, no nested parallelism).
@@ -385,22 +320,14 @@ impl ShardedBackend {
             // Few queries (interactive / tail of a batch): go wide over
             // each query's shards instead.
             (0..queries.len()).map(|i| search(i, workers)).collect()
-        };
-        (
-            hits,
-            clocks.iter().map(ShardClock::timings).collect(),
-            pclocks.iter().map(PrefilterClock::stats).collect(),
-        )
+        }
     }
 }
 
 impl SimilarityBackend for ShardedBackend {
     fn name(&self) -> String {
-        format!(
-            "sharded({}, {} shards)",
-            self.scorer.report_name(),
-            self.shard_count
-        )
+        let (scorer, shards) = (self.scorer.report_name(), self.shard_count);
+        format!("sharded({scorer}, {shards} shards)")
     }
 
     fn search_batch(

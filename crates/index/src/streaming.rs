@@ -1,10 +1,9 @@
 //! Streaming index construction: encode, spill, and serialise one
-//! bounded chunk at a time — plus the index's chunk encoder, which
-//! every build path (this one, the in-memory
-//! [`IndexBuilder`](crate::IndexBuilder), appends) encodes through: the
-//! kind picks a [`ReferenceEncoder`] once, at construction, and from
-//! then on it is the one `hdoms_oms::search::encode_chunk` body folded
-//! by the one [`StatsFold`].
+//! bounded chunk at a time — through the kind's one backend
+//! (`KindBackend`), like every build path (this one, the in-memory
+//! [`IndexBuilder`](crate::IndexBuilder), appends): the one
+//! `hdoms_oms::search::encode_chunk` body folded by the one
+//! [`StatsFold`].
 //!
 //! [`IndexBuilder`](crate::IndexBuilder) holds the whole encoded library
 //! in memory, which caps the library size at available RAM.
@@ -20,7 +19,7 @@
 //! The output is **byte-for-byte identical** to
 //! `IndexBuilder::from_library(...).to_bytes()` over the same entries in
 //! the same order: encoding is deterministic per (configuration, dense
-//! id) and runs through the same `ChunkEncoder`, the sketch section
+//! id) and runs through the same `KindBackend`, the sketch section
 //! grows slot by slot through the same `SketchIndex::push` that
 //! `SketchIndex::build` loops over, and both images go out through the
 //! one container writer (`format::ImageLayout::write`, every record
@@ -30,23 +29,16 @@
 //! differential test suite (`tests/streaming_equivalence.rs`) pins that
 //! guarantee.
 
-use crate::format::{
-    self, need, ImageLayout, IndexEntry, IndexError, IndexedBackendKind, MlcState,
-};
-use crate::library_index::IndexConfig;
-use hdoms_core::accelerator::{AcceleratorConfig, BuildStats, StatsFold};
-use hdoms_core::encode::InMemoryEncoder;
-use hdoms_hdc::BinaryHypervector;
+use crate::format::{self, need, ImageLayout, IndexEntry, IndexError};
+use crate::library_index::{IndexConfig, KindBackend};
+use hdoms_core::accelerator::{BuildStats, StatsFold};
 use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
 use hdoms_ms::preprocess::Preprocessor;
-use hdoms_oms::search::{
-    encode_chunk, ExactBackend, ExactBackendConfig, ReferenceEncoder, SharedReferences,
-};
+use hdoms_oms::search::encode_chunk;
 use hdoms_prefilter::{SketchIndex, SKETCH_WORDS};
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Configuration for [`StreamingIndexBuilder`].
 #[derive(Debug, Clone, PartialEq)]
@@ -85,93 +77,6 @@ pub struct StreamingBuildReport {
     pub spilled_bytes: u64,
     /// Build statistics, exactly as the in-memory path would record them.
     pub build_stats: BuildStats,
-}
-
-/// The library encoder of one index: the [`ReferenceEncoder`] its
-/// backend kind names, with the preprocessing and thread count it runs
-/// under — for cold builds, streaming builds and appends alike.
-pub(crate) struct ChunkEncoder {
-    encoder: Arc<dyn ReferenceEncoder + Send>,
-    /// The same encoder again when it is the in-memory one, for the MLC
-    /// programming state an RRAM-kind image persists.
-    in_memory: Option<Arc<InMemoryEncoder>>,
-    pre: Preprocessor,
-    threads: usize,
-}
-
-/// The in-memory encoder of an RRAM-kind index: restored verbatim from
-/// the persisted MLC programming state when there is one (so it encodes
-/// bit-identically to the encoder that was persisted), freshly
-/// programmed from the seed otherwise.
-pub(crate) fn rram_encoder(config: &AcceleratorConfig, mlc: Option<&MlcState>) -> InMemoryEncoder {
-    match mlc {
-        Some(mlc) => InMemoryEncoder::from_programmed(
-            config.encoder,
-            config.crossbar,
-            mlc.w_eff.clone(),
-            mlc.sigma_delta,
-            config.seed,
-        ),
-        None => InMemoryEncoder::new(config.encoder, config.crossbar, config.seed),
-    }
-}
-
-impl ChunkEncoder {
-    /// The encoder for `kind` on `threads` workers; `mlc` is the
-    /// index's persisted programming state, if it has one. The software
-    /// kinds encode through an [`ExactBackend`] over no references.
-    pub(crate) fn new(
-        kind: &IndexedBackendKind,
-        mlc: Option<&MlcState>,
-        threads: usize,
-    ) -> ChunkEncoder {
-        let software = |config: ExactBackendConfig| ChunkEncoder {
-            encoder: Arc::new(ExactBackend::from_shared(
-                config,
-                SharedReferences::from(Vec::new()),
-            )),
-            in_memory: None,
-            pre: Preprocessor::new(config.preprocess),
-            threads,
-        };
-        match kind {
-            IndexedBackendKind::Exact(config) => {
-                software(ExactBackendConfig { threads, ..*config })
-            }
-            IndexedBackendKind::HyperOms(config) => software(config.exact_config(threads)),
-            IndexedBackendKind::Rram(config) => {
-                let encoder = Arc::new(rram_encoder(config, mlc));
-                ChunkEncoder {
-                    encoder: encoder.clone(),
-                    in_memory: Some(encoder),
-                    pre: Preprocessor::new(config.preprocess),
-                    threads,
-                }
-            }
-        }
-    }
-
-    /// Encode `entries` as dense ids `first_id..`, returning each slot's
-    /// hypervector plus its encoding bit-error rate (0 for the exact
-    /// software paths).
-    pub(crate) fn encode(
-        &self,
-        entries: &[LibraryEntry],
-        first_id: u32,
-    ) -> Vec<Option<(BinaryHypervector, f64)>> {
-        encode_chunk(&*self.encoder, &self.pre, entries, first_id, self.threads)
-    }
-
-    /// The MLC programming state to persist (RRAM kind only). The
-    /// weights are copied out here, when an image is written, not at
-    /// construction: the table would otherwise sit beside the encode
-    /// chunks for the whole build.
-    pub(crate) fn mlc_state(&self) -> Option<MlcState> {
-        self.in_memory.as_ref().map(|encoder| MlcState {
-            w_eff: encoder.programmed_weights().to_vec(),
-            sigma_delta: encoder.sigma_delta(),
-        })
-    }
 }
 
 /// Builds a `.hdx` v3 index without ever holding the encoded library in
@@ -228,7 +133,7 @@ pub struct StreamingIndexBuilder {
     spilled_bytes: u64,
     /// Per-entry metadata in arrival (id) order; sorted by mass at finish.
     metas: Vec<IndexEntry>,
-    encoder: ChunkEncoder,
+    backend: KindBackend,
     /// The sketch section, grown one slot per pushed entry.
     sketch: SketchIndex,
     stats: StatsFold,
@@ -267,7 +172,7 @@ impl StreamingIndexBuilder {
         })?;
         let spill_path = out.with_extension("hdx.spill");
         let spill = BufWriter::new(File::create(&spill_path)?);
-        let encoder = ChunkEncoder::new(&config.index.kind, None, config.index.threads);
+        let kind = config.index.recorded_kind();
         Ok(StreamingIndexBuilder {
             spill_threshold: config.spill_threshold,
             out_path: out.to_path_buf(),
@@ -276,12 +181,12 @@ impl StreamingIndexBuilder {
             spill_offsets: Vec::new(),
             spilled_bytes: 0,
             metas: Vec::new(),
-            encoder,
-            sketch: SketchIndex::new(config.index.kind.dim(), SKETCH_WORDS),
+            backend: KindBackend::new(&kind, None),
+            sketch: SketchIndex::new(kind.dim(), SKETCH_WORDS),
             stats: StatsFold::default(),
             finished: false,
             config: IndexConfig {
-                kind: config.index.recorded_kind(),
+                kind,
                 ..config.index
             },
         })
@@ -314,8 +219,10 @@ impl StreamingIndexBuilder {
             format!("library exceeds the id space: {total} entries")
         })?;
         let block_bytes = (self.config.kind.dim().div_ceil(64) * 8) as u64;
+        let pre = Preprocessor::new(self.config.kind.preprocess());
         for chunk in entries.chunks(self.spill_threshold) {
-            let encoded = self.encoder.encode(chunk, self.metas.len() as u32);
+            let first_id = self.metas.len() as u32;
+            let encoded = encode_chunk(&self.backend, &pre, chunk, first_id, self.config.threads);
             for (entry, slot) in chunk.iter().zip(encoded) {
                 self.metas
                     .push(IndexEntry::of(self.metas.len() as u32, entry));
@@ -390,7 +297,7 @@ impl StreamingIndexBuilder {
         let sketch_bytes = format::encode(&self.sketch);
         self.sketch = SketchIndex::new(dim, SKETCH_WORDS);
 
-        let mlc = self.encoder.mlc_state();
+        let mlc = self.backend.mlc_state();
         let layout = ImageLayout {
             kind: &self.config.kind,
             stats: &build_stats,
@@ -513,7 +420,7 @@ fn read_spill_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IndexBuilder;
+    use crate::{IndexBuilder, IndexedBackendKind};
     use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 
     /// Accepts `budget` bytes, then fails like a full disk.

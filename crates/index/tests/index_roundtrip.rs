@@ -1,10 +1,13 @@
 //! Integration tests for the persistent index: serialise→deserialise
-//! identity, corruption rejection, warm-load search equivalence, and
-//! append-vs-cold-rebuild equivalence.
+//! identity, corruption rejection, warm-load search equivalence,
+//! append-vs-cold-rebuild equivalence, and the per-query search account
+//! (a batch's or a request group's accounting is a sum over records).
 
 use hdoms_baselines::hyperoms::{self, HyperOmsConfig};
 use hdoms_core::accelerator::{AcceleratorConfig, OmsAccelerator};
-use hdoms_index::{IndexBuilder, IndexConfig, IndexError, IndexedBackendKind, LibraryIndex};
+use hdoms_index::{
+    IndexBuilder, IndexConfig, IndexError, IndexedBackendKind, LibraryIndex, QueryRecord,
+};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig, PipelineOutcome};
@@ -610,6 +613,55 @@ fn append_straddling_shard_boundaries_keeps_order() {
     assert_eq!(appended_outcome.psms, rebuilt_outcome.psms);
 }
 
+/// Three entries of one mass around a shard boundary: the cold build
+/// cuts between the first two, and the append puts the third — the
+/// highest id — into the *earlier* shard. The index's candidate index
+/// follows its shard walk, not `(mass, id)`, so a query reaching that
+/// mass still scores every shard in one run.
+#[test]
+fn a_mass_shared_across_a_shard_boundary_costs_one_visit_per_shard() {
+    use hdoms_ms::preprocess::Preprocessor;
+    use hdoms_oms::pipeline::ReferenceCatalog;
+    use hdoms_oms::search::candidate_lists;
+    use hdoms_oms::window::PrecursorWindow;
+
+    let workload = tiny_workload(37);
+    let first_cut = build_index(exact_kind(), &workload.library, 16);
+    let edge = first_cut.shards()[0].entries.last().expect("a full shard");
+    let twin = workload.library.get(edge.id).expect("edge id").clone();
+    let library: SpectralLibrary = (workload.library.iter().cloned())
+        .chain([twin.clone()])
+        .collect();
+    let mut index = build_index(exact_kind(), &library, 16);
+    let mass = index.shards()[0].mass_hi().expect("a full shard");
+    assert_eq!(index.shards()[1].mass_lo(), Some(mass), "cut between twins");
+    index.append_entries(&[twin], THREADS);
+    let third = library.len() as u32;
+    let shard_of = index.shard_assignment();
+    assert_eq!(shard_of[third as usize], 0, "the third twin joins shard 0");
+    assert!(index.shards()[1].entries[0].id < third);
+
+    // The image is one the loader accepts, and the same index.
+    let restored = LibraryIndex::from_bytes(&index.to_bytes(), THREADS).expect("roundtrip");
+    assert_eq!(restored, index);
+
+    let (binned, _) = Preprocessor::new(index.kind().preprocess()).run_batch(&workload.queries);
+    let window = PrecursorWindow::open_default();
+    let candidates = candidate_lists(&index.candidate_index(), &window, &binned);
+    assert!(
+        candidates.iter().any(|list| list.contains(&third)),
+        "no query reaches the shared mass: nothing was tested"
+    );
+    let backend = index.sharded_backend(2).expect("kind matches");
+    for record in backend.search_batch_traced(&binned, &candidates, Some(2), None) {
+        let shards: Vec<u32> = record.visits.iter().map(|&(shard, _)| shard).collect();
+        assert!(
+            shards.windows(2).all(|pair| pair[0] < pair[1]),
+            "a shard was visited in two runs: {shards:?}"
+        );
+    }
+}
+
 #[test]
 fn kind_mismatch_is_an_error() {
     let workload = tiny_workload(41);
@@ -738,4 +790,69 @@ fn checksum_valid_but_unusable_encoder_config_fails_open() {
             }
         }
     }
+}
+
+#[test]
+fn group_accounting_is_a_sum_over_per_query_records() {
+    // One merged batch of three request groups, prefilter on: summing
+    // each group's own range of records gives exactly the counts three
+    // separate searches report — visits per shard, candidates in and
+    // out of the sketch stage — and nanoseconds add up as integers.
+    use hdoms_ms::preprocess::Preprocessor;
+    use hdoms_oms::pipeline::ReferenceCatalog;
+    use hdoms_oms::search::candidate_lists;
+    use hdoms_oms::window::PrecursorWindow;
+
+    let workload = tiny_workload(41);
+    let index = build_index(exact_kind(), &workload.library, 32);
+    let backend = index.sharded_backend(2).expect("kind matches");
+    let sketch = index.sketch_index();
+    let prefilter = Some((&*sketch, 8));
+    let (binned, _) = Preprocessor::new(index.kind().preprocess()).run_batch(&workload.queries);
+    let window = PrecursorWindow::open_default();
+    let candidates = candidate_lists(&index.candidate_index(), &window, &binned);
+
+    let records = backend.search_batch_traced(&binned, &candidates, Some(2), prefilter);
+    assert_eq!(records.len(), binned.len());
+    let n = binned.len();
+    let mut narrowed = false;
+    for range in [0..n / 3, n / 3..2 * n / 3, 2 * n / 3..n] {
+        let (timings, stats) = QueryRecord::sum(&records[range.clone()]);
+        let (hits, solo_timings, solo_stats) = backend.search_batch_prefiltered(
+            &binned[range.clone()],
+            &candidates[range.clone()],
+            Some(2),
+            prefilter,
+        );
+        let group = &records[range];
+        assert!(group.iter().map(|r| r.hit).eq(hits));
+        let counts = |t: &[hdoms_index::ShardTiming]| -> Vec<(u32, u64)> {
+            t.iter().map(|t| (t.shard, t.visits)).collect()
+        };
+        assert_eq!(counts(&timings), counts(&solo_timings));
+        assert_eq!(stats.candidates_pre, solo_stats.candidates_pre);
+        assert_eq!(stats.candidates_post, solo_stats.candidates_post);
+        narrowed |= stats.candidates_post < stats.candidates_pre;
+
+        // Integer nanoseconds in, one conversion out.
+        let visit_ns: u64 = group.iter().flat_map(|r| &r.visits).map(|v| v.1).sum();
+        let sketch_ns: u64 = group.iter().map(|r| r.sketch_ns).sum();
+        let by_shard = |shard: u32| -> u64 {
+            let visits = group.iter().flat_map(|r| &r.visits);
+            visits.filter(|v| v.0 == shard).map(|v| v.1).sum()
+        };
+        for t in &timings {
+            assert_eq!(t.ms, by_shard(t.shard) as f64 / 1e6);
+        }
+        assert_eq!(
+            timings.iter().map(|t| by_shard(t.shard)).sum::<u64>(),
+            visit_ns
+        );
+        assert_eq!(stats.sketch_ms, sketch_ns as f64 / 1e6);
+    }
+    assert!(narrowed, "k = 8 narrows no open window: nothing was tested");
+    // A query no shard was visited for carries no allocation.
+    let none = backend.search_batch_traced(&binned[..1], &[Vec::new()], None, prefilter);
+    assert_eq!(none, vec![QueryRecord::default()]);
+    assert_eq!(none[0].visits.capacity(), 0);
 }

@@ -37,36 +37,15 @@
 
 use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
-use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
+use hdoms_obs::alloc::CountingAllocator;
+use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig, ReferenceMeta};
 use hdoms_oms::search::{ExactBackendConfig, SharedReferences};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Counts every byte ever requested from the allocator (frees are not
-/// subtracted — the measurement below wants gross allocation traffic,
-/// which is what a clone would add to).
-struct CountingAllocator;
-
-static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
+/// The shared counting allocator; the windows below read its gross
+/// counter (frees are not subtracted — gross allocation traffic is what
+/// a clone would add to).
 #[global_allocator]
 static COUNTER: CountingAllocator = CountingAllocator;
 
@@ -114,15 +93,15 @@ fn warm_backends_share_not_clone_the_reference_table() {
     let IndexedBackendKind::Exact(exact_config) = index.kind() else {
         panic!("built as exact");
     };
-    let before = ALLOCATED.load(Ordering::Relaxed);
+    let before = CountingAllocator::gross();
     let baseline_encoder = hdoms_hdc::encoder::IdLevelEncoder::new(exact_config.encoder);
-    let encoder_alloc = ALLOCATED.load(Ordering::Relaxed) - before;
+    let encoder_alloc = CountingAllocator::gross() - before;
     drop(baseline_encoder);
 
     // -- accounting: warm construction must not re-allocate the payload.
-    let before = ALLOCATED.load(Ordering::Relaxed);
+    let before = CountingAllocator::gross();
     let backend = index.to_exact_backend(1).expect("exact kind");
-    let allocated = (ALLOCATED.load(Ordering::Relaxed) - before).saturating_sub(encoder_alloc);
+    let allocated = (CountingAllocator::gross() - before).saturating_sub(encoder_alloc);
     assert!(
         allocated < payload / 4,
         "to_exact_backend allocated {allocated} bytes beyond its encoder \
@@ -139,9 +118,9 @@ fn warm_backends_share_not_clone_the_reference_table() {
 
     // The sharded serving backend shares the same single copy (its extra
     // state is the id→shard assignment, 4 bytes per entry).
-    let before = ALLOCATED.load(Ordering::Relaxed);
+    let before = CountingAllocator::gross();
     let sharded = index.sharded_backend(1).expect("exact kind");
-    let allocated = (ALLOCATED.load(Ordering::Relaxed) - before).saturating_sub(encoder_alloc);
+    let allocated = (CountingAllocator::gross() - before).saturating_sub(encoder_alloc);
     assert!(
         allocated < payload / 4,
         "sharded_backend allocated {allocated} bytes beyond its encoder \
@@ -181,6 +160,76 @@ fn warm_backends_share_not_clone_the_reference_table() {
 }
 
 #[test]
+fn warm_backends_share_the_encoder_and_the_programmed_weights() {
+    let _serial = ALLOCATOR_WINDOWS.lock().unwrap();
+    // What a backend encodes queries with — the ID/level item memories
+    // and, for the RRAM kind, the programmed weight table — exists once
+    // per index: the first hand-out builds it, every later one is a
+    // handle on it.
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 103);
+    let mut rram = hdoms_core::accelerator::AcceleratorConfig::default();
+    rram.encoder.dim = 2048;
+    rram.encoder.q_levels = 16;
+    rram.encoder.level_style = hdoms_hdc::item_memory::LevelStyle::Chunked { num_chunks: 64 };
+    let mut exact = ExactBackendConfig::default();
+    exact.encoder.dim = 2048;
+    let before = CountingAllocator::gross();
+    drop(hdoms_hdc::encoder::IdLevelEncoder::new(exact.encoder));
+    let item_memory_bytes = CountingAllocator::gross() - before;
+
+    for kind in [
+        IndexedBackendKind::Rram(rram),
+        IndexedBackendKind::Exact(exact),
+    ] {
+        let name = kind.name();
+        let path = std::env::temp_dir().join(format!(
+            "hdoms-shared-encoder-{name}-{}.hdx",
+            std::process::id()
+        ));
+        let config = IndexConfig {
+            kind,
+            entries_per_shard: 64,
+            threads: 4,
+        };
+        let built = IndexBuilder::new(config).from_library(&workload.library);
+        built.write(&path).expect("write");
+        let index = LibraryIndex::open_mapped(&path, 2).expect("mapped load");
+        std::fs::remove_file(&path).ok();
+
+        let first = index.sharded_backend(2).expect("kind matches");
+        let before = CountingAllocator::gross();
+        let second = index.sharded_backend(2).expect("kind matches");
+        // The flat backends after them, and what each must not copy.
+        let shared_bytes = match index.mlc_state() {
+            Some(mlc) => {
+                let accel = index.to_accelerator(2).expect("rram kind");
+                assert!(
+                    std::sync::Arc::ptr_eq(&mlc.w_eff, accel.encoder().programmed_weights()),
+                    "the accelerator encodes with a copy of the persisted weights"
+                );
+                mlc.w_eff.len() * 4
+            }
+            None => {
+                let (a, b) = (index.to_exact_backend(1), index.to_exact_backend(2));
+                let (a, b) = (a.expect("exact kind"), b.expect("exact kind"));
+                assert!(
+                    std::ptr::eq(a.encoder(), b.encoder()),
+                    "two exact backends of one index generated two item memories"
+                );
+                item_memory_bytes
+            }
+        };
+        let allocated = CountingAllocator::gross() - before;
+        assert!(
+            allocated < shared_bytes / 100,
+            "{name}: the backends after the first allocated {allocated} bytes against \
+             {shared_bytes} shared — the encoder is being regenerated or its weights cloned"
+        );
+        drop((first, second));
+    }
+}
+
+#[test]
 fn mapped_load_performs_zero_per_reference_hypervector_allocations() {
     let _serial = ALLOCATOR_WINDOWS.lock().unwrap();
     let workload = SyntheticWorkload::generate(&WorkloadSpec::iprg2012(0.01), 101);
@@ -200,21 +249,30 @@ fn mapped_load_performs_zero_per_reference_hypervector_allocations() {
     assert!(payload > 4_000_000, "workload too small to be meaningful");
     let bytes = index.to_bytes();
 
+    // Baseline: a load derives the index's per-id catalog (its first
+    // engine used to), and that table's peptides cost real allocation
+    // traffic. Measure it once so the assertion below bounds the load
+    // *beyond* it, as the warm-backend test does with its encoder.
+    let before = CountingAllocator::gross();
+    let baseline_catalog = ReferenceMeta::from_library(&workload.library);
+    let catalog_alloc = CountingAllocator::gross() - before;
+    assert_eq!(*index.catalog(), baseline_catalog);
+
     // Build the backing buffer *outside* the measurement window: the one
     // whole-file allocation is the load's input.
     let buffer = hdoms_hdc::WordBuffer::from_bytes(&bytes);
 
-    let before = ALLOCATED.load(Ordering::Relaxed);
+    let before = CountingAllocator::gross();
     let mapped = LibraryIndex::from_buffer(buffer, 4).expect("mapped load");
-    let mapped_alloc = ALLOCATED.load(Ordering::Relaxed) - before;
+    let mapped_alloc = (CountingAllocator::gross() - before).saturating_sub(catalog_alloc);
 
     // Zero per-reference hypervector allocations: the load's traffic
     // stays far below the payload it would have materialised.
     assert!(
         mapped_alloc < payload / 2,
-        "mapped load allocated {mapped_alloc} bytes against a \
-         {payload}-byte hypervector payload — it is materialising \
-         references"
+        "mapped load allocated {mapped_alloc} bytes beyond its catalog \
+         against a {payload}-byte hypervector payload — it is \
+         materialising references"
     );
 
     // The image and the cold build expose identical search storage and
@@ -266,9 +324,9 @@ fn cold_table_is_one_buffer_and_write_streams_shard_by_shard() {
     // The sketch table is lazily derived cache state, not write traffic.
     index.sketch_index();
     let path = std::env::temp_dir().join(format!("hdoms-write-alloc-{}.hdx", std::process::id()));
-    let before = ALLOCATED.load(Ordering::Relaxed);
+    let before = CountingAllocator::gross();
     index.write(&path).expect("write");
-    let write_alloc = ALLOCATED.load(Ordering::Relaxed) - before;
+    let write_alloc = CountingAllocator::gross() - before;
     let written = std::fs::read(&path).expect("written image");
     std::fs::remove_file(&path).ok();
     // One shard's payload at a time through one reused buffer — the old

@@ -24,51 +24,21 @@ use hdoms_index::streaming::{StreamingConfig, StreamingIndexBuilder};
 use hdoms_index::{IndexBuilder, IndexConfig, IndexError, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{ScaledLibrary, ScaledLibrarySpec, SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::library::SpectralLibrary;
+use hdoms_obs::alloc::CountingAllocator;
 use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
 use hdoms_oms::search::ExactBackendConfig;
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Tracks live heap bytes and their high-water mark. Unlike the gross
-/// allocation counter in `memory_sharing.rs`, frees are subtracted:
-/// streaming deliberately allocates every hypervector *transiently*, so
-/// only the peak of live bytes distinguishes it from the in-memory path.
-struct PeakAllocator;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn on_alloc(size: usize) {
-    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for PeakAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        on_alloc(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // Count the new block before releasing the old one — the real
-        // allocator may briefly hold both.
-        on_alloc(new_size);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
+/// The shared counting allocator; this suite reads its live bytes and
+/// their high-water mark. Unlike the gross traffic `memory_sharing.rs`
+/// reads, frees are subtracted: streaming deliberately allocates every
+/// hypervector *transiently*, so only the peak of live bytes
+/// distinguishes it from the in-memory path.
 #[global_allocator]
-static PEAK_COUNTER: PeakAllocator = PeakAllocator;
+static PEAK_COUNTER: CountingAllocator = CountingAllocator;
 
 /// Serialises every test in this binary: the high-water mark above is
 /// process-wide, so a sibling allocating on another thread inside the
@@ -81,16 +51,6 @@ fn serial() -> MutexGuard<'static, ()> {
     ALLOCATOR_WINDOWS
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Run `f` and return its value plus the peak of live bytes *above* the
-/// live level at entry.
-fn peak_delta<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let live = LIVE.load(Ordering::Relaxed);
-    PEAK.store(live, Ordering::Relaxed);
-    let value = f();
-    let peak = PEAK.load(Ordering::Relaxed);
-    (value, peak.saturating_sub(live))
 }
 
 const TEST_DIM: usize = 512;
@@ -596,15 +556,15 @@ fn streaming_peak_heap_is_bounded_by_spill_threshold() {
         panic!("built as exact");
     };
     let encoder_live = {
-        let before = LIVE.load(Ordering::Relaxed);
+        let before = CountingAllocator::live();
         let encoder = hdoms_hdc::encoder::IdLevelEncoder::new(exact_config.encoder);
-        let live = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+        let live = CountingAllocator::live().saturating_sub(before);
         drop(encoder);
         live
     };
 
     let streamed_path = temp_path("peak-stream");
-    let (report, stream_peak) = peak_delta(|| {
+    let (report, stream_peak) = CountingAllocator::peak_during(|| {
         StreamingIndexBuilder::build_from_library(
             StreamingConfig {
                 index: config.clone(),
@@ -625,14 +585,14 @@ fn streaming_peak_heap_is_bounded_by_spill_threshold() {
     fs::remove_file(&streamed_path).ok();
 
     let in_memory_path = temp_path("peak-inmem");
-    let ((), in_memory_peak) = peak_delta(|| {
+    let ((), in_memory_peak) = CountingAllocator::peak_during(|| {
         let index = IndexBuilder::new(config.clone()).from_library(&library);
         index.write(&in_memory_path).expect("write index");
     });
     fs::remove_file(&in_memory_path).ok();
 
     let full_path = temp_path("peak-full");
-    let ((), full_threshold_peak) = peak_delta(|| {
+    let ((), full_threshold_peak) = CountingAllocator::peak_during(|| {
         StreamingIndexBuilder::build_from_library(
             StreamingConfig {
                 index: config,

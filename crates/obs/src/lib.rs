@@ -28,7 +28,8 @@
 //!   so a string is escaped in exactly one function.
 //!
 //! [`export`] serves a registry's Prometheus rendering over a tiny
-//! HTTP/1.0 responder (`hdoms serve --metrics host:port`).
+//! HTTP/1.0 responder (`hdoms serve --metrics host:port`); [`alloc`] is
+//! the counting global allocator the memory tests and scale bench install.
 //!
 //! Instrumentation is observational only: recording a sample or
 //! emitting a log line never changes what the instrumented code
@@ -51,6 +52,7 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
+pub mod alloc;
 pub mod export;
 pub mod json;
 pub mod log;

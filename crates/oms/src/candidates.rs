@@ -6,6 +6,7 @@
 
 use crate::window::PrecursorWindow;
 use hdoms_ms::library::SpectralLibrary;
+use std::ops::Range;
 
 /// An index over reference neutral masses supporting range queries.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,12 +19,10 @@ impl CandidateIndex {
     /// Build from a spectral library (targets and decoys alike — decoys
     /// must compete in the same candidate pools for FDR to be meaningful).
     pub fn build(library: &SpectralLibrary) -> CandidateIndex {
-        let mut by_mass: Vec<(f64, u32)> = library
+        let pairs = library
             .iter()
-            .map(|e| (e.spectrum.neutral_mass(), e.spectrum.id))
-            .collect();
-        by_mass.sort_by(|a, b| a.0.total_cmp(&b.0));
-        CandidateIndex { by_mass }
+            .map(|e| (e.spectrum.neutral_mass(), e.spectrum.id));
+        CandidateIndex::from_masses(pairs)
     }
 
     /// Build from raw (mass, id) pairs.
@@ -43,22 +42,26 @@ impl CandidateIndex {
         self.by_mass.is_empty()
     }
 
-    /// Library ids of all references reachable from a query of neutral
-    /// mass `query_mass` under `window`, in ascending mass order.
-    pub fn candidates(&self, window: &PrecursorWindow, query_mass: f64) -> Vec<u32> {
+    /// The positions in mass order reachable from a query of neutral
+    /// mass `query_mass` under `window`: two binary searches.
+    fn window(&self, window: &PrecursorWindow, query_mass: f64) -> Range<usize> {
         let (lo, hi) = window.reference_mass_range(query_mass);
         let start = self.by_mass.partition_point(|&(m, _)| m < lo);
         let end = self.by_mass.partition_point(|&(m, _)| m <= hi);
-        self.by_mass[start..end].iter().map(|&(_, id)| id).collect()
+        start..end
+    }
+
+    /// Library ids of all references reachable from a query of neutral
+    /// mass `query_mass` under `window`, in ascending mass order.
+    pub fn candidates(&self, window: &PrecursorWindow, query_mass: f64) -> Vec<u32> {
+        let reach = self.window(window, query_mass);
+        self.by_mass[reach].iter().map(|&(_, id)| id).collect()
     }
 
     /// Like [`CandidateIndex::candidates`] but only counting, for workload
     /// statistics (the open-search blow-up factor).
     pub fn candidate_count(&self, window: &PrecursorWindow, query_mass: f64) -> usize {
-        let (lo, hi) = window.reference_mass_range(query_mass);
-        let start = self.by_mass.partition_point(|&(m, _)| m < lo);
-        let end = self.by_mass.partition_point(|&(m, _)| m <= hi);
-        end - start
+        self.window(window, query_mass).len()
     }
 }
 

@@ -15,10 +15,11 @@ use crate::search::{
 };
 use crate::window::PrecursorWindow;
 use hdoms_ms::dataset::SyntheticWorkload;
-use hdoms_ms::library::SpectralLibrary;
+use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
 use hdoms_ms::spectrum::Spectrum;
 use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
 /// The reference-side metadata the pipeline needs to turn backend hits
 /// into PSMs: masses for the precursor delta, decoy flags for FDR.
@@ -36,8 +37,12 @@ pub trait ReferenceCatalog {
     /// Whether reference `id` is a decoy, or `None` for an unknown id.
     fn reference_is_decoy(&self, id: u32) -> Option<bool>;
 
-    /// A mass-sorted candidate index over all references.
-    fn candidate_index(&self) -> CandidateIndex;
+    /// A mass-sorted candidate index over all references (equal masses
+    /// in id order).
+    fn candidate_index(&self) -> CandidateIndex {
+        let ids = 0..self.reference_count() as u32;
+        CandidateIndex::from_masses(ids.filter_map(|id| Some((self.reference_mass(id)?, id))))
+    }
 }
 
 impl ReferenceCatalog for SpectralLibrary {
@@ -52,9 +57,69 @@ impl ReferenceCatalog for SpectralLibrary {
     fn reference_is_decoy(&self, id: u32) -> Option<bool> {
         self.get(id).map(|e| e.is_decoy)
     }
+}
 
-    fn candidate_index(&self) -> CandidateIndex {
-        CandidateIndex::build(self)
+/// The dense per-reference catalog an engine turns backend hits into
+/// PSMs and table rows with: neutral mass (precursor delta), decoy flag
+/// (FDR), and peptide sequence (reports), by reference id. A persistent
+/// index holds one behind an `Arc`, so the index, its engine and every
+/// session read the same tables.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ReferenceMeta {
+    masses: Vec<f64>,
+    decoys: Vec<bool>,
+    peptides: Arc<Vec<String>>,
+}
+
+impl ReferenceMeta {
+    /// Capture the metadata of a raw spectral library.
+    pub fn from_library(library: &SpectralLibrary) -> ReferenceMeta {
+        let mut meta = ReferenceMeta::default();
+        let row = |e: &LibraryEntry| {
+            let mass = e.spectrum.neutral_mass();
+            (e.spectrum.id, mass, e.is_decoy, e.peptide.to_string())
+        };
+        meta.grow(library.len(), library.iter().map(row));
+        meta
+    }
+
+    /// Grow to `count` references and fill in the given
+    /// `(id, neutral mass, is decoy, peptide)` rows, in any order — an
+    /// index appends to its catalog without copying the rows it holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an id at or beyond `count`.
+    pub fn grow(&mut self, count: usize, rows: impl IntoIterator<Item = (u32, f64, bool, String)>) {
+        self.masses.resize(count, f64::NAN);
+        self.decoys.resize(count, false);
+        let peptides = Arc::make_mut(&mut self.peptides);
+        peptides.resize(count, String::new());
+        for (id, mass, decoy, peptide) in rows {
+            self.masses[id as usize] = mass;
+            self.decoys[id as usize] = decoy;
+            peptides[id as usize] = peptide;
+        }
+    }
+
+    /// Peptide sequences by dense reference id (a shared table: cloning
+    /// the handle copies no sequence).
+    pub fn peptides(&self) -> &Arc<Vec<String>> {
+        &self.peptides
+    }
+}
+
+impl ReferenceCatalog for ReferenceMeta {
+    fn reference_count(&self) -> usize {
+        self.masses.len()
+    }
+
+    fn reference_mass(&self, id: u32) -> Option<f64> {
+        self.masses.get(id as usize).copied()
+    }
+
+    fn reference_is_decoy(&self, id: u32) -> Option<bool> {
+        self.decoys.get(id as usize).copied()
     }
 }
 
@@ -284,6 +349,7 @@ impl OmsPipeline {
     /// This is the entry point for index-backed searches: the catalog may
     /// be a [`SpectralLibrary`] or a loaded `hdoms-index`, and the backend
     /// is whatever was reconstructed (or built) over the same references.
+    /// Preprocess, look up candidates, score, assemble, filter.
     pub fn run_catalog<B, C>(
         &self,
         queries: &[Spectrum],
@@ -294,55 +360,17 @@ impl OmsPipeline {
         B: SimilarityBackend + ?Sized,
         C: ReferenceCatalog + ?Sized,
     {
-        self.prepare_and_run(queries, catalog, backend, &catalog.candidate_index())
-    }
-
-    /// Preprocess, look up candidates, then score and filter (the body
-    /// every public `run_*` entry point funnels through).
-    fn prepare_and_run<B, C>(
-        &self,
-        queries: &[Spectrum],
-        catalog: &C,
-        backend: &B,
-        index: &CandidateIndex,
-    ) -> PipelineOutcome
-    where
-        B: SimilarityBackend + ?Sized,
-        C: ReferenceCatalog + ?Sized,
-    {
         let pre = Preprocessor::new(self.config.preprocess);
-        let (binned_queries, rejected) = pre.run_batch(queries);
-        let cands = candidate_lists(index, &self.config.window, &binned_queries);
-        self.run_prepared_inner(
-            queries.len(),
-            &binned_queries,
-            rejected,
-            &cands,
-            catalog,
-            backend,
-        )
-    }
-
-    fn run_prepared_inner<B, C>(
-        &self,
-        total_queries: usize,
-        binned_queries: &[BinnedSpectrum],
-        rejected_queries: usize,
-        candidates: &[Vec<u32>],
-        catalog: &C,
-        backend: &B,
-    ) -> PipelineOutcome
-    where
-        B: SimilarityBackend + ?Sized,
-        C: ReferenceCatalog + ?Sized,
-    {
+        let (binned_queries, rejected_queries) = pre.run_batch(queries);
+        let index = catalog.candidate_index();
+        let candidates = candidate_lists(&index, &self.config.window, &binned_queries);
         let mean_candidates = if binned_queries.is_empty() {
             0.0
         } else {
             candidates.iter().map(Vec::len).sum::<usize>() as f64 / binned_queries.len() as f64
         };
-        let hits = backend.search_batch(binned_queries, candidates);
-        let psms = assemble_psms(binned_queries, &hits, catalog);
+        let hits = backend.search_batch(&binned_queries, &candidates);
+        let psms = assemble_psms(&binned_queries, &hits, catalog);
 
         let FdrOutcome {
             accepted,
@@ -358,7 +386,7 @@ impl OmsPipeline {
             threshold_score,
             decoys_above,
             rejected_queries,
-            total_queries,
+            total_queries: queries.len(),
             mean_candidates,
         }
     }

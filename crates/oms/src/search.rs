@@ -619,6 +619,26 @@ impl ExactBackend {
         }
     }
 
+    /// This backend over another reference table on `threads` workers,
+    /// its encoder shared, not regenerated — how an index hands the one
+    /// backend that encoded its table out as a scorer over it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stored hypervector's dimension disagrees with the
+    /// encoder configuration.
+    pub fn over(&self, reference_hvs: SharedReferences, threads: usize) -> ExactBackend {
+        reference_hvs.assert_dim(self.config.encoder.dim);
+        ExactBackend {
+            config: ExactBackendConfig {
+                threads,
+                ..self.config
+            },
+            reference_hvs,
+            ..self.clone()
+        }
+    }
+
     /// The same backend under the report name `name` — how a tool that
     /// *is* this scan under a particular configuration reports itself
     /// (HyperOMS: [`HyperOmsConfig::exact_config`] named `"hyperoms"`).
