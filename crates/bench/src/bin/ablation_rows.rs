@@ -106,6 +106,6 @@ fn main() {
         "\nFewer chunks cut encoding cycles proportionally; the floor is set \
          by Q (chunks must be at least 2Q for the level similarity structure, \
          §4.2.1). Quality impact is negligible — see the hdoms-hdc encoder \
-         tests and EXPERIMENTS.md."
+         tests."
     );
 }

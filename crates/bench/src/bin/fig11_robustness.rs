@@ -70,6 +70,6 @@ fn main() {
          sharply at 20%. The paper additionally reports multi-bit ID \
          hypervectors (§4.2.2) identifying noticeably more peptides than \
          binary ones; on this synthetic workload the multi-bit advantage is \
-         within a few percent (see EXPERIMENTS.md for the analysis)."
+         within a few percent."
     );
 }

@@ -92,6 +92,6 @@ fn main() {
          > ANN-SoLo-CPU in speed; 2-3 orders of magnitude energy advantage) \
          holds. The HyperOMS energy factor deviates from the paper's 5.44x \
          because power x time cannot jointly reproduce the paper's speedup \
-         and energy numbers under any single-device power; see EXPERIMENTS.md."
+         and energy numbers under any single-device power."
     );
 }

@@ -68,10 +68,25 @@ pub struct InMemoryEncoder {
     /// RMS normalised per-pair conductance deviation of the programmed ID
     /// memory — scales the IR-drop error term.
     sigma_delta: f64,
+    /// σ of every sensing cycle's one draw.
+    cycle_sigma: f64,
     dim: usize,
     num_bins: usize,
     seed: u64,
 }
+
+/// Which stream an encode draws its analog noise from: a query and the
+/// library entry with the same id are different spectra on different
+/// encode passes, so their noise must not coincide.
+#[derive(Clone, Copy)]
+enum Side {
+    Query = 0,
+    Library = 1,
+}
+
+/// Dimensions per tile of the row-streamed MAC: the tile's f64 partial
+/// sums stay in L1 while each peak row streams its slice into them.
+const MAC_TILE: usize = 256;
 
 impl InMemoryEncoder {
     /// Program the ID item memory into (simulated) RRAM.
@@ -125,6 +140,7 @@ impl InMemoryEncoder {
             crossbar,
             w_eff,
             sigma_delta,
+            cycle_sigma: crossbar.cycle_sigma(sigma_delta, 0.0),
             dim,
             num_bins,
             seed,
@@ -168,6 +184,7 @@ impl InMemoryEncoder {
             crossbar,
             w_eff,
             sigma_delta,
+            cycle_sigma: crossbar.cycle_sigma(sigma_delta, 0.0),
             dim: encoder.dim,
             num_bins: encoder.num_bins,
             seed,
@@ -215,52 +232,63 @@ impl InMemoryEncoder {
         chunks * peaks.div_ceil(self.crossbar.pairs_per_cycle())
     }
 
-    /// Encode `spectrum` in memory, returning the hypervector and the
-    /// error statistics vs the software ground truth (which costs a full
-    /// software encode on top — the library side pays it for the build
-    /// statistics, queries go through [`InMemoryEncoder::encode`]).
+    /// Encode `spectrum` in memory as a library entry, returning the
+    /// hypervector and the error statistics vs the software ground truth
+    /// (which costs a full software encode on top — the library side pays
+    /// it for the build statistics, queries go through
+    /// [`InMemoryEncoder::encode`]).
     ///
-    /// Deterministic per `(construction seed, spectrum id)`.
+    /// Deterministic per `(construction seed, spectrum id)`, on the
+    /// library's noise stream.
     ///
     /// # Panics
     ///
     /// Panics if a peak bin exceeds the programmed ID memory.
     pub fn encode_with_stats(&self, spectrum: &BinnedSpectrum) -> (BinaryHypervector, EncodeStats) {
-        let (hv, cycles) = self.encode_counting(spectrum);
+        let hv = self.encode_on(spectrum, Side::Library);
         let truth = self.software.encode(spectrum);
         let stats = EncodeStats {
             bit_errors: hamming_distance(&hv, &truth),
             dim: self.dim as u32,
-            cycles,
+            cycles: self.cycles_for(spectrum.peaks().len()) as u32,
         };
         (hv, stats)
     }
 
-    /// Encode `spectrum` in memory — the same hypervector as
-    /// [`InMemoryEncoder::encode_with_stats`], without the software
+    /// Encode `spectrum` in memory as a query, without the software
     /// ground-truth encode the statistics need.
+    ///
+    /// Deterministic per `(construction seed, spectrum id)`, on the query
+    /// noise stream: a query and the library entry with the same id are
+    /// two readouts of the chip, so on a noisy device this is not
+    /// [`InMemoryEncoder::encode_with_stats`]'s hypervector (on an ideal
+    /// one it is).
     ///
     /// # Panics
     ///
     /// Panics if a peak bin exceeds the programmed ID memory.
     pub fn encode(&self, spectrum: &BinnedSpectrum) -> BinaryHypervector {
-        self.encode_counting(spectrum).0
+        self.encode_on(spectrum, Side::Query)
     }
 
-    /// The in-memory encode: the hypervector and the sensing cycles it
-    /// consumed.
-    fn encode_counting(&self, spectrum: &BinnedSpectrum) -> (BinaryHypervector, u32) {
+    /// The in-memory encode, drawing from the noise stream keyed
+    /// `(seed, side, spectrum id)`. Row group by row group (the stream's
+    /// order is (row group, dimension)), each peak row's ID slice streams
+    /// into per-dimension partial MACs a tile at a time, then the group
+    /// is sensed. Each dimension still sums its rows in peak order, so on
+    /// a noise-free device the result is the dimension-by-dimension MAC's
+    /// to the bit.
+    fn encode_on(&self, spectrum: &BinnedSpectrum, side: Side) -> BinaryHypervector {
         let mut rng = StdRng::seed_from_u64(
             self.seed
                 .wrapping_mul(0xa076_1d64_78bd_642f)
-                .wrapping_add(u64::from(spectrum.id)),
+                .wrapping_add((side as u64) << 32 | u64::from(spectrum.id)),
         );
-        let group = self.crossbar.pairs_per_cycle();
         let chunk_size = self.chunk_size();
         let lm = self.software.level_memory();
 
-        // Peak rows: (bin, level) pairs.
-        let peaks: Vec<(usize, usize)> = spectrum
+        // Peak rows: (programmed ID row, level hypervector).
+        let peaks: Vec<(&[f32], &BinaryHypervector)> = spectrum
             .peaks()
             .iter()
             .map(|p| {
@@ -270,39 +298,39 @@ impl InMemoryEncoder {
                     "bin {bin} outside the programmed ID memory ({} bins)",
                     self.num_bins
                 );
-                (bin, lm.quantize(p.intensity))
+                let row = &self.w_eff[bin * self.dim..(bin + 1) * self.dim];
+                (row, lm.level(lm.quantize(p.intensity)))
             })
             .collect();
 
+        // A tile holds whole chunks: a chunk's dimensions share each
+        // peak's input, its level value at the chunk's first dimension
+        // (bit-serial mode has chunk_size == 1).
+        let tile_len = chunk_size * (MAC_TILE / chunk_size).max(1);
         let mut acc = vec![0.0f64; self.dim];
-        let mut cycles = 0u32;
-        let mut chunk_start = 0usize;
-        while chunk_start < self.dim {
-            let chunk_end = (chunk_start + chunk_size).min(self.dim);
-            // Inputs for this chunk: the level value of each peak. For
-            // chunked level memories every dimension of the chunk shares
-            // it; bit-serial mode has chunk_size == 1.
-            let inputs: Vec<f64> = peaks
-                .iter()
-                .map(|&(_, level)| f64::from(lm.level(level).component(chunk_start)))
-                .collect();
-            let mut start = 0usize;
-            while start < peaks.len() {
-                let end = (start + group).min(peaks.len());
-                let n = (end - start) as f64;
-                cycles += 1;
-                #[allow(clippy::needless_range_loop)] // d indexes both acc and w_eff
-                for d in chunk_start..chunk_end {
-                    let mut v = 0.0f64;
-                    for (row, &(bin, _)) in peaks[start..end].iter().enumerate() {
-                        v += inputs[start + row] * f64::from(self.w_eff[bin * self.dim + d]);
+        let mut tile = vec![0.0f64; tile_len];
+        for group in peaks.chunks(self.crossbar.pairs_per_cycle()) {
+            let n = group.len() as f64;
+            for (tile_start, acc) in (0..).step_by(tile_len).zip(acc.chunks_mut(tile_len)) {
+                let tile_end = tile_start + acc.len();
+                let mac = &mut tile[..acc.len()];
+                mac.fill(0.0);
+                for &(row, level) in group {
+                    let mut start = tile_start;
+                    while start < tile_end {
+                        let end = (start + chunk_size).min(tile_end);
+                        let input = f64::from(level.component(start));
+                        let partial = &mut mac[start - tile_start..end - tile_start];
+                        for (m, &w) in partial.iter_mut().zip(&row[start..end]) {
+                            *m += input * f64::from(w);
+                        }
+                        start = end;
                     }
-                    v /= n;
-                    acc[d] += self.crossbar.sense(v, n, self.sigma_delta, &mut rng);
                 }
-                start = end;
+                for (a, &m) in acc.iter_mut().zip(mac.iter()) {
+                    *a += self.crossbar.sense(m / n, n, self.cycle_sigma, &mut rng);
+                }
             }
-            chunk_start = chunk_end;
         }
 
         // Sign quantisation with the software tie-break (§4.2.3). The
@@ -310,8 +338,7 @@ impl InMemoryEncoder {
         // the ADC, and the true MAC is integer-valued, so the digital
         // comparator treats |acc| < ½ as the zero tie rather than trusting
         // the sign of a sub-LSB analog residue.
-        let hv = sign_pack(&acc, 0.5, self.software.tie_break());
-        (hv, cycles)
+        sign_pack(&acc, 0.5, self.software.tie_break())
     }
 }
 
@@ -458,6 +485,36 @@ mod tests {
         let b = pre.run(&w.queries[1]).unwrap();
         let enc = InMemoryEncoder::new(small_encoder(3), crossbar(3), 6);
         assert_ne!(enc.encode(&a), enc.encode(&b));
+    }
+
+    #[test]
+    fn a_query_and_the_library_entry_with_its_id_draw_apart() {
+        // Both encodes below see spectrum id 0: as a query and as a
+        // library entry they must still read out through independent
+        // noise, so the bits each gets wrong mostly differ.
+        let enc = InMemoryEncoder::new(small_encoder(3), crossbar(3), 9);
+        let q = binned_query();
+        let truth = enc.software().encode(&q);
+        let query = enc.encode(&q);
+        let (library, _) = enc.encode_with_stats(&q);
+        assert_ne!(query, library);
+        let wrong = |hv: &BinaryHypervector| -> Vec<usize> {
+            (0..hv.dim())
+                .filter(|&d| hv.bit(d) != truth.bit(d))
+                .collect()
+        };
+        let (query_wrong, library_wrong) = (wrong(&query), wrong(&library));
+        let shared = query_wrong
+            .iter()
+            .filter(|d| library_wrong.binary_search(d).is_ok())
+            .count();
+        let overlap = shared as f64 / query_wrong.len().min(library_wrong.len()) as f64;
+        assert!(
+            overlap < 0.5,
+            "{shared} of {} / {} wrong bits shared ({overlap:.3})",
+            query_wrong.len(),
+            library_wrong.len()
+        );
     }
 
     #[test]

@@ -20,11 +20,10 @@
 //!
 //! Constants are calibrated so the modelled ratios land near the paper's
 //! reported factors (1.7× / 24.8× / 76.7× speedup; ~3000× energy
-//! efficiency vs ANN-SoLo CPU). One caveat is recorded in
-//! `EXPERIMENTS.md`: the paper's HyperOMS energy factor (5.44×) is not
-//! jointly consistent with its speedup under any single-device power
-//! assumption, so the model reproduces its magnitude class rather than
-//! the exact value.
+//! efficiency vs ANN-SoLo CPU). One caveat: the paper's HyperOMS energy
+//! factor (5.44×) is not jointly consistent with its speedup under any
+//! single-device power assumption, so the model reproduces its magnitude
+//! class rather than the exact value.
 
 /// Paper-reported Fig. 12 / §5.3.3 values, for side-by-side printing.
 pub mod paper {

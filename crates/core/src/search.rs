@@ -17,16 +17,18 @@
 //! one sensing cycle the deviations of the `activated_rows/2` pairs sum;
 //! with ≥ 8 pairs per cycle the sum is well-approximated as Gaussian with
 //! variance `n · σ_δ²` (central limit theorem over the independent Laplace
-//! per-cell terms — the approximation is documented in `EXPERIMENTS.md`).
-//! That one draw goes in front of the chip model's own sensing cycle
-//! ([`CrossbarConfig::sense`]: sensing noise, IR drop, clamp, ADC) — the
-//! cycle `CrossbarArray::mvm` and the in-memory encoder run, so the
-//! `rram_sim`, Fig. 10 and Fig. 13 identifications are read out through
-//! the same Eq. 5 chain Fig. 9 measures.
+//! per-cell terms; docs/ARCHITECTURE.md, "The MLC error model"), which is
+//! `σ_δ² / n` on the normalised voltage. That term is independent of the
+//! sensing noise and the IR drop, so it joins them in the cycle's one
+//! draw ([`CrossbarConfig::cycle_sigma`]'s `extra`) inside the chip
+//! model's own sensing cycle ([`CrossbarConfig::sense`]) — the cycle
+//! `CrossbarArray::mvm` and the in-memory encoder run, so the `rram_sim`,
+//! Fig. 10 and Fig. 13 identifications are read out through the same
+//! Eq. 5 chain Fig. 9 measures.
 
 use hdoms_hdc::{BinaryHypervector, HvView};
 use hdoms_oms::search::{SearchHit, SharedReferences};
-use hdoms_rram::array::{sample_normal, CrossbarConfig};
+use hdoms_rram::array::CrossbarConfig;
 use hdoms_rram::device::DeviceModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,8 +53,11 @@ pub struct InMemorySearch {
     /// equal the encoded bits; analog error enters at evaluation time).
     /// Shared, so a warm load from a persistent index keeps one copy.
     references: SharedReferences,
-    /// Static per-pair conductance deviation (σ of `(δ⁺−δ⁻)/g_max`).
-    sigma_delta: f64,
+    /// σ of a full row group's one draw per sensing cycle, and of the
+    /// trailing partial group's when `pairs_per_cycle` does not divide
+    /// `dim` (the weight term shrinks as `1/√n`).
+    cycle_sigma: f64,
+    tail_sigma: f64,
     dim: usize,
     seed: u64,
 }
@@ -85,10 +90,17 @@ impl InMemorySearch {
         let lambda = device.lambda(0.0, crossbar.age_s);
         let sigma_cell = lambda * std::f64::consts::SQRT_2;
         let sigma_delta = (2.0 * sigma_cell * sigma_cell).sqrt() / crossbar.mlc.g_max_us;
+        let group_sigma =
+            |n: usize| crossbar.cycle_sigma(sigma_delta, sigma_delta / (n as f64).sqrt());
+        let group = crossbar.pairs_per_cycle();
         InMemorySearch {
             crossbar,
             references,
-            sigma_delta,
+            cycle_sigma: group_sigma(group),
+            tail_sigma: group_sigma(match dim % group {
+                0 => group,
+                tail => tail,
+            }),
             dim,
             seed,
         }
@@ -148,14 +160,14 @@ impl InMemorySearch {
             let same = matching_bits(query, &reference, start, end);
             let mac = 2.0 * same as f64 - n; // matches − mismatches
             exact += mac as i64;
-            // Analog path: normalised voltage + weight deviation (CLT over
-            // the group), then the sensing cycle.
-            let mut v = mac / n;
-            let sigma_group = self.sigma_delta / n.sqrt();
-            if sigma_group > 0.0 {
-                v += sample_normal(&mut rng, sigma_group);
-            }
-            acc += self.crossbar.sense(v, n, self.sigma_delta, &mut rng);
+            // Analog path: the normalised voltage through the sensing
+            // cycle, whose one draw carries the weight deviation too.
+            let sigma = if end - start == group {
+                self.cycle_sigma
+            } else {
+                self.tail_sigma
+            };
+            acc += self.crossbar.sense(mac / n, n, sigma, &mut rng);
             start = end;
         }
         Some(SearchStats {

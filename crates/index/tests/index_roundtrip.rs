@@ -373,10 +373,10 @@ fn warm_load_searches_like_cold_build_hyperoms() {
 /// every hypervector would pass them all. The constants were recorded
 /// from the build of the commit *before* the one that added this test.
 ///
-/// The `rram` kind gets no constant: its encode stream runs through
-/// `f64::ln`/`cos`, which libm does not promise bit for bit across
-/// platforms. It is compared against the parent commit's binary at PR
-/// time instead (the verify skill's "Same bytes as the parent").
+/// The `rram` kind gets no constant here: its noise runs through
+/// `f64::ln`/`exp`, which libm does not promise bit for bit across
+/// platforms. Its noise-free chain is pinned by
+/// `ideal_rram_chain_is_pinned`.
 #[test]
 fn library_encoding_is_pinned() {
     use hdoms_index::xxhash::xxh64;
@@ -427,6 +427,83 @@ fn library_encoding_is_pinned() {
             "{name}: the PSM rows changed"
         );
     }
+}
+
+/// Pins the RRAM chain where it has no noise. On an ideal device every
+/// σ is zero, so a sensing cycle draws nothing and the in-memory encode
+/// and `CrossbarArray::mvm` are plain arithmetic — partial MACs, the
+/// ADC, the digital accumulation and the sign — the same on every
+/// platform. The constants were recorded from the build of the commit
+/// *before* the one that added this test; never regenerate them.
+#[test]
+fn ideal_rram_chain_is_pinned() {
+    use hdoms_core::encode::InMemoryEncoder;
+    use hdoms_hdc::item_memory::LevelStyle;
+    use hdoms_index::xxhash::xxh64;
+    use hdoms_ms::preprocess::Preprocessor;
+    use hdoms_rram::array::{CrossbarArray, CrossbarConfig};
+    use hdoms_rram::config::MlcConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let workload = tiny_workload(7);
+    let crossbar = CrossbarConfig {
+        mlc: MlcConfig::ideal(3),
+        sense_sigma: 0.0,
+        ir_drop_factor: 0.0,
+        age_s: 0.0,
+        ..CrossbarConfig::default()
+    };
+    let chunked = AcceleratorConfig::default().encoder;
+    // (level style, digest of every encode over the tiny workload): the
+    // chunked default, and the bit-serial comparison case.
+    let pinned = [
+        (chunked.level_style, 0xb724_4a8b_6e01_715b_u64),
+        (LevelStyle::Random, 0x7c0d_1cd8_9680_cb42),
+    ];
+    let preprocess = Preprocessor::default();
+    let spectra = workload
+        .queries
+        .iter()
+        .chain(workload.library.iter().map(|entry| &entry.spectrum));
+    let binned: Vec<_> = spectra.filter_map(|s| preprocess.run(s).ok()).collect();
+    for (level_style, digest) in pinned {
+        let encoder = hdoms_hdc::encoder::EncoderConfig {
+            dim: TEST_DIM,
+            level_style,
+            ..chunked
+        };
+        let enc = InMemoryEncoder::new(encoder, crossbar, 7);
+        let mut bytes = Vec::new();
+        for spectrum in &binned {
+            let (hv, stats) = enc.encode_with_stats(spectrum);
+            assert_eq!(enc.encode(spectrum), hv, "no noise, one hypervector");
+            bytes.extend(hv.words().iter().flat_map(|w| w.to_le_bytes()));
+            bytes.extend(stats.bit_errors.to_le_bytes());
+            bytes.extend(stats.cycles.to_le_bytes());
+        }
+        assert_eq!(
+            xxh64(&bytes, 0),
+            digest,
+            "{level_style:?}: the noise-free in-memory encode changed"
+        );
+    }
+
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut sign = |_| if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+    let weights: Vec<Vec<f64>> = (0..16).map(|_| (0..100).map(&mut sign).collect()).collect();
+    let inputs: Vec<f64> = (0..100).map(&mut sign).collect();
+    let array = CrossbarArray::program(crossbar, &weights, &mut rng);
+    let out: Vec<u8> = array
+        .mvm(&inputs, &mut rng)
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    assert_eq!(
+        xxh64(&out, 0),
+        0xe976_69e3_47da_7a17,
+        "the noise-free MVM changed"
+    );
 }
 
 /// A library whose every reference preprocessing rejects (too few

@@ -25,10 +25,16 @@
 //!   per-LSB span and loses low-order MAC bits (error grows with activated
 //!   rows — the x-axis of Fig. 9);
 //! * a fixed sensing noise on `V_SL` (kT/C and comparator offset).
+//!
+//! Every Gaussian term of one sensing cycle is independent and zero-mean,
+//! so the cycle draws their sum once, at the summed variance
+//! ([`CrossbarConfig::cycle_sigma`]), through one exact sampler
+//! ([`sample_normal`]).
 
 use crate::config::MlcConfig;
 use crate::device::DeviceModel;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Crossbar geometry and analog front-end parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -137,26 +143,34 @@ impl CrossbarConfig {
         }
     }
 
+    /// The σ of the one Gaussian a sensing cycle adds to its normalised
+    /// source-line voltage: the sensing noise, the IR-drop error
+    /// `ir_drop_factor × sigma_delta` (σ_δ being the per-pair conductance
+    /// deviation of the array driven) and a caller's `extra` term (the
+    /// in-memory search's weight deviation) are independent zero-mean
+    /// Gaussians, so their sum is one Gaussian whose variance is the sum
+    /// of theirs. Computed once per array, encoder or search, not per
+    /// cycle.
+    pub fn cycle_sigma(&self, sigma_delta: f64, extra: f64) -> f64 {
+        let ir_sigma = self.ir_drop_factor * sigma_delta;
+        (self.sense_sigma * self.sense_sigma + ir_sigma * ir_sigma + extra * extra).sqrt()
+    }
+
     /// One sensing cycle — the readout half of Eq. 5, written once for
     /// every MVM the chip performs ([`CrossbarArray::mvm`], the in-memory
     /// encoder and the in-memory search of `hdoms-core`): the normalised
     /// source-line voltage `v` of one activated group of `n` weight
-    /// pairs picks up the sensing noise, then the IR-drop error
-    /// `ir_drop_factor × sigma_delta` (σ_δ being the per-pair conductance
-    /// deviation of the array driven), is clamped to the full-scale range
-    /// and digitised by the ADC. Returns the de-normalised partial MAC
-    /// `v̂ · n` the digital accumulator adds.
+    /// pairs picks up its noise — one draw at `sigma`, the
+    /// [`CrossbarConfig::cycle_sigma`] of the array driven — is clamped
+    /// to the full-scale range and digitised by the ADC. Returns the
+    /// de-normalised partial MAC `v̂ · n` the digital accumulator adds.
     ///
-    /// Draws come from `rng` in that order, and a zero-σ term draws
-    /// nothing, so an ideal device leaves the stream untouched.
+    /// A zero `sigma` draws nothing, so an ideal device leaves `rng`
+    /// untouched and the cycle is plain arithmetic.
     #[inline]
-    pub fn sense<R: Rng>(&self, mut v: f64, n: f64, sigma_delta: f64, rng: &mut R) -> f64 {
-        if self.sense_sigma > 0.0 {
-            v += sample_normal(rng, self.sense_sigma);
-        }
-        let ir_sigma = self.ir_drop_factor * sigma_delta;
-        if ir_sigma > 0.0 {
-            v += sample_normal(rng, ir_sigma);
+    pub fn sense<R: Rng>(&self, mut v: f64, n: f64, sigma: f64, rng: &mut R) -> f64 {
+        if sigma > 0.0 {
+            v += sample_normal(rng, sigma);
         }
         // ADC over the full-scale normalised range [-1, 1].
         let adc_levels = (1usize << self.adc_bits) as f64;
@@ -171,7 +185,7 @@ impl CrossbarConfig {
     /// relaxed cells at `age_s` (`g⁺` first, then `g⁻`). Returns
     /// `(g⁺, g⁻, δ)` with `δ` the pair's normalised conductance deviation
     /// `((g⁺ − target⁺) − (g⁻ − target⁻)) / g_max`, whose RMS over an
-    /// array is the σ_δ that [`CrossbarConfig::sense`] takes.
+    /// array is the σ_δ that [`CrossbarConfig::cycle_sigma`] takes.
     #[inline]
     pub fn program_pair<R: Rng>(
         &self,
@@ -204,6 +218,8 @@ pub struct CrossbarArray {
     /// RMS normalised per-pair conductance deviation of this array — the
     /// σ_δ that scales the IR-drop error term.
     sigma_delta: f64,
+    /// σ of every sensing cycle's one draw.
+    cycle_sigma: f64,
 }
 
 impl CrossbarArray {
@@ -282,6 +298,7 @@ impl CrossbarArray {
             g_plus,
             g_minus,
             sigma_delta,
+            cycle_sigma: config.cycle_sigma(sigma_delta, 0.0),
         }
     }
 
@@ -347,7 +364,7 @@ impl CrossbarArray {
                     v += input * (self.g_plus[idx] - self.g_minus[idx]);
                 }
                 v /= n * g_max;
-                *acc += self.config.sense(v, n, self.sigma_delta, rng);
+                *acc += self.config.sense(v, n, self.cycle_sigma, rng);
                 start = end;
             }
         }
@@ -380,13 +397,78 @@ impl CrossbarArray {
     }
 }
 
-/// Box–Muller standard normal scaled by `sigma` (two uniform draws per
-/// sample) — the one Gaussian every analog noise term of the chip model
-/// is drawn through.
+/// Layers of the ziggurat behind [`sample_normal`].
+const ZIGGURAT_LAYERS: usize = 256;
+/// Where the base layer's tail begins (Marsaglia & Tsang 2000, 256 layers).
+const ZIGGURAT_R: f64 = 3.654_152_885_361_009;
+/// The area of every layer, the base layer with its tail included.
+const ZIGGURAT_V: f64 = 4.928_673_233_99e-3;
+
+/// Layer `i` spans `[0, x[i]]` horizontally and `[f[i], f[i + 1]]`
+/// vertically; `x[0] = V / f(R)` makes the base layer's rectangle hold
+/// its tail's area, and `x[256] = 0` closes the top.
+struct Ziggurat {
+    x: [f64; ZIGGURAT_LAYERS + 1],
+    f: [f64; ZIGGURAT_LAYERS + 1],
+}
+
+/// The unnormalised standard normal density `exp(-x²/2)`.
+fn normal_density(x: f64) -> f64 {
+    (-0.5 * x * x).exp()
+}
+
+fn ziggurat() -> &'static Ziggurat {
+    static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut x = [0.0; ZIGGURAT_LAYERS + 1];
+        x[0] = ZIGGURAT_V / normal_density(ZIGGURAT_R);
+        x[1] = ZIGGURAT_R;
+        for i in 2..ZIGGURAT_LAYERS {
+            x[i] = (-2.0 * (ZIGGURAT_V / x[i - 1] + normal_density(x[i - 1])).ln()).sqrt();
+        }
+        Ziggurat {
+            x,
+            f: x.map(normal_density),
+        }
+    })
+}
+
+/// A uniform in the open interval `(0, 1)`.
+fn open_unit<R: Rng>(rng: &mut R) -> f64 {
+    ((rng.next_u64() >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64)
+}
+
+/// A normal variate scaled by `sigma` — the one Gaussian every analog
+/// noise term of the chip model is drawn through. Marsaglia & Tsang's
+/// 256-layer ziggurat (2000), tail branch included, so the variate is
+/// exactly normal: one `u64` per draw on ~99 % of draws, `exp` on the
+/// wedges and `ln` in the tail beyond `R = 3.654`.
 pub fn sample_normal<R: Rng>(rng: &mut R, sigma: f64) -> f64 {
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let v: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
-    sigma * (-2.0 * u.ln()).sqrt() * v.cos()
+    let zig = ziggurat();
+    loop {
+        // The low 8 bits pick the layer, the high 53 a uniform in [-1, 1).
+        let bits = rng.next_u64();
+        let i = (bits & 0xff) as usize;
+        let u = (bits >> 11) as f64 * (2.0 / (1u64 << 53) as f64) - 1.0;
+        let x = u * zig.x[i];
+        if x.abs() < zig.x[i + 1] {
+            return sigma * x;
+        }
+        if i == 0 {
+            // The tail beyond R (Marsaglia 1964).
+            loop {
+                let t = -open_unit(rng).ln() / ZIGGURAT_R;
+                let y = -open_unit(rng).ln();
+                if 2.0 * y >= t * t {
+                    return sigma * (ZIGGURAT_R + t).copysign(u);
+                }
+            }
+        }
+        // The wedge between the layer's rectangle and the density.
+        if zig.f[i] + (zig.f[i + 1] - zig.f[i]) * open_unit(rng) < normal_density(x) {
+            return sigma * x;
+        }
+    }
 }
 
 #[cfg(test)]

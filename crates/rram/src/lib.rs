@@ -23,7 +23,8 @@
 //!   behind the paper's 3× density claim.
 //!
 //! The model is calibrated so the regenerated figures match the paper's
-//! measured magnitudes and orderings; see `EXPERIMENTS.md`.
+//! measured magnitudes and orderings; the figure binaries that check this
+//! are listed in docs/BENCHMARKS.md.
 //!
 //! # Example
 //!

@@ -1,13 +1,121 @@
-//! Property-based tests for the MLC RRAM simulator.
+//! Property-based tests for the MLC RRAM simulator, and the distribution
+//! of its one Gaussian and its one sensing cycle.
 
 use hdoms_hdc::BinaryHypervector;
-use hdoms_rram::array::{CrossbarArray, CrossbarConfig};
+use hdoms_rram::array::{sample_normal, CrossbarArray, CrossbarConfig};
 use hdoms_rram::config::MlcConfig;
+use hdoms_rram::device::DeviceModel;
 use hdoms_rram::levels::LevelMap;
 use hdoms_rram::storage::HypervectorStore;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// 10⁶ draws of the ziggurat match the standard normal's moments and
+/// tails, and some land in the tail only its tail branch produces
+/// (beyond R = 3.654, the base layer's edge).
+#[test]
+fn sample_normal_is_standard_normal() {
+    let n = 1_000_000;
+    let mut rng = StdRng::seed_from_u64(26);
+    let draws: Vec<f64> = (0..n).map(|_| sample_normal(&mut rng, 1.0)).collect();
+    let mean = draws.iter().sum::<f64>() / n as f64;
+    let var = draws.iter().map(|z| (z - mean).powi(2)).sum::<f64>() / n as f64;
+    let share_beyond = |t: f64| draws.iter().filter(|z| z.abs() > t).count() as f64 / n as f64;
+    assert!(mean.abs() < 0.005, "mean {mean}");
+    assert!((var - 1.0).abs() < 0.01, "variance {var}");
+    let (p3, p4) = (share_beyond(3.0), share_beyond(4.0));
+    assert!((p3 / 0.0027 - 1.0).abs() < 0.1, "P(|z| > 3) = {p3}");
+    assert!((p4 / 6.3e-5 - 1.0).abs() < 0.3, "P(|z| > 4) = {p4}");
+    assert!(share_beyond(3.654) > 0.0, "the tail branch never ran");
+}
+
+/// The ADC code a sensing cycle's readout `v̂` (at `n = 1`) came from.
+fn adc_code(config: &CrossbarConfig, v_hat: f64) -> usize {
+    let top = ((1usize << config.adc_bits) - 1) as f64;
+    ((v_hat + 1.0) / 2.0 * top).round() as usize
+}
+
+/// The sensing cycle as it was before it drew once: a Box–Muller draw
+/// for the caller's `extra` term, then one for the sensing noise, then
+/// one for the IR drop, then clamp and ADC (`sense` at σ = 0 draws
+/// nothing, so it is the ADC alone).
+fn chained_code(
+    config: &CrossbarConfig,
+    v: f64,
+    sigma_delta: f64,
+    extra: f64,
+    rng: &mut StdRng,
+) -> usize {
+    let mut v = v;
+    for sigma in [
+        extra,
+        config.sense_sigma,
+        config.ir_drop_factor * sigma_delta,
+    ] {
+        if sigma > 0.0 {
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let angle: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+            v += sigma * (-2.0 * u.ln()).sqrt() * angle.cos();
+        }
+    }
+    adc_code(config, config.sense(v, 1.0, 0.0, rng))
+}
+
+/// One draw at the summed variance reads out the same ADC-code
+/// distribution as three separate draws: total-variation distance under
+/// 0.005 over 10⁶ cycles (the sampling floor is ≈0.002; leaving the
+/// search's weight term out of the sum, 2 % of σ, reads 0.009), at each
+/// `(sigma_delta, extra)` the chip's callers use and across the voltage
+/// range, clamped ends included.
+#[test]
+fn one_draw_per_cycle_keeps_the_code_distribution() {
+    let config = CrossbarConfig::default();
+    let mut rng = StdRng::seed_from_u64(27);
+    // The encoder's σ_δ: the RMS deviation of cells programmed across
+    // the 3-bit grid (the in-memory encoder programs its ID memory the
+    // same way).
+    let levels = config.mlc.levels() - 1;
+    let grid: Vec<Vec<f64>> = (0..32)
+        .map(|_| {
+            (0..config.pair_capacity())
+                .map(|_| rng.gen_range(0..=levels) as f64 / levels as f64 * 2.0 - 1.0)
+                .collect()
+        })
+        .collect();
+    let encoder_sigma_delta = CrossbarArray::program(config, &grid, &mut rng).sigma_delta();
+    // The search's: two extreme-level cells per pair, and the weight
+    // deviation of one full row group on top of the cycle.
+    let lambda = DeviceModel::new(config.mlc).lambda(0.0, config.age_s);
+    let search_sigma_delta = 2.0 * lambda / config.mlc.g_max_us;
+    let group = config.pairs_per_cycle() as f64;
+    let callers = [
+        (encoder_sigma_delta, 0.0),
+        (search_sigma_delta, search_sigma_delta / group.sqrt()),
+    ];
+    let cycles = 1_000_000;
+    let codes = 1usize << config.adc_bits;
+    for (sigma_delta, extra) in callers {
+        let sigma = config.cycle_sigma(sigma_delta, extra);
+        for v in [-1.0, -0.43, 0.0, 0.27, 0.96] {
+            let (mut chained, mut single) = (vec![0u32; codes], vec![0u32; codes]);
+            for _ in 0..cycles {
+                chained[chained_code(&config, v, sigma_delta, extra, &mut rng)] += 1;
+                single[adc_code(&config, config.sense(v, 1.0, sigma, &mut rng))] += 1;
+            }
+            let tv = chained
+                .iter()
+                .zip(&single)
+                .map(|(&a, &b)| (f64::from(a) - f64::from(b)).abs())
+                .sum::<f64>()
+                / (2.0 * cycles as f64);
+            assert!(
+                tv < 0.005,
+                "σ_δ {sigma_delta}, extra {extra}, v {v}: total variation {tv}"
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -73,7 +181,6 @@ proptest! {
             age_s: 0.0,
         };
         let mut rng = StdRng::seed_from_u64(seed);
-        use rand::Rng;
         let weights: Vec<Vec<f64>> = (0..4)
             .map(|_| (0..pairs).map(|_| if rng.gen_bool(0.5) { 1.0 } else { -1.0 }).collect())
             .collect();
