@@ -159,7 +159,7 @@ impl RunScorer for AnnSoloBackend {
 mod tests {
     use super::*;
     use hdoms_ms::dataset::{QueryTruth, SyntheticWorkload, WorkloadSpec};
-    use hdoms_oms::candidates::CandidateIndex;
+    use hdoms_oms::pipeline::ReferenceCatalog;
     use hdoms_oms::search::{candidate_lists, SimilarityBackend};
     use hdoms_oms::window::PrecursorWindow;
 
@@ -173,7 +173,7 @@ mod tests {
         let backend = AnnSoloBackend::build(&workload.library, AnnSoloConfig::default());
         let pre = Preprocessor::default();
         let (queries, _) = pre.run_batch(&workload.queries);
-        let index = CandidateIndex::build(&workload.library);
+        let index = workload.library.candidate_index();
         let cands = candidate_lists(&index, &PrecursorWindow::open_default(), &queries);
         (workload, backend, queries, cands)
     }

@@ -98,7 +98,7 @@ impl RunScorer for BruteForceBackend {
 mod tests {
     use super::*;
     use hdoms_ms::dataset::{QueryTruth, SyntheticWorkload, WorkloadSpec};
-    use hdoms_oms::candidates::CandidateIndex;
+    use hdoms_oms::pipeline::ReferenceCatalog;
     use hdoms_oms::search::{candidate_lists, SimilarityBackend};
     use hdoms_oms::window::PrecursorWindow;
 
@@ -116,7 +116,7 @@ mod tests {
         let backend = BruteForceBackend::build(&workload.library, PreprocessConfig::default(), 4);
         let pre = Preprocessor::default();
         let (queries, _) = pre.run_batch(&workload.queries);
-        let index = CandidateIndex::build(&workload.library);
+        let index = workload.library.candidate_index();
         let cands = candidate_lists(&index, &PrecursorWindow::open_default(), &queries);
         let hits = backend.search_batch(&queries, &cands);
         let (mut unmod_ok, mut unmod_n, mut mod_ok, mut mod_n) = (0usize, 0usize, 0usize, 0usize);

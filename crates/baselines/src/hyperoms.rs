@@ -29,7 +29,7 @@ mod tests {
     use hdoms_hdc::multibit::IdPrecision;
     use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
     use hdoms_ms::preprocess::Preprocessor;
-    use hdoms_oms::candidates::CandidateIndex;
+    use hdoms_oms::pipeline::ReferenceCatalog;
     use hdoms_oms::search::{candidate_lists, ExactBackendConfig, SimilarityBackend};
     use hdoms_oms::window::PrecursorWindow;
 
@@ -47,7 +47,7 @@ mod tests {
         let backend = build(&workload.library, test_config());
         let pre = Preprocessor::default();
         let (queries, _) = pre.run_batch(&workload.queries);
-        let index = CandidateIndex::build(&workload.library);
+        let index = workload.library.candidate_index();
         let cands = candidate_lists(&index, &PrecursorWindow::open_default(), &queries);
         let hits = backend.search_batch(&queries, &cands);
         let mut correct = 0usize;
@@ -91,7 +91,7 @@ mod tests {
         );
         let pre = Preprocessor::default();
         let (queries, _) = pre.run_batch(&workload.queries);
-        let index = CandidateIndex::build(&workload.library);
+        let index = workload.library.candidate_index();
         let cands = candidate_lists(&index, &PrecursorWindow::open_default(), &queries);
         let a = hyperoms.search_batch(&queries, &cands);
         let b = exact.search_batch(&queries, &cands);

@@ -9,7 +9,7 @@
 use hdoms_bench::{fmt, print_table, FigureOptions};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::preprocess::Preprocessor;
-use hdoms_oms::candidates::CandidateIndex;
+use hdoms_oms::pipeline::ReferenceCatalog;
 use hdoms_oms::window::PrecursorWindow;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         let workload = SyntheticWorkload::generate(&spec, options.seed);
         let pre = Preprocessor::default();
         let (queries, rejected) = pre.run_batch(&workload.queries);
-        let index = CandidateIndex::build(&workload.library);
+        let index = workload.library.candidate_index();
         let open = PrecursorWindow::open_default();
         let standard = PrecursorWindow::standard_default();
         let open_mean = hdoms_bench::mean(

@@ -408,14 +408,14 @@ fn index_info(args: &[String]) -> Result<(), String> {
             mlc.sigma_delta,
         );
     }
-    for (i, shard) in index.shards().iter().enumerate() {
-        let (lo, hi) = match (shard.mass_lo(), shard.mass_hi()) {
-            (Some(lo), Some(hi)) => (lo, hi),
+    for (i, shard) in index.shards().enumerate() {
+        let (lo, hi) = match (shard.first(), shard.last()) {
+            (Some(&(lo, _)), Some(&(hi, _))) => (lo, hi),
             _ => (f64::NAN, f64::NAN),
         };
         println!(
             "  shard {i:>3}: {:>6} entries, {lo:>9.2} – {hi:>9.2} Da",
-            shard.entries.len(),
+            shard.len(),
         );
     }
     Ok(())

@@ -3,7 +3,8 @@
 //! over **stdio**, open a session, submit two batches, finalize, and
 //! diff the returned PSM table against the local engine run. Also
 //! exercises the per-batch `query` verb (one batch must equal the local
-//! run too) so the compatibility path stays guarded.
+//! run too) so the compatibility path stays guarded, and what
+//! `index info` prints for the golden v3 image.
 //! (CI's release test pass is the run that counts: the spawned binary
 //! is the optimised one.)
 
@@ -182,5 +183,38 @@ fn search_refuses_flags_it_would_ignore() {
             .expect("spawn hdoms search");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success() && stderr.contains(flag), "{stderr}");
+    }
+}
+
+/// `index info` on the golden v3 image: the header line, then one line
+/// per shard with its entry count and mass range — read off the runs of
+/// the index's `(mass, id)` table.
+#[test]
+fn index_info_reports_the_golden_image() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../index/tests/fixtures/v3.hdx"
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_hdoms"))
+        .args(["index", "info", "--index", golden])
+        .output()
+        .expect("spawn hdoms index info");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let lines: Vec<&str> = stdout.lines().map(str::trim).collect();
+    assert!(
+        lines.contains(&"backend exact  dim 512  entries 12  shards 3"),
+        "{stdout}"
+    );
+    for shard in [
+        "shard   0:      5 entries,    945.45 –   1899.83 Da",
+        "shard   1:      5 entries,   1899.83 –   2252.01 Da",
+        "shard   2:      2 entries,   2325.04 –   2325.04 Da",
+    ] {
+        assert!(lines.contains(&shard), "no line {shard:?} in\n{stdout}");
     }
 }

@@ -192,8 +192,8 @@ impl EngineSeries {
 /// behaviour).
 pub struct Engine {
     backend: EngineBackend,
-    /// The reference catalog: the index's own table for index-backed
-    /// engines (shared, not re-derived).
+    /// The reference catalog and candidate index: the index's own tables
+    /// for index-backed engines (shared, not re-derived).
     meta: Arc<ReferenceMeta>,
     candidates: CandidateIndex,
     preprocess: PreprocessConfig,

@@ -458,9 +458,9 @@ fn every_construction_derives_the_one_catalog() {
         );
         let shard_of = index.shard_assignment();
         assert_eq!(shard_of.len(), library.len(), "{name}: id → shard table");
-        for (s, shard) in index.shards().iter().enumerate() {
-            for e in &shard.entries {
-                assert_eq!(shard_of[e.id as usize], s as u32, "{name}: id {}", e.id);
+        for (s, shard) in index.shards().enumerate() {
+            for &(_, id) in shard {
+                assert_eq!(shard_of[id as usize], s as u32, "{name}: id {id}");
             }
         }
         let engine = Engine::from_index(index, THREADS).expect("an index wires its own kind");
@@ -491,11 +491,10 @@ fn an_engine_scores_each_shard_its_index_reaches_in_one_run() {
         exact.encoder.dim = 512;
     }
     let builder = IndexBuilder::new(config);
-    let edge = builder.from_library(&workload.library).shards()[0]
-        .entries
-        .last()
-        .expect("a full shard")
-        .id;
+    let (_, edge) = *(builder.from_library(&workload.library).shards())
+        .next()
+        .and_then(<[_]>::last)
+        .expect("a full shard");
     let twin = workload.library.get(edge).expect("edge id").clone();
     let library: SpectralLibrary = (workload.library.iter().cloned())
         .chain([twin.clone()])
@@ -504,9 +503,10 @@ fn an_engine_scores_each_shard_its_index_reaches_in_one_run() {
     index.append_entries(&[twin], THREADS);
     let shard_of = index.shard_assignment();
     assert_eq!(shard_of[library.len()], 0, "the third twin joins shard 0");
+    let shard = |s: usize| index.shards().nth(s).expect("two shards");
     assert_eq!(
-        index.shards()[0].mass_hi(),
-        index.shards()[1].mass_lo(),
+        shard(0).last().map(|e| e.0),
+        Some(shard(1)[0].0),
         "the cut must fall between the twins"
     );
 

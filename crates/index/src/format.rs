@@ -59,12 +59,13 @@ use hdoms_hdc::encoder::EncoderConfig;
 use hdoms_hdc::item_memory::LevelStyle;
 use hdoms_hdc::kernels::packed_row_len;
 use hdoms_hdc::multibit::IdPrecision;
-use hdoms_ms::library::LibraryEntry;
 use hdoms_ms::preprocess::{IntensityScaling, PreprocessConfig};
+use hdoms_oms::pipeline::{ReferenceCatalog, ReferenceMeta};
 use hdoms_oms::search::{ExactBackendConfig, HyperOmsConfig};
 use hdoms_prefilter::SketchIndex;
 use hdoms_rram::array::CrossbarConfig;
 use hdoms_rram::config::MlcConfig;
+use std::borrow::Cow;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
@@ -274,70 +275,6 @@ impl IndexedBackendKind {
     }
 }
 
-/// One indexed reference: the search metadata.
-///
-/// The encoded hypervector itself lives in the index's flat shared
-/// reference table (keyed by [`IndexEntry::id`]), not in the entry — that
-/// is what lets a loaded index and every warm backend reconstructed from
-/// it share a single copy of the encoded library. On disk the hypervectors
-/// sit in each shard's word block (see the module docs).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexEntry {
-    /// Dense library id (also the slot in the flat reference table).
-    pub id: u32,
-    /// Neutral precursor mass in daltons (the sharding and windowing key).
-    pub neutral_mass: f64,
-    /// Precursor m/z as measured.
-    pub precursor_mz: f64,
-    /// Precursor charge state.
-    pub precursor_charge: u8,
-    /// Whether the entry is a decoy.
-    pub is_decoy: bool,
-    /// The peptide sequence string (for PSM reports without the library).
-    pub peptide: String,
-}
-
-impl IndexEntry {
-    /// The global `(mass, id)` order every builder sorts entries into
-    /// before cutting fixed-size shards.
-    pub(crate) fn shard_order(a: &IndexEntry, b: &IndexEntry) -> std::cmp::Ordering {
-        a.neutral_mass
-            .total_cmp(&b.neutral_mass)
-            .then(a.id.cmp(&b.id))
-    }
-
-    /// The search metadata of library entry `entry` under dense id `id`.
-    pub(crate) fn of(id: u32, entry: &LibraryEntry) -> IndexEntry {
-        IndexEntry {
-            id,
-            neutral_mass: entry.spectrum.neutral_mass(),
-            precursor_mz: entry.spectrum.precursor_mz,
-            precursor_charge: entry.spectrum.precursor_charge,
-            is_decoy: entry.is_decoy,
-            peptide: entry.peptide.to_string(),
-        }
-    }
-}
-
-/// A contiguous precursor-mass bucket of entries, sorted by mass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Shard {
-    /// Entries sorted by `(neutral_mass, id)`.
-    pub entries: Vec<IndexEntry>,
-}
-
-impl Shard {
-    /// Smallest entry mass, or `None` for an empty shard.
-    pub fn mass_lo(&self) -> Option<f64> {
-        self.entries.first().map(|e| e.neutral_mass)
-    }
-
-    /// Largest entry mass, or `None` for an empty shard.
-    pub fn mass_hi(&self) -> Option<f64> {
-        self.entries.last().map(|e| e.neutral_mass)
-    }
-}
-
 /// MLC programming state persisted for the RRAM accelerator kind: the
 /// effective differential weight pairs of the programmed position-ID item
 /// memory, so a warm load skips re-sampling the device model. The
@@ -441,9 +378,11 @@ impl Put for str {
     }
 }
 
-impl Get for String {
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<String, IndexError> {
-        Ok(String::from_utf8(Vec::get(r, what)?).map_err(|_| WireError::InvalidUtf8 { what })?)
+impl Get for Cow<'_, str> {
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, IndexError> {
+        let text =
+            String::from_utf8(Vec::get(r, what)?).map_err(|_| WireError::InvalidUtf8 { what })?;
+        Ok(Cow::Owned(text))
     }
     #[cfg(test)]
     fn doc(name: &str) -> String {
@@ -502,37 +441,38 @@ macro_rules! record {
     };
     (
         $(#[$meta:meta])*
-        struct $name:ident as $prefix:literal {
+        struct $name:ident $(<$lt:lifetime>)? as $prefix:literal {
             $($field:ident: $ty:ty $([since $since:literal])?),* $(,)?
         }
     ) => {
         $(#[$meta])*
-        pub(crate) struct $name {
+        pub(crate) struct $name $(<$lt>)? {
             $(pub(crate) $field: $ty),*
         }
-        record!(impl $name as $prefix { $($field: $ty $([since $since])?),* });
+        record!(impl $name $(<$lt>)? as $prefix { $($field: $ty $([since $since])?),* });
     };
-    (impl $name:ident as $prefix:literal {
+    (impl $name:ident $(<$lt:lifetime>)? as $prefix:literal {
         $($field:ident: $ty:ty $([since $since:literal])?),* $(,)?
     }) => {
         record! {
-            impl $name as $prefix, this { $($field: $ty $([since $since])? = this.$field),* }
-            => Ok($name { $($field),* })
+            impl $name $(<$lt>)? as $prefix, this {
+                $($field: $ty $([since $since])? = this.$field),*
+            } => Ok($name { $($field),* })
         }
     };
     (
-        impl $name:ident as $prefix:literal, $this:ident {
+        impl $name:ident $(<$lt:lifetime>)? as $prefix:literal, $this:ident {
             $($field:ident: $ty:ty $([since $since:literal])? = $place:expr),* $(,)?
         } => $build:expr
     ) => {
-        impl Put for $name {
+        impl $(<$lt>)? Put for $name $(<$lt>)? {
             fn put(&self, w: &mut Vec<u8>) {
                 let $this = self;
                 $($place.put(w);)*
             }
         }
-        impl Get for $name {
-            fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<$name, IndexError> {
+        impl $(<$lt>)? Get for $name $(<$lt>)? {
+            fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<Self, IndexError> {
                 $(let $field = record!(
                     @get r, $ty, concat!($prefix, ".", stringify!($field)) $(, $since)?
                 );)*
@@ -544,7 +484,7 @@ macro_rules! record {
             }
         }
         #[cfg(test)]
-        impl Record for $name {
+        impl $(<$lt>)? Record for $name $(<$lt>)? {
             fn row() -> String {
                 let fields = [$(
                     <$ty>::doc(stringify!($field)) $(+ concat!(" (v", $since, "+)"))?
@@ -695,14 +635,20 @@ record! {
 
 // In a shard payload each entry record is followed by one `bool`:
 // whether the entry has a stored hypervector.
-record!(impl IndexEntry as "entry" {
-    id: u32,
-    neutral_mass: f64,
-    precursor_mz: f64,
-    precursor_charge: u8,
-    is_decoy: bool,
-    peptide: String,
-});
+record! {
+    /// One shard entry record as the codec reads and writes it. No index
+    /// holds these: the loader hands each one's facts to their homes (the
+    /// catalog and the `(mass, id)` table), and [`ImageLayout::write`]
+    /// assembles each from them again, borrowing the peptide.
+    struct IndexEntry<'a> as "entry" {
+        id: u32,
+        neutral_mass: f64,
+        precursor_mz: f64,
+        precursor_charge: u8,
+        is_decoy: bool,
+        peptide: Cow<'a, str>,
+    }
+}
 
 record!(impl MlcState as "mlc_state" {
     w_eff: Arc<[f32]>,
@@ -753,11 +699,27 @@ pub(crate) struct ImageLayout<'a> {
     pub stats: &'a BuildStats,
     pub entries_per_shard: usize,
     pub mlc: Option<&'a MlcState>,
-    /// The shards' entries in file order, each sorted by `(mass, id)`.
-    pub shards: Vec<&'a [IndexEntry]>,
+    /// The per-id facts every record is assembled from.
+    pub catalog: &'a ReferenceMeta,
+    /// The shards' runs of the `(mass, id)` table, in file order.
+    pub shards: Vec<&'a [(f64, u32)]>,
 }
 
 impl ImageLayout<'_> {
+    /// Entry `id`'s record, assembled from the catalog and the table.
+    fn record(&self, (neutral_mass, id): (f64, u32)) -> IndexEntry<'_> {
+        let known = "a catalog row per entry";
+        let (precursor_mz, precursor_charge) = self.catalog.precursor(id).expect(known);
+        IndexEntry {
+            id,
+            neutral_mass,
+            precursor_mz,
+            precursor_charge,
+            is_decoy: self.catalog.reference_is_decoy(id).expect(known),
+            peptide: Cow::Borrowed(&self.catalog.peptides()[id as usize]),
+        }
+    }
+
     /// Write the image to `out` at the current format version (the
     /// layout of the module docs) and return its length in bytes:
     /// preamble, header, then the MLC, sketch and shard sections, each in
@@ -784,12 +746,12 @@ impl ImageLayout<'_> {
         let mlc_bytes = self.mlc.map(encode);
         // A shard's metadata — count, records, flags — padded to 8.
         let mut payload = Vec::new();
-        let put_meta = |payload: &mut Vec<u8>, entries: &[IndexEntry]| {
+        let put_meta = |payload: &mut Vec<u8>, entries: &[(f64, u32)]| {
             payload.clear();
             entries.len().put(payload);
-            for e in entries {
-                e.put(payload);
-                present(e.id).put(payload);
+            for &entry in entries {
+                self.record(entry).put(payload);
+                present(entry.1).put(payload);
             }
             payload.extend_from_slice(&[0u8; 8][..pad_to_8(payload.len())]);
         };
@@ -803,7 +765,7 @@ impl ImageLayout<'_> {
             shard_lens: (self.shards.iter())
                 .map(|entries| {
                     put_meta(&mut payload, entries);
-                    let stored = entries.iter().filter(|e| present(e.id)).count();
+                    let stored = entries.iter().filter(|&&(_, id)| present(id)).count();
                     payload.len() + stored * hv_bytes
                 })
                 .collect(),
@@ -823,8 +785,8 @@ impl ImageLayout<'_> {
 
         for entries in &self.shards {
             put_meta(&mut payload, entries);
-            for e in entries.iter().filter(|e| present(e.id)) {
-                write_words(e.id, &mut payload)?;
+            for &(_, id) in entries.iter().filter(|&&(_, id)| present(id)) {
+                write_words(id, &mut payload)?;
             }
             Frame::write(&mut out, &mut pos, true, &payload)?;
         }
@@ -926,63 +888,64 @@ pub(crate) fn write_atomically<T>(
     result
 }
 
-/// Decode one shard section payload of a format-`version` image into its
-/// metadata entries plus, for every present hypervector, `(id, byte
-/// offset of its words *within this payload*)` — the caller adds the
-/// payload's absolute file offset. The entry records are the same in
-/// every version; what differs is where the words sit (module docs).
-/// For the v2+ block everything the mapped search path relies on is
-/// checked here: the padding bytes are zero, every word block's unused
-/// tail bits are zero, and the payload is consumed exactly.
+/// Decode one shard section payload of a format-`version` image: each
+/// entry record goes to `visit`, in file order, with where its words lie
+/// (`None`: nowhere) as an offset from the base this returns — inline in
+/// v1 (base 0), in the block behind the records in v2+ (base: the block,
+/// within the payload). The records are the same in every version. For
+/// the v2+ block everything the mapped search path relies on is checked
+/// here: the padding bytes are zero, every word block's unused tail bits
+/// are zero, and the payload is consumed exactly.
 pub(crate) fn decode_shard(
     bytes: &[u8],
     dim: usize,
     version: u32,
-) -> Result<(Shard, Vec<(u32, usize)>), IndexError> {
+    mut visit: impl FnMut(IndexEntry<'static>, Option<usize>) -> Result<(), IndexError>,
+) -> Result<usize, IndexError> {
     let at = |r: &Reader<'_>| bytes.len() - r.remaining();
     let hv_bytes = dim.div_ceil(64) * 8;
     let spare_bits = hv_bytes * 8 - dim;
     let mut r = Reader::new(bytes);
     let count = r.checked_len("shard.entry_count", 1)?;
-    let mut entries = Vec::with_capacity(count);
-    let mut offsets = Vec::new();
+    let mut blocks = 0;
     for _ in 0..count {
         let entry = IndexEntry::get(&mut r, "entry")?;
-        if bool::get(&mut r, "entry.hv_present")? {
-            if version == 1 {
-                let words = r.checked_len("entry.hv_words", 8)?;
-                need(words * 8 == hv_bytes, || {
-                    let (id, needs) = (entry.id, hv_bytes / 8);
-                    format!(
-                        "entry {id}: hypervector has {words} words, dimension {dim} needs {needs}"
-                    )
-                })?;
-                offsets.push((entry.id, at(&r)));
-                r.raw(hv_bytes, "entry.hv_words")?;
-            } else {
-                offsets.push((entry.id, 0)); // set below, where the block is
-            }
-        }
-        entries.push(entry);
+        let words = if !bool::get(&mut r, "entry.hv_present")? {
+            None
+        } else if version == 1 {
+            let words = r.checked_len("entry.hv_words", 8)?;
+            need(words * 8 == hv_bytes, || {
+                let (id, needs) = (entry.id, hv_bytes / 8);
+                format!("entry {id}: hypervector has {words} words, dimension {dim} needs {needs}")
+            })?;
+            let offset = at(&r);
+            r.raw(hv_bytes, "entry.hv_words")?;
+            Some(offset)
+        } else {
+            blocks += 1;
+            Some((blocks - 1) * hv_bytes)
+        };
+        visit(entry, words)?;
     }
+    let mut base = 0;
     if version >= 2 {
         let pad = r.raw(pad_to_8(at(&r)), "shard.padding")?;
         need(pad.iter().all(|&b| b == 0), || {
             "nonzero alignment padding in shard section"
         })?;
-        for (id, offset) in &mut offsets {
-            *offset = at(&r);
-            let block = r.raw(hv_bytes, "shard.hv_words")?;
-            let last = block
+        base = at(&r);
+        for block in 0..blocks {
+            let words = r.raw(hv_bytes, "shard.hv_words")?;
+            let last = words
                 .last_chunk()
                 .map_or(0, |word| u64::from_le_bytes(*word));
             need(spare_bits == 0 || last >> (64 - spare_bits) == 0, || {
-                format!("entry {id}: hypervector tail bits beyond dimension {dim} are set")
+                format!("word block {block}: hypervector tail bits beyond dimension {dim} are set")
             })?;
         }
     }
     r.expect_end("shard")?;
-    Ok((Shard { entries }, offsets))
+    Ok(base)
 }
 
 #[cfg(test)]
@@ -1003,7 +966,7 @@ mod tests {
         round::<f32, _>(&0.25);
         round::<usize, _>(&usize::MAX);
         round::<bool, _>(&true);
-        round::<String, str>("peptide/КИРИЛЛИЦА");
+        round::<Cow<str>, str>("peptide/КИРИЛЛИЦА");
         round::<Vec<u64>, [u64]>(&[1, 2, 3]);
         let weights = decode::<Arc<[f32]>>(&encode(&[0.5f32, -0.5][..]), "x", 3);
         assert_eq!(*weights.unwrap(), [0.5, -0.5]);
@@ -1021,7 +984,7 @@ mod tests {
         let huge = Vec::<u64>::get(&mut Reader::new(&encode(&u64::MAX)), "words");
         let huge = huge.unwrap_err().to_string();
         assert!(huge.contains("implausible length for words"), "{huge}");
-        let text = String::get(&mut Reader::new(&encode(&[0xffu8, 0xfe][..])), "peptide");
+        let text = Cow::<str>::get(&mut Reader::new(&encode(&[0xffu8, 0xfe][..])), "peptide");
         let text = text.unwrap_err().to_string();
         assert_eq!(text, "index decode error: invalid UTF-8 in peptide");
         let tag = bool::get(&mut Reader::new(&[2]), "entry.is_decoy").unwrap_err();

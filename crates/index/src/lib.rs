@@ -21,11 +21,13 @@
 //!   rejected at load time.
 //!
 //! A loaded index keeps its hypervectors in one flat shared table
-//! ([`LibraryIndex::shared_references`]), its per-id catalog and id →
-//! shard table behind `Arc`s, and its kind's one backend (item memories,
-//! programmed weights); everything handed out of it **shares** those, so
-//! a resident index plus its backends and engines hold one of each —
-//! which is what makes the long-lived `hdoms-serve` layer affordable.
+//! ([`LibraryIndex::shared_references`]), every per-entry fact in its
+//! per-id catalog, its shards as runs of one `(mass, id)` table — the
+//! candidate index every engine searches — and its kind's one backend
+//! (item memories, programmed weights); everything handed out of it
+//! **shares** those, so a resident index plus its backends and engines
+//! hold one of each — which is what makes the long-lived `hdoms-serve`
+//! layer affordable.
 //!
 //! Since format **v2** shard hypervector words are laid out 8-aligned,
 //! so the one loader ([`LibraryIndex::from_buffer`]) searches the file's
@@ -83,7 +85,7 @@ pub mod streaming;
 pub mod wire;
 pub mod xxhash;
 
-pub use format::{IndexEntry, IndexError, IndexedBackendKind, MlcState, Shard};
+pub use format::{IndexError, IndexedBackendKind, MlcState};
 pub use library_index::{IndexBuilder, IndexConfig, LibraryIndex};
 pub use sharded::{QueryRecord, ShardTiming, ShardedBackend};
 pub use streaming::{StreamingBuildReport, StreamingConfig, StreamingIndexBuilder};

@@ -1,8 +1,8 @@
 //! The in-memory index, its builder, its reader, and incremental append.
 
 use crate::format::{
-    self, need, Frame, Get, Header, ImageLayout, IndexEntry, IndexError, IndexedBackendKind,
-    MlcState, Put, Shard, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION,
+    self, need, Frame, Get, Header, ImageLayout, IndexError, IndexedBackendKind, MlcState, Put,
+    FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION,
 };
 use crate::sharded::{BoxedScorer, ShardedBackend};
 use crate::wire::Reader;
@@ -127,36 +127,66 @@ impl IndexBuilder {
             references.append(encoded.into_iter().map(|slot| stats.push(slot)));
         }
 
-        let mut entries: Vec<IndexEntry> = library
-            .iter()
-            .map(|e| IndexEntry::of(e.spectrum.id, e))
-            .collect();
-        entries.sort_by(IndexEntry::shard_order);
-
+        let mut catalog = ReferenceMeta::default();
+        let mut table = take_in(&mut catalog, library.entries());
         let per_shard = self.config.entries_per_shard;
-        let shards: Vec<Shard> = entries
-            .chunks(per_shard)
-            .map(|chunk| Shard {
-                entries: chunk.to_vec(),
-            })
-            .collect();
-
-        let mut index = LibraryIndex {
+        let bounds = cut(&mut table, per_shard);
+        LibraryIndex {
             kind,
             entries_per_shard: per_shard,
-            entry_count: library.len(),
             build_stats: stats.onto(None),
             mlc: backend.mlc_state(),
-            shards,
+            shard_of: shard_of(&table, &bounds),
+            table: CandidateIndex::from_sorted(table),
+            bounds,
             references,
-            catalog: Arc::default(),
-            shard_of: Arc::default(),
+            catalog: Arc::new(catalog),
             backend: Arc::new(OnceLock::from(backend)),
             sketches: OnceLock::new(),
-        };
-        index.derive_per_id(0);
-        index
+        }
     }
+}
+
+/// Take `entries` in under the next dense ids: their rows into
+/// `catalog`, their `(mass, id)` pairs returned for the table — every
+/// build path (cold, streaming, append) runs this.
+pub(crate) fn take_in(catalog: &mut ReferenceMeta, entries: &[LibraryEntry]) -> Vec<(f64, u32)> {
+    let first = catalog.reference_count() as u32;
+    catalog.extend(entries);
+    let ids = first..;
+    ids.zip(entries)
+        .map(|(id, e)| (e.spectrum.neutral_mass(), id))
+        .collect()
+}
+
+/// Sort `table` into the global `(mass, id)` order and cut it into
+/// shards of `per_shard` entries: the shard bounds (shard `s` is
+/// `table[bounds[s]..bounds[s + 1]]`).
+pub(crate) fn cut(table: &mut [(f64, u32)], per_shard: usize) -> Vec<usize> {
+    table.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let len = table.len();
+    (0..len).step_by(per_shard).chain([len]).collect()
+}
+
+/// The shards of a table cut at `bounds`: its runs, in order.
+pub(crate) fn runs<'a>(
+    table: &'a [(f64, u32)],
+    bounds: &'a [usize],
+) -> impl ExactSizeIterator<Item = &'a [(f64, u32)]> {
+    bounds.windows(2).map(move |run| &table[run[0]..run[1]])
+}
+
+/// Dense id → shard position of a table cut at `bounds`: positions of
+/// ids no shard holds read `u32::MAX`.
+fn shard_of(table: &[(f64, u32)], bounds: &[usize]) -> Arc<[u32]> {
+    let mut shard_of: Arc<[u32]> = std::iter::repeat_n(u32::MAX, table.len()).collect();
+    let slots = Arc::get_mut(&mut shard_of).expect("no second handle yet");
+    for (s, run) in runs(table, bounds).enumerate() {
+        for &(_, id) in run {
+            slots[id as usize] = s as u32;
+        }
+    }
+    shard_of
 }
 
 /// The one backend of an index's kind: every build path — cold,
@@ -236,7 +266,10 @@ impl ReferenceEncoder for KindBackend {
 /// per-reference metadata (mass, charge, decoy flag, peptide), precursor
 /// mass shard boundaries, and for the RRAM kind the MLC programming state
 /// — so queries run **without re-encoding the library** and without the
-/// raw library file.
+/// raw library file. Each per-entry fact has one home — the per-id
+/// catalog ([`LibraryIndex::catalog`]) — and the shards are runs of one
+/// mass-ordered `(mass, id)` table: the candidate index every engine over
+/// the index shares ([`ReferenceCatalog::candidate_index`]).
 ///
 /// The hypervectors live in one flat reference-counted table
 /// ([`LibraryIndex::shared_references`]); the warm backend constructors
@@ -245,7 +278,7 @@ impl ReferenceEncoder for KindBackend {
 /// backends reconstructed from it hold exactly **one** copy of the
 /// encoded library. Cloning a `LibraryIndex` likewise shares the table.
 ///
-/// Equality compares logical content: the per-id tables, the backend
+/// Equality compares logical content: the id → shard table, the backend
 /// and the sketch cache are derived state and ignored, and reference
 /// tables with the same bits compare equal wherever their words live.
 ///
@@ -257,17 +290,21 @@ impl ReferenceEncoder for KindBackend {
 pub struct LibraryIndex {
     kind: IndexedBackendKind,
     entries_per_shard: usize,
-    entry_count: usize,
     build_stats: BuildStats,
     mlc: Option<MlcState>,
-    shards: Vec<Shard>,
+    /// Every entry's `(mass, id)`, mass never decreasing, `(mass, id)`
+    /// ascending within a shard: the candidate index, shared with every
+    /// engine over this index.
+    table: CandidateIndex,
+    /// Shard `s` is `table[bounds[s]..bounds[s + 1]]`.
+    bounds: Vec<usize>,
     /// The flat `id → hypervector` table shared with warm backends.
     references: SharedReferences,
-    /// The per-id facts — `id → (neutral mass, is_decoy, peptide)` and
-    /// `id → shard position` — derived from the shards in one walk
-    /// ([`LibraryIndex::derive_per_id`]), shared with every engine and
-    /// sharded backend over this index.
+    /// `id → (neutral mass, is_decoy, peptide, precursor m/z and
+    /// charge)`, shared with every engine over this index.
     catalog: Arc<ReferenceMeta>,
+    /// `id → shard position`, derived from the table, shared with every
+    /// sharded backend over this index.
     shard_of: Arc<[u32]>,
     /// The kind's one backend, built on first use and shared with this
     /// index's clones.
@@ -282,12 +319,13 @@ impl PartialEq for LibraryIndex {
     fn eq(&self, other: &LibraryIndex) -> bool {
         self.kind == other.kind
             && self.entries_per_shard == other.entries_per_shard
-            && self.entry_count == other.entry_count
             && self.build_stats == other.build_stats
             && self.mlc == other.mlc
-            && self.shards == other.shards
+            && self.table == other.table
+            && self.bounds == other.bounds
+            && self.catalog == other.catalog
             && self.references == other.references
-        // `catalog`, `shard_of`, `backend` and `sketches` are derived state.
+        // `shard_of`, `backend` and `sketches` are derived state.
     }
 }
 
@@ -304,12 +342,13 @@ impl LibraryIndex {
 
     /// Number of indexed references.
     pub fn entry_count(&self) -> usize {
-        self.entry_count
+        self.table.pairs().len()
     }
 
-    /// The precursor-mass shards, ascending in mass.
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
+    /// The precursor-mass shards, ascending in mass: runs of the
+    /// candidate index's `(mass, id)` table, each sorted by `(mass, id)`.
+    pub fn shards(&self) -> impl ExactSizeIterator<Item = &[(f64, u32)]> {
+        runs(self.table.pairs(), &self.bounds)
     }
 
     /// The persisted MLC programming state (RRAM kind only).
@@ -322,21 +361,10 @@ impl LibraryIndex {
         self.kind.dim()
     }
 
-    /// Iterate all entries in shard order (ascending mass).
-    pub fn entries(&self) -> impl Iterator<Item = &IndexEntry> {
-        self.shards.iter().flat_map(|s| s.entries.iter())
-    }
-
     /// The dense per-id catalog (mass, decoy flag, peptide) — the table
     /// an engine over this index reads, shared rather than re-derived.
     pub fn catalog(&self) -> Arc<ReferenceMeta> {
         Arc::clone(&self.catalog)
-    }
-
-    /// Peptide sequences by dense reference id (for PSM tables without
-    /// the library file): the catalog's table, one `Arc` bump per call.
-    pub fn peptides_by_id(&self) -> Arc<Vec<String>> {
-        Arc::clone(self.catalog.peptides())
     }
 
     /// The shared handle to the flat reference table. Warm backends built
@@ -368,24 +396,6 @@ impl LibraryIndex {
         Arc::clone(&self.shard_of)
     }
 
-    /// The one walk over the shards that derives the per-id facts — the
-    /// id → shard table, and the catalog rows of ids `known..` (a
-    /// catalog already holds the rest: an append copies no old row) —
-    /// run wherever the shards change (construct, load, append).
-    fn derive_per_id(&mut self, known: usize) {
-        let mut shard_of: Arc<[u32]> = std::iter::repeat_n(0, self.entry_count).collect();
-        let slots = Arc::get_mut(&mut shard_of).expect("no second handle yet");
-        let entries = (self.shards.iter().enumerate())
-            .flat_map(|(s, shard)| shard.entries.iter().map(move |e| (s as u32, e)));
-        let rows = entries.filter_map(|(s, e)| {
-            slots[e.id as usize] = s;
-            let row = || (e.id, e.neutral_mass, e.is_decoy, e.peptide.clone());
-            (e.id as usize >= known).then(row)
-        });
-        Arc::make_mut(&mut self.catalog).grow(self.entry_count, rows);
-        self.shard_of = shard_of;
-    }
-
     // -- residency --------------------------------------------------------
 
     /// Byte footprint of each shard's stored hypervector words
@@ -395,9 +405,9 @@ impl LibraryIndex {
     /// the OS for a cold shard, and what a touched shard re-occupies.
     pub fn shard_word_bytes(&self) -> Vec<u64> {
         let hv_bytes = self.references.hv_bytes() as u64;
-        let stored = |e: &&IndexEntry| self.references.hv(e.id as usize).is_some();
-        (self.shards.iter())
-            .map(|s| s.entries.iter().filter(stored).count() as u64 * hv_bytes)
+        let stored = |&&(_, id): &&(f64, u32)| self.references.hv(id as usize).is_some();
+        (self.shards())
+            .map(|run| run.iter().filter(stored).count() as u64 * hv_bytes)
             .collect()
     }
 
@@ -411,7 +421,7 @@ impl LibraryIndex {
     /// reload.
     pub fn release_shard_words(&self, shard: usize) -> usize {
         let references = &self.references;
-        let Some(entries) = self.shards.get(shard).map(|s| &s.entries) else {
+        let Some(run) = self.shards().nth(shard) else {
             return 0;
         };
         if !references.is_mapped() {
@@ -421,7 +431,7 @@ impl LibraryIndex {
         // the shard's words occupy exactly [min offset, max offset +
         // hv_bytes) of the mapped file.
         let hv_bytes = references.hv_bytes() as u64;
-        let blocks = (entries.iter()).filter_map(|e| references.offset_of(e.id as usize));
+        let blocks = (run.iter()).filter_map(|&(_, id)| references.offset_of(id as usize));
         let (lo, hi) = blocks.fold((u64::MAX, 0), |(lo, hi), at| {
             (lo.min(at), hi.max(at + hv_bytes))
         });
@@ -507,7 +517,7 @@ impl LibraryIndex {
         Ok(ShardedBackend::new(
             scorer,
             self.shard_assignment(),
-            self.shards.len(),
+            self.shards().len(),
             threads,
         ))
     }
@@ -521,7 +531,9 @@ impl LibraryIndex {
     /// concatenated library.
     ///
     /// Entries land in the shard whose mass range covers them; a shard
-    /// grown past twice the configured target splits in half.
+    /// grown past twice the configured target splits in half. The shards
+    /// are placed into as vectors of their own, then flattened back into
+    /// the one table.
     ///
     /// # Panics
     ///
@@ -530,7 +542,7 @@ impl LibraryIndex {
         if new_entries.is_empty() {
             return;
         }
-        let first_id = self.entry_count as u32;
+        let first_id = self.entry_count() as u32;
         let pre = Preprocessor::new(self.kind.preprocess());
         let encoded = encode_chunk(self.backend(), &pre, new_entries, first_id, threads);
 
@@ -541,34 +553,34 @@ impl LibraryIndex {
         self.references
             .append(encoded.into_iter().map(|slot| stats.push(slot)));
         self.build_stats = stats.onto(Some(&self.build_stats));
-        for (offset, entry) in new_entries.iter().enumerate() {
-            self.insert_entry(IndexEntry::of(first_id + offset as u32, entry));
+        let added = take_in(Arc::make_mut(&mut self.catalog), new_entries);
+
+        let mut shards: Vec<Vec<(f64, u32)>> = self.shards().map(<[_]>::to_vec).collect();
+        for (mass, id) in added {
+            // The shard whose upper bound is the first ≥ the entry's
+            // mass; masses above every shard land in the last shard.
+            let position = shards
+                .partition_point(|s| s.last().is_some_and(|&(hi, _)| hi < mass))
+                .min(shards.len().saturating_sub(1));
+            let shard = &mut shards[position];
+            let at = shard.partition_point(|&entry| entry < (mass, id));
+            shard.insert(at, (mass, id));
+            if shard.len() > 2 * self.entries_per_shard {
+                let tail = shard.split_off(shard.len() / 2);
+                shards.insert(position + 1, tail);
+            }
         }
-        self.entry_count += new_entries.len();
-        self.derive_per_id(first_id as usize);
+        let ends = shards.iter().scan(0, |end, shard| {
+            *end += shard.len();
+            Some(*end)
+        });
+        self.bounds = std::iter::once(0).chain(ends).collect();
+        let table = shards.concat();
+        self.shard_of = shard_of(&table, &self.bounds);
+        self.table = CandidateIndex::from_sorted(table);
         // The sketch table covers the old slots only — rebuild on the
         // next prefiltered search (or persist).
         self.sketches = OnceLock::new();
-    }
-
-    /// Place one entry into the shard covering its mass, splitting the
-    /// shard if it has grown past twice the target size.
-    fn insert_entry(&mut self, entry: IndexEntry) {
-        // The shard whose upper bound is the first ≥ the entry's mass;
-        // masses above every shard land in the last shard.
-        let position = self
-            .shards
-            .partition_point(|s| s.mass_hi().is_some_and(|hi| hi < entry.neutral_mass))
-            .min(self.shards.len().saturating_sub(1));
-        let shard = &mut self.shards[position];
-        let at = shard
-            .entries
-            .partition_point(|e| (e.neutral_mass, e.id) < (entry.neutral_mass, entry.id));
-        shard.entries.insert(at, entry);
-        if shard.entries.len() > 2 * self.entries_per_shard {
-            let tail = shard.entries.split_off(shard.entries.len() / 2);
-            self.shards.insert(position + 1, Shard { entries: tail });
-        }
     }
 
     // -- persistence -----------------------------------------------------
@@ -607,7 +619,8 @@ impl LibraryIndex {
             stats: &self.build_stats,
             entries_per_shard: self.entries_per_shard,
             mlc: self.mlc.as_ref(),
-            shards: self.shards.iter().map(|s| &s.entries[..]).collect(),
+            catalog: &self.catalog,
+            shards: self.shards().collect(),
         }
         .write(
             out,
@@ -648,48 +661,65 @@ impl LibraryIndex {
     /// a descriptive [`IndexError`] — a corrupted index never half-loads.
     pub fn from_buffer(buffer: WordBuffer, threads: usize) -> Result<LibraryIndex, IndexError> {
         let bytes = buffer.as_bytes();
-        let (mut index, version, sections) = parse_sections(bytes)?;
+        let (mut index, version, count, sections) = parse_sections(bytes)?;
         let dim = index.dim();
-        let entry_count = index.entry_count;
         let jobs: Vec<(usize, Frame)> = sections.iter().copied().enumerate().collect();
-        let decoded = par_map(&jobs, threads, |&(i, section)| {
-            let payload = section.verify(bytes, &format!("shard {i}"))?;
-            format::decode_shard(payload, dim, version)
+        let payloads = par_map(&jobs, threads, |&(i, section)| {
+            section.verify(bytes, &format!("shard {i}"))
         });
-        let mut offsets = vec![u64::MAX; entry_count];
-        for (shard, section) in decoded.into_iter().zip(&sections) {
-            let (shard, relative) = shard?;
-            for (id, at) in relative {
-                need((id as usize) < entry_count, || {
-                    format!("entry id {id} outside the declared count {entry_count}")
+        // One pass over the records, each fact straight to its home: the
+        // peptide moves into its catalog slot, the `(mass, id)` pair joins
+        // the table in file order.
+        let catalog = Arc::make_mut(&mut index.catalog);
+        catalog.resize(count);
+        let mut table = Vec::with_capacity(count);
+        let mut offsets = vec![u64::MAX; count];
+        for (payload, section) in payloads.into_iter().zip(&sections) {
+            let first = table.len();
+            let base = format::decode_shard(payload?, dim, version, |entry, words| {
+                let (id, mass) = (entry.id, entry.neutral_mass);
+                need((id as usize) < count, || {
+                    format!("entry id {id} outside the declared count {count}")
                 })?;
-                // Lift the payload-relative offset to an absolute one (a
-                // v2+ payload starts 8-aligned and pads its word blocks
-                // to 8, so these stay 8-aligned).
-                offsets[id as usize] = (section.start + at) as u64;
+                table.push((mass, id));
+                offsets[id as usize] = words.map_or(u64::MAX, |at| at as u64);
+                let (decoy, precursor) =
+                    (entry.is_decoy, (entry.precursor_mz, entry.precursor_charge));
+                catalog.set(id, mass, decoy, entry.peptide.into_owned(), precursor);
+                Ok(())
+            })?;
+            // Lift the shard's offsets to absolute ones (a v2+ payload
+            // starts 8-aligned and pads its word blocks to 8, so these stay
+            // 8-aligned); an absent one stays `u64::MAX`.
+            let base = (section.start + base) as u64;
+            for &(_, id) in &table[first..] {
+                offsets[id as usize] = offsets[id as usize].saturating_add(base);
             }
-            index.shards.push(shard);
+            index.bounds.push(table.len());
         }
+        need(count > 0 && table.len() == count, || {
+            format!(
+                "shards hold {} entries, the header declares {count}",
+                table.len()
+            )
+        })?;
+        index.shard_of = shard_of(&table, &index.bounds);
+        index.table = CandidateIndex::from_sorted(table);
+        index.validate()?;
         index.references = if version >= 2 {
             SharedReferences::new(buffer.clone(), dim, offsets)
         } else {
             let hv_bytes = dim.div_ceil(64) * 8;
             let tail_mask = u64::MAX >> (hv_bytes * 8 - dim);
-            let mut words = Vec::with_capacity(entry_count * hv_bytes / 8);
+            let mut words = Vec::with_capacity(count * hv_bytes / 8);
             for offset in offsets.iter_mut().filter(|offset| **offset != u64::MAX) {
-                let block = &bytes[*offset as usize..*offset as usize + hv_bytes];
+                let block = bytes[*offset as usize..][..hv_bytes].chunks_exact(8);
                 *offset = (words.len() * 8) as u64;
-                words.extend(
-                    block
-                        .chunks_exact(8)
-                        .map(|word| u64::from_le_bytes(word.try_into().expect("8-byte chunk"))),
-                );
+                words.extend(block.map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes"))));
                 *words.last_mut().expect("dim is positive") &= tail_mask;
             }
             SharedReferences::new(WordBuffer::from(words), dim, offsets)
         };
-        index.validate()?;
-        index.derive_per_id(0);
         Ok(index)
     }
 
@@ -726,47 +756,25 @@ impl LibraryIndex {
         LibraryIndex::from_buffer(buffer, threads)
     }
 
-    /// Structural sanity: dense unique ids, mass-sorted shards, monotone
-    /// shard ranges, and a reference table the size of the declared
-    /// entry count.
+    /// Structural sanity of a loaded table, in one pass over it: every
+    /// mass finite and never decreasing, `(mass, id)` ascending within a
+    /// shard — and, every id in range (checked as it was decoded) and the
+    /// table holding the declared count, no id missing from the id →
+    /// shard table, so none held twice.
     fn validate(&self) -> Result<(), IndexError> {
-        let count = self.entry_count;
-        need(count > 0 && !self.shards.is_empty(), || {
-            "index holds no entries (the builder never produces one)"
-        })?;
-        need(self.references.len() == count, || {
-            let slots = self.references.len();
-            format!("reference table holds {slots} slots for {count} declared entries")
-        })?;
-        let mut seen = vec![false; self.entry_count];
-        let mut previous_hi = f64::NEG_INFINITY;
-        for (s, shard) in self.shards.iter().enumerate() {
-            let mut previous = (f64::NEG_INFINITY, 0u32);
-            for e in &shard.entries {
-                let id = e.id;
-                need((id as usize) < count, || {
-                    format!("entry id {id} outside the declared count {count}")
+        let mut previous = (f64::NEG_INFINITY, 0u32);
+        for (s, run) in self.shards().enumerate() {
+            for (at, &(mass, id)) in run.iter().enumerate() {
+                let finite = || format!("entry {id} has a non-finite mass ({mass})");
+                need(mass.is_finite(), finite)?;
+                let ordered = (mass, id) > previous || at == 0 && mass >= previous.0;
+                need(ordered, || {
+                    format!("shard {s} breaks the (mass, id) order at {id}")
                 })?;
-                let seen_before = std::mem::replace(&mut seen[id as usize], true);
-                need(!seen_before, || format!("duplicate entry id {id}"))?;
-                if (e.neutral_mass, e.id) < previous {
-                    return Err(IndexError::Invalid(format!(
-                        "shard {s} is not sorted by (mass, id) at entry {}",
-                        e.id
-                    )));
-                }
-                previous = (e.neutral_mass, e.id);
-            }
-            if let (Some(lo), Some(hi)) = (shard.mass_lo(), shard.mass_hi()) {
-                if lo < previous_hi {
-                    return Err(IndexError::Invalid(format!(
-                        "shard {s} mass range overlaps its predecessor"
-                    )));
-                }
-                previous_hi = hi;
+                previous = (mass, id);
             }
         }
-        need(seen.iter().all(|&present| present), || {
+        need(!self.shard_of.contains(&u32::MAX), || {
             "entry ids are not dense over the declared count"
         })
     }
@@ -782,9 +790,9 @@ fn read_file(path: &Path) -> std::io::Result<WordBuffer> {
 /// Walk the container: magic, version, header, MLC and sketch sections
 /// (each checksum-verified), and the [`Frame`] of every shard section —
 /// everything established before shard payloads are touched, returned
-/// as an index still without shards or references, the format version,
-/// and where each shard lies.
-fn parse_sections(bytes: &[u8]) -> Result<(LibraryIndex, u32, Vec<Frame>), IndexError> {
+/// as an index still without entries or references, the format version,
+/// the declared entry count, and where each shard lies.
+fn parse_sections(bytes: &[u8]) -> Result<(LibraryIndex, u32, usize, Vec<Frame>), IndexError> {
     let mut r = Reader::new(bytes);
     if r.raw(8, "magic")? != MAGIC {
         return Err(IndexError::BadMagic);
@@ -798,7 +806,7 @@ fn parse_sections(bytes: &[u8]) -> Result<(LibraryIndex, u32, Vec<Frame>), Index
     let header: Header = format::decode(header.verify(bytes, "header")?, "header", version)?;
     // Every entry costs well over one byte on disk, so a declared
     // count beyond the file size is corruption — reject it before any
-    // count-sized allocation (validate/derive_per_id) can run.
+    // count-sized allocation (the loader's tables) can run.
     let (count, size) = (header.entry_count, bytes.len());
     need(count <= size, || {
         format!("declared entry count {count} exceeds the file size ({size} bytes)")
@@ -839,22 +847,22 @@ fn parse_sections(bytes: &[u8]) -> Result<(LibraryIndex, u32, Vec<Frame>), Index
     let index = LibraryIndex {
         kind: header.kind,
         entries_per_shard: header.entries_per_shard,
-        entry_count: header.entry_count,
         build_stats: header.stats,
         mlc,
-        shards: Vec::with_capacity(shards.len()),
+        table: CandidateIndex::from_sorted(Vec::new()),
+        bounds: vec![0],
         references: SharedReferences::from(Vec::new()),
         catalog: Arc::default(),
         shard_of: Arc::default(),
         backend: Arc::default(),
         sketches,
     };
-    Ok((index, version, shards))
+    Ok((index, version, count, shards))
 }
 
 impl ReferenceCatalog for LibraryIndex {
     fn reference_count(&self) -> usize {
-        self.entry_count
+        self.entry_count()
     }
 
     fn reference_mass(&self, id: u32) -> Option<f64> {
@@ -865,10 +873,10 @@ impl ReferenceCatalog for LibraryIndex {
         self.catalog.reference_is_decoy(id)
     }
 
-    /// Fed from the shard walk: equal masses stay in shard order (also
-    /// where an append left one mass on both sides of a shard boundary),
-    /// so a query's candidates fall into ascending shard runs.
+    /// The shards' own table, shared: equal masses stay in shard order
+    /// (also where an append left one mass on both sides of a shard
+    /// boundary), so a query's candidates fall into ascending shard runs.
     fn candidate_index(&self) -> CandidateIndex {
-        CandidateIndex::from_masses(self.entries().map(|e| (e.neutral_mass, e.id)))
+        self.table.clone()
     }
 }

@@ -13,8 +13,9 @@
 //! `.hdx` image is assembled shard by shard, reading each shard's word
 //! blocks back from the spill as it is written. Peak heap is bounded by
 //! one encode chunk plus one serialised shard plus the O(entries)
-//! metadata side tables (entry records, sketch signatures, spill
-//! offsets) — never by the encoded payload.
+//! metadata side tables (the catalog and `(mass, id)` table an index
+//! holds, sketch signatures, spill offsets) — never by the encoded
+//! payload.
 //!
 //! The output is **byte-for-byte identical** to
 //! `IndexBuilder::from_library(...).to_bytes()` over the same entries in
@@ -29,11 +30,12 @@
 //! differential test suite (`tests/streaming_equivalence.rs`) pins that
 //! guarantee.
 
-use crate::format::{self, need, ImageLayout, IndexEntry, IndexError};
-use crate::library_index::{IndexConfig, KindBackend};
+use crate::format::{self, need, ImageLayout, IndexError};
+use crate::library_index::{cut, runs, take_in, IndexConfig, KindBackend};
 use hdoms_core::accelerator::{BuildStats, StatsFold};
 use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
 use hdoms_ms::preprocess::Preprocessor;
+use hdoms_oms::pipeline::ReferenceMeta;
 use hdoms_oms::search::encode_chunk;
 use hdoms_prefilter::{SketchIndex, SKETCH_WORDS};
 use std::fs::{self, File};
@@ -131,8 +133,11 @@ pub struct StreamingIndexBuilder {
     /// (`u64::MAX` marks entries preprocessing rejected).
     spill_offsets: Vec<u64>,
     spilled_bytes: u64,
-    /// Per-entry metadata in arrival (id) order; sorted by mass at finish.
-    metas: Vec<IndexEntry>,
+    /// The per-entry facts, in the homes an index keeps them in: the
+    /// catalog, and the `(mass, id)` table — in arrival (id) order until
+    /// finish sorts and cuts it.
+    catalog: ReferenceMeta,
+    table: Vec<(f64, u32)>,
     backend: KindBackend,
     /// The sketch section, grown one slot per pushed entry.
     sketch: SketchIndex,
@@ -144,7 +149,7 @@ impl std::fmt::Debug for StreamingIndexBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamingIndexBuilder")
             .field("out_path", &self.out_path)
-            .field("entry_count", &self.metas.len())
+            .field("entry_count", &self.entry_count())
             .field("spill_threshold", &self.spill_threshold)
             .field("spilled_bytes", &self.spilled_bytes)
             .finish_non_exhaustive()
@@ -180,7 +185,8 @@ impl StreamingIndexBuilder {
             spill,
             spill_offsets: Vec::new(),
             spilled_bytes: 0,
-            metas: Vec::new(),
+            catalog: ReferenceMeta::default(),
+            table: Vec::new(),
             backend: KindBackend::new(&kind, None),
             sketch: SketchIndex::new(kind.dim(), SKETCH_WORDS),
             stats: StatsFold::default(),
@@ -194,7 +200,7 @@ impl StreamingIndexBuilder {
 
     /// Entries pushed so far.
     pub fn entry_count(&self) -> usize {
-        self.metas.len()
+        self.table.len()
     }
 
     /// The spill file holding the encoded word blocks (useful for
@@ -214,18 +220,17 @@ impl StreamingIndexBuilder {
     /// [`IndexError::Io`] if the spill write fails;
     /// [`IndexError::Invalid`] past `u32::MAX` entries.
     pub fn push_entries(&mut self, entries: &[LibraryEntry]) -> Result<(), IndexError> {
-        let total = self.metas.len() + entries.len();
+        let total = self.entry_count() + entries.len();
         need(total <= u32::MAX as usize, || {
             format!("library exceeds the id space: {total} entries")
         })?;
         let block_bytes = (self.config.kind.dim().div_ceil(64) * 8) as u64;
         let pre = Preprocessor::new(self.config.kind.preprocess());
         for chunk in entries.chunks(self.spill_threshold) {
-            let first_id = self.metas.len() as u32;
+            let first_id = self.entry_count() as u32;
             let encoded = encode_chunk(&self.backend, &pre, chunk, first_id, self.config.threads);
-            for (entry, slot) in chunk.iter().zip(encoded) {
-                self.metas
-                    .push(IndexEntry::of(self.metas.len() as u32, entry));
+            self.table.extend(take_in(&mut self.catalog, chunk));
+            for slot in encoded {
                 let hv = self.stats.push(slot);
                 self.sketch.push(hv.as_ref().map(|hv| hv.words()));
                 match hv {
@@ -257,7 +262,7 @@ impl StreamingIndexBuilder {
     /// with between pushes and finish); [`IndexError::Io`] on
     /// filesystem failures.
     pub fn finish(mut self) -> Result<StreamingBuildReport, IndexError> {
-        need(!self.metas.is_empty(), || "cannot index an empty library")?;
+        need(self.entry_count() > 0, || "cannot index an empty library")?;
         self.spill.flush()?;
         let spill = File::open(&self.spill_path)?;
         let spill_len = spill.metadata()?.len();
@@ -288,8 +293,7 @@ impl StreamingIndexBuilder {
     ) -> Result<StreamingBuildReport, IndexError> {
         let dim = self.config.kind.dim();
         let build_stats = self.stats.onto(None);
-        let mut metas = std::mem::take(&mut self.metas);
-        metas.sort_by(IndexEntry::shard_order);
+        let bounds = cut(&mut self.table, self.config.entries_per_shard);
         let offsets = std::mem::take(&mut self.spill_offsets);
 
         // The sketch table is dropped once it is section bytes, before
@@ -303,7 +307,8 @@ impl StreamingIndexBuilder {
             stats: &build_stats,
             entries_per_shard: self.config.entries_per_shard,
             mlc: mlc.as_ref(),
-            shards: metas.chunks(self.config.entries_per_shard).collect(),
+            catalog: &self.catalog,
+            shards: runs(&self.table, &bounds).collect(),
         };
         let hv_bytes = dim.div_ceil(64) * 8;
         let index_bytes = layout.write(
@@ -317,7 +322,7 @@ impl StreamingIndexBuilder {
             },
         )?;
         Ok(StreamingBuildReport {
-            entry_count: metas.len(),
+            entry_count: self.table.len(),
             shard_count: layout.shards.len(),
             index_bytes,
             spilled_bytes: self.spilled_bytes,

@@ -420,7 +420,7 @@ fn library_encoding_is_pinned() {
         let sharded = index.sharded_backend(THREADS).expect("kind matches");
         let outcome = pipeline().run_catalog(&workload.queries, &index, &sharded);
         assert!(!outcome.psms.is_empty());
-        let rows = render_table(&index.peptides_by_id(), &outcome);
+        let rows = render_table(index.catalog().peptides(), &outcome);
         assert_eq!(
             xxh64(rows.as_bytes(), 0),
             rows_digest,
@@ -635,10 +635,9 @@ fn append_straddling_shard_boundaries_keeps_order() {
     let second = tiny_workload(36);
     let edges: Vec<u32> = appended
         .shards()
-        .iter()
-        .flat_map(|s| [s.entries.first(), s.entries.last()])
+        .flat_map(|s| [s.first(), s.last()])
         .flatten()
-        .map(|e| e.id)
+        .map(|&(_, id)| id)
         .collect();
     let straddle: SpectralLibrary = edges
         .iter()
@@ -650,7 +649,7 @@ fn append_straddling_shard_boundaries_keeps_order() {
     // Global iteration order stays nondecreasing in (mass, id) — the
     // contract the shard walk, candidate windows, and the streaming
     // writer's shard layout all assume.
-    let order: Vec<(f64, u32)> = appended.entries().map(|e| (e.neutral_mass, e.id)).collect();
+    let order: Vec<(f64, u32)> = appended.shards().flatten().copied().collect();
     for pair in order.windows(2) {
         assert!(
             pair[0] <= pair[1],
@@ -704,19 +703,24 @@ fn a_mass_shared_across_a_shard_boundary_costs_one_visit_per_shard() {
 
     let workload = tiny_workload(37);
     let first_cut = build_index(exact_kind(), &workload.library, 16);
-    let edge = first_cut.shards()[0].entries.last().expect("a full shard");
-    let twin = workload.library.get(edge.id).expect("edge id").clone();
+    let &(_, edge) = first_cut
+        .shards()
+        .next()
+        .and_then(<[_]>::last)
+        .expect("a full shard");
+    let twin = workload.library.get(edge).expect("edge id").clone();
     let library: SpectralLibrary = (workload.library.iter().cloned())
         .chain([twin.clone()])
         .collect();
     let mut index = build_index(exact_kind(), &library, 16);
-    let mass = index.shards()[0].mass_hi().expect("a full shard");
-    assert_eq!(index.shards()[1].mass_lo(), Some(mass), "cut between twins");
+    let shard = |s: usize| index.shards().nth(s).expect("two shards");
+    let mass = shard(0).last().expect("a full shard").0;
+    assert_eq!(shard(1)[0].0, mass, "cut between twins");
     index.append_entries(&[twin], THREADS);
     let third = library.len() as u32;
     let shard_of = index.shard_assignment();
     assert_eq!(shard_of[third as usize], 0, "the third twin joins shard 0");
-    assert!(index.shards()[1].entries[0].id < third);
+    assert!(index.shards().nth(1).expect("two shards")[0].1 < third);
 
     // The image is one the loader accepts, and the same index.
     let restored = LibraryIndex::from_bytes(&index.to_bytes(), THREADS).expect("roundtrip");
@@ -802,6 +806,51 @@ fn checksum_valid_but_absurd_entry_count_rejected() {
             assert!(message.contains("entry count"), "message was {message:?}")
         }
         other => panic!("expected a clean rejection, got {other:?}"),
+    }
+}
+
+/// A NaN mass compares false under every order check, so an image whose
+/// shard checksum is re-sealed around one used to load — and then broke
+/// the binary search of every candidate window. Every door refuses it.
+#[test]
+fn a_resealed_nan_mass_fails_every_door() {
+    use hdoms_index::format::CHECKSUM_SEED;
+    use hdoms_index::xxhash::xxh64;
+
+    let mut image = golden_v3();
+    let golden = LibraryIndex::from_bytes(&image, THREADS).expect("golden image");
+    // The first shard's payload opens with its entry count, then the
+    // first record: `u32 id · f64 neutral_mass · …`.
+    let (mass, id) = golden.shards().next().expect("a shard")[0];
+    let record = [&id.to_le_bytes()[..], &mass.to_le_bytes()].concat();
+    let at = (image.windows(12))
+        .position(|w| w == record)
+        .expect("first record");
+    let start = at - 8;
+    let lens = 20 + header_offset_of(&image, "header.shard_lens") + 8;
+    let len = u64::from_le_bytes(image[lens..lens + 8].try_into().unwrap()) as usize;
+    image[at + 4..at + 12].copy_from_slice(&f64::NAN.to_le_bytes());
+    let sealed = xxh64(&image[start..start + len], CHECKSUM_SEED);
+    image[start + len..start + len + 8].copy_from_slice(&sealed.to_le_bytes());
+
+    let path = std::env::temp_dir().join(format!("hdoms-nan-mass-{}.hdx", std::process::id()));
+    std::fs::write(&path, &image).unwrap();
+    let opens = [
+        LibraryIndex::from_bytes(&image, THREADS),
+        LibraryIndex::open(&path, THREADS),
+        LibraryIndex::open_mapped(&path, THREADS),
+    ];
+    std::fs::remove_file(&path).ok();
+    for opened in opens {
+        match opened {
+            Err(IndexError::Invalid(message)) => {
+                assert!(
+                    message.contains("non-finite mass"),
+                    "message was {message:?}"
+                )
+            }
+            other => panic!("expected a clean rejection, got {other:?}"),
+        }
     }
 }
 

@@ -9,10 +9,13 @@
 //!    full payload);
 //! 3. zero-copy — the loader (`LibraryIndex::from_buffer` over a v2+
 //!    file image) performs **zero** per-reference hypervector
-//!    allocations: its allocation traffic is bounded by the metadata;
-//!    a cold build's table is one flat heap buffer, not one allocation
-//!    per reference; and `write` streams shard by shard instead of
-//!    assembling the image (or any second copy of the payload) in memory;
+//!    allocations: its allocation traffic is the catalog once, the
+//!    sketch table and a stated number of bytes per entry for the
+//!    fixed-width tables, and an engine over it allocates no candidate
+//!    table of its own; a cold build's table is one flat heap buffer,
+//!    not one allocation per reference; and `write` streams shard by
+//!    shard instead of assembling the image (or any second copy of the
+//!    payload) in memory;
 //! 4. versioning — golden v1, v2 and v3 file images
 //!    (`tests/fixtures/`) open through a heap read and through `mmap`
 //!    with identical entries, search storage and search results, the v3
@@ -35,10 +38,11 @@
 //! it (or allocates heavily while another measures) serialises on one
 //! mutex.
 
+use hdoms_engine::Engine;
 use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_obs::alloc::CountingAllocator;
-use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig, ReferenceMeta};
+use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig, ReferenceCatalog, ReferenceMeta};
 use hdoms_oms::search::{ExactBackendConfig, SharedReferences};
 use std::path::Path;
 use std::sync::Mutex;
@@ -249,14 +253,26 @@ fn mapped_load_performs_zero_per_reference_hypervector_allocations() {
     assert!(payload > 4_000_000, "workload too small to be meaningful");
     let bytes = index.to_bytes();
 
-    // Baseline: a load derives the index's per-id catalog (its first
-    // engine used to), and that table's peptides cost real allocation
-    // traffic. Measure it once so the assertion below bounds the load
-    // *beyond* it, as the warm-backend test does with its encoder.
+    // What a load may allocate, stated. The catalog once: its peptides
+    // cost real traffic, measured here as a cold capture of the same
+    // table. The sketch table the v3 section carries, measured as a copy.
     let before = CountingAllocator::gross();
     let baseline_catalog = ReferenceMeta::from_library(&workload.library);
     let catalog_alloc = CountingAllocator::gross() - before;
     assert_eq!(*index.catalog(), baseline_catalog);
+    let sketch = index.sketch_index();
+    let before = CountingAllocator::gross();
+    let sketch_copy = (*sketch).clone();
+    let sketch_alloc = CountingAllocator::gross() - before;
+    drop(sketch_copy);
+    // Per entry, the fixed-width tables: the `(mass, id)` table (16 B),
+    // the word offsets (8), id → shard (4), precursor m/z (8) and charge
+    // (1) — the last two are the catalog's own column pair, so the
+    // capture above already counts them. The rest is per shard and per
+    // load, well inside 64 KiB. The loader used to decode a 48-byte
+    // record and a second copy of the peptide per entry besides.
+    const PER_ENTRY: usize = 16 + 8 + 4;
+    let budget = catalog_alloc + sketch_alloc + PER_ENTRY * index.entry_count() + (64 << 10);
 
     // Build the backing buffer *outside* the measurement window: the one
     // whole-file allocation is the load's input.
@@ -264,16 +280,34 @@ fn mapped_load_performs_zero_per_reference_hypervector_allocations() {
 
     let before = CountingAllocator::gross();
     let mapped = LibraryIndex::from_buffer(buffer, 4).expect("mapped load");
-    let mapped_alloc = (CountingAllocator::gross() - before).saturating_sub(catalog_alloc);
+    let mapped_alloc = CountingAllocator::gross() - before;
 
-    // Zero per-reference hypervector allocations: the load's traffic
-    // stays far below the payload it would have materialised.
+    // Zero per-reference hypervector allocations, and one home per entry
+    // fact: the load's traffic stays inside the stated budget, far below
+    // the payload it would have materialised.
     assert!(
-        mapped_alloc < payload / 2,
-        "mapped load allocated {mapped_alloc} bytes beyond its catalog \
-         against a {payload}-byte hypervector payload — it is \
-         materialising references"
+        mapped_alloc <= budget && budget < payload / 2,
+        "mapped load allocated {mapped_alloc} bytes against a budget of {budget} \
+         ({catalog_alloc} catalog + {sketch_alloc} sketch + {PER_ENTRY} B × {} entries \
+         + 64 KiB) and a {payload}-byte hypervector payload",
+        index.entry_count()
     );
+
+    // An engine over the index searches the index's own candidate table:
+    // a handle on it, no `(mass, id)` table of its own.
+    let table_bytes = 16 * mapped.entry_count();
+    // The kind's one backend (its item memories) is built on first use.
+    drop(mapped.sharded_backend(1).expect("exact kind"));
+    let engine_index = mapped.clone();
+    let before = CountingAllocator::gross();
+    let engine = Engine::from_index(engine_index, 1).expect("exact kind");
+    let engine_alloc = CountingAllocator::gross() - before;
+    assert!(
+        engine_alloc < table_bytes / 10,
+        "Engine::from_index allocated {engine_alloc} bytes against a \
+         {table_bytes}-byte candidate table — it is building its own"
+    );
+    drop(engine);
 
     // The image and the cold build expose identical search storage and
     // metadata, whichever buffer the words live in.
@@ -361,11 +395,14 @@ fn golden_v1_v2_and_v3_images_decode_alike() {
     assert_eq!(golden.entry_count(), 12);
     assert_eq!(golden.dim(), 512);
     assert_eq!(golden.shards().len(), 3);
-    assert_eq!(golden.entries().filter(|e| e.is_decoy).count(), 6);
-    assert_eq!(golden.entries().next().unwrap().peptide, "IVENNDSR");
+    let catalog = golden.catalog();
+    let decoys = (0..12).filter(|&id| catalog.reference_is_decoy(id) == Some(true));
+    assert_eq!(decoys.count(), 6);
+    let (_, lightest) = golden.candidate_index().pairs()[0];
+    assert_eq!(catalog.peptides()[lightest as usize], "IVENNDSR");
     assert_eq!(golden.shared_references().present_count(), 12);
     for index in copied.iter().chain(&mapped) {
-        assert!(index.entries().eq(golden.entries()));
+        assert_eq!(index.candidate_index(), golden.candidate_index());
         assert_eq!(index.shared_references(), golden.shared_references());
         assert_eq!(index, golden);
     }

@@ -5,41 +5,37 @@
 //! once makes each lookup two binary searches.
 
 use crate::window::PrecursorWindow;
-use hdoms_ms::library::SpectralLibrary;
 use std::ops::Range;
+use std::sync::Arc;
 
-/// An index over reference neutral masses supporting range queries.
+/// An index over reference neutral masses supporting range queries: one
+/// `(neutral mass, library id)` table behind an `Arc` (a clone shares it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateIndex {
-    /// (neutral mass, library id), sorted by mass.
-    by_mass: Vec<(f64, u32)>,
+    by_mass: Arc<Vec<(f64, u32)>>,
 }
 
 impl CandidateIndex {
-    /// Build from a spectral library (targets and decoys alike — decoys
-    /// must compete in the same candidate pools for FDR to be meaningful).
-    pub fn build(library: &SpectralLibrary) -> CandidateIndex {
-        let pairs = library
-            .iter()
-            .map(|e| (e.spectrum.neutral_mass(), e.spectrum.id));
-        CandidateIndex::from_masses(pairs)
-    }
-
-    /// Build from raw (mass, id) pairs.
+    /// Build from raw (mass, id) pairs, sorted by mass (a stable sort:
+    /// equal masses keep their input order).
     pub fn from_masses(masses: impl IntoIterator<Item = (f64, u32)>) -> CandidateIndex {
         let mut by_mass: Vec<(f64, u32)> = masses.into_iter().collect();
         by_mass.sort_by(|a, b| a.0.total_cmp(&b.0));
-        CandidateIndex { by_mass }
+        CandidateIndex::from_sorted(by_mass)
     }
 
-    /// Number of indexed references.
-    pub fn len(&self) -> usize {
-        self.by_mass.len()
+    /// Adopt `by_mass` as the table, as it stands: the caller keeps mass
+    /// from decreasing along it (a persistent index's shard walk does).
+    pub fn from_sorted(by_mass: Vec<(f64, u32)>) -> CandidateIndex {
+        CandidateIndex {
+            by_mass: Arc::new(by_mass),
+        }
     }
 
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.by_mass.is_empty()
+    /// The `(neutral mass, library id)` table, in mass order (its length
+    /// is the number of indexed references).
+    pub fn pairs(&self) -> &[(f64, u32)] {
+        &self.by_mass
     }
 
     /// The positions in mass order reachable from a query of neutral
@@ -68,6 +64,7 @@ impl CandidateIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::ReferenceCatalog;
     use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 
     fn index_of(masses: &[f64]) -> CandidateIndex {
@@ -106,8 +103,8 @@ mod tests {
     #[test]
     fn open_window_returns_more_candidates_than_standard() {
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 31);
-        let idx = CandidateIndex::build(&workload.library);
-        assert_eq!(idx.len(), workload.library.len());
+        let idx = workload.library.candidate_index();
+        assert_eq!(idx.pairs().len(), workload.library.len());
         let standard = PrecursorWindow::standard_default();
         let open = PrecursorWindow::open_default();
         let mut open_total = 0usize;
@@ -125,7 +122,7 @@ mod tests {
     #[test]
     fn modified_query_reaches_true_reference_only_in_open_mode() {
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 32);
-        let idx = CandidateIndex::build(&workload.library);
+        let idx = workload.library.candidate_index();
         let standard = PrecursorWindow::standard_default();
         let open = PrecursorWindow::open_default();
         let mut checked = 0;

@@ -11,8 +11,8 @@
 //! The cascade is backend-agnostic: it runs any
 //! [`SimilarityBackend`], including the RRAM accelerator.
 
-use crate::candidates::CandidateIndex;
 use crate::fdr::filter_fdr;
+use crate::pipeline::ReferenceCatalog;
 use crate::pipeline::{assemble_psms, OmsPipeline, PipelineOutcome};
 use crate::psm::Psm;
 use crate::search::{candidate_lists, SimilarityBackend};
@@ -97,7 +97,7 @@ pub fn run_cascade<B: SimilarityBackend + ?Sized>(
     );
     let pre = Preprocessor::new(pipeline.config().preprocess);
     let (queries, _) = pre.run_batch(&workload.queries);
-    let index = CandidateIndex::build(&workload.library);
+    let index = workload.library.candidate_index();
 
     // Pass 1: standard window over everything.
     let std_cands = candidate_lists(&index, &config.standard_window, &queries);

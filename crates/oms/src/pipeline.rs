@@ -61,45 +61,67 @@ impl ReferenceCatalog for SpectralLibrary {
 
 /// The dense per-reference catalog an engine turns backend hits into
 /// PSMs and table rows with: neutral mass (precursor delta), decoy flag
-/// (FDR), and peptide sequence (reports), by reference id. A persistent
-/// index holds one behind an `Arc`, so the index, its engine and every
-/// session read the same tables.
+/// (FDR), and peptide sequence (reports), by reference id — plus the
+/// precursor m/z and charge column pair a persistent index writes back
+/// into its image (nothing searches by them). A persistent index holds
+/// one behind an `Arc`, so the index, its engine and every session read
+/// the same tables.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReferenceMeta {
     masses: Vec<f64>,
     decoys: Vec<bool>,
     peptides: Arc<Vec<String>>,
+    mzs: Vec<f64>,
+    charges: Vec<u8>,
 }
 
 impl ReferenceMeta {
     /// Capture the metadata of a raw spectral library.
     pub fn from_library(library: &SpectralLibrary) -> ReferenceMeta {
         let mut meta = ReferenceMeta::default();
-        let row = |e: &LibraryEntry| {
-            let mass = e.spectrum.neutral_mass();
-            (e.spectrum.id, mass, e.is_decoy, e.peptide.to_string())
-        };
-        meta.grow(library.len(), library.iter().map(row));
+        meta.extend(library.entries());
         meta
     }
 
-    /// Grow to `count` references and fill in the given
-    /// `(id, neutral mass, is decoy, peptide)` rows, in any order — an
-    /// index appends to its catalog without copying the rows it holds.
+    /// Take in `entries` under the next dense ids — an index appends to
+    /// its catalog without copying the rows it holds.
+    pub fn extend(&mut self, entries: &[LibraryEntry]) {
+        let first = self.masses.len();
+        self.resize(first + entries.len());
+        for (id, e) in (first as u32..).zip(entries) {
+            let (mass, peptide) = (e.spectrum.neutral_mass(), e.peptide.to_string());
+            let precursor = (e.spectrum.precursor_mz, e.spectrum.precursor_charge);
+            self.set(id, mass, e.is_decoy, peptide, precursor);
+        }
+    }
+
+    /// Grow to `count` references; a new row holds no reference until
+    /// [`ReferenceMeta::set`] fills it.
+    pub fn resize(&mut self, count: usize) {
+        self.masses.resize(count, f64::NAN);
+        self.decoys.resize(count, false);
+        Arc::make_mut(&mut self.peptides).resize(count, String::new());
+        self.mzs.resize(count, f64::NAN);
+        self.charges.resize(count, 0);
+    }
+
+    /// Fill in the row of reference `id`: its neutral mass, decoy flag,
+    /// peptide and `(precursor m/z, charge)`.
     ///
     /// # Panics
     ///
-    /// Panics on an id at or beyond `count`.
-    pub fn grow(&mut self, count: usize, rows: impl IntoIterator<Item = (u32, f64, bool, String)>) {
-        self.masses.resize(count, f64::NAN);
-        self.decoys.resize(count, false);
-        let peptides = Arc::make_mut(&mut self.peptides);
-        peptides.resize(count, String::new());
-        for (id, mass, decoy, peptide) in rows {
-            self.masses[id as usize] = mass;
-            self.decoys[id as usize] = decoy;
-            peptides[id as usize] = peptide;
-        }
+    /// Panics on an id at or beyond the catalog's size.
+    pub fn set(&mut self, id: u32, mass: f64, decoy: bool, peptide: String, precursor: (f64, u8)) {
+        let id = id as usize;
+        (self.masses[id], self.decoys[id]) = (mass, decoy);
+        Arc::make_mut(&mut self.peptides)[id] = peptide;
+        (self.mzs[id], self.charges[id]) = precursor;
+    }
+
+    /// Precursor m/z and charge of reference `id`, or `None` for an
+    /// unknown id.
+    pub fn precursor(&self, id: u32) -> Option<(f64, u8)> {
+        Some((*self.mzs.get(id as usize)?, self.charges[id as usize]))
     }
 
     /// Peptide sequences by dense reference id (a shared table: cloning

@@ -820,7 +820,7 @@ pub fn candidate_lists(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::CandidateIndex;
+    use crate::pipeline::ReferenceCatalog;
     use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 
     fn small_backend_config() -> ExactBackendConfig {
@@ -844,7 +844,7 @@ mod tests {
         let backend = ExactBackend::build(&workload.library, small_backend_config());
         let pre = Preprocessor::default();
         let (queries, _) = pre.run_batch(&workload.queries);
-        let index = CandidateIndex::build(&workload.library);
+        let index = workload.library.candidate_index();
         let cands = candidate_lists(&index, &PrecursorWindow::open_default(), &queries);
         (workload, backend, queries, cands)
     }
@@ -884,7 +884,7 @@ mod tests {
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 56);
         let pre = Preprocessor::default();
         let (queries, _) = pre.run_batch(&workload.queries);
-        let index = CandidateIndex::build(&workload.library);
+        let index = workload.library.candidate_index();
         let cands = candidate_lists(&index, &PrecursorWindow::open_default(), &queries);
         let run = |threads: usize| {
             let backend = ExactBackend::build(
@@ -904,7 +904,7 @@ mod tests {
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 57);
         let pre = Preprocessor::default();
         let (queries, _) = pre.run_batch(&workload.queries);
-        let index = CandidateIndex::build(&workload.library);
+        let index = workload.library.candidate_index();
         let cands = candidate_lists(&index, &PrecursorWindow::open_default(), &queries);
 
         let clean = ExactBackend::build(&workload.library, small_backend_config());

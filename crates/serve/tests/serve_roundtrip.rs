@@ -42,7 +42,7 @@ fn local_search_table(index: &LibraryIndex, workload: &SyntheticWorkload) -> Str
     let pipeline = OmsPipeline::new(config);
     let backend = index.sharded_backend(THREADS).expect("exact kind");
     let outcome = pipeline.run_catalog(&workload.queries, index, &backend);
-    render_table(&index.peptides_by_id(), &outcome)
+    render_table(index.catalog().peptides(), &outcome)
 }
 
 /// Serve `index` on an ephemeral port and run one query batch through a
