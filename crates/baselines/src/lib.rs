@@ -22,6 +22,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unsafe_code)]
 
 pub mod annsolo;
 pub mod bruteforce;

@@ -16,6 +16,7 @@ use hdoms_core::encode::InMemoryEncoder;
 use hdoms_core::perf::{paper, RramModel};
 use hdoms_hdc::encoder::EncoderConfig;
 use hdoms_hdc::item_memory::LevelStyle;
+use hdoms_hdc::parallel::default_threads;
 use hdoms_rram::array::CrossbarConfig;
 
 fn main() {
@@ -76,6 +77,7 @@ fn main() {
             },
             CrossbarConfig::default(),
             options.seed,
+            default_threads(),
         );
         let cycles = encoder.cycles_for(peaks);
         rows.push(vec![

@@ -18,6 +18,7 @@ use hdoms_core::encode::InMemoryEncoder;
 use hdoms_hdc::encoder::EncoderConfig;
 use hdoms_hdc::item_memory::LevelStyle;
 use hdoms_hdc::multibit::IdPrecision;
+use hdoms_hdc::parallel::default_threads;
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::preprocess::Preprocessor;
 use hdoms_rram::array::{CrossbarArray, CrossbarConfig};
@@ -59,7 +60,12 @@ fn main() {
                 activated_rows: act,
                 ..CrossbarConfig::default()
             };
-            let encoder = InMemoryEncoder::new(encoder_cfg, crossbar, options.seed ^ act as u64);
+            let encoder = InMemoryEncoder::new(
+                encoder_cfg,
+                crossbar,
+                options.seed ^ act as u64,
+                default_threads(),
+            );
             let rates: Vec<f64> = binned
                 .iter()
                 .map(|b| encoder.encode_with_stats(b).1.bit_error_rate())

@@ -24,6 +24,8 @@
 //!
 //! Run `hdoms help` (or any subcommand with `--help`) for usage.
 
+#![deny(unsafe_code)]
+
 mod commands;
 mod library_io;
 mod opts;

@@ -132,7 +132,8 @@ impl OmsAccelerator {
     /// an empty library.
     pub fn build(library: &SpectralLibrary, config: AcceleratorConfig) -> OmsAccelerator {
         assert!(!library.is_empty(), "cannot build over an empty library");
-        let encoder = InMemoryEncoder::new(config.encoder, config.crossbar, config.seed);
+        let encoder =
+            InMemoryEncoder::new(config.encoder, config.crossbar, config.seed, config.threads);
         let pre = Preprocessor::new(config.preprocess);
         let mut stats = StatsFold::default();
         let references: Vec<Option<BinaryHypervector>> =

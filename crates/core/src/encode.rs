@@ -16,7 +16,8 @@
 //! `Sign()` quantisation (§4.2.3) is what makes the scheme robust.
 //!
 //! Programming and readout are the chip model's own: each ID component
-//! is written through [`CrossbarConfig::program_pair`] and each
+//! is written through its grid point's differential pair
+//! ([`CrossbarConfig::pair_levels`]) and each
 //! activated peak group is read out through [`CrossbarConfig::sense`] —
 //! the same sensing cycle `CrossbarArray::mvm` (Fig. 9b) and the
 //! in-memory search run, so Fig. 9a measures the one Eq. 5 chain through
@@ -32,7 +33,6 @@ use hdoms_hdc::BinaryHypervector;
 use hdoms_ms::preprocess::BinnedSpectrum;
 use hdoms_oms::search::ReferenceEncoder;
 use hdoms_rram::array::CrossbarConfig;
-use hdoms_rram::device::DeviceModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -95,11 +95,23 @@ impl InMemoryEncoder {
     /// the paper's point in §4.2.2: the multi-bit scheme is free *because*
     /// the MLC cell already stores that many bits.
     ///
+    /// The whole memory draws from one stream seeded by `seed`, in
+    /// (row, column, `g⁺` then `g⁻`) order. `threads` workers program
+    /// contiguous row blocks in place; each fast-forwards its own copy of
+    /// the stream to its first row by drawing, without evaluating, every
+    /// earlier cell. So every weight is the same at any thread count, and
+    /// so is σ_δ: per-row sums of δ², folded in row order.
+    ///
     /// # Panics
     ///
     /// Panics if `encoder.id_precision.bits() != crossbar.mlc.bits_per_cell`
     /// or either configuration is invalid.
-    pub fn new(encoder: EncoderConfig, crossbar: CrossbarConfig, seed: u64) -> InMemoryEncoder {
+    pub fn new(
+        encoder: EncoderConfig,
+        crossbar: CrossbarConfig,
+        seed: u64,
+        threads: usize,
+    ) -> InMemoryEncoder {
         crossbar.validate();
         assert_eq!(
             encoder.id_precision.bits(),
@@ -110,31 +122,50 @@ impl InMemoryEncoder {
             crossbar.mlc.bits_per_cell
         );
         let software = Arc::new(IdLevelEncoder::new(encoder));
-        let device = DeviceModel::new(crossbar.mlc);
         let g_max = crossbar.mlc.g_max_us;
-        let levels = crossbar.mlc.levels();
-        let alphabet = encoder.id_precision.alphabet();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x1dc0de);
-        let dim = encoder.dim;
-        let num_bins = encoder.num_bins;
+        // Monotone map: the alphabet's rank is the differential grid
+        // point, so symbol `s` programs `by_symbol[s + max_abs]`.
+        let max_abs = encoder.id_precision.max_abs();
+        let mut by_symbol = vec![None; 2 * max_abs as usize + 1];
+        let alphabet = encoder.id_precision.alphabet().into_iter();
+        for (symbol, pair) in alphabet.zip(crossbar.pair_levels()) {
+            by_symbol[(symbol + max_abs) as usize] = Some(pair);
+        }
+        let pair_of = |symbol: i8| by_symbol[(symbol + max_abs) as usize].expect("an ID symbol");
+        let stream = StdRng::seed_from_u64(seed ^ 0x1dc0de);
+        let (dim, num_bins) = (encoder.dim, encoder.num_bins);
+        let memory = software.id_memory();
+
+        // Rows `first..` into `cells`, their Σδ² into `row_sq`.
+        let program_rows = |first: usize, cells: &mut [f32], row_sq: &mut [f64]| {
+            let mut rng = stream.clone();
+            for bin in 0..first {
+                for symbol in memory.id(bin) {
+                    let _ = pair_of(symbol).draw(&mut rng);
+                }
+            }
+            for ((bin, row), sq) in (first..).zip(cells.chunks_exact_mut(dim)).zip(row_sq) {
+                for (cell, symbol) in row.iter_mut().zip(memory.id(bin)) {
+                    let pair = pair_of(symbol);
+                    let (gp, gm, delta) = pair.program(pair.draw(&mut rng));
+                    *sq += delta * delta;
+                    *cell = ((gp - gm) / g_max) as f32;
+                }
+            }
+        };
         // Programmed in place, in the one allocation every handle shares.
         let mut w_eff: Arc<[f32]> = std::iter::repeat_n(0.0, num_bins * dim).collect();
         let cells = Arc::get_mut(&mut w_eff).expect("no second handle yet");
-        let mut dev_sq = 0.0f64;
-        for (bin, row) in cells.chunks_exact_mut(dim).enumerate() {
-            for (cell, component) in row.iter_mut().zip(software.id_memory().id(bin)) {
-                // Monotone map: alphabet rank → differential grid point.
-                let rank = alphabet
-                    .iter()
-                    .position(|&a| a == component)
-                    .expect("component drawn from alphabet");
-                let v = rank as f64 / (levels - 1) as f64 * 2.0 - 1.0;
-                let (gp, gm, delta) = crossbar.program_pair(&device, v, &mut rng);
-                dev_sq += delta * delta;
-                *cell = ((gp - gm) / g_max) as f32;
+        let mut row_sq = vec![0.0f64; num_bins];
+        let block = num_bins.div_ceil(threads.clamp(1, num_bins));
+        std::thread::scope(|scope| {
+            let program_rows = &program_rows;
+            let blocks = cells.chunks_mut(block * dim).zip(row_sq.chunks_mut(block));
+            for (b, (cells, row_sq)) in blocks.enumerate() {
+                scope.spawn(move || program_rows(b * block, cells, row_sq));
             }
-        }
-        let sigma_delta = (dev_sq / (num_bins * dim) as f64).sqrt();
+        });
+        let sigma_delta = (row_sq.iter().sum::<f64>() / (num_bins * dim) as f64).sqrt();
         InMemoryEncoder {
             software,
             crossbar,
@@ -398,7 +429,7 @@ mod tests {
         // With a noiseless device the only divergence is the monotone
         // magnitude warp of the ID alphabet plus ADC rounding — a few
         // bits near sign boundaries at most.
-        let enc = InMemoryEncoder::new(small_encoder(3), ideal_crossbar(3), 1);
+        let enc = InMemoryEncoder::new(small_encoder(3), ideal_crossbar(3), 1, 2);
         let (_, stats) = enc.encode_with_stats(&binned_query());
         assert!(
             stats.bit_error_rate() < 0.05,
@@ -410,7 +441,7 @@ mod tests {
     #[test]
     fn one_bit_ideal_hardware_is_exact() {
         // Binary IDs map to extreme conductances with no warp at all.
-        let enc = InMemoryEncoder::new(small_encoder(1), ideal_crossbar(1), 1);
+        let enc = InMemoryEncoder::new(small_encoder(1), ideal_crossbar(1), 1, 2);
         let (hv, stats) = enc.encode_with_stats(&binned_query());
         assert_eq!(stats.bit_errors, 0, "ideal binary encoding must be exact");
         assert_eq!(hv, enc.software().encode(&binned_query()));
@@ -423,7 +454,7 @@ mod tests {
         let q = binned_query();
         let mut rates = Vec::new();
         for bits in 1..=3u8 {
-            let enc = InMemoryEncoder::new(small_encoder(bits), crossbar(bits), 2);
+            let enc = InMemoryEncoder::new(small_encoder(bits), crossbar(bits), 2, 2);
             let (_, stats) = enc.encode_with_stats(&q);
             rates.push(stats.bit_error_rate());
         }
@@ -442,7 +473,7 @@ mod tests {
                 activated_rows: activated,
                 ..crossbar(3)
             };
-            let enc = InMemoryEncoder::new(small_encoder(3), cb, 3);
+            let enc = InMemoryEncoder::new(small_encoder(3), cb, 3, 2);
             enc.encode_with_stats(&q).1.bit_error_rate()
         };
         // Average direction over the Fig. 9 sweep range.
@@ -456,12 +487,12 @@ mod tests {
 
     #[test]
     fn chunked_encoding_cheaper_than_bit_serial() {
-        let chunked = InMemoryEncoder::new(small_encoder(3), crossbar(3), 4);
+        let chunked = InMemoryEncoder::new(small_encoder(3), crossbar(3), 4, 2);
         let serial_cfg = EncoderConfig {
             level_style: LevelStyle::Random,
             ..small_encoder(3)
         };
-        let serial = InMemoryEncoder::new(serial_cfg, crossbar(3), 4);
+        let serial = InMemoryEncoder::new(serial_cfg, crossbar(3), 4, 2);
         // 64 chunks vs 1024 bit-serial steps: 16× fewer cycles.
         assert_eq!(serial.cycles_for(100), 16 * chunked.cycles_for(100));
         let q = binned_query();
@@ -472,7 +503,7 @@ mod tests {
 
     #[test]
     fn encoding_is_deterministic() {
-        let enc = InMemoryEncoder::new(small_encoder(3), crossbar(3), 5);
+        let enc = InMemoryEncoder::new(small_encoder(3), crossbar(3), 5, 2);
         let q = binned_query();
         assert_eq!(enc.encode(&q), enc.encode(&q));
     }
@@ -483,7 +514,7 @@ mod tests {
         let pre = Preprocessor::default();
         let a = pre.run(&w.queries[0]).unwrap();
         let b = pre.run(&w.queries[1]).unwrap();
-        let enc = InMemoryEncoder::new(small_encoder(3), crossbar(3), 6);
+        let enc = InMemoryEncoder::new(small_encoder(3), crossbar(3), 6, 2);
         assert_ne!(enc.encode(&a), enc.encode(&b));
     }
 
@@ -492,7 +523,7 @@ mod tests {
         // Both encodes below see spectrum id 0: as a query and as a
         // library entry they must still read out through independent
         // noise, so the bits each gets wrong mostly differ.
-        let enc = InMemoryEncoder::new(small_encoder(3), crossbar(3), 9);
+        let enc = InMemoryEncoder::new(small_encoder(3), crossbar(3), 9, 2);
         let q = binned_query();
         let truth = enc.software().encode(&q);
         let query = enc.encode(&q);
@@ -520,12 +551,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "must match the cell precision")]
     fn precision_mismatch_rejected() {
-        let _ = InMemoryEncoder::new(small_encoder(3), crossbar(1), 7);
+        let _ = InMemoryEncoder::new(small_encoder(3), crossbar(1), 7, 2);
     }
 
     #[test]
     fn cycles_formula() {
-        let enc = InMemoryEncoder::new(small_encoder(3), crossbar(3), 8);
+        let enc = InMemoryEncoder::new(small_encoder(3), crossbar(3), 8, 2);
         // 64 chunks × ceil(100 / 32) = 64 × 4 = 256.
         assert_eq!(enc.cycles_for(100), 256);
         let q = binned_query();

@@ -63,6 +63,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unsafe_code)]
 
 use hdoms_index::{
     IndexBuilder, IndexConfig, IndexError, LibraryIndex, QueryRecord, ShardedBackend,

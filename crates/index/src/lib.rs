@@ -77,6 +77,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unsafe_code)]
 
 pub mod format;
 mod library_index;

@@ -117,9 +117,9 @@ impl IndexBuilder {
     /// contracts as the underlying backend constructors).
     pub fn from_library(&self, library: &SpectralLibrary) -> LibraryIndex {
         assert!(!library.is_empty(), "cannot index an empty library");
-        let kind = self.config.recorded_kind();
-        let backend = KindBackend::new(&kind, None);
-        let (pre, threads) = (Preprocessor::new(kind.preprocess()), self.config.threads);
+        let (kind, threads) = (self.config.recorded_kind(), self.config.threads);
+        let backend = KindBackend::new(&kind, None, threads);
+        let pre = Preprocessor::new(kind.preprocess());
         let mut references = SharedReferences::from(Vec::new());
         let mut stats = StatsFold::default();
         for chunk in library.entries().chunks(ENCODE_CHUNK) {
@@ -210,8 +210,13 @@ impl KindBackend {
     /// The kind → backend mapping, spelled here and nowhere else. With
     /// `mlc` — an index's persisted programming state — the in-memory
     /// encoder is restored over those very weights (bit-identical to the
-    /// one persisted); without, it is freshly programmed from the seed.
-    pub(crate) fn new(kind: &IndexedBackendKind, mlc: Option<&MlcState>) -> KindBackend {
+    /// one persisted); without, it is freshly programmed from the seed,
+    /// on `threads` workers (the same weights at any count).
+    pub(crate) fn new(
+        kind: &IndexedBackendKind,
+        mlc: Option<&MlcState>,
+        threads: usize,
+    ) -> KindBackend {
         let software = |config: ExactBackendConfig| {
             ExactBackend::from_shared(config, SharedReferences::from(Vec::new()))
         };
@@ -230,7 +235,7 @@ impl KindBackend {
                         mlc.sigma_delta,
                         seed,
                     ),
-                    None => InMemoryEncoder::new(encoder, crossbar, seed),
+                    None => InMemoryEncoder::new(encoder, crossbar, seed, threads),
                 };
                 KindBackend::Rram(*config, in_memory)
             }
@@ -452,9 +457,10 @@ impl LibraryIndex {
         ))
     }
 
-    /// The kind's one backend ([`KindBackend`]), built on first use.
+    /// The kind's one backend ([`KindBackend`]), built on first use —
+    /// never programmed here: an rram index always holds its MLC state.
     fn backend(&self) -> &KindBackend {
-        (self.backend).get_or_init(|| KindBackend::new(&self.kind, self.mlc.as_ref()))
+        (self.backend).get_or_init(|| KindBackend::new(&self.kind, self.mlc.as_ref(), 1))
     }
 
     /// The software-exact backend over this index's references, without

@@ -187,7 +187,7 @@ impl StreamingIndexBuilder {
             spilled_bytes: 0,
             catalog: ReferenceMeta::default(),
             table: Vec::new(),
-            backend: KindBackend::new(&kind, None),
+            backend: KindBackend::new(&kind, None, config.index.threads),
             sketch: SketchIndex::new(kind.dim(), SKETCH_WORDS),
             stats: StatsFold::default(),
             finished: false,

@@ -473,7 +473,7 @@ fn ideal_rram_chain_is_pinned() {
             level_style,
             ..chunked
         };
-        let enc = InMemoryEncoder::new(encoder, crossbar, 7);
+        let enc = InMemoryEncoder::new(encoder, crossbar, 7, THREADS);
         let mut bytes = Vec::new();
         for spectrum in &binned {
             let (hv, stats) = enc.encode_with_stats(spectrum);
@@ -504,6 +504,72 @@ fn ideal_rram_chain_is_pinned() {
         0xe976_69e3_47da_7a17,
         "the noise-free MVM changed"
     );
+}
+
+/// Pins the programmed ID memory of the calibrated (noisy) device: one
+/// stream, drawn in (row, column, `g⁺` then `g⁻`) order, however many
+/// workers program the rows. The weight digests and σ_δ values were
+/// recorded from the single-threaded programming loop that preceded
+/// row-parallel programming; never regenerate them. σ_δ is a per-row sum
+/// folded in row order, so it need only match that loop's running sum to
+/// rounding — but to the bit at every thread count. Unlike
+/// `ideal_rram_chain_is_pinned`, these digests go through libm's `ln`.
+#[test]
+fn noisy_programming_is_pinned() {
+    use hdoms_core::encode::InMemoryEncoder;
+    use hdoms_hdc::encoder::EncoderConfig;
+    use hdoms_hdc::multibit::IdPrecision;
+    use hdoms_index::xxhash::xxh64;
+    use hdoms_rram::array::CrossbarConfig;
+    use hdoms_rram::config::MlcConfig;
+
+    // (bits, digest of the weights' bytes, σ_δ).
+    let pinned = [
+        (
+            IdPrecision::Bits1,
+            0x697c_6a1c_08bd_ee04_u64,
+            5.409_101_183_274_435_4e-2,
+        ),
+        (
+            IdPrecision::Bits2,
+            0xeca6_6d69_1c65_c289,
+            8.841_563_239_800_397e-2,
+        ),
+        (
+            IdPrecision::Bits3,
+            0x8320_da21_9b89_9e2f,
+            9.494_647_686_298_092e-2,
+        ),
+    ];
+    for (id_precision, digest, sigma_delta) in pinned {
+        let bits = id_precision.bits();
+        let encoder = EncoderConfig {
+            dim: 1024,
+            id_precision,
+            ..EncoderConfig::default()
+        };
+        let crossbar = CrossbarConfig {
+            mlc: MlcConfig::with_bits(bits),
+            ..CrossbarConfig::default()
+        };
+        let program = |threads| InMemoryEncoder::new(encoder, crossbar, 7, threads);
+        let one = program(1);
+        let drift = (one.sigma_delta() - sigma_delta).abs() / sigma_delta;
+        assert!(drift < 1e-12, "{bits} bits: σ_δ moved by {drift:e}");
+        for threads in [1, 2, 3, 8] {
+            let enc = program(threads);
+            let bytes: Vec<u8> = (enc.programmed_weights().iter())
+                .flat_map(|w| w.to_le_bytes())
+                .collect();
+            let what = format!("{bits} bits on {threads} threads");
+            assert_eq!(xxh64(&bytes, 0), digest, "{what}: the weights moved");
+            assert_eq!(
+                enc.sigma_delta().to_bits(),
+                one.sigma_delta().to_bits(),
+                "{what}"
+            );
+        }
+    }
 }
 
 /// A library whose every reference preprocessing rejects (too few

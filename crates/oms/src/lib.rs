@@ -31,6 +31,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unsafe_code)]
 
 pub mod candidates;
 pub mod cascade;

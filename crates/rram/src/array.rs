@@ -32,7 +32,7 @@
 //! ([`sample_normal`]).
 
 use crate::config::MlcConfig;
-use crate::device::DeviceModel;
+use crate::device::{CellDraw, CellLevel, DeviceModel};
 use rand::Rng;
 use std::sync::OnceLock;
 
@@ -180,25 +180,62 @@ impl CrossbarConfig {
         v_hat * n
     }
 
-    /// Program one differential weight pair (Eq. 2/3): map the quantised
-    /// weight `w ∈ [-1, 1]` to its two target conductances and sample the
-    /// relaxed cells at `age_s` (`g⁺` first, then `g⁻`). Returns
-    /// `(g⁺, g⁻, δ)` with `δ` the pair's normalised conductance deviation
-    /// `((g⁺ − target⁺) − (g⁻ − target⁻)) / g_max`, whose RMS over an
-    /// array is the σ_δ that [`CrossbarConfig::cycle_sigma`] takes.
-    #[inline]
-    pub fn program_pair<R: Rng>(
-        &self,
-        device: &DeviceModel,
-        w: f64,
-        rng: &mut R,
-    ) -> (f64, f64, f64) {
+    /// The differential pair of each weight an n-bit pair holds exactly,
+    /// by grid code `k` — the weight `w = k / (2ⁿ − 1) · 2 − 1` that
+    /// [`CrossbarArray::quantize_weight`] rounds to. Eq. 2/3 map `w` to
+    /// the targets `g⁺ = ½(1 + w)·g_max` and `g⁻ = ½(1 − w)·g_max`, each
+    /// a [`DeviceModel::level`] at `age_s`: computed once per array,
+    /// not once per cell.
+    pub fn pair_levels(&self) -> Vec<PairLevels> {
+        let device = DeviceModel::new(self.mlc);
         let g_max = self.mlc.g_max_us;
-        let target_plus = 0.5 * (1.0 + w) * g_max;
-        let target_minus = 0.5 * (1.0 - w) * g_max;
-        let gp = device.sample_conductance(rng, target_plus, self.age_s);
-        let gm = device.sample_conductance(rng, target_minus, self.age_s);
-        let delta = ((gp - target_plus) - (gm - target_minus)) / g_max;
+        (0..self.mlc.levels())
+            .map(|code| {
+                let w = grid_weight(&self.mlc, code);
+                PairLevels {
+                    plus: device.level(0.5 * (1.0 + w) * g_max, self.age_s),
+                    minus: device.level(0.5 * (1.0 - w) * g_max, self.age_s),
+                    g_max_us: g_max,
+                }
+            })
+            .collect()
+    }
+}
+
+/// The weight of grid code `code` among the `2ⁿ` a differential pair of
+/// n-bit cells represents.
+fn grid_weight(mlc: &MlcConfig, code: usize) -> f64 {
+    code as f64 / (mlc.levels() - 1) as f64 * 2.0 - 1.0
+}
+
+/// One differential weight pair (Eq. 2/3) at its grid point: the levels
+/// of its two cells. Programming the pair is [`PairLevels::draw`] (`g⁺`'s
+/// words, then `g⁻`'s) followed by [`PairLevels::program`]; a caller that
+/// only needs to advance the stream past a pair draws and stops.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairLevels {
+    plus: CellLevel,
+    minus: CellLevel,
+    g_max_us: f64,
+}
+
+impl PairLevels {
+    /// Take the pair's words off `rng`, `g⁺` first, then `g⁻`.
+    #[inline]
+    pub fn draw<R: Rng>(&self, rng: &mut R) -> (CellDraw, CellDraw) {
+        let plus = self.plus.draw(rng);
+        (plus, self.minus.draw(rng))
+    }
+
+    /// Evaluate a draw: `(g⁺, g⁻, δ)` with `δ` the pair's normalised
+    /// conductance deviation `((g⁺ − target⁺) − (g⁻ − target⁻)) / g_max`,
+    /// whose RMS over an array is the σ_δ that
+    /// [`CrossbarConfig::cycle_sigma`] takes.
+    #[inline]
+    pub fn program(&self, (plus, minus): (CellDraw, CellDraw)) -> (f64, f64, f64) {
+        let gp = self.plus.conductance(plus);
+        let gm = self.minus.conductance(minus);
+        let delta = ((gp - self.plus.target_us()) - (gm - self.minus.target_us())) / self.g_max_us;
         (gp, gm, delta)
     }
 }
@@ -229,15 +266,18 @@ impl CrossbarArray {
     /// With 1-bit cells this is the sign function — binary reference
     /// hypervectors are stored losslessly at any precision.
     pub fn quantize_weight(mlc: &MlcConfig, w: f64) -> f64 {
-        let levels = mlc.levels() as f64;
-        let clamped = w.clamp(-1.0, 1.0);
-        let code = ((clamped + 1.0) / 2.0 * (levels - 1.0)).round();
-        code / (levels - 1.0) * 2.0 - 1.0
+        grid_weight(mlc, Self::quantize_code(mlc, w))
+    }
+
+    /// The grid code ([`CrossbarConfig::pair_levels`]) `w` rounds to.
+    fn quantize_code(mlc: &MlcConfig, w: f64) -> usize {
+        let last = (mlc.levels() - 1) as f64;
+        ((w.clamp(-1.0, 1.0) + 1.0) / 2.0 * last).round() as usize
     }
 
     /// Program `weights[col][pair]` (normalised to `[-1, 1]`) into the
-    /// array: quantise, map to differential conductances, and sample the
-    /// relaxed conductances at `config.age_s` through `rng`.
+    /// array: quantise to a grid code, and draw and evaluate that code's
+    /// [`PairLevels`] at `config.age_s` through `rng`.
     ///
     /// # Panics
     ///
@@ -269,7 +309,7 @@ impl CrossbarArray {
             config.pair_capacity()
         );
 
-        let device = DeviceModel::new(config.mlc);
+        let grid = config.pair_levels();
         let cols = weights.len();
         let mut quantized = Vec::with_capacity(cols * pairs);
         let mut g_plus = Vec::with_capacity(cols * pairs);
@@ -281,9 +321,10 @@ impl CrossbarArray {
                     (-1.0..=1.0).contains(&w),
                     "weight {w} outside the normalised range [-1, 1]"
                 );
-                let q = Self::quantize_weight(&config.mlc, w);
-                quantized.push(q);
-                let (gp, gm, delta) = config.program_pair(&device, q, rng);
+                let code = Self::quantize_code(&config.mlc, w);
+                quantized.push(grid_weight(&config.mlc, code));
+                let pair = &grid[code];
+                let (gp, gm, delta) = pair.program(pair.draw(rng));
                 dev_sq += delta * delta;
                 g_plus.push(gp);
                 g_minus.push(gm);

@@ -22,6 +22,13 @@
 //!
 //! Plus a small **defect rate**: cells that read a random level regardless
 //! of programming, setting the error floor of the 1-bit curve.
+//!
+//! Everything the model computes from a cell's target and age alone is a
+//! [`CellLevel`], built once per distinct level ([`DeviceModel::level`]).
+//! Observing a cell is then two steps: [`CellLevel::draw`] takes the
+//! cell's random words off the stream and [`CellLevel::conductance`]
+//! evaluates them — so a caller can advance a stream past cells it does
+//! not evaluate and still land on the words the next cell would get.
 
 use crate::config::MlcConfig;
 use rand::Rng;
@@ -74,40 +81,97 @@ impl DeviceModel {
         self.config.drift_us * self.time_factor(age_s) * self.midness(target_g_us)
     }
 
-    /// Sample the observed conductance of one cell programmed to
-    /// `target_g_us`, `age_s` seconds after programming.
-    ///
-    /// Defective cells (probability `defect_rate`) read a uniformly random
-    /// conductance in `[0, g_max]`.
-    pub fn sample_conductance<R: Rng>(&self, rng: &mut R, target_g_us: f64, age_s: f64) -> f64 {
-        if self.config.defect_rate > 0.0 && rng.gen_bool(self.config.defect_rate) {
-            return rng.gen_range(0.0..=self.config.g_max_us);
+    /// The constants of a cell programmed to `target_g_us` and observed
+    /// `age_s` seconds later — its λ, drift, defect rate and `g_max` —
+    /// for every cell of that level to share.
+    pub fn level(&self, target_g_us: f64, age_s: f64) -> CellLevel {
+        CellLevel {
+            target_us: target_g_us,
+            lambda_us: self.lambda(target_g_us, age_s),
+            drift_us: self.drift(target_g_us, age_s),
+            defect_rate: self.config.defect_rate,
+            g_max_us: self.config.g_max_us,
         }
-        let lambda = self.lambda(target_g_us, age_s);
-        let noise = if lambda > 0.0 {
-            sample_laplace(rng, lambda)
-        } else {
-            0.0
-        };
-        let g = target_g_us - self.drift(target_g_us, age_s) + noise;
-        // Conductance is physically bounded: a cell cannot conduct
-        // negatively and cannot exceed the fully-SET state by much.
-        g.clamp(0.0, self.config.g_max_us * 1.1)
     }
 
-    /// Sample a batch of conductances (one per target) at the same age.
-    pub fn sample_batch<R: Rng>(&self, rng: &mut R, targets: &[f64], age_s: f64) -> Vec<f64> {
-        targets
-            .iter()
-            .map(|&t| self.sample_conductance(rng, t, age_s))
-            .collect()
+    /// Sample the observed conductance of one cell programmed to
+    /// `target_g_us`, `age_s` seconds after programming: its
+    /// [`DeviceModel::level`], drawn and evaluated.
+    pub fn sample_conductance<R: Rng>(&self, rng: &mut R, target_g_us: f64, age_s: f64) -> f64 {
+        self.level(target_g_us, age_s).sample(rng)
     }
 }
 
-/// Sample a zero-mean Laplace variate with scale `lambda` via inverse CDF.
-fn sample_laplace<R: Rng>(rng: &mut R, lambda: f64) -> f64 {
-    // u ∈ (-1/2, 1/2); x = -λ·sign(u)·ln(1 - 2|u|)
-    let u: f64 = rng.gen_range(-0.5 + f64::EPSILON..0.5);
+/// One programmed level at one age: what [`DeviceModel::level`] computes
+/// once for every cell of that level.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellLevel {
+    target_us: f64,
+    lambda_us: f64,
+    drift_us: f64,
+    defect_rate: f64,
+    g_max_us: f64,
+}
+
+/// The random words one cell's observation took, not yet evaluated.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CellDraw {
+    /// A defective cell: its uniformly random conductance in `[0, g_max]`.
+    Defect(f64),
+    /// A working cell: the uniform behind its Laplace deviation.
+    Laplace(f64),
+    /// A working cell on a level with no spread: nothing drawn.
+    Exact,
+}
+
+impl CellLevel {
+    /// The target conductance (µS).
+    pub fn target_us(&self) -> f64 {
+        self.target_us
+    }
+
+    /// Take one cell's words off `rng`: the defect trial (when the
+    /// defect rate is positive), then a defective cell's conductance or
+    /// a working cell's Laplace uniform (when λ is positive). Between
+    /// none and two words; [`CellLevel::conductance`] needs no more.
+    #[inline]
+    pub fn draw<R: Rng>(&self, rng: &mut R) -> CellDraw {
+        if self.defect_rate > 0.0 && rng.gen_bool(self.defect_rate) {
+            return CellDraw::Defect(rng.gen_range(0.0..=self.g_max_us));
+        }
+        if self.lambda_us > 0.0 {
+            CellDraw::Laplace(rng.gen_range(-0.5 + f64::EPSILON..0.5))
+        } else {
+            CellDraw::Exact
+        }
+    }
+
+    /// The observed conductance a draw of this level gives. Defective
+    /// cells read their random conductance; a working one reads the
+    /// target, less the drift, plus its Laplace deviation.
+    #[inline]
+    pub fn conductance(&self, draw: CellDraw) -> f64 {
+        let noise = match draw {
+            CellDraw::Defect(g) => return g,
+            CellDraw::Laplace(u) => laplace(u, self.lambda_us),
+            CellDraw::Exact => 0.0,
+        };
+        let g = self.target_us - self.drift_us + noise;
+        // Conductance is physically bounded: a cell cannot conduct
+        // negatively and cannot exceed the fully-SET state by much.
+        g.clamp(0.0, self.g_max_us * 1.1)
+    }
+
+    /// Draw and evaluate one cell.
+    #[inline]
+    pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
+        self.conductance(self.draw(rng))
+    }
+}
+
+/// The zero-mean Laplace variate of scale `lambda` at the uniform
+/// `u ∈ (-1/2, 1/2)`, by inverse CDF: `x = -λ·sign(u)·ln(1 - 2|u|)`.
+fn laplace(u: f64, lambda: f64) -> f64 {
     -lambda * u.signum() * (1.0 - 2.0 * u.abs()).ln()
 }
 
@@ -210,7 +274,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let lambda = 2.0;
         let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| sample_laplace(&mut rng, lambda)).collect();
+        let samples: Vec<f64> = (0..n)
+            .map(|_| laplace(rng.gen_range(-0.5 + f64::EPSILON..0.5), lambda))
+            .collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");
@@ -236,13 +302,72 @@ mod tests {
         );
     }
 
+    /// The sampler as it stood before it was split into a level, a draw
+    /// and an evaluation — frozen here as the oracle of that split.
+    fn frozen_sample_conductance<R: Rng>(
+        m: &DeviceModel,
+        rng: &mut R,
+        target_g_us: f64,
+        age_s: f64,
+    ) -> f64 {
+        let config = m.config();
+        if config.defect_rate > 0.0 && rng.gen_bool(config.defect_rate) {
+            return rng.gen_range(0.0..=config.g_max_us);
+        }
+        let lambda = m.lambda(target_g_us, age_s);
+        let noise = if lambda > 0.0 {
+            let u: f64 = rng.gen_range(-0.5 + f64::EPSILON..0.5);
+            -lambda * u.signum() * (1.0 - 2.0 * u.abs()).ln()
+        } else {
+            0.0
+        };
+        let g = target_g_us - m.drift(target_g_us, age_s) + noise;
+        g.clamp(0.0, config.g_max_us * 1.1)
+    }
+
     #[test]
-    fn batch_matches_individual_draws() {
-        let m = model();
-        let targets = vec![0.0, 25.0, 50.0];
-        let a = m.sample_batch(&mut StdRng::seed_from_u64(7), &targets, 60.0);
-        let b = m.sample_batch(&mut StdRng::seed_from_u64(7), &targets, 60.0);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 3);
+    fn draw_then_evaluate_is_the_frozen_sampler() {
+        const N: usize = 2000;
+        let defect_only = MlcConfig {
+            defect_rate: 0.5,
+            ..MlcConfig::ideal(2)
+        };
+        let lambda_only = MlcConfig {
+            defect_rate: 0.0,
+            ..MlcConfig::with_bits(3)
+        };
+        let configs = (1..=3)
+            .flat_map(|bits| [MlcConfig::with_bits(bits), MlcConfig::ideal(bits)])
+            .chain([defect_only, lambda_only]);
+        let mut seed = 0;
+        for config in configs {
+            let m = DeviceModel::new(config);
+            for &target in crate::levels::LevelMap::new(&config).targets() {
+                for age in [0.0, 3600.0, 86_400.0] {
+                    let level = m.level(target, age);
+                    seed += 1;
+                    let (mut oracle, mut split, mut skipped) = (
+                        StdRng::seed_from_u64(seed),
+                        StdRng::seed_from_u64(seed),
+                        StdRng::seed_from_u64(seed),
+                    );
+                    for i in 0..N {
+                        let want = frozen_sample_conductance(&m, &mut oracle, target, age);
+                        let got = level.conductance(level.draw(&mut split));
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{config:?}, target {target}, age {age}, sample {i}"
+                        );
+                        let _ = level.draw(&mut skipped);
+                    }
+                    // A draw takes exactly the words the frozen sampler
+                    // takes, evaluated or not: a skipped or extra word
+                    // leaves the stream somewhere else.
+                    assert_eq!(split, oracle, "{config:?}, target {target}, age {age}");
+                    assert_eq!(skipped, oracle, "{config:?}, target {target}, age {age}");
+                }
+            }
+        }
     }
 }

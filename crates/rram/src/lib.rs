@@ -45,6 +45,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unsafe_code)]
 
 pub mod analysis;
 pub mod array;

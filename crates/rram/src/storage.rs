@@ -9,7 +9,7 @@
 //! relaxation-induced bit errors quantified in Figure 7.
 
 use crate::config::MlcConfig;
-use crate::device::DeviceModel;
+use crate::device::{CellLevel, DeviceModel};
 use crate::levels::LevelMap;
 use hdoms_hdc::BinaryHypervector;
 use rand::Rng;
@@ -129,8 +129,7 @@ impl HypervectorStore {
     ///
     /// Panics if `index` is out of bounds.
     pub fn read_one<R: Rng>(&self, index: usize, age_s: f64, rng: &mut R) -> BinaryHypervector {
-        let device = DeviceModel::new(self.config);
-        self.read_symbols(&device, &self.symbols[index], age_s, rng)
+        self.read_symbols(&self.levels_at(age_s), &self.symbols[index], rng)
             .0
     }
 
@@ -142,11 +141,11 @@ impl HypervectorStore {
         age_s: f64,
         rng: &mut R,
     ) -> (Vec<BinaryHypervector>, StorageStats) {
-        let device = DeviceModel::new(self.config);
+        let levels = self.levels_at(age_s);
         let mut stats = StorageStats::default();
         let mut out = Vec::with_capacity(self.symbols.len());
         for programmed in &self.symbols {
-            let (hv, errs) = self.read_symbols(&device, programmed, age_s, rng);
+            let (hv, errs) = self.read_symbols(&levels, programmed, rng);
             stats.bits_total += self.dim as u64;
             stats.bit_errors += errs.0;
             stats.cells_used += programmed.len() as u64;
@@ -156,13 +155,21 @@ impl HypervectorStore {
         (out, stats)
     }
 
-    /// Decode a symbol row; returns the hypervector and
-    /// (bit errors, symbol errors) vs the programmed symbols.
+    /// Every symbol's [`CellLevel`] at `age_s`, indexed by symbol.
+    fn levels_at(&self, age_s: f64) -> Vec<CellLevel> {
+        let device = DeviceModel::new(self.config);
+        (self.level_map.targets().iter())
+            .map(|&target| device.level(target, age_s))
+            .collect()
+    }
+
+    /// Read a symbol row back through the symbols' `levels`; returns the
+    /// hypervector and (bit errors, symbol errors) vs the programmed
+    /// symbols.
     fn read_symbols<R: Rng>(
         &self,
-        device: &DeviceModel,
+        levels: &[CellLevel],
         programmed: &[u8],
-        age_s: f64,
         rng: &mut R,
     ) -> (BinaryHypervector, (u64, u64)) {
         let n = self.config.bits_per_cell as usize;
@@ -170,8 +177,7 @@ impl HypervectorStore {
         let mut bit_errors = 0u64;
         let mut symbol_errors = 0u64;
         for (cell, &sym) in programmed.iter().enumerate() {
-            let target = self.level_map.target(sym as usize);
-            let observed = device.sample_conductance(rng, target, age_s);
+            let observed = levels[sym as usize].sample(rng);
             let decoded = self.level_map.decode(observed);
             if decoded != sym as usize {
                 symbol_errors += 1;

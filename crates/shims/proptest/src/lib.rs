@@ -10,6 +10,8 @@
 //! seed and inputs via the panic message. Cases are generated from a
 //! deterministic per-test seed, so failures reproduce exactly.
 
+#![deny(unsafe_code)]
+
 use rand::rngs::StdRng;
 use std::ops::{Range, RangeInclusive};
 

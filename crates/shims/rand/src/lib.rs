@@ -10,6 +10,8 @@
 //! workspace only relies on *deterministic, well-mixed* output for a given
 //! seed, never on the exact upstream stream.
 
+#![deny(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// A source of random `u64` words.

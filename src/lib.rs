@@ -48,6 +48,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unsafe_code)]
 
 pub use hdoms_baselines as baselines;
 pub use hdoms_core as core;
