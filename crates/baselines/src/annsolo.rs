@@ -160,7 +160,7 @@ mod tests {
     use super::*;
     use hdoms_ms::dataset::{QueryTruth, SyntheticWorkload, WorkloadSpec};
     use hdoms_oms::pipeline::ReferenceCatalog;
-    use hdoms_oms::search::{candidate_lists, SimilarityBackend};
+    use hdoms_oms::search::{best_hits, candidate_lists};
     use hdoms_oms::window::PrecursorWindow;
 
     fn setup() -> (
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn finds_mostly_true_references() {
         let (workload, backend, queries, cands) = setup();
-        let hits = backend.search_batch(&queries, &cands);
+        let hits = best_hits(&backend, &queries, &cands);
         let mut correct = 0usize;
         let mut matchable = 0usize;
         for (binned, hit) in queries.iter().zip(&hits) {
@@ -251,7 +251,7 @@ mod tests {
                     ..AnnSoloConfig::default()
                 },
             );
-            backend.search_batch(&queries, &cands)
+            best_hits(&backend, &queries, &cands)
         };
         assert_eq!(run(1), run(8));
     }
@@ -260,8 +260,7 @@ mod tests {
     fn empty_candidates_give_none() {
         let (_, backend, queries, _) = setup();
         let empty: Vec<Vec<u32>> = queries.iter().map(|_| Vec::new()).collect();
-        assert!(backend
-            .search_batch(&queries, &empty)
+        assert!(best_hits(&backend, &queries, &empty)
             .iter()
             .all(Option::is_none));
     }
@@ -269,6 +268,6 @@ mod tests {
     #[test]
     fn name_is_stable() {
         let (_, backend, _, _) = setup();
-        assert_eq!(backend.name(), "ann-solo");
+        assert_eq!(backend.report_name(), "ann-solo");
     }
 }

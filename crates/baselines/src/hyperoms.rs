@@ -30,7 +30,7 @@ mod tests {
     use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
     use hdoms_ms::preprocess::Preprocessor;
     use hdoms_oms::pipeline::ReferenceCatalog;
-    use hdoms_oms::search::{candidate_lists, ExactBackendConfig, SimilarityBackend};
+    use hdoms_oms::search::{best_hits, candidate_lists, ExactBackendConfig, RunScorer};
     use hdoms_oms::window::PrecursorWindow;
 
     fn test_config() -> HyperOmsConfig {
@@ -49,7 +49,7 @@ mod tests {
         let (queries, _) = pre.run_batch(&workload.queries);
         let index = workload.library.candidate_index();
         let cands = candidate_lists(&index, &PrecursorWindow::open_default(), &queries);
-        let hits = backend.search_batch(&queries, &cands);
+        let hits = best_hits(&backend, &queries, &cands);
         let mut correct = 0usize;
         let mut matchable = 0usize;
         for (binned, hit) in queries.iter().zip(&hits) {
@@ -69,7 +69,7 @@ mod tests {
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 124);
         let backend = build(&workload.library, test_config());
         assert_eq!(backend.encoder().config().id_precision, IdPrecision::Bits1);
-        assert_eq!(backend.name(), "hyperoms");
+        assert_eq!(backend.report_name(), "hyperoms");
     }
 
     #[test]
@@ -93,8 +93,8 @@ mod tests {
         let (queries, _) = pre.run_batch(&workload.queries);
         let index = workload.library.candidate_index();
         let cands = candidate_lists(&index, &PrecursorWindow::open_default(), &queries);
-        let a = hyperoms.search_batch(&queries, &cands);
-        let b = exact.search_batch(&queries, &cands);
+        let a = best_hits(&hyperoms, &queries, &cands);
+        let b = best_hits(&exact, &queries, &cands);
         let agree = a
             .iter()
             .zip(&b)

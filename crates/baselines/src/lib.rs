@@ -12,22 +12,19 @@
 //!   [`hyperoms`] on top of the exact HD backend (binary IDs, bit-serial
 //!   level vectors — the configuration HyperOMS uses).
 //!
-//! Each is a [`hdoms_oms::search::RunScorer`] — the cosine scorers have
-//! nothing to encode (`Query = ()`) and score one candidate run; HyperOMS
-//! is not a type of its own at all — so the one flat loop drives them as
-//! [`hdoms_oms::search::SimilarityBackend`]s and the Fig. 10 agreement
-//! study and the Fig. 12 performance model can run all tools through the
-//! same pipeline. A full-precision [`bruteforce`] cosine oracle rounds
-//! out the set for sanity checks.
+//! Each is a [`hdoms_oms::search::RunScorer`] — ANN-SoLo has nothing to
+//! encode (`Query = ()`) and scores one candidate run; HyperOMS is not a
+//! type of its own at all — so the Fig. 10 agreement study and the
+//! Fig. 12 performance model run every tool through the same pipeline
+//! ([`hdoms_oms::search::best_hits`]), and an engine runs ANN-SoLo as
+//! one shard of its one scoring loop.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(unsafe_code)]
 
 pub mod annsolo;
-pub mod bruteforce;
 pub mod hyperoms;
 
 pub use annsolo::{AnnSoloBackend, AnnSoloConfig};
-pub use bruteforce::BruteForceBackend;
 pub use hyperoms::HyperOmsConfig;

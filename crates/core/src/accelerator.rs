@@ -243,7 +243,6 @@ mod tests {
     use hdoms_hdc::item_memory::LevelStyle;
     use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
     use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
-    use hdoms_oms::search::SimilarityBackend;
     use hdoms_rram::config::MlcConfig;
 
     fn test_config() -> AcceleratorConfig {
@@ -313,7 +312,7 @@ mod tests {
     fn backend_name_describes_hardware() {
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 811);
         let accel = OmsAccelerator::build(&workload.library, test_config());
-        assert_eq!(accel.name(), "rram-accelerator(3b/cell,64rows)");
+        assert_eq!(accel.report_name(), "rram-accelerator(3b/cell,64rows)");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   one activated-row group per cycle.
 //! * [`accelerator`] — the full backend: encode references in memory,
 //!   store, encode queries in memory, search in memory; plugs into the
-//!   `hdoms-oms` pipeline as a [`hdoms_oms::search::SimilarityBackend`].
+//!   `hdoms-oms` pipeline as a [`hdoms_oms::search::RunScorer`].
 //! * [`perf`] — the latency/energy model behind Fig. 12 and the §5.2.2
 //!   throughput ablation.
 //!

@@ -9,11 +9,13 @@
 //!   ([`Engine::from_library`]), mapped ([`Engine::open_mapped`] — the
 //!   zero-copy default for serving: the `.hdx` file's bytes are
 //!   searched in place), warm from an already-loaded index
-//!   ([`Engine::from_index`]), or bring-your-own backend
+//!   ([`Engine::from_index`]), or bring-your-own scorer
 //!   ([`Engine::from_backend`]). An engine owns everything a search
 //!   needs — the scoring backend, the mass-sorted candidate index, and
 //!   the per-reference metadata (mass, decoy flag, peptide) — so callers
-//!   never wire those pieces by hand again.
+//!   never wire those pieces by hand again. Every engine scores through
+//!   the one shard loop ([`ShardedBackend`]); a bring-your-own scorer is
+//!   its one shard.
 //! * [`Session`] — a **stateful query stream** over an engine.
 //!   [`Session::submit`] encodes and searches one batch and accumulates
 //!   its raw PSMs; [`Session::finalize`] runs target–decoy FDR once over
@@ -77,7 +79,7 @@ use hdoms_oms::candidates::CandidateIndex;
 use hdoms_oms::fdr::{filter_fdr, FdrOutcome};
 use hdoms_oms::pipeline::{assemble_psms, PipelineOutcome, ReferenceCatalog};
 use hdoms_oms::psm::Psm;
-use hdoms_oms::search::SimilarityBackend;
+use hdoms_oms::search::RunScorer;
 use hdoms_oms::window::PrecursorWindow;
 use hdoms_prefilter::{PrefilterConfig, SketchIndex};
 use std::path::Path;
@@ -85,50 +87,6 @@ use std::sync::Arc;
 
 pub use hdoms_index::ShardTiming;
 pub use hdoms_oms::pipeline::ReferenceMeta;
-
-/// The scoring stage an engine drives: the shard-parallel backend for
-/// index-backed engines, or any boxed [`SimilarityBackend`] otherwise.
-#[allow(clippy::large_enum_variant)] // one instance per engine, never collected
-enum EngineBackend {
-    Sharded(ShardedBackend),
-    Flat(Box<dyn SimilarityBackend + Send + Sync>),
-}
-
-impl EngineBackend {
-    fn name(&self) -> String {
-        match self {
-            EngineBackend::Sharded(b) => b.name(),
-            EngineBackend::Flat(b) => b.name(),
-        }
-    }
-
-    /// Score one batch under a worker budget: one [`QueryRecord`] per
-    /// query. Flat backends have no shards to time and no cascade (their
-    /// records carry the hit alone), drive their own internal
-    /// parallelism and ignore the cap — the serve layer always runs
-    /// sharded engines, which honour it exactly.
-    fn search_batch_traced(
-        &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-        workers: usize,
-        prefilter: Option<(&SketchIndex, usize)>,
-    ) -> Vec<QueryRecord> {
-        match self {
-            EngineBackend::Sharded(b) => {
-                b.search_batch_traced(queries, candidates, Some(workers), prefilter)
-            }
-            EngineBackend::Flat(b) => {
-                let hits = b.search_batch(queries, candidates);
-                let record = |hit| QueryRecord {
-                    hit,
-                    ..QueryRecord::default()
-                };
-                hits.into_iter().map(record).collect()
-            }
-        }
-    }
-}
 
 hdoms_obs::metrics::series! {
     /// The series every engine records into, always: unregistered
@@ -186,13 +144,13 @@ impl EngineSeries {
 /// | [`Engine::from_library`] | cold `ExactBackend::build` / `OmsAccelerator::build` + manual candidate index |
 /// | [`Engine::open_mapped`] | `LibraryIndex::open_mapped` + the wiring below, searching the `mmap`ed file in place |
 /// | [`Engine::from_index`] | `LibraryIndex::sharded_backend` + `catalog` + `candidate_index` over any loaded index (`LibraryIndex::open` for the same loader over a heap read) |
-/// | [`Engine::from_backend`] | any [`SimilarityBackend`]: the baselines crate, or an index's flat `to_exact_backend` / `to_accelerator` as the unsharded reference |
+/// | [`Engine::from_backend`] | any [`RunScorer`] as one shard over all references: the baselines crate (ANN-SoLo), or an index's own `to_exact_backend` / `to_accelerator` |
 ///
 /// Queries run through a [`Session`] (streaming, cross-batch FDR) or the
 /// one-shot [`Engine::search`] convenience (per-batch FDR, the classic
 /// behaviour).
 pub struct Engine {
-    backend: EngineBackend,
+    backend: ShardedBackend,
     /// The reference catalog and candidate index: the index's own tables
     /// for index-backed engines (shared, not re-derived).
     meta: Arc<ReferenceMeta>,
@@ -252,9 +210,8 @@ impl Engine {
     ///
     /// Fails when the index cannot reconstruct its backend kind.
     pub fn from_index(index: LibraryIndex, threads: usize) -> Result<Engine, IndexError> {
-        let backend = index.sharded_backend(threads)?;
         Ok(Engine {
-            backend: EngineBackend::Sharded(backend),
+            backend: index.sharded_backend(threads)?,
             meta: index.catalog(),
             candidates: index.candidate_index(),
             preprocess: index.kind().preprocess(),
@@ -265,17 +222,19 @@ impl Engine {
         })
     }
 
-    /// Construction over **any** scoring backend (the escape hatch for
-    /// backends without an index kind, e.g. the ANN-SoLo baseline, and
-    /// for an index's flat backends when a test wants the unsharded
-    /// reference scan). `preprocess` must match the configuration the
-    /// backend's references were preprocessed with.
+    /// Construction over **any** scorer (the escape hatch for backends
+    /// without an index kind, e.g. the ANN-SoLo baseline): `scorer` runs
+    /// as one shard over all of `meta`'s references
+    /// ([`ShardedBackend::one_shard`]), so its batches honour the worker
+    /// budget and carry shard timings like every other engine's, and it
+    /// reports under the scorer's own name. `preprocess` must match the
+    /// configuration the scorer's references were preprocessed with.
     ///
     /// # Panics
     ///
     /// Panics on empty metadata.
-    pub fn from_backend(
-        backend: Box<dyn SimilarityBackend + Send + Sync>,
+    pub fn from_backend<S: RunScorer + Send + Sync + 'static>(
+        scorer: Box<S>,
         preprocess: PreprocessConfig,
         meta: ReferenceMeta,
         threads: usize,
@@ -285,7 +244,7 @@ impl Engine {
             "an engine needs at least one reference"
         );
         Engine {
-            backend: EngineBackend::Flat(backend),
+            backend: ShardedBackend::one_shard(scorer, meta.reference_count(), threads),
             candidates: meta.candidate_index(),
             meta: Arc::new(meta),
             preprocess,
@@ -321,9 +280,8 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// `TopK` requires an index-backed engine on the sharded backend
-    /// (flat backends exist for apples-to-apples scans of the full
-    /// candidate list); `Off` always succeeds.
+    /// `TopK` requires an index-backed engine (the sketches are the
+    /// index's); `Off` always succeeds.
     pub fn set_prefilter(&mut self, config: PrefilterConfig) -> Result<(), String> {
         self.ready_prefilter(config)?;
         self.prefilter = config;
@@ -336,12 +294,6 @@ impl Engine {
     fn ready_prefilter(&self, config: PrefilterConfig) -> Result<(), String> {
         if config.is_off() {
             return Ok(());
-        }
-        if !matches!(self.backend, EngineBackend::Sharded(_)) {
-            return Err(
-                "the prefilter requires the sharded backend (flat backends exist to scan the full candidate list)"
-                    .to_owned(),
-            );
         }
         let Some(index) = &self.index else {
             return Err("the prefilter requires an index-backed engine".to_owned());
@@ -374,7 +326,7 @@ impl Engine {
 
     /// The scoring backend's report name.
     pub fn backend_name(&self) -> String {
-        self.backend.name()
+        self.backend.name().to_owned()
     }
 
     /// The preprocessing configuration queries are run through (always
@@ -403,9 +355,9 @@ impl Engine {
         self.threads
     }
 
-    /// Point this engine's series ([`EngineSeries`], and on sharded
-    /// engines the backend's per-shard-visit series) at `registry`, so
-    /// they are exported with everything else registered there. Call
+    /// Point this engine's series ([`EngineSeries`] and the backend's
+    /// per-shard-visit series) at `registry`, so they are exported with
+    /// everything else registered there. Call
     /// before wrapping the engine in an `Arc` (the server does this for
     /// every resident engine). Series are shared by name, so many
     /// engines on one registry report together.
@@ -415,9 +367,7 @@ impl Engine {
     /// numbers land and nothing else: PSM tables are byte-identical
     /// either way (asserted in `crates/engine/tests/equivalence.rs`).
     pub fn attach_metrics(&mut self, registry: &Registry) {
-        if let EngineBackend::Sharded(backend) = &mut self.backend {
-            backend.attach_metrics(registry);
-        }
+        self.backend.attach_metrics(registry);
         self.series = EngineSeries::register(registry);
     }
 
@@ -601,7 +551,7 @@ impl Engine {
             self.backend.search_batch_traced(
                 &merged_binned,
                 &merged_cands,
-                workers.max(1),
+                Some(workers.max(1)),
                 narrowing.as_ref().map(|(sketch, k)| (sketch.as_ref(), *k)),
             )
         });
@@ -700,7 +650,7 @@ pub struct BatchReceipt {
     /// Wall-clock spent scoring sketches and narrowing, milliseconds
     /// (0 when the prefilter is off).
     pub sketch_ms: f64,
-    /// Shard visits this batch cost (0 on unsharded engines).
+    /// Shard visits this batch cost.
     pub shards_touched: usize,
     /// Engine time attributed to this batch, milliseconds: by
     /// definition the sum of `stages` — its own encode and candidate
@@ -713,8 +663,8 @@ pub struct BatchReceipt {
     /// (`finalize_ms` is 0 on a submit receipt; the one-shot
     /// [`Engine::search`] paths fill it in after finalizing).
     pub stages: StageTimings,
-    /// Wall-clock per shard this batch's scoring visited (empty on
-    /// unsharded engines), sorted by shard position.
+    /// Wall-clock per shard this batch's scoring visited, sorted by
+    /// shard position.
     pub shard_timings: Vec<ShardTiming>,
 }
 
@@ -887,7 +837,7 @@ impl Session {
         };
         (
             PipelineOutcome {
-                backend_name: self.engine.backend.name(),
+                backend_name: self.engine.backend_name(),
                 psms: self.psms,
                 accepted,
                 threshold_score,

@@ -15,15 +15,22 @@
 //! byte-identical tables across distance kernels over a mapped
 //! iprg2012 index. `every_construction_derives_the_one_catalog` holds an
 //! index's per-id tables — built in one walk over its shards — to the
-//! library they describe and to the engine that reads them.
+//! library they describe and to the engine that reads them. A
+//! `from_backend` engine is a sharded engine of one shard:
+//! `warm_engine_over_persisted_index_matches_cold` and
+//! `custom_backend_engines_match_the_pipeline` hold it to the index's
+//! shard walk and to the flat pipeline loop, at any worker budget.
 
 use hdoms_baselines::annsolo::{AnnSoloBackend, AnnSoloConfig};
-use hdoms_engine::{Engine, ReferenceMeta, Session};
+use hdoms_engine::{BatchReceipt, Engine, ReferenceMeta, Session};
 use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::library::SpectralLibrary;
-use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
+use hdoms_ms::preprocess::Preprocessor;
+use hdoms_ms::spectrum::Spectrum;
+use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig, PipelineOutcome, ReferenceCatalog};
 use hdoms_oms::psm::render_table;
+use hdoms_oms::search::candidate_lists;
 use hdoms_oms::window::PrecursorWindow;
 use std::sync::Arc;
 
@@ -52,22 +59,44 @@ fn open_heap_read(path: &std::path::Path) -> Arc<Engine> {
     Arc::new(Engine::from_index(index, THREADS).expect("an index wires its own kind"))
 }
 
-/// The classic path: `OmsPipeline::run_catalog` over the same index and
-/// sharded backend the engine wired (what `search --index` ran before
-/// the engine existed).
-fn classic_outcome(
-    engine: &Engine,
-    workload: &SyntheticWorkload,
-) -> hdoms_oms::pipeline::PipelineOutcome {
+/// The classic path: `OmsPipeline::run_catalog` over the same index
+/// with its flat exact backend — the pipeline's per-query loop, not the
+/// engine's shard walk. The flat loop reports the scorer's own name;
+/// everything else must match the engine.
+fn classic_outcome(engine: &Engine, queries: &[Spectrum]) -> PipelineOutcome {
     let index = engine.index().expect("index-backed engine");
-    let mut config = PipelineConfig {
+    let config = PipelineConfig {
+        preprocess: index.kind().preprocess(),
         window: PrecursorWindow::open_default(),
         fdr_level: 0.01,
         ..PipelineConfig::default()
     };
-    config.preprocess = index.kind().preprocess();
-    let backend = index.sharded_backend(THREADS).expect("same kind");
-    OmsPipeline::new(config).run_catalog(&workload.queries, index, &backend)
+    let backend = index.to_exact_backend(THREADS).expect("same kind");
+    PipelineOutcome {
+        backend_name: engine.backend_name(),
+        ..OmsPipeline::new(config).run_catalog(queries, index, &backend)
+    }
+}
+
+/// A `from_backend` engine's receipt: exactly one [`ShardTiming`]
+/// (shard 0), visited once per binned query with a non-empty candidate
+/// list.
+///
+/// [`ShardTiming`]: hdoms_engine::ShardTiming
+fn assert_one_shard(engine: &Engine, queries: &[Spectrum], receipt: &BatchReceipt) {
+    let (binned, _) = Preprocessor::new(engine.preprocess()).run_batch(queries);
+    let window = PrecursorWindow::open_default();
+    let lists = candidate_lists(&engine.meta().candidate_index(), &window, &binned);
+    let reached = lists.iter().filter(|list| !list.is_empty()).count();
+    let shards: Vec<(u32, u64)> = (receipt.shard_timings.iter())
+        .map(|t| (t.shard, t.visits))
+        .collect();
+    assert_eq!(
+        shards,
+        [(0, reached as u64)],
+        "one shard, one visit per query"
+    );
+    assert_eq!(receipt.shards_touched, reached);
 }
 
 #[test]
@@ -99,7 +128,7 @@ fn streamed_batches_finalize_byte_identical_to_one_run() {
 #[test]
 fn session_matches_the_classic_pipeline_path() {
     let (workload, engine) = tiny_engine(9002);
-    let classic = classic_outcome(&engine, &workload);
+    let classic = classic_outcome(&engine, &workload.queries);
     let (engine_outcome, receipt) =
         engine.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
     assert_eq!(engine_outcome, classic);
@@ -120,15 +149,7 @@ fn per_batch_filtering_stays_reachable() {
     let chunk = workload.queries.len().div_ceil(3);
     for (i, batch) in workload.queries.chunks(chunk).enumerate() {
         let (one_shot, _) = engine.search(batch, PrecursorWindow::open_default(), 0.01);
-        let index = engine.index().expect("index-backed");
-        let mut config = PipelineConfig {
-            window: PrecursorWindow::open_default(),
-            fdr_level: 0.01,
-            ..PipelineConfig::default()
-        };
-        config.preprocess = index.kind().preprocess();
-        let backend = index.sharded_backend(THREADS).expect("same kind");
-        let classic = OmsPipeline::new(config).run_catalog(batch, index, &backend);
+        let classic = classic_outcome(&engine, batch);
         assert_eq!(
             one_shot, classic,
             "batch {i} diverged from the classic path"
@@ -139,7 +160,10 @@ fn per_batch_filtering_stays_reachable() {
 #[test]
 fn custom_backend_engines_match_the_pipeline() {
     // The escape hatch: a baseline backend without an index kind routed
-    // through the engine must score exactly like the classic pipeline.
+    // through the engine — one shard of the engine's loop — must score
+    // exactly like the classic pipeline's flat loop, name included, and
+    // under any worker budget (the flat loop runs at the scorer's own
+    // thread count whatever the engine is granted).
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 9004);
     let config = AnnSoloConfig {
         threads: THREADS,
@@ -163,8 +187,16 @@ fn custom_backend_engines_match_the_pipeline() {
         ReferenceMeta::from_library(&workload.library),
         THREADS,
     ));
-    let (outcome, _) = engine.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
+    let window = PrecursorWindow::open_default();
+    let (outcome, receipt) = engine.search(&workload.queries, window, 0.01);
     assert_eq!(outcome, classic);
+    assert_eq!(outcome.backend_name, "ann-solo");
+    assert_one_shard(&engine, &workload.queries, &receipt);
+    let (solo, solo_receipt) = engine
+        .search_with_workers_opts(&workload.queries, window, 0.01, 1, None)
+        .expect("no override to validate");
+    assert_eq!(solo, classic, "a 1-worker budget changed the rows");
+    assert_one_shard(&engine, &workload.queries, &solo_receipt);
 }
 
 #[test]
@@ -390,21 +422,33 @@ fn warm_engine_over_persisted_index_matches_cold() {
     let (warm_outcome, _) = warm.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
     assert_eq!(cold_outcome, warm_outcome);
 
-    // The flat (unsharded) warm mode scores identically too.
+    // The index's own scorer through `from_backend` is a sharded engine
+    // of one shard: the index's rows and counts at every worker budget,
+    // under the scorer's own name.
     let index = warm.index().expect("warm keeps index");
-    let flat = Arc::new(Engine::from_backend(
+    let one_shard = Arc::new(Engine::from_backend(
         Box::new(index.to_exact_backend(THREADS).expect("same kind")),
         index.kind().preprocess(),
         ReferenceMeta::clone(&index.catalog()),
         THREADS,
     ));
-    let (flat_outcome, flat_receipt) =
-        flat.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
-    assert_eq!(flat_outcome.psms, warm_outcome.psms);
-    assert_eq!(
-        flat_receipt.shards_touched, 0,
-        "flat engines have no shards"
-    );
+    assert_eq!(one_shard.backend_name(), "exact-hd");
+    let window = PrecursorWindow::open_default();
+    for workers in [1, 2, 3, 7] {
+        let run = |engine: &Arc<Engine>| {
+            let searched =
+                engine.search_with_workers_opts(&workload.queries, window, 0.01, workers, None);
+            searched.expect("no override to validate")
+        };
+        let ((sharded, sharded_receipt), (single, single_receipt)) = (run(&warm), run(&one_shard));
+        assert_eq!(single.psms, sharded.psms, "{workers} workers: PSM rows");
+        assert_eq!(single.threshold_score, sharded.threshold_score);
+        assert_eq!(single.identifications(), sharded.identifications());
+        let candidates =
+            |r: &BatchReceipt| (r.candidates_scored, r.candidates_pre, r.candidates_post);
+        assert_eq!(candidates(&single_receipt), candidates(&sharded_receipt));
+        assert_one_shard(&one_shard, &workload.queries, &single_receipt);
+    }
 }
 
 #[test]

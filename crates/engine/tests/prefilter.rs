@@ -205,20 +205,6 @@ fn per_batch_override_matches_the_engine_default() {
 fn topk_is_rejected_off_the_sharded_index_path() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 7005);
 
-    // Flat (unsharded) warm engine: no shard walk to narrow.
-    let index = engine_for(&workload, DIM, 64)
-        .index()
-        .expect("cold keeps index")
-        .clone();
-    let mut flat = Engine::from_backend(
-        Box::new(index.to_exact_backend(THREADS).expect("same kind")),
-        index.kind().preprocess(),
-        ReferenceMeta::clone(&index.catalog()),
-        THREADS,
-    );
-    assert!(flat.set_prefilter(PrefilterConfig::TopK(16)).is_err());
-    assert!(flat.set_prefilter(PrefilterConfig::Off).is_ok());
-
     // Custom-backend engine: no index to sketch.
     let config = hdoms_baselines::annsolo::AnnSoloConfig {
         threads: THREADS,
@@ -235,8 +221,8 @@ fn topk_is_rejected_off_the_sharded_index_path() {
     assert!(custom.set_prefilter(PrefilterConfig::Off).is_ok());
 
     // The per-batch override path enforces the same contract.
-    let flat = Arc::new(flat);
-    assert!(flat
+    let custom = Arc::new(custom);
+    assert!(custom
         .search_with_workers_opts(
             &workload.queries,
             PrecursorWindow::open_default(),

@@ -43,9 +43,11 @@
 //! ## Workflow
 //!
 //! ```
+//! use hdoms_engine::Engine;
 //! use hdoms_index::{IndexBuilder, IndexConfig, LibraryIndex};
 //! use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
-//! use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
+//! use hdoms_oms::window::PrecursorWindow;
+//! use std::sync::Arc;
 //!
 //! let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 42);
 //!
@@ -61,11 +63,8 @@
 //!
 //! // Warm load: no re-encoding, and searches produce identical PSMs.
 //! let loaded = LibraryIndex::open(&dir, 4).unwrap();
-//! let backend = loaded.sharded_backend(4).unwrap();
-//! let mut pipeline_config = PipelineConfig::fast_test();
-//! pipeline_config.exact.encoder.dim = 2048;
-//! let pipeline = OmsPipeline::new(pipeline_config);
-//! let outcome = pipeline.run_catalog(&workload.queries, &loaded, &backend);
+//! let engine = Arc::new(Engine::from_index(loaded, 4).unwrap());
+//! let (outcome, _) = engine.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
 //! assert!(!outcome.accepted.is_empty());
 //! # std::fs::remove_file(&dir).ok();
 //! ```

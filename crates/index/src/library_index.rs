@@ -4,7 +4,7 @@ use crate::format::{
     self, need, Frame, Get, Header, ImageLayout, IndexError, IndexedBackendKind, MlcState, Put,
     FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION,
 };
-use crate::sharded::{BoxedScorer, ShardedBackend};
+use crate::sharded::ShardedBackend;
 use crate::wire::Reader;
 use hdoms_core::accelerator::{AcceleratorConfig, BuildStats, OmsAccelerator, StatsFold};
 use hdoms_core::encode::InMemoryEncoder;
@@ -514,18 +514,17 @@ impl LibraryIndex {
     ///
     /// None today: every kind has a scorer.
     pub fn sharded_backend(&self, threads: usize) -> Result<ShardedBackend, IndexError> {
-        let scorer: BoxedScorer = match self.backend() {
+        let (shard_of, shards) = (self.shard_assignment(), self.shards().len());
+        Ok(match self.backend() {
             KindBackend::Software(backend) => {
-                Box::new(backend.over(self.references.clone(), threads))
+                let scorer = backend.over(self.references.clone(), threads);
+                ShardedBackend::new(Box::new(scorer), shard_of, shards, threads)
             }
-            KindBackend::Rram(..) => Box::new(self.to_accelerator(threads)?),
-        };
-        Ok(ShardedBackend::new(
-            scorer,
-            self.shard_assignment(),
-            self.shards().len(),
-            threads,
-        ))
+            KindBackend::Rram(..) => {
+                let scorer = self.to_accelerator(threads)?;
+                ShardedBackend::new(Box::new(scorer), shard_of, shards, threads)
+            }
+        })
     }
 
     // -- incremental append ----------------------------------------------

@@ -13,28 +13,26 @@
 //!   shard runs, so even a single interactive query saturates the
 //!   workers.
 //!
-//! This is the second loop over the backend seam
-//! ([`hdoms_oms::search::RunScorer`]: encode a query once, score one
-//! candidate run), beside the flat per-query loop in `hdoms-oms` — the
-//! backend behind it is whichever the index kind names, boxed, and
-//! nothing here knows which. Scores are bit-identical to the flat loop:
-//! every per-(query, reference) evaluation is deterministic and
-//! per-shard winners merge through the same
+//! It is the one loop every engine scores through, written once over
+//! the backend seam ([`hdoms_oms::search::RunScorer`]: encode a query
+//! once, score one candidate run) and compiled per scorer behind one
+//! boxed seam, so nothing here knows which backend it drives: the one an
+//! index's kind names, or a scorer without an index kind (ANN-SoLo) as
+//! one shard over every reference ([`ShardedBackend::one_shard`]).
+//! Scores are bit-identical to the flat per-query loop
+//! ([`hdoms_oms::search::best_hits`], the oracle the fan-out is tested
+//! against): every per-(query, reference) evaluation is deterministic
+//! and per-shard winners merge through the same
 //! [`SearchHit::fold_into`] order the scans reduce through.
 
 use hdoms_hdc::parallel::par_map;
-use hdoms_hdc::BinaryHypervector;
 use hdoms_ms::preprocess::BinnedSpectrum;
 use hdoms_obs::metrics::Registry;
-use hdoms_oms::search::{RunScorer, SearchHit, SimilarityBackend};
+use hdoms_oms::search::{PreparedQuery, RunScorer, SearchHit};
 use hdoms_prefilter::{PrefilterStats, SketchIndex};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// The backend a [`ShardedBackend`] fans out over: any hypervector
-/// scorer (the sketch prefilter reads the encoded query's words).
-pub(crate) type BoxedScorer = Box<dyn RunScorer<Query = BinaryHypervector> + Send>;
 
 /// Wall-clock spent scoring one shard during a batch search.
 ///
@@ -113,18 +111,19 @@ hdoms_obs::metrics::series! {
     }
 }
 
-/// Sharded, shard-parallel search backend over an indexed library.
+/// Sharded, shard-parallel search backend: the scoring stage of every
+/// engine.
 ///
 /// Construct through
-/// [`LibraryIndex::sharded_backend`](crate::LibraryIndex::sharded_backend);
-/// the backend shares the index's reference-hypervector table rather
+/// [`LibraryIndex::sharded_backend`](crate::LibraryIndex::sharded_backend)
+/// — the backend shares the index's reference-hypervector table rather
 /// than cloning it, so index + backend hold one copy of the encoded
-/// library.
+/// library — or, for a scorer without an index kind, through
+/// [`ShardedBackend::one_shard`].
 ///
 /// ```
 /// use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind};
 /// use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
-/// use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
 ///
 /// let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 5);
 /// let mut config = IndexConfig {
@@ -139,15 +138,12 @@ hdoms_obs::metrics::series! {
 ///
 /// let backend = index.sharded_backend(2).unwrap();
 /// assert_eq!(backend.shard_count(), index.shards().len());
-///
-/// let mut pipeline_config = PipelineConfig::fast_test();
-/// pipeline_config.exact.encoder.dim = 512;
-/// let outcome = OmsPipeline::new(pipeline_config)
-///     .run_catalog(&workload.queries, &index, &backend);
-/// assert!(!outcome.psms.is_empty());
+/// assert_eq!(backend.name(), format!("sharded(exact-hd, {} shards)", index.shards().len()));
 /// ```
 pub struct ShardedBackend {
-    scorer: BoxedScorer,
+    scorer: Box<dyn QueryScorer>,
+    /// The name reports carry.
+    name: String,
     /// Dense id → shard position: the index's table, shared.
     shard_of: Arc<[u32]>,
     shard_count: usize,
@@ -155,20 +151,74 @@ pub struct ShardedBackend {
     series: ShardSeries,
 }
 
+/// The one erased seam: a scorer's per-query walk, compiled once per
+/// [`RunScorer`] (so the per-run calls stay static) and boxed, so a
+/// [`ShardedBackend`] is one type whatever it scores with.
+trait QueryScorer: Send + Sync {
+    fn score_query(
+        &self,
+        backend: &ShardedBackend,
+        binned: &BinnedSpectrum,
+        candidates: &[u32],
+        parallel_shards: usize,
+        prefilter: Option<(&SketchIndex, usize)>,
+    ) -> QueryRecord;
+}
+
+impl<S: RunScorer + Send> QueryScorer for S {
+    fn score_query(
+        &self,
+        backend: &ShardedBackend,
+        binned: &BinnedSpectrum,
+        candidates: &[u32],
+        parallel_shards: usize,
+        prefilter: Option<(&SketchIndex, usize)>,
+    ) -> QueryRecord {
+        backend.search_query(self, binned, candidates, parallel_shards, prefilter)
+    }
+}
+
 impl ShardedBackend {
-    pub(crate) fn new(
-        scorer: BoxedScorer,
+    /// `scorer` fanned out over an index's shards (`shard_of` maps each
+    /// dense id to its shard position), reporting as
+    /// `sharded(<scorer>, <N> shards)`.
+    pub(crate) fn new<S: RunScorer + Send + Sync + 'static>(
+        scorer: Box<S>,
         shard_of: Arc<[u32]>,
         shard_count: usize,
         threads: usize,
     ) -> ShardedBackend {
         ShardedBackend {
+            name: format!("sharded({}, {shard_count} shards)", scorer.report_name()),
             scorer,
             shard_of,
             shard_count,
             threads: threads.max(1),
             series: ShardSeries::default(),
         }
+    }
+
+    /// `scorer` over references `0..references` as one shard, reporting
+    /// under the scorer's own name: how an engine runs a backend that
+    /// has no index kind (ANN-SoLo), with the same records, worker
+    /// budget and series as every other engine.
+    pub fn one_shard<S: RunScorer + Send + Sync + 'static>(
+        scorer: Box<S>,
+        references: usize,
+        threads: usize,
+    ) -> ShardedBackend {
+        let name = scorer.report_name();
+        let shard_of = std::iter::repeat_n(0, references).collect();
+        ShardedBackend {
+            name,
+            ..ShardedBackend::new(scorer, shard_of, 1, threads)
+        }
+    }
+
+    /// The name reports carry: `sharded(<scorer>, <N> shards)` over an
+    /// index, the scorer's own name for [`ShardedBackend::one_shard`].
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// Number of shards the library is split into.
@@ -191,8 +241,9 @@ impl ShardedBackend {
     /// `parallel_shards` (> 1) switches the per-shard scoring onto that
     /// many worker threads (used when the batch itself is too small to
     /// parallelise over queries).
-    fn search_query(
+    fn search_query<S: RunScorer>(
         &self,
+        scorer: &S,
         binned: &BinnedSpectrum,
         candidates: &[u32],
         parallel_shards: usize,
@@ -202,7 +253,7 @@ impl ShardedBackend {
         if candidates.is_empty() {
             return record;
         }
-        let query_hv = self.scorer.prepare(binned);
+        let query = scorer.prepare(binned);
         // The sketch stage sits between encode and the shard walk: the
         // narrowed list keeps the original (ascending-mass) candidate
         // order, so the run partition below stays valid.
@@ -210,8 +261,11 @@ impl ShardedBackend {
         let candidates = match prefilter {
             None => candidates,
             Some((sketch, k)) => {
+                let words = query
+                    .hv_words()
+                    .expect("the sketch stage needs a hypervector query");
                 let start = Instant::now();
-                let signature = sketch.sketch_query(query_hv.words());
+                let signature = sketch.sketch_query(words);
                 narrowed = sketch.narrow(&signature, candidates, k);
                 record.candidates_pre = candidates.len() as u64;
                 record.candidates_post = narrowed.len() as u64;
@@ -226,7 +280,7 @@ impl ShardedBackend {
         let runs: Vec<&[u32]> = candidates.chunk_by(|a, b| shard(a) == shard(b)).collect();
         let score = |run: &[u32]| {
             let start = Instant::now();
-            let hit = self.scorer.best_in(binned, &query_hv, run);
+            let hit = scorer.best_in(binned, &query, run);
             let ns = start.elapsed().as_nanos() as u64;
             self.series.score_ms.record_ms(ns as f64 / 1e6);
             self.series.visits.inc();
@@ -292,8 +346,9 @@ impl ShardedBackend {
     ///
     /// # Panics
     ///
-    /// Panics when `queries` and `candidates` do not pair up, or the
-    /// sketch does not cover the backend's reference ids.
+    /// Panics when `queries` and `candidates` do not pair up, the
+    /// sketch does not cover the backend's reference ids, or a sketch is
+    /// passed to a scorer whose queries are not hypervectors.
     pub fn search_batch_traced(
         &self,
         queries: &[BinnedSpectrum],
@@ -308,7 +363,13 @@ impl ShardedBackend {
             "queries and candidate lists must pair up"
         );
         let search = |i: usize, parallel_shards: usize| {
-            self.search_query(&queries[i], &candidates[i], parallel_shards, prefilter)
+            self.scorer.score_query(
+                self,
+                &queries[i],
+                &candidates[i],
+                parallel_shards,
+                prefilter,
+            )
         };
         if queries.len() >= workers {
             // Enough queries to keep every worker busy: parallelise over
@@ -321,21 +382,5 @@ impl ShardedBackend {
             // each query's shards instead.
             (0..queries.len()).map(|i| search(i, workers)).collect()
         }
-    }
-}
-
-impl SimilarityBackend for ShardedBackend {
-    fn name(&self) -> String {
-        let (scorer, shards) = (self.scorer.report_name(), self.shard_count);
-        format!("sharded({scorer}, {shards} shards)")
-    }
-
-    fn search_batch(
-        &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-    ) -> Vec<Option<SearchHit>> {
-        self.search_batch_prefiltered(queries, candidates, None, None)
-            .0
     }
 }

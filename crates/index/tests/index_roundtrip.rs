@@ -5,14 +5,18 @@
 
 use hdoms_baselines::hyperoms::{self, HyperOmsConfig};
 use hdoms_core::accelerator::{AcceleratorConfig, OmsAccelerator};
+use hdoms_engine::Engine;
 use hdoms_index::{
     IndexBuilder, IndexConfig, IndexError, IndexedBackendKind, LibraryIndex, QueryRecord,
 };
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::library::SpectralLibrary;
+use hdoms_ms::spectrum::Spectrum;
 use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig, PipelineOutcome};
 use hdoms_oms::search::{ExactBackend, ExactBackendConfig};
+use hdoms_oms::window::PrecursorWindow;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const TEST_DIM: usize = 512;
 const THREADS: usize = 4;
@@ -93,6 +97,14 @@ fn pipeline() -> OmsPipeline {
     OmsPipeline::new(config)
 }
 
+/// Search `index` the way every product path does — one engine over it
+/// (its shard loop), open window, 1 % FDR — on `threads` workers.
+fn engine_outcome(index: &LibraryIndex, queries: &[Spectrum], threads: usize) -> PipelineOutcome {
+    let engine = Engine::from_index(index.clone(), threads).expect("an index wires its own kind");
+    let window = PrecursorWindow::open_default();
+    Arc::new(engine).search(queries, window, 0.01).0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -129,10 +141,7 @@ fn fails_or_searches(bytes: &[u8], what: &str) {
     ];
     std::fs::remove_file(&path).ok();
     for index in doors.into_iter().flatten() {
-        let backend = index
-            .sharded_backend(2)
-            .unwrap_or_else(|e| panic!("{what}: opened but not searchable: {e}"));
-        let outcome = pipeline().run_catalog(&tiny_workload(7).queries, &index, &backend);
+        let outcome = engine_outcome(&index, &tiny_workload(7).queries, 2);
         for psm in &outcome.psms {
             assert!(
                 (psm.reference_id as usize) < index.entry_count(),
@@ -254,8 +263,7 @@ fn outcomes_for(
     workload: &SyntheticWorkload,
 ) -> (PipelineOutcome, PipelineOutcome) {
     let pipeline = pipeline();
-    let sharded = index.sharded_backend(THREADS).expect("kind matches");
-    let sharded_outcome = pipeline.run_catalog(&workload.queries, index, &sharded);
+    let sharded_outcome = engine_outcome(index, &workload.queries, THREADS);
     let flat_outcome = match index.kind() {
         IndexedBackendKind::Rram(_) => {
             let accel = index.to_accelerator(THREADS).expect("rram kind");
@@ -417,8 +425,7 @@ fn library_encoding_is_pinned() {
             image_digest,
             "{name}: the encoded library changed"
         );
-        let sharded = index.sharded_backend(THREADS).expect("kind matches");
-        let outcome = pipeline().run_catalog(&workload.queries, &index, &sharded);
+        let outcome = engine_outcome(&index, &workload.queries, THREADS);
         assert!(!outcome.psms.is_empty());
         let rows = render_table(index.catalog().peptides(), &outcome);
         assert_eq!(
@@ -609,8 +616,7 @@ fn an_all_rejected_library_wires_up_and_finds_nothing() {
         assert_eq!(built.build_stats().references_rejected, 6, "{name}");
         let reloaded = LibraryIndex::from_bytes(&built.to_bytes(), THREADS).expect("roundtrip");
         for index in [built, reloaded] {
-            let sharded = index.sharded_backend(THREADS).expect("kind matches");
-            let outcome = pipeline().run_catalog(&workload.queries, &index, &sharded);
+            let outcome = engine_outcome(&index, &workload.queries, THREADS);
             assert!(outcome.psms.is_empty(), "{name}: {:?}", outcome.psms);
         }
     }

@@ -42,8 +42,9 @@ use hdoms_engine::Engine;
 use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_obs::alloc::CountingAllocator;
-use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig, ReferenceCatalog, ReferenceMeta};
+use hdoms_oms::pipeline::{ReferenceCatalog, ReferenceMeta};
 use hdoms_oms::search::{ExactBackendConfig, SharedReferences};
+use hdoms_oms::window::PrecursorWindow;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -419,12 +420,13 @@ fn golden_v1_v2_and_v3_images_decode_alike() {
 
     // One loader under both opens: the same index, the same rows.
     let queries = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 7).queries;
-    let mut config = PipelineConfig::fast_test();
-    config.exact.encoder.dim = golden.dim();
-    let pipeline = OmsPipeline::new(config);
     let rows = |index: &LibraryIndex| {
-        let backend = index.sharded_backend(2).expect("kind matches");
-        pipeline.run_catalog(&queries, index, &backend).psms
+        let engine = Engine::from_index(index.clone(), 2).expect("kind matches");
+        let window = PrecursorWindow::open_default();
+        std::sync::Arc::new(engine)
+            .search(&queries, window, 0.01)
+            .0
+            .psms
     };
     let golden_rows = rows(golden);
     assert!(

@@ -20,16 +20,18 @@
 
 use hdoms_baselines::hyperoms::HyperOmsConfig;
 use hdoms_core::accelerator::AcceleratorConfig;
+use hdoms_engine::Engine;
 use hdoms_index::streaming::{StreamingConfig, StreamingIndexBuilder};
 use hdoms_index::{IndexBuilder, IndexConfig, IndexError, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{ScaledLibrary, ScaledLibrarySpec, SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_obs::alloc::CountingAllocator;
-use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
 use hdoms_oms::search::ExactBackendConfig;
+use hdoms_oms::window::PrecursorWindow;
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The shared counting allocator; this suite reads its live bytes and
@@ -367,11 +369,8 @@ fn streamed_image_opens_and_searches() {
     let loaded = LibraryIndex::open(&path, 2).expect("open streamed index");
     assert_eq!(loaded, in_memory);
 
-    let backend = loaded.sharded_backend(4).expect("sharded backend");
-    let mut pipeline_config = PipelineConfig::fast_test();
-    pipeline_config.exact.encoder.dim = TEST_DIM;
-    let pipeline = OmsPipeline::new(pipeline_config);
-    let outcome = pipeline.run_catalog(&workload.queries, &loaded, &backend);
+    let engine = Arc::new(Engine::from_index(loaded, 4).expect("an index wires its own kind"));
+    let (outcome, _) = engine.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
     assert!(
         !outcome.accepted.is_empty(),
         "streamed index produced no PSMs"

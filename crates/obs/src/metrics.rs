@@ -93,6 +93,14 @@ pub const BUCKETS: usize = FINITE_BUCKETS + 1;
 /// resolution is fine where served batches actually land), the sum is
 /// kept in integer nanoseconds, and the observation count is the sum
 /// of the bucket counts — see the module docs for why.
+///
+/// **Mid-flight contract.** A sample is two atomic adds — its bucket,
+/// then the sum — and a snapshot reads the sum, then the buckets. A
+/// snapshot taken while samples land can therefore count an observation
+/// whose time the sum does not hold yet (count 1 and sum 0 on the first
+/// sample), but the sum never outruns the counts: it is at most the
+/// counted observations' bucket bounds added up. Once recording stops,
+/// count and sum agree exactly.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -138,19 +146,20 @@ impl Histogram {
         } else {
             0
         };
-        // Bucket first, then sum: a concurrent snapshot that sees the
-        // new sum without the new bucket would report a mean above the
-        // true one; this order can only under-report the (monotone)
-        // sum, never the count a bucket already shows.
+        // Bucket first, then sum (released): a concurrent snapshot that
+        // sees the new sum without the new bucket would report a mean
+        // above the true one; this order can only under-report the
+        // (monotone) sum, never the count a bucket already shows.
         self.buckets[bucket_of(ms)].fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Release);
     }
 
     /// A consistent point-in-time copy of the bucket counts and sum.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        // Sum before buckets (the reverse of the record order), so the
+        // Sum before buckets (the reverse of the record order), acquired
+        // so every bucket add behind the sum read is visible: the
         // snapshot never shows a sum that outruns its counts.
-        let sum_ns = self.sum_ns.load(Ordering::Relaxed);
+        let sum_ns = self.sum_ns.load(Ordering::Acquire);
         let buckets = std::array::from_fn(|k| self.buckets[k].load(Ordering::Relaxed));
         HistogramSnapshot { buckets, sum_ns }
     }

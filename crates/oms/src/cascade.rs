@@ -8,14 +8,14 @@
 //! pass — modified peptides can only be found in pass two, so competing
 //! them against unmodified matches in one pool would bias the filter.
 //!
-//! The cascade is backend-agnostic: it runs any
-//! [`SimilarityBackend`], including the RRAM accelerator.
+//! The cascade is backend-agnostic: it runs any [`RunScorer`] through
+//! the flat loop ([`best_hits`]), including the RRAM accelerator.
 
 use crate::fdr::filter_fdr;
 use crate::pipeline::ReferenceCatalog;
 use crate::pipeline::{assemble_psms, OmsPipeline, PipelineOutcome};
 use crate::psm::Psm;
-use crate::search::{candidate_lists, SimilarityBackend};
+use crate::search::{best_hits, candidate_lists, RunScorer};
 use crate::window::PrecursorWindow;
 use hdoms_ms::dataset::SyntheticWorkload;
 use hdoms_ms::preprocess::Preprocessor;
@@ -83,7 +83,7 @@ impl Default for CascadeConfig {
 /// # Panics
 ///
 /// Panics if either window is invalid or the FDR level is out of range.
-pub fn run_cascade<B: SimilarityBackend + ?Sized>(
+pub fn run_cascade<B: RunScorer>(
     pipeline: &OmsPipeline,
     config: &CascadeConfig,
     workload: &SyntheticWorkload,
@@ -102,7 +102,7 @@ pub fn run_cascade<B: SimilarityBackend + ?Sized>(
     // Pass 1: standard window over everything.
     let std_cands = candidate_lists(&index, &config.standard_window, &queries);
     let standard_pairs: u64 = std_cands.iter().map(|c| c.len() as u64).sum();
-    let hits = backend.search_batch(&queries, &std_cands);
+    let hits = best_hits(backend, &queries, &std_cands);
     let psms = assemble_psms(&queries, &hits, &workload.library);
     let standard_accepted = filter_fdr(&psms, config.fdr_level).accepted;
     let identified: std::collections::HashSet<u32> =
@@ -116,7 +116,7 @@ pub fn run_cascade<B: SimilarityBackend + ?Sized>(
         .collect();
     let open_cands = candidate_lists(&index, &config.open_window, &remaining);
     let open_pairs: u64 = open_cands.iter().map(|c| c.len() as u64).sum();
-    let hits = backend.search_batch(&remaining, &open_cands);
+    let hits = best_hits(backend, &remaining, &open_cands);
     let psms = assemble_psms(&remaining, &hits, &workload.library);
     let open_accepted = filter_fdr(&psms, config.fdr_level).accepted;
 

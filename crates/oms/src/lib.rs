@@ -11,9 +11,10 @@
 //! * the mass-sorted candidate index ([`candidates`]);
 //! * peptide-spectrum matches ([`psm`]);
 //! * target-decoy false-discovery-rate filtering, §3.4 ([`fdr`]);
-//! * the [`search::SimilarityBackend`] trait with an exact HD
-//!   implementation (optionally with injected bit errors for the Fig. 11
-//!   robustness study) ([`search`]);
+//! * the [`search::RunScorer`] backend seam and its flat per-query loop
+//!   ([`search::best_hits`]), with an exact HD implementation (optionally
+//!   with injected bit errors for the Fig. 11 robustness study)
+//!   ([`search`]);
 //! * end-to-end orchestration with ground-truth evaluation
 //!   ([`pipeline`]).
 //!
@@ -46,5 +47,5 @@ pub use candidates::CandidateIndex;
 pub use fdr::{filter_fdr, FdrOutcome};
 pub use pipeline::{assemble_psms, OmsPipeline, PipelineConfig, PipelineOutcome, ReferenceCatalog};
 pub use psm::Psm;
-pub use search::{ExactBackend, ExactBackendConfig, SearchHit, SimilarityBackend};
+pub use search::{ExactBackend, ExactBackendConfig, SearchHit};
 pub use window::PrecursorWindow;

@@ -11,7 +11,7 @@ use crate::candidates::CandidateIndex;
 use crate::fdr::{filter_fdr, FdrOutcome};
 use crate::psm::Psm;
 use crate::search::{
-    candidate_lists, ExactBackend, ExactBackendConfig, SearchHit, SimilarityBackend,
+    best_hits, candidate_lists, ExactBackend, ExactBackendConfig, RunScorer, SearchHit,
 };
 use crate::window::PrecursorWindow;
 use hdoms_ms::dataset::SyntheticWorkload;
@@ -201,8 +201,6 @@ pub struct PipelineConfig {
     pub window: PrecursorWindow,
     /// FDR acceptance level (the paper filters at the conventional 1 %).
     pub fdr_level: f64,
-    /// Worker threads.
-    pub threads: usize,
     /// Configuration for the built-in exact backend used by
     /// [`OmsPipeline::run_exact`].
     pub exact: ExactBackendConfig,
@@ -214,7 +212,6 @@ impl Default for PipelineConfig {
             preprocess: PreprocessConfig::default(),
             window: PrecursorWindow::open_default(),
             fdr_level: 0.01,
-            threads: hdoms_hdc::parallel::default_threads(),
             exact: ExactBackendConfig::default(),
         }
     }
@@ -228,7 +225,6 @@ impl PipelineConfig {
         let mut config = PipelineConfig::default();
         config.exact.encoder.dim = 2048;
         config.exact.threads = 4;
-        config.threads = 4;
         config
     }
 }
@@ -357,11 +353,7 @@ impl OmsPipeline {
     }
 
     /// Run the full pipeline over `workload` with `backend`.
-    pub fn run<B: SimilarityBackend + ?Sized>(
-        &self,
-        workload: &SyntheticWorkload,
-        backend: &B,
-    ) -> PipelineOutcome {
+    pub fn run<B: RunScorer>(&self, workload: &SyntheticWorkload, backend: &B) -> PipelineOutcome {
         self.run_catalog(&workload.queries, &workload.library, backend)
     }
 
@@ -371,7 +363,8 @@ impl OmsPipeline {
     /// This is the entry point for index-backed searches: the catalog may
     /// be a [`SpectralLibrary`] or a loaded `hdoms-index`, and the backend
     /// is whatever was reconstructed (or built) over the same references.
-    /// Preprocess, look up candidates, score, assemble, filter.
+    /// Preprocess, look up candidates, score ([`best_hits`], at the
+    /// backend's own thread count), assemble, filter.
     pub fn run_catalog<B, C>(
         &self,
         queries: &[Spectrum],
@@ -379,7 +372,7 @@ impl OmsPipeline {
         backend: &B,
     ) -> PipelineOutcome
     where
-        B: SimilarityBackend + ?Sized,
+        B: RunScorer,
         C: ReferenceCatalog + ?Sized,
     {
         let pre = Preprocessor::new(self.config.preprocess);
@@ -391,7 +384,7 @@ impl OmsPipeline {
         } else {
             candidates.iter().map(Vec::len).sum::<usize>() as f64 / binned_queries.len() as f64
         };
-        let hits = backend.search_batch(&binned_queries, &candidates);
+        let hits = best_hits(backend, &binned_queries, &candidates);
         let psms = assemble_psms(&binned_queries, &hits, catalog);
 
         let FdrOutcome {
@@ -402,7 +395,7 @@ impl OmsPipeline {
         } = filter_fdr(&psms, self.config.fdr_level);
 
         PipelineOutcome {
-            backend_name: backend.name(),
+            backend_name: backend.report_name(),
             psms,
             accepted,
             threshold_score,

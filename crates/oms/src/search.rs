@@ -4,10 +4,9 @@
 //! crossbar: a [`RunScorer`] **prepares** a query once (§4.2 encode, with
 //! the backend's own error injection) and finds the **best hit in one
 //! run** of candidate ids (§4.1 search). Everything around them is
-//! written once: the flat per-query loop (every [`RunScorer`] is a
-//! [`SimilarityBackend`] through it — what the pipeline, the figure
-//! binaries and `Engine::from_backend` drive), the shard fan-out of
-//! `hdoms-index`'s `ShardedBackend` (the loop every production query
+//! written once: the flat per-query loop [`best_hits`] (what the
+//! pipeline, the cascade and the figure binaries drive), the shard
+//! fan-out of `hdoms-index`'s `ShardedBackend` (the loop every engine
 //! runs, tested hit for hit against the flat one), and the
 //! `(score desc, id asc)` order every byte-identity gate depends on
 //! ([`SearchHit::fold_into`]).
@@ -326,26 +325,6 @@ fn fold_tile(dim: usize, ids: &[u32], scores: &[i64], best: &mut Option<SearchHi
     }
 }
 
-/// A pluggable scoring backend for the OMS pipeline, object-safe so an
-/// engine can hold any of them boxed. Backends implement [`RunScorer`];
-/// the flat per-query loop below is their `SimilarityBackend` view.
-pub trait SimilarityBackend {
-    /// A short human-readable name ("exact-hd", "ann-solo", …) used in
-    /// reports.
-    fn name(&self) -> String;
-
-    /// For each query, score it against its candidate references and
-    /// return the best hit (or `None` for an empty candidate list).
-    ///
-    /// `queries[i]` pairs with `candidates[i]`; implementations must
-    /// preserve order.
-    fn search_batch(
-        &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-    ) -> Vec<Option<SearchHit>>;
-}
-
 /// What a scoring backend is: encode a query once, score one run of
 /// candidates. Results must be deterministic per `(query, reference)` —
 /// independent of which run a candidate arrives in and of the other
@@ -356,12 +335,12 @@ pub trait RunScorer: Sync {
     /// The prepared form of one query — its encoded hypervector for the
     /// HD backends, `()` for backends that score the binned spectrum
     /// directly.
-    type Query;
+    type Query: PreparedQuery;
 
     /// The name reports carry ("exact-hd", "ann-solo", …).
     fn report_name(&self) -> String;
 
-    /// Worker threads the flat loop spreads a batch over.
+    /// Worker threads the flat loop ([`best_hits`]) spreads a batch over.
     fn threads(&self) -> usize;
 
     /// Encode `binned` once, applying the backend's configured
@@ -379,30 +358,50 @@ pub trait RunScorer: Sync {
     ) -> Option<SearchHit>;
 }
 
-/// The flat per-query loop, written once: prepare each query and score
-/// its whole candidate list as a single run, in parallel over queries.
-/// This is the reference `ShardedBackend`'s fan-out is tested against.
-impl<S: RunScorer> SimilarityBackend for S {
-    fn name(&self) -> String {
-        self.report_name()
-    }
+/// A prepared query as the sketch prefilter sees it: a hypervector
+/// offers its packed words to sketch, a query scored as its binned
+/// spectrum (`()`) offers none.
+pub trait PreparedQuery: Sync {
+    /// The query hypervector's packed words, if the query is one.
+    fn hv_words(&self) -> Option<&[u64]>;
+}
 
-    fn search_batch(
-        &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-    ) -> Vec<Option<SearchHit>> {
-        assert_eq!(
-            queries.len(),
-            candidates.len(),
-            "queries and candidate lists must pair up"
-        );
-        let jobs: Vec<usize> = (0..queries.len()).collect();
-        par_map(&jobs, self.threads(), |&i| {
-            let query = self.prepare(&queries[i]);
-            self.best_in(&queries[i], &query, &candidates[i])
-        })
+impl PreparedQuery for BinaryHypervector {
+    fn hv_words(&self) -> Option<&[u64]> {
+        Some(self.words())
     }
+}
+
+impl PreparedQuery for () {
+    fn hv_words(&self) -> Option<&[u64]> {
+        None
+    }
+}
+
+/// The flat per-query loop, written once: prepare each query and score
+/// its whole candidate list as a single run, in parallel over queries on
+/// the scorer's [`RunScorer::threads`]. `queries[i]` pairs with
+/// `candidates[i]`; an empty list gives `None`. This is the oracle
+/// `ShardedBackend`'s fan-out is tested against.
+///
+/// # Panics
+///
+/// Panics when `queries` and `candidates` do not pair up.
+pub fn best_hits<S: RunScorer>(
+    scorer: &S,
+    queries: &[BinnedSpectrum],
+    candidates: &[Vec<u32>],
+) -> Vec<Option<SearchHit>> {
+    assert_eq!(
+        queries.len(),
+        candidates.len(),
+        "queries and candidate lists must pair up"
+    );
+    let jobs: Vec<usize> = (0..queries.len()).collect();
+    par_map(&jobs, scorer.threads(), |&i| {
+        let query = scorer.prepare(&queries[i]);
+        scorer.best_in(&queries[i], &query, &candidates[i])
+    })
 }
 
 /// The library side of a hypervector backend: encode one preprocessed
@@ -852,7 +851,7 @@ mod tests {
     #[test]
     fn finds_mostly_true_references() {
         let (workload, backend, queries, cands) = setup();
-        let hits = backend.search_batch(&queries, &cands);
+        let hits = best_hits(&backend, &queries, &cands);
         let mut correct = 0usize;
         let mut matchable = 0usize;
         for (binned, hit) in queries.iter().zip(&hits) {
@@ -875,7 +874,7 @@ mod tests {
     fn empty_candidates_give_none() {
         let (_, backend, queries, _) = setup();
         let empty: Vec<Vec<u32>> = queries.iter().map(|_| Vec::new()).collect();
-        let hits = backend.search_batch(&queries, &empty);
+        let hits = best_hits(&backend, &queries, &empty);
         assert!(hits.iter().all(Option::is_none));
     }
 
@@ -894,7 +893,7 @@ mod tests {
                     ..small_backend_config()
                 },
             );
-            backend.search_batch(&queries, &cands)
+            best_hits(&backend, &queries, &cands)
         };
         assert_eq!(run(1), run(8));
     }
@@ -916,8 +915,8 @@ mod tests {
                 ..small_backend_config()
             },
         );
-        let clean_hits = clean.search_batch(&queries, &cands);
-        let noisy_hits = noisy.search_batch(&queries, &cands);
+        let clean_hits = best_hits(&clean, &queries, &cands);
+        let noisy_hits = best_hits(&noisy, &queries, &cands);
         // At 5 % BER the HD representation tolerates the noise: most best
         // references should be unchanged (the paper's robustness claim).
         let agree = clean_hits
@@ -943,7 +942,7 @@ mod tests {
     fn name_reflects_noise() {
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 58);
         let clean = ExactBackend::build(&workload.library, small_backend_config());
-        assert_eq!(clean.name(), "exact-hd");
+        assert_eq!(clean.report_name(), "exact-hd");
         let noisy = ExactBackend::build(
             &workload.library,
             ExactBackendConfig {
@@ -951,13 +950,13 @@ mod tests {
                 ..small_backend_config()
             },
         );
-        assert!(noisy.name().contains("ber"));
+        assert!(noisy.report_name().contains("ber"));
     }
 
     #[test]
     #[should_panic(expected = "pair up")]
     fn search_batch_checks_lengths() {
         let (_, backend, queries, _) = setup();
-        let _ = backend.search_batch(&queries, &[]);
+        let _ = best_hits(&backend, &queries, &[]);
     }
 }

@@ -23,8 +23,7 @@
 
 use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
-use hdoms_obs::metrics::Registry;
-use hdoms_obs::metrics::{HistogramSnapshot, Snapshot};
+use hdoms_obs::metrics::{HistogramSnapshot, Registry, Snapshot, OVERFLOW_BUCKET};
 use hdoms_prefilter::PrefilterConfig;
 use hdoms_serve::protocol::{QueryRequest, QuerySpectrum, Request, Response, WindowKind};
 use hdoms_serve::scheduler::{ScheduleError, Scheduler, SchedulerConfig, Tier};
@@ -93,6 +92,14 @@ fn histogram<'a>(snapshot: &'a Snapshot, name: &str) -> &'a HistogramSnapshot {
         .1
 }
 
+/// What a histogram promises mid-flight (`Histogram`'s doc): the sum
+/// never outruns the counts — it is at most every counted observation's
+/// bucket bound (bucket `k` holds samples ≤ 2^k µs) added up.
+fn sum_within_counts(h: &HistogramSnapshot) -> bool {
+    let bound_ns = |(k, &n): (usize, &u64)| n * (1u64 << k) * 1000;
+    h.buckets[OVERFLOW_BUCKET] > 0 || h.sum_ns <= h.buckets.iter().enumerate().map(bound_ns).sum()
+}
+
 #[test]
 fn sixteen_client_storm_reconciles_exactly_with_receipts() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 9006);
@@ -136,14 +143,11 @@ fn sixteen_client_storm_reconciles_exactly_with_receipts() {
                         0,
                         "query counter caught mid-update"
                     );
-                    // Histogram counts are derived from bucket sums, so
-                    // sum and count can never disagree in sign.
+                    // Mid-flight a histogram may count an observation
+                    // whose time its sum does not hold yet, never the
+                    // reverse (recorded time is checked after the storm).
                     let latency = histogram(&snap, "hdoms_batch_latency_ms");
-                    assert!(latency.sum_ms() >= 0.0);
-                    assert!(
-                        latency.count() == 0 || latency.sum_ms() > 0.0,
-                        "observations without recorded time"
-                    );
+                    assert!(sum_within_counts(latency), "sum outran the counts");
                     // Physical bounds hold mid-flight.
                     let busy = gauge(&snap, "hdoms_workers_busy");
                     assert!((0..=3).contains(&busy), "workers_busy {busy} out of bounds");
@@ -214,8 +218,11 @@ fn sixteen_client_storm_reconciles_exactly_with_receipts() {
     assert_eq!(counter(&snap, "hdoms_sched_rejected_busy_total"), 0);
     assert_eq!(counter(&snap, "hdoms_sched_shed_deadline_total"), 0);
 
-    // 2. Histogram completeness: one observation per batch, everywhere.
-    assert_eq!(histogram(&snap, "hdoms_batch_latency_ms").count(), batches);
+    // 2. Histogram completeness: one observation per batch, everywhere,
+    // and, quiescent, every observation's time is in the sum.
+    let latency = histogram(&snap, "hdoms_batch_latency_ms");
+    assert_eq!(latency.count(), batches);
+    assert!(latency.sum_ms() > 0.0, "observations without recorded time");
     assert_eq!(histogram(&snap, "hdoms_queue_wait_ms").count(), batches);
     for stage in ["encode", "candidates", "score", "finalize"] {
         let h = histogram(&snap, &format!("hdoms_stage_{stage}_ms"));

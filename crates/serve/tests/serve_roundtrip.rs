@@ -2,9 +2,9 @@
 //! must produce a PSM table **byte-identical** to the local
 //! `search --index` path, on both the tiny and iPRG2012(0.01) presets.
 
+use hdoms_engine::Engine;
 use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
-use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
 use hdoms_oms::psm::{render_table, render_table_rows};
 use hdoms_oms::window::PrecursorWindow;
 use hdoms_serve::net::{serve_listener, Client};
@@ -30,18 +30,12 @@ fn build_index(library: &hdoms_ms::library::SpectralLibrary) -> LibraryIndex {
     IndexBuilder::new(config).from_library(library)
 }
 
-/// The CLI `search --index` path, in process: same pipeline
-/// configuration `pipeline_for` builds, same sharded backend.
+/// The CLI `search --index` path, in process: one engine over the
+/// index, open window, 1 % FDR.
 fn local_search_table(index: &LibraryIndex, workload: &SyntheticWorkload) -> String {
-    let mut config = PipelineConfig {
-        window: PrecursorWindow::open_default(),
-        fdr_level: 0.01,
-        ..PipelineConfig::default()
-    };
-    config.preprocess = index.kind().preprocess();
-    let pipeline = OmsPipeline::new(config);
-    let backend = index.sharded_backend(THREADS).expect("exact kind");
-    let outcome = pipeline.run_catalog(&workload.queries, index, &backend);
+    let engine = Engine::from_index(index.clone(), THREADS).expect("exact kind");
+    let window = PrecursorWindow::open_default();
+    let (outcome, _) = Arc::new(engine).search(&workload.queries, window, 0.01);
     render_table(index.catalog().peptides(), &outcome)
 }
 
