@@ -513,6 +513,100 @@ fn ideal_rram_chain_is_pinned() {
     );
 }
 
+/// Pins the RRAM query path of the calibrated (noisy) device: every
+/// sensing cycle draws, so these digests cover the noise stream's order
+/// as well as the arithmetic. At each dimension — `TEST_DIM`, and one
+/// the 32-pair row group does not divide, so the search's partial tail
+/// group runs too — one digest covers the query-side in-memory encode,
+/// the library-side encode with its statistics, and the in-memory search
+/// `(estimate bits, exact dot, cycles)` of every query against every
+/// reference its open window reaches; one more covers a noisy
+/// `CrossbarArray::mvm` (Fig. 9b's path). The constants were recorded
+/// from the build of the commit *before* the one that added this test;
+/// never regenerate them. Like `noisy_programming_is_pinned`, they go
+/// through libm's `ln` and `exp`.
+#[test]
+fn noisy_rram_query_path_is_pinned() {
+    use hdoms_core::encode::InMemoryEncoder;
+    use hdoms_core::search::InMemorySearch;
+    use hdoms_index::xxhash::xxh64;
+    use hdoms_ms::preprocess::Preprocessor;
+    use hdoms_oms::pipeline::ReferenceCatalog;
+    use hdoms_rram::array::{CrossbarArray, CrossbarConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let workload = tiny_workload(7);
+    let crossbar = CrossbarConfig::default();
+    let preprocess = Preprocessor::default();
+    let queries: Vec<_> = (workload.queries.iter())
+        .filter_map(|s| preprocess.run(s).ok())
+        .collect();
+    let library: Vec<_> = (workload.library.iter())
+        .map(|entry| preprocess.run(&entry.spectrum).ok())
+        .collect();
+    let candidates = workload.library.candidate_index();
+    let window = PrecursorWindow::open_default();
+    // (dimension, digest of the encodes and search scores).
+    let pinned = [
+        (TEST_DIM, 0x930f_c988_6273_b6f3_u64),
+        (1000, 0x04d7_059a_e007_9830),
+    ];
+    for (dim, digest) in pinned {
+        let encoder = hdoms_hdc::encoder::EncoderConfig {
+            dim,
+            ..AcceleratorConfig::default().encoder
+        };
+        let enc = InMemoryEncoder::new(encoder, crossbar, 7, THREADS);
+        let mut bytes = Vec::new();
+        let mut references = Vec::new();
+        for spectrum in &library {
+            let encoded = spectrum.as_ref().map(|s| enc.encode_with_stats(s));
+            if let Some((hv, stats)) = &encoded {
+                bytes.extend(hv.words().iter().flat_map(|w| w.to_le_bytes()));
+                bytes.extend(stats.bit_errors.to_le_bytes());
+                bytes.extend(stats.dim.to_le_bytes());
+                bytes.extend(stats.cycles.to_le_bytes());
+            }
+            references.push(encoded.map(|(hv, _)| hv));
+        }
+        let search = InMemorySearch::new(crossbar, dim, references, 11);
+        for spectrum in &queries {
+            let hv = enc.encode(spectrum);
+            bytes.extend(hv.words().iter().flat_map(|w| w.to_le_bytes()));
+            for reference in candidates.candidates(&window, spectrum.neutral_mass) {
+                let Some(stats) = search.evaluate(&hv, spectrum.id, reference) else {
+                    bytes.push(0xff);
+                    continue;
+                };
+                bytes.extend(stats.estimated_dot.to_bits().to_le_bytes());
+                bytes.extend(stats.exact_dot.to_le_bytes());
+                bytes.extend(stats.cycles.to_le_bytes());
+            }
+        }
+        assert_eq!(
+            xxh64(&bytes, 0),
+            digest,
+            "dim {dim}: the noisy in-memory encode or search changed"
+        );
+    }
+
+    let mut rng = StdRng::seed_from_u64(7);
+    let weights: Vec<Vec<f64>> = (0..16)
+        .map(|_| (0..100).map(|_| rng.gen_range(-1.0..=1.0)).collect())
+        .collect();
+    let inputs: Vec<f64> = (0..100)
+        .map(|_| if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
+        .collect();
+    let array = CrossbarArray::program(crossbar, &weights, &mut rng);
+    let out: Vec<u8> = array
+        .mvm(&inputs, &mut rng)
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    assert_eq!(xxh64(&out, 0), 0x1172_20fd_26c4_ae7d, "the noisy MVM changed");
+}
+
 /// Pins the programmed ID memory of the calibrated (noisy) device: one
 /// stream, drawn in (row, column, `g⁺` then `g⁻`) order, however many
 /// workers program the rows. The weight digests and σ_δ values were
