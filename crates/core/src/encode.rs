@@ -18,8 +18,9 @@
 //! Programming and readout are the chip model's own: each ID component
 //! is written through its grid point's differential pair
 //! ([`CrossbarConfig::pair_levels`]) and each
-//! activated peak group is read out through [`CrossbarConfig::sense`] —
-//! the same sensing cycle `CrossbarArray::mvm` (Fig. 9b) and the
+//! activated peak group is read out through [`CrossbarConfig::sense`], a
+//! MAC tile's dimensions at a time —
+//! the same sensing cycles `CrossbarArray::mvm` (Fig. 9b) and the
 //! in-memory search run, so Fig. 9a measures the one Eq. 5 chain through
 //! this caller. [`InMemoryEncoder`] is the accelerator's
 //! [`ReferenceEncoder`] (library side, with the bit-error rate the build
@@ -305,8 +306,9 @@ impl InMemoryEncoder {
     /// The in-memory encode, drawing from the noise stream keyed
     /// `(seed, side, spectrum id)`. Row group by row group (the stream's
     /// order is (row group, dimension)), each peak row's ID slice streams
-    /// into per-dimension partial MACs a tile at a time, then the group
-    /// is sensed. Each dimension still sums its rows in peak order, so on
+    /// into per-dimension partial MACs a tile at a time, then the tile's
+    /// cycles are sensed as one block, in dimension order. Each dimension
+    /// still sums its rows in peak order, so on
     /// a noise-free device the result is the dimension-by-dimension MAC's
     /// to the bit.
     fn encode_on(&self, spectrum: &BinnedSpectrum, side: Side) -> BinaryHypervector {
@@ -358,8 +360,13 @@ impl InMemoryEncoder {
                         start = end;
                     }
                 }
+                // The tile's cycles, one per dimension, sensed as a block.
+                for m in mac.iter_mut() {
+                    *m /= n;
+                }
+                self.crossbar.sense(mac, n, self.cycle_sigma, &mut rng);
                 for (a, &m) in acc.iter_mut().zip(mac.iter()) {
-                    *a += self.crossbar.sense(m / n, n, self.cycle_sigma, &mut rng);
+                    *a += m;
                 }
             }
         }

@@ -26,7 +26,7 @@
 //! Fig. 10 and Fig. 13 identifications are read out through the same
 //! Eq. 5 chain Fig. 9 measures.
 
-use hdoms_hdc::{BinaryHypervector, HvView};
+use hdoms_hdc::BinaryHypervector;
 use hdoms_oms::search::{SearchHit, SharedReferences};
 use hdoms_rram::array::CrossbarConfig;
 use hdoms_rram::device::DeviceModel;
@@ -148,32 +148,38 @@ impl InMemorySearch {
                     .wrapping_mul(0x2545_f491_4f6c_dd1d),
         );
         let group = self.crossbar.pairs_per_cycle();
+        let tail = self.dim % group;
+        let mut counts = group_matches(query.words(), reference.words(), self.dim, group);
         let mut acc = 0.0f64;
-        let mut cycles = 0u32;
         let mut exact = 0i64;
-        let mut start = 0usize;
-        while start < self.dim {
-            let end = (start + group).min(self.dim);
-            let n = (end - start) as f64;
-            cycles += 1;
-            // Exact partial MAC over this group via masked XOR popcount.
-            let same = matching_bits(query, &reference, start, end);
-            let mac = 2.0 * same as f64 - n; // matches − mismatches
-            exact += mac as i64;
-            // Analog path: the normalised voltage through the sensing
-            // cycle, whose one draw carries the weight deviation too.
-            let sigma = if end - start == group {
-                self.cycle_sigma
-            } else {
-                self.tail_sigma
-            };
-            acc += self.crossbar.sense(mac / n, n, sigma, &mut rng);
-            start = end;
+        let mut lanes = [0.0f64; SENSE_CHUNK];
+        // The full groups a stack chunk of cycles at a time, then the
+        // partial tail group, if any, at its own σ.
+        let runs = [
+            (self.dim / group, group, self.cycle_sigma),
+            (usize::from(tail > 0), tail, self.tail_sigma),
+        ];
+        for (count, size, sigma) in runs {
+            let n = size as f64;
+            for first in (0..count).step_by(SENSE_CHUNK) {
+                let chunk = &mut lanes[..(count - first).min(SENSE_CHUNK)];
+                for (v, same) in chunk.iter_mut().zip(&mut counts) {
+                    let mac = 2.0 * f64::from(same) - n; // matches − mismatches
+                    exact += mac as i64;
+                    *v = mac / n;
+                }
+                // Analog path: the normalised voltages through the sensing
+                // cycles, whose one draw each carries the weight deviation.
+                self.crossbar.sense(chunk, n, sigma, &mut rng);
+                for &v in chunk.iter() {
+                    acc += v;
+                }
+            }
         }
         Some(SearchStats {
             estimated_dot: acc,
             exact_dot: exact,
-            cycles,
+            cycles: self.cycles_per_query() as u32,
         })
     }
 
@@ -192,18 +198,45 @@ impl InMemorySearch {
     }
 }
 
-/// Number of equal bits between `a` and `b` within dimensions
-/// `[start, end)`, computed with masked XOR popcounts on the
-/// process-wide active kernel ([`hdoms_hdc::kernels::active`]). Generic
-/// over [`HvView`] so owned query hypervectors scan mapped reference
-/// words in place.
-fn matching_bits<A, B>(a: &A, b: &B, start: usize, end: usize) -> u32
-where
-    A: HvView + ?Sized,
-    B: HvView + ?Sized,
-{
-    debug_assert!(start < end && end <= a.dim());
-    hdoms_hdc::kernels::active().matching_bits_words(a.words(), b.words(), start, end)
+/// Sensing cycles [`InMemorySearch::evaluate`] draws and digitises per
+/// stack block: a 256-cycle evaluation at D = 8192 is four blocks.
+const SENSE_CHUNK: usize = 64;
+
+/// The equal bits of `a` and `b` in each `group`-dimension row group of
+/// their first `dim` dimensions, in group order — the last group holds
+/// the `dim % group` remainder, if any.
+fn group_matches<'a>(
+    a: &'a [u64],
+    b: &'a [u64],
+    dim: usize,
+    group: usize,
+) -> impl Iterator<Item = u32> + 'a {
+    (0..dim)
+        .step_by(group)
+        .map(move |start| range_matches(a, b, start, (start + group).min(dim)))
+}
+
+/// The equal bits of `a` and `b` in dimensions `start..end`, read
+/// straight off the XOR of the words the range spans, the edge words
+/// masked to it — so no bit outside the range, padding included, reaches
+/// the count.
+#[inline]
+fn range_matches(a: &[u64], b: &[u64], start: usize, end: usize) -> u32 {
+    debug_assert!(start < end && end <= a.len() * 64 && end <= b.len() * 64);
+    let (first, last) = (start / 64, (end - 1) / 64);
+    let low = u64::MAX << (start % 64);
+    let high = u64::MAX >> (63 - (end - 1) % 64);
+    let mismatches = if first == last {
+        ((a[first] ^ b[first]) & low & high).count_ones()
+    } else {
+        let inner: u32 = (a[first + 1..last].iter().zip(&b[first + 1..last]))
+            .map(|(x, y)| (x ^ y).count_ones())
+            .sum();
+        ((a[first] ^ b[first]) & low).count_ones()
+            + inner
+            + ((a[last] ^ b[last]) & high).count_ones()
+    };
+    (end - start) as u32 - mismatches
 }
 
 #[cfg(test)]
@@ -212,7 +245,7 @@ mod tests {
     use hdoms_hdc::similarity::dot;
     use hdoms_rram::config::MlcConfig;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn random_refs(n: usize, dim: usize, seed: u64) -> Vec<Option<BinaryHypervector>> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -231,9 +264,59 @@ mod tests {
         }
     }
 
+    /// The counts of every group of `group_matches`, one bit at a time.
+    fn naive_group_matches(a: &[u64], b: &[u64], dim: usize, group: usize) -> Vec<u32> {
+        let bit = |words: &[u64], i: usize| words[i / 64] >> (i % 64) & 1;
+        (0..dim)
+            .step_by(group)
+            .map(|start| {
+                let end = (start + group).min(dim);
+                (start..end).filter(|&i| bit(a, i) == bit(b, i)).count() as u32
+            })
+            .collect()
+    }
+
+    /// `dim`-bit word pairs: random, all-equal and all-different, and
+    /// every padding bit beyond `dim` set — poison no count may read.
+    fn poisoned_pairs(rng: &mut StdRng, dim: usize) -> Vec<(Vec<u64>, Vec<u64>)> {
+        let words = dim.div_ceil(64);
+        let poison = |mut w: Vec<u64>| {
+            if !dim.is_multiple_of(64) {
+                w[words - 1] |= u64::MAX << (dim % 64);
+            }
+            w
+        };
+        let random = |rng: &mut StdRng| (0..words).map(|_| rng.gen()).collect::<Vec<u64>>();
+        let (a, b) = (random(rng), random(rng));
+        vec![
+            (poison(a.clone()), b.clone()),
+            (a.clone(), poison(b)),
+            (poison(a.clone()), poison(a.clone())),
+            (poison(a.clone()), a.iter().map(|w| !w).collect()),
+        ]
+    }
+
     #[test]
-    fn matching_bits_agrees_with_naive() {
+    fn group_matches_agrees_with_naive() {
         let mut rng = StdRng::seed_from_u64(1);
+        let dims = (1..=300).chain([511, 512, 513, 1000, 8192]);
+        for dim in dims {
+            for (a, b) in poisoned_pairs(&mut rng, dim) {
+                for group in [1usize, 7, 32, 48, 64, 100] {
+                    let got: Vec<u32> = group_matches(&a, &b, dim, group).collect();
+                    let want = naive_group_matches(&a, &b, dim, group);
+                    assert_eq!(got, want, "dim {dim}, group {group}");
+                }
+            }
+        }
+    }
+
+    /// Ranges that start and end inside words, straddle a word boundary
+    /// or cover one bit, then random ranges of poisoned pairs (a range
+    /// ending inside the final word must not read its padding).
+    #[test]
+    fn range_matches_agrees_with_naive() {
+        let mut rng = StdRng::seed_from_u64(2);
         let a = BinaryHypervector::random(&mut rng, 300);
         let b = BinaryHypervector::random(&mut rng, 300);
         for &(s, e) in &[
@@ -245,7 +328,25 @@ mod tests {
             (5, 6),
         ] {
             let naive = (s..e).filter(|&i| a.bit(i) == b.bit(i)).count() as u32;
-            assert_eq!(matching_bits(&a, &b, s, e), naive, "range {s}..{e}");
+            assert_eq!(
+                range_matches(a.words(), b.words(), s, e),
+                naive,
+                "range {s}..{e}"
+            );
+        }
+        for _ in 0..200 {
+            let dim = rng.gen_range(2..700usize);
+            for (a, b) in poisoned_pairs(&mut rng, dim) {
+                let start = rng.gen_range(0..dim - 1);
+                let end = rng.gen_range(start + 1..=dim);
+                let bit = |words: &[u64], i: usize| words[i / 64] >> (i % 64) & 1;
+                let naive = (start..end).filter(|&i| bit(&a, i) == bit(&b, i)).count() as u32;
+                assert_eq!(
+                    range_matches(&a, &b, start, end),
+                    naive,
+                    "{start}..{end} of {dim}"
+                );
+            }
         }
     }
 

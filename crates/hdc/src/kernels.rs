@@ -1,8 +1,8 @@
 //! Runtime-dispatched SIMD kernels: distance and encode.
 //!
-//! Every similarity the system computes — Hamming distance, bipolar dot
-//! product, the masked `matching_bits` partial MACs of the RRAM model —
-//! reduces to XOR + popcount over packed `u64` words. This module owns
+//! Every similarity the software backends compute — Hamming distance,
+//! bipolar dot product — reduces to XOR + popcount over packed `u64`
+//! words. This module owns
 //! that inner loop and provides three interchangeable implementations
 //! behind one [`KernelDispatch`] handle:
 //!
@@ -310,38 +310,6 @@ impl KernelDispatch {
     #[inline]
     pub fn dot_words(&self, dim: usize, a: &[u64], b: &[u64]) -> i64 {
         dim as i64 - 2 * i64::from(self.hamming_words(dim, a, b))
-    }
-
-    /// Number of equal bits between `a` and `b` within dimensions
-    /// `[start, end)`: masked XOR popcounts on the partial edge words,
-    /// the dispatched primitive on the full words between them.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `start < end` and `end` fits in both slices.
-    pub fn matching_bits_words(&self, a: &[u64], b: &[u64], start: usize, end: usize) -> u32 {
-        assert!(start < end, "empty bit range");
-        assert!(
-            end <= a.len() * 64 && end <= b.len() * 64,
-            "bit range {start}..{end} out of bounds"
-        );
-        let first_word = start / 64;
-        let last_word = (end - 1) / 64;
-        let low_mask = u64::MAX << (start % 64);
-        let top = end - last_word * 64;
-        let high_mask = if top < 64 {
-            (1u64 << top) - 1
-        } else {
-            u64::MAX
-        };
-        let mismatches = if first_word == last_word {
-            ((a[first_word] ^ b[first_word]) & low_mask & high_mask).count_ones() as u64
-        } else {
-            ((a[first_word] ^ b[first_word]) & low_mask).count_ones() as u64
-                + (self.pair_fn())(&a[first_word + 1..last_word], &b[first_word + 1..last_word])
-                + ((a[last_word] ^ b[last_word]) & high_mask).count_ones() as u64
-        };
-        (end - start) as u32 - mismatches as u32
     }
 
     /// Score one query against many references: `out[i]` becomes the
@@ -743,9 +711,10 @@ pub fn env_kind() -> KernelKind {
 }
 
 /// The process-wide active kernel: resolved from `HDOMS_KERNEL` on
-/// first use, swappable with [`set_active`]. Every similarity in the
-/// workspace ([`crate::similarity`], the search backends, the RRAM
-/// model's partial MACs) routes through this selection.
+/// first use, swappable with [`set_active`]. Every software similarity
+/// in the workspace ([`crate::similarity`], the search backends) routes
+/// through this selection; the RRAM model's per-group partial MACs count
+/// their own bits, one row group at a time.
 pub fn active() -> KernelDispatch {
     if let Some(dispatch) = dispatch_of(ACTIVE.load(Ordering::Relaxed)) {
         return dispatch;

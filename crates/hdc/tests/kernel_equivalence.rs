@@ -44,12 +44,6 @@ fn naive_hamming(dim: usize, a: &[u64], b: &[u64]) -> u32 {
     total
 }
 
-fn naive_matching_bits(a: &[u64], b: &[u64], start: usize, end: usize) -> u32 {
-    (start..end)
-        .filter(|&i| (a[i / 64] >> (i % 64)) & 1 == (b[i / 64] >> (i % 64)) & 1)
-        .count() as u32
-}
-
 /// `count` packed `dim`-bit word blocks from a seeded generator:
 /// random patterns plus the all-zeros / all-ones edges, tails kept
 /// clean (the invariant the owned types maintain).
@@ -109,32 +103,6 @@ proptest! {
                     kernel.dot_words(dim, a, b),
                     dim as i64 - 2 * i64::from(expected),
                     "{} dot at dim {}", kernel.name(), dim
-                );
-            }
-        }
-    }
-
-    /// matching_bits: every variant agrees with the naive bit loop on
-    /// arbitrary sub-ranges (partial edge words, single-word ranges,
-    /// ranges spanning many full words).
-    #[test]
-    fn matching_bits_kernels_match_naive(
-        dim in 2usize..700,
-        seed in any::<u64>(),
-        range_seed in any::<u64>(),
-    ) {
-        let blocks = words_from_seed(seed, dim, 2);
-        let (a, b) = (&blocks[0], &blocks[1]);
-        let mut rng = StdRng::seed_from_u64(range_seed);
-        for _ in 0..4 {
-            let start = rng.gen_range(0..dim - 1);
-            let end = rng.gen_range(start + 1..=dim);
-            let expected = naive_matching_bits(a, b, start, end);
-            for kernel in variants() {
-                prop_assert_eq!(
-                    kernel.matching_bits_words(a, b, start, end),
-                    expected,
-                    "{} matching_bits {}..{} at dim {}", kernel.name(), start, end, dim
                 );
             }
         }
@@ -261,28 +229,6 @@ fn poisoned_padding_bits_never_reach_a_distance() {
                 out,
                 [dim as i64 - 2 * i64::from(expected); 4],
                 "{} score_block read padding bits at dim {dim}",
-                kernel.name()
-            );
-        }
-    }
-}
-
-/// matching_bits over a range that ends inside the final word must also
-/// ignore poisoned padding (the range mask and the tail mask coincide
-/// there).
-#[test]
-fn poisoned_padding_bits_never_reach_matching_bits() {
-    let dim = 200usize; // 3 words + 8-bit tail
-    let rem = dim % 64;
-    let clean = words_from_seed(42, dim, 2);
-    let mut dirty = clean[1].clone();
-    *dirty.last_mut().unwrap() |= u64::MAX << rem;
-    for kernel in [KernelDispatch::scalar(), KernelDispatch::simd()] {
-        for (start, end) in [(0usize, dim), (150, dim), (dim - 1, dim)] {
-            assert_eq!(
-                kernel.matching_bits_words(&clean[0], &dirty, start, end),
-                kernel.matching_bits_words(&clean[0], &clean[1], start, end),
-                "{} matching_bits {start}..{end} read padding bits",
                 kernel.name()
             );
         }

@@ -604,7 +604,11 @@ fn noisy_rram_query_path_is_pinned() {
         .iter()
         .flat_map(|v| v.to_le_bytes())
         .collect();
-    assert_eq!(xxh64(&out, 0), 0x1172_20fd_26c4_ae7d, "the noisy MVM changed");
+    assert_eq!(
+        xxh64(&out, 0),
+        0x1172_20fd_26c4_ae7d,
+        "the noisy MVM changed"
+    );
 }
 
 /// Pins the programmed ID memory of the calibrated (noisy) device: one

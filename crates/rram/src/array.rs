@@ -156,28 +156,33 @@ impl CrossbarConfig {
         (self.sense_sigma * self.sense_sigma + ir_sigma * ir_sigma + extra * extra).sqrt()
     }
 
-    /// One sensing cycle — the readout half of Eq. 5, written once for
-    /// every MVM the chip performs ([`CrossbarArray::mvm`], the in-memory
-    /// encoder and the in-memory search of `hdoms-core`): the normalised
-    /// source-line voltage `v` of one activated group of `n` weight
-    /// pairs picks up its noise — one draw at `sigma`, the
-    /// [`CrossbarConfig::cycle_sigma`] of the array driven — is clamped
-    /// to the full-scale range and digitised by the ADC. Returns the
+    /// A block of sensing cycles — the readout half of Eq. 5, written
+    /// once for every MVM the chip performs ([`CrossbarArray::mvm`], the
+    /// in-memory encoder and the in-memory search of `hdoms-core`). Each
+    /// lane of `v` is the normalised source-line voltage of one cycle's
+    /// activated group of `n` weight pairs. It picks up its noise — one
+    /// draw at `sigma`, the [`CrossbarConfig::cycle_sigma`] of the array
+    /// driven, taken in lane order — is clamped to the full-scale range
+    /// and digitised by the ADC. Each lane is left holding the
     /// de-normalised partial MAC `v̂ · n` the digital accumulator adds.
     ///
-    /// A zero `sigma` draws nothing, so an ideal device leaves `rng`
-    /// untouched and the cycle is plain arithmetic.
-    #[inline]
-    pub fn sense<R: Rng>(&self, mut v: f64, n: f64, sigma: f64, rng: &mut R) -> f64 {
+    /// A block is any run of cycles that share `n` and `sigma`: sensing
+    /// them one lane at a time gives the same bits and leaves `rng` in
+    /// the same state. A zero `sigma` draws nothing, so an ideal device
+    /// leaves `rng` untouched and the cycles are plain arithmetic.
+    pub fn sense<R: Rng>(&self, v: &mut [f64], n: f64, sigma: f64, rng: &mut R) {
         if sigma > 0.0 {
-            v += sample_normal(rng, sigma);
+            let zig = ziggurat();
+            for v in v.iter_mut() {
+                *v += ziggurat_normal(zig, rng, sigma);
+            }
         }
         // ADC over the full-scale normalised range [-1, 1].
-        let adc_levels = (1usize << self.adc_bits) as f64;
-        let clamped = v.clamp(-1.0, 1.0);
-        let code = ((clamped + 1.0) / 2.0 * (adc_levels - 1.0)).round();
-        let v_hat = code / (adc_levels - 1.0) * 2.0 - 1.0;
-        v_hat * n
+        let top = ((1usize << self.adc_bits) - 1) as f64;
+        for v in v.iter_mut() {
+            let code = adc_round((v.clamp(-1.0, 1.0) + 1.0) / 2.0 * top);
+            *v = (code / top * 2.0 - 1.0) * n;
+        }
     }
 
     /// The differential pair of each weight an n-bit pair holds exactly,
@@ -200,6 +205,18 @@ impl CrossbarConfig {
             })
             .collect()
     }
+}
+
+/// `x.round()` for the ADC's `x ∈ [0, 4095]`, in a form the lane loop
+/// vectorises (`round` is a libm call on baseline x86-64). Adding the
+/// largest double below ½ and truncating rounds half away from zero, as
+/// `round` does, for every finite `0 ≤ x < 2⁵²`: the one addition never
+/// carries a value below `k + ½` up to `k + 1`, and carries `k − ½` to
+/// at least `k` (at `k = 1` through a tie it breaks to even, `1.0`).
+#[inline(always)]
+fn adc_round(x: f64) -> f64 {
+    debug_assert!((0.0..4096.0).contains(&x));
+    (x + 0.499_999_999_999_999_94) as i32 as f64
 }
 
 /// The weight of grid code `code` among the `2ⁿ` a differential pair of
@@ -392,21 +409,28 @@ impl CrossbarArray {
         );
         let group = self.config.pairs_per_cycle();
         let g_max = self.config.mlc.g_max_us;
+        let full = self.pairs / group;
+        let mut volts = vec![0.0f64; self.cycles_per_mvm()];
         let mut out = vec![0.0f64; self.cols];
         for (col, acc) in out.iter_mut().enumerate() {
             let base = col * self.pairs;
-            let mut start = 0;
-            while start < self.pairs {
+            for (start, v) in (0..self.pairs).step_by(group).zip(volts.iter_mut()) {
                 let end = (start + group).min(self.pairs);
-                let n = (end - start) as f64;
                 // Eq. 5: normalised source-line voltage for this group.
-                let mut v = 0.0;
+                let mut sum = 0.0;
                 for (input, idx) in inputs[start..end].iter().zip(base + start..base + end) {
-                    v += input * (self.g_plus[idx] - self.g_minus[idx]);
+                    sum += input * (self.g_plus[idx] - self.g_minus[idx]);
                 }
-                v /= n * g_max;
-                *acc += self.config.sense(v, n, self.cycle_sigma, rng);
-                start = end;
+                *v = sum / ((end - start) as f64 * g_max);
+            }
+            // The full groups as one block, then the partial one, if any.
+            let (whole, tail) = volts.split_at_mut(full);
+            self.config
+                .sense(whole, group as f64, self.cycle_sigma, rng);
+            let tail_n = (self.pairs - full * group) as f64;
+            self.config.sense(tail, tail_n, self.cycle_sigma, rng);
+            for &v in &volts {
+                *acc += v;
             }
         }
         out
@@ -485,7 +509,13 @@ fn open_unit<R: Rng>(rng: &mut R) -> f64 {
 /// exactly normal: one `u64` per draw on ~99 % of draws, `exp` on the
 /// wedges and `ln` in the tail beyond `R = 3.654`.
 pub fn sample_normal<R: Rng>(rng: &mut R, sigma: f64) -> f64 {
-    let zig = ziggurat();
+    ziggurat_normal(ziggurat(), rng, sigma)
+}
+
+/// The ziggurat body behind [`sample_normal`], written once, over tables
+/// a caller drawing a block of variates looks up once.
+#[inline]
+fn ziggurat_normal<R: Rng>(zig: &Ziggurat, rng: &mut R, sigma: f64) -> f64 {
     loop {
         // The low 8 bits pick the layer, the high 53 a uniform in [-1, 1).
         let bits = rng.next_u64();

@@ -1,5 +1,6 @@
-//! Property-based tests for the MLC RRAM simulator, and the distribution
-//! of its one Gaussian and its one sensing cycle.
+//! Property-based tests for the MLC RRAM simulator, the distribution of
+//! its one Gaussian and its one sensing cycle, and the block form of that
+//! cycle against the one-lane form it replaced.
 
 use hdoms_hdc::BinaryHypervector;
 use hdoms_rram::array::{sample_normal, CrossbarArray, CrossbarConfig};
@@ -36,6 +37,14 @@ fn adc_code(config: &CrossbarConfig, v_hat: f64) -> usize {
     ((v_hat + 1.0) / 2.0 * top).round() as usize
 }
 
+/// One sensing cycle: the block [`CrossbarConfig::sense`] on a one-lane
+/// block.
+fn sense_one(config: &CrossbarConfig, v: f64, n: f64, sigma: f64, rng: &mut StdRng) -> f64 {
+    let mut lane = [v];
+    config.sense(&mut lane, n, sigma, rng);
+    lane[0]
+}
+
 /// The sensing cycle as it was before it drew once: a Box–Muller draw
 /// for the caller's `extra` term, then one for the sensing noise, then
 /// one for the IR drop, then clamp and ADC (`sense` at σ = 0 draws
@@ -59,7 +68,7 @@ fn chained_code(
             v += sigma * (-2.0 * u.ln()).sqrt() * angle.cos();
         }
     }
-    adc_code(config, config.sense(v, 1.0, 0.0, rng))
+    adc_code(config, sense_one(config, v, 1.0, 0.0, rng))
 }
 
 /// One draw at the summed variance reads out the same ADC-code
@@ -101,7 +110,7 @@ fn one_draw_per_cycle_keeps_the_code_distribution() {
             let (mut chained, mut single) = (vec![0u32; codes], vec![0u32; codes]);
             for _ in 0..cycles {
                 chained[chained_code(&config, v, sigma_delta, extra, &mut rng)] += 1;
-                single[adc_code(&config, config.sense(v, 1.0, sigma, &mut rng))] += 1;
+                single[adc_code(&config, sense_one(&config, v, 1.0, sigma, &mut rng))] += 1;
             }
             let tv = chained
                 .iter()
@@ -117,8 +126,119 @@ fn one_draw_per_cycle_keeps_the_code_distribution() {
     }
 }
 
+/// The sensing cycle as it stood before it took a block of lanes — one
+/// draw through [`sample_normal`], the clamp, and an ADC rounding with
+/// libm's `round` — frozen here as the oracle of the block form.
+fn frozen_sense(config: &CrossbarConfig, mut v: f64, n: f64, sigma: f64, rng: &mut StdRng) -> f64 {
+    if sigma > 0.0 {
+        v += sample_normal(rng, sigma);
+    }
+    let adc_levels = (1usize << config.adc_bits) as f64;
+    let clamped = v.clamp(-1.0, 1.0);
+    let code = ((clamped + 1.0) / 2.0 * (adc_levels - 1.0)).round();
+    let v_hat = code / (adc_levels - 1.0) * 2.0 - 1.0;
+    v_hat * n
+}
+
+/// Voltages whose ADC input `(v + 1) / 2 · (L − 1)` lies on or next to
+/// the half-step `k + ½`, where a rounding that is not libm's would
+/// differ: the voltages aimed at `k + ½` and at the largest double below
+/// it (where `floor(x + ½)` reads `k + 1` at `k = 0`), each with its
+/// neighbours an ulp either side.
+fn half_step_volts(adc_bits: u8, k: usize) -> impl Iterator<Item = f64> {
+    let top = ((1usize << adc_bits) - 1) as f64;
+    let half = k as f64 + 0.5;
+    [half, half.next_down()].into_iter().flat_map(move |x| {
+        let v = x / top * 2.0 - 1.0;
+        [v.next_down(), v, v.next_up()]
+    })
+}
+
+/// The block and the frozen one-lane cycle, over `volts`: the same bits
+/// in every lane, and the stream left in the same state.
+fn check_block(config: &CrossbarConfig, volts: &[f64], n: f64, sigma: f64, seed: u64) {
+    let (mut oracle, mut block) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+    let want: Vec<f64> = (volts.iter())
+        .map(|&v| frozen_sense(config, v, n, sigma, &mut oracle))
+        .collect();
+    let mut got = volts.to_vec();
+    config.sense(&mut got, n, sigma, &mut block);
+    for (lane, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
+            "{} ADC bits, σ {sigma}, n {n}: lane {lane} of {} (v {})",
+            config.adc_bits,
+            volts.len(),
+            volts[lane]
+        );
+    }
+    assert_eq!(block, oracle, "the block took other words than its lanes");
+    if sigma == 0.0 {
+        assert_eq!(block, StdRng::seed_from_u64(seed), "σ = 0 drew");
+    }
+}
+
+/// Every half-step of every ADC resolution, at σ = 0 (noise would carry
+/// the voltage off it): the block's rounding is libm's to the bit. At
+/// least one voltage lands exactly on each half-step, and at one bit one
+/// lands on the largest input below ½.
+#[test]
+fn every_adc_half_step_reads_like_the_frozen_cycle() {
+    for adc_bits in 1..=12u8 {
+        let config = CrossbarConfig {
+            adc_bits,
+            ..CrossbarConfig::default()
+        };
+        let top = ((1usize << adc_bits) - 1) as f64;
+        let volts: Vec<f64> = (0..top as usize)
+            .flat_map(|k| half_step_volts(adc_bits, k))
+            .collect();
+        let inputs: Vec<f64> = volts.iter().map(|v| (v + 1.0) / 2.0 * top).collect();
+        let exact = inputs.iter().filter(|x| x.fract() == 0.5).count();
+        assert!(
+            exact >= top as usize,
+            "{adc_bits} bits: {exact} exact half-steps"
+        );
+        if adc_bits == 1 {
+            assert!(inputs.contains(&0.5f64.next_down()), "never just below ½");
+        }
+        check_block(&config, &volts, 32.0, 0.0, u64::from(adc_bits));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The block form of the sensing cycle is the frozen one-lane cycle,
+    /// lane by lane, for any block length (the empty block included),
+    /// ADC resolution, group size and σ — σ = 0 drawing nothing — over
+    /// voltages inside the full scale, on its clamp edges ±1, beyond
+    /// them, and on and next to the ADC's half-steps.
+    #[test]
+    fn block_sense_is_the_frozen_cycle(
+        len in 0usize..=300,
+        adc_bits in 1u8..=12,
+        n in 1u32..=64,
+        sigma_pick in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let config = CrossbarConfig { adc_bits, ..CrossbarConfig::default() };
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5e45e);
+        let steps = (1usize << adc_bits) - 1;
+        let volts: Vec<f64> = (0..len)
+            .map(|i| match i % 4 {
+                0 => rng.gen_range(-1.5..=1.5),
+                1 => [-1.0, 1.0, -1.0 - 1e-9, 1.0 + 1e-9, -3.0, 3.0][rng.gen_range(0..6usize)],
+                _ => {
+                    let k = rng.gen_range(0..steps);
+                    half_step_volts(adc_bits, k).nth(rng.gen_range(0..6usize)).unwrap()
+                }
+            })
+            .collect();
+        let sigma = [0.0, 1e-4, 0.05, 2.0][sigma_pick];
+        check_block(&config, &volts, f64::from(n), sigma, seed);
+    }
 
     /// Weight quantisation is idempotent, sign-preserving, range-bounded
     /// and monotone.
