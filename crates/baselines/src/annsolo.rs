@@ -147,11 +147,19 @@ impl RunScorer for AnnSoloBackend {
 
     fn prepare(&self, _binned: &BinnedSpectrum) {}
 
-    fn best_in(&self, query: &BinnedSpectrum, _: &(), run: &[u32]) -> Option<SearchHit> {
-        SearchHit::best_of(run, |cand| {
-            let reference = self.references[cand as usize].as_ref()?;
-            Some(self.shifted_cosine(query, reference, self.norms[cand as usize]))
-        })
+    /// One shifted-cosine scan of `run` per query.
+    fn best_in_each(
+        &self,
+        queries: &[(&BinnedSpectrum, &())],
+        run: &[u32],
+    ) -> Vec<Option<SearchHit>> {
+        let scan = |query: &BinnedSpectrum| {
+            SearchHit::best_of(run, |cand| {
+                let reference = self.references[cand as usize].as_ref()?;
+                Some(self.shifted_cosine(query, reference, self.norms[cand as usize]))
+            })
+        };
+        queries.iter().map(|&(query, ())| scan(query)).collect()
     }
 }
 

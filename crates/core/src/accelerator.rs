@@ -4,7 +4,7 @@
 //! *in memory* (the ID item memory lives in RRAM), the encoded reference
 //! hypervectors are stored as differential binary weights, and Hamming
 //! search runs *in memory* against them. The accelerator is a
-//! [`RunScorer`] — `prepare` is the in-memory encode, `best_in` the
+//! [`RunScorer`] — `prepare` is the in-memory encode, `best_in_each` the
 //! in-memory search — so the flat loop and the shard fan-out written
 //! over that seam, and with them the standard OMS pipeline (candidate
 //! windowing and FDR filtering), drive it exactly like the software
@@ -225,15 +225,18 @@ impl RunScorer for OmsAccelerator {
         self.encoder.encode(binned)
     }
 
-    /// Search the run in memory; the analog noise is keyed on
-    /// `(query id, reference id)`, so it does not depend on the run.
-    fn best_in(
+    /// Search the run in memory once per query; the analog noise is
+    /// keyed on `(query id, reference id)`, so it depends on neither the
+    /// run nor the other queries.
+    fn best_in_each(
         &self,
-        binned: &BinnedSpectrum,
-        query: &BinaryHypervector,
+        queries: &[(&BinnedSpectrum, &BinaryHypervector)],
         run: &[u32],
-    ) -> Option<SearchHit> {
-        self.search.search_best(query, binned.id, run)
+    ) -> Vec<Option<SearchHit>> {
+        let search = |&(binned, query): &(&BinnedSpectrum, &BinaryHypervector)| {
+            self.search.search_best(query, binned.id, run)
+        };
+        queries.iter().map(search).collect()
     }
 }
 

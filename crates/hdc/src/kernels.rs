@@ -314,8 +314,8 @@ impl KernelDispatch {
 
     /// Score one query against many references: `out[i]` becomes the
     /// bipolar dot of `query` and `references[i]`. This is the 1 × R
-    /// slice of the blocked kernel — flat candidate scans feed it a
-    /// [`REFERENCE_TILE`]-sized tile at a time.
+    /// slice of the blocked kernel — the prefilter's sketch scan feeds
+    /// it a [`REFERENCE_TILE`]-sized tile at a time.
     ///
     /// # Panics
     ///
@@ -338,7 +338,9 @@ impl KernelDispatch {
     /// references[r])` — the score every backend ranks by. Queries are
     /// tiled so each reference's words are scored against a whole query
     /// block while they are cache-hot; ragged tails (Q or R not a
-    /// multiple of the tile) are handled.
+    /// multiple of the tile) are handled. The exact scan feeds it one
+    /// [`REFERENCE_TILE`] of a shard run against every query sharing
+    /// the run.
     ///
     /// # Panics
     ///

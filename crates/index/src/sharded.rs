@@ -2,21 +2,27 @@
 //!
 //! An open precursor window reaches only a contiguous band of reference
 //! masses, so a query's candidates fall into a handful of consecutive
-//! precursor-mass shards. [`ShardedBackend`] exploits that twice:
+//! precursor-mass shards. [`ShardedBackend`] exploits that three ways:
 //!
 //! * **fan-out** — each query's candidate list is partitioned into its
 //!   shard runs (one linear pass: candidates arrive mass-sorted, shards
 //!   are mass-contiguous, so shard ids form non-decreasing runs), and
 //!   only shards overlapping the precursor window are ever touched;
-//! * **parallelism** — with many queries in flight the batch parallelises
-//!   over queries; with few queries each query parallelises over its
-//!   shard runs, so even a single interactive query saturates the
-//!   workers.
+//! * **sharing** — the open windows of a batch overlap, so a whole shard
+//!   is usually the same run for dozens of its queries: runs that are
+//!   the same slice form one group, scored once for all of its members
+//!   (the exact scan reads each reference tile once per group, not once
+//!   per query);
+//! * **parallelism** — one job list: the queries' encodes, then the
+//!   groups, each handed to the next free worker. A single interactive
+//!   query's groups are its shard runs, so it still spreads over its
+//!   shards.
 //!
 //! It is the one loop every engine scores through, written once over
 //! the backend seam ([`hdoms_oms::search::RunScorer`]: encode a query
-//! once, score one candidate run) and compiled per scorer behind one
-//! boxed seam, so nothing here knows which backend it drives: the one an
+//! once, score one candidate run for a block of queries) and compiled
+//! per scorer behind one boxed seam, so nothing here knows which
+//! backend it drives: the one an
 //! index's kind names, or a scorer without an index kind (ANN-SoLo) as
 //! one shard over every reference ([`ShardedBackend::one_shard`]).
 //! Scores are bit-identical to the flat per-query loop
@@ -30,7 +36,9 @@ use hdoms_ms::preprocess::BinnedSpectrum;
 use hdoms_obs::metrics::Registry;
 use hdoms_oms::search::{PreparedQuery, RunScorer, SearchHit};
 use hdoms_prefilter::{PrefilterStats, SketchIndex};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -40,7 +48,9 @@ use std::time::Instant;
 /// sorted by shard position, covering only shards the batch actually
 /// visited. `ms` sums every scoring visit the batch paid the shard
 /// (across queries and worker threads — on a parallel batch the
-/// per-shard figures can sum to more than the batch's wall-clock).
+/// per-shard figures can sum to more than the batch's wall-clock); a
+/// visit shared with other queries of the batch counts its share of the
+/// group's time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardTiming {
     /// Shard position (as in [`crate::LibraryIndex::shards`]).
@@ -54,17 +64,22 @@ pub struct ShardTiming {
 /// The account of one query of a batch
 /// ([`ShardedBackend::search_batch_traced`]): what it found and what it
 /// cost, in integer counts and integer nanoseconds (the prefilter's all
-/// 0 when the batch ran unfiltered). Scoring is per query, so these are
-/// the whole of a search's accounting — any grouping of a batch (a
-/// request, a coalesced member, the batch itself) is a
-/// [`QueryRecord::sum`] over its queries' records.
+/// 0 when the batch ran unfiltered). Hits and counts are the query's
+/// own, whatever batch it rides in; a run it shares with other queries
+/// of the batch is scored once for all of them and its time split
+/// evenly between them, so the records of a batch still add up to the
+/// time measured. These are the whole of a search's accounting — any
+/// grouping of a batch (a request, a coalesced member, the batch
+/// itself) is a [`QueryRecord::sum`] over its queries' records.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryRecord {
     /// The best hit (`None` when no candidate was stored).
     pub hit: Option<SearchHit>,
     /// One `(shard position, scoring nanoseconds)` per shard run scored,
-    /// ascending in shard position; empty (and unallocated) for a query
-    /// with no candidates.
+    /// in the list's run order (ascending in shard position for a
+    /// mass-sorted list); empty (and unallocated) for a query with no
+    /// candidates. A run shared with `m` queries of the batch carries
+    /// `1/m` of the group's wall time (the remainder on the first).
     pub visits: Vec<(u32, u64)>,
     /// Precursor-window candidates entering the sketch stage.
     pub candidates_pre: u64,
@@ -106,7 +121,7 @@ hdoms_obs::metrics::series! {
     /// unregistered handles until [`ShardedBackend::attach_metrics`]
     /// names a registry).
     struct ShardSeries {
-        score_ms: Histogram = "hdoms_shard_score_ms", "Wall-clock of one shard-scoring visit (one query x one shard run)";
+        score_ms: Histogram = "hdoms_shard_score_ms", "Wall-clock of one shard-scoring visit (one query x one shard run; a run shared by m queries of a batch counts 1/m of its time)";
         visits: Counter = "hdoms_shard_visits_total", "Shard-scoring visits performed by traced batch searches";
     }
 }
@@ -141,7 +156,7 @@ hdoms_obs::metrics::series! {
 /// assert_eq!(backend.name(), format!("sharded(exact-hd, {} shards)", index.shards().len()));
 /// ```
 pub struct ShardedBackend {
-    scorer: Box<dyn QueryScorer>,
+    scorer: Box<dyn BatchScorer>,
     /// The name reports carry.
     name: String,
     /// Dense id → shard position: the index's table, shared.
@@ -151,31 +166,51 @@ pub struct ShardedBackend {
     series: ShardSeries,
 }
 
-/// The one erased seam: a scorer's per-query walk, compiled once per
-/// [`RunScorer`] (so the per-run calls stay static) and boxed, so a
+/// The one erased seam: a scorer's batch loop, compiled once per
+/// [`RunScorer`] (so the per-group calls stay static) and boxed, so a
 /// [`ShardedBackend`] is one type whatever it scores with.
-trait QueryScorer: Send + Sync {
-    fn score_query(
+trait BatchScorer: Send + Sync {
+    fn score_batch(
         &self,
         backend: &ShardedBackend,
-        binned: &BinnedSpectrum,
-        candidates: &[u32],
-        parallel_shards: usize,
+        queries: &[BinnedSpectrum],
+        candidates: &[Vec<u32>],
+        workers: usize,
         prefilter: Option<(&SketchIndex, usize)>,
-    ) -> QueryRecord;
+    ) -> Vec<QueryRecord>;
 }
 
-impl<S: RunScorer + Send> QueryScorer for S {
-    fn score_query(
+impl<S: RunScorer + Send> BatchScorer for S {
+    fn score_batch(
         &self,
         backend: &ShardedBackend,
-        binned: &BinnedSpectrum,
-        candidates: &[u32],
-        parallel_shards: usize,
+        queries: &[BinnedSpectrum],
+        candidates: &[Vec<u32>],
+        workers: usize,
         prefilter: Option<(&SketchIndex, usize)>,
-    ) -> QueryRecord {
-        backend.search_query(self, binned, candidates, parallel_shards, prefilter)
+    ) -> Vec<QueryRecord> {
+        backend.search_with(self, queries, candidates, workers, prefilter)
     }
+}
+
+/// A shard run as a grouping key: equal as a slice, hashed by its ends
+/// and length alone (cheap, and equal slices share them).
+#[derive(PartialEq, Eq)]
+struct RunKey<'a>(&'a [u32]);
+
+impl Hash for RunKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.0.first(), self.0.last(), self.0.len()).hash(state);
+    }
+}
+
+/// One shard run scored once for every query of the batch whose list
+/// holds that very slice.
+struct Group<'a> {
+    shard: u32,
+    run: &'a [u32],
+    /// The queries sharing the run, ascending.
+    members: Vec<usize>,
 }
 
 impl ShardedBackend {
@@ -233,73 +268,104 @@ impl ShardedBackend {
         self.series = ShardSeries::register(registry);
     }
 
-    /// Evaluate one query: encode once, narrow the candidate list
-    /// through the prefilter's sketch stage when one is passed, score
-    /// each shard run (timed into the record and the backend's series),
-    /// fold the per-shard winners in the flat scan's order.
-    ///
-    /// `parallel_shards` (> 1) switches the per-shard scoring onto that
-    /// many worker threads (used when the batch itself is too small to
-    /// parallelise over queries).
-    fn search_query<S: RunScorer>(
+    /// The batch loop: prepare each query once (narrowing its list
+    /// through the sketch stage when a prefilter is passed), group each
+    /// shard's runs by slice equality, score every group once for all of
+    /// its members, and fold each member's hit and visit into its record
+    /// in its list's run order.
+    fn search_with<S: RunScorer>(
         &self,
         scorer: &S,
-        binned: &BinnedSpectrum,
-        candidates: &[u32],
-        parallel_shards: usize,
+        queries: &[BinnedSpectrum],
+        candidates: &[Vec<u32>],
+        workers: usize,
         prefilter: Option<(&SketchIndex, usize)>,
-    ) -> QueryRecord {
-        let mut record = QueryRecord::default();
-        if candidates.is_empty() {
-            return record;
-        }
-        let query = scorer.prepare(binned);
-        // The sketch stage sits between encode and the shard walk: the
-        // narrowed list keeps the original (ascending-mass) candidate
-        // order, so the run partition below stays valid.
-        let narrowed: Vec<u32>;
-        let candidates = match prefilter {
-            None => candidates,
-            Some((sketch, k)) => {
-                let words = query
-                    .hv_words()
-                    .expect("the sketch stage needs a hypervector query");
-                let start = Instant::now();
-                let signature = sketch.sketch_query(words);
-                narrowed = sketch.narrow(&signature, candidates, k);
-                record.candidates_pre = candidates.len() as u64;
-                record.candidates_post = narrowed.len() as u64;
-                record.sketch_ns = start.elapsed().as_nanos() as u64;
-                &narrowed
+    ) -> Vec<QueryRecord> {
+        // 1. Encode once per query. The sketch stage sits between encode
+        //    and the shard walk: a narrowed list keeps the input's
+        //    (ascending-mass) order, so the run partition stays valid.
+        let jobs: Vec<usize> = (0..queries.len()).collect();
+        let (prepared, mut records): (Vec<_>, Vec<_>) = par_map(&jobs, workers, |&i| {
+            let mut record = QueryRecord::default();
+            let candidates = &candidates[i][..];
+            if candidates.is_empty() {
+                return ((None, Cow::Borrowed(candidates)), record);
             }
-        };
-        // The shard runs: candidates arrive mass-sorted and shards are
-        // mass-contiguous, so shard positions form non-decreasing runs —
-        // exactly the shards the precursor window reaches.
+            let query = scorer.prepare(&queries[i]);
+            let list = match prefilter {
+                None => Cow::Borrowed(candidates),
+                Some((sketch, k)) => {
+                    let words = query
+                        .hv_words()
+                        .expect("the sketch stage needs a hypervector query");
+                    let start = Instant::now();
+                    let signature = sketch.sketch_query(words);
+                    let narrowed = sketch.narrow(&signature, candidates, k);
+                    record.candidates_pre = candidates.len() as u64;
+                    record.candidates_post = narrowed.len() as u64;
+                    record.sketch_ns = start.elapsed().as_nanos() as u64;
+                    Cow::Owned(narrowed)
+                }
+            };
+            ((Some(query), list), record)
+        })
+        .into_iter()
+        .unzip();
+
+        // 2. The shard runs: candidates arrive mass-sorted and shards are
+        //    mass-contiguous, so shard positions form non-decreasing runs
+        //    — exactly the shards the precursor window reaches. Runs that
+        //    are the same slice share one group; `placed` keeps every
+        //    (query, group, member) in query, then run, order.
         let shard = |id: &u32| self.shard_of[*id as usize];
-        let runs: Vec<&[u32]> = candidates.chunk_by(|a, b| shard(a) == shard(b)).collect();
-        let score = |run: &[u32]| {
-            let start = Instant::now();
-            let hit = scorer.best_in(binned, &query, run);
-            let ns = start.elapsed().as_nanos() as u64;
-            self.series.score_ms.record_ms(ns as f64 / 1e6);
-            self.series.visits.inc();
-            (hit, (shard(&run[0]), ns))
-        };
-        record.visits.reserve_exact(runs.len());
-        let fold = |(hit, visit): (Option<SearchHit>, (u32, u64))| {
-            if let Some(hit) = hit {
-                hit.fold_into(&mut record.hit);
+        let mut groups: Vec<Group> = Vec::new();
+        let mut group_of: HashMap<RunKey, usize> = HashMap::new();
+        let mut placed: Vec<(usize, usize, usize)> = Vec::new();
+        for (i, (_, list)) in prepared.iter().enumerate() {
+            let first = placed.len();
+            for run in list.chunk_by(|a, b| shard(a) == shard(b)) {
+                let g = *group_of.entry(RunKey(run)).or_insert_with(|| {
+                    groups.push(Group {
+                        shard: shard(&run[0]),
+                        run,
+                        members: Vec::new(),
+                    });
+                    groups.len() - 1
+                });
+                placed.push((i, g, groups[g].members.len()));
+                groups[g].members.push(i);
             }
-            record.visits.push(visit);
-        };
-        if parallel_shards > 1 && runs.len() > 1 {
-            let scored = par_map(&runs, parallel_shards, |run| score(run));
-            scored.into_iter().for_each(fold);
-        } else {
-            runs.into_iter().map(score).for_each(fold);
+            records[i].visits.reserve_exact(placed.len() - first);
         }
-        record
+
+        // 3. Score the groups in parallel, each one timed as a whole.
+        let scored = par_map(&groups, workers, |group| {
+            let members: Vec<_> = (group.members.iter())
+                .map(|&i| {
+                    let query = prepared[i].0.as_ref();
+                    (&queries[i], query.expect("a query with runs is prepared"))
+                })
+                .collect();
+            let start = Instant::now();
+            let hits = scorer.best_in_each(&members, group.run);
+            (hits, start.elapsed().as_nanos() as u64)
+        });
+
+        // 4. Fold. A member's visit costs an even share of its group's
+        //    wall time (the remainder to the first member), so the
+        //    records still sum to the time measured.
+        for (i, g, member) in placed {
+            let (hits, ns) = &scored[g];
+            let sharers = hits.len() as u64;
+            let share = ns / sharers + if member == 0 { ns % sharers } else { 0 };
+            self.series.score_ms.record_ms(share as f64 / 1e6);
+            self.series.visits.inc();
+            if let Some(hit) = hits[member] {
+                hit.fold_into(&mut records[i].hit);
+            }
+            records[i].visits.push((groups[g].shard, share));
+        }
+        records
     }
 
     /// [`ShardedBackend::search_batch_traced`] summed over the batch
@@ -324,9 +390,10 @@ impl ShardedBackend {
     }
 
     /// The one search loop: one [`QueryRecord`] per query, in input
-    /// order. Scoring is per query and independent of batch composition,
-    /// so a record is bit-identical (hit and counts; nanoseconds are
-    /// wall-clock) whatever batch its query rides in — which is the
+    /// order. Every `(query, reference)` score is independent of batch
+    /// composition, so a record is bit-identical (hit and counts;
+    /// nanoseconds are wall-clock, shared runs split between their
+    /// queries) whatever batch its query rides in — which is the
     /// cross-request coalescing seam: the serve layer merges concurrent
     /// requests into one batch here and the engine sums each request's
     /// own range of records back out.
@@ -362,25 +429,7 @@ impl ShardedBackend {
             candidates.len(),
             "queries and candidate lists must pair up"
         );
-        let search = |i: usize, parallel_shards: usize| {
-            self.scorer.score_query(
-                self,
-                &queries[i],
-                &candidates[i],
-                parallel_shards,
-                prefilter,
-            )
-        };
-        if queries.len() >= workers {
-            // Enough queries to keep every worker busy: parallelise over
-            // queries, keep each query's shard walk sequential (better
-            // locality, no nested parallelism).
-            let jobs: Vec<usize> = (0..queries.len()).collect();
-            par_map(&jobs, workers, |&i| search(i, 1))
-        } else {
-            // Few queries (interactive / tail of a batch): go wide over
-            // each query's shards instead.
-            (0..queries.len()).map(|i| search(i, workers)).collect()
-        }
+        self.scorer
+            .score_batch(self, queries, candidates, workers, prefilter)
     }
 }

@@ -1152,3 +1152,275 @@ fn group_accounting_is_a_sum_over_per_query_records() {
     assert_eq!(none, vec![QueryRecord::default()]);
     assert_eq!(none[0].visits.capacity(), 0);
 }
+
+/// Hand-built batches through the shard loop's grouping: `search_batch_traced`
+/// must equal the flat oracle (`best_hits`) hit for hit, and every count
+/// must be what a per-query walk of the same lists pays.
+mod fan_out {
+    use super::*;
+    use hdoms_baselines::annsolo::{AnnSoloBackend, AnnSoloConfig};
+    use hdoms_index::ShardedBackend;
+    use hdoms_ms::preprocess::{BinnedSpectrum, Preprocessor};
+    use hdoms_oms::search::{best_hits, RunScorer};
+    use hdoms_prefilter::SketchIndex;
+
+    /// The tiny library with every tenth entry starved below the
+    /// preprocessing floor, so shard runs hold absent references.
+    fn starved_library(seed: u64) -> (SyntheticWorkload, SpectralLibrary) {
+        let workload = tiny_workload(seed);
+        let library = (workload.library.iter().enumerate())
+            .map(|(id, entry)| {
+                let mut entry = entry.clone();
+                if id % 10 == 3 {
+                    let peaks = entry.spectrum.peaks()[..2].to_vec();
+                    entry.spectrum = Spectrum::new(
+                        entry.spectrum.id,
+                        entry.spectrum.precursor_mz,
+                        entry.spectrum.precursor_charge,
+                        peaks,
+                        entry.spectrum.origin,
+                    );
+                }
+                entry
+            })
+            .collect();
+        (workload, library)
+    }
+
+    /// The batches: `(name, queries, lists)`, every list mass-sorted
+    /// (shards in order, each shard's ids in the index's shard-table
+    /// order).
+    fn batches<S: RunScorer>(
+        flat: &S,
+        shard_of: &[u32],
+        shards: &[Vec<u32>],
+        binned: &[BinnedSpectrum],
+    ) -> Vec<(String, Vec<BinnedSpectrum>, Vec<Vec<u32>>)> {
+        let span = |from: usize, to: usize| -> Vec<u32> { shards[from..=to].concat() };
+        let whole = span(3, 6);
+        let mut batches: Vec<_> = [1, 7, 8, 9, 17, 64]
+            .into_iter()
+            .map(|n| (format!("{n} queries, one list"), vec![whole.clone(); n]))
+            .collect();
+        // Lists that differ only at their edge shards: the interior ones
+        // are one run shared by every query.
+        let edges = (0..24)
+            .map(|q| {
+                let (head, tail) = (&shards[2], &shards[7]);
+                let mut list = head[q % head.len()..].to_vec();
+                list.extend(span(3, 6));
+                list.extend(&tail[..=(3 * q) % tail.len()]);
+                list
+            })
+            .collect();
+        batches.push(("edge-only differences".to_owned(), edges));
+        // A duplicated id (one run, scored twice) shared by two queries,
+        // beside its deduplicated twin, a shorter list and an empty one.
+        let mut doubled = span(4, 5);
+        doubled.insert(5, doubled[4]);
+        let mixed = vec![
+            doubled.clone(),
+            span(4, 5),
+            Vec::new(),
+            doubled,
+            shards[5].clone(),
+            span(4, 5),
+        ];
+        batches.push(("duplicated id, empty list".to_owned(), mixed));
+        let mut batches: Vec<_> = (batches.into_iter())
+            .map(|(name, lists)| {
+                let cycled = (0..lists.len()).map(|i| binned[i % binned.len()].clone());
+                (name, cycled.collect(), lists)
+            })
+            .collect();
+
+        // A run with the same ends and length as a shared one but
+        // another slice: the shared run's best hit for one query,
+        // overwritten by its neighbour. Grouping the two would hand the
+        // twin a hit it does not hold.
+        let lists = vec![whole.clone(); binned.len()];
+        let shard = |at: usize| shard_of[whole[at] as usize];
+        let inside = |at: usize| at > 0 && at + 1 < whole.len() && shard(at - 1) == shard(at + 1);
+        let (q, at) = (best_hits(flat, binned, &lists).iter().enumerate())
+            .find_map(|(q, hit)| {
+                let best = hit.as_ref()?.reference;
+                let at = whole.iter().position(|&id| id == best)?;
+                inside(at).then_some((q, at))
+            })
+            .expect("some query's best hit lies inside its shard run");
+        let mut twin = whole.clone();
+        twin[at] = twin[at - 1];
+        let lists = vec![whole.clone(), twin.clone(), whole, twin];
+        batches.push(("a twin run".to_owned(), vec![binned[q].clone(); 4], lists));
+        batches
+    }
+
+    /// Check `backend` against `flat` over every batch at workers 1, 2
+    /// and 8; with `sketch`, the prefilter at a covering K as well.
+    fn check<S: RunScorer>(
+        name: &str,
+        backend: &ShardedBackend,
+        flat: &S,
+        shard_of: &[u32],
+        shards: &[Vec<u32>],
+        binned: &[BinnedSpectrum],
+        sketch: Option<&SketchIndex>,
+    ) {
+        for (batch, queries, lists) in batches(flat, shard_of, shards, binned) {
+            let oracle = best_hits(flat, &queries, &lists);
+            assert!(
+                oracle.iter().any(Option::is_some),
+                "{name}/{batch}: no hits"
+            );
+            // What a per-query walk pays: one visit per run, in run order.
+            let runs: Vec<Vec<u32>> = (lists.iter())
+                .map(|list| {
+                    let runs = list.chunk_by(|a, b| shard_of[*a as usize] == shard_of[*b as usize]);
+                    runs.map(|run| shard_of[run[0] as usize]).collect()
+                })
+                .collect();
+            let mut expected_visits = std::collections::BTreeMap::<u32, u64>::new();
+            for &shard in runs.iter().flatten() {
+                *expected_visits.entry(shard).or_default() += 1;
+            }
+            let expected_visits: Vec<(u32, u64)> = expected_visits.into_iter().collect();
+            let covering = lists.iter().map(Vec::len).max().unwrap_or(0);
+            for workers in [1, 2, 8] {
+                let at = format!("{name}/{batch}/workers {workers}");
+                let records = backend.search_batch_traced(&queries, &lists, Some(workers), None);
+                assert!(
+                    records.iter().map(|r| r.hit).eq(oracle.iter().copied()),
+                    "{at}"
+                );
+                for (record, runs) in records.iter().zip(&runs) {
+                    let visited: Vec<u32> = record.visits.iter().map(|v| v.0).collect();
+                    assert_eq!(&visited, runs, "{at}");
+                    assert!(visited.windows(2).all(|w| w[0] < w[1]), "{at}: {visited:?}");
+                    assert_eq!(record.visits.capacity(), runs.len(), "{at}");
+                    assert_eq!((record.candidates_pre, record.candidates_post), (0, 0));
+                }
+                let (timings, _) = QueryRecord::sum(&records);
+                let counts: Vec<(u32, u64)> = timings.iter().map(|t| (t.shard, t.visits)).collect();
+                assert_eq!(counts, expected_visits, "{at}");
+
+                let Some(sketch) = sketch else { continue };
+                let filtered = backend.search_batch_traced(
+                    &queries,
+                    &lists,
+                    Some(workers),
+                    Some((sketch, covering)),
+                );
+                for ((on, off), list) in filtered.iter().zip(&records).zip(&lists) {
+                    assert_eq!(on.hit, off.hit, "{at}: covering K");
+                    let shards = |r: &QueryRecord| r.visits.iter().map(|v| v.0).collect::<Vec<_>>();
+                    assert_eq!(shards(on), shards(off), "{at}: covering K");
+                    let n = list.len() as u64;
+                    assert_eq!((on.candidates_pre, on.candidates_post), (n, n), "{at}");
+                }
+            }
+        }
+    }
+
+    fn shard_lists(index: &LibraryIndex) -> Vec<Vec<u32>> {
+        let shards: Vec<Vec<u32>> = (index.shards())
+            .map(|shard| shard.iter().map(|&(_, id)| id).collect())
+            .collect();
+        assert!(shards.len() > 8, "too few shards to build the batches");
+        shards
+    }
+
+    fn binned_queries(index: &LibraryIndex, workload: &SyntheticWorkload) -> Vec<BinnedSpectrum> {
+        Preprocessor::new(index.kind().preprocess())
+            .run_batch(&workload.queries)
+            .0
+    }
+
+    #[test]
+    fn exact_hyperoms_and_rram_shard_loops_equal_the_flat_oracle() {
+        let (workload, library) = starved_library(43);
+        let hyperoms = IndexedBackendKind::HyperOms(HyperOmsConfig {
+            dim: TEST_DIM,
+            ..HyperOmsConfig::default()
+        });
+        for kind in [exact_kind(), hyperoms, rram_kind()] {
+            let index = build_index(kind, &library, 16);
+            let name = index.kind().name();
+            let shards = shard_lists(&index);
+            let refs = index.shared_references();
+            assert!(
+                shards[3..=6]
+                    .iter()
+                    .flatten()
+                    .any(|&id| refs.hv(id as usize).is_none()),
+                "{name}: no shared run holds a rejected reference"
+            );
+            let backend = index.sharded_backend(THREADS).expect("kind matches");
+            let (shard_of, sketch) = (index.shard_assignment(), index.sketch_index());
+            let binned = binned_queries(&index, &workload);
+            match index.kind() {
+                IndexedBackendKind::Exact(_) => {
+                    let flat = index.to_exact_backend(THREADS).expect("exact kind");
+                    check(
+                        name,
+                        &backend,
+                        &flat,
+                        &shard_of,
+                        &shards,
+                        &binned,
+                        Some(&sketch),
+                    );
+                }
+                IndexedBackendKind::HyperOms(config) => {
+                    let flat =
+                        ExactBackend::from_shared(config.exact_config(THREADS), refs.clone());
+                    check(
+                        name,
+                        &backend,
+                        &flat,
+                        &shard_of,
+                        &shards,
+                        &binned,
+                        Some(&sketch),
+                    );
+                }
+                IndexedBackendKind::Rram(_) => {
+                    let flat = index.to_accelerator(THREADS).expect("rram kind");
+                    check(
+                        name,
+                        &backend,
+                        &flat,
+                        &shard_of,
+                        &shards,
+                        &binned,
+                        Some(&sketch),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_ann_solo_one_shard_loop_equals_the_flat_oracle() {
+        let (workload, library) = starved_library(44);
+        let index = build_index(exact_kind(), &library, 16);
+        let config = AnnSoloConfig {
+            threads: THREADS,
+            ..AnnSoloConfig::default()
+        };
+        let flat = AnnSoloBackend::build(&library, config);
+        let backend = ShardedBackend::one_shard(Box::new(flat.clone()), library.len(), THREADS);
+        let shard_of = vec![0; library.len()];
+        let binned = Preprocessor::new(config.preprocess)
+            .run_batch(&workload.queries)
+            .0;
+        check(
+            "ann-solo",
+            &backend,
+            &flat,
+            &shard_of,
+            &shard_lists(&index),
+            &binned,
+            None,
+        );
+    }
+}

@@ -2,8 +2,9 @@
 //!
 //! A scoring backend is two functions, the two operations of the paper's
 //! crossbar: a [`RunScorer`] **prepares** a query once (§4.2 encode, with
-//! the backend's own error injection) and finds the **best hit in one
-//! run** of candidate ids (§4.1 search). Everything around them is
+//! the backend's own error injection) and finds, for each query of a
+//! block that shares it, the **best hit in one run** of candidate ids
+//! (§4.1 search). Everything around them is
 //! written once: the flat per-query loop [`best_hits`] (what the
 //! pipeline, the cascade and the figure binaries drive), the shard
 //! fan-out of `hdoms-index`'s `ShardedBackend` (the loop every engine
@@ -347,21 +348,24 @@ pub trait RunScorer: Sync {
     /// encode-path error injection.
     fn prepare(&self, binned: &BinnedSpectrum) -> Self::Query;
 
-    /// The best hit for the prepared query among the references in `run`
-    /// (`None` when the run holds no stored reference), under the
-    /// [`SearchHit::fold_into`] order.
-    fn best_in(
+    /// For each prepared query of `queries`, in order, its best hit among
+    /// the references in `run` (`None` when the run holds no stored
+    /// reference), under the [`SearchHit::fold_into`] order. One run
+    /// scored for many queries at once is the block the shard loop hands
+    /// over when several queries of a batch share it; a one-query slice
+    /// is a plain scan.
+    fn best_in_each(
         &self,
-        binned: &BinnedSpectrum,
-        query: &Self::Query,
+        queries: &[(&BinnedSpectrum, &Self::Query)],
         run: &[u32],
-    ) -> Option<SearchHit>;
+    ) -> Vec<Option<SearchHit>>;
 }
 
 /// A prepared query as the sketch prefilter sees it: a hypervector
 /// offers its packed words to sketch, a query scored as its binned
-/// spectrum (`()`) offers none.
-pub trait PreparedQuery: Sync {
+/// spectrum (`()`) offers none. `Send`, because a batch prepares its
+/// queries on one worker and scores them on another.
+pub trait PreparedQuery: Send + Sync {
     /// The query hypervector's packed words, if the query is one.
     fn hv_words(&self) -> Option<&[u64]>;
 }
@@ -400,7 +404,7 @@ pub fn best_hits<S: RunScorer>(
     let jobs: Vec<usize> = (0..queries.len()).collect();
     par_map(&jobs, scorer.threads(), |&i| {
         let query = scorer.prepare(&queries[i]);
-        scorer.best_in(&queries[i], &query, &candidates[i])
+        scorer.best_in_each(&[(&queries[i], &query)], &candidates[i])[0]
     })
 }
 
@@ -759,28 +763,38 @@ impl RunScorer for ExactBackend {
         self.encode_query(binned)
     }
 
-    /// The exact scan: score the query against the present entries of
-    /// `run` in [`REFERENCE_TILE`]-sized tiles on the process-wide active
-    /// kernel ([`hdoms_hdc::kernels::active`]) — identical results to the
-    /// pairwise formulation, whatever the kernel or tile shape.
+    /// The exact scan: the present entries of `run` in
+    /// [`REFERENCE_TILE`]-sized tiles, each scored against every query
+    /// at once by [`KernelDispatch::score_block`](kernels::KernelDispatch::score_block)
+    /// ([`kernels::QUERY_TILE`] queries per inner tile) on the
+    /// process-wide active kernel ([`hdoms_hdc::kernels::active`]), so a
+    /// run shared by many queries is read once per tile, not once per
+    /// query — identical results to the pairwise formulation, whatever
+    /// the kernel, tile shape or query count.
     ///
     /// # Panics
     ///
     /// Panics if a candidate id is beyond the reference table.
-    fn best_in(
+    fn best_in_each(
         &self,
-        _binned: &BinnedSpectrum,
-        query_hv: &BinaryHypervector,
+        queries: &[(&BinnedSpectrum, &BinaryHypervector)],
         run: &[u32],
-    ) -> Option<SearchHit> {
+    ) -> Vec<Option<SearchHit>> {
         let dim = self.encoder.config().dim;
         let kernel = kernels::active();
-        let query = query_hv.words();
-        let mut best: Option<SearchHit> = None;
+        let query_words: Vec<&[u64]> = queries.iter().map(|(_, hv)| hv.words()).collect();
+        let mut best: Vec<Option<SearchHit>> = vec![None; queries.len()];
         let cap = REFERENCE_TILE.min(run.len());
         let mut ids: Vec<u32> = Vec::with_capacity(cap);
         let mut tile: Vec<&[u64]> = Vec::with_capacity(cap);
-        let mut scores = [0i64; REFERENCE_TILE];
+        let mut scores = vec![0i64; queries.len() * cap];
+        let mut score_tile = |ids: &[u32], tile: &[&[u64]]| {
+            let out = &mut scores[..queries.len() * ids.len()];
+            kernel.score_block(dim, &query_words, tile, out);
+            for (row, best) in out.chunks_exact(ids.len()).zip(&mut best) {
+                fold_tile(dim, ids, row, best);
+            }
+        };
         for &cand in run {
             let Some(ref_hv) = self.reference_hvs.hv(cand as usize) else {
                 continue;
@@ -788,16 +802,13 @@ impl RunScorer for ExactBackend {
             ids.push(cand);
             tile.push(ref_hv.words());
             if ids.len() == REFERENCE_TILE {
-                kernel.dot_many(dim, query, &tile, &mut scores);
-                fold_tile(dim, &ids, &scores, &mut best);
+                score_tile(&ids, &tile);
                 ids.clear();
                 tile.clear();
             }
         }
         if !ids.is_empty() {
-            let out = &mut scores[..ids.len()];
-            kernel.dot_many(dim, query, &tile, out);
-            fold_tile(dim, &ids, out, &mut best);
+            score_tile(&ids, &tile);
         }
         best
     }
