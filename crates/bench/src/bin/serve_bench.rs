@@ -38,9 +38,9 @@
 //!   tier (flat fairness). The bench asserts the tiered p99 is
 //!   strictly lower while the batch side keeps every worker busy,
 //! * `coalesce_ratio` — interactive requests per engine batch when
-//!   four clients fire inside a `--coalesce-window-ms` window
-//!   (requests ÷ batches; > 1 means cross-request coalescing merged
-//!   work),
+//!   four clients fire while every worker token is held, so the first
+//!   queues and the rest join its admission (requests ÷ batches; > 1
+//!   means cross-request coalescing merged work),
 //! * `evictions_total` / `reloads_total` — shard-LRU eviction against
 //!   a mapped index squeezed to half its resident footprint; the bench
 //!   asserts the budget holds and the post-eviction rows are
@@ -69,7 +69,6 @@ use hdoms_serve::protocol::{QueryRequest, QuerySpectrum, WindowKind};
 use hdoms_serve::scheduler::{SchedulerConfig, Tier};
 use hdoms_serve::server::Server;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
 use std::time::Instant;
 
 const THREADS: usize = 8;
@@ -444,11 +443,11 @@ fn main() {
         storm_flat.p99_probe_ms
     );
 
-    // Coalescing: four interactive clients fire 4-spectrum queries in
-    // lockstep inside a small window; the server merges each volley
-    // into fewer engine batches.
-    let mut coalesce_server = Server::with_scheduler(THREADS, SchedulerConfig::default());
-    coalesce_server.set_coalesce_window_ms(2);
+    // Coalescing: each round holds every worker token while four
+    // interactive clients fire 4-spectrum queries; the first queues and
+    // leads, the rest join its group, and the release runs the volley
+    // as fewer engine batches.
+    let coalesce_server = Server::with_scheduler(THREADS, SchedulerConfig::default());
     coalesce_server
         .add_index(
             "bench",
@@ -457,29 +456,34 @@ fn main() {
         .expect("servable index");
     const COALESCE_CLIENTS: usize = 4;
     const COALESCE_ROUNDS: usize = 25;
-    let volley = Barrier::new(COALESCE_CLIENTS);
-    std::thread::scope(|scope| {
-        for _ in 0..COALESCE_CLIENTS {
-            let (coalesce_server, volley, spectra) = (&coalesce_server, &volley, &spectra);
-            scope.spawn(move || {
-                let client = coalesce_server.next_client_id();
-                for _ in 0..COALESCE_ROUNDS {
-                    volley.wait();
-                    let request = QueryRequest {
-                        index: "bench".to_owned(),
-                        window: WindowKind::Open,
-                        fdr: 0.01,
-                        tier: Tier::Interactive,
-                        prefilter: None,
-                        spectra: spectra[..4.min(spectra.len())].to_vec(),
-                    };
+    let request = QueryRequest {
+        index: "bench".to_owned(),
+        window: WindowKind::Open,
+        fdr: 0.01,
+        tier: Tier::Interactive,
+        prefilter: None,
+        spectra: spectra[..4.min(spectra.len())].to_vec(),
+    };
+    for _ in 0..COALESCE_ROUNDS {
+        let scheduler = coalesce_server.scheduler();
+        let held = scheduler.admit_as(0, Tier::Batch).expect("idle server");
+        std::thread::scope(|scope| {
+            for _ in 0..COALESCE_CLIENTS {
+                let (coalesce_server, request) = (&coalesce_server, &request);
+                scope.spawn(move || {
+                    let client = coalesce_server.next_client_id();
                     coalesce_server
-                        .query_batch_as(client, &request)
+                        .query_batch_as(client, request)
                         .expect("coalesced volley");
-                }
-            });
-        }
-    });
+                });
+            }
+            while scheduler.stats().tier(Tier::Interactive).queued == 0 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            drop(held);
+        });
+    }
     let coalesce_stats = coalesce_server.stats();
     let coalesce_ratio =
         coalesce_stats.coalesced_requests as f64 / coalesce_stats.coalesced_batches.max(1) as f64;

@@ -18,7 +18,6 @@ use hdoms_oms::pipeline::PipelineOutcome;
 use hdoms_oms::profile::{common_catalogue, DeltaMassProfile};
 use hdoms_oms::psm::{parse_table, render_table, Psm};
 use hdoms_oms::search::ExactBackendConfig;
-use hdoms_oms::window::PrecursorWindow;
 use hdoms_prefilter::PrefilterConfig;
 use hdoms_rram::chip::ChipSpec;
 use hdoms_rram::config::MlcConfig;
@@ -135,14 +134,6 @@ fn engine_for(
     })
 }
 
-fn parse_window(flags: &Flags) -> Result<PrecursorWindow, String> {
-    match flags.get("window").unwrap_or("open") {
-        "open" => Ok(PrecursorWindow::open_default()),
-        "standard" => Ok(PrecursorWindow::standard_default()),
-        other => Err(format!("unknown window {other:?} (open|standard)")),
-    }
-}
-
 /// `hdoms search`: MGF queries vs an annotated-MGF library (cold build)
 /// or a prebuilt `.hdx` index (warm load) → PSM table.
 pub fn search(args: &[String]) -> Result<(), String> {
@@ -164,7 +155,7 @@ pub fn search(args: &[String]) -> Result<(), String> {
     let fdr: f64 = flags.get_or("fdr", 0.01)?;
     let dim: usize = flags.get_or("dim", 8192)?;
     let threads: usize = flags.get_or("threads", hdoms_hdc::parallel::default_threads())?;
-    let window = parse_window(&flags)?;
+    let window = WindowKind::parse(flags.get("window").unwrap_or("open"))?.window();
     let backend_name = flags.get("backend").unwrap_or("exact").to_owned();
     let prefilter = PrefilterConfig::parse(flags.get("prefilter").unwrap_or("off"))?;
 
@@ -193,12 +184,10 @@ pub fn search(args: &[String]) -> Result<(), String> {
         (None, None) => return Err("search needs --library or --index".to_owned()),
     };
 
-    let mut engine = engine_for(&backend_name, target, dim, threads)?;
-    engine
-        .set_prefilter(prefilter)
+    let engine = Arc::new(engine_for(&backend_name, target, dim, threads)?);
+    let (outcome, _) = engine
+        .search_with_workers_opts(&queries, window, fdr, engine.threads(), Some(prefilter))
         .map_err(|e| format!("--prefilter {}: {e}", prefilter.render()))?;
-    let engine = Arc::new(engine);
-    let (outcome, _) = engine.search(&queries, window, fdr);
 
     fs::write(out_path, render_table(engine.peptides(), &outcome)).map_err(|e| e.to_string())?;
     println!(
@@ -468,7 +457,7 @@ pub fn compare(args: &[String]) -> Result<(), String> {
     let fdr: f64 = flags.get_or("fdr", 0.01)?;
     let dim: usize = flags.get_or("dim", 8192)?;
     let threads: usize = flags.get_or("threads", hdoms_hdc::parallel::default_threads())?;
-    let window = parse_window(&flags)?;
+    let window = WindowKind::parse(flags.get("window").unwrap_or("open"))?.window();
 
     let queries = read_queries(queries_path)?;
     let library = flags.get("library").map(read_library_file).transpose()?;
@@ -580,10 +569,10 @@ pub fn profile(args: &[String]) -> Result<(), String> {
 /// Tiered serving: `--interactive-weight` sets how many interactive
 /// admissions each batch admission is worth under contention,
 /// `--interactive-queue-depth` bounds the interactive queue separately,
-/// `--coalesce-window-ms` merges interactive queries with identical
-/// parameters into one engine batch, and `--memory-budget` bounds the
-/// bytes of mapped shard hypervectors kept resident (cold shards are
-/// evicted and refault on demand). See `docs/SCHEDULER.md` for tuning.
+/// and `--memory-budget` bounds the bytes of mapped shard hypervectors
+/// kept resident (cold shards are evicted and refault on demand). An
+/// interactive query that finds an identical one still queued rides its
+/// admission and engine batch. See `docs/SCHEDULER.md` for tuning.
 ///
 /// Observability: `--metrics <host:port>` binds a Prometheus-style text
 /// exposition endpoint over the server's metrics registry;
@@ -602,7 +591,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         "deadline-ms",
         "interactive-weight",
         "interactive-queue-depth",
-        "coalesce-window-ms",
         "memory-budget",
         "metrics",
         "log-level",
@@ -621,7 +609,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     // The interactive queue matches the batch queue bound unless bounded
     // separately.
     let interactive_queue_depth: usize = flags.get_or("interactive-queue-depth", queue_depth)?;
-    let coalesce_window_ms: u64 = flags.get_or("coalesce-window-ms", 0)?;
     let memory_budget: u64 = flags.get_or("memory-budget", 0)?;
     let stdio: bool = flags.get_or("stdio", false)?;
     let listen = flags.get("listen");
@@ -656,7 +643,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     );
     server.set_logger(logger.clone());
     server.set_prefilter(prefilter);
-    server.set_coalesce_window_ms(coalesce_window_ms);
     server.set_memory_budget(memory_budget);
     logger
         .info("serve.scheduler")
@@ -665,7 +651,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         .u64("deadline_ms", deadline_ms)
         .u64("interactive_weight", interactive_weight as u64)
         .u64("interactive_queue_depth", interactive_queue_depth as u64)
-        .u64("coalesce_window_ms", coalesce_window_ms)
         .u64("memory_budget", memory_budget)
         .emit();
     if !prefilter.is_off() {
@@ -737,7 +722,8 @@ pub fn serve(args: &[String]) -> Result<(), String> {
 /// so any `--batch-size` reproduces the local single-run table. Without
 /// it each batch is filtered alone (the per-batch compatibility mode).
 /// `--tier interactive` requests the priority class (and, per batch,
-/// eligibility for server-side coalescing); `--prefilter` overrides the
+/// server-side coalescing with identical queued requests); `--prefilter`
+/// overrides the
 /// server's default cascade per batch, or for the whole session when
 /// combined with `--session true`.
 pub fn query(args: &[String]) -> Result<(), String> {

@@ -44,8 +44,7 @@ USAGE:
                  (--listen <host:port> | --stdio true) [--threads <usize>]
                  [--workers <usize>] [--queue-depth <usize>]
                  [--deadline-ms <u64>] [--interactive-weight <usize>]
-                 [--interactive-queue-depth <usize>]
-                 [--coalesce-window-ms <u64>] [--memory-budget <bytes>]
+                 [--interactive-queue-depth <usize>] [--memory-budget <bytes>]
                  [--metrics <host:port>]
                  [--log-level off|error|warn|info|debug] [--log-json true]
                  [--prefilter off|k=<usize>]
@@ -55,14 +54,14 @@ USAGE:
                   too long. Tiered serving: --interactive-weight grants
                   that many interactive admissions per batch admission,
                   --interactive-queue-depth bounds the interactive queue
-                  separately, --coalesce-window-ms merges interactive
-                  queries with identical parameters into one engine
-                  batch, --memory-budget caps resident mapped-shard
-                  bytes with shard-LRU eviction; see docs/SCHEDULER.md.
+                  separately, and an interactive query rides the
+                  admission of an identical one still queued;
+                  --memory-budget caps resident mapped-shard bytes with
+                  shard-LRU eviction; see docs/SCHEDULER.md.
                   --metrics exposes the registry Prometheus-style;
                   --log-level/--log-json tune the structured stderr log;
                   see docs/OBSERVABILITY.md. --prefilter sets the
-                  default sketch cascade for every resident index; see
+                  sketch cascade of every request that names none; see
                   docs/PREFILTER.md)
   hdoms query    --addr <host:port> --queries <q.mgf> --index <name>
                  --out <psms.tsv> [--window open|standard] [--fdr <f64>]

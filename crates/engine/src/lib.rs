@@ -126,7 +126,7 @@ impl EngineSeries {
             self.prefilter_candidates_pre
                 .add(receipt.candidates_pre as u64);
             self.prefilter_candidates_post
-                .add(receipt.candidates_post as u64);
+                .add(receipt.candidates_scored as u64);
             self.prefilter_sketch_ms.record_ms(receipt.sketch_ms);
         }
     }
@@ -159,7 +159,6 @@ pub struct Engine {
     index: Option<LibraryIndex>,
     threads: usize,
     series: EngineSeries,
-    prefilter: PrefilterConfig,
 }
 
 impl Engine {
@@ -218,7 +217,6 @@ impl Engine {
             index: Some(index),
             threads: threads.max(1),
             series: EngineSeries::default(),
-            prefilter: PrefilterConfig::Off,
         })
     }
 
@@ -251,7 +249,6 @@ impl Engine {
             index: None,
             threads: threads.max(1),
             series: EngineSeries::default(),
-            prefilter: PrefilterConfig::Off,
         }
     }
 
@@ -262,36 +259,20 @@ impl Engine {
         self.index.as_ref()
     }
 
-    /// The engine's default candidate-prefilter configuration (see
-    /// [`Engine::set_prefilter`]). New [`Session`]s start from this;
-    /// per-batch overrides go through
-    /// [`Engine::search_with_workers_opts`] or [`Session::set_prefilter`].
-    pub fn prefilter(&self) -> PrefilterConfig {
-        self.prefilter
-    }
-
-    /// Set the engine's default candidate-prefilter: `Off` scans every
-    /// precursor-window candidate exactly (today's behaviour, the
-    /// byte-identity contract), `TopK(k)` scores folded-hypervector
+    /// Check that this engine can run the candidate prefilter `config`
+    /// and, for `TopK`, force the sketch build now (a no-op when the
+    /// `.hdx` v3 section was loaded) so the first query pays no
+    /// derivation. `Off` scans every precursor-window candidate exactly
+    /// (the byte-identity contract); `TopK(k)` scores folded-hypervector
     /// sketches first and forwards only the best `k` candidates per
-    /// query to the exact scan. Enabling the prefilter eagerly builds
-    /// (or, on a v3 `.hdx` load, reuses) the index's sketch table so the
-    /// first query pays no derivation cost.
+    /// query to the exact scan. The engine holds no default: every
+    /// search names its configuration.
     ///
     /// # Errors
     ///
     /// `TopK` requires an index-backed engine (the sketches are the
     /// index's); `Off` always succeeds.
-    pub fn set_prefilter(&mut self, config: PrefilterConfig) -> Result<(), String> {
-        self.ready_prefilter(config)?;
-        self.prefilter = config;
-        Ok(())
-    }
-
-    /// Check that this engine can run `config` and, for `TopK`, force
-    /// the sketch build now (a no-op when the `.hdx` v3 section was
-    /// loaded) so queries never pay it.
-    fn ready_prefilter(&self, config: PrefilterConfig) -> Result<(), String> {
+    pub fn ready_prefilter(&self, config: PrefilterConfig) -> Result<(), String> {
         if config.is_off() {
             return Ok(());
         }
@@ -310,7 +291,7 @@ impl Engine {
         let index = self
             .index
             .as_ref()
-            .expect("TopK prefilter is validated at set time");
+            .expect("TopK prefilter is validated before scoring");
         Some((index.sketch_index(), k))
     }
 
@@ -396,21 +377,21 @@ impl Engine {
         alpha: f64,
     ) -> (PipelineOutcome, BatchReceipt) {
         self.search_with_workers_opts(spectra, window, alpha, self.threads, None)
-            .expect("no per-batch prefilter override to validate")
+            .expect("the prefilter is off")
     }
 
     /// [`Engine::search`] under an explicit worker budget — the batch
     /// uses at most `workers` threads instead of the engine's configured
     /// parallelism, and PSM tables are byte-identical across budgets
-    /// (scoring is deterministic and order-preserving) — with a
-    /// per-batch prefilter override: `Some(config)` runs this batch
-    /// under `config` instead of the engine's default, `None` uses the
-    /// default. This is [`Engine::search_groups`] over one group.
+    /// (scoring is deterministic and order-preserving) — under the
+    /// batch's prefilter: `Some(config)` runs it under `config`, `None`
+    /// with the prefilter off. This is [`Engine::search_groups`] over
+    /// one group.
     ///
     /// # Errors
     ///
-    /// Fails when the override is `TopK` on an engine that cannot
-    /// prefilter (see [`Engine::set_prefilter`]).
+    /// Fails when the prefilter is `TopK` on an engine that cannot
+    /// prefilter (see [`Engine::ready_prefilter`]).
     ///
     /// # Panics
     ///
@@ -423,6 +404,7 @@ impl Engine {
         workers: usize,
         prefilter: Option<PrefilterConfig>,
     ) -> Result<(PipelineOutcome, BatchReceipt), String> {
+        let prefilter = prefilter.unwrap_or_default();
         let mut results = self.search_groups(&[spectra], window, alpha, workers, prefilter)?;
         Ok(results.pop().expect("one group in, one result out"))
     }
@@ -450,8 +432,8 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Fails when the prefilter override is `TopK` on an engine that
-    /// cannot prefilter (see [`Engine::set_prefilter`]).
+    /// Fails when `prefilter` is `TopK` on an engine that cannot
+    /// prefilter (see [`Engine::ready_prefilter`]).
     ///
     /// # Panics
     ///
@@ -462,13 +444,12 @@ impl Engine {
         window: PrecursorWindow,
         alpha: f64,
         workers: usize,
-        prefilter: Option<PrefilterConfig>,
+        prefilter: PrefilterConfig,
     ) -> Result<Vec<(PipelineOutcome, BatchReceipt)>, String> {
         window.validate();
         assert!(alpha > 0.0 && alpha < 1.0, "FDR level must be in (0, 1)");
-        let config = prefilter.unwrap_or(self.prefilter);
-        self.ready_prefilter(config)?;
-        let scored = self.score_groups(groups, &window, workers, config);
+        self.ready_prefilter(prefilter)?;
+        let scored = self.score_groups(groups, &window, workers, prefilter);
         Ok(scored
             .into_iter()
             .map(|group| {
@@ -593,7 +574,6 @@ impl Engine {
                 total_psms: psms.len(),
                 candidates_scored,
                 candidates_pre,
-                candidates_post: candidates_scored,
                 sketch_ms: stats.sketch_ms,
                 shards_touched: shards_touched as usize,
                 latency_ms: stages.total_ms(),
@@ -642,11 +622,9 @@ pub struct BatchReceipt {
     pub candidates_scored: usize,
     /// Precursor-window candidates this batch generated, before any
     /// prefilter narrowing. Equals `candidates_scored` when the
-    /// prefilter is off.
+    /// prefilter is off; with it on, `candidates_scored` is what the
+    /// narrowing forwarded to the exact scan.
     pub candidates_pre: usize,
-    /// Candidates forwarded to the exact scan after prefilter narrowing
-    /// (always equals `candidates_scored`).
-    pub candidates_post: usize,
     /// Wall-clock spent scoring sketches and narrowing, milliseconds
     /// (0 when the prefilter is off).
     pub sketch_ms: f64,
@@ -696,11 +674,10 @@ impl Session {
     /// Panics on an invalid window.
     pub fn new(engine: Arc<Engine>, window: PrecursorWindow) -> Session {
         window.validate();
-        let prefilter = engine.prefilter();
         Session {
             engine,
             window,
-            prefilter,
+            prefilter: PrefilterConfig::Off,
             psms: Vec::new(),
             binned_queries: 0,
             totals: BatchReceipt::default(),
@@ -708,7 +685,7 @@ impl Session {
     }
 
     /// The prefilter configuration this session's submits run under
-    /// (starts as the engine's default).
+    /// (starts off).
     pub fn prefilter(&self) -> PrefilterConfig {
         self.prefilter
     }
@@ -720,7 +697,7 @@ impl Session {
     /// # Errors
     ///
     /// Fails when `config` is `TopK` on an engine that cannot prefilter
-    /// (see [`Engine::set_prefilter`]).
+    /// (see [`Engine::ready_prefilter`]).
     pub fn set_prefilter(&mut self, config: PrefilterConfig) -> Result<(), String> {
         self.engine.ready_prefilter(config)?;
         self.prefilter = config;
@@ -781,7 +758,6 @@ impl Session {
         totals.total_psms = self.psms.len();
         totals.candidates_scored += receipt.candidates_scored;
         totals.candidates_pre += receipt.candidates_pre;
-        totals.candidates_post += receipt.candidates_post;
         totals.sketch_ms += receipt.sketch_ms;
         totals.shards_touched += receipt.shards_touched;
         totals.stages.accumulate(&receipt.stages);
@@ -946,19 +922,14 @@ mod tests {
         // The coalescing contract: merging requests into one scoring
         // batch must not change any request's output or deterministic
         // accounting — with the prefilter off and on.
-        let (workload, mut engine) = {
-            let (w, e) = tiny_engine(27);
-            (w, Arc::try_unwrap(e).ok().expect("sole handle"))
-        };
-        engine.set_prefilter(PrefilterConfig::Off).unwrap();
-        let engine = Arc::new(engine);
+        let (workload, engine) = tiny_engine(27);
         let n = workload.queries.len();
         let groups: Vec<&[Spectrum]> = vec![
             &workload.queries[..n / 3],
             &workload.queries[n / 3..2 * n / 3],
             &workload.queries[2 * n / 3..],
         ];
-        for prefilter in [None, Some(PrefilterConfig::TopK(16))] {
+        for prefilter in [PrefilterConfig::Off, PrefilterConfig::TopK(16)] {
             let merged = engine
                 .search_groups(&groups, PrecursorWindow::open_default(), 0.01, 2, prefilter)
                 .expect("groups searched");
@@ -970,7 +941,7 @@ mod tests {
                         PrecursorWindow::open_default(),
                         0.01,
                         2,
-                        prefilter,
+                        Some(prefilter),
                     )
                     .expect("solo search");
                 assert_eq!(outcome.psms, solo.psms, "group {g} PSMs diverged");
@@ -982,7 +953,6 @@ mod tests {
                 assert_eq!(receipt.queries, solo_receipt.queries);
                 assert_eq!(receipt.psms, solo_receipt.psms);
                 assert_eq!(receipt.candidates_pre, solo_receipt.candidates_pre);
-                assert_eq!(receipt.candidates_post, solo_receipt.candidates_post);
                 assert_eq!(receipt.candidates_scored, solo_receipt.candidates_scored);
                 assert_eq!(receipt.shards_touched, solo_receipt.shards_touched);
             }

@@ -444,8 +444,7 @@ fn warm_engine_over_persisted_index_matches_cold() {
         assert_eq!(single.psms, sharded.psms, "{workers} workers: PSM rows");
         assert_eq!(single.threshold_score, sharded.threshold_score);
         assert_eq!(single.identifications(), sharded.identifications());
-        let candidates =
-            |r: &BatchReceipt| (r.candidates_scored, r.candidates_pre, r.candidates_post);
+        let candidates = |r: &BatchReceipt| (r.candidates_scored, r.candidates_pre);
         assert_eq!(candidates(&single_receipt), candidates(&sharded_receipt));
         assert_one_shard(&one_shard, &workload.queries, &single_receipt);
     }

@@ -4,7 +4,7 @@
 //! keeps recall@K ≥ 0.99 at a ≥ 3× smaller scan and preserves the 1% FDR
 //! identification count on the evaluation workload, and the knob is
 //! rejected on engines that cannot run it.
-//! The per-batch override must match the engine default. The recall
+//! A session's prefilter must match the per-call option. The recall
 //! and reduction assertions are the retired `prefilter_bench`'s, run in
 //! process; they want the release test pass (seconds there, a minute in
 //! debug). `crates/serve/tests/metrics_storm.rs` reconciles the
@@ -13,6 +13,7 @@
 use hdoms_engine::{BatchReceipt, Engine, ReferenceMeta};
 use hdoms_index::{IndexConfig, IndexedBackendKind};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
+use hdoms_oms::pipeline::PipelineOutcome;
 use hdoms_oms::psm::render_table;
 use hdoms_oms::window::PrecursorWindow;
 use hdoms_prefilter::{PrefilterConfig, DEFAULT_TOP_K};
@@ -37,15 +38,26 @@ fn engine_for(workload: &SyntheticWorkload, dim: usize, entries_per_shard: usize
 
 /// The receipt fields the cascade contract covers: everything the
 /// engine *counts* (timings legitimately differ run to run).
-fn counted(receipt: &BatchReceipt) -> (usize, usize, usize, usize, usize, usize) {
+fn counted(receipt: &BatchReceipt) -> (usize, usize, usize, usize, usize) {
     (
         receipt.queries,
         receipt.psms,
         receipt.candidates_scored,
         receipt.candidates_pre,
-        receipt.candidates_post,
         receipt.shards_touched,
     )
+}
+
+/// One search of `workload`'s queries at `THREADS` under `prefilter`.
+fn search_under(
+    engine: &Arc<Engine>,
+    workload: &SyntheticWorkload,
+    window: PrecursorWindow,
+    prefilter: PrefilterConfig,
+) -> (PipelineOutcome, BatchReceipt) {
+    engine
+        .search_with_workers_opts(&workload.queries, window, 0.01, THREADS, Some(prefilter))
+        .expect("sharded index-backed engine accepts TopK")
 }
 
 #[test]
@@ -56,23 +68,19 @@ fn topk_at_window_size_is_byte_identical_to_off() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 7001);
     let window = PrecursorWindow::open_default();
 
-    let off = Arc::new(engine_for(&workload, DIM, 64));
-    let mut topk = engine_for(&workload, DIM, 64);
-    topk.set_prefilter(PrefilterConfig::TopK(workload.library.len()))
-        .expect("sharded index-backed engine accepts TopK");
-    let topk = Arc::new(topk);
-
-    let (off_outcome, off_receipt) = off.search(&workload.queries, window, 0.01);
-    let (topk_outcome, topk_receipt) = topk.search(&workload.queries, window, 0.01);
+    let engine = Arc::new(engine_for(&workload, DIM, 64));
+    let covering = PrefilterConfig::TopK(workload.library.len());
+    let (off_outcome, off_receipt) = engine.search(&workload.queries, window, 0.01);
+    let (topk_outcome, topk_receipt) = search_under(&engine, &workload, window, covering);
 
     assert_eq!(topk_outcome, off_outcome);
     assert_eq!(
-        render_table(topk.peptides(), &topk_outcome),
-        render_table(off.peptides(), &off_outcome),
+        render_table(engine.peptides(), &topk_outcome),
+        render_table(engine.peptides(), &off_outcome),
     );
     assert_eq!(counted(&topk_receipt), counted(&off_receipt));
     assert_eq!(
-        topk_receipt.candidates_pre, topk_receipt.candidates_post,
+        topk_receipt.candidates_pre, topk_receipt.candidates_scored,
         "a window-covering K must not drop a candidate"
     );
     assert_eq!(off_receipt.sketch_ms, 0.0, "off pays no sketch cost");
@@ -83,19 +91,14 @@ fn off_engine_is_byte_identical_whether_set_explicitly_or_not() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 7002);
     let window = PrecursorWindow::open_default();
 
-    let baseline = Arc::new(engine_for(&workload, DIM, 64));
-    let mut explicit = engine_for(&workload, DIM, 64);
-    explicit
-        .set_prefilter(PrefilterConfig::Off)
-        .expect("Off is always accepted");
-    let explicit = Arc::new(explicit);
-
-    let (base_outcome, base_receipt) = baseline.search(&workload.queries, window, 0.01);
-    let (expl_outcome, expl_receipt) = explicit.search(&workload.queries, window, 0.01);
+    let engine = Arc::new(engine_for(&workload, DIM, 64));
+    let (base_outcome, base_receipt) = engine.search(&workload.queries, window, 0.01);
+    let (expl_outcome, expl_receipt) =
+        search_under(&engine, &workload, window, PrefilterConfig::Off);
     assert_eq!(expl_outcome, base_outcome);
     assert_eq!(
-        render_table(explicit.peptides(), &expl_outcome),
-        render_table(baseline.peptides(), &base_outcome),
+        render_table(engine.peptides(), &expl_outcome),
+        render_table(engine.peptides(), &base_outcome),
     );
     assert_eq!(counted(&expl_receipt), counted(&base_receipt));
     assert_eq!(expl_receipt.sketch_ms, 0.0);
@@ -111,21 +114,21 @@ fn lossy_k_preserves_fdr_identifications_on_iprg() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::iprg2012(0.02), 7003);
     let window = PrecursorWindow::open_default();
 
-    let off = Arc::new(engine_for(&workload, DIM, 256));
-    let mut topk = engine_for(&workload, DIM, 256);
-    topk.set_prefilter(PrefilterConfig::TopK(DEFAULT_TOP_K))
-        .expect("sharded index-backed engine accepts TopK");
-    let topk = Arc::new(topk);
-
-    let (off_outcome, _) = off.search(&workload.queries, window, 0.01);
-    let (topk_outcome, topk_receipt) = topk.search(&workload.queries, window, 0.01);
+    let engine = Arc::new(engine_for(&workload, DIM, 256));
+    let (off_outcome, _) = engine.search(&workload.queries, window, 0.01);
+    let (topk_outcome, topk_receipt) = search_under(
+        &engine,
+        &workload,
+        window,
+        PrefilterConfig::TopK(DEFAULT_TOP_K),
+    );
 
     assert!(
-        topk_receipt.candidates_post < topk_receipt.candidates_pre,
+        topk_receipt.candidates_scored < topk_receipt.candidates_pre,
         "the evaluation windows must actually be narrowed \
          ({} -> {})",
         topk_receipt.candidates_pre,
-        topk_receipt.candidates_post,
+        topk_receipt.candidates_scored,
     );
     let ids_off = off_outcome.identifications();
     let ids_k = topk_outcome.identifications();
@@ -149,7 +152,7 @@ fn lossy_k_preserves_fdr_identifications_on_iprg() {
         .filter(|q| cascaded.get(q) == reference.get(q))
         .count();
     let recall = preserved as f64 / accepted.len().max(1) as f64;
-    let reduction = topk_receipt.candidates_pre as f64 / topk_receipt.candidates_post as f64;
+    let reduction = topk_receipt.candidates_pre as f64 / topk_receipt.candidates_scored as f64;
     assert!(recall >= 0.99, "recall@{DEFAULT_TOP_K} is {recall:.4}");
     assert!(
         reduction >= 3.0,
@@ -158,47 +161,32 @@ fn lossy_k_preserves_fdr_identifications_on_iprg() {
 }
 
 #[test]
-fn per_batch_override_matches_the_engine_default() {
-    // `search_with_workers_opts(.., Some(config))` must behave exactly
-    // like an engine whose default is `config` — in both directions.
+fn a_session_prefilter_matches_the_per_call_option() {
+    // A session set to `config` must search exactly like
+    // `search_with_workers_opts(.., Some(config))` — up to TopK and back
+    // down to Off.
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 7004);
     let window = PrecursorWindow::open_default();
     let k = 8; // deliberately lossy so Off and TopK are distinguishable
 
-    let off_default = Arc::new(engine_for(&workload, DIM, 64));
-    let mut topk_default = engine_for(&workload, DIM, 64);
-    topk_default
-        .set_prefilter(PrefilterConfig::TopK(k))
-        .expect("accepted");
-    let topk_default = Arc::new(topk_default);
+    let engine = Arc::new(engine_for(&workload, DIM, 64));
+    let (off_outcome, off_receipt) = engine.search(&workload.queries, window, 0.01);
+    let (topk_outcome, topk_receipt) =
+        search_under(&engine, &workload, window, PrefilterConfig::TopK(k));
+    assert_ne!(topk_outcome, off_outcome, "K = {k} must be lossy here");
+    assert!(topk_receipt.candidates_scored < topk_receipt.candidates_pre);
+    assert_eq!(off_receipt.sketch_ms, 0.0);
+    assert_eq!(off_receipt.candidates_pre, off_receipt.candidates_scored);
 
-    let (off_outcome, _) = off_default.search(&workload.queries, window, 0.01);
-    let (topk_outcome, _) = topk_default.search(&workload.queries, window, 0.01);
-
-    // Override an Off engine up to TopK and a TopK engine down to Off.
-    let (up, up_receipt) = off_default
-        .search_with_workers_opts(
-            &workload.queries,
-            window,
-            0.01,
-            THREADS,
-            Some(PrefilterConfig::TopK(k)),
-        )
-        .expect("override accepted");
-    let (down, down_receipt) = topk_default
-        .search_with_workers_opts(
-            &workload.queries,
-            window,
-            0.01,
-            THREADS,
-            Some(PrefilterConfig::Off),
-        )
-        .expect("override accepted");
-    assert_eq!(up, topk_outcome, "Off engine overridden to TopK diverged");
-    assert_eq!(down, off_outcome, "TopK engine overridden to Off diverged");
-    assert!(up_receipt.candidates_post <= up_receipt.candidates_pre);
-    assert_eq!(down_receipt.sketch_ms, 0.0);
-    assert_eq!(down_receipt.candidates_pre, down_receipt.candidates_post);
+    for (config, expected) in [
+        (PrefilterConfig::TopK(k), &topk_outcome),
+        (PrefilterConfig::Off, &off_outcome),
+    ] {
+        let mut session = engine.session(window);
+        session.set_prefilter(config).expect("accepted");
+        session.submit(&workload.queries);
+        assert_eq!(&session.finalize(0.01), expected, "session at {config:?}");
+    }
 }
 
 #[test]
@@ -211,17 +199,19 @@ fn topk_is_rejected_off_the_sharded_index_path() {
         ..hdoms_baselines::annsolo::AnnSoloConfig::default()
     };
     let backend = hdoms_baselines::annsolo::AnnSoloBackend::build(&workload.library, config);
-    let mut custom = Engine::from_backend(
+    let custom = Arc::new(Engine::from_backend(
         Box::new(backend),
         config.preprocess,
         ReferenceMeta::from_library(&workload.library),
         THREADS,
-    );
-    assert!(custom.set_prefilter(PrefilterConfig::TopK(16)).is_err());
-    assert!(custom.set_prefilter(PrefilterConfig::Off).is_ok());
+    ));
+    assert!(custom.ready_prefilter(PrefilterConfig::TopK(16)).is_err());
+    assert!(custom.ready_prefilter(PrefilterConfig::Off).is_ok());
+    let mut session = custom.session(PrecursorWindow::open_default());
+    assert!(session.set_prefilter(PrefilterConfig::TopK(16)).is_err());
+    assert!(session.set_prefilter(PrefilterConfig::Off).is_ok());
 
-    // The per-batch override path enforces the same contract.
-    let custom = Arc::new(custom);
+    // The per-call option enforces the same contract.
     assert!(custom
         .search_with_workers_opts(
             &workload.queries,
@@ -255,18 +245,14 @@ proptest! {
             PrecursorWindow::open_default()
         };
 
-        let off = Arc::new(engine_for(&workload, dim, shard));
-        let mut topk = engine_for(&workload, dim, shard);
-        topk.set_prefilter(PrefilterConfig::TopK(workload.library.len()))
-            .expect("sharded index-backed engine accepts TopK");
-        let topk = Arc::new(topk);
-
-        let (off_outcome, off_receipt) = off.search(&workload.queries, window, 0.01);
-        let (topk_outcome, topk_receipt) = topk.search(&workload.queries, window, 0.01);
+        let engine = Arc::new(engine_for(&workload, dim, shard));
+        let covering = PrefilterConfig::TopK(workload.library.len());
+        let (off_outcome, off_receipt) = engine.search(&workload.queries, window, 0.01);
+        let (topk_outcome, topk_receipt) = search_under(&engine, &workload, window, covering);
         prop_assert_eq!(&topk_outcome, &off_outcome);
         prop_assert_eq!(
-            render_table(topk.peptides(), &topk_outcome),
-            render_table(off.peptides(), &off_outcome)
+            render_table(engine.peptides(), &topk_outcome),
+            render_table(engine.peptides(), &off_outcome)
         );
         prop_assert_eq!(counted(&topk_receipt), counted(&off_receipt));
     }

@@ -66,7 +66,7 @@
 //! blocked over arbitrary dims, patterns, and ragged block shapes, and
 //! that poisoned padding bits never reach a distance.
 
-use crate::hv::{BinaryHypervector, HvView};
+use crate::hv::BinaryHypervector;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// How many references a [`KernelDispatch::score_block`] reference tile
@@ -285,21 +285,6 @@ impl KernelDispatch {
     #[inline]
     pub fn hamming_words(&self, dim: usize, a: &[u64], b: &[u64]) -> u32 {
         hamming_with(self.pair_fn(), dim, a, b)
-    }
-
-    /// [`KernelDispatch::hamming_words`] over [`HvView`]s.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    #[inline]
-    pub fn hamming<A, B>(&self, a: &A, b: &B) -> u32
-    where
-        A: HvView + ?Sized,
-        B: HvView + ?Sized,
-    {
-        assert_eq!(a.dim(), b.dim(), "dimension mismatch");
-        self.hamming_words(a.dim(), a.words(), b.words())
     }
 
     /// Bipolar dot product `D − 2·hamming` over packed words.

@@ -47,7 +47,7 @@ pub const DEFAULT_TOP_K: usize = 256;
 
 /// The prefilter knob: how many candidates the sketch stage forwards
 /// to the exact scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PrefilterConfig {
     /// No prefilter: the exact scan sees every precursor-window
     /// candidate, byte-identical to the pre-cascade pipeline.

@@ -18,8 +18,8 @@
 //!
 //! let req = Request::decode(r#"{"type":"ping"}"#).unwrap();
 //! assert_eq!(req.encode(), r#"{"type":"ping"}"#);
-//! let resp = Response::Pong { protocol: 5 };
-//! assert_eq!(resp.encode(), r#"{"type":"pong","protocol":5}"#);
+//! let resp = Response::Pong { protocol: 6 };
+//! assert_eq!(resp.encode(), r#"{"type":"pong","protocol":6}"#);
 //! ```
 
 use crate::json::Json;
@@ -34,11 +34,11 @@ use hdoms_oms::psm::{Psm, PsmTableRow};
 use hdoms_oms::window::PrecursorWindow;
 use hdoms_prefilter::PrefilterConfig;
 
-/// Wire protocol version, reported by `pong`. Version 5 is the protocol:
+/// Wire protocol version, reported by `pong`. Version 6 is the protocol:
 /// every response field is required on decode, so no other version
 /// interoperates with it, and the number is bumped on any incompatible
 /// message change.
-pub const PROTOCOL_VERSION: u32 = 5;
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Default FDR level applied when a query request omits `"fdr"`.
 pub const DEFAULT_FDR: f64 = 0.01;
@@ -463,7 +463,8 @@ pub struct QueryRequest {
     /// Priority class. [`Tier::Batch`] (the default — omitted on the
     /// wire) queues behind the batch bound; [`Tier::Interactive`] uses
     /// the separately bounded interactive queue, is dequeued
-    /// preferentially, and is eligible for cross-request coalescing.
+    /// preferentially, and rides the admission of an identical
+    /// interactive request still queued (cross-request coalescing).
     pub tier: Tier,
     /// Per-request prefilter override (`"off"` / `"k=N"`). `None` (the
     /// field omitted on the wire) uses the server's configured default
@@ -779,9 +780,6 @@ wire_object! {
         /// any prefilter narrowing (equals `candidates_scored` when the
         /// prefilter is off).
         pub candidates_pre: usize = receipt.candidates_pre,
-        /// Candidates forwarded to the exact scan after prefilter narrowing
-        /// (always equals `candidates_scored`).
-        pub candidates_post: usize = receipt.candidates_post,
         /// Time spent scoring sketches and narrowing candidate lists,
         /// milliseconds (0 when the prefilter is off).
         pub sketch_ms: f64 = receipt.sketch_ms,
@@ -838,9 +836,6 @@ wire_object! {
         /// Precursor-window candidates the batch generated, before any
         /// prefilter narrowing.
         pub candidates_pre: usize = receipt.candidates_pre,
-        /// Candidates forwarded to the exact scan after prefilter narrowing
-        /// (always equals `candidates_scored`).
-        pub candidates_post: usize = receipt.candidates_post,
         /// Time the batch spent in the sketch prefilter, milliseconds.
         pub sketch_ms: f64 = receipt.sketch_ms,
         /// Shard visits the batch cost.
@@ -876,7 +871,6 @@ wire_object! {
         scheduler: &SchedulerStats,
         series: &ServerSeries,
         pipeline: &EngineSeries,
-        coalesce_window_ms: u64,
         memory_budget: u64,
         open_sessions: usize,
         resident_indexes: usize,
@@ -893,9 +887,6 @@ wire_object! {
         pub interactive_weight: usize = scheduler.interactive_weight,
         /// Configured interactive queue bound (`--interactive-queue-depth`).
         pub interactive_queue_depth: usize = scheduler.interactive_queue_depth,
-        /// Configured interactive coalescing window in milliseconds
-        /// (`--coalesce-window-ms`, 0 = coalescing off).
-        pub coalesce_window_ms: u64 = coalesce_window_ms,
         /// Configured resident-shard memory budget in bytes
         /// (`--memory-budget`, 0 = unlimited).
         pub memory_budget: u64 = memory_budget,
@@ -925,11 +916,12 @@ wire_object! {
         pub interactive: TierStats = *scheduler.tier(Tier::Interactive),
         /// The batch tier's slice of the scheduler counters.
         pub batch: TierStats = *scheduler.tier(Tier::Batch),
-        /// Engine batches executed by the coalescer so far (one per merged
-        /// admission; a lone request inside the window still counts as a
-        /// single-member batch, so shed work never inflates the ratio).
+        /// Interactive groups executed so far (one engine batch per
+        /// admission; a lone interactive query is a one-member group, and
+        /// a shed group never counts, so shed work never inflates the
+        /// ratio).
         pub coalesced_batches: u64 = series.coalesced_batches.get(),
-        /// Interactive requests answered out of coalesced batches so far
+        /// Interactive requests answered out of those groups so far
         /// (`coalesced_requests / coalesced_batches` is the merge ratio).
         pub coalesced_requests: u64 = series.coalesced_requests.get(),
         /// Lifetime precursor-window candidates that entered the sketch
@@ -1252,7 +1244,6 @@ mod tests {
                 deadline_ms: 250,
                 interactive_weight: 4,
                 interactive_queue_depth: 256,
-                coalesce_window_ms: 2,
                 memory_budget: 1073741824,
                 queued: 3,
                 in_flight: 8,
@@ -1326,7 +1317,6 @@ mod tests {
                     shards_touched: 3,
                     candidates_scored: 154,
                     candidates_pre: 154,
-                    candidates_post: 154,
                     sketch_ms: 0.0,
                     encode_ms: 1.5,
                     candidates_ms: 0.25,
@@ -1377,7 +1367,6 @@ mod tests {
                 total_psms: 121,
                 candidates_scored: 9000,
                 candidates_pre: 9000,
-                candidates_post: 9000,
                 sketch_ms: 0.0,
                 shards_touched: 180,
                 workers: 2,
@@ -1492,7 +1481,6 @@ mod tests {
                 shards_touched: 0,
                 candidates_scored: 0,
                 candidates_pre: 0,
-                candidates_post: 0,
                 sketch_ms: 0.0,
                 encode_ms: 0.25,
                 candidates_ms: 0.0,

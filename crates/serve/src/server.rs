@@ -5,7 +5,7 @@ use crate::protocol::{
     BatchStats, ErrorCode, HistogramSummary, IndexSummary, MetricsReport, QueryRequest,
     QueryResult, Request, Response, ServerStats, SubmitReceipt, PROTOCOL_VERSION,
 };
-use crate::scheduler::{ScheduleError, Scheduler, SchedulerConfig, Tier};
+use crate::scheduler::{ScheduleError, Scheduler, SchedulerConfig, Tier, WorkPermit};
 use hdoms_engine::{BatchReceipt, Engine, EngineSeries, Session, ShardTiming};
 use hdoms_index::{IndexError, LibraryIndex};
 use hdoms_ms::spectrum::Spectrum;
@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Maximum concurrently open sessions; `session.open` beyond this is
 /// refused (a client that never finalizes would otherwise accumulate
@@ -111,10 +111,12 @@ struct OpenSession {
     wait_ms: f64,
 }
 
-/// Cross-request coalescing state: interactive queries with identical
-/// search parameters that arrive within the coalescing window merge
-/// into one scheduler admission and one grouped engine call, then each
-/// request gets its own receipt back.
+/// Cross-request coalescing state: the interactive groups whose leader
+/// is still waiting for admission, by search parameters. An interactive
+/// query joins the group for its parameters or founds one and leads it;
+/// the group closes the moment the scheduler grants or refuses the
+/// leader, so a query with a free worker never waits and a queued one
+/// carries every identical request that arrived behind it.
 #[derive(Default)]
 struct Coalescer {
     groups: Mutex<HashMap<CoalesceKey, Arc<CoalesceGroup>>>,
@@ -122,13 +124,13 @@ struct Coalescer {
 
 /// Everything that must match for two requests to share an engine
 /// batch — anything that changes scoring or filtering keeps them
-/// apart: index name, window kind, FDR bits, and the effective
-/// prefilter choice.
-type CoalesceKey = (String, &'static str, u64, String);
+/// apart: index name, window kind, FDR bits, and the resolved
+/// prefilter.
+type CoalesceKey = (String, &'static str, u64, PrefilterConfig);
 
-/// One in-flight merge. The first member (the leader) holds the window
-/// open, executes the merged batch, and distributes per-member results;
-/// followers block on `done` until their slot fills.
+/// One group: the leader waits for the one admission, executes the
+/// merged batch, and distributes per-member results; followers block on
+/// `done` until their slot fills.
 struct CoalesceGroup {
     state: Mutex<GroupState>,
     done: Condvar,
@@ -136,23 +138,54 @@ struct CoalesceGroup {
 
 struct GroupState {
     /// Decoded spectra per member, in join order. Drained by the leader
-    /// when the window closes.
+    /// when the group closes.
     members: Vec<Vec<Spectrum>>,
     /// Per-member results, all filled in one critical section by the
-    /// leader — a shed merged batch fails *every* member with the same
+    /// leader — a shed group fails *every* member with the same
     /// structured error, never silently drops one.
     results: Vec<Option<Result<QueryResult, ServeError>>>,
 }
 
-/// Fills any still-empty member slots with an error and wakes all
-/// waiters when dropped — so a leader that panics mid-execution (or
-/// returns early) can never strand followers on the condvar.
+/// The leader's hold on its group, from founding it until every slot is
+/// filled. Dropped, it closes the group to joiners and fills any
+/// still-empty slot with an error, then wakes all waiters — so a leader
+/// that panics in admission or execution can never strand a follower.
 struct GroupCompletion<'a> {
-    group: &'a CoalesceGroup,
+    coalescer: &'a Coalescer,
+    key: CoalesceKey,
+    group: Arc<CoalesceGroup>,
+}
+
+impl GroupCompletion<'_> {
+    /// Close the group to joiners and take its members' spectra. Both
+    /// happen under the map lock, where members join, so a join is never
+    /// lost and a later arrival founds the next group.
+    fn close(&self) -> Vec<Vec<Spectrum>> {
+        let mut groups = self.coalescer.groups.lock().expect("coalescer map lock");
+        self.leave(&mut groups);
+        let mut state = self.group.state.lock().expect("coalesce group lock");
+        std::mem::take(&mut state.members)
+    }
+
+    /// Remove the group from the map, unless it left already (a
+    /// successor may hold the key since).
+    fn leave(&self, groups: &mut HashMap<CoalesceKey, Arc<CoalesceGroup>>) {
+        if groups
+            .get(&self.key)
+            .is_some_and(|group| Arc::ptr_eq(group, &self.group))
+        {
+            groups.remove(&self.key);
+        }
+    }
 }
 
 impl Drop for GroupCompletion<'_> {
     fn drop(&mut self) {
+        // This runs during unwinding too: tolerate poisoned locks
+        // rather than double-panicking the process.
+        if let Ok(mut groups) = self.coalescer.groups.lock() {
+            self.leave(&mut groups);
+        }
         let Ok(mut state) = self.group.state.lock() else {
             return;
         };
@@ -254,10 +287,8 @@ pub struct Server {
     /// every resident engine records into, read by `server.stats`.
     pipeline: EngineSeries,
     logger: Logger,
+    /// The prefilter every request that names none runs under.
     prefilter: PrefilterConfig,
-    /// Interactive queries arriving within this many milliseconds of
-    /// each other merge into one engine batch; 0 disables coalescing.
-    coalesce_window_ms: u64,
     coalescer: Coalescer,
     residency: Mutex<ResidencyState>,
     indexes: RwLock<Vec<ResidentIndex>>,
@@ -279,8 +310,8 @@ hdoms_obs::metrics::series! {
         batch_latency_ms: Histogram = "hdoms_batch_latency_ms", "Wall-clock batch latency as served, excluding queue wait";
         open_sessions: Gauge = "hdoms_open_sessions", "Open streaming sessions";
         resident_indexes: Gauge = "hdoms_resident_indexes", "Resident indexes";
-        coalesced_batches: Counter = "hdoms_coalesced_batches_total", "Merged engine batches executed by the interactive coalescer";
-        coalesced_requests: Counter = "hdoms_coalesced_requests_total", "Interactive requests answered through coalesced batches";
+        coalesced_batches: Counter = "hdoms_coalesced_batches_total", "Interactive groups executed, one engine batch each (a lone query is a one-member group)";
+        coalesced_requests: Counter = "hdoms_coalesced_requests_total", "Interactive requests answered through executed groups";
         resident_bytes: Gauge = "hdoms_resident_bytes", "Mapped shard hypervector bytes currently resident";
         resident_shards: Gauge = "hdoms_resident_shards", "Mapped shards currently resident";
         shard_evictions: Counter = "hdoms_shard_evictions_total", "Cold shards whose pages were released under the memory budget";
@@ -319,7 +350,6 @@ impl Server {
             registry,
             logger: Logger::disabled(),
             prefilter: PrefilterConfig::Off,
-            coalesce_window_ms: 0,
             coalescer: Coalescer::default(),
             residency: Mutex::default(),
             indexes: RwLock::new(Vec::new()),
@@ -351,10 +381,11 @@ impl Server {
         &self.logger
     }
 
-    /// Set the default prefilter applied to every index made resident
-    /// *after* this call (the `hdoms serve --prefilter` flag; call
-    /// before [`Server::add_index`]). Per-request `prefilter` options
-    /// override it batch by batch.
+    /// Set the prefilter every `query` and `session.open` that names
+    /// none runs under (the `hdoms serve --prefilter` flag). Call it
+    /// before [`Server::add_index`]: a `TopK` default builds each
+    /// resident index's sketch at load, so the first query pays no
+    /// derivation.
     pub fn set_prefilter(&mut self, config: PrefilterConfig) {
         self.prefilter = config;
     }
@@ -362,21 +393,6 @@ impl Server {
     /// The server's default prefilter configuration.
     pub fn prefilter(&self) -> PrefilterConfig {
         self.prefilter
-    }
-
-    /// Set the interactive coalescing window (the `hdoms serve
-    /// --coalesce-window-ms` flag). Interactive queries with identical
-    /// search parameters arriving within this window merge into one
-    /// scheduler admission and one engine batch; results are split back
-    /// per request and stay byte-identical to uncoalesced execution.
-    /// `0` (the default) disables coalescing.
-    pub fn set_coalesce_window_ms(&mut self, window_ms: u64) {
-        self.coalesce_window_ms = window_ms;
-    }
-
-    /// The configured interactive coalescing window (0 = off).
-    pub fn coalesce_window_ms(&self) -> u64 {
-        self.coalesce_window_ms
     }
 
     /// Bound the bytes of mapped shard hypervectors kept resident (the
@@ -427,7 +443,6 @@ impl Server {
             &scheduler,
             &self.series,
             &self.pipeline,
-            self.coalesce_window_ms,
             residency.budget,
             open_sessions,
             resident_indexes,
@@ -454,8 +469,9 @@ impl Server {
     /// door to residency, behind startup loads and the `index.load` verb
     /// alike: the engine — shard-parallel backend, candidate index,
     /// reference metadata — is wired once, sharing the index's reference
-    /// table, given the server's registry and default prefilter, then
-    /// entered into the resident set and the shard-residency accounting.
+    /// table, given the server's registry and readied for the server's
+    /// default prefilter, then entered into the resident set and the
+    /// shard-residency accounting.
     ///
     /// # Errors
     ///
@@ -469,7 +485,7 @@ impl Server {
         // is the expensive part and must not stall concurrent queries.
         let mut engine = Engine::from_index(index, self.threads)?;
         engine.attach_metrics(&self.registry);
-        engine.set_prefilter(self.prefilter)?;
+        engine.ready_prefilter(self.prefilter)?;
         let engine = Arc::new(engine);
         // Summarize from our own handle, not a re-lookup: a concurrent
         // `index.unload` racing this load must not turn into a panic.
@@ -663,12 +679,12 @@ impl Server {
     }
 
     /// [`Server::query_batch`] attributed to a transport client. The
-    /// batch is validated first (free), then queued through the
-    /// scheduler under the request's [`Tier`] and executed with exactly
-    /// the worker budget it is granted; queue wait, the queue depth
-    /// seen at submission, and the granted budget are reported in the
-    /// result's stats. Interactive requests divert through the
-    /// coalescer when a coalescing window is configured.
+    /// batch is validated and its prefilter resolved first (free), then
+    /// queued through the scheduler under the request's [`Tier`] and
+    /// executed with exactly the worker budget it is granted; queue
+    /// wait, the queue depth seen at submission, and the granted budget
+    /// are reported in the result's stats. Interactive requests go
+    /// through the coalescer.
     ///
     /// # Errors
     ///
@@ -683,22 +699,25 @@ impl Server {
             .ok_or_else(|| format!("unknown index {:?}", request.index))?;
         check_fdr(request.fdr)?;
         let spectra = decode_spectra(&request.spectra)?;
-        if request.tier == Tier::Interactive && self.coalesce_window_ms > 0 {
-            return self.query_coalesced(client, request, &engine, spectra);
+        let prefilter = request.prefilter.unwrap_or(self.prefilter);
+        if request.tier == Tier::Interactive {
+            return self.query_coalesced(client, request, prefilter, &engine, spectra);
         }
-        // A solo query is a coalesced batch of one member.
-        let mut results = self.execute(client, request, &engine, &[spectra])?;
+        let permit = self.scheduler.admit_as(client, request.tier)?;
+        let mut results = self.execute(client, request, prefilter, &engine, &[spectra], permit)?;
         Ok(results.pop().expect("one member in, one result out"))
     }
 
-    /// Divert an interactive query through the coalescer: join (or
-    /// found) the group for this request's search parameters, and if
-    /// leading, hold the window open, execute the merged batch, and
-    /// hand every member its own result.
+    /// Run an interactive query through the coalescer: join the group
+    /// for this request's search parameters whose leader still waits for
+    /// admission, or found one and lead it — wait for the one
+    /// admission, close the group, execute the merged batch, and hand
+    /// every member its own result.
     fn query_coalesced(
         &self,
         client: u64,
         request: &QueryRequest,
+        prefilter: PrefilterConfig,
         engine: &Arc<Engine>,
         spectra: Vec<Spectrum>,
     ) -> Result<QueryResult, ServeError> {
@@ -706,70 +725,56 @@ impl Server {
             request.index.clone(),
             request.window.name(),
             request.fdr.to_bits(),
-            request
-                .prefilter
-                .map_or_else(|| "default".to_owned(), PrefilterConfig::render),
+            prefilter,
         );
-        // Members only ever join while the group sits in the map, and
-        // the leader removes it from the map before draining members —
-        // both under the map lock — so a join can never be lost and a
-        // late arrival simply founds the next group.
-        let (group, member) = {
+        let completion = {
             let mut groups = self.coalescer.groups.lock().expect("coalescer map lock");
-            match groups.get(&key) {
-                Some(group) => {
-                    let group = Arc::clone(group);
-                    let mut state = group.state.lock().expect("coalesce group lock");
-                    state.members.push(spectra);
-                    state.results.push(None);
-                    let member = state.members.len() - 1;
-                    drop(state);
-                    (group, member)
+            if let Some(group) = groups.get(&key) {
+                // Follower: the leader fills our slot and wakes us.
+                let group = Arc::clone(group);
+                let mut state = group.state.lock().expect("coalesce group lock");
+                drop(groups);
+                state.members.push(spectra);
+                state.results.push(None);
+                let member = state.results.len() - 1;
+                loop {
+                    if let Some(result) = state.results[member].take() {
+                        return result;
+                    }
+                    state = group.done.wait(state).expect("coalesce group lock");
                 }
-                None => {
-                    let group = Arc::new(CoalesceGroup {
-                        state: Mutex::new(GroupState {
-                            members: vec![spectra],
-                            results: vec![None],
-                        }),
-                        done: Condvar::new(),
-                    });
-                    groups.insert(key.clone(), Arc::clone(&group));
-                    (group, 0)
-                }
+            }
+            let group = Arc::new(CoalesceGroup {
+                state: Mutex::new(GroupState {
+                    members: vec![spectra],
+                    results: vec![None],
+                }),
+                done: Condvar::new(),
+            });
+            groups.insert(key.clone(), Arc::clone(&group));
+            // From here on every member gets an answer: the completion
+            // closes the group and backfills error results on any exit.
+            GroupCompletion {
+                coalescer: &self.coalescer,
+                key,
+                group,
             }
         };
 
-        if member > 0 {
-            // Follower: the leader fills our slot and wakes us.
-            let mut state = group.state.lock().expect("coalesce group lock");
-            loop {
-                if let Some(result) = state.results[member].take() {
-                    return result;
-                }
-                state = group.done.wait(state).expect("coalesce group lock");
-            }
-        }
-
-        // Leader: hold the window open for others to join, then close
-        // the group and run the merged batch.
-        std::thread::sleep(Duration::from_millis(self.coalesce_window_ms));
-        let members = {
-            let mut groups = self.coalescer.groups.lock().expect("coalescer map lock");
-            groups.remove(&key);
-            let mut state = group.state.lock().expect("coalesce group lock");
-            std::mem::take(&mut state.members)
+        // Leader: identical requests join while this one queues; the
+        // grant or the refusal closes the group.
+        let admitted = self.scheduler.admit_as(client, request.tier);
+        let members = completion.close();
+        let outcome = match admitted {
+            Ok(permit) => self.execute(client, request, prefilter, engine, &members, permit),
+            Err(refused) => Err(refused.into()),
         };
-        // From here on, every member gets an answer: the completion
-        // guard backfills error results and notifies on any exit.
-        let completion = GroupCompletion { group: &group };
-        let outcome = self.execute(client, request, engine, &members);
         if outcome.is_ok() {
             self.series.coalesced_batches.inc();
             self.series.coalesced_requests.add(members.len() as u64);
         }
         let mine = {
-            let mut state = group.state.lock().expect("coalesce group lock");
+            let mut state = completion.group.state.lock().expect("coalesce group lock");
             match outcome {
                 Ok(results) => {
                     for (slot, result) in state.results.iter_mut().zip(results) {
@@ -777,8 +782,8 @@ impl Server {
                     }
                 }
                 Err(error) => {
-                    // A shed merged batch fails ALL members with the
-                    // same structured error — none silently dropped.
+                    // A refused or shed group fails ALL members with
+                    // the same structured error — none silently dropped.
                     for slot in state.results.iter_mut() {
                         *slot = Some(Err(error.clone()));
                     }
@@ -790,19 +795,20 @@ impl Server {
         mine
     }
 
-    /// The one execute body behind every `query`: admit once under the
-    /// request's tier, run `members` (one decoded spectrum set per
-    /// request; a solo query is the only member) through one engine
-    /// call, and build each member's [`QueryResult`] from its own
+    /// The one execute body behind every `query`: under the one
+    /// admission `permit`, run `members` (one decoded spectrum set per
+    /// request; a batch-tier query is the only member) through one
+    /// engine call, and build each member's [`QueryResult`] from its own
     /// per-group outcome and receipt.
     fn execute(
         &self,
         client: u64,
         request: &QueryRequest,
+        prefilter: PrefilterConfig,
         engine: &Arc<Engine>,
         members: &[Vec<Spectrum>],
+        permit: WorkPermit<'_>,
     ) -> Result<Vec<QueryResult>, ServeError> {
-        let permit = self.scheduler.admit_as(client, request.tier)?;
         let groups: Vec<&[Spectrum]> = members.iter().map(Vec::as_slice).collect();
         let start = Instant::now();
         let outcomes = engine.search_groups(
@@ -810,7 +816,7 @@ impl Server {
             request.window.window(),
             request.fdr,
             permit.workers(),
-            request.prefilter,
+            prefilter,
         )?;
         // Every member waited for the whole merged batch: its
         // experienced latency is the merged wall-clock, and the one
@@ -863,8 +869,8 @@ impl Server {
 
     /// Open a streaming session with explicit options (the
     /// `session.open` verb): every submit to the session is admitted
-    /// under `tier`, and a `prefilter` override replaces the server's
-    /// default for this session's batches.
+    /// under `tier` and runs under `prefilter`, or the server's default
+    /// when it names none.
     ///
     /// # Errors
     ///
@@ -881,9 +887,7 @@ impl Server {
             .engine(index)
             .ok_or_else(|| format!("unknown index {index:?}"))?;
         let mut session = Session::new(engine, window);
-        if let Some(config) = prefilter {
-            session.set_prefilter(config)?;
-        }
+        session.set_prefilter(prefilter.unwrap_or(self.prefilter))?;
         let mut sessions = self.sessions.lock().expect("session map lock");
         if sessions.len() >= MAX_SESSIONS {
             return Err(format!(

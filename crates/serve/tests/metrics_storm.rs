@@ -275,10 +275,9 @@ fn prefiltered_batches_reconcile_registry_receipts_and_server_stats() {
     let (mut pre_sum, mut post_sum, mut sketch_sum, mut prefiltered) = (0u64, 0u64, 0.0f64, 0u64);
     for _ in 0..3 {
         let result = server.query_batch_as(client, &request).expect("served");
-        assert!(result.stats.candidates_post <= result.stats.candidates_pre);
-        assert_eq!(result.stats.candidates_post, result.stats.candidates_scored);
+        assert!(result.stats.candidates_scored <= result.stats.candidates_pre);
         pre_sum += result.stats.candidates_pre as u64;
-        post_sum += result.stats.candidates_post as u64;
+        post_sum += result.stats.candidates_scored as u64;
         sketch_sum += result.stats.sketch_ms;
         prefiltered += 1;
     }
@@ -384,7 +383,7 @@ fn wire_receipts_registry_and_server_stats_tell_one_story() {
     );
     assert_eq!(
         moved("hdoms_prefilter_candidates_post_total"),
-        (queried.stats.candidates_post + receipt.candidates_post) as u64
+        (queried.stats.candidates_scored + receipt.candidates_scored) as u64
     );
     let visits: u64 = receipt.shard_timings.iter().map(|t| t.visits).sum();
     assert_eq!(visits, receipt.shards_touched as u64);

@@ -75,7 +75,6 @@ fn doc_covers_every_message_type() {
         "\"code\":\"deadline\"",
         "\"prefilter\":\"k=",
         "\"candidates_pre\":",
-        "\"candidates_post\":",
         "\"sketch_ms\":",
         "\"prefilter_candidates_pre\":",
         "\"prefilter_candidates_post\":",

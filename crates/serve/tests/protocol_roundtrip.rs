@@ -201,7 +201,6 @@ fn response(variant: usize, rng: &mut TestRng) -> Response {
                 shards_touched: count(rng),
                 candidates_scored: count(rng),
                 candidates_pre: count(rng),
-                candidates_post: count(rng),
                 sketch_ms: float(rng),
                 encode_ms: float(rng),
                 candidates_ms: float(rng),
@@ -223,7 +222,6 @@ fn response(variant: usize, rng: &mut TestRng) -> Response {
             total_psms: count(rng),
             candidates_scored: count(rng),
             candidates_pre: count(rng),
-            candidates_post: count(rng),
             sketch_ms: float(rng),
             shards_touched: count(rng),
             workers: count(rng),
@@ -249,7 +247,6 @@ fn response(variant: usize, rng: &mut TestRng) -> Response {
             deadline_ms: int(rng),
             interactive_weight: count(rng),
             interactive_queue_depth: count(rng),
-            coalesce_window_ms: int(rng),
             memory_budget: int(rng),
             queued: count(rng),
             in_flight: count(rng),

@@ -2,8 +2,12 @@
 //! coalescing, and shard-LRU eviction under a memory budget.
 //!
 //! The load-bearing claims:
-//! 1. coalesced interactive queries return **byte-identical** rows to
-//!    uncoalesced execution (with and without a prefilter);
+//! 1. interactive queries that queue behind held worker tokens merge
+//!    into fewer engine batches and return **byte-identical** rows to
+//!    solo execution (with and without a prefilter, and whether a
+//!    request spells out the server's default prefilter or omits it);
+//!    a lone query with a free worker is a one-member group, and
+//!    followers take no interactive queue slot;
 //! 2. a shed coalesced batch fails EVERY member with the structured
 //!    `deadline` error — no member is silently dropped;
 //! 3. the per-tier `server.stats` slices partition the aggregate
@@ -12,15 +16,15 @@
 //!    them back in on demand, and results never change.
 //!
 //! This is CI's tiered-serving gate: a mixed-tier storm for (3),
-//! lockstep interactive volleys for (1), in both test passes.
+//! interactive volleys behind held tokens for (1), in both test passes.
 
 use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_prefilter::PrefilterConfig;
-use hdoms_serve::protocol::{ErrorCode, QueryRequest, QuerySpectrum, WindowKind};
+use hdoms_serve::protocol::{ErrorCode, QueryRequest, QueryResult, QuerySpectrum, WindowKind};
 use hdoms_serve::scheduler::{SchedulerConfig, Tier};
-use hdoms_serve::server::Server;
-use std::sync::{Barrier, Mutex};
+use hdoms_serve::server::{ServeError, Server};
+use std::time::Duration;
 
 fn tiny_index(workload: &SyntheticWorkload) -> LibraryIndex {
     let mut config = IndexConfig {
@@ -38,10 +42,6 @@ fn server_with(workload: &SyntheticWorkload, config: SchedulerConfig) -> Server 
     let server = Server::with_scheduler(4, config);
     server.add_index("w", tiny_index(workload)).unwrap();
     server
-}
-
-fn batch_of(spectra: &[QuerySpectrum]) -> Vec<QuerySpectrum> {
-    spectra.to_vec()
 }
 
 fn spectra_of(workload: &SyntheticWorkload) -> Vec<QuerySpectrum> {
@@ -67,10 +67,62 @@ fn request(
     }
 }
 
-/// Three clients fire interactive queries together; the coalescer
-/// merges them into fewer engine batches, yet every client's rows are
-/// byte-identical to what an uncoalesced server returns for its own
-/// spectra — with the cascade off and with a per-request prefilter.
+/// Fire `requests` from clients 1, 2, … while every worker token is
+/// held: the first queues and leads, the rest are given time to join
+/// its group, then the tokens return. Each request's outcome, in order.
+fn behind_held_tokens(
+    server: &Server,
+    requests: &[QueryRequest],
+) -> Vec<Result<QueryResult, ServeError>> {
+    let held = server
+        .scheduler()
+        .admit_as(0, Tier::Batch)
+        .expect("idle server");
+    std::thread::scope(|scope| {
+        let mut clients = vec![scope.spawn(|| server.query_batch_as(1, &requests[0]))];
+        while server.stats().interactive.queued == 0 {
+            std::thread::yield_now();
+        }
+        for (i, request) in requests.iter().enumerate().skip(1) {
+            clients.push(scope.spawn(move || server.query_batch_as(i as u64 + 1, request)));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        drop(held);
+        clients
+            .into_iter()
+            .map(|client| client.join().expect("client thread"))
+            .collect()
+    })
+}
+
+/// [`behind_held_tokens`] until the volley runs as fewer engine batches
+/// than requests (a stalled thread can join after the group closed, so
+/// retry): the outcomes of the merged volley.
+fn merged_volley(server: &Server, requests: &[QueryRequest]) -> Vec<QueryResult> {
+    for _ in 0..5 {
+        let before = server.stats();
+        let outcomes = behind_held_tokens(server, requests);
+        let after = server.stats();
+        let served = after.coalesced_requests - before.coalesced_requests;
+        assert_eq!(served, requests.len() as u64, "every request answered");
+        let results: Vec<QueryResult> = outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("coalesced query"))
+            .collect();
+        if after.coalesced_batches - before.coalesced_batches < served {
+            return results;
+        }
+    }
+    panic!(
+        "{} queued interactive queries never coalesced",
+        requests.len()
+    );
+}
+
+/// Three interactive queries behind held worker tokens merge into fewer
+/// engine batches, yet every client's rows are byte-identical to a solo
+/// query of its own spectra — with the cascade off and with a
+/// per-request prefilter.
 #[test]
 fn coalesced_interactive_queries_are_byte_identical_to_uncoalesced() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 91);
@@ -81,67 +133,118 @@ fn coalesced_interactive_queries_are_byte_identical_to_uncoalesced() {
         &spectra[third..2 * third],
         &spectra[2 * third..],
     ];
-
-    let mut coalescing = server_with(&workload, SchedulerConfig::default());
-    coalescing.set_coalesce_window_ms(200);
-    let plain = server_with(&workload, SchedulerConfig::default());
+    let server = server_with(&workload, SchedulerConfig::default());
 
     for prefilter in [None, Some(PrefilterConfig::TopK(64))] {
-        let barrier = Barrier::new(chunks.len());
-        let results = Mutex::new(vec![None; chunks.len()]);
-        std::thread::scope(|scope| {
-            for (i, chunk) in chunks.iter().enumerate() {
-                let (coalescing, barrier, results) = (&coalescing, &barrier, &results);
-                scope.spawn(move || {
-                    barrier.wait();
-                    let result = coalescing
-                        .query_batch_as(
-                            i as u64 + 1,
-                            &request(batch_of(chunk), Tier::Interactive, prefilter),
-                        )
-                        .expect("coalesced query");
-                    results.lock().unwrap()[i] = Some(result);
-                });
-            }
-        });
-        let results = results.into_inner().unwrap();
+        let requests: Vec<QueryRequest> = chunks
+            .iter()
+            .map(|chunk| request(chunk.to_vec(), Tier::Interactive, prefilter))
+            .collect();
+        let merged = merged_volley(&server, &requests);
         for (i, chunk) in chunks.iter().enumerate() {
-            let merged = results[i].as_ref().expect("every member answered");
-            let alone = plain
-                .query_batch(&request(batch_of(chunk), Tier::Interactive, prefilter))
-                .expect("uncoalesced query");
+            let alone = server
+                .query_batch(&request(chunk.to_vec(), Tier::Batch, prefilter))
+                .expect("solo query");
             assert_eq!(
-                merged.rows, alone.rows,
-                "member {i} rows differ from uncoalesced (prefilter {prefilter:?})"
+                merged[i].rows, alone.rows,
+                "member {i} rows differ from solo (prefilter {prefilter:?})"
             );
-            assert_eq!(merged.stats.queries, alone.stats.queries);
-            assert_eq!(merged.stats.identifications, alone.stats.identifications);
+            assert_eq!(merged[i].stats.queries, alone.stats.queries);
+            assert_eq!(merged[i].stats.identifications, alone.stats.identifications);
+            assert_eq!(
+                merged[i].stats.candidates_scored,
+                alone.stats.candidates_scored
+            );
         }
     }
-
-    let stats = coalescing.stats();
-    assert_eq!(
-        stats.coalesced_requests, 6,
-        "every interactive request routed through the coalescer"
-    );
-    assert!(
-        stats.coalesced_batches < stats.coalesced_requests,
-        "at least one merge happened ({} batches for {} requests)",
-        stats.coalesced_batches,
-        stats.coalesced_requests
-    );
-    // The plain server never coalesces.
-    assert_eq!(plain.stats().coalesced_requests, 0);
 }
 
-/// Satellite: a coalesced batch shed by the scheduler fails ALL member
-/// requests with the structured `deadline` error — none is silently
-/// dropped, and the server keeps serving afterwards.
+/// With a free worker an interactive query never waits for company: it
+/// is a one-member group, counted as one executed group of one request.
+#[test]
+fn a_lone_interactive_query_is_a_one_member_group() {
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 97);
+    let spectra = spectra_of(&workload);
+    let server = server_with(&workload, SchedulerConfig::default());
+    let lone = request(spectra[..8].to_vec(), Tier::Interactive, None);
+    for round in 1..=2u64 {
+        let result = server.query_batch_as(1, &lone).expect("lone query");
+        assert_eq!(result.stats.queries, 8);
+        assert_eq!(result.stats.queued, 0, "a free worker never queues");
+        let stats = server.stats();
+        assert_eq!(stats.coalesced_batches, round);
+        assert_eq!(stats.coalesced_requests, round);
+        assert_eq!(stats.interactive.admitted, round);
+    }
+}
+
+/// Followers ride their leader's one admission and take no queue slot:
+/// with an interactive queue bound of 1 and every token held, N
+/// identical interactive queries get no `busy`.
+#[test]
+fn followers_take_no_interactive_queue_slot() {
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 98);
+    let spectra = spectra_of(&workload);
+    let server = server_with(
+        &workload,
+        SchedulerConfig {
+            interactive_queue_depth: 1,
+            ..SchedulerConfig::default()
+        },
+    );
+    let requests: Vec<QueryRequest> = spectra
+        .chunks(spectra.len().div_ceil(4))
+        .map(|chunk| request(chunk.to_vec(), Tier::Interactive, None))
+        .collect();
+    assert_eq!(requests.len(), 4);
+    for outcome in behind_held_tokens(&server, &requests) {
+        outcome.expect("no member is refused busy");
+    }
+    let stats = server.stats();
+    assert_eq!(stats.rejected_busy, 0);
+    assert_eq!(stats.coalesced_requests, requests.len() as u64);
+}
+
+/// A request that spells out the server's default prefilter and one
+/// that omits it resolve to the same configuration: they join one group
+/// and render the rows a solo query renders.
+#[test]
+fn an_explicit_default_prefilter_joins_an_omitted_one() {
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 99);
+    let spectra = spectra_of(&workload);
+    let half = spectra.len() / 2;
+    let mut server = Server::with_scheduler(4, SchedulerConfig::default());
+    server.set_prefilter(PrefilterConfig::TopK(16));
+    server.add_index("w", tiny_index(&workload)).unwrap();
+    let requests = [
+        request(
+            spectra[..half].to_vec(),
+            Tier::Interactive,
+            Some(PrefilterConfig::TopK(16)),
+        ),
+        request(spectra[half..].to_vec(), Tier::Interactive, None),
+    ];
+    let merged = merged_volley(&server, &requests);
+    for (member, request) in merged.iter().zip(&requests) {
+        let alone = server
+            .query_batch(&QueryRequest {
+                tier: Tier::Batch,
+                ..request.clone()
+            })
+            .expect("solo query");
+        assert_eq!(member.rows, alone.rows);
+    }
+    assert!(server.stats().prefilter_candidates_pre > 0, "k=16 ran");
+}
+
+/// A group whose leader waits past `deadline_ms` fails ALL members with
+/// the structured `deadline` error — none is silently dropped — and the
+/// server keeps serving afterwards.
 #[test]
 fn a_shed_coalesced_batch_fails_every_member_with_deadline() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 92);
     let spectra = spectra_of(&workload);
-    let mut server = server_with(
+    let server = server_with(
         &workload,
         SchedulerConfig {
             workers: 1,
@@ -150,32 +253,32 @@ fn a_shed_coalesced_batch_fails_every_member_with_deadline() {
             ..SchedulerConfig::default()
         },
     );
-    server.set_coalesce_window_ms(40);
 
-    // Occupy the only worker so the merged batch queues past its
-    // deadline.
+    // Occupy the only worker until every member is back: the leader
+    // queues past its deadline, and so would any late arrival founding
+    // a group of its own.
     let running = server.scheduler().admit(999).unwrap();
-
     const MEMBERS: usize = 3;
-    let barrier = Barrier::new(MEMBERS);
-    let errors = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for i in 0..MEMBERS {
-            let (server, barrier, errors, chunk) =
-                (&server, &barrier, &errors, &spectra[..4.min(spectra.len())]);
-            scope.spawn(move || {
-                barrier.wait();
-                let outcome = server.query_batch_as(
-                    i as u64 + 1,
-                    &request(chunk.to_vec(), Tier::Interactive, None),
-                );
-                errors.lock().unwrap().push(outcome);
-            });
-        }
+    let chunk = &spectra[..4.min(spectra.len())];
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let members: Vec<_> = (0..MEMBERS)
+            .map(|i| {
+                let server = &server;
+                scope.spawn(move || {
+                    server.query_batch_as(
+                        i as u64 + 1,
+                        &request(chunk.to_vec(), Tier::Interactive, None),
+                    )
+                })
+            })
+            .collect();
+        members
+            .into_iter()
+            .map(|member| member.join().expect("member thread"))
+            .collect()
     });
     drop(running);
 
-    let outcomes = errors.into_inner().unwrap();
     assert_eq!(outcomes.len(), MEMBERS, "every member came back");
     for outcome in &outcomes {
         let error = outcome.as_ref().expect_err("shed batch must fail");
@@ -186,7 +289,7 @@ fn a_shed_coalesced_batch_fails_every_member_with_deadline() {
         );
     }
     let stats = server.stats();
-    // The coalescing counters track batches that actually executed, so
+    // The coalescing counters track groups that actually executed, so
     // `coalesce_ratio` never counts shed work as served.
     assert_eq!(stats.coalesced_batches, 0);
     assert_eq!(stats.coalesced_requests, 0);

@@ -135,8 +135,7 @@ fn every_entry_point_renders_the_same_rows() {
     );
     let streamed = Arc::new(Engine::open_mapped(&streamed_path, 2).expect("mapped open"));
     std::fs::remove_file(&streamed_path).ok();
-    let mut server = Server::new(2);
-    server.set_coalesce_window_ms(300);
+    let server = Server::new(2);
     server
         .load_index("tiny", path.to_str().expect("utf-8 temp path"))
         .expect("index resident");
@@ -186,23 +185,27 @@ fn every_entry_point_renders_the_same_rows() {
             expected
         );
 
-        // Two interactive clients inside one coalescing window: each
-        // gets the rows a solo search of its own spectra renders. The
-        // window is generous, but a stalled thread can still miss it —
-        // rows must match either way; retry until a merge is observed.
+        // Two interactive clients behind every held worker token: the
+        // first queues and leads, the second joins its group, and each
+        // gets the rows a solo search of its own spectra renders. A
+        // stalled thread can still join late — rows must match either
+        // way; retry until a merge is observed.
         let mut merged = false;
         for _ in 0..5 {
             let before = server.stats();
-            let barrier = std::sync::Barrier::new(2);
+            let held = server
+                .scheduler()
+                .admit_as(99, Tier::Batch)
+                .expect("idle server");
             let (a, b) = std::thread::scope(|scope| {
-                let volley = |client, spectra| {
-                    let (barrier, served) = (&barrier, &served);
-                    scope.spawn(move || {
-                        barrier.wait();
-                        served(client, spectra, Tier::Interactive, prefilter)
-                    })
-                };
-                let (a, b) = (volley(2, first), volley(3, second));
+                let served = &served;
+                let a = scope.spawn(move || served(2, first, Tier::Interactive, prefilter));
+                while server.stats().interactive.queued == 0 {
+                    std::thread::yield_now();
+                }
+                let b = scope.spawn(move || served(3, second, Tier::Interactive, prefilter));
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                drop(held);
                 (a.join().expect("client 2"), b.join().expect("client 3"))
             });
             assert_eq!(a, local(first, prefilter));
