@@ -270,10 +270,11 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// `TopK` requires an index-backed engine (the sketches are the
-    /// index's); `Off` always succeeds.
+    /// `TopK` requires K ≥ 1 ([`PrefilterConfig::checked`]) and an
+    /// index-backed engine (the sketches are the index's); `Off` always
+    /// succeeds.
     pub fn ready_prefilter(&self, config: PrefilterConfig) -> Result<(), String> {
-        if config.is_off() {
+        if config.checked()?.is_off() {
             return Ok(());
         }
         let Some(index) = &self.index else {

@@ -223,6 +223,31 @@ fn topk_is_rejected_off_the_sharded_index_path() {
         .is_err());
 }
 
+#[test]
+fn a_zero_k_is_an_error_at_every_door() {
+    // K = 0 used to pass `ready_prefilter` and then panic inside the
+    // sketch stage on an open window; every door now refuses it with
+    // the text `PrefilterConfig::parse("k=0")` gives.
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 5);
+    let engine = Arc::new(engine_for(&workload, DIM, 64));
+    let zero = PrefilterConfig::TopK(0);
+    let text = PrefilterConfig::parse("k=0").expect_err("k=0 does not parse");
+    assert!(text.contains("prefilter K must be ≥ 1"), "{text}");
+    assert_eq!(engine.ready_prefilter(zero), Err(text.clone()));
+    let searched = engine.search_with_workers_opts(
+        &workload.queries,
+        PrecursorWindow::open_default(),
+        0.01,
+        THREADS,
+        Some(zero),
+    );
+    assert_eq!(searched.err(), Some(text.clone()));
+    let mut session = engine.session(PrecursorWindow::open_default());
+    assert_eq!(session.set_prefilter(zero), Err(text));
+    assert_eq!(session.prefilter(), PrefilterConfig::Off);
+    assert!(engine.ready_prefilter(PrefilterConfig::TopK(1)).is_ok());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 

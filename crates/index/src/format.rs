@@ -656,16 +656,32 @@ record!(impl MlcState as "mlc_state" {
 });
 
 // The v3 sketch section; rebuilding it re-runs the structural validation
-// of `SketchIndex::from_parts`.
+// of `SketchIndex::from_parts`. Its table lists rows by id, whatever
+// order the index holds them in.
 record! {
     impl SketchIndex as "sketch", this {
         full_words: usize = this.full_words(),
         selected: Vec<u32> = this.selected(),
         slots: usize = this.len(),
         present: Vec<u64> = this.present_bits(),
-        table: Vec<u64> = this.table(),
+        table: Vec<u64> = RowsById(this),
     } => SketchIndex::from_parts(full_words, selected, table, present, slots)
         .map_err(IndexError::Invalid)
+}
+
+/// A sketch's signature rows by id, written as one `u64[]`.
+struct RowsById<'a>(&'a SketchIndex);
+
+impl Put for RowsById<'_> {
+    fn put(&self, w: &mut Vec<u8>) {
+        let sketch = self.0;
+        let words = sketch.len() * sketch.words();
+        words.put(w);
+        w.reserve(words * 8);
+        for id in 0..sketch.len() as u32 {
+            sketch.signature(id).iter().for_each(|word| word.put(w));
+        }
+    }
 }
 
 /// The whole encoding of `value`, as a section payload.

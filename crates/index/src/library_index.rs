@@ -381,19 +381,27 @@ impl LibraryIndex {
     }
 
     /// The prefilter's folded-hypervector sketch table over this index's
-    /// references (see [`hdoms_prefilter::SketchIndex`]). Pre-populated
-    /// when a v3 file carried the persisted sketch section; derived on
-    /// the fly (once, then shared) for cold builds and v1/v2 loads — the
-    /// derivation samples the same words [`IndexBuilder`] persists, so
-    /// the two paths produce identical sketches.
+    /// references (see [`hdoms_prefilter::SketchIndex`]), its rows in
+    /// the `(mass, id)` table's order so a precursor window reads
+    /// consecutive rows. Pre-populated when a v3 file carried the
+    /// persisted sketch section; derived on the fly (once, then shared)
+    /// for cold builds and v1/v2 loads — the derivation samples the same
+    /// words [`IndexBuilder`] persists, so the two paths produce
+    /// identical sketches.
     pub fn sketch_index(&self) -> Arc<SketchIndex> {
         Arc::clone(self.sketches.get_or_init(|| {
-            Arc::new(SketchIndex::build(
+            self.in_table_order(SketchIndex::build(
                 self.dim(),
                 SKETCH_WORDS,
                 self.references.iter().map(|hv| hv.map(|h| h.words())),
             ))
         }))
+    }
+
+    /// `sketch` with its rows moved into the `(mass, id)` table's order
+    /// (the table's ids must be dense).
+    fn in_table_order(&self, sketch: SketchIndex) -> Arc<SketchIndex> {
+        Arc::new(sketch.in_row_order(self.table.pairs().iter().map(|&(_, id)| id)))
     }
 
     /// Shard assignment by dense id (`shard_of[id]` = shard position).
@@ -666,7 +674,7 @@ impl LibraryIndex {
     /// a descriptive [`IndexError`] — a corrupted index never half-loads.
     pub fn from_buffer(buffer: WordBuffer, threads: usize) -> Result<LibraryIndex, IndexError> {
         let bytes = buffer.as_bytes();
-        let (mut index, version, count, sections) = parse_sections(bytes)?;
+        let (mut index, version, count, sections, sketch) = parse_sections(bytes)?;
         let dim = index.dim();
         let jobs: Vec<(usize, Frame)> = sections.iter().copied().enumerate().collect();
         let payloads = par_map(&jobs, threads, |&(i, section)| {
@@ -711,6 +719,9 @@ impl LibraryIndex {
         index.shard_of = shard_of(&table, &index.bounds);
         index.table = CandidateIndex::from_sorted(table);
         index.validate()?;
+        if let Some(sketch) = sketch {
+            let _ = index.sketches.set(index.in_table_order(sketch));
+        }
         index.references = if version >= 2 {
             SharedReferences::new(buffer.clone(), dim, offsets)
         } else {
@@ -795,9 +806,10 @@ fn read_file(path: &Path) -> std::io::Result<WordBuffer> {
 /// Walk the container: magic, version, header, MLC and sketch sections
 /// (each checksum-verified), and the [`Frame`] of every shard section —
 /// everything established before shard payloads are touched, returned
-/// as an index still without entries or references, the format version,
-/// the declared entry count, and where each shard lies.
-fn parse_sections(bytes: &[u8]) -> Result<(LibraryIndex, u32, usize, Vec<Frame>), IndexError> {
+/// as an index still without entries, references or sketch, the format
+/// version, the declared entry count, where each shard lies, and the
+/// sketch section's rows in id order.
+fn parse_sections(bytes: &[u8]) -> Result<Sections, IndexError> {
     let mut r = Reader::new(bytes);
     if r.raw(8, "magic")? != MAGIC {
         return Err(IndexError::BadMagic);
@@ -831,7 +843,7 @@ fn parse_sections(bytes: &[u8]) -> Result<(LibraryIndex, u32, usize, Vec<Frame>)
         .map(|payload| format::decode::<MlcState>(payload, "mlc_state", version))
         .transpose()?;
     header.kind.validate(mlc.as_ref())?;
-    let sketches = OnceLock::new();
+    let mut sketch = None;
     if let Some(payload) = section(header.sketch_len, "sketch")? {
         let decoded: SketchIndex = format::decode(payload, "sketch", version)?;
         let full_words = header.kind.dim().div_ceil(64);
@@ -842,7 +854,7 @@ fn parse_sections(bytes: &[u8]) -> Result<(LibraryIndex, u32, usize, Vec<Frame>)
                  declares {count} entries of {full_words} words"
             )
         })?;
-        let _ = sketches.set(Arc::new(decoded));
+        sketch = Some(decoded);
     }
     let shards = (header.shard_lens.iter())
         .map(|&len| Frame::locate(&mut r, bytes.len(), padded, len, "shard"))
@@ -860,10 +872,13 @@ fn parse_sections(bytes: &[u8]) -> Result<(LibraryIndex, u32, usize, Vec<Frame>)
         catalog: Arc::default(),
         shard_of: Arc::default(),
         backend: Arc::default(),
-        sketches,
+        sketches: OnceLock::new(),
     };
-    Ok((index, version, count, shards))
+    Ok((index, version, count, shards, sketch))
 }
+
+/// What [`parse_sections`] establishes ahead of the shard payloads.
+type Sections = (LibraryIndex, u32, usize, Vec<Frame>, Option<SketchIndex>);
 
 impl ReferenceCatalog for LibraryIndex {
     fn reference_count(&self) -> usize {

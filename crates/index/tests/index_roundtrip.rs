@@ -1088,6 +1088,86 @@ fn checksum_valid_but_unusable_encoder_config_fails_open() {
     }
 }
 
+/// Pins the sketch stage's survivors: every query's `narrow` output over
+/// its open precursor window at K = 1, 16 and 256, through a sketch
+/// derived from a cold build and one loaded from the v3 section. The
+/// library holds absent slots (every tenth entry starved below the
+/// preprocessing floor) and a tie-heavy block (its first 60 entries four
+/// times over, so equal sketch distances crowd the threshold). The
+/// constants were recorded from the build of the commit *before* the one
+/// that added this test; never regenerate them.
+#[test]
+fn narrowed_lists_are_pinned() {
+    use hdoms_index::xxhash::xxh64;
+    use hdoms_ms::preprocess::Preprocessor;
+    use hdoms_oms::pipeline::ReferenceCatalog;
+    use hdoms_oms::search::candidate_lists;
+
+    let spec = WorkloadSpec {
+        reference_peptides: 1000,
+        peptide_len: (13, 15),
+        ..WorkloadSpec::tiny()
+    };
+    let workload = SyntheticWorkload::generate(&spec, 47);
+    let library: SpectralLibrary = (workload.library.iter().enumerate())
+        .map(|(id, entry)| {
+            let mut entry = entry.clone();
+            if id % 10 == 3 {
+                let peaks = entry.spectrum.peaks()[..2].to_vec();
+                entry.spectrum = Spectrum::new(
+                    entry.spectrum.id,
+                    entry.spectrum.precursor_mz,
+                    entry.spectrum.precursor_charge,
+                    peaks,
+                    entry.spectrum.origin,
+                );
+            }
+            entry
+        })
+        .chain((0..3).flat_map(|_| workload.library.iter().take(60).cloned()))
+        .collect();
+    let mut exact = ExactBackendConfig::default();
+    exact.encoder.dim = 2048;
+    let index = build_index(IndexedBackendKind::Exact(exact), &library, 32);
+    let loaded = LibraryIndex::from_bytes(&index.to_bytes(), THREADS).expect("own image");
+    let (binned, _) = Preprocessor::new(index.kind().preprocess()).run_batch(&workload.queries);
+    let window = PrecursorWindow::open_default();
+    let lists = candidate_lists(&index.candidate_index(), &window, &binned);
+    assert!(lists.iter().filter(|list| list.len() > 256).count() > 10);
+    let encoder = index.to_exact_backend(1).expect("an exact index");
+    let query_hvs: Vec<_> = binned.iter().map(|b| encoder.encode_query(b)).collect();
+
+    // (K, digest of every query's survivors: length, then ids, LE).
+    let pinned = [
+        (1, 0x047f_8d00_f7d2_a2fc_u64),
+        (16, 0x637f_ea5f_c827_6264),
+        (256, 0xb9eb_e8eb_d917_c5b0),
+    ];
+    for (k, digest) in pinned {
+        for (route, from) in [("derived", &index), ("loaded", &loaded)] {
+            let sketch = from.sketch_index();
+            let mut bytes = Vec::new();
+            for (hv, list) in query_hvs.iter().zip(&lists) {
+                let survivors = sketch.narrow(&sketch.sketch_query(hv.words()), list, k);
+                let present = list.iter().filter(|&&id| sketch.is_present(id)).count();
+                let expected = if list.len() <= k {
+                    list.len()
+                } else {
+                    k.min(present)
+                };
+                assert_eq!(survivors.len(), expected, "K = {k}, {route}");
+                bytes.extend((survivors.len() as u32).to_le_bytes());
+                bytes.extend(survivors.iter().flat_map(|id| id.to_le_bytes()));
+            }
+            assert_eq!(
+                xxh64(&bytes, 0),
+                digest,
+                "K = {k}, {route}: the survivors moved"
+            );
+        }
+    }
+}
+
 #[test]
 fn group_accounting_is_a_sum_over_per_query_records() {
     // One merged batch of three request groups, prefilter on: summing

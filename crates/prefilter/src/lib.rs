@@ -34,6 +34,7 @@
 #![deny(unsafe_code)]
 
 use hdoms_hdc::kernels::{self, REFERENCE_TILE};
+use std::cmp::Ordering;
 
 /// Default signature width in 64-bit words (1024 bits). Wide enough
 /// that sketch ranking keeps recall@K ≥ 0.99 at the default K on the
@@ -76,14 +77,26 @@ impl PrefilterConfig {
             let k: usize = k
                 .parse()
                 .map_err(|_| format!("invalid prefilter K {k:?} (a positive integer)"))?;
-            if k == 0 {
-                return Err("prefilter K must be ≥ 1 (use \"off\" to disable)".to_owned());
-            }
-            return Ok(PrefilterConfig::TopK(k));
+            return PrefilterConfig::TopK(k).checked();
         }
         Err(format!(
             "unknown prefilter {text:?} (expected \"off\" or \"k=N\")"
         ))
+    }
+
+    /// This configuration, if the cascade can run it: `Off`, or `TopK`
+    /// with K ≥ 1.
+    ///
+    /// # Errors
+    ///
+    /// `TopK(0)`, with the text [`PrefilterConfig::parse`] gives `k=0`.
+    pub fn checked(self) -> Result<PrefilterConfig, String> {
+        match self {
+            PrefilterConfig::TopK(0) => {
+                Err("prefilter K must be ≥ 1 (use \"off\" to disable)".to_owned())
+            }
+            config => Ok(config),
+        }
     }
 
     /// The canonical spelling [`PrefilterConfig::parse`] accepts back:
@@ -125,9 +138,12 @@ pub struct PrefilterStats {
 }
 
 /// A folded-hypervector sketch index: one fixed-width signature per
-/// reference slot, stored as a dense row-major table so candidate
-/// signatures stream through the blocked kernels cache-line by
-/// cache-line.
+/// reference slot, in a dense row-major table whose rows are stored in
+/// an order the owner chooses ([`SketchIndex::in_row_order`]), found by
+/// one id → row map. A library index stores them in its `(mass, id)`
+/// order, so a precursor window's candidates are consecutive rows that
+/// stream through the blocked kernels cache line by cache line.
+/// Equality compares the rows in their stored order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SketchIndex {
     /// Words per full reference hypervector (`ceil(dim / 64)`), kept
@@ -136,15 +152,27 @@ pub struct SketchIndex {
     /// Strictly increasing word indices sampled from each full
     /// hypervector; `selected.len()` is the signature width.
     selected: Vec<u32>,
-    /// `slots × selected.len()` signature words, row-major by slot.
+    /// `slots × selected.len()` signature words, row-major in row order.
     /// Absent slots hold zero rows.
     table: Vec<u64>,
+    /// `row_of[id]` is slot `id`'s row in `table`; one entry per slot.
+    row_of: Vec<u32>,
     /// Presence bitset over slots (bit `id % 64` of word `id / 64`):
     /// references preprocessing rejected carry no hypervector and must
     /// never be forwarded by the sketch stage.
     present: Vec<u64>,
-    /// Number of reference slots.
-    slots: usize,
+}
+
+/// The distance [`SketchIndex::narrow`] gives a candidate without a
+/// signature: beyond every real one, and never counted.
+const ABSENT: u32 = u32::MAX;
+
+/// Mark `row` in the bitset `seen`; whether it was unmarked.
+fn first_visit(seen: &mut [u64], row: usize) -> bool {
+    let bit = 1u64 << (row % 64);
+    let fresh = seen[row / 64] & bit == 0;
+    seen[row / 64] |= bit;
+    fresh
 }
 
 impl SketchIndex {
@@ -168,21 +196,21 @@ impl SketchIndex {
             full_words,
             selected: SketchIndex::word_selection(full_words, target_words),
             table: Vec::new(),
+            row_of: Vec::new(),
             present: Vec::new(),
-            slots: 0,
         }
     }
 
-    /// Append the signature of the next dense reference id: the sampled
-    /// words of `hv`, or — for `None`, a slot preprocessing rejected —
-    /// a zero row marked absent.
+    /// Append the signature of the next dense reference id, as the last
+    /// row: the sampled words of `hv`, or — for `None`, a slot
+    /// preprocessing rejected — a zero row marked absent.
     ///
     /// # Panics
     ///
     /// Panics if a present slot's word count differs from
     /// `ceil(dim / 64)`.
     pub fn push(&mut self, hv: Option<&[u64]>) {
-        let id = self.slots;
+        let id = self.len();
         if self.present.len() * 64 <= id {
             self.present.push(0u64);
         }
@@ -201,12 +229,12 @@ impl SketchIndex {
                 .table
                 .extend(std::iter::repeat_n(0u64, self.selected.len())),
         }
-        self.slots += 1;
+        self.row_of.push(id as u32);
     }
 
-    /// Build signatures for every slot of a reference table. `refs`
-    /// yields one `Option<&[u64]>` per dense reference id, in id
-    /// order — `None` marks a slot preprocessing rejected. `dim` is
+    /// Build signatures for every slot of a reference table, in id
+    /// order. `refs` yields one `Option<&[u64]>` per dense reference id,
+    /// in id order — `None` marks a slot preprocessing rejected. `dim` is
     /// the full hypervector dimension; `target_words` the requested
     /// signature width (clamped to the full width).
     ///
@@ -225,7 +253,7 @@ impl SketchIndex {
     }
 
     /// Reassemble a sketch index from its serialized parts (the `.hdx`
-    /// v3 sketch section).
+    /// v3 sketch section), rows in id order.
     ///
     /// # Errors
     ///
@@ -274,19 +302,79 @@ impl SketchIndex {
             full_words,
             selected,
             table,
+            row_of: (0..slots as u32).collect(),
             present,
-            slots,
         })
+    }
+
+    /// This index with its rows stored in the order `ids` lists the
+    /// slots: row `r` holds slot `ids[r]`'s signature. Signatures, and
+    /// so every [`SketchIndex::narrow`], are unchanged; only which
+    /// candidates sit in consecutive rows moves. The rows move in place,
+    /// cycle by cycle through one spare row.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `ids` lists every slot exactly once.
+    pub fn in_row_order(mut self, ids: impl IntoIterator<Item = u32>) -> SketchIndex {
+        let (slots, width) = (self.len(), self.words());
+        let mut spare = vec![0u64; width];
+        let mut seen = vec![0u64; slots.div_ceil(64)];
+        // Back to id order: row `id` takes what row `row_of[id]` holds.
+        for start in 0..slots {
+            if !first_visit(&mut seen, start) {
+                continue;
+            }
+            spare.copy_from_slice(&self.table[start * width..][..width]);
+            let mut to = start;
+            loop {
+                let from = self.row_of[to] as usize;
+                if from == start {
+                    self.table[to * width..][..width].copy_from_slice(&spare);
+                    break;
+                }
+                (self.table).copy_within(from * width..(from + 1) * width, to * width);
+                first_visit(&mut seen, from);
+                to = from;
+            }
+        }
+        // Then out to `ids`' order: row `id` goes to row `row_of[id]`.
+        self.row_of.fill(u32::MAX);
+        let mut rows = 0;
+        for id in ids {
+            match self.row_of.get_mut(id as usize) {
+                Some(row) if *row == u32::MAX => *row = rows,
+                _ => panic!("row order lists slot {id} twice or beyond {slots} slots"),
+            }
+            rows += 1;
+        }
+        assert_eq!(rows as usize, slots, "row order misses a slot");
+        seen.fill(0);
+        for start in 0..slots {
+            if !first_visit(&mut seen, start) {
+                continue;
+            }
+            spare.copy_from_slice(&self.table[start * width..][..width]);
+            let mut from = start;
+            while self.row_of[from] as usize != start {
+                let to = self.row_of[from] as usize;
+                spare.swap_with_slice(&mut self.table[to * width..][..width]);
+                first_visit(&mut seen, to);
+                from = to;
+            }
+            self.table[start * width..][..width].copy_from_slice(&spare);
+        }
+        self
     }
 
     /// Number of reference slots covered.
     pub fn len(&self) -> usize {
-        self.slots
+        self.row_of.len()
     }
 
     /// Whether the index covers no slots.
     pub fn is_empty(&self) -> bool {
-        self.slots == 0
+        self.row_of.is_empty()
     }
 
     /// Signature width in 64-bit words.
@@ -304,11 +392,6 @@ impl SketchIndex {
         &self.selected
     }
 
-    /// The dense `slots × words` signature table, row-major by slot.
-    pub fn table(&self) -> &[u64] {
-        &self.table
-    }
-
     /// The presence bitset over slots.
     pub fn present_bits(&self) -> &[u64] {
         &self.present
@@ -318,7 +401,17 @@ impl SketchIndex {
     /// hypervector).
     pub fn is_present(&self, id: u32) -> bool {
         let id = id as usize;
-        id < self.slots && self.present[id / 64] >> (id % 64) & 1 == 1
+        id < self.len() && self.present[id / 64] >> (id % 64) & 1 == 1
+    }
+
+    /// Slot `id`'s signature row (zeros for an absent slot).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn signature(&self, id: u32) -> &[u64] {
+        let width = self.words();
+        &self.table[self.row_of[id as usize] as usize * width..][..width]
     }
 
     /// Fold a full query hypervector's packed words down to this
@@ -339,12 +432,6 @@ impl SketchIndex {
             .collect()
     }
 
-    /// One slot's signature row.
-    fn signature(&self, id: u32) -> &[u64] {
-        let width = self.selected.len();
-        &self.table[id as usize * width..(id as usize + 1) * width]
-    }
-
     /// The sketch stage: score `query_sketch` against every candidate
     /// signature and keep the `k` best, ranked by `(dot desc, id
     /// asc)` — the same tie-break the exact scan applies. Survivors
@@ -355,59 +442,96 @@ impl SketchIndex {
     /// Lists already at or below `k` pass through untouched (absent
     /// slots included), so `TopK(K ≥ window)` is *exactly* the
     /// unfiltered scan. Longer lists drop absent slots (the exact
-    /// stage would skip them anyway) and then keep the top `k`
-    /// present scorers.
+    /// stage would skip them anyway; an id beyond the index counts as
+    /// absent) and then keep the top `k` present scorers.
+    ///
+    /// Sketch distances are integers in `0..=words·64`, so one histogram
+    /// of them finds the `k`-th distance `t`: the survivors are every
+    /// candidate nearer than `t` and the smallest ids at `t`, emitted in
+    /// one pass over the list.
     ///
     /// # Panics
     ///
-    /// Panics if `query_sketch` is not [`SketchIndex::words`] long, or
-    /// a candidate id is out of range.
+    /// Panics if `query_sketch` is not [`SketchIndex::words`] long.
     pub fn narrow(&self, query_sketch: &[u64], candidates: &[u32], k: usize) -> Vec<u32> {
         assert_eq!(query_sketch.len(), self.words(), "query sketch width");
         if candidates.len() <= k {
             return candidates.to_vec();
         }
-        // Positions (into `candidates`) of the present slots; scoring
-        // and selection work on positions so survivors can be emitted
-        // back in list order with one sort.
-        let kept: Vec<u32> = (0..candidates.len() as u32)
-            .filter(|&p| self.is_present(candidates[p as usize]))
-            .collect();
-        if kept.len() <= k {
-            return kept.iter().map(|&p| candidates[p as usize]).collect();
+        if k == 0 {
+            return Vec::new();
         }
         let kernel = kernels::active();
         let sketch_dim = self.words() * 64;
-        let mut scores = vec![0i64; kept.len()];
+        // Each candidate's Hamming distance over the signature (`ABSENT`
+        // without one; its tile slot scores the query against itself),
+        // and how many present candidates sit at each distance.
+        let mut distance = vec![ABSENT; candidates.len()];
+        let mut histogram = vec![0usize; sketch_dim + 1];
+        let mut scores = [0i64; REFERENCE_TILE];
         let mut tile: Vec<&[u64]> = Vec::with_capacity(REFERENCE_TILE);
-        for (chunk, out) in kept
+        for (ids, out) in candidates
             .chunks(REFERENCE_TILE)
-            .zip(scores.chunks_mut(REFERENCE_TILE))
+            .zip(distance.chunks_mut(REFERENCE_TILE))
         {
             tile.clear();
-            tile.extend(
-                chunk
-                    .iter()
-                    .map(|&p| self.signature(candidates[p as usize])),
-            );
-            kernel.dot_many(sketch_dim, query_sketch, &tile, out);
+            tile.extend(ids.iter().map(|&id| {
+                if self.is_present(id) {
+                    self.signature(id)
+                } else {
+                    query_sketch
+                }
+            }));
+            let scores = &mut scores[..ids.len()];
+            kernel.dot_many(sketch_dim, query_sketch, &tile, scores);
+            for ((d, &score), &id) in out.iter_mut().zip(scores.iter()).zip(ids) {
+                if self.is_present(id) {
+                    *d = ((sketch_dim as i64 - score) / 2) as u32;
+                    histogram[*d as usize] += 1;
+                }
+            }
         }
-        // Select the K best by (score desc, id asc) — a total order, so
-        // the surviving *set* is deterministic regardless of the
-        // unstable partition's internal ordering.
-        let mut order: Vec<u32> = (0..kept.len() as u32).collect();
-        order.select_nth_unstable_by(k - 1, |&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            scores[b]
-                .cmp(&scores[a])
-                .then_with(|| candidates[kept[a] as usize].cmp(&candidates[kept[b] as usize]))
-        });
-        let mut survivors: Vec<u32> = order[..k].iter().map(|&i| kept[i as usize]).collect();
-        survivors.sort_unstable();
+        if histogram.iter().sum::<usize>() <= k {
+            let present = candidates.iter().zip(&distance);
+            return (present.filter(|&(_, &d)| d != ABSENT))
+                .map(|(&id, _)| id)
+                .collect();
+        }
+        // The threshold `t`: the nearest distance whose running count
+        // reaches `k`; `need` of the candidates at `t` survive.
+        let (mut t, mut need) = (0, k);
+        while need > histogram[t] {
+            need -= histogram[t];
+            t += 1;
+        }
+        let t = t as u32;
+        // The ties at `t` that survive: ids below `cut`, then `quota`
+        // of the ones equal to it (more than one only if the list
+        // repeats an id). When every tie survives, `cut` passes them all.
+        let (cut, mut quota) = if need == histogram[t as usize] {
+            (u32::MAX, 0)
+        } else {
+            let tied = candidates.iter().zip(&distance).filter(|&(_, &d)| d == t);
+            let mut tied: Vec<u32> = tied.map(|(&id, _)| id).collect();
+            let (below, &mut cut, _) = tied.select_nth_unstable(need - 1);
+            (cut, need - below.iter().filter(|&&id| id < cut).count())
+        };
+        let mut survivors = Vec::with_capacity(k);
+        for (&id, &d) in candidates.iter().zip(&distance) {
+            let keep = match d.cmp(&t) {
+                Ordering::Less => true,
+                Ordering::Equal if id < cut => true,
+                Ordering::Equal if id == cut && quota > 0 => {
+                    quota -= 1;
+                    true
+                }
+                _ => false,
+            };
+            if keep {
+                survivors.push(id);
+            }
+        }
         survivors
-            .into_iter()
-            .map(|p| candidates[p as usize])
-            .collect()
     }
 }
 
@@ -415,8 +539,10 @@ impl SketchIndex {
 mod tests {
     use super::*;
     use hdoms_hdc::BinaryHypervector;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn random_refs(n: usize, dim: usize, seed: u64) -> Vec<BinaryHypervector> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -508,36 +634,122 @@ mod tests {
         }
     }
 
-    #[test]
-    fn narrowing_matches_a_scalar_reference_ranking() {
-        let dim = 1024;
-        let refs = random_refs(96, dim, 4);
-        let sketch = sketch_of(&refs, dim);
-        let query_hv = random_refs(1, dim, 5).remove(0);
-        let query = sketch.sketch_query(query_hv.words());
-        let list: Vec<u32> = (0..96).collect();
-        let k = 10;
-        let survivors = sketch.narrow(&query, &list, k);
-
-        // Reference ranking: full-precision dot over the signature,
-        // computed without the kernels.
+    /// The survivors `narrow` must return, computed the slow way: every
+    /// present candidate's full-precision dot over its signature, ranked
+    /// by `(dot desc, id asc)`, the best `k` put back in list order.
+    fn reference_ranking(sketch: &SketchIndex, query: &[u64], list: &[u32], k: usize) -> Vec<u32> {
+        if list.len() <= k {
+            return list.to_vec();
+        }
         let sketch_dim = sketch.words() * 64;
-        let mut ranked: Vec<(i64, u32)> = list
-            .iter()
-            .map(|&id| {
+        let mut ranked: Vec<(i64, u32, usize)> = (list.iter().enumerate())
+            .filter(|&(_, &id)| sketch.is_present(id))
+            .map(|(at, &id)| {
                 let sig = sketch.signature(id);
                 let hamming: u32 = sig
                     .iter()
-                    .zip(&query)
+                    .zip(query)
                     .map(|(a, b)| (a ^ b).count_ones())
                     .sum();
-                (sketch_dim as i64 - 2 * i64::from(hamming), id)
+                (sketch_dim as i64 - 2 * i64::from(hamming), id, at)
             })
             .collect();
         ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut expected: Vec<u32> = ranked[..k].iter().map(|&(_, id)| id).collect();
-        expected.sort_unstable();
-        assert_eq!(survivors, expected);
+        let mut kept: Vec<usize> = ranked.iter().take(k).map(|&(_, _, at)| at).collect();
+        kept.sort_unstable();
+        kept.into_iter().map(|at| list[at]).collect()
+    }
+
+    /// Every row of `sketch`, by id.
+    fn rows_by_id(sketch: &SketchIndex) -> Vec<u64> {
+        (0..sketch.len() as u32)
+            .flat_map(|id| sketch.signature(id).to_vec())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// For any row order, any candidate list — a subset of the
+        /// slots, mass-like runs or shuffled, some ids listed twice — and
+        /// any K from 1 to one past the list, `narrow` keeps exactly the reference ranking's
+        /// survivors. Duplicated references and a 4-word signature crowd
+        /// the threshold distance with ties; absent slots never survive
+        /// a narrowed list.
+        #[test]
+        fn narrowing_matches_a_scalar_reference_ranking(
+            seed in 0u64..u64::MAX,
+            slots in 1usize..300,
+            narrow_sketch in any::<bool>(),
+            shuffled in any::<bool>(),
+            repeats in any::<bool>(),
+            k_share in 0.0f64..1.0,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dim = 1024;
+            let distinct = random_refs(slots.div_ceil(3), dim, seed);
+            let refs: Vec<Option<&[u64]>> = (0..slots)
+                .map(|_| {
+                    let hv = distinct[rng.gen_range(0..distinct.len())].words();
+                    (!rng.gen_bool(0.1)).then_some(hv)
+                })
+                .collect();
+            let words = if narrow_sketch { 4 } else { SKETCH_WORDS };
+            let by_id = SketchIndex::build(dim, words, refs.iter().copied());
+            let mut order: Vec<u32> = (0..slots as u32).collect();
+            order.shuffle(&mut rng);
+            let sketch = by_id.clone().in_row_order(order.iter().copied());
+            prop_assert_eq!(rows_by_id(&sketch), rows_by_id(&by_id));
+
+            let mut list: Vec<u32> = (0..slots as u32).filter(|_| rng.gen_bool(0.7)).collect();
+            if shuffled {
+                list.shuffle(&mut rng);
+            } else {
+                // Runs of the row order, like a precursor window.
+                list = order.iter().copied().filter(|id| list.contains(id)).collect();
+            }
+            if repeats {
+                // An id listed twice fills at most one survivor slot per
+                // listing, earlier listings first.
+                let twice = |&id: &u32| std::iter::repeat_n(id, 1 + usize::from(rng.gen_bool(0.2)));
+                list = list.iter().flat_map(twice).collect();
+            }
+            let query = sketch.sketch_query(random_refs(1, dim, seed ^ 1)[0].words());
+            let k = 1 + (k_share * (list.len() + 1) as f64) as usize;
+            let survivors = sketch.narrow(&query, &list, k);
+            prop_assert_eq!(&survivors, &reference_ranking(&sketch, &query, &list, k));
+            prop_assert_eq!(survivors, by_id.narrow(&query, &list, k));
+        }
+    }
+
+    #[test]
+    fn k_zero_keeps_nothing_of_a_longer_list() {
+        let dim = 512;
+        let refs = random_refs(8, dim, 8);
+        let sketch = sketch_of(&refs, dim);
+        let query = sketch.sketch_query(refs[0].words());
+        let list: Vec<u32> = (0..8).collect();
+        assert!(sketch.narrow(&query, &list, 0).is_empty());
+        assert!(sketch.narrow(&query, &[], 0).is_empty());
+    }
+
+    #[test]
+    fn a_row_order_must_list_every_slot_once() {
+        let refs = random_refs(4, 512, 9);
+        let sketch = || sketch_of(&refs, 512);
+        for bad in [vec![0, 1, 2], vec![0, 1, 2, 2], vec![0, 1, 2, 4]] {
+            let reordered = std::panic::catch_unwind(|| sketch().in_row_order(bad.clone()));
+            assert!(reordered.is_err(), "{bad:?}");
+        }
+        // Reordering twice lands where reordering once does.
+        let once = sketch().in_row_order([3, 1, 0, 2]);
+        let twice = sketch()
+            .in_row_order([2, 3, 1, 0])
+            .in_row_order([3, 1, 0, 2]);
+        assert_eq!(once, twice);
+        assert_eq!(rows_by_id(&once), rows_by_id(&sketch()));
+        // Row 0 holds slot 3.
+        assert_eq!(&once.table[..once.words()], sketch().signature(3));
     }
 
     #[test]
@@ -574,6 +786,7 @@ mod tests {
         }
         let from_parts = SketchIndex::from_parts(18, selected, table, present, 70).unwrap();
         assert_eq!(pushed, from_parts);
+        assert_eq!(rows_by_id(&pushed), pushed.table);
     }
 
     #[test]
@@ -584,7 +797,7 @@ mod tests {
         let rebuilt = SketchIndex::from_parts(
             sketch.full_words(),
             sketch.selected().to_vec(),
-            sketch.table().to_vec(),
+            rows_by_id(&sketch),
             sketch.present_bits().to_vec(),
             sketch.len(),
         )
