@@ -13,12 +13,20 @@
 //! * **avx512-vpopcntdq** — 512-bit XOR + the hardware
 //!   `_mm512_popcnt_epi64`, 8 words per vector, where the CPU has it.
 //!
-//! Above the single-pair calls sits the **query-blocked batch kernel**
-//! [`KernelDispatch::score_block`]: it tiles Q queries × R references so
-//! each reference's cache lines are scored against a whole query block
-//! before being evicted — the CPU analogue of HyperOMS's massively
-//! parallel GPU formulation, and what the flat scan cannot do one pair
-//! at a time.
+//! Above the single-pair calls sit two **query-blocked kernels**, the
+//! CPU analogue of HyperOMS's massively parallel GPU formulation and
+//! what a flat scan cannot do one pair at a time:
+//!
+//! * [`KernelDispatch::score_block`] tiles Q queries × R references
+//!   (any slices) so each reference's cache lines are scored against a
+//!   whole query block before being evicted — the exact shard scan;
+//! * [`KernelDispatch::hamming_slab`] scores a borrowed row-major
+//!   *slab* of equal-width rows against 1..=[`QUERY_TILE`] queries in
+//!   one call: the queries stay in registers, each row is loaded once,
+//!   and each (query, row) pair costs its XORs and popcounts with no
+//!   call and no pointer per pair — the prefilter's sketch pass. Each
+//!   query count has its own instantiation, so a ragged block of 3
+//!   queries does the work of 3, not of 8.
 //!
 //! A fourth primitive sits beside the three XOR+popcount ones: the
 //! **blocked ID-Level encode kernel**
@@ -77,7 +85,8 @@ pub const REFERENCE_TILE: usize = 32;
 /// Queries per tile in the blocked kernels: each reference is scored
 /// against this many queries while its cache lines are hot. Callers
 /// grouping queries for [`KernelDispatch::score_block`] use this as the
-/// natural block size.
+/// natural block size, and [`KernelDispatch::hamming_slab`] takes at
+/// most this many.
 pub const QUERY_TILE: usize = 8;
 
 /// Dimensions per block of the encode kernel: one output word.
@@ -230,6 +239,23 @@ impl KernelDispatch {
         KernelDispatch { imp: best_simd() }
     }
 
+    /// Every implementation this CPU can run: scalar, then each SIMD
+    /// path it reports (AVX2, then AVX-512 where present). The
+    /// equivalence suites hold all of them to one answer, so a box with
+    /// AVX-512 still checks the AVX2 bodies [`KernelDispatch::simd`]
+    /// would not select there.
+    pub fn available() -> Vec<KernelDispatch> {
+        let mut all = vec![KernelDispatch::scalar()];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            all.push(KernelDispatch { imp: Impl::Avx2 });
+            if best_simd() == Impl::Avx512 {
+                all.push(KernelDispatch { imp: Impl::Avx512 });
+            }
+        }
+        all
+    }
+
     /// Resolve a request against the running CPU.
     pub fn resolve(kind: KernelKind) -> KernelDispatch {
         match kind {
@@ -297,27 +323,6 @@ impl KernelDispatch {
         dim as i64 - 2 * i64::from(self.hamming_words(dim, a, b))
     }
 
-    /// Score one query against many references: `out[i]` becomes the
-    /// bipolar dot of `query` and `references[i]`. This is the 1 × R
-    /// slice of the blocked kernel — the prefilter's sketch scan feeds
-    /// it a [`REFERENCE_TILE`]-sized tile at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` and `references` differ in length, or any slice's
-    /// length is not `ceil(dim / 64)`.
-    pub fn dot_many(&self, dim: usize, query: &[u64], references: &[&[u64]], out: &mut [i64]) {
-        assert_eq!(
-            references.len(),
-            out.len(),
-            "references and out must pair up"
-        );
-        let f = self.pair_fn();
-        for (slot, reference) in out.iter_mut().zip(references) {
-            *slot = dim as i64 - 2 * i64::from(hamming_with(f, dim, query, reference));
-        }
-    }
-
     /// The query-blocked batch kernel: bipolar dot products of Q queries
     /// × R references, `out[q * R + r] = dim − 2·hamming(queries[q],
     /// references[r])` — the score every backend ranks by. Queries are
@@ -357,6 +362,52 @@ impl KernelDispatch {
         }
     }
 
+    /// The slab kernel: the Hamming distance of every row of a row-major
+    /// `slab` of `width`-word rows against each of 1..=[`QUERY_TILE`]
+    /// `queries`, `out[q * rows + r] = popcount(queries[q] ^ row r)` with
+    /// `rows = slab.len() / width` — the XOR + popcount of
+    /// [`KernelDispatch::xor_popcount`], so **no tail masking**. Each
+    /// row is loaded once for all the queries and the queries stay in
+    /// registers; each query count runs its own instantiation (no
+    /// padding to a full tile). The slab is any borrowed run of a
+    /// table's rows, cut at any word offset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero, `queries` holds none or more than
+    /// [`QUERY_TILE`], a query is not `width` words, `slab.len()` is not
+    /// `rows × width`, or `out.len()` is not `queries.len() × rows`.
+    pub fn hamming_slab(&self, width: usize, queries: &[&[u64]], slab: &[u64], out: &mut [u32]) {
+        assert!(width > 0, "slab rows must hold at least one word");
+        assert!(
+            (1..=QUERY_TILE).contains(&queries.len()),
+            "a slab is scored against 1..={QUERY_TILE} queries"
+        );
+        assert!(
+            queries.iter().all(|query| query.len() == width),
+            "every query must be one {width}-word row"
+        );
+        assert_eq!(slab.len() % width, 0, "the slab must hold whole rows");
+        assert_eq!(
+            out.len(),
+            queries.len() * (slab.len() / width),
+            "out must hold one distance per (query, row) pair"
+        );
+        match self.imp {
+            Impl::Scalar => per_query_count!(queries.len(), slab_scalar(width, queries, slab, out)),
+            // SAFETY: `Impl::Avx2` is only constructed after
+            // `is_x86_feature_detected!("avx2")` (`best_simd`,
+            // `available`), and the checks above are the bodies' bounds.
+            #[cfg(target_arch = "x86_64")]
+            Impl::Avx2 => unsafe { x86::hamming_slab_avx2(width, queries, slab, out) },
+            // SAFETY: `Impl::Avx512` is only constructed by `best_simd`
+            // after `avx512f` and `avx512vpopcntdq` were detected, and the
+            // checks above are the bodies' bounds.
+            #[cfg(target_arch = "x86_64")]
+            Impl::Avx512 => unsafe { x86::hamming_slab_avx512(width, queries, slab, out) },
+        }
+    }
+
     /// The blocked ID-Level encode kernel: the sums `Σ id[d] · lv[d]`
     /// over `rows`, one [`ENCODE_BLOCK`]-dimension block at a time.
     /// `sink(b, sums)` receives block `b` — dimensions `64·b ..` — as
@@ -389,6 +440,44 @@ impl KernelDispatch {
             // the wrapper's sole precondition; its body is safe code.
             #[cfg(target_arch = "x86_64")]
             Impl::Avx2 | Impl::Avx512 => unsafe { x86::encode_blocks_avx2(rows, run, dim, sink) },
+        }
+    }
+}
+
+/// `$body::<N>($args)` for `N` = `$count`, 1..=[`QUERY_TILE`]: one
+/// instantiation per query count, so a body's per-query arrays are
+/// exactly `N` long and its query loops unroll.
+macro_rules! per_query_count {
+    ($count:expr, $body:ident($($arg:expr),*)) => {
+        match $count {
+            1 => $body::<1>($($arg),*),
+            2 => $body::<2>($($arg),*),
+            3 => $body::<3>($($arg),*),
+            4 => $body::<4>($($arg),*),
+            5 => $body::<5>($($arg),*),
+            6 => $body::<6>($($arg),*),
+            7 => $body::<7>($($arg),*),
+            8 => $body::<8>($($arg),*),
+            _ => unreachable!("checked against QUERY_TILE"),
+        }
+    };
+}
+use per_query_count;
+
+/// The portable slab body: per row, each word XORed with the same word of
+/// all `N` queries into `N` running counts.
+fn slab_scalar<const N: usize>(width: usize, queries: &[&[u64]], slab: &[u64], out: &mut [u32]) {
+    let queries: [&[u64]; N] = std::array::from_fn(|q| &queries[q][..width]);
+    let rows = slab.len() / width;
+    for (r, row) in slab.chunks_exact(width).enumerate() {
+        let mut counts = [0u32; N];
+        for (w, &word) in row.iter().enumerate() {
+            for (count, query) in counts.iter_mut().zip(&queries) {
+                *count += (word ^ query[w]).count_ones();
+            }
+        }
+        for (q, count) in counts.into_iter().enumerate() {
+            out[q * rows + r] = count;
         }
     }
 }
@@ -520,12 +609,14 @@ fn best_simd() -> Impl {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The vectorised primitives. Each `#[target_feature]` function is
-    //! only reachable through its safe shim, and the shims are only
-    //! selected by [`super::best_simd`] after `is_x86_feature_detected!`
-    //! confirmed the ISA — the sole safety precondition of the calls.
-    //! The functions take plain `&[u64]` slices, perform unaligned
-    //! loads, and hand the (word count % vector width) remainder to the
-    //! scalar path, so any slice the safe API accepts is sound here.
+    //! only reachable through a safe `KernelDispatch` entry (the pair
+    //! primitives through their shims), and only for an `Impl::Avx2` or
+    //! `Impl::Avx512`, which exist only after `is_x86_feature_detected!`
+    //! confirmed the ISA ([`super::best_simd`],
+    //! `KernelDispatch::available`). The functions take plain slices,
+    //! perform unaligned loads, and read only words the safe entry's
+    //! length checks put inside those slices; each one's `# Safety`
+    //! section says which checks.
 
     use std::arch::x86_64::*;
 
@@ -568,6 +659,16 @@ mod x86 {
     /// with `_mm256_shuffle_epi8`, and horizontally sum the byte counts
     /// into four u64 lanes with `_mm256_sad_epu8`. Processes 8 words
     /// (two vectors) per iteration.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx2`: only `xor_popcount_avx2_shim` calls
+    /// this, and only `Impl::Avx2` selects that shim, which is built
+    /// after `is_x86_feature_detected!("avx2")`. `a` and `b` must be
+    /// equally long: the safe entry `KernelDispatch::xor_popcount`
+    /// asserts it and `hamming_with` slices both to one word count
+    /// before any pointer arithmetic, so every vector load reads words
+    /// `i..i + 4` with `i + 4 <= a.len()` of both slices.
     #[target_feature(enable = "avx2")]
     unsafe fn xor_popcount_avx2(a: &[u64], b: &[u64]) -> u64 {
         debug_assert_eq!(a.len(), b.len());
@@ -628,6 +729,15 @@ mod x86 {
 
     /// XOR + the hardware 64-bit popcount (`vpopcntdq`), 8 words per
     /// vector.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx512f` and `avx512vpopcntdq`: only
+    /// `xor_popcount_avx512_shim` calls this, and only `Impl::Avx512`
+    /// selects that shim, which `best_simd` builds after detecting both.
+    /// `a` and `b` must be equally long, which the safe entries check as
+    /// for the AVX2 primitive, so every load reads words `i..i + 8` with
+    /// `i + 8 <= a.len()` of both slices.
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
     unsafe fn xor_popcount_avx512(a: &[u64], b: &[u64]) -> u64 {
         debug_assert_eq!(a.len(), b.len());
@@ -649,6 +759,172 @@ mod x86 {
             total += u64::from((x ^ y).count_ones());
         }
         total
+    }
+
+    /// The AVX2 slab body for any query count (see `hamming_slab_body_avx2`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx2`, and the arguments must pass
+    /// `KernelDispatch::hamming_slab`'s checks: `width >= 1`, 1..=8
+    /// queries of exactly `width` words each, `slab.len() == rows × width`
+    /// and `out.len() == queries.len() × rows`. Its only caller checks
+    /// them, and reaches this through `Impl::Avx2`, which exists only
+    /// after `is_x86_feature_detected!("avx2")`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn hamming_slab_avx2(
+        width: usize,
+        queries: &[&[u64]],
+        slab: &[u64],
+        out: &mut [u32],
+    ) {
+        super::per_query_count!(
+            queries.len(),
+            hamming_slab_body_avx2(width, queries, slab, out)
+        )
+    }
+
+    /// Per row: each 4-word vector of the row is loaded once, XORed with
+    /// the same vector of all `N` queries, and popcounted by the nibble
+    /// LUT into `N` byte accumulators; every 31 vectors (≤ 8 per byte
+    /// each, so ≤ 248 < 256) they are widened by `_mm256_sad_epu8`. The
+    /// row's last `width % 4` words are counted one by one.
+    ///
+    /// # Safety
+    ///
+    /// As [`hamming_slab_avx2`]: `avx2`, and the safe entry's checks —
+    /// the loads read words `4c..4c + 4` with `4c + 4 <= width` of a
+    /// query and of row `r < rows`, which lies inside the slab because
+    /// `slab.len() == rows × width`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn hamming_slab_body_avx2<const N: usize>(
+        width: usize,
+        queries: &[&[u64]],
+        slab: &[u64],
+        out: &mut [u32],
+    ) {
+        /// Vectors whose byte counts (≤ 8 each) fit one byte lane.
+        const FLUSH: usize = 31;
+        let rows = slab.len() / width;
+        let vectors = width / 4;
+        let query: [*const u64; N] = std::array::from_fn(|q| queries[q].as_ptr());
+        #[rustfmt::skip]
+        let lut = _mm256_setr_epi8(
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+        );
+        let low_mask = _mm256_set1_epi8(0x0f);
+        let zero = _mm256_setzero_si256();
+        for (r, row) in slab.chunks_exact(width).enumerate() {
+            let mut counts = [0u64; N];
+            let mut v = 0;
+            while v < vectors {
+                let end = (v + FLUSH).min(vectors);
+                let mut bytes = [zero; N];
+                for at in (4 * v..4 * end).step_by(4) {
+                    let x = _mm256_loadu_si256(row.as_ptr().add(at).cast());
+                    for q in 0..N {
+                        let y = _mm256_loadu_si256(query[q].add(at).cast());
+                        let z = _mm256_xor_si256(x, y);
+                        let c = _mm256_add_epi8(
+                            _mm256_shuffle_epi8(lut, _mm256_and_si256(z, low_mask)),
+                            _mm256_shuffle_epi8(
+                                lut,
+                                _mm256_and_si256(_mm256_srli_epi32(z, 4), low_mask),
+                            ),
+                        );
+                        bytes[q] = _mm256_add_epi8(bytes[q], c);
+                    }
+                }
+                for q in 0..N {
+                    let lanes = _mm256_sad_epu8(bytes[q], zero);
+                    let pair = _mm_add_epi64(
+                        _mm256_castsi256_si128(lanes),
+                        _mm256_extracti128_si256(lanes, 1),
+                    );
+                    counts[q] += (_mm_cvtsi128_si64(pair) + _mm_extract_epi64(pair, 1)) as u64;
+                }
+                v = end;
+            }
+            for q in 0..N {
+                for (&x, &y) in row[4 * vectors..].iter().zip(&queries[q][4 * vectors..]) {
+                    counts[q] += u64::from((x ^ y).count_ones());
+                }
+                out[q * rows + r] = counts[q] as u32;
+            }
+        }
+    }
+
+    /// The AVX-512 slab body for any query count (see
+    /// `hamming_slab_body_avx512`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx512f` and `avx512vpopcntdq`, and the
+    /// arguments must pass `KernelDispatch::hamming_slab`'s checks (as
+    /// for [`hamming_slab_avx2`]). Its only caller checks them, and
+    /// reaches this through `Impl::Avx512`, which `best_simd` builds only
+    /// after detecting both features.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    pub(super) unsafe fn hamming_slab_avx512(
+        width: usize,
+        queries: &[&[u64]],
+        slab: &[u64],
+        out: &mut [u32],
+    ) {
+        super::per_query_count!(
+            queries.len(),
+            hamming_slab_body_avx512(width, queries, slab, out)
+        )
+    }
+
+    /// Per row: each 8-word vector of the row is loaded once, XORed with
+    /// the same vector of all `N` queries and popcounted by `vpopcntq`
+    /// into `N` accumulators; a row's last `width % 8` words are one
+    /// masked load, the masked-off lanes reading zero in row and query
+    /// alike. One horizontal add per (query, row).
+    ///
+    /// # Safety
+    ///
+    /// As [`hamming_slab_avx512`]: `avx512f` + `avx512vpopcntdq`, and the
+    /// safe entry's checks — the full loads read words `8c..8c + 8` with
+    /// `8c + 8 <= width` of a query and of row `r < rows`, inside the
+    /// slab because `slab.len() == rows × width`; the masked load enables
+    /// only words below `width`, and masked-off lanes never fault.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    unsafe fn hamming_slab_body_avx512<const N: usize>(
+        width: usize,
+        queries: &[&[u64]],
+        slab: &[u64],
+        out: &mut [u32],
+    ) {
+        let rows = slab.len() / width;
+        let (vectors, tail) = (width / 8, width % 8);
+        let tail_mask: __mmask8 = (1u8 << tail).wrapping_sub(1);
+        let query: [*const i64; N] = std::array::from_fn(|q| queries[q].as_ptr().cast());
+        for (r, row) in slab.chunks_exact(width).enumerate() {
+            let row: *const i64 = row.as_ptr().cast();
+            let mut counts = [_mm512_setzero_si512(); N];
+            for at in (0..8 * vectors).step_by(8) {
+                let x = _mm512_loadu_si512(row.add(at).cast());
+                for q in 0..N {
+                    let z = _mm512_xor_si512(x, _mm512_loadu_si512(query[q].add(at).cast()));
+                    counts[q] = _mm512_add_epi64(counts[q], _mm512_popcnt_epi64(z));
+                }
+            }
+            if tail != 0 {
+                let at = 8 * vectors;
+                let x = _mm512_maskz_loadu_epi64(tail_mask, row.add(at));
+                for q in 0..N {
+                    let y = _mm512_maskz_loadu_epi64(tail_mask, query[q].add(at));
+                    let z = _mm512_xor_si512(x, y);
+                    counts[q] = _mm512_add_epi64(counts[q], _mm512_popcnt_epi64(z));
+                }
+            }
+            for q in 0..N {
+                out[q * rows + r] = _mm512_reduce_add_epi64(counts[q]) as u32;
+            }
+        }
     }
 }
 

@@ -71,11 +71,12 @@ fn words_from_seed(seed: u64, dim: usize, count: usize) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Both kernel variants a box can run (on a no-SIMD machine the second
-/// entry resolves to scalar, and the suite degenerates to scalar ≡
-/// scalar — still a valid run, just a vacuous one).
-fn variants() -> [KernelDispatch; 2] {
-    [KernelDispatch::scalar(), KernelDispatch::simd()]
+/// Every kernel variant the box can run — scalar, and AVX2 and AVX-512
+/// where the CPU has them, so an AVX-512 box still checks the AVX2
+/// bodies (on a no-SIMD machine the suite degenerates to scalar alone —
+/// still a valid run, just a vacuous one).
+fn variants() -> Vec<KernelDispatch> {
+    KernelDispatch::available()
 }
 
 proptest! {
@@ -140,23 +141,37 @@ proptest! {
         }
     }
 
-    /// dot_many (the 1 × R slice the flat scans use) equals the
-    /// pairwise dot for every slot.
+    /// The slab kernel ≡ per-pair `xor_popcount`, every variant: every
+    /// width from 1 to 40 words (4, 16 and 18 among them) plus two past
+    /// the AVX2 body's 31-vector byte flush, 1..=8 queries, 0..=70 rows,
+    /// and a slab cut out of a larger table at an unaligned word offset.
     #[test]
-    fn dot_many_matches_pairwise(
-        dim in 1usize..400,
-        r_count in 1usize..(REFERENCE_TILE + 5),
+    fn slab_kernel_matches_pairwise(
+        q_count in 1usize..=QUERY_TILE,
+        rows in 0usize..=70,
+        lead in 0usize..8,
         seed in any::<u64>(),
     ) {
-        let q_block = words_from_seed(seed, dim, 3);
-        let r_blocks = words_from_seed(seed ^ 0x1357_9bdf, dim, r_count);
-        let query = q_block[2].as_slice();
-        let references: Vec<&[u64]> = r_blocks.iter().map(Vec::as_slice).collect();
-        for kernel in variants() {
-            let mut out = vec![0i64; r_count];
-            kernel.dot_many(dim, query, &references, &mut out);
-            for (ri, reference) in references.iter().enumerate() {
-                prop_assert_eq!(out[ri], kernel.dot_words(dim, query, reference));
+        for width in (1usize..=40).chain([125, 130]) {
+            let dim = 64 * width;
+            let table = words_from_seed(seed, dim, lead + rows + 1).concat();
+            let slab = &table[lead..lead + rows * width];
+            let q_blocks = words_from_seed(seed ^ 0x5eed, dim, q_count + 2);
+            let queries: Vec<&[u64]> = q_blocks[2..].iter().map(Vec::as_slice).collect();
+            let scalar = KernelDispatch::scalar();
+            let mut expected = Vec::with_capacity(q_count * rows);
+            for query in &queries {
+                for row in slab.chunks_exact(width) {
+                    expected.push(scalar.xor_popcount(query, row) as u32);
+                }
+            }
+            for kernel in variants() {
+                let mut out = vec![u32::MAX; q_count * rows];
+                kernel.hamming_slab(width, &queries, slab, &mut out);
+                prop_assert_eq!(
+                    &out, &expected,
+                    "{} slab of {} rows × {} words, {} queries", kernel.name(), rows, width, q_count
+                );
             }
         }
     }
@@ -183,6 +198,33 @@ proptest! {
 /// final word. The kernels take raw word slices here — the owned types
 /// would rightly reject these — and must mask the padding themselves in
 /// every entry point, single-pair and blocked.
+/// The slab kernel's checks run before any SIMD body: a malformed call
+/// panics on every variant instead of reading past a slice.
+#[test]
+fn malformed_slabs_are_refused() {
+    let row = [0u64; 4];
+    // (what, width, query count, query width, slab words, out length)
+    let cases = [
+        ("zero width", 0, 1, 0, 0, 0),
+        ("no query", 4, 0, 4, 8, 0),
+        ("nine queries", 4, 9, 4, 8, 18),
+        ("short query", 4, 1, 3, 8, 2),
+        ("ragged slab", 4, 1, 4, 7, 1),
+        ("short out", 4, 1, 4, 8, 1),
+    ];
+    for kernel in variants() {
+        for &(what, width, count, query_width, words, outs) in &cases {
+            let queries = vec![&row[..query_width]; count];
+            let slab = vec![0u64; words];
+            let mut out = vec![0u32; outs];
+            let call = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                kernel.hamming_slab(width, &queries, &slab, &mut out)
+            }));
+            assert!(call.is_err(), "{}: {what} was accepted", kernel.name());
+        }
+    }
+}
+
 #[test]
 fn poisoned_padding_bits_never_reach_a_distance() {
     let mut rng = StdRng::seed_from_u64(0xbad_7a11);

@@ -13,10 +13,10 @@
 //!   the same slice form one group, scored once for all of its members
 //!   (the exact scan reads each reference tile once per group, not once
 //!   per query);
-//! * **parallelism** — one job list: the queries' encodes, then the
-//!   groups, each handed to the next free worker. A single interactive
-//!   query's groups are its shard runs, so it still spreads over its
-//!   shards.
+//! * **parallelism** — job lists handed to the next free worker: the
+//!   queries' encodes, then (with a prefilter) the sketch pass's blocks
+//!   of up to 8 windows, then the groups. A single interactive query's
+//!   groups are its shard runs, so it still spreads over its shards.
 //!
 //! It is the one loop every engine scores through, written once over
 //! the backend seam ([`hdoms_oms::search::RunScorer`]: encode a query
@@ -85,7 +85,11 @@ pub struct QueryRecord {
     pub candidates_pre: u64,
     /// Candidates the sketch stage forwarded to the exact scan.
     pub candidates_post: u64,
-    /// Nanoseconds spent scoring sketches and narrowing.
+    /// Nanoseconds spent scoring sketches and narrowing: the query's
+    /// share of its sketch block ([`SketchIndex::narrow_batch`] sweeps up
+    /// to `QUERY_TILE` queries' windows together), the block's wall time
+    /// split evenly between its queries with the remainder to the
+    /// first — the rule shared shard visits follow.
     pub sketch_ns: u64,
 }
 
@@ -268,8 +272,8 @@ impl ShardedBackend {
         self.series = ShardSeries::register(registry);
     }
 
-    /// The batch loop: prepare each query once (narrowing its list
-    /// through the sketch stage when a prefilter is passed), group each
+    /// The batch loop: prepare each query once, narrow the whole batch's
+    /// lists in one sketch pass when a prefilter is passed, group each
     /// shard's runs by slice equality, score every group once for all of
     /// its members, and fold each member's hit and visit into its record
     /// in its list's run order.
@@ -281,36 +285,37 @@ impl ShardedBackend {
         workers: usize,
         prefilter: Option<(&SketchIndex, usize)>,
     ) -> Vec<QueryRecord> {
-        // 1. Encode once per query. The sketch stage sits between encode
-        //    and the shard walk: a narrowed list keeps the input's
-        //    (ascending-mass) order, so the run partition stays valid.
+        // 1. Encode once per query, then narrow the whole batch through
+        //    the sketch stage in one pass. A narrowed list keeps the
+        //    input's (ascending-mass) order, so the run partition stays
+        //    valid.
         let jobs: Vec<usize> = (0..queries.len()).collect();
-        let (prepared, mut records): (Vec<_>, Vec<_>) = par_map(&jobs, workers, |&i| {
-            let mut record = QueryRecord::default();
-            let candidates = &candidates[i][..];
-            if candidates.is_empty() {
-                return ((None, Cow::Borrowed(candidates)), record);
+        let prepared = par_map(&jobs, workers, |&i| {
+            (!candidates[i].is_empty()).then(|| scorer.prepare(&queries[i]))
+        });
+        let mut records = vec![QueryRecord::default(); queries.len()];
+        let mut lists: Vec<Cow<[u32]>> = candidates.iter().map(|c| Cow::Borrowed(&c[..])).collect();
+        if let Some((sketch, k)) = prefilter {
+            // The queries with candidates, each with its folded signature.
+            let entering: Vec<(usize, Vec<u64>)> = (0..queries.len())
+                .filter_map(|i| {
+                    let words = prepared[i].as_ref()?.hv_words();
+                    let words = words.expect("the sketch stage needs a hypervector query");
+                    Some((i, sketch.sketch_query(words)))
+                })
+                .collect();
+            let batch: Vec<(&[u64], &[u32])> = (entering.iter())
+                .map(|(i, signature)| (&signature[..], &candidates[*i][..]))
+                .collect();
+            let narrowed = sketch.narrow_batch(&batch, k, workers);
+            for (&(i, _), narrowed) in entering.iter().zip(narrowed) {
+                let record = &mut records[i];
+                record.candidates_pre = candidates[i].len() as u64;
+                record.candidates_post = narrowed.survivors.len() as u64;
+                record.sketch_ns = narrowed.sketch_ns;
+                lists[i] = Cow::Owned(narrowed.survivors);
             }
-            let query = scorer.prepare(&queries[i]);
-            let list = match prefilter {
-                None => Cow::Borrowed(candidates),
-                Some((sketch, k)) => {
-                    let words = query
-                        .hv_words()
-                        .expect("the sketch stage needs a hypervector query");
-                    let start = Instant::now();
-                    let signature = sketch.sketch_query(words);
-                    let narrowed = sketch.narrow(&signature, candidates, k);
-                    record.candidates_pre = candidates.len() as u64;
-                    record.candidates_post = narrowed.len() as u64;
-                    record.sketch_ns = start.elapsed().as_nanos() as u64;
-                    Cow::Owned(narrowed)
-                }
-            };
-            ((Some(query), list), record)
-        })
-        .into_iter()
-        .unzip();
+        }
 
         // 2. The shard runs: candidates arrive mass-sorted and shards are
         //    mass-contiguous, so shard positions form non-decreasing runs
@@ -321,7 +326,7 @@ impl ShardedBackend {
         let mut groups: Vec<Group> = Vec::new();
         let mut group_of: HashMap<RunKey, usize> = HashMap::new();
         let mut placed: Vec<(usize, usize, usize)> = Vec::new();
-        for (i, (_, list)) in prepared.iter().enumerate() {
+        for (i, list) in lists.iter().enumerate() {
             let first = placed.len();
             for run in list.chunk_by(|a, b| shard(a) == shard(b)) {
                 let g = *group_of.entry(RunKey(run)).or_insert_with(|| {
@@ -342,7 +347,7 @@ impl ShardedBackend {
         let scored = par_map(&groups, workers, |group| {
             let members: Vec<_> = (group.members.iter())
                 .map(|&i| {
-                    let query = prepared[i].0.as_ref();
+                    let query = prepared[i].as_ref();
                     (&queries[i], query.expect("a query with runs is prepared"))
                 })
                 .collect();
@@ -400,8 +405,8 @@ impl ShardedBackend {
     ///
     /// When `prefilter` is `Some((sketch, k))`, every query's candidate
     /// list is narrowed to its top-`k` sketch scorers
-    /// ([`SketchIndex::narrow`]) between the one-time query encode and
-    /// the shard walk. With `k` at or above every window size the
+    /// ([`SketchIndex::narrow_batch`], one pass for the batch) between
+    /// the one-time query encodes and the shard walk. With `k` at or above every window size the
     /// narrowed lists equal the input lists, so hits and visits match
     /// the unfiltered scan exactly.
     ///

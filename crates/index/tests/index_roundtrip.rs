@@ -1090,7 +1090,9 @@ fn checksum_valid_but_unusable_encoder_config_fails_open() {
 
 /// Pins the sketch stage's survivors: every query's `narrow` output over
 /// its open precursor window at K = 1, 16 and 256, through a sketch
-/// derived from a cold build and one loaded from the v3 section. The
+/// derived from a cold build and one loaded from the v3 section — and the
+/// same survivors from `narrow_batch` fed the whole batch and sub-batches
+/// of 1, 7, 8 and 9 queries (either side of the 8-query block). The
 /// library holds absent slots (every tenth entry starved below the
 /// preprocessing floor) and a tie-heavy block (its first 60 entries four
 /// times over, so equal sketch distances crowd the threshold). The
@@ -1143,12 +1145,23 @@ fn narrowed_lists_are_pinned() {
         (16, 0x637f_ea5f_c827_6264),
         (256, 0xb9eb_e8eb_d917_c5b0),
     ];
+    let digest_of = |survivors: &[Vec<u32>]| {
+        let mut bytes = Vec::new();
+        for survivors in survivors {
+            bytes.extend((survivors.len() as u32).to_le_bytes());
+            bytes.extend(survivors.iter().flat_map(|id| id.to_le_bytes()));
+        }
+        xxh64(&bytes, 0)
+    };
     for (k, digest) in pinned {
         for (route, from) in [("derived", &index), ("loaded", &loaded)] {
             let sketch = from.sketch_index();
-            let mut bytes = Vec::new();
-            for (hv, list) in query_hvs.iter().zip(&lists) {
-                let survivors = sketch.narrow(&sketch.sketch_query(hv.words()), list, k);
+            let signatures: Vec<Vec<u64>> = (query_hvs.iter())
+                .map(|hv| sketch.sketch_query(hv.words()))
+                .collect();
+            let mut one_by_one = Vec::new();
+            for (signature, list) in signatures.iter().zip(&lists) {
+                let survivors = sketch.narrow(signature, list, k);
                 let present = list.iter().filter(|&&id| sketch.is_present(id)).count();
                 let expected = if list.len() <= k {
                     list.len()
@@ -1156,14 +1169,27 @@ fn narrowed_lists_are_pinned() {
                     k.min(present)
                 };
                 assert_eq!(survivors.len(), expected, "K = {k}, {route}");
-                bytes.extend((survivors.len() as u32).to_le_bytes());
-                bytes.extend(survivors.iter().flat_map(|id| id.to_le_bytes()));
+                one_by_one.push(survivors);
             }
             assert_eq!(
-                xxh64(&bytes, 0),
+                digest_of(&one_by_one),
                 digest,
                 "K = {k}, {route}: the survivors moved"
             );
+            let batch: Vec<(&[u64], &[u32])> = (signatures.iter().zip(&lists))
+                .map(|(signature, list)| (&signature[..], &list[..]))
+                .collect();
+            for size in [batch.len(), 1, 7, 8, 9] {
+                let batched: Vec<Vec<u32>> = (batch.chunks(size))
+                    .flat_map(|sub| sketch.narrow_batch(sub, k, THREADS))
+                    .map(|narrowed| narrowed.survivors)
+                    .collect();
+                assert_eq!(
+                    digest_of(&batched),
+                    digest,
+                    "K = {k}, {route}, sub-batches of {size}: the survivors moved"
+                );
+            }
         }
     }
 }

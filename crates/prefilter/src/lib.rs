@@ -9,13 +9,13 @@
 //! 1. **Sketch stage** — every reference hypervector is *folded* down
 //!    to a fixed-width signature (a strided sample of its packed
 //!    words, [`SketchIndex::word_selection`]). Query signatures are
-//!    scored against every candidate signature through the same
-//!    dispatched distance kernels the exact scan uses
-//!    ([`hdoms_hdc::kernels`]) — a few words per pair instead of the
-//!    full dimension.
-//! 2. **Exact stage** — only the top-K sketch scorers survive
-//!    ([`SketchIndex::narrow`]) and are re-scored at full dimension by
-//!    the existing backends.
+//!    scored against every candidate signature through the dispatched
+//!    slab kernel ([`hdoms_hdc::kernels::KernelDispatch::hamming_slab`])
+//!    — a few words per pair instead of the full dimension, and one
+//!    sweep of a window's rows for a whole block of a batch's queries
+//!    ([`SketchIndex::narrow_batch`]).
+//! 2. **Exact stage** — only the top-K sketch scorers survive and are
+//!    re-scored at full dimension by the existing backends.
 //!
 //! Because a bit sampled from a binary hypervector preserves the
 //! Hamming geometry in expectation (each word is an unbiased 64-bit
@@ -33,8 +33,11 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-use hdoms_hdc::kernels::{self, REFERENCE_TILE};
+use hdoms_hdc::kernels::{self, KernelDispatch, QUERY_TILE};
+use hdoms_hdc::parallel::par_map;
 use std::cmp::Ordering;
+use std::ops::Range;
+use std::time::Instant;
 
 /// Default signature width in 64-bit words (1024 bits). Wide enough
 /// that sketch ranking keeps recall@K ≥ 0.99 at the default K on the
@@ -137,12 +140,25 @@ pub struct PrefilterStats {
     pub sketch_ms: f64,
 }
 
+/// One query's outcome of [`SketchIndex::narrow_batch`].
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Narrowed {
+    /// The candidates forwarded to the exact stage, in candidate-list
+    /// order.
+    pub survivors: Vec<u32>,
+    /// The query's share of the wall-clock of the block it was narrowed
+    /// in: a block's nanoseconds split evenly between its queries, the
+    /// remainder to its first, so a batch's shares add up to the time
+    /// measured.
+    pub sketch_ns: u64,
+}
+
 /// A folded-hypervector sketch index: one fixed-width signature per
 /// reference slot, in a dense row-major table whose rows are stored in
 /// an order the owner chooses ([`SketchIndex::in_row_order`]), found by
-/// one id → row map. A library index stores them in its `(mass, id)`
-/// order, so a precursor window's candidates are consecutive rows that
-/// stream through the blocked kernels cache line by cache line.
+/// one id → row map and its inverse. A library index stores them in its
+/// `(mass, id)` order, so a precursor window's candidates are consecutive
+/// rows that stream through the slab kernel cache line by cache line.
 /// Equality compares the rows in their stored order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SketchIndex {
@@ -157,15 +173,64 @@ pub struct SketchIndex {
     table: Vec<u64>,
     /// `row_of[id]` is slot `id`'s row in `table`; one entry per slot.
     row_of: Vec<u32>,
+    /// The inverse map: `ids[row]` is the slot whose signature `row`
+    /// holds, so a list of consecutive rows is recognised by comparing
+    /// it with a slice of this.
+    ids: Vec<u32>,
     /// Presence bitset over slots (bit `id % 64` of word `id / 64`):
     /// references preprocessing rejected carry no hypervector and must
     /// never be forwarded by the sketch stage.
     present: Vec<u64>,
 }
 
-/// The distance [`SketchIndex::narrow`] gives a candidate without a
-/// signature: beyond every real one, and never counted.
+/// The distance the sketch pass gives a candidate without a signature:
+/// beyond every real one, and never counted.
 const ABSENT: u32 = u32::MAX;
+
+/// Rows per slab-kernel call of the sketch pass: a full block's
+/// distances (`QUERY_TILE × ROW_TILE` words) stay in L1 beside the
+/// queries' histograms until they are folded in.
+const ROW_TILE: usize = 256;
+
+/// One query's sketch distances over its candidate list (`ABSENT` for a
+/// candidate without a signature), and how many present candidates sit
+/// at each distance.
+struct Scores {
+    distance: Vec<u32>,
+    histogram: Vec<u32>,
+}
+
+impl Scores {
+    fn new(candidates: usize, sketch_dim: usize) -> Scores {
+        Scores {
+            distance: vec![ABSENT; candidates],
+            histogram: vec![0; sketch_dim + 1],
+        }
+    }
+
+    /// Take the kernel's distances of the candidates from list position
+    /// `at` on; the ones at offsets `absent` have no signature and keep
+    /// `ABSENT`.
+    fn fold(&mut self, at: usize, scored: &[u32], absent: &[usize]) {
+        self.distance[at..at + scored.len()].copy_from_slice(scored);
+        for &d in scored {
+            self.histogram[d as usize] += 1;
+        }
+        for &r in absent {
+            self.histogram[scored[r] as usize] -= 1;
+            self.distance[at + r] = ABSENT;
+        }
+    }
+}
+
+/// What one worker narrows at a time in [`SketchIndex::narrow_batch`].
+enum Job<'a> {
+    /// Up to [`QUERY_TILE`] row-run lists longer than K, as `(first row,
+    /// query)`, swept together.
+    Runs(&'a [(usize, usize)]),
+    /// Any other query, alone.
+    Single(usize),
+}
 
 /// Mark `row` in the bitset `seen`; whether it was unmarked.
 fn first_visit(seen: &mut [u64], row: usize) -> bool {
@@ -197,6 +262,7 @@ impl SketchIndex {
             selected: SketchIndex::word_selection(full_words, target_words),
             table: Vec::new(),
             row_of: Vec::new(),
+            ids: Vec::new(),
             present: Vec::new(),
         }
     }
@@ -230,6 +296,7 @@ impl SketchIndex {
                 .extend(std::iter::repeat_n(0u64, self.selected.len())),
         }
         self.row_of.push(id as u32);
+        self.ids.push(id as u32);
     }
 
     /// Build signatures for every slot of a reference table, in id
@@ -303,6 +370,7 @@ impl SketchIndex {
             selected,
             table,
             row_of: (0..slots as u32).collect(),
+            ids: (0..slots as u32).collect(),
             present,
         })
     }
@@ -340,15 +408,15 @@ impl SketchIndex {
         }
         // Then out to `ids`' order: row `id` goes to row `row_of[id]`.
         self.row_of.fill(u32::MAX);
-        let mut rows = 0;
+        self.ids.clear();
         for id in ids {
             match self.row_of.get_mut(id as usize) {
-                Some(row) if *row == u32::MAX => *row = rows,
+                Some(row) if *row == u32::MAX => *row = self.ids.len() as u32,
                 _ => panic!("row order lists slot {id} twice or beyond {slots} slots"),
             }
-            rows += 1;
+            self.ids.push(id);
         }
-        assert_eq!(rows as usize, slots, "row order misses a slot");
+        assert_eq!(self.ids.len(), slots, "row order misses a slot");
         seen.fill(0);
         for start in 0..slots {
             if !first_visit(&mut seen, start) {
@@ -432,12 +500,25 @@ impl SketchIndex {
             .collect()
     }
 
-    /// The sketch stage: score `query_sketch` against every candidate
-    /// signature and keep the `k` best, ranked by `(dot desc, id
-    /// asc)` — the same tie-break the exact scan applies. Survivors
-    /// are returned in **original candidate-list order** (ascending
-    /// precursor mass), which the sharded backend's run walk depends
-    /// on.
+    /// The sketch stage for one query: [`SketchIndex::narrow_batch`]
+    /// over a batch of one, on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query_sketch` is not [`SketchIndex::words`] long.
+    pub fn narrow(&self, query_sketch: &[u64], candidates: &[u32], k: usize) -> Vec<u32> {
+        let mut narrowed = self.narrow_batch(&[(query_sketch, candidates)], k, 1);
+        narrowed.pop().expect("one query in, one out").survivors
+    }
+
+    /// The sketch stage for a batch: each `(query sketch, candidate
+    /// list)` keeps the `k` candidates whose signatures score best
+    /// against its query, ranked by `(dot desc, id asc)` — the same
+    /// tie-break the exact scan applies. Survivors are returned in
+    /// **original candidate-list order** (ascending precursor mass),
+    /// which the sharded backend's run walk depends on. A query's
+    /// survivors do not depend on the rest of the batch, nor on
+    /// `workers`.
     ///
     /// Lists already at or below `k` pass through untouched (absent
     /// slots included), so `TopK(K ≥ window)` is *exactly* the
@@ -445,94 +526,266 @@ impl SketchIndex {
     /// stage would skip them anyway; an id beyond the index counts as
     /// absent) and then keep the top `k` present scorers.
     ///
+    /// A longer list that is a run of consecutive rows — a precursor
+    /// window, when the rows are in the index's `(mass, id)` order —
+    /// is swept with others: such lists are sorted by first row and cut
+    /// into blocks of at most [`QUERY_TILE`] (more, smaller blocks when
+    /// that leaves a worker idle), and a block scores each row of the
+    /// union of its runs once, through
+    /// [`KernelDispatch::hamming_slab`], against every query whose run
+    /// covers it. Any other list is scored alone, one stretch of
+    /// consecutive rows at a time. Blocks run on up to `workers`
+    /// threads.
+    ///
     /// Sketch distances are integers in `0..=words·64`, so one histogram
-    /// of them finds the `k`-th distance `t`: the survivors are every
-    /// candidate nearer than `t` and the smallest ids at `t`, emitted in
-    /// one pass over the list.
+    /// of them per query finds the `k`-th distance `t`: the survivors
+    /// are every candidate nearer than `t` and the smallest ids at `t`,
+    /// emitted in one pass over the list.
     ///
     /// # Panics
     ///
-    /// Panics if `query_sketch` is not [`SketchIndex::words`] long.
-    pub fn narrow(&self, query_sketch: &[u64], candidates: &[u32], k: usize) -> Vec<u32> {
-        assert_eq!(query_sketch.len(), self.words(), "query sketch width");
-        if candidates.len() <= k {
-            return candidates.to_vec();
+    /// Panics if a query sketch is not [`SketchIndex::words`] long.
+    pub fn narrow_batch(
+        &self,
+        batch: &[(&[u64], &[u32])],
+        k: usize,
+        workers: usize,
+    ) -> Vec<Narrowed> {
+        for &(query, _) in batch {
+            assert_eq!(query.len(), self.words(), "query sketch width");
+        }
+        let (mut runs, mut singles) = (Vec::new(), Vec::new());
+        for (i, &(_, list)) in batch.iter().enumerate() {
+            match (k > 0 && list.len() > k).then(|| self.row_run(list)) {
+                Some(Some(first)) => runs.push((first, i)),
+                _ => singles.push(Job::Single(i)),
+            }
+        }
+        runs.sort_unstable();
+        let blocks = runs.len().div_ceil(QUERY_TILE).max(runs.len().min(workers));
+        let cut = |b: usize| b * runs.len() / blocks;
+        let jobs: Vec<Job> = (0..blocks)
+            .map(|b| Job::Runs(&runs[cut(b)..cut(b + 1)]))
+            .chain(singles)
+            .collect();
+
+        let kernel = kernels::active();
+        let done = par_map(&jobs, workers, |job| {
+            let start = Instant::now();
+            let narrowed: Vec<(usize, Vec<u32>)> = match *job {
+                Job::Runs(block) => {
+                    let scores = self.score_runs(kernel, batch, block);
+                    (block.iter().zip(scores))
+                        .map(|(&(_, i), scores)| (i, select(batch[i].1, &scores, k)))
+                        .collect()
+                }
+                Job::Single(i) => vec![(i, self.narrow_one(kernel, batch[i], k))],
+            };
+            (narrowed, start.elapsed().as_nanos() as u64)
+        });
+
+        let mut out = vec![Narrowed::default(); batch.len()];
+        for (narrowed, ns) in done {
+            let sharers = narrowed.len() as u64;
+            for (member, (i, survivors)) in narrowed.into_iter().enumerate() {
+                let share = ns / sharers + if member == 0 { ns % sharers } else { 0 };
+                out[i] = Narrowed {
+                    survivors,
+                    sketch_ns: share,
+                };
+            }
+        }
+        out
+    }
+
+    /// The first row of `list` if it lists consecutive rows in row
+    /// order, one slot each.
+    fn row_run(&self, list: &[u32]) -> Option<usize> {
+        let first = *self.row_of.get(*list.first()? as usize)? as usize;
+        (self.ids.get(first..first + list.len())? == list).then_some(first)
+    }
+
+    /// One query alone: a list at or below `k` passes through, any other
+    /// is scored one stretch of consecutive rows at a time.
+    fn narrow_one(
+        &self,
+        kernel: KernelDispatch,
+        (query, list): (&[u64], &[u32]),
+        k: usize,
+    ) -> Vec<u32> {
+        if list.len() <= k {
+            return list.to_vec();
         }
         if k == 0 {
             return Vec::new();
         }
-        let kernel = kernels::active();
-        let sketch_dim = self.words() * 64;
-        // Each candidate's Hamming distance over the signature (`ABSENT`
-        // without one; its tile slot scores the query against itself),
-        // and how many present candidates sit at each distance.
-        let mut distance = vec![ABSENT; candidates.len()];
-        let mut histogram = vec![0usize; sketch_dim + 1];
-        let mut scores = [0i64; REFERENCE_TILE];
-        let mut tile: Vec<&[u64]> = Vec::with_capacity(REFERENCE_TILE);
-        for (ids, out) in candidates
-            .chunks(REFERENCE_TILE)
-            .zip(distance.chunks_mut(REFERENCE_TILE))
+        let mut scores = Scores::new(list.len(), self.words() * 64);
+        let mut scratch = vec![0u32; ROW_TILE];
+        let row = |id: &u32| self.row_of.get(*id as usize).map(|&row| row as usize);
+        let mut at = 0;
+        for stretch in
+            list.chunk_by(|a, b| matches!((row(a), row(b)), (Some(x), Some(y)) if y == x + 1))
         {
-            tile.clear();
-            tile.extend(ids.iter().map(|&id| {
-                if self.is_present(id) {
-                    self.signature(id)
-                } else {
-                    query_sketch
-                }
-            }));
-            let scores = &mut scores[..ids.len()];
-            kernel.dot_many(sketch_dim, query_sketch, &tile, scores);
-            for ((d, &score), &id) in out.iter_mut().zip(scores.iter()).zip(ids) {
-                if self.is_present(id) {
-                    *d = ((sketch_dim as i64 - score) / 2) as u32;
-                    histogram[*d as usize] += 1;
-                }
+            if let Some(first) = row(&stretch[0]) {
+                let rows = first..first + stretch.len();
+                self.sweep(
+                    kernel,
+                    &[query],
+                    rows,
+                    &mut scratch,
+                    |_, from, scored, absent| {
+                        scores.fold(at + from - first, scored, absent);
+                    },
+                );
             }
+            at += stretch.len();
         }
-        if histogram.iter().sum::<usize>() <= k {
-            let present = candidates.iter().zip(&distance);
-            return (present.filter(|&(_, &d)| d != ABSENT))
-                .map(|(&id, _)| id)
-                .collect();
-        }
-        // The threshold `t`: the nearest distance whose running count
-        // reaches `k`; `need` of the candidates at `t` survive.
-        let (mut t, mut need) = (0, k);
-        while need > histogram[t] {
-            need -= histogram[t];
-            t += 1;
-        }
-        let t = t as u32;
-        // The ties at `t` that survive: ids below `cut`, then `quota`
-        // of the ones equal to it (more than one only if the list
-        // repeats an id). When every tie survives, `cut` passes them all.
-        let (cut, mut quota) = if need == histogram[t as usize] {
-            (u32::MAX, 0)
-        } else {
-            let tied = candidates.iter().zip(&distance).filter(|&(_, &d)| d == t);
-            let mut tied: Vec<u32> = tied.map(|(&id, _)| id).collect();
-            let (below, &mut cut, _) = tied.select_nth_unstable(need - 1);
-            (cut, need - below.iter().filter(|&&id| id < cut).count())
-        };
-        let mut survivors = Vec::with_capacity(k);
-        for (&id, &d) in candidates.iter().zip(&distance) {
-            let keep = match d.cmp(&t) {
-                Ordering::Less => true,
-                Ordering::Equal if id < cut => true,
-                Ordering::Equal if id == cut && quota > 0 => {
-                    quota -= 1;
-                    true
-                }
-                _ => false,
-            };
-            if keep {
-                survivors.push(id);
-            }
-        }
-        survivors
+        select(list, &scores, k)
     }
+
+    /// A block of row runs (`(first row, query)`, at most
+    /// [`QUERY_TILE`]): the union of their rows, cut at every run's ends,
+    /// so each piece is swept once against exactly the queries whose run
+    /// covers all of it.
+    fn score_runs(
+        &self,
+        kernel: KernelDispatch,
+        batch: &[(&[u64], &[u32])],
+        block: &[(usize, usize)],
+    ) -> Vec<Scores> {
+        let sketch_dim = self.words() * 64;
+        let mut scores: Vec<Scores> = (block.iter())
+            .map(|&(_, i)| Scores::new(batch[i].1.len(), sketch_dim))
+            .collect();
+        let span = |&(first, i): &(usize, usize)| first..first + batch[i].1.len();
+        let mut cuts: Vec<usize> = block
+            .iter()
+            .map(span)
+            .flat_map(|r| [r.start, r.end])
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let (mut covering, mut queries) = (Vec::new(), Vec::new());
+        let mut scratch = vec![0u32; QUERY_TILE * ROW_TILE];
+        for piece in cuts.windows(2) {
+            covering.clear();
+            covering.extend((0..block.len()).filter(|&b| {
+                let run = span(&block[b]);
+                run.start <= piece[0] && piece[1] <= run.end
+            }));
+            if covering.is_empty() {
+                continue;
+            }
+            queries.clear();
+            queries.extend(covering.iter().map(|&b| batch[block[b].1].0));
+            let rows = piece[0]..piece[1];
+            self.sweep(
+                kernel,
+                &queries,
+                rows,
+                &mut scratch,
+                |q, from, scored, absent| {
+                    let first = block[covering[q]].0;
+                    scores[covering[q]].fold(from - first, scored, absent);
+                },
+            );
+        }
+        scores
+    }
+
+    /// Score `rows` of the table against `queries` in slabs of at most
+    /// [`ROW_TILE`] rows, handing each query's distances of each slab to
+    /// `fold(query position, slab's first row, distances, offsets of the
+    /// slab's absent rows)`. `scratch` holds `queries.len() × ROW_TILE`
+    /// distances.
+    fn sweep(
+        &self,
+        kernel: KernelDispatch,
+        queries: &[&[u64]],
+        rows: Range<usize>,
+        scratch: &mut [u32],
+        mut fold: impl FnMut(usize, usize, &[u32], &[usize]),
+    ) {
+        let width = self.words();
+        let mut absent = Vec::new();
+        for from in rows.clone().step_by(ROW_TILE) {
+            let count = ROW_TILE.min(rows.end - from);
+            absent.clear();
+            let slots = self.ids[from..from + count].iter();
+            absent.extend(
+                (slots.enumerate()).filter_map(|(r, &id)| (!self.is_present(id)).then_some(r)),
+            );
+            let slab = &self.table[from * width..(from + count) * width];
+            let scored = &mut scratch[..queries.len() * count];
+            kernel.hamming_slab(width, queries, slab, scored);
+            for (q, distances) in scored.chunks_exact(count).enumerate() {
+                fold(q, from, distances, &absent);
+            }
+        }
+    }
+}
+
+/// The selection over one query's scores: the threshold `t` from the
+/// histogram, then every candidate nearer than `t` and the smallest ids
+/// at `t`, in list order.
+fn select(candidates: &[u32], scores: &Scores, k: usize) -> Vec<u32> {
+    /// Candidates per step of the pre-scan for distances up to `t`.
+    const STRIDE: usize = 16;
+    let Scores {
+        distance,
+        histogram,
+    } = scores;
+    if histogram.iter().map(|&n| n as usize).sum::<usize>() <= k {
+        let present = candidates.iter().zip(distance);
+        return (present.filter(|&(_, &d)| d != ABSENT))
+            .map(|(&id, _)| id)
+            .collect();
+    }
+    // The threshold `t`: the nearest distance whose running count
+    // reaches `k`; `need` of the candidates at `t` survive.
+    let (mut t, mut need) = (0, k);
+    while need > histogram[t] as usize {
+        need -= histogram[t] as usize;
+        t += 1;
+    }
+    let t = t as u32;
+    // The candidates at `t` or nearer, in list order: a few hundred of a
+    // long list, so a stretch whose nearest distance is beyond `t` (one
+    // vector minimum) is skipped whole.
+    let mut near: Vec<(u32, u32)> = Vec::with_capacity(2 * k);
+    for (ids, ds) in candidates.chunks(STRIDE).zip(distance.chunks(STRIDE)) {
+        if ds.iter().fold(ABSENT, |nearest, &d| nearest.min(d)) <= t {
+            let hits = ids.iter().zip(ds).filter(|&(_, &d)| d <= t);
+            near.extend(hits.map(|(&id, &d)| (id, d)));
+        }
+    }
+    // The ties at `t` that survive: ids below `cut`, then `quota`
+    // of the ones equal to it (more than one only if the list
+    // repeats an id). When every tie survives, `cut` passes them all.
+    let (cut, mut quota) = if need == histogram[t as usize] as usize {
+        (u32::MAX, 0)
+    } else {
+        let tied = near.iter().filter(|&&(_, d)| d == t);
+        let mut tied: Vec<u32> = tied.map(|&(id, _)| id).collect();
+        let (below, &mut cut, _) = tied.select_nth_unstable(need - 1);
+        (cut, need - below.iter().filter(|&&id| id < cut).count())
+    };
+    let mut survivors = Vec::with_capacity(k);
+    for (id, d) in near {
+        let keep = match d.cmp(&t) {
+            Ordering::Less => true,
+            Ordering::Equal if id < cut => true,
+            Ordering::Equal if id == cut && quota > 0 => {
+                quota -= 1;
+                true
+            }
+            _ => false,
+        };
+        if keep {
+            survivors.push(id);
+        }
+    }
+    survivors
 }
 
 #[cfg(test)]
@@ -719,6 +972,74 @@ mod tests {
             let survivors = sketch.narrow(&query, &list, k);
             prop_assert_eq!(&survivors, &reference_ranking(&sketch, &query, &list, k));
             prop_assert_eq!(survivors, by_id.narrow(&query, &list, k));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A batch narrows each query to exactly its reference ranking's
+        /// survivors, whatever else rides in it: 1..=40 queries (across
+        /// the 8-query block), overlapping windows of a shuffled row
+        /// order beside shuffled lists, ids listed twice, lists at or
+        /// below K, absent slots, 4- and 16-word signatures, K from 1 to
+        /// one past the longest list, on 1..=3 workers.
+        #[test]
+        fn a_batch_narrows_each_query_as_the_reference_ranking_does(
+            seed in 0u64..u64::MAX,
+            slots in 1usize..300,
+            queries in 1usize..=40,
+            narrow_sketch in any::<bool>(),
+            k_share in 0.0f64..1.0,
+            workers in 1usize..=3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dim = 1024;
+            let distinct = random_refs(slots.div_ceil(3), dim, seed);
+            let refs: Vec<Option<&[u64]>> = (0..slots)
+                .map(|_| {
+                    let hv = distinct[rng.gen_range(0..distinct.len())].words();
+                    (!rng.gen_bool(0.1)).then_some(hv)
+                })
+                .collect();
+            let words = if narrow_sketch { 4 } else { SKETCH_WORDS };
+            let mut order: Vec<u32> = (0..slots as u32).collect();
+            order.shuffle(&mut rng);
+            let sketch = SketchIndex::build(dim, words, refs.iter().copied())
+                .in_row_order(order.iter().copied());
+
+            let lists: Vec<Vec<u32>> = (0..queries)
+                .map(|_| {
+                    let start = rng.gen_range(0..slots);
+                    let end = rng.gen_range(start..=slots);
+                    let mut list = order[start..end].to_vec();
+                    match rng.gen_range(0..4) {
+                        // A window: a run of the row order.
+                        0 | 1 => {}
+                        2 => list.shuffle(&mut rng),
+                        _ => {
+                            let twice = |&id: &u32| std::iter::repeat_n(id, 1 + usize::from(rng.gen_bool(0.2)));
+                            list = list.iter().flat_map(twice).collect();
+                        }
+                    }
+                    list
+                })
+                .collect();
+            let signatures: Vec<Vec<u64>> = (0..queries as u64)
+                .map(|q| sketch.sketch_query(random_refs(1, dim, seed ^ (q + 1))[0].words()))
+                .collect();
+            let longest = lists.iter().map(Vec::len).max().unwrap_or(0);
+            let k = 1 + (k_share * (longest + 1) as f64) as usize;
+            let batch: Vec<(&[u64], &[u32])> = (signatures.iter().zip(&lists))
+                .map(|(signature, list)| (&signature[..], &list[..]))
+                .collect();
+            let narrowed = sketch.narrow_batch(&batch, k, workers);
+            prop_assert_eq!(narrowed.len(), queries);
+            for ((signature, list), narrowed) in batch.iter().zip(&narrowed) {
+                let expected = reference_ranking(&sketch, signature, list, k);
+                prop_assert_eq!(&narrowed.survivors, &expected);
+                prop_assert_eq!(&sketch.narrow(signature, list, k), &expected);
+            }
         }
     }
 

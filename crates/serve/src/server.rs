@@ -390,11 +390,6 @@ impl Server {
         self.prefilter = config;
     }
 
-    /// The server's default prefilter configuration.
-    pub fn prefilter(&self) -> PrefilterConfig {
-        self.prefilter
-    }
-
     /// Bound the bytes of mapped shard hypervectors kept resident (the
     /// `hdoms serve --memory-budget` flag; 0 = unlimited). While over
     /// budget the least-recently-searched shard's pages are released
