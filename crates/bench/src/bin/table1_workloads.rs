@@ -38,13 +38,13 @@ fn main() {
         let open_mean = hdoms_bench::mean(
             &queries
                 .iter()
-                .map(|q| index.candidate_count(&open, q.neutral_mass) as f64)
+                .map(|q| index.window(&open, q.neutral_mass).len() as f64)
                 .collect::<Vec<_>>(),
         );
         let std_mean = hdoms_bench::mean(
             &queries
                 .iter()
-                .map(|q| index.candidate_count(&standard, q.neutral_mass) as f64)
+                .map(|q| index.window(&standard, q.neutral_mass).len() as f64)
                 .collect::<Vec<_>>(),
         );
         rows.push(vec![

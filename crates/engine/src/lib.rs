@@ -82,6 +82,7 @@ use hdoms_oms::psm::Psm;
 use hdoms_oms::search::RunScorer;
 use hdoms_oms::window::PrecursorWindow;
 use hdoms_prefilter::{PrefilterConfig, SketchIndex};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -241,9 +242,10 @@ impl Engine {
             meta.reference_count() > 0,
             "an engine needs at least one reference"
         );
+        let candidates = meta.candidate_index();
         Engine {
-            backend: ShardedBackend::one_shard(scorer, meta.reference_count(), threads),
-            candidates: meta.candidate_index(),
+            backend: ShardedBackend::one_shard(scorer, &candidates, threads),
+            candidates,
             meta: Arc::new(meta),
             preprocess,
             index: None,
@@ -468,10 +470,11 @@ impl Engine {
 
     /// The one execute body under [`Session::submit`],
     /// [`Engine::search`] and [`Engine::search_groups`]: per group,
-    /// preprocess and generate candidate lists; score the concatenation
-    /// in one backend pass; per group again, assemble PSMs, sum the
-    /// group's own per-query records and record the registry series.
-    /// FDR is the caller's business (a session pools it across submits).
+    /// preprocess and look up candidate windows (ranges of the candidate
+    /// index's table); score the concatenation in one backend pass; per
+    /// group again, assemble PSMs, sum the group's own per-query records
+    /// and record the registry series. FDR is the caller's business (a
+    /// session pools it across submits).
     ///
     /// `prefilter` must have passed [`Engine::ready_prefilter`].
     fn score_groups(
@@ -483,12 +486,12 @@ impl Engine {
     ) -> Vec<ScoredGroup> {
         let narrowing = self.resolve_prefilter(prefilter);
 
-        // Per-group preprocess + candidate generation: identical inputs
-        // to what each request would produce alone, concatenated group
-        // by group so the merged batch stays group-contiguous. Each
-        // stage is timed where it runs, so the per-stage figures in
-        // receipts, `BatchStats`, and the `hdoms_stage_*_ms` histograms
-        // all come from one measurement.
+        // Per-group preprocess + window lookup: identical inputs to what
+        // each request would produce alone, concatenated group by group
+        // so the merged batch stays group-contiguous. Each stage is timed
+        // where it runs, so the per-stage figures in receipts,
+        // `BatchStats`, and the `hdoms_stage_*_ms` histograms all come
+        // from one measurement.
         struct GroupPrep {
             start: usize,
             len: usize,
@@ -498,13 +501,15 @@ impl Engine {
         }
         let pre = Preprocessor::new(self.preprocess);
         let mut merged_binned: Vec<BinnedSpectrum> = Vec::new();
-        let mut merged_cands: Vec<Vec<u32>> = Vec::new();
+        let mut merged_windows: Vec<Range<u32>> = Vec::new();
         let mut preps: Vec<GroupPrep> = Vec::with_capacity(groups.len());
         for spectra in groups {
             let ((binned, rejected), encode_ms) =
                 hdoms_obs::trace::timed(|| pre.run_batch(spectra));
-            let (cands, candidates_ms) = hdoms_obs::trace::timed(|| {
-                hdoms_oms::search::candidate_lists(&self.candidates, window, &binned)
+            let (windows, candidates_ms) = hdoms_obs::trace::timed(|| {
+                (binned.iter())
+                    .map(|q| self.candidates.window(window, q.neutral_mass))
+                    .collect::<Vec<_>>()
             });
             preps.push(GroupPrep {
                 start: merged_binned.len(),
@@ -513,17 +518,8 @@ impl Engine {
                 encode_ms,
                 candidates_ms,
             });
-            if merged_binned.is_empty() {
-                // The solo case takes the group's vectors whole: a
-                // copy would land a fresh buffer above the candidate
-                // lists on the heap, and freeing it after them hands a
-                // wide open batch's whole candidate arena back to the
-                // OS on every pass (~0.5% of an open-window pass).
-                (merged_binned, merged_cands) = (binned, cands);
-            } else {
-                merged_binned.extend(binned);
-                merged_cands.extend(cands);
-            }
+            merged_binned.extend(binned);
+            merged_windows.extend(windows);
         }
         let total_binned = merged_binned.len();
 
@@ -532,7 +528,7 @@ impl Engine {
         let (records, score_ms) = hdoms_obs::trace::timed(|| {
             self.backend.search_batch_traced(
                 &merged_binned,
-                &merged_cands,
+                &merged_windows,
                 Some(workers.max(1)),
                 narrowing.as_ref().map(|(sketch, k)| (sketch.as_ref(), *k)),
             )
@@ -548,7 +544,7 @@ impl Engine {
             // scan saw only the narrowed lists its records count.
             let (shard_timings, stats) = QueryRecord::sum(&records[range.clone()]);
             let shards_touched: u64 = shard_timings.iter().map(|t| t.visits).sum();
-            let candidates_pre: usize = merged_cands[range].iter().map(Vec::len).sum();
+            let candidates_pre: usize = merged_windows[range].iter().map(|w| w.len()).sum();
             let candidates_scored = match narrowing {
                 Some(_) => stats.candidates_post as usize,
                 None => candidates_pre,

@@ -499,13 +499,21 @@ fn every_construction_derives_the_one_catalog() {
             Arc::ptr_eq(&catalog, &index.catalog()),
             "{name}: re-derived"
         );
-        let shard_of = index.shard_assignment();
-        assert_eq!(shard_of.len(), library.len(), "{name}: id → shard table");
-        for (s, shard) in index.shards().enumerate() {
-            for &(_, id) in shard {
-                assert_eq!(shard_of[id as usize], s as u32, "{name}: id {id}");
-            }
-        }
+        // The shards are runs of one table holding every id once, whose
+        // id column every handle shares.
+        let table = index.candidate_index();
+        assert!(
+            index.shards().flatten().eq(table.pairs()),
+            "{name}: shard runs"
+        );
+        let mut ids = table.ids().to_vec();
+        ids.sort_unstable();
+        assert!(
+            ids.into_iter().eq(0..library.len() as u32),
+            "{name}: dense ids"
+        );
+        let again = index.candidate_index();
+        assert!(Arc::ptr_eq(table.ids(), again.ids()), "{name}: id column");
         let engine = Engine::from_index(index, THREADS).expect("an index wires its own kind");
         assert!(std::ptr::eq(engine.meta(), &*catalog), "{name}: engine");
     }
@@ -544,7 +552,10 @@ fn an_engine_scores_each_shard_its_index_reaches_in_one_run() {
         .collect();
     let mut index = builder.from_library(&library);
     index.append_entries(&[twin], THREADS);
-    let shard_of = index.shard_assignment();
+    let mut shard_of = vec![u32::MAX; index.entry_count()];
+    for (s, shard) in (0u32..).zip(index.shards()) {
+        shard.iter().for_each(|&(_, id)| shard_of[id as usize] = s);
+    }
     assert_eq!(shard_of[library.len()], 0, "the third twin joins shard 0");
     let shard = |s: usize| index.shards().nth(s).expect("two shards");
     assert_eq!(

@@ -48,8 +48,11 @@ impl WordBuffer {
     /// Propagates read failures (including a short stream).
     pub fn from_reader<R: Read>(mut reader: R, len: usize) -> std::io::Result<WordBuffer> {
         let mut words = vec![0u64; len.div_ceil(8)];
-        // Viewing zero-initialised u64 storage as bytes is sound: u8 has
-        // no validity requirements and the region is fully initialised.
+        // SAFETY: the view covers exactly `words`' allocation
+        // (`words.len() * 8` bytes, all initialised — zeroed just above),
+        // `u8` needs no alignment beyond the `u64`s' and has no invalid
+        // values, and `words` is not touched while `bytes` lives, so the
+        // mutable view is the allocation's only access.
         let bytes = unsafe {
             std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), words.len() * 8)
         };
@@ -114,8 +117,10 @@ impl WordBuffer {
     pub fn as_bytes(&self) -> &[u8] {
         match &*self.storage {
             Storage::Owned(words) => {
-                // Safe by construction: the u64 storage is initialised
-                // and outlives the borrow.
+                // SAFETY: the view covers exactly `words`' initialised
+                // allocation, as `u8`s (no alignment or validity
+                // requirement), and borrows it from `&self`: the storage
+                // is immutable behind the `Arc` and outlives the view.
                 let all = unsafe {
                     std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), words.len() * 8)
                 };
@@ -260,9 +265,15 @@ mod mmap {
         len: usize,
     }
 
-    // The mapping is immutable after construction and the pages are
-    // process-shared, so handing references across threads is safe.
+    // SAFETY: `ptr` is the base of a `PROT_READ` mapping that no code
+    // writes through and that only `Drop` (by value, so with no borrow
+    // left) unmaps, and `len` is a plain integer; a mapping belongs to
+    // the process, not to the thread that made it.
     unsafe impl Send for Mapping {}
+    // SAFETY: no `&self` method writes a field or a mapped byte — each
+    // reads `ptr`, `len` and the mapping (or drops whole clean pages that
+    // refault with the same bytes, `release_range`) — so concurrent
+    // shared access is concurrent reads.
     unsafe impl Sync for Mapping {}
 
     impl Mapping {
@@ -275,6 +286,11 @@ mod mmap {
                     "cannot map an empty file",
                 ));
             }
+            // SAFETY: a null hint lets the kernel place the mapping, `len`
+            // is the file's non-zero size (checked above), the descriptor
+            // is open for the whole call, and a failure comes back as
+            // `MAP_FAILED` (-1), which is checked before the pointer is
+            // kept.
             let ptr = unsafe {
                 mmap(
                     std::ptr::null_mut(),
@@ -296,12 +312,21 @@ mod mmap {
         }
 
         pub(super) fn as_bytes(&self) -> &[u8] {
+            // SAFETY: `open` mapped `len` readable bytes at `ptr`, and
+            // they stay mapped while `&self` lives (only `Drop` unmaps).
+            // This program never writes a mapped file in place (images
+            // are written to a temporary file and renamed over), so the
+            // bytes do not change under the view; a file truncated by
+            // another process is outside this invariant.
             unsafe { std::slice::from_raw_parts(self.ptr.cast::<u8>(), self.len) }
         }
 
         pub(super) fn words(&self, byte_offset: usize, count: usize) -> &[u64] {
-            // The page-aligned base plus an 8-aligned offset (checked by
-            // the caller) keeps the u64 reads aligned.
+            // SAFETY: `WordBuffer::words`, the only caller, checks that
+            // `byte_offset` is 8-aligned and that `byte_offset + 8 *
+            // count` lies within `len` without overflow; the base is
+            // page-aligned, so the `u64`s are aligned, inside the mapping
+            // and initialised (see `as_bytes` for why they stay put).
             unsafe {
                 std::slice::from_raw_parts(self.ptr.cast::<u8>().add(byte_offset).cast(), count)
             }
@@ -311,6 +336,8 @@ mod mmap {
         /// from residency; returns the bytes released. See
         /// [`super::WordBuffer::release_range`] for the contract.
         pub(super) fn release_range(&self, byte_offset: usize, len: usize) -> usize {
+            // SAFETY: `getpagesize` takes no arguments and has no
+            // preconditions.
             let page = unsafe { getpagesize() }.max(1) as usize;
             // Shrink to whole pages: the first page boundary at or after
             // the start, the last at or before the end. Edge pages are
@@ -320,9 +347,13 @@ mod mmap {
             if start >= end {
                 return 0;
             }
+            // SAFETY: `start..end` is whole pages inside the mapping
+            // (`WordBuffer::release_range`, the only caller, checks
+            // `byte_offset + len <= self.len`; the base is page-aligned).
             // MADV_DONTNEED on a read-only private file mapping cannot
-            // lose data: there are no dirty pages, so the next access
-            // refaults the bytes straight from the file.
+            // lose data or move bytes under a live view: there are no
+            // dirty pages, so the next access refaults the same bytes
+            // straight from the file.
             let rc = unsafe {
                 madvise(
                     self.ptr.cast::<u8>().add(start).cast(),
@@ -340,6 +371,9 @@ mod mmap {
 
     impl Drop for Mapping {
         fn drop(&mut self) {
+            // SAFETY: `ptr` and `len` are exactly what `open`'s `mmap`
+            // returned and was asked for, and this runs once, when the
+            // last handle is gone, so no view of the bytes is left.
             unsafe {
                 munmap(self.ptr, self.len);
             }

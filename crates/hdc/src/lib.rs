@@ -42,6 +42,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod buffer;
 pub mod corrupt;

@@ -136,7 +136,6 @@ impl IndexBuilder {
             entries_per_shard: per_shard,
             build_stats: stats.onto(None),
             mlc: backend.mlc_state(),
-            shard_of: shard_of(&table, &bounds),
             table: CandidateIndex::from_sorted(table),
             bounds,
             references,
@@ -174,19 +173,6 @@ pub(crate) fn runs<'a>(
     bounds: &'a [usize],
 ) -> impl ExactSizeIterator<Item = &'a [(f64, u32)]> {
     bounds.windows(2).map(move |run| &table[run[0]..run[1]])
-}
-
-/// Dense id → shard position of a table cut at `bounds`: positions of
-/// ids no shard holds read `u32::MAX`.
-fn shard_of(table: &[(f64, u32)], bounds: &[usize]) -> Arc<[u32]> {
-    let mut shard_of: Arc<[u32]> = std::iter::repeat_n(u32::MAX, table.len()).collect();
-    let slots = Arc::get_mut(&mut shard_of).expect("no second handle yet");
-    for (s, run) in runs(table, bounds).enumerate() {
-        for &(_, id) in run {
-            slots[id as usize] = s as u32;
-        }
-    }
-    shard_of
 }
 
 /// The one backend of an index's kind: every build path — cold,
@@ -283,9 +269,9 @@ impl ReferenceEncoder for KindBackend {
 /// backends reconstructed from it hold exactly **one** copy of the
 /// encoded library. Cloning a `LibraryIndex` likewise shares the table.
 ///
-/// Equality compares logical content: the id → shard table, the backend
-/// and the sketch cache are derived state and ignored, and reference
-/// tables with the same bits compare equal wherever their words live.
+/// Equality compares logical content: the backend and the sketch cache
+/// are derived state and ignored, and reference tables with the same
+/// bits compare equal wherever their words live.
 ///
 /// The table has one representation (see [`SharedReferences`]): word
 /// slices inside one buffer — a heap buffer after a cold build, a v1
@@ -308,9 +294,6 @@ pub struct LibraryIndex {
     /// `id → (neutral mass, is_decoy, peptide, precursor m/z and
     /// charge)`, shared with every engine over this index.
     catalog: Arc<ReferenceMeta>,
-    /// `id → shard position`, derived from the table, shared with every
-    /// sharded backend over this index.
-    shard_of: Arc<[u32]>,
     /// The kind's one backend, built on first use and shared with this
     /// index's clones.
     backend: Arc<OnceLock<KindBackend>>,
@@ -330,7 +313,7 @@ impl PartialEq for LibraryIndex {
             && self.bounds == other.bounds
             && self.catalog == other.catalog
             && self.references == other.references
-        // `shard_of`, `backend` and `sketches` are derived state.
+        // `backend` and `sketches` are derived state.
     }
 }
 
@@ -398,15 +381,10 @@ impl LibraryIndex {
         }))
     }
 
-    /// `sketch` with its rows moved into the `(mass, id)` table's order
-    /// (the table's ids must be dense).
+    /// `sketch` with its rows in the `(mass, id)` table's order, sharing
+    /// its id column (the ids must be dense): a window is a row range.
     fn in_table_order(&self, sketch: SketchIndex) -> Arc<SketchIndex> {
-        Arc::new(sketch.in_row_order(self.table.pairs().iter().map(|&(_, id)| id)))
-    }
-
-    /// Shard assignment by dense id (`shard_of[id]` = shard position).
-    pub fn shard_assignment(&self) -> Arc<[u32]> {
-        Arc::clone(&self.shard_of)
+        Arc::new(sketch.in_row_order(Arc::clone(self.table.ids())))
     }
 
     // -- residency --------------------------------------------------------
@@ -512,7 +490,8 @@ impl LibraryIndex {
         ))
     }
 
-    /// The sharded, shard-parallel search backend for this index's kind.
+    /// The sharded, shard-parallel search backend for this index's kind,
+    /// over windows of [`ReferenceCatalog::candidate_index`]'s table.
     ///
     /// Scores are identical to the corresponding flat backend — sharding
     /// only changes iteration order and parallel granularity, and every
@@ -522,15 +501,15 @@ impl LibraryIndex {
     ///
     /// None today: every kind has a scorer.
     pub fn sharded_backend(&self, threads: usize) -> Result<ShardedBackend, IndexError> {
-        let (shard_of, shards) = (self.shard_assignment(), self.shards().len());
+        let bounds = self.bounds.iter().map(|&b| b as u32).collect();
         Ok(match self.backend() {
             KindBackend::Software(backend) => {
                 let scorer = backend.over(self.references.clone(), threads);
-                ShardedBackend::new(Box::new(scorer), shard_of, shards, threads)
+                ShardedBackend::new(Box::new(scorer), &self.table, bounds, threads)
             }
             KindBackend::Rram(..) => {
                 let scorer = self.to_accelerator(threads)?;
-                ShardedBackend::new(Box::new(scorer), shard_of, shards, threads)
+                ShardedBackend::new(Box::new(scorer), &self.table, bounds, threads)
             }
         })
     }
@@ -588,9 +567,7 @@ impl LibraryIndex {
             Some(*end)
         });
         self.bounds = std::iter::once(0).chain(ends).collect();
-        let table = shards.concat();
-        self.shard_of = shard_of(&table, &self.bounds);
-        self.table = CandidateIndex::from_sorted(table);
+        self.table = CandidateIndex::from_sorted(shards.concat());
         // The sketch table covers the old slots only — rebuild on the
         // next prefiltered search (or persist).
         self.sketches = OnceLock::new();
@@ -716,7 +693,6 @@ impl LibraryIndex {
                 table.len()
             )
         })?;
-        index.shard_of = shard_of(&table, &index.bounds);
         index.table = CandidateIndex::from_sorted(table);
         index.validate()?;
         if let Some(sketch) = sketch {
@@ -774,13 +750,19 @@ impl LibraryIndex {
 
     /// Structural sanity of a loaded table, in one pass over it: every
     /// mass finite and never decreasing, `(mass, id)` ascending within a
-    /// shard — and, every id in range (checked as it was decoded) and the
-    /// table holding the declared count, no id missing from the id →
-    /// shard table, so none held twice.
+    /// shard, and — every id in range (checked as it was decoded) and the
+    /// table holding the declared count — no id held twice, so none
+    /// missing: the ids are dense.
     fn validate(&self) -> Result<(), IndexError> {
         let mut previous = (f64::NEG_INFINITY, 0u32);
+        let mut seen = vec![0u64; self.entry_count().div_ceil(64)];
         for (s, run) in self.shards().enumerate() {
             for (at, &(mass, id)) in run.iter().enumerate() {
+                let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+                need(seen[word] & bit == 0, || {
+                    format!("entry id {id} is held twice")
+                })?;
+                seen[word] |= bit;
                 let finite = || format!("entry {id} has a non-finite mass ({mass})");
                 need(mass.is_finite(), finite)?;
                 let ordered = (mass, id) > previous || at == 0 && mass >= previous.0;
@@ -790,9 +772,7 @@ impl LibraryIndex {
                 previous = (mass, id);
             }
         }
-        need(!self.shard_of.contains(&u32::MAX), || {
-            "entry ids are not dense over the declared count"
-        })
+        Ok(())
     }
 }
 
@@ -870,7 +850,6 @@ fn parse_sections(bytes: &[u8]) -> Result<Sections, IndexError> {
         bounds: vec![0],
         references: SharedReferences::from(Vec::new()),
         catalog: Arc::default(),
-        shard_of: Arc::default(),
         backend: Arc::default(),
         sketches: OnceLock::new(),
     };

@@ -4,13 +4,12 @@
 //! masses, so a query's candidates fall into a handful of consecutive
 //! precursor-mass shards. [`ShardedBackend`] exploits that three ways:
 //!
-//! * **fan-out** — each query's candidate list is partitioned into its
-//!   shard runs (one linear pass: candidates arrive mass-sorted, shards
-//!   are mass-contiguous, so shard ids form non-decreasing runs), and
-//!   only shards overlapping the precursor window are ever touched;
+//! * **fan-out** — a query's candidates are a window (a range of
+//!   positions) of the `(mass, id)` table whose runs the shards are, so
+//!   its shard runs are the window split at the shard bounds;
 //! * **sharing** — the open windows of a batch overlap, so a whole shard
-//!   is usually the same run for dozens of its queries: runs that are
-//!   the same slice form one group, scored once for all of its members
+//!   is usually the same run for dozens of its queries: runs over the
+//!   same positions form one group, scored once for all of its members
 //!   (the exact scan reads each reference tile once per group, not once
 //!   per query);
 //! * **parallelism** — job lists handed to the next free worker: the
@@ -34,11 +33,11 @@
 use hdoms_hdc::parallel::par_map;
 use hdoms_ms::preprocess::BinnedSpectrum;
 use hdoms_obs::metrics::Registry;
+use hdoms_oms::candidates::CandidateIndex;
 use hdoms_oms::search::{PreparedQuery, RunScorer, SearchHit};
 use hdoms_prefilter::{PrefilterStats, SketchIndex};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -76,10 +75,10 @@ pub struct QueryRecord {
     /// The best hit (`None` when no candidate was stored).
     pub hit: Option<SearchHit>,
     /// One `(shard position, scoring nanoseconds)` per shard run scored,
-    /// in the list's run order (ascending in shard position for a
-    /// mass-sorted list); empty (and unallocated) for a query with no
-    /// candidates. A run shared with `m` queries of the batch carries
-    /// `1/m` of the group's wall time (the remainder on the first).
+    /// ascending in shard position; empty (and unallocated) for a query
+    /// with no candidates. A run shared with `m` queries of the batch
+    /// carries `1/m` of the group's wall time (the remainder on the
+    /// first).
     pub visits: Vec<(u32, u64)>,
     /// Precursor-window candidates entering the sketch stage.
     pub candidates_pre: u64,
@@ -163,9 +162,11 @@ pub struct ShardedBackend {
     scorer: Box<dyn BatchScorer>,
     /// The name reports carry.
     name: String,
-    /// Dense id → shard position: the index's table, shared.
-    shard_of: Arc<[u32]>,
-    shard_count: usize,
+    /// The `(mass, id)` table's id column, shared: a window of positions
+    /// is a slice of it.
+    ids: Arc<[u32]>,
+    /// Shard `s` is positions `bounds[s]..bounds[s + 1]`.
+    bounds: Vec<u32>,
     threads: usize,
     series: ShardSeries,
 }
@@ -178,7 +179,7 @@ trait BatchScorer: Send + Sync {
         &self,
         backend: &ShardedBackend,
         queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
+        windows: &[Range<u32>],
         workers: usize,
         prefilter: Option<(&SketchIndex, usize)>,
     ) -> Vec<QueryRecord>;
@@ -189,27 +190,16 @@ impl<S: RunScorer + Send> BatchScorer for S {
         &self,
         backend: &ShardedBackend,
         queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
+        windows: &[Range<u32>],
         workers: usize,
         prefilter: Option<(&SketchIndex, usize)>,
     ) -> Vec<QueryRecord> {
-        backend.search_with(self, queries, candidates, workers, prefilter)
+        backend.search_with(self, queries, windows, workers, prefilter)
     }
 }
 
-/// A shard run as a grouping key: equal as a slice, hashed by its ends
-/// and length alone (cheap, and equal slices share them).
-#[derive(PartialEq, Eq)]
-struct RunKey<'a>(&'a [u32]);
-
-impl Hash for RunKey<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        (self.0.first(), self.0.last(), self.0.len()).hash(state);
-    }
-}
-
-/// One shard run scored once for every query of the batch whose list
-/// holds that very slice.
+/// One shard run scored once for every query of the batch that scans
+/// it.
 struct Group<'a> {
     shard: u32,
     run: &'a [u32],
@@ -217,40 +207,52 @@ struct Group<'a> {
     members: Vec<usize>,
 }
 
+/// The shard runs of the positions `window` of a table cut at `bounds`:
+/// `(shard, positions)`, ascending, empty shards skipped.
+fn window_runs(bounds: &[u32], window: Range<u32>) -> impl Iterator<Item = (u32, Range<u32>)> + '_ {
+    let first = bounds.partition_point(|&b| b <= window.start) - 1;
+    (first as u32..)
+        .zip(bounds[first..].windows(2))
+        .map(move |(s, b)| (s, b[0].max(window.start)..b[1].min(window.end)))
+        .take_while(move |(_, run)| run.start < window.end)
+        .filter(|(_, run)| !run.is_empty())
+}
+
 impl ShardedBackend {
-    /// `scorer` fanned out over an index's shards (`shard_of` maps each
-    /// dense id to its shard position), reporting as
-    /// `sharded(<scorer>, <N> shards)`.
+    /// `scorer` fanned out over an index's shards — runs of `table` cut
+    /// at `bounds` (shard `s` is positions `bounds[s]..bounds[s + 1]`) —
+    /// reporting as `sharded(<scorer>, <N> shards)`.
     pub(crate) fn new<S: RunScorer + Send + Sync + 'static>(
         scorer: Box<S>,
-        shard_of: Arc<[u32]>,
-        shard_count: usize,
+        table: &CandidateIndex,
+        bounds: Vec<u32>,
         threads: usize,
     ) -> ShardedBackend {
+        let shards = bounds.len() - 1;
         ShardedBackend {
-            name: format!("sharded({}, {shard_count} shards)", scorer.report_name()),
+            name: format!("sharded({}, {shards} shards)", scorer.report_name()),
             scorer,
-            shard_of,
-            shard_count,
+            ids: Arc::clone(table.ids()),
+            bounds,
             threads: threads.max(1),
             series: ShardSeries::default(),
         }
     }
 
-    /// `scorer` over references `0..references` as one shard, reporting
+    /// `scorer` over every reference of `table` as one shard, reporting
     /// under the scorer's own name: how an engine runs a backend that
     /// has no index kind (ANN-SoLo), with the same records, worker
     /// budget and series as every other engine.
     pub fn one_shard<S: RunScorer + Send + Sync + 'static>(
         scorer: Box<S>,
-        references: usize,
+        table: &CandidateIndex,
         threads: usize,
     ) -> ShardedBackend {
         let name = scorer.report_name();
-        let shard_of = std::iter::repeat_n(0, references).collect();
+        let bounds = vec![0, table.ids().len() as u32];
         ShardedBackend {
             name,
-            ..ShardedBackend::new(scorer, shard_of, 1, threads)
+            ..ShardedBackend::new(scorer, table, bounds, threads)
         }
     }
 
@@ -262,7 +264,7 @@ impl ShardedBackend {
 
     /// Number of shards the library is split into.
     pub fn shard_count(&self) -> usize {
-        self.shard_count
+        self.bounds.len() - 1
     }
 
     /// Point this backend's series — `hdoms_shard_score_ms` (a histogram
@@ -273,28 +275,27 @@ impl ShardedBackend {
     }
 
     /// The batch loop: prepare each query once, narrow the whole batch's
-    /// lists in one sketch pass when a prefilter is passed, group each
-    /// shard's runs by slice equality, score every group once for all of
-    /// its members, and fold each member's hit and visit into its record
-    /// in its list's run order.
+    /// windows in one sketch pass when a prefilter is passed, split them
+    /// at the shard bounds, score every run once for all of the queries
+    /// that scan it, and fold each member's hit and visit into its record.
     fn search_with<S: RunScorer>(
         &self,
         scorer: &S,
         queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
+        windows: &[Range<u32>],
         workers: usize,
         prefilter: Option<(&SketchIndex, usize)>,
     ) -> Vec<QueryRecord> {
         // 1. Encode once per query, then narrow the whole batch through
-        //    the sketch stage in one pass. A narrowed list keeps the
-        //    input's (ascending-mass) order, so the run partition stays
-        //    valid.
+        //    the sketch stage in one pass. A window it passes through whole
+        //    stays a window.
         let jobs: Vec<usize> = (0..queries.len()).collect();
         let prepared = par_map(&jobs, workers, |&i| {
-            (!candidates[i].is_empty()).then(|| scorer.prepare(&queries[i]))
+            (!windows[i].is_empty()).then(|| scorer.prepare(&queries[i]))
         });
         let mut records = vec![QueryRecord::default(); queries.len()];
-        let mut lists: Vec<Cow<[u32]>> = candidates.iter().map(|c| Cow::Borrowed(&c[..])).collect();
+        // Per narrowed query: its survivors' ids, then their positions.
+        let mut narrowed: Vec<Option<(Vec<u32>, Vec<u32>)>> = vec![None; queries.len()];
         if let Some((sketch, k)) = prefilter {
             // The queries with candidates, each with its folded signature.
             let entering: Vec<(usize, Vec<u64>)> = (0..queries.len())
@@ -304,39 +305,60 @@ impl ShardedBackend {
                     Some((i, sketch.sketch_query(words)))
                 })
                 .collect();
-            let batch: Vec<(&[u64], &[u32])> = (entering.iter())
-                .map(|(i, signature)| (&signature[..], &candidates[*i][..]))
+            let batch: Vec<(&[u64], Range<u32>)> = (entering.iter())
+                .map(|(i, signature)| (&signature[..], windows[*i].clone()))
                 .collect();
-            let narrowed = sketch.narrow_batch(&batch, k, workers);
-            for (&(i, _), narrowed) in entering.iter().zip(narrowed) {
+            let passes = sketch.narrow_batch(&batch, k, workers);
+            for (&(i, _), pass) in entering.iter().zip(passes) {
                 let record = &mut records[i];
-                record.candidates_pre = candidates[i].len() as u64;
-                record.candidates_post = narrowed.survivors.len() as u64;
-                record.sketch_ns = narrowed.sketch_ns;
-                lists[i] = Cow::Owned(narrowed.survivors);
+                record.candidates_pre = windows[i].len() as u64;
+                record.candidates_post = pass.survivors.len() as u64;
+                record.sketch_ns = pass.sketch_ns;
+                if pass.survivors.len() < windows[i].len() {
+                    let ids = pass.survivors.iter().map(|&p| self.ids[p as usize]);
+                    narrowed[i] = Some((ids.collect(), pass.survivors));
+                }
             }
         }
 
-        // 2. The shard runs: candidates arrive mass-sorted and shards are
-        //    mass-contiguous, so shard positions form non-decreasing runs
-        //    — exactly the shards the precursor window reaches. Runs that
-        //    are the same slice share one group; `placed` keeps every
-        //    (query, group, member) in query, then run, order.
-        let shard = |id: &u32| self.shard_of[*id as usize];
+        // 2. The shard runs: a window split at the shard bounds — exactly
+        //    the shards the precursor window reaches. Window runs over the
+        //    same positions share one group; a narrowed query's survivors
+        //    in a run are a group of its own. `placed` keeps every (query,
+        //    group, member) in query, then shard, order.
         let mut groups: Vec<Group> = Vec::new();
-        let mut group_of: HashMap<RunKey, usize> = HashMap::new();
+        let mut group_of: HashMap<(u32, u32, u32), usize> = HashMap::new();
         let mut placed: Vec<(usize, usize, usize)> = Vec::new();
-        for (i, list) in lists.iter().enumerate() {
-            let first = placed.len();
-            for run in list.chunk_by(|a, b| shard(a) == shard(b)) {
-                let g = *group_of.entry(RunKey(run)).or_insert_with(|| {
-                    groups.push(Group {
-                        shard: shard(&run[0]),
-                        run,
-                        members: Vec::new(),
-                    });
-                    groups.len() - 1
-                });
+        for (i, window) in windows.iter().enumerate() {
+            let (first, mut at) = (placed.len(), 0);
+            for (shard, run) in window_runs(&self.bounds, window.clone()) {
+                let g = match &narrowed[i] {
+                    None => *group_of
+                        .entry((shard, run.start, run.end))
+                        .or_insert_with(|| {
+                            let run = &self.ids[run.start as usize..run.end as usize];
+                            groups.push(Group {
+                                shard,
+                                run,
+                                members: Vec::new(),
+                            });
+                            groups.len() - 1
+                        }),
+                    Some((ids, positions)) => {
+                        let from = at;
+                        at += positions[at..].partition_point(|&p| p < run.end);
+                        if from == at {
+                            continue;
+                        }
+                        let run = &ids[from..at];
+                        groups.push(Group {
+                            shard,
+                            run,
+                            members: Vec::new(),
+                        });
+                        groups.len() - 1
+                    }
+                };
                 placed.push((i, g, groups[g].members.len()));
                 groups[g].members.push(i);
             }
@@ -373,15 +395,18 @@ impl ShardedBackend {
         records
     }
 
-    /// [`ShardedBackend::search_batch_traced`] summed over the batch
-    /// ([`QueryRecord::sum`]): the hits, one [`ShardTiming`] per visited
-    /// shard and the prefilter stage's accounting. With `prefilter` of
-    /// `None` the stats come back zeroed (the caller reports the
-    /// unfiltered candidate total for both stage counts).
+    /// [`ShardedBackend::search_batch_traced`] over copied candidate
+    /// lists, summed over the batch ([`QueryRecord::sum`]): the hits, one
+    /// [`ShardTiming`] per visited shard and the prefilter stage's
+    /// accounting (zeroed with `prefilter` of `None`). Each list must be a
+    /// window copied out of the backend's table, as
+    /// `hdoms_oms::search::candidate_lists` copies them, and is searched
+    /// as that window; the engine passes the windows themselves.
     ///
     /// # Panics
     ///
-    /// As [`ShardedBackend::search_batch_traced`].
+    /// As [`ShardedBackend::search_batch_traced`], and when a list is
+    /// not a run of consecutive positions of the backend's table.
     pub fn search_batch_prefiltered(
         &self,
         queries: &[BinnedSpectrum],
@@ -389,13 +414,34 @@ impl ShardedBackend {
         workers: Option<usize>,
         prefilter: Option<(&SketchIndex, usize)>,
     ) -> (Vec<Option<SearchHit>>, Vec<ShardTiming>, PrefilterStats) {
-        let records = self.search_batch_traced(queries, candidates, workers, prefilter);
+        // Each id's position: the inverse of the id column.
+        let mut position = vec![0; self.ids.iter().max().map_or(0, |&id| id as usize + 1)];
+        for (at, &id) in (0..).zip(self.ids.iter()) {
+            position[id as usize] = at;
+        }
+        let windows: Vec<Range<u32>> = (candidates.iter())
+            .map(|list| {
+                let start = list.first().map_or(0, |&id| {
+                    position.get(id as usize).copied().unwrap_or(u32::MAX)
+                });
+                let window = start..start.saturating_add(list.len() as u32);
+                let ids = self.ids.get(window.start as usize..window.end as usize);
+                assert!(
+                    ids == Some(list),
+                    "a candidate list is not a window of the table"
+                );
+                window
+            })
+            .collect();
+        let records = self.search_batch_traced(queries, &windows, workers, prefilter);
         let (timings, stats) = QueryRecord::sum(&records);
         (records.iter().map(|r| r.hit).collect(), timings, stats)
     }
 
     /// The one search loop: one [`QueryRecord`] per query, in input
-    /// order. Every `(query, reference)` score is independent of batch
+    /// order, query `i`'s candidates being `windows[i]`, a range of
+    /// positions of the backend's table ([`CandidateIndex::window`]).
+    /// Every `(query, reference)` score is independent of batch
     /// composition, so a record is bit-identical (hit and counts;
     /// nanoseconds are wall-clock, shared runs split between their
     /// queries) whatever batch its query rides in — which is the
@@ -403,12 +449,13 @@ impl ShardedBackend {
     /// requests into one batch here and the engine sums each request's
     /// own range of records back out.
     ///
-    /// When `prefilter` is `Some((sketch, k))`, every query's candidate
-    /// list is narrowed to its top-`k` sketch scorers
+    /// When `prefilter` is `Some((sketch, k))`, every query's window is
+    /// narrowed to its top-`k` sketch scorers
     /// ([`SketchIndex::narrow_batch`], one pass for the batch) between
-    /// the one-time query encodes and the shard walk. With `k` at or above every window size the
-    /// narrowed lists equal the input lists, so hits and visits match
-    /// the unfiltered scan exactly.
+    /// the one-time query encodes and the shard walk; the sketch's rows
+    /// must follow the backend's table ([`SketchIndex::rows_follow`]).
+    /// With `k` at or above every window size the windows pass through
+    /// whole, so hits and visits match the unfiltered scan exactly.
     ///
     /// `workers` of `None` uses the backend's configured parallelism;
     /// `Some(n)` caps the batch at `n` worker threads (the serve
@@ -418,23 +465,33 @@ impl ShardedBackend {
     ///
     /// # Panics
     ///
-    /// Panics when `queries` and `candidates` do not pair up, the
-    /// sketch does not cover the backend's reference ids, or a sketch is
-    /// passed to a scorer whose queries are not hypervectors.
+    /// Panics when `queries` and `windows` do not pair up, a window
+    /// reaches beyond the table, the sketch's rows do not follow the
+    /// backend's table, or a sketch is passed to a scorer whose queries
+    /// are not hypervectors.
     pub fn search_batch_traced(
         &self,
         queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
+        windows: &[Range<u32>],
         workers: Option<usize>,
         prefilter: Option<(&SketchIndex, usize)>,
     ) -> Vec<QueryRecord> {
         let workers = workers.unwrap_or(self.threads).max(1);
         assert_eq!(
             queries.len(),
-            candidates.len(),
-            "queries and candidate lists must pair up"
+            windows.len(),
+            "queries and candidate windows must pair up"
         );
+        let table = self.ids.len();
+        let inside = windows.iter().all(|w| w.end as usize <= table);
+        assert!(inside, "a window reaches beyond the {table}-entry table");
+        if let Some((sketch, _)) = prefilter {
+            assert!(
+                sketch.rows_follow(&self.ids),
+                "the sketch's rows do not follow the backend's (mass, id) table"
+            );
+        }
         self.scorer
-            .score_batch(self, queries, candidates, workers, prefilter)
+            .score_batch(self, queries, windows, workers, prefilter)
     }
 }

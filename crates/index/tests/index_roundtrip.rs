@@ -16,6 +16,7 @@ use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig, PipelineOutcome};
 use hdoms_oms::search::{ExactBackend, ExactBackendConfig};
 use hdoms_oms::window::PrecursorWindow;
 use proptest::prelude::*;
+use std::ops::Range;
 use std::sync::Arc;
 
 const TEST_DIM: usize = 512;
@@ -574,7 +575,8 @@ fn noisy_rram_query_path_is_pinned() {
         for spectrum in &queries {
             let hv = enc.encode(spectrum);
             bytes.extend(hv.words().iter().flat_map(|w| w.to_le_bytes()));
-            for reference in candidates.candidates(&window, spectrum.neutral_mass) {
+            let reach = candidates.window(&window, spectrum.neutral_mass);
+            for &reference in &candidates.ids()[reach.start as usize..reach.end as usize] {
                 let Some(stats) = search.evaluate(&hv, spectrum.id, reference) else {
                     bytes.push(0xff);
                     continue;
@@ -868,7 +870,6 @@ fn append_straddling_shard_boundaries_keeps_order() {
 fn a_mass_shared_across_a_shard_boundary_costs_one_visit_per_shard() {
     use hdoms_ms::preprocess::Preprocessor;
     use hdoms_oms::pipeline::ReferenceCatalog;
-    use hdoms_oms::search::candidate_lists;
     use hdoms_oms::window::PrecursorWindow;
 
     let workload = tiny_workload(37);
@@ -888,9 +889,10 @@ fn a_mass_shared_across_a_shard_boundary_costs_one_visit_per_shard() {
     assert_eq!(shard(1)[0].0, mass, "cut between twins");
     index.append_entries(&[twin], THREADS);
     let third = library.len() as u32;
-    let shard_of = index.shard_assignment();
-    assert_eq!(shard_of[third as usize], 0, "the third twin joins shard 0");
-    assert!(index.shards().nth(1).expect("two shards")[0].1 < third);
+    let shard = |s: usize| index.shards().nth(s).expect("two shards");
+    let holds = |s: usize, id: u32| shard(s).iter().any(|&(_, held)| held == id);
+    assert!(holds(0, third), "the third twin joins shard 0");
+    assert!(shard(1)[0].1 < third);
 
     // The image is one the loader accepts, and the same index.
     let restored = LibraryIndex::from_bytes(&index.to_bytes(), THREADS).expect("roundtrip");
@@ -898,13 +900,21 @@ fn a_mass_shared_across_a_shard_boundary_costs_one_visit_per_shard() {
 
     let (binned, _) = Preprocessor::new(index.kind().preprocess()).run_batch(&workload.queries);
     let window = PrecursorWindow::open_default();
-    let candidates = candidate_lists(&index.candidate_index(), &window, &binned);
+    let table = index.candidate_index();
+    let windows: Vec<_> = (binned.iter())
+        .map(|q| table.window(&window, q.neutral_mass))
+        .collect();
+    let at = table
+        .ids()
+        .iter()
+        .position(|&id| id == third)
+        .expect("indexed") as u32;
     assert!(
-        candidates.iter().any(|list| list.contains(&third)),
+        windows.iter().any(|reach| reach.contains(&at)),
         "no query reaches the shared mass: nothing was tested"
     );
     let backend = index.sharded_backend(2).expect("kind matches");
-    for record in backend.search_batch_traced(&binned, &candidates, Some(2), None) {
+    for record in backend.search_batch_traced(&binned, &windows, Some(2), None) {
         let shards: Vec<u32> = record.visits.iter().map(|&(shard, _)| shard).collect();
         assert!(
             shards.windows(2).all(|pair| pair[0] < pair[1]),
@@ -1176,13 +1186,23 @@ fn narrowed_lists_are_pinned() {
                 digest,
                 "K = {k}, {route}: the survivors moved"
             );
-            let batch: Vec<(&[u64], &[u32])> = (signatures.iter().zip(&lists))
-                .map(|(signature, list)| (&signature[..], &list[..]))
+            // The engine's form: each query's window as a range of rows,
+            // the survivors rows of the table the sketch follows.
+            let table = from.candidate_index();
+            assert!(
+                sketch.rows_follow(table.ids()),
+                "{route}: rows follow the table"
+            );
+            let batch: Vec<(&[u64], Range<u32>)> = (signatures.iter().zip(&binned))
+                .map(|(signature, q)| (&signature[..], table.window(&window, q.neutral_mass)))
                 .collect();
             for size in [batch.len(), 1, 7, 8, 9] {
                 let batched: Vec<Vec<u32>> = (batch.chunks(size))
                     .flat_map(|sub| sketch.narrow_batch(sub, k, THREADS))
-                    .map(|narrowed| narrowed.survivors)
+                    .map(|narrowed| {
+                        let rows = narrowed.survivors.iter();
+                        rows.map(|&row| table.ids()[row as usize]).collect()
+                    })
                     .collect();
                 assert_eq!(
                     digest_of(&batched),
@@ -1212,9 +1232,15 @@ fn group_accounting_is_a_sum_over_per_query_records() {
     let prefilter = Some((&*sketch, 8));
     let (binned, _) = Preprocessor::new(index.kind().preprocess()).run_batch(&workload.queries);
     let window = PrecursorWindow::open_default();
-    let candidates = candidate_lists(&index.candidate_index(), &window, &binned);
+    let table = index.candidate_index();
+    let windows: Vec<Range<u32>> = (binned.iter())
+        .map(|q| table.window(&window, q.neutral_mass))
+        .collect();
+    let candidates = candidate_lists(&table, &window, &binned);
 
-    let records = backend.search_batch_traced(&binned, &candidates, Some(2), prefilter);
+    // The windows, and the same windows copied out as id lists through
+    // the compatibility form: the same records.
+    let records = backend.search_batch_traced(&binned, &windows, Some(2), prefilter);
     assert_eq!(records.len(), binned.len());
     let n = binned.len();
     let mut narrowed = false;
@@ -1254,20 +1280,26 @@ fn group_accounting_is_a_sum_over_per_query_records() {
     }
     assert!(narrowed, "k = 8 narrows no open window: nothing was tested");
     // A query no shard was visited for carries no allocation.
-    let none = backend.search_batch_traced(&binned[..1], &[Vec::new()], None, prefilter);
+    let none =
+        backend.search_batch_traced(&binned[..1], std::slice::from_ref(&(0..0)), None, prefilter);
     assert_eq!(none, vec![QueryRecord::default()]);
     assert_eq!(none[0].visits.capacity(), 0);
 }
 
-/// Hand-built batches through the shard loop's grouping: `search_batch_traced`
-/// must equal the flat oracle (`best_hits`) hit for hit, and every count
-/// must be what a per-query walk of the same lists pays.
+/// Hand-built batches of windows through the shard loop's split and
+/// grouping: `search_batch_traced` must equal the flat oracle
+/// (`best_hits` over each window's ids, copied out) hit for hit, and
+/// every visit must be what the per-id rule pays — the copied list cut
+/// into runs of one shard (`chunk_by` over an id → shard table the test
+/// builds itself).
 mod fan_out {
     use super::*;
     use hdoms_baselines::annsolo::{AnnSoloBackend, AnnSoloConfig};
     use hdoms_index::ShardedBackend;
     use hdoms_ms::preprocess::{BinnedSpectrum, Preprocessor};
-    use hdoms_oms::search::{best_hits, RunScorer};
+    use hdoms_oms::candidates::CandidateIndex;
+    use hdoms_oms::pipeline::ReferenceCatalog;
+    use hdoms_oms::search::{best_hits, PreparedQuery, RunScorer};
     use hdoms_prefilter::SketchIndex;
 
     /// The tiny library with every tenth entry starved below the
@@ -1293,126 +1325,154 @@ mod fan_out {
         (workload, library)
     }
 
-    /// The batches: `(name, queries, lists)`, every list mass-sorted
-    /// (shards in order, each shard's ids in the index's shard-table
-    /// order).
-    fn batches<S: RunScorer>(
-        flat: &S,
-        shard_of: &[u32],
-        shards: &[Vec<u32>],
-        binned: &[BinnedSpectrum],
-    ) -> Vec<(String, Vec<BinnedSpectrum>, Vec<Vec<u32>>)> {
-        let span = |from: usize, to: usize| -> Vec<u32> { shards[from..=to].concat() };
-        let whole = span(3, 6);
-        let mut batches: Vec<_> = [1, 7, 8, 9, 17, 64]
-            .into_iter()
-            .map(|n| (format!("{n} queries, one list"), vec![whole.clone(); n]))
-            .collect();
-        // Lists that differ only at their edge shards: the interior ones
-        // are one run shared by every query.
-        let edges = (0..24)
-            .map(|q| {
-                let (head, tail) = (&shards[2], &shards[7]);
-                let mut list = head[q % head.len()..].to_vec();
-                list.extend(span(3, 6));
-                list.extend(&tail[..=(3 * q) % tail.len()]);
-                list
-            })
-            .collect();
-        batches.push(("edge-only differences".to_owned(), edges));
-        // A duplicated id (one run, scored twice) shared by two queries,
-        // beside its deduplicated twin, a shorter list and an empty one.
-        let mut doubled = span(4, 5);
-        doubled.insert(5, doubled[4]);
-        let mixed = vec![
-            doubled.clone(),
-            span(4, 5),
-            Vec::new(),
-            doubled,
-            shards[5].clone(),
-            span(4, 5),
-        ];
-        batches.push(("duplicated id, empty list".to_owned(), mixed));
-        let mut batches: Vec<_> = (batches.into_iter())
-            .map(|(name, lists)| {
-                let cycled = (0..lists.len()).map(|i| binned[i % binned.len()].clone());
-                (name, cycled.collect(), lists)
-            })
-            .collect();
-
-        // A run with the same ends and length as a shared one but
-        // another slice: the shared run's best hit for one query,
-        // overwritten by its neighbour. Grouping the two would hand the
-        // twin a hit it does not hold.
-        let lists = vec![whole.clone(); binned.len()];
-        let shard = |at: usize| shard_of[whole[at] as usize];
-        let inside = |at: usize| at > 0 && at + 1 < whole.len() && shard(at - 1) == shard(at + 1);
-        let (q, at) = (best_hits(flat, binned, &lists).iter().enumerate())
-            .find_map(|(q, hit)| {
-                let best = hit.as_ref()?.reference;
-                let at = whole.iter().position(|&id| id == best)?;
-                inside(at).then_some((q, at))
-            })
-            .expect("some query's best hit lies inside its shard run");
-        let mut twin = whole.clone();
-        twin[at] = twin[at - 1];
-        let lists = vec![whole.clone(), twin.clone(), whole, twin];
-        batches.push(("a twin run".to_owned(), vec![binned[q].clone(); 4], lists));
-        batches
+    /// The index's shard bounds as table positions (shard `s` is
+    /// `bounds[s]..bounds[s + 1]`).
+    fn shard_bounds(index: &LibraryIndex) -> Vec<u32> {
+        let ends = index.shards().scan(0, |end, shard| {
+            *end += shard.len() as u32;
+            Some(*end)
+        });
+        let bounds: Vec<u32> = std::iter::once(0).chain(ends).collect();
+        assert!(bounds.len() > 9, "too few shards to build the batches");
+        bounds
     }
 
-    /// Check `backend` against `flat` over every batch at workers 1, 2
-    /// and 8; with `sketch`, the prefilter at a covering K as well.
+    /// The id → shard table of the index's shards.
+    fn shard_of(index: &LibraryIndex) -> Vec<u32> {
+        let mut shard_of = vec![u32::MAX; index.entry_count()];
+        for (s, shard) in (0u32..).zip(index.shards()) {
+            for &(_, id) in shard {
+                shard_of[id as usize] = s;
+            }
+        }
+        shard_of
+    }
+
+    /// The batches: `(name, queries, windows)` over a table cut at
+    /// `bounds`.
+    fn batches(
+        bounds: &[u32],
+        binned: &[BinnedSpectrum],
+    ) -> Vec<(String, Vec<BinnedSpectrum>, Vec<Range<u32>>)> {
+        let len = |s: usize| bounds[s + 1] - bounds[s];
+        let whole = bounds[3]..bounds[7];
+        let mut batches: Vec<(String, Vec<Range<u32>>)> = [1, 7, 8, 9, 17, 64]
+            .into_iter()
+            .map(|n| (format!("{n} queries, one window"), vec![whole.clone(); n]))
+            .collect();
+        // Windows that differ only at their edge shards: the interior
+        // ones are one run shared by every query.
+        let edges = (0..24u32)
+            .map(|q| bounds[2] + q % len(2)..bounds[7] + (3 * q) % len(7) + 1)
+            .collect();
+        batches.push(("edge-only differences".to_owned(), edges));
+        // Ends exactly on a bound, beside ends one position off it.
+        let on_bounds = vec![
+            bounds[4]..bounds[6],
+            bounds[4]..bounds[6] + 3,
+            bounds[4] - 2..bounds[6],
+            bounds[4] + 1..bounds[6] - 1,
+            bounds[5]..bounds[6],
+            bounds[5]..bounds[5] + 1,
+            bounds[6] - 1..bounds[6],
+        ];
+        batches.push(("ends on shard bounds".to_owned(), on_bounds));
+        // Empty windows — at a bound, inside a shard, at either end of
+        // the table — between runs that other queries share.
+        let last = *bounds.last().expect("bounds");
+        let empty = vec![
+            bounds[4]..bounds[6],
+            bounds[5]..bounds[5],
+            bounds[5] + 1..bounds[5] + 1,
+            0..0,
+            bounds[4]..bounds[6],
+            last..last,
+        ];
+        batches.push(("empty windows".to_owned(), empty));
+        // The whole table, and the whole table but its first entry.
+        let every = vec![0..last, 1..last, 0..last];
+        batches.push(("every shard".to_owned(), every));
+        (batches.into_iter())
+            .map(|(name, windows)| {
+                let cycled = (0..windows.len()).map(|i| binned[i % binned.len()].clone());
+                (name, cycled.collect(), windows)
+            })
+            .collect()
+    }
+
+    /// The shard positions a walk of `list` pays, one per run of one
+    /// shard, in list order.
+    fn runs(list: &[u32], shard_of: &[u32]) -> Vec<u32> {
+        let runs = list.chunk_by(|a, b| shard_of[*a as usize] == shard_of[*b as usize]);
+        runs.map(|run| shard_of[run[0] as usize]).collect()
+    }
+
+    /// Check `backend`, whose table is `table`, against `flat` over every
+    /// batch of windows cut at `bounds`, at workers 1, 2 and 8; with
+    /// `sketch`, the prefilter at a covering K and at K = 4 as well (the
+    /// oracle then scans each window's `narrow` survivors).
+    #[allow(clippy::too_many_arguments)]
     fn check<S: RunScorer>(
         name: &str,
         backend: &ShardedBackend,
         flat: &S,
+        table: &CandidateIndex,
         shard_of: &[u32],
-        shards: &[Vec<u32>],
+        bounds: &[u32],
         binned: &[BinnedSpectrum],
         sketch: Option<&SketchIndex>,
     ) {
-        for (batch, queries, lists) in batches(flat, shard_of, shards, binned) {
+        let ids = table.ids();
+        for (batch, queries, windows) in batches(bounds, binned) {
+            let lists: Vec<Vec<u32>> = (windows.iter())
+                .map(|w| ids[w.start as usize..w.end as usize].to_vec())
+                .collect();
             let oracle = best_hits(flat, &queries, &lists);
             assert!(
                 oracle.iter().any(Option::is_some),
                 "{name}/{batch}: no hits"
             );
-            // What a per-query walk pays: one visit per run, in run order.
-            let runs: Vec<Vec<u32>> = (lists.iter())
-                .map(|list| {
-                    let runs = list.chunk_by(|a, b| shard_of[*a as usize] == shard_of[*b as usize]);
-                    runs.map(|run| shard_of[run[0] as usize]).collect()
-                })
-                .collect();
+            let walks: Vec<Vec<u32>> = lists.iter().map(|list| runs(list, shard_of)).collect();
             let mut expected_visits = std::collections::BTreeMap::<u32, u64>::new();
-            for &shard in runs.iter().flatten() {
+            for &shard in walks.iter().flatten() {
                 *expected_visits.entry(shard).or_default() += 1;
             }
             let expected_visits: Vec<(u32, u64)> = expected_visits.into_iter().collect();
             let covering = lists.iter().map(Vec::len).max().unwrap_or(0);
+            // The narrowed lists the oracle scans at K = 4.
+            let narrowed: Option<Vec<Vec<u32>>> = sketch.map(|sketch| {
+                (queries.iter().zip(&lists))
+                    .map(|(query, list)| {
+                        let prepared = flat.prepare(query);
+                        let words = prepared.hv_words().expect("a hypervector query");
+                        sketch.narrow(&sketch.sketch_query(words), list, 4)
+                    })
+                    .collect()
+            });
             for workers in [1, 2, 8] {
                 let at = format!("{name}/{batch}/workers {workers}");
-                let records = backend.search_batch_traced(&queries, &lists, Some(workers), None);
+                let records = backend.search_batch_traced(&queries, &windows, Some(workers), None);
                 assert!(
                     records.iter().map(|r| r.hit).eq(oracle.iter().copied()),
                     "{at}"
                 );
-                for (record, runs) in records.iter().zip(&runs) {
+                for (record, walk) in records.iter().zip(&walks) {
                     let visited: Vec<u32> = record.visits.iter().map(|v| v.0).collect();
-                    assert_eq!(&visited, runs, "{at}");
+                    assert_eq!(&visited, walk, "{at}");
                     assert!(visited.windows(2).all(|w| w[0] < w[1]), "{at}: {visited:?}");
-                    assert_eq!(record.visits.capacity(), runs.len(), "{at}");
+                    assert_eq!(record.visits.capacity(), walk.len(), "{at}");
                     assert_eq!((record.candidates_pre, record.candidates_post), (0, 0));
                 }
                 let (timings, _) = QueryRecord::sum(&records);
                 let counts: Vec<(u32, u64)> = timings.iter().map(|t| (t.shard, t.visits)).collect();
                 assert_eq!(counts, expected_visits, "{at}");
 
-                let Some(sketch) = sketch else { continue };
+                let (Some(sketch), Some(narrowed)) = (sketch, &narrowed) else {
+                    continue;
+                };
                 let filtered = backend.search_batch_traced(
                     &queries,
-                    &lists,
+                    &windows,
                     Some(workers),
                     Some((sketch, covering)),
                 );
@@ -1423,16 +1483,21 @@ mod fan_out {
                     let n = list.len() as u64;
                     assert_eq!((on.candidates_pre, on.candidates_post), (n, n), "{at}");
                 }
+                let oracle = best_hits(flat, &queries, narrowed);
+                let filtered = backend.search_batch_traced(
+                    &queries,
+                    &windows,
+                    Some(workers),
+                    Some((sketch, 4)),
+                );
+                for ((record, hit), list) in filtered.iter().zip(oracle).zip(narrowed) {
+                    assert_eq!(record.hit, hit, "{at}: K = 4");
+                    let visited: Vec<u32> = record.visits.iter().map(|v| v.0).collect();
+                    assert_eq!(visited, runs(list, shard_of), "{at}: K = 4");
+                    assert_eq!(record.candidates_post, list.len() as u64, "{at}: K = 4");
+                }
             }
         }
-    }
-
-    fn shard_lists(index: &LibraryIndex) -> Vec<Vec<u32>> {
-        let shards: Vec<Vec<u32>> = (index.shards())
-            .map(|shard| shard.iter().map(|&(_, id)| id).collect())
-            .collect();
-        assert!(shards.len() > 8, "too few shards to build the batches");
-        shards
     }
 
     fn binned_queries(index: &LibraryIndex, workload: &SyntheticWorkload) -> Vec<BinnedSpectrum> {
@@ -1451,60 +1516,46 @@ mod fan_out {
         for kind in [exact_kind(), hyperoms, rram_kind()] {
             let index = build_index(kind, &library, 16);
             let name = index.kind().name();
-            let shards = shard_lists(&index);
+            let (bounds, table) = (shard_bounds(&index), index.candidate_index());
             let refs = index.shared_references();
             assert!(
-                shards[3..=6]
+                table.ids()[bounds[3] as usize..bounds[7] as usize]
                     .iter()
-                    .flatten()
                     .any(|&id| refs.hv(id as usize).is_none()),
                 "{name}: no shared run holds a rejected reference"
             );
             let backend = index.sharded_backend(THREADS).expect("kind matches");
-            let (shard_of, sketch) = (index.shard_assignment(), index.sketch_index());
+            let (shard_of, sketch) = (shard_of(&index), index.sketch_index());
             let binned = binned_queries(&index, &workload);
+            let sketch = Some(&*sketch);
+            let (table, shard_of, bounds) = (&table, &shard_of[..], &bounds[..]);
             match index.kind() {
                 IndexedBackendKind::Exact(_) => {
                     let flat = index.to_exact_backend(THREADS).expect("exact kind");
                     check(
-                        name,
-                        &backend,
-                        &flat,
-                        &shard_of,
-                        &shards,
-                        &binned,
-                        Some(&sketch),
+                        name, &backend, &flat, table, shard_of, bounds, &binned, sketch,
                     );
                 }
                 IndexedBackendKind::HyperOms(config) => {
                     let flat =
                         ExactBackend::from_shared(config.exact_config(THREADS), refs.clone());
                     check(
-                        name,
-                        &backend,
-                        &flat,
-                        &shard_of,
-                        &shards,
-                        &binned,
-                        Some(&sketch),
+                        name, &backend, &flat, table, shard_of, bounds, &binned, sketch,
                     );
                 }
                 IndexedBackendKind::Rram(_) => {
                     let flat = index.to_accelerator(THREADS).expect("rram kind");
                     check(
-                        name,
-                        &backend,
-                        &flat,
-                        &shard_of,
-                        &shards,
-                        &binned,
-                        Some(&sketch),
+                        name, &backend, &flat, table, shard_of, bounds, &binned, sketch,
                     );
                 }
             }
         }
     }
 
+    /// The one-shard backend an ANN-SoLo engine runs: every window of
+    /// its table is one run, whatever shard bounds the windows were cut
+    /// from.
     #[test]
     fn an_ann_solo_one_shard_loop_equals_the_flat_oracle() {
         let (workload, library) = starved_library(44);
@@ -1514,19 +1565,43 @@ mod fan_out {
             ..AnnSoloConfig::default()
         };
         let flat = AnnSoloBackend::build(&library, config);
-        let backend = ShardedBackend::one_shard(Box::new(flat.clone()), library.len(), THREADS);
-        let shard_of = vec![0; library.len()];
+        let table = index.candidate_index();
+        let backend = ShardedBackend::one_shard(Box::new(flat.clone()), &table, THREADS);
+        assert_eq!(backend.shard_count(), 1);
         let binned = Preprocessor::new(config.preprocess)
             .run_batch(&workload.queries)
             .0;
+        let one_shard = vec![0; library.len()];
+        let bounds = shard_bounds(&index);
         check(
-            "ann-solo",
-            &backend,
-            &flat,
-            &shard_of,
-            &shard_lists(&index),
-            &binned,
+            "ann-solo", &backend, &flat, &table, &one_shard, &bounds, &binned, None,
+        );
+    }
+
+    /// The sketch's rows are the backend's positions only when they
+    /// follow its table; a sketch left in id order is refused at the
+    /// door, not scored against the wrong rows.
+    #[test]
+    #[should_panic(expected = "do not follow the backend's (mass, id) table")]
+    fn a_sketch_in_id_order_is_refused_by_a_mass_ordered_backend() {
+        let workload = tiny_workload(45);
+        let index = build_index(exact_kind(), &workload.library, 16);
+        let table = index.candidate_index();
+        let in_id_order = (0..table.ids().len() as u32).eq(table.ids().iter().copied());
+        assert!(!in_id_order, "the table is in id order: nothing to refuse");
+        let refs = index.shared_references().iter();
+        let by_id = SketchIndex::build(
+            index.dim(),
+            hdoms_prefilter::SKETCH_WORDS,
+            refs.map(|hv| hv.map(|hv| hv.words())),
+        );
+        let backend = index.sharded_backend(THREADS).expect("kind matches");
+        let binned = binned_queries(&index, &workload);
+        let _ = backend.search_batch_traced(
+            &binned[..1],
+            std::slice::from_ref(&(0..8)),
             None,
+            Some((&by_id, 4)),
         );
     }
 }

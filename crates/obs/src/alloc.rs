@@ -30,11 +30,17 @@ fn on_alloc(size: usize, grown: usize) {
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         on_alloc(layout.size(), layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for
+        // `layout` (a non-zero size), which is `System.alloc`'s, and
+        // `layout` is passed on unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size(), Relaxed);
+        // SAFETY: the caller guarantees `ptr` came from this allocator
+        // with `layout`; every block this allocator hands out is
+        // `System`'s (see `alloc`/`realloc`), so `System` frees it.
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -44,6 +50,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
         // allocator may briefly hold both.
         on_alloc(new_size, new_size.saturating_sub(layout.size()));
         LIVE.fetch_sub(layout.size(), Relaxed);
+        // SAFETY: the caller guarantees `ptr` came from this allocator
+        // with `layout` — so from `System` — and a valid non-zero
+        // `new_size`; all three are passed on unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

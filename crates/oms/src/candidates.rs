@@ -2,17 +2,23 @@
 //!
 //! Open search must find, for every query, all reference spectra whose
 //! neutral mass lies in the window's reach. Sorting the library by mass
-//! once makes each lookup two binary searches.
+//! once makes each lookup two binary searches, and the answer a range of
+//! positions in that one table: a query's candidates are a window of it,
+//! never a copied list.
 
 use crate::window::PrecursorWindow;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// An index over reference neutral masses supporting range queries: one
-/// `(neutral mass, library id)` table behind an `Arc` (a clone shares it).
+/// `(neutral mass, library id)` table and its id column, each behind an
+/// `Arc` (a clone shares them).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateIndex {
     by_mass: Arc<Vec<(f64, u32)>>,
+    /// `by_mass`'s ids, position for position: a window's ids are a
+    /// borrowed slice of it.
+    ids: Arc<[u32]>,
 }
 
 impl CandidateIndex {
@@ -28,6 +34,7 @@ impl CandidateIndex {
     /// from decreasing along it (a persistent index's shard walk does).
     pub fn from_sorted(by_mass: Vec<(f64, u32)>) -> CandidateIndex {
         CandidateIndex {
+            ids: by_mass.iter().map(|&(_, id)| id).collect(),
             by_mass: Arc::new(by_mass),
         }
     }
@@ -38,26 +45,22 @@ impl CandidateIndex {
         &self.by_mass
     }
 
+    /// The table's id column, shared: `ids()[p]` is the library id at
+    /// position `p`, so the ids of a [`CandidateIndex::window`] are
+    /// `&ids()[window]`.
+    pub fn ids(&self) -> &Arc<[u32]> {
+        &self.ids
+    }
+
     /// The positions in mass order reachable from a query of neutral
-    /// mass `query_mass` under `window`: two binary searches.
-    fn window(&self, window: &PrecursorWindow, query_mass: f64) -> Range<usize> {
+    /// mass `query_mass` under `window`: two binary searches. Its ids, in
+    /// ascending mass order, are the slice of [`CandidateIndex::ids`] it
+    /// spans.
+    pub fn window(&self, window: &PrecursorWindow, query_mass: f64) -> Range<u32> {
         let (lo, hi) = window.reference_mass_range(query_mass);
         let start = self.by_mass.partition_point(|&(m, _)| m < lo);
         let end = self.by_mass.partition_point(|&(m, _)| m <= hi);
-        start..end
-    }
-
-    /// Library ids of all references reachable from a query of neutral
-    /// mass `query_mass` under `window`, in ascending mass order.
-    pub fn candidates(&self, window: &PrecursorWindow, query_mass: f64) -> Vec<u32> {
-        let reach = self.window(window, query_mass);
-        self.by_mass[reach].iter().map(|&(_, id)| id).collect()
-    }
-
-    /// Like [`CandidateIndex::candidates`] but only counting, for workload
-    /// statistics (the open-search blow-up factor).
-    pub fn candidate_count(&self, window: &PrecursorWindow, query_mass: f64) -> usize {
-        self.window(window, query_mass).len()
+        start as u32..end as u32
     }
 }
 
@@ -71,6 +74,12 @@ mod tests {
         CandidateIndex::from_masses(masses.iter().enumerate().map(|(i, &m)| (m, i as u32)))
     }
 
+    /// The ids `window` reaches from `mass`, copied.
+    fn reached(idx: &CandidateIndex, window: &PrecursorWindow, mass: f64) -> Vec<u32> {
+        let reach = idx.window(window, mass);
+        idx.ids()[reach.start as usize..reach.end as usize].to_vec()
+    }
+
     #[test]
     fn finds_in_range_inclusive() {
         let idx = index_of(&[100.0, 200.0, 300.0, 400.0]);
@@ -79,15 +88,15 @@ mod tests {
             upper: 50.0,
         };
         // query 250 → references in [200, 300]
-        assert_eq!(idx.candidates(&w, 250.0), vec![1, 2]);
-        assert_eq!(idx.candidate_count(&w, 250.0), 2);
+        assert_eq!(idx.window(&w, 250.0), 1..3);
+        assert_eq!(reached(&idx, &w, 250.0), vec![1, 2]);
     }
 
     #[test]
     fn empty_when_nothing_reachable() {
         let idx = index_of(&[100.0, 200.0]);
         let w = PrecursorWindow::StandardPpm(10.0);
-        assert!(idx.candidates(&w, 500.0).is_empty());
+        assert!(idx.window(&w, 500.0).is_empty());
     }
 
     #[test]
@@ -97,7 +106,8 @@ mod tests {
             lower: -1000.0,
             upper: 1000.0,
         };
-        assert_eq!(idx.candidates(&w, 200.0), vec![1, 2, 0]);
+        assert_eq!(reached(&idx, &w, 200.0), vec![1, 2, 0]);
+        assert_eq!(&idx.ids()[..], &[1, 2, 0]);
     }
 
     #[test]
@@ -110,8 +120,8 @@ mod tests {
         let mut open_total = 0usize;
         let mut std_total = 0usize;
         for q in &workload.queries {
-            open_total += idx.candidate_count(&open, q.neutral_mass());
-            std_total += idx.candidate_count(&standard, q.neutral_mass());
+            open_total += idx.window(&open, q.neutral_mass()).len();
+            std_total += idx.window(&standard, q.neutral_mass()).len();
         }
         assert!(
             open_total > 10 * std_total.max(1),
@@ -128,12 +138,12 @@ mod tests {
         let mut checked = 0;
         for (q, t) in workload.queries.iter().zip(&workload.truth) {
             if let hdoms_ms::dataset::QueryTruth::Modified { library_id, .. } = t {
-                let open_cands = idx.candidates(&open, q.neutral_mass());
+                let open_cands = reached(&idx, &open, q.neutral_mass());
                 assert!(
                     open_cands.contains(library_id),
                     "open search must reach the true reference"
                 );
-                let std_cands = idx.candidates(&standard, q.neutral_mass());
+                let std_cands = reached(&idx, &standard, q.neutral_mass());
                 assert!(
                     !std_cands.contains(library_id),
                     "standard search must miss a modified query's reference"
@@ -152,6 +162,6 @@ mod tests {
             upper: 50.0,
         };
         // query 150: reference range [100, 150]
-        assert_eq!(idx.candidates(&w, 150.0), vec![0, 1]);
+        assert_eq!(reached(&idx, &w, 150.0), vec![0, 1]);
     }
 }

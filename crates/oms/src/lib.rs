@@ -35,7 +35,6 @@
 #![deny(unsafe_code)]
 
 pub mod candidates;
-pub mod cascade;
 pub mod fdr;
 pub mod pipeline;
 pub mod profile;

@@ -6,7 +6,7 @@
 //! block that shares it, the **best hit in one run** of candidate ids
 //! (§4.1 search). Everything around them is
 //! written once: the flat per-query loop [`best_hits`] (what the
-//! pipeline, the cascade and the figure binaries drive), the shard
+//! pipeline and the figure binaries drive), the shard
 //! fan-out of `hdoms-index`'s `ShardedBackend` (the loop every engine
 //! runs, tested hit for hit against the flat one), and the
 //! `(score desc, id asc)` order every byte-identity gate depends on
@@ -26,6 +26,7 @@
 //! load — the same layout either way, so nothing above the table knows
 //! which.
 
+use crate::candidates::CandidateIndex;
 use crate::window::PrecursorWindow;
 use hdoms_hdc::corrupt::{flip_bits, flip_bits_in_place};
 use hdoms_hdc::encoder::{EncoderConfig, IdLevelEncoder};
@@ -814,16 +815,17 @@ impl RunScorer for ExactBackend {
     }
 }
 
-/// Convenience: compute per-query candidate lists for a batch (used by
-/// pipelines and benches alike).
+/// Each query's precursor-window candidates copied out as ids, in
+/// ascending mass order — for the flat oracle, tests and benches; the
+/// engine keeps each window as a range ([`CandidateIndex::window`]).
 pub fn candidate_lists(
-    index: &crate::candidates::CandidateIndex,
+    index: &CandidateIndex,
     window: &PrecursorWindow,
     queries: &[BinnedSpectrum],
 ) -> Vec<Vec<u32>> {
-    queries
-        .iter()
-        .map(|q| index.candidates(window, q.neutral_mass))
+    let copy = |r: std::ops::Range<u32>| index.ids()[r.start as usize..r.end as usize].to_vec();
+    (queries.iter())
+        .map(|q| copy(index.window(window, q.neutral_mass)))
         .collect()
 }
 

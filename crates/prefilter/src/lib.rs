@@ -24,19 +24,18 @@
 //! ([`PrefilterConfig::TopK`]). `PrefilterConfig::Off` bypasses the
 //! cascade entirely and is byte-identical to the pre-cascade pipeline.
 //!
-//! Survivors are always emitted in **original candidate-list order**
-//! (ascending precursor mass): the sharded backend depends on
-//! mass-contiguity to walk shard runs, and a stable order keeps the
-//! exact stage's tie-breaking identical to an unfiltered scan over the
-//! same set.
+//! A query's candidates reach the sketch stage as a **window**, a range
+//! of rows (an index keeps the rows in its `(mass, id)` table's order),
+//! and survivors come back as rows, ascending: the sharded backend walks
+//! shard runs in mass order, and ties break by id as in the exact scan.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 use hdoms_hdc::kernels::{self, KernelDispatch, QUERY_TILE};
 use hdoms_hdc::parallel::par_map;
-use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Default signature width in 64-bit words (1024 bits). Wide enough
@@ -143,8 +142,7 @@ pub struct PrefilterStats {
 /// One query's outcome of [`SketchIndex::narrow_batch`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Narrowed {
-    /// The candidates forwarded to the exact stage, in candidate-list
-    /// order.
+    /// The rows forwarded to the exact stage, ascending.
     pub survivors: Vec<u32>,
     /// The query's share of the wall-clock of the block it was narrowed
     /// in: a block's nanoseconds split evenly between its queries, the
@@ -156,10 +154,10 @@ pub struct Narrowed {
 /// A folded-hypervector sketch index: one fixed-width signature per
 /// reference slot, in a dense row-major table whose rows are stored in
 /// an order the owner chooses ([`SketchIndex::in_row_order`]), found by
-/// one id → row map and its inverse. A library index stores them in its
-/// `(mass, id)` order, so a precursor window's candidates are consecutive
-/// rows that stream through the slab kernel cache line by cache line.
-/// Equality compares the rows in their stored order.
+/// one id → row map and the row → id column of that order. A library
+/// index stores them in its `(mass, id)` order, so a precursor window
+/// *is* a range of rows, and it streams through the slab kernel cache
+/// line by cache line. Equality compares the rows in their stored order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SketchIndex {
     /// Words per full reference hypervector (`ceil(dim / 64)`), kept
@@ -173,10 +171,9 @@ pub struct SketchIndex {
     table: Vec<u64>,
     /// `row_of[id]` is slot `id`'s row in `table`; one entry per slot.
     row_of: Vec<u32>,
-    /// The inverse map: `ids[row]` is the slot whose signature `row`
-    /// holds, so a list of consecutive rows is recognised by comparing
-    /// it with a slice of this.
-    ids: Vec<u32>,
+    /// The inverse map, shared with the order's owner: `ids[row]` is the
+    /// slot whose signature `row` holds (`None`: rows in id order).
+    ids: Option<Arc<[u32]>>,
     /// Presence bitset over slots (bit `id % 64` of word `id / 64`):
     /// references preprocessing rejected carry no hypervector and must
     /// never be forwarded by the sketch stage.
@@ -192,24 +189,24 @@ const ABSENT: u32 = u32::MAX;
 /// queries' histograms until they are folded in.
 const ROW_TILE: usize = 256;
 
-/// One query's sketch distances over its candidate list (`ABSENT` for a
-/// candidate without a signature), and how many present candidates sit
-/// at each distance.
+/// One query's sketch distances over its window (`ABSENT` for a row
+/// without a signature), and how many present rows sit at each
+/// distance.
 struct Scores {
     distance: Vec<u32>,
     histogram: Vec<u32>,
 }
 
 impl Scores {
-    fn new(candidates: usize, sketch_dim: usize) -> Scores {
+    fn new(rows: usize, sketch_dim: usize) -> Scores {
         Scores {
-            distance: vec![ABSENT; candidates],
+            distance: vec![ABSENT; rows],
             histogram: vec![0; sketch_dim + 1],
         }
     }
 
-    /// Take the kernel's distances of the candidates from list position
-    /// `at` on; the ones at offsets `absent` have no signature and keep
+    /// Take the kernel's distances of the rows from window offset `at`
+    /// on; the ones at offsets `absent` have no signature and keep
     /// `ABSENT`.
     fn fold(&mut self, at: usize, scored: &[u32], absent: &[usize]) {
         self.distance[at..at + scored.len()].copy_from_slice(scored);
@@ -221,15 +218,6 @@ impl Scores {
             self.distance[at + r] = ABSENT;
         }
     }
-}
-
-/// What one worker narrows at a time in [`SketchIndex::narrow_batch`].
-enum Job<'a> {
-    /// Up to [`QUERY_TILE`] row-run lists longer than K, as `(first row,
-    /// query)`, swept together.
-    Runs(&'a [(usize, usize)]),
-    /// Any other query, alone.
-    Single(usize),
 }
 
 /// Mark `row` in the bitset `seen`; whether it was unmarked.
@@ -262,7 +250,7 @@ impl SketchIndex {
             selected: SketchIndex::word_selection(full_words, target_words),
             table: Vec::new(),
             row_of: Vec::new(),
-            ids: Vec::new(),
+            ids: None,
             present: Vec::new(),
         }
     }
@@ -274,8 +262,9 @@ impl SketchIndex {
     /// # Panics
     ///
     /// Panics if a present slot's word count differs from
-    /// `ceil(dim / 64)`.
+    /// `ceil(dim / 64)`, or once the rows left id order.
     pub fn push(&mut self, hv: Option<&[u64]>) {
+        assert!(self.ids.is_none(), "push grows an index in id order");
         let id = self.len();
         if self.present.len() * 64 <= id {
             self.present.push(0u64);
@@ -296,7 +285,6 @@ impl SketchIndex {
                 .extend(std::iter::repeat_n(0u64, self.selected.len())),
         }
         self.row_of.push(id as u32);
-        self.ids.push(id as u32);
     }
 
     /// Build signatures for every slot of a reference table, in id
@@ -370,21 +358,22 @@ impl SketchIndex {
             selected,
             table,
             row_of: (0..slots as u32).collect(),
-            ids: (0..slots as u32).collect(),
+            ids: None,
             present,
         })
     }
 
     /// This index with its rows stored in the order `ids` lists the
-    /// slots: row `r` holds slot `ids[r]`'s signature. Signatures, and
-    /// so every [`SketchIndex::narrow`], are unchanged; only which
-    /// candidates sit in consecutive rows moves. The rows move in place,
-    /// cycle by cycle through one spare row.
+    /// slots: row `r` holds slot `ids[r]`'s signature, and `ids` (a
+    /// handle on it) is kept as the row → slot column. Signatures are
+    /// unchanged; only which slots sit in consecutive rows moves. The rows
+    /// move in place, cycle by cycle through one spare row.
     ///
     /// # Panics
     ///
     /// Panics unless `ids` lists every slot exactly once.
-    pub fn in_row_order(mut self, ids: impl IntoIterator<Item = u32>) -> SketchIndex {
+    pub fn in_row_order(mut self, ids: impl Into<Arc<[u32]>>) -> SketchIndex {
+        let ids: Arc<[u32]> = ids.into();
         let (slots, width) = (self.len(), self.words());
         let mut spare = vec![0u64; width];
         let mut seen = vec![0u64; slots.div_ceil(64)];
@@ -408,15 +397,13 @@ impl SketchIndex {
         }
         // Then out to `ids`' order: row `id` goes to row `row_of[id]`.
         self.row_of.fill(u32::MAX);
-        self.ids.clear();
-        for id in ids {
+        for (row, &id) in ids.iter().enumerate() {
             match self.row_of.get_mut(id as usize) {
-                Some(row) if *row == u32::MAX => *row = self.ids.len() as u32,
+                Some(slot) if *slot == u32::MAX => *slot = row as u32,
                 _ => panic!("row order lists slot {id} twice or beyond {slots} slots"),
             }
-            self.ids.push(id);
         }
-        assert_eq!(self.ids.len(), slots, "row order misses a slot");
+        assert_eq!(ids.len(), slots, "row order misses a slot");
         seen.fill(0);
         for start in 0..slots {
             if !first_visit(&mut seen, start) {
@@ -432,7 +419,23 @@ impl SketchIndex {
             }
             self.table[start * width..][..width].copy_from_slice(&spare);
         }
+        self.ids = Some(ids);
         self
+    }
+
+    /// Whether row `r` holds slot `order[r]` for every row, so a table
+    /// whose id column `order` is has its positions as rows (at once
+    /// when `order` is the column [`SketchIndex::in_row_order`] kept).
+    pub fn rows_follow(&self, order: &Arc<[u32]>) -> bool {
+        match &self.ids {
+            Some(ids) => Arc::ptr_eq(ids, order) || ids == order,
+            None => order.len() == self.len() && (0..).zip(order.iter()).all(|(r, &id)| r == id),
+        }
+    }
+
+    /// The slot whose signature `row` holds.
+    fn slot_at(&self, row: usize) -> u32 {
+        self.ids.as_ref().map_or(row as u32, |ids| ids[row])
     }
 
     /// Number of reference slots covered.
@@ -500,94 +503,89 @@ impl SketchIndex {
             .collect()
     }
 
-    /// The sketch stage for one query: [`SketchIndex::narrow_batch`]
-    /// over a batch of one, on the calling thread.
+    /// The sketch stage for one query over a window copied out as ids:
+    /// [`SketchIndex::narrow_batch`] over its rows on the calling thread,
+    /// the survivors handed back as ids, in list order.
     ///
     /// # Panics
     ///
-    /// Panics if `query_sketch` is not [`SketchIndex::words`] long.
+    /// Panics if `query_sketch` is not [`SketchIndex::words`] long, or
+    /// if `candidates` is not the slots of consecutive rows, in row order.
     pub fn narrow(&self, query_sketch: &[u64], candidates: &[u32], k: usize) -> Vec<u32> {
-        let mut narrowed = self.narrow_batch(&[(query_sketch, candidates)], k, 1);
-        narrowed.pop().expect("one query in, one out").survivors
+        let row = |id: u32| self.row_of.get(id as usize).copied();
+        let first = candidates.first().map_or(Some(0), |&id| row(id));
+        let first = first.unwrap_or(u32::MAX);
+        let rows = first..first.saturating_add(candidates.len() as u32);
+        let named = rows.end as usize <= self.len()
+            && (rows.clone().zip(candidates)).all(|(row, &id)| self.slot_at(row as usize) == id);
+        assert!(named, "narrow takes a window of consecutive rows");
+        let narrowed = self.narrow_batch(&[(query_sketch, rows)], k, 1);
+        let survivors = narrowed[0].survivors.iter();
+        survivors.map(|&row| self.slot_at(row as usize)).collect()
     }
 
-    /// The sketch stage for a batch: each `(query sketch, candidate
-    /// list)` keeps the `k` candidates whose signatures score best
-    /// against its query, ranked by `(dot desc, id asc)` — the same
-    /// tie-break the exact scan applies. Survivors are returned in
-    /// **original candidate-list order** (ascending precursor mass),
-    /// which the sharded backend's run walk depends on. A query's
-    /// survivors do not depend on the rest of the batch, nor on
-    /// `workers`.
+    /// The sketch stage for a batch: each `(query sketch, window of
+    /// rows)` keeps the `k` rows whose signatures score best against its
+    /// query, ranked by `(dot desc, slot id asc)` — the exact scan's
+    /// tie-break — as rows, ascending. A query's survivors do not depend
+    /// on the rest of the batch, nor on `workers`.
     ///
-    /// Lists already at or below `k` pass through untouched (absent
-    /// slots included), so `TopK(K ≥ window)` is *exactly* the
-    /// unfiltered scan. Longer lists drop absent slots (the exact
-    /// stage would skip them anyway; an id beyond the index counts as
-    /// absent) and then keep the top `k` present scorers.
+    /// A window at or below `k` passes through whole (absent slots
+    /// included), so `TopK(K ≥ window)` is *exactly* the unfiltered
+    /// scan. A longer one drops absent slots (the exact stage would skip
+    /// them anyway) and keeps the top `k` present scorers.
     ///
-    /// A longer list that is a run of consecutive rows — a precursor
-    /// window, when the rows are in the index's `(mass, id)` order —
-    /// is swept with others: such lists are sorted by first row and cut
-    /// into blocks of at most [`QUERY_TILE`] (more, smaller blocks when
-    /// that leaves a worker idle), and a block scores each row of the
-    /// union of its runs once, through
-    /// [`KernelDispatch::hamming_slab`], against every query whose run
-    /// covers it. Any other list is scored alone, one stretch of
-    /// consecutive rows at a time. Blocks run on up to `workers`
-    /// threads.
+    /// The longer windows are sorted by first row and cut into blocks of
+    /// at most [`QUERY_TILE`] (more, smaller blocks when that leaves a
+    /// worker idle); a block scores each row of the union of its windows
+    /// once, through [`KernelDispatch::hamming_slab`], against every
+    /// query whose window covers it, on up to `workers` threads.
     ///
     /// Sketch distances are integers in `0..=words·64`, so one histogram
     /// of them per query finds the `k`-th distance `t`: the survivors
-    /// are every candidate nearer than `t` and the smallest ids at `t`,
-    /// emitted in one pass over the list.
+    /// are every row nearer than `t` and the smallest slot ids at `t`,
+    /// emitted in one pass over the window.
     ///
     /// # Panics
     ///
-    /// Panics if a query sketch is not [`SketchIndex::words`] long.
+    /// Panics if a query sketch is not [`SketchIndex::words`] long, or a
+    /// window reaches beyond the last row.
     pub fn narrow_batch(
         &self,
-        batch: &[(&[u64], &[u32])],
+        batch: &[(&[u64], Range<u32>)],
         k: usize,
         workers: usize,
     ) -> Vec<Narrowed> {
-        for &(query, _) in batch {
+        let mut out = vec![Narrowed::default(); batch.len()];
+        for ((query, rows), out) in batch.iter().zip(&mut out) {
             assert_eq!(query.len(), self.words(), "query sketch width");
-        }
-        let (mut runs, mut singles) = (Vec::new(), Vec::new());
-        for (i, &(_, list)) in batch.iter().enumerate() {
-            match (k > 0 && list.len() > k).then(|| self.row_run(list)) {
-                Some(Some(first)) => runs.push((first, i)),
-                _ => singles.push(Job::Single(i)),
+            let inside = rows.end as usize <= self.len();
+            assert!(inside, "a window reaches beyond the rows");
+            if rows.len() <= k {
+                out.survivors = rows.clone().collect();
             }
         }
+        let mut runs: Vec<(u32, usize)> = (batch.iter().enumerate())
+            .filter(|(_, (_, rows))| k > 0 && rows.len() > k)
+            .map(|(i, (_, rows))| (rows.start, i))
+            .collect();
         runs.sort_unstable();
         let blocks = runs.len().div_ceil(QUERY_TILE).max(runs.len().min(workers));
         let cut = |b: usize| b * runs.len() / blocks;
-        let jobs: Vec<Job> = (0..blocks)
-            .map(|b| Job::Runs(&runs[cut(b)..cut(b + 1)]))
-            .chain(singles)
-            .collect();
+        let jobs: Vec<&[(u32, usize)]> = (0..blocks).map(|b| &runs[cut(b)..cut(b + 1)]).collect();
 
         let kernel = kernels::active();
-        let done = par_map(&jobs, workers, |job| {
+        let done = par_map(&jobs, workers, |block| {
             let start = Instant::now();
-            let narrowed: Vec<(usize, Vec<u32>)> = match *job {
-                Job::Runs(block) => {
-                    let scores = self.score_runs(kernel, batch, block);
-                    (block.iter().zip(scores))
-                        .map(|(&(_, i), scores)| (i, select(batch[i].1, &scores, k)))
-                        .collect()
-                }
-                Job::Single(i) => vec![(i, self.narrow_one(kernel, batch[i], k))],
-            };
+            let scores = self.score_runs(kernel, batch, block);
+            let narrowed: Vec<Vec<u32>> = (block.iter().zip(scores))
+                .map(|(&(first, _), scores)| self.select(first, &scores, k))
+                .collect();
             (narrowed, start.elapsed().as_nanos() as u64)
         });
-
-        let mut out = vec![Narrowed::default(); batch.len()];
-        for (narrowed, ns) in done {
-            let sharers = narrowed.len() as u64;
-            for (member, (i, survivors)) in narrowed.into_iter().enumerate() {
+        for (block, (narrowed, ns)) in jobs.iter().zip(done) {
+            let sharers = block.len() as u64;
+            for (member, (&(_, i), survivors)) in block.iter().zip(narrowed).enumerate() {
                 let share = ns / sharers + if member == 0 { ns % sharers } else { 0 };
                 out[i] = Narrowed {
                     survivors,
@@ -598,66 +596,21 @@ impl SketchIndex {
         out
     }
 
-    /// The first row of `list` if it lists consecutive rows in row
-    /// order, one slot each.
-    fn row_run(&self, list: &[u32]) -> Option<usize> {
-        let first = *self.row_of.get(*list.first()? as usize)? as usize;
-        (self.ids.get(first..first + list.len())? == list).then_some(first)
-    }
-
-    /// One query alone: a list at or below `k` passes through, any other
-    /// is scored one stretch of consecutive rows at a time.
-    fn narrow_one(
-        &self,
-        kernel: KernelDispatch,
-        (query, list): (&[u64], &[u32]),
-        k: usize,
-    ) -> Vec<u32> {
-        if list.len() <= k {
-            return list.to_vec();
-        }
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut scores = Scores::new(list.len(), self.words() * 64);
-        let mut scratch = vec![0u32; ROW_TILE];
-        let row = |id: &u32| self.row_of.get(*id as usize).map(|&row| row as usize);
-        let mut at = 0;
-        for stretch in
-            list.chunk_by(|a, b| matches!((row(a), row(b)), (Some(x), Some(y)) if y == x + 1))
-        {
-            if let Some(first) = row(&stretch[0]) {
-                let rows = first..first + stretch.len();
-                self.sweep(
-                    kernel,
-                    &[query],
-                    rows,
-                    &mut scratch,
-                    |_, from, scored, absent| {
-                        scores.fold(at + from - first, scored, absent);
-                    },
-                );
-            }
-            at += stretch.len();
-        }
-        select(list, &scores, k)
-    }
-
-    /// A block of row runs (`(first row, query)`, at most
-    /// [`QUERY_TILE`]): the union of their rows, cut at every run's ends,
-    /// so each piece is swept once against exactly the queries whose run
-    /// covers all of it.
+    /// A block of windows (`(first row, query)`, at most
+    /// [`QUERY_TILE`]): the union of their rows, cut at every window's
+    /// ends, so each piece is swept once against exactly the queries
+    /// whose window covers all of it.
     fn score_runs(
         &self,
         kernel: KernelDispatch,
-        batch: &[(&[u64], &[u32])],
-        block: &[(usize, usize)],
+        batch: &[(&[u64], Range<u32>)],
+        block: &[(u32, usize)],
     ) -> Vec<Scores> {
         let sketch_dim = self.words() * 64;
+        let span = |&(_, i): &(u32, usize)| batch[i].1.start as usize..batch[i].1.end as usize;
         let mut scores: Vec<Scores> = (block.iter())
-            .map(|&(_, i)| Scores::new(batch[i].1.len(), sketch_dim))
+            .map(|run| Scores::new(span(run).len(), sketch_dim))
             .collect();
-        let span = |&(first, i): &(usize, usize)| first..first + batch[i].1.len();
         let mut cuts: Vec<usize> = block
             .iter()
             .map(span)
@@ -685,7 +638,7 @@ impl SketchIndex {
                 rows,
                 &mut scratch,
                 |q, from, scored, absent| {
-                    let first = block[covering[q]].0;
+                    let first = block[covering[q]].0 as usize;
                     scores[covering[q]].fold(from - first, scored, absent);
                 },
             );
@@ -711,10 +664,7 @@ impl SketchIndex {
         for from in rows.clone().step_by(ROW_TILE) {
             let count = ROW_TILE.min(rows.end - from);
             absent.clear();
-            let slots = self.ids[from..from + count].iter();
-            absent.extend(
-                (slots.enumerate()).filter_map(|(r, &id)| (!self.is_present(id)).then_some(r)),
-            );
+            absent.extend((0..count).filter(|&r| !self.is_present(self.slot_at(from + r))));
             let slab = &self.table[from * width..(from + count) * width];
             let scored = &mut scratch[..queries.len() * count];
             kernel.hamming_slab(width, queries, slab, scored);
@@ -723,69 +673,54 @@ impl SketchIndex {
             }
         }
     }
-}
 
-/// The selection over one query's scores: the threshold `t` from the
-/// histogram, then every candidate nearer than `t` and the smallest ids
-/// at `t`, in list order.
-fn select(candidates: &[u32], scores: &Scores, k: usize) -> Vec<u32> {
-    /// Candidates per step of the pre-scan for distances up to `t`.
-    const STRIDE: usize = 16;
-    let Scores {
-        distance,
-        histogram,
-    } = scores;
-    if histogram.iter().map(|&n| n as usize).sum::<usize>() <= k {
-        let present = candidates.iter().zip(distance);
-        return (present.filter(|&(_, &d)| d != ABSENT))
-            .map(|(&id, _)| id)
-            .collect();
-    }
-    // The threshold `t`: the nearest distance whose running count
-    // reaches `k`; `need` of the candidates at `t` survive.
-    let (mut t, mut need) = (0, k);
-    while need > histogram[t] as usize {
-        need -= histogram[t] as usize;
-        t += 1;
-    }
-    let t = t as u32;
-    // The candidates at `t` or nearer, in list order: a few hundred of a
-    // long list, so a stretch whose nearest distance is beyond `t` (one
-    // vector minimum) is skipped whole.
-    let mut near: Vec<(u32, u32)> = Vec::with_capacity(2 * k);
-    for (ids, ds) in candidates.chunks(STRIDE).zip(distance.chunks(STRIDE)) {
-        if ds.iter().fold(ABSENT, |nearest, &d| nearest.min(d)) <= t {
-            let hits = ids.iter().zip(ds).filter(|&(_, &d)| d <= t);
-            near.extend(hits.map(|(&id, &d)| (id, d)));
+    /// The selection over one window's scores, its first row `first`:
+    /// the threshold `t` from the histogram, then every row nearer than
+    /// `t` and the smallest slot ids at `t`, in row order.
+    fn select(&self, first: u32, scores: &Scores, k: usize) -> Vec<u32> {
+        /// Rows per step of the pre-scan for distances up to `t`.
+        const STRIDE: usize = 16;
+        let Scores {
+            distance,
+            histogram,
+        } = scores;
+        if histogram.iter().map(|&n| n as usize).sum::<usize>() <= k {
+            let present = (first..).zip(distance);
+            return (present.filter(|&(_, &d)| d != ABSENT))
+                .map(|(row, _)| row)
+                .collect();
         }
-    }
-    // The ties at `t` that survive: ids below `cut`, then `quota`
-    // of the ones equal to it (more than one only if the list
-    // repeats an id). When every tie survives, `cut` passes them all.
-    let (cut, mut quota) = if need == histogram[t as usize] as usize {
-        (u32::MAX, 0)
-    } else {
-        let tied = near.iter().filter(|&&(_, d)| d == t);
-        let mut tied: Vec<u32> = tied.map(|&(id, _)| id).collect();
-        let (below, &mut cut, _) = tied.select_nth_unstable(need - 1);
-        (cut, need - below.iter().filter(|&&id| id < cut).count())
-    };
-    let mut survivors = Vec::with_capacity(k);
-    for (id, d) in near {
-        let keep = match d.cmp(&t) {
-            Ordering::Less => true,
-            Ordering::Equal if id < cut => true,
-            Ordering::Equal if id == cut && quota > 0 => {
-                quota -= 1;
-                true
+        // The threshold `t`: the nearest distance whose running count
+        // reaches `k`; `need` of the rows at `t` survive.
+        let (mut t, mut need) = (0, k);
+        while need > histogram[t] as usize {
+            need -= histogram[t] as usize;
+            t += 1;
+        }
+        let t = t as u32;
+        // The rows at `t` or nearer, in row order: a few hundred of a
+        // long window, so a stretch whose nearest distance is beyond `t`
+        // (one vector minimum) is skipped whole.
+        let mut near: Vec<(u32, u32)> = Vec::with_capacity(2 * k);
+        for (at, ds) in (first..).step_by(STRIDE).zip(distance.chunks(STRIDE)) {
+            if ds.iter().fold(ABSENT, |nearest, &d| nearest.min(d)) <= t {
+                let hits = (at..).zip(ds).filter(|&(_, &d)| d <= t);
+                near.extend(hits.map(|(row, &d)| (row, d)));
             }
-            _ => false,
-        };
-        if keep {
-            survivors.push(id);
         }
+        // The ties at `t` that survive: the `need` smallest slot ids
+        // among them (a row holds one slot, so those are the ones up to
+        // the `need`-th). When every tie survives, `cut` passes them all.
+        let cut = if need == histogram[t as usize] as usize {
+            u32::MAX
+        } else {
+            let tied = near.iter().filter(|&&(_, d)| d == t);
+            let mut tied: Vec<u32> = tied.map(|&(row, _)| self.slot_at(row as usize)).collect();
+            *tied.select_nth_unstable(need - 1).1
+        };
+        let keep = |&(row, d): &(u32, u32)| d < t || d == t && self.slot_at(row as usize) <= cut;
+        near.into_iter().filter(keep).map(|(row, _)| row).collect()
     }
-    survivors
 }
 
 #[cfg(test)]
@@ -920,58 +855,65 @@ mod tests {
             .collect()
     }
 
+    /// A random row order over `slots` references drawn from a third as
+    /// many distinct hypervectors (so equal sketch distances crowd the
+    /// threshold), one in ten absent, under a 4- or 16-word signature:
+    /// the index in id order, the same index in the row order, and the
+    /// order.
+    fn shuffled_sketch(
+        rng: &mut StdRng,
+        seed: u64,
+        slots: usize,
+        narrow_sketch: bool,
+    ) -> (SketchIndex, SketchIndex, Vec<u32>) {
+        let dim = 1024;
+        let distinct = random_refs(slots.div_ceil(3), dim, seed);
+        let refs: Vec<Option<&[u64]>> = (0..slots)
+            .map(|_| {
+                let hv = distinct[rng.gen_range(0..distinct.len())].words();
+                (!rng.gen_bool(0.1)).then_some(hv)
+            })
+            .collect();
+        let words = if narrow_sketch { 4 } else { SKETCH_WORDS };
+        let by_id = SketchIndex::build(dim, words, refs.iter().copied());
+        let mut order: Vec<u32> = (0..slots as u32).collect();
+        order.shuffle(rng);
+        let sketch = by_id.clone().in_row_order(order.clone());
+        (by_id, sketch, order)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// For any row order, any candidate list — a subset of the
-        /// slots, mass-like runs or shuffled, some ids listed twice — and
-        /// any K from 1 to one past the list, `narrow` keeps exactly the reference ranking's
-        /// survivors. Duplicated references and a 4-word signature crowd
-        /// the threshold distance with ties; absent slots never survive
-        /// a narrowed list.
+        /// For any row order, any window of it — a range of rows, as a
+        /// precursor window is of an index's `(mass, id)` order — and any
+        /// K from 1 to one past the window, `narrow` keeps exactly the
+        /// reference ranking's survivors, and `narrow_batch` the rows
+        /// that hold them. Duplicated references and a 4-word signature
+        /// crowd the threshold distance with ties; absent slots never
+        /// survive a narrowed window.
         #[test]
         fn narrowing_matches_a_scalar_reference_ranking(
             seed in 0u64..u64::MAX,
             slots in 1usize..300,
             narrow_sketch in any::<bool>(),
-            shuffled in any::<bool>(),
-            repeats in any::<bool>(),
             k_share in 0.0f64..1.0,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let dim = 1024;
-            let distinct = random_refs(slots.div_ceil(3), dim, seed);
-            let refs: Vec<Option<&[u64]>> = (0..slots)
-                .map(|_| {
-                    let hv = distinct[rng.gen_range(0..distinct.len())].words();
-                    (!rng.gen_bool(0.1)).then_some(hv)
-                })
-                .collect();
-            let words = if narrow_sketch { 4 } else { SKETCH_WORDS };
-            let by_id = SketchIndex::build(dim, words, refs.iter().copied());
-            let mut order: Vec<u32> = (0..slots as u32).collect();
-            order.shuffle(&mut rng);
-            let sketch = by_id.clone().in_row_order(order.iter().copied());
+            let (by_id, sketch, order) = shuffled_sketch(&mut rng, seed, slots, narrow_sketch);
             prop_assert_eq!(rows_by_id(&sketch), rows_by_id(&by_id));
 
-            let mut list: Vec<u32> = (0..slots as u32).filter(|_| rng.gen_bool(0.7)).collect();
-            if shuffled {
-                list.shuffle(&mut rng);
-            } else {
-                // Runs of the row order, like a precursor window.
-                list = order.iter().copied().filter(|id| list.contains(id)).collect();
-            }
-            if repeats {
-                // An id listed twice fills at most one survivor slot per
-                // listing, earlier listings first.
-                let twice = |&id: &u32| std::iter::repeat_n(id, 1 + usize::from(rng.gen_bool(0.2)));
-                list = list.iter().flat_map(twice).collect();
-            }
-            let query = sketch.sketch_query(random_refs(1, dim, seed ^ 1)[0].words());
+            let start = rng.gen_range(0..slots);
+            let end = rng.gen_range(start..=slots);
+            let list = &order[start..end];
+            let query = sketch.sketch_query(random_refs(1, 1024, seed ^ 1)[0].words());
             let k = 1 + (k_share * (list.len() + 1) as f64) as usize;
-            let survivors = sketch.narrow(&query, &list, k);
-            prop_assert_eq!(&survivors, &reference_ranking(&sketch, &query, &list, k));
-            prop_assert_eq!(survivors, by_id.narrow(&query, &list, k));
+            let survivors = sketch.narrow(&query, list, k);
+            prop_assert_eq!(&survivors, &reference_ranking(&sketch, &query, list, k));
+            let rows = start as u32..end as u32;
+            let narrowed = sketch.narrow_batch(&[(&query[..], rows)], k, 1);
+            let slots: Vec<u32> = narrowed[0].survivors.iter().map(|&r| order[r as usize]).collect();
+            prop_assert_eq!(slots, survivors);
         }
     }
 
@@ -981,9 +923,9 @@ mod tests {
         /// A batch narrows each query to exactly its reference ranking's
         /// survivors, whatever else rides in it: 1..=40 queries (across
         /// the 8-query block), overlapping windows of a shuffled row
-        /// order beside shuffled lists, ids listed twice, lists at or
-        /// below K, absent slots, 4- and 16-word signatures, K from 1 to
-        /// one past the longest list, on 1..=3 workers.
+        /// order, empty ones and ones at or below K among them, absent
+        /// slots, 4- and 16-word signatures, K from 1 to one past the
+        /// longest window, on 1..=3 workers.
         #[test]
         fn a_batch_narrows_each_query_as_the_reference_ranking_does(
             seed in 0u64..u64::MAX,
@@ -994,53 +936,59 @@ mod tests {
             workers in 1usize..=3,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let dim = 1024;
-            let distinct = random_refs(slots.div_ceil(3), dim, seed);
-            let refs: Vec<Option<&[u64]>> = (0..slots)
+            let (_, sketch, order) = shuffled_sketch(&mut rng, seed, slots, narrow_sketch);
+            let windows: Vec<Range<u32>> = (0..queries)
                 .map(|_| {
-                    let hv = distinct[rng.gen_range(0..distinct.len())].words();
-                    (!rng.gen_bool(0.1)).then_some(hv)
-                })
-                .collect();
-            let words = if narrow_sketch { 4 } else { SKETCH_WORDS };
-            let mut order: Vec<u32> = (0..slots as u32).collect();
-            order.shuffle(&mut rng);
-            let sketch = SketchIndex::build(dim, words, refs.iter().copied())
-                .in_row_order(order.iter().copied());
-
-            let lists: Vec<Vec<u32>> = (0..queries)
-                .map(|_| {
-                    let start = rng.gen_range(0..slots);
-                    let end = rng.gen_range(start..=slots);
-                    let mut list = order[start..end].to_vec();
-                    match rng.gen_range(0..4) {
-                        // A window: a run of the row order.
-                        0 | 1 => {}
-                        2 => list.shuffle(&mut rng),
-                        _ => {
-                            let twice = |&id: &u32| std::iter::repeat_n(id, 1 + usize::from(rng.gen_bool(0.2)));
-                            list = list.iter().flat_map(twice).collect();
-                        }
-                    }
-                    list
+                    let start = rng.gen_range(0..=slots as u32);
+                    start..rng.gen_range(start..=slots as u32)
                 })
                 .collect();
             let signatures: Vec<Vec<u64>> = (0..queries as u64)
-                .map(|q| sketch.sketch_query(random_refs(1, dim, seed ^ (q + 1))[0].words()))
+                .map(|q| sketch.sketch_query(random_refs(1, 1024, seed ^ (q + 1))[0].words()))
                 .collect();
-            let longest = lists.iter().map(Vec::len).max().unwrap_or(0);
+            let longest = windows.iter().map(|w| w.len()).max().unwrap_or(0);
             let k = 1 + (k_share * (longest + 1) as f64) as usize;
-            let batch: Vec<(&[u64], &[u32])> = (signatures.iter().zip(&lists))
-                .map(|(signature, list)| (&signature[..], &list[..]))
+            let batch: Vec<(&[u64], Range<u32>)> = (signatures.iter().zip(&windows))
+                .map(|(signature, window)| (&signature[..], window.clone()))
                 .collect();
             let narrowed = sketch.narrow_batch(&batch, k, workers);
             prop_assert_eq!(narrowed.len(), queries);
-            for ((signature, list), narrowed) in batch.iter().zip(&narrowed) {
+            for ((signature, window), narrowed) in batch.iter().zip(&narrowed) {
+                let list = &order[window.start as usize..window.end as usize];
                 let expected = reference_ranking(&sketch, signature, list, k);
-                prop_assert_eq!(&narrowed.survivors, &expected);
+                let slots: Vec<u32> = narrowed.survivors.iter().map(|&r| order[r as usize]).collect();
+                prop_assert_eq!(&slots, &expected);
+                prop_assert!(narrowed.survivors.iter().all(|r| window.contains(r)));
                 prop_assert_eq!(&sketch.narrow(signature, list, k), &expected);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "narrow takes a window")]
+    fn narrow_refuses_a_list_that_is_not_a_window() {
+        let refs = random_refs(8, 512, 10);
+        let sketch = sketch_of(&refs, 512).in_row_order([7, 6, 5, 4, 3, 2, 1, 0]);
+        let query = sketch.sketch_query(refs[0].words());
+        // Slots 0..3 sit in rows 7, 6, 5: consecutive, but not in row order.
+        let _ = sketch.narrow(&query, &[0, 1, 2], 1);
+    }
+
+    #[test]
+    fn rows_follow_the_order_they_were_put_in() {
+        let refs = random_refs(4, 512, 11);
+        let order: Arc<[u32]> = Arc::from([3, 1, 0, 2]);
+        let sketch = sketch_of(&refs, 512).in_row_order(Arc::clone(&order));
+        assert!(sketch.rows_follow(&order));
+        assert!(
+            sketch.rows_follow(&Arc::from([3, 1, 0, 2])),
+            "an equal column"
+        );
+        assert!(!sketch.rows_follow(&Arc::from([0, 1, 2, 3])));
+        let by_id = sketch_of(&refs, 512);
+        assert!(by_id.rows_follow(&Arc::from([0, 1, 2, 3])));
+        assert!(!by_id.rows_follow(&order));
+        assert!(!by_id.rows_follow(&Arc::from([0, 1, 2])));
     }
 
     #[test]

@@ -1,41 +1,62 @@
 //! Recover the modification catalogue from open-search results.
 //!
-//! Runs the two-pass cascade search (ANN-SoLo's strategy, §2.1) and
-//! histograms the precursor mass deltas of the accepted identifications.
-//! Each post-translational modification in the sample shows up as a peak
-//! at its characteristic mass shift — demonstrating that open search
-//! doesn't just match more spectra, it *discovers* which modifications
-//! are present.
+//! Runs the two-pass search ANN-SoLo uses (§2.1) on one engine — a
+//! standard-window pass over every query, then an open-window pass over
+//! the queries the first pass left unidentified, each pass FDR-filtered
+//! on its own — and histograms the precursor mass deltas of the accepted
+//! identifications. Each post-translational modification in the sample
+//! shows up as a peak at its characteristic mass shift — demonstrating
+//! that open search doesn't just match more spectra, it *discovers*
+//! which modifications are present.
 //!
 //! Run: `cargo run --release --example delta_mass_profile`
 
+use hdoms::engine::Engine;
+use hdoms::index::IndexConfig;
 use hdoms::ms::dataset::{SyntheticWorkload, WorkloadSpec};
-use hdoms::oms::cascade::{run_cascade, single_pass_pairs, CascadeConfig};
-use hdoms::oms::pipeline::{OmsPipeline, PipelineConfig};
 use hdoms::oms::profile::{common_catalogue, DeltaMassProfile};
-use hdoms::oms::search::ExactBackend;
+use hdoms::oms::window::PrecursorWindow;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 fn main() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::iprg2012(0.01), 99);
-    let pipeline = OmsPipeline::new(PipelineConfig::default());
-    let mut backend_config = pipeline.config().exact;
-    backend_config.preprocess = pipeline.config().preprocess;
-    let backend = ExactBackend::build(&workload.library, backend_config);
+    let engine = Arc::new(Engine::from_library(
+        &workload.library,
+        IndexConfig::default(),
+    ));
+    let (fdr, open) = (0.01, PrecursorWindow::open_default());
 
-    // Two-pass cascade: narrow window first, open window on the rest.
-    let cascade = run_cascade(&pipeline, &CascadeConfig::default(), &workload, &backend);
-    let single = pipeline.run(&workload, &backend);
+    // Pass 1: the standard window over every query.
+    let (standard, standard_receipt) =
+        engine.search(&workload.queries, PrecursorWindow::standard_default(), fdr);
+    // Pass 2: the open window over the queries pass 1 left unidentified.
+    let identified: HashSet<u32> = standard.accepted.iter().map(|p| p.query_id).collect();
+    let remaining: Vec<_> = (workload.queries.iter())
+        .filter(|q| !identified.contains(&q.id))
+        .cloned()
+        .collect();
+    let (second, second_receipt) = engine.search(&remaining, open, fdr);
+    // The work one open pass over every query would have scored.
+    let (_, single_receipt) = engine.search(&workload.queries, open, fdr);
+    let two_pass = standard_receipt.candidates_scored + second_receipt.candidates_scored;
     println!(
         "cascade: {} identifications ({} standard + {} open), \
          {:.1}x less scoring work than one open pass over everything",
-        cascade.identifications(),
-        cascade.standard_accepted.len(),
-        cascade.open_accepted.len(),
-        cascade.work_saving(single_pass_pairs(&single)),
+        standard.accepted.len() + second.accepted.len(),
+        standard.accepted.len(),
+        second.accepted.len(),
+        single_receipt.candidates_scored as f64 / two_pass.max(1) as f64,
     );
 
     // Profile the accepted mass deltas and annotate the peaks.
-    let profile = DeltaMassProfile::from_psms(&cascade.all_accepted(), 0.01);
+    let accepted: Vec<_> = standard
+        .accepted
+        .iter()
+        .chain(&second.accepted)
+        .copied()
+        .collect();
+    let profile = DeltaMassProfile::from_psms(&accepted, 0.01);
     let catalogue = common_catalogue();
     println!("\ndelta-mass peaks (≥3 PSMs):");
     println!("{:>12}  {:>6}  annotation", "delta (Da)", "PSMs");
