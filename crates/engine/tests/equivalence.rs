@@ -521,10 +521,11 @@ fn every_construction_derives_the_one_catalog() {
 
 #[test]
 fn an_engine_scores_each_shard_its_index_reaches_in_one_run() {
-    // One mass on both sides of a shard boundary, then a third entry of
-    // that mass appended into the earlier shard (the index crate's
-    // `a_mass_shared_across_a_shard_boundary_costs_one_visit_per_shard`):
-    // the engine's candidate index is the index's own shard walk, so a
+    // One mass on both sides of a shard boundary, a third entry of that
+    // mass in the earlier shard, out of id order: the image an append of
+    // an earlier release wrote (the index crate's fixture, pinned by its
+    // `a_mass_shared_across_a_shard_boundary_costs_one_visit_per_shard`).
+    // The engine's candidate index is the index's own shard walk, so a
     // receipt counts one visit per shard a query reaches — counted here
     // as the distinct shards among each query's candidates.
     use hdoms_ms::preprocess::Preprocessor;
@@ -532,31 +533,17 @@ fn an_engine_scores_each_shard_its_index_reaches_in_one_run() {
     use hdoms_oms::search::candidate_lists;
     use std::collections::BTreeSet;
 
-    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 9009);
-    let mut config = IndexConfig {
-        entries_per_shard: 16,
-        threads: THREADS,
-        ..IndexConfig::default()
-    };
-    if let IndexedBackendKind::Exact(exact) = &mut config.kind {
-        exact.encoder.dim = 512;
-    }
-    let builder = IndexBuilder::new(config);
-    let (_, edge) = *(builder.from_library(&workload.library).shards())
-        .next()
-        .and_then(<[_]>::last)
-        .expect("a full shard");
-    let twin = workload.library.get(edge).expect("edge id").clone();
-    let library: SpectralLibrary = (workload.library.iter().cloned())
-        .chain([twin.clone()])
-        .collect();
-    let mut index = builder.from_library(&library);
-    index.append_entries(&[twin], THREADS);
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../index/tests/fixtures/v3-append.hdx"
+    );
+    let index = LibraryIndex::open(std::path::Path::new(fixture), THREADS).expect("fixture");
+    let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 37);
     let mut shard_of = vec![u32::MAX; index.entry_count()];
     for (s, shard) in (0u32..).zip(index.shards()) {
         shard.iter().for_each(|&(_, id)| shard_of[id as usize] = s);
     }
-    assert_eq!(shard_of[library.len()], 0, "the third twin joins shard 0");
+    assert_eq!(shard_of[25], 0, "the third twin sits in shard 0");
     let shard = |s: usize| index.shards().nth(s).expect("two shards");
     assert_eq!(
         shard(0).last().map(|e| e.0),

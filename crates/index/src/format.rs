@@ -303,9 +303,10 @@ pub(crate) trait Put {
 
 /// The decoding half: the validating reader — and, for the test that
 /// holds `docs/FORMAT.md` to the field lists, how the field reads there.
-pub(crate) trait Get: Sized {
+/// A decoded value may borrow from the bytes `'a` it is read out of.
+pub(crate) trait Get<'a>: Sized {
     /// Decode, labelling failures `what`.
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, IndexError>;
+    fn get(r: &mut Reader<'a>, what: &'static str) -> Result<Self, IndexError>;
     /// `"<type> <name>"` — or, for a record, its own name.
     #[cfg(test)]
     fn doc(name: &str) -> String;
@@ -330,7 +331,7 @@ macro_rules! scalars {
                 w.extend_from_slice(&(*self as $wire).to_le_bytes());
             }
         }
-        impl Get for $ty {
+        impl Get<'_> for $ty {
             fn get(r: &mut Reader<'_>, what: &'static str) -> Result<$ty, IndexError> {
                 let bytes = r.raw(std::mem::size_of::<$wire>(), what)?;
                 Ok(<$wire>::from_le_bytes(bytes.try_into().expect("sized read")) as $ty)
@@ -347,7 +348,7 @@ macro_rules! scalars {
                 self.iter().for_each(|x| x.put(w));
             }
         }
-        impl Get for $array {
+        impl Get<'_> for $array {
             fn get(r: &mut Reader<'_>, what: &'static str) -> Result<$array, IndexError> {
                 let size = std::mem::size_of::<$wire>();
                 let count = r.checked_len(what, size)?;
@@ -371,18 +372,20 @@ scalars!(
     usize as u64 in Vec<usize>
 );
 
-/// `str`: a `u8[]` that must be UTF-8.
+/// `str`: a `u8[]` that must be UTF-8, decoded in place.
 impl Put for str {
     fn put(&self, w: &mut Vec<u8>) {
         self.as_bytes().put(w);
     }
 }
 
-impl Get for Cow<'_, str> {
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, IndexError> {
-        let text =
-            String::from_utf8(Vec::get(r, what)?).map_err(|_| WireError::InvalidUtf8 { what })?;
-        Ok(Cow::Owned(text))
+impl<'a> Get<'a> for Cow<'a, str> {
+    fn get(r: &mut Reader<'a>, what: &'static str) -> Result<Self, IndexError> {
+        let len = r.checked_len(what, 1)?;
+        let text = std::str::from_utf8(r.raw(len, what)?);
+        Ok(Cow::Borrowed(
+            text.map_err(|_| WireError::InvalidUtf8 { what })?,
+        ))
     }
     #[cfg(test)]
     fn doc(name: &str) -> String {
@@ -399,7 +402,7 @@ macro_rules! tagged {
                 w.push(match self { $($($value)::+ => $tag,)* });
             }
         }
-        impl Get for $ty {
+        impl Get<'_> for $ty {
             fn get(r: &mut Reader<'_>, what: &'static str) -> Result<$ty, IndexError> {
                 match u8::get(r, what)? {
                     $($tag => Ok($($value)::+),)*
@@ -433,7 +436,8 @@ tagged!(IdPrecision {
 /// is written from and the trailing expression rebuilds the value from
 /// the decoded fields; `[since N]` marks a field images older than
 /// format `N` lack (it decodes to its default there); the `enum` form is
-/// a one-byte tag choosing the record that follows.
+/// a one-byte tag choosing the record that follows. A record with a
+/// lifetime names it `'a`: the bytes it is decoded from.
 macro_rules! record {
     (@get $r:ident, $ty:ty, $label:expr) => { <$ty>::get($r, $label)? };
     (@get $r:ident, $ty:ty, $label:expr, $since:literal) => {
@@ -471,8 +475,8 @@ macro_rules! record {
                 $($place.put(w);)*
             }
         }
-        impl $(<$lt>)? Get for $name $(<$lt>)? {
-            fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<Self, IndexError> {
+        impl<'a> Get<'a> for $name $(<$lt>)? {
+            fn get(r: &mut Reader<'a>, _what: &'static str) -> Result<Self, IndexError> {
                 $(let $field = record!(
                     @get r, $ty, concat!($prefix, ".", stringify!($field)) $(, $since)?
                 );)*
@@ -504,7 +508,7 @@ macro_rules! record {
                 }
             }
         }
-        impl Get for $name {
+        impl Get<'_> for $name {
             fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<$name, IndexError> {
                 match u8::get(r, $prefix)? {
                     $($tag => Ok($name::$variant(<$ty>::get(r, $prefix)?)),)*
@@ -655,32 +659,116 @@ record!(impl MlcState as "mlc_state" {
     sigma_delta: f64,
 });
 
-// The v3 sketch section; rebuilding it re-runs the structural validation
-// of `SketchIndex::from_parts`. Its table lists rows by id, whatever
-// order the index holds them in.
 record! {
-    impl SketchIndex as "sketch", this {
-        full_words: usize = this.full_words(),
-        selected: Vec<u32> = this.selected(),
-        slots: usize = this.len(),
-        present: Vec<u64> = this.present_bits(),
-        table: Vec<u64> = RowsById(this),
-    } => SketchIndex::from_parts(full_words, selected, table, present, slots)
-        .map_err(IndexError::Invalid)
+    /// The v3 sketch section: the one place a sketch's rows sit by slot
+    /// id, not in its index's table order. Written from a sketch or from
+    /// rows the streaming builder sampled by id; decoded, laid out in the
+    /// table's order straight from the payload ([`SketchSection::in_order`]).
+    struct SketchSection<'a> as "sketch" {
+        full_words: usize,
+        selected: Vec<u32>,
+        slots: usize,
+        present: Vec<u64>,
+        table: RowsById<'a>,
+    }
 }
 
-/// A sketch's signature rows by id, written as one `u64[]`.
-struct RowsById<'a>(&'a SketchIndex);
+/// A sketch section's signature rows by slot id, one `u64[]`.
+pub(crate) enum RowsById<'a> {
+    /// A sketch's rows, gathered back into id order as they are written.
+    Of(&'a SketchIndex),
+    /// Little-endian rows already by id: sampled by the streaming
+    /// builder, or a decoded section's, in place.
+    Bytes(&'a [u8]),
+}
 
 impl Put for RowsById<'_> {
     fn put(&self, w: &mut Vec<u8>) {
-        let sketch = self.0;
-        let words = sketch.len() * sketch.words();
-        words.put(w);
-        w.reserve(words * 8);
-        for id in 0..sketch.len() as u32 {
-            sketch.signature(id).iter().for_each(|word| word.put(w));
+        match *self {
+            RowsById::Of(sketch) => {
+                let words = sketch.len() * sketch.words();
+                words.put(w);
+                w.reserve(words * 8);
+                for id in 0..sketch.len() as u32 {
+                    sketch.signature(id).iter().for_each(|word| word.put(w));
+                }
+            }
+            RowsById::Bytes(rows) => {
+                (rows.len() / 8).put(w);
+                w.extend_from_slice(rows);
+            }
         }
+    }
+}
+
+impl<'a> Get<'a> for RowsById<'a> {
+    fn get(r: &mut Reader<'a>, what: &'static str) -> Result<Self, IndexError> {
+        let words = r.checked_len(what, 8)?;
+        Ok(RowsById::Bytes(r.raw(words * 8, what)?))
+    }
+    #[cfg(test)]
+    fn doc(name: &str) -> String {
+        format!("u64[] {name}")
+    }
+}
+
+/// A bitset over `slots` ids: bit `id % 64` of word `id / 64` is `set(id)`.
+pub(crate) fn bits(slots: usize, set: impl Fn(u32) -> bool) -> Vec<u64> {
+    let mut bits = vec![0u64; slots.div_ceil(64)];
+    for id in (0..slots as u32).filter(|&id| set(id)) {
+        bits[id as usize / 64] |= 1 << (id % 64);
+    }
+    bits
+}
+
+impl<'a> SketchSection<'a> {
+    /// The section `sketch` is written as.
+    pub(crate) fn of(sketch: &'a SketchIndex) -> SketchSection<'a> {
+        SketchSection {
+            full_words: sketch.full_words(),
+            selected: sketch.selected().to_vec(),
+            slots: sketch.len(),
+            present: bits(sketch.len(), |id| sketch.is_present(id)),
+            table: RowsById::Of(sketch),
+        }
+    }
+
+    /// The decoded section's sketch, laid out in the order of `ids` — the
+    /// index's table's id column — each row read from the payload where
+    /// the section holds it by id. The section must cover `ids.len()`
+    /// slots of `full_words`-word hypervectors, hold `slots × width` row
+    /// words, and mark present exactly the entries `stored` says a shard
+    /// holds words for (in a bitset of `slots` bits).
+    pub(crate) fn in_order(
+        self,
+        ids: Arc<[u32]>,
+        full_words: usize,
+        stored: impl Fn(u32) -> bool,
+    ) -> Result<SketchIndex, IndexError> {
+        let (slots, words, width) = (self.slots, self.full_words, self.selected.len());
+        let count = ids.len();
+        need(slots == count && words == full_words, || {
+            format!(
+                "sketch section covers {slots} slots of {words}-word hypervectors, the header \
+                 declares {count} entries of {full_words} words"
+            )
+        })?;
+        let RowsById::Bytes(rows) = self.table else {
+            unreachable!("a decoded section holds its rows as bytes")
+        };
+        need(slots.checked_mul(width * 8) == Some(rows.len()), || {
+            let held = rows.len() / 8;
+            format!("sketch table holds {held} words for {slots} slots × {width} selected")
+        })?;
+        need(self.present == bits(slots, &stored), || {
+            "sketch presence bits disagree with the shards' stored hypervectors"
+        })?;
+        let row = |id: u32| {
+            let row = &rows[id as usize * width * 8..][..width * 8];
+            let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
+            stored(id).then(|| row.chunks_exact(8).map(word))
+        };
+        SketchIndex::from_rows(full_words, self.selected, ids, row).map_err(IndexError::Invalid)
     }
 }
 
@@ -693,8 +781,8 @@ pub(crate) fn encode<T: Put + ?Sized>(value: &T) -> Vec<u8> {
 
 /// Decode the payload of a section of a format-`version` image, which
 /// must be exactly one `T`.
-pub(crate) fn decode<T: Get>(
-    payload: &[u8],
+pub(crate) fn decode<'a, T: Get<'a>>(
+    payload: &'a [u8],
     section: &'static str,
     version: u32,
 ) -> Result<T, IndexError> {
@@ -916,7 +1004,7 @@ pub(crate) fn decode_shard(
     bytes: &[u8],
     dim: usize,
     version: u32,
-    mut visit: impl FnMut(IndexEntry<'static>, Option<usize>) -> Result<(), IndexError>,
+    mut visit: impl FnMut(IndexEntry<'_>, Option<usize>) -> Result<(), IndexError>,
 ) -> Result<usize, IndexError> {
     let at = |r: &Reader<'_>| bytes.len() - r.remaining();
     let hv_bytes = dim.div_ceil(64) * 8;
@@ -969,7 +1057,11 @@ mod tests {
     use super::*;
 
     /// `value` written, then read back as a `T` with nothing left over.
-    fn round<T: Get + PartialEq<P> + fmt::Debug, P: Put + fmt::Debug + ?Sized>(value: &P) {
+    fn round<T, P>(value: &P)
+    where
+        T: for<'a> Get<'a> + PartialEq<P> + fmt::Debug,
+        P: Put + fmt::Debug + ?Sized,
+    {
         assert_eq!(&decode::<T>(&encode(value), "x", 3).unwrap(), value);
     }
 
@@ -982,7 +1074,11 @@ mod tests {
         round::<f32, _>(&0.25);
         round::<usize, _>(&usize::MAX);
         round::<bool, _>(&true);
-        round::<Cow<str>, str>("peptide/КИРИЛЛИЦА");
+        let text = encode("peptide/КИРИЛЛИЦА");
+        assert_eq!(
+            decode::<Cow<str>>(&text, "x", 3).unwrap(),
+            "peptide/КИРИЛЛИЦА"
+        );
         round::<Vec<u64>, [u64]>(&[1, 2, 3]);
         let weights = decode::<Arc<[f32]>>(&encode(&[0.5f32, -0.5][..]), "x", 3);
         assert_eq!(*weights.unwrap(), [0.5, -0.5]);
@@ -1000,13 +1096,59 @@ mod tests {
         let huge = Vec::<u64>::get(&mut Reader::new(&encode(&u64::MAX)), "words");
         let huge = huge.unwrap_err().to_string();
         assert!(huge.contains("implausible length for words"), "{huge}");
-        let text = Cow::<str>::get(&mut Reader::new(&encode(&[0xffu8, 0xfe][..])), "peptide");
+        let invalid = encode(&[0xffu8, 0xfe][..]);
+        let text = Cow::<str>::get(&mut Reader::new(&invalid), "peptide");
         let text = text.unwrap_err().to_string();
         assert_eq!(text, "index decode error: invalid UTF-8 in peptide");
         let tag = bool::get(&mut Reader::new(&[2]), "entry.is_decoy").unwrap_err();
         assert!(tag
             .to_string()
             .contains("invalid value 2 for entry.is_decoy"));
+    }
+
+    /// A decoded sketch section is laid out in the table's order, and
+    /// every structural defect fails it with `IndexError::Invalid`: the
+    /// constructor's (the word selection) and the section's own (slot
+    /// count, width, table size, presence bits).
+    #[test]
+    fn a_sketch_section_is_laid_out_or_refused() {
+        // Two slots of two-word hypervectors, rows in the table order
+        // [1, 0]; slot 1 is stored, slot 0 is not.
+        let lay = |selected: Vec<u32>, rows: &[u64], present: Vec<u64>, full_words: usize| {
+            let rows: Vec<u8> = rows.iter().flat_map(|w| w.to_le_bytes()).collect();
+            let (slots, table) = (2, RowsById::Bytes(&rows));
+            let section = SketchSection {
+                full_words: 2,
+                selected,
+                slots,
+                present,
+                table,
+            };
+            let bytes = encode(&section);
+            let decoded: SketchSection = decode(&bytes, "sketch", 3).unwrap();
+            decoded.in_order(Arc::from([1, 0]), full_words, |id| id == 1)
+        };
+        let sketch = lay(vec![1], &[0, 9], vec![0b10], 2).unwrap();
+        assert_eq!(
+            (sketch.signature(1), sketch.signature(0)),
+            (&[9][..], &[0][..])
+        );
+        assert!(sketch.is_present(1) && !sketch.is_present(0));
+        assert!(sketch.rows_follow(&Arc::from([1, 0])));
+
+        let refused = [
+            lay(vec![], &[], vec![0b10], 2),
+            lay(vec![1, 1], &[0; 4], vec![0b10], 2),
+            lay(vec![2], &[0, 9], vec![0b10], 2),
+            lay(vec![1], &[0, 9], vec![0b10], 3),
+            lay(vec![1], &[9], vec![0b10], 2),
+            lay(vec![1], &[0, 9], vec![], 2),
+            lay(vec![1], &[0, 9], vec![0b110], 2),
+            lay(vec![1], &[0, 9], vec![0b01], 2),
+        ];
+        for (case, laid) in refused.into_iter().enumerate() {
+            assert!(matches!(laid, Err(IndexError::Invalid(_))), "case {case}");
+        }
     }
 
     /// `docs/FORMAT.md` is checked documentation: the row of every
@@ -1031,7 +1173,7 @@ mod tests {
             Header::row(),
             IndexEntry::row(),
             MlcState::row(),
-            SketchIndex::row(),
+            SketchSection::row(),
         ];
         for row in rows {
             let spelled = doc.contains(&squeeze(&row));

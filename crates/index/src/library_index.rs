@@ -2,7 +2,7 @@
 
 use crate::format::{
     self, need, Frame, Get, Header, ImageLayout, IndexError, IndexedBackendKind, MlcState, Put,
-    FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION,
+    SketchSection, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION,
 };
 use crate::sharded::ShardedBackend;
 use crate::wire::Reader;
@@ -160,7 +160,8 @@ pub(crate) fn take_in(catalog: &mut ReferenceMeta, entries: &[LibraryEntry]) -> 
 
 /// Sort `table` into the global `(mass, id)` order and cut it into
 /// shards of `per_shard` entries: the shard bounds (shard `s` is
-/// `table[bounds[s]..bounds[s + 1]]`).
+/// `table[bounds[s]..bounds[s + 1]]`). Every build path — cold,
+/// streaming, append — lays its index out here and nowhere else.
 pub(crate) fn cut(table: &mut [(f64, u32)], per_shard: usize) -> Vec<usize> {
     table.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let len = table.len();
@@ -364,27 +365,25 @@ impl LibraryIndex {
     }
 
     /// The prefilter's folded-hypervector sketch table over this index's
-    /// references (see [`hdoms_prefilter::SketchIndex`]), its rows in
-    /// the `(mass, id)` table's order so a precursor window reads
-    /// consecutive rows. Pre-populated when a v3 file carried the
-    /// persisted sketch section; derived on the fly (once, then shared)
-    /// for cold builds and v1/v2 loads — the derivation samples the same
-    /// words [`IndexBuilder`] persists, so the two paths produce
-    /// identical sketches.
+    /// references (see [`hdoms_prefilter::SketchIndex`]), laid out in
+    /// the `(mass, id)` table's order and sharing its id column, so a
+    /// precursor window reads consecutive rows. Pre-populated when a v3
+    /// file carried the persisted sketch section; derived on the fly
+    /// (once, then shared) for cold builds, appends and v1/v2 loads — the
+    /// derivation samples the same words [`IndexBuilder`] persists, so
+    /// the two paths produce identical sketches.
     pub fn sketch_index(&self) -> Arc<SketchIndex> {
         Arc::clone(self.sketches.get_or_init(|| {
-            self.in_table_order(SketchIndex::build(
-                self.dim(),
-                SKETCH_WORDS,
-                self.references.iter().map(|hv| hv.map(|h| h.words())),
-            ))
+            let full_words = self.dim().div_ceil(64);
+            let selected = SketchIndex::word_selection(full_words, SKETCH_WORDS);
+            let row = |id: u32| {
+                let hv = self.references.hv(id as usize);
+                hv.map(|hv| SketchIndex::sample(&selected, hv.words()))
+            };
+            let ids = Arc::clone(self.table.ids());
+            let sketch = SketchIndex::from_rows(full_words, selected.clone(), ids, row);
+            Arc::new(sketch.expect("a strided selection over the table's dense ids"))
         }))
-    }
-
-    /// `sketch` with its rows in the `(mass, id)` table's order, sharing
-    /// its id column (the ids must be dense): a window is a row range.
-    fn in_table_order(&self, sketch: SketchIndex) -> Arc<SketchIndex> {
-        Arc::new(sketch.in_row_order(Arc::clone(self.table.ids())))
     }
 
     // -- residency --------------------------------------------------------
@@ -518,14 +517,10 @@ impl LibraryIndex {
 
     /// Append new library spectra to the index, encoding **only** the new
     /// entries. New entries receive the next dense ids (`entry_count..`),
-    /// exactly as if the library had contained them at build time, so an
-    /// appended index searches identically to a cold rebuild over the
-    /// concatenated library.
-    ///
-    /// Entries land in the shard whose mass range covers them; a shard
-    /// grown past twice the configured target splits in half. The shards
-    /// are placed into as vectors of their own, then flattened back into
-    /// the one table.
+    /// exactly as if the library had contained them at build time, and
+    /// their `(mass, id)` pairs join the table, which is re-cut as a build
+    /// cuts it: the appended index *is* the index a cold build over the
+    /// concatenated library makes (byte for byte for the software kinds).
     ///
     /// # Panics
     ///
@@ -546,30 +541,11 @@ impl LibraryIndex {
             .append(encoded.into_iter().map(|slot| stats.push(slot)));
         self.build_stats = stats.onto(Some(&self.build_stats));
         let added = take_in(Arc::make_mut(&mut self.catalog), new_entries);
-
-        let mut shards: Vec<Vec<(f64, u32)>> = self.shards().map(<[_]>::to_vec).collect();
-        for (mass, id) in added {
-            // The shard whose upper bound is the first ≥ the entry's
-            // mass; masses above every shard land in the last shard.
-            let position = shards
-                .partition_point(|s| s.last().is_some_and(|&(hi, _)| hi < mass))
-                .min(shards.len().saturating_sub(1));
-            let shard = &mut shards[position];
-            let at = shard.partition_point(|&entry| entry < (mass, id));
-            shard.insert(at, (mass, id));
-            if shard.len() > 2 * self.entries_per_shard {
-                let tail = shard.split_off(shard.len() / 2);
-                shards.insert(position + 1, tail);
-            }
-        }
-        let ends = shards.iter().scan(0, |end, shard| {
-            *end += shard.len();
-            Some(*end)
-        });
-        self.bounds = std::iter::once(0).chain(ends).collect();
-        self.table = CandidateIndex::from_sorted(shards.concat());
-        // The sketch table covers the old slots only — rebuild on the
-        // next prefiltered search (or persist).
+        let mut table = [self.table.pairs(), &added].concat();
+        self.bounds = cut(&mut table, self.entries_per_shard);
+        self.table = CandidateIndex::from_sorted(table);
+        // The sketch follows the old table — derive it again on the next
+        // prefiltered search (or persist).
         self.sketches = OnceLock::new();
     }
 
@@ -604,6 +580,7 @@ impl LibraryIndex {
     /// table; returns the image length.
     pub(crate) fn write_to<W: Write>(&self, out: W) -> Result<u64, IndexError> {
         let references = &self.references;
+        let sketch = self.sketch_index();
         ImageLayout {
             kind: &self.kind,
             stats: &self.build_stats,
@@ -614,7 +591,7 @@ impl LibraryIndex {
         }
         .write(
             out,
-            format::encode(&*self.sketch_index()),
+            format::encode(&SketchSection::of(&sketch)),
             |id| references.hv(id as usize).is_some(),
             |id, w| {
                 let hv = references.hv(id as usize).expect("flagged present");
@@ -695,8 +672,11 @@ impl LibraryIndex {
         })?;
         index.table = CandidateIndex::from_sorted(table);
         index.validate()?;
-        if let Some(sketch) = sketch {
-            let _ = index.sketches.set(index.in_table_order(sketch));
+        if let Some(section) = sketch {
+            let ids = Arc::clone(index.table.ids());
+            let stored = |id: u32| offsets[id as usize] != u64::MAX;
+            let sketch = section.in_order(ids, dim.div_ceil(64), stored)?;
+            let _ = index.sketches.set(Arc::new(sketch));
         }
         index.references = if version >= 2 {
             SharedReferences::new(buffer.clone(), dim, offsets)
@@ -752,7 +732,9 @@ impl LibraryIndex {
     /// mass finite and never decreasing, `(mass, id)` ascending within a
     /// shard, and — every id in range (checked as it was decoded) and the
     /// table holding the declared count — no id held twice, so none
-    /// missing: the ids are dense.
+    /// missing: the ids are dense. A shard may open below its
+    /// predecessor's last id at an equal mass: the appends of earlier
+    /// releases placed entries so, and their images still load.
     fn validate(&self) -> Result<(), IndexError> {
         let mut previous = (f64::NEG_INFINITY, 0u32);
         let mut seen = vec![0u64; self.entry_count().div_ceil(64)];
@@ -788,8 +770,8 @@ fn read_file(path: &Path) -> std::io::Result<WordBuffer> {
 /// everything established before shard payloads are touched, returned
 /// as an index still without entries, references or sketch, the format
 /// version, the declared entry count, where each shard lies, and the
-/// sketch section's rows in id order.
-fn parse_sections(bytes: &[u8]) -> Result<Sections, IndexError> {
+/// decoded sketch section, its rows still in the payload.
+fn parse_sections(bytes: &[u8]) -> Result<Sections<'_>, IndexError> {
     let mut r = Reader::new(bytes);
     if r.raw(8, "magic")? != MAGIC {
         return Err(IndexError::BadMagic);
@@ -823,19 +805,9 @@ fn parse_sections(bytes: &[u8]) -> Result<Sections, IndexError> {
         .map(|payload| format::decode::<MlcState>(payload, "mlc_state", version))
         .transpose()?;
     header.kind.validate(mlc.as_ref())?;
-    let mut sketch = None;
-    if let Some(payload) = section(header.sketch_len, "sketch")? {
-        let decoded: SketchIndex = format::decode(payload, "sketch", version)?;
-        let full_words = header.kind.dim().div_ceil(64);
-        let (slots, words) = (decoded.len(), decoded.full_words());
-        need(slots == count && words == full_words, || {
-            format!(
-                "sketch section covers {slots} slots of {words}-word hypervectors, the header \
-                 declares {count} entries of {full_words} words"
-            )
-        })?;
-        sketch = Some(decoded);
-    }
+    let sketch = section(header.sketch_len, "sketch")?
+        .map(|payload| format::decode::<SketchSection>(payload, "sketch", version))
+        .transpose()?;
     let shards = (header.shard_lens.iter())
         .map(|&len| Frame::locate(&mut r, bytes.len(), padded, len, "shard"))
         .collect::<Result<Vec<Frame>, IndexError>>()?;
@@ -857,7 +829,13 @@ fn parse_sections(bytes: &[u8]) -> Result<Sections, IndexError> {
 }
 
 /// What [`parse_sections`] establishes ahead of the shard payloads.
-type Sections = (LibraryIndex, u32, usize, Vec<Frame>, Option<SketchIndex>);
+type Sections<'a> = (
+    LibraryIndex,
+    u32,
+    usize,
+    Vec<Frame>,
+    Option<SketchSection<'a>>,
+);
 
 impl ReferenceCatalog for LibraryIndex {
     fn reference_count(&self) -> usize {
@@ -873,8 +851,9 @@ impl ReferenceCatalog for LibraryIndex {
     }
 
     /// The shards' own table, shared: equal masses stay in shard order
-    /// (also where an append left one mass on both sides of a shard
-    /// boundary), so a query's candidates fall into ascending shard runs.
+    /// (also where an image an earlier release appended to holds one mass
+    /// on both sides of a shard boundary out of id order), so a query's
+    /// candidates fall into ascending shard runs.
     fn candidate_index(&self) -> CandidateIndex {
         self.table.clone()
     }

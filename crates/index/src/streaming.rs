@@ -20,17 +20,16 @@
 //! The output is **byte-for-byte identical** to
 //! `IndexBuilder::from_library(...).to_bytes()` over the same entries in
 //! the same order: encoding is deterministic per (configuration, dense
-//! id) and runs through the same `KindBackend`, the sketch section
-//! grows slot by slot through the same `SketchIndex::push` that
-//! `SketchIndex::build` loops over, and both images go out through the
-//! one container writer (`format::ImageLayout::write`, every record
-//! through its one field-list codec, every section in the one
-//! `format::Frame`), differing only in where it fetches each entry's
-//! words. The
+//! id) and runs through the same `KindBackend`, the sketch rows are
+//! sampled by id through the same `SketchIndex::sample` a derived sketch
+//! is laid out with, and both images go out through the one container
+//! writer (`format::ImageLayout::write`, every record through its one
+//! field-list codec, every section in the one `format::Frame`),
+//! differing only in where it fetches each entry's words. The
 //! differential test suite (`tests/streaming_equivalence.rs`) pins that
 //! guarantee.
 
-use crate::format::{self, need, ImageLayout, IndexError};
+use crate::format::{self, need, ImageLayout, IndexError, RowsById, SketchSection};
 use crate::library_index::{cut, runs, take_in, IndexConfig, KindBackend};
 use hdoms_core::accelerator::{BuildStats, StatsFold};
 use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
@@ -139,8 +138,11 @@ pub struct StreamingIndexBuilder {
     catalog: ReferenceMeta,
     table: Vec<(f64, u32)>,
     backend: KindBackend,
-    /// The sketch section, grown one slot per pushed entry.
-    sketch: SketchIndex,
+    /// The words a signature samples, and the sketch section's rows:
+    /// one per pushed entry, by id, little-endian (zeros for a rejected
+    /// one).
+    selected: Vec<u32>,
+    sketch_rows: Vec<u8>,
     stats: StatsFold,
     finished: bool,
 }
@@ -188,7 +190,8 @@ impl StreamingIndexBuilder {
             catalog: ReferenceMeta::default(),
             table: Vec::new(),
             backend: KindBackend::new(&kind, None, config.index.threads),
-            sketch: SketchIndex::new(kind.dim(), SKETCH_WORDS),
+            selected: SketchIndex::word_selection(kind.dim().div_ceil(64), SKETCH_WORDS),
+            sketch_rows: Vec::new(),
             stats: StatsFold::default(),
             finished: false,
             config: IndexConfig {
@@ -232,16 +235,21 @@ impl StreamingIndexBuilder {
             self.table.extend(take_in(&mut self.catalog, chunk));
             for slot in encoded {
                 let hv = self.stats.push(slot);
-                self.sketch.push(hv.as_ref().map(|hv| hv.words()));
+                let rows = &mut self.sketch_rows;
                 match hv {
                     Some(hv) => {
+                        let row = SketchIndex::sample(&self.selected, hv.words());
+                        rows.extend(row.flat_map(u64::to_le_bytes));
                         self.spill_offsets.push(self.spilled_bytes);
                         for &word in hv.words() {
                             self.spill.write_all(&word.to_le_bytes())?;
                         }
                         self.spilled_bytes += block_bytes;
                     }
-                    None => self.spill_offsets.push(u64::MAX),
+                    None => {
+                        rows.resize(rows.len() + self.selected.len() * 8, 0);
+                        self.spill_offsets.push(u64::MAX);
+                    }
                 }
             }
         }
@@ -296,10 +304,17 @@ impl StreamingIndexBuilder {
         let bounds = cut(&mut self.table, self.config.entries_per_shard);
         let offsets = std::mem::take(&mut self.spill_offsets);
 
-        // The sketch table is dropped once it is section bytes, before
-        // any shard is assembled, so it is not resident twice.
-        let sketch_bytes = format::encode(&self.sketch);
-        self.sketch = SketchIndex::new(dim, SKETCH_WORDS);
+        // The sketch rows are dropped once they are section bytes, before
+        // any shard is assembled, so they are not resident twice.
+        let rows = std::mem::take(&mut self.sketch_rows);
+        let sketch_bytes = format::encode(&SketchSection {
+            full_words: dim.div_ceil(64),
+            selected: self.selected.clone(),
+            slots: offsets.len(),
+            present: format::bits(offsets.len(), |id| offsets[id as usize] != u64::MAX),
+            table: RowsById::Bytes(&rows),
+        });
+        drop(rows);
 
         let mlc = self.backend.mlc_state();
         let layout = ImageLayout {

@@ -722,60 +722,58 @@ fn an_all_rejected_library_wires_up_and_finds_nothing() {
     }
 }
 
+/// `library` followed by `more`, ids in that order (the order an append
+/// assigns them).
+fn concatenated(library: &SpectralLibrary, more: &SpectralLibrary) -> SpectralLibrary {
+    library.iter().chain(more.iter()).cloned().collect()
+}
+
+/// An append re-cuts the table as a build does: for the software kinds
+/// the appended index is the cold build over the concatenated library,
+/// byte for byte, and so searches like it.
 #[test]
 fn append_then_search_equals_cold_rebuild() {
     let first = tiny_workload(31);
     let second = tiny_workload(32);
+    let hyperoms = IndexedBackendKind::HyperOms(HyperOmsConfig {
+        dim: TEST_DIM,
+        ..HyperOmsConfig::default()
+    });
+    for kind in [exact_kind(), hyperoms] {
+        let name = kind.name();
+        let mut appended = build_index(kind.clone(), &first.library, 40);
+        appended.append_entries(second.library.entries(), THREADS);
+        let rebuilt = build_index(kind, &concatenated(&first.library, &second.library), 40);
+        assert_eq!(appended, rebuilt, "{name}");
+        assert_eq!(appended.to_bytes(), rebuilt.to_bytes(), "{name}: the image");
+        let (_, appended_outcome) = outcomes_for(&appended, &first);
+        let (_, rebuilt_outcome) = outcomes_for(&rebuilt, &first);
+        assert_eq!(appended_outcome.psms, rebuilt_outcome.psms, "{name}");
 
-    // Appended: index the first library, then append the second's entries.
-    let mut appended = build_index(exact_kind(), &first.library, 40);
-    appended.append_entries(second.library.entries(), THREADS);
-
-    // Cold rebuild over the concatenated library (ids re-densified in the
-    // same order append assigns them).
-    let combined: SpectralLibrary = first
-        .library
-        .iter()
-        .chain(second.library.iter())
-        .cloned()
-        .collect();
-    let rebuilt = build_index(exact_kind(), &combined, 40);
-
-    assert_eq!(appended.entry_count(), rebuilt.entry_count());
-    assert_eq!(
-        appended.shared_references(),
-        rebuilt.shared_references(),
-        "appended encodings must match a cold rebuild"
-    );
-
-    // And searches agree PSM-for-PSM (shard layouts may differ — the
-    // append path splits shards locally — but results must not).
-    let (_, appended_outcome) = outcomes_for(&appended, &first);
-    let (_, rebuilt_outcome) = outcomes_for(&rebuilt, &first);
-    assert_eq!(appended_outcome.psms, rebuilt_outcome.psms);
-
-    // Appended index still round-trips through disk.
-    let bytes = appended.to_bytes();
-    let restored = LibraryIndex::from_bytes(&bytes, THREADS).expect("appended roundtrip");
-    assert_eq!(appended, restored);
+        // The appended index round-trips through disk.
+        let bytes = appended.to_bytes();
+        let restored = LibraryIndex::from_bytes(&bytes, THREADS).expect("appended roundtrip");
+        assert_eq!(appended, restored, "{name}");
+    }
 }
 
 #[test]
 fn append_is_incremental_for_rram_too() {
+    use hdoms_oms::pipeline::ReferenceCatalog;
+
     let first = tiny_workload(33);
     let second = tiny_workload(34);
 
     let mut appended = build_index(rram_kind(), &first.library, 64);
     appended.append_entries(second.library.entries(), THREADS);
+    let rebuilt = build_index(
+        rram_kind(),
+        &concatenated(&first.library, &second.library),
+        64,
+    );
 
-    let combined: SpectralLibrary = first
-        .library
-        .iter()
-        .chain(second.library.iter())
-        .cloned()
-        .collect();
-    let rebuilt = build_index(rram_kind(), &combined, 64);
-
+    assert_eq!(appended.candidate_index(), rebuilt.candidate_index());
+    assert!(appended.shards().eq(rebuilt.shards()), "shard bounds");
     assert_eq!(appended.shared_references(), rebuilt.shared_references());
     let stats_a = appended.build_stats();
     let stats_b = rebuilt.build_stats();
@@ -784,15 +782,16 @@ fn append_is_incremental_for_rram_too() {
         (stats_a.mean_encode_ber - stats_b.mean_encode_ber).abs() < 1e-12,
         "append must fold encode-BER statistics exactly"
     );
+    let (_, appended_outcome) = outcomes_for(&appended, &first);
+    let (_, rebuilt_outcome) = outcomes_for(&rebuilt, &first);
+    assert_eq!(appended_outcome.psms, rebuilt_outcome.psms);
 }
 
-/// Pins the ordering invariant the streaming build path generalises:
-/// when appended entries straddle shard-bucket boundaries — including
-/// masses exactly equal to an existing shard's upper bound, where only
-/// the `(mass, id)` tie-break decides placement — every shard must stay
-/// sorted, shard ranges must stay monotone (a disk round-trip re-runs
-/// the structural validation), and the result must search identically
-/// to a cold rebuild over the concatenated library.
+/// Appended entries that straddle shard boundaries — including masses
+/// exactly equal to an existing shard's edges, where only the
+/// `(mass, id)` tie-break decides placement — land where a cold build
+/// over the concatenated library puts them: the table stays in
+/// `(mass, id)` order and the image is the cold build's.
 #[test]
 fn append_straddling_shard_boundaries_keeps_order() {
     let first = tiny_workload(35);
@@ -818,13 +817,12 @@ fn append_straddling_shard_boundaries_keeps_order() {
         .collect();
     appended.append_entries(straddle.entries(), THREADS);
 
-    // Global iteration order stays nondecreasing in (mass, id) — the
-    // contract the shard walk, candidate windows, and the streaming
-    // writer's shard layout all assume.
+    // The table is in (mass, id) order — the contract the shard walk,
+    // candidate windows, and the sketch's row order all assume.
     let order: Vec<(f64, u32)> = appended.shards().flatten().copied().collect();
     for pair in order.windows(2) {
         assert!(
-            pair[0] <= pair[1],
+            pair[0] < pair[1],
             "entries out of (mass, id) order after boundary-straddling append: \
              {:?} before {:?}",
             pair[0],
@@ -846,58 +844,49 @@ fn append_straddling_shard_boundaries_keeps_order() {
         LibraryIndex::from_bytes(&appended.to_bytes(), THREADS).expect("straddled roundtrip");
     assert_eq!(appended, restored);
 
-    // And the encodings + search results equal a cold rebuild over the
-    // concatenated library.
-    let combined: SpectralLibrary = first
-        .library
-        .iter()
-        .chain(straddle.iter())
-        .cloned()
-        .collect();
-    let rebuilt = build_index(exact_kind(), &combined, 16);
-    assert_eq!(appended.shared_references(), rebuilt.shared_references());
+    // And the image and the search results are a cold rebuild's over
+    // the concatenated library.
+    let rebuilt = build_index(exact_kind(), &concatenated(&first.library, &straddle), 16);
+    assert_eq!(appended.to_bytes(), rebuilt.to_bytes());
     let (_, appended_outcome) = outcomes_for(&appended, &first);
     let (_, rebuilt_outcome) = outcomes_for(&rebuilt, &first);
     assert_eq!(appended_outcome.psms, rebuilt_outcome.psms);
 }
 
-/// Three entries of one mass around a shard boundary: the cold build
-/// cuts between the first two, and the append puts the third — the
-/// highest id — into the *earlier* shard. The index's candidate index
-/// follows its shard walk, not `(mass, id)`, so a query reaching that
-/// mass still scores every shard in one run.
+/// The image an append of an earlier release wrote
+/// (`fixtures/v3-append.hdx`: 24 tiny-workload entries of seed 37 at
+/// dim 512, cut into shards of 8, the eighth-lightest entry added twice
+/// more — once by a cold build, which cut between the twins, then by an
+/// append, which put the third twin, the highest id, into the *earlier*
+/// shard). That release's loader accepted it, and so does this one: its
+/// table follows the shard walk, not `(mass, id)`, and a query reaching
+/// that mass still scores every shard in one run. Re-written, it is the
+/// same image; appended to, it is re-cut like a build.
 #[test]
 fn a_mass_shared_across_a_shard_boundary_costs_one_visit_per_shard() {
     use hdoms_ms::preprocess::Preprocessor;
     use hdoms_oms::pipeline::ReferenceCatalog;
     use hdoms_oms::window::PrecursorWindow;
 
-    let workload = tiny_workload(37);
-    let first_cut = build_index(exact_kind(), &workload.library, 16);
-    let &(_, edge) = first_cut
-        .shards()
-        .next()
-        .and_then(<[_]>::last)
-        .expect("a full shard");
-    let twin = workload.library.get(edge).expect("edge id").clone();
-    let library: SpectralLibrary = (workload.library.iter().cloned())
-        .chain([twin.clone()])
-        .collect();
-    let mut index = build_index(exact_kind(), &library, 16);
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3-append.hdx");
+    let image = std::fs::read(&fixture).expect("the legacy append fixture");
+    let index = LibraryIndex::from_bytes(&image, THREADS).expect("a legacy append image loads");
+    let mapped = LibraryIndex::open_mapped(&fixture, THREADS).expect("and maps");
+    assert_eq!(mapped, index);
+    let third = 25;
     let shard = |s: usize| index.shards().nth(s).expect("two shards");
     let mass = shard(0).last().expect("a full shard").0;
-    assert_eq!(shard(1)[0].0, mass, "cut between twins");
-    index.append_entries(&[twin], THREADS);
-    let third = library.len() as u32;
-    let shard = |s: usize| index.shards().nth(s).expect("two shards");
-    let holds = |s: usize, id: u32| shard(s).iter().any(|&(_, held)| held == id);
-    assert!(holds(0, third), "the third twin joins shard 0");
-    assert!(shard(1)[0].1 < third);
+    assert_eq!(
+        shard(0).last(),
+        Some(&(mass, third)),
+        "the third twin ends shard 0"
+    );
+    assert_eq!(shard(1)[0].0, mass, "shard 1 opens with its twin");
+    assert!(shard(1)[0].1 < third, "out of id order across the boundary");
+    assert_eq!(index.to_bytes(), image, "re-written as it was read");
 
-    // The image is one the loader accepts, and the same index.
-    let restored = LibraryIndex::from_bytes(&index.to_bytes(), THREADS).expect("roundtrip");
-    assert_eq!(restored, index);
-
+    let workload = tiny_workload(37);
     let (binned, _) = Preprocessor::new(index.kind().preprocess()).run_batch(&workload.queries);
     let window = PrecursorWindow::open_default();
     let table = index.candidate_index();
@@ -914,13 +903,25 @@ fn a_mass_shared_across_a_shard_boundary_costs_one_visit_per_shard() {
         "no query reaches the shared mass: nothing was tested"
     );
     let backend = index.sharded_backend(2).expect("kind matches");
-    for record in backend.search_batch_traced(&binned, &windows, Some(2), None) {
-        let shards: Vec<u32> = record.visits.iter().map(|&(shard, _)| shard).collect();
-        assert!(
-            shards.windows(2).all(|pair| pair[0] < pair[1]),
-            "a shard was visited in two runs: {shards:?}"
-        );
+    for prefilter in [None, Some((&*index.sketch_index(), 4))] {
+        for record in backend.search_batch_traced(&binned, &windows, Some(2), prefilter) {
+            let shards: Vec<u32> = record.visits.iter().map(|&(shard, _)| shard).collect();
+            assert!(
+                shards.windows(2).all(|pair| pair[0] < pair[1]),
+                "a shard was visited in two runs: {shards:?}"
+            );
+        }
     }
+
+    // An append re-cuts it: the cold build's table over the same entries.
+    let mut appended = index.clone();
+    let one_more = workload.library.get(0).expect("an entry").clone();
+    appended.append_entries(std::slice::from_ref(&one_more), THREADS);
+    let mut pairs: Vec<(f64, u32)> = index.candidate_index().pairs().to_vec();
+    pairs.push((one_more.spectrum.neutral_mass(), 26));
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    assert_eq!(appended.candidate_index().pairs(), &pairs[..]);
+    assert_eq!(appended.shards().len(), 4);
 }
 
 #[test]
@@ -1094,6 +1095,130 @@ fn checksum_valid_but_unusable_encoder_config_fails_open() {
                 ),
                 other => panic!("{needle} = {value}: expected a clean rejection, got {other:?}"),
             }
+        }
+    }
+}
+
+/// `library` with every tenth entry starved below the preprocessing
+/// floor, so it has no hypervector.
+fn starved(library: &SpectralLibrary) -> SpectralLibrary {
+    (library.iter().enumerate())
+        .map(|(id, entry)| {
+            let mut entry = entry.clone();
+            if id % 10 == 3 {
+                let peaks = entry.spectrum.peaks()[..2].to_vec();
+                entry.spectrum = Spectrum::new(
+                    entry.spectrum.id,
+                    entry.spectrum.precursor_mz,
+                    entry.spectrum.precursor_charge,
+                    peaks,
+                    entry.spectrum.origin,
+                );
+            }
+            entry
+        })
+        .collect()
+}
+
+/// A sketch has one layout: loaded from a v3 section or derived from the
+/// references, its rows follow the `(mass, id)` table — here not in id
+/// order, with absent slots — row for row, sharing the table's id column.
+#[test]
+fn a_loaded_sketch_is_the_derived_one_row_for_row() {
+    use hdoms_oms::pipeline::ReferenceCatalog;
+    use hdoms_prefilter::SketchIndex;
+
+    let library = starved(&tiny_workload(46).library);
+    for kind in [exact_kind(), rram_kind()] {
+        let name = kind.name();
+        let index = build_index(kind, &library, 16);
+        let loaded = LibraryIndex::from_bytes(&index.to_bytes(), THREADS).expect("own image");
+        for (route, from) in [("derived", &index), ("loaded", &loaded)] {
+            let (sketch, table) = (from.sketch_index(), from.candidate_index());
+            let ids = table.ids();
+            assert!(
+                !ids.iter().copied().eq(0..ids.len() as u32),
+                "the table is in id order"
+            );
+            assert!(
+                Arc::ptr_eq(sketch.ids(), ids),
+                "{name}, {route}: the id column is shared"
+            );
+            assert!(sketch.rows_follow(ids), "{name}, {route}");
+            let refs = from.shared_references();
+            for &id in ids.iter() {
+                let hv = refs.hv(id as usize);
+                let row: Option<Vec<u64>> =
+                    hv.map(|hv| SketchIndex::sample(sketch.selected(), hv.words()).collect());
+                assert_eq!(
+                    sketch.is_present(id),
+                    row.is_some(),
+                    "{name}, {route}: {id}"
+                );
+                let zeros = vec![0; sketch.words()];
+                assert_eq!(sketch.signature(id), row.as_deref().unwrap_or(&zeros));
+            }
+        }
+        let absent = (0..library.len() as u32).filter(|&id| !loaded.sketch_index().is_present(id));
+        assert_eq!(
+            absent.count(),
+            index.build_stats().references_rejected,
+            "{name}"
+        );
+        assert!(
+            index.build_stats().references_rejected > 0,
+            "{name}: nothing starved"
+        );
+        assert_eq!(*loaded.sketch_index(), *index.sketch_index(), "{name}");
+    }
+}
+
+/// Where a v3 image's sketch section starts: after the preamble, the
+/// header and its checksum, padded to 8 (the golden image has no MLC
+/// section).
+fn sketch_section_start(image: &[u8]) -> usize {
+    let header_len = u64::from_le_bytes(image[12..20].try_into().unwrap()) as usize;
+    let after_header = 20 + header_len + 8;
+    after_header.next_multiple_of(8)
+}
+
+/// A sketch that marks a stored reference absent would never forward
+/// it, though the exact scan finds it: a checksum-resealed image saying
+/// so fails every door.
+#[test]
+fn a_sketch_whose_presence_disagrees_with_the_shards_fails_every_door() {
+    use hdoms_index::format::CHECKSUM_SEED;
+    use hdoms_index::xxhash::xxh64;
+
+    let mut image = golden_v3();
+    let start = sketch_section_start(&image);
+    let sketch_len = 20 + header_offset_of(&image, "header.sketch_len");
+    let len = u64::from_le_bytes(image[sketch_len..sketch_len + 8].try_into().unwrap()) as usize;
+    // `u64 full_words · u32[] selected · u64 slots · u64[] present · …`:
+    // the presence bitset's first word follows its count.
+    let selected = u64::from_le_bytes(image[start + 8..start + 16].try_into().unwrap()) as usize;
+    let present = start + 16 + 4 * selected + 8 + 8;
+    assert_eq!(image[present] & 1, 1, "entry 0 is stored");
+    image[present] &= !1;
+    let sealed = xxh64(&image[start..start + len], CHECKSUM_SEED);
+    image[start + len..start + len + 8].copy_from_slice(&sealed.to_le_bytes());
+
+    let path = std::env::temp_dir().join(format!("hdoms-sketch-absent-{}.hdx", std::process::id()));
+    std::fs::write(&path, &image).unwrap();
+    let opens = [
+        LibraryIndex::from_bytes(&image, THREADS),
+        LibraryIndex::from_buffer(hdoms_hdc::WordBuffer::from_bytes(&image), THREADS),
+        LibraryIndex::open(&path, THREADS),
+        LibraryIndex::open_mapped(&path, THREADS),
+    ];
+    std::fs::remove_file(&path).ok();
+    for opened in opens {
+        match opened {
+            Err(IndexError::Invalid(message)) => assert_eq!(
+                message,
+                "sketch presence bits disagree with the shards' stored hypervectors"
+            ),
+            other => panic!("expected a clean rejection, got {other:?}"),
         }
     }
 }
@@ -1306,22 +1431,7 @@ mod fan_out {
     /// preprocessing floor, so shard runs hold absent references.
     fn starved_library(seed: u64) -> (SyntheticWorkload, SpectralLibrary) {
         let workload = tiny_workload(seed);
-        let library = (workload.library.iter().enumerate())
-            .map(|(id, entry)| {
-                let mut entry = entry.clone();
-                if id % 10 == 3 {
-                    let peaks = entry.spectrum.peaks()[..2].to_vec();
-                    entry.spectrum = Spectrum::new(
-                        entry.spectrum.id,
-                        entry.spectrum.precursor_mz,
-                        entry.spectrum.precursor_charge,
-                        peaks,
-                        entry.spectrum.origin,
-                    );
-                }
-                entry
-            })
-            .collect();
+        let library = starved(&workload.library);
         (workload, library)
     }
 
@@ -1589,12 +1699,15 @@ mod fan_out {
         let table = index.candidate_index();
         let in_id_order = (0..table.ids().len() as u32).eq(table.ids().iter().copied());
         assert!(!in_id_order, "the table is in id order: nothing to refuse");
-        let refs = index.shared_references().iter();
-        let by_id = SketchIndex::build(
-            index.dim(),
-            hdoms_prefilter::SKETCH_WORDS,
-            refs.map(|hv| hv.map(|hv| hv.words())),
-        );
+        let derived = index.sketch_index();
+        let refs = index.shared_references();
+        let row = |id: u32| {
+            let hv = refs.hv(id as usize);
+            hv.map(|hv| SketchIndex::sample(derived.selected(), hv.words()))
+        };
+        let ids: Arc<[u32]> = (0..table.ids().len() as u32).collect();
+        let (full_words, selected) = (derived.full_words(), derived.selected().to_vec());
+        let by_id = SketchIndex::from_rows(full_words, selected, ids, row).expect("a layout");
         let backend = index.sharded_backend(THREADS).expect("kind matches");
         let binned = binned_queries(&index, &workload);
         let _ = backend.search_batch_traced(

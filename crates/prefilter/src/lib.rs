@@ -25,7 +25,8 @@
 //! cascade entirely and is byte-identical to the pre-cascade pipeline.
 //!
 //! A query's candidates reach the sketch stage as a **window**, a range
-//! of rows (an index keeps the rows in its `(mass, id)` table's order),
+//! of rows (an index lays the rows out in its `(mass, id)` table's
+//! order, [`SketchIndex::from_rows`]),
 //! and survivors come back as rows, ascending: the sharded backend walks
 //! shard runs in mass order, and ties break by id as in the exact scan.
 
@@ -152,12 +153,12 @@ pub struct Narrowed {
 }
 
 /// A folded-hypervector sketch index: one fixed-width signature per
-/// reference slot, in a dense row-major table whose rows are stored in
-/// an order the owner chooses ([`SketchIndex::in_row_order`]), found by
-/// one id → row map and the row → id column of that order. A library
-/// index stores them in its `(mass, id)` order, so a precursor window
-/// *is* a range of rows, and it streams through the slab kernel cache
-/// line by cache line. Equality compares the rows in their stored order.
+/// reference slot, in a dense row-major table laid out once, in the order
+/// of an id column its owner hands over ([`SketchIndex::from_rows`]): row
+/// `r` holds slot `ids[r]`. A library index hands over its `(mass, id)`
+/// table's id column, so a precursor window *is* a range of rows, and it
+/// streams through the slab kernel cache line by cache line. Equality
+/// compares the rows in their stored order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SketchIndex {
     /// Words per full reference hypervector (`ceil(dim / 64)`), kept
@@ -166,15 +167,15 @@ pub struct SketchIndex {
     /// Strictly increasing word indices sampled from each full
     /// hypervector; `selected.len()` is the signature width.
     selected: Vec<u32>,
-    /// `slots × selected.len()` signature words, row-major in row order.
-    /// Absent slots hold zero rows.
+    /// `slots × selected.len()` signature words, row-major. Absent slots
+    /// hold zero rows.
     table: Vec<u64>,
     /// `row_of[id]` is slot `id`'s row in `table`; one entry per slot.
     row_of: Vec<u32>,
-    /// The inverse map, shared with the order's owner: `ids[row]` is the
-    /// slot whose signature `row` holds (`None`: rows in id order).
-    ids: Option<Arc<[u32]>>,
-    /// Presence bitset over slots (bit `id % 64` of word `id / 64`):
+    /// The inverse map, shared with the column's owner: `ids[row]` is the
+    /// slot whose signature `row` holds.
+    ids: Arc<[u32]>,
+    /// Presence bitset over rows (bit `row % 64` of word `row / 64`):
     /// references preprocessing rejected carry no hypervector and must
     /// never be forwarded by the sketch stage.
     present: Vec<u64>,
@@ -220,14 +221,6 @@ impl Scores {
     }
 }
 
-/// Mark `row` in the bitset `seen`; whether it was unmarked.
-fn first_visit(seen: &mut [u64], row: usize) -> bool {
-    let bit = 1u64 << (row % 64);
-    let fresh = seen[row / 64] & bit == 0;
-    seen[row / 64] |= bit;
-    fresh
-}
-
 impl SketchIndex {
     /// The evenly strided word sample: `min(target, full_words)`
     /// strictly increasing indices into a `full_words`-word
@@ -240,88 +233,34 @@ impl SketchIndex {
             .collect()
     }
 
-    /// An index over no slots yet, sampling `target_words` words
-    /// (clamped to the full width) of `dim`-dimensional hypervectors;
-    /// [`SketchIndex::push`] grows it slot by slot.
-    pub fn new(dim: usize, target_words: usize) -> SketchIndex {
-        let full_words = dim.div_ceil(64).max(1);
-        SketchIndex {
-            full_words,
-            selected: SketchIndex::word_selection(full_words, target_words),
-            table: Vec::new(),
-            row_of: Vec::new(),
-            ids: None,
-            present: Vec::new(),
-        }
-    }
-
-    /// Append the signature of the next dense reference id, as the last
-    /// row: the sampled words of `hv`, or — for `None`, a slot
-    /// preprocessing rejected — a zero row marked absent.
+    /// The signature of a hypervector: its packed words at the
+    /// `selected` indices, in order.
     ///
     /// # Panics
     ///
-    /// Panics if a present slot's word count differs from
-    /// `ceil(dim / 64)`, or once the rows left id order.
-    pub fn push(&mut self, hv: Option<&[u64]>) {
-        assert!(self.ids.is_none(), "push grows an index in id order");
-        let id = self.len();
-        if self.present.len() * 64 <= id {
-            self.present.push(0u64);
-        }
-        match hv {
-            Some(words) => {
-                assert_eq!(
-                    words.len(),
-                    self.full_words,
-                    "reference {id}: word count does not match the sketched dimension"
-                );
-                self.table
-                    .extend(self.selected.iter().map(|&w| words[w as usize]));
-                self.present[id / 64] |= 1u64 << (id % 64);
-            }
-            None => self
-                .table
-                .extend(std::iter::repeat_n(0u64, self.selected.len())),
-        }
-        self.row_of.push(id as u32);
+    /// Panics if an index reaches beyond `hv_words`.
+    pub fn sample<'a>(selected: &'a [u32], hv_words: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
+        selected.iter().map(|&w| hv_words[w as usize])
     }
 
-    /// Build signatures for every slot of a reference table, in id
-    /// order. `refs` yields one `Option<&[u64]>` per dense reference id,
-    /// in id order — `None` marks a slot preprocessing rejected. `dim` is
-    /// the full hypervector dimension; `target_words` the requested
-    /// signature width (clamped to the full width).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a present slot's word count differs from
-    /// `ceil(dim / 64)`.
-    pub fn build<'a>(
-        dim: usize,
-        target_words: usize,
-        refs: impl Iterator<Item = Option<&'a [u64]>>,
-    ) -> SketchIndex {
-        let mut sketch = SketchIndex::new(dim, target_words);
-        refs.for_each(|hv| sketch.push(hv));
-        sketch
-    }
-
-    /// Reassemble a sketch index from its serialized parts (the `.hdx`
-    /// v3 sketch section), rows in id order.
+    /// Lay a sketch out in the order of `ids`, an id column listing every
+    /// slot once: row `r` holds slot `ids[r]`'s signature — the words
+    /// `row(ids[r])` yields, or for `None` (a slot preprocessing rejected)
+    /// a zero row marked absent — and `ids` (a handle on it) is kept as
+    /// the row → slot column. `full_words` is the width of a full
+    /// hypervector, `selected` the words a signature samples from it
+    /// ([`SketchIndex::word_selection`], [`SketchIndex::sample`]).
     ///
     /// # Errors
     ///
-    /// Rejects structurally inconsistent parts: an empty or
-    /// non-increasing word selection, indices beyond `full_words`, a
-    /// table size that is not `slots × selection width`, or a presence
-    /// bitset of the wrong length (including set bits beyond `slots`).
-    pub fn from_parts(
+    /// Rejects an empty or non-increasing word selection, indices beyond
+    /// `full_words`, an id column that does not list every slot exactly
+    /// once, and a row that is not `selected.len()` words.
+    pub fn from_rows<R: IntoIterator<Item = u64>>(
         full_words: usize,
         selected: Vec<u32>,
-        table: Vec<u64>,
-        present: Vec<u64>,
-        slots: usize,
+        ids: Arc<[u32]>,
+        mut row: impl FnMut(u32) -> Option<R>,
     ) -> Result<SketchIndex, String> {
         if selected.is_empty() {
             return Err("sketch word selection is empty".to_owned());
@@ -334,108 +273,55 @@ impl SketchIndex {
                 "sketch word selection exceeds the hypervector width ({full_words} words)"
             ));
         }
-        if table.len() != slots * selected.len() {
-            return Err(format!(
-                "sketch table holds {} words for {slots} slots × {} selected",
-                table.len(),
-                selected.len()
-            ));
-        }
-        if present.len() != slots.div_ceil(64) {
-            return Err(format!(
-                "sketch presence bitset holds {} words for {slots} slots",
-                present.len()
-            ));
-        }
-        if let Some(last) = present.last() {
-            let tail_bits = slots % 64;
-            if tail_bits != 0 && *last >> tail_bits != 0 {
-                return Err("sketch presence bitset has bits beyond the slot count".to_owned());
+        let (slots, width) = (ids.len(), selected.len());
+        let mut row_of = vec![u32::MAX; slots];
+        let mut table = Vec::with_capacity(slots * width);
+        let mut present = vec![0u64; slots.div_ceil(64)];
+        for (r, &id) in ids.iter().enumerate() {
+            match row_of.get_mut(id as usize) {
+                Some(at) if *at == u32::MAX => *at = r as u32,
+                _ => {
+                    return Err(format!(
+                        "row order lists slot {id} twice or beyond {slots} slots"
+                    ))
+                }
+            }
+            match row(id) {
+                Some(words) => {
+                    table.extend(words);
+                    present[r / 64] |= 1u64 << (r % 64);
+                }
+                None => table.resize(table.len() + width, 0),
+            }
+            if table.len() != (r + 1) * width {
+                return Err(format!("slot {id}'s signature is not {width} words"));
             }
         }
         Ok(SketchIndex {
             full_words,
             selected,
             table,
-            row_of: (0..slots as u32).collect(),
-            ids: None,
+            row_of,
+            ids,
             present,
         })
     }
 
-    /// This index with its rows stored in the order `ids` lists the
-    /// slots: row `r` holds slot `ids[r]`'s signature, and `ids` (a
-    /// handle on it) is kept as the row → slot column. Signatures are
-    /// unchanged; only which slots sit in consecutive rows moves. The rows
-    /// move in place, cycle by cycle through one spare row.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `ids` lists every slot exactly once.
-    pub fn in_row_order(mut self, ids: impl Into<Arc<[u32]>>) -> SketchIndex {
-        let ids: Arc<[u32]> = ids.into();
-        let (slots, width) = (self.len(), self.words());
-        let mut spare = vec![0u64; width];
-        let mut seen = vec![0u64; slots.div_ceil(64)];
-        // Back to id order: row `id` takes what row `row_of[id]` holds.
-        for start in 0..slots {
-            if !first_visit(&mut seen, start) {
-                continue;
-            }
-            spare.copy_from_slice(&self.table[start * width..][..width]);
-            let mut to = start;
-            loop {
-                let from = self.row_of[to] as usize;
-                if from == start {
-                    self.table[to * width..][..width].copy_from_slice(&spare);
-                    break;
-                }
-                (self.table).copy_within(from * width..(from + 1) * width, to * width);
-                first_visit(&mut seen, from);
-                to = from;
-            }
-        }
-        // Then out to `ids`' order: row `id` goes to row `row_of[id]`.
-        self.row_of.fill(u32::MAX);
-        for (row, &id) in ids.iter().enumerate() {
-            match self.row_of.get_mut(id as usize) {
-                Some(slot) if *slot == u32::MAX => *slot = row as u32,
-                _ => panic!("row order lists slot {id} twice or beyond {slots} slots"),
-            }
-        }
-        assert_eq!(ids.len(), slots, "row order misses a slot");
-        seen.fill(0);
-        for start in 0..slots {
-            if !first_visit(&mut seen, start) {
-                continue;
-            }
-            spare.copy_from_slice(&self.table[start * width..][..width]);
-            let mut from = start;
-            while self.row_of[from] as usize != start {
-                let to = self.row_of[from] as usize;
-                spare.swap_with_slice(&mut self.table[to * width..][..width]);
-                first_visit(&mut seen, to);
-                from = to;
-            }
-            self.table[start * width..][..width].copy_from_slice(&spare);
-        }
-        self.ids = Some(ids);
-        self
-    }
-
     /// Whether row `r` holds slot `order[r]` for every row, so a table
     /// whose id column `order` is has its positions as rows (at once
-    /// when `order` is the column [`SketchIndex::in_row_order`] kept).
+    /// when `order` is the column the sketch was laid out in).
     pub fn rows_follow(&self, order: &Arc<[u32]>) -> bool {
-        match &self.ids {
-            Some(ids) => Arc::ptr_eq(ids, order) || ids == order,
-            None => order.len() == self.len() && (0..).zip(order.iter()).all(|(r, &id)| r == id),
-        }
+        Arc::ptr_eq(&self.ids, order) || self.ids == *order
     }
 
-    /// The slot whose signature `row` holds.
-    fn slot_at(&self, row: usize) -> u32 {
-        self.ids.as_ref().map_or(row as u32, |ids| ids[row])
+    /// The row → slot column the rows were laid out in.
+    pub fn ids(&self) -> &Arc<[u32]> {
+        &self.ids
+    }
+
+    /// Whether `row` carries a signature.
+    fn row_present(&self, row: usize) -> bool {
+        self.present[row / 64] >> (row % 64) & 1 == 1
     }
 
     /// Number of reference slots covered.
@@ -463,16 +349,10 @@ impl SketchIndex {
         &self.selected
     }
 
-    /// The presence bitset over slots.
-    pub fn present_bits(&self) -> &[u64] {
-        &self.present
-    }
-
     /// Whether slot `id` carries a signature (its reference has a
     /// hypervector).
     pub fn is_present(&self, id: u32) -> bool {
-        let id = id as usize;
-        id < self.len() && self.present[id / 64] >> (id % 64) & 1 == 1
+        (self.row_of.get(id as usize)).is_some_and(|&row| self.row_present(row as usize))
     }
 
     /// Slot `id`'s signature row (zeros for an absent slot).
@@ -497,10 +377,7 @@ impl SketchIndex {
             self.full_words,
             "query word count does not match the sketched dimension"
         );
-        self.selected
-            .iter()
-            .map(|&w| hv_words[w as usize])
-            .collect()
+        SketchIndex::sample(&self.selected, hv_words).collect()
     }
 
     /// The sketch stage for one query over a window copied out as ids:
@@ -512,16 +389,16 @@ impl SketchIndex {
     /// Panics if `query_sketch` is not [`SketchIndex::words`] long, or
     /// if `candidates` is not the slots of consecutive rows, in row order.
     pub fn narrow(&self, query_sketch: &[u64], candidates: &[u32], k: usize) -> Vec<u32> {
-        let row = |id: u32| self.row_of.get(id as usize).copied();
-        let first = candidates.first().map_or(Some(0), |&id| row(id));
-        let first = first.unwrap_or(u32::MAX);
+        let first = candidates
+            .first()
+            .map_or(Some(&0), |&id| self.row_of.get(id as usize));
+        let first = first.copied().unwrap_or(u32::MAX);
         let rows = first..first.saturating_add(candidates.len() as u32);
-        let named = rows.end as usize <= self.len()
-            && (rows.clone().zip(candidates)).all(|(row, &id)| self.slot_at(row as usize) == id);
+        let named = self.ids.get(rows.start as usize..rows.end as usize) == Some(candidates);
         assert!(named, "narrow takes a window of consecutive rows");
         let narrowed = self.narrow_batch(&[(query_sketch, rows)], k, 1);
         let survivors = narrowed[0].survivors.iter();
-        survivors.map(|&row| self.slot_at(row as usize)).collect()
+        survivors.map(|&row| self.ids[row as usize]).collect()
     }
 
     /// The sketch stage for a batch: each `(query sketch, window of
@@ -664,7 +541,7 @@ impl SketchIndex {
         for from in rows.clone().step_by(ROW_TILE) {
             let count = ROW_TILE.min(rows.end - from);
             absent.clear();
-            absent.extend((0..count).filter(|&r| !self.is_present(self.slot_at(from + r))));
+            absent.extend((0..count).filter(|&r| !self.row_present(from + r)));
             let slab = &self.table[from * width..(from + count) * width];
             let scored = &mut scratch[..queries.len() * count];
             kernel.hamming_slab(width, queries, slab, scored);
@@ -715,10 +592,10 @@ impl SketchIndex {
             u32::MAX
         } else {
             let tied = near.iter().filter(|&&(_, d)| d == t);
-            let mut tied: Vec<u32> = tied.map(|&(row, _)| self.slot_at(row as usize)).collect();
+            let mut tied: Vec<u32> = tied.map(|&(row, _)| self.ids[row as usize]).collect();
             *tied.select_nth_unstable(need - 1).1
         };
-        let keep = |&(row, d): &(u32, u32)| d < t || d == t && self.slot_at(row as usize) <= cut;
+        let keep = |&(row, d): &(u32, u32)| d < t || d == t && self.ids[row as usize] <= cut;
         near.into_iter().filter(keep).map(|(row, _)| row).collect()
     }
 }
@@ -739,8 +616,29 @@ mod tests {
             .collect()
     }
 
+    /// The sketch of `slots` (`None`: absent) at `words` words of
+    /// `dim`-dimensional hypervectors, its rows in `order`.
+    fn laid_out(
+        dim: usize,
+        words: usize,
+        slots: &[Option<&[u64]>],
+        order: impl Into<Arc<[u32]>>,
+    ) -> SketchIndex {
+        let full_words = dim.div_ceil(64);
+        let selected = SketchIndex::word_selection(full_words, words);
+        let row = |id: u32| slots[id as usize].map(|hv| SketchIndex::sample(&selected, hv));
+        SketchIndex::from_rows(full_words, selected.clone(), order.into(), row).unwrap()
+    }
+
+    /// Every slot of `refs` present, in id order.
     fn sketch_of(refs: &[BinaryHypervector], dim: usize) -> SketchIndex {
-        SketchIndex::build(dim, SKETCH_WORDS, refs.iter().map(|r| Some(r.words())))
+        let slots: Vec<Option<&[u64]>> = refs.iter().map(|r| Some(r.words())).collect();
+        laid_out(
+            dim,
+            SKETCH_WORDS,
+            &slots,
+            (0..refs.len() as u32).collect::<Vec<_>>(),
+        )
     }
 
     #[test]
@@ -791,14 +689,11 @@ mod tests {
     fn absent_slots_never_survive() {
         let dim = 512;
         let refs = random_refs(16, dim, 2);
-        let sketch = SketchIndex::build(
-            dim,
-            SKETCH_WORDS,
-            refs.iter()
-                .enumerate()
-                .map(|(i, r)| (i % 2 == 0).then(|| r.words())),
-        );
+        let slots: Vec<Option<&[u64]>> = (refs.iter().enumerate())
+            .map(|(i, r)| (i % 2 == 0).then(|| r.words()))
+            .collect();
         let list: Vec<u32> = (0..16).collect();
+        let sketch = laid_out(dim, SKETCH_WORDS, &slots, list.clone());
         let query = sketch.sketch_query(refs[0].words());
         let survivors = sketch.narrow(&query, &list, 4);
         assert_eq!(survivors.len(), 4);
@@ -858,8 +753,8 @@ mod tests {
     /// A random row order over `slots` references drawn from a third as
     /// many distinct hypervectors (so equal sketch distances crowd the
     /// threshold), one in ten absent, under a 4- or 16-word signature:
-    /// the index in id order, the same index in the row order, and the
-    /// order.
+    /// the index laid out in id order, the same slots laid out in the row
+    /// order, and the order.
     fn shuffled_sketch(
         rng: &mut StdRng,
         seed: u64,
@@ -875,10 +770,10 @@ mod tests {
             })
             .collect();
         let words = if narrow_sketch { 4 } else { SKETCH_WORDS };
-        let by_id = SketchIndex::build(dim, words, refs.iter().copied());
         let mut order: Vec<u32> = (0..slots as u32).collect();
+        let by_id = laid_out(dim, words, &refs, order.clone());
         order.shuffle(rng);
-        let sketch = by_id.clone().in_row_order(order.clone());
+        let sketch = laid_out(dim, words, &refs, order.clone());
         (by_id, sketch, order)
     }
 
@@ -968,17 +863,20 @@ mod tests {
     #[should_panic(expected = "narrow takes a window")]
     fn narrow_refuses_a_list_that_is_not_a_window() {
         let refs = random_refs(8, 512, 10);
-        let sketch = sketch_of(&refs, 512).in_row_order([7, 6, 5, 4, 3, 2, 1, 0]);
+        let slots: Vec<Option<&[u64]>> = refs.iter().map(|r| Some(r.words())).collect();
+        let sketch = laid_out(512, SKETCH_WORDS, &slots, [7, 6, 5, 4, 3, 2, 1, 0]);
         let query = sketch.sketch_query(refs[0].words());
         // Slots 0..3 sit in rows 7, 6, 5: consecutive, but not in row order.
         let _ = sketch.narrow(&query, &[0, 1, 2], 1);
     }
 
     #[test]
-    fn rows_follow_the_order_they_were_put_in() {
+    fn rows_follow_the_order_they_were_laid_out_in() {
         let refs = random_refs(4, 512, 11);
+        let slots: Vec<Option<&[u64]>> = refs.iter().map(|r| Some(r.words())).collect();
         let order: Arc<[u32]> = Arc::from([3, 1, 0, 2]);
-        let sketch = sketch_of(&refs, 512).in_row_order(Arc::clone(&order));
+        let sketch = laid_out(512, SKETCH_WORDS, &slots, Arc::clone(&order));
+        assert!(Arc::ptr_eq(sketch.ids(), &order), "the column is shared");
         assert!(sketch.rows_follow(&order));
         assert!(
             sketch.rows_follow(&Arc::from([3, 1, 0, 2])),
@@ -1002,83 +900,60 @@ mod tests {
         assert!(sketch.narrow(&query, &[], 0).is_empty());
     }
 
+    /// Laid out in any order, a sketch holds each slot's sampled words
+    /// (zeros for an absent one) in the row its id column names, and the
+    /// presence of the slot in that row.
     #[test]
-    fn a_row_order_must_list_every_slot_once() {
-        let refs = random_refs(4, 512, 9);
-        let sketch = || sketch_of(&refs, 512);
-        for bad in [vec![0, 1, 2], vec![0, 1, 2, 2], vec![0, 1, 2, 4]] {
-            let reordered = std::panic::catch_unwind(|| sketch().in_row_order(bad.clone()));
-            assert!(reordered.is_err(), "{bad:?}");
-        }
-        // Reordering twice lands where reordering once does.
-        let once = sketch().in_row_order([3, 1, 0, 2]);
-        let twice = sketch()
-            .in_row_order([2, 3, 1, 0])
-            .in_row_order([3, 1, 0, 2]);
-        assert_eq!(once, twice);
-        assert_eq!(rows_by_id(&once), rows_by_id(&sketch()));
-        // Row 0 holds slot 3.
-        assert_eq!(&once.table[..once.words()], sketch().signature(3));
-    }
-
-    #[test]
-    fn pushing_slot_by_slot_builds_the_same_index() {
+    fn a_layout_holds_each_slots_sampled_words_in_its_row() {
         let dim = 1100; // 18 words, the last one partial
         let refs = random_refs(70, dim, 7);
-        let slots: Vec<Option<&[u64]>> = refs
-            .iter()
-            .enumerate()
+        let slots: Vec<Option<&[u64]>> = (refs.iter().enumerate())
             .map(|(i, r)| (i % 3 != 1).then(|| r.words()))
             .collect();
-        let built = SketchIndex::build(dim, SKETCH_WORDS, slots.iter().copied());
-        let mut pushed = SketchIndex::new(dim, SKETCH_WORDS);
-        assert!(pushed.is_empty());
-        for (id, &slot) in slots.iter().enumerate() {
-            pushed.push(slot);
-            assert_eq!(pushed.len(), id + 1);
-            assert_eq!(pushed.is_present(id as u32), slot.is_some());
-        }
-        assert_eq!(pushed, built);
-        // And both are what the parts say they should be.
         let selected = SketchIndex::word_selection(18, SKETCH_WORDS);
-        let table: Vec<u64> = slots
-            .iter()
-            .flat_map(|slot| {
-                selected
-                    .iter()
-                    .map(move |&w| slot.map_or(0, |s| s[w as usize]))
-            })
-            .collect();
-        let mut present = vec![0u64; 2];
-        for (id, _) in slots.iter().enumerate().filter(|(_, s)| s.is_some()) {
-            present[id / 64] |= 1 << (id % 64);
+        let mut order: Vec<u32> = (0..70).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(12));
+        let sketch = laid_out(dim, SKETCH_WORDS, &slots, order.clone());
+        let by_id = laid_out(dim, SKETCH_WORDS, &slots, (0..70).collect::<Vec<_>>());
+        assert_eq!(rows_by_id(&sketch), rows_by_id(&by_id));
+        assert_eq!(rows_by_id(&by_id), by_id.table);
+        assert_eq!((sketch.len(), sketch.words()), (70, SKETCH_WORDS));
+        for (row, &id) in order.iter().enumerate() {
+            let slot = slots[id as usize];
+            let sampled: Vec<u64> = (selected.iter())
+                .map(|&w| slot.map_or(0, |hv| hv[w as usize]))
+                .collect();
+            assert_eq!(&sketch.table[row * SKETCH_WORDS..][..SKETCH_WORDS], sampled);
+            assert_eq!(sketch.signature(id), sampled);
+            assert_eq!(sketch.is_present(id), slot.is_some());
+            assert_eq!(sketch.row_present(row), slot.is_some());
         }
-        let from_parts = SketchIndex::from_parts(18, selected, table, present, 70).unwrap();
-        assert_eq!(pushed, from_parts);
-        assert_eq!(rows_by_id(&pushed), pushed.table);
+        assert!(!sketch.is_present(70), "beyond the slots");
     }
 
+    /// The constructor refuses what no layout can hold: a bad word
+    /// selection, an id column that names a slot twice or one beyond the
+    /// slots, and a row of the wrong width.
     #[test]
-    fn parts_roundtrip_and_validate() {
-        let dim = 512;
-        let refs = random_refs(10, dim, 6);
-        let sketch = sketch_of(&refs, dim);
-        let rebuilt = SketchIndex::from_parts(
-            sketch.full_words(),
-            sketch.selected().to_vec(),
-            rows_by_id(&sketch),
-            sketch.present_bits().to_vec(),
-            sketch.len(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt, sketch);
-
-        // Structural garbage is rejected.
-        assert!(SketchIndex::from_parts(8, vec![], vec![], vec![], 0).is_err());
-        assert!(SketchIndex::from_parts(8, vec![3, 3], vec![0; 2], vec![0], 1).is_err());
-        assert!(SketchIndex::from_parts(8, vec![3, 9], vec![0; 2], vec![0], 1).is_err());
-        assert!(SketchIndex::from_parts(8, vec![0, 4], vec![0; 3], vec![0], 1).is_err());
-        assert!(SketchIndex::from_parts(8, vec![0, 4], vec![0; 2], vec![], 1).is_err());
-        assert!(SketchIndex::from_parts(8, vec![0, 4], vec![0; 2], vec![1 << 1], 1).is_err());
+    fn the_constructor_rejects_structural_garbage() {
+        let hv = [7u64; 8];
+        let lay = |selected: Vec<u32>, ids: &[u32]| {
+            let row = |_| Some(SketchIndex::sample(&[0, 4], &hv));
+            SketchIndex::from_rows(8, selected, Arc::from(ids), row)
+        };
+        assert!(lay(vec![0, 4], &[1, 0]).is_ok());
+        assert!(lay(vec![], &[0]).is_err(), "an empty selection");
+        assert!(lay(vec![3, 3], &[0]).is_err(), "a repeated word");
+        assert!(lay(vec![4, 0], &[0]).is_err(), "a decreasing selection");
+        assert!(lay(vec![3, 8], &[0]).is_err(), "a word beyond the width");
+        for bad in [&[0, 1, 2, 2][..], &[0, 1, 2, 4], &[1, 2, 3]] {
+            assert!(lay(vec![0, 4], bad).is_err(), "{bad:?}");
+        }
+        let wide = |_| Some(SketchIndex::sample(&[0, 1, 2], &hv));
+        let wide = SketchIndex::from_rows(8, vec![0, 4], Arc::from([0]), wide);
+        assert!(
+            wide.is_err(),
+            "a row of three words under a two-word selection"
+        );
     }
 }
