@@ -14,7 +14,7 @@
 use hdoms_hdc::parallel::par_map;
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
-use hdoms_oms::search::{RunScorer, SearchHit};
+use hdoms_oms::search::{RunMember, RunScorer, SearchHit};
 
 /// Configuration for [`AnnSoloBackend`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,19 +147,15 @@ impl RunScorer for AnnSoloBackend {
 
     fn prepare(&self, _binned: &BinnedSpectrum) {}
 
-    /// One shifted-cosine scan of `run` per query.
-    fn best_in_each(
-        &self,
-        queries: &[(&BinnedSpectrum, &())],
-        run: &[u32],
-    ) -> Vec<Option<SearchHit>> {
-        let scan = |query: &BinnedSpectrum| {
-            SearchHit::best_of(run, |cand| {
+    /// One shifted-cosine scan of each member's range of `run`.
+    fn best_in_ranges(&self, members: &[RunMember<'_, ()>], run: &[u32]) -> Vec<Option<SearchHit>> {
+        let scan = |(query, (), range): &RunMember<'_, ()>| {
+            SearchHit::best_of(&run[range.clone()], |cand| {
                 let reference = self.references[cand as usize].as_ref()?;
                 Some(self.shifted_cosine(query, reference, self.norms[cand as usize]))
             })
         };
-        queries.iter().map(|&(query, ())| scan(query)).collect()
+        members.iter().map(scan).collect()
     }
 }
 

@@ -4,7 +4,7 @@
 //! *in memory* (the ID item memory lives in RRAM), the encoded reference
 //! hypervectors are stored as differential binary weights, and Hamming
 //! search runs *in memory* against them. The accelerator is a
-//! [`RunScorer`] — `prepare` is the in-memory encode, `best_in_each` the
+//! [`RunScorer`] — `prepare` is the in-memory encode, `best_in_ranges` the
 //! in-memory search — so the flat loop and the shard fan-out written
 //! over that seam, and with them the standard OMS pipeline (candidate
 //! windowing and FDR filtering), drive it exactly like the software
@@ -19,7 +19,7 @@ use hdoms_hdc::encoder::EncoderConfig;
 use hdoms_hdc::BinaryHypervector;
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
-use hdoms_oms::search::{encode_chunk, RunScorer, SearchHit, SharedReferences};
+use hdoms_oms::search::{encode_chunk, RunMember, RunScorer, SearchHit, SharedReferences};
 use hdoms_rram::array::CrossbarConfig;
 
 /// Full accelerator configuration.
@@ -225,18 +225,19 @@ impl RunScorer for OmsAccelerator {
         self.encoder.encode(binned)
     }
 
-    /// Search the run in memory once per query; the analog noise is
-    /// keyed on `(query id, reference id)`, so it depends on neither the
-    /// run nor the other queries.
-    fn best_in_each(
+    /// Search each member's range of the run in memory, one member at a
+    /// time; the analog noise is keyed on `(query id, reference id)`, so
+    /// it depends on neither the run nor the other members.
+    fn best_in_ranges(
         &self,
-        queries: &[(&BinnedSpectrum, &BinaryHypervector)],
+        members: &[RunMember<'_, BinaryHypervector>],
         run: &[u32],
     ) -> Vec<Option<SearchHit>> {
-        let search = |&(binned, query): &(&BinnedSpectrum, &BinaryHypervector)| {
-            self.search.search_best(query, binned.id, run)
+        let search = |(binned, query, range): &RunMember<'_, BinaryHypervector>| {
+            self.search
+                .search_best(query, binned.id, &run[range.clone()])
         };
-        queries.iter().map(search).collect()
+        members.iter().map(search).collect()
     }
 }
 

@@ -17,16 +17,18 @@
 //! CPU analogue of HyperOMS's massively parallel GPU formulation and
 //! what a flat scan cannot do one pair at a time:
 //!
-//! * [`KernelDispatch::score_block`] tiles Q queries × R references
-//!   (any slices) so each reference's cache lines are scored against a
-//!   whole query block before being evicted — the exact shard scan;
 //! * [`KernelDispatch::hamming_slab`] scores a borrowed row-major
 //!   *slab* of equal-width rows against 1..=[`QUERY_TILE`] queries in
 //!   one call: the queries stay in registers, each row is loaded once,
 //!   and each (query, row) pair costs its XORs and popcounts with no
 //!   call and no pointer per pair — the prefilter's sketch pass. Each
 //!   query count has its own instantiation, so a ragged block of 3
-//!   queries does the work of 3, not of 8.
+//!   queries does the work of 3, not of 8;
+//! * [`KernelDispatch::score_block`] runs the same bodies over Q
+//!   queries × R references (any rows, not only adjacent ones),
+//!   [`QUERY_TILE`] queries at a time, with the final word's padding
+//!   masked — the exact shard scan. A slab is just a tile of adjacent
+//!   rows, so each ISA has one sweep body, not two.
 //!
 //! A fourth primitive sits beside the three XOR+popcount ones: the
 //! **blocked ID-Level encode kernel**
@@ -78,8 +80,8 @@ use crate::hv::BinaryHypervector;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// How many references a [`KernelDispatch::score_block`] reference tile
-/// holds; callers feeding the blocked kernel incrementally (tiled scans
-/// over candidate lists) use the same width so reference tiles fit L1.
+/// holds: the exact scan gathers a run's present references this many
+/// at a time, so a tile stays cache-hot while every query tile sweeps it.
 pub const REFERENCE_TILE: usize = 32;
 
 /// Queries per tile in the blocked kernels: each reference is scored
@@ -211,9 +213,9 @@ enum Impl {
     Avx512,
 }
 
-/// The word-pair primitive every distance reduces to: XOR + popcount
-/// over two equal-length word slices. Selected once per dispatch so the
-/// blocked kernels pay no per-pair branch.
+/// The word-pair primitive the single-pair distances reduce to: XOR +
+/// popcount over two equal-length word slices (the blocked kernels run
+/// their own sweep bodies instead).
 type PairFn = fn(&[u64], &[u64]) -> u64;
 
 /// A resolved distance-kernel implementation. `Copy` and stateless —
@@ -325,17 +327,22 @@ impl KernelDispatch {
 
     /// The query-blocked batch kernel: bipolar dot products of Q queries
     /// × R references, `out[q * R + r] = dim − 2·hamming(queries[q],
-    /// references[r])` — the score every backend ranks by. Queries are
-    /// tiled so each reference's words are scored against a whole query
-    /// block while they are cache-hot; ragged tails (Q or R not a
-    /// multiple of the tile) are handled. The exact scan feeds it one
-    /// [`REFERENCE_TILE`] of a shard run against every query sharing
-    /// the run.
+    /// references[r])` — the score every backend ranks by. The
+    /// references are any rows (adjacent or not, repeated or not); the
+    /// queries are swept over them [`QUERY_TILE`] at a time in
+    /// [`KernelDispatch::hamming_slab`]'s register-blocked shape, so each
+    /// reference vector is loaded once per query tile and XOR-popcounted
+    /// into one accumulator per query of the tile. Padding bits beyond
+    /// `dim` in the final word are masked off, as in
+    /// [`KernelDispatch::hamming_words`]. The exact scan feeds it one
+    /// [`REFERENCE_TILE`] of a run against every query whose range meets
+    /// the tile.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != queries.len() * references.len()` or any
-    /// slice's length is not `ceil(dim / 64)`.
+    /// slice's length is not `ceil(dim / 64)` — checked once here, before
+    /// any SIMD body runs.
     pub fn score_block(
         &self,
         dim: usize,
@@ -348,17 +355,28 @@ impl KernelDispatch {
             queries.len() * references.len(),
             "out must hold one score per (query, reference) pair"
         );
-        let f = self.pair_fn();
-        let d = dim as i64;
-        let r_count = references.len();
+        let width = BinaryHypervector::word_count(dim);
+        assert!(
+            queries.iter().chain(references).all(|v| v.len() == width),
+            "word count must match the dimension"
+        );
+        if width == 0 {
+            return out.fill(0);
+        }
+        // The final word's padding bits: counted by the sweep, taken off
+        // again per pair.
+        let padding = match dim % 64 {
+            0 => 0,
+            rem => u64::MAX << rem,
+        };
+        let (d, r_count) = (dim as i64, references.len());
         for (tile_idx, q_tile) in queries.chunks(QUERY_TILE).enumerate() {
             let q_base = tile_idx * QUERY_TILE;
-            for (ri, reference) in references.iter().enumerate() {
-                for (qi, query) in q_tile.iter().enumerate() {
-                    out[(q_base + qi) * r_count + ri] =
-                        d - 2 * i64::from(hamming_with(f, dim, query, reference));
-                }
-            }
+            self.sweep(width, q_tile, references, |q, r, count| {
+                let dirty = (q_tile[q][width - 1] ^ references[r][width - 1]) & padding;
+                let hamming = count - dirty.count_ones();
+                out[(q_base + q) * r_count + r] = d - 2 * i64::from(hamming);
+            });
         }
     }
 
@@ -388,23 +406,50 @@ impl KernelDispatch {
             "every query must be one {width}-word row"
         );
         assert_eq!(slab.len() % width, 0, "the slab must hold whole rows");
+        let rows = slab.len() / width;
         assert_eq!(
             out.len(),
-            queries.len() * (slab.len() / width),
+            queries.len() * rows,
             "out must hold one distance per (query, row) pair"
         );
+        self.sweep(
+            width,
+            queries,
+            Slab { words: slab, width },
+            |q, r, count| {
+                out[q * rows + r] = count;
+            },
+        );
+    }
+
+    /// The blocked sweep under both [`KernelDispatch::score_block`] and
+    /// [`KernelDispatch::hamming_slab`]: `emit(q, r, popcount(queries[q]
+    /// ^ row r))` for every (query, row) pair, unmasked, each row loaded
+    /// once for the whole query tile. The callers' checks are its bounds:
+    /// `width >= 1`, 1..=[`QUERY_TILE`] queries and every query and row
+    /// exactly `width` words.
+    fn sweep<'a>(
+        &self,
+        width: usize,
+        queries: &[&[u64]],
+        rows: impl Rows<'a>,
+        emit: impl FnMut(usize, usize, u32),
+    ) {
+        debug_assert!(width > 0 && (1..=QUERY_TILE).contains(&queries.len()));
         match self.imp {
-            Impl::Scalar => per_query_count!(queries.len(), slab_scalar(width, queries, slab, out)),
+            Impl::Scalar => {
+                per_query_count!(queries.len(), sweep_scalar(width, queries, rows, emit))
+            }
             // SAFETY: `Impl::Avx2` is only constructed after
             // `is_x86_feature_detected!("avx2")` (`best_simd`,
-            // `available`), and the checks above are the bodies' bounds.
+            // `available`), and the callers' checks are the bodies' bounds.
             #[cfg(target_arch = "x86_64")]
-            Impl::Avx2 => unsafe { x86::hamming_slab_avx2(width, queries, slab, out) },
+            Impl::Avx2 => unsafe { x86::sweep_avx2(width, queries, rows, emit) },
             // SAFETY: `Impl::Avx512` is only constructed by `best_simd`
             // after `avx512f` and `avx512vpopcntdq` were detected, and the
-            // checks above are the bodies' bounds.
+            // callers' checks are the bodies' bounds.
             #[cfg(target_arch = "x86_64")]
-            Impl::Avx512 => unsafe { x86::hamming_slab_avx512(width, queries, slab, out) },
+            Impl::Avx512 => unsafe { x86::sweep_avx512(width, queries, rows, emit) },
         }
     }
 
@@ -464,12 +509,67 @@ macro_rules! per_query_count {
 }
 use per_query_count;
 
-/// The portable slab body: per row, each word XORed with the same word of
-/// all `N` queries into `N` running counts.
-fn slab_scalar<const N: usize>(width: usize, queries: &[&[u64]], slab: &[u64], out: &mut [u32]) {
+/// What the blocked bodies sweep: rows as wide as the queries — the
+/// safe entries check every row once, so the bodies read a row's words
+/// without a check per pair.
+trait Rows<'a>: Copy {
+    /// The rows, in order.
+    fn rows(self) -> impl Iterator<Item = &'a [u64]>;
+
+    /// The row to ask the memory system for while row `r` is scored, if
+    /// any.
+    fn ahead(self, r: usize) -> Option<&'a [u64]>;
+}
+
+/// A row-major run of a table's rows: the slab kernel's tile of adjacent
+/// rows.
+#[derive(Clone, Copy)]
+struct Slab<'a> {
+    words: &'a [u64],
+    width: usize,
+}
+
+impl<'a> Rows<'a> for Slab<'a> {
+    #[inline(always)]
+    fn rows(self) -> impl Iterator<Item = &'a [u64]> {
+        self.words.chunks_exact(self.width)
+    }
+
+    /// Adjacent rows, a few words each: the hardware streams them.
+    #[inline(always)]
+    fn ahead(self, _: usize) -> Option<&'a [u64]> {
+        None
+    }
+}
+
+/// Rows anywhere: the exact scan's reference tile.
+impl<'a> Rows<'a> for &'a [&'a [u64]] {
+    #[inline(always)]
+    fn rows(self) -> impl Iterator<Item = &'a [u64]> {
+        self.iter().copied()
+    }
+
+    /// Two rows ahead: rows anywhere, a kilobyte each at 8 192
+    /// dimensions, arrive while the two before them are scored (a third
+    /// less time a pair on rows streamed from memory; `BENCHMARKS.md`).
+    #[inline(always)]
+    fn ahead(self, r: usize) -> Option<&'a [u64]> {
+        self.get(r + 2).copied()
+    }
+}
+
+/// The portable sweep body: per row, each word XORed with the same word
+/// of all `N` queries into `N` running counts.
+#[inline(always)]
+fn sweep_scalar<'a, const N: usize>(
+    width: usize,
+    queries: &[&[u64]],
+    rows: impl Rows<'a>,
+    mut emit: impl FnMut(usize, usize, u32),
+) {
     let queries: [&[u64]; N] = std::array::from_fn(|q| &queries[q][..width]);
-    let rows = slab.len() / width;
-    for (r, row) in slab.chunks_exact(width).enumerate() {
+    for (r, row) in rows.rows().enumerate() {
+        let row = &row[..width];
         let mut counts = [0u32; N];
         for (w, &word) in row.iter().enumerate() {
             for (count, query) in counts.iter_mut().zip(&queries) {
@@ -477,7 +577,7 @@ fn slab_scalar<const N: usize>(width: usize, queries: &[&[u64]], slab: &[u64], o
             }
         }
         for (q, count) in counts.into_iter().enumerate() {
-            out[q * rows + r] = count;
+            emit(q, r, count);
         }
     }
 }
@@ -761,27 +861,43 @@ mod x86 {
         total
     }
 
-    /// The AVX2 slab body for any query count (see `hamming_slab_body_avx2`).
+    /// Ask for the cache lines of the row `rows` names ahead of row `r`
+    /// — only when `N` queries give the row enough work to hide them
+    /// behind (fewer queries leave the out-of-order window room to load
+    /// the next rows itself).
+    #[inline(always)]
+    fn prefetch_ahead<'a, const N: usize>(width: usize, rows: impl super::Rows<'a>, r: usize) {
+        if N < 4 {
+            return;
+        }
+        if let Some(next) = rows.ahead(r) {
+            for line in (0..width).step_by(8) {
+                // SAFETY: `line < width`, the row's length, so the address
+                // is inside the row; a prefetch never faults anyway.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(next.as_ptr().add(line).cast()) };
+            }
+        }
+    }
+
+    /// The AVX2 sweep body for any query count (see `sweep_body_avx2`).
     ///
     /// # Safety
     ///
-    /// The CPU must support `avx2`, and the arguments must pass
-    /// `KernelDispatch::hamming_slab`'s checks: `width >= 1`, 1..=8
-    /// queries of exactly `width` words each, `slab.len() == rows × width`
-    /// and `out.len() == queries.len() × rows`. Its only caller checks
-    /// them, and reaches this through `Impl::Avx2`, which exists only
-    /// after `is_x86_feature_detected!("avx2")`.
+    /// The CPU must support `avx2`, and the arguments must pass the safe
+    /// entries' checks (`KernelDispatch::hamming_slab`,
+    /// `KernelDispatch::score_block`): `width >= 1`, 1..=8 queries and
+    /// every query and every row of `rows` exactly `width` words. Its
+    /// only caller, `KernelDispatch::sweep`, runs after those checks and
+    /// reaches this through `Impl::Avx2`, which exists only after
+    /// `is_x86_feature_detected!("avx2")`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn hamming_slab_avx2(
+    pub(super) unsafe fn sweep_avx2<'a>(
         width: usize,
         queries: &[&[u64]],
-        slab: &[u64],
-        out: &mut [u32],
+        rows: impl super::Rows<'a>,
+        emit: impl FnMut(usize, usize, u32),
     ) {
-        super::per_query_count!(
-            queries.len(),
-            hamming_slab_body_avx2(width, queries, slab, out)
-        )
+        super::per_query_count!(queries.len(), sweep_body_avx2(width, queries, rows, emit))
     }
 
     /// Per row: each 4-word vector of the row is loaded once, XORed with
@@ -792,20 +908,18 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// As [`hamming_slab_avx2`]: `avx2`, and the safe entry's checks —
-    /// the loads read words `4c..4c + 4` with `4c + 4 <= width` of a
-    /// query and of row `r < rows`, which lies inside the slab because
-    /// `slab.len() == rows × width`.
+    /// As [`sweep_avx2`]: `avx2`, and the safe entries' checks — the
+    /// loads read words `4c..4c + 4` with `4c + 4 <= width` of a query
+    /// and of a row, each exactly `width` words long.
     #[target_feature(enable = "avx2")]
-    unsafe fn hamming_slab_body_avx2<const N: usize>(
+    unsafe fn sweep_body_avx2<'a, const N: usize>(
         width: usize,
         queries: &[&[u64]],
-        slab: &[u64],
-        out: &mut [u32],
+        rows: impl super::Rows<'a>,
+        mut emit: impl FnMut(usize, usize, u32),
     ) {
         /// Vectors whose byte counts (≤ 8 each) fit one byte lane.
         const FLUSH: usize = 31;
-        let rows = slab.len() / width;
         let vectors = width / 4;
         let query: [*const u64; N] = std::array::from_fn(|q| queries[q].as_ptr());
         #[rustfmt::skip]
@@ -815,7 +929,9 @@ mod x86 {
         );
         let low_mask = _mm256_set1_epi8(0x0f);
         let zero = _mm256_setzero_si256();
-        for (r, row) in slab.chunks_exact(width).enumerate() {
+        for (r, row) in rows.rows().enumerate() {
+            prefetch_ahead::<N>(width, rows, r);
+            debug_assert_eq!(row.len(), width);
             let mut counts = [0u64; N];
             let mut v = 0;
             while v < vectors {
@@ -850,32 +966,29 @@ mod x86 {
                 for (&x, &y) in row[4 * vectors..].iter().zip(&queries[q][4 * vectors..]) {
                     counts[q] += u64::from((x ^ y).count_ones());
                 }
-                out[q * rows + r] = counts[q] as u32;
+                emit(q, r, counts[q] as u32);
             }
         }
     }
 
-    /// The AVX-512 slab body for any query count (see
-    /// `hamming_slab_body_avx512`).
+    /// The AVX-512 sweep body for any query count (see
+    /// `sweep_body_avx512`).
     ///
     /// # Safety
     ///
     /// The CPU must support `avx512f` and `avx512vpopcntdq`, and the
-    /// arguments must pass `KernelDispatch::hamming_slab`'s checks (as
-    /// for [`hamming_slab_avx2`]). Its only caller checks them, and
-    /// reaches this through `Impl::Avx512`, which `best_simd` builds only
-    /// after detecting both features.
+    /// arguments must pass the safe entries' checks (as for
+    /// [`sweep_avx2`]). Its only caller checks them, and reaches this
+    /// through `Impl::Avx512`, which `best_simd` builds only after
+    /// detecting both features.
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub(super) unsafe fn hamming_slab_avx512(
+    pub(super) unsafe fn sweep_avx512<'a>(
         width: usize,
         queries: &[&[u64]],
-        slab: &[u64],
-        out: &mut [u32],
+        rows: impl super::Rows<'a>,
+        emit: impl FnMut(usize, usize, u32),
     ) {
-        super::per_query_count!(
-            queries.len(),
-            hamming_slab_body_avx512(width, queries, slab, out)
-        )
+        super::per_query_count!(queries.len(), sweep_body_avx512(width, queries, rows, emit))
     }
 
     /// Per row: each 8-word vector of the row is loaded once, XORed with
@@ -886,23 +999,24 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// As [`hamming_slab_avx512`]: `avx512f` + `avx512vpopcntdq`, and the
-    /// safe entry's checks — the full loads read words `8c..8c + 8` with
-    /// `8c + 8 <= width` of a query and of row `r < rows`, inside the
-    /// slab because `slab.len() == rows × width`; the masked load enables
-    /// only words below `width`, and masked-off lanes never fault.
+    /// As [`sweep_avx512`]: `avx512f` + `avx512vpopcntdq`, and the safe
+    /// entries' checks — the full loads read words `8c..8c + 8` with
+    /// `8c + 8 <= width` of a query and of a row, each exactly `width`
+    /// words long; the masked load enables only words below `width`, and
+    /// masked-off lanes never fault.
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    unsafe fn hamming_slab_body_avx512<const N: usize>(
+    unsafe fn sweep_body_avx512<'a, const N: usize>(
         width: usize,
         queries: &[&[u64]],
-        slab: &[u64],
-        out: &mut [u32],
+        rows: impl super::Rows<'a>,
+        mut emit: impl FnMut(usize, usize, u32),
     ) {
-        let rows = slab.len() / width;
         let (vectors, tail) = (width / 8, width % 8);
         let tail_mask: __mmask8 = (1u8 << tail).wrapping_sub(1);
         let query: [*const i64; N] = std::array::from_fn(|q| queries[q].as_ptr().cast());
-        for (r, row) in slab.chunks_exact(width).enumerate() {
+        for (r, row) in rows.rows().enumerate() {
+            prefetch_ahead::<N>(width, rows, r);
+            debug_assert_eq!(row.len(), width);
             let row: *const i64 = row.as_ptr().cast();
             let mut counts = [_mm512_setzero_si512(); N];
             for at in (0..8 * vectors).step_by(8) {
@@ -921,8 +1035,8 @@ mod x86 {
                     counts[q] = _mm512_add_epi64(counts[q], _mm512_popcnt_epi64(z));
                 }
             }
-            for q in 0..N {
-                out[q * rows + r] = _mm512_reduce_add_epi64(counts[q]) as u32;
+            for (q, &count) in counts.iter().enumerate() {
+                emit(q, r, _mm512_reduce_add_epi64(count) as u32);
             }
         }
     }

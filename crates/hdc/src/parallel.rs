@@ -19,9 +19,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// The schedule is dynamic: every worker — the calling thread is one of
 /// them — takes the next unmapped item from one shared cursor until none
-/// is left, so a few costly items (a shard run many queries share beside
-/// one-query edge runs) never leave the other workers idle behind a
-/// static chunk. Each item is mapped exactly once; which worker maps it
+/// is left, so a few costly items (a row block dozens of queries share
+/// beside one at the edge of a window that one query reaches) never
+/// leave the other workers idle behind a static chunk. Each item is mapped exactly once; which worker maps it
 /// does not show in the output.
 ///
 /// With `threads <= 1` (or a single item) the map runs inline on the

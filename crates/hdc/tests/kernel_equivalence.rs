@@ -176,6 +176,57 @@ proptest! {
         }
     }
 
+    /// `score_block` on every variant ≡ the scalar `hamming_words`, cell
+    /// for cell: 1..=17 queries (across two query tiles and a ragged
+    /// third), reference tiles of rows picked anywhere from a small table
+    /// — non-adjacent, repeated — at dims 1, 63, 64, 65, 130, 8191 and
+    /// 8192, with the padding bits beyond `dim` poisoned in every other
+    /// row and query.
+    #[test]
+    fn score_block_matches_scalar_hamming(
+        q_count in 1usize..=17,
+        r_count in 0usize..=(REFERENCE_TILE + 3),
+        seed in any::<u64>(),
+    ) {
+        let scalar = KernelDispatch::scalar();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for dim in [1usize, 63, 64, 65, 130, 8191, 8192] {
+            let poison = |mut words: Vec<u64>| {
+                if dim % 64 != 0 {
+                    *words.last_mut().expect("a word") |= u64::MAX << (dim % 64);
+                }
+                words
+            };
+            let table = words_from_seed(rng.gen(), dim, 12);
+            let dirty: Vec<Vec<u64>> = table.iter().cloned().map(poison).collect();
+            let picks: Vec<usize> = (0..r_count).map(|_| rng.gen_range(0..table.len())).collect();
+            let references: Vec<&[u64]> = (picks.iter().enumerate())
+                .map(|(r, &p)| if r % 2 == 0 { &table[p][..] } else { &dirty[p][..] })
+                .collect();
+            let clean_queries = words_from_seed(rng.gen(), dim, q_count);
+            let dirty_queries: Vec<Vec<u64>> = clean_queries.iter().cloned().map(poison).collect();
+            let queries: Vec<&[u64]> = (0..q_count)
+                .map(|q| if q % 2 == 1 { &clean_queries[q][..] } else { &dirty_queries[q][..] })
+                .collect();
+            let mut expected = Vec::with_capacity(q_count * r_count);
+            for query in &clean_queries {
+                for &p in &picks {
+                    let hamming = scalar.hamming_words(dim, query, &table[p]);
+                    expected.push(dim as i64 - 2 * i64::from(hamming));
+                }
+            }
+            for kernel in variants() {
+                let mut out = vec![i64::MIN; q_count * r_count];
+                kernel.score_block(dim, &queries, &references, &mut out);
+                prop_assert_eq!(
+                    &out, &expected,
+                    "{} score_block, {} queries × {} rows at dim {}",
+                    kernel.name(), q_count, r_count, dim
+                );
+            }
+        }
+    }
+
     /// The public similarity API gives the same integers whichever
     /// kernel the process-wide selection points at — the contract that
     /// makes `HDOMS_KERNEL` purely a performance knob.
@@ -221,6 +272,48 @@ fn malformed_slabs_are_refused() {
                 kernel.hamming_slab(width, &queries, &slab, &mut out)
             }));
             assert!(call.is_err(), "{}: {what} was accepted", kernel.name());
+        }
+    }
+}
+
+/// `score_block` checks every row, every query and `out` once, at the
+/// safe entry: a short row, a short query or a wrong `out` length panics
+/// there on every variant, before any SIMD body runs.
+#[test]
+fn malformed_blocks_are_refused_at_the_entry() {
+    let dim = 130;
+    let (row, short, long): (&[u64], &[u64], &[u64]) = (&[0; 3], &[0; 2], &[0; 4]);
+    // The short query sits in the second query tile.
+    let mut late_short = vec![row; 9];
+    late_short.push(short);
+    // (what, queries, references, out length, the entry's message)
+    let cases = [
+        ("short row", vec![row], vec![row, short], 2, "word count"),
+        ("short query", late_short, vec![row], 10, "word count"),
+        ("long row", vec![row], vec![long], 1, "word count"),
+        ("short out", vec![row; 2], vec![row; 2], 3, "one score per"),
+        ("long out", vec![row], vec![row], 2, "one score per"),
+    ];
+    for kernel in variants() {
+        for (what, queries, references, outs, message) in &cases {
+            let mut out = vec![0i64; *outs];
+            let call = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                kernel.score_block(dim, queries, references, &mut out)
+            }));
+            let payload = call.expect_err(&format!("{}: {what} was accepted", kernel.name()));
+            let text = (payload.downcast_ref::<String>().map(String::as_str))
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                text.contains(message),
+                "{}: {what} panicked with {text:?}",
+                kernel.name()
+            );
+            assert!(
+                out.iter().all(|&v| v == 0),
+                "{}: {what} wrote a score",
+                kernel.name()
+            );
         }
     }
 }

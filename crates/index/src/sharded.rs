@@ -7,19 +7,24 @@
 //! * **fan-out** — a query's candidates are a window (a range of
 //!   positions) of the `(mass, id)` table whose runs the shards are, so
 //!   its shard runs are the window split at the shard bounds;
-//! * **sharing** — the open windows of a batch overlap, so a whole shard
-//!   is usually the same run for dozens of its queries: runs over the
-//!   same positions form one group, scored once for all of its members
-//!   (the exact scan reads each reference tile once per group, not once
-//!   per query);
+//! * **sharing** — the open windows of a batch overlap, so a shard's
+//!   rows are wanted by dozens of its queries at once: per shard, the
+//!   union of the batch's window runs is cut into row blocks, and each
+//!   block is scored once for every query whose run reaches it, each
+//!   query folding only the rows of its own run (the exact scan reads
+//!   each reference row once per batch, not once per query — edge runs
+//!   included);
 //! * **parallelism** — job lists handed to the next free worker: the
 //!   queries' encodes, then (with a prefilter) the sketch pass's blocks
-//!   of up to 8 windows, then the groups. A single interactive query's
-//!   groups are its shard runs, so it still spreads over its shards.
+//!   of up to 8 windows, then the row blocks (at least one per worker
+//!   when the batch has the rows) and each narrowed query's shard runs.
+//!   A single interactive query's blocks are its window's rows, so it
+//!   still spreads over its budget.
 //!
 //! It is the one loop every engine scores through, written once over
 //! the backend seam ([`hdoms_oms::search::RunScorer`]: encode a query
-//! once, score one candidate run for a block of queries) and compiled
+//! once, score one candidate run for a block of queries, each over its
+//! own range of it) and compiled
 //! per scorer behind one boxed seam, so nothing here knows which
 //! backend it drives: the one an
 //! index's kind names, or a scorer without an index kind (ANN-SoLo) as
@@ -36,7 +41,7 @@ use hdoms_obs::metrics::Registry;
 use hdoms_oms::candidates::CandidateIndex;
 use hdoms_oms::search::{PreparedQuery, RunScorer, SearchHit};
 use hdoms_prefilter::{PrefilterStats, SketchIndex};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,8 +53,8 @@ use std::time::Instant;
 /// visited. `ms` sums every scoring visit the batch paid the shard
 /// (across queries and worker threads — on a parallel batch the
 /// per-shard figures can sum to more than the batch's wall-clock); a
-/// visit shared with other queries of the batch counts its share of the
-/// group's time.
+/// visit counts its query's shares of the row blocks it shared with
+/// other queries of the batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardTiming {
     /// Shard position (as in [`crate::LibraryIndex::shards`]).
@@ -64,21 +69,23 @@ pub struct ShardTiming {
 /// ([`ShardedBackend::search_batch_traced`]): what it found and what it
 /// cost, in integer counts and integer nanoseconds (the prefilter's all
 /// 0 when the batch ran unfiltered). Hits and counts are the query's
-/// own, whatever batch it rides in; a run it shares with other queries
-/// of the batch is scored once for all of them and its time split
-/// evenly between them, so the records of a batch still add up to the
-/// time measured. These are the whole of a search's accounting — any
+/// own, whatever batch it rides in; a row block it shares with other
+/// queries of the batch is scored once for all of them and its time
+/// split evenly between them, so the records of a batch still add up to
+/// the time measured. These are the whole of a search's accounting — any
 /// grouping of a batch (a request, a coalesced member, the batch
 /// itself) is a [`QueryRecord::sum`] over its queries' records.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryRecord {
     /// The best hit (`None` when no candidate was stored).
     pub hit: Option<SearchHit>,
-    /// One `(shard position, scoring nanoseconds)` per shard run scored,
-    /// ascending in shard position; empty (and unallocated) for a query
-    /// with no candidates. A run shared with `m` queries of the batch
-    /// carries `1/m` of the group's wall time (the remainder on the
-    /// first).
+    /// One `(shard position, scoring nanoseconds)` per shard the query's
+    /// window reaches (per shard its narrowed survivors reach, when the
+    /// sketch stage narrowed it), ascending in shard position; empty (and
+    /// unallocated) for a query with no candidates. The nanoseconds sum
+    /// the query's shares of every job that scored its run in the shard:
+    /// a row block scored for `m` queries gives each `1/m` of its wall
+    /// time (the remainder to its first member).
     pub visits: Vec<(u32, u64)>,
     /// Precursor-window candidates entering the sketch stage.
     pub candidates_pre: u64,
@@ -124,7 +131,7 @@ hdoms_obs::metrics::series! {
     /// unregistered handles until [`ShardedBackend::attach_metrics`]
     /// names a registry).
     struct ShardSeries {
-        score_ms: Histogram = "hdoms_shard_score_ms", "Wall-clock of one shard-scoring visit (one query x one shard run; a run shared by m queries of a batch counts 1/m of its time)";
+        score_ms: Histogram = "hdoms_shard_score_ms", "Wall-clock of one shard-scoring visit (one query x one shard: its shares of the row blocks that scored its run there, a block scored for m queries of a batch counting 1/m of its time)";
         visits: Counter = "hdoms_shard_visits_total", "Shard-scoring visits performed by traced batch searches";
     }
 }
@@ -198,13 +205,27 @@ impl<S: RunScorer + Send> BatchScorer for S {
     }
 }
 
-/// One shard run scored once for every query of the batch that scans
-/// it.
-struct Group<'a> {
+/// Rows per job of a shard's union of whole-window runs, at most: each
+/// block is scored once against every query whose run reaches it, so the
+/// exact scan reads a row once per batch. A batch with fewer than
+/// `ROW_BLOCK × workers` such rows cuts shorter blocks, so every worker
+/// gets one.
+const ROW_BLOCK: u32 = 256;
+
+/// One job of the shard walk: a run of references scored once for every
+/// member whose range meets it.
+struct Job<'a> {
     shard: u32,
+    /// A row block of the table's id column, or one narrowed query's
+    /// survivors in one shard.
     run: &'a [u32],
-    /// The queries sharing the run, ascending.
-    members: Vec<usize>,
+    /// The position `run[0]` stands at in the spans' coordinates: its
+    /// table position for a row block, 0 for survivors (whose one span is
+    /// `0..run.len()`).
+    first: u32,
+    /// The spans that may meet the run: the shard's whole-window runs,
+    /// ascending in start, or the narrowed query's one.
+    spans: Range<usize>,
 }
 
 /// The shard runs of the positions `window` of a table cut at `bounds`:
@@ -276,8 +297,9 @@ impl ShardedBackend {
 
     /// The batch loop: prepare each query once, narrow the whole batch's
     /// windows in one sketch pass when a prefilter is passed, split them
-    /// at the shard bounds, score every run once for all of the queries
-    /// that scan it, and fold each member's hit and visit into its record.
+    /// at the shard bounds, score each shard's union of whole-window runs
+    /// once in row blocks (and each narrowed run as a group of its own),
+    /// and fold each member's hits and time into its record.
     fn search_with<S: RunScorer>(
         &self,
         scorer: &S,
@@ -322,75 +344,116 @@ impl ShardedBackend {
         }
 
         // 2. The shard runs: a window split at the shard bounds — exactly
-        //    the shards the precursor window reaches. Window runs over the
-        //    same positions share one group; a narrowed query's survivors
-        //    in a run are a group of its own. `placed` keeps every (query,
-        //    group, member) in query, then shard, order.
-        let mut groups: Vec<Group> = Vec::new();
-        let mut group_of: HashMap<(u32, u32, u32), usize> = HashMap::new();
-        let mut placed: Vec<(usize, usize, usize)> = Vec::new();
+        //    the shards the precursor window reaches, one visit each. A
+        //    narrowed query's survivors in a shard are a job of their own;
+        //    whole-window runs are gathered per shard for step 3.
+        let mut spans: Vec<(usize, Range<u32>)> = Vec::new();
+        let mut jobs: Vec<Job> = Vec::new();
+        let mut whole: Vec<(u32, Range<u32>, usize)> = Vec::new();
+        let mut walk: Vec<(u32, u64)> = Vec::new();
         for (i, window) in windows.iter().enumerate() {
-            let (first, mut at) = (placed.len(), 0);
+            let mut at = 0;
+            walk.clear();
             for (shard, run) in window_runs(&self.bounds, window.clone()) {
-                let g = match &narrowed[i] {
-                    None => *group_of
-                        .entry((shard, run.start, run.end))
-                        .or_insert_with(|| {
-                            let run = &self.ids[run.start as usize..run.end as usize];
-                            groups.push(Group {
-                                shard,
-                                run,
-                                members: Vec::new(),
-                            });
-                            groups.len() - 1
-                        }),
+                match &narrowed[i] {
+                    None => whole.push((shard, run, i)),
                     Some((ids, positions)) => {
                         let from = at;
                         at += positions[at..].partition_point(|&p| p < run.end);
                         if from == at {
                             continue;
                         }
-                        let run = &ids[from..at];
-                        groups.push(Group {
+                        spans.push((i, 0..(at - from) as u32));
+                        jobs.push(Job {
                             shard,
-                            run,
-                            members: Vec::new(),
+                            run: &ids[from..at],
+                            first: 0,
+                            spans: spans.len() - 1..spans.len(),
                         });
-                        groups.len() - 1
                     }
-                };
-                placed.push((i, g, groups[g].members.len()));
-                groups[g].members.push(i);
+                }
+                walk.push((shard, 0));
             }
-            records[i].visits.reserve_exact(placed.len() - first);
+            records[i].visits = walk.to_vec();
         }
 
-        // 3. Score the groups in parallel, each one timed as a whole.
-        let scored = par_map(&groups, workers, |group| {
-            let members: Vec<_> = (group.members.iter())
-                .map(|&i| {
-                    let query = prepared[i].as_ref();
-                    (&queries[i], query.expect("a query with runs is prepared"))
+        // 3. Per shard, the union of its whole-window runs, cut into row
+        //    blocks of at most `ROW_BLOCK` rows (fewer when that would
+        //    leave a worker idle) at multiples of the block length: each
+        //    block is one job, scored once against every query whose run
+        //    reaches it. The jobs hold O(queries × shards) spans, however
+        //    the windows' ends fall.
+        whole.sort_unstable_by_key(|(shard, run, i)| (*shard, run.start, *i));
+        let mut unions: Vec<(u32, Range<u32>, Range<usize>)> = Vec::new();
+        for runs in whole.chunk_by(|a, b| a.0 == b.0) {
+            let members = spans.len()..spans.len() + runs.len();
+            spans.extend(runs.iter().map(|(_, run, i)| (*i, run.clone())));
+            for (shard, run, _) in runs {
+                match unions.last_mut() {
+                    Some((s, union, _)) if s == shard && run.start <= union.end => {
+                        union.end = union.end.max(run.end);
+                    }
+                    _ => unions.push((*shard, run.clone(), members.clone())),
+                }
+            }
+        }
+        let rows: u32 = unions.iter().map(|(_, union, _)| union.len() as u32).sum();
+        let block = ROW_BLOCK.min(rows.div_ceil(workers as u32)).max(1);
+        for (shard, union, members) in unions {
+            let mut from = union.start;
+            while from < union.end {
+                let to = (from / block + 1).saturating_mul(block).min(union.end);
+                jobs.push(Job {
+                    shard,
+                    run: &self.ids[from as usize..to as usize],
+                    first: from,
+                    spans: members.clone(),
+                });
+                from = to;
+            }
+        }
+
+        // 4. Score the jobs in parallel, each one timed as a whole: a job's
+        //    members are its spans that meet its rows, each ranging over
+        //    the rows its own run holds.
+        let scored = par_map(&jobs, workers, |job| {
+            let rows = job.first..job.first + job.run.len() as u32;
+            let meets = |&s: &usize| spans[s].1.start < rows.end && rows.start < spans[s].1.end;
+            let meeting: Vec<usize> = job.spans.clone().filter(meets).collect();
+            let members: Vec<_> = (meeting.iter())
+                .map(|&s| {
+                    let (i, run) = &spans[s];
+                    let query = prepared[*i].as_ref();
+                    let query = query.expect("a query with runs is prepared");
+                    let from = run.start.max(rows.start) - rows.start;
+                    let to = run.end.min(rows.end) - rows.start;
+                    (&queries[*i], query, from as usize..to as usize)
                 })
                 .collect();
             let start = Instant::now();
-            let hits = scorer.best_in_each(&members, group.run);
-            (hits, start.elapsed().as_nanos() as u64)
+            let hits = scorer.best_in_ranges(&members, job.run);
+            (meeting, hits, start.elapsed().as_nanos() as u64)
         });
 
-        // 4. Fold. A member's visit costs an even share of its group's
-        //    wall time (the remainder to the first member), so the
-        //    records still sum to the time measured.
-        for (i, g, member) in placed {
-            let (hits, ns) = &scored[g];
-            let sharers = hits.len() as u64;
-            let share = ns / sharers + if member == 0 { ns % sharers } else { 0 };
-            self.series.score_ms.record_ms(share as f64 / 1e6);
-            self.series.visits.inc();
-            if let Some(hit) = hits[member] {
-                hit.fold_into(&mut records[i].hit);
+        // 5. Fold. A member's share of its job is an even share of the
+        //    job's wall time (the remainder to the first member), summed
+        //    into the query's one visit of the job's shard, so the records
+        //    still sum to the time measured.
+        for (job, (meeting, hits, ns)) in jobs.iter().zip(scored) {
+            let sharers = meeting.len() as u64;
+            for (member, (s, hit)) in meeting.into_iter().zip(hits).enumerate() {
+                let share = ns / sharers + if member == 0 { ns % sharers } else { 0 };
+                let record = &mut records[spans[s].0];
+                if let Some(hit) = hit {
+                    hit.fold_into(&mut record.hit);
+                }
+                let visit = record.visits.partition_point(|v| v.0 < job.shard);
+                record.visits[visit].1 += share;
             }
-            records[i].visits.push((groups[g].shard, share));
+        }
+        for &(_, ns) in records.iter().flat_map(|r| &r.visits) {
+            self.series.score_ms.record_ms(ns as f64 / 1e6);
+            self.series.visits.inc();
         }
         records
     }
@@ -493,5 +556,233 @@ impl ShardedBackend {
         }
         self.scorer
             .score_batch(self, queries, windows, workers, prefilter)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
+    use hdoms_hdc::BinaryHypervector;
+    use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
+    use hdoms_ms::preprocess::Preprocessor;
+    use hdoms_oms::pipeline::ReferenceCatalog;
+    use hdoms_oms::search::{best_hits, ExactBackend, RunMember};
+    use std::sync::Mutex;
+
+    /// One call a [`Counting`] scorer saw: the table position of the
+    /// run's first id (`None` when the run is not a slice of the table's
+    /// id column), the run's length, and each member's query id and
+    /// range.
+    type Call = (Option<usize>, usize, Vec<(u32, Range<usize>)>);
+
+    /// The index's exact scorer, logging every run the shard loop hands
+    /// it.
+    struct Counting {
+        exact: ExactBackend,
+        ids: Arc<[u32]>,
+        calls: Arc<Mutex<Vec<Call>>>,
+    }
+
+    impl RunScorer for Counting {
+        type Query = BinaryHypervector;
+
+        fn report_name(&self) -> String {
+            "counting".to_owned()
+        }
+
+        fn threads(&self) -> usize {
+            1
+        }
+
+        fn prepare(&self, binned: &BinnedSpectrum) -> BinaryHypervector {
+            self.exact.prepare(binned)
+        }
+
+        fn best_in_ranges(
+            &self,
+            members: &[RunMember<'_, BinaryHypervector>],
+            run: &[u32],
+        ) -> Vec<Option<SearchHit>> {
+            let column = self.ids.as_ptr_range();
+            let first = (column.contains(&run.as_ptr()))
+                .then(|| (run.as_ptr() as usize - column.start as usize) / 4);
+            let ranges = members.iter().map(|(q, _, range)| (q.id, range.clone()));
+            let call = (first, run.len(), ranges.collect());
+            self.calls.lock().expect("an unpoisoned log").push(call);
+            self.exact.best_in_ranges(members, run)
+        }
+    }
+
+    /// A 16-entry-shard exact index over the tiny library, its queries,
+    /// and its shard bounds as table positions.
+    fn fixture() -> (LibraryIndex, Vec<BinnedSpectrum>, Vec<u32>) {
+        let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 46);
+        let mut config = IndexConfig {
+            entries_per_shard: 16,
+            threads: 2,
+            ..IndexConfig::default()
+        };
+        if let IndexedBackendKind::Exact(exact) = &mut config.kind {
+            exact.encoder.dim = 512;
+        }
+        let index = IndexBuilder::new(config).from_library(&workload.library);
+        let pre = Preprocessor::new(index.kind().preprocess());
+        let binned = pre.run_batch(&workload.queries).0;
+        let ends = index.shards().scan(0, |end, shard| {
+            *end += shard.len() as u32;
+            Some(*end)
+        });
+        let bounds = std::iter::once(0).chain(ends).collect();
+        (index, binned, bounds)
+    }
+
+    /// The counting scorer over `index`'s shards, and its log.
+    fn counting(index: &LibraryIndex, bounds: &[u32]) -> (ShardedBackend, Arc<Mutex<Vec<Call>>>) {
+        let calls = Arc::default();
+        let table = index.candidate_index();
+        let scorer = Counting {
+            exact: index.to_exact_backend(1).expect("an exact index"),
+            ids: Arc::clone(table.ids()),
+            calls: Arc::clone(&calls),
+        };
+        let backend = ShardedBackend::new(Box::new(scorer), &table, bounds.to_vec(), 2);
+        (backend, calls)
+    }
+
+    /// Overlapping windows of every length, some repeated, one empty and
+    /// one over the whole table, for the first `n` queries.
+    fn windows(n: usize, last: u32) -> Vec<Range<u32>> {
+        (0..n as u32)
+            .map(|q| match q % 9 {
+                0 => 0..last,
+                1 => 40..40,
+                2 | 3 => 100..260,
+                _ => {
+                    let start = (q * 53) % (last / 2);
+                    start..(start + 1 + (q * 29) % (last / 2)).min(last)
+                }
+            })
+            .collect()
+    }
+
+    /// Over a batch of whole windows every table position reaches the
+    /// scorer exactly once, inside one shard and one job; each query's
+    /// member ranges tile its window exactly; and the hits are the flat
+    /// loop's.
+    #[test]
+    fn a_batch_of_whole_windows_reads_each_position_once() {
+        let (index, binned, bounds) = fixture();
+        let (backend, calls) = counting(&index, &bounds);
+        let (table, last) = (index.candidate_index(), *bounds.last().expect("bounds"));
+        let queries = &binned[..binned.len().min(40)];
+        let windows = windows(queries.len(), last);
+        let lists: Vec<Vec<u32>> = (windows.iter())
+            .map(|w| table.ids()[w.start as usize..w.end as usize].to_vec())
+            .collect();
+        let oracle = best_hits(&index.to_exact_backend(1).expect("exact"), queries, &lists);
+        let query_of = |id: u32| queries.iter().position(|q| q.id == id).expect("a query");
+        let shard_of = |p: usize| bounds.partition_point(|&b| b as usize <= p) - 1;
+        for workers in [1, 2, 8] {
+            calls.lock().expect("log").clear();
+            let records = backend.search_batch_traced(queries, &windows, Some(workers), None);
+            assert!(records.iter().map(|r| r.hit).eq(oracle.iter().copied()));
+            let calls = calls.lock().expect("log");
+            assert!(
+                calls.len() >= workers,
+                "{} jobs for {workers} workers",
+                calls.len()
+            );
+            let mut reads = vec![0u32; last as usize];
+            let mut scanned = vec![vec![0u32; last as usize]; queries.len()];
+            for (first, len, members) in calls.iter() {
+                let first = first.expect("a whole window's run is a slice of the table");
+                assert_eq!(
+                    shard_of(first),
+                    shard_of(first + len - 1),
+                    "a job crosses a shard"
+                );
+                reads[first..first + len].iter_mut().for_each(|r| *r += 1);
+                for (id, range) in members {
+                    assert!(!range.is_empty() && range.end <= *len);
+                    let rows = first + range.start..first + range.end;
+                    scanned[query_of(*id)][rows]
+                        .iter_mut()
+                        .for_each(|r| *r += 1);
+                }
+            }
+            for (p, &read) in reads.iter().enumerate() {
+                let wanted = windows.iter().any(|w| w.contains(&(p as u32)));
+                assert_eq!(read, u32::from(wanted), "position {p}, {workers} workers");
+            }
+            for (q, window) in windows.iter().enumerate() {
+                let expected = (0..last).map(|p| u32::from(window.contains(&p)));
+                assert!(scanned[q].iter().copied().eq(expected), "query {q}");
+                let shards: Vec<u32> = records[q].visits.iter().map(|v| v.0).collect();
+                let reached = (window.start..window.end).map(|p| shard_of(p as usize) as u32);
+                let mut reached: Vec<u32> = reached.collect();
+                reached.dedup();
+                assert_eq!(shards, reached, "query {q}: one visit per shard reached");
+            }
+        }
+    }
+
+    /// With the cascade narrowing, each narrowed query's survivors in
+    /// each shard are one group of their own — one member scanning the
+    /// whole run — while windows the sketch passes whole still share
+    /// their rows.
+    #[test]
+    fn each_narrowed_run_is_its_own_group() {
+        let (index, binned, bounds) = fixture();
+        let (backend, calls) = counting(&index, &bounds);
+        let (table, last) = (index.candidate_index(), *bounds.last().expect("bounds"));
+        let (sketch, k) = (index.sketch_index(), 4);
+        let queries = &binned[..binned.len().min(40)];
+        let windows = windows(queries.len(), last);
+        let exact = index.to_exact_backend(1).expect("exact");
+        let shard_of = |id: &u32| {
+            let p = table.ids().iter().position(|i| i == id).expect("an id");
+            bounds.partition_point(|&b| b as usize <= p) - 1
+        };
+        // Per query: the shards its survivors reach, when it is narrowed.
+        let expected: Vec<Option<Vec<usize>>> = (queries.iter().zip(&windows))
+            .map(|(query, w)| {
+                let list = &table.ids()[w.start as usize..w.end as usize];
+                let signature = sketch.sketch_query(exact.prepare(query).words());
+                let survivors = sketch.narrow(&signature, list, k);
+                let mut shards: Vec<usize> = survivors.iter().map(shard_of).collect();
+                shards.dedup();
+                (survivors.len() < list.len()).then_some(shards)
+            })
+            .collect();
+        assert!(expected.iter().any(Option::is_some), "nothing narrowed");
+        assert!(
+            (expected.iter().zip(&windows)).any(|(e, w)| e.is_none() && !w.is_empty()),
+            "no window passed whole"
+        );
+        for workers in [1, 2, 8] {
+            calls.lock().expect("log").clear();
+            let records =
+                backend.search_batch_traced(queries, &windows, Some(workers), Some((&sketch, k)));
+            let calls = calls.lock().expect("log");
+            let mut groups = vec![0usize; queries.len()];
+            for (first, len, members) in calls.iter() {
+                let q = |id: u32| queries.iter().position(|q| q.id == id).expect("a query");
+                if first.is_none() {
+                    assert_eq!(members.len(), 1, "a narrowed run is shared");
+                    assert_eq!(members[0].1, 0..*len, "a narrowed run is scanned whole");
+                    groups[q(members[0].0)] += 1;
+                } else {
+                    let whole = |(id, _): &(u32, Range<usize>)| expected[q(*id)].is_none();
+                    assert!(members.iter().all(whole), "a narrowed query joined a block");
+                }
+            }
+            for (q, shards) in expected.iter().enumerate() {
+                let Some(shards) = shards else { continue };
+                assert_eq!(groups[q], shards.len(), "query {q}, {workers} workers");
+                let visited: Vec<usize> = records[q].visits.iter().map(|v| v.0 as usize).collect();
+                assert_eq!(&visited, shards, "query {q}, {workers} workers");
+            }
+        }
     }
 }

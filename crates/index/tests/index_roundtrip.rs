@@ -1411,12 +1411,12 @@ fn group_accounting_is_a_sum_over_per_query_records() {
     assert_eq!(none[0].visits.capacity(), 0);
 }
 
-/// Hand-built batches of windows through the shard loop's split and
-/// grouping: `search_batch_traced` must equal the flat oracle
-/// (`best_hits` over each window's ids, copied out) hit for hit, and
-/// every visit must be what the per-id rule pays — the copied list cut
-/// into runs of one shard (`chunk_by` over an id → shard table the test
-/// builds itself).
+/// Hand-built batches of windows through the shard loop's split, its
+/// per-shard unions and their row blocks: `search_batch_traced` must
+/// equal the flat oracle (`best_hits` over each window's ids, copied
+/// out) hit for hit, and every visit must be what the per-id rule pays —
+/// the copied list cut into runs of one shard (`chunk_by` over an id →
+/// shard table the test builds itself).
 mod fan_out {
     use super::*;
     use hdoms_baselines::annsolo::{AnnSoloBackend, AnnSoloConfig};
@@ -1457,6 +1457,9 @@ mod fan_out {
         }
         shard_of
     }
+
+    /// The shard loop's longest row block (`sharded.rs`).
+    const ROW_BLOCK: u32 = 256;
 
     /// The batches: `(name, queries, windows)` over a table cut at
     /// `bounds`.
@@ -1502,6 +1505,48 @@ mod fan_out {
         // The whole table, and the whole table but its first entry.
         let every = vec![0..last, 1..last, 0..last];
         batches.push(("every shard".to_owned(), every));
+        // Windows that overlap only inside one shard, and two that leave
+        // a gap inside one: a shard's union of runs can be two pieces.
+        let one_shard_overlap = vec![
+            bounds[2]..bounds[4] - 5,
+            bounds[4] - 8..bounds[6],
+            bounds[5] + 1..bounds[5] + len(5) / 3,
+            bounds[5] + len(5) / 2..bounds[5] + len(5) - 1,
+        ];
+        batches.push(("overlaps inside one shard".to_owned(), one_shard_overlap));
+        // Ends on and one row off the row-block bounds the shard loop
+        // cuts a batch's union at — multiples of 256 rows, or of
+        // ceil(rows / workers) when that is shorter — for the whole-table
+        // union at 1, 2 and 8 workers.
+        let mut on_blocks = Vec::new();
+        on_blocks.push(0..last);
+        for workers in [1, 2, 8] {
+            let block = ROW_BLOCK.min(last.div_ceil(workers));
+            on_blocks.extend([
+                block / 2..block,
+                block / 2..block + 1,
+                block / 2..block - 1,
+                block..block + block / 2,
+                block + 1..last,
+                block - 1..block + 3,
+            ]);
+        }
+        batches.push(("ends on row-block bounds".to_owned(), on_blocks));
+        // Nested windows: their first rows shared by 17 queries, then by
+        // 9, by 8, and the last by 1.
+        let nested = [(8, 5), (1, 20), (7, 40), (1, 70)]
+            .into_iter()
+            .flat_map(|(n, end)| vec![bounds[2]..bounds[2] + end; n])
+            .collect();
+        batches.push(("blocks shared by 17, 9, 8 and 1".to_owned(), nested));
+        // One-shard batches with fewer rows than 2 and 8 workers, between
+        // the two, and more than both.
+        let one_row = std::iter::once(bounds[5] + 2..bounds[5] + 3).collect();
+        batches.push(("one row".to_owned(), one_row));
+        let few_rows = vec![bounds[5]..bounds[5] + 5; 3];
+        batches.push(("five rows of one shard".to_owned(), few_rows));
+        let one_shard = vec![bounds[5]..bounds[6]; 9];
+        batches.push(("one whole shard".to_owned(), one_shard));
         (batches.into_iter())
             .map(|(name, windows)| {
                 let cycled = (0..windows.len()).map(|i| binned[i % binned.len()].clone());

@@ -3,8 +3,8 @@
 //! A scoring backend is two functions, the two operations of the paper's
 //! crossbar: a [`RunScorer`] **prepares** a query once (§4.2 encode, with
 //! the backend's own error injection) and finds, for each query of a
-//! block that shares it, the **best hit in one run** of candidate ids
-//! (§4.1 search). Everything around them is
+//! block that shares a run of candidate ids, the **best hit in its own
+//! range of the run** (§4.1 search). Everything around them is
 //! written once: the flat per-query loop [`best_hits`] (what the
 //! pipeline and the figure binaries drive), the shard
 //! fan-out of `hdoms-index`'s `ShardedBackend` (the loop every engine
@@ -39,6 +39,7 @@ use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Sentinel marking an absent hypervector in the offset table.
@@ -319,10 +320,18 @@ impl SearchHit {
     }
 }
 
-/// Fold one scored reference tile into the running best hit.
+/// Fold one scored reference tile into the running best hit. The tile's
+/// own winner is found on the integer dot products — `dot / dim` orders
+/// them alike, equal dots being equal scores — so only it is converted.
 fn fold_tile(dim: usize, ids: &[u32], scores: &[i64], best: &mut Option<SearchHit>) {
+    let mut top: Option<(i64, u32)> = None;
     for (&reference, &raw) in ids.iter().zip(scores) {
-        let score = raw as f64 / dim as f64;
+        if top.is_none_or(|(dot, id)| raw > dot || (raw == dot && reference < id)) {
+            top = Some((raw, reference));
+        }
+    }
+    if let Some((dot, reference)) = top {
+        let score = dot as f64 / dim as f64;
         SearchHit { reference, score }.fold_into(best);
     }
 }
@@ -349,18 +358,29 @@ pub trait RunScorer: Sync {
     /// encode-path error injection.
     fn prepare(&self, binned: &BinnedSpectrum) -> Self::Query;
 
-    /// For each prepared query of `queries`, in order, its best hit among
-    /// the references in `run` (`None` when the run holds no stored
-    /// reference), under the [`SearchHit::fold_into`] order. One run
-    /// scored for many queries at once is the block the shard loop hands
-    /// over when several queries of a batch share it; a one-query slice
+    /// For each member of `members`, in order, its best hit among the
+    /// references at its range of positions in `run` (`None` when the
+    /// range holds no stored reference), under the
+    /// [`SearchHit::fold_into`] order. One run scored for many members
+    /// at once is the block the shard loop hands over: a row block of
+    /// the union of a batch's windows, each member ranging over its own
+    /// window's rows in it. A one-member slice ranging over the whole run
     /// is a plain scan.
-    fn best_in_each(
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member's range reaches beyond `run`.
+    fn best_in_ranges(
         &self,
-        queries: &[(&BinnedSpectrum, &Self::Query)],
+        members: &[RunMember<'_, Self::Query>],
         run: &[u32],
     ) -> Vec<Option<SearchHit>>;
 }
+
+/// One member of a run scored for a block of queries
+/// ([`RunScorer::best_in_ranges`]): the query's binned spectrum, its
+/// prepared form, and the positions of the run it scans.
+pub type RunMember<'a, Q> = (&'a BinnedSpectrum, &'a Q, Range<usize>);
 
 /// A prepared query as the sketch prefilter sees it: a hypervector
 /// offers its packed words to sketch, a query scored as its binned
@@ -405,7 +425,8 @@ pub fn best_hits<S: RunScorer>(
     let jobs: Vec<usize> = (0..queries.len()).collect();
     par_map(&jobs, scorer.threads(), |&i| {
         let query = scorer.prepare(&queries[i]);
-        scorer.best_in_each(&[(&queries[i], &query)], &candidates[i])[0]
+        let whole = 0..candidates[i].len();
+        scorer.best_in_ranges(&[(&queries[i], &query, whole)], &candidates[i])[0]
     })
 }
 
@@ -765,51 +786,65 @@ impl RunScorer for ExactBackend {
     }
 
     /// The exact scan: the present entries of `run` in
-    /// [`REFERENCE_TILE`]-sized tiles, each scored against every query
-    /// at once by [`KernelDispatch::score_block`](kernels::KernelDispatch::score_block)
-    /// ([`kernels::QUERY_TILE`] queries per inner tile) on the
-    /// process-wide active kernel ([`hdoms_hdc::kernels::active`]), so a
-    /// run shared by many queries is read once per tile, not once per
-    /// query — identical results to the pairwise formulation, whatever
-    /// the kernel, tile shape or query count.
+    /// [`REFERENCE_TILE`]-sized tiles, each scored once by
+    /// [`KernelDispatch::score_block`](kernels::KernelDispatch::score_block)
+    /// on the process-wide active kernel ([`hdoms_hdc::kernels::active`])
+    /// against every member whose range meets the tile, each member then
+    /// folding only the tile's rows inside its range. A block shared by
+    /// many members is read once per tile, not once per member —
+    /// identical results to the pairwise formulation, whatever the
+    /// kernel, tile shape, ranges or member count.
     ///
     /// # Panics
     ///
-    /// Panics if a candidate id is beyond the reference table.
-    fn best_in_each(
+    /// Panics if a candidate id is beyond the reference table, or a
+    /// member's range beyond `run`.
+    fn best_in_ranges(
         &self,
-        queries: &[(&BinnedSpectrum, &BinaryHypervector)],
+        members: &[RunMember<'_, BinaryHypervector>],
         run: &[u32],
     ) -> Vec<Option<SearchHit>> {
         let dim = self.encoder.config().dim;
         let kernel = kernels::active();
-        let query_words: Vec<&[u64]> = queries.iter().map(|(_, hv)| hv.words()).collect();
-        let mut best: Vec<Option<SearchHit>> = vec![None; queries.len()];
-        let cap = REFERENCE_TILE.min(run.len());
-        let mut ids: Vec<u32> = Vec::with_capacity(cap);
-        let mut tile: Vec<&[u64]> = Vec::with_capacity(cap);
-        let mut scores = vec![0i64; queries.len() * cap];
-        let mut score_tile = |ids: &[u32], tile: &[&[u64]]| {
-            let out = &mut scores[..queries.len() * ids.len()];
-            kernel.score_block(dim, &query_words, tile, out);
-            for (row, best) in out.chunks_exact(ids.len()).zip(&mut best) {
-                fold_tile(dim, ids, row, best);
-            }
-        };
-        for &cand in run {
-            let Some(ref_hv) = self.reference_hvs.hv(cand as usize) else {
-                continue;
-            };
-            ids.push(cand);
-            tile.push(ref_hv.words());
-            if ids.len() == REFERENCE_TILE {
-                score_tile(&ids, &tile);
-                ids.clear();
-                tile.clear();
+        let mut best: Vec<Option<SearchHit>> = vec![None; members.len()];
+        // The present references among the rows some member scans: ids,
+        // words and run positions.
+        let first = members.iter().map(|m| m.2.start).min().unwrap_or(0);
+        let end = members.iter().map(|m| m.2.end).max().unwrap_or(0);
+        let span = end.saturating_sub(first);
+        let (mut ids, mut rows, mut at) = (
+            Vec::with_capacity(span),
+            Vec::with_capacity(span),
+            Vec::with_capacity(span),
+        );
+        for (p, &cand) in (first..).zip(&run[first..end]) {
+            if let Some(ref_hv) = self.reference_hvs.hv(cand as usize) {
+                ids.push(cand);
+                rows.push(ref_hv.words());
+                at.push(p);
             }
         }
-        if !ids.is_empty() {
-            score_tile(&ids, &tile);
+        let (mut meeting, mut query_words) = (Vec::new(), Vec::new());
+        let mut scores = vec![0i64; members.len() * REFERENCE_TILE.min(ids.len())];
+        for start in (0..ids.len()).step_by(REFERENCE_TILE) {
+            let tile = start..(start + REFERENCE_TILE).min(ids.len());
+            let (ids, rows, at) = (&ids[tile.clone()], &rows[tile.clone()], &at[tile]);
+            let span = at[0]..at[at.len() - 1] + 1;
+            meeting.clear();
+            meeting.extend((0..members.len()).filter(|&m| {
+                let range = &members[m].2;
+                range.start < span.end && span.start < range.end
+            }));
+            query_words.clear();
+            query_words.extend(meeting.iter().map(|&m| members[m].1.words()));
+            let out = &mut scores[..meeting.len() * ids.len()];
+            kernel.score_block(dim, &query_words, rows, out);
+            for (row, &m) in out.chunks_exact(ids.len()).zip(&meeting) {
+                let range = &members[m].2;
+                let from = at.partition_point(|&p| p < range.start);
+                let to = at.partition_point(|&p| p < range.end);
+                fold_tile(dim, &ids[from..to], &row[from..to], &mut best[m]);
+            }
         }
         best
     }
@@ -964,6 +999,59 @@ mod tests {
             },
         );
         assert!(noisy.report_name().contains("ber"));
+    }
+
+    /// The exact sweep over one run for many members, each over its own
+    /// range, ≡ one scalar scan of each member's range: 1, 8, 9 and 17
+    /// members; ranges empty, of one row, on and off the 32-row tile
+    /// bounds, overlapping, disjoint and whole; every seventh reference
+    /// absent; on the active kernel (CI runs this under both
+    /// `HDOMS_KERNEL` values).
+    #[test]
+    fn a_shared_sweep_equals_one_scan_per_member() {
+        let (_, built, queries, _) = setup();
+        let starved: Vec<Option<BinaryHypervector>> = (built.shared_references().iter())
+            .enumerate()
+            .map(|(id, hv)| hv.filter(|_| id % 7 != 3).map(|hv| hv.to_hypervector()))
+            .collect();
+        let backend = ExactBackend::from_shared(small_backend_config(), starved.into());
+        let dim = backend.encoder().config().dim;
+        let run: Vec<u32> = (0..backend.shared_references().len() as u32)
+            .rev()
+            .step_by(2)
+            .collect();
+        assert!(run.len() > 3 * REFERENCE_TILE, "too short a run");
+        let hvs: Vec<BinaryHypervector> = queries.iter().map(|q| backend.prepare(q)).collect();
+        let tile = REFERENCE_TILE;
+        let ranges = [
+            0..run.len(),
+            5..5,
+            tile..tile + 1,
+            tile - 1..2 * tile,
+            tile..2 * tile + 1,
+            3..tile + 7,
+            2 * tile + 1..run.len() - 2,
+            0..tile,
+            run.len() - 1..run.len(),
+        ];
+        for count in [1, 8, 9, 17] {
+            let members: Vec<RunMember<'_, BinaryHypervector>> = (0..count)
+                .map(|m| (&queries[m], &hvs[m], ranges[m % ranges.len()].clone()))
+                .collect();
+            let expected: Vec<Option<SearchHit>> = (members.iter())
+                .map(|(_, hv, range)| {
+                    SearchHit::best_of(&run[range.clone()], |id| {
+                        let reference = backend.shared_references().hv(id as usize)?;
+                        let scalar = kernels::KernelDispatch::scalar();
+                        let dot = scalar.dot_words(dim, hv.words(), reference.words());
+                        Some(dot as f64 / dim as f64)
+                    })
+                })
+                .collect();
+            assert!(expected.iter().any(Option::is_some));
+            let hits = backend.best_in_ranges(&members, &run);
+            assert_eq!(hits, expected, "{count} members");
+        }
     }
 
     #[test]
