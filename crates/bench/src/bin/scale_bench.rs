@@ -27,7 +27,7 @@
 //! streaming build's peak heap — net of the fixed encoder item
 //! memories, which both build paths hold identically — stays **below
 //! the encoded payload** (counted, not eyeballed; the side tables are
-//! ~400 bytes/reference, so use `--dim` ≥ 4096 for the payload to
+//! ~100 bytes/reference, so use `--dim` ≥ 4096 for the payload to
 //! dominate) and that the mapped open + search produce hits. `--verify true` additionally
 //! rebuilds the **smallest** scale with the in-memory builder and
 //! asserts the two images are byte-identical.
@@ -284,7 +284,7 @@ fn main() {
                 "streaming build marginal peak heap {marginal} (raw {build_peak}, encoder \
                  {encoder_live}) not below the {payload}-byte encoded payload at \
                  {references} references (raise --dim so the payload dominates the \
-                 ~400-byte/reference side tables)"
+                 ~100-byte/reference side tables)"
             );
             assert!(
                 !outcome.accepted.is_empty(),

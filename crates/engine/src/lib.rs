@@ -262,9 +262,9 @@ impl Engine {
     }
 
     /// Check that this engine can run the candidate prefilter `config`
-    /// and, for `TopK`, force the sketch build now (a no-op when the
-    /// `.hdx` v3 section was loaded) so the first query pays no
-    /// derivation. `Off` scans every precursor-window candidate exactly
+    /// and, for `TopK`, derive the index's sketch from its references
+    /// now (once per index; no image stores it) so the first query pays
+    /// no derivation. `Off` scans every precursor-window candidate exactly
     /// (the byte-identity contract); `TopK(k)` scores folded-hypervector
     /// sketches first and forwards only the best `k` candidates per
     /// query to the exact scan. The engine holds no default: every

@@ -10,11 +10,12 @@
 //! preamble   magic "HDOMSIDX" (8) · format version u32 · header length u64
 //! header     backend kind + configs · build stats · entries per shard ·
 //!            entry count · MLC section length · sketch section length
-//!            (v3) · shard table (byte length per shard)  + XXH64 trailer
+//!            (v3; 0 from this writer) · shard table (byte length per
+//!            shard)                                   + XXH64 trailer
 //! mlc        differential ID-memory weight pairs (f32) · σ_δ
 //!            (present only for the RRAM accelerator kind) + XXH64 trailer
-//! sketch     folded-hypervector prefilter signatures (v3 only)
-//!                                                       + XXH64 trailer
+//! sketch     legacy: prefilter signatures an earlier v3 writer stored
+//!            (verified, then skipped)                  + XXH64 trailer
 //! shard[i]   entry count · entry records, each with a presence flag ·
 //!            the present hypervectors' words               + XXH64 trailer
 //! ```
@@ -32,25 +33,26 @@
 //! entry records (zero padding between), so a file is searchable **in
 //! place**: the word block offsets become a reference table over the
 //! single file buffer, and no per-reference hypervector is ever
-//! materialised. **Version 3** adds one optional section — the
-//! prefilter's folded-hypervector sketch signatures
-//! ([`hdoms_prefilter::SketchIndex`]) — between the MLC and shard
-//! sections, plus its length field in the header; a v1/v2 file derives
-//! the sketches on the fly when a search wants them
-//! ([`crate::LibraryIndex::sketch_index`]).
+//! materialised. **Version 3** adds one optional section between the
+//! MLC and shard sections, plus its length field in the header: the
+//! prefilter's sketch signatures, a second copy of words the shards
+//! already hold. This writer emits `sketch_len = 0` and no section; a
+//! section an earlier writer stored is located and checksum-verified,
+//! then dropped. Every index derives its sketch from its own references
+//! ([`crate::LibraryIndex::sketch_index`]), whatever its version.
 //!
 //! ## One spelling per persisted fact
 //!
 //! Every record — the seven configs, the kind tag, the build stats, the
-//! header, the shard entry, the MLC state and the sketch section — is
-//! one `record!` field list. From that list come its bytes (`Put`), its
-//! validating decoder with the decode-error labels (`Get`:
-//! `"encoder.q_levels"`, …) and its row in `docs/FORMAT.md` (held to the
-//! document by the unit test below); its encoded length is what the
-//! encoder appends, and a field's offset is where a decode of the cut
-//! record stops. Every section is framed — zero pad to 8, payload,
-//! XXH64 — by one type, `Frame`, whichever way the bytes flow, and one
-//! function, `decode_shard`, reads a shard payload of any version.
+//! header, the shard entry and the MLC state — is one `record!` field
+//! list. From that list come its bytes (`Put`), its validating decoder
+//! with the decode-error labels (`Get`: `"encoder.q_levels"`, …) and its
+//! row in `docs/FORMAT.md` (held to the document by the unit test
+//! below); its encoded length is what the encoder appends, and a field's
+//! offset is where a decode of the cut record stops. Every section is
+//! framed — zero pad to 8, payload, XXH64 — by one type, `Frame`,
+//! whichever way the bytes flow, and one function, `decode_shard`, reads
+//! a shard payload of any version.
 
 use crate::wire::{Reader, WireError};
 use crate::xxhash::xxh64;
@@ -62,7 +64,6 @@ use hdoms_hdc::multibit::IdPrecision;
 use hdoms_ms::preprocess::{IntensityScaling, PreprocessConfig};
 use hdoms_oms::pipeline::{ReferenceCatalog, ReferenceMeta};
 use hdoms_oms::search::{ExactBackendConfig, HyperOmsConfig};
-use hdoms_prefilter::SketchIndex;
 use hdoms_rram::array::CrossbarConfig;
 use hdoms_rram::config::MlcConfig;
 use std::borrow::Cow;
@@ -80,8 +81,7 @@ pub const MAGIC: [u8; 8] = *b"HDOMSIDX";
 pub const FORMAT_VERSION: u32 = 3;
 
 /// Oldest format version readers still decode (v2 and v3 are searched
-/// in place; v1 words are unaligned and get repacked once at load; only
-/// v3 carries the persisted prefilter sketch section).
+/// in place; v1 words are unaligned and get repacked once at load).
 pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Zero bytes needed after `pos` to reach an 8-byte boundary.
@@ -659,119 +659,6 @@ record!(impl MlcState as "mlc_state" {
     sigma_delta: f64,
 });
 
-record! {
-    /// The v3 sketch section: the one place a sketch's rows sit by slot
-    /// id, not in its index's table order. Written from a sketch or from
-    /// rows the streaming builder sampled by id; decoded, laid out in the
-    /// table's order straight from the payload ([`SketchSection::in_order`]).
-    struct SketchSection<'a> as "sketch" {
-        full_words: usize,
-        selected: Vec<u32>,
-        slots: usize,
-        present: Vec<u64>,
-        table: RowsById<'a>,
-    }
-}
-
-/// A sketch section's signature rows by slot id, one `u64[]`.
-pub(crate) enum RowsById<'a> {
-    /// A sketch's rows, gathered back into id order as they are written.
-    Of(&'a SketchIndex),
-    /// Little-endian rows already by id: sampled by the streaming
-    /// builder, or a decoded section's, in place.
-    Bytes(&'a [u8]),
-}
-
-impl Put for RowsById<'_> {
-    fn put(&self, w: &mut Vec<u8>) {
-        match *self {
-            RowsById::Of(sketch) => {
-                let words = sketch.len() * sketch.words();
-                words.put(w);
-                w.reserve(words * 8);
-                for id in 0..sketch.len() as u32 {
-                    sketch.signature(id).iter().for_each(|word| word.put(w));
-                }
-            }
-            RowsById::Bytes(rows) => {
-                (rows.len() / 8).put(w);
-                w.extend_from_slice(rows);
-            }
-        }
-    }
-}
-
-impl<'a> Get<'a> for RowsById<'a> {
-    fn get(r: &mut Reader<'a>, what: &'static str) -> Result<Self, IndexError> {
-        let words = r.checked_len(what, 8)?;
-        Ok(RowsById::Bytes(r.raw(words * 8, what)?))
-    }
-    #[cfg(test)]
-    fn doc(name: &str) -> String {
-        format!("u64[] {name}")
-    }
-}
-
-/// A bitset over `slots` ids: bit `id % 64` of word `id / 64` is `set(id)`.
-pub(crate) fn bits(slots: usize, set: impl Fn(u32) -> bool) -> Vec<u64> {
-    let mut bits = vec![0u64; slots.div_ceil(64)];
-    for id in (0..slots as u32).filter(|&id| set(id)) {
-        bits[id as usize / 64] |= 1 << (id % 64);
-    }
-    bits
-}
-
-impl<'a> SketchSection<'a> {
-    /// The section `sketch` is written as.
-    pub(crate) fn of(sketch: &'a SketchIndex) -> SketchSection<'a> {
-        SketchSection {
-            full_words: sketch.full_words(),
-            selected: sketch.selected().to_vec(),
-            slots: sketch.len(),
-            present: bits(sketch.len(), |id| sketch.is_present(id)),
-            table: RowsById::Of(sketch),
-        }
-    }
-
-    /// The decoded section's sketch, laid out in the order of `ids` — the
-    /// index's table's id column — each row read from the payload where
-    /// the section holds it by id. The section must cover `ids.len()`
-    /// slots of `full_words`-word hypervectors, hold `slots × width` row
-    /// words, and mark present exactly the entries `stored` says a shard
-    /// holds words for (in a bitset of `slots` bits).
-    pub(crate) fn in_order(
-        self,
-        ids: Arc<[u32]>,
-        full_words: usize,
-        stored: impl Fn(u32) -> bool,
-    ) -> Result<SketchIndex, IndexError> {
-        let (slots, words, width) = (self.slots, self.full_words, self.selected.len());
-        let count = ids.len();
-        need(slots == count && words == full_words, || {
-            format!(
-                "sketch section covers {slots} slots of {words}-word hypervectors, the header \
-                 declares {count} entries of {full_words} words"
-            )
-        })?;
-        let RowsById::Bytes(rows) = self.table else {
-            unreachable!("a decoded section holds its rows as bytes")
-        };
-        need(slots.checked_mul(width * 8) == Some(rows.len()), || {
-            let held = rows.len() / 8;
-            format!("sketch table holds {held} words for {slots} slots × {width} selected")
-        })?;
-        need(self.present == bits(slots, &stored), || {
-            "sketch presence bits disagree with the shards' stored hypervectors"
-        })?;
-        let row = |id: u32| {
-            let row = &rows[id as usize * width * 8..][..width * 8];
-            let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
-            stored(id).then(|| row.chunks_exact(8).map(word))
-        };
-        SketchIndex::from_rows(full_words, self.selected, ids, row).map_err(IndexError::Invalid)
-    }
-}
-
 /// The whole encoding of `value`, as a section payload.
 pub(crate) fn encode<T: Put + ?Sized>(value: &T) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -826,11 +713,12 @@ impl ImageLayout<'_> {
 
     /// Write the image to `out` at the current format version (the
     /// layout of the module docs) and return its length in bytes:
-    /// preamble, header, then the MLC, sketch and shard sections, each in
-    /// its [`Frame`]. Every section length is known from the metadata
-    /// alone, which is what lets the header go out first and the shards
-    /// follow one at a time through one reused payload buffer: nothing
-    /// the size of the hypervector payload is ever resident here.
+    /// preamble, header, then the MLC and shard sections, each in its
+    /// [`Frame`]; `header.sketch_len` is 0, as every index derives its
+    /// sketch. Every section length is known from the metadata alone,
+    /// which is what lets the header go out first and the shards follow
+    /// one at a time through one reused payload buffer: nothing the size
+    /// of the hypervector payload is ever resident here.
     ///
     /// `present(id)` says whether entry `id` has a stored hypervector;
     /// `write_words(id, w)` must append exactly its packed little-endian
@@ -842,7 +730,6 @@ impl ImageLayout<'_> {
     pub(crate) fn write<W: Write>(
         &self,
         mut out: W,
-        sketch_bytes: Vec<u8>,
         present: impl Fn(u32) -> bool,
         mut write_words: impl FnMut(u32, &mut Vec<u8>) -> Result<(), IndexError>,
     ) -> Result<u64, IndexError> {
@@ -865,7 +752,7 @@ impl ImageLayout<'_> {
             entries_per_shard: self.entries_per_shard,
             entry_count: self.shards.iter().map(|entries| entries.len()).sum(),
             mlc_len: mlc_bytes.as_ref().map_or(0, Vec::len),
-            sketch_len: sketch_bytes.len(),
+            sketch_len: 0,
             shard_lens: (self.shards.iter())
                 .map(|entries| {
                     put_meta(&mut payload, entries);
@@ -884,8 +771,6 @@ impl ImageLayout<'_> {
         if let Some(bytes) = &mlc_bytes {
             Frame::write(&mut out, &mut pos, true, bytes)?;
         }
-        Frame::write(&mut out, &mut pos, true, &sketch_bytes)?;
-        drop(sketch_bytes);
 
         for entries in &self.shards {
             put_meta(&mut payload, entries);
@@ -1106,51 +991,6 @@ mod tests {
             .contains("invalid value 2 for entry.is_decoy"));
     }
 
-    /// A decoded sketch section is laid out in the table's order, and
-    /// every structural defect fails it with `IndexError::Invalid`: the
-    /// constructor's (the word selection) and the section's own (slot
-    /// count, width, table size, presence bits).
-    #[test]
-    fn a_sketch_section_is_laid_out_or_refused() {
-        // Two slots of two-word hypervectors, rows in the table order
-        // [1, 0]; slot 1 is stored, slot 0 is not.
-        let lay = |selected: Vec<u32>, rows: &[u64], present: Vec<u64>, full_words: usize| {
-            let rows: Vec<u8> = rows.iter().flat_map(|w| w.to_le_bytes()).collect();
-            let (slots, table) = (2, RowsById::Bytes(&rows));
-            let section = SketchSection {
-                full_words: 2,
-                selected,
-                slots,
-                present,
-                table,
-            };
-            let bytes = encode(&section);
-            let decoded: SketchSection = decode(&bytes, "sketch", 3).unwrap();
-            decoded.in_order(Arc::from([1, 0]), full_words, |id| id == 1)
-        };
-        let sketch = lay(vec![1], &[0, 9], vec![0b10], 2).unwrap();
-        assert_eq!(
-            (sketch.signature(1), sketch.signature(0)),
-            (&[9][..], &[0][..])
-        );
-        assert!(sketch.is_present(1) && !sketch.is_present(0));
-        assert!(sketch.rows_follow(&Arc::from([1, 0])));
-
-        let refused = [
-            lay(vec![], &[], vec![0b10], 2),
-            lay(vec![1, 1], &[0; 4], vec![0b10], 2),
-            lay(vec![2], &[0, 9], vec![0b10], 2),
-            lay(vec![1], &[0, 9], vec![0b10], 3),
-            lay(vec![1], &[9], vec![0b10], 2),
-            lay(vec![1], &[0, 9], vec![], 2),
-            lay(vec![1], &[0, 9], vec![0b110], 2),
-            lay(vec![1], &[0, 9], vec![0b01], 2),
-        ];
-        for (case, laid) in refused.into_iter().enumerate() {
-            assert!(matches!(laid, Err(IndexError::Invalid(_))), "case {case}");
-        }
-    }
-
     /// `docs/FORMAT.md` is checked documentation: the row of every
     /// record — `preprocess: f64 intensity_threshold · u64 max_peaks · …`
     /// — is rendered from the field list its codec comes from and must
@@ -1173,7 +1013,6 @@ mod tests {
             Header::row(),
             IndexEntry::row(),
             MlcState::row(),
-            SketchSection::row(),
         ];
         for row in rows {
             let spelled = doc.contains(&squeeze(&row));

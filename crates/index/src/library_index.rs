@@ -1,8 +1,10 @@
 //! The in-memory index, its builder, its reader, and incremental append.
+//! The prefilter's sketch is derived here from the references
+//! ([`LibraryIndex::sketch_index`]); no image stores it.
 
 use crate::format::{
     self, need, Frame, Get, Header, ImageLayout, IndexError, IndexedBackendKind, MlcState, Put,
-    SketchSection, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION,
+    FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION,
 };
 use crate::sharded::ShardedBackend;
 use crate::wire::Reader;
@@ -298,9 +300,9 @@ pub struct LibraryIndex {
     /// The kind's one backend, built on first use and shared with this
     /// index's clones.
     backend: Arc<OnceLock<KindBackend>>,
-    /// The prefilter's folded-hypervector sketch table, pre-populated on
-    /// a v3 load and derived lazily otherwise (see
-    /// [`LibraryIndex::sketch_index`]); cleared on mutation.
+    /// The prefilter's folded-hypervector sketch table, derived from the
+    /// references on first use (see [`LibraryIndex::sketch_index`]);
+    /// cleared on mutation.
     sketches: OnceLock<Arc<SketchIndex>>,
 }
 
@@ -367,11 +369,10 @@ impl LibraryIndex {
     /// The prefilter's folded-hypervector sketch table over this index's
     /// references (see [`hdoms_prefilter::SketchIndex`]), laid out in
     /// the `(mass, id)` table's order and sharing its id column, so a
-    /// precursor window reads consecutive rows. Pre-populated when a v3
-    /// file carried the persisted sketch section; derived on the fly
-    /// (once, then shared) for cold builds, appends and v1/v2 loads — the
-    /// derivation samples the same words [`IndexBuilder`] persists, so
-    /// the two paths produce identical sketches.
+    /// precursor window reads consecutive rows. This is where every
+    /// index's sketch comes from — cold build, append or load of any
+    /// version: sampled from the reference table on first use, then
+    /// shared. No image stores it.
     pub fn sketch_index(&self) -> Arc<SketchIndex> {
         Arc::clone(self.sketches.get_or_init(|| {
             let full_words = self.dim().div_ceil(64);
@@ -382,7 +383,7 @@ impl LibraryIndex {
             };
             let ids = Arc::clone(self.table.ids());
             let sketch = SketchIndex::from_rows(full_words, selected.clone(), ids, row);
-            Arc::new(sketch.expect("a strided selection over the table's dense ids"))
+            Arc::new(sketch)
         }))
     }
 
@@ -545,7 +546,7 @@ impl LibraryIndex {
         self.bounds = cut(&mut table, self.entries_per_shard);
         self.table = CandidateIndex::from_sorted(table);
         // The sketch follows the old table — derive it again on the next
-        // prefiltered search (or persist).
+        // prefiltered search.
         self.sketches = OnceLock::new();
     }
 
@@ -553,8 +554,7 @@ impl LibraryIndex {
 
     /// Serialise to the current `HDX` byte format (see [`crate::format`]):
     /// shard hypervector words laid out 8-aligned for in-place mapped
-    /// loads, plus the persisted prefilter sketch section. Older
-    /// versions are decode-only.
+    /// loads. Older versions are decode-only.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut bytes = Vec::new();
         self.write_to(&mut bytes)
@@ -580,7 +580,6 @@ impl LibraryIndex {
     /// table; returns the image length.
     pub(crate) fn write_to<W: Write>(&self, out: W) -> Result<u64, IndexError> {
         let references = &self.references;
-        let sketch = self.sketch_index();
         ImageLayout {
             kind: &self.kind,
             stats: &self.build_stats,
@@ -591,7 +590,6 @@ impl LibraryIndex {
         }
         .write(
             out,
-            format::encode(&SketchSection::of(&sketch)),
             |id| references.hv(id as usize).is_some(),
             |id, w| {
                 let hv = references.hv(id as usize).expect("flagged present");
@@ -628,7 +626,7 @@ impl LibraryIndex {
     /// a descriptive [`IndexError`] — a corrupted index never half-loads.
     pub fn from_buffer(buffer: WordBuffer, threads: usize) -> Result<LibraryIndex, IndexError> {
         let bytes = buffer.as_bytes();
-        let (mut index, version, count, sections, sketch) = parse_sections(bytes)?;
+        let (mut index, version, count, sections) = parse_sections(bytes)?;
         let dim = index.dim();
         let jobs: Vec<(usize, Frame)> = sections.iter().copied().enumerate().collect();
         let payloads = par_map(&jobs, threads, |&(i, section)| {
@@ -672,12 +670,6 @@ impl LibraryIndex {
         })?;
         index.table = CandidateIndex::from_sorted(table);
         index.validate()?;
-        if let Some(section) = sketch {
-            let ids = Arc::clone(index.table.ids());
-            let stored = |id: u32| offsets[id as usize] != u64::MAX;
-            let sketch = section.in_order(ids, dim.div_ceil(64), stored)?;
-            let _ = index.sketches.set(Arc::new(sketch));
-        }
         index.references = if version >= 2 {
             SharedReferences::new(buffer.clone(), dim, offsets)
         } else {
@@ -765,13 +757,13 @@ fn read_file(path: &Path) -> std::io::Result<WordBuffer> {
     WordBuffer::from_reader(file, len)
 }
 
-/// Walk the container: magic, version, header, MLC and sketch sections
-/// (each checksum-verified), and the [`Frame`] of every shard section —
+/// Walk the container: magic, version, header, MLC and legacy sketch
+/// sections (each checksum-verified; the sketch then dropped — every
+/// index derives its own), and the [`Frame`] of every shard section —
 /// everything established before shard payloads are touched, returned
-/// as an index still without entries, references or sketch, the format
-/// version, the declared entry count, where each shard lies, and the
-/// decoded sketch section, its rows still in the payload.
-fn parse_sections(bytes: &[u8]) -> Result<Sections<'_>, IndexError> {
+/// as an index still without entries or references, the format version,
+/// the declared entry count and where each shard lies.
+fn parse_sections(bytes: &[u8]) -> Result<Sections, IndexError> {
     let mut r = Reader::new(bytes);
     if r.raw(8, "magic")? != MAGIC {
         return Err(IndexError::BadMagic);
@@ -805,9 +797,7 @@ fn parse_sections(bytes: &[u8]) -> Result<Sections<'_>, IndexError> {
         .map(|payload| format::decode::<MlcState>(payload, "mlc_state", version))
         .transpose()?;
     header.kind.validate(mlc.as_ref())?;
-    let sketch = section(header.sketch_len, "sketch")?
-        .map(|payload| format::decode::<SketchSection>(payload, "sketch", version))
-        .transpose()?;
+    section(header.sketch_len, "sketch")?;
     let shards = (header.shard_lens.iter())
         .map(|&len| Frame::locate(&mut r, bytes.len(), padded, len, "shard"))
         .collect::<Result<Vec<Frame>, IndexError>>()?;
@@ -825,17 +815,11 @@ fn parse_sections(bytes: &[u8]) -> Result<Sections<'_>, IndexError> {
         backend: Arc::default(),
         sketches: OnceLock::new(),
     };
-    Ok((index, version, count, shards, sketch))
+    Ok((index, version, count, shards))
 }
 
 /// What [`parse_sections`] establishes ahead of the shard payloads.
-type Sections<'a> = (
-    LibraryIndex,
-    u32,
-    usize,
-    Vec<Frame>,
-    Option<SketchSection<'a>>,
-);
+type Sections = (LibraryIndex, u32, usize, Vec<Frame>);
 
 impl ReferenceCatalog for LibraryIndex {
     fn reference_count(&self) -> usize {

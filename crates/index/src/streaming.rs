@@ -14,29 +14,26 @@
 //! blocks back from the spill as it is written. Peak heap is bounded by
 //! one encode chunk plus one serialised shard plus the O(entries)
 //! metadata side tables (the catalog and `(mass, id)` table an index
-//! holds, sketch signatures, spill offsets) — never by the encoded
-//! payload.
+//! holds, spill offsets) — never by the encoded payload.
 //!
 //! The output is **byte-for-byte identical** to
 //! `IndexBuilder::from_library(...).to_bytes()` over the same entries in
 //! the same order: encoding is deterministic per (configuration, dense
-//! id) and runs through the same `KindBackend`, the sketch rows are
-//! sampled by id through the same `SketchIndex::sample` a derived sketch
-//! is laid out with, and both images go out through the one container
+//! id) and runs through the same `KindBackend`, and both images go out
+//! through the one container
 //! writer (`format::ImageLayout::write`, every record through its one
 //! field-list codec, every section in the one `format::Frame`),
 //! differing only in where it fetches each entry's words. The
 //! differential test suite (`tests/streaming_equivalence.rs`) pins that
 //! guarantee.
 
-use crate::format::{self, need, ImageLayout, IndexError, RowsById, SketchSection};
+use crate::format::{self, need, ImageLayout, IndexError};
 use crate::library_index::{cut, runs, take_in, IndexConfig, KindBackend};
 use hdoms_core::accelerator::{BuildStats, StatsFold};
 use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
 use hdoms_ms::preprocess::Preprocessor;
 use hdoms_oms::pipeline::ReferenceMeta;
 use hdoms_oms::search::encode_chunk;
-use hdoms_prefilter::{SketchIndex, SKETCH_WORDS};
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -138,11 +135,6 @@ pub struct StreamingIndexBuilder {
     catalog: ReferenceMeta,
     table: Vec<(f64, u32)>,
     backend: KindBackend,
-    /// The words a signature samples, and the sketch section's rows:
-    /// one per pushed entry, by id, little-endian (zeros for a rejected
-    /// one).
-    selected: Vec<u32>,
-    sketch_rows: Vec<u8>,
     stats: StatsFold,
     finished: bool,
 }
@@ -190,8 +182,6 @@ impl StreamingIndexBuilder {
             catalog: ReferenceMeta::default(),
             table: Vec::new(),
             backend: KindBackend::new(&kind, None, config.index.threads),
-            selected: SketchIndex::word_selection(kind.dim().div_ceil(64), SKETCH_WORDS),
-            sketch_rows: Vec::new(),
             stats: StatsFold::default(),
             finished: false,
             config: IndexConfig {
@@ -234,22 +224,15 @@ impl StreamingIndexBuilder {
             let encoded = encode_chunk(&self.backend, &pre, chunk, first_id, self.config.threads);
             self.table.extend(take_in(&mut self.catalog, chunk));
             for slot in encoded {
-                let hv = self.stats.push(slot);
-                let rows = &mut self.sketch_rows;
-                match hv {
+                match self.stats.push(slot) {
                     Some(hv) => {
-                        let row = SketchIndex::sample(&self.selected, hv.words());
-                        rows.extend(row.flat_map(u64::to_le_bytes));
                         self.spill_offsets.push(self.spilled_bytes);
                         for &word in hv.words() {
                             self.spill.write_all(&word.to_le_bytes())?;
                         }
                         self.spilled_bytes += block_bytes;
                     }
-                    None => {
-                        rows.resize(rows.len() + self.selected.len() * 8, 0);
-                        self.spill_offsets.push(u64::MAX);
-                    }
+                    None => self.spill_offsets.push(u64::MAX),
                 }
             }
         }
@@ -303,19 +286,6 @@ impl StreamingIndexBuilder {
         let build_stats = self.stats.onto(None);
         let bounds = cut(&mut self.table, self.config.entries_per_shard);
         let offsets = std::mem::take(&mut self.spill_offsets);
-
-        // The sketch rows are dropped once they are section bytes, before
-        // any shard is assembled, so they are not resident twice.
-        let rows = std::mem::take(&mut self.sketch_rows);
-        let sketch_bytes = format::encode(&SketchSection {
-            full_words: dim.div_ceil(64),
-            selected: self.selected.clone(),
-            slots: offsets.len(),
-            present: format::bits(offsets.len(), |id| offsets[id as usize] != u64::MAX),
-            table: RowsById::Bytes(&rows),
-        });
-        drop(rows);
-
         let mlc = self.backend.mlc_state();
         let layout = ImageLayout {
             kind: &self.config.kind,
@@ -328,7 +298,6 @@ impl StreamingIndexBuilder {
         let hv_bytes = dim.div_ceil(64) * 8;
         let index_bytes = layout.write(
             out,
-            sketch_bytes,
             |id| offsets[id as usize] != u64::MAX,
             |id, w| {
                 let at = w.len();
@@ -465,8 +434,8 @@ mod tests {
 
     /// Both callers of the one container writer — the table-backed
     /// `LibraryIndex::write_to` and the spill-backed streaming assembly —
-    /// surface a write that dies mid-header, mid-sketch or mid-shard as
-    /// `IndexError::Io`, without panicking.
+    /// surface a write that dies mid-header, in the first shard or in the
+    /// last as `IndexError::Io`, without panicking.
     #[test]
     fn a_failing_write_is_an_io_error_from_both_callers() {
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 61);
@@ -486,8 +455,8 @@ mod tests {
             builder.assemble(sink, &spill)
         };
 
-        // Inside the header, inside the sketch section that follows it,
-        // and inside the last shard.
+        // Inside the header, inside the first shard section that follows
+        // it, and inside the last shard.
         let header_len = u64::from_le_bytes(image[12..20].try_into().unwrap()) as usize;
         for budget in [
             20 + header_len / 2,

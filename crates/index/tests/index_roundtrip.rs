@@ -19,6 +19,10 @@ use proptest::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;
 
+mod common;
+
+use common::{header_offset_of, patch_header};
+
 const TEST_DIM: usize = 512;
 const THREADS: usize = 4;
 
@@ -45,51 +49,6 @@ fn build_index(kind: IndexedBackendKind, library: &SpectralLibrary, shard: usize
 
 fn tiny_workload(seed: u64) -> SyntheticWorkload {
     SyntheticWorkload::generate(&WorkloadSpec::tiny(), seed)
-}
-
-/// Write `header` into `image` as its header section: length, bytes,
-/// and a checksum that holds.
-fn seal_header(image: &mut Vec<u8>, header: &[u8]) {
-    use hdoms_index::format::CHECKSUM_SEED;
-    use hdoms_index::xxhash::xxh64;
-
-    let old_len = u64::from_le_bytes(image[12..20].try_into().unwrap()) as usize;
-    let mut sealed = header.to_vec();
-    sealed.extend(xxh64(header, CHECKSUM_SEED).to_le_bytes());
-    image[12..20].copy_from_slice(&(header.len() as u64).to_le_bytes());
-    image.splice(20..20 + old_len + 8, sealed);
-}
-
-/// Offset, inside the header section of `image`, of the field the
-/// decoder labels `label` (`"encoder.q_levels"`) — read off the field
-/// list through its decode-error labels: a header cut exactly where a
-/// field starts fails reading that field with nothing available.
-fn header_offset_of(image: &[u8], label: &str) -> usize {
-    use hdoms_index::wire::WireError;
-
-    let header_len = u64::from_le_bytes(image[12..20].try_into().unwrap()) as usize;
-    let header = image[20..20 + header_len].to_vec();
-    (0..header_len)
-        .find(|&cut| {
-            let mut cut_image = image.to_vec();
-            seal_header(&mut cut_image, &header[..cut]);
-            matches!(
-                LibraryIndex::from_bytes(&cut_image, 1),
-                Err(IndexError::Wire(WireError::UnexpectedEnd { what, available: 0, .. }))
-                    if what == label
-            )
-        })
-        .unwrap_or_else(|| panic!("no header field is labelled {label:?}"))
-}
-
-/// Overwrite the `u64` header field `label` of `image` with `value` and
-/// re-seal the header checksum, so only what reads the field can object.
-fn patch_header(image: &mut Vec<u8>, label: &str, value: u64) {
-    let at = header_offset_of(image, label);
-    let header_len = u64::from_le_bytes(image[12..20].try_into().unwrap()) as usize;
-    let mut header = image[20..20 + header_len].to_vec();
-    header[at..at + 8].copy_from_slice(&value.to_le_bytes());
-    seal_header(image, &header);
 }
 
 fn pipeline() -> OmsPipeline {
@@ -416,10 +375,12 @@ fn library_encoding_is_pinned() {
         let index = build_index(kind, &workload.library, 64);
         let name = index.kind().name();
         // The digests were recorded when builders still wrote their
-        // worker count (`THREADS`) into the configs' `threads` slot; it
-        // is a reserved slot written as 1 now. Put the old value back:
+        // worker count (`THREADS`) into the configs' `threads` slot, and
+        // a sketch section after the header; the slot is reserved and
+        // written as 1 now, and no image stores a sketch. Put both back:
         // nothing else in the image may have moved.
-        let mut image = index.to_bytes();
+        let image = index.to_bytes();
+        let mut image = common::with_sketch(&image, &common::legacy_sketch_section(&index));
         patch_header(&mut image, &format!("{name}.threads"), THREADS as u64);
         assert_eq!(
             xxh64(&image, 0),
@@ -861,7 +822,8 @@ fn append_straddling_shard_boundaries_keeps_order() {
 /// shard). That release's loader accepted it, and so does this one: its
 /// table follows the shard walk, not `(mass, id)`, and a query reaching
 /// that mass still scores every shard in one run. Re-written, it is the
-/// same image; appended to, it is re-cut like a build.
+/// same image less its sketch section; appended to, it is re-cut like a
+/// build.
 #[test]
 fn a_mass_shared_across_a_shard_boundary_costs_one_visit_per_shard() {
     use hdoms_ms::preprocess::Preprocessor;
@@ -884,7 +846,11 @@ fn a_mass_shared_across_a_shard_boundary_costs_one_visit_per_shard() {
     );
     assert_eq!(shard(1)[0].0, mass, "shard 1 opens with its twin");
     assert!(shard(1)[0].1 < third, "out of id order across the boundary");
-    assert_eq!(index.to_bytes(), image, "re-written as it was read");
+    assert_eq!(
+        index.to_bytes(),
+        common::without_sketch(&image),
+        "re-written as it was read, less its legacy sketch section"
+    );
 
     let workload = tiny_workload(37);
     let (binned, _) = Preprocessor::new(index.kind().preprocess()).run_batch(&workload.queries);
@@ -1120,9 +1086,10 @@ fn starved(library: &SpectralLibrary) -> SpectralLibrary {
         .collect()
 }
 
-/// A sketch has one layout: loaded from a v3 section or derived from the
-/// references, its rows follow the `(mass, id)` table — here not in id
-/// order, with absent slots — row for row, sharing the table's id column.
+/// A sketch has one source, the index's own references: an image stores
+/// none, and the index loaded from it derives the sketch the cold build
+/// derived — its rows following the `(mass, id)` table (here not in id
+/// order, with absent slots) row for row, sharing the table's id column.
 #[test]
 fn a_loaded_sketch_is_the_derived_one_row_for_row() {
     use hdoms_oms::pipeline::ReferenceCatalog;
@@ -1132,34 +1099,30 @@ fn a_loaded_sketch_is_the_derived_one_row_for_row() {
     for kind in [exact_kind(), rram_kind()] {
         let name = kind.name();
         let index = build_index(kind, &library, 16);
-        let loaded = LibraryIndex::from_bytes(&index.to_bytes(), THREADS).expect("own image");
-        for (route, from) in [("derived", &index), ("loaded", &loaded)] {
-            let (sketch, table) = (from.sketch_index(), from.candidate_index());
-            let ids = table.ids();
-            assert!(
-                !ids.iter().copied().eq(0..ids.len() as u32),
-                "the table is in id order"
-            );
-            assert!(
-                Arc::ptr_eq(sketch.ids(), ids),
-                "{name}, {route}: the id column is shared"
-            );
-            assert!(sketch.rows_follow(ids), "{name}, {route}");
-            let refs = from.shared_references();
-            for &id in ids.iter() {
-                let hv = refs.hv(id as usize);
-                let row: Option<Vec<u64>> =
-                    hv.map(|hv| SketchIndex::sample(sketch.selected(), hv.words()).collect());
-                assert_eq!(
-                    sketch.is_present(id),
-                    row.is_some(),
-                    "{name}, {route}: {id}"
-                );
-                let zeros = vec![0; sketch.words()];
-                assert_eq!(sketch.signature(id), row.as_deref().unwrap_or(&zeros));
-            }
+        let image = index.to_bytes();
+        assert_eq!(common::header_u64(&image, "header.sketch_len"), 0);
+        let loaded = LibraryIndex::from_bytes(&image, THREADS).expect("own image");
+        let (sketch, table) = (loaded.sketch_index(), loaded.candidate_index());
+        let ids = table.ids();
+        assert!(
+            !ids.iter().copied().eq(0..ids.len() as u32),
+            "the table is in id order"
+        );
+        assert!(
+            Arc::ptr_eq(sketch.ids(), ids),
+            "{name}: the id column is shared"
+        );
+        assert!(sketch.rows_follow(ids), "{name}");
+        let refs = loaded.shared_references();
+        for &id in ids.iter() {
+            let hv = refs.hv(id as usize);
+            let row: Option<Vec<u64>> =
+                hv.map(|hv| SketchIndex::sample(sketch.selected(), hv.words()).collect());
+            assert_eq!(sketch.is_present(id), row.is_some(), "{name}: {id}");
+            let zeros = vec![0; sketch.words()];
+            assert_eq!(sketch.signature(id), row.as_deref().unwrap_or(&zeros));
         }
-        let absent = (0..library.len() as u32).filter(|&id| !loaded.sketch_index().is_present(id));
+        let absent = (0..library.len() as u32).filter(|&id| !sketch.is_present(id));
         assert_eq!(
             absent.count(),
             index.build_stats().references_rejected,
@@ -1169,63 +1132,83 @@ fn a_loaded_sketch_is_the_derived_one_row_for_row() {
             index.build_stats().references_rejected > 0,
             "{name}: nothing starved"
         );
-        assert_eq!(*loaded.sketch_index(), *index.sketch_index(), "{name}");
+        assert_eq!(*sketch, *index.sketch_index(), "{name}");
     }
 }
 
-/// Where a v3 image's sketch section starts: after the preamble, the
-/// header and its checksum, padded to 8 (the golden image has no MLC
-/// section).
-fn sketch_section_start(image: &[u8]) -> usize {
-    let header_len = u64::from_le_bytes(image[12..20].try_into().unwrap()) as usize;
-    let after_header = 20 + header_len + 8;
-    after_header.next_multiple_of(8)
-}
-
-/// A sketch that marks a stored reference absent would never forward
-/// it, though the exact scan finds it: a checksum-resealed image saying
-/// so fails every door.
-#[test]
-fn a_sketch_whose_presence_disagrees_with_the_shards_fails_every_door() {
-    use hdoms_index::format::CHECKSUM_SEED;
-    use hdoms_index::xxhash::xxh64;
-
-    let mut image = golden_v3();
-    let start = sketch_section_start(&image);
-    let sketch_len = 20 + header_offset_of(&image, "header.sketch_len");
-    let len = u64::from_le_bytes(image[sketch_len..sketch_len + 8].try_into().unwrap()) as usize;
-    // `u64 full_words · u32[] selected · u64 slots · u64[] present · …`:
-    // the presence bitset's first word follows its count.
-    let selected = u64::from_le_bytes(image[start + 8..start + 16].try_into().unwrap()) as usize;
-    let present = start + 16 + 4 * selected + 8 + 8;
-    assert_eq!(image[present] & 1, 1, "entry 0 is stored");
-    image[present] &= !1;
-    let sealed = xxh64(&image[start..start + len], CHECKSUM_SEED);
-    image[start + len..start + len + 8].copy_from_slice(&sealed.to_le_bytes());
-
-    let path = std::env::temp_dir().join(format!("hdoms-sketch-absent-{}.hdx", std::process::id()));
-    std::fs::write(&path, &image).unwrap();
-    let opens = [
-        LibraryIndex::from_bytes(&image, THREADS),
-        LibraryIndex::from_buffer(hdoms_hdc::WordBuffer::from_bytes(&image), THREADS),
+/// `image` opened at every door an image comes in through.
+fn open_at_every_door(image: &[u8], tag: &str) -> Vec<Result<LibraryIndex, IndexError>> {
+    let path = std::env::temp_dir().join(format!("hdoms-{tag}-{}.hdx", std::process::id()));
+    std::fs::write(&path, image).unwrap();
+    let opens = vec![
+        LibraryIndex::from_bytes(image, THREADS),
+        LibraryIndex::from_buffer(hdoms_hdc::WordBuffer::from_bytes(image), THREADS),
         LibraryIndex::open(&path, THREADS),
         LibraryIndex::open_mapped(&path, THREADS),
     ];
     std::fs::remove_file(&path).ok();
-    for opened in opens {
+    opens
+}
+
+/// A legacy image's sketch section is still checksum-verified before it
+/// is dropped: a flipped payload byte, not re-sealed, fails every door
+/// naming the section.
+#[test]
+fn a_damaged_legacy_sketch_section_fails_every_door() {
+    let mut image = golden_v3();
+    let payload = common::sketch_payload(&image);
+    image[payload.start + payload.len() / 2] ^= 0x10;
+    for opened in open_at_every_door(&image, "sketch-flipped") {
         match opened {
-            Err(IndexError::Invalid(message)) => assert_eq!(
-                message,
-                "sketch presence bits disagree with the shards' stored hypervectors"
-            ),
-            other => panic!("expected a clean rejection, got {other:?}"),
+            Err(IndexError::ChecksumMismatch { section }) => assert_eq!(section, "sketch"),
+            other => panic!("expected the sketch checksum to fail, got {other:?}"),
         }
     }
 }
 
+/// Nothing reads a legacy sketch section past its checksum: re-sealed
+/// garbage there opens at every door, and a K = 1 prefiltered search —
+/// its sketch derived from the shards — renders the untouched fixture's
+/// rows. (No window of the twelve-entry fixture holds more than four
+/// candidates, so K = 1 is what makes the sketch decide anything.)
+#[test]
+fn a_resealed_garbage_sketch_section_is_never_read() {
+    use hdoms_oms::psm::render_table;
+    use hdoms_prefilter::PrefilterConfig;
+
+    let golden = golden_v3();
+    let mut image = golden.clone();
+    let payload = common::sketch_payload(&image);
+    for (at, byte) in image[payload.clone()].iter_mut().enumerate() {
+        *byte = (at * 151 % 251) as u8;
+    }
+    common::reseal_sketch(&mut image, payload);
+    assert_ne!(image, golden);
+
+    let queries = tiny_workload(7).queries;
+    let rows = |index: LibraryIndex| {
+        let peptides = index.catalog();
+        let engine = Arc::new(Engine::from_index(index, 2).expect("kind matches"));
+        let window = PrecursorWindow::open_default();
+        let prefilter = Some(PrefilterConfig::TopK(1));
+        let searched = engine.search_with_workers_opts(&queries, window, 0.01, 2, prefilter);
+        let (outcome, receipt) = searched.expect("an index-backed engine prefilters");
+        assert!(
+            receipt.candidates_scored < receipt.candidates_pre,
+            "K = 1 narrows"
+        );
+        render_table(peptides.peptides(), &outcome)
+    };
+    let untouched = rows(LibraryIndex::from_bytes(&golden, THREADS).expect("the fixture"));
+    assert!(untouched.lines().count() > 1, "the fixture matches nothing");
+    for opened in open_at_every_door(&image, "sketch-garbage") {
+        assert_eq!(rows(opened.expect("the section is not read")), untouched);
+    }
+}
+
 /// Pins the sketch stage's survivors: every query's `narrow` output over
-/// its open precursor window at K = 1, 16 and 256, through a sketch
-/// derived from a cold build and one loaded from the v3 section — and the
+/// its open precursor window at K = 1, 16 and 256, through the sketch a
+/// cold build derives and the one its loaded image derives — and the
 /// same survivors from `narrow_batch` fed the whole batch and sub-batches
 /// of 1, 7, 8 and 9 queries (either side of the 8-query block). The
 /// library holds absent slots (every tenth entry starved below the
@@ -1752,7 +1735,7 @@ mod fan_out {
         };
         let ids: Arc<[u32]> = (0..table.ids().len() as u32).collect();
         let (full_words, selected) = (derived.full_words(), derived.selected().to_vec());
-        let by_id = SketchIndex::from_rows(full_words, selected, ids, row).expect("a layout");
+        let by_id = SketchIndex::from_rows(full_words, selected, ids, row);
         let backend = index.sharded_backend(THREADS).expect("kind matches");
         let binned = binned_queries(&index, &workload);
         let _ = backend.search_batch_traced(

@@ -9,19 +9,18 @@
 //!    full payload);
 //! 3. zero-copy — the loader (`LibraryIndex::from_buffer` over a v2+
 //!    file image) performs **zero** per-reference hypervector
-//!    allocations: its allocation traffic is the catalog once, the
-//!    sketch table and a stated number of bytes per entry for the
-//!    fixed-width tables, and an engine over it allocates no candidate
+//!    allocations: its allocation traffic is the catalog once and a
+//!    stated number of bytes per entry for the fixed-width tables (it
+//!    builds no sketch), and an engine over it allocates no candidate
 //!    table of its own; a cold build's table is one flat heap buffer,
 //!    not one allocation per reference; and `write` streams shard by
 //!    shard instead of assembling the image (or any second copy of the
 //!    payload) in memory;
 //! 4. versioning — golden v1, v2 and v3 file images
 //!    (`tests/fixtures/`) open through a heap read and through `mmap`
-//!    with identical entries, search storage and search results, the v3
-//!    sketch section matches the on-the-fly derivation older images
-//!    fall back to, and `to_bytes()` reproduces the v3 file byte for
-//!    byte.
+//!    with identical entries, search storage, derived sketches and
+//!    search results, and `to_bytes()` reproduces the v3 file byte for
+//!    byte once its legacy sketch section is spliced out.
 //!
 //! The golden images are what keeps the codec honest: every persisted
 //! record is one `record!` field list in `src/format.rs` (its encoder,
@@ -47,6 +46,8 @@ use hdoms_oms::search::{ExactBackendConfig, SharedReferences};
 use hdoms_oms::window::PrecursorWindow;
 use std::path::Path;
 use std::sync::Mutex;
+
+mod common;
 
 /// The shared counting allocator; the windows below read its gross
 /// counter (frees are not subtracted — gross allocation traffic is what
@@ -256,16 +257,11 @@ fn mapped_load_performs_zero_per_reference_hypervector_allocations() {
 
     // What a load may allocate, stated. The catalog once: its peptides
     // cost real traffic, measured here as a cold capture of the same
-    // table. The sketch table the v3 section carries, measured as a copy.
+    // table. No sketch: a search derives it on first use.
     let before = CountingAllocator::gross();
     let baseline_catalog = ReferenceMeta::from_library(&workload.library);
     let catalog_alloc = CountingAllocator::gross() - before;
     assert_eq!(*index.catalog(), baseline_catalog);
-    let sketch = index.sketch_index();
-    let before = CountingAllocator::gross();
-    let sketch_copy = (*sketch).clone();
-    let sketch_alloc = CountingAllocator::gross() - before;
-    drop(sketch_copy);
     // Per entry, the fixed-width tables: the `(mass, id)` table (16 B),
     // the word offsets (8), id → shard (4), precursor m/z (8) and charge
     // (1) — the last two are the catalog's own column pair, so the
@@ -273,7 +269,7 @@ fn mapped_load_performs_zero_per_reference_hypervector_allocations() {
     // load, well inside 64 KiB. The loader used to decode a 48-byte
     // record and a second copy of the peptide per entry besides.
     const PER_ENTRY: usize = 16 + 8 + 4;
-    let budget = catalog_alloc + sketch_alloc + PER_ENTRY * index.entry_count() + (64 << 10);
+    let budget = catalog_alloc + PER_ENTRY * index.entry_count() + (64 << 10);
 
     // Build the backing buffer *outside* the measurement window: the one
     // whole-file allocation is the load's input.
@@ -289,7 +285,7 @@ fn mapped_load_performs_zero_per_reference_hypervector_allocations() {
     assert!(
         mapped_alloc <= budget && budget < payload / 2,
         "mapped load allocated {mapped_alloc} bytes against a budget of {budget} \
-         ({catalog_alloc} catalog + {sketch_alloc} sketch + {PER_ENTRY} B × {} entries \
+         ({catalog_alloc} catalog + {PER_ENTRY} B × {} entries \
          + 64 KiB) and a {payload}-byte hypervector payload",
         index.entry_count()
     );
@@ -356,8 +352,6 @@ fn cold_table_is_one_buffer_and_write_streams_shard_by_shard() {
         .windows(2)
         .all(|pair| pair[1] == pair[0] + table.hv_bytes() as u64));
 
-    // The sketch table is lazily derived cache state, not write traffic.
-    index.sketch_index();
     let path = std::env::temp_dir().join(format!("hdoms-write-alloc-{}.hdx", std::process::id()));
     let before = CountingAllocator::gross();
     index.write(&path).expect("write");
@@ -439,15 +433,23 @@ fn golden_v1_v2_and_v3_images_decode_alike() {
         assert_eq!(rows(mapped), golden_rows);
     }
 
-    // A v1/v2 image carries no sketch section; deriving it on the fly
-    // must produce exactly the table the v3 image persisted.
+    // Every version derives one sketch from its references — the v3
+    // image's stored section is verified and dropped.
     assert_eq!(mapped[0].sketch_index(), mapped[2].sketch_index());
     assert_eq!(mapped[1].sketch_index(), mapped[2].sketch_index());
 
-    // Today's writer reproduces the v3 file byte for byte — from the
-    // opened v3 image, and from the older images (the upgrade path).
+    // Today's writer reproduces the v3 file with its sketch frame spliced
+    // out and `header.sketch_len` zeroed — from the opened v3 image, and
+    // from the older images (the upgrade path): the section is the only
+    // byte that moved. The same holds for the v3 image an append of an
+    // earlier release wrote.
     let v3 = std::fs::read(path(3)).expect("v3 fixture");
+    let written = common::without_sketch(&v3);
     for index in copied.iter().chain(&mapped) {
-        assert_eq!(index.to_bytes(), v3);
+        assert_eq!(index.to_bytes(), written);
     }
+    let append = fixtures.join("v3-append.hdx");
+    let appended = LibraryIndex::open_mapped(&append, 2).expect("the append fixture opens");
+    let image = std::fs::read(&append).expect("v3-append fixture");
+    assert_eq!(appended.to_bytes(), common::without_sketch(&image));
 }

@@ -535,8 +535,9 @@ fn failed_rename_leaves_no_temp_or_spill_behind() {
 fn streaming_peak_heap_is_bounded_by_spill_threshold() {
     let _serial = serial();
     // ~6k entries at dim 8192 → ~6.1 MB payload, comfortably above the
-    // streaming side tables (sketch signatures + entry metadata + spill
-    // offsets, ~2.5 MB) and the encoder item memory (~1.4 MB).
+    // streaming side tables (the catalog, the `(mass, id)` table and the
+    // spill offsets: ~70 B per entry plus its peptide, well under 1 MB)
+    // and the encoder item memory (~1.4 MB).
     let workload = SyntheticWorkload::generate(&WorkloadSpec::iprg2012(0.006), 5);
     let library = workload.library;
     let dim = 8192;

@@ -249,30 +249,29 @@ impl SketchIndex {
     /// a zero row marked absent — and `ids` (a handle on it) is kept as
     /// the row → slot column. `full_words` is the width of a full
     /// hypervector, `selected` the words a signature samples from it
-    /// ([`SketchIndex::word_selection`], [`SketchIndex::sample`]).
+    /// ([`SketchIndex::word_selection`], [`SketchIndex::sample`]). The
+    /// rows come from the owner's own references, never from a file.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Rejects an empty or non-increasing word selection, indices beyond
-    /// `full_words`, an id column that does not list every slot exactly
-    /// once, and a row that is not `selected.len()` words.
+    /// Panics on an empty or non-increasing word selection, indices
+    /// beyond `full_words`, an id column that does not list every slot
+    /// exactly once, and a row that is not `selected.len()` words.
     pub fn from_rows<R: IntoIterator<Item = u64>>(
         full_words: usize,
         selected: Vec<u32>,
         ids: Arc<[u32]>,
         mut row: impl FnMut(u32) -> Option<R>,
-    ) -> Result<SketchIndex, String> {
-        if selected.is_empty() {
-            return Err("sketch word selection is empty".to_owned());
-        }
-        if !selected.windows(2).all(|w| w[0] < w[1]) {
-            return Err("sketch word selection is not strictly increasing".to_owned());
-        }
-        if selected.last().copied().unwrap_or(0) as usize >= full_words {
-            return Err(format!(
-                "sketch word selection exceeds the hypervector width ({full_words} words)"
-            ));
-        }
+    ) -> SketchIndex {
+        assert!(!selected.is_empty(), "sketch word selection is empty");
+        assert!(
+            selected.windows(2).all(|w| w[0] < w[1]),
+            "sketch word selection is not strictly increasing"
+        );
+        assert!(
+            (*selected.last().expect("non-empty") as usize) < full_words,
+            "sketch word selection exceeds the hypervector width ({full_words} words)"
+        );
         let (slots, width) = (ids.len(), selected.len());
         let mut row_of = vec![u32::MAX; slots];
         let mut table = Vec::with_capacity(slots * width);
@@ -280,11 +279,7 @@ impl SketchIndex {
         for (r, &id) in ids.iter().enumerate() {
             match row_of.get_mut(id as usize) {
                 Some(at) if *at == u32::MAX => *at = r as u32,
-                _ => {
-                    return Err(format!(
-                        "row order lists slot {id} twice or beyond {slots} slots"
-                    ))
-                }
+                _ => panic!("row order lists slot {id} twice or beyond {slots} slots"),
             }
             match row(id) {
                 Some(words) => {
@@ -293,18 +288,20 @@ impl SketchIndex {
                 }
                 None => table.resize(table.len() + width, 0),
             }
-            if table.len() != (r + 1) * width {
-                return Err(format!("slot {id}'s signature is not {width} words"));
-            }
+            assert_eq!(
+                table.len(),
+                (r + 1) * width,
+                "slot {id}'s signature is not {width} words"
+            );
         }
-        Ok(SketchIndex {
+        SketchIndex {
             full_words,
             selected,
             table,
             row_of,
             ids,
             present,
-        })
+        }
     }
 
     /// Whether row `r` holds slot `order[r]` for every row, so a table
@@ -627,7 +624,7 @@ mod tests {
         let full_words = dim.div_ceil(64);
         let selected = SketchIndex::word_selection(full_words, words);
         let row = |id: u32| slots[id as usize].map(|hv| SketchIndex::sample(&selected, hv));
-        SketchIndex::from_rows(full_words, selected.clone(), order.into(), row).unwrap()
+        SketchIndex::from_rows(full_words, selected.clone(), order.into(), row)
     }
 
     /// Every slot of `refs` present, in id order.
@@ -931,29 +928,41 @@ mod tests {
         assert!(!sketch.is_present(70), "beyond the slots");
     }
 
-    /// The constructor refuses what no layout can hold: a bad word
-    /// selection, an id column that names a slot twice or one beyond the
-    /// slots, and a row of the wrong width.
-    #[test]
-    fn the_constructor_rejects_structural_garbage() {
+    /// A two-word layout of eight-word hypervectors whose every row
+    /// samples `row_words` of `[7; 8]`.
+    fn lay(selected: Vec<u32>, ids: &[u32], row_words: &'static [u32]) -> SketchIndex {
         let hv = [7u64; 8];
-        let lay = |selected: Vec<u32>, ids: &[u32]| {
-            let row = |_| Some(SketchIndex::sample(&[0, 4], &hv));
-            SketchIndex::from_rows(8, selected, Arc::from(ids), row)
-        };
-        assert!(lay(vec![0, 4], &[1, 0]).is_ok());
-        assert!(lay(vec![], &[0]).is_err(), "an empty selection");
-        assert!(lay(vec![3, 3], &[0]).is_err(), "a repeated word");
-        assert!(lay(vec![4, 0], &[0]).is_err(), "a decreasing selection");
-        assert!(lay(vec![3, 8], &[0]).is_err(), "a word beyond the width");
-        for bad in [&[0, 1, 2, 2][..], &[0, 1, 2, 4], &[1, 2, 3]] {
-            assert!(lay(vec![0, 4], bad).is_err(), "{bad:?}");
-        }
-        let wide = |_| Some(SketchIndex::sample(&[0, 1, 2], &hv));
-        let wide = SketchIndex::from_rows(8, vec![0, 4], Arc::from([0]), wide);
-        assert!(
-            wide.is_err(),
-            "a row of three words under a two-word selection"
-        );
+        let row = |_| Some(SketchIndex::sample(row_words, &hv));
+        SketchIndex::from_rows(8, selected, Arc::from(ids), row)
+    }
+
+    /// The constructor refuses what no layout can hold, each with its own
+    /// panic: a bad word selection, an id column that names a slot twice
+    /// or one beyond the slots, and a row of the wrong width.
+    macro_rules! refused {
+        ($($name:ident: $selected:expr, $ids:expr, $row:expr => $why:literal;)*) => {$(
+            #[test]
+            #[should_panic(expected = $why)]
+            fn $name() {
+                lay($selected, $ids, $row);
+            }
+        )*};
+    }
+
+    refused! {
+        an_empty_selection_is_refused: vec![], &[0], &[0, 4] => "selection is empty";
+        a_repeated_word_is_refused: vec![3, 3], &[0], &[0, 4] => "not strictly increasing";
+        a_decreasing_selection_is_refused: vec![4, 0], &[0], &[0, 4] => "not strictly increasing";
+        a_word_beyond_the_width_is_refused: vec![3, 8], &[0], &[0, 4] => "exceeds the hypervector";
+        a_slot_listed_twice_is_refused: vec![0, 4], &[0, 1, 2, 2], &[0, 4] => "slot 2 twice";
+        a_slot_beyond_the_column_is_refused: vec![0, 4], &[0, 1, 2, 4], &[0, 4] => "beyond 4 slots";
+        a_column_missing_slot_zero_is_refused: vec![0, 4], &[1, 2, 3], &[0, 4] => "beyond 3 slots";
+        a_row_of_the_wrong_width_is_refused: vec![0, 4], &[0], &[0, 1, 2] => "is not 2 words";
+    }
+
+    #[test]
+    fn a_well_formed_column_lays_out() {
+        let sketch = lay(vec![0, 4], &[1, 0], &[0, 4]);
+        assert_eq!((sketch.len(), sketch.signature(0)), (2, &[7, 7][..]));
     }
 }

@@ -362,8 +362,8 @@ fn hostile_lines_always_get_a_response() {
 
 /// Tier-1's corrupted-image smoke: the image
 /// `every_entry_point_renders_the_same_rows` serves, with one byte
-/// flipped inside the header, inside the sketch section and inside a
-/// shard section, and truncated at each of those points. Every door an
+/// flipped inside the header, inside the first shard section and inside
+/// the last, and truncated at each of those points. Every door an
 /// image comes in through answers with a structured error — none loads
 /// it, none panics (a panic fails the test) — and the server goes on
 /// answering afterwards.
@@ -381,14 +381,15 @@ fn corrupted_images_fail_every_door_with_a_structured_error() {
     let image = IndexBuilder::new(config)
         .from_library(&workload.library)
         .to_bytes();
-    // The header follows magic, version and its own length; the sketch
-    // section follows the header's checksum (a software image has no MLC
-    // section); the image ends inside its last shard section.
+    // The header follows magic, version and its own length; the first
+    // shard section follows the header's checksum (a software image has
+    // no MLC section, and no image a sketch section); the image ends
+    // inside its last shard section.
     let header_len = u64::from_le_bytes(image[12..20].try_into().expect("8 bytes")) as usize;
     let points = [
         ("header", 20 + header_len / 2),
-        ("sketch", 20 + header_len + 512),
-        ("shard", image.len() - 100),
+        ("first shard", 20 + header_len + 512),
+        ("last shard", image.len() - 100),
     ];
 
     let server = Server::new(2);
