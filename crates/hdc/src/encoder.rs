@@ -27,7 +27,6 @@ use crate::hv::BinaryHypervector;
 use crate::item_memory::{IdMemory, LevelMemory, LevelStyle};
 use crate::kernels::{self, sign_word, EncodeRow, ENCODE_BLOCK};
 use crate::multibit::IdPrecision;
-use crate::parallel::par_map;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -247,15 +246,6 @@ impl IdLevelEncoder {
         // Lanes beyond `dim` sum to zero and so take the tie-break's
         // tail bits, which are zero: `from_words` checks exactly that.
         BinaryHypervector::from_words(self.config.dim, words)
-    }
-
-    /// Encode a batch on `threads` threads, preserving order.
-    pub fn encode_batch(
-        &self,
-        spectra: &[BinnedSpectrum],
-        threads: usize,
-    ) -> Vec<BinaryHypervector> {
-        par_map(spectra, threads, |s| self.encode(s))
     }
 }
 

@@ -2,9 +2,8 @@
 //!
 //! Every similarity the software backends compute — Hamming distance,
 //! bipolar dot product — reduces to XOR + popcount over packed `u64`
-//! words. This module owns
-//! that inner loop and provides three interchangeable implementations
-//! behind one [`KernelDispatch`] handle:
+//! words. This module owns that inner loop as one **sweep body** per
+//! instruction set, behind one [`KernelDispatch`] handle:
 //!
 //! * **scalar** — portable `u64::count_ones` (compiles to `POPCNT` on
 //!   x86), the safe fallback every box runs;
@@ -13,32 +12,30 @@
 //! * **avx512-vpopcntdq** — 512-bit XOR + the hardware
 //!   `_mm512_popcnt_epi64`, 8 words per vector, where the CPU has it.
 //!
-//! Above the single-pair calls sit two **query-blocked kernels**, the
-//! CPU analogue of HyperOMS's massively parallel GPU formulation and
-//! what a flat scan cannot do one pair at a time:
+//! A sweep scores rows against 1..=[`QUERY_TILE`] queries held in
+//! registers: each row is loaded once and XOR-popcounted into one count
+//! per query, with no call and no pointer per pair — the CPU analogue
+//! of HyperOMS's massively parallel GPU formulation. Each query count
+//! has its own instantiation, so a ragged block of 3 queries does the
+//! work of 3, not of 8. Three entry points hand it rows:
 //!
-//! * [`KernelDispatch::hamming_slab`] scores a borrowed row-major
-//!   *slab* of equal-width rows against 1..=[`QUERY_TILE`] queries in
-//!   one call: the queries stay in registers, each row is loaded once,
-//!   and each (query, row) pair costs its XORs and popcounts with no
-//!   call and no pointer per pair — the prefilter's sketch pass. Each
-//!   query count has its own instantiation, so a ragged block of 3
-//!   queries does the work of 3, not of 8;
-//! * [`KernelDispatch::score_block`] runs the same bodies over Q
-//!   queries × R references (any rows, not only adjacent ones),
-//!   [`QUERY_TILE`] queries at a time, with the final word's padding
-//!   masked — the exact shard scan. A slab is just a tile of adjacent
-//!   rows, so each ISA has one sweep body, not two.
+//! * [`KernelDispatch::hamming_slab`] — a borrowed row-major *slab* of
+//!   equal-width rows, unmasked: the prefilter's sketch pass;
+//! * [`KernelDispatch::score_block`] — Q queries × R references (any
+//!   rows, not only adjacent ones), [`QUERY_TILE`] queries at a time,
+//!   with the final word's padding masked: the exact shard scan;
+//! * [`KernelDispatch::hamming_words`] — one pair, the 1×1 block:
+//!   [`crate::similarity::hamming_distance`] and so the RRAM build's bit
+//!   error counts.
 //!
-//! A fourth primitive sits beside the three XOR+popcount ones: the
-//! **blocked ID-Level encode kernel**
-//! [`KernelDispatch::encode_blocks`], the only loop in the workspace
-//! that computes `Σ ID_i ⊗ LV_i` (Eq. (1)). It walks the hypervector one
-//! [`ENCODE_BLOCK`]-dimension output word at a time with the spectrum's
-//! peaks *inside* the block, so the partial sums of a word never leave
-//! registers: `id[d] · lv[d]` — the ID rows arrive nibble-packed
-//! ([`pack_id_row`]), half the bytes to keep resident and to stream —
-//! is added into **i8** lanes for runs of
+//! The other kernel beside the sweep is the **blocked ID-Level encode
+//! kernel** [`KernelDispatch::encode_blocks`], the only loop in the
+//! workspace that computes `Σ ID_i ⊗ LV_i` (Eq. (1)). It walks the
+//! hypervector one [`ENCODE_BLOCK`]-dimension output word at a time with
+//! the spectrum's peaks *inside* the block, so the partial sums of a
+//! word never leave registers: `id[d] · lv[d]` — the ID rows arrive
+//! nibble-packed ([`pack_id_row`]), half the bytes to keep resident and
+//! to stream — is added into **i8** lanes for runs of
 //! [`encode_run_len`]`(max_abs)` peaks — `127 / max_abs`, 31 at the
 //! 3-bit alphabet, and 31 × 4 = 124 cannot wrap an i8 — each run is
 //! widened once into i32 lanes, and the finished block is handed to the
@@ -55,8 +52,8 @@
 //! # Selection
 //!
 //! The process-wide active kernel ([`active`]) resolves once from the
-//! `HDOMS_KERNEL` environment variable (`scalar` | `simd` | `auto`,
-//! default `auto` = best SIMD the CPU reports, scalar otherwise) and can
+//! `HDOMS_KERNEL` environment variable (`scalar` | `auto`, default
+//! `auto` = best SIMD the CPU reports, scalar otherwise) and can
 //! be swapped at runtime with [`set_active`] — which is how the
 //! equivalence suites run every variant inside one process (and
 //! `bench_suite` reports `hdc.kernel_pair_scores_per_s` under whichever
@@ -72,9 +69,10 @@
 //! are dirty), so a view that slipped past the
 //! [`HvRef::new_unchecked`](crate::hv::HvRef::new_unchecked) debug-only
 //! validation still scores correctly. The property suite
-//! (`crates/hdc/tests/kernel_equivalence.rs`) asserts scalar ≡ SIMD ≡
-//! blocked over arbitrary dims, patterns, and ragged block shapes, and
-//! that poisoned padding bits never reach a distance.
+//! (`crates/hdc/tests/kernel_equivalence.rs`) holds every variant the
+//! CPU runs, pair and block alike, to a naive bit-by-bit oracle over
+//! arbitrary dims, patterns, and ragged block shapes, and checks that
+//! poisoned padding bits never reach a distance.
 
 use crate::hv::BinaryHypervector;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -184,18 +182,15 @@ pub enum KernelKind {
     Scalar,
     /// The best SIMD path the CPU supports (resolves to scalar on a
     /// machine with none — the request never fails).
-    Simd,
-    /// Alias for [`KernelKind::Simd`]: pick the best available path.
     Auto,
 }
 
 impl KernelKind {
-    /// Parse an override spelling (`scalar` | `simd` | `auto`,
-    /// case-insensitive). Returns `None` for anything else.
+    /// Parse an override spelling (`scalar` | `auto`, case-insensitive).
+    /// Returns `None` for anything else.
     pub fn parse(spelling: &str) -> Option<KernelKind> {
         match spelling.to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelKind::Scalar),
-            "simd" => Some(KernelKind::Simd),
             "auto" => Some(KernelKind::Auto),
             _ => None,
         }
@@ -212,11 +207,6 @@ enum Impl {
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
-
-/// The word-pair primitive the single-pair distances reduce to: XOR +
-/// popcount over two equal-length word slices (the blocked kernels run
-/// their own sweep bodies instead).
-type PairFn = fn(&[u64], &[u64]) -> u64;
 
 /// A resolved distance-kernel implementation. `Copy` and stateless —
 /// methods take `&self` only for call-site ergonomics.
@@ -262,7 +252,7 @@ impl KernelDispatch {
     pub fn resolve(kind: KernelKind) -> KernelDispatch {
         match kind {
             KernelKind::Scalar => KernelDispatch::scalar(),
-            KernelKind::Simd | KernelKind::Auto => KernelDispatch::simd(),
+            KernelKind::Auto => KernelDispatch::simd(),
         }
     }
 
@@ -278,51 +268,18 @@ impl KernelDispatch {
         }
     }
 
-    /// The resolved word-pair primitive.
-    #[inline]
-    fn pair_fn(&self) -> PairFn {
-        match self.imp {
-            Impl::Scalar => scalar_xor_popcount,
-            #[cfg(target_arch = "x86_64")]
-            Impl::Avx2 => x86::xor_popcount_avx2_shim,
-            #[cfg(target_arch = "x86_64")]
-            Impl::Avx512 => x86::xor_popcount_avx512_shim,
-        }
-    }
-
-    /// XOR + popcount over two equal-length word slices — the raw
-    /// primitive, no dimension semantics and **no tail masking** (every
-    /// bit of every word counts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    #[inline]
-    pub fn xor_popcount(&self, a: &[u64], b: &[u64]) -> u64 {
-        assert_eq!(a.len(), b.len(), "word slices must pair up");
-        (self.pair_fn())(a, b)
-    }
-
     /// Hamming distance between two `dim`-bit vectors stored in packed
-    /// words. Padding bits beyond `dim` in the final word are masked off
-    /// here, so dirty tails can never change a distance.
+    /// words: the 1×1 [`KernelDispatch::score_block`], so padding bits
+    /// beyond `dim` in the final word are masked off and dirty tails can
+    /// never change a distance.
     ///
     /// # Panics
     ///
     /// Panics if either slice's length is not `ceil(dim / 64)`.
-    #[inline]
     pub fn hamming_words(&self, dim: usize, a: &[u64], b: &[u64]) -> u32 {
-        hamming_with(self.pair_fn(), dim, a, b)
-    }
-
-    /// Bipolar dot product `D − 2·hamming` over packed words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice's length is not `ceil(dim / 64)`.
-    #[inline]
-    pub fn dot_words(&self, dim: usize, a: &[u64], b: &[u64]) -> i64 {
-        dim as i64 - 2 * i64::from(self.hamming_words(dim, a, b))
+        let mut dot = [0i64];
+        self.score_block(dim, &[a], &[b], &mut dot);
+        ((dim as i64 - dot[0]) / 2) as u32
     }
 
     /// The query-blocked batch kernel: bipolar dot products of Q queries
@@ -333,10 +290,10 @@ impl KernelDispatch {
     /// [`KernelDispatch::hamming_slab`]'s register-blocked shape, so each
     /// reference vector is loaded once per query tile and XOR-popcounted
     /// into one accumulator per query of the tile. Padding bits beyond
-    /// `dim` in the final word are masked off, as in
-    /// [`KernelDispatch::hamming_words`]. The exact scan feeds it one
-    /// [`REFERENCE_TILE`] of a run against every query whose range meets
-    /// the tile.
+    /// `dim` in the final word are masked off per pair. The exact scan
+    /// feeds it one [`REFERENCE_TILE`] of a run against every query whose
+    /// range meets the tile; [`KernelDispatch::hamming_words`] is its 1×1
+    /// case.
     ///
     /// # Panics
     ///
@@ -383,11 +340,10 @@ impl KernelDispatch {
     /// The slab kernel: the Hamming distance of every row of a row-major
     /// `slab` of `width`-word rows against each of 1..=[`QUERY_TILE`]
     /// `queries`, `out[q * rows + r] = popcount(queries[q] ^ row r)` with
-    /// `rows = slab.len() / width` — the XOR + popcount of
-    /// [`KernelDispatch::xor_popcount`], so **no tail masking**. Each
-    /// row is loaded once for all the queries and the queries stay in
-    /// registers; each query count runs its own instantiation (no
-    /// padding to a full tile). The slab is any borrowed run of a
+    /// `rows = slab.len() / width` — every bit of every word counts, so
+    /// **no tail masking**. Each row is loaded once for all the queries
+    /// and the queries stay in registers; each query count runs its own
+    /// instantiation (no padding to a full tile). The slab is any borrowed run of a
     /// table's rows, cut at any word offset.
     ///
     /// # Panics
@@ -422,7 +378,8 @@ impl KernelDispatch {
         );
     }
 
-    /// The blocked sweep under both [`KernelDispatch::score_block`] and
+    /// The one sweep under [`KernelDispatch::score_block`] (and so
+    /// [`KernelDispatch::hamming_words`]) and
     /// [`KernelDispatch::hamming_slab`]: `emit(q, r, popcount(queries[q]
     /// ^ row r))` for every (query, row) pair, unmasked, each row loaded
     /// once for the whole query tile. The callers' checks are its bounds:
@@ -664,32 +621,6 @@ where
     pos | (tie & !neg)
 }
 
-/// Tail-masked Hamming distance over a resolved pair primitive: full
-/// words go through `f`, the final word is masked to `dim % 64` bits so
-/// padding can never leak into a distance.
-#[inline]
-fn hamming_with(f: PairFn, dim: usize, a: &[u64], b: &[u64]) -> u32 {
-    let n = BinaryHypervector::word_count(dim);
-    assert_eq!(a.len(), n, "word count must match the dimension");
-    assert_eq!(b.len(), n, "word count must match the dimension");
-    let rem = dim % 64;
-    if rem == 0 {
-        f(a, b) as u32
-    } else {
-        let tail = ((a[n - 1] ^ b[n - 1]) & ((1u64 << rem) - 1)).count_ones();
-        f(&a[..n - 1], &b[..n - 1]) as u32 + tail
-    }
-}
-
-/// The portable primitive: one `POPCNT` per word on x86, plain bit
-/// tricks elsewhere.
-fn scalar_xor_popcount(a: &[u64], b: &[u64]) -> u64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| u64::from((x ^ y).count_ones()))
-        .sum()
-}
-
 /// The best SIMD implementation this CPU reports, or scalar. Both SIMD
 /// selections require `avx2` (the encode kernel runs its AVX2
 /// instantiation under either).
@@ -708,15 +639,15 @@ fn best_simd() -> Impl {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The vectorised primitives. Each `#[target_feature]` function is
-    //! only reachable through a safe `KernelDispatch` entry (the pair
-    //! primitives through their shims), and only for an `Impl::Avx2` or
-    //! `Impl::Avx512`, which exist only after `is_x86_feature_detected!`
-    //! confirmed the ISA ([`super::best_simd`],
-    //! `KernelDispatch::available`). The functions take plain slices,
-    //! perform unaligned loads, and read only words the safe entry's
-    //! length checks put inside those slices; each one's `# Safety`
-    //! section says which checks.
+    //! The vectorised bodies: the AVX2 and AVX-512 sweeps, and the AVX2
+    //! instantiation of the encode kernel. Each `#[target_feature]`
+    //! function is only reachable through a safe `KernelDispatch` entry,
+    //! and only for an `Impl::Avx2` or `Impl::Avx512`, which exist only
+    //! after `is_x86_feature_detected!` confirmed the ISA
+    //! ([`super::best_simd`], `KernelDispatch::available`). The functions
+    //! take plain slices, perform unaligned loads, and read only words the
+    //! safe entry's length checks put inside those slices; each one's
+    //! `# Safety` section says which checks.
 
     use std::arch::x86_64::*;
 
@@ -737,128 +668,6 @@ mod x86 {
         F: FnMut(usize, &[i32; super::ENCODE_BLOCK]),
     {
         super::encode_blocks_body(rows, run, dim, sink)
-    }
-
-    /// Safe entry to the AVX2 primitive (caller: dispatch resolved
-    /// after feature detection).
-    pub(super) fn xor_popcount_avx2_shim(a: &[u64], b: &[u64]) -> u64 {
-        // SAFETY: only installed as a pair fn when `avx2` was detected.
-        unsafe { xor_popcount_avx2(a, b) }
-    }
-
-    /// Safe entry to the AVX-512 primitive (caller: dispatch resolved
-    /// after feature detection).
-    pub(super) fn xor_popcount_avx512_shim(a: &[u64], b: &[u64]) -> u64 {
-        // SAFETY: only installed as a pair fn when `avx512f` +
-        // `avx512vpopcntdq` were detected.
-        unsafe { xor_popcount_avx512(a, b) }
-    }
-
-    /// XOR + popcount via the Mula nibble-LUT algorithm: per 256-bit
-    /// vector, split bytes into nibbles, look each nibble's popcount up
-    /// with `_mm256_shuffle_epi8`, and horizontally sum the byte counts
-    /// into four u64 lanes with `_mm256_sad_epu8`. Processes 8 words
-    /// (two vectors) per iteration.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support `avx2`: only `xor_popcount_avx2_shim` calls
-    /// this, and only `Impl::Avx2` selects that shim, which is built
-    /// after `is_x86_feature_detected!("avx2")`. `a` and `b` must be
-    /// equally long: the safe entry `KernelDispatch::xor_popcount`
-    /// asserts it and `hamming_with` slices both to one word count
-    /// before any pointer arithmetic, so every vector load reads words
-    /// `i..i + 4` with `i + 4 <= a.len()` of both slices.
-    #[target_feature(enable = "avx2")]
-    unsafe fn xor_popcount_avx2(a: &[u64], b: &[u64]) -> u64 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        #[rustfmt::skip]
-        let lut = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        );
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let zero = _mm256_setzero_si256();
-        let mut acc = zero;
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let x0 = _mm256_xor_si256(
-                _mm256_loadu_si256(ap.add(i).cast()),
-                _mm256_loadu_si256(bp.add(i).cast()),
-            );
-            let x1 = _mm256_xor_si256(
-                _mm256_loadu_si256(ap.add(i + 4).cast()),
-                _mm256_loadu_si256(bp.add(i + 4).cast()),
-            );
-            let c0 = _mm256_add_epi8(
-                _mm256_shuffle_epi8(lut, _mm256_and_si256(x0, low_mask)),
-                _mm256_shuffle_epi8(lut, _mm256_and_si256(_mm256_srli_epi32(x0, 4), low_mask)),
-            );
-            let c1 = _mm256_add_epi8(
-                _mm256_shuffle_epi8(lut, _mm256_and_si256(x1, low_mask)),
-                _mm256_shuffle_epi8(lut, _mm256_and_si256(_mm256_srli_epi32(x1, 4), low_mask)),
-            );
-            // Byte counts top out at 8 per byte and 16 after the add,
-            // far below overflow; SAD widens them to u64 lanes.
-            acc = _mm256_add_epi64(acc, _mm256_sad_epu8(_mm256_add_epi8(c0, c1), zero));
-            i += 8;
-        }
-        if i + 4 <= n {
-            let x = _mm256_xor_si256(
-                _mm256_loadu_si256(ap.add(i).cast()),
-                _mm256_loadu_si256(bp.add(i).cast()),
-            );
-            let c = _mm256_add_epi8(
-                _mm256_shuffle_epi8(lut, _mm256_and_si256(x, low_mask)),
-                _mm256_shuffle_epi8(lut, _mm256_and_si256(_mm256_srli_epi32(x, 4), low_mask)),
-            );
-            acc = _mm256_add_epi64(acc, _mm256_sad_epu8(c, zero));
-            i += 4;
-        }
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
-        let mut total: u64 = lanes.iter().sum();
-        for (x, y) in a[i..].iter().zip(&b[i..]) {
-            total += u64::from((x ^ y).count_ones());
-        }
-        total
-    }
-
-    /// XOR + the hardware 64-bit popcount (`vpopcntdq`), 8 words per
-    /// vector.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support `avx512f` and `avx512vpopcntdq`: only
-    /// `xor_popcount_avx512_shim` calls this, and only `Impl::Avx512`
-    /// selects that shim, which `best_simd` builds after detecting both.
-    /// `a` and `b` must be equally long, which the safe entries check as
-    /// for the AVX2 primitive, so every load reads words `i..i + 8` with
-    /// `i + 8 <= a.len()` of both slices.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    unsafe fn xor_popcount_avx512(a: &[u64], b: &[u64]) -> u64 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc = _mm512_setzero_si512();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let x = _mm512_xor_si512(
-                _mm512_loadu_si512(ap.add(i).cast()),
-                _mm512_loadu_si512(bp.add(i).cast()),
-            );
-            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
-            i += 8;
-        }
-        let mut total = _mm512_reduce_add_epi64(acc) as u64;
-        for (x, y) in a[i..].iter().zip(&b[i..]) {
-            total += u64::from((x ^ y).count_ones());
-        }
-        total
     }
 
     /// Ask for the cache lines of the row `rows` names ahead of row `r`
@@ -1082,7 +891,7 @@ fn dispatch_of(code: u8) -> Option<KernelDispatch> {
 pub fn env_kind() -> KernelKind {
     match std::env::var("HDOMS_KERNEL") {
         Ok(value) => KernelKind::parse(&value)
-            .unwrap_or_else(|| panic!("HDOMS_KERNEL={value:?} is not one of scalar|simd|auto")),
+            .unwrap_or_else(|| panic!("HDOMS_KERNEL={value:?} is not one of scalar|auto")),
         Err(_) => KernelKind::Auto,
     }
 }
@@ -1115,45 +924,13 @@ pub fn set_active(kind: KernelKind) -> KernelDispatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn parse_kinds() {
         assert_eq!(KernelKind::parse("scalar"), Some(KernelKind::Scalar));
-        assert_eq!(KernelKind::parse("SIMD"), Some(KernelKind::Simd));
         assert_eq!(KernelKind::parse("Auto"), Some(KernelKind::Auto));
+        assert_eq!(KernelKind::parse("simd"), None);
         assert_eq!(KernelKind::parse("gpu"), None);
-    }
-
-    #[test]
-    fn resolve_simd_is_available_or_scalar() {
-        let simd = KernelDispatch::resolve(KernelKind::Simd);
-        // Whatever the box, the request resolves to something runnable.
-        let a = [0xdead_beef_0123_4567u64; 9];
-        let b = [0x0fed_cba9_8765_4321u64; 9];
-        assert_eq!(
-            simd.xor_popcount(&a, &b),
-            KernelDispatch::scalar().xor_popcount(&a, &b)
-        );
-    }
-
-    #[test]
-    fn variants_agree_on_random_words() {
-        let mut rng = StdRng::seed_from_u64(77);
-        let scalar = KernelDispatch::scalar();
-        let simd = KernelDispatch::simd();
-        for len in [0usize, 1, 3, 4, 7, 8, 9, 16, 33, 128, 129] {
-            let a: Vec<u64> = (0..len).map(|_| rand::Rng::gen(&mut rng)).collect();
-            let b: Vec<u64> = (0..len).map(|_| rand::Rng::gen(&mut rng)).collect();
-            let expected: u64 = a
-                .iter()
-                .zip(&b)
-                .map(|(x, y)| u64::from((x ^ y).count_ones()))
-                .sum();
-            assert_eq!(scalar.xor_popcount(&a, &b), expected, "scalar len {len}");
-            assert_eq!(simd.xor_popcount(&a, &b), expected, "simd len {len}");
-        }
     }
 
     #[test]
@@ -1163,7 +940,7 @@ mod tests {
         let clean_a = [u64::MAX, (1u64 << 36) - 1];
         let clean_b = [0u64, 0u64];
         let dirty_b = [0u64, u64::MAX << 36];
-        for k in [KernelDispatch::scalar(), KernelDispatch::simd()] {
+        for k in KernelDispatch::available() {
             assert_eq!(k.hamming_words(100, &clean_a, &clean_b), 100);
             assert_eq!(
                 k.hamming_words(100, &clean_a, &dirty_b),
@@ -1171,7 +948,6 @@ mod tests {
                 "{} let padding bits into a distance",
                 k.name()
             );
-            assert_eq!(k.dot_words(100, &clean_a, &dirty_b), -100);
         }
     }
 
@@ -1181,12 +957,7 @@ mod tests {
         assert_eq!(scalar, KernelDispatch::scalar());
         assert_eq!(active(), scalar);
         let auto = set_active(KernelKind::Auto);
+        assert_eq!(auto, KernelDispatch::simd());
         assert_eq!(active(), auto);
-    }
-
-    #[test]
-    #[should_panic(expected = "pair up")]
-    fn xor_popcount_rejects_mismatched_lengths() {
-        let _ = KernelDispatch::scalar().xor_popcount(&[0], &[0, 0]);
     }
 }

@@ -13,9 +13,11 @@
 //! * the ID and level item memories of ID-Level encoding, including the
 //!   *chunked* level hypervectors of §4.2.1 ([`item_memory`]),
 //! * the ID-Level encoder itself, Eq. (1) of the paper ([`encoder`]),
-//! * runtime-dispatched SIMD distance kernels (AVX2 / AVX-512
-//!   `vpopcntdq` with a portable fallback) plus the query-blocked batch
-//!   kernel every scan tiles through ([`kernels`]),
+//! * one runtime-dispatched XOR + popcount sweep per instruction set
+//!   (AVX2 / AVX-512 `vpopcntdq` with a portable fallback) under every
+//!   distance — the exact scan's query blocks, the sketch pass's slabs
+//!   and a single pair alike — and the blocked ID-Level encode kernel
+//!   ([`kernels`]),
 //! * bit-error injection for robustness studies ([`corrupt`]), and
 //! * a tiny scoped-thread parallel-map helper shared by the search stacks
 //!   ([`parallel`]).

@@ -5,10 +5,13 @@
 //! the dot product is `D - 2·hamming(a, b)`, computable with XOR +
 //! popcount over the packed words.
 //!
-//! The XOR + popcount itself runs on the process-wide active kernel
-//! ([`crate::kernels::active`]) — scalar, AVX2, or AVX-512 depending on
-//! the CPU and the `HDOMS_KERNEL` override. Kernel choice never changes
-//! a result, only how fast it arrives.
+//! The XOR + popcount itself is the 1×1 case of the blocked sweep the
+//! exact scan and the sketch pass run
+//! ([`KernelDispatch::hamming_words`](crate::kernels::KernelDispatch::hamming_words)),
+//! on the process-wide active kernel ([`crate::kernels::active`]) —
+//! scalar, AVX2, or AVX-512 depending on the CPU and the `HDOMS_KERNEL`
+//! override. Kernel choice never changes a result, only how fast it
+//! arrives.
 
 use crate::hv::HvView;
 use crate::kernels;

@@ -1002,7 +1002,8 @@ mod tests {
     }
 
     /// The exact sweep over one run for many members, each over its own
-    /// range, ≡ one scalar scan of each member's range: 1, 8, 9 and 17
+    /// range, ≡ a plain XOR + `count_ones` over each member's range (the
+    /// references' tails are clean), not a kernel: 1, 8, 9 and 17
     /// members; ranges empty, of one row, on and off the 32-row tile
     /// bounds, overlapping, disjoint and whole; every seventh reference
     /// absent; on the active kernel (CI runs this under both
@@ -1042,8 +1043,10 @@ mod tests {
                 .map(|(_, hv, range)| {
                     SearchHit::best_of(&run[range.clone()], |id| {
                         let reference = backend.shared_references().hv(id as usize)?;
-                        let scalar = kernels::KernelDispatch::scalar();
-                        let dot = scalar.dot_words(dim, hv.words(), reference.words());
+                        let hamming: u32 = (hv.words().iter().zip(reference.words()))
+                            .map(|(a, b)| (a ^ b).count_ones())
+                            .sum();
+                        let dot = dim as i64 - 2 * i64::from(hamming);
                         Some(dot as f64 / dim as f64)
                     })
                 })
