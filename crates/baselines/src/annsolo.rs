@@ -19,7 +19,7 @@ use hdoms_oms::search::{RunMember, RunScorer, SearchHit};
 /// Configuration for [`AnnSoloBackend`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnSoloConfig {
-    /// Preprocessing shared with the pipeline.
+    /// Preprocessing applied to references and queries alike.
     pub preprocess: PreprocessConfig,
     /// Worker threads.
     pub threads: usize,
@@ -141,10 +141,6 @@ impl RunScorer for AnnSoloBackend {
         "ann-solo".to_owned()
     }
 
-    fn threads(&self) -> usize {
-        self.config.threads
-    }
-
     fn prepare(&self, _binned: &BinnedSpectrum) {}
 
     /// One shifted-cosine scan of each member's range of `run`.
@@ -196,7 +192,7 @@ mod tests {
     #[test]
     fn finds_mostly_true_references() {
         let (workload, backend, queries, cands) = setup();
-        let hits = best_hits(&backend, &queries, &cands);
+        let hits = best_hits(&backend, &queries, &cands, 4);
         let mut correct = 0usize;
         let mut matchable = 0usize;
         for (binned, hit) in queries.iter().zip(&hits) {
@@ -255,7 +251,7 @@ mod tests {
                     ..AnnSoloConfig::default()
                 },
             );
-            best_hits(&backend, &queries, &cands)
+            best_hits(&backend, &queries, &cands, threads)
         };
         assert_eq!(run(1), run(8));
     }
@@ -264,7 +260,7 @@ mod tests {
     fn empty_candidates_give_none() {
         let (_, backend, queries, _) = setup();
         let empty: Vec<Vec<u32>> = queries.iter().map(|_| Vec::new()).collect();
-        assert!(best_hits(&backend, &queries, &empty)
+        assert!(best_hits(&backend, &queries, &empty, 4)
             .iter()
             .all(Option::is_none));
     }

@@ -49,7 +49,7 @@ mod tests {
         let (queries, _) = pre.run_batch(&workload.queries);
         let index = workload.library.candidate_index();
         let cands = candidate_lists(&index, &PrecursorWindow::open_default(), &queries);
-        let hits = best_hits(&backend, &queries, &cands);
+        let hits = best_hits(&backend, &queries, &cands, 4);
         let mut correct = 0usize;
         let mut matchable = 0usize;
         for (binned, hit) in queries.iter().zip(&hits) {
@@ -93,8 +93,8 @@ mod tests {
         let (queries, _) = pre.run_batch(&workload.queries);
         let index = workload.library.candidate_index();
         let cands = candidate_lists(&index, &PrecursorWindow::open_default(), &queries);
-        let a = best_hits(&hyperoms, &queries, &cands);
-        let b = best_hits(&exact, &queries, &cands);
+        let a = best_hits(&hyperoms, &queries, &cands, 4);
+        let b = best_hits(&exact, &queries, &cands, 4);
         let agree = a
             .iter()
             .zip(&b)

@@ -14,10 +14,10 @@
 //!
 //! Each is a [`hdoms_oms::search::RunScorer`] — ANN-SoLo has nothing to
 //! encode (`Query = ()`) and scores one candidate run; HyperOMS is not a
-//! type of its own at all — so the Fig. 10 agreement study and the
-//! Fig. 12 performance model run every tool through the same pipeline
-//! ([`hdoms_oms::search::best_hits`]), and an engine runs ANN-SoLo as
-//! one shard of its one scoring loop.
+//! type of its own at all — so the Fig. 10 agreement study runs every
+//! tool through the same engine: ANN-SoLo as the one shard of
+//! `Engine::from_backend`, HyperOMS as an index kind. This crate tests
+//! its scorers through the flat loop ([`hdoms_oms::search::best_hits`]).
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

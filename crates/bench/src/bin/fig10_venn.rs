@@ -10,13 +10,12 @@
 //! (add `--scale 0.02` for a bigger workload)
 
 use hdoms_baselines::annsolo::{AnnSoloBackend, AnnSoloConfig};
-use hdoms_baselines::hyperoms::{self, HyperOmsConfig};
+use hdoms_baselines::hyperoms::HyperOmsConfig;
 use hdoms_bench::{fmt, print_table, FigureOptions};
 use hdoms_core::accelerator::AcceleratorConfig;
-use hdoms_engine::Engine;
+use hdoms_engine::{Engine, ReferenceMeta};
 use hdoms_index::{IndexConfig, IndexedBackendKind};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
-use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
 use hdoms_oms::window::PrecursorWindow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -29,35 +28,40 @@ fn main() {
         WorkloadSpec::hek293(options.scale / 2.0),
     ] {
         let workload = SyntheticWorkload::generate(&spec, options.seed);
-        let pipeline = OmsPipeline::new(PipelineConfig::default());
+        let indexed = |kind: IndexedBackendKind| {
+            let config = IndexConfig {
+                kind,
+                ..IndexConfig::default()
+            };
+            Arc::new(Engine::from_library(&workload.library, config))
+        };
 
         eprintln!("[{}] building this-work accelerator…", spec.name);
         let mut accel_cfg = AcceleratorConfig::default();
         accel_cfg.encoder.dim = options.dim;
-        let ours = Arc::new(Engine::from_library(
-            &workload.library,
-            IndexConfig {
-                kind: IndexedBackendKind::Rram(accel_cfg),
-                ..IndexConfig::default()
-            },
-        ));
+        let ours = indexed(IndexedBackendKind::Rram(accel_cfg));
 
         eprintln!("[{}] building ANN-SoLo…", spec.name);
-        let annsolo = AnnSoloBackend::build(&workload.library, AnnSoloConfig::default());
+        let annsolo_cfg = AnnSoloConfig::default();
+        let annsolo = Arc::new(Engine::from_backend(
+            Box::new(AnnSoloBackend::build(&workload.library, annsolo_cfg)),
+            annsolo_cfg.preprocess,
+            ReferenceMeta::from_library(&workload.library),
+            annsolo_cfg.threads,
+        ));
 
         eprintln!("[{}] building HyperOMS…", spec.name);
-        let hyperoms = hyperoms::build(
-            &workload.library,
-            HyperOmsConfig {
-                dim: options.dim,
-                ..HyperOmsConfig::default()
-            },
-        );
+        let hyperoms = indexed(IndexedBackendKind::HyperOms(HyperOmsConfig {
+            dim: options.dim,
+            ..HyperOmsConfig::default()
+        }));
 
         eprintln!("[{}] searching…", spec.name);
-        let (ours_out, _) = ours.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
-        let ann_out = pipeline.run(&workload, &annsolo);
-        let hyp_out = pipeline.run(&workload, &hyperoms);
+        let search = |engine: &Arc<Engine>| {
+            let window = PrecursorWindow::open_default();
+            engine.search(&workload.queries, window, 0.01).0
+        };
+        let (ours_out, ann_out, hyp_out) = (search(&ours), search(&annsolo), search(&hyperoms));
 
         let a = ours_out.identified_peptides(&workload.library);
         let b = ann_out.identified_peptides(&workload.library);

@@ -9,10 +9,12 @@
 //! Run: `cargo run --release -p hdoms-bench --bin fig11_robustness`
 
 use hdoms_bench::{print_table, FigureOptions};
+use hdoms_engine::{Engine, ReferenceMeta};
 use hdoms_hdc::multibit::IdPrecision;
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
-use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
-use hdoms_oms::search::ExactBackend;
+use hdoms_oms::search::{ExactBackend, ExactBackendConfig};
+use hdoms_oms::window::PrecursorWindow;
+use std::sync::Arc;
 
 fn main() {
     let options = FigureOptions::parse(0.04, 8192);
@@ -23,17 +25,16 @@ fn main() {
         WorkloadSpec::hek293(options.scale / 2.0),
     ] {
         let workload = SyntheticWorkload::generate(&spec, options.seed);
-        let pipeline = OmsPipeline::new(PipelineConfig::default());
+        let meta = ReferenceMeta::from_library(&workload.library);
         let mut rows = Vec::new();
         for precision in IdPrecision::ALL {
             eprintln!(
                 "[{}] encoding library at {} dims, {:?}…",
                 spec.name, options.dim, precision
             );
-            let mut config = pipeline.config().exact;
+            let mut config = ExactBackendConfig::default();
             config.encoder.dim = options.dim;
             config.encoder.id_precision = precision;
-            config.preprocess = pipeline.config().preprocess;
             let clean = ExactBackend::build(&workload.library, config);
             let mut row = vec![format!("ID precision {} bit", precision.bits())];
             for &ber in &bers {
@@ -43,8 +44,18 @@ fn main() {
                 let trials = 3u64;
                 let total: usize = (0..trials)
                     .map(|t| {
-                        let backend = clean.with_error_rates(ber, ber, options.seed ^ (0xbe4 + t));
-                        pipeline.run(&workload, &backend).identifications()
+                        let noisy = clean.with_error_rates(ber, ber, options.seed ^ (0xbe4 + t));
+                        let engine = Arc::new(Engine::from_backend(
+                            Box::new(noisy),
+                            config.preprocess,
+                            meta.clone(),
+                            config.threads,
+                        ));
+                        let window = PrecursorWindow::open_default();
+                        engine
+                            .search(&workload.queries, window, 0.01)
+                            .0
+                            .identifications()
                     })
                     .sum();
                 row.push((total as f64 / trials as f64).round().to_string());

@@ -14,7 +14,7 @@ use hdoms_core::accelerator::AcceleratorConfig;
 use hdoms_engine::Engine;
 use hdoms_index::{IndexConfig, IndexedBackendKind};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
-use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
+use hdoms_oms::search::ExactBackendConfig;
 use hdoms_oms::window::PrecursorWindow;
 use std::sync::Arc;
 
@@ -24,28 +24,33 @@ fn main() {
 
     let spec = WorkloadSpec::iprg2012(options.scale);
     let workload = SyntheticWorkload::generate(&spec, options.seed);
+    let identifications = |kind: IndexedBackendKind| {
+        let config = IndexConfig {
+            kind,
+            ..IndexConfig::default()
+        };
+        let engine = Arc::new(Engine::from_library(&workload.library, config));
+        let window = PrecursorWindow::open_default();
+        engine
+            .search(&workload.queries, window, 0.01)
+            .0
+            .identifications()
+    };
 
     let mut ideal_row = vec!["ideal (software)".to_owned()];
     let mut rram_row = vec!["in RRAM (3 bits/cell)".to_owned()];
     for &dim in &dims {
         eprintln!("dimension {dim}: software pipeline…");
-        let mut config = PipelineConfig::default();
-        config.exact.encoder.dim = dim;
-        let ideal = OmsPipeline::new(config).run_exact(&workload);
-        ideal_row.push(ideal.identifications().to_string());
+        let mut exact_cfg = ExactBackendConfig::default();
+        exact_cfg.encoder.dim = dim;
+        let ideal = identifications(IndexedBackendKind::Exact(exact_cfg));
+        ideal_row.push(ideal.to_string());
 
         eprintln!("dimension {dim}: RRAM accelerator…");
         let mut accel_cfg = AcceleratorConfig::default();
         accel_cfg.encoder.dim = dim;
-        let accel = Arc::new(Engine::from_library(
-            &workload.library,
-            IndexConfig {
-                kind: IndexedBackendKind::Rram(accel_cfg),
-                ..IndexConfig::default()
-            },
-        ));
-        let (hw, _) = accel.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
-        rram_row.push(hw.identifications().to_string());
+        let hw = identifications(IndexedBackendKind::Rram(accel_cfg));
+        rram_row.push(hw.to_string());
     }
 
     let header: Vec<String> = std::iter::once("config".to_owned())

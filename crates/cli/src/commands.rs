@@ -468,7 +468,7 @@ pub fn compare(args: &[String]) -> Result<(), String> {
 
     let run_spec = |spec: &str| -> Result<PipelineOutcome, String> {
         let (target, backend_name) = match spec {
-            "index" | "index-sharded" => {
+            "index" => {
                 let Some(index) = &loaded_index else {
                     return Err(format!("backend spec {spec:?} needs --index"));
                 };
@@ -925,13 +925,17 @@ pub fn chip(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
+    use hdoms_oms::window::PrecursorWindow;
 
     #[test]
     fn psm_table_roundtrip() {
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 8);
-        let pipeline = OmsPipeline::new(PipelineConfig::fast_test());
-        let outcome = pipeline.run_exact(&workload);
+        let mut config = IndexConfig::default();
+        if let IndexedBackendKind::Exact(exact) = &mut config.kind {
+            exact.encoder.dim = 2048;
+        }
+        let engine = Arc::new(Engine::from_library(&workload.library, config));
+        let (outcome, _) = engine.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
         let peptides: Vec<String> = workload
             .library
             .iter()

@@ -38,8 +38,7 @@ USAGE:
   hdoms compare  --queries <q.mgf> --backend-a <spec> --backend-b <spec>
                  [--library <lib.mgf>] [--index <lib.hdx>]
                  [--window open|standard] [--fdr <f64>] [--dim <usize>]
-                 (spec: exact|annsolo|hyperoms|rram|index; index-sharded
-                  is the same engine under its older name)
+                 (spec: exact|annsolo|hyperoms|rram|index)
   hdoms serve    --index <name>=<lib.hdx> [--index <name2>=<more.hdx> ...]
                  (--listen <host:port> | --stdio true) [--threads <usize>]
                  [--workers <usize>] [--queue-depth <usize>]

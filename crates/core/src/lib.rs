@@ -16,22 +16,33 @@
 //!   one activated-row group per cycle.
 //! * [`accelerator`] — the full backend: encode references in memory,
 //!   store, encode queries in memory, search in memory; plugs into the
-//!   `hdoms-oms` pipeline as a [`hdoms_oms::search::RunScorer`].
+//!   `hdoms-oms` scorer seam as a [`hdoms_oms::search::RunScorer`], and
+//!   searches run it through `hdoms-engine` as the `rram` index kind.
 //! * [`perf`] — the latency/energy model behind Fig. 12 and the §5.2.2
 //!   throughput ablation.
 //!
 //! # Example
 //!
+//! Below the engine, the accelerator is a scorer like any other: the
+//! flat loop ([`hdoms_oms::search::best_hits`]) finds each query's best
+//! reference in its open-window candidates.
+//!
 //! ```no_run
 //! use hdoms_core::accelerator::{AcceleratorConfig, OmsAccelerator};
 //! use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
-//! use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
+//! use hdoms_ms::preprocess::Preprocessor;
+//! use hdoms_oms::pipeline::ReferenceCatalog;
+//! use hdoms_oms::search::{best_hits, candidate_lists};
+//! use hdoms_oms::window::PrecursorWindow;
 //!
 //! let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 7);
-//! let accel = OmsAccelerator::build(&workload.library, AcceleratorConfig::default());
-//! let pipeline = OmsPipeline::new(PipelineConfig::default());
-//! let outcome = pipeline.run(&workload, &accel);
-//! println!("{} identifications on RRAM", outcome.identifications());
+//! let config = AcceleratorConfig::default();
+//! let accel = OmsAccelerator::build(&workload.library, config);
+//! let (queries, _) = Preprocessor::new(config.preprocess).run_batch(&workload.queries);
+//! let index = workload.library.candidate_index();
+//! let candidates = candidate_lists(&index, &PrecursorWindow::open_default(), &queries);
+//! let hits = best_hits(&accel, &queries, &candidates, config.threads);
+//! println!("{} queries matched on RRAM", hits.iter().flatten().count());
 //! ```
 
 #![deny(missing_docs)]

@@ -1,9 +1,8 @@
 //! # hdoms-engine — unified query execution over one resident engine
 //!
-//! Between PR 1 and PR 2 the repo grew ~10 overlapping ways to construct
-//! and run a search (cold backend builds, warm index reconstruction,
-//! shared-table reassembly, four `OmsPipeline::run*` variants, the serve
-//! layer's resident wiring). This crate collapses them into two types:
+//! There is one way to construct and run a search, for the CLI, the
+//! server, the benchmark, the figure binaries, the examples and the
+//! tests alike. This crate is it, in two types:
 //!
 //! * [`Engine`] — **one builder for every construction path**. Cold
 //!   ([`Engine::from_library`]), mapped ([`Engine::open_mapped`] — the
@@ -28,12 +27,12 @@
 //! or several coalesced requests through [`Engine::search_groups`] —
 //! runs the same private body: a solo search is a group of one.
 //!
-//! Byte-for-byte equivalence with the classic
-//! [`OmsPipeline`](hdoms_oms::pipeline::OmsPipeline) paths is structural,
-//! not accidental: that body calls the same [`assemble_psms`] /
-//! [`filter_fdr`] stages the pipeline calls, in the same order
-//! (`crates/engine/tests/equivalence.rs` asserts the rendered PSM
-//! tables are identical).
+//! Byte-for-byte equivalence with the flat oracle — the same stages
+//! composed by hand over the flat per-query loop
+//! ([`hdoms_oms::search::best_hits`]) — is structural, not accidental:
+//! that body calls the same [`assemble_psms`] / [`filter_fdr`] stages, in
+//! the same order (`crates/engine/tests/equivalence.rs` asserts the
+//! rendered PSM tables are identical).
 //!
 //! ```
 //! use hdoms_engine::{Engine, Session};
@@ -364,10 +363,9 @@ impl Engine {
         Session::new(Arc::clone(self), window)
     }
 
-    /// One-shot search with **per-batch** FDR — the classic
-    /// `OmsPipeline::run_catalog` behaviour (and what keeps the serve
+    /// One-shot search with **per-batch** FDR — what keeps the serve
     /// protocol's `query` verb byte-identical to a local
-    /// `search --index`). Equivalent to one [`Session::submit`] followed
+    /// `search --index`. Equivalent to one [`Session::submit`] followed
     /// by [`Session::finalize`], at the engine's configured parallelism.
     ///
     /// # Panics

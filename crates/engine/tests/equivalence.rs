@@ -2,7 +2,9 @@
 //! in K batches and finalizing yields **byte-identical** PSM tables to a
 //! single run over the concatenated workload — and the one-shot
 //! per-batch path (the old `query` behaviour) stays reachable and stays
-//! equal to the classic `OmsPipeline` paths.
+//! equal to the flat oracle: the same stages composed by hand here over
+//! the flat per-query loop (`candidate_lists` → `best_hits` →
+//! `assemble_psms` → `filter_fdr`, [`flat_outcome`]).
 //!
 //! The `mapped_*` tests are the one-loader regression gate. There is no
 //! copying load to compare against any more — every open runs
@@ -19,18 +21,19 @@
 //! `from_backend` engine is a sharded engine of one shard:
 //! `warm_engine_over_persisted_index_matches_cold` and
 //! `custom_backend_engines_match_the_pipeline` hold it to the index's
-//! shard walk and to the flat pipeline loop, at any worker budget.
+//! shard walk and to the flat loop, at any worker budget.
 
 use hdoms_baselines::annsolo::{AnnSoloBackend, AnnSoloConfig};
 use hdoms_engine::{BatchReceipt, Engine, ReferenceMeta, Session};
 use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::library::SpectralLibrary;
-use hdoms_ms::preprocess::Preprocessor;
+use hdoms_ms::preprocess::{PreprocessConfig, Preprocessor};
 use hdoms_ms::spectrum::Spectrum;
-use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig, PipelineOutcome, ReferenceCatalog};
+use hdoms_oms::fdr::{filter_fdr, FdrOutcome};
+use hdoms_oms::pipeline::{assemble_psms, PipelineOutcome, ReferenceCatalog};
 use hdoms_oms::psm::render_table;
-use hdoms_oms::search::candidate_lists;
+use hdoms_oms::search::{best_hits, candidate_lists, RunScorer};
 use hdoms_oms::window::PrecursorWindow;
 use std::sync::Arc;
 
@@ -59,23 +62,57 @@ fn open_heap_read(path: &std::path::Path) -> Arc<Engine> {
     Arc::new(Engine::from_index(index, THREADS).expect("an index wires its own kind"))
 }
 
-/// The classic path: `OmsPipeline::run_catalog` over the same index
-/// with its flat exact backend — the pipeline's per-query loop, not the
-/// engine's shard walk. The flat loop reports the scorer's own name;
-/// everything else must match the engine.
+/// The flat oracle: an engine's stages composed by hand over the flat
+/// per-query loop — preprocess under `preprocess`, copy each query's
+/// open-window candidates out of `catalog`, score each list in one run
+/// ([`best_hits`]), assemble, filter at 1 % — with no shard walk, no
+/// session and no receipt. It has no shard layout to name, so it reports
+/// `backend_name`.
+fn flat_outcome<S: RunScorer, C: ReferenceCatalog + ?Sized>(
+    scorer: &S,
+    catalog: &C,
+    preprocess: PreprocessConfig,
+    queries: &[Spectrum],
+    backend_name: String,
+) -> PipelineOutcome {
+    let (binned, rejected_queries) = Preprocessor::new(preprocess).run_batch(queries);
+    let window = PrecursorWindow::open_default();
+    let lists = candidate_lists(&catalog.candidate_index(), &window, &binned);
+    let mean_candidates = if binned.is_empty() {
+        0.0
+    } else {
+        lists.iter().map(Vec::len).sum::<usize>() as f64 / binned.len() as f64
+    };
+    let psms = assemble_psms(
+        &binned,
+        &best_hits(scorer, &binned, &lists, THREADS),
+        catalog,
+    );
+    let FdrOutcome {
+        accepted,
+        threshold_score,
+        decoys_above,
+        ..
+    } = filter_fdr(&psms, 0.01);
+    PipelineOutcome {
+        backend_name,
+        psms,
+        accepted,
+        threshold_score,
+        decoys_above,
+        rejected_queries,
+        total_queries: queries.len(),
+        mean_candidates,
+    }
+}
+
+/// The flat oracle over an index-backed engine's index with the index's
+/// flat exact backend, under the engine's name.
 fn classic_outcome(engine: &Engine, queries: &[Spectrum]) -> PipelineOutcome {
     let index = engine.index().expect("index-backed engine");
-    let config = PipelineConfig {
-        preprocess: index.kind().preprocess(),
-        window: PrecursorWindow::open_default(),
-        fdr_level: 0.01,
-        ..PipelineConfig::default()
-    };
     let backend = index.to_exact_backend(THREADS).expect("same kind");
-    PipelineOutcome {
-        backend_name: engine.backend_name(),
-        ..OmsPipeline::new(config).run_catalog(queries, index, &backend)
-    }
+    let preprocess = index.kind().preprocess();
+    flat_outcome(&backend, index, preprocess, queries, engine.backend_name())
 }
 
 /// A `from_backend` engine's receipt: exactly one [`ShardTiming`]
@@ -161,24 +198,20 @@ fn per_batch_filtering_stays_reachable() {
 fn custom_backend_engines_match_the_pipeline() {
     // The escape hatch: a baseline backend without an index kind routed
     // through the engine — one shard of the engine's loop — must score
-    // exactly like the classic pipeline's flat loop, name included, and
-    // under any worker budget (the flat loop runs at the scorer's own
-    // thread count whatever the engine is granted).
+    // exactly like the flat loop, name included, and under any worker
+    // budget.
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 9004);
     let config = AnnSoloConfig {
         threads: THREADS,
         ..AnnSoloConfig::default()
     };
     let backend = AnnSoloBackend::build(&workload.library, config);
-    let pipeline_config = PipelineConfig {
-        window: PrecursorWindow::open_default(),
-        fdr_level: 0.01,
-        ..PipelineConfig::default()
-    };
-    let classic = OmsPipeline::new(pipeline_config).run_catalog(
-        &workload.queries,
-        &workload.library,
+    let classic = flat_outcome(
         &backend,
+        &workload.library,
+        config.preprocess,
+        &workload.queries,
+        backend.report_name(),
     );
 
     let engine = Arc::new(Engine::from_backend(

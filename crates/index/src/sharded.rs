@@ -591,10 +591,6 @@ mod tests {
             "counting".to_owned()
         }
 
-        fn threads(&self) -> usize {
-            1
-        }
-
         fn prepare(&self, binned: &BinnedSpectrum) -> BinaryHypervector {
             self.exact.prepare(binned)
         }
@@ -680,7 +676,12 @@ mod tests {
         let lists: Vec<Vec<u32>> = (windows.iter())
             .map(|w| table.ids()[w.start as usize..w.end as usize].to_vec())
             .collect();
-        let oracle = best_hits(&index.to_exact_backend(1).expect("exact"), queries, &lists);
+        let oracle = best_hits(
+            &index.to_exact_backend(1).expect("exact"),
+            queries,
+            &lists,
+            1,
+        );
         let query_of = |id: u32| queries.iter().position(|q| q.id == id).expect("a query");
         let shard_of = |p: usize| bounds.partition_point(|&b| b as usize <= p) - 1;
         for workers in [1, 2, 8] {

@@ -11,9 +11,12 @@ use hdoms_index::{
 };
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::library::SpectralLibrary;
+use hdoms_ms::preprocess::{PreprocessConfig, Preprocessor};
 use hdoms_ms::spectrum::Spectrum;
-use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig, PipelineOutcome};
-use hdoms_oms::search::{ExactBackend, ExactBackendConfig};
+use hdoms_oms::fdr::filter_fdr;
+use hdoms_oms::pipeline::{assemble_psms, PipelineOutcome, ReferenceCatalog};
+use hdoms_oms::psm::Psm;
+use hdoms_oms::search::{best_hits, candidate_lists, ExactBackend, ExactBackendConfig, RunScorer};
 use hdoms_oms::window::PrecursorWindow;
 use proptest::prelude::*;
 use std::ops::Range;
@@ -51,10 +54,24 @@ fn tiny_workload(seed: u64) -> SyntheticWorkload {
     SyntheticWorkload::generate(&WorkloadSpec::tiny(), seed)
 }
 
-fn pipeline() -> OmsPipeline {
-    let mut config = PipelineConfig::fast_test();
-    config.exact.encoder.dim = TEST_DIM;
-    OmsPipeline::new(config)
+/// The flat oracle: `queries` preprocessed under `preprocess`, each
+/// one's open-window candidates copied out of `catalog` and scored by
+/// `scorer` in one run ([`best_hits`]), the hits joined into PSMs — no
+/// engine, no shard loop.
+fn flat_psms<S: RunScorer, C: ReferenceCatalog + ?Sized>(
+    scorer: &S,
+    catalog: &C,
+    preprocess: PreprocessConfig,
+    queries: &[Spectrum],
+) -> Vec<Psm> {
+    let (binned, _) = Preprocessor::new(preprocess).run_batch(queries);
+    let window = PrecursorWindow::open_default();
+    let lists = candidate_lists(&catalog.candidate_index(), &window, &binned);
+    assemble_psms(
+        &binned,
+        &best_hits(scorer, &binned, &lists, THREADS),
+        catalog,
+    )
 }
 
 /// Search `index` the way every product path does — one engine over it
@@ -218,16 +235,15 @@ fn bad_magic_and_future_version_rejected() {
     ));
 }
 
-fn outcomes_for(
-    index: &LibraryIndex,
-    workload: &SyntheticWorkload,
-) -> (PipelineOutcome, PipelineOutcome) {
-    let pipeline = pipeline();
+/// `index` searched by its own kind's flat scorer (PSMs) and by an
+/// engine over it (the whole outcome).
+fn outcomes_for(index: &LibraryIndex, workload: &SyntheticWorkload) -> (Vec<Psm>, PipelineOutcome) {
     let sharded_outcome = engine_outcome(index, &workload.queries, THREADS);
-    let flat_outcome = match index.kind() {
+    let (preprocess, queries) = (index.kind().preprocess(), &workload.queries);
+    let flat = match index.kind() {
         IndexedBackendKind::Rram(_) => {
             let accel = index.to_accelerator(THREADS).expect("rram kind");
-            pipeline.run_catalog(&workload.queries, index, &accel)
+            flat_psms(&accel, index, preprocess, queries)
         }
         IndexedBackendKind::HyperOms(config) => {
             // The flat HyperOMS backend is composed above the index: the
@@ -238,70 +254,63 @@ fn outcomes_for(
                 index.shared_references().clone(),
             )
             .named("hyperoms");
-            pipeline.run_catalog(&workload.queries, index, &hyperoms)
+            flat_psms(&hyperoms, index, preprocess, queries)
         }
         IndexedBackendKind::Exact(_) => {
             let exact = index.to_exact_backend(THREADS).expect("exact kind");
-            pipeline.run_catalog(&workload.queries, index, &exact)
+            flat_psms(&exact, index, preprocess, queries)
         }
     };
-    (flat_outcome, sharded_outcome)
+    (flat, sharded_outcome)
 }
 
 #[test]
 fn warm_load_searches_like_cold_build_exact() {
     let workload = tiny_workload(21);
-    let pipeline_handle = pipeline();
 
     // Cold: build the backend straight from the library.
     let mut cold_config = ExactBackendConfig::default();
     cold_config.encoder.dim = TEST_DIM;
-    cold_config.preprocess = pipeline_handle.config().preprocess;
     cold_config.threads = THREADS;
     let cold_backend = ExactBackend::build(&workload.library, cold_config);
-    let cold = pipeline_handle.run_catalog(&workload.queries, &workload.library, &cold_backend);
+    let cold = flat_psms(
+        &cold_backend,
+        &workload.library,
+        cold_config.preprocess,
+        &workload.queries,
+    );
 
     // Warm: persist, reload, reconstruct — flat and sharded.
     let built = build_index(exact_kind(), &workload.library, 48);
     let restored = LibraryIndex::from_bytes(&built.to_bytes(), THREADS).expect("roundtrip");
     let (flat, sharded) = outcomes_for(&restored, &workload);
 
-    assert_eq!(cold.psms, flat.psms, "warm flat PSMs differ from cold");
-    assert_eq!(
-        cold.psms, sharded.psms,
-        "warm sharded PSMs differ from cold"
-    );
-    assert_eq!(cold.accepted, sharded.accepted);
+    assert_eq!(cold, flat, "warm flat PSMs differ from cold");
+    assert_eq!(cold, sharded.psms, "warm sharded PSMs differ from cold");
+    assert_eq!(filter_fdr(&cold, 0.01).accepted, sharded.accepted);
 }
 
 #[test]
 fn warm_load_searches_like_cold_build_rram() {
     let workload = tiny_workload(22);
-    let pipeline_handle = pipeline();
 
     let mut cold_config = AcceleratorConfig::default();
     cold_config.encoder.dim = TEST_DIM;
-    cold_config.preprocess = pipeline_handle.config().preprocess;
     cold_config.threads = THREADS;
     let cold_backend = OmsAccelerator::build(&workload.library, cold_config);
-    let cold = pipeline_handle.run_catalog(&workload.queries, &workload.library, &cold_backend);
-
-    let mut kind_config = cold_config;
-    kind_config.preprocess = pipeline_handle.config().preprocess;
-    let built = build_index(IndexedBackendKind::Rram(kind_config), &workload.library, 48);
-    let restored = LibraryIndex::from_bytes(&built.to_bytes(), THREADS).expect("roundtrip");
-
-    // Warm reconstruction straight off the loaded index.
-    let warm_accel = restored.to_accelerator(THREADS).expect("rram kind");
-    let warm = pipeline_handle.run_catalog(&workload.queries, &restored, &warm_accel);
-    assert_eq!(
-        cold.psms, warm.psms,
-        "warm accelerator PSMs differ from cold"
+    let cold = flat_psms(
+        &cold_backend,
+        &workload.library,
+        cold_config.preprocess,
+        &workload.queries,
     );
 
+    let built = build_index(IndexedBackendKind::Rram(cold_config), &workload.library, 48);
+    let restored = LibraryIndex::from_bytes(&built.to_bytes(), THREADS).expect("roundtrip");
+
     let (flat, sharded) = outcomes_for(&restored, &workload);
-    assert_eq!(cold.psms, flat.psms);
-    assert_eq!(cold.psms, sharded.psms);
+    assert_eq!(cold, flat, "warm accelerator PSMs differ from cold");
+    assert_eq!(cold, sharded.psms);
 }
 
 #[test]
@@ -310,27 +319,27 @@ fn warm_load_searches_like_cold_build_hyperoms() {
     // (`HyperOmsConfig::exact_config`): a warm index reconstruction and
     // a cold `hyperoms::build` must agree hit for hit.
     let workload = tiny_workload(23);
-    let pipeline_handle = pipeline();
 
     let config = HyperOmsConfig {
-        preprocess: pipeline_handle.config().preprocess,
         dim: TEST_DIM,
         threads: THREADS,
         ..HyperOmsConfig::default()
     };
     let cold_backend = hyperoms::build(&workload.library, config);
-    let cold = pipeline_handle.run_catalog(&workload.queries, &workload.library, &cold_backend);
-    assert!(!cold.psms.is_empty());
+    let cold = flat_psms(
+        &cold_backend,
+        &workload.library,
+        config.preprocess,
+        &workload.queries,
+    );
+    assert!(!cold.is_empty());
 
     let built = build_index(IndexedBackendKind::HyperOms(config), &workload.library, 48);
     let restored = LibraryIndex::from_bytes(&built.to_bytes(), THREADS).expect("roundtrip");
     let (flat, sharded) = outcomes_for(&restored, &workload);
-    assert_eq!(cold.psms, flat.psms, "warm flat PSMs differ from cold");
-    assert_eq!(
-        cold.psms, sharded.psms,
-        "warm sharded PSMs differ from cold"
-    );
-    assert_eq!(cold.accepted, sharded.accepted);
+    assert_eq!(cold, flat, "warm flat PSMs differ from cold");
+    assert_eq!(cold, sharded.psms, "warm sharded PSMs differ from cold");
+    assert_eq!(filter_fdr(&cold, 0.01).accepted, sharded.accepted);
     assert!(sharded.backend_name.starts_with("sharded(hyperoms, "));
 }
 
@@ -1565,7 +1574,7 @@ mod fan_out {
             let lists: Vec<Vec<u32>> = (windows.iter())
                 .map(|w| ids[w.start as usize..w.end as usize].to_vec())
                 .collect();
-            let oracle = best_hits(flat, &queries, &lists);
+            let oracle = best_hits(flat, &queries, &lists, THREADS);
             assert!(
                 oracle.iter().any(Option::is_some),
                 "{name}/{batch}: no hits"
@@ -1621,7 +1630,7 @@ mod fan_out {
                     let n = list.len() as u64;
                     assert_eq!((on.candidates_pre, on.candidates_post), (n, n), "{at}");
                 }
-                let oracle = best_hits(flat, &queries, narrowed);
+                let oracle = best_hits(flat, &queries, narrowed, THREADS);
                 let filtered = backend.search_batch_traced(
                     &queries,
                     &windows,

@@ -15,19 +15,30 @@
 //!   ([`search::best_hits`]), with an exact HD implementation (optionally
 //!   with injected bit errors for the Fig. 11 robustness study)
 //!   ([`search`]);
-//! * end-to-end orchestration with ground-truth evaluation
-//!   ([`pipeline`]).
+//! * the reference catalog, PSM assembly and search outcome with
+//!   ground-truth evaluation ([`pipeline`]).
 //!
-//! # Example
+//! `hdoms-engine` runs these stages over its shard loop; every search,
+//! figure and example goes through it. Composed by hand over the flat
+//! loop they are the oracle the engine is tested against:
 //!
 //! ```
 //! use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
-//! use hdoms_oms::pipeline::{OmsPipeline, PipelineConfig};
+//! use hdoms_ms::preprocess::Preprocessor;
+//! use hdoms_oms::pipeline::{assemble_psms, ReferenceCatalog};
+//! use hdoms_oms::search::{best_hits, candidate_lists};
+//! use hdoms_oms::{filter_fdr, ExactBackend, ExactBackendConfig, PrecursorWindow};
 //!
 //! let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 42);
-//! let pipeline = OmsPipeline::new(PipelineConfig::fast_test());
-//! let outcome = pipeline.run_exact(&workload);
-//! assert!(!outcome.accepted.is_empty(), "should identify something");
+//! let mut config = ExactBackendConfig::default();
+//! config.encoder.dim = 2048;
+//! let backend = ExactBackend::build(&workload.library, config);
+//! let (queries, _) = Preprocessor::new(config.preprocess).run_batch(&workload.queries);
+//! let index = workload.library.candidate_index();
+//! let candidates = candidate_lists(&index, &PrecursorWindow::open_default(), &queries);
+//! let hits = best_hits(&backend, &queries, &candidates, 2);
+//! let psms = assemble_psms(&queries, &hits, &workload.library);
+//! assert!(!filter_fdr(&psms, 0.01).accepted.is_empty(), "should identify something");
 //! ```
 
 #![deny(missing_docs)]
@@ -44,7 +55,7 @@ pub mod window;
 
 pub use candidates::CandidateIndex;
 pub use fdr::{filter_fdr, FdrOutcome};
-pub use pipeline::{assemble_psms, OmsPipeline, PipelineConfig, PipelineOutcome, ReferenceCatalog};
+pub use pipeline::{assemble_psms, PipelineOutcome, ReferenceCatalog};
 pub use psm::Psm;
 pub use search::{ExactBackend, ExactBackendConfig, SearchHit};
 pub use window::PrecursorWindow;

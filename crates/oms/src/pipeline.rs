@@ -1,27 +1,25 @@
-//! End-to-end OMS orchestration: preprocess → candidates → search → FDR.
+//! The stages every search shares around its scorer: the reference
+//! catalog candidates and PSMs are drawn from ([`ReferenceCatalog`],
+//! [`ReferenceMeta`]), the join of hits with it ([`assemble_psms`]),
+//! and the outcome a search reports ([`PipelineOutcome`], with its
+//! ground-truth evaluation [`EvalStats`]).
 //!
-//! These four stages are also the observability spans of the served
-//! stack: `hdoms-engine` times each one where it runs and surfaces the
-//! figures as the `encode` / `candidates` / `score` / `finalize`
-//! fields in receipts, `BatchStats`, and the `hdoms_stage_*_ms`
-//! histograms (see `docs/OBSERVABILITY.md`). This crate itself stays
-//! timer-free — instrumentation lives in the callers.
+//! `hdoms-engine` runs them in order — preprocess → candidates → score →
+//! assemble → FDR — and times each one as the `encode` / `candidates` /
+//! `score` / `finalize` fields of receipts, `BatchStats`, and the
+//! `hdoms_stage_*_ms` histograms (see `docs/OBSERVABILITY.md`). This
+//! crate itself stays timer-free — instrumentation lives in the callers.
 
 use crate::candidates::CandidateIndex;
-use crate::fdr::{filter_fdr, FdrOutcome};
 use crate::psm::Psm;
-use crate::search::{
-    best_hits, candidate_lists, ExactBackend, ExactBackendConfig, RunScorer, SearchHit,
-};
-use crate::window::PrecursorWindow;
+use crate::search::SearchHit;
 use hdoms_ms::dataset::SyntheticWorkload;
 use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
-use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
-use hdoms_ms::spectrum::Spectrum;
+use hdoms_ms::preprocess::BinnedSpectrum;
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
-/// The reference-side metadata the pipeline needs to turn backend hits
+/// The reference-side metadata a search needs to turn backend hits
 /// into PSMs: masses for the precursor delta, decoy flags for FDR.
 ///
 /// A [`SpectralLibrary`] is the obvious catalog; a prebuilt persistent
@@ -148,9 +146,10 @@ impl ReferenceCatalog for ReferenceMeta {
 /// Join a batch of backend hits with catalog metadata into PSMs.
 ///
 /// This is the one assembly step between scoring and FDR, shared by
-/// **every** execution path — [`OmsPipeline`] and the `hdoms-engine`
-/// session layer both call it, which is what guarantees that a streamed
-/// multi-batch session reproduces a one-shot batch run byte-for-byte.
+/// **every** execution path — the `hdoms-engine` session layer and the
+/// flat oracle its tests compose both call it, which is what guarantees
+/// that a streamed multi-batch session reproduces a one-shot batch run
+/// byte-for-byte.
 ///
 /// `queries[i]` must pair with `hits[i]`.
 ///
@@ -190,46 +189,7 @@ where
         .collect()
 }
 
-/// Pipeline configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PipelineConfig {
-    /// Preprocessing applied to query spectra (must match the backend's
-    /// library preprocessing for scores to be meaningful).
-    pub preprocess: PreprocessConfig,
-    /// The precursor window; open by default — this *is* open modification
-    /// search.
-    pub window: PrecursorWindow,
-    /// FDR acceptance level (the paper filters at the conventional 1 %).
-    pub fdr_level: f64,
-    /// Configuration for the built-in exact backend used by
-    /// [`OmsPipeline::run_exact`].
-    pub exact: ExactBackendConfig,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> PipelineConfig {
-        PipelineConfig {
-            preprocess: PreprocessConfig::default(),
-            window: PrecursorWindow::open_default(),
-            fdr_level: 0.01,
-            exact: ExactBackendConfig::default(),
-        }
-    }
-}
-
-impl PipelineConfig {
-    /// A configuration sized for unit tests and doctests: 2048-dim
-    /// hypervectors, few threads. Quality is slightly below the 8192-dim
-    /// default but runs in milliseconds on tiny workloads.
-    pub fn fast_test() -> PipelineConfig {
-        let mut config = PipelineConfig::default();
-        config.exact.encoder.dim = 2048;
-        config.exact.threads = 4;
-        config
-    }
-}
-
-/// The result of one pipeline run.
+/// The result of one search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineOutcome {
     /// Name of the backend that produced the scores.
@@ -306,7 +266,7 @@ impl PipelineOutcome {
     }
 }
 
-/// Ground-truth evaluation of a pipeline run (synthetic workloads only —
+/// Ground-truth evaluation of a search (synthetic workloads only —
 /// real data has no ground truth, which is why the paper compares tool
 /// agreement instead, Fig. 10).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -324,251 +284,4 @@ pub struct EvalStats {
     /// Fraction of accepted PSMs that are wrong — should track the FDR
     /// level.
     pub observed_false_rate: f64,
-}
-
-/// The OMS pipeline: owns the stage configuration, runs any backend.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OmsPipeline {
-    config: PipelineConfig,
-}
-
-impl OmsPipeline {
-    /// Create a pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is invalid or the FDR level is outside (0, 1).
-    pub fn new(config: PipelineConfig) -> OmsPipeline {
-        config.window.validate();
-        assert!(
-            config.fdr_level > 0.0 && config.fdr_level < 1.0,
-            "FDR level must be in (0, 1)"
-        );
-        OmsPipeline { config }
-    }
-
-    /// The pipeline configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
-    /// Run the full pipeline over `workload` with `backend`.
-    pub fn run<B: RunScorer>(&self, workload: &SyntheticWorkload, backend: &B) -> PipelineOutcome {
-        self.run_catalog(&workload.queries, &workload.library, backend)
-    }
-
-    /// Run the pipeline over raw query spectra against any reference
-    /// catalog with a *prebuilt* backend.
-    ///
-    /// This is the entry point for index-backed searches: the catalog may
-    /// be a [`SpectralLibrary`] or a loaded `hdoms-index`, and the backend
-    /// is whatever was reconstructed (or built) over the same references.
-    /// Preprocess, look up candidates, score ([`best_hits`], at the
-    /// backend's own thread count), assemble, filter.
-    pub fn run_catalog<B, C>(
-        &self,
-        queries: &[Spectrum],
-        catalog: &C,
-        backend: &B,
-    ) -> PipelineOutcome
-    where
-        B: RunScorer,
-        C: ReferenceCatalog + ?Sized,
-    {
-        let pre = Preprocessor::new(self.config.preprocess);
-        let (binned_queries, rejected_queries) = pre.run_batch(queries);
-        let index = catalog.candidate_index();
-        let candidates = candidate_lists(&index, &self.config.window, &binned_queries);
-        let mean_candidates = if binned_queries.is_empty() {
-            0.0
-        } else {
-            candidates.iter().map(Vec::len).sum::<usize>() as f64 / binned_queries.len() as f64
-        };
-        let hits = best_hits(backend, &binned_queries, &candidates);
-        let psms = assemble_psms(&binned_queries, &hits, catalog);
-
-        let FdrOutcome {
-            accepted,
-            threshold_score,
-            decoys_above,
-            ..
-        } = filter_fdr(&psms, self.config.fdr_level);
-
-        PipelineOutcome {
-            backend_name: backend.report_name(),
-            psms,
-            accepted,
-            threshold_score,
-            decoys_above,
-            rejected_queries,
-            total_queries: queries.len(),
-            mean_candidates,
-        }
-    }
-
-    /// Convenience: build the exact HD backend from
-    /// `config.exact` and run it.
-    pub fn run_exact(&self, workload: &SyntheticWorkload) -> PipelineOutcome {
-        let mut exact = self.config.exact;
-        // The backend must preprocess the library exactly like the
-        // pipeline preprocesses queries.
-        exact.preprocess = self.config.preprocess;
-        let backend = ExactBackend::build(&workload.library, exact);
-        self.run(workload, &backend)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hdoms_ms::dataset::WorkloadSpec;
-
-    fn run_tiny(seed: u64) -> (SyntheticWorkload, PipelineOutcome) {
-        let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), seed);
-        let pipeline = OmsPipeline::new(PipelineConfig::fast_test());
-        let outcome = pipeline.run_exact(&workload);
-        (workload, outcome)
-    }
-
-    #[test]
-    fn identifies_most_matchable_queries() {
-        let (workload, outcome) = run_tiny(100);
-        let eval = outcome.evaluate(&workload);
-        assert!(
-            eval.recall > 0.6,
-            "recall {} too low (accepted {}, correct {})",
-            eval.recall,
-            eval.accepted,
-            eval.correct
-        );
-    }
-
-    #[test]
-    fn observed_false_rate_tracks_fdr_level() {
-        // Average over seeds: each tiny workload is small, so pool.
-        let mut wrong = 0usize;
-        let mut total = 0usize;
-        for seed in 200..206 {
-            let (workload, outcome) = run_tiny(seed);
-            let eval = outcome.evaluate(&workload);
-            wrong += eval.wrong_reference + eval.unmatchable_accepted;
-            total += eval.accepted;
-        }
-        assert!(total > 50);
-        let rate = wrong as f64 / total as f64;
-        assert!(rate < 0.08, "pooled false rate {rate} too far above 1 %");
-    }
-
-    #[test]
-    fn open_window_finds_modified_peptides() {
-        let (workload, outcome) = run_tiny(300);
-        // Count accepted modified queries.
-        let accepted = outcome.accepted_query_ids();
-        let modified_found = workload
-            .truth
-            .iter()
-            .enumerate()
-            .filter(|(i, t)| t.is_modified() && accepted.contains(&(*i as u32)))
-            .count();
-        assert!(
-            modified_found > 5,
-            "open search should identify modified peptides, found {modified_found}"
-        );
-    }
-
-    #[test]
-    fn standard_window_misses_modified_peptides() {
-        // Pool over seeds like observed_false_rate_tracks_fdr_level does:
-        // on any single tiny workload a stray coincidental acceptance (a
-        // modified query matching some other reference inside the narrow
-        // window) can occur, so assert the pooled rate instead of pinning
-        // one seed to an exact zero.
-        let mut modified_total = 0usize;
-        let mut modified_found = 0usize;
-        for seed in 300..306 {
-            let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), seed);
-            let mut config = PipelineConfig::fast_test();
-            config.window = PrecursorWindow::standard_default();
-            let outcome = OmsPipeline::new(config).run_exact(&workload);
-            let accepted = outcome.accepted_query_ids();
-            modified_total += workload.truth.iter().filter(|t| t.is_modified()).count();
-            modified_found += workload
-                .truth
-                .iter()
-                .enumerate()
-                .filter(|(i, t)| t.is_modified() && accepted.contains(&(*i as u32)))
-                .count();
-        }
-        assert!(modified_total > 50, "pooled workloads too small");
-        let rate = modified_found as f64 / modified_total as f64;
-        assert!(
-            rate < 0.02,
-            "standard search should not reach modified peptides: \
-             pooled rate {rate} ({modified_found}/{modified_total})"
-        );
-    }
-
-    #[test]
-    fn outcome_bookkeeping_consistent() {
-        let (workload, outcome) = run_tiny(400);
-        assert_eq!(outcome.total_queries, workload.queries.len());
-        assert!(outcome.accepted.len() <= outcome.psms.len());
-        assert!(outcome.accepted.iter().all(Psm::is_target));
-        assert!(outcome.mean_candidates > 1.0);
-        for psm in &outcome.accepted {
-            assert!(psm.score >= outcome.threshold_score);
-        }
-    }
-
-    #[test]
-    fn identified_peptides_nonempty_and_valid() {
-        let (workload, outcome) = run_tiny(500);
-        let peptides = outcome.identified_peptides(&workload.library);
-        assert!(!peptides.is_empty());
-        assert!(peptides.len() <= outcome.identifications());
-    }
-
-    #[test]
-    fn run_is_deterministic() {
-        let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 600);
-        let pipeline = OmsPipeline::new(PipelineConfig::fast_test());
-        let a = pipeline.run_exact(&workload);
-        let b = pipeline.run_exact(&workload);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "FDR level")]
-    fn rejects_bad_fdr() {
-        let mut config = PipelineConfig::fast_test();
-        config.fdr_level = 0.0;
-        let _ = OmsPipeline::new(config);
-    }
-
-    #[test]
-    fn higher_dimension_does_not_hurt() {
-        // Fig. 13 direction, pooled over seeds: more dimensions → at
-        // least as many identifications in aggregate. A single tiny
-        // workload at a pinned seed is noisy enough to flip the
-        // comparison, so sum over several.
-        let mut low_total = 0usize;
-        let mut high_total = 0usize;
-        for seed in 700..704 {
-            let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), seed);
-            let run_with_dim = |dim: usize| {
-                let mut config = PipelineConfig::fast_test();
-                config.exact.encoder.dim = dim;
-                OmsPipeline::new(config)
-                    .run_exact(&workload)
-                    .identifications()
-            };
-            low_total += run_with_dim(512);
-            high_total += run_with_dim(4096);
-        }
-        assert!(
-            high_total + 4 >= low_total,
-            "pooled 4096-dim ids ({high_total}) should not trail \
-             512-dim ids ({low_total})"
-        );
-    }
 }

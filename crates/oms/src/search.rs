@@ -5,12 +5,12 @@
 //! the backend's own error injection) and finds, for each query of a
 //! block that shares a run of candidate ids, the **best hit in its own
 //! range of the run** (§4.1 search). Everything around them is
-//! written once: the flat per-query loop [`best_hits`] (what the
-//! pipeline and the figure binaries drive), the shard
-//! fan-out of `hdoms-index`'s `ShardedBackend` (the loop every engine
-//! runs, tested hit for hit against the flat one), and the
-//! `(score desc, id asc)` order every byte-identity gate depends on
-//! ([`SearchHit::fold_into`]).
+//! written once: the shard fan-out of `hdoms-index`'s `ShardedBackend`
+//! (the loop every engine runs, and so every search, study and figure),
+//! the flat per-query loop [`best_hits`] (the oracle that fan-out is
+//! tested against hit for hit, and how the crates below the engine test
+//! their scorers), and the `(score desc, id asc)` order every
+//! byte-identity gate depends on ([`SearchHit::fold_into`]).
 //!
 //! To add a backend, implement [`RunScorer`]: exact Hamming on CPU
 //! ([`ExactBackend`]; HyperOMS is that backend under a binary-ID
@@ -351,9 +351,6 @@ pub trait RunScorer: Sync {
     /// The name reports carry ("exact-hd", "ann-solo", …).
     fn report_name(&self) -> String;
 
-    /// Worker threads the flat loop ([`best_hits`]) spreads a batch over.
-    fn threads(&self) -> usize;
-
     /// Encode `binned` once, applying the backend's configured
     /// encode-path error injection.
     fn prepare(&self, binned: &BinnedSpectrum) -> Self::Query;
@@ -405,9 +402,9 @@ impl PreparedQuery for () {
 
 /// The flat per-query loop, written once: prepare each query and score
 /// its whole candidate list as a single run, in parallel over queries on
-/// the scorer's [`RunScorer::threads`]. `queries[i]` pairs with
-/// `candidates[i]`; an empty list gives `None`. This is the oracle
-/// `ShardedBackend`'s fan-out is tested against.
+/// `threads` workers. `queries[i]` pairs with `candidates[i]`; an empty
+/// list gives `None`. This is the oracle `ShardedBackend`'s fan-out is
+/// tested against.
 ///
 /// # Panics
 ///
@@ -416,6 +413,7 @@ pub fn best_hits<S: RunScorer>(
     scorer: &S,
     queries: &[BinnedSpectrum],
     candidates: &[Vec<u32>],
+    threads: usize,
 ) -> Vec<Option<SearchHit>> {
     assert_eq!(
         queries.len(),
@@ -423,7 +421,7 @@ pub fn best_hits<S: RunScorer>(
         "queries and candidate lists must pair up"
     );
     let jobs: Vec<usize> = (0..queries.len()).collect();
-    par_map(&jobs, scorer.threads(), |&i| {
+    par_map(&jobs, threads, |&i| {
         let query = scorer.prepare(&queries[i]);
         let whole = 0..candidates[i].len();
         scorer.best_in_ranges(&[(&queries[i], &query, whole)], &candidates[i])[0]
@@ -477,8 +475,8 @@ pub fn encode_chunk<E: ReferenceEncoder + ?Sized>(
 /// Configuration for [`ExactBackend`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExactBackendConfig {
-    /// Preprocessing applied to the reference library (queries are
-    /// preprocessed by the pipeline with its own config; keep them equal).
+    /// Preprocessing applied to the reference library (an engine over
+    /// the backend preprocesses its queries with the same config).
     pub preprocess: PreprocessConfig,
     /// HD encoder settings.
     pub encoder: EncoderConfig,
@@ -516,7 +514,7 @@ impl Default for ExactBackendConfig {
 /// `hdoms_baselines::hyperoms` re-exports it beside the cold constructor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HyperOmsConfig {
-    /// Preprocessing shared with the pipeline.
+    /// Preprocessing applied to references and queries alike.
     pub preprocess: PreprocessConfig,
     /// Hypervector dimension (HyperOMS also runs D = 8192 for its quality
     /// results).
@@ -777,10 +775,6 @@ impl RunScorer for ExactBackend {
         }
     }
 
-    fn threads(&self) -> usize {
-        self.config.threads
-    }
-
     fn prepare(&self, binned: &BinnedSpectrum) -> BinaryHypervector {
         self.encode_query(binned)
     }
@@ -899,7 +893,7 @@ mod tests {
     #[test]
     fn finds_mostly_true_references() {
         let (workload, backend, queries, cands) = setup();
-        let hits = best_hits(&backend, &queries, &cands);
+        let hits = best_hits(&backend, &queries, &cands, 2);
         let mut correct = 0usize;
         let mut matchable = 0usize;
         for (binned, hit) in queries.iter().zip(&hits) {
@@ -922,7 +916,7 @@ mod tests {
     fn empty_candidates_give_none() {
         let (_, backend, queries, _) = setup();
         let empty: Vec<Vec<u32>> = queries.iter().map(|_| Vec::new()).collect();
-        let hits = best_hits(&backend, &queries, &empty);
+        let hits = best_hits(&backend, &queries, &empty, 2);
         assert!(hits.iter().all(Option::is_none));
     }
 
@@ -941,7 +935,7 @@ mod tests {
                     ..small_backend_config()
                 },
             );
-            best_hits(&backend, &queries, &cands)
+            best_hits(&backend, &queries, &cands, threads)
         };
         assert_eq!(run(1), run(8));
     }
@@ -963,8 +957,8 @@ mod tests {
                 ..small_backend_config()
             },
         );
-        let clean_hits = best_hits(&clean, &queries, &cands);
-        let noisy_hits = best_hits(&noisy, &queries, &cands);
+        let clean_hits = best_hits(&clean, &queries, &cands, 2);
+        let noisy_hits = best_hits(&noisy, &queries, &cands, 2);
         // At 5 % BER the HD representation tolerates the noise: most best
         // references should be unchanged (the paper's robustness claim).
         let agree = clean_hits
@@ -1061,6 +1055,6 @@ mod tests {
     #[should_panic(expected = "pair up")]
     fn search_batch_checks_lengths() {
         let (_, backend, queries, _) = setup();
-        let _ = best_hits(&backend, &queries, &[]);
+        let _ = best_hits(&backend, &queries, &[], 2);
     }
 }

@@ -230,6 +230,64 @@ impl Client {
 mod tests {
     use super::*;
     use crate::protocol::PROTOCOL_VERSION;
+    use proptest::prelude::*;
+
+    /// The bound the near-bound property runs at: small, so no case
+    /// buffers anywhere near [`MAX_LINE_BYTES`].
+    const NEAR_BOUND: usize = 256;
+
+    /// The first `len` bytes of `raw` as one line's payload, with every
+    /// LF and any whitespace at either end turned into `.`: an LF would
+    /// end the line early, a CR last would be read as half of a CRLF
+    /// terminator, and a blank line is skipped, not answered.
+    fn payload(mut raw: Vec<u8>, len: usize) -> Vec<u8> {
+        raw.truncate(len);
+        for b in raw.iter_mut().filter(|b| **b == b'\n') {
+            *b = b'.';
+        }
+        for end in [0, raw.len() - 1] {
+            if raw[end].is_ascii_whitespace() {
+                raw[end] = b'.';
+            }
+        }
+        raw
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Arbitrary bytes one short of the bound or at it get exactly
+        /// one response line and the connection serves the next request;
+        /// one byte past it gets the one refusal and the connection
+        /// closes.
+        #[test]
+        fn lines_near_the_bound_get_one_answer(
+            raw in collection::vec(any::<u8>(), NEAR_BOUND + 1..NEAR_BOUND + 2),
+            over in 0usize..3,
+        ) {
+            let len = NEAR_BOUND - 1 + over;
+            let mut input = payload(raw, len);
+            input.extend_from_slice(b"\n{\"type\":\"ping\"}\n");
+            let mut out = Vec::new();
+            serve_connection_bounded(&Server::new(1), &input[..], &mut out, NEAR_BOUND)
+                .map_err(|e| e.to_string())?;
+            let text = String::from_utf8(out).map_err(|e| e.to_string())?;
+            let responses = text.lines().map(Response::decode);
+            let responses: Vec<Response> = responses.collect::<Result<_, _>>()?;
+            if len <= NEAR_BOUND {
+                prop_assert_eq!(responses.len(), 2, "{len} bytes: {text}");
+                let pong = Response::Pong {
+                    protocol: PROTOCOL_VERSION,
+                };
+                prop_assert_eq!(&responses[1], &pong);
+            } else {
+                prop_assert_eq!(responses.len(), 1, "{len} bytes: {text}");
+                let refused = matches!(&responses[0], Response::Error { message, .. }
+                    if message.contains("exceeds 256 bytes"));
+                prop_assert!(refused, "{text}");
+            }
+        }
+    }
 
     #[test]
     fn oversized_lines_are_refused_not_buffered() {

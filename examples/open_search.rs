@@ -1,16 +1,19 @@
 //! Full open modification search on an iPRG2012-shaped workload.
 //!
 //! Generates a synthetic workload (modified + unmodified queries against a
-//! target/decoy library), runs the exact HD pipeline under both a standard
-//! and an open precursor window, and reports identifications, FDR
-//! behaviour and the modified peptides only the open search can find —
-//! the motivation of the whole paper.
+//! target/decoy library), encodes the library once into an exact HD
+//! engine, searches it under both a standard and an open precursor
+//! window, and reports identifications, FDR behaviour and the modified
+//! peptides only the open search can find — the motivation of the whole
+//! paper.
 //!
 //! Run: `cargo run --release --example open_search`
 
+use hdoms::engine::Engine;
+use hdoms::index::IndexConfig;
 use hdoms::ms::dataset::{SyntheticWorkload, WorkloadSpec};
-use hdoms::oms::pipeline::{OmsPipeline, PipelineConfig};
 use hdoms::oms::window::PrecursorWindow;
+use std::sync::Arc;
 
 fn main() {
     let spec = WorkloadSpec::iprg2012(0.005);
@@ -21,16 +24,16 @@ fn main() {
         spec.library_spectra()
     );
     let workload = SyntheticWorkload::generate(&spec, 2024);
+    let engine = Arc::new(Engine::from_library(
+        &workload.library,
+        IndexConfig::default(),
+    ));
 
     // Standard search: tight precursor window.
-    let standard_config = PipelineConfig {
-        window: PrecursorWindow::standard_default(),
-        ..PipelineConfig::default()
-    };
-    let standard = OmsPipeline::new(standard_config).run_exact(&workload);
+    let (standard, _) = engine.search(&workload.queries, PrecursorWindow::standard_default(), 0.01);
 
     // Open search: wide window reaching modified peptides.
-    let open = OmsPipeline::new(PipelineConfig::default()).run_exact(&workload);
+    let (open, _) = engine.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
 
     for (label, outcome) in [("standard", &standard), ("open", &open)] {
         let eval = outcome.evaluate(&workload);
@@ -48,7 +51,8 @@ fn main() {
     // The delta is exactly the modified queries.
     let std_ids = standard.accepted_query_ids();
     let open_ids = open.accepted_query_ids();
-    let gained: Vec<u32> = open_ids.difference(&std_ids).copied().collect();
+    let mut gained: Vec<u32> = open_ids.difference(&std_ids).copied().collect();
+    gained.sort_unstable();
     let gained_modified = gained
         .iter()
         .filter(|&&q| workload.truth[q as usize].is_modified())

@@ -8,14 +8,16 @@
 //!
 //! Run: `cargo run --release --example robustness_sweep`
 
+use hdoms::engine::{Engine, ReferenceMeta};
 use hdoms::hdc::multibit::IdPrecision;
 use hdoms::ms::dataset::{SyntheticWorkload, WorkloadSpec};
-use hdoms::oms::pipeline::{OmsPipeline, PipelineConfig};
-use hdoms::oms::search::ExactBackend;
+use hdoms::oms::search::{ExactBackend, ExactBackendConfig};
+use hdoms::oms::window::PrecursorWindow;
+use std::sync::Arc;
 
 fn main() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::iprg2012(0.005), 31);
-    let pipeline = OmsPipeline::new(PipelineConfig::default());
+    let meta = ReferenceMeta::from_library(&workload.library);
     let bers = [0.0f64, 0.01, 0.05, 0.10, 0.20];
 
     println!(
@@ -29,13 +31,21 @@ fn main() {
     }
     println!();
     for precision in IdPrecision::ALL {
-        let mut config = pipeline.config().exact;
+        let mut config = ExactBackendConfig::default();
         config.encoder.id_precision = precision;
         let clean = ExactBackend::build(&workload.library, config);
         print!("{:>22}", format!("{} bit(s)", precision.bits()));
         for ber in bers {
-            let backend = clean.with_error_rates(ber, ber, 0x5eed);
-            let outcome = pipeline.run(&workload, &backend);
+            // A backend with injected errors has no index kind: it runs
+            // as the one shard of an engine over the same references.
+            let engine = Arc::new(Engine::from_backend(
+                Box::new(clean.with_error_rates(ber, ber, 0x5eed)),
+                config.preprocess,
+                meta.clone(),
+                config.threads,
+            ));
+            let window = PrecursorWindow::open_default();
+            let (outcome, _) = engine.search(&workload.queries, window, 0.01);
             print!("{:>8}", outcome.identifications());
         }
         println!();

@@ -13,8 +13,8 @@
 //!   (§3.2), Hamming similarity search (§3.3).
 //! * [`rram`] — behavioural multi-level-cell RRAM simulator: conductance
 //!   relaxation, differential mapping, voltage sensing (§2.2, §4.1).
-//! * [`oms`] — the open-modification-search pipeline with precursor
-//!   windows and FDR filtering (§3.4).
+//! * [`oms`] — the open-modification-search stages: precursor windows,
+//!   candidates, the scorer seam, PSMs and FDR filtering (§3.4).
 //! * [`baselines`] — from-scratch ANN-SoLo-style and HyperOMS-style
 //!   comparison searchers (§5.1.2).
 //! * [`core`] — the paper's contribution: the MLC-RRAM OMS accelerator
@@ -34,12 +34,19 @@
 //! ## Quickstart
 //!
 //! ```
+//! use hdoms::engine::Engine;
+//! use hdoms::index::{IndexConfig, IndexedBackendKind};
 //! use hdoms::ms::{SyntheticWorkload, WorkloadSpec};
-//! use hdoms::oms::{OmsPipeline, PipelineConfig};
+//! use hdoms::oms::PrecursorWindow;
+//! use std::sync::Arc;
 //!
 //! let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 42);
-//! let pipeline = OmsPipeline::new(PipelineConfig::fast_test());
-//! let outcome = pipeline.run_exact(&workload);
+//! let mut config = IndexConfig::default();
+//! if let IndexedBackendKind::Exact(exact) = &mut config.kind {
+//!     exact.encoder.dim = 2048;
+//! }
+//! let engine = Arc::new(Engine::from_library(&workload.library, config));
+//! let (outcome, _) = engine.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
 //! println!("accepted {} identifications", outcome.identifications());
 //! ```
 //!

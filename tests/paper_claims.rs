@@ -2,17 +2,51 @@
 //! with the section or figure it reproduces.
 
 use hdoms::core::perf::{paper, PerfReport, WorkloadShape};
+use hdoms::engine::{Engine, ReferenceMeta};
 use hdoms::hdc::multibit::IdPrecision;
 use hdoms::hdc::BinaryHypervector;
 use hdoms::ms::dataset::{SyntheticWorkload, WorkloadSpec};
-use hdoms::oms::pipeline::{OmsPipeline, PipelineConfig};
-use hdoms::oms::search::ExactBackend;
+use hdoms::oms::search::{ExactBackend, ExactBackendConfig};
+use hdoms::oms::window::PrecursorWindow;
 use hdoms::rram::chip::ChipSpec;
 use hdoms::rram::config::MlcConfig;
 use hdoms::rram::storage::HypervectorStore;
 use hdoms::rram::times;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
+
+/// The 2048-dim, 4-thread exact configuration the tiny-workload claims
+/// run at, under `precision`.
+fn exact_config(precision: IdPrecision) -> ExactBackendConfig {
+    let mut config = ExactBackendConfig {
+        threads: 4,
+        ..ExactBackendConfig::default()
+    };
+    config.encoder.dim = 2048;
+    config.encoder.id_precision = precision;
+    config
+}
+
+/// Identifications of `backend`, built with `config`, over `workload`:
+/// open window, 1 % FDR, the backend as the one shard of an engine.
+fn identifications(
+    workload: &SyntheticWorkload,
+    config: ExactBackendConfig,
+    backend: ExactBackend,
+) -> usize {
+    let engine = Arc::new(Engine::from_backend(
+        Box::new(backend),
+        config.preprocess,
+        ReferenceMeta::from_library(&workload.library),
+        config.threads,
+    ));
+    let window = PrecursorWindow::open_default();
+    engine
+        .search(&workload.queries, window, 0.01)
+        .0
+        .identifications()
+}
 
 /// §5.2.1 / abstract: "3x better storage capacity per area".
 #[test]
@@ -53,20 +87,14 @@ fn claim_storage_error_rates() {
 #[test]
 fn claim_ten_percent_error_tolerance() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 4);
-    let pipeline = OmsPipeline::new(PipelineConfig::fast_test());
-    let mut config = pipeline.config().exact;
-    config.preprocess = pipeline.config().preprocess;
+    let config = exact_config(IdPrecision::Bits3);
     let clean_backend = ExactBackend::build(&workload.library, config);
-    let clean = pipeline.run(&workload, &clean_backend);
-    let noisy = pipeline.run(
-        &workload,
-        &clean_backend.with_error_rates(0.10, 0.10, 0xabc),
-    );
+    let noisy_backend = clean_backend.with_error_rates(0.10, 0.10, 0xabc);
+    let clean = identifications(&workload, config, clean_backend);
+    let noisy = identifications(&workload, config, noisy_backend);
     assert!(
-        noisy.identifications() as f64 >= 0.8 * clean.identifications() as f64,
-        "10% BER ids {} vs clean {}",
-        noisy.identifications(),
-        clean.identifications()
+        noisy as f64 >= 0.8 * clean as f64,
+        "10% BER ids {noisy} vs clean {clean}"
     );
 }
 
@@ -78,17 +106,14 @@ fn claim_multibit_ids_beat_binary() {
     let mut bits1 = 0usize;
     for seed in 5..9u64 {
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), seed);
-        let pipeline = OmsPipeline::new(PipelineConfig::fast_test());
         for (precision, tally) in [
             (IdPrecision::Bits3, &mut bits3),
             (IdPrecision::Bits1, &mut bits1),
         ] {
-            let mut config = pipeline.config().exact;
-            config.preprocess = pipeline.config().preprocess;
-            config.encoder.id_precision = precision;
+            let config = exact_config(precision);
             let backend =
                 ExactBackend::build(&workload.library, config).with_error_rates(0.05, 0.05, seed);
-            *tally += pipeline.run(&workload, &backend).identifications();
+            *tally += identifications(&workload, config, backend);
         }
     }
     assert!(
