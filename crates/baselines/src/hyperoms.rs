@@ -6,21 +6,15 @@
 //! hypervectors and replaces the floating-point similarity with massively
 //! parallel integer Hamming operations. Its algorithmic content is the
 //! exact HD backend with *binary* (1-bit) ID hypervectors and
-//! conventional bit-granular level vectors — precisely how [`build`]
-//! configures [`ExactBackend`]. The GPU itself only changes throughput,
-//! which the performance model in `hdoms-core` accounts for separately.
+//! conventional bit-granular level vectors. So HyperOMS is a
+//! configuration and a name, not a type: `ExactBackend` over the library
+//! encoded with binary IDs ([`HyperOmsConfig::exact_config`]), reporting
+//! as `"hyperoms"` — built warm as the `HyperOms` index kind, cold as
+//! `ExactBackend::build(library, config.exact_config(threads))
+//! .named("hyperoms")`. The GPU itself only changes throughput, which the
+//! performance model in `hdoms-core` accounts for separately.
 
-use hdoms_ms::library::SpectralLibrary;
-use hdoms_oms::search::ExactBackend;
 pub use hdoms_oms::search::HyperOmsConfig;
-
-/// Build the HyperOMS-style backend: HyperOMS is a configuration and a
-/// name, not a type — [`ExactBackend`] over the library encoded with
-/// binary IDs ([`HyperOmsConfig::exact_config`]), reporting as
-/// `"hyperoms"` (the name an index-backed HyperOMS search reports too).
-pub fn build(library: &SpectralLibrary, config: HyperOmsConfig) -> ExactBackend {
-    ExactBackend::build(library, config.exact_config(config.threads)).named("hyperoms")
-}
 
 #[cfg(test)]
 mod tests {
@@ -28,23 +22,28 @@ mod tests {
     use hdoms_hdc::encoder::EncoderConfig;
     use hdoms_hdc::multibit::IdPrecision;
     use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
+    use hdoms_ms::library::SpectralLibrary;
     use hdoms_ms::preprocess::Preprocessor;
     use hdoms_oms::pipeline::ReferenceCatalog;
-    use hdoms_oms::search::{best_hits, candidate_lists, ExactBackendConfig, RunScorer};
+    use hdoms_oms::search::{
+        best_hits, candidate_lists, ExactBackend, ExactBackendConfig, RunScorer,
+    };
     use hdoms_oms::window::PrecursorWindow;
 
-    fn test_config() -> HyperOmsConfig {
-        HyperOmsConfig {
+    /// The HyperOMS backend as every caller builds it cold.
+    fn build(library: &SpectralLibrary) -> ExactBackend {
+        let config = HyperOmsConfig {
             dim: 2048,
             threads: 4,
             ..HyperOmsConfig::default()
-        }
+        };
+        ExactBackend::build(library, config.exact_config(config.threads)).named("hyperoms")
     }
 
     #[test]
     fn finds_true_references() {
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 123);
-        let backend = build(&workload.library, test_config());
+        let backend = build(&workload.library);
         let pre = Preprocessor::default();
         let (queries, _) = pre.run_batch(&workload.queries);
         let index = workload.library.candidate_index();
@@ -67,7 +66,7 @@ mod tests {
     #[test]
     fn uses_binary_ids() {
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 124);
-        let backend = build(&workload.library, test_config());
+        let backend = build(&workload.library);
         assert_eq!(backend.encoder().config().id_precision, IdPrecision::Bits1);
         assert_eq!(backend.report_name(), "hyperoms");
     }
@@ -77,7 +76,7 @@ mod tests {
         // The Venn-diagram premise: independently seeded tools agree on
         // most but not all identifications.
         let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 125);
-        let hyperoms = build(&workload.library, test_config());
+        let hyperoms = build(&workload.library);
         let exact = ExactBackend::build(
             &workload.library,
             ExactBackendConfig {

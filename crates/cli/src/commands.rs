@@ -436,6 +436,10 @@ fn index_append(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// What `hdoms compare` takes as a backend spec: a cold backend over
+/// `--library`, or `index` for the `--index` image.
+const COMPARE_SPECS: [&str; 5] = ["exact", "annsolo", "hyperoms", "rram", "index"];
+
 /// `hdoms compare`: run two backends over the same queries and report
 /// agreement — e.g. a cold `exact` build vs a warm `index` load.
 pub fn compare(args: &[String]) -> Result<(), String> {
@@ -454,6 +458,14 @@ pub fn compare(args: &[String]) -> Result<(), String> {
     let queries_path = flags.require("queries")?;
     let spec_a = flags.require("backend-a")?.to_owned();
     let spec_b = flags.require("backend-b")?.to_owned();
+    for spec in [&spec_a, &spec_b] {
+        if !COMPARE_SPECS.contains(&spec.as_str()) {
+            return Err(format!(
+                "unknown backend spec {spec:?} ({})",
+                COMPARE_SPECS.join("|")
+            ));
+        }
+    }
     let fdr: f64 = flags.get_or("fdr", 0.01)?;
     let dim: usize = flags.get_or("dim", 8192)?;
     let threads: usize = flags.get_or("threads", hdoms_hdc::parallel::default_threads())?;

@@ -3,8 +3,9 @@
 //! over **stdio**, open a session, submit two batches, finalize, and
 //! diff the returned PSM table against the local engine run. Also
 //! exercises the per-batch `query` verb (one batch must equal the local
-//! run too) so the compatibility path stays guarded, and what
-//! `index info` prints for the golden v3 image.
+//! run too) so the compatibility path stays guarded, what
+//! `index info` prints for the golden v3 image, and the flags and specs
+//! `search` and `compare` refuse.
 //! (CI's release test pass is the run that counts: the spawned binary
 //! is the optimised one.)
 
@@ -183,6 +184,28 @@ fn search_refuses_flags_it_would_ignore() {
             .expect("spawn hdoms search");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success() && stderr.contains(flag), "{stderr}");
+    }
+}
+
+/// `compare` names an unknown backend spec and lists the real ones,
+/// whether or not `--library` is given — before it reads any input.
+#[test]
+fn compare_refuses_an_unknown_spec() {
+    for library in [&[][..], &["--library", "lib.mgf"][..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hdoms"))
+            .args(["compare", "--queries", "q.mgf", "--index", "lib.hdx"])
+            .args(library)
+            .args(["--backend-a", "exact", "--backend-b", "index-sharded"])
+            .output()
+            .expect("spawn hdoms compare");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{stderr}");
+        assert!(
+            stderr.contains(
+                r#"unknown backend spec "index-sharded" (exact|annsolo|hyperoms|rram|index)"#
+            ),
+            "{stderr}"
+        );
     }
 }
 

@@ -18,11 +18,18 @@
 //! Programming and readout are the chip model's own: each ID component
 //! is written through its grid point's differential pair
 //! ([`CrossbarConfig::pair_levels`]) and each
-//! activated peak group is read out through [`CrossbarConfig::sense`], a
-//! MAC tile's dimensions at a time —
+//! activated row group is read out through [`CrossbarConfig::sense`], all
+//! its dimensions as one block —
 //! the same sensing cycles `CrossbarArray::mvm` (Fig. 9b) and the
 //! in-memory search run, so Fig. 9a measures the one Eq. 5 chain through
-//! this caller. [`InMemoryEncoder`] is the accelerator's
+//! this caller.
+//!
+//! The simulator uses the chunk sharing too: a row group's MAC resolves
+//! each peak's input once per chunk, then sums the group's rows into a
+//! strip of 16 dimensions held in registers, in peak order from 0.0. The
+//! strip only interleaves dimensions, so each dimension performs the
+//! naive per-dimension loop's additions in that loop's order, and its f64
+//! sum has the same bits. [`InMemoryEncoder`] is the accelerator's
 //! [`ReferenceEncoder`] (library side, with the bit-error rate the build
 //! statistics fold) and, through [`InMemoryEncoder::encode`], its query
 //! encoder.
@@ -84,10 +91,6 @@ enum Side {
     Query = 0,
     Library = 1,
 }
-
-/// Dimensions per tile of the row-streamed MAC: the tile's f64 partial
-/// sums stay in L1 while each peak row streams its slice into them.
-const MAC_TILE: usize = 256;
 
 impl InMemoryEncoder {
     /// Program the ID item memory into (simulated) RRAM.
@@ -247,20 +250,12 @@ impl InMemoryEncoder {
         &self.software
     }
 
-    /// Chunk boundaries implied by the level style: `Chunked` streams one
-    /// input per chunk, `Random` degrades to bit-serial (one dimension per
-    /// "chunk" — the §4.2.1 comparison case).
-    fn chunk_size(&self) -> usize {
-        match self.software.config().level_style {
-            LevelStyle::Chunked { num_chunks } => self.dim.div_ceil(num_chunks),
-            LevelStyle::Random => 1,
-        }
-    }
-
     /// Sensing cycles to encode a spectrum with `peaks` peaks:
     /// `chunks × ceil(peaks / pairs_per_cycle)`.
     pub fn cycles_for(&self, peaks: usize) -> usize {
-        let chunks = self.dim.div_ceil(self.chunk_size());
+        let chunks = self
+            .dim
+            .div_ceil(chunk_size(self.dim, self.software.config().level_style));
         chunks * peaks.div_ceil(self.crossbar.pairs_per_cycle())
     }
 
@@ -304,20 +299,23 @@ impl InMemoryEncoder {
     }
 
     /// The in-memory encode, drawing from the noise stream keyed
-    /// `(seed, side, spectrum id)`. Row group by row group (the stream's
-    /// order is (row group, dimension)), each peak row's ID slice streams
-    /// into per-dimension partial MACs a tile at a time, then the tile's
-    /// cycles are sensed as one block, in dimension order. Each dimension
-    /// still sums its rows in peak order, so on
-    /// a noise-free device the result is the dimension-by-dimension MAC's
-    /// to the bit.
+    /// `(seed, side, spectrum id)`. Row group by row group, [`group_mac`]
+    /// sums the group's peak rows for every dimension — chunk by chunk, a
+    /// strip of [`STRIP`] dimensions at a time in registers, each strip
+    /// adding the rows in peak order from 0.0 — then the group's cycles
+    /// are sensed as one block in dimension order (so the stream's order
+    /// is (row group, dimension)), and digital logic adds the readouts
+    /// across groups. A strip interleaves dimensions but never reorders a
+    /// dimension's own additions, so every f64 sum is the naive
+    /// dimension-by-dimension MAC's to the bit, and on a noise-free device
+    /// so is the result.
     fn encode_on(&self, spectrum: &BinnedSpectrum, side: Side) -> BinaryHypervector {
         let mut rng = StdRng::seed_from_u64(
             self.seed
                 .wrapping_mul(0xa076_1d64_78bd_642f)
                 .wrapping_add((side as u64) << 32 | u64::from(spectrum.id)),
         );
-        let chunk_size = self.chunk_size();
+        let chunk_size = chunk_size(self.dim, self.software.config().level_style);
         let lm = self.software.level_memory();
 
         // Peak rows: (programmed ID row, level hypervector).
@@ -336,38 +334,15 @@ impl InMemoryEncoder {
             })
             .collect();
 
-        // A tile holds whole chunks: a chunk's dimensions share each
-        // peak's input, its level value at the chunk's first dimension
-        // (bit-serial mode has chunk_size == 1).
-        let tile_len = chunk_size * (MAC_TILE / chunk_size).max(1);
         let mut acc = vec![0.0f64; self.dim];
-        let mut tile = vec![0.0f64; tile_len];
+        let mut mac = vec![0.0f64; self.dim];
         for group in peaks.chunks(self.crossbar.pairs_per_cycle()) {
-            let n = group.len() as f64;
-            for (tile_start, acc) in (0..).step_by(tile_len).zip(acc.chunks_mut(tile_len)) {
-                let tile_end = tile_start + acc.len();
-                let mac = &mut tile[..acc.len()];
-                mac.fill(0.0);
-                for &(row, level) in group {
-                    let mut start = tile_start;
-                    while start < tile_end {
-                        let end = (start + chunk_size).min(tile_end);
-                        let input = f64::from(level.component(start));
-                        let partial = &mut mac[start - tile_start..end - tile_start];
-                        for (m, &w) in partial.iter_mut().zip(&row[start..end]) {
-                            *m += input * f64::from(w);
-                        }
-                        start = end;
-                    }
-                }
-                // The tile's cycles, one per dimension, sensed as a block.
-                for m in mac.iter_mut() {
-                    *m /= n;
-                }
-                self.crossbar.sense(mac, n, self.cycle_sigma, &mut rng);
-                for (a, &m) in acc.iter_mut().zip(mac.iter()) {
-                    *a += m;
-                }
+            group_mac(group, chunk_size, &mut mac);
+            // The group's cycles, one per dimension, sensed as a block.
+            self.crossbar
+                .sense(&mut mac, group.len() as f64, self.cycle_sigma, &mut rng);
+            for (a, &m) in acc.iter_mut().zip(&mac) {
+                *a += m;
             }
         }
 
@@ -377,6 +352,69 @@ impl InMemoryEncoder {
         // comparator treats |acc| < ½ as the zero tie rather than trusting
         // the sign of a sub-LSB analog residue.
         sign_pack(&acc, 0.5, self.software.tie_break())
+    }
+}
+
+/// Chunk boundaries implied by the level style: `Chunked` streams one
+/// input per chunk, `Random` degrades to bit-serial (one dimension per
+/// "chunk" — the §4.2.1 comparison case).
+fn chunk_size(dim: usize, style: LevelStyle) -> usize {
+    match style {
+        LevelStyle::Chunked { num_chunks } => dim.div_ceil(num_chunks),
+        LevelStyle::Random => 1,
+    }
+}
+
+/// Dimensions per register-blocked strip of [`group_mac`]: the strip's
+/// f64 partial sums stay in registers while the group's rows stream
+/// past (8 SSE2 registers in the portable build, where strips of 8 and
+/// 16 measured alike and 32 slower).
+const STRIP: usize = 16;
+
+/// One row group's MAC over every dimension, normalised by the group's
+/// size `n`: `out[d] = (Σ_p input_p(d) · w_p[d]) / n`, where peak `p`'s
+/// input is its level value at the first dimension of `d`'s chunk
+/// (bit-serial mode has one dimension per chunk).
+///
+/// Chunk by chunk, each peak's input is resolved once; then each strip of
+/// [`STRIP`] dimensions sums the group's rows in registers, starting from
+/// 0.0 and adding the rows in peak order, and is divided by `n` on its
+/// way out. A chunk's last `< STRIP` dimensions (all of a chunk narrower
+/// than a strip) take a per-dimension loop with the same order. Every
+/// dimension therefore performs exactly the additions of the naive
+/// per-dimension loop, in its order — the strip only interleaves
+/// independent dimensions — so the sums are that loop's to the bit.
+fn group_mac(group: &[(&[f32], &BinaryHypervector)], chunk_size: usize, out: &mut [f64]) {
+    let n = group.len() as f64;
+    let mut inputs = Vec::with_capacity(group.len());
+    for (start, out) in (0..).step_by(chunk_size).zip(out.chunks_mut(chunk_size)) {
+        inputs.clear();
+        inputs.extend(
+            group
+                .iter()
+                .map(|(_, level)| f64::from(level.component(start))),
+        );
+        let tail_start = start + out.len() / STRIP * STRIP;
+        let mut strips = out.chunks_exact_mut(STRIP);
+        for (d, strip) in (start..).step_by(STRIP).zip(strips.by_ref()) {
+            let mut sum = [0.0f64; STRIP];
+            for (&(row, _), &input) in group.iter().zip(&inputs) {
+                let w: &[f32; STRIP] = row[d..d + STRIP].try_into().expect("a whole strip");
+                for (s, &w) in sum.iter_mut().zip(w) {
+                    *s += input * f64::from(w);
+                }
+            }
+            for (o, s) in strip.iter_mut().zip(sum) {
+                *o = s / n;
+            }
+        }
+        for (d, o) in (tail_start..).zip(strips.into_remainder()) {
+            let mut sum = 0.0f64;
+            for (&(row, _), &input) in group.iter().zip(&inputs) {
+                sum += input * f64::from(row[d]);
+            }
+            *o = sum / n;
+        }
     }
 }
 
@@ -559,6 +597,83 @@ mod tests {
     #[should_panic(expected = "must match the cell precision")]
     fn precision_mismatch_rejected() {
         let _ = InMemoryEncoder::new(small_encoder(3), crossbar(1), 7, 2);
+    }
+
+    /// `group_mac` against the naive per-dimension MAC, compared with
+    /// `f64::to_bits`: from 0.0, in peak order, each peak's input its
+    /// level value at the first dimension of the chunk. The dimensions
+    /// straddle the strip width; the chunk counts give chunks narrower
+    /// than, equal to, multiples of and not multiples of a strip, short
+    /// last chunks (1 000 dims in 64 chunks: 62 × 16 + 8) and bit-serial
+    /// `Random` levels; the groups hold 1/31/32/33 peaks, and a 79-peak
+    /// spectrum's row groups at 2 and 64 activated rows. The weights'
+    /// magnitudes span 60 octaves, so their f64 sums round and any
+    /// reordering shows (f32 weights within a few octaves of each other
+    /// would sum exactly in any order); ±0.0 weights tell a sum started
+    /// from 0.0 from one started at the first row.
+    #[test]
+    fn group_mac_is_the_naive_mac_bit_for_bit() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x0057_121b);
+        for dim in [1, 15, 16, 17, 100, 1_000, 8_192] {
+            let rows: Vec<Vec<f32>> = (0..40)
+                .map(|_| {
+                    (0..dim)
+                        .map(|_| match rng.gen_range(0..16u32) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.gen_range(-1.0f32..1.0) * 2f32.powi(rng.gen_range(-60..1)),
+                        })
+                        .collect()
+                })
+                .collect();
+            let levels: Vec<BinaryHypervector> = (0..8)
+                .map(|_| BinaryHypervector::random(&mut rng, dim))
+                .collect();
+            let peaks: Vec<(&[f32], &BinaryHypervector)> = (0..79)
+                .map(|_| {
+                    let row = &rows[rng.gen_range(0..rows.len())];
+                    (row.as_slice(), &levels[rng.gen_range(0..levels.len())])
+                })
+                .collect();
+            let mut groups: Vec<&[(&[f32], &BinaryHypervector)]> =
+                [1, 31, 32, 33].iter().map(|&k| &peaks[..k]).collect();
+            for activated_rows in [2, 64] {
+                let pairs = CrossbarConfig {
+                    activated_rows,
+                    ..CrossbarConfig::default()
+                }
+                .pairs_per_cycle();
+                groups.extend(peaks.chunks(pairs));
+            }
+            let styles = [1, 3, 7, 64, 512, dim]
+                .into_iter()
+                .filter(|&num_chunks| num_chunks <= dim)
+                .map(|num_chunks| LevelStyle::Chunked { num_chunks })
+                .chain([LevelStyle::Random]);
+            for style in styles {
+                let chunk = chunk_size(dim, style);
+                for group in &groups {
+                    let mut out = vec![f64::NAN; dim];
+                    group_mac(group, chunk, &mut out);
+                    for (d, got) in out.iter().enumerate() {
+                        let first = d / chunk * chunk;
+                        let mut sum = 0.0f64;
+                        for (row, level) in group.iter() {
+                            sum += f64::from(level.component(first)) * f64::from(row[d]);
+                        }
+                        let want = sum / group.len() as f64;
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "dim {dim}, {style:?}, {} peaks: dimension {d} sums to {got:e}, \
+                             not {want:e}",
+                            group.len()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! append-vs-cold-rebuild equivalence, and the per-query search account
 //! (a batch's or a request group's accounting is a sum over records).
 
-use hdoms_baselines::hyperoms::{self, HyperOmsConfig};
+use hdoms_baselines::hyperoms::HyperOmsConfig;
 use hdoms_core::accelerator::{AcceleratorConfig, OmsAccelerator};
 use hdoms_engine::Engine;
 use hdoms_index::{
@@ -317,7 +317,8 @@ fn warm_load_searches_like_cold_build_rram() {
 fn warm_load_searches_like_cold_build_hyperoms() {
     // The HyperOMS → exact configuration mapping lives once
     // (`HyperOmsConfig::exact_config`): a warm index reconstruction and
-    // a cold `hyperoms::build` must agree hit for hit.
+    // a cold `ExactBackend` under it, named "hyperoms", must agree hit
+    // for hit.
     let workload = tiny_workload(23);
 
     let config = HyperOmsConfig {
@@ -325,7 +326,8 @@ fn warm_load_searches_like_cold_build_hyperoms() {
         threads: THREADS,
         ..HyperOmsConfig::default()
     };
-    let cold_backend = hyperoms::build(&workload.library, config);
+    let cold_backend = ExactBackend::build(&workload.library, config.exact_config(config.threads))
+        .named("hyperoms");
     let cold = flat_psms(
         &cold_backend,
         &workload.library,
