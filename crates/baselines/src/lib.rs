@@ -8,9 +8,10 @@
 //!   that credits fragments displaced by the precursor mass delta.
 //!   Reimplemented in [`annsolo`].
 //! * **HyperOMS** (Kang et al., PACT 2022) — GPU open search with binary
-//!   hyperdimensional encoding and Hamming scoring. Reimplemented in
-//!   [`hyperoms`] on top of the exact HD backend (binary IDs, bit-serial
-//!   level vectors — the configuration HyperOMS uses).
+//!   hyperdimensional encoding and Hamming scoring. It needs no code of
+//!   its own here: it is the exact HD backend under binary IDs and
+//!   bit-serial level vectors, configured by
+//!   [`hdoms_oms::search::HyperOmsConfig`].
 //!
 //! Each is a [`hdoms_oms::search::RunScorer`] — ANN-SoLo has nothing to
 //! encode (`Query = ()`) and scores one candidate run; HyperOMS is not a
@@ -24,7 +25,5 @@
 #![deny(unsafe_code)]
 
 pub mod annsolo;
-pub mod hyperoms;
 
 pub use annsolo::{AnnSoloBackend, AnnSoloConfig};
-pub use hyperoms::HyperOmsConfig;

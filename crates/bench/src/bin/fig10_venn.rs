@@ -10,12 +10,12 @@
 //! (add `--scale 0.02` for a bigger workload)
 
 use hdoms_baselines::annsolo::{AnnSoloBackend, AnnSoloConfig};
-use hdoms_baselines::hyperoms::HyperOmsConfig;
 use hdoms_bench::{fmt, print_table, FigureOptions};
 use hdoms_core::accelerator::AcceleratorConfig;
 use hdoms_engine::{Engine, ReferenceMeta};
 use hdoms_index::{IndexConfig, IndexedBackendKind};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
+use hdoms_oms::search::HyperOmsConfig;
 use hdoms_oms::window::PrecursorWindow;
 use std::collections::BTreeSet;
 use std::sync::Arc;

@@ -67,7 +67,7 @@ use hdoms_oms::search::ExactBackendConfig;
 use hdoms_oms::window::PrecursorWindow;
 use hdoms_serve::protocol::{QueryRequest, QuerySpectrum, WindowKind};
 use hdoms_serve::scheduler::{SchedulerConfig, Tier};
-use hdoms_serve::server::Server;
+use hdoms_serve::server::{Server, LOCAL_CLIENT};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -134,7 +134,7 @@ fn run_contention(server: &Server, spectra: &[QuerySpectrum], clients: usize) ->
                             prefilter: None,
                             spectra: batch.to_vec(),
                         };
-                        match server.query_batch_as(client, &request) {
+                        match server.query_batch(client, &request) {
                             Ok(result) => {
                                 waits.push(result.stats.wait_ms);
                                 served += result.stats.queries;
@@ -259,7 +259,7 @@ fn run_tiered_storm(server: &Server, spectra: &[QuerySpectrum], probe_tier: Tier
                     for _ in 0..STORM_ROUNDS {
                         let request = request_as(Tier::Batch, storm_batch.clone());
                         served += server
-                            .query_batch_as(client, &request)
+                            .query_batch(client, &request)
                             .expect("storm batch")
                             .stats
                             .queries;
@@ -275,9 +275,7 @@ fn run_tiered_storm(server: &Server, spectra: &[QuerySpectrum], probe_tier: Tier
             while !done.load(Ordering::Acquire) {
                 let request = request_as(probe_tier, spectra[..1].to_vec());
                 let sent = Instant::now();
-                server
-                    .query_batch_as(client, &request)
-                    .expect("storm probe");
+                server.query_batch(client, &request).expect("storm probe");
                 latencies.push(sent.elapsed().as_secs_f64() * 1e3);
             }
             latencies
@@ -331,7 +329,9 @@ fn main() {
     };
 
     // One warm-up pass, then timed passes per batching regime.
-    let _ = server.query_batch(&request_for(&spectra)).expect("warm-up");
+    let _ = server
+        .query_batch(LOCAL_CLIENT, &request_for(&spectra))
+        .expect("warm-up");
     let timed = |batch_size: usize| {
         let batches: Vec<&[QuerySpectrum]> = if batch_size == 0 {
             vec![&spectra[..]]
@@ -344,7 +344,9 @@ fn main() {
         let mut candidates = 0usize;
         let mut rows = Vec::new();
         for batch in &batches {
-            let result = server.query_batch(&request_for(batch)).expect("batch");
+            let result = server
+                .query_batch(LOCAL_CLIENT, &request_for(batch))
+                .expect("batch");
             latency_ms += result.stats.latency_ms;
             shards += result.stats.shards_touched;
             candidates += result.stats.candidates_scored;
@@ -367,11 +369,11 @@ fn main() {
     // finalized once over everything (the cross-batch FDR mode).
     let session_start = Instant::now();
     let session = server
-        .open_session("bench", WindowKind::Open.window())
+        .open_session("bench", WindowKind::Open.window(), Tier::Batch, None)
         .expect("session opens");
     for batch in spectra.chunks(16) {
         server
-            .submit_session(session, batch)
+            .submit_session(LOCAL_CLIENT, session, batch)
             .expect("session batch");
     }
     let session_result = server
@@ -466,14 +468,14 @@ fn main() {
     };
     for _ in 0..COALESCE_ROUNDS {
         let scheduler = coalesce_server.scheduler();
-        let held = scheduler.admit_as(0, Tier::Batch).expect("idle server");
+        let held = scheduler.admit(0, Tier::Batch).expect("idle server");
         std::thread::scope(|scope| {
             for _ in 0..COALESCE_CLIENTS {
                 let (coalesce_server, request) = (&coalesce_server, &request);
                 scope.spawn(move || {
                     let client = coalesce_server.next_client_id();
                     coalesce_server
-                        .query_batch_as(client, request)
+                        .query_batch(client, request)
                         .expect("coalesced volley");
                 });
             }
@@ -506,12 +508,12 @@ fn main() {
         .expect("mapped index");
     std::fs::remove_file(&evict_path).ok();
     let evict_baseline = evict_server
-        .query_batch(&request_for(&spectra))
+        .query_batch(LOCAL_CLIENT, &request_for(&spectra))
         .expect("pre-eviction batch");
     let resident_full = evict_server.stats().resident_bytes;
     evict_server.set_memory_budget(resident_full / 2);
     let evict_after = evict_server
-        .query_batch(&request_for(&spectra))
+        .query_batch(LOCAL_CLIENT, &request_for(&spectra))
         .expect("post-eviction batch");
     assert_eq!(
         evict_baseline.rows, evict_after.rows,

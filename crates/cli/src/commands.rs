@@ -3,7 +3,6 @@
 use crate::library_io::{read_library, write_library};
 use crate::opts::Flags;
 use hdoms_baselines::annsolo::{AnnSoloBackend, AnnSoloConfig};
-use hdoms_baselines::hyperoms::HyperOmsConfig;
 use hdoms_core::accelerator::AcceleratorConfig;
 use hdoms_engine::{Engine, ReferenceMeta};
 use hdoms_index::{
@@ -17,7 +16,7 @@ use hdoms_obs::log::{Level, Logger};
 use hdoms_oms::pipeline::PipelineOutcome;
 use hdoms_oms::profile::{common_catalogue, DeltaMassProfile};
 use hdoms_oms::psm::{parse_table, render_table, Psm};
-use hdoms_oms::search::ExactBackendConfig;
+use hdoms_oms::search::{ExactBackendConfig, HyperOmsConfig};
 use hdoms_prefilter::PrefilterConfig;
 use hdoms_rram::chip::ChipSpec;
 use hdoms_rram::config::MlcConfig;

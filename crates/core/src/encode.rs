@@ -43,7 +43,15 @@ use hdoms_oms::search::ReferenceEncoder;
 use hdoms_rram::array::CrossbarConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 use std::sync::Arc;
+
+thread_local! {
+    /// The row group's MAC buffer of [`InMemoryEncoder::encode_on`]: one
+    /// per thread, reused by every in-memory encode the thread runs
+    /// instead of allocated beside the accumulator each time.
+    static GROUP_MAC: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Error statistics for one in-memory encoding, measured against the
 /// noise-free software encoding of the same spectrum.
@@ -335,16 +343,20 @@ impl InMemoryEncoder {
             .collect();
 
         let mut acc = vec![0.0f64; self.dim];
-        let mut mac = vec![0.0f64; self.dim];
-        for group in peaks.chunks(self.crossbar.pairs_per_cycle()) {
-            group_mac(group, chunk_size, &mut mac);
-            // The group's cycles, one per dimension, sensed as a block.
-            self.crossbar
-                .sense(&mut mac, group.len() as f64, self.cycle_sigma, &mut rng);
-            for (a, &m) in acc.iter_mut().zip(&mac) {
-                *a += m;
+        GROUP_MAC.with_borrow_mut(|mac| {
+            // `group_mac` writes every dimension, so the buffer needs no
+            // clearing between encodes.
+            mac.resize(self.dim, 0.0);
+            for group in peaks.chunks(self.crossbar.pairs_per_cycle()) {
+                group_mac(group, chunk_size, mac);
+                // The group's cycles, one per dimension, sensed as a block.
+                self.crossbar
+                    .sense(mac, group.len() as f64, self.cycle_sigma, &mut rng);
+                for (a, &m) in acc.iter_mut().zip(mac.iter()) {
+                    *a += m;
+                }
             }
-        }
+        });
 
         // Sign quantisation with the software tie-break (§4.2.3). The
         // accumulation across row groups happens in digital logic after

@@ -55,9 +55,9 @@
 //! // Stream the queries in two batches, filter FDR once at the end.
 //! let mut session = Session::new(Arc::clone(&engine), PrecursorWindow::open_default());
 //! let half = workload.queries.len() / 2;
-//! session.submit(&workload.queries[..half]);
-//! session.submit(&workload.queries[half..]);
-//! let outcome = session.finalize(0.01);
+//! session.submit(&workload.queries[..half], engine.threads());
+//! session.submit(&workload.queries[half..], engine.threads());
+//! let (outcome, _receipt) = session.finalize(0.01);
 //! assert_eq!(outcome.total_queries, workload.queries.len());
 //! assert!(outcome.identifications() > 0);
 //! ```
@@ -354,15 +354,6 @@ impl Engine {
         self.series = EngineSeries::register(registry);
     }
 
-    /// Open a query session (shorthand for [`Session::new`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid window.
-    pub fn session(self: &Arc<Self>, window: PrecursorWindow) -> Session {
-        Session::new(Arc::clone(self), window)
-    }
-
     /// One-shot search with **per-batch** FDR — what keeps the serve
     /// protocol's `query` verb byte-identical to a local
     /// `search --index`. Equivalent to one [`Session::submit`] followed
@@ -456,9 +447,9 @@ impl Engine {
             .map(|group| {
                 // A session of one batch: its totals are that batch's
                 // receipt plus the finalize stage.
-                let mut session = self.session(window);
+                let mut session = Session::new(Arc::clone(self), window);
                 let mut receipt = session.absorb(group);
-                let (outcome, totals) = session.finalize_traced(alpha);
+                let (outcome, totals) = session.finalize(alpha);
                 receipt.stages = totals.stages;
                 receipt.latency_ms = totals.latency_ms;
                 (outcome, receipt)
@@ -599,8 +590,7 @@ struct ScoredGroup {
 
 /// What one [`Session::submit`] did: per-batch counts plus the session's
 /// running totals, with the batch's span decomposition.
-/// [`Session::finalize_traced`] reports the whole session in the same
-/// shape.
+/// [`Session::finalize`] reports the whole session in the same shape.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchReceipt {
     /// 1-based ordinal of this batch within the session.
@@ -657,7 +647,7 @@ pub struct Session {
     psms: Vec<Psm>,
     binned_queries: usize,
     /// Every submitted batch's receipt summed into one (see
-    /// [`Session::finalize_traced`]).
+    /// [`Session::finalize`]).
     totals: BatchReceipt,
 }
 
@@ -719,20 +709,14 @@ impl Session {
         self.totals.queries
     }
 
-    /// Encode, search, and accumulate one batch of query spectra at the
-    /// engine's configured parallelism. No FDR filtering happens here —
-    /// raw PSMs collect until [`Session::finalize`].
-    pub fn submit(&mut self, spectra: &[Spectrum]) -> BatchReceipt {
-        self.submit_with_workers(spectra, self.engine.threads)
-    }
-
-    /// [`Session::submit`] under an explicit worker budget: this batch
-    /// uses at most `workers` threads (`1` runs it entirely on the
-    /// calling thread), whatever parallelism the engine was constructed
-    /// with. The serve layer's scheduler calls this with each admitted
-    /// batch's granted budget; accumulated PSMs — and therefore the
-    /// finalized table — are byte-identical across budgets.
-    pub fn submit_with_workers(&mut self, spectra: &[Spectrum], workers: usize) -> BatchReceipt {
+    /// Encode, search, and accumulate one batch of query spectra over at
+    /// most `workers` threads (`1` runs it entirely on the calling
+    /// thread), whatever parallelism the engine was constructed with. No
+    /// FDR filtering happens here — raw PSMs collect until
+    /// [`Session::finalize`]. The serve layer's scheduler passes each
+    /// admitted batch's granted budget; accumulated PSMs — and therefore
+    /// the finalized table — are byte-identical across budgets.
+    pub fn submit(&mut self, spectra: &[Spectrum], workers: usize) -> BatchReceipt {
         let mut scored =
             self.engine
                 .score_groups(&[spectra], &self.window, workers, self.prefilter);
@@ -768,25 +752,17 @@ impl Session {
     /// order — identical to what one submit of the concatenated spectra
     /// would have produced.
     ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < alpha < 1`.
-    pub fn finalize(self, alpha: f64) -> PipelineOutcome {
-        self.finalize_traced(alpha).0
-    }
-
-    /// [`Session::finalize`], additionally reporting the session as one
-    /// receipt: `batch` counts the batches submitted, every count and
-    /// stage figure sums across them, `stages.finalize_ms` is this FDR
-    /// pass (the `finalize` span the serve layer surfaces in its stats
-    /// and the `hdoms_stage_finalize_ms` histogram records), and
-    /// `shard_timings` stays empty — per-shard clocks are reported batch
-    /// by batch.
+    /// The receipt reports the session as one batch: `batch` counts the
+    /// batches submitted, every count and stage figure sums across them,
+    /// `stages.finalize_ms` is this FDR pass (the `finalize` span the
+    /// serve layer surfaces in its stats and the
+    /// `hdoms_stage_finalize_ms` histogram records), and `shard_timings`
+    /// stays empty — per-shard clocks are reported batch by batch.
     ///
     /// # Panics
     ///
     /// Panics unless `0 < alpha < 1`.
-    pub fn finalize_traced(self, alpha: f64) -> (PipelineOutcome, BatchReceipt) {
+    pub fn finalize(self, alpha: f64) -> (PipelineOutcome, BatchReceipt) {
         assert!(alpha > 0.0 && alpha < 1.0, "FDR level must be in (0, 1)");
         let (
             FdrOutcome {
@@ -855,10 +831,10 @@ mod tests {
     #[test]
     fn receipts_account_for_every_batch() {
         let (workload, engine) = tiny_engine(22);
-        let mut session = engine.session(PrecursorWindow::open_default());
+        let mut session = Session::new(Arc::clone(&engine), PrecursorWindow::open_default());
         let half = workload.queries.len() / 2;
-        let first = session.submit(&workload.queries[..half]);
-        let second = session.submit(&workload.queries[half..]);
+        let first = session.submit(&workload.queries[..half], engine.threads());
+        let second = session.submit(&workload.queries[half..], engine.threads());
         assert_eq!(first.batch, 1);
         assert_eq!(second.batch, 2);
         assert_eq!(first.queries + second.queries, workload.queries.len());
@@ -866,7 +842,7 @@ mod tests {
         assert!(first.candidates_scored > 0);
         assert!(first.shards_touched > 0);
         assert_eq!(session.batches(), 2);
-        let outcome = session.finalize(0.01);
+        let (outcome, _) = session.finalize(0.01);
         assert_eq!(outcome.total_queries, workload.queries.len());
         assert_eq!(outcome.psms.len(), first.psms + second.psms);
     }
@@ -874,8 +850,8 @@ mod tests {
     #[test]
     fn empty_session_finalizes_cleanly() {
         let (_, engine) = tiny_engine(23);
-        let session = engine.session(PrecursorWindow::open_default());
-        let outcome = session.finalize(0.01);
+        let session = Session::new(engine, PrecursorWindow::open_default());
+        let (outcome, _) = session.finalize(0.01);
         assert_eq!(outcome.total_queries, 0);
         assert_eq!(outcome.identifications(), 0);
         assert_eq!(outcome.threshold_score, f64::INFINITY);
@@ -885,7 +861,7 @@ mod tests {
     #[should_panic(expected = "FDR level")]
     fn finalize_rejects_bad_alpha() {
         let (_, engine) = tiny_engine(24);
-        let session = engine.session(PrecursorWindow::open_default());
+        let session = Session::new(engine, PrecursorWindow::open_default());
         let _ = session.finalize(1.0);
     }
 

@@ -148,9 +148,9 @@ fn streamed_batches_finalize_byte_identical_to_one_run() {
         let mut session = Session::new(Arc::clone(&engine), PrecursorWindow::open_default());
         let chunk = workload.queries.len().div_ceil(batch_count);
         for batch in workload.queries.chunks(chunk) {
-            session.submit(batch);
+            session.submit(batch, engine.threads());
         }
-        let streamed = session.finalize(0.01);
+        let (streamed, _) = session.finalize(0.01);
 
         // Full structural equality (PSMs, accepted set, thresholds,
         // totals) — and the rendered tables are byte-identical.
@@ -279,9 +279,9 @@ fn mapped_engine_matches_open_and_cold_byte_for_byte() {
     let mut session = Session::new(Arc::clone(&mapped), window);
     let chunk = workload.queries.len().div_ceil(3);
     for batch in workload.queries.chunks(chunk) {
-        session.submit(batch);
+        session.submit(batch, mapped.threads());
     }
-    assert_eq!(session.finalize(0.01), cold_outcome);
+    assert_eq!(session.finalize(0.01).0, cold_outcome);
 }
 
 #[test]
@@ -409,9 +409,9 @@ fn kernel_variants_render_byte_identical_psm_tables() {
         let mut session = Session::new(Arc::clone(&mapped), window);
         let chunk = workload.queries.len().div_ceil(4);
         for batch in workload.queries.chunks(chunk) {
-            session.submit(batch);
+            session.submit(batch, mapped.threads());
         }
-        tables.push(render_table(mapped.peptides(), &session.finalize(0.01)));
+        tables.push(render_table(mapped.peptides(), &session.finalize(0.01).0));
         tables
     };
 

@@ -10,7 +10,7 @@
 //! debug). `crates/serve/tests/metrics_storm.rs` reconciles the
 //! prefilter series against receipts and `server.stats`.
 
-use hdoms_engine::{BatchReceipt, Engine, ReferenceMeta};
+use hdoms_engine::{BatchReceipt, Engine, ReferenceMeta, Session};
 use hdoms_index::{IndexConfig, IndexedBackendKind};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_oms::pipeline::PipelineOutcome;
@@ -182,10 +182,10 @@ fn a_session_prefilter_matches_the_per_call_option() {
         (PrefilterConfig::TopK(k), &topk_outcome),
         (PrefilterConfig::Off, &off_outcome),
     ] {
-        let mut session = engine.session(window);
+        let mut session = Session::new(Arc::clone(&engine), window);
         session.set_prefilter(config).expect("accepted");
-        session.submit(&workload.queries);
-        assert_eq!(&session.finalize(0.01), expected, "session at {config:?}");
+        session.submit(&workload.queries, engine.threads());
+        assert_eq!(&session.finalize(0.01).0, expected, "session at {config:?}");
     }
 }
 
@@ -207,7 +207,7 @@ fn topk_is_rejected_off_the_sharded_index_path() {
     ));
     assert!(custom.ready_prefilter(PrefilterConfig::TopK(16)).is_err());
     assert!(custom.ready_prefilter(PrefilterConfig::Off).is_ok());
-    let mut session = custom.session(PrecursorWindow::open_default());
+    let mut session = Session::new(Arc::clone(&custom), PrecursorWindow::open_default());
     assert!(session.set_prefilter(PrefilterConfig::TopK(16)).is_err());
     assert!(session.set_prefilter(PrefilterConfig::Off).is_ok());
 
@@ -242,7 +242,7 @@ fn a_zero_k_is_an_error_at_every_door() {
         Some(zero),
     );
     assert_eq!(searched.err(), Some(text.clone()));
-    let mut session = engine.session(PrecursorWindow::open_default());
+    let mut session = Session::new(Arc::clone(&engine), PrecursorWindow::open_default());
     assert_eq!(session.set_prefilter(zero), Err(text));
     assert_eq!(session.prefilter(), PrefilterConfig::Off);
     assert!(engine.ready_prefilter(PrefilterConfig::TopK(1)).is_ok());

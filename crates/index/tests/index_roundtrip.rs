@@ -3,7 +3,6 @@
 //! append-vs-cold-rebuild equivalence, and the per-query search account
 //! (a batch's or a request group's accounting is a sum over records).
 
-use hdoms_baselines::hyperoms::HyperOmsConfig;
 use hdoms_core::accelerator::{AcceleratorConfig, OmsAccelerator};
 use hdoms_engine::Engine;
 use hdoms_index::{
@@ -16,7 +15,9 @@ use hdoms_ms::spectrum::Spectrum;
 use hdoms_oms::fdr::filter_fdr;
 use hdoms_oms::pipeline::{assemble_psms, PipelineOutcome, ReferenceCatalog};
 use hdoms_oms::psm::Psm;
-use hdoms_oms::search::{best_hits, candidate_lists, ExactBackend, ExactBackendConfig, RunScorer};
+use hdoms_oms::search::{
+    best_hits, candidate_lists, ExactBackend, ExactBackendConfig, HyperOmsConfig, RunScorer,
+};
 use hdoms_oms::window::PrecursorWindow;
 use proptest::prelude::*;
 use std::ops::Range;

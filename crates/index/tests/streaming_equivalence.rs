@@ -18,7 +18,6 @@
 //! is the other half of the streaming-build gate: the same byte-compare
 //! and bounded-heap assertion at 2×10⁴ and 10⁵ references.
 
-use hdoms_baselines::hyperoms::HyperOmsConfig;
 use hdoms_core::accelerator::AcceleratorConfig;
 use hdoms_engine::Engine;
 use hdoms_index::streaming::{StreamingConfig, StreamingIndexBuilder};
@@ -26,7 +25,7 @@ use hdoms_index::{IndexBuilder, IndexConfig, IndexError, IndexedBackendKind, Lib
 use hdoms_ms::dataset::{ScaledLibrary, ScaledLibrarySpec, SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_obs::alloc::CountingAllocator;
-use hdoms_oms::search::ExactBackendConfig;
+use hdoms_oms::search::{ExactBackendConfig, HyperOmsConfig};
 use hdoms_oms::window::PrecursorWindow;
 use proptest::prelude::*;
 use std::fs;

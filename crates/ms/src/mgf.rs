@@ -144,7 +144,11 @@ pub fn read_mgf<R: BufRead>(reader: R) -> Result<Vec<MgfSpectrum>, ParseMgfError
                 "TITLE" => title = Some(value.trim().to_owned()),
                 "PEPMASS" => {
                     let first = value.split_whitespace().next().unwrap_or("");
-                    pepmass = Some(first.parse().map_err(|_| ParseMgfError::Malformed {
+                    let mz = first
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|mz| mz.is_finite() && *mz > 0.0);
+                    pepmass = Some(mz.ok_or_else(|| ParseMgfError::Malformed {
                         line: line_no,
                         content: line.clone(),
                         context: "PEPMASS header",
@@ -295,6 +299,21 @@ mod tests {
                 assert_eq!(context, "peak line");
             }
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pepmass_must_be_finite_and_positive() {
+        for pepmass in ["inf", "NaN", "-5", "0"] {
+            let mgf = format!("BEGIN IONS\nPEPMASS={pepmass}\n100.0 1.0\nEND IONS\n");
+            match read_mgf(mgf.as_bytes()) {
+                Err(ParseMgfError::Malformed {
+                    line: 2,
+                    context: "PEPMASS header",
+                    ..
+                }) => {}
+                other => panic!("PEPMASS={pepmass}: {other:?}"),
+            }
         }
     }
 

@@ -510,8 +510,11 @@ impl Default for ExactBackendConfig {
 /// The HyperOMS-style configuration of the exact backend (HyperOMS, Kang
 /// et al., PACT 2022, is [`ExactBackend`] under binary IDs and
 /// bit-granular level vectors). It lives next to [`ExactBackendConfig`]
-/// because a persistent index stores it as a backend kind;
-/// `hdoms_baselines::hyperoms` re-exports it beside the cold constructor.
+/// because a persistent index stores it as a backend kind. Its GPU only
+/// changes throughput, which the performance model in `hdoms-core`
+/// accounts for separately: built warm it is the `HyperOms` index kind,
+/// built cold `ExactBackend::build(library, config.exact_config(threads))
+/// .named("hyperoms")`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HyperOmsConfig {
     /// Preprocessing applied to references and queries alike.
@@ -533,8 +536,8 @@ pub struct HyperOmsConfig {
 impl HyperOmsConfig {
     /// The [`ExactBackend`] configuration HyperOMS is: binary (1-bit) ID
     /// hypervectors, conventional bit-granular level vectors, no
-    /// injected errors. The one mapping both `hdoms_baselines::hyperoms`'s
-    /// cold build and `hdoms-index` go through, run on `threads` workers.
+    /// injected errors. The one mapping both the cold build and
+    /// `hdoms-index` go through, run on `threads` workers.
     pub fn exact_config(&self, threads: usize) -> ExactBackendConfig {
         ExactBackendConfig {
             preprocess: self.preprocess,
@@ -1056,5 +1059,89 @@ mod tests {
     fn search_batch_checks_lengths() {
         let (_, backend, queries, _) = setup();
         let _ = best_hits(&backend, &queries, &[], 2);
+    }
+
+    /// The HyperOMS backend as every caller builds it cold.
+    fn build_hyperoms(library: &SpectralLibrary) -> ExactBackend {
+        let config = HyperOmsConfig {
+            dim: 2048,
+            threads: 4,
+            ..HyperOmsConfig::default()
+        };
+        ExactBackend::build(library, config.exact_config(config.threads)).named("hyperoms")
+    }
+
+    #[test]
+    fn finds_true_references() {
+        let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 123);
+        let backend = build_hyperoms(&workload.library);
+        let pre = Preprocessor::default();
+        let (queries, _) = pre.run_batch(&workload.queries);
+        let index = workload.library.candidate_index();
+        let cands = candidate_lists(&index, &PrecursorWindow::open_default(), &queries);
+        let hits = best_hits(&backend, &queries, &cands, 4);
+        let mut correct = 0usize;
+        let mut matchable = 0usize;
+        for (binned, hit) in queries.iter().zip(&hits) {
+            if let Some(true_id) = workload.truth[binned.id as usize].library_id() {
+                matchable += 1;
+                if hit.map(|h| h.reference) == Some(true_id) {
+                    correct += 1;
+                }
+            }
+        }
+        let rate = correct as f64 / matchable as f64;
+        assert!(rate > 0.65, "hit rate {rate} too low for binary HD");
+    }
+
+    #[test]
+    fn uses_binary_ids() {
+        let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 124);
+        let backend = build_hyperoms(&workload.library);
+        assert_eq!(backend.encoder().config().id_precision, IdPrecision::Bits1);
+        assert_eq!(backend.report_name(), "hyperoms");
+    }
+
+    #[test]
+    fn differs_from_multibit_accelerator_encoding() {
+        // The Venn-diagram premise: independently seeded tools agree on
+        // most but not all identifications.
+        let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 125);
+        let hyperoms = build_hyperoms(&workload.library);
+        let exact = ExactBackend::build(
+            &workload.library,
+            ExactBackendConfig {
+                encoder: EncoderConfig {
+                    dim: 2048,
+                    ..EncoderConfig::default()
+                },
+                threads: 4,
+                ..ExactBackendConfig::default()
+            },
+        );
+        let pre = Preprocessor::default();
+        let (queries, _) = pre.run_batch(&workload.queries);
+        let index = workload.library.candidate_index();
+        let cands = candidate_lists(&index, &PrecursorWindow::open_default(), &queries);
+        let a = best_hits(&hyperoms, &queries, &cands, 4);
+        let b = best_hits(&exact, &queries, &cands, 4);
+        let agree = a
+            .iter()
+            .zip(&b)
+            .filter(|(x, y)| x.map(|h| h.reference) == y.map(|h| h.reference))
+            .count();
+        let rate = agree as f64 / a.len() as f64;
+        assert!(rate > 0.6, "tools should mostly agree ({rate})");
+        // Scores differ (different encoders), so they are genuinely
+        // independent implementations.
+        let score_identical = a
+            .iter()
+            .zip(&b)
+            .filter(|(x, y)| match (x, y) {
+                (Some(h1), Some(h2)) => (h1.score - h2.score).abs() < 1e-12,
+                _ => false,
+            })
+            .count();
+        assert!(score_identical < a.len() / 2);
     }
 }

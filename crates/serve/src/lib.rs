@@ -17,7 +17,10 @@
 //!   `index.unload` verbs), then [`server::Server::query_batch`] for
 //!   one-shot batches or `session.open` / `session.submit` /
 //!   `session.finalize` for streaming clients whose FDR is filtered
-//!   **once across every submitted batch**. Answers are
+//!   **once across every submitted batch**. Each verb has one entry
+//!   point, which names the scheduler client it runs for
+//!   ([`server::LOCAL_CLIENT`] in process); [`server::Server::handle_as`]
+//!   answers any request line's message. Answers are
 //!   [`hdoms_oms::psm::PsmTableRow`]s, byte-identical to a local
 //!   `hdoms search --index` run.
 //! * [`protocol`] — the wire messages: line-framed canonical JSON,
@@ -57,7 +60,7 @@
 //! use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind};
 //! use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 //! use hdoms_serve::protocol::{Request, Response};
-//! use hdoms_serve::server::Server;
+//! use hdoms_serve::server::{Server, LOCAL_CLIENT};
 //!
 //! // Encode once (normally: `hdoms index build`, then LibraryIndex::open_mapped).
 //! let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 9);
@@ -72,7 +75,9 @@
 //! let server = Server::new(2);
 //! server.add_index("tiny", index).unwrap();
 //! let request = Request::decode(r#"{"type":"list_indexes"}"#).unwrap();
-//! let Response::Indexes(list) = server.handle(&request) else { panic!() };
+//! let Response::Indexes(list) = server.handle_as(LOCAL_CLIENT, &request) else {
+//!     panic!()
+//! };
 //! assert_eq!(list[0].name, "tiny");
 //! ```
 

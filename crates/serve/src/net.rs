@@ -40,79 +40,66 @@ pub fn serve_connection(
     serve_connection_bounded(server, reader, writer, MAX_LINE_BYTES)
 }
 
-/// [`serve_connection`] with an explicit line-length bound (separated out
-/// so tests can exercise the bound without 64 MiB inputs).
+/// The one connection body: [`serve_connection`] under an explicit
+/// line-length bound (a parameter so tests can exercise the bound without
+/// 64 MiB inputs), with the connection's open and close logged around its
+/// request loop.
 fn serve_connection_bounded(
     server: &Server,
-    reader: impl BufRead,
-    writer: impl Write,
-    max_line: usize,
-) -> io::Result<()> {
-    let client = server.next_client_id();
-    server
-        .logger()
-        .debug("conn.open")
-        .u64("client", client)
-        .emit();
-    let result = serve_connection_as(server, client, reader, writer, max_line);
-    server
-        .logger()
-        .debug("conn.close")
-        .u64("client", client)
-        .bool("clean", result.is_ok())
-        .emit();
-    result
-}
-
-/// The connection loop itself, under an explicit scheduler client id.
-fn serve_connection_as(
-    server: &Server,
-    client: u64,
     mut reader: impl BufRead,
     mut writer: impl Write,
     max_line: usize,
 ) -> io::Result<()> {
+    let client = server.next_client_id();
+    let logger = server.logger();
+    logger.debug("conn.open").u64("client", client).emit();
     let answer = |response: Response, writer: &mut dyn Write| -> io::Result<()> {
         writer.write_all(response.encode().as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()
     };
-    let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        // Bounded read: never buffer more than max_line + 2 bytes per
-        // request (payload + CRLF), whatever the peer sends.
-        let n = reader
-            .by_ref()
-            .take(max_line as u64 + 2)
-            .read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            return Ok(()); // clean end-of-stream
-        }
-        // The bound applies to the payload, not the line terminator.
-        if buf.last() == Some(&b'\n') {
-            buf.pop();
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
+    let mut serve = || -> io::Result<()> {
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            // Bounded read: never buffer more than max_line + 2 bytes per
+            // request (payload + CRLF), whatever the peer sends.
+            let n = reader
+                .by_ref()
+                .take(max_line as u64 + 2)
+                .read_until(b'\n', &mut buf)?;
+            if n == 0 {
+                return Ok(()); // clean end-of-stream
             }
+            // The bound applies to the payload, not the line terminator.
+            if buf.last() == Some(&b'\n') {
+                buf.pop();
+                if buf.last() == Some(&b'\r') {
+                    buf.pop();
+                }
+            }
+            if buf.len() > max_line {
+                let refusal = Response::error(format!("request line exceeds {max_line} bytes"));
+                return answer(refusal, &mut writer);
+            }
+            let response = match std::str::from_utf8(&buf) {
+                Err(_) => Response::error("request line is not UTF-8"),
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => match Request::decode(line.trim_end()) {
+                    Ok(request) => server.handle_as(client, &request),
+                    Err(message) => Response::error(message),
+                },
+            };
+            answer(response, &mut writer)?;
         }
-        if buf.len() > max_line {
-            answer(
-                Response::error(format!("request line exceeds {max_line} bytes")),
-                &mut writer,
-            )?;
-            return Ok(());
-        }
-        let response = match std::str::from_utf8(&buf) {
-            Err(_) => Response::error("request line is not UTF-8"),
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => match Request::decode(line.trim_end()) {
-                Ok(request) => server.handle_as(client, &request),
-                Err(message) => Response::error(message),
-            },
-        };
-        answer(response, &mut writer)?;
-    }
+    };
+    let result = serve();
+    logger
+        .debug("conn.close")
+        .u64("client", client)
+        .bool("clean", result.is_ok())
+        .emit();
+    result
 }
 
 /// Accept connections forever, serving each on its own thread (at most

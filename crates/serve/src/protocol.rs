@@ -416,7 +416,10 @@ impl QuerySpectrum {
     /// # Errors
     ///
     /// Rejects non-finite or non-positive precursor m/z, a zero charge,
-    /// and malformed peaks — the server must never panic on wire input.
+    /// a neutral mass that overflows (m/z × charge past `f64::MAX`: every
+    /// reference would sit in its window, at an infinite delta no
+    /// response can encode), and malformed peaks — the server must never
+    /// panic on wire input.
     pub fn to_spectrum(&self) -> Result<Spectrum, String> {
         if !(self.precursor_mz.is_finite() && self.precursor_mz > 0.0) {
             return Err(format!(
@@ -440,13 +443,17 @@ impl QuerySpectrum {
             }
             peaks.push(Peak::new(mz, intensity));
         }
-        Ok(Spectrum::new(
+        let spectrum = Spectrum::new(
             self.id,
             self.precursor_mz,
             self.precursor_charge,
             peaks,
             SpectrumOrigin::Query,
-        ))
+        );
+        if !spectrum.neutral_mass().is_finite() {
+            return Err(format!("spectrum {}: neutral mass overflows", self.id));
+        }
+        Ok(spectrum)
     }
 }
 

@@ -41,15 +41,15 @@
 //! The scheduler is *passive*: it spawns no threads. The submitting
 //! (connection) thread blocks in [`Scheduler::admit`] until granted,
 //! then executes its own batch with the granted budget (the engine's
-//! budgeted entry points — `Session::submit_with_workers` — spread the
-//! batch over exactly that many workers). Dropping the permit returns
-//! the tokens and wakes the queue. This keeps batch execution on the
-//! thread that owns the connection state (sessions, leases) while still
-//! bounding total parallelism; see `docs/SCHEDULER.md` for the
-//! queueing model and tuning guide.
+//! entry points take that budget — `Session::submit(spectra, workers)`
+//! spreads the batch over exactly that many workers). Dropping the
+//! permit returns the tokens and wakes the queue. This keeps batch
+//! execution on the thread that owns the connection state (sessions,
+//! leases) while still bounding total parallelism; see
+//! `docs/SCHEDULER.md` for the queueing model and tuning guide.
 //!
 //! ```
-//! use hdoms_serve::scheduler::{Scheduler, SchedulerConfig};
+//! use hdoms_serve::scheduler::{Scheduler, SchedulerConfig, Tier};
 //!
 //! let scheduler = Scheduler::new(SchedulerConfig {
 //!     workers: 4,
@@ -57,9 +57,11 @@
 //!     deadline_ms: 0, // no deadline
 //!     ..SchedulerConfig::default()
 //! });
-//! let permit = scheduler.admit(1).unwrap(); // client 1, nothing queued
-//! assert_eq!(permit.workers(), 4);          // lone batch: full budget
-//! drop(permit);                             // tokens return to the pool
+//! // Client 1 at the batch tier, nothing queued: a lone batch gets the
+//! // full budget, and dropping the permit returns the tokens.
+//! let permit = scheduler.admit(1, Tier::Batch).unwrap();
+//! assert_eq!(permit.workers(), 4);
+//! drop(permit);
 //! assert_eq!(scheduler.stats().completed, 1);
 //! ```
 
@@ -427,16 +429,6 @@ impl Scheduler {
         self.config
     }
 
-    /// Ask for a worker budget on behalf of `client` at the default
-    /// [`Tier::Batch`]; see [`Scheduler::admit_as`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Scheduler::admit_as`].
-    pub fn admit(&self, client: u64) -> Result<WorkPermit<'_>, ScheduleError> {
-        self.admit_as(client, Tier::Batch)
-    }
-
     /// Ask for a worker budget on behalf of `client` at `tier`,
     /// blocking until the queue grants one. Returns a [`WorkPermit`]
     /// whose [`workers()`](WorkPermit::workers) budget the caller must
@@ -453,7 +445,7 @@ impl Scheduler {
     /// [`ScheduleError::Busy`] when the tier's queue bound is already
     /// full (immediate, without queueing); [`ScheduleError::Deadline`]
     /// when the batch waited past the configured soft deadline.
-    pub fn admit_as(&self, client: u64, tier: Tier) -> Result<WorkPermit<'_>, ScheduleError> {
+    pub fn admit(&self, client: u64, tier: Tier) -> Result<WorkPermit<'_>, ScheduleError> {
         let enqueued = Instant::now();
         let deadline = (self.config.deadline_ms > 0)
             .then(|| enqueued + Duration::from_millis(self.config.deadline_ms));
@@ -727,7 +719,7 @@ mod tests {
     #[test]
     fn lone_batch_gets_the_full_budget() {
         let scheduler = Scheduler::new(config(8, 4, 0));
-        let permit = scheduler.admit(1).unwrap();
+        let permit = scheduler.admit(1, Tier::Batch).unwrap();
         assert_eq!(permit.workers(), 8);
         assert_eq!(permit.queued_behind(), 0);
         assert_eq!(permit.tier(), Tier::Batch);
@@ -745,7 +737,7 @@ mod tests {
         let scheduler = Arc::new(Scheduler::new(config(4, 64, 0)));
         // Occupy everything, then storm it: every follower should run
         // with budget 1 once the queue is longer than the free tokens.
-        let blocker = scheduler.admit(0).unwrap();
+        let blocker = scheduler.admit(0, Tier::Batch).unwrap();
         let busy = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|scope| {
@@ -755,7 +747,7 @@ mod tests {
                 let peak = Arc::clone(&peak);
                 scope.spawn(move || {
                     for _ in 0..4 {
-                        let permit = scheduler.admit(client).unwrap();
+                        let permit = scheduler.admit(client, Tier::Batch).unwrap();
                         let now =
                             busy.fetch_add(permit.workers(), Ordering::SeqCst) + permit.workers();
                         peak.fetch_max(now, Ordering::SeqCst);
@@ -784,7 +776,7 @@ mod tests {
         let scheduler = Arc::new(Scheduler::new(config(1, 64, 0)));
         // Hold the only token so both clients queue up fully, then
         // release and watch the grant order.
-        let blocker = scheduler.admit(99).unwrap();
+        let blocker = scheduler.admit(99, Tier::Batch).unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));
         let barrier = Arc::new(Barrier::new(8));
         std::thread::scope(|scope| {
@@ -795,7 +787,7 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 scope.spawn(move || {
                     barrier.wait();
-                    let permit = scheduler.admit(client).unwrap();
+                    let permit = scheduler.admit(client, Tier::Batch).unwrap();
                     order.lock().unwrap().push(client);
                     drop(permit);
                 });
@@ -816,18 +808,18 @@ mod tests {
     #[test]
     fn full_queue_rejects_with_busy() {
         let scheduler = Scheduler::new(config(1, 2, 0));
-        let _running = scheduler.admit(0).unwrap();
+        let _running = scheduler.admit(0, Tier::Batch).unwrap();
         let scheduler = &scheduler;
         std::thread::scope(|scope| {
             // Two waiters fill the queue...
             for client in [1u64, 2] {
                 scope.spawn(move || {
-                    let _ = scheduler.admit(client).unwrap();
+                    let _ = scheduler.admit(client, Tier::Batch).unwrap();
                 });
             }
             wait_for_queued(scheduler, 2);
             // ...the third submission is rejected immediately.
-            match scheduler.admit(3) {
+            match scheduler.admit(3, Tier::Batch) {
                 Err(ScheduleError::Busy {
                     queued,
                     queue_depth,
@@ -846,22 +838,22 @@ mod tests {
     #[test]
     fn zero_queue_depth_admits_or_rejects_immediately() {
         let scheduler = Scheduler::new(config(2, 0, 0));
-        let permit = scheduler.admit(1).unwrap(); // free tokens: admitted
-        match scheduler.admit(2) {
+        let permit = scheduler.admit(1, Tier::Batch).unwrap(); // free tokens: admitted
+        match scheduler.admit(2, Tier::Batch) {
             Err(ScheduleError::Busy { queue_depth: 0, .. }) => {}
             Err(other) => panic!("expected busy, got {other:?}"),
             Ok(_) => panic!("expected busy, got a permit"),
         }
         drop(permit);
-        assert!(scheduler.admit(2).is_ok());
+        assert!(scheduler.admit(2, Tier::Batch).is_ok());
     }
 
     #[test]
     fn deadline_sheds_a_stuck_batch() {
         let scheduler = Scheduler::new(config(1, 8, 25));
-        let running = scheduler.admit(0).unwrap();
+        let running = scheduler.admit(0, Tier::Batch).unwrap();
         let start = Instant::now();
-        match scheduler.admit(1) {
+        match scheduler.admit(1, Tier::Batch) {
             Err(ScheduleError::Deadline {
                 waited_ms,
                 deadline_ms,
@@ -885,16 +877,21 @@ mod tests {
         );
         drop(running);
         // The pool is intact: the next batch is granted normally.
-        assert_eq!(scheduler.admit(1).unwrap().workers(), 1);
+        assert_eq!(scheduler.admit(1, Tier::Batch).unwrap().workers(), 1);
     }
 
     #[test]
     fn wait_time_is_accounted() {
         let scheduler = Scheduler::new(config(1, 8, 0));
-        let running = scheduler.admit(0).unwrap();
+        let running = scheduler.admit(0, Tier::Batch).unwrap();
         let scheduler = &scheduler;
         std::thread::scope(|scope| {
-            let handle = scope.spawn(move || scheduler.admit(1).map(|p| p.wait_ms()).unwrap());
+            let handle = scope.spawn(move || {
+                scheduler
+                    .admit(1, Tier::Batch)
+                    .map(|p| p.wait_ms())
+                    .unwrap()
+            });
             wait_for_queued(scheduler, 1);
             std::thread::sleep(Duration::from_millis(10));
             drop(running);
@@ -910,8 +907,8 @@ mod tests {
         let scheduler = Scheduler::new(config(1, 8, 25));
         let instrumented = Scheduler::with_metrics(config(1, 0, 25), &registry);
         drop(scheduler); // plain scheduler registers nothing
-        let permit = instrumented.admit(1).unwrap();
-        match instrumented.admit(2) {
+        let permit = instrumented.admit(1, Tier::Batch).unwrap();
+        match instrumented.admit(2, Tier::Batch) {
             Err(ScheduleError::Busy { .. }) => {}
             Err(other) => panic!("expected busy, got {other:?}"),
             Ok(_) => panic!("expected busy, got a permit"),
@@ -948,8 +945,8 @@ mod tests {
     fn shed_waits_reach_the_registry_histogram() {
         let registry = Registry::new();
         let scheduler = Scheduler::with_metrics(config(1, 8, 25), &registry);
-        let running = scheduler.admit(0).unwrap();
-        match scheduler.admit(1) {
+        let running = scheduler.admit(0, Tier::Batch).unwrap();
+        match scheduler.admit(1, Tier::Batch) {
             Err(ScheduleError::Deadline { .. }) => {}
             Err(other) => panic!("expected deadline, got {other:?}"),
             Ok(_) => panic!("expected deadline, got a permit"),
@@ -975,14 +972,14 @@ mod tests {
         // interactive ticket despite four batch tickets ahead of it in
         // arrival order.
         let scheduler = Arc::new(Scheduler::new(config(1, 64, 0)));
-        let blocker = scheduler.admit(0).unwrap();
+        let blocker = scheduler.admit(0, Tier::Batch).unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));
         std::thread::scope(|scope| {
             for client in 1..=4u64 {
                 let scheduler = Arc::clone(&scheduler);
                 let order = Arc::clone(&order);
                 scope.spawn(move || {
-                    let permit = scheduler.admit_as(client, Tier::Batch).unwrap();
+                    let permit = scheduler.admit(client, Tier::Batch).unwrap();
                     order.lock().unwrap().push(Tier::Batch);
                     drop(permit);
                 });
@@ -992,7 +989,7 @@ mod tests {
                 let scheduler = Arc::clone(&scheduler);
                 let order = Arc::clone(&order);
                 scope.spawn(move || {
-                    let permit = scheduler.admit_as(9, Tier::Interactive).unwrap();
+                    let permit = scheduler.admit(9, Tier::Interactive).unwrap();
                     order.lock().unwrap().push(Tier::Interactive);
                     drop(permit);
                 })
@@ -1022,17 +1019,17 @@ mod tests {
             interactive_weight: 4,
             interactive_queue_depth: 1,
         });
-        let _running = scheduler.admit(0).unwrap();
+        let _running = scheduler.admit(0, Tier::Batch).unwrap();
         let scheduler = &scheduler;
         std::thread::scope(|scope| {
             for client in [1u64, 2] {
                 scope.spawn(move || {
-                    let _ = scheduler.admit_as(client, Tier::Batch).unwrap();
+                    let _ = scheduler.admit(client, Tier::Batch).unwrap();
                 });
             }
             wait_for_queued(scheduler, 2);
             // Batch bound reached; batch rejects against depth 2...
-            match scheduler.admit_as(3, Tier::Batch) {
+            match scheduler.admit(3, Tier::Batch) {
                 Err(ScheduleError::Busy {
                     queued: 2,
                     queue_depth: 2,
@@ -1042,11 +1039,11 @@ mod tests {
             }
             // ...while interactive still admits into its own queue.
             scope.spawn(move || {
-                let _ = scheduler.admit_as(4, Tier::Interactive).unwrap();
+                let _ = scheduler.admit(4, Tier::Interactive).unwrap();
             });
             wait_for_queued(scheduler, 3);
             // Interactive bound (1) now reached too.
-            match scheduler.admit_as(5, Tier::Interactive) {
+            match scheduler.admit(5, Tier::Interactive) {
                 Err(ScheduleError::Busy {
                     queued: 1,
                     queue_depth: 1,
@@ -1064,9 +1061,9 @@ mod tests {
     #[test]
     fn tier_stats_sum_to_the_aggregates() {
         let scheduler = Scheduler::new(config(2, 8, 0));
-        drop(scheduler.admit_as(1, Tier::Interactive).unwrap());
-        drop(scheduler.admit_as(1, Tier::Batch).unwrap());
-        drop(scheduler.admit_as(2, Tier::Interactive).unwrap());
+        drop(scheduler.admit(1, Tier::Interactive).unwrap());
+        drop(scheduler.admit(1, Tier::Batch).unwrap());
+        drop(scheduler.admit(2, Tier::Interactive).unwrap());
         let stats = scheduler.stats();
         assert_eq!(stats.tier(Tier::Interactive).admitted, 2);
         assert_eq!(stats.tier(Tier::Batch).admitted, 1);
@@ -1097,14 +1094,14 @@ mod tests {
             interactive_weight: 2,
             interactive_queue_depth: 64,
         }));
-        let blocker = scheduler.admit(0).unwrap();
+        let blocker = scheduler.admit(0, Tier::Batch).unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));
         std::thread::scope(|scope| {
             for i in 0..6u64 {
                 let scheduler = Arc::clone(&scheduler);
                 let order = Arc::clone(&order);
                 scope.spawn(move || {
-                    let permit = scheduler.admit_as(10 + i, Tier::Interactive).unwrap();
+                    let permit = scheduler.admit(10 + i, Tier::Interactive).unwrap();
                     order.lock().unwrap().push(Tier::Interactive);
                     // Hold briefly so the release-time grant sees both
                     // tiers still queued.
@@ -1116,7 +1113,7 @@ mod tests {
                 let scheduler = Arc::clone(&scheduler);
                 let order = Arc::clone(&order);
                 scope.spawn(move || {
-                    let permit = scheduler.admit_as(20 + i, Tier::Batch).unwrap();
+                    let permit = scheduler.admit(20 + i, Tier::Batch).unwrap();
                     order.lock().unwrap().push(Tier::Batch);
                     std::thread::sleep(Duration::from_millis(2));
                     drop(permit);

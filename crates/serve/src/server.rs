@@ -25,10 +25,10 @@ use std::time::Instant;
 /// PSMs on the server without bound).
 pub const MAX_SESSIONS: usize = 256;
 
-/// The client id [`Server::handle`] attributes requests to when the
-/// caller does not name one (in-process use, tests). Transports assign
-/// every connection its own id via [`Server::next_client_id`] so the
-/// scheduler's fairness has real connections to rotate over.
+/// The client id in-process callers (startup loads through
+/// [`Server::load_index`], embedders, tests) pass to the verbs. Transports
+/// assign every connection its own id via [`Server::next_client_id`] so
+/// the scheduler's fairness has real connections to rotate over.
 pub const LOCAL_CLIENT: u64 = 0;
 
 /// A request-level failure: what went wrong plus the machine-readable
@@ -146,6 +146,13 @@ struct GroupState {
     results: Vec<Option<Result<QueryResult, ServeError>>>,
 }
 
+/// What [`Server::join_or_found`] made of an interactive query: the
+/// leader of a new group, or a follower already answered.
+enum Membership<'a> {
+    Leader(GroupCompletion<'a>),
+    Answered(Result<QueryResult, ServeError>),
+}
+
 /// The leader's hold on its group, from founding it until every slot is
 /// filled. Dropped, it closes the group to joiners and fills any
 /// still-empty slot with an error, then wakes all waiters — so a leader
@@ -252,7 +259,7 @@ struct ShardResidence {
 /// use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind};
 /// use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 /// use hdoms_serve::protocol::{QuerySpectrum, QueryRequest, WindowKind};
-/// use hdoms_serve::server::Server;
+/// use hdoms_serve::server::{Server, LOCAL_CLIENT};
 ///
 /// let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 42);
 /// let mut config = IndexConfig::default();
@@ -266,7 +273,7 @@ struct ShardResidence {
 /// server.add_index("tiny", index).unwrap();
 ///
 /// let result = server
-///     .query_batch(&QueryRequest {
+///     .query_batch(LOCAL_CLIENT, &QueryRequest {
 ///         index: "tiny".to_owned(),
 ///         window: WindowKind::Open,
 ///         fdr: 0.01,
@@ -409,8 +416,8 @@ impl Server {
 
     /// The batch scheduler (admission control, fair queue, worker
     /// budget). Exposed so transports and tests can inspect it; batch
-    /// execution goes through [`Server::handle`] and friends, which
-    /// admit every scheduled verb themselves.
+    /// execution goes through [`Server::handle_as`] and the verbs behind
+    /// it, which admit every scheduled verb themselves.
     pub fn scheduler(&self) -> &Scheduler {
         &self.scheduler
     }
@@ -513,24 +520,15 @@ impl Server {
     /// Load failures and everything [`Server::add_index`] refuses, plus
     /// the scheduler's `busy`/`deadline` rejections.
     pub fn load_index(&self, name: &str, path: &str) -> Result<IndexSummary, ServeError> {
-        self.load_index_as(LOCAL_CLIENT, name, path)
+        self.load(LOCAL_CLIENT, name, path)
     }
 
-    /// [`Server::load_index`] attributed to a transport client.
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::load_index`].
-    pub fn load_index_as(
-        &self,
-        client: u64,
-        name: &str,
-        path: &str,
-    ) -> Result<IndexSummary, ServeError> {
+    /// The `index.load` body, attributed to `client`.
+    fn load(&self, client: u64, name: &str, path: &str) -> Result<IndexSummary, ServeError> {
         // A runtime load is CPU work like any batch (shard checksums
         // verify inside the parallel decode): admit it through the
         // scheduler so a storm of loads cannot oversubscribe searches.
-        let permit = self.scheduler.admit(client)?;
+        let permit = self.scheduler.admit(client, Tier::Batch)?;
         // Mapped load: the file is searched in place from one backing
         // buffer, so `index.load` cost stops scaling with the encoded
         // library payload.
@@ -605,17 +603,12 @@ impl Server {
         }
     }
 
-    /// Answer one protocol request on behalf of [`LOCAL_CLIENT`].
-    /// Failures become [`Response::Error`] — this never panics on wire
-    /// input.
-    pub fn handle(&self, request: &Request) -> Response {
-        self.handle_as(LOCAL_CLIENT, request)
-    }
-
     /// Answer one protocol request attributed to `client` — the id the
     /// scheduler queues the scheduled verbs (`query`, `session.submit`,
     /// `index.load`) under, so concurrent connections are served fairly.
-    /// Transports draw ids from [`Server::next_client_id`].
+    /// Transports draw ids from [`Server::next_client_id`]; in-process
+    /// callers pass [`LOCAL_CLIENT`]. Failures become [`Response::Error`]
+    /// — this never panics on wire input.
     pub fn handle_as(&self, client: u64, request: &Request) -> Response {
         /// The verb's answer, or the failure as an `error` response.
         fn respond<T>(result: Result<T, ServeError>, ok: impl FnOnce(T) -> Response) -> Response {
@@ -628,21 +621,21 @@ impl Server {
             Request::ListIndexes => Response::Indexes(self.summaries()),
             Request::ServerStats => Response::Stats(self.stats()),
             Request::ServerMetrics => Response::Metrics(self.metrics_report()),
-            Request::Query(q) => respond(self.query_batch_as(client, q), Response::Result),
+            Request::Query(q) => respond(self.query_batch(client, q), Response::Result),
             Request::SessionOpen {
                 index,
                 window,
                 tier,
                 prefilter,
             } => respond(
-                self.open_session_opts(index, window.window(), *tier, *prefilter),
+                self.open_session(index, window.window(), *tier, *prefilter),
                 |session| Response::SessionOpened {
                     session,
                     index: index.clone(),
                 },
             ),
             Request::SessionSubmit { session, spectra } => respond(
-                self.submit_session_as(client, *session, spectra),
+                self.submit_session(client, *session, spectra),
                 Response::Receipt,
             ),
             Request::SessionFinalize { session, fdr } => {
@@ -652,7 +645,7 @@ impl Server {
                 Response::SessionClosed { session: *session }
             }),
             Request::IndexLoad { name, path } => {
-                respond(self.load_index_as(client, name, path), Response::Loaded)
+                respond(self.load(client, name, path), Response::Loaded)
             }
             Request::IndexUnload { name } => respond(self.unload_index(name), |()| {
                 Response::Unloaded { name: name.clone() }
@@ -660,31 +653,22 @@ impl Server {
         }
     }
 
-    /// Run one query batch against a resident index and report the PSM
-    /// rows plus batch statistics, on behalf of [`LOCAL_CLIENT`]. FDR is
+    /// Run one query batch against a resident index on behalf of
+    /// `client` and report the PSM rows plus batch statistics. FDR is
     /// filtered **per batch** — this is the path that keeps a one-batch
-    /// `query` byte-identical to a local `search --index` run.
+    /// `query` byte-identical to a local `search --index` run. The batch
+    /// is validated and its prefilter resolved first (free), then queued
+    /// through the scheduler under the request's [`Tier`] and executed
+    /// with exactly the worker budget it is granted; queue wait, the
+    /// queue depth seen at submission, and the granted budget are
+    /// reported in the result's stats. Interactive requests go through
+    /// the coalescer.
     ///
     /// # Errors
     ///
     /// Unknown index name, invalid FDR level, malformed spectra, or the
     /// scheduler's `busy`/`deadline` rejections.
-    pub fn query_batch(&self, request: &QueryRequest) -> Result<QueryResult, ServeError> {
-        self.query_batch_as(LOCAL_CLIENT, request)
-    }
-
-    /// [`Server::query_batch`] attributed to a transport client. The
-    /// batch is validated and its prefilter resolved first (free), then
-    /// queued through the scheduler under the request's [`Tier`] and
-    /// executed with exactly the worker budget it is granted; queue
-    /// wait, the queue depth seen at submission, and the granted budget
-    /// are reported in the result's stats. Interactive requests go
-    /// through the coalescer.
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::query_batch`].
-    pub fn query_batch_as(
+    pub fn query_batch(
         &self,
         client: u64,
         request: &QueryRequest,
@@ -698,7 +682,7 @@ impl Server {
         if request.tier == Tier::Interactive {
             return self.query_coalesced(client, request, prefilter, &engine, spectra);
         }
-        let permit = self.scheduler.admit_as(client, request.tier)?;
+        let permit = self.scheduler.admit(client, request.tier)?;
         let mut results = self.execute(client, request, prefilter, &engine, &[spectra], permit)?;
         Ok(results.pop().expect("one member in, one result out"))
     }
@@ -716,49 +700,13 @@ impl Server {
         engine: &Arc<Engine>,
         spectra: Vec<Spectrum>,
     ) -> Result<QueryResult, ServeError> {
-        let key: CoalesceKey = (
-            request.index.clone(),
-            request.window.name(),
-            request.fdr.to_bits(),
-            prefilter,
-        );
-        let completion = {
-            let mut groups = self.coalescer.groups.lock().expect("coalescer map lock");
-            if let Some(group) = groups.get(&key) {
-                // Follower: the leader fills our slot and wakes us.
-                let group = Arc::clone(group);
-                let mut state = group.state.lock().expect("coalesce group lock");
-                drop(groups);
-                state.members.push(spectra);
-                state.results.push(None);
-                let member = state.results.len() - 1;
-                loop {
-                    if let Some(result) = state.results[member].take() {
-                        return result;
-                    }
-                    state = group.done.wait(state).expect("coalesce group lock");
-                }
-            }
-            let group = Arc::new(CoalesceGroup {
-                state: Mutex::new(GroupState {
-                    members: vec![spectra],
-                    results: vec![None],
-                }),
-                done: Condvar::new(),
-            });
-            groups.insert(key.clone(), Arc::clone(&group));
-            // From here on every member gets an answer: the completion
-            // closes the group and backfills error results on any exit.
-            GroupCompletion {
-                coalescer: &self.coalescer,
-                key,
-                group,
-            }
+        let completion = match self.join_or_found(request, prefilter, spectra) {
+            Membership::Leader(completion) => completion,
+            Membership::Answered(result) => return result,
         };
-
         // Leader: identical requests join while this one queues; the
         // grant or the refusal closes the group.
-        let admitted = self.scheduler.admit_as(client, request.tier);
+        let admitted = self.scheduler.admit(client, request.tier);
         let members = completion.close();
         let outcome = match admitted {
             Ok(permit) => self.execute(client, request, prefilter, engine, &members, permit),
@@ -788,6 +736,53 @@ impl Server {
         };
         drop(completion);
         mine
+    }
+
+    /// Join the waiting group for `request`'s search parameters — and
+    /// block until its leader fills this member's slot — or, when none
+    /// waits, found one and hold its [`GroupCompletion`]: from here on
+    /// every member gets an answer, whatever the leader does.
+    fn join_or_found(
+        &self,
+        request: &QueryRequest,
+        prefilter: PrefilterConfig,
+        spectra: Vec<Spectrum>,
+    ) -> Membership<'_> {
+        let key: CoalesceKey = (
+            request.index.clone(),
+            request.window.name(),
+            request.fdr.to_bits(),
+            prefilter,
+        );
+        let mut groups = self.coalescer.groups.lock().expect("coalescer map lock");
+        if let Some(group) = groups.get(&key) {
+            // Follower: the leader fills our slot and wakes us.
+            let group = Arc::clone(group);
+            let mut state = group.state.lock().expect("coalesce group lock");
+            drop(groups);
+            state.members.push(spectra);
+            state.results.push(None);
+            let member = state.results.len() - 1;
+            loop {
+                if let Some(result) = state.results[member].take() {
+                    return Membership::Answered(result);
+                }
+                state = group.done.wait(state).expect("coalesce group lock");
+            }
+        }
+        let group = Arc::new(CoalesceGroup {
+            state: Mutex::new(GroupState {
+                members: vec![spectra],
+                results: vec![None],
+            }),
+            done: Condvar::new(),
+        });
+        groups.insert(key.clone(), Arc::clone(&group));
+        Membership::Leader(GroupCompletion {
+            coalescer: &self.coalescer,
+            key,
+            group,
+        })
     }
 
     /// The one execute body behind every `query`: under the one
@@ -847,22 +842,7 @@ impl Server {
         Ok(results)
     }
 
-    /// Open a streaming session against resident index `index`, in the
-    /// [`Tier::Batch`] priority class with the server's default
-    /// prefilter. See [`Server::open_session_opts`] for the knobs.
-    ///
-    /// # Errors
-    ///
-    /// Unknown index, or the server is at [`MAX_SESSIONS`].
-    pub fn open_session(
-        &self,
-        index: &str,
-        window: hdoms_oms::window::PrecursorWindow,
-    ) -> Result<u64, ServeError> {
-        self.open_session_opts(index, window, Tier::default(), None)
-    }
-
-    /// Open a streaming session with explicit options (the
+    /// Open a streaming session against resident index `index` (the
     /// `session.open` verb): every submit to the session is admitted
     /// under `tier` and runs under `prefilter`, or the server's default
     /// when it names none.
@@ -871,7 +851,7 @@ impl Server {
     ///
     /// Unknown index, an invalid prefilter override, or the server is
     /// at [`MAX_SESSIONS`].
-    pub fn open_session_opts(
+    pub fn open_session(
         &self,
         index: &str,
         window: hdoms_oms::window::PrecursorWindow,
@@ -910,32 +890,18 @@ impl Server {
         Ok(id)
     }
 
-    /// Submit one batch to an open session on behalf of
-    /// [`LOCAL_CLIENT`]: encode, search, accumulate raw PSMs. No FDR
-    /// filtering happens until finalize.
+    /// Submit one batch to an open session on behalf of `client`:
+    /// encode, search, accumulate raw PSMs. No FDR filtering happens
+    /// until finalize. The batch queues through the scheduler while its
+    /// session slot is held busy, then searches with exactly the granted
+    /// worker budget — accumulated PSMs are byte-identical whatever the
+    /// budget, so scheduling never changes the finalized table.
     ///
     /// # Errors
     ///
     /// Unknown or busy session, malformed spectra, or the scheduler's
     /// `busy`/`deadline` rejections.
     pub fn submit_session(
-        &self,
-        id: u64,
-        spectra: &[crate::protocol::QuerySpectrum],
-    ) -> Result<SubmitReceipt, ServeError> {
-        self.submit_session_as(LOCAL_CLIENT, id, spectra)
-    }
-
-    /// [`Server::submit_session`] attributed to a transport client. The
-    /// batch queues through the scheduler while its session slot is held
-    /// busy, then searches with exactly the granted worker budget —
-    /// accumulated PSMs are byte-identical whatever the budget, so
-    /// scheduling never changes the finalized table.
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::submit_session`].
-    pub fn submit_session_as(
         &self,
         client: u64,
         id: u64,
@@ -947,10 +913,8 @@ impl Server {
         // session map lock is never held across the batch (or the queue
         // wait); the lease restores the slot on drop — even if the
         // search panics or the scheduler sheds the batch.
-        let permit = self.scheduler.admit_as(client, lease.tier())?;
-        let receipt = lease
-            .session()
-            .submit_with_workers(&spectra, permit.workers());
+        let permit = self.scheduler.admit(client, lease.tier())?;
+        let receipt = lease.session().submit(&spectra, permit.workers());
         // A submit has no second clock: as served, its latency is the
         // receipt's own stage sum.
         let admission = Admission {
@@ -985,7 +949,7 @@ impl Server {
         let open = self.take_session(id)?.consume();
         let start = Instant::now();
         let engine = Arc::clone(open.session.engine());
-        let (outcome, receipt) = open.session.finalize_traced(fdr);
+        let (outcome, receipt) = open.session.finalize(fdr);
         let submitted_ms = receipt.latency_ms - receipt.stages.finalize_ms;
         let latency_ms = submitted_ms + start.elapsed().as_secs_f64() * 1e3;
 
@@ -1336,12 +1300,12 @@ mod tests {
     fn ping_and_listing() {
         let (_, server) = tiny_server();
         assert_eq!(
-            server.handle(&Request::Ping),
+            server.handle_as(LOCAL_CLIENT, &Request::Ping),
             Response::Pong {
                 protocol: PROTOCOL_VERSION
             }
         );
-        let Response::Indexes(list) = server.handle(&Request::ListIndexes) else {
+        let Response::Indexes(list) = server.handle_as(LOCAL_CLIENT, &Request::ListIndexes) else {
             panic!("expected index listing");
         };
         assert_eq!(list.len(), 1);
@@ -1355,14 +1319,17 @@ mod tests {
     fn query_batch_reports_stats_and_rows() {
         let (workload, server) = tiny_server();
         let result = server
-            .query_batch(&QueryRequest {
-                index: "tiny".to_owned(),
-                window: WindowKind::Open,
-                fdr: 0.01,
-                tier: Tier::Batch,
-                prefilter: None,
-                spectra: batch_of(&workload),
-            })
+            .query_batch(
+                LOCAL_CLIENT,
+                &QueryRequest {
+                    index: "tiny".to_owned(),
+                    window: WindowKind::Open,
+                    fdr: 0.01,
+                    tier: Tier::Batch,
+                    prefilter: None,
+                    spectra: batch_of(&workload),
+                },
+            )
             .unwrap();
         assert_eq!(result.stats.queries, workload.queries.len());
         assert!(result.stats.identifications > 10);
@@ -1392,8 +1359,8 @@ mod tests {
             prefilter: None,
             spectra: batch_of(&workload),
         };
-        let a = server.query_batch(&request).unwrap();
-        let b = server.query_batch(&request).unwrap();
+        let a = server.query_batch(LOCAL_CLIENT, &request).unwrap();
+        let b = server.query_batch(LOCAL_CLIENT, &request).unwrap();
         assert_eq!(a.rows, b.rows);
     }
 
@@ -1404,25 +1371,28 @@ mod tests {
 
         // One-shot run over everything.
         let single = server
-            .query_batch(&QueryRequest {
-                index: "tiny".to_owned(),
-                window: WindowKind::Open,
-                fdr: 0.01,
-                tier: Tier::Batch,
-                prefilter: None,
-                spectra: spectra.clone(),
-            })
+            .query_batch(
+                LOCAL_CLIENT,
+                &QueryRequest {
+                    index: "tiny".to_owned(),
+                    window: WindowKind::Open,
+                    fdr: 0.01,
+                    tier: Tier::Batch,
+                    prefilter: None,
+                    spectra: spectra.clone(),
+                },
+            )
             .unwrap();
 
         // Three session batches, finalized once.
         let id = server
-            .open_session("tiny", WindowKind::Open.window())
+            .open_session("tiny", WindowKind::Open.window(), Tier::Batch, None)
             .unwrap();
         assert_eq!(server.open_sessions(), 1);
         let chunk = spectra.len().div_ceil(3);
         let mut last_total = 0;
         for (i, batch) in spectra.chunks(chunk).enumerate() {
-            let receipt = server.submit_session(id, batch).unwrap();
+            let receipt = server.submit_session(LOCAL_CLIENT, id, batch).unwrap();
             assert_eq!(receipt.session, id);
             assert_eq!(receipt.batch, i + 1);
             assert!(receipt.total_psms >= last_total);
@@ -1441,7 +1411,9 @@ mod tests {
         );
 
         // The session is gone: further requests error.
-        assert!(server.submit_session(id, &spectra[..1]).is_err());
+        assert!(server
+            .submit_session(LOCAL_CLIENT, id, &spectra[..1])
+            .is_err());
         assert!(server.finalize_session(id, 0.01).is_err());
     }
 
@@ -1460,14 +1432,17 @@ mod tests {
 
         // The loaded index answers queries.
         let result = server
-            .query_batch(&QueryRequest {
-                index: "second".to_owned(),
-                window: WindowKind::Open,
-                fdr: 0.01,
-                tier: Tier::Batch,
-                prefilter: None,
-                spectra: batch_of(&other),
-            })
+            .query_batch(
+                LOCAL_CLIENT,
+                &QueryRequest {
+                    index: "second".to_owned(),
+                    window: WindowKind::Open,
+                    fdr: 0.01,
+                    tier: Tier::Batch,
+                    prefilter: None,
+                    spectra: batch_of(&other),
+                },
+            )
             .unwrap();
         assert!(result.stats.identifications > 0);
 
@@ -1475,14 +1450,17 @@ mod tests {
         server.unload_index("second").unwrap();
         assert_eq!(server.summaries().len(), 1);
         let err = server
-            .query_batch(&QueryRequest {
-                index: "second".to_owned(),
-                window: WindowKind::Open,
-                fdr: 0.01,
-                tier: Tier::Batch,
-                prefilter: None,
-                spectra: batch_of(&other),
-            })
+            .query_batch(
+                LOCAL_CLIENT,
+                &QueryRequest {
+                    index: "second".to_owned(),
+                    window: WindowKind::Open,
+                    fdr: 0.01,
+                    tier: Tier::Batch,
+                    prefilter: None,
+                    spectra: batch_of(&other),
+                },
+            )
             .unwrap_err();
         assert!(err.message.contains("unknown index"));
         assert!(server.unload_index("second").is_err());
@@ -1494,9 +1472,9 @@ mod tests {
         let (workload, server) = tiny_server();
         let spectra = batch_of(&workload);
         let id = server
-            .open_session("tiny", WindowKind::Open.window())
+            .open_session("tiny", WindowKind::Open.window(), Tier::Batch, None)
             .unwrap();
-        server.submit_session(id, &spectra).unwrap();
+        server.submit_session(LOCAL_CLIENT, id, &spectra).unwrap();
         assert_eq!(server.open_sessions(), 1);
         server.close_session(id).unwrap();
         assert_eq!(server.open_sessions(), 0);
@@ -1510,16 +1488,16 @@ mod tests {
         let (workload, server) = tiny_server();
         let spectra = batch_of(&workload);
         let id = server
-            .open_session("tiny", WindowKind::Open.window())
+            .open_session("tiny", WindowKind::Open.window(), Tier::Batch, None)
             .unwrap();
-        server.submit_session(id, &spectra).unwrap();
+        server.submit_session(LOCAL_CLIENT, id, &spectra).unwrap();
         server.unload_index("tiny").unwrap();
         // The open session keeps its engine alive and finalizes fine.
         let result = server.finalize_session(id, 0.01).unwrap();
         assert!(result.stats.identifications > 0);
         // But no new session can target the unloaded name.
         assert!(server
-            .open_session("tiny", WindowKind::Open.window())
+            .open_session("tiny", WindowKind::Open.window(), Tier::Batch, None)
             .is_err());
     }
 
@@ -1535,23 +1513,105 @@ mod tests {
             spectra: batch_of(&workload),
         };
         assert!(matches!(
-            server.handle(&Request::Query(request.clone())),
+            server.handle_as(LOCAL_CLIENT, &Request::Query(request.clone())),
             Response::Error { .. }
         ));
         request.index = "tiny".to_owned();
         request.fdr = 0.0;
-        assert!(server.query_batch(&request).is_err());
+        assert!(server.query_batch(LOCAL_CLIENT, &request).is_err());
         // Session verbs fail the same way.
         assert!(server
-            .open_session("nope", WindowKind::Open.window())
+            .open_session("nope", WindowKind::Open.window(), Tier::Batch, None)
             .is_err());
-        assert!(server.submit_session(999, &[]).is_err());
+        assert!(server.submit_session(LOCAL_CLIENT, 999, &[]).is_err());
         let id = server
-            .open_session("tiny", WindowKind::Open.window())
+            .open_session("tiny", WindowKind::Open.window(), Tier::Batch, None)
             .unwrap();
         assert!(server.finalize_session(id, 0.0).is_err());
         // A bad FDR level does not consume the session.
         assert!(server.finalize_session(id, 0.01).is_ok());
+    }
+
+    /// A precursor m/z whose neutral mass overflows is refused, not
+    /// scored against every reference at an infinite delta that the
+    /// `result` line cannot carry.
+    #[test]
+    fn an_overflowing_neutral_mass_is_an_error() {
+        let (workload, server) = tiny_server();
+        let mut spectrum = QuerySpectrum::from_spectrum(&workload.queries[0]);
+        spectrum.precursor_mz = 1e308;
+        spectrum.precursor_charge = 2;
+        for window in [WindowKind::Standard, WindowKind::Open] {
+            let request = Request::Query(QueryRequest {
+                index: "tiny".to_owned(),
+                window,
+                fdr: 0.01,
+                tier: Tier::Batch,
+                prefilter: None,
+                spectra: vec![spectrum.clone()],
+            });
+            let response = server.handle_as(LOCAL_CLIENT, &request);
+            let Response::Error { message, .. } = &response else {
+                panic!("{window:?}: answered with {response:?}");
+            };
+            assert!(message.contains("neutral mass overflows"), "{message}");
+            assert_eq!(Response::decode(&response.encode()), Ok(response));
+        }
+    }
+
+    /// A coalescing leader that unwinds after founding its group and
+    /// taking its permit strands nobody: every follower gets the
+    /// structured abort error, the permit's token comes back, the group
+    /// leaves the map, and the next interactive query is served.
+    #[test]
+    fn an_unwinding_leader_fails_its_followers_and_frees_its_permit() {
+        const FOLLOWERS: usize = 3;
+        let (workload, server) = tiny_server();
+        let request = QueryRequest {
+            index: "tiny".to_owned(),
+            window: WindowKind::Open,
+            fdr: 0.01,
+            tier: Tier::Interactive,
+            prefilter: None,
+            spectra: batch_of(&workload)[..4].to_vec(),
+        };
+        let spectra = decode_spectra(&request.spectra).unwrap();
+        let Membership::Leader(completion) =
+            server.join_or_found(&request, PrefilterConfig::Off, spectra)
+        else {
+            panic!("the first query into an empty coalescer leads");
+        };
+        let (server, request) = (&server, &request);
+        let answers: Vec<_> = std::thread::scope(|scope| {
+            let followers: Vec<_> = (1..=FOLLOWERS as u64)
+                .map(|client| scope.spawn(move || server.query_batch(client, request)))
+                .collect();
+            let joined = || completion.group.state.lock().unwrap().members.len();
+            while joined() < FOLLOWERS + 1 {
+                std::thread::yield_now();
+            }
+            let leader = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                let _permit = server.scheduler.admit(LOCAL_CLIENT, Tier::Interactive);
+                let _members = completion.close();
+                assert_eq!(server.scheduler().stats().in_flight, 1, "permit taken");
+                panic!("the leader unwinds before any result");
+            }));
+            let payload = leader.expect_err("the leader unwound");
+            let reason = payload.downcast_ref::<&str>().copied();
+            assert_eq!(reason, Some("the leader unwinds before any result"));
+            followers.into_iter().map(|f| f.join().unwrap()).collect()
+        });
+        assert_eq!(answers.len(), FOLLOWERS);
+        for answer in answers {
+            let error = answer.expect_err("a follower of an aborted group");
+            assert_eq!(error.code, ErrorCode::General);
+            assert!(error.message.contains("coalesced batch aborted"), "{error}");
+        }
+        let stats = server.scheduler().stats();
+        assert_eq!((stats.workers_busy, stats.in_flight), (0, 0));
+        assert!(server.coalescer.groups.lock().unwrap().is_empty());
+        let next = server.query_batch(LOCAL_CLIENT, request).unwrap();
+        assert_eq!(next.stats.queries, 4);
     }
 
     #[test]
@@ -1573,10 +1633,13 @@ mod tests {
         for (name, needle) in [("", "must be non-empty"), ("tiny", "already resident")] {
             let direct = server.add_index(name, tiny_index(&workload)).unwrap_err();
             assert!(direct.message.contains(needle), "add_index: {direct}");
-            let wire = server.handle(&Request::IndexLoad {
-                name: name.to_owned(),
-                path: path.to_str().unwrap().to_owned(),
-            });
+            let wire = server.handle_as(
+                LOCAL_CLIENT,
+                &Request::IndexLoad {
+                    name: name.to_owned(),
+                    path: path.to_str().unwrap().to_owned(),
+                },
+            );
             assert_eq!(wire, Response::error(direct.message), "index.load {name:?}");
         }
         std::fs::remove_file(&path).ok();

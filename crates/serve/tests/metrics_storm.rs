@@ -27,7 +27,7 @@ use hdoms_obs::metrics::{HistogramSnapshot, Registry, Snapshot, OVERFLOW_BUCKET}
 use hdoms_prefilter::PrefilterConfig;
 use hdoms_serve::protocol::{QueryRequest, QuerySpectrum, Request, Response, WindowKind};
 use hdoms_serve::scheduler::{ScheduleError, Scheduler, SchedulerConfig, Tier};
-use hdoms_serve::server::Server;
+use hdoms_serve::server::{Server, LOCAL_CLIENT};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 const DIM: usize = 2048;
@@ -173,7 +173,7 @@ fn sixteen_client_storm_reconciles_exactly_with_receipts() {
                     let mut identifications = 0u64;
                     for _ in 0..ROUNDS {
                         let result = server
-                            .query_batch_as(client, &request_for(spectra.clone()))
+                            .query_batch(client, &request_for(spectra.clone()))
                             .expect("deep queue, no deadline: nothing sheds");
                         batches += 1;
                         queries += result.stats.queries as u64;
@@ -262,9 +262,9 @@ fn prefiltered_batches_reconcile_registry_receipts_and_server_stats() {
 
     // Two off batches (explicit and defaulted), three prefiltered ones.
     let mut request = request_for(spectra.clone());
-    let off_result = server.query_batch_as(client, &request).expect("served");
+    let off_result = server.query_batch(client, &request).expect("served");
     request.prefilter = Some(hdoms_prefilter::PrefilterConfig::Off);
-    server.query_batch_as(client, &request).expect("served");
+    server.query_batch(client, &request).expect("served");
     assert_eq!(off_result.stats.sketch_ms, 0.0);
     assert_eq!(
         off_result.stats.candidates_pre,
@@ -274,7 +274,7 @@ fn prefiltered_batches_reconcile_registry_receipts_and_server_stats() {
     request.prefilter = Some(hdoms_prefilter::PrefilterConfig::TopK(16));
     let (mut pre_sum, mut post_sum, mut sketch_sum, mut prefiltered) = (0u64, 0u64, 0.0f64, 0u64);
     for _ in 0..3 {
-        let result = server.query_batch_as(client, &request).expect("served");
+        let result = server.query_batch(client, &request).expect("served");
         assert!(result.stats.candidates_scored <= result.stats.candidates_pre);
         pre_sum += result.stats.candidates_pre as u64;
         post_sum += result.stats.candidates_scored as u64;
@@ -312,7 +312,7 @@ fn prefiltered_batches_reconcile_registry_receipts_and_server_stats() {
 }
 
 /// ROADMAP 4(d), the part that exists today: one `query` and one
-/// `session.open → submit → finalize` through [`Server::handle`], the
+/// `session.open → submit → finalize` through [`Server::handle_as`], the
 /// cascade on, over a mapped index squeezed until it evicts. The wire
 /// `stats`/`receipt`, the registry and `server.stats` are three views of
 /// the same numbers: counts agree exactly, clocks to the histogram's
@@ -331,7 +331,7 @@ fn wire_receipts_registry_and_server_stats_tell_one_story() {
     assert!(resident > 0, "a mapped index is tracked");
     server.set_memory_budget(resident / 2);
 
-    let stats_of = |server: &Server| match server.handle(&Request::ServerStats) {
+    let stats_of = |server: &Server| match server.handle_as(LOCAL_CLIENT, &Request::ServerStats) {
         Response::Stats(stats) => stats,
         other => panic!("expected stats, got {other:?}"),
     };
@@ -340,28 +340,36 @@ fn wire_receipts_registry_and_server_stats_tell_one_story() {
 
     let spectra = batch_of(&workload);
     let half = spectra.len() / 2;
-    let Response::Result(queried) =
-        server.handle(&Request::Query(request_for(spectra[..half].to_vec())))
-    else {
+    let Response::Result(queried) = server.handle_as(
+        LOCAL_CLIENT,
+        &Request::Query(request_for(spectra[..half].to_vec())),
+    ) else {
         panic!("query answered");
     };
-    let Response::SessionOpened { session, .. } = server.handle(&Request::SessionOpen {
-        index: "w".to_owned(),
-        window: WindowKind::Open,
-        tier: Tier::Batch,
-        prefilter: None,
-    }) else {
+    let Response::SessionOpened { session, .. } = server.handle_as(
+        LOCAL_CLIENT,
+        &Request::SessionOpen {
+            index: "w".to_owned(),
+            window: WindowKind::Open,
+            tier: Tier::Batch,
+            prefilter: None,
+        },
+    ) else {
         panic!("session opened");
     };
-    let Response::Receipt(receipt) = server.handle(&Request::SessionSubmit {
-        session,
-        spectra: spectra[half..].to_vec(),
-    }) else {
+    let Response::Receipt(receipt) = server.handle_as(
+        LOCAL_CLIENT,
+        &Request::SessionSubmit {
+            session,
+            spectra: spectra[half..].to_vec(),
+        },
+    ) else {
         panic!("submit answered");
     };
-    let Response::Result(finalized) =
-        server.handle(&Request::SessionFinalize { session, fdr: 0.01 })
-    else {
+    let Response::Result(finalized) = server.handle_as(
+        LOCAL_CLIENT,
+        &Request::SessionFinalize { session, fdr: 0.01 },
+    ) else {
         panic!("finalize answered");
     };
     let (after, stats_after) = (server.registry().snapshot(), stats_of(&server));
@@ -526,22 +534,18 @@ fn both_scheduler_constructors_grant_shed_and_count_alike() {
     };
     let registry = Registry::new();
     let script = |scheduler: Scheduler| {
-        let running = scheduler.admit_as(1, Tier::Batch).expect("free token");
+        let running = scheduler.admit(1, Tier::Batch).expect("free token");
         assert_eq!(running.workers(), 1);
         // Interactive may not queue at all; batch queues, then sheds.
-        let busy = scheduler.admit_as(2, Tier::Interactive).err();
+        let busy = scheduler.admit(2, Tier::Interactive).err();
         assert!(matches!(busy, Some(ScheduleError::Busy { .. })), "{busy:?}");
-        let shed = scheduler.admit_as(3, Tier::Batch).err();
+        let shed = scheduler.admit(3, Tier::Batch).err();
         assert!(
             matches!(shed, Some(ScheduleError::Deadline { .. })),
             "{shed:?}"
         );
         drop(running);
-        drop(
-            scheduler
-                .admit_as(2, Tier::Interactive)
-                .expect("token back"),
-        );
+        drop(scheduler.admit(2, Tier::Interactive).expect("token back"));
         let mut stats = scheduler.stats();
         let waited = stats.total_wait_ms;
         stats.total_wait_ms = 0.0;

@@ -14,8 +14,8 @@ use hdoms_serve::net::{serve_listener, Client};
 use hdoms_serve::protocol::{
     ErrorCode, QueryRequest, QuerySpectrum, Request, Response, WindowKind,
 };
-use hdoms_serve::scheduler::SchedulerConfig;
-use hdoms_serve::server::Server;
+use hdoms_serve::scheduler::{SchedulerConfig, Tier};
+use hdoms_serve::server::{Server, LOCAL_CLIENT};
 use std::net::TcpListener;
 use std::sync::Arc;
 
@@ -76,7 +76,7 @@ fn two_greedy_clients_each_make_progress() {
     );
     let spectra = batch_of(&workload);
     let reference = server
-        .query_batch(&request_for(spectra.clone()))
+        .query_batch(LOCAL_CLIENT, &request_for(spectra.clone()))
         .expect("reference run");
 
     const ROUNDS: usize = 6;
@@ -91,7 +91,7 @@ fn two_greedy_clients_each_make_progress() {
                     let mut done = 0usize;
                     for _ in 0..ROUNDS {
                         let result = server
-                            .query_batch_as(client, &request_for(spectra.clone()))
+                            .query_batch(client, &request_for(spectra.clone()))
                             .expect("no shedding with a deep queue");
                         assert_eq!(
                             result.rows, reference.rows,
@@ -136,7 +136,7 @@ fn sixteen_client_storm_stays_within_the_worker_budget() {
     );
     let spectra = batch_of(&workload);
     let reference = server
-        .query_batch(&request_for(spectra.clone()))
+        .query_batch(LOCAL_CLIENT, &request_for(spectra.clone()))
         .expect("reference run");
 
     std::thread::scope(|scope| {
@@ -147,7 +147,7 @@ fn sixteen_client_storm_stays_within_the_worker_budget() {
             scope.spawn(move || {
                 let client = server.next_client_id();
                 let result = server
-                    .query_batch_as(client, &request_for(spectra.clone()))
+                    .query_batch(client, &request_for(spectra.clone()))
                     .expect("deep queue, no deadline: nothing sheds");
                 assert!(result.stats.workers >= 1);
                 assert!(result.stats.workers <= 3, "budget grant exceeded workers");
@@ -188,14 +188,17 @@ fn busy_and_deadline_are_structured_errors() {
 
     // Hold the only worker token: with queue depth 0, the next batch is
     // rejected outright.
-    let permit = server.scheduler().admit(500).expect("token is free");
+    let permit = server
+        .scheduler()
+        .admit(500, Tier::Batch)
+        .expect("token is free");
     let err = server
-        .query_batch_as(501, &request_for(spectra.clone()))
+        .query_batch(501, &request_for(spectra.clone()))
         .expect_err("queue depth 0 + busy worker must reject");
     assert_eq!(err.code, ErrorCode::Busy);
     assert!(err.message.contains("busy"), "message: {}", err.message);
     // The wire shape carries the machine-readable code.
-    let response = server.handle(&Request::Query(request_for(spectra.clone())));
+    let response = server.handle_as(LOCAL_CLIENT, &Request::Query(request_for(spectra.clone())));
     match response {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::Busy),
         other => panic!("expected a busy error, got {other:?}"),
@@ -214,9 +217,12 @@ fn busy_and_deadline_are_structured_errors() {
             ..SchedulerConfig::default()
         },
     );
-    let permit = server.scheduler().admit(500).expect("token is free");
+    let permit = server
+        .scheduler()
+        .admit(500, Tier::Batch)
+        .expect("token is free");
     let err = server
-        .query_batch_as(501, &request_for(spectra.clone()))
+        .query_batch(501, &request_for(spectra.clone()))
         .expect_err("the held token forces a queue wait past the deadline");
     assert_eq!(err.code, ErrorCode::Deadline);
     assert!(err.message.contains("deadline"), "message: {}", err.message);
@@ -227,7 +233,7 @@ fn busy_and_deadline_are_structured_errors() {
 
     // The server is healthy afterwards: the same batch now runs.
     let result = server
-        .query_batch(&request_for(spectra))
+        .query_batch(LOCAL_CLIENT, &request_for(spectra))
         .expect("recovered");
     assert!(result.stats.identifications > 0);
     assert_eq!(result.stats.workers, 1);
@@ -239,8 +245,10 @@ fn server_stats_verb_reports_the_scheduler() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 9004);
     let server = server_with(&workload, SchedulerConfig::default());
     let spectra = batch_of(&workload);
-    server.query_batch(&request_for(spectra)).expect("batch");
-    let Response::Stats(stats) = server.handle(&Request::ServerStats) else {
+    server
+        .query_batch(LOCAL_CLIENT, &request_for(spectra))
+        .expect("batch");
+    let Response::Stats(stats) = server.handle_as(LOCAL_CLIENT, &Request::ServerStats) else {
         panic!("expected a stats response");
     };
     assert_eq!(

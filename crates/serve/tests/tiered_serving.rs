@@ -23,7 +23,7 @@ use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_prefilter::PrefilterConfig;
 use hdoms_serve::protocol::{ErrorCode, QueryRequest, QueryResult, QuerySpectrum, WindowKind};
 use hdoms_serve::scheduler::{SchedulerConfig, Tier};
-use hdoms_serve::server::{ServeError, Server};
+use hdoms_serve::server::{ServeError, Server, LOCAL_CLIENT};
 use std::time::Duration;
 
 fn tiny_index(workload: &SyntheticWorkload) -> LibraryIndex {
@@ -76,15 +76,15 @@ fn behind_held_tokens(
 ) -> Vec<Result<QueryResult, ServeError>> {
     let held = server
         .scheduler()
-        .admit_as(0, Tier::Batch)
+        .admit(0, Tier::Batch)
         .expect("idle server");
     std::thread::scope(|scope| {
-        let mut clients = vec![scope.spawn(|| server.query_batch_as(1, &requests[0]))];
+        let mut clients = vec![scope.spawn(|| server.query_batch(1, &requests[0]))];
         while server.stats().interactive.queued == 0 {
             std::thread::yield_now();
         }
         for (i, request) in requests.iter().enumerate().skip(1) {
-            clients.push(scope.spawn(move || server.query_batch_as(i as u64 + 1, request)));
+            clients.push(scope.spawn(move || server.query_batch(i as u64 + 1, request)));
         }
         std::thread::sleep(Duration::from_millis(20));
         drop(held);
@@ -143,7 +143,10 @@ fn coalesced_interactive_queries_are_byte_identical_to_uncoalesced() {
         let merged = merged_volley(&server, &requests);
         for (i, chunk) in chunks.iter().enumerate() {
             let alone = server
-                .query_batch(&request(chunk.to_vec(), Tier::Batch, prefilter))
+                .query_batch(
+                    LOCAL_CLIENT,
+                    &request(chunk.to_vec(), Tier::Batch, prefilter),
+                )
                 .expect("solo query");
             assert_eq!(
                 merged[i].rows, alone.rows,
@@ -168,7 +171,7 @@ fn a_lone_interactive_query_is_a_one_member_group() {
     let server = server_with(&workload, SchedulerConfig::default());
     let lone = request(spectra[..8].to_vec(), Tier::Interactive, None);
     for round in 1..=2u64 {
-        let result = server.query_batch_as(1, &lone).expect("lone query");
+        let result = server.query_batch(1, &lone).expect("lone query");
         assert_eq!(result.stats.queries, 8);
         assert_eq!(result.stats.queued, 0, "a free worker never queues");
         let stats = server.stats();
@@ -227,10 +230,13 @@ fn an_explicit_default_prefilter_joins_an_omitted_one() {
     let merged = merged_volley(&server, &requests);
     for (member, request) in merged.iter().zip(&requests) {
         let alone = server
-            .query_batch(&QueryRequest {
-                tier: Tier::Batch,
-                ..request.clone()
-            })
+            .query_batch(
+                LOCAL_CLIENT,
+                &QueryRequest {
+                    tier: Tier::Batch,
+                    ..request.clone()
+                },
+            )
             .expect("solo query");
         assert_eq!(member.rows, alone.rows);
     }
@@ -257,7 +263,7 @@ fn a_shed_coalesced_batch_fails_every_member_with_deadline() {
     // Occupy the only worker until every member is back: the leader
     // queues past its deadline, and so would any late arrival founding
     // a group of its own.
-    let running = server.scheduler().admit(999).unwrap();
+    let running = server.scheduler().admit(999, Tier::Batch).unwrap();
     const MEMBERS: usize = 3;
     let chunk = &spectra[..4.min(spectra.len())];
     let outcomes: Vec<_> = std::thread::scope(|scope| {
@@ -265,7 +271,7 @@ fn a_shed_coalesced_batch_fails_every_member_with_deadline() {
             .map(|i| {
                 let server = &server;
                 scope.spawn(move || {
-                    server.query_batch_as(
+                    server.query_batch(
                         i as u64 + 1,
                         &request(chunk.to_vec(), Tier::Interactive, None),
                     )
@@ -298,7 +304,7 @@ fn a_shed_coalesced_batch_fails_every_member_with_deadline() {
     // The shed group is gone; the next interactive query founds a fresh
     // group and succeeds.
     let result = server
-        .query_batch_as(7, &request(spectra[..4].to_vec(), Tier::Interactive, None))
+        .query_batch(7, &request(spectra[..4].to_vec(), Tier::Interactive, None))
         .expect("server intact after shed");
     assert_eq!(result.stats.queries, 4.min(spectra.len()));
     let served = server.stats();
@@ -316,7 +322,7 @@ fn per_tier_stats_partition_the_aggregates() {
 
     for client in 1..=2u64 {
         server
-            .query_batch_as(
+            .query_batch(
                 client,
                 &request(spectra[..8].to_vec(), Tier::Interactive, None),
             )
@@ -324,7 +330,7 @@ fn per_tier_stats_partition_the_aggregates() {
     }
     for client in 3..=5u64 {
         server
-            .query_batch_as(client, &request(spectra[..8].to_vec(), Tier::Batch, None))
+            .query_batch(client, &request(spectra[..8].to_vec(), Tier::Batch, None))
             .unwrap();
     }
 
@@ -366,7 +372,7 @@ fn eviction_under_budget_reloads_on_demand_without_changing_results() {
     std::fs::remove_file(&path).ok();
 
     let baseline = server
-        .query_batch(&request(spectra.clone(), Tier::Batch, None))
+        .query_batch(LOCAL_CLIENT, &request(spectra.clone(), Tier::Batch, None))
         .unwrap();
 
     let full = server.stats();
@@ -390,7 +396,7 @@ fn eviction_under_budget_reloads_on_demand_without_changing_results() {
 
     // Search everything again: evicted shards refault from the file.
     let after = server
-        .query_batch(&request(spectra.clone(), Tier::Batch, None))
+        .query_batch(LOCAL_CLIENT, &request(spectra.clone(), Tier::Batch, None))
         .unwrap();
     assert_eq!(
         after.rows, baseline.rows,
@@ -406,7 +412,7 @@ fn eviction_under_budget_reloads_on_demand_without_changing_results() {
     // Lifting the budget stops eviction; reloads keep the index whole.
     server.set_memory_budget(0);
     let final_run = server
-        .query_batch(&request(spectra, Tier::Batch, None))
+        .query_batch(LOCAL_CLIENT, &request(spectra, Tier::Batch, None))
         .unwrap();
     assert_eq!(final_run.rows, baseline.rows);
     let relaxed = server.stats();
@@ -438,7 +444,9 @@ fn a_stale_session_never_touches_a_namesakes_residency() {
 
     let mut server = Server::with_scheduler(4, SchedulerConfig::default());
     server.load_index("w", path_a.to_str().unwrap()).unwrap();
-    let stale = server.open_session("w", WindowKind::Open.window()).unwrap();
+    let stale = server
+        .open_session("w", WindowKind::Open.window(), Tier::Batch, None)
+        .unwrap();
     server.unload_index("w").unwrap();
     server.load_index("w", path_b.to_str().unwrap()).unwrap();
     std::fs::remove_file(&path_a).ok();
@@ -452,7 +460,9 @@ fn a_stale_session_never_touches_a_namesakes_residency() {
     server.set_memory_budget(0);
 
     // The stale session searches only A's (unloaded, untracked) engine.
-    let receipt = server.submit_session(stale, &spectra_of(&a)).unwrap();
+    let receipt = server
+        .submit_session(LOCAL_CLIENT, stale, &spectra_of(&a))
+        .unwrap();
     assert!(
         !receipt.shard_timings.is_empty(),
         "the batch visited shards"

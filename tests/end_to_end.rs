@@ -5,7 +5,7 @@
 //! request lines and corrupted index images included.
 
 use hdoms::core::accelerator::AcceleratorConfig;
-use hdoms::engine::Engine;
+use hdoms::engine::{Engine, Session};
 use hdoms::hdc::item_memory::LevelStyle;
 use hdoms::index::{
     IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex, StreamingConfig,
@@ -19,7 +19,7 @@ use hdoms::oms::window::PrecursorWindow;
 use hdoms::prefilter::PrefilterConfig;
 use hdoms::serve::protocol::{QueryRequest, QuerySpectrum, Request, Response, WindowKind};
 use hdoms::serve::scheduler::Tier;
-use hdoms::serve::server::Server;
+use hdoms::serve::server::{Server, LOCAL_CLIENT};
 use std::sync::Arc;
 
 fn small_accelerator_config() -> AcceleratorConfig {
@@ -281,11 +281,11 @@ fn every_entry_point_renders_the_same_rows() {
     for prefilter in [PrefilterConfig::Off, covering] {
         assert_eq!(local(&workload.queries, prefilter), expected);
 
-        let mut session = engine.session(window);
+        let mut session = Session::new(Arc::clone(&engine), window);
         session.set_prefilter(prefilter).expect("sharded engine");
-        session.submit(first);
-        session.submit(second);
-        let streamed = session.finalize(0.01);
+        session.submit(first, engine.threads());
+        session.submit(second, engine.threads());
+        let (streamed, _) = session.finalize(0.01);
         assert_eq!(render_table(engine.peptides(), &streamed), expected);
 
         assert_eq!(
@@ -303,7 +303,7 @@ fn every_entry_point_renders_the_same_rows() {
             let before = server.stats();
             let held = server
                 .scheduler()
-                .admit_as(99, Tier::Batch)
+                .admit(99, Tier::Batch)
                 .expect("idle server");
             let (a, b) = std::thread::scope(|scope| {
                 let served = &served;
@@ -333,7 +333,7 @@ fn every_entry_point_renders_the_same_rows() {
 /// but hostile in value — absurd precursors and peak lists, degenerate
 /// intensities, extreme `prefilter`/`fdr`/session-id spellings, index
 /// paths that are not images — crossed with both windows, both tiers and
-/// every prefilter spelling, through `Request::decode` → `Server::handle`
+/// every prefilter spelling, through `Request::decode` → `Server::handle_as`
 /// and through session open → submit → finalize. Every line is answered
 /// with a `Response` that encodes to one line and decodes back; nothing
 /// panics (a panic fails the test).
@@ -384,7 +384,7 @@ fn hostile_lines_always_get_a_response() {
 
     let answer = |line: &str| -> Response {
         let response = match Request::decode(line) {
-            Ok(request) => server.handle(&request),
+            Ok(request) => server.handle_as(LOCAL_CLIENT, &request),
             Err(message) => Response::error(message),
         };
         let encoded = response.encode();
@@ -525,14 +525,17 @@ fn corrupted_images_fail_every_door_with_a_structured_error() {
             let line = format!(r#"{{"type":"index.load","name":"bad","path":"{file}"}}"#);
             let request = Request::decode(&line).expect("a well-formed line");
             assert!(
-                matches!(server.handle(&request), Response::Error { .. }),
+                matches!(
+                    server.handle_as(LOCAL_CLIENT, &request),
+                    Response::Error { .. }
+                ),
                 "index.load: {what}"
             );
         }
     }
     std::fs::remove_file(&path).ok();
     assert!(matches!(
-        server.handle(&Request::Ping),
+        server.handle_as(LOCAL_CLIENT, &Request::Ping),
         Response::Pong { .. }
     ));
     assert!(
@@ -586,7 +589,10 @@ fn a_resealed_header_asking_for_terabytes_fails_every_door() {
         server.load_index("greedy", file).err().map(|e| e.message),
     ];
     let line = format!(r#"{{"type":"index.load","name":"greedy","path":"{file}"}}"#);
-    let wire = server.handle(&Request::decode(&line).expect("a well-formed line"));
+    let wire = server.handle_as(
+        LOCAL_CLIENT,
+        &Request::decode(&line).expect("a well-formed line"),
+    );
     std::fs::remove_file(&path).ok();
     for refusal in refusals {
         let message = refusal.expect("the patched image must not open");
