@@ -11,29 +11,17 @@
 //! are standard MGF and interoperate with any other tool.
 
 use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
-use hdoms_ms::mgf::{read_mgf, MgfSpectrum};
+use hdoms_ms::mgf::{read_mgf, write_block};
 use hdoms_ms::peptide::Peptide;
-use hdoms_ms::spectrum::{Spectrum, SpectrumOrigin};
+use hdoms_ms::spectrum::SpectrumOrigin::{Decoy, Target};
 use std::io::Write;
 
 /// Write a library as annotated MGF.
 pub fn write_library<W: Write>(mut writer: W, library: &SpectralLibrary) -> std::io::Result<()> {
     for entry in library {
-        let s = &entry.spectrum;
-        writeln!(writer, "BEGIN IONS")?;
-        writeln!(
-            writer,
-            "TITLE=ref_{} peptide={} decoy={}",
-            s.id,
-            entry.peptide,
-            u8::from(entry.is_decoy)
-        )?;
-        writeln!(writer, "PEPMASS={:.6}", s.precursor_mz)?;
-        writeln!(writer, "CHARGE={}+", s.precursor_charge)?;
-        for p in s.peaks() {
-            writeln!(writer, "{:.5} {:.3}", p.mz, p.intensity)?;
-        }
-        writeln!(writer, "END IONS")?;
+        let (s, decoy) = (&entry.spectrum, u8::from(entry.is_decoy));
+        let title = format!("ref_{} peptide={} decoy={decoy}", s.id, entry.peptide);
+        write_block(&mut writer, &title, s)?;
     }
     Ok(())
 }
@@ -47,8 +35,8 @@ pub fn write_library<W: Write>(mut writer: W, library: &SpectralLibrary) -> std:
 pub fn read_library(bytes: &[u8]) -> Result<SpectralLibrary, String> {
     let parsed = read_mgf(bytes).map_err(|e| e.to_string())?;
     let mut library = SpectralLibrary::new();
-    for (index, MgfSpectrum { spectrum, title }) in parsed.into_iter().enumerate() {
-        let title = title.ok_or_else(|| format!("library block {index} has no TITLE"))?;
+    for (index, mut block) in parsed.into_iter().enumerate() {
+        let title = (block.title).ok_or_else(|| format!("library block {index} has no TITLE"))?;
         let mut peptide: Option<Peptide> = None;
         let mut decoy: Option<bool> = None;
         for token in title.split_whitespace() {
@@ -78,20 +66,10 @@ pub fn read_library(bytes: &[u8]) -> Result<SpectralLibrary, String> {
         let peptide =
             peptide.ok_or_else(|| format!("library block {index} title lacks peptide="))?;
         let is_decoy = decoy.ok_or_else(|| format!("library block {index} title lacks decoy="))?;
-        let origin = if is_decoy {
-            SpectrumOrigin::Decoy
-        } else {
-            SpectrumOrigin::Target
-        };
-        let spectrum = Spectrum::new(
-            index as u32,
-            spectrum.precursor_mz,
-            spectrum.precursor_charge,
-            spectrum.peaks().to_vec(),
-            origin,
-        );
+        // `read_mgf` already set the id to the block index.
+        block.spectrum.origin = if is_decoy { Decoy } else { Target };
         library.push(LibraryEntry {
-            spectrum,
+            spectrum: block.spectrum,
             peptide,
             is_decoy,
         });

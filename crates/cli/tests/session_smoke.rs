@@ -4,8 +4,9 @@
 //! diff the returned PSM table against the local engine run. Also
 //! exercises the per-batch `query` verb (one batch must equal the local
 //! run too) so the compatibility path stays guarded, what
-//! `index info` prints for the golden v3 image, and the flags and specs
-//! `search` and `compare` refuse.
+//! `index info` prints for the golden v3 image, the flags and specs
+//! `search` and `compare` refuse, and the overflowing precursor both MGF
+//! doors (`search`, `index build`) refuse.
 //! (CI's release test pass is the run that counts: the spawned binary
 //! is the optimised one.)
 
@@ -185,6 +186,69 @@ fn search_refuses_flags_it_would_ignore() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success() && stderr.contains(flag), "{stderr}");
     }
+}
+
+/// A spectrum whose neutral mass overflows (`PEPMASS=1e308` at
+/// `CHARGE=2+`) is refused at both MGF doors, naming its `PEPMASS` line:
+/// a query for `search`, a library block for `index build`. Neither
+/// writes its output — no table scored at an infinite delta, no image
+/// its own loader would refuse.
+#[test]
+fn an_overflowing_precursor_is_refused_at_both_mgf_doors() {
+    let dir = std::env::temp_dir().join(format!("hdoms-overflow-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let hdoms = |args: &str| {
+        (Command::new(env!("CARGO_BIN_EXE_hdoms")).current_dir(&dir))
+            .args(args.split_whitespace())
+            .output()
+            .expect("spawn hdoms")
+    };
+    for args in [
+        "generate --out-queries q.mgf --out-library lib.mgf --preset tiny",
+        "index build --library lib.mgf --out lib.hdx --dim 512",
+    ] {
+        let run = hdoms(args);
+        assert!(
+            run.status.success(),
+            "{args}: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+    }
+    // The first block of a generated file with its precursor rewritten,
+    // and the line of its PEPMASS within the block.
+    let overflowing = |name: &str| {
+        let text = std::fs::read_to_string(dir.join(name)).expect("generated mgf");
+        let first = text
+            .split_inclusive('\n')
+            .take_while(|l| *l != "END IONS\n");
+        let rewrite = |line: &str| match line.split_once('=') {
+            Some(("PEPMASS", _)) => "PEPMASS=1e308\n".to_owned(),
+            Some(("CHARGE", _)) => "CHARGE=2+\n".to_owned(),
+            _ => line.to_owned(),
+        };
+        let block: String = first.map(rewrite).collect::<String>() + "END IONS\n";
+        let at = 1 + block.lines().position(|l| l == "PEPMASS=1e308").unwrap();
+        (text, block, at)
+    };
+    // One tiny-preset query, and the tiny library plus one such reference.
+    let (_, query, query_line) = overflowing("q.mgf");
+    std::fs::write(dir.join("bad-q.mgf"), query).unwrap();
+    let (library, reference, at) = overflowing("lib.mgf");
+    let library_line = library.lines().count() + at;
+    std::fs::write(dir.join("bad-lib.mgf"), library + &reference).unwrap();
+
+    let search = "search --queries bad-q.mgf --index lib.hdx --window standard --out bad.tsv";
+    let build = "index build --library bad-lib.mgf --dim 512 --out bad.hdx";
+    for (args, line) in [(search, query_line), (build, library_line)] {
+        let run = hdoms(args);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "{args} succeeded: {stderr}");
+        let named = format!("malformed PEPMASS header (neutral mass overflows) at line {line}");
+        assert!(stderr.contains(&named), "{args}: {stderr}");
+        let out = args.rsplit(' ').next().unwrap();
+        assert!(!dir.join(out).exists(), "{args} wrote {out}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `compare` names an unknown backend spec and lists the real ones,

@@ -10,10 +10,13 @@
 //! The dialect implemented is the common denominator emitted by
 //! ProteoWizard and accepted by every search engine: `TITLE`, `PEPMASS`
 //! (first number used; the optional intensity is ignored), `CHARGE`
-//! (`2+`/`+2`/`2` accepted), arbitrary ignored headers, and peak lines
-//! separated by spaces or tabs.
+//! (one charge: `2+`/`+2`/`2`/`3-`), arbitrary ignored headers, and peak
+//! lines separated by spaces or tabs.
+//!
+//! The reader checks syntax; [`Spectrum::try_new`] decides which blocks
+//! are spectra, so MGF queries and libraries obey the wire's rules.
 
-use crate::spectrum::{Peak, Spectrum, SpectrumOrigin};
+use crate::spectrum::{Peak, Spectrum, SpectrumError, SpectrumOrigin};
 use std::fmt;
 use std::io::{BufRead, Write};
 
@@ -78,6 +81,51 @@ pub struct MgfSpectrum {
     pub title: Option<String>,
 }
 
+/// A line of the stream: its 1-based number and its content.
+type Line = (usize, String);
+
+/// What a `BEGIN IONS` block has read so far, each value with its line.
+#[derive(Default)]
+struct Block {
+    title: Option<String>,
+    pepmass: Option<(f64, Line)>,
+    charge: Option<(u8, Line)>,
+    peaks: Vec<Peak>,
+    peak_lines: Vec<Line>,
+}
+
+impl Block {
+    /// The block's spectrum, or a refusal at the line carrying the offending value.
+    fn finish(self, id: u32, end_line: usize) -> Result<MgfSpectrum, ParseMgfError> {
+        const OVERFLOW: &str = "PEPMASS header (neutral mass overflows)";
+        let missing = ParseMgfError::MissingPepmass { line: end_line };
+        let (mz, pepmass_line) = self.pepmass.ok_or(missing)?;
+        let (z, charge_line) = self.charge.unzip();
+        let (title, mut peak_lines) = (self.title, self.peak_lines);
+        let built = Spectrum::try_new(id, mz, z.unwrap_or(2), self.peaks, SpectrumOrigin::Query);
+        let (line, context) = match built {
+            Ok(spectrum) => return Ok(MgfSpectrum { spectrum, title }),
+            Err(SpectrumError::ZeroCharge) => (charge_line, "CHARGE header"),
+            Err(SpectrumError::PrecursorMz) => (Some(pepmass_line), "PEPMASS header"),
+            Err(SpectrumError::MalformedPeak { index, .. }) => {
+                (Some(peak_lines.swap_remove(index)), "peak line")
+            }
+            Err(SpectrumError::NeutralMassOverflows) => (Some(pepmass_line), OVERFLOW),
+        };
+        let line = line.expect("a zero charge comes from a CHARGE line (it defaults to 2)");
+        Err(malformed(line, context))
+    }
+}
+
+/// A [`ParseMgfError::Malformed`] at `line`.
+fn malformed((line, content): Line, context: &'static str) -> ParseMgfError {
+    ParseMgfError::Malformed {
+        line,
+        content,
+        context,
+    }
+}
+
 /// Parse every `BEGIN IONS` block from `reader`.
 ///
 /// Unknown `KEY=VALUE` headers are ignored (MGF writers attach plenty of
@@ -87,7 +135,8 @@ pub struct MgfSpectrum {
 /// # Errors
 ///
 /// Returns [`ParseMgfError`] on I/O failure, an unparsable peak or
-/// header line, or a block without `PEPMASS`.
+/// header line, a block without `PEPMASS`, or a block
+/// [`Spectrum::try_new`] refuses.
 ///
 /// ```
 /// let mgf = "BEGIN IONS\nTITLE=demo\nPEPMASS=445.12\nCHARGE=2+\n\
@@ -99,132 +148,88 @@ pub struct MgfSpectrum {
 /// ```
 pub fn read_mgf<R: BufRead>(reader: R) -> Result<Vec<MgfSpectrum>, ParseMgfError> {
     let mut out = Vec::new();
-    let mut in_block = false;
-    let mut title: Option<String> = None;
-    let mut pepmass: Option<f64> = None;
-    let mut charge: Option<u8> = None;
-    let mut peaks: Vec<Peak> = Vec::new();
+    let mut block: Option<Block> = None;
 
-    for (idx, line) in reader.lines().enumerate() {
-        let line_no = idx + 1;
+    for (line_no, line) in (1..).zip(reader.lines()) {
         let line = line?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        if !in_block {
+        let Some(open) = &mut block else {
             if trimmed.eq_ignore_ascii_case("BEGIN IONS") {
-                in_block = true;
-                title = None;
-                pepmass = None;
-                charge = None;
-                peaks = Vec::new();
+                block = Some(Block::default());
             }
             // Anything outside a block (file-level parameters) is ignored.
             continue;
-        }
+        };
         if trimmed.eq_ignore_ascii_case("END IONS") {
-            let pepmass = pepmass.ok_or(ParseMgfError::MissingPepmass { line: line_no })?;
-            let spectrum = Spectrum::new(
-                out.len() as u32,
-                pepmass,
-                charge.unwrap_or(2),
-                std::mem::take(&mut peaks),
-                SpectrumOrigin::Query,
-            );
-            out.push(MgfSpectrum {
-                spectrum,
-                title: title.take(),
-            });
-            in_block = false;
+            out.push(std::mem::take(open).finish(out.len() as u32, line_no)?);
+            block = None;
             continue;
         }
         if let Some((key, value)) = trimmed.split_once('=') {
             match key.trim().to_ascii_uppercase().as_str() {
-                "TITLE" => title = Some(value.trim().to_owned()),
-                "PEPMASS" => {
-                    let first = value.split_whitespace().next().unwrap_or("");
-                    let mz = first
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|mz| mz.is_finite() && *mz > 0.0);
-                    pepmass = Some(mz.ok_or_else(|| ParseMgfError::Malformed {
-                        line: line_no,
-                        content: line.clone(),
-                        context: "PEPMASS header",
-                    })?);
-                }
-                "CHARGE" => {
-                    charge = Some(parse_charge(value.trim()).ok_or_else(|| {
-                        ParseMgfError::Malformed {
-                            line: line_no,
-                            content: line.clone(),
-                            context: "CHARGE header",
-                        }
-                    })?);
-                }
+                "TITLE" => open.title = Some(value.trim().to_owned()),
+                "PEPMASS" => match value.split_whitespace().next().map(str::parse) {
+                    Some(Ok(mz)) => open.pepmass = Some((mz, (line_no, line))),
+                    _ => return Err(malformed((line_no, line), "PEPMASS header")),
+                },
+                "CHARGE" => match parse_charge(value.trim()) {
+                    Some(z) => open.charge = Some((z, (line_no, line))),
+                    None => return Err(malformed((line_no, line), "CHARGE header")),
+                },
                 _ => {} // vendor headers: RTINSECONDS, SCANS, …
             }
             continue;
         }
         // Peak line: m/z and intensity separated by whitespace; extra
         // columns (some exporters add charge) are ignored.
-        let mut fields = trimmed.split_whitespace();
-        let (Some(mz), Some(intensity)) = (fields.next(), fields.next()) else {
-            return Err(ParseMgfError::Malformed {
-                line: line_no,
-                content: line.clone(),
-                context: "peak line",
-            });
+        let mut fields = trimmed.split_whitespace().map(str::parse::<f64>);
+        let (Some(Ok(mz)), Some(Ok(intensity))) = (fields.next(), fields.next()) else {
+            return Err(malformed((line_no, line), "peak line"));
         };
-        let (Ok(mz), Ok(intensity)) = (mz.parse::<f64>(), intensity.parse::<f64>()) else {
-            return Err(ParseMgfError::Malformed {
-                line: line_no,
-                content: line.clone(),
-                context: "peak line",
-            });
-        };
-        if !(mz.is_finite() && mz > 0.0 && intensity.is_finite() && intensity >= 0.0) {
-            return Err(ParseMgfError::Malformed {
-                line: line_no,
-                content: line.clone(),
-                context: "peak line",
-            });
-        }
-        peaks.push(Peak::new(mz, intensity));
+        open.peaks.push(Peak { mz, intensity });
+        open.peak_lines.push((line_no, line));
     }
     Ok(out)
 }
 
-/// Parse `2+`, `+2`, `2`, `3-` (negative mode collapses to its magnitude).
+/// Parse one charge, `2+`, `+2`, `2`, `3-` (negative mode collapses to its
+/// magnitude): a list (`2+ and 3+`), a fraction or a second sign is `None`.
 fn parse_charge(s: &str) -> Option<u8> {
-    let cleaned: String = s.chars().filter(|c| c.is_ascii_digit()).collect();
-    let z: u8 = cleaned.parse().ok()?;
-    if z == 0 {
-        None
-    } else {
-        Some(z)
-    }
+    const SIGN: [char; 2] = ['+', '-'];
+    let digits = s.strip_suffix(SIGN).or(s.strip_prefix(SIGN)).unwrap_or(s);
+    let unsigned = digits.bytes().all(|b| b.is_ascii_digit());
+    unsigned.then(|| digits.parse().ok()).flatten()
 }
 
-/// Write `spectra` as MGF blocks to `writer`. A mutable reference works
-/// as the writer (`&mut Vec<u8>`, `&mut File`, …).
+/// Write `spectra` as MGF blocks titled `spectrum_{id}` to `writer`. A
+/// mutable reference works as the writer (`&mut Vec<u8>`, `&mut File`, …).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `writer`.
 pub fn write_mgf<W: Write>(mut writer: W, spectra: &[Spectrum]) -> std::io::Result<()> {
     for s in spectra {
-        writeln!(writer, "BEGIN IONS")?;
-        writeln!(writer, "TITLE=spectrum_{}", s.id)?;
-        writeln!(writer, "PEPMASS={:.6}", s.precursor_mz)?;
-        writeln!(writer, "CHARGE={}+", s.precursor_charge)?;
-        for p in s.peaks() {
-            writeln!(writer, "{:.5} {:.3}", p.mz, p.intensity)?;
-        }
-        writeln!(writer, "END IONS")?;
+        write_block(&mut writer, &format!("spectrum_{}", s.id), s)?;
     }
     Ok(())
+}
+
+/// Write `s` to `writer` as one MGF block titled `title`.
+///
+/// # Errors
+///
+/// Propagates I/O errors from `writer`.
+pub fn write_block<W: Write>(mut writer: W, title: &str, s: &Spectrum) -> std::io::Result<()> {
+    let (mz, z) = (s.precursor_mz, s.precursor_charge);
+    writeln!(writer, "BEGIN IONS\nTITLE={title}")?;
+    writeln!(writer, "PEPMASS={mz:.6}\nCHARGE={z}+")?;
+    for p in s.peaks() {
+        writeln!(writer, "{:.5} {:.3}", p.mz, p.intensity)?;
+    }
+    writeln!(writer, "END IONS")
 }
 
 #[cfg(test)]
@@ -256,11 +261,24 @@ mod tests {
 
     #[test]
     fn parses_charge_variants() {
-        for (text, want) in [("2+", 2u8), ("+3", 3), ("2", 2), ("4-", 4)] {
+        for (text, want) in [("2+", 2u8), ("+3", 3), ("2", 2), ("4-", 4), ("-3", 3)] {
             assert_eq!(parse_charge(text), Some(want), "{text}");
         }
-        assert_eq!(parse_charge("banana"), None);
-        assert_eq!(parse_charge("0"), None);
+        // A zero is a number here; the spectrum rule refuses it (below).
+        assert_eq!(parse_charge("0"), Some(0));
+        for text in [
+            "banana",
+            "",
+            "+",
+            "2+ and 3+",
+            "2+,3+",
+            "2.0",
+            "++2",
+            "+2+",
+            "256",
+        ] {
+            assert_eq!(parse_charge(text), None, "{text}");
+        }
     }
 
     #[test]
@@ -319,8 +337,39 @@ mod tests {
 
     #[test]
     fn bad_charge_is_an_error() {
-        let mgf = "BEGIN IONS\nPEPMASS=400.0\nCHARGE=banana\n100.0 1.0\nEND IONS\n";
-        assert!(read_mgf(mgf.as_bytes()).is_err());
+        for charge in ["banana", "0", "0+", "2+ and 3+", "2.0"] {
+            let mgf = format!("BEGIN IONS\nPEPMASS=400.0\nCHARGE={charge}\n100.0 1.0\nEND IONS\n");
+            match read_mgf(mgf.as_bytes()) {
+                Err(ParseMgfError::Malformed {
+                    line: 3,
+                    context: "CHARGE header",
+                    ..
+                }) => {}
+                other => panic!("CHARGE={charge}: {other:?}"),
+            }
+        }
+    }
+
+    /// The spectrum rule's refusals point at the line that carries the
+    /// value: an overflowing `PEPMASS × CHARGE` at `PEPMASS`, a peak at
+    /// its own line, whatever comes between.
+    #[test]
+    fn refusals_name_the_offending_line() {
+        let overflow = "BEGIN IONS\nTITLE=t\nPEPMASS=1e308\nCHARGE=2+\n100.0 1.0\nEND IONS\n";
+        let err = read_mgf(overflow.as_bytes()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed PEPMASS header (neutral mass overflows) at line 3: \"PEPMASS=1e308\""
+        );
+        let peak = "BEGIN IONS\nPEPMASS=400.0\n100.0 1.0\n# note\n 200.0 -1 \nEND IONS\n";
+        match read_mgf(peak.as_bytes()).unwrap_err() {
+            ParseMgfError::Malformed {
+                line: 5,
+                content,
+                context: "peak line",
+            } => assert_eq!(content, " 200.0 -1 "),
+            other => panic!("unexpected error {other:?}"),
+        }
     }
 
     #[test]

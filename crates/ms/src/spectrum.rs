@@ -12,24 +12,50 @@ pub struct Peak {
 }
 
 impl Peak {
-    /// Create a peak.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mz` is not finite/positive or `intensity` is negative/NaN
-    /// — malformed peaks would silently corrupt binning downstream.
+    /// Create a peak; panics on a malformed one ([`SpectrumError::MalformedPeak`]).
     pub fn new(mz: f64, intensity: f64) -> Peak {
-        assert!(
-            mz.is_finite() && mz > 0.0,
-            "peak m/z must be finite and positive"
-        );
-        assert!(
-            intensity.is_finite() && intensity >= 0.0,
-            "peak intensity must be finite and non-negative"
-        );
-        Peak { mz, intensity }
+        let peak = Peak { mz, intensity };
+        assert!(peak.is_well_formed(), "malformed peak [{mz}, {intensity}]");
+        peak
+    }
+
+    fn is_well_formed(&self) -> bool {
+        self.mz.is_finite() && self.mz > 0.0 && self.intensity.is_finite() && self.intensity >= 0.0
     }
 }
+
+/// Why [`Spectrum::try_new`] refuses a spectrum; `Display` is the reason on the wire.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SpectrumError {
+    /// The precursor charge is zero.
+    ZeroCharge,
+    /// The precursor m/z is not finite and positive.
+    PrecursorMz,
+    /// A peak's m/z is not finite and positive, or its intensity not finite and non-negative.
+    MalformedPeak {
+        /// Position of the peak in the list as given (before sorting).
+        index: usize,
+        /// The peak as given.
+        peak: Peak,
+    },
+    /// The neutral mass is infinite: every reference would sit in the query's window.
+    NeutralMassOverflows,
+}
+
+impl fmt::Display for SpectrumError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::ZeroCharge => write!(f, "precursor_charge must be ≥ 1"),
+            Self::PrecursorMz => write!(f, "precursor_mz must be finite and positive"),
+            Self::MalformedPeak { peak: p, .. } => {
+                write!(f, "malformed peak [{}, {}]", p.mz, p.intensity)
+            }
+            Self::NeutralMassOverflows => write!(f, "neutral mass overflows"),
+        }
+    }
+}
+
+impl std::error::Error for SpectrumError {}
 
 /// Provenance of a spectrum, used to keep target/decoy bookkeeping and the
 /// synthetic ground truth together with the data.
@@ -60,32 +86,52 @@ pub struct Spectrum {
 }
 
 impl Spectrum {
-    /// Create a spectrum; `peaks` are sorted by m/z internally.
+    /// Create a spectrum with `peaks` sorted by m/z: the one rule for which spectra exist.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `precursor_charge` is zero or `precursor_mz` is not
-    /// finite/positive.
-    pub fn new(
+    /// The first [`SpectrumError`] case that holds, in declaration order.
+    pub fn try_new(
         id: u32,
         precursor_mz: f64,
         precursor_charge: u8,
-        mut peaks: Vec<Peak>,
+        peaks: Vec<Peak>,
         origin: SpectrumOrigin,
-    ) -> Spectrum {
-        assert!(precursor_charge >= 1, "precursor charge must be at least 1");
-        assert!(
-            precursor_mz.is_finite() && precursor_mz > 0.0,
-            "precursor m/z must be finite and positive"
-        );
-        peaks.sort_by(|a, b| a.mz.total_cmp(&b.mz));
-        Spectrum {
+    ) -> Result<Spectrum, SpectrumError> {
+        if precursor_charge == 0 {
+            return Err(SpectrumError::ZeroCharge);
+        }
+        if !(precursor_mz.is_finite() && precursor_mz > 0.0) {
+            return Err(SpectrumError::PrecursorMz);
+        }
+        if let Some(index) = peaks.iter().position(|p| !p.is_well_formed()) {
+            let peak = peaks[index];
+            return Err(SpectrumError::MalformedPeak { index, peak });
+        }
+        let mut spectrum = Spectrum {
             id,
             precursor_mz,
             precursor_charge,
             peaks,
             origin,
+        };
+        if !spectrum.neutral_mass().is_finite() {
+            return Err(SpectrumError::NeutralMassOverflows);
         }
+        spectrum.peaks.sort_by(|a, b| a.mz.total_cmp(&b.mz));
+        Ok(spectrum)
+    }
+
+    /// [`Spectrum::try_new`] for generators and tests, panicking where it refuses.
+    pub fn new(
+        id: u32,
+        precursor_mz: f64,
+        precursor_charge: u8,
+        peaks: Vec<Peak>,
+        origin: SpectrumOrigin,
+    ) -> Spectrum {
+        Spectrum::try_new(id, precursor_mz, precursor_charge, peaks, origin)
+            .unwrap_or_else(|e| panic!("spectrum {id}: {e}"))
     }
 
     /// The peak list, sorted by ascending m/z.
@@ -170,21 +216,49 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "peak m/z must be finite and positive")]
+    #[should_panic(expected = "malformed peak [0, 1]")]
     fn rejects_nonpositive_mz() {
         let _ = Peak::new(0.0, 1.0);
     }
 
     #[test]
-    #[should_panic(expected = "intensity must be finite")]
+    #[should_panic(expected = "malformed peak [100, -1]")]
     fn rejects_negative_intensity() {
         let _ = Peak::new(100.0, -1.0);
     }
 
     #[test]
-    #[should_panic(expected = "precursor charge")]
+    #[should_panic(expected = "spectrum 0: precursor_charge must be ≥ 1")]
     fn rejects_zero_charge() {
         let _ = Spectrum::new(0, 500.0, 0, vec![], SpectrumOrigin::Query);
+    }
+
+    /// Each case has the wire's wording, and the first that holds wins;
+    /// a peak built as a struct literal is checked too.
+    #[test]
+    fn try_new_names_the_first_fault() {
+        let refuse = |mz, z, peaks: &[(f64, f64)]| {
+            let peaks = peaks.iter().map(|&(mz, intensity)| Peak { mz, intensity });
+            Spectrum::try_new(7, mz, z, peaks.collect(), SpectrumOrigin::Query).unwrap_err()
+        };
+        let reason = |mz, z, peaks: &[(f64, f64)]| refuse(mz, z, peaks).to_string();
+        assert_eq!(reason(f64::NAN, 0, &[]), "precursor_charge must be ≥ 1");
+        for mz in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            assert_eq!(
+                reason(mz, 2, &[]),
+                "precursor_mz must be finite and positive"
+            );
+        }
+        let bad = [(300.0, 1.0), (f64::NAN, 1.0), (200.0, -2.0)];
+        assert!(matches!(
+            refuse(1e308, 2, &bad),
+            SpectrumError::MalformedPeak { index: 1, .. }
+        ));
+        assert_eq!(reason(1e308, 2, &bad), "malformed peak [NaN, 1]");
+        assert_eq!(reason(1e308, 2, &[(1.0, 0.0)]), "neutral mass overflows");
+        // At charge 1 even `f64::MAX` is a finite mass, and accepted.
+        let edge = Spectrum::try_new(0, f64::MAX, 1, vec![], SpectrumOrigin::Query);
+        assert!(edge.unwrap().neutral_mass().is_finite());
     }
 
     #[test]

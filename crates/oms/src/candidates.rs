@@ -55,8 +55,12 @@ impl CandidateIndex {
     /// The positions in mass order reachable from a query of neutral
     /// mass `query_mass` under `window`: two binary searches. Its ids, in
     /// ascending mass order, are the slice of [`CandidateIndex::ids`] it
-    /// spans.
+    /// spans. A non-finite mass reaches nothing (at +∞ a ppm window's
+    /// lower bound is NaN, which every reference would pass).
     pub fn window(&self, window: &PrecursorWindow, query_mass: f64) -> Range<u32> {
+        if !query_mass.is_finite() {
+            return 0..0;
+        }
         let (lo, hi) = window.reference_mass_range(query_mass);
         let start = self.by_mass.partition_point(|&(m, _)| m < lo);
         let end = self.by_mass.partition_point(|&(m, _)| m <= hi);
@@ -97,6 +101,19 @@ mod tests {
         let idx = index_of(&[100.0, 200.0]);
         let w = PrecursorWindow::StandardPpm(10.0);
         assert!(idx.window(&w, 500.0).is_empty());
+    }
+
+    #[test]
+    fn empty_at_a_non_finite_mass() {
+        let idx = index_of(&[100.0, 200.0, f64::MAX]);
+        for w in [
+            PrecursorWindow::standard_default(),
+            PrecursorWindow::open_default(),
+        ] {
+            for mass in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                assert!(idx.window(&w, mass).is_empty(), "{w:?} at {mass}");
+            }
+        }
     }
 
     #[test]

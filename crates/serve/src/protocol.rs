@@ -411,49 +411,19 @@ impl QuerySpectrum {
         }
     }
 
-    /// Validate and convert back into a [`Spectrum`] (origin `Query`).
+    /// Convert back into a [`Spectrum`] (origin `Query`).
     ///
     /// # Errors
     ///
-    /// Rejects non-finite or non-positive precursor m/z, a zero charge,
-    /// a neutral mass that overflows (m/z × charge past `f64::MAX`: every
-    /// reference would sit in its window, at an infinite delta no
-    /// response can encode), and malformed peaks — the server must never
-    /// panic on wire input.
+    /// `"spectrum {id}: {reason}"` where [`Spectrum::try_new`] refuses it:
+    /// the server must never panic on wire input.
     pub fn to_spectrum(&self) -> Result<Spectrum, String> {
-        if !(self.precursor_mz.is_finite() && self.precursor_mz > 0.0) {
-            return Err(format!(
-                "spectrum {}: precursor_mz must be finite and positive",
-                self.id
-            ));
-        }
-        if self.precursor_charge == 0 {
-            return Err(format!(
-                "spectrum {}: precursor_charge must be ≥ 1",
-                self.id
-            ));
-        }
-        let mut peaks = Vec::with_capacity(self.peaks.len());
-        for &(mz, intensity) in &self.peaks {
-            if !(mz.is_finite() && mz > 0.0 && intensity.is_finite() && intensity >= 0.0) {
-                return Err(format!(
-                    "spectrum {}: malformed peak [{mz}, {intensity}]",
-                    self.id
-                ));
-            }
-            peaks.push(Peak::new(mz, intensity));
-        }
-        let spectrum = Spectrum::new(
-            self.id,
-            self.precursor_mz,
-            self.precursor_charge,
-            peaks,
-            SpectrumOrigin::Query,
-        );
-        if !spectrum.neutral_mass().is_finite() {
-            return Err(format!("spectrum {}: neutral mass overflows", self.id));
-        }
-        Ok(spectrum)
+        let peaks = (self.peaks.iter())
+            .map(|&(mz, intensity)| Peak { mz, intensity })
+            .collect();
+        let (mz, z) = (self.precursor_mz, self.precursor_charge);
+        Spectrum::try_new(self.id, mz, z, peaks, SpectrumOrigin::Query)
+            .map_err(|e| format!("spectrum {}: {e}", self.id))
     }
 }
 
@@ -1550,26 +1520,23 @@ mod tests {
 
     #[test]
     fn spectrum_validation_rejects_garbage() {
-        let bad_mz = QuerySpectrum {
-            id: 1,
-            precursor_mz: -5.0,
-            precursor_charge: 2,
-            peaks: vec![],
+        let refusal = |precursor_mz, precursor_charge, peaks| {
+            let spectrum = QuerySpectrum {
+                id: 3,
+                precursor_mz,
+                precursor_charge,
+                peaks,
+            };
+            spectrum.to_spectrum().unwrap_err()
         };
-        assert!(bad_mz.to_spectrum().is_err());
-        let bad_peak = QuerySpectrum {
-            id: 2,
-            precursor_mz: 500.0,
-            precursor_charge: 2,
-            peaks: vec![(0.0, 1.0)],
-        };
-        assert!(bad_peak.to_spectrum().is_err());
-        let zero_charge = QuerySpectrum {
-            id: 3,
-            precursor_mz: 500.0,
-            precursor_charge: 0,
-            peaks: vec![],
-        };
-        assert!(zero_charge.to_spectrum().is_err());
+        let expect = [
+            (-5.0, 2, vec![], "precursor_mz must be finite and positive"),
+            (500.0, 2, vec![(0.0, 1.0)], "malformed peak [0, 1]"),
+            (500.0, 0, vec![], "precursor_charge must be ≥ 1"),
+            (1e308, 2, vec![], "neutral mass overflows"),
+        ];
+        for (mz, z, peaks, reason) in expect {
+            assert_eq!(refusal(mz, z, peaks), format!("spectrum 3: {reason}"));
+        }
     }
 }

@@ -1555,6 +1555,11 @@ mod tests {
                 panic!("{window:?}: answered with {response:?}");
             };
             assert!(message.contains("neutral mass overflows"), "{message}");
+            // Byte for byte the line PROTOCOL.md shows.
+            assert_eq!(
+                response.encode(),
+                r#"{"type":"error","message":"spectrum 0: neutral mass overflows"}"#
+            );
             assert_eq!(Response::decode(&response.encode()), Ok(response));
         }
     }

@@ -3,8 +3,14 @@
 //! arbitrary field values, `decode(encode(x)) == x` and the encoding is
 //! a fixed point of `encode ∘ decode`. `protocol_docs` pins the bytes of
 //! one example per message; this pins the field tables behind them.
+//!
+//! A decoded spectrum then enters through `QuerySpectrum::to_spectrum`,
+//! which must accept and refuse exactly what `Spectrum::try_new` and the
+//! MGF reader do, non-finite and overflowing values included.
 
 use hdoms_engine::ShardTiming;
+use hdoms_ms::mgf::read_mgf;
+use hdoms_ms::spectrum::{Peak, Spectrum, SpectrumOrigin};
 use hdoms_oms::psm::{Psm, PsmTableRow};
 use hdoms_prefilter::PrefilterConfig;
 use hdoms_serve::protocol::{
@@ -338,6 +344,64 @@ proptest! {
             spectra: vec![QuerySpectrum { id: 0, precursor_mz: 500.0, precursor_charge: 2, peaks }],
         };
         prop_assert_eq!(Request::decode(&request.encode()).unwrap(), request);
+    }
+}
+
+/// An m/z or intensity from the spectrum rule's edges one time in four,
+/// else an ordinary one.
+fn spectrum_value(rng: &mut TestRng) -> f64 {
+    const EDGES: [f64; 10] = [
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        0.0,
+        -0.0,
+        -1.0,
+        1e308,
+        f64::MAX,
+        5e-324,
+        1.0,
+    ];
+    match draw(0u8..4, rng) {
+        0 => pick(rng, &EDGES),
+        _ => draw(1e-3f64..2e3, rng),
+    }
+}
+
+/// A decoded wire spectrum over those edges, its charge 0 to 4 or 255.
+struct EdgeSpectrum;
+
+impl Strategy for EdgeSpectrum {
+    type Value = QuerySpectrum;
+
+    fn generate(&self, rng: &mut TestRng) -> QuerySpectrum {
+        QuerySpectrum {
+            id: draw(any::<u32>(), rng),
+            precursor_mz: spectrum_value(rng),
+            precursor_charge: pick(rng, &[0, 1, 2, 3, 4, u8::MAX]),
+            peaks: (0..draw(0usize..6, rng))
+                .map(|_| (spectrum_value(rng), spectrum_value(rng)))
+                .collect(),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The wire door is `Spectrum::try_new`: the same spectrum, or its
+    /// reason under the spectrum's id. The MGF reader over the same values
+    /// (each in its shortest round-trip form) accepts the same ones.
+    #[test]
+    fn the_wire_door_refuses_what_try_new_refuses(wire in EdgeSpectrum) {
+        let (mz, z) = (wire.precursor_mz, wire.precursor_charge);
+        let peaks = wire.peaks.iter().map(|&(mz, intensity)| Peak { mz, intensity });
+        let rule = Spectrum::try_new(wire.id, mz, z, peaks.collect(), SpectrumOrigin::Query);
+        let lines: String = wire.peaks.iter().map(|(mz, i)| format!("{mz} {i}\n")).collect();
+        let block = format!("BEGIN IONS\nPEPMASS={mz}\nCHARGE={z}+\n{lines}END IONS\n");
+        prop_assert_eq!(read_mgf(block.as_bytes()).is_ok(), rule.is_ok(), "{}", block);
+        let reason = rule.map_err(|e| format!("spectrum {}: {e}", wire.id));
+        prop_assert_eq!(wire.to_spectrum(), reason);
     }
 }
 
