@@ -40,8 +40,7 @@
 
 use hdoms_engine::Engine;
 use hdoms_index::{
-    IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex, StreamingConfig,
-    StreamingIndexBuilder,
+    IndexConfig, IndexedBackendKind, LibraryIndex, StreamingConfig, StreamingIndexBuilder,
 };
 use hdoms_ms::dataset::{ScaledLibrary, ScaledLibrarySpec, SyntheticWorkload, WorkloadSpec};
 use hdoms_obs::alloc::CountingAllocator;
@@ -315,9 +314,8 @@ fn main() {
                 std::fs::remove_file(&rebuilt_path).ok();
                 rebuilt.expect("streaming rebuild")
             };
-            let in_memory = IndexBuilder::new(index_config(options.dim))
-                .from_library(&library.materialize())
-                .to_bytes();
+            let in_memory =
+                LibraryIndex::build(&library.materialize(), index_config(options.dim)).to_bytes();
             assert!(
                 streamed == in_memory,
                 "streaming and in-memory builds diverged at {references} references"

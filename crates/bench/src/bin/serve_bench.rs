@@ -59,7 +59,7 @@
 //! Usage: `serve_bench [--scale <f64>] [--seed <u64>] [--dim <usize>]`
 
 use hdoms_bench::FigureOptions;
-use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
+use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_obs::metrics::bucket_of;
 use hdoms_oms::psm::{render_table, render_table_rows};
@@ -299,12 +299,14 @@ fn main() {
         SyntheticWorkload::generate(&WorkloadSpec::iprg2012(options.scale), options.seed);
     let mut exact = ExactBackendConfig::default();
     exact.encoder.dim = options.dim;
-    let index = IndexBuilder::new(IndexConfig {
-        kind: IndexedBackendKind::Exact(exact),
-        entries_per_shard: 512,
-        threads: THREADS,
-    })
-    .from_library(&workload.library);
+    let index = LibraryIndex::build(
+        &workload.library,
+        IndexConfig {
+            kind: IndexedBackendKind::Exact(exact),
+            entries_per_shard: 512,
+            threads: THREADS,
+        },
+    );
     let bytes = index.to_bytes();
 
     // Residency: what one process start costs before the first answer.

@@ -371,7 +371,7 @@ fn index_info(args: &[String]) -> Result<(), String> {
     flags.check_known(&["index"])?;
     let index_path = flags.require("index")?;
     let bytes = fs::metadata(index_path).map_err(|e| e.to_string())?.len();
-    let index = LibraryIndex::open(
+    let index = LibraryIndex::open_mapped(
         Path::new(index_path),
         hdoms_hdc::parallel::default_threads(),
     )
@@ -417,8 +417,11 @@ fn index_append(args: &[String]) -> Result<(), String> {
     let out_path = flags.get("out").unwrap_or(index_path).to_owned();
     let threads: usize = flags.get_or("threads", hdoms_hdc::parallel::default_threads())?;
 
+    // Mapped like every open: the append repacks the words onto the
+    // heap, and the write renames a new file over the path, so an
+    // in-place append never writes into the mapping it reads.
     let mut index =
-        LibraryIndex::open(Path::new(index_path), threads).map_err(|e| e.to_string())?;
+        LibraryIndex::open_mapped(Path::new(index_path), threads).map_err(|e| e.to_string())?;
     let extra = read_library_file(library_path)?;
     let before = index.entry_count();
     index.append_entries(extra.entries(), threads);

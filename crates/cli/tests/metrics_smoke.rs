@@ -10,7 +10,7 @@
 //! with a concurrent torn-read probe — this is CI's observability gate,
 //! in both test passes.
 
-use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind};
+use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_serve::protocol::{QuerySpectrum, Request, Response, WindowKind};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -138,7 +138,7 @@ fn scraped_exposition_reports_the_served_batch() {
     if let IndexedBackendKind::Exact(exact) = &mut config.kind {
         exact.encoder.dim = DIM;
     }
-    let index = IndexBuilder::new(config).from_library(&workload.library);
+    let index = LibraryIndex::build(&workload.library, config);
     let index_path =
         std::env::temp_dir().join(format!("hdoms-metrics-smoke-{}.hdx", std::process::id()));
     index.write(&index_path).expect("persist smoke index");

@@ -5,19 +5,21 @@
 //! exercises the per-batch `query` verb (one batch must equal the local
 //! run too) so the compatibility path stays guarded, what
 //! `index info` prints for the golden v3 image, the flags and specs
-//! `search` and `compare` refuse, and the overflowing precursor both MGF
-//! doors (`search`, `index build`) refuse.
+//! `search` and `compare` refuse, the overflowing precursor both MGF
+//! doors (`search`, `index build`) refuse, a truncated query file
+//! `search` refuses, and the `hdoms query` client against a TCP server.
 //! (CI's release test pass is the run that counts: the spawned binary
 //! is the optimised one.)
 
 use hdoms_engine::Engine;
-use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind};
+use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_oms::psm::{render_table, render_table_rows};
 use hdoms_oms::window::PrecursorWindow;
 use hdoms_serve::protocol::{QuerySpectrum, Request, Response, WindowKind};
 use std::io::{BufRead, BufReader, Write};
-use std::process::{Child, ChildStdin, Command, Stdio};
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStdin, Command, Output, Stdio};
 use std::sync::Arc;
 
 const THREADS: usize = 4;
@@ -80,6 +82,29 @@ impl Drop for StdioServer {
     }
 }
 
+/// Run the `hdoms` binary in `dir` with whitespace-separated `args`.
+fn hdoms(dir: &Path, args: &str) -> Output {
+    (Command::new(env!("CARGO_BIN_EXE_hdoms")).current_dir(dir))
+        .args(args.split_whitespace())
+        .output()
+        .expect("spawn hdoms")
+}
+
+/// A scratch directory named for `tag`, holding the tiny preset's
+/// `q.mgf` and `lib.mgf` and, with `index`, `lib.hdx` built over them.
+fn tiny_files(tag: &str, index: bool) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("hdoms-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let build = "index build --library lib.mgf --out lib.hdx --dim 512";
+    let generate = "generate --out-queries q.mgf --out-library lib.mgf --preset tiny";
+    for args in [generate].into_iter().chain(index.then_some(build)) {
+        let run = hdoms(&dir, args);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(run.status.success(), "{args}: {stderr}");
+    }
+    dir
+}
+
 #[test]
 fn served_stdio_session_matches_local_run() {
     // 1. A tiny workload and its persisted index.
@@ -92,7 +117,7 @@ fn served_stdio_session_matches_local_run() {
     if let IndexedBackendKind::Exact(exact) = &mut config.kind {
         exact.encoder.dim = DIM;
     }
-    let index = IndexBuilder::new(config).from_library(&workload.library);
+    let index = LibraryIndex::build(&workload.library, config);
     let index_path =
         std::env::temp_dir().join(format!("hdoms-session-smoke-{}.hdx", std::process::id()));
     index.write(&index_path).expect("persist smoke index");
@@ -195,25 +220,7 @@ fn search_refuses_flags_it_would_ignore() {
 /// its own loader would refuse.
 #[test]
 fn an_overflowing_precursor_is_refused_at_both_mgf_doors() {
-    let dir = std::env::temp_dir().join(format!("hdoms-overflow-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let hdoms = |args: &str| {
-        (Command::new(env!("CARGO_BIN_EXE_hdoms")).current_dir(&dir))
-            .args(args.split_whitespace())
-            .output()
-            .expect("spawn hdoms")
-    };
-    for args in [
-        "generate --out-queries q.mgf --out-library lib.mgf --preset tiny",
-        "index build --library lib.mgf --out lib.hdx --dim 512",
-    ] {
-        let run = hdoms(args);
-        assert!(
-            run.status.success(),
-            "{args}: {}",
-            String::from_utf8_lossy(&run.stderr)
-        );
-    }
+    let dir = tiny_files("overflow", true);
     // The first block of a generated file with its precursor rewritten,
     // and the line of its PEPMASS within the block.
     let overflowing = |name: &str| {
@@ -240,7 +247,7 @@ fn an_overflowing_precursor_is_refused_at_both_mgf_doors() {
     let search = "search --queries bad-q.mgf --index lib.hdx --window standard --out bad.tsv";
     let build = "index build --library bad-lib.mgf --dim 512 --out bad.hdx";
     for (args, line) in [(search, query_line), (build, library_line)] {
-        let run = hdoms(args);
+        let run = hdoms(&dir, args);
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert!(!run.status.success(), "{args} succeeded: {stderr}");
         let named = format!("malformed PEPMASS header (neutral mass overflows) at line {line}");
@@ -248,6 +255,95 @@ fn an_overflowing_precursor_is_refused_at_both_mgf_doors() {
         let out = args.rsplit(' ').next().unwrap();
         assert!(!dir.join(out).exists(), "{args} wrote {out}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A query file cut inside a block (its first 116 lines) is refused,
+/// naming the line of the block's `BEGIN IONS`, and no table is written:
+/// the last spectrum is not silently lost.
+#[test]
+fn a_truncated_query_file_is_refused_naming_its_open_block() {
+    let dir = tiny_files("truncated", false);
+    let text = std::fs::read_to_string(dir.join("q.mgf")).expect("generated mgf");
+    let head: Vec<&str> = text.lines().take(116).collect();
+    assert_ne!(head[115], "END IONS", "the cut must fall inside a block");
+    let begin = 1 + head.iter().rposition(|l| *l == "BEGIN IONS").unwrap();
+    std::fs::write(dir.join("cut.mgf"), head.join("\n") + "\n").unwrap();
+
+    let run = hdoms(
+        &dir,
+        "search --queries cut.mgf --library lib.mgf --dim 512 --out cut.tsv",
+    );
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(!run.status.success(), "a truncated file searched: {stderr}");
+    let named = format!("spectrum block opened by BEGIN IONS at line {begin} has no END IONS");
+    assert!(stderr.contains(&named), "{stderr}");
+    assert!(!dir.join("cut.tsv").exists(), "a table was written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Kills the server it holds when dropped, whatever the test did.
+struct Reaped(Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The `hdoms query` client against `hdoms serve` on an ephemeral TCP
+/// port: one batch, and batches of 7 through one session, each write a
+/// table byte-identical to `search --index` over the same image.
+#[test]
+fn the_query_client_writes_the_search_index_table() {
+    let dir = tiny_files("query-client", true);
+    let mut server = Command::new(env!("CARGO_BIN_EXE_hdoms"))
+        .current_dir(&dir)
+        .args(["serve", "--listen", "127.0.0.1:0", "--log-json", "true"])
+        .args(["--index", "smoke=lib.hdx"])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn hdoms serve --listen");
+    // The JSON log on stderr: the serve.start event carries the bound
+    // address. The rest of the log is drained so the server never
+    // blocks on a full pipe.
+    let stderr = BufReader::new(server.stderr.take().expect("piped stderr"));
+    let server = Reaped(server);
+    let (sender, bound) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for line in stderr.lines().map_while(Result::ok) {
+            let Some(rest) = line.split("\"event\":\"serve.start\"").nth(1) else {
+                continue;
+            };
+            let addr = rest.split("\"addr\":\"").nth(1);
+            let addr = addr.and_then(|s| s.split('"').next());
+            let _ = sender.send(addr.expect("serve.start carries an addr").to_owned());
+        }
+    });
+    let addr = bound.recv().expect("the server announces its address");
+
+    let run = |args: &str| {
+        let out = hdoms(&dir, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args}: {stderr}");
+    };
+    run("search --queries q.mgf --index lib.hdx --out local.tsv");
+    let local = std::fs::read(dir.join("local.tsv")).expect("local table");
+    assert!(
+        local.split(|&b| b == b'\n').count() > 2,
+        "no rows to compare"
+    );
+    let query = format!("query --addr {addr} --queries q.mgf --index smoke");
+    for (out, mode) in [
+        ("one.tsv", "--batch-size 0"),
+        ("session.tsv", "--batch-size 7 --session true"),
+    ] {
+        run(&format!("{query} {mode} --out {out}"));
+        let served = std::fs::read(dir.join(out)).expect("served table");
+        assert!(served == local, "{mode}: the served table differs");
+    }
+    drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -9,8 +9,8 @@
 //! over that seam, and with them the standard OMS pipeline (candidate
 //! windowing and FDR filtering), drive it exactly like the software
 //! baselines, which is what the Fig. 10/11/13 quality comparisons need.
-//! The library side goes through the one
-//! [`encode_chunk`] with the [`InMemoryEncoder`] as its
+//! The library side goes through the one intake
+//! [`SharedReferences::encode_in`] with the [`InMemoryEncoder`] as its
 //! `ReferenceEncoder`, folded into [`BuildStats`] by [`StatsFold`].
 
 use crate::encode::InMemoryEncoder;
@@ -19,7 +19,7 @@ use hdoms_hdc::encoder::EncoderConfig;
 use hdoms_hdc::BinaryHypervector;
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
-use hdoms_oms::search::{encode_chunk, RunMember, RunScorer, SearchHit, SharedReferences};
+use hdoms_oms::search::{RunMember, RunScorer, SearchHit, SharedReferences};
 use hdoms_rram::array::CrossbarConfig;
 
 /// Full accelerator configuration.
@@ -53,8 +53,9 @@ impl Default for AcceleratorConfig {
     }
 }
 
-/// Statistics gathered while building the accelerator.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Statistics gathered while building the accelerator (all zero before
+/// anything is encoded).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BuildStats {
     /// Library entries successfully encoded and stored.
     pub references_stored: usize,
@@ -67,9 +68,9 @@ pub struct BuildStats {
 
 /// The build-statistics fold, written once: encoded slots go in one at a
 /// time in id order (the BER sum is a left fold, so every build path —
-/// [`OmsAccelerator::build`], `hdoms-index`'s cold and streaming builds,
-/// appends — reaches bit-identical statistics), and [`StatsFold::onto`]
-/// lands them on whatever was already recorded.
+/// [`OmsAccelerator::build`], `hdoms-index`'s builds and appends, its
+/// streaming builder — reaches bit-identical statistics), and
+/// [`StatsFold::onto`] lands them on whatever was already recorded.
 #[derive(Debug, Default)]
 pub struct StatsFold {
     stored: usize,
@@ -135,12 +136,10 @@ impl OmsAccelerator {
         let encoder =
             InMemoryEncoder::new(config.encoder, config.crossbar, config.seed, config.threads);
         let pre = Preprocessor::new(config.preprocess);
-        let mut stats = StatsFold::default();
-        let references: Vec<Option<BinaryHypervector>> =
-            encode_chunk(&encoder, &pre, library.entries(), 0, config.threads)
-                .into_iter()
-                .map(|slot| stats.push(slot))
-                .collect();
+        let (mut references, mut stats) =
+            (SharedReferences::from(Vec::new()), StatsFold::default());
+        let fold = |slot| stats.push(slot);
+        references.encode_in(&encoder, &pre, library.entries(), config.threads, fold);
         OmsAccelerator::from_parts(config, encoder, references, stats.onto(None))
     }
 

@@ -431,6 +431,10 @@ fn group_mac(group: &[(&[f32], &BinaryHypervector)], chunk_size: usize, out: &mu
 }
 
 impl ReferenceEncoder for InMemoryEncoder {
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
     fn encode_reference(&self, binned: &BinnedSpectrum) -> (BinaryHypervector, f64) {
         let (hv, stats) = self.encode_with_stats(binned);
         (hv, stats.bit_error_rate())

@@ -4,12 +4,11 @@
 //! server, the benchmark, the figure binaries, the examples and the
 //! tests alike. This crate is it, in two types:
 //!
-//! * [`Engine`] — **one builder for every construction path**. Cold
-//!   ([`Engine::from_library`]), mapped ([`Engine::open_mapped`] — the
-//!   zero-copy default for serving: the `.hdx` file's bytes are
-//!   searched in place), warm from an already-loaded index
-//!   ([`Engine::from_index`]), or bring-your-own scorer
-//!   ([`Engine::from_backend`]). An engine owns everything a search
+//! * [`Engine`] — **one builder for every construction path**, three
+//!   constructors. Cold ([`Engine::from_library`]), warm from a loaded
+//!   index ([`Engine::from_index`] — over `LibraryIndex::open_mapped`
+//!   the `.hdx` file's bytes are searched in place), or bring-your-own
+//!   scorer ([`Engine::from_backend`]). An engine owns everything a search
 //!   needs — the scoring backend, the mass-sorted candidate index, and
 //!   the per-reference metadata (mass, decoy flag, peptide) — so callers
 //!   never wire those pieces by hand again. Every engine scores through
@@ -66,9 +65,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(unsafe_code)]
 
-use hdoms_index::{
-    IndexBuilder, IndexConfig, IndexError, LibraryIndex, QueryRecord, ShardedBackend,
-};
+use hdoms_index::{IndexConfig, IndexError, LibraryIndex, QueryRecord, ShardedBackend};
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
 use hdoms_ms::spectrum::Spectrum;
@@ -82,7 +79,6 @@ use hdoms_oms::search::RunScorer;
 use hdoms_oms::window::PrecursorWindow;
 use hdoms_prefilter::{PrefilterConfig, SketchIndex};
 use std::ops::Range;
-use std::path::Path;
 use std::sync::Arc;
 
 pub use hdoms_index::ShardTiming;
@@ -142,8 +138,7 @@ impl EngineSeries {
 /// | constructor | replaces |
 /// |---|---|
 /// | [`Engine::from_library`] | cold `ExactBackend::build` / `OmsAccelerator::build` + manual candidate index |
-/// | [`Engine::open_mapped`] | `LibraryIndex::open_mapped` + the wiring below, searching the `mmap`ed file in place |
-/// | [`Engine::from_index`] | `LibraryIndex::sharded_backend` + `catalog` + `candidate_index` over any loaded index (`LibraryIndex::open` for the same loader over a heap read) |
+/// | [`Engine::from_index`] | `LibraryIndex::sharded_backend` + `catalog` + `candidate_index` over any loaded index (`LibraryIndex::open_mapped` searches the `mmap`ed file in place; `from_bytes` runs the same loader over bytes in hand) |
 /// | [`Engine::from_backend`] | any [`RunScorer`] as one shard over all references: the baselines crate (ANN-SoLo), or an index's own `to_exact_backend` / `to_accelerator` |
 ///
 /// Queries run through a [`Session`] (streaming, cross-batch FDR) or the
@@ -171,34 +166,12 @@ impl Engine {
     /// # Panics
     ///
     /// Panics on an empty library or invalid configuration (same
-    /// contracts as [`IndexBuilder`]).
+    /// contracts as [`LibraryIndex::build`]).
     pub fn from_library(library: &SpectralLibrary, config: IndexConfig) -> Engine {
         let threads = config.threads;
-        let index = IndexBuilder::new(config).from_library(library);
+        let index = LibraryIndex::build(library, config);
         Engine::from_index(index, threads)
             .expect("an index built here always reconstructs its own kind")
-    }
-
-    /// **Mapped** construction from a `.hdx` file: the file is `mmap`ed
-    /// (with the index crate's `mmap` feature; read onto the heap
-    /// otherwise) as one backing buffer and searched **in place** — no
-    /// per-reference hypervector is materialised, so open time and
-    /// resident heap stop scaling with the encoded-library payload.
-    /// Searches produce PSM tables byte-identical to
-    /// [`Engine::from_library`] and to a heap-read load
-    /// (`LibraryIndex::open` + [`Engine::from_index`]) over the same
-    /// references (asserted in `crates/engine/tests/equivalence.rs`).
-    ///
-    /// This is the default path for `hdoms serve` and
-    /// `hdoms search --index`. A v1-format file's unaligned words are
-    /// repacked into a heap buffer automatically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates load failures ([`IndexError`]).
-    pub fn open_mapped(path: &Path, threads: usize) -> Result<Engine, IndexError> {
-        let index = LibraryIndex::open_mapped(path, threads)?;
-        Engine::from_index(index, threads)
     }
 
     /// **Warm** construction from an already-loaded index, with the

@@ -9,9 +9,10 @@
 //! The `mapped_*` tests are the one-loader regression gate. There is no
 //! copying load to compare against any more — every open runs
 //! `LibraryIndex::from_buffer` over one buffer holding the image — so
-//! they pin mapped ≡ heap-buffer ≡ cold build: `Engine::open_mapped`
-//! (mmap) must render PSM tables byte-identical to `LibraryIndex::open`
-//! (heap read) + `Engine::from_index` and to `Engine::from_library`. A
+//! they pin mapped ≡ heap-buffer ≡ cold build: `Engine::from_index` over
+//! `LibraryIndex::open_mapped` (mmap) must render PSM tables
+//! byte-identical to `Engine::from_index` over `LibraryIndex::from_bytes`
+//! (the image's bytes in a heap buffer) and to `Engine::from_library`. A
 //! failure there means the in-place search path silently diverged.
 //! `kernel_variants_*` is the engine-level half of CI's kernel gate:
 //! byte-identical tables across distance kernels over a mapped
@@ -25,7 +26,7 @@
 
 use hdoms_baselines::annsolo::{AnnSoloBackend, AnnSoloConfig};
 use hdoms_engine::{BatchReceipt, Engine, ReferenceMeta, Session};
-use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
+use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_ms::preprocess::{PreprocessConfig, Preprocessor};
@@ -54,11 +55,19 @@ fn tiny_engine(seed: u64) -> (SyntheticWorkload, Arc<Engine>) {
     (workload, engine)
 }
 
-/// The heap-read load: `LibraryIndex::open` reads the file into one heap buffer
-/// and runs the one loader over it, then the same wiring
-/// `Engine::open_mapped` does over the `mmap`ed file.
+/// The heap load: the image's bytes read into memory, the one loader
+/// run over a heap copy of them (`LibraryIndex::from_bytes`), then the
+/// same wiring [`open_mapped`] does over the `mmap`ed file.
 fn open_heap_read(path: &std::path::Path) -> Arc<Engine> {
-    let index = LibraryIndex::open(path, THREADS).expect("heap-read load");
+    let bytes = std::fs::read(path).expect("image readable");
+    let index = LibraryIndex::from_bytes(&bytes, THREADS).expect("heap load");
+    Arc::new(Engine::from_index(index, THREADS).expect("an index wires its own kind"))
+}
+
+/// The file door every product path opens an image through, wired into
+/// an engine as the CLI and the server wire it.
+fn open_mapped(path: &std::path::Path) -> Arc<Engine> {
+    let index = LibraryIndex::open_mapped(path, THREADS).expect("mapped load");
     Arc::new(Engine::from_index(index, THREADS).expect("an index wires its own kind"))
 }
 
@@ -234,8 +243,8 @@ fn custom_backend_engines_match_the_pipeline() {
 
 #[test]
 fn mapped_engine_matches_open_and_cold_byte_for_byte() {
-    // The zero-copy acceptance contract: `Engine::open_mapped` (searching
-    // the `.hdx` bytes in place) renders PSM tables byte-identical to
+    // The zero-copy acceptance contract: an engine over `open_mapped`
+    // (searching the `.hdx` bytes in place) renders PSM tables byte-identical to
     // a heap-read load (the same image in a heap buffer) and to the cold
     // `Engine::from_library` build that produced the index.
     let (workload, cold) = tiny_engine(9006);
@@ -248,7 +257,7 @@ fn mapped_engine_matches_open_and_cold_byte_for_byte() {
         .write(&path)
         .unwrap();
     let warm = open_heap_read(&path);
-    let mapped = Arc::new(Engine::open_mapped(&path, THREADS).expect("mapped load"));
+    let mapped = open_mapped(&path);
     std::fs::remove_file(&path).ok();
 
     assert!(
@@ -387,7 +396,7 @@ fn kernel_variants_render_byte_identical_psm_tables() {
         .write(&path)
         .unwrap();
     let warm = open_heap_read(&path);
-    let mapped = Arc::new(Engine::open_mapped(&path, THREADS).expect("mapped load"));
+    let mapped = open_mapped(&path);
     std::fs::remove_file(&path).ok();
     assert!(mapped
         .index()
@@ -497,12 +506,12 @@ fn every_construction_derives_the_one_catalog() {
     if let IndexedBackendKind::Exact(exact) = &mut config.kind {
         exact.encoder.dim = 512;
     }
-    let builder = IndexBuilder::new(config);
-    let cold = builder.from_library(&library);
+    let cold = LibraryIndex::build(&library, config.clone());
     let path = std::env::temp_dir().join(format!("hdoms-catalog-{}.hdx", std::process::id()));
     cold.write(&path).expect("write index");
     let (head, tail) = library.entries().split_at(library.len() / 3);
-    let mut appended = builder.from_library(&head.iter().cloned().collect::<SpectralLibrary>());
+    let head: SpectralLibrary = head.iter().cloned().collect();
+    let mut appended = LibraryIndex::build(&head, config);
     let held = Arc::as_ptr(&appended.catalog());
     appended.append_entries(tail, THREADS);
     assert_eq!(
@@ -514,7 +523,8 @@ fn every_construction_derives_the_one_catalog() {
         ("cold", cold),
         (
             "heap",
-            LibraryIndex::open(&path, THREADS).expect("heap load"),
+            LibraryIndex::from_bytes(&std::fs::read(&path).expect("image"), THREADS)
+                .expect("heap load"),
         ),
         (
             "mapped",
@@ -570,7 +580,7 @@ fn an_engine_scores_each_shard_its_index_reaches_in_one_run() {
         env!("CARGO_MANIFEST_DIR"),
         "/../index/tests/fixtures/v3-append.hdx"
     );
-    let index = LibraryIndex::open(std::path::Path::new(fixture), THREADS).expect("fixture");
+    let index = LibraryIndex::open_mapped(std::path::Path::new(fixture), THREADS).expect("fixture");
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 37);
     let mut shard_of = vec![u32::MAX; index.entry_count()];
     for (s, shard) in (0u32..).zip(index.shards()) {

@@ -29,11 +29,15 @@
 //! hold one of each — which is what makes the long-lived `hdoms-serve`
 //! layer affordable.
 //!
-//! Since format **v2** shard hypervector words are laid out 8-aligned,
-//! so the one loader ([`LibraryIndex::from_buffer`]) searches the file's
-//! bytes **in place** from one backing buffer — a heap read
-//! ([`LibraryIndex::open`]) or, for [`LibraryIndex::open_mapped`] under
-//! the default `mmap` feature on Unix, the mapped file itself. No
+//! Each verb has one door. A build ([`LibraryIndex::build`]) is an append
+//! ([`LibraryIndex::append_entries`]) onto an empty index, and both fill
+//! the reference table through one bounded intake, a chunk of entries at
+//! a time. Since format **v2** shard hypervector words are laid out
+//! 8-aligned, so the one loader ([`LibraryIndex::from_buffer`]) searches
+//! the file's bytes **in place** from one backing buffer; a file opens
+//! through [`LibraryIndex::open_mapped`] — the mapped file itself under
+//! the default `mmap` feature on Unix, one streamed heap read elsewhere —
+//! and bytes already in hand through [`LibraryIndex::from_bytes`]. No
 //! per-reference hypervector is ever materialised, and over a mapping
 //! resident heap drops to the metadata. The image likewise has one
 //! writer, shared by [`LibraryIndex::write`] and the bounded-memory
@@ -44,7 +48,7 @@
 //!
 //! ```
 //! use hdoms_engine::Engine;
-//! use hdoms_index::{IndexBuilder, IndexConfig, LibraryIndex};
+//! use hdoms_index::{IndexConfig, LibraryIndex};
 //! use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 //! use hdoms_oms::window::PrecursorWindow;
 //! use std::sync::Arc;
@@ -57,12 +61,12 @@
 //! if let hdoms_index::IndexedBackendKind::Exact(exact) = &mut config.kind {
 //!     exact.encoder.dim = 2048;
 //! }
-//! let index = IndexBuilder::new(config).from_library(&workload.library);
+//! let index = LibraryIndex::build(&workload.library, config);
 //! let dir = std::env::temp_dir().join(format!("hdoms-doc-index-{}.hdx", std::process::id()));
 //! index.write(&dir).unwrap();
 //!
 //! // Warm load: no re-encoding, and searches produce identical PSMs.
-//! let loaded = LibraryIndex::open(&dir, 4).unwrap();
+//! let loaded = LibraryIndex::open_mapped(&dir, 4).unwrap();
 //! let engine = Arc::new(Engine::from_index(loaded, 4).unwrap());
 //! let (outcome, _) = engine.search(&workload.queries, PrecursorWindow::open_default(), 0.01);
 //! assert!(!outcome.accepted.is_empty());
@@ -86,6 +90,6 @@ pub mod wire;
 pub mod xxhash;
 
 pub use format::{IndexError, IndexedBackendKind, MlcState};
-pub use library_index::{IndexBuilder, IndexConfig, LibraryIndex};
+pub use library_index::{IndexConfig, LibraryIndex};
 pub use sharded::{QueryRecord, ShardTiming, ShardedBackend};
 pub use streaming::{StreamingBuildReport, StreamingConfig, StreamingIndexBuilder};

@@ -1,5 +1,11 @@
-//! The in-memory index, its builder, its reader, and incremental append.
-//! The prefilter's sketch is derived here from the references
+//! The in-memory index: its build, its reader, and incremental append.
+//! Each verb has one door. A build is an append onto an empty index
+//! ([`LibraryIndex::build`]); an append ([`LibraryIndex::append_entries`])
+//! fills the reference table through the one bounded intake
+//! ([`SharedReferences::encode_in`]); a file opens through
+//! [`LibraryIndex::open_mapped`], and bytes already in hand through
+//! [`LibraryIndex::from_bytes`] / [`LibraryIndex::from_buffer`]. The
+//! prefilter's sketch is derived here from the references
 //! ([`LibraryIndex::sketch_index`]); no image stores it.
 
 use crate::format::{
@@ -16,18 +22,11 @@ use hdoms_ms::library::{LibraryEntry, SpectralLibrary};
 use hdoms_ms::preprocess::{BinnedSpectrum, Preprocessor};
 use hdoms_oms::candidates::CandidateIndex;
 use hdoms_oms::pipeline::{ReferenceCatalog, ReferenceMeta};
-use hdoms_oms::search::{
-    encode_chunk, ExactBackend, ExactBackendConfig, ReferenceEncoder, SharedReferences,
-};
+use hdoms_oms::search::{ExactBackend, ExactBackendConfig, ReferenceEncoder, SharedReferences};
 use hdoms_prefilter::{SketchIndex, SKETCH_WORDS};
 use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
-
-/// Entries a cold build encodes per step: the transient per-entry
-/// hypervectors of one step are packed into the flat table and dropped
-/// before the next, so a build holds the encoded library once, not twice.
-const ENCODE_CHUNK: usize = 8192;
 
 /// How an index is built.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,86 +64,6 @@ impl IndexConfig {
             IndexedBackendKind::Rram(c) => c.threads = 1,
         }
         kind
-    }
-}
-
-/// Builds a [`LibraryIndex`] from a spectral library.
-///
-/// The builder runs the configured backend's own per-id encoder, so the
-/// persisted hypervectors are byte-identical to a cold build:
-///
-/// ```
-/// use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind};
-/// use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
-///
-/// let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 7);
-/// let mut config = IndexConfig {
-///     entries_per_shard: 64,
-///     threads: 2,
-///     ..IndexConfig::default()
-/// };
-/// if let IndexedBackendKind::Exact(exact) = &mut config.kind {
-///     exact.encoder.dim = 512;
-/// }
-/// let index = IndexBuilder::new(config).from_library(&workload.library);
-/// assert_eq!(index.entry_count(), workload.library.len());
-/// assert!(index.shards().len() > 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct IndexBuilder {
-    config: IndexConfig,
-}
-
-impl IndexBuilder {
-    /// A builder with `config`.
-    pub fn new(config: IndexConfig) -> IndexBuilder {
-        assert!(
-            config.entries_per_shard > 0,
-            "entries_per_shard must be positive"
-        );
-        IndexBuilder { config }
-    }
-
-    /// Encode the whole library once (in parallel, chunked over worker
-    /// threads) and lay the result out as precursor-mass shards.
-    ///
-    /// The encoding path is byte-identical to a cold backend build: the
-    /// builder runs the per-id chunk encoder the backend constructors
-    /// are written over (the same one the streaming builder and appends
-    /// run), so a warm-loaded search produces the same PSMs as a cold one.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty library or invalid configuration (same
-    /// contracts as the underlying backend constructors).
-    pub fn from_library(&self, library: &SpectralLibrary) -> LibraryIndex {
-        assert!(!library.is_empty(), "cannot index an empty library");
-        let (kind, threads) = (self.config.recorded_kind(), self.config.threads);
-        let backend = KindBackend::new(&kind, None, threads);
-        let pre = Preprocessor::new(kind.preprocess());
-        let mut references = SharedReferences::from(Vec::new());
-        let mut stats = StatsFold::default();
-        for chunk in library.entries().chunks(ENCODE_CHUNK) {
-            let encoded = encode_chunk(&backend, &pre, chunk, references.len() as u32, threads);
-            references.append(encoded.into_iter().map(|slot| stats.push(slot)));
-        }
-
-        let mut catalog = ReferenceMeta::default();
-        let mut table = take_in(&mut catalog, library.entries());
-        let per_shard = self.config.entries_per_shard;
-        let bounds = cut(&mut table, per_shard);
-        LibraryIndex {
-            kind,
-            entries_per_shard: per_shard,
-            build_stats: stats.onto(None),
-            mlc: backend.mlc_state(),
-            table: CandidateIndex::from_sorted(table),
-            bounds,
-            references,
-            catalog: Arc::new(catalog),
-            backend: Arc::new(OnceLock::from(backend)),
-            sketches: OnceLock::new(),
-        }
     }
 }
 
@@ -244,8 +163,15 @@ impl KindBackend {
     }
 }
 
-/// The library side: every build path runs [`encode_chunk`] over this.
+/// The library side: every build path encodes through this.
 impl ReferenceEncoder for KindBackend {
+    fn dim(&self) -> usize {
+        match self {
+            KindBackend::Software(backend) => backend.dim(),
+            KindBackend::Rram(_, encoder) => encoder.dim(),
+        }
+    }
+
     fn encode_reference(&self, binned: &BinnedSpectrum) -> (BinaryHypervector, f64) {
         match self {
             KindBackend::Software(backend) => backend.encode_reference(binned),
@@ -321,6 +247,56 @@ impl PartialEq for LibraryIndex {
 }
 
 impl LibraryIndex {
+    /// Build an index over `library`: an empty index of `config`'s kind,
+    /// its backend programmed on `config.threads` workers, filled by
+    /// [`LibraryIndex::append_entries`] — a cold build is an append onto
+    /// nothing. It encodes through the kind's one backend, as the
+    /// streaming builder does, so its image is byte-identical to theirs
+    /// and a warm-loaded search produces the same PSMs as a cold one
+    /// (the crate docs show the workflow).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty library, on `entries_per_shard == 0`, or on an
+    /// invalid configuration (same contracts as the backend
+    /// constructors).
+    pub fn build(library: &SpectralLibrary, config: IndexConfig) -> LibraryIndex {
+        assert!(
+            config.entries_per_shard > 0,
+            "entries_per_shard must be positive"
+        );
+        assert!(!library.is_empty(), "cannot index an empty library");
+        let kind = config.recorded_kind();
+        let backend = KindBackend::new(&kind, None, config.threads);
+        let (stats, mlc) = (BuildStats::default(), backend.mlc_state());
+        let mut index = LibraryIndex::empty(kind, config.entries_per_shard, stats, mlc);
+        index.backend = Arc::new(OnceLock::from(backend));
+        index.append_entries(library.entries(), config.threads);
+        index
+    }
+
+    /// An index without entries: what a build appends onto and a load
+    /// decodes into.
+    fn empty(
+        kind: IndexedBackendKind,
+        entries_per_shard: usize,
+        build_stats: BuildStats,
+        mlc: Option<MlcState>,
+    ) -> LibraryIndex {
+        LibraryIndex {
+            kind,
+            entries_per_shard,
+            build_stats,
+            mlc,
+            table: CandidateIndex::from_sorted(Vec::new()),
+            bounds: vec![0],
+            references: SharedReferences::from(Vec::new()),
+            catalog: Arc::default(),
+            backend: Arc::default(),
+            sketches: OnceLock::new(),
+        }
+    }
+
     /// The backend kind the index was built for.
     pub fn kind(&self) -> &IndexedBackendKind {
         &self.kind
@@ -517,11 +493,13 @@ impl LibraryIndex {
     // -- incremental append ----------------------------------------------
 
     /// Append new library spectra to the index, encoding **only** the new
-    /// entries. New entries receive the next dense ids (`entry_count..`),
-    /// exactly as if the library had contained them at build time, and
-    /// their `(mass, id)` pairs join the table, which is re-cut as a build
-    /// cuts it: the appended index *is* the index a cold build over the
-    /// concatenated library makes (byte for byte for the software kinds).
+    /// entries, through the one bounded intake
+    /// ([`SharedReferences::encode_in`]). New entries receive the next
+    /// dense ids (`entry_count..`), exactly as if the library had
+    /// contained them at build time, and their `(mass, id)` pairs join
+    /// the table, which is re-cut as a build cuts it: the appended index
+    /// *is* the index a cold build over the concatenated library makes
+    /// (byte for byte for the software kinds).
     ///
     /// # Panics
     ///
@@ -530,16 +508,15 @@ impl LibraryIndex {
         if new_entries.is_empty() {
             return;
         }
-        let first_id = self.entry_count() as u32;
         let pre = Preprocessor::new(self.kind.preprocess());
-        let encoded = encode_chunk(self.backend(), &pre, new_entries, first_id, threads);
-
-        // New ids are `entry_count..`, so the flat table simply extends
-        // (in place when this index alone holds a heap buffer; see
-        // [`SharedReferences::append`] for the repack otherwise).
+        // The table grows in place when this index alone holds a heap
+        // buffer (see [`SharedReferences::append`] for the repack
+        // otherwise).
+        let mut references = std::mem::replace(&mut self.references, Vec::new().into());
         let mut stats = StatsFold::default();
-        self.references
-            .append(encoded.into_iter().map(|slot| stats.push(slot)));
+        let fold = |slot| stats.push(slot);
+        references.encode_in(self.backend(), &pre, new_entries, threads, fold);
+        self.references = references;
         self.build_stats = stats.onto(Some(&self.build_stats));
         let added = take_in(Arc::make_mut(&mut self.catalog), new_entries);
         let mut table = [self.table.pairs(), &added].concat();
@@ -687,26 +664,13 @@ impl LibraryIndex {
         Ok(index)
     }
 
-    /// Load and validate an index from `path` over a **heap read**: the
-    /// file is read in one streamed pass into one aligned heap buffer
-    /// and handed to [`LibraryIndex::from_buffer`] — the same loader
-    /// [`LibraryIndex::open_mapped`] runs over an `mmap` of the file, so
-    /// the references are searched inside that buffer, not materialised
-    /// out of it.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem, format, checksum and semantic failures all surface as
-    /// [`IndexError`].
-    pub fn open(path: &Path, threads: usize) -> Result<LibraryIndex, IndexError> {
-        LibraryIndex::from_buffer(read_file(path)?, threads)
-    }
-
-    /// Open `path` for **in-place search**: the file is `mmap`ed (with
-    /// the `mmap` feature; read once into a single aligned heap buffer
-    /// otherwise, exactly as [`LibraryIndex::open`] does) and handed to
-    /// [`LibraryIndex::from_buffer`], so cold shards' pages can be
-    /// released and refault from it.
+    /// Open `path` — the one file door: the file is `mmap`ed for
+    /// **in-place search** where the platform allows (64-bit Unix, the
+    /// default `mmap` feature), so cold shards' pages can be released and
+    /// refault from it; elsewhere it is read in one streamed pass into
+    /// one aligned heap buffer. Either buffer goes to
+    /// [`LibraryIndex::from_buffer`], so the references are searched
+    /// inside it, not materialised out of it.
     ///
     /// # Errors
     ///
@@ -716,7 +680,11 @@ impl LibraryIndex {
         #[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
         let buffer = WordBuffer::map_file(path)?;
         #[cfg(not(all(unix, target_pointer_width = "64", feature = "mmap")))]
-        let buffer = read_file(path)?;
+        let buffer = {
+            let file = std::fs::File::open(path)?;
+            let len = file.metadata()?.len() as usize;
+            WordBuffer::from_reader(file, len)?
+        };
         LibraryIndex::from_buffer(buffer, threads)
     }
 
@@ -748,13 +716,6 @@ impl LibraryIndex {
         }
         Ok(())
     }
-}
-
-/// Read the file at `path` into one aligned heap buffer.
-fn read_file(path: &Path) -> std::io::Result<WordBuffer> {
-    let file = std::fs::File::open(path)?;
-    let len = file.metadata()?.len() as usize;
-    WordBuffer::from_reader(file, len)
 }
 
 /// Walk the container: magic, version, header, MLC and legacy sketch
@@ -803,18 +764,7 @@ fn parse_sections(bytes: &[u8]) -> Result<Sections, IndexError> {
         .collect::<Result<Vec<Frame>, IndexError>>()?;
     r.expect_end("index file")?;
 
-    let index = LibraryIndex {
-        kind: header.kind,
-        entries_per_shard: header.entries_per_shard,
-        build_stats: header.stats,
-        mlc,
-        table: CandidateIndex::from_sorted(Vec::new()),
-        bounds: vec![0],
-        references: SharedReferences::from(Vec::new()),
-        catalog: Arc::default(),
-        backend: Arc::default(),
-        sketches: OnceLock::new(),
-    };
+    let index = LibraryIndex::empty(header.kind, header.entries_per_shard, header.stats, mlc);
     Ok((index, version, count, shards))
 }
 

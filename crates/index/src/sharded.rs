@@ -147,7 +147,7 @@ hdoms_obs::metrics::series! {
 /// [`ShardedBackend::one_shard`].
 ///
 /// ```
-/// use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind};
+/// use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
 /// use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 ///
 /// let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 5);
@@ -159,7 +159,7 @@ hdoms_obs::metrics::series! {
 /// if let IndexedBackendKind::Exact(exact) = &mut config.kind {
 ///     exact.encoder.dim = 512;
 /// }
-/// let index = IndexBuilder::new(config).from_library(&workload.library);
+/// let index = LibraryIndex::build(&workload.library, config);
 ///
 /// let backend = index.sharded_backend(2).unwrap();
 /// assert_eq!(backend.shard_count(), index.shards().len());
@@ -562,7 +562,7 @@ impl ShardedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
+    use crate::{IndexConfig, IndexedBackendKind, LibraryIndex};
     use hdoms_hdc::BinaryHypervector;
     use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
     use hdoms_ms::preprocess::Preprocessor;
@@ -622,7 +622,7 @@ mod tests {
         if let IndexedBackendKind::Exact(exact) = &mut config.kind {
             exact.encoder.dim = 512;
         }
-        let index = IndexBuilder::new(config).from_library(&workload.library);
+        let index = LibraryIndex::build(&workload.library, config);
         let pre = Preprocessor::new(index.kind().preprocess());
         let binned = pre.run_batch(&workload.queries).0;
         let ends = index.shards().scan(0, |end, shard| {

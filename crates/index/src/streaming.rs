@@ -1,12 +1,15 @@
 //! Streaming index construction: encode, spill, and serialise one
 //! bounded chunk at a time — through the kind's one backend
 //! (`KindBackend`), like every build path (this one, the in-memory
-//! [`IndexBuilder`](crate::IndexBuilder), appends): the one
-//! `hdoms_oms::search::encode_chunk` body folded by the one
-//! [`StatsFold`].
+//! [`LibraryIndex::build`](crate::LibraryIndex::build), appends): the
+//! one `hdoms_oms::search::encode_chunk` body folded by the one
+//! [`StatsFold`]. The in-memory paths fill their table through the one
+//! intake (`SharedReferences::encode_in`); this one keeps its own spill
+//! loop, because its sink is a file and its step `spill_threshold`.
 //!
-//! [`IndexBuilder`](crate::IndexBuilder) holds the whole encoded library
-//! in memory, which caps the library size at available RAM.
+//! [`LibraryIndex::build`](crate::LibraryIndex::build) holds the whole
+//! encoded library in memory, which caps the library size at available
+//! RAM.
 //! [`StreamingIndexBuilder`] removes that cap: entries are encoded in
 //! chunks of at most `spill_threshold`, each chunk's hypervector words
 //! are appended to a temporary **spill file** immediately, and the final
@@ -17,7 +20,7 @@
 //! holds, spill offsets) — never by the encoded payload.
 //!
 //! The output is **byte-for-byte identical** to
-//! `IndexBuilder::from_library(...).to_bytes()` over the same entries in
+//! `LibraryIndex::build(...).to_bytes()` over the same entries in
 //! the same order: encoding is deterministic per (configuration, dense
 //! id) and runs through the same `KindBackend`, and both images go out
 //! through the one container
@@ -42,8 +45,8 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingConfig {
     /// The index configuration (backend kind, shard size, threads) — the
-    /// same values an in-memory [`IndexBuilder`](crate::IndexBuilder)
-    /// build would use, and the values the finished image records.
+    /// same values an in-memory
+    /// [`LibraryIndex::build`](crate::LibraryIndex::build) would use, and the values the finished image records.
     pub index: IndexConfig,
     /// Maximum entries encoded and resident per chunk. This is the
     /// memory knob: peak hypervector residency during the push phase is
@@ -95,7 +98,7 @@ pub struct StreamingBuildReport {
 ///
 /// ```
 /// use hdoms_index::streaming::{StreamingConfig, StreamingIndexBuilder};
-/// use hdoms_index::{IndexBuilder, IndexedBackendKind, LibraryIndex};
+/// use hdoms_index::{IndexedBackendKind, LibraryIndex};
 /// use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 ///
 /// let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 7);
@@ -113,9 +116,9 @@ pub struct StreamingBuildReport {
 /// assert_eq!(report.entry_count, workload.library.len());
 ///
 /// // Byte-identical to the in-memory build.
-/// let in_memory = IndexBuilder::new(config.index).from_library(&workload.library);
+/// let in_memory = LibraryIndex::build(&workload.library, config.index);
 /// assert_eq!(std::fs::read(&path).unwrap(), in_memory.to_bytes());
-/// # let loaded = LibraryIndex::open(&path, 2).unwrap();
+/// # let loaded = LibraryIndex::open_mapped(&path, 2).unwrap();
 /// # assert_eq!(loaded, in_memory);
 /// # std::fs::remove_file(&path).ok();
 /// ```
@@ -409,7 +412,7 @@ fn read_spill_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IndexBuilder, IndexedBackendKind};
+    use crate::{IndexedBackendKind, LibraryIndex};
     use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 
     /// Accepts `budget` bytes, then fails like a full disk.
@@ -445,7 +448,7 @@ mod tests {
         if let IndexedBackendKind::Exact(exact) = &mut config.index.kind {
             exact.encoder.dim = 512;
         }
-        let index = IndexBuilder::new(config.index.clone()).from_library(&workload.library);
+        let index = LibraryIndex::build(&workload.library, config.index.clone());
         let image = index.to_bytes();
         let out = std::env::temp_dir().join(format!("hdoms-failing-{}.hdx", std::process::id()));
         let streamed = |sink: &mut dyn Write| {

@@ -5,9 +5,7 @@
 
 use hdoms_core::accelerator::{AcceleratorConfig, OmsAccelerator};
 use hdoms_engine::Engine;
-use hdoms_index::{
-    IndexBuilder, IndexConfig, IndexError, IndexedBackendKind, LibraryIndex, QueryRecord,
-};
+use hdoms_index::{IndexConfig, IndexError, IndexedBackendKind, LibraryIndex, QueryRecord};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_ms::preprocess::{PreprocessConfig, Preprocessor};
@@ -43,12 +41,14 @@ fn rram_kind() -> IndexedBackendKind {
 }
 
 fn build_index(kind: IndexedBackendKind, library: &SpectralLibrary, shard: usize) -> LibraryIndex {
-    IndexBuilder::new(IndexConfig {
-        kind,
-        entries_per_shard: shard,
-        threads: THREADS,
-    })
-    .from_library(library)
+    LibraryIndex::build(
+        library,
+        IndexConfig {
+            kind,
+            entries_per_shard: shard,
+            threads: THREADS,
+        },
+    )
 }
 
 fn tiny_workload(seed: u64) -> SyntheticWorkload {
@@ -114,7 +114,6 @@ fn fails_or_searches(bytes: &[u8], what: &str) {
     std::fs::write(&path, bytes).expect("damaged image written");
     let doors = [
         LibraryIndex::from_bytes(bytes, 2),
-        LibraryIndex::open(&path, 2),
         LibraryIndex::open_mapped(&path, 2),
     ];
     std::fs::remove_file(&path).ok();
@@ -925,7 +924,7 @@ fn file_roundtrip_through_reader() {
     let index = build_index(exact_kind(), &workload.library, 64);
     let path = std::env::temp_dir().join("hdoms-test-roundtrip.hdx");
     index.write(&path).expect("write");
-    let loaded = LibraryIndex::open(&path, THREADS).expect("open");
+    let loaded = LibraryIndex::open_mapped(&path, THREADS).expect("open");
     std::fs::remove_file(&path).ok();
     assert_eq!(index, loaded);
 }
@@ -996,7 +995,6 @@ fn a_resealed_nan_mass_fails_every_door() {
     std::fs::write(&path, &image).unwrap();
     let opens = [
         LibraryIndex::from_bytes(&image, THREADS),
-        LibraryIndex::open(&path, THREADS),
         LibraryIndex::open_mapped(&path, THREADS),
     ];
     std::fs::remove_file(&path).ok();
@@ -1061,7 +1059,6 @@ fn checksum_valid_but_unusable_encoder_config_fails_open() {
         let opens = [
             LibraryIndex::from_bytes(&patched, THREADS),
             LibraryIndex::from_buffer(hdoms_hdc::WordBuffer::from_bytes(&patched), THREADS),
-            LibraryIndex::open(&path, THREADS),
             LibraryIndex::open_mapped(&path, THREADS),
         ];
         std::fs::remove_file(&path).ok();
@@ -1155,7 +1152,6 @@ fn open_at_every_door(image: &[u8], tag: &str) -> Vec<Result<LibraryIndex, Index
     let opens = vec![
         LibraryIndex::from_bytes(image, THREADS),
         LibraryIndex::from_buffer(hdoms_hdc::WordBuffer::from_bytes(image), THREADS),
-        LibraryIndex::open(&path, THREADS),
         LibraryIndex::open_mapped(&path, THREADS),
     ];
     std::fs::remove_file(&path).ok();

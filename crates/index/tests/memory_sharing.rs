@@ -17,10 +17,14 @@
 //!    shard instead of assembling the image (or any second copy of the
 //!    payload) in memory;
 //! 4. versioning — golden v1, v2 and v3 file images
-//!    (`tests/fixtures/`) open through a heap read and through `mmap`
+//!    (`tests/fixtures/`) open from bytes in hand and through `mmap`
 //!    with identical entries, search storage, derived sketches and
 //!    search results, and `to_bytes()` reproduces the v3 file byte for
-//!    byte once its legacy sketch section is spliced out.
+//!    byte once its legacy sketch section is spliced out;
+//! 5. a bounded intake — an append encodes `ENCODE_CHUNK` entries a
+//!    step into a table sized once, so its peak live heap is the
+//!    finished table plus one step, never the whole encoded input beside
+//!    the table.
 //!
 //! The golden images are what keeps the codec honest: every persisted
 //! record is one `record!` field list in `src/format.rs` (its encoder,
@@ -38,11 +42,11 @@
 //! mutex.
 
 use hdoms_engine::Engine;
-use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
+use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_obs::alloc::CountingAllocator;
 use hdoms_oms::pipeline::{ReferenceCatalog, ReferenceMeta};
-use hdoms_oms::search::{ExactBackendConfig, SharedReferences};
+use hdoms_oms::search::{ExactBackendConfig, SharedReferences, ENCODE_CHUNK};
 use hdoms_oms::window::PrecursorWindow;
 use std::path::Path;
 use std::sync::Mutex;
@@ -83,12 +87,14 @@ fn warm_backends_share_not_clone_the_reference_table() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::iprg2012(0.01), 99);
     let mut exact = ExactBackendConfig::default();
     exact.encoder.dim = 2048;
-    let index = IndexBuilder::new(IndexConfig {
-        kind: IndexedBackendKind::Exact(exact),
-        entries_per_shard: 512,
-        threads: 8,
-    })
-    .from_library(&workload.library);
+    let index = LibraryIndex::build(
+        &workload.library,
+        IndexConfig {
+            kind: IndexedBackendKind::Exact(exact),
+            entries_per_shard: 512,
+            threads: 8,
+        },
+    );
     let payload = payload_bytes(&index);
     assert!(payload > 2_000_000, "workload too small to be meaningful");
 
@@ -152,12 +158,14 @@ fn warm_backends_share_not_clone_the_reference_table() {
     config.encoder.dim = 2048;
     config.encoder.q_levels = 16;
     config.encoder.level_style = hdoms_hdc::item_memory::LevelStyle::Chunked { num_chunks: 64 };
-    let index = IndexBuilder::new(IndexConfig {
-        kind: IndexedBackendKind::Rram(config),
-        entries_per_shard: 64,
-        threads: 4,
-    })
-    .from_library(&workload.library);
+    let index = LibraryIndex::build(
+        &workload.library,
+        IndexConfig {
+            kind: IndexedBackendKind::Rram(config),
+            entries_per_shard: 64,
+            threads: 4,
+        },
+    );
     let accel = index.to_accelerator(2).expect("rram kind");
     assert!(ptr_eq(
         index.shared_references(),
@@ -197,7 +205,7 @@ fn warm_backends_share_the_encoder_and_the_programmed_weights() {
             entries_per_shard: 64,
             threads: 4,
         };
-        let built = IndexBuilder::new(config).from_library(&workload.library);
+        let built = LibraryIndex::build(&workload.library, config);
         built.write(&path).expect("write");
         let index = LibraryIndex::open_mapped(&path, 2).expect("mapped load");
         std::fs::remove_file(&path).ok();
@@ -245,12 +253,14 @@ fn mapped_load_performs_zero_per_reference_hypervector_allocations() {
     // what separates "allocates the payload" from "allocates only
     // metadata" unambiguously.
     exact.encoder.dim = 4096;
-    let index = IndexBuilder::new(IndexConfig {
-        kind: IndexedBackendKind::Exact(exact),
-        entries_per_shard: 512,
-        threads: 8,
-    })
-    .from_library(&workload.library);
+    let index = LibraryIndex::build(
+        &workload.library,
+        IndexConfig {
+            kind: IndexedBackendKind::Exact(exact),
+            entries_per_shard: 512,
+            threads: 8,
+        },
+    );
     let payload = payload_bytes(&index);
     assert!(payload > 4_000_000, "workload too small to be meaningful");
     let bytes = index.to_bytes();
@@ -330,12 +340,14 @@ fn cold_table_is_one_buffer_and_write_streams_shard_by_shard() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::iprg2012(0.01), 102);
     let mut exact = ExactBackendConfig::default();
     exact.encoder.dim = 4096;
-    let index = IndexBuilder::new(IndexConfig {
-        kind: IndexedBackendKind::Exact(exact),
-        entries_per_shard: 512,
-        threads: 8,
-    })
-    .from_library(&workload.library);
+    let index = LibraryIndex::build(
+        &workload.library,
+        IndexConfig {
+            kind: IndexedBackendKind::Exact(exact),
+            entries_per_shard: 512,
+            threads: 8,
+        },
+    );
     let payload = payload_bytes(&index);
     assert!(payload > 4_000_000, "workload too small to be meaningful");
 
@@ -380,7 +392,10 @@ fn golden_v1_v2_and_v3_images_decode_alike() {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let path = |version: u32| fixtures.join(format!("v{version}.hdx"));
     let copied: Vec<LibraryIndex> = (1..=3)
-        .map(|v| LibraryIndex::open(&path(v), 4).expect("heap-read open"))
+        .map(|v| {
+            let image = std::fs::read(path(v)).expect("fixture readable");
+            LibraryIndex::from_bytes(&image, 4).expect("heap load")
+        })
         .collect();
     let mapped: Vec<LibraryIndex> = (1..=3)
         .map(|v| LibraryIndex::open_mapped(&path(v), 2).expect("mapped open"))
@@ -405,7 +420,7 @@ fn golden_v1_v2_and_v3_images_decode_alike() {
     // A v1 image's unaligned words are repacked into a heap buffer even
     // when the file was mapped; v2 and v3 are searched in place, inside
     // the mapping when `open_mapped` really maps (the `mmap` feature).
-    // A heap read is never a mapping, whatever the version.
+    // Bytes in hand are never a mapping, whatever the version.
     let maps = cfg!(all(unix, target_pointer_width = "64", feature = "mmap"));
     assert!(!mapped[0].shared_references().is_mapped());
     assert_eq!(mapped[1].shared_references().is_mapped(), maps);
@@ -452,4 +467,43 @@ fn golden_v1_v2_and_v3_images_decode_alike() {
     let appended = LibraryIndex::open_mapped(&append, 2).expect("the append fixture opens");
     let image = std::fs::read(&append).expect("v3-append fixture");
     assert_eq!(appended.to_bytes(), common::without_sketch(&image));
+}
+
+#[test]
+fn an_append_holds_the_table_and_one_step_of_hypervectors() {
+    let _serial = ALLOCATOR_WINDOWS.lock().unwrap();
+    // Three and a half steps of entries at a dimension whose words
+    // outweigh an entry's bookkeeping: an append that encoded them all
+    // before packing (it used to) holds 3.5 steps of transient
+    // hypervectors beside the table, the bound below allows one.
+    let library = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 104).library;
+    let mut exact = ExactBackendConfig::default();
+    exact.encoder.dim = 2048;
+    let config = IndexConfig {
+        kind: IndexedBackendKind::Exact(exact),
+        entries_per_shard: 4096,
+        threads: 2,
+    };
+    let mut index = LibraryIndex::build(&library, config);
+    let more: Vec<_> = (library.entries().iter().cycle())
+        .take(3 * ENCODE_CHUNK + ENCODE_CHUNK / 2)
+        .cloned()
+        .collect();
+    let ((), peak) = CountingAllocator::peak_during(|| index.append_entries(&more, 2));
+    assert_eq!(index.entry_count(), library.len() + more.len());
+
+    // The finished table's words, one step of transient hypervectors,
+    // and the stated slack: 256 B of bookkeeping per slot of a step (the
+    // encode jobs, the workers' result pairs, the slot vector) and 32 B
+    // per entry for the tables an append grows and re-cuts (word
+    // offsets, the `(mass, id)` table and its id column).
+    let words = payload_bytes(&index);
+    let step = ENCODE_CHUNK * index.shared_references().hv_bytes();
+    let slack = ENCODE_CHUNK * 256 + 32 * index.entry_count();
+    assert!(
+        peak <= words + step + slack,
+        "the append peaked at {peak} live bytes against {words} B of table words, \
+         a {step}-byte step and {slack} B of slack — it holds more than one step \
+         of encoded entries beside the table"
+    );
 }

@@ -10,7 +10,7 @@
 //!    (the words refault from the backing file), so eviction can never
 //!    change search results.
 
-use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
+use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 
 /// A small index whose shards each span several pages (dim 4096 → 512
@@ -26,7 +26,7 @@ fn build_index() -> LibraryIndex {
     if let IndexedBackendKind::Exact(exact) = &mut config.kind {
         exact.encoder.dim = 4096;
     }
-    IndexBuilder::new(config).from_library(&workload.library)
+    LibraryIndex::build(&workload.library, config)
 }
 
 /// All stored hypervector words, densely by id, for byte-identity
@@ -57,10 +57,7 @@ fn shard_word_bytes_account_for_every_stored_hypervector() {
 #[test]
 fn owned_indexes_release_nothing() {
     let index = build_index();
-    let path = std::env::temp_dir().join(format!("hdoms-shard-heap-{}.hdx", std::process::id()));
-    index.write(&path).unwrap();
-    let heap_read = LibraryIndex::open(&path, 2).unwrap();
-    std::fs::remove_file(&path).ok();
+    let heap_read = LibraryIndex::from_bytes(&index.to_bytes(), 2).unwrap();
     for index in [&index, &heap_read] {
         assert!(!index.shared_references().is_mapped());
         for shard in 0..index.shards().len() {
@@ -70,7 +67,8 @@ fn owned_indexes_release_nothing() {
     }
 }
 
-// Without `mmap`, `open_mapped` is the heap read the test above covers.
+// Without `mmap`, `open_mapped` reads the file onto the heap: a table
+// the test above covers.
 #[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
 #[test]
 fn released_shards_reload_byte_identically() {

@@ -21,7 +21,7 @@
 use hdoms_core::accelerator::AcceleratorConfig;
 use hdoms_engine::Engine;
 use hdoms_index::streaming::{StreamingConfig, StreamingIndexBuilder};
-use hdoms_index::{IndexBuilder, IndexConfig, IndexError, IndexedBackendKind, LibraryIndex};
+use hdoms_index::{IndexConfig, IndexError, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{ScaledLibrary, ScaledLibrarySpec, SyntheticWorkload, WorkloadSpec};
 use hdoms_ms::library::SpectralLibrary;
 use hdoms_obs::alloc::CountingAllocator;
@@ -131,7 +131,7 @@ proptest! {
             entries_per_shard: 1usize << shard_pow,
             threads,
         };
-        let in_memory = IndexBuilder::new(config.clone()).from_library(&library).to_bytes();
+        let in_memory = LibraryIndex::build(&library, config.clone()).to_bytes();
         let streamed = stream_bytes(
             StreamingConfig { index: config, spill_threshold: spill },
             &library,
@@ -171,7 +171,7 @@ fn the_kinds_thread_count_does_not_reach_the_image() {
             .into_iter()
             .flat_map(|threads| {
                 let config = with_threads(&kind, threads);
-                let in_memory = IndexBuilder::new(config.clone()).from_library(&workload.library);
+                let in_memory = LibraryIndex::build(&workload.library, config.clone());
                 let streamed = stream_bytes(
                     StreamingConfig {
                         index: config,
@@ -201,7 +201,7 @@ fn single_entry_library_matches() {
         entries_per_shard: 64,
         threads: 2,
     };
-    let in_memory = IndexBuilder::new(config.clone()).from_library(&library);
+    let in_memory = LibraryIndex::build(&library, config.clone());
     let path = temp_path("single");
     StreamingIndexBuilder::build_from_library(
         StreamingConfig {
@@ -213,7 +213,7 @@ fn single_entry_library_matches() {
     )
     .expect("streaming build");
     assert_eq!(fs::read(&path).unwrap(), in_memory.to_bytes());
-    let loaded = LibraryIndex::open(&path, 2).expect("open streamed single-entry index");
+    let loaded = LibraryIndex::open_mapped(&path, 2).expect("open streamed single-entry index");
     assert_eq!(loaded.entry_count(), 1);
     assert_eq!(loaded, in_memory);
     fs::remove_file(&path).ok();
@@ -272,7 +272,7 @@ fn all_rejected_entries_still_match() {
         entries_per_shard: 4,
         threads: 2,
     };
-    let in_memory = IndexBuilder::new(config.clone()).from_library(&library);
+    let in_memory = LibraryIndex::build(&library, config.clone());
     let path = temp_path("rejected");
     let report = StreamingIndexBuilder::build_from_library(
         StreamingConfig {
@@ -287,7 +287,7 @@ fn all_rejected_entries_still_match() {
     assert_eq!(report.build_stats.references_rejected, library.len());
     assert_eq!(report.spilled_bytes, 0);
     assert_eq!(fs::read(&path).unwrap(), in_memory.to_bytes());
-    let loaded = LibraryIndex::open(&path, 2).expect("open all-rejected index");
+    let loaded = LibraryIndex::open_mapped(&path, 2).expect("open all-rejected index");
     assert_eq!(loaded.build_stats(), in_memory.build_stats());
     fs::remove_file(&path).ok();
 }
@@ -303,7 +303,7 @@ fn hyperoms_kind_matches() {
         entries_per_shard: 32,
         threads: 4,
     };
-    let in_memory = IndexBuilder::new(config.clone()).from_library(&workload.library);
+    let in_memory = LibraryIndex::build(&workload.library, config.clone());
     let streamed = stream_bytes(
         StreamingConfig {
             index: config,
@@ -327,7 +327,7 @@ fn rram_kind_matches() {
         entries_per_shard: 32,
         threads: 4,
     };
-    let in_memory = IndexBuilder::new(config.clone()).from_library(&workload.library);
+    let in_memory = LibraryIndex::build(&workload.library, config.clone());
     assert!(
         in_memory.build_stats().mean_encode_ber > 0.0,
         "RRAM build should record a non-zero encode BER"
@@ -354,7 +354,7 @@ fn streamed_image_opens_and_searches() {
         entries_per_shard: 64,
         threads: 4,
     };
-    let in_memory = IndexBuilder::new(config.clone()).from_library(&workload.library);
+    let in_memory = LibraryIndex::build(&workload.library, config.clone());
     let path = temp_path("search");
     StreamingIndexBuilder::build_from_library(
         StreamingConfig {
@@ -365,7 +365,7 @@ fn streamed_image_opens_and_searches() {
         &workload.library,
     )
     .unwrap();
-    let loaded = LibraryIndex::open(&path, 2).expect("open streamed index");
+    let loaded = LibraryIndex::open_mapped(&path, 2).expect("open streamed index");
     assert_eq!(loaded, in_memory);
 
     let engine = Arc::new(Engine::from_index(loaded, 4).expect("an index wires its own kind"));
@@ -499,7 +499,7 @@ fn failed_rename_leaves_no_temp_or_spill_behind() {
         entries_per_shard: 64,
         threads: 2,
     };
-    let built = IndexBuilder::new(index.clone()).from_library(&workload.library);
+    let built = LibraryIndex::build(&workload.library, index.clone());
     let err = built.write(&target).expect_err("renamed over a directory");
     assert!(matches!(err, IndexError::Io(_)), "got {err}");
     assert_eq!(
@@ -585,7 +585,7 @@ fn streaming_peak_heap_is_bounded_by_spill_threshold() {
 
     let in_memory_path = temp_path("peak-inmem");
     let ((), in_memory_peak) = CountingAllocator::peak_during(|| {
-        let index = IndexBuilder::new(config.clone()).from_library(&library);
+        let index = LibraryIndex::build(&library, config.clone());
         index.write(&in_memory_path).expect("write index");
     });
     fs::remove_file(&in_memory_path).ok();

@@ -39,6 +39,12 @@ pub enum ParseMgfError {
         /// 1-based line number of the `END IONS`.
         line: usize,
     },
+    /// The stream ended inside a spectrum block: no `END IONS` closed it
+    /// (a truncated file), so its spectrum is not read.
+    Unterminated {
+        /// 1-based line number of the block's `BEGIN IONS`.
+        line: usize,
+    },
 }
 
 impl fmt::Display for ParseMgfError {
@@ -53,6 +59,10 @@ impl fmt::Display for ParseMgfError {
             ParseMgfError::MissingPepmass { line } => {
                 write!(f, "spectrum block ending at line {line} has no PEPMASS")
             }
+            ParseMgfError::Unterminated { line } => write!(
+                f,
+                "spectrum block opened by BEGIN IONS at line {line} has no END IONS"
+            ),
         }
     }
 }
@@ -87,6 +97,8 @@ type Line = (usize, String);
 /// What a `BEGIN IONS` block has read so far, each value with its line.
 #[derive(Default)]
 struct Block {
+    /// 1-based line number of the block's `BEGIN IONS`.
+    begin: usize,
     title: Option<String>,
     pepmass: Option<(f64, Line)>,
     charge: Option<(u8, Line)>,
@@ -135,8 +147,8 @@ fn malformed((line, content): Line, context: &'static str) -> ParseMgfError {
 /// # Errors
 ///
 /// Returns [`ParseMgfError`] on I/O failure, an unparsable peak or
-/// header line, a block without `PEPMASS`, or a block
-/// [`Spectrum::try_new`] refuses.
+/// header line, a block without `PEPMASS`, a block
+/// [`Spectrum::try_new`] refuses, or a stream that ends inside a block.
 ///
 /// ```
 /// let mgf = "BEGIN IONS\nTITLE=demo\nPEPMASS=445.12\nCHARGE=2+\n\
@@ -158,7 +170,10 @@ pub fn read_mgf<R: BufRead>(reader: R) -> Result<Vec<MgfSpectrum>, ParseMgfError
         }
         let Some(open) = &mut block else {
             if trimmed.eq_ignore_ascii_case("BEGIN IONS") {
-                block = Some(Block::default());
+                block = Some(Block {
+                    begin: line_no,
+                    ..Block::default()
+                });
             }
             // Anything outside a block (file-level parameters) is ignored.
             continue;
@@ -192,7 +207,10 @@ pub fn read_mgf<R: BufRead>(reader: R) -> Result<Vec<MgfSpectrum>, ParseMgfError
         open.peaks.push(Peak { mz, intensity });
         open.peak_lines.push((line_no, line));
     }
-    Ok(out)
+    match block {
+        Some(open) => Err(ParseMgfError::Unterminated { line: open.begin }),
+        None => Ok(out),
+    }
 }
 
 /// Parse one charge, `2+`, `+2`, `2`, `3-` (negative mode collapses to its
@@ -380,6 +398,26 @@ mod tests {
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].spectrum.id, 0);
         assert_eq!(parsed[1].spectrum.id, 1);
+    }
+
+    /// A stream cut inside a block is an error naming where the block
+    /// began, not a file with one spectrum fewer.
+    #[test]
+    fn a_stream_ending_inside_a_block_names_its_begin_line() {
+        let whole = "BEGIN IONS\nPEPMASS=400.0\n100.0 1.0\nEND IONS\n\
+                     BEGIN IONS\nPEPMASS=500.0\n200.0 2.0\nEND IONS\n";
+        assert_eq!(read_mgf(whole.as_bytes()).unwrap().len(), 2);
+        for cut in [whole.len() - "END IONS\n".len(), whole.len() - 12] {
+            let err = read_mgf(&whole.as_bytes()[..cut]).unwrap_err();
+            assert!(
+                matches!(err, ParseMgfError::Unterminated { line: 5 }),
+                "cut at {cut}: {err:?}"
+            );
+            assert_eq!(
+                err.to_string(),
+                "spectrum block opened by BEGIN IONS at line 5 has no END IONS"
+            );
+        }
     }
 
     #[test]

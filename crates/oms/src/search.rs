@@ -17,8 +17,10 @@
 //! configuration and the report name `"hyperoms"`), the baselines
 //! crate's cosine scorers and the core crate's simulated in-RRAM search
 //! are each a few lines. A backend whose library is hypervectors also
-//! implements [`ReferenceEncoder`], so every build path (cold,
-//! streaming, append) encodes through the one [`encode_chunk`].
+//! implements [`ReferenceEncoder`], so every build path encodes through
+//! the one [`encode_chunk`]: a table in memory fills through the one
+//! bounded intake [`SharedReferences::encode_in`], the streaming index
+//! builder spills each chunk to its file.
 //!
 //! The binary-hypervector backends all scan one [`SharedReferences`]
 //! table: the encoded library as one flat buffer of packed words, on the
@@ -44,6 +46,12 @@ use std::sync::Arc;
 
 /// Sentinel marking an absent hypervector in the offset table.
 const NO_HV: u64 = u64::MAX;
+
+/// Entries [`SharedReferences::encode_in`] encodes per step: the
+/// transient per-entry hypervectors of one step are packed into the flat
+/// table and dropped before the next, so an intake holds the encoded
+/// library once, not twice.
+pub const ENCODE_CHUNK: usize = 8192;
 
 /// A dense reference-hypervector table, indexed by library id (absent
 /// slots mark entries preprocessing rejected).
@@ -220,19 +228,8 @@ impl SharedReferences {
     /// stored ones.
     pub fn append(&mut self, new_slots: impl IntoIterator<Item = Option<BinaryHypervector>>) {
         let new_slots = new_slots.into_iter();
-        let hv_words = self.dim.div_ceil(64);
+        let mut words = self.heap_words(new_slots.size_hint().0, self.dim);
         let offsets = Arc::make_mut(&mut self.offsets);
-        let buffer = std::mem::replace(&mut self.buffer, WordBuffer::from(Vec::new()));
-        let mut words = buffer.into_heap_words().unwrap_or_else(|shared| {
-            let mut packed = Vec::with_capacity(offsets.len() * hv_words);
-            for offset in offsets.iter_mut().filter(|offset| **offset != NO_HV) {
-                let at = packed.len() * 8;
-                packed.extend_from_slice(shared.words(*offset as usize, hv_words));
-                *offset = at as u64;
-            }
-            packed
-        });
-        words.reserve(new_slots.size_hint().0 * hv_words);
         for slot in new_slots {
             offsets.push(match slot {
                 Some(hv) => {
@@ -248,6 +245,57 @@ impl SharedReferences {
             });
         }
         self.buffer = WordBuffer::from(words);
+    }
+
+    /// The one intake of a table in memory: encode `entries` as ids
+    /// `self.len()..` ([`encode_chunk`]), [`ENCODE_CHUNK`] entries a
+    /// step, pass each slot through `fold` (the build statistics) and
+    /// append what it hands on. The table is sized once for the whole
+    /// intake, so the steps never move it, and a step's transient
+    /// hypervectors are dropped before the next is encoded: the intake
+    /// holds the finished table plus one step, never the encoded input
+    /// beside the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an encoded hypervector's dimension disagrees with the
+    /// stored ones.
+    pub fn encode_in<E: ReferenceEncoder + ?Sized>(
+        &mut self,
+        encoder: &E,
+        pre: &Preprocessor,
+        entries: &[LibraryEntry],
+        threads: usize,
+        mut fold: impl FnMut(Option<(BinaryHypervector, f64)>) -> Option<BinaryHypervector>,
+    ) {
+        self.buffer = WordBuffer::from(self.heap_words(entries.len(), encoder.dim()));
+        for chunk in entries.chunks(ENCODE_CHUNK) {
+            let encoded = encode_chunk(encoder, pre, chunk, self.len() as u32, threads);
+            self.append(encoded.into_iter().map(&mut fold));
+        }
+    }
+
+    /// Take the words out as a heap vector this table alone holds, with
+    /// room for `slots` more slots of `dim`-dimensional hypervectors
+    /// (the buffer is left empty until the caller puts one back). A heap
+    /// buffer no other handle views is taken as it is; a file mapping,
+    /// or a buffer other handles view, is repacked.
+    fn heap_words(&mut self, slots: usize, dim: usize) -> Vec<u64> {
+        let (hv_words, room) = (self.dim.div_ceil(64), slots * dim.div_ceil(64));
+        let offsets = Arc::make_mut(&mut self.offsets);
+        offsets.reserve_exact(slots);
+        let buffer = std::mem::replace(&mut self.buffer, WordBuffer::from(Vec::new()));
+        let mut words = buffer.into_heap_words().unwrap_or_else(|shared| {
+            let mut packed = Vec::with_capacity(offsets.len() * hv_words + room);
+            for offset in offsets.iter_mut().filter(|offset| **offset != NO_HV) {
+                let at = packed.len() * 8;
+                packed.extend_from_slice(shared.words(*offset as usize, hv_words));
+                *offset = at as u64;
+            }
+            packed
+        });
+        words.reserve_exact(room);
+        words
     }
 }
 
@@ -431,6 +479,9 @@ pub fn best_hits<S: RunScorer>(
 /// The library side of a hypervector backend: encode one preprocessed
 /// reference exactly as a cold build stores it.
 pub trait ReferenceEncoder: Sync {
+    /// Dimension of every hypervector this encoder stores.
+    fn dim(&self) -> usize;
+
     /// The stored hypervector of `binned` (deterministic in the
     /// encoder's configuration and `binned.id`, the dense library id)
     /// and its encoding bit-error rate against the noise-free software
@@ -438,8 +489,9 @@ pub trait ReferenceEncoder: Sync {
     fn encode_reference(&self, binned: &BinnedSpectrum) -> (BinaryHypervector, f64);
 }
 
-/// The one library-encode body, behind the backend constructors,
-/// streaming index builds and index appends alike: encode a dense run of
+/// The one library-encode body, behind the one in-memory intake
+/// ([`SharedReferences::encode_in`]) and the streaming index builder's
+/// spill loop alike: encode a dense run of
 /// entries exactly as a cold build encodes ids `first_id..first_id + len`.
 /// Each entry's spectrum id is treated as `first_id + offset` (the dense
 /// id it will occupy), so preprocessing, encoding and any per-reference
@@ -607,12 +659,12 @@ impl ExactBackend {
     /// Build the backend: preprocess and encode the whole library, then
     /// apply storage errors if configured.
     pub fn build(library: &SpectralLibrary, config: ExactBackendConfig) -> ExactBackend {
-        let mut backend = ExactBackend::from_shared(config, SharedReferences::from(Vec::new()));
+        let encoder = ExactBackend::from_shared(config, SharedReferences::from(Vec::new()));
         let pre = Preprocessor::new(config.preprocess);
-        let encoded = encode_chunk(&backend, &pre, library.entries(), 0, config.threads);
-        let slots = encoded.into_iter().map(|slot| slot.map(|(hv, _)| hv));
-        backend.reference_hvs.append(slots);
-        backend
+        let mut references = SharedReferences::from(Vec::new());
+        let fold = |slot: Option<(BinaryHypervector, f64)>| slot.map(|(hv, _)| hv);
+        references.encode_in(&encoder, &pre, library.entries(), config.threads, fold);
+        encoder.over(references, config.threads)
     }
 
     /// Reassemble a backend from already-encoded reference hypervectors
@@ -755,6 +807,10 @@ impl ExactBackend {
 }
 
 impl ReferenceEncoder for ExactBackend {
+    fn dim(&self) -> usize {
+        self.config.encoder.dim
+    }
+
     fn encode_reference(&self, binned: &BinnedSpectrum) -> (BinaryHypervector, f64) {
         let mut hv = self.encoder.encode(binned);
         self.config.corrupt_stored(u64::from(binned.id), &mut hv);

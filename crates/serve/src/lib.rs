@@ -57,7 +57,7 @@
 //! measures resident-index batch throughput.
 //!
 //! ```
-//! use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind};
+//! use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
 //! use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 //! use hdoms_serve::protocol::{Request, Response};
 //! use hdoms_serve::server::{Server, LOCAL_CLIENT};
@@ -69,7 +69,7 @@
 //! if let IndexedBackendKind::Exact(exact) = &mut config.kind {
 //!     exact.encoder.dim = 2048;
 //! }
-//! let index = IndexBuilder::new(config).from_library(&workload.library);
+//! let index = LibraryIndex::build(&workload.library, config);
 //!
 //! // Serve forever (here: one protocol round-trip in process).
 //! let server = Server::new(2);

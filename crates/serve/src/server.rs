@@ -256,7 +256,7 @@ struct ShardResidence {
 /// concurrently (see [`crate::net`]).
 ///
 /// ```
-/// use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind};
+/// use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
 /// use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 /// use hdoms_serve::protocol::{QuerySpectrum, QueryRequest, WindowKind};
 /// use hdoms_serve::server::{Server, LOCAL_CLIENT};
@@ -267,7 +267,7 @@ struct ShardResidence {
 /// if let IndexedBackendKind::Exact(exact) = &mut config.kind {
 ///     exact.encoder.dim = 2048;
 /// }
-/// let index = IndexBuilder::new(config).from_library(&workload.library);
+/// let index = LibraryIndex::build(&workload.library, config);
 ///
 /// let server = Server::new(2);
 /// server.add_index("tiny", index).unwrap();
@@ -1265,7 +1265,7 @@ fn decode_spectra(spectra: &[crate::protocol::QuerySpectrum]) -> Result<Vec<Spec
 mod tests {
     use super::*;
     use crate::protocol::{QuerySpectrum, WindowKind};
-    use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind};
+    use hdoms_index::{IndexConfig, IndexedBackendKind};
     use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 
     fn tiny_index(workload: &SyntheticWorkload) -> hdoms_index::LibraryIndex {
@@ -1277,7 +1277,7 @@ mod tests {
         if let IndexedBackendKind::Exact(exact) = &mut config.kind {
             exact.encoder.dim = 2048;
         }
-        IndexBuilder::new(config).from_library(&workload.library)
+        LibraryIndex::build(&workload.library, config)
     }
 
     fn tiny_server() -> (SyntheticWorkload, Server) {
@@ -1294,6 +1294,55 @@ mod tests {
             .iter()
             .map(QuerySpectrum::from_spectrum)
             .collect()
+    }
+
+    /// One request at a time per session: while a submit waits in
+    /// admission holding its session's slot, a second submit, a
+    /// finalize and a close on that session are each refused as busy;
+    /// once a worker frees, the waiting submit's receipt arrives and the
+    /// finalize pools its batch. The test holds the only worker token
+    /// itself, so the order is forced, not timed.
+    #[test]
+    fn a_session_serves_one_request_at_a_time() {
+        let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 78);
+        let one_worker = SchedulerConfig {
+            workers: 1,
+            ..SchedulerConfig::default()
+        };
+        let server = Server::with_scheduler(1, one_worker);
+        server.add_index("tiny", tiny_index(&workload)).unwrap();
+        let window = hdoms_oms::window::PrecursorWindow::open_default();
+        let id = (server.open_session("tiny", window, Tier::Batch, None)).unwrap();
+        let spectra = batch_of(&workload);
+        let busy = format!("session {id} is busy (one request at a time per session)");
+
+        let token = server.scheduler().admit(999, Tier::Batch).unwrap();
+        std::thread::scope(|scope| {
+            let waiting = scope.spawn(|| server.submit_session(1, id, &spectra));
+            while server.scheduler().stats().queued == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(server.scheduler().stats().queued, 1);
+            let refusals = [
+                server.submit_session(2, id, &spectra).err(),
+                server.finalize_session(id, 0.01).err(),
+                server.close_session(id).err(),
+            ];
+            for refusal in refusals {
+                assert_eq!(refusal.expect("refused while busy").message, busy);
+            }
+            drop(token);
+            let receipt = waiting
+                .join()
+                .unwrap()
+                .expect("admitted once the token frees");
+            assert_eq!((receipt.batch, receipt.queries), (1, spectra.len()));
+        });
+        let pooled = server
+            .finalize_session(id, 0.01)
+            .expect("the slot is free again");
+        assert_eq!(pooled.stats.queries, spectra.len());
+        assert!(pooled.stats.identifications > 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! pass runs this file as its "Metrics smoke", with
 //! `crates/cli/tests/metrics_smoke.rs` scraping the live exposition.)
 
-use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
+use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_obs::metrics::{HistogramSnapshot, Registry, Snapshot, OVERFLOW_BUCKET};
 use hdoms_prefilter::PrefilterConfig;
@@ -43,7 +43,7 @@ fn build_index(library: &hdoms_ms::library::SpectralLibrary) -> LibraryIndex {
     if let IndexedBackendKind::Exact(exact) = &mut config.kind {
         exact.encoder.dim = DIM;
     }
-    IndexBuilder::new(config).from_library(library)
+    LibraryIndex::build(library, config)
 }
 
 fn batch_of(workload: &SyntheticWorkload) -> Vec<QuerySpectrum> {

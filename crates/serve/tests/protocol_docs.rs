@@ -8,7 +8,7 @@
 //! answers every non-blank line with exactly one response line and
 //! never panics.
 
-use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
+use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_serve::net::serve_connection;
 use hdoms_serve::protocol::{Request, Response};
@@ -118,7 +118,7 @@ fn tiny_index() -> &'static LibraryIndex {
         if let IndexedBackendKind::Exact(exact) = &mut config.kind {
             exact.encoder.dim = 512;
         }
-        IndexBuilder::new(config).from_library(&workload.library)
+        LibraryIndex::build(&workload.library, config)
     })
 }
 

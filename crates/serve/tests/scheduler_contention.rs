@@ -6,7 +6,7 @@
 //! This is CI's multi-client contention gate; the release test pass is
 //! the run whose storm is fast enough to contend.
 
-use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
+use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_oms::psm::{render_table, render_table_rows};
 use hdoms_oms::window::PrecursorWindow;
@@ -30,7 +30,7 @@ fn build_index(library: &hdoms_ms::library::SpectralLibrary) -> LibraryIndex {
     if let IndexedBackendKind::Exact(exact) = &mut config.kind {
         exact.encoder.dim = DIM;
     }
-    IndexBuilder::new(config).from_library(library)
+    LibraryIndex::build(library, config)
 }
 
 fn server_with(workload: &SyntheticWorkload, config: SchedulerConfig) -> Server {

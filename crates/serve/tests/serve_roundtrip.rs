@@ -3,7 +3,7 @@
 //! `search --index` path, on both the tiny and iPRG2012(0.01) presets.
 
 use hdoms_engine::Engine;
-use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
+use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_oms::psm::{render_table, render_table_rows};
 use hdoms_oms::window::PrecursorWindow;
@@ -27,7 +27,7 @@ fn build_index(library: &hdoms_ms::library::SpectralLibrary) -> LibraryIndex {
     if let IndexedBackendKind::Exact(exact) = &mut config.kind {
         exact.encoder.dim = DIM;
     }
-    IndexBuilder::new(config).from_library(library)
+    LibraryIndex::build(library, config)
 }
 
 /// The CLI `search --index` path, in process: one engine over the

@@ -18,7 +18,7 @@
 //! This is CI's tiered-serving gate: a mixed-tier storm for (3),
 //! interactive volleys behind held tokens for (1), in both test passes.
 
-use hdoms_index::{IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex};
+use hdoms_index::{IndexConfig, IndexedBackendKind, LibraryIndex};
 use hdoms_ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms_prefilter::PrefilterConfig;
 use hdoms_serve::protocol::{ErrorCode, QueryRequest, QueryResult, QuerySpectrum, WindowKind};
@@ -35,7 +35,7 @@ fn tiny_index(workload: &SyntheticWorkload) -> LibraryIndex {
     if let IndexedBackendKind::Exact(exact) = &mut config.kind {
         exact.encoder.dim = 2048;
     }
-    IndexBuilder::new(config).from_library(&workload.library)
+    LibraryIndex::build(&workload.library, config)
 }
 
 fn server_with(workload: &SyntheticWorkload, config: SchedulerConfig) -> Server {

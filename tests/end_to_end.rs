@@ -8,8 +8,7 @@ use hdoms::core::accelerator::AcceleratorConfig;
 use hdoms::engine::{Engine, Session};
 use hdoms::hdc::item_memory::LevelStyle;
 use hdoms::index::{
-    IndexBuilder, IndexConfig, IndexedBackendKind, LibraryIndex, StreamingConfig,
-    StreamingIndexBuilder,
+    IndexConfig, IndexedBackendKind, LibraryIndex, StreamingConfig, StreamingIndexBuilder,
 };
 use hdoms::ms::dataset::{SyntheticWorkload, WorkloadSpec};
 use hdoms::ms::spectrum::Spectrum;
@@ -225,11 +224,14 @@ fn every_entry_point_renders_the_same_rows() {
         exact.encoder.dim = 1024;
     }
     let path = std::env::temp_dir().join(format!("hdoms-e2e-{}.hdx", std::process::id()));
-    IndexBuilder::new(config.clone())
-        .from_library(&workload.library)
+    LibraryIndex::build(&workload.library, config.clone())
         .write(&path)
         .expect("image written");
-    let engine = Arc::new(Engine::open_mapped(&path, 2).expect("mapped open"));
+    let mapped = |path: &std::path::Path| {
+        let index = LibraryIndex::open_mapped(path, 2).expect("mapped open");
+        Arc::new(Engine::from_index(index, 2).expect("an index opens as its own kind"))
+    };
+    let engine = mapped(&path);
     let streamed_path = path.with_extension("streamed.hdx");
     let streaming = StreamingConfig {
         index: config,
@@ -241,7 +243,7 @@ fn every_entry_point_renders_the_same_rows() {
         std::fs::read(&streamed_path).expect("streamed image"),
         std::fs::read(&path).expect("written image"),
     );
-    let streamed = Arc::new(Engine::open_mapped(&streamed_path, 2).expect("mapped open"));
+    let streamed = mapped(&streamed_path);
     std::fs::remove_file(&streamed_path).ok();
     let server = Server::new(2);
     server
@@ -349,7 +351,7 @@ fn hostile_lines_always_get_a_response() {
         exact.encoder.dim = 1024;
     }
     let server = Server::new(2);
-    let index = IndexBuilder::new(config).from_library(&workload.library);
+    let index = LibraryIndex::build(&workload.library, config);
     server.add_index("tiny", index).expect("index resident");
 
     let peaks = |n: usize, mz: &dyn Fn(usize) -> f64, intensity: f64| {
@@ -472,9 +474,11 @@ fn hostile_lines_always_get_a_response() {
 /// `every_entry_point_renders_the_same_rows` serves, with one byte
 /// flipped inside the header, inside the first shard section and inside
 /// the last, and truncated at each of those points. Every door an
-/// image comes in through answers with a structured error — none loads
-/// it, none panics (a panic fails the test) — and the server goes on
-/// answering afterwards.
+/// image comes in through — bytes in hand (`from_bytes`), the file
+/// (`open_mapped`), an engine over it, the server's load and its wire
+/// verb — answers with a structured error — none loads it, none panics
+/// (a panic fails the test) — and the server goes on answering
+/// afterwards.
 #[test]
 fn corrupted_images_fail_every_door_with_a_structured_error() {
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 1005);
@@ -486,9 +490,7 @@ fn corrupted_images_fail_every_door_with_a_structured_error() {
     if let IndexedBackendKind::Exact(exact) = &mut config.kind {
         exact.encoder.dim = 1024;
     }
-    let image = IndexBuilder::new(config)
-        .from_library(&workload.library)
-        .to_bytes();
+    let image = LibraryIndex::build(&workload.library, config).to_bytes();
     // The header follows magic, version and its own length; the first
     // shard section follows the header's checksum (a software image has
     // no MLC section, and no image a sketch section); the image ends
@@ -509,14 +511,19 @@ fn corrupted_images_fail_every_door_with_a_structured_error() {
         for (damage, bytes) in [("flipped", &flipped[..]), ("truncated", &image[..at])] {
             let what = format!("{section} {damage} at byte {at}");
             std::fs::write(&path, bytes).expect("corrupted image written");
-            assert!(LibraryIndex::open(&path, 2).is_err(), "open: {what}");
+            assert!(
+                LibraryIndex::from_bytes(bytes, 2).is_err(),
+                "from_bytes: {what}"
+            );
             assert!(
                 LibraryIndex::open_mapped(&path, 2).is_err(),
                 "open_mapped: {what}"
             );
             assert!(
-                Engine::open_mapped(&path, 2).is_err(),
-                "Engine::open_mapped: {what}"
+                LibraryIndex::open_mapped(&path, 2)
+                    .and_then(|index| Engine::from_index(index, 2))
+                    .is_err(),
+                "Engine::from_index over open_mapped: {what}"
             );
             assert!(
                 server.load_index("bad", file).is_err(),
@@ -567,9 +574,7 @@ fn a_resealed_header_asking_for_terabytes_fails_every_door() {
     exact.encoder.dim = 1024;
     exact.encoder.num_bins += 7777;
     let num_bins = exact.encoder.num_bins as u64;
-    let mut image = IndexBuilder::new(config)
-        .from_library(&workload.library)
-        .to_bytes();
+    let mut image = LibraryIndex::build(&workload.library, config).to_bytes();
     let header_len = u64::from_le_bytes(image[12..20].try_into().expect("8 bytes")) as usize;
     let header = 20..20 + header_len;
     let slots: Vec<usize> = (header.start..header.end - 8)
@@ -585,7 +590,10 @@ fn a_resealed_header_asking_for_terabytes_fails_every_door() {
     std::fs::write(&path, &image).expect("patched image written");
     let server = Server::new(2);
     let refusals = [
-        Engine::open_mapped(&path, 2).err().map(|e| e.to_string()),
+        LibraryIndex::open_mapped(&path, 2)
+            .and_then(|index| Engine::from_index(index, 2))
+            .err()
+            .map(|e| e.to_string()),
         server.load_index("greedy", file).err().map(|e| e.message),
     ];
     let line = format!(r#"{{"type":"index.load","name":"greedy","path":"{file}"}}"#);
