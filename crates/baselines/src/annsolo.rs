@@ -62,9 +62,9 @@ impl AnnSoloBackend {
     /// Preprocess `library` into sparse vectors and cache their norms.
     pub fn build(library: &SpectralLibrary, config: AnnSoloConfig) -> AnnSoloBackend {
         let pre = Preprocessor::new(config.preprocess);
-        let entries: Vec<_> = library.iter().collect();
-        let references: Vec<Option<BinnedSpectrum>> =
-            par_map(&entries, config.threads, |e| pre.run(&e.spectrum).ok());
+        let references = par_map(library.entries(), config.threads, |_, e| {
+            pre.run(&e.spectrum).ok()
+        });
         let norms = references
             .iter()
             .map(|r| r.as_ref().map(BinnedSpectrum::l2_norm).unwrap_or(0.0))

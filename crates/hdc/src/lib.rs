@@ -20,7 +20,8 @@
 //!   ([`kernels`]),
 //! * bit-error injection for robustness studies ([`corrupt`]), and
 //! * a tiny scoped-thread parallel-map helper shared by the search stacks
-//!   ([`parallel`]).
+//!   ([`parallel`]): workers take items from one shared cursor and write
+//!   each result into its item's slot of one output vector.
 //!
 //! # Example
 //!

@@ -107,7 +107,7 @@ proptest! {
         threads in 1usize..9,
     ) {
         let expected: Vec<i64> = items.iter().map(|&x| i64::from(x) * 3 - 1).collect();
-        let got = par_map(&items, threads, |&x| i64::from(x) * 3 - 1);
+        let got = par_map(&items, threads, |_, &x| i64::from(x) * 3 - 1);
         prop_assert_eq!(got, expected);
     }
 }

@@ -605,8 +605,7 @@ impl LibraryIndex {
         let bytes = buffer.as_bytes();
         let (mut index, version, count, sections) = parse_sections(bytes)?;
         let dim = index.dim();
-        let jobs: Vec<(usize, Frame)> = sections.iter().copied().enumerate().collect();
-        let payloads = par_map(&jobs, threads, |&(i, section)| {
+        let payloads = par_map(&sections, threads, |i, section| {
             section.verify(bytes, &format!("shard {i}"))
         });
         // One pass over the records, each fact straight to its home: the

@@ -311,9 +311,8 @@ impl ShardedBackend {
         // 1. Encode once per query, then narrow the whole batch through
         //    the sketch stage in one pass. A window it passes through whole
         //    stays a window.
-        let jobs: Vec<usize> = (0..queries.len()).collect();
-        let prepared = par_map(&jobs, workers, |&i| {
-            (!windows[i].is_empty()).then(|| scorer.prepare(&queries[i]))
+        let prepared = par_map(queries, workers, |i, query| {
+            (!windows[i].is_empty()).then(|| scorer.prepare(query))
         });
         let mut records = vec![QueryRecord::default(); queries.len()];
         // Per narrowed query: its survivors' ids, then their positions.
@@ -416,7 +415,7 @@ impl ShardedBackend {
         // 4. Score the jobs in parallel, each one timed as a whole: a job's
         //    members are its spans that meet its rows, each ranging over
         //    the rows its own run holds.
-        let scored = par_map(&jobs, workers, |job| {
+        let scored = par_map(&jobs, workers, |_, job| {
             let rows = job.first..job.first + job.run.len() as u32;
             let meets = |&s: &usize| spans[s].1.start < rows.end && rows.start < spans[s].1.end;
             let meeting: Vec<usize> = job.spans.clone().filter(meets).collect();

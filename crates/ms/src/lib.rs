@@ -35,7 +35,6 @@
 
 pub mod aa;
 pub mod dataset;
-pub mod digest;
 pub mod fragment;
 pub mod library;
 pub mod mgf;

@@ -160,11 +160,6 @@ impl Spectrum {
     pub fn base_peak_intensity(&self) -> f64 {
         self.peaks.iter().map(|p| p.intensity).fold(0.0, f64::max)
     }
-
-    /// Total ion current: the sum of all peak intensities.
-    pub fn total_ion_current(&self) -> f64 {
-        self.peaks.iter().map(|p| p.intensity).sum()
-    }
 }
 
 impl fmt::Display for Spectrum {
@@ -201,17 +196,15 @@ mod tests {
     }
 
     #[test]
-    fn base_peak_and_tic() {
+    fn base_peak_is_the_largest_intensity() {
         let s = make(vec![Peak::new(100.0, 2.0), Peak::new(200.0, 5.0)]);
         assert_eq!(s.base_peak_intensity(), 5.0);
-        assert_eq!(s.total_ion_current(), 7.0);
     }
 
     #[test]
     fn empty_spectrum_statistics() {
         let s = make(vec![]);
         assert_eq!(s.base_peak_intensity(), 0.0);
-        assert_eq!(s.total_ion_current(), 0.0);
         assert_eq!(s.peak_count(), 0);
     }
 

@@ -468,11 +468,10 @@ pub fn best_hits<S: RunScorer>(
         candidates.len(),
         "queries and candidate lists must pair up"
     );
-    let jobs: Vec<usize> = (0..queries.len()).collect();
-    par_map(&jobs, threads, |&i| {
-        let query = scorer.prepare(&queries[i]);
+    par_map(queries, threads, |i, binned| {
+        let query = scorer.prepare(binned);
         let whole = 0..candidates[i].len();
-        scorer.best_in_ranges(&[(&queries[i], &query, whole)], &candidates[i])[0]
+        scorer.best_in_ranges(&[(binned, &query, whole)], &candidates[i])[0]
     })
 }
 
@@ -493,9 +492,10 @@ pub trait ReferenceEncoder: Sync {
 /// ([`SharedReferences::encode_in`]) and the streaming index builder's
 /// spill loop alike: encode a dense run of
 /// entries exactly as a cold build encodes ids `first_id..first_id + len`.
-/// Each entry's spectrum id is treated as `first_id + offset` (the dense
-/// id it will occupy), so preprocessing, encoding and any per-reference
-/// noise stream are keyed on the final id, and feeding a library through
+/// Each entry's binned spectrum takes the id `first_id + offset` (the
+/// dense id it will occupy; preprocessing reads no id, so the spectrum
+/// itself is not copied), so encoding and any per-reference noise stream
+/// are keyed on the final id, and feeding a library through
 /// one bounded chunk at a time yields bit-for-bit the hypervectors (and
 /// bit-error rates) of a whole-library build. A slot is `None` when
 /// preprocessing rejected the entry; `pre` must carry the preprocessing
@@ -507,20 +507,10 @@ pub fn encode_chunk<E: ReferenceEncoder + ?Sized>(
     first_id: u32,
     threads: usize,
 ) -> Vec<Option<(BinaryHypervector, f64)>> {
-    let jobs: Vec<(u32, &LibraryEntry)> = entries
-        .iter()
-        .enumerate()
-        .map(|(offset, entry)| (first_id + offset as u32, entry))
-        .collect();
-    par_map(&jobs, threads, |&(id, entry)| {
-        let binned = if entry.spectrum.id == id {
-            pre.run(&entry.spectrum).ok()
-        } else {
-            let mut spectrum = entry.spectrum.clone();
-            spectrum.id = id;
-            pre.run(&spectrum).ok()
-        };
-        binned.map(|binned| encoder.encode_reference(&binned))
+    par_map(entries, threads, |offset, entry| {
+        let mut binned = pre.run(&entry.spectrum).ok()?;
+        binned.id = first_id + offset as u32;
+        Some(encoder.encode_reference(&binned))
     })
 }
 

@@ -449,7 +449,7 @@ impl SketchIndex {
         let jobs: Vec<&[(u32, usize)]> = (0..blocks).map(|b| &runs[cut(b)..cut(b + 1)]).collect();
 
         let kernel = kernels::active();
-        let done = par_map(&jobs, workers, |block| {
+        let done = par_map(&jobs, workers, |_, block| {
             let start = Instant::now();
             let scores = self.score_runs(kernel, batch, block);
             let narrowed: Vec<Vec<u32>> = (block.iter().zip(scores))

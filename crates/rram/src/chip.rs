@@ -1,26 +1,12 @@
 //! Chip-level capacity and area accounting.
 //!
-//! The paper's density claims rest on two published numbers:
-//!
-//! * a 22 nm SLC RRAM macro is ~3× denser than high-density SRAM
-//!   (Chou et al., VLSI 2020 — reference 8 of the paper), and
-//! * storing `n` bits per cell multiplies capacity per area by `n`
-//!   (the paper's own 3× claim for its 3-bit cells, §5.2.1).
-//!
-//! This module turns those into queryable bookkeeping for a chip made of
-//! crossbar tiles, so the benches can print the capacity side of the
-//! evaluation alongside the error rates.
+//! The paper's density claim is that storing `n` bits per cell
+//! multiplies capacity per area by `n` (its 3× claim for 3-bit cells,
+//! §5.2.1). This module turns that into queryable bookkeeping for a chip
+//! made of crossbar tiles, so the benches can print the capacity side of
+//! the evaluation alongside the error rates.
 
 use crate::config::MlcConfig;
-
-/// Density of SLC RRAM relative to high-density SRAM in the same node
-/// (reference 8 of the paper).
-pub const SLC_RRAM_VS_SRAM_DENSITY: f64 = 3.0;
-
-/// Area of one 1T1R RRAM cell in the paper's 130 nm test chip, µm².
-/// (Order-of-magnitude literature value for 130 nm 1T1R; the *relative*
-/// numbers below are what the evaluation uses.)
-pub const CELL_AREA_130NM_UM2: f64 = 1.2;
 
 /// A chip built from identical crossbar tiles.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,32 +44,10 @@ impl ChipSpec {
         self.cells() * u64::from(self.mlc.bits_per_cell)
     }
 
-    /// Storage capacity in bits when the cells hold differential compute
-    /// weights (two cells per binary weight).
-    pub fn compute_weight_bits(&self) -> u64 {
-        self.cells() / 2
-    }
-
-    /// Total cell area in µm² (130 nm cell).
-    pub fn area_um2(&self) -> f64 {
-        self.cells() as f64 * CELL_AREA_130NM_UM2
-    }
-
-    /// Storage density in bits/µm².
-    pub fn storage_density(&self) -> f64 {
-        self.storage_bits() as f64 / self.area_um2()
-    }
-
     /// Density improvement over an SLC configuration of the same chip —
     /// the paper's "3× better storage capacity per area".
     pub fn density_vs_slc(&self) -> f64 {
         f64::from(self.mlc.bits_per_cell)
-    }
-
-    /// Density improvement over SRAM of the same node class, combining the
-    /// SLC-RRAM-vs-SRAM factor with the MLC multiplier.
-    pub fn density_vs_sram(&self) -> f64 {
-        SLC_RRAM_VS_SRAM_DENSITY * self.density_vs_slc()
     }
 
     /// How many hypervectors of dimension `dim` fit in dense storage.
@@ -110,7 +74,6 @@ mod tests {
         let mlc = ChipSpec::paper_chip(MlcConfig::with_bits(3));
         assert_eq!(mlc.storage_bits(), 3 * slc.storage_bits());
         assert!((mlc.density_vs_slc() - 3.0).abs() < 1e-12);
-        assert!((mlc.density_vs_sram() - 9.0).abs() < 1e-12);
     }
 
     #[test]
@@ -121,19 +84,6 @@ mod tests {
         // SLC stores 3× fewer.
         let slc = ChipSpec::paper_chip(MlcConfig::with_bits(1));
         assert!(chip.hypervector_capacity(8192) > 2 * slc.hypervector_capacity(8192));
-    }
-
-    #[test]
-    fn compute_storage_halves_for_differential() {
-        let chip = ChipSpec::paper_chip(MlcConfig::with_bits(1));
-        assert_eq!(chip.compute_weight_bits(), chip.cells() / 2);
-    }
-
-    #[test]
-    fn densities_positive() {
-        let chip = ChipSpec::paper_chip(MlcConfig::with_bits(2));
-        assert!(chip.area_um2() > 0.0);
-        assert!(chip.storage_density() > 0.0);
     }
 
     #[test]

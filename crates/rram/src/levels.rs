@@ -1,4 +1,4 @@
-//! Conductance level maps: targets, decoding and symbol/bit conversion.
+//! Conductance level maps: targets and decoding.
 
 use crate::config::MlcConfig;
 
@@ -58,31 +58,6 @@ impl LevelMap {
         idx.clamp(0.0, (n - 1) as f64) as usize
     }
 
-    /// Split a symbol into its natural-binary bits, most significant
-    /// first. E.g. for 3 bits, symbol 5 → `[true, false, true]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `symbol >= levels`.
-    pub fn symbol_to_bits(&self, symbol: usize) -> Vec<bool> {
-        assert!(symbol < self.levels(), "symbol {symbol} out of range");
-        (0..self.bits)
-            .rev()
-            .map(|b| (symbol >> b) & 1 == 1)
-            .collect()
-    }
-
-    /// Assemble bits (most significant first) into a symbol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != bits_per_cell`.
-    pub fn bits_to_symbol(&self, bits: &[bool]) -> usize {
-        assert_eq!(bits.len(), self.bits as usize, "wrong number of bits");
-        bits.iter()
-            .fold(0usize, |acc, &b| (acc << 1) | usize::from(b))
-    }
-
     /// Number of differing bits between two symbols' natural-binary codes
     /// (the unit Figure 7 reports errors in).
     pub fn bit_errors_between(&self, a: usize, b: usize) -> u32 {
@@ -132,32 +107,10 @@ mod tests {
     }
 
     #[test]
-    fn symbol_bits_roundtrip() {
-        let lm = LevelMap::new(&MlcConfig::with_bits(3));
-        for s in 0..8 {
-            assert_eq!(lm.bits_to_symbol(&lm.symbol_to_bits(s)), s);
-        }
-    }
-
-    #[test]
-    fn symbol_to_bits_msb_first() {
-        let lm = LevelMap::new(&MlcConfig::with_bits(3));
-        assert_eq!(lm.symbol_to_bits(5), vec![true, false, true]);
-        assert_eq!(lm.symbol_to_bits(1), vec![false, false, true]);
-    }
-
-    #[test]
     fn bit_errors_between_examples() {
         let lm = LevelMap::new(&MlcConfig::with_bits(3));
         assert_eq!(lm.bit_errors_between(3, 4), 3); // 011 vs 100
         assert_eq!(lm.bit_errors_between(6, 7), 1); // 110 vs 111
         assert_eq!(lm.bit_errors_between(2, 2), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn symbol_to_bits_bounds() {
-        let lm = LevelMap::new(&MlcConfig::with_bits(2));
-        let _ = lm.symbol_to_bits(4);
     }
 }

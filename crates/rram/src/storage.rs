@@ -122,17 +122,6 @@ impl HypervectorStore {
         self.dim.div_ceil(self.config.bits_per_cell as usize)
     }
 
-    /// Read one hypervector back `age_s` seconds after programming,
-    /// sampling the device model through `rng`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn read_one<R: Rng>(&self, index: usize, age_s: f64, rng: &mut R) -> BinaryHypervector {
-        self.read_symbols(&self.levels_at(age_s), &self.symbols[index], rng)
-            .0
-    }
-
     /// Read every stored hypervector back `age_s` seconds after
     /// programming, returning the decoded vectors and aggregate error
     /// statistics against the originally programmed data.
@@ -290,15 +279,6 @@ mod tests {
         let (read, stats) = store.read_all(0.0, &mut rng);
         assert_eq!(read, hvs);
         assert_eq!(stats.bits_total, 200);
-    }
-
-    #[test]
-    fn read_one_matches_dimension() {
-        let hvs = random_hvs(3, 512, 12);
-        let store = HypervectorStore::program(MlcConfig::with_bits(2), &hvs);
-        let mut rng = StdRng::seed_from_u64(2);
-        let hv = store.read_one(1, 3600.0, &mut rng);
-        assert_eq!(hv.dim(), 512);
     }
 
     #[test]

@@ -347,6 +347,66 @@ proptest! {
     }
 }
 
+const DOC: &str = include_str!("../../../docs/PROTOCOL.md");
+
+/// Every request example in `docs/PROTOCOL.md`: the lines of its
+/// ```json fences that decode as a request.
+fn documented_requests() -> Vec<&'static str> {
+    let mut in_json = false;
+    (DOC.lines())
+        .filter(|line| {
+            let fence = line.trim().starts_with("```");
+            in_json = if fence {
+                line.trim() == "```json"
+            } else {
+                in_json
+            };
+            !fence && in_json
+        })
+        .filter(|line| Request::decode(line).is_ok())
+        .collect()
+}
+
+/// The decoder as a function: whatever `line` is, it returns, and a
+/// request it accepts re-encodes to a line that decodes back to it and
+/// re-encodes to the same bytes.
+fn decodes_to_a_fixed_point(line: &str) -> Result<(), String> {
+    if let Ok(request) = Request::decode(line) {
+        let encoded = request.encode();
+        let again = Request::decode(&encoded).map_err(|e| format!("{e}: {encoded} from {line}"))?;
+        prop_assert_eq!(&again, &request, "{}", line);
+        prop_assert_eq!(again.encode(), encoded, "{}", line);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary text: random bytes, read the way a lossy reader would.
+    #[test]
+    fn the_request_decoder_takes_any_text(bytes in vec(any::<u8>(), 0..96)) {
+        decodes_to_a_fixed_point(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    /// Every documented request cut short at every length, and with each
+    /// of its bytes in turn flipped by a drawn mask.
+    #[test]
+    fn the_request_decoder_takes_damaged_examples(mask in 1u8..=255) {
+        let requests = documented_requests();
+        prop_assert!(requests.len() >= 9, "{} request examples", requests.len());
+        for line in requests {
+            let bytes = line.as_bytes();
+            for at in 0..bytes.len() {
+                decodes_to_a_fixed_point(&String::from_utf8_lossy(&bytes[..at]))?;
+                let mut flipped = bytes.to_vec();
+                flipped[at] ^= mask;
+                decodes_to_a_fixed_point(&String::from_utf8_lossy(&flipped))?;
+            }
+        }
+    }
+}
+
 /// An m/z or intensity from the spectrum rule's edges one time in four,
 /// else an ordinary one.
 fn spectrum_value(rng: &mut TestRng) -> f64 {

@@ -66,10 +66,6 @@ proptest! {
         let map = LevelMap::new(&MlcConfig::with_bits(bits));
         for level in 0..map.levels() {
             prop_assert_eq!(map.decode(map.target(level)), level);
-            prop_assert_eq!(
-                map.bits_to_symbol(&map.symbol_to_bits(level)),
-                level
-            );
         }
     }
 
