@@ -84,7 +84,7 @@ impl AnnSoloBackend {
     /// charge; each peak contributes its best pairing (no double
     /// counting). The result is normalised by the vector norms, yielding a
     /// score in roughly `[0, 1]`.
-    pub fn shifted_cosine(
+    pub(crate) fn shifted_cosine(
         &self,
         query: &BinnedSpectrum,
         reference: &BinnedSpectrum,

@@ -21,9 +21,8 @@
 //! its scorers through the flat loop ([`hdoms_oms::search::best_hits`]).
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(unsafe_code)]
 
 pub mod annsolo;
-
-pub use annsolo::{AnnSoloBackend, AnnSoloConfig};

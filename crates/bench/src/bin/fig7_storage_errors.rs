@@ -4,9 +4,10 @@
 //! cells relax for 1 s / 30 min / 60 min / 1 day, reads them back and
 //! reports the bit error rate for 1/2/3 bits per cell.
 //!
-//! Paper reference points (read off Fig. 7): at one day roughly 0.2 % /
-//! 4 % / 12 % for 1/2/3 bits per cell, with most of the growth inside
-//! the first hour.
+//! The paper's values, read off Fig. 7, are the second table this
+//! binary prints and are written down there only. PAPER.md holds only
+//! the abstract, so that read-off cannot be checked inside this
+//! repository.
 //!
 //! Run: `cargo run --release -p hdoms-bench --bin fig7_storage_errors`
 

@@ -183,11 +183,6 @@ impl OmsAccelerator {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &AcceleratorConfig {
-        &self.config
-    }
-
     /// Build-time statistics (library encoding error etc.).
     pub fn build_stats(&self) -> &BuildStats {
         &self.build_stats

@@ -247,17 +247,6 @@ impl InMemoryEncoder {
         self.sigma_delta
     }
 
-    /// The construction seed (per-spectrum analog noise derives from it).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The software encoder sharing this hardware's item memories (the
-    /// ground truth for error measurements).
-    pub fn software(&self) -> &IdLevelEncoder {
-        &self.software
-    }
-
     /// Sensing cycles to encode a spectrum with `peaks` peaks:
     /// `chunks × ceil(peaks / pairs_per_cycle)`.
     pub fn cycles_for(&self, peaks: usize) -> usize {
@@ -505,7 +494,7 @@ mod tests {
         let enc = InMemoryEncoder::new(small_encoder(1), ideal_crossbar(1), 1, 2);
         let (hv, stats) = enc.encode_with_stats(&binned_query());
         assert_eq!(stats.bit_errors, 0, "ideal binary encoding must be exact");
-        assert_eq!(hv, enc.software().encode(&binned_query()));
+        assert_eq!(hv, enc.software.encode(&binned_query()));
     }
 
     #[test]
@@ -586,7 +575,7 @@ mod tests {
         // noise, so the bits each gets wrong mostly differ.
         let enc = InMemoryEncoder::new(small_encoder(3), crossbar(3), 9, 2);
         let q = binned_query();
-        let truth = enc.software().encode(&q);
+        let truth = enc.software.encode(&q);
         let query = enc.encode(&q);
         let (library, _) = enc.encode_with_stats(&q);
         assert_ne!(query, library);

@@ -46,6 +46,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(unsafe_code)]
 
@@ -54,9 +55,3 @@ pub mod encode;
 pub mod mapping;
 pub mod perf;
 pub mod search;
-
-pub use accelerator::{AcceleratorConfig, OmsAccelerator};
-pub use encode::InMemoryEncoder;
-pub use mapping::LibraryMapping;
-pub use perf::{PerfReport, WorkloadShape};
-pub use search::InMemorySearch;

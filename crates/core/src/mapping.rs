@@ -38,7 +38,7 @@ impl LibraryMapping {
     /// # Panics
     ///
     /// Panics on zero sizes or an odd/oversized activation count.
-    pub fn plan(
+    pub(crate) fn plan(
         references: u64,
         dim: u64,
         tile_rows: u64,
@@ -88,7 +88,7 @@ impl LibraryMapping {
     }
 
     /// Total cells occupied by reference weights (two per dimension).
-    pub fn cells_used(&self) -> u64 {
+    pub(crate) fn cells_used(&self) -> u64 {
         self.references * self.dim * 2
     }
 

@@ -90,21 +90,21 @@ impl WorkloadShape {
 
     /// Total search MACs: every query scores all its candidates across
     /// all dimensions.
-    pub fn search_macs(&self) -> f64 {
+    pub(crate) fn search_macs(&self) -> f64 {
         self.queries * self.mean_candidates * self.dim
     }
 
     /// Query-encoding MACs (`peaks × dim` per query). Library encoding is
     /// a one-time indexing cost excluded here, as ANN-SoLo's index build
     /// is excluded from its published search times.
-    pub fn encode_macs(&self) -> f64 {
+    pub(crate) fn encode_macs(&self) -> f64 {
         self.queries * self.mean_peaks * self.dim
     }
 
     /// ANN-SoLo floating-point work: per candidate, each query peak probes
     /// the unshifted and shifted positions of the reference (≈ 8 flops per
     /// probe across compare/multiply/accumulate and index arithmetic).
-    pub fn annsolo_flops(&self) -> f64 {
+    pub(crate) fn annsolo_flops(&self) -> f64 {
         self.queries * self.mean_candidates * self.mean_peaks * 8.0
     }
 }
@@ -153,7 +153,7 @@ impl RramModel {
     }
 
     /// Aggregate MAC rate (MAC/s) across all tiles.
-    pub fn mac_rate(&self) -> f64 {
+    pub(crate) fn mac_rate(&self) -> f64 {
         self.macs_per_tile_cycle() * self.parallel_tiles / (self.cycle_ns * 1e-9)
     }
 
@@ -180,7 +180,7 @@ impl RramModel {
 
 /// Cost model of a GPU baseline.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GpuModel {
+pub(crate) struct GpuModel {
     /// Device name for reports.
     pub name: String,
     /// Average board power under this workload (W). Irregular workloads
@@ -211,19 +211,19 @@ impl Default for GpuModel {
 
 impl GpuModel {
     /// HyperOMS time: encode (integer MACs) + Hamming search.
-    pub fn hyperoms_time_s(&self, shape: &WorkloadShape) -> f64 {
+    pub(crate) fn hyperoms_time_s(&self, shape: &WorkloadShape) -> f64 {
         (shape.search_macs() + shape.encode_macs()) / self.hd_mac_rate
     }
 
     /// ANN-SoLo GPU time.
-    pub fn annsolo_time_s(&self, shape: &WorkloadShape) -> f64 {
+    pub(crate) fn annsolo_time_s(&self, shape: &WorkloadShape) -> f64 {
         shape.annsolo_flops() / self.annsolo_flop_rate
     }
 }
 
 /// Cost model of the CPU baseline.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CpuModel {
+pub(crate) struct CpuModel {
     /// Device name for reports.
     pub name: String,
     /// Package power under sustained vector load (W).
@@ -246,7 +246,7 @@ impl Default for CpuModel {
 
 impl CpuModel {
     /// ANN-SoLo CPU time.
-    pub fn annsolo_time_s(&self, shape: &WorkloadShape) -> f64 {
+    pub(crate) fn annsolo_time_s(&self, shape: &WorkloadShape) -> f64 {
         shape.annsolo_flops() / self.annsolo_flop_rate
     }
 }
@@ -284,7 +284,7 @@ impl PerfReport {
     }
 
     /// Generate with explicit models.
-    pub fn with_models(
+    pub(crate) fn with_models(
         shape: WorkloadShape,
         rram: &RramModel,
         gpu: &GpuModel,

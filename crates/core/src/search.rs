@@ -111,11 +111,6 @@ impl InMemorySearch {
         &self.references
     }
 
-    /// Hypervector dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Sensing cycles per query-column evaluation
     /// (`ceil(dim / pairs_per_cycle)` — all columns digitise in parallel).
     pub fn cycles_per_query(&self) -> usize {

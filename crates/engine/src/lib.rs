@@ -62,6 +62,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(unsafe_code)]
 
@@ -289,11 +290,6 @@ impl Engine {
     /// equal to what the references were encoded with).
     pub fn preprocess(&self) -> PreprocessConfig {
         self.preprocess
-    }
-
-    /// Number of references the engine searches over.
-    pub fn reference_count(&self) -> usize {
-        self.meta.reference_count()
     }
 
     /// Peptide sequences by dense reference id (for PSM tables).
@@ -667,21 +663,6 @@ impl Session {
         &self.engine
     }
 
-    /// The session's precursor window.
-    pub fn window(&self) -> &PrecursorWindow {
-        &self.window
-    }
-
-    /// Batches submitted so far.
-    pub fn batches(&self) -> usize {
-        self.totals.batch
-    }
-
-    /// Queries submitted so far (before preprocessing).
-    pub fn total_queries(&self) -> usize {
-        self.totals.queries
-    }
-
     /// Encode, search, and accumulate one batch of query spectra over at
     /// most `workers` threads (`1` runs it entirely on the calling
     /// thread), whatever parallelism the engine was constructed with. No
@@ -794,7 +775,7 @@ mod tests {
     #[test]
     fn engine_keeps_its_index_and_metadata() {
         let (workload, engine) = tiny_engine(21);
-        assert_eq!(engine.reference_count(), workload.library.len());
+        assert_eq!(engine.meta.reference_count(), workload.library.len());
         assert_eq!(engine.peptides().len(), workload.library.len());
         let index = engine.index().expect("cold build keeps the index");
         assert_eq!(index.entry_count(), workload.library.len());
@@ -814,7 +795,7 @@ mod tests {
         assert_eq!(second.total_psms, first.psms + second.psms);
         assert!(first.candidates_scored > 0);
         assert!(first.shards_touched > 0);
-        assert_eq!(session.batches(), 2);
+        assert_eq!(session.totals.batch, 2);
         let (outcome, _) = session.finalize(0.01);
         assert_eq!(outcome.total_queries, workload.queries.len());
         assert_eq!(outcome.psms.len(), first.psms + second.psms);

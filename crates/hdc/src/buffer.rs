@@ -46,7 +46,7 @@ impl WordBuffer {
     /// # Errors
     ///
     /// Propagates read failures (including a short stream).
-    pub fn from_reader<R: Read>(mut reader: R, len: usize) -> std::io::Result<WordBuffer> {
+    pub(crate) fn from_reader<R: Read>(mut reader: R, len: usize) -> std::io::Result<WordBuffer> {
         let mut words = vec![0u64; len.div_ceil(8)];
         // SAFETY: the view covers exactly `words`' allocation
         // (`words.len() * 8` bytes, all initialised — zeroed just above),
@@ -64,7 +64,7 @@ impl WordBuffer {
     }
 
     /// Copy `bytes` into an aligned buffer (tests and in-memory loads;
-    /// the zero-copy path uses [`WordBuffer::from_reader`] so the file is
+    /// the zero-copy path uses `WordBuffer::from_reader` so the file is
     /// read straight into place).
     pub fn from_bytes(bytes: &[u8]) -> WordBuffer {
         WordBuffer::from_reader(bytes, bytes.len()).expect("reading from a slice cannot fail")

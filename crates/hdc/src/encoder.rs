@@ -249,7 +249,7 @@ impl IdLevelEncoder {
     }
 }
 
-/// `Sign` over a whole accumulator, word-wise ([`sign_word`] per 64
+/// `Sign` over a whole accumulator, word-wise (`sign_word` per 64
 /// lanes): `+1` above `dead_band`, `-1` below `-dead_band`, the `tie`
 /// vector's bit inside it. The integer encoder quantises with a zero
 /// dead band; the in-memory encoder's analog accumulator with `½`.

@@ -54,7 +54,7 @@ impl BinaryHypervector {
     /// # Panics
     ///
     /// Panics if `components` is empty or contains values other than ±1.
-    pub fn from_bipolar(components: &[i8]) -> BinaryHypervector {
+    pub(crate) fn from_bipolar(components: &[i8]) -> BinaryHypervector {
         let mut hv = BinaryHypervector::zeros(components.len());
         for (i, &c) in components.iter().enumerate() {
             match c {
@@ -84,7 +84,7 @@ impl BinaryHypervector {
     }
 
     /// Zero any bits beyond `dim` in the last word.
-    pub fn mask_tail(&mut self) {
+    pub(crate) fn mask_tail(&mut self) {
         let rem = self.dim % 64;
         if rem != 0 {
             let last = self.words.len() - 1;
@@ -152,7 +152,7 @@ impl BinaryHypervector {
     ///
     /// Panics if `dim` is zero, the word count is not `ceil(dim / 64)`,
     /// or unused tail bits of the last word are set.
-    pub fn from_words(dim: usize, words: Vec<u64>) -> BinaryHypervector {
+    pub(crate) fn from_words(dim: usize, words: Vec<u64>) -> BinaryHypervector {
         assert!(dim > 0, "hypervector dimension must be positive");
         assert_eq!(
             words.len(),
@@ -168,15 +168,6 @@ impl BinaryHypervector {
     pub fn tail_is_masked(&self) -> bool {
         let rem = self.dim % 64;
         rem == 0 || self.words[self.words.len() - 1] & !((1u64 << rem) - 1) == 0
-    }
-
-    /// A borrowed view of this hypervector (dimension + packed words).
-    #[inline]
-    pub fn as_view(&self) -> HvRef<'_> {
-        HvRef {
-            dim: self.dim,
-            words: &self.words,
-        }
     }
 }
 
@@ -231,12 +222,6 @@ impl<'a> HvRef<'a> {
             rem == 0 || words[words.len() - 1] & !((1u64 << rem) - 1) == 0
         });
         HvRef { dim, words }
-    }
-
-    /// Dimension of the viewed hypervector.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// The packed words.
@@ -407,14 +392,12 @@ mod tests {
     fn view_roundtrips_through_words() {
         let mut rng = StdRng::seed_from_u64(21);
         let hv = BinaryHypervector::random(&mut rng, 130);
-        let view = hv.as_view();
+        let view = HvRef::new(130, hv.words());
         assert_eq!(view.dim(), 130);
         assert_eq!(view.words(), hv.words());
         assert_eq!(view.to_hypervector(), hv);
         let rebuilt = BinaryHypervector::from_words(130, hv.words().to_vec());
         assert_eq!(rebuilt, hv);
-        let external = HvRef::new(130, hv.words());
-        assert_eq!(external, view);
     }
 
     #[test]

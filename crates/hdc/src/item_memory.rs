@@ -80,7 +80,7 @@ impl IdMemory {
     /// # Panics
     ///
     /// Panics on an empty memory (no positions, or dimension 0).
-    pub fn generate(
+    pub(crate) fn generate(
         seed: u64,
         num_positions: usize,
         dim: usize,
@@ -128,21 +128,6 @@ impl IdMemory {
     /// Panics if `position >= num_positions`.
     pub fn id(&self, position: usize) -> Vec<i8> {
         unpack_id_row(self.packed(position), self.dim)
-    }
-
-    /// Number of positions (m/z bins).
-    pub fn num_positions(&self) -> usize {
-        self.num_positions
-    }
-
-    /// Hypervector dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Component precision.
-    pub fn precision(&self) -> IdPrecision {
-        self.precision
     }
 }
 
@@ -230,21 +215,6 @@ impl LevelMemory {
     pub fn quantize(&self, intensity: f32) -> usize {
         let clamped = intensity.clamp(0.0, 1.0);
         ((f64::from(clamped) * (self.q as f64 - 1.0)).round()) as usize
-    }
-
-    /// Number of levels `Q`.
-    pub fn q(&self) -> usize {
-        self.q
-    }
-
-    /// Hypervector dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The generation style.
-    pub fn style(&self) -> LevelStyle {
-        self.style
     }
 }
 

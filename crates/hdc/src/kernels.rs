@@ -40,7 +40,7 @@
 //! 3-bit alphabet, and 31 × 4 = 124 cannot wrap an i8 — each run is
 //! widened once into i32 lanes, and the finished block is handed to the
 //! caller's sink, which either writes the sums out or packs their signs
-//! straight into a word with [`sign_word`]. Integer sums are exact in
+//! straight into a word with `sign_word`. Integer sums are exact in
 //! any order, so the result is bit-identical to the naive per-peak
 //! full-width loop by construction. The body is safe Rust over 64-lane
 //! blocks, written once and instantiated twice — portably, and under
@@ -57,8 +57,8 @@
 //! be swapped at runtime with [`set_active`] — which is how the
 //! equivalence suites run every variant inside one process (and
 //! `bench_suite` reports `hdc.kernel_pair_scores_per_s` under whichever
-//! the environment selects). Explicit [`KernelDispatch`] values ([`KernelDispatch::scalar`],
-//! [`KernelDispatch::resolve`]) bypass the global entirely.
+//! the environment selects). Explicit [`KernelDispatch`] values (`KernelDispatch::scalar`,
+//! `KernelDispatch::resolve`) bypass the global entirely.
 //!
 //! # The output contract
 //!
@@ -188,7 +188,7 @@ pub enum KernelKind {
 impl KernelKind {
     /// Parse an override spelling (`scalar` | `auto`, case-insensitive).
     /// Returns `None` for anything else.
-    pub fn parse(spelling: &str) -> Option<KernelKind> {
+    pub(crate) fn parse(spelling: &str) -> Option<KernelKind> {
         match spelling.to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelKind::Scalar),
             "auto" => Some(KernelKind::Auto),
@@ -212,8 +212,8 @@ enum Impl {
 /// methods take `&self` only for call-site ergonomics.
 ///
 /// Obtain one from [`active`] (the process-wide selection),
-/// [`KernelDispatch::resolve`] (explicit request), or the
-/// [`KernelDispatch::scalar`] / [`KernelDispatch::simd`] shorthands.
+/// `KernelDispatch::resolve` (explicit request), or the
+/// `KernelDispatch::scalar` / `KernelDispatch::simd` shorthands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelDispatch {
     imp: Impl,
@@ -221,20 +221,20 @@ pub struct KernelDispatch {
 
 impl KernelDispatch {
     /// The portable scalar kernel (always available).
-    pub fn scalar() -> KernelDispatch {
+    pub(crate) fn scalar() -> KernelDispatch {
         KernelDispatch { imp: Impl::Scalar }
     }
 
     /// The best SIMD kernel this CPU supports, or the scalar kernel on a
     /// machine with none (its [`KernelDispatch::name`] says which).
-    pub fn simd() -> KernelDispatch {
+    pub(crate) fn simd() -> KernelDispatch {
         KernelDispatch { imp: best_simd() }
     }
 
     /// Every implementation this CPU can run: scalar, then each SIMD
     /// path it reports (AVX2, then AVX-512 where present). The
     /// equivalence suites hold all of them to one answer, so a box with
-    /// AVX-512 still checks the AVX2 bodies [`KernelDispatch::simd`]
+    /// AVX-512 still checks the AVX2 bodies `KernelDispatch::simd`
     /// would not select there.
     pub fn available() -> Vec<KernelDispatch> {
         let mut all = vec![KernelDispatch::scalar()];
@@ -249,7 +249,7 @@ impl KernelDispatch {
     }
 
     /// Resolve a request against the running CPU.
-    pub fn resolve(kind: KernelKind) -> KernelDispatch {
+    pub(crate) fn resolve(kind: KernelKind) -> KernelDispatch {
         match kind {
             KernelKind::Scalar => KernelDispatch::scalar(),
             KernelKind::Auto => KernelDispatch::simd(),
@@ -608,7 +608,7 @@ fn load_block(row: &[i8], start: usize, width: usize) -> [i8; ENCODE_BLOCK] {
 ///
 /// Panics if `lanes` holds more than 64 values.
 #[inline(always)]
-pub fn sign_word<T>(lanes: &[T], dead_band: T, tie: u64) -> u64
+pub(crate) fn sign_word<T>(lanes: &[T], dead_band: T, tie: u64) -> u64
 where
     T: Copy + PartialOrd + std::ops::Neg<Output = T>,
 {
@@ -888,7 +888,7 @@ fn dispatch_of(code: u8) -> Option<KernelDispatch> {
 ///
 /// Panics on an unrecognised spelling — a mistyped override silently
 /// running the wrong kernel would defeat the point of setting it.
-pub fn env_kind() -> KernelKind {
+pub(crate) fn env_kind() -> KernelKind {
     match std::env::var("HDOMS_KERNEL") {
         Ok(value) => KernelKind::parse(&value)
             .unwrap_or_else(|| panic!("HDOMS_KERNEL={value:?} is not one of scalar|auto")),

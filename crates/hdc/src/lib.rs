@@ -44,10 +44,11 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-pub mod buffer;
+mod buffer;
 pub mod corrupt;
 pub mod encoder;
 pub mod hv;
@@ -58,9 +59,6 @@ pub mod parallel;
 pub mod similarity;
 
 pub use buffer::WordBuffer;
-pub use encoder::{EncoderConfig, IdLevelEncoder};
-pub use hv::{BinaryHypervector, HvRef, HvView};
-pub use item_memory::LevelStyle;
-pub use kernels::{KernelDispatch, KernelKind};
-pub use multibit::IdPrecision;
-pub use similarity::{hamming_distance, normalized_similarity};
+pub use hv::{BinaryHypervector, HvRef};
+pub use kernels::KernelKind;
+pub use similarity::hamming_distance;

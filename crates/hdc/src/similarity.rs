@@ -28,14 +28,14 @@ use crate::kernels;
 /// Panics on dimension mismatch.
 ///
 /// ```
-/// use hdoms_hdc::hv::BinaryHypervector;
+/// use hdoms_hdc::hv::{BinaryHypervector, HvRef};
 /// use hdoms_hdc::similarity::hamming_distance;
 /// let mut a = BinaryHypervector::zeros(128);
 /// let b = BinaryHypervector::zeros(128);
 /// a.flip(3);
 /// a.flip(90);
 /// assert_eq!(hamming_distance(&a, &b), 2);
-/// assert_eq!(hamming_distance(&a.as_view(), &b), 2);
+/// assert_eq!(hamming_distance(&HvRef::new(128, a.words()), &b), 2);
 /// ```
 #[inline]
 pub fn hamming_distance<A, B>(a: &A, b: &B) -> u32

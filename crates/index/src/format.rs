@@ -74,15 +74,15 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// Magic bytes opening every index file.
-pub const MAGIC: [u8; 8] = *b"HDOMSIDX";
+pub(crate) const MAGIC: [u8; 8] = *b"HDOMSIDX";
 
 /// Current format version (written by default). Readers reject anything
 /// newer.
-pub const FORMAT_VERSION: u32 = 3;
+pub(crate) const FORMAT_VERSION: u32 = 3;
 
 /// Oldest format version readers still decode (v2 and v3 are searched
 /// in place; v1 words are unaligned and get repacked once at load).
-pub const MIN_FORMAT_VERSION: u32 = 1;
+pub(crate) const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Zero bytes needed after `pos` to reach an 8-byte boundary.
 pub fn pad_to_8(pos: usize) -> usize {
@@ -98,7 +98,7 @@ pub const CHECKSUM_SEED: u64 = 0x8d0a_51dc;
 /// rows (`dim` bytes per level). No file size justifies them — they are
 /// derived from the seed, not stored — so the bound is a policy: 1 GiB,
 /// over 150× the default configuration's 5.7 MB.
-pub const MAX_ITEM_MEMORY_BYTES: usize = 1 << 30;
+pub(crate) const MAX_ITEM_MEMORY_BYTES: usize = 1 << 30;
 
 /// Anything that can go wrong building, writing or loading an index.
 #[derive(Debug)]
@@ -107,7 +107,7 @@ pub enum IndexError {
     Io(std::io::Error),
     /// Structural decode failure.
     Wire(WireError),
-    /// The file does not start with [`MAGIC`].
+    /// The file does not start with `MAGIC`.
     BadMagic,
     /// The file's format version is newer than this reader.
     UnsupportedVersion {

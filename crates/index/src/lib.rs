@@ -79,6 +79,7 @@
 //! the sharded vs unsharded search throughput.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(unsafe_code)]
 
@@ -89,7 +90,7 @@ pub mod streaming;
 pub mod wire;
 pub mod xxhash;
 
-pub use format::{IndexError, IndexedBackendKind, MlcState};
+pub use format::{IndexError, IndexedBackendKind};
 pub use library_index::{IndexConfig, LibraryIndex};
 pub use sharded::{QueryRecord, ShardTiming, ShardedBackend};
 pub use streaming::{StreamingBuildReport, StreamingConfig, StreamingIndexBuilder};

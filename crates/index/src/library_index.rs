@@ -24,6 +24,7 @@ use hdoms_oms::candidates::CandidateIndex;
 use hdoms_oms::pipeline::{ReferenceCatalog, ReferenceMeta};
 use hdoms_oms::search::{ExactBackend, ExactBackendConfig, ReferenceEncoder, SharedReferences};
 use hdoms_prefilter::{SketchIndex, SKETCH_WORDS};
+use std::cmp::Ordering;
 use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -79,14 +80,43 @@ pub(crate) fn take_in(catalog: &mut ReferenceMeta, entries: &[LibraryEntry]) -> 
         .collect()
 }
 
+/// The global order of a `(mass, id)` table: by mass, ties by id.
+fn by_mass_then_id(a: &(f64, u32), b: &(f64, u32)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
 /// Sort `table` into the global `(mass, id)` order and cut it into
 /// shards of `per_shard` entries: the shard bounds (shard `s` is
 /// `table[bounds[s]..bounds[s + 1]]`). Every build path — cold,
-/// streaming, append — lays its index out here and nowhere else.
+/// streaming, append — lays its index out here and nowhere else. Ids are
+/// unique, so the unstable sort gives the one order without scratch
+/// space; over a table already in it (an append's merge) it is one pass.
 pub(crate) fn cut(table: &mut [(f64, u32)], per_shard: usize) -> Vec<usize> {
-    table.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    table.sort_unstable_by(by_mass_then_id);
     let len = table.len();
     (0..len).step_by(per_shard).chain([len]).collect()
+}
+
+/// Merge `added`, whose ids all exceed the table's, into the sorted
+/// `table` in place: `added` is sorted on its own and merged in from the
+/// back, so the table grows by `added.len()` and is never copied. An old
+/// entry goes ahead of a new one of equal mass, as in the `(mass, id)`
+/// order.
+pub(crate) fn merge_in(table: &mut Vec<(f64, u32)>, mut added: Vec<(f64, u32)>) {
+    added.sort_unstable_by(by_mass_then_id);
+    let mut old = table.len();
+    table.resize(old + added.len(), (0.0, 0));
+    let mut end = table.len();
+    while let Some(&last) = added.last() {
+        end -= 1;
+        if old > 0 && by_mass_then_id(&table[old - 1], &last).is_gt() {
+            table[end] = table[old - 1];
+            old -= 1;
+        } else {
+            table[end] = last;
+            added.pop();
+        }
+    }
 }
 
 /// The shards of a table cut at `bounds`: its runs, in order.
@@ -519,7 +549,12 @@ impl LibraryIndex {
         self.references = references;
         self.build_stats = stats.onto(Some(&self.build_stats));
         let added = take_in(Arc::make_mut(&mut self.catalog), new_entries);
-        let mut table = [self.table.pairs(), &added].concat();
+        let empty = CandidateIndex::from_sorted(Vec::new());
+        let mut table = std::mem::replace(&mut self.table, empty).into_pairs();
+        merge_in(&mut table, added);
+        // One pass over the merged table — unless an image an earlier
+        // release appended to left a mass tie out of id order, which the
+        // re-cut puts right as a build over the whole library would.
         self.bounds = cut(&mut table, self.entries_per_shard);
         self.table = CandidateIndex::from_sorted(table);
         // The sketch follows the old table — derive it again on the next
@@ -789,5 +824,35 @@ impl ReferenceCatalog for LibraryIndex {
     /// candidates fall into ascending shard runs.
     fn candidate_index(&self) -> CandidateIndex {
         self.table.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Over tables whose masses tie often, within the old entries, within
+    /// the new ones and across the two, an append's merge lays out the
+    /// table a re-cut of the concatenation does.
+    #[test]
+    fn a_merge_equals_concat_then_cut() {
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mass = |rng: &mut StdRng| f64::from(rng.gen_range(0..6u32)) * 0.5 + 100.0;
+            let old_len = rng.gen_range(0..40u32);
+            let added_len = rng.gen_range(0..40u32);
+            let mut table: Vec<(f64, u32)> = (0..old_len).map(|id| (mass(&mut rng), id)).collect();
+            cut(&mut table, 8);
+            let added: Vec<(f64, u32)> = (old_len..old_len + added_len)
+                .map(|id| (mass(&mut rng), id))
+                .collect();
+            let mut expected = [table.as_slice(), &added].concat();
+            let expected_bounds = cut(&mut expected, 8);
+            merge_in(&mut table, added);
+            assert_eq!(table, expected, "seed {seed}");
+            assert_eq!(cut(&mut table, 8), expected_bounds, "seed {seed}");
+        }
     }
 }

@@ -195,7 +195,7 @@ impl StreamingIndexBuilder {
     }
 
     /// Entries pushed so far.
-    pub fn entry_count(&self) -> usize {
+    pub(crate) fn entry_count(&self) -> usize {
         self.table.len()
     }
 

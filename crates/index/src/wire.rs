@@ -1,7 +1,7 @@
 //! The read side of the byte layer under the index format's field codecs
 //! (the write side is a `Vec<u8>`).
 //!
-//! A [`Reader`] walks a byte slice, turning short reads and malformed
+//! A `Reader` walks a byte slice, turning short reads and malformed
 //! length prefixes into [`WireError`] instead of panics, so a truncated
 //! or corrupted index file fails loudly at load time. What the bytes
 //! mean — scalars, strings, slices, records — is `format`'s `Put`/`Get`
@@ -79,7 +79,7 @@ impl std::error::Error for WireError {}
 /// [`WireError`] naming the field. Typed values come out through their
 /// field codec (`format::Get`).
 #[derive(Debug, Clone)]
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     /// Format version of the image the bytes come from (the newest,
     /// unless set otherwise), for the fields only newer images have.
@@ -88,7 +88,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Decode from `buf`.
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader {
             buf,
             version: u32::MAX,
@@ -96,12 +96,12 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len()
     }
 
     /// Read `n` raw bytes.
-    pub fn raw(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
+    pub(crate) fn raw(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
         if self.buf.len() < n {
             return Err(WireError::UnexpectedEnd {
                 what,
@@ -117,7 +117,7 @@ impl<'a> Reader<'a> {
     /// Read a `u64` length or count, rejecting one beyond the remaining
     /// stream scaled by `elem_size` (a cheap plausibility bound that
     /// stops a corrupted prefix from provoking a huge allocation).
-    pub fn checked_len(
+    pub(crate) fn checked_len(
         &mut self,
         what: &'static str,
         elem_size: usize,
@@ -136,7 +136,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Fail unless the stream is fully consumed.
-    pub fn expect_end(&self, what: &'static str) -> Result<(), WireError> {
+    pub(crate) fn expect_end(&self, what: &'static str) -> Result<(), WireError> {
         if self.buf.is_empty() {
             Ok(())
         } else {

@@ -495,14 +495,15 @@ fn an_append_holds_the_table_and_one_step_of_hypervectors() {
     // The finished table's words, one step of transient hypervectors,
     // and the stated slack: 48 B per slot of a step (the map's one slot
     // vector, 40 B a slot, plus 8 B for the workers' transient buffers)
-    // and 28 B per entry for the tables an append grows and re-cuts (word
-    // offsets, the `(mass, id)` table and its id column). The append
-    // peaks 1.17 MB above table and step, 40 kB under this slack; a map
-    // that gathered each worker's results and then reordered them held
-    // about 150 B per slot and peaked 1.37 MB above.
+    // and 12 B per entry for the tables an append grows (word offsets,
+    // the `(mass, id)` table merged in place and its id column). The
+    // append peaks 0.70 MB above table and step, 42 kB under this slack;
+    // one that concatenated the old and new pairs and re-sorted the copy
+    // peaked 1.17 MB above, and a map that gathered each worker's results
+    // and then reordered them 1.37 MB above.
     let words = payload_bytes(&index);
     let step = ENCODE_CHUNK * index.shared_references().hv_bytes();
-    let slack = ENCODE_CHUNK * 48 + 28 * index.entry_count();
+    let slack = ENCODE_CHUNK * 48 + 12 * index.entry_count();
     assert!(
         peak <= words + step + slack,
         "the append peaked at {peak} live bytes against {words} B of table words, \

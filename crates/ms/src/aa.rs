@@ -36,7 +36,7 @@ pub enum AminoAcid {
 
 impl AminoAcid {
     /// All twenty residues in a fixed order (useful for sampling).
-    pub const ALL: [AminoAcid; 20] = [
+    pub(crate) const ALL: [AminoAcid; 20] = [
         AminoAcid::Gly,
         AminoAcid::Ala,
         AminoAcid::Ser,
@@ -60,12 +60,7 @@ impl AminoAcid {
     ];
 
     /// Monoisotopic residue mass in daltons.
-    ///
-    /// ```
-    /// use hdoms_ms::aa::AminoAcid;
-    /// assert!((AminoAcid::Gly.monoisotopic_mass() - 57.02146).abs() < 1e-4);
-    /// ```
-    pub fn monoisotopic_mass(self) -> f64 {
+    pub(crate) fn monoisotopic_mass(self) -> f64 {
         match self {
             AminoAcid::Gly => 57.021_463_72,
             AminoAcid::Ala => 71.037_113_79,
@@ -91,7 +86,7 @@ impl AminoAcid {
     }
 
     /// Single-letter IUPAC code.
-    pub fn code(self) -> char {
+    pub(crate) fn code(self) -> char {
         match self {
             AminoAcid::Gly => 'G',
             AminoAcid::Ala => 'A',
@@ -120,13 +115,7 @@ impl AminoAcid {
     ///
     /// Returns `None` for characters that are not one of the twenty
     /// proteinogenic residues (case-sensitive, upper case expected).
-    ///
-    /// ```
-    /// use hdoms_ms::aa::AminoAcid;
-    /// assert_eq!(AminoAcid::from_code('K'), Some(AminoAcid::Lys));
-    /// assert_eq!(AminoAcid::from_code('x'), None);
-    /// ```
-    pub fn from_code(code: char) -> Option<AminoAcid> {
+    pub(crate) fn from_code(code: char) -> Option<AminoAcid> {
         Some(match code {
             'G' => AminoAcid::Gly,
             'A' => AminoAcid::Ala,
@@ -153,7 +142,7 @@ impl AminoAcid {
     }
 
     /// Whether trypsin cleaves C-terminal to this residue (K or R).
-    pub fn is_tryptic_site(self) -> bool {
+    pub(crate) fn is_tryptic_site(self) -> bool {
         matches!(self, AminoAcid::Lys | AminoAcid::Arg)
     }
 }
@@ -182,6 +171,8 @@ mod tests {
         for aa in AminoAcid::ALL {
             assert_eq!(AminoAcid::from_code(aa.code()), Some(aa));
         }
+        assert_eq!(AminoAcid::from_code('K'), Some(AminoAcid::Lys));
+        assert_eq!(AminoAcid::from_code('x'), None);
     }
 
     #[test]
@@ -211,6 +202,7 @@ mod tests {
             .unwrap();
         assert_eq!(min, AminoAcid::Gly);
         assert_eq!(max, AminoAcid::Trp);
+        assert!((AminoAcid::Gly.monoisotopic_mass() - 57.02146).abs() < 1e-4);
     }
 
     #[test]

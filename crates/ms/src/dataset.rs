@@ -297,7 +297,7 @@ impl SyntheticWorkload {
 ///
 /// Sequence collisions are rare but real at small lengths; duplicates
 /// are rejected so ground truth stays unambiguous.
-pub fn sample_target_peptides(rng: &mut StdRng, spec: &WorkloadSpec) -> Vec<Peptide> {
+pub(crate) fn sample_target_peptides(rng: &mut StdRng, spec: &WorkloadSpec) -> Vec<Peptide> {
     let mut seen = HashSet::with_capacity(spec.reference_peptides);
     let mut peptides = Vec::with_capacity(spec.reference_peptides);
     while peptides.len() < spec.reference_peptides {
@@ -330,7 +330,7 @@ pub struct ScaledLibrarySpec {
 /// scale benchmarks run on, generated without new input data.
 ///
 /// Each base library entry (targets then decoys, exactly as
-/// [`SpectralLibrary::with_decoys`] lays them out) expands into `factor`
+/// `SpectralLibrary::with_decoys` lays them out) expands into `factor`
 /// consecutive entries:
 ///
 /// * **variant 0** is the base entry verbatim (so `factor = 1`
@@ -342,7 +342,7 @@ pub struct ScaledLibrarySpec {
 ///   dropout — same precursor, different fragment pattern.
 ///
 /// Every entry is generated by **per-entry random access**
-/// ([`ScaledLibrary::entry`]): the augmentation RNG is seeded from
+/// (`ScaledLibrary::entry`): the augmentation RNG is seeded from
 /// `(seed, id)` alone, so generation is byte-identical across thread
 /// counts, chunk sizes, and streaming vs materialised consumption.
 ///
@@ -391,11 +391,6 @@ impl ScaledLibrary {
         ScaledLibrary { spec, peptides }
     }
 
-    /// The specification this library was prepared from.
-    pub fn spec(&self) -> &ScaledLibrarySpec {
-        &self.spec
-    }
-
     /// Total scaled entries (`factor × base.library_spectra()`).
     pub fn len(&self) -> usize {
         2 * self.peptides.len() * self.spec.factor
@@ -412,7 +407,7 @@ impl ScaledLibrary {
     /// # Panics
     ///
     /// Panics if `id >= self.len()`.
-    pub fn entry(&self, id: u32) -> LibraryEntry {
+    pub(crate) fn entry(&self, id: u32) -> LibraryEntry {
         assert!((id as usize) < self.len(), "entry id out of range");
         let factor = self.spec.factor as u32;
         let base_id = id / factor;

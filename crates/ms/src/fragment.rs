@@ -13,7 +13,7 @@ use crate::{PROTON_MASS, WATER_MASS};
 
 /// Ion series type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IonKind {
+pub(crate) enum IonKind {
     /// N-terminal fragment (prefix).
     B,
     /// C-terminal fragment (suffix).
@@ -22,7 +22,7 @@ pub enum IonKind {
 
 /// A theoretical fragment ion.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FragmentIon {
+pub(crate) struct FragmentIon {
     /// Series type.
     pub kind: IonKind,
     /// Number of residues in the fragment (the "b3"/"y5" ordinal).
@@ -62,7 +62,7 @@ impl Default for FragmentConfig {
 /// `k` contains residues `len-k..len`, so a modification placed at residue
 /// `position` shifts exactly the b ions with `ordinal > position` and the
 /// y ions with `ordinal >= len - position`.
-pub fn fragment_ions(peptide: &Peptide, config: &FragmentConfig) -> Vec<FragmentIon> {
+pub(crate) fn fragment_ions(peptide: &Peptide, config: &FragmentConfig) -> Vec<FragmentIon> {
     let residues = peptide.residues();
     let n = residues.len();
     let mod_info = peptide.modification().copied();
@@ -153,7 +153,7 @@ fn fragment_intensity(peptide_hash: u64, ion: &FragmentIon) -> f64 {
 /// Hash a peptide's residue sequence (not its modification) to a stable 64-bit
 /// value. Modified and unmodified forms of the same peptide share this hash,
 /// which keeps their common fragments' intensities aligned.
-pub fn peptide_hash(peptide: &Peptide) -> u64 {
+pub(crate) fn peptide_hash(peptide: &Peptide) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for aa in peptide.residues() {
         h ^= aa.code() as u64;
@@ -255,17 +255,15 @@ mod tests {
 
     #[test]
     fn modification_shifts_only_containing_fragments() {
-        let p = Peptide::parse("ACDEFGHIK").unwrap();
+        let p = Peptide::parse("ACSEFGHIK").unwrap();
         let cfg = FragmentConfig {
             max_fragment_charge: 1,
             min_mz: 0.1,
             max_mz: f64::INFINITY,
         };
-        let pos = 2; // on D
-        let shifted = p.with_modification(
-            Modification::custom("T", 100.0, crate::modification::Target::Any),
-            pos,
-        );
+        let pos = 2; // on S
+        let shift = Modification::PHOSPHO.mass_shift();
+        let shifted = p.with_modification(Modification::PHOSPHO, pos);
         let base_ions = fragment_ions(&p, &cfg);
         let mod_ions = fragment_ions(&shifted, &cfg);
         let n = p.len();
@@ -279,7 +277,7 @@ mod tests {
             let delta = mi.mz - bi.mz;
             if contains {
                 assert!(
-                    (delta - 100.0).abs() < 1e-9,
+                    (delta - shift).abs() < 1e-9,
                     "{:?}{} should shift",
                     bi.kind,
                     bi.ordinal

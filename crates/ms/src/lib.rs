@@ -3,7 +3,7 @@
 //! This crate provides everything the search stack needs from the
 //! mass-spectrometry domain:
 //!
-//! * amino-acid and peptide mass arithmetic ([`aa`], [`peptide`]),
+//! * amino-acid and peptide mass arithmetic (`aa`, [`peptide`]),
 //! * post-translational modifications ([`modification`]),
 //! * spectra and theoretical fragmentation ([`spectrum`], [`fragment`]),
 //! * an instrument-noise model ([`noise`]),
@@ -30,10 +30,11 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(unsafe_code)]
 
-pub mod aa;
+mod aa;
 pub mod dataset;
 pub mod fragment;
 pub mod library;
@@ -45,14 +46,9 @@ pub mod preprocess;
 pub mod spectrum;
 
 pub use dataset::{SyntheticWorkload, WorkloadSpec};
-pub use library::{LibraryEntry, SpectralLibrary};
-pub use modification::Modification;
-pub use peptide::Peptide;
-pub use preprocess::{BinnedSpectrum, PreprocessConfig, Preprocessor};
-pub use spectrum::{Peak, Spectrum};
 
 /// Mass of a proton in daltons (unified atomic mass units).
-pub const PROTON_MASS: f64 = 1.007_276_466_6;
+pub(crate) const PROTON_MASS: f64 = 1.007_276_466_6;
 
 /// Monoisotopic mass of a water molecule in daltons.
-pub const WATER_MASS: f64 = 18.010_564_684;
+pub(crate) const WATER_MASS: f64 = 18.010_564_684;

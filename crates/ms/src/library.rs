@@ -17,7 +17,7 @@ pub struct LibraryEntry {
 }
 
 /// A spectral library: an indexed collection of reference spectra, half of
-/// which are decoys when built via [`SpectralLibrary::with_decoys`].
+/// which are decoys when built via `SpectralLibrary::with_decoys`.
 ///
 /// Entry `id`s are dense indices `0..len`, so search results can refer to
 /// entries by `u32` id.
@@ -38,7 +38,7 @@ impl SpectralLibrary {
     /// entry index).
     ///
     /// Targets occupy ids `0..n`, decoys `n..2n`.
-    pub fn with_decoys(
+    pub(crate) fn with_decoys(
         peptides: &[Peptide],
         charge: u8,
         config: &FragmentConfig,
@@ -61,7 +61,7 @@ impl SpectralLibrary {
     /// # Panics
     ///
     /// Panics if `id >= 2 * peptides.len()`.
-    pub fn decoys_entry(
+    pub(crate) fn decoys_entry(
         peptides: &[Peptide],
         id: u32,
         charge: u8,

@@ -8,98 +8,90 @@
 use crate::aa::AminoAcid;
 use std::fmt;
 
-/// Which residues a modification may attach to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Target {
-    /// Any residue.
-    Any,
-    /// Only the listed residues (up to three; unused slots are `None`).
-    Residues([Option<AminoAcid>; 3]),
-}
-
 /// A post-translational modification: a named monoisotopic mass shift with a
 /// residue-specificity rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Modification {
     name: &'static str,
     mass_shift: f64,
-    target: Target,
+    /// The residues it may attach to (up to three; unused slots are `None`).
+    residues: [Option<AminoAcid>; 3],
 }
 
 impl Modification {
     /// Oxidation (commonly on methionine), +15.9949 Da.
-    pub const OXIDATION: Modification = Modification {
+    pub(crate) const OXIDATION: Modification = Modification {
         name: "Oxidation",
         mass_shift: 15.994_915,
-        target: Target::Residues([Some(AminoAcid::Met), None, None]),
+        residues: [Some(AminoAcid::Met), None, None],
     };
 
     /// Phosphorylation on S/T/Y, +79.9663 Da.
-    pub const PHOSPHO: Modification = Modification {
+    pub(crate) const PHOSPHO: Modification = Modification {
         name: "Phospho",
         mass_shift: 79.966_331,
-        target: Target::Residues([
+        residues: [
             Some(AminoAcid::Ser),
             Some(AminoAcid::Thr),
             Some(AminoAcid::Tyr),
-        ]),
+        ],
     };
 
     /// Acetylation on lysine, +42.0106 Da.
-    pub const ACETYL: Modification = Modification {
+    pub(crate) const ACETYL: Modification = Modification {
         name: "Acetyl",
         mass_shift: 42.010_565,
-        target: Target::Residues([Some(AminoAcid::Lys), None, None]),
+        residues: [Some(AminoAcid::Lys), None, None],
     };
 
     /// Mono-methylation on K/R, +14.0157 Da.
-    pub const METHYL: Modification = Modification {
+    pub(crate) const METHYL: Modification = Modification {
         name: "Methyl",
         mass_shift: 14.015_650,
-        target: Target::Residues([Some(AminoAcid::Lys), Some(AminoAcid::Arg), None]),
+        residues: [Some(AminoAcid::Lys), Some(AminoAcid::Arg), None],
     };
 
     /// Di-methylation on K/R, +28.0313 Da.
-    pub const DIMETHYL: Modification = Modification {
+    pub(crate) const DIMETHYL: Modification = Modification {
         name: "Dimethyl",
         mass_shift: 28.031_300,
-        target: Target::Residues([Some(AminoAcid::Lys), Some(AminoAcid::Arg), None]),
+        residues: [Some(AminoAcid::Lys), Some(AminoAcid::Arg), None],
     };
 
     /// Deamidation on N/Q, +0.9840 Da.
-    pub const DEAMIDATION: Modification = Modification {
+    pub(crate) const DEAMIDATION: Modification = Modification {
         name: "Deamidation",
         mass_shift: 0.984_016,
-        target: Target::Residues([Some(AminoAcid::Asn), Some(AminoAcid::Gln), None]),
+        residues: [Some(AminoAcid::Asn), Some(AminoAcid::Gln), None],
     };
 
     /// Carbamidomethylation on cysteine, +57.0215 Da.
-    pub const CARBAMIDOMETHYL: Modification = Modification {
+    pub(crate) const CARBAMIDOMETHYL: Modification = Modification {
         name: "Carbamidomethyl",
         mass_shift: 57.021_464,
-        target: Target::Residues([Some(AminoAcid::Cys), None, None]),
+        residues: [Some(AminoAcid::Cys), None, None],
     };
 
     /// GlyGly remnant of ubiquitination on lysine, +114.0429 Da.
-    pub const GLYGLY: Modification = Modification {
+    pub(crate) const GLYGLY: Modification = Modification {
         name: "GlyGly",
         mass_shift: 114.042_927,
-        target: Target::Residues([Some(AminoAcid::Lys), None, None]),
+        residues: [Some(AminoAcid::Lys), None, None],
     };
 
     /// Succinylation on lysine, +100.0160 Da.
-    pub const SUCCINYL: Modification = Modification {
+    pub(crate) const SUCCINYL: Modification = Modification {
         name: "Succinyl",
         mass_shift: 100.016_044,
-        target: Target::Residues([Some(AminoAcid::Lys), None, None]),
+        residues: [Some(AminoAcid::Lys), None, None],
     };
 
     /// Tri-methylation on lysine, +42.0470 Da (near-isobaric with acetyl —
     /// a classic open-search stress case).
-    pub const TRIMETHYL: Modification = Modification {
+    pub(crate) const TRIMETHYL: Modification = Modification {
         name: "Trimethyl",
         mass_shift: 42.046_950,
-        target: Target::Residues([Some(AminoAcid::Lys), None, None]),
+        residues: [Some(AminoAcid::Lys), None, None],
     };
 
     /// The modifications used by the synthetic workload generator, roughly
@@ -118,15 +110,6 @@ impl Modification {
         Modification::TRIMETHYL,
     ];
 
-    /// Construct a custom modification.
-    pub const fn custom(name: &'static str, mass_shift: f64, target: Target) -> Modification {
-        Modification {
-            name,
-            mass_shift,
-            target,
-        }
-    }
-
     /// Human-readable name, e.g. `"Phospho"`.
     pub fn name(&self) -> &'static str {
         self.name
@@ -138,18 +121,8 @@ impl Modification {
     }
 
     /// Whether this modification may be placed on residue `aa`.
-    ///
-    /// ```
-    /// use hdoms_ms::modification::Modification;
-    /// use hdoms_ms::aa::AminoAcid;
-    /// assert!(Modification::PHOSPHO.applies_to(AminoAcid::Ser));
-    /// assert!(!Modification::PHOSPHO.applies_to(AminoAcid::Gly));
-    /// ```
-    pub fn applies_to(&self, aa: AminoAcid) -> bool {
-        match self.target {
-            Target::Any => true,
-            Target::Residues(list) => list.iter().flatten().any(|t| *t == aa),
-        }
+    pub(crate) fn applies_to(&self, aa: AminoAcid) -> bool {
+        self.residues.iter().flatten().any(|t| *t == aa)
     }
 }
 
@@ -187,11 +160,9 @@ mod tests {
     }
 
     #[test]
-    fn any_target_applies_everywhere() {
-        let m = Modification::custom("X", 1.0, Target::Any);
-        for aa in AminoAcid::ALL {
-            assert!(m.applies_to(aa));
-        }
+    fn phospho_applies_to_serine_not_glycine() {
+        assert!(Modification::PHOSPHO.applies_to(AminoAcid::Ser));
+        assert!(!Modification::PHOSPHO.applies_to(AminoAcid::Gly));
     }
 
     #[test]

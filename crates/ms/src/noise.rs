@@ -26,7 +26,7 @@ mod rand_distr_shim {
     use rand::Rng;
 
     /// Sample N(mean, sigma²) via Box–Muller.
-    pub fn sample_normal<R: Rng>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
+    pub(crate) fn sample_normal<R: Rng>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
         // Avoid u == 0 which would make ln(u) infinite.
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         let v: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
@@ -34,7 +34,7 @@ mod rand_distr_shim {
     }
 
     /// Sample exp(N(0, sigma²)): a log-normal multiplier with median 1.
-    pub fn sample_lognormal<R: Rng>(rng: &mut R, sigma: f64) -> f64 {
+    pub(crate) fn sample_lognormal<R: Rng>(rng: &mut R, sigma: f64) -> f64 {
         sample_normal(rng, 0.0, sigma).exp()
     }
 }
@@ -79,7 +79,7 @@ impl NoiseModel {
     /// the paper's regime (a minority of queries identified) rather than
     /// saturating — saturation would mask the BER and dimension effects
     /// Figures 11 and 13 measure.
-    pub fn evaluation() -> NoiseModel {
+    pub(crate) fn evaluation() -> NoiseModel {
         NoiseModel {
             peak_survival: 0.68,
             mz_sigma: 0.015,
@@ -88,19 +88,6 @@ impl NoiseModel {
             min_mz: 100.0,
             max_mz: 1500.0,
             noise_intensity_frac: 0.25,
-        }
-    }
-
-    /// A noiseless model: every peak survives untouched, nothing is added.
-    pub fn none() -> NoiseModel {
-        NoiseModel {
-            peak_survival: 1.0,
-            mz_sigma: 0.0,
-            intensity_sigma: 0.0,
-            noise_peaks: 0,
-            min_mz: 100.0,
-            max_mz: 1500.0,
-            noise_intensity_frac: 0.0,
         }
     }
 
@@ -161,14 +148,6 @@ mod tests {
     fn sample_spectrum() -> Spectrum {
         let p = Peptide::parse("ACDEFGHILMNPQSTVWYRK").unwrap();
         theoretical_spectrum(0, &p, 2, &FragmentConfig::default(), SpectrumOrigin::Target)
-    }
-
-    #[test]
-    fn none_model_is_identity() {
-        let s = sample_spectrum();
-        let mut rng = StdRng::seed_from_u64(0);
-        let noisy = NoiseModel::none().apply(&mut rng, &s);
-        assert_eq!(noisy, s);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub struct Peptide {
 
 /// A modification applied at a specific zero-based residue index.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlacedModification {
+pub(crate) struct PlacedModification {
     /// The modification identity (name and mass shift).
     pub modification: Modification,
     /// Zero-based index of the modified residue.
@@ -56,7 +56,7 @@ impl Peptide {
     /// # Panics
     ///
     /// Panics if `residues` is empty; a peptide has at least one residue.
-    pub fn new(residues: Vec<AminoAcid>) -> Peptide {
+    pub(crate) fn new(residues: Vec<AminoAcid>) -> Peptide {
         assert!(
             !residues.is_empty(),
             "peptide must have at least one residue"
@@ -119,7 +119,7 @@ impl Peptide {
     }
 
     /// The modification placed on this peptide, if any.
-    pub fn modification(&self) -> Option<&PlacedModification> {
+    pub(crate) fn modification(&self) -> Option<&PlacedModification> {
         self.modification.as_ref()
     }
 
@@ -128,7 +128,7 @@ impl Peptide {
     /// # Panics
     ///
     /// Panics if `position` is out of bounds.
-    pub fn with_modification(&self, modification: Modification, position: usize) -> Peptide {
+    pub(crate) fn with_modification(&self, modification: Modification, position: usize) -> Peptide {
         assert!(
             position < self.residues.len(),
             "modification position {position} out of bounds for peptide of length {}",
@@ -170,7 +170,7 @@ impl Peptide {
     /// # Panics
     ///
     /// Panics if `charge` is zero.
-    pub fn precursor_mz(&self, charge: u8) -> f64 {
+    pub(crate) fn precursor_mz(&self, charge: u8) -> f64 {
         assert!(charge >= 1, "charge must be at least 1");
         (self.monoisotopic_mass() + f64::from(charge) * PROTON_MASS) / f64::from(charge)
     }
@@ -182,7 +182,7 @@ impl Peptide {
     /// # Panics
     ///
     /// Panics if `min_len < 2` or `min_len > max_len`.
-    pub fn random_tryptic<R: Rng>(rng: &mut R, min_len: usize, max_len: usize) -> Peptide {
+    pub(crate) fn random_tryptic<R: Rng>(rng: &mut R, min_len: usize, max_len: usize) -> Peptide {
         assert!(min_len >= 2, "tryptic peptide needs at least 2 residues");
         assert!(min_len <= max_len, "min_len must not exceed max_len");
         let len = rng.gen_range(min_len..=max_len);
@@ -228,7 +228,7 @@ impl Peptide {
     }
 
     /// Positions (zero-based) where `modification` may be placed.
-    pub fn eligible_positions(&self, modification: Modification) -> Vec<usize> {
+    pub(crate) fn eligible_positions(&self, modification: Modification) -> Vec<usize> {
         self.residues
             .iter()
             .enumerate()

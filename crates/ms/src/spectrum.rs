@@ -157,7 +157,7 @@ impl Spectrum {
     }
 
     /// The largest peak intensity, or 0.0 for an empty spectrum.
-    pub fn base_peak_intensity(&self) -> f64 {
+    pub(crate) fn base_peak_intensity(&self) -> f64 {
         self.peaks.iter().map(|p| p.intensity).fold(0.0, f64::max)
     }
 }

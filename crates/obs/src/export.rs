@@ -44,7 +44,7 @@ fn answer(stream: TcpStream, registry: &Registry) -> std::io::Result<()> {
 ///
 /// Propagates listener failures; per-connection I/O errors only drop
 /// that connection.
-pub fn serve_text(listener: TcpListener, registry: Arc<Registry>) -> std::io::Result<()> {
+pub(crate) fn serve_text(listener: TcpListener, registry: Arc<Registry>) -> std::io::Result<()> {
     loop {
         let (stream, _peer) = listener.accept()?;
         let _ = answer(stream, &registry);

@@ -10,8 +10,8 @@
 //! fraction. Parsing is lenient about whitespace, so hand-written client
 //! requests work, while `parse → encode` reproduces any canonically
 //! encoded document byte-for-byte — the property the protocol docs test
-//! relies on (see `docs/PROTOCOL.md`). [`write_string`] and
-//! [`write_number`] are the scalar formatters underneath
+//! relies on (see `docs/PROTOCOL.md`). `write_string` and
+//! `write_number` are the scalar formatters underneath
 //! [`Json::encode`], for writers that build a line without a tree.
 //!
 //! ```
@@ -181,7 +181,7 @@ const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
 /// Append `n` in canonical form: integral values up to 2^53 without a
 /// fraction, everything else in Rust's shortest round-trip notation,
 /// non-finite values (which JSON cannot express) as `null`.
-pub fn write_number(n: f64, out: &mut String) {
+pub(crate) fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() <= MAX_EXACT_INT {
@@ -193,7 +193,7 @@ pub fn write_number(n: f64, out: &mut String) {
 
 /// Append `s` as a quoted JSON string: `"` and `\` escaped, control
 /// characters as `\n`/`\r`/`\t` or `\u00XX`, everything else raw.
-pub fn write_string(s: &str, out: &mut String) {
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

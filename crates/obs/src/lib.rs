@@ -16,10 +16,10 @@
 //!   [`metrics::Histogram`]s (p50/p90/p99 readout, Prometheus-style
 //!   text rendering). Handles are `Arc`s over atomics: recording never
 //!   takes a lock, registration (startup-time) takes one `Mutex`.
-//! * [`trace`] — the span vocabulary of the query pipeline: the four
-//!   [`trace::Stage`]s every batch decomposes into (encode,
-//!   candidate-window, shard-scoring, FDR-finalize) and the
-//!   [`trace::StageTimings`] record the engine reports per batch.
+//! * [`trace`] — the span vocabulary of the query pipeline: the
+//!   [`trace::StageTimings`] record the engine reports per batch, one
+//!   figure for each of the four stages every batch decomposes into
+//!   (encode, candidate-window, shard-scoring, FDR-finalize).
 //! * [`log`] — a level-filtered structured logger emitting JSON-lines
 //!   or plain text, one event per line, replacing ad-hoc `eprintln!`.
 //! * [`json`] — the stack's one JSON value, parser and canonical
@@ -50,6 +50,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -59,7 +60,3 @@ pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod trace;
-
-pub use log::{Level, Logger};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
-pub use trace::{Stage, StageTimings};

@@ -56,7 +56,7 @@ impl Level {
 
     /// The lowercase name (`"info"` …) used on the wire and in text
     /// lines.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Level::Off => "off",
             Level::Error => "error",
@@ -121,13 +121,8 @@ impl Logger {
     }
 
     /// Would an event at `level` be emitted?
-    pub fn enabled(&self, level: Level) -> bool {
+    pub(crate) fn enabled(&self, level: Level) -> bool {
         level != Level::Off && level <= self.inner.level
-    }
-
-    /// Start an [`Level::Error`] event.
-    pub fn error(&self, event: &str) -> Event<'_> {
-        self.event(Level::Error, event)
     }
 
     /// Start a [`Level::Warn`] event.

@@ -79,13 +79,13 @@ impl Gauge {
 /// final slot ([`OVERFLOW_BUCKET`]) holds everything larger. The span
 /// is 1 µs … 2^26 µs ≈ 67 s, wide enough for any batch this stack
 /// serves.
-pub const FINITE_BUCKETS: usize = 27;
+pub(crate) const FINITE_BUCKETS: usize = 27;
 
 /// Index of the overflow (`+Inf`) bucket.
 pub const OVERFLOW_BUCKET: usize = FINITE_BUCKETS;
 
 /// Total bucket slots (finite + overflow).
-pub const BUCKETS: usize = FINITE_BUCKETS + 1;
+pub(crate) const BUCKETS: usize = FINITE_BUCKETS + 1;
 
 /// A fixed-bucket log₂ latency histogram over milliseconds.
 ///
@@ -117,7 +117,7 @@ impl Default for Histogram {
 }
 
 /// The finite bucket upper bound, in milliseconds: 2^k µs.
-pub fn bucket_upper_ms(k: usize) -> f64 {
+pub(crate) fn bucket_upper_ms(k: usize) -> f64 {
     (1u64 << k.min(FINITE_BUCKETS - 1)) as f64 / 1000.0
 }
 
@@ -176,14 +176,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot (zero observations).
-    pub fn empty() -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: [0; BUCKETS],
-            sum_ns: 0,
-        }
-    }
-
     /// Total observations (the sum of the bucket counts).
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
@@ -198,7 +190,7 @@ impl HistogramSnapshot {
     /// containing the `p`-th observation (`p` in `0.0..=1.0`). Returns
     /// 0 for an empty snapshot; samples in the overflow bucket
     /// saturate to twice the last finite bound.
-    pub fn quantile(&self, p: f64) -> f64 {
+    pub(crate) fn quantile(&self, p: f64) -> f64 {
         let count = self.count();
         if count == 0 {
             return 0.0;
@@ -218,7 +210,7 @@ impl HistogramSnapshot {
         bucket_upper_ms(FINITE_BUCKETS - 1) * 2.0
     }
 
-    /// Median (see [`HistogramSnapshot::quantile`]).
+    /// Median (see `HistogramSnapshot::quantile`).
     pub fn p50_ms(&self) -> f64 {
         self.quantile(0.50)
     }
@@ -493,7 +485,7 @@ mod tests {
         // p50 lands in 0.5's bucket (≤ 512 µs), p99 in 64 ms's.
         assert_eq!(snap.p50_ms(), 0.512);
         assert_eq!(snap.p99_ms(), bucket_upper_ms(bucket_of(64.0)));
-        assert_eq!(HistogramSnapshot::empty().quantile(0.5), 0.0);
+        assert_eq!(Histogram::default().snapshot().quantile(0.5), 0.0);
     }
 
     #[test]
@@ -564,7 +556,7 @@ mod tests {
                 }
             })
         };
-        let mut last = HistogramSnapshot::empty();
+        let mut last = Histogram::default().snapshot();
         while h.snapshot().count() < 20_000 {
             let snap = h.snapshot();
             assert!(snap.count() >= last.count(), "count went backwards");

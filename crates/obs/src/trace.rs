@@ -7,68 +7,24 @@
 
 use std::time::Instant;
 
-/// The four pipeline stages a query batch decomposes into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Stage {
-    /// Spectrum preprocessing + hypervector encoding
-    /// (`Preprocessor::run_batch`).
-    Encode,
-    /// Precursor-window candidate list generation
-    /// (`candidate_lists`).
-    Candidates,
-    /// Associative search over the shard-partitioned reference store
-    /// (the backend's batch search).
-    Score,
-    /// Target–decoy FDR filtering at finalize time (`filter_fdr`).
-    Finalize,
-}
-
-impl Stage {
-    /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 4] = [
-        Stage::Encode,
-        Stage::Candidates,
-        Stage::Score,
-        Stage::Finalize,
-    ];
-
-    /// The stage's snake_case name (as used in metric names and wire
-    /// fields: `encode`, `candidates`, `score`, `finalize`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Encode => "encode",
-            Stage::Candidates => "candidates",
-            Stage::Score => "score",
-            Stage::Finalize => "finalize",
-        }
-    }
-}
-
 /// Wall-clock milliseconds a batch (or a whole session) spent in each
-/// [`Stage`]. Additive: batch records sum into session totals.
+/// pipeline stage. Additive: batch records sum into session totals.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageTimings {
-    /// Time in [`Stage::Encode`].
+    /// Spectrum preprocessing + hypervector encoding
+    /// (`Preprocessor::run_batch`).
     pub encode_ms: f64,
-    /// Time in [`Stage::Candidates`].
+    /// Precursor-window candidate generation (`candidate_lists`).
     pub candidates_ms: f64,
-    /// Time in [`Stage::Score`].
+    /// Associative search over the shard-partitioned reference store
+    /// (the backend's batch search).
     pub score_ms: f64,
-    /// Time in [`Stage::Finalize`] (0 until finalize runs).
+    /// Target–decoy FDR filtering at finalize time (`filter_fdr`; 0
+    /// until finalize runs).
     pub finalize_ms: f64,
 }
 
 impl StageTimings {
-    /// Read one stage's figure.
-    pub fn get(&self, stage: Stage) -> f64 {
-        match stage {
-            Stage::Encode => self.encode_ms,
-            Stage::Candidates => self.candidates_ms,
-            Stage::Score => self.score_ms,
-            Stage::Finalize => self.finalize_ms,
-        }
-    }
-
     /// Accumulate another record into this one (session totals).
     pub fn accumulate(&mut self, other: &StageTimings) {
         self.encode_ms += other.encode_ms;
@@ -110,15 +66,9 @@ mod tests {
             score_ms: 0.5,
             finalize_ms: 4.0,
         });
-        assert_eq!(total.get(Stage::Encode), 1.5);
-        assert_eq!(total.get(Stage::Finalize), 4.0);
+        assert_eq!(total.encode_ms, 1.5);
+        assert_eq!(total.finalize_ms, 4.0);
         assert!((total.total_ms() - 11.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stage_names_match_the_wire_vocabulary() {
-        let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(names, ["encode", "candidates", "score", "finalize"]);
     }
 
     #[test]

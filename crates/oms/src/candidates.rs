@@ -24,7 +24,7 @@ pub struct CandidateIndex {
 impl CandidateIndex {
     /// Build from raw (mass, id) pairs, sorted by mass (a stable sort:
     /// equal masses keep their input order).
-    pub fn from_masses(masses: impl IntoIterator<Item = (f64, u32)>) -> CandidateIndex {
+    pub(crate) fn from_masses(masses: impl IntoIterator<Item = (f64, u32)>) -> CandidateIndex {
         let mut by_mass: Vec<(f64, u32)> = masses.into_iter().collect();
         by_mass.sort_by(|a, b| a.0.total_cmp(&b.0));
         CandidateIndex::from_sorted(by_mass)
@@ -37,6 +37,12 @@ impl CandidateIndex {
             ids: by_mass.iter().map(|&(_, id)| id).collect(),
             by_mass: Arc::new(by_mass),
         }
+    }
+
+    /// Give up the table to grow it: the pairs without a copy when this
+    /// handle is their only owner, its id column dropped.
+    pub fn into_pairs(self) -> Vec<(f64, u32)> {
+        Arc::try_unwrap(self.by_mass).unwrap_or_else(|shared| shared.to_vec())
     }
 
     /// The `(neutral mass, library id)` table, in mass order (its length

@@ -29,14 +29,6 @@ pub struct FdrOutcome {
     pub sorted_psms: Vec<Psm>,
 }
 
-impl FdrOutcome {
-    /// Number of accepted identifications — the paper's
-    /// "total # of identifications" metric (Figs. 11 and 13).
-    pub fn identifications(&self) -> usize {
-        self.accepted.len()
-    }
-}
-
 /// Filter `psms` at FDR level `alpha` (e.g. `0.01` for 1 %).
 ///
 /// The estimator is the classical target-decoy ratio `decoys / targets`
@@ -131,7 +123,7 @@ mod tests {
             psms.push(psm(100 + i, 0.1 - i as f64 * 1e-3, true));
         }
         let out = filter_fdr(&psms, 0.01);
-        assert_eq!(out.identifications(), 50);
+        assert_eq!(out.accepted.len(), 50);
         assert_eq!(out.decoys_above, 0);
     }
 
@@ -152,14 +144,14 @@ mod tests {
         // also the q-value there since later estimates only grow); rank 13
         // pushes the estimate to 2/11 ≈ 0.18 > 0.15. The cutoff therefore
         // sits at rank 12: eleven targets, one decoy above threshold.
-        assert_eq!(out.identifications(), 11);
+        assert_eq!(out.accepted.len(), 11);
         assert_eq!(out.decoys_above, 1);
     }
 
     #[test]
     fn no_psms_no_identifications() {
         let out = filter_fdr(&[], 0.01);
-        assert_eq!(out.identifications(), 0);
+        assert_eq!(out.accepted.len(), 0);
         assert_eq!(out.threshold_score, f64::INFINITY);
     }
 
@@ -167,7 +159,7 @@ mod tests {
     fn all_decoys_accept_nothing() {
         let psms: Vec<Psm> = (0..10).map(|i| psm(i, 0.5, true)).collect();
         let out = filter_fdr(&psms, 0.01);
-        assert_eq!(out.identifications(), 0);
+        assert_eq!(out.accepted.len(), 0);
     }
 
     #[test]
@@ -189,8 +181,8 @@ mod tests {
             // decoys sprinkled through the ranking
             psms.push(psm(i, 1.0 - i as f64 * 0.004, i % 11 == 5));
         }
-        let loose = filter_fdr(&psms, 0.2).identifications();
-        let tight = filter_fdr(&psms, 0.02).identifications();
+        let loose = filter_fdr(&psms, 0.2).accepted.len();
+        let tight = filter_fdr(&psms, 0.02).accepted.len();
         assert!(tight <= loose);
         assert!(loose > 0);
     }
@@ -239,11 +231,11 @@ mod tests {
             .iter()
             .filter(|p| !is_true.contains(&p.query_id))
             .count();
-        let rate = false_accepts as f64 / out.identifications().max(1) as f64;
+        let rate = false_accepts as f64 / out.accepted.len().max(1) as f64;
         assert!(
             rate < 0.05,
             "empirical false rate {rate} should be near the 1 % target"
         );
-        assert!(out.identifications() >= 450, "most true matches accepted");
+        assert!(out.accepted.len() >= 450, "most true matches accepted");
     }
 }

@@ -42,6 +42,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(unsafe_code)]
 
@@ -53,9 +54,6 @@ pub mod psm;
 pub mod search;
 pub mod window;
 
-pub use candidates::CandidateIndex;
-pub use fdr::{filter_fdr, FdrOutcome};
-pub use pipeline::{assemble_psms, PipelineOutcome, ReferenceCatalog};
-pub use psm::Psm;
-pub use search::{ExactBackend, ExactBackendConfig, SearchHit};
+pub use fdr::filter_fdr;
+pub use search::{ExactBackend, ExactBackendConfig};
 pub use window::PrecursorWindow;

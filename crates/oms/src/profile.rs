@@ -58,15 +58,10 @@ impl DeltaMassProfile {
         self.total
     }
 
-    /// Non-empty histogram bins (lower edge, count), ascending by mass.
-    pub fn bins(&self) -> &[(f64, usize)] {
-        &self.bins
-    }
-
     /// Detect delta-mass peaks: maximal runs of adjacent non-empty bins
     /// whose total count is at least `min_count`, returned by descending
     /// count.
-    pub fn peaks(&self, min_count: usize) -> Vec<DeltaPeak> {
+    pub(crate) fn peaks(&self, min_count: usize) -> Vec<DeltaPeak> {
         let mut peaks = Vec::new();
         let mut run: Vec<(f64, usize)> = Vec::new();
         let flush = |run: &mut Vec<(f64, usize)>, peaks: &mut Vec<DeltaPeak>| {

@@ -46,7 +46,7 @@ pub struct PsmTableRow {
 }
 
 /// Header line of the canonical PSM table.
-pub const TABLE_HEADER: &str =
+pub(crate) const TABLE_HEADER: &str =
     "query_id\treference_id\tpeptide\tscore\tis_decoy\tprecursor_delta_da\taccepted";
 
 /// Join a pipeline outcome with per-id peptide sequences into table rows

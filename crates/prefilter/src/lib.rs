@@ -31,6 +31,7 @@
 //! shard runs in mass order, and ties break by id as in the exact scan.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
 use hdoms_hdc::kernels::{self, KernelDispatch, QUERY_TILE};

@@ -6,21 +6,27 @@
 //! for a Laplace distribution has probability `½·exp(-Δ/λ)` per side.
 //! This module evaluates that prediction — drift, defects and clamping
 //! included to first order — so the Monte-Carlo simulator can be checked
-//! against theory, and so users can size cell precision for a target
-//! error budget *without* running simulations.
+//! against theory. It is compiled for tests only: it is the reference
+//! that `prediction_matches_simulation` holds the simulator to.
 
 use crate::config::MlcConfig;
 use crate::device::DeviceModel;
 use crate::levels::LevelMap;
 
+/// Number of differing bits between two symbols' natural-binary codes
+/// (the unit Figure 7 reports errors in).
+fn bit_errors_between(a: usize, b: usize) -> u32 {
+    ((a ^ b) as u32).count_ones()
+}
+
 /// Analytical storage-error prediction for one configuration and age.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StorageErrorPrediction {
+struct StorageErrorPrediction {
     /// Probability that a random symbol decodes to the wrong level.
-    pub symbol_error_rate: f64,
+    symbol_error_rate: f64,
     /// Probability that a random data bit flips (natural-binary mapping,
     /// first-order: symbol errors land on adjacent levels).
-    pub bit_error_rate: f64,
+    bit_error_rate: f64,
 }
 
 /// Predict the storage error of `config` at `age_s` seconds after
@@ -29,7 +35,7 @@ pub struct StorageErrorPrediction {
 /// Assumptions (all first-order, see the module docs): errors land on the
 /// *adjacent* level (true for `Δ/λ ≳ 2`, the design regime), drift shifts
 /// the mean toward the lower neighbour, defective cells decode uniformly.
-pub fn predict_storage_error(config: &MlcConfig, age_s: f64) -> StorageErrorPrediction {
+fn predict_storage_error(config: &MlcConfig, age_s: f64) -> StorageErrorPrediction {
     config.validate();
     let device = DeviceModel::new(*config);
     let map = LevelMap::new(config);
@@ -74,12 +80,12 @@ pub fn predict_storage_error(config: &MlcConfig, age_s: f64) -> StorageErrorPred
         symbol_error += p_sym / n as f64;
         // Adjacent-level errors flip the bits where the two codes differ.
         let down_bits = if level > 0 {
-            f64::from(map.bit_errors_between(level, level - 1))
+            f64::from(bit_errors_between(level, level - 1))
         } else {
             0.0
         };
         let up_bits = if level + 1 < n {
-            f64::from(map.bit_errors_between(level, level + 1))
+            f64::from(bit_errors_between(level, level + 1))
         } else {
             0.0
         };
@@ -158,6 +164,13 @@ mod tests {
         // defective cell's bit is uniform.
         assert!((p.symbol_error_rate - 0.005).abs() < 1e-9);
         assert!((p.bit_error_rate - 0.005).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bit_errors_between_examples() {
+        assert_eq!(bit_errors_between(3, 4), 3); // 011 vs 100
+        assert_eq!(bit_errors_between(6, 7), 1); // 110 vs 111
+        assert_eq!(bit_errors_between(2, 2), 0);
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl CrossbarConfig {
     ///
     /// An odd/zero row count, `activated_rows` not in `2..=rows` or odd,
     /// zero columns, an ADC outside 1–12 bits, negative noise terms, or
-    /// anything [`MlcConfig::check`] rejects.
+    /// anything `MlcConfig::check` rejects.
     pub fn check(&self) -> Result<(), &'static str> {
         self.mlc.check()?;
         let rules = [
@@ -189,7 +189,7 @@ impl CrossbarConfig {
     /// by grid code `k` — the weight `w = k / (2ⁿ − 1) · 2 − 1` that
     /// [`CrossbarArray::quantize_weight`] rounds to. Eq. 2/3 map `w` to
     /// the targets `g⁺ = ½(1 + w)·g_max` and `g⁻ = ½(1 − w)·g_max`, each
-    /// a [`DeviceModel::level`] at `age_s`: computed once per array,
+    /// a `DeviceModel::level` at `age_s`: computed once per array,
     /// not once per cell.
     pub fn pair_levels(&self) -> Vec<PairLevels> {
         let device = DeviceModel::new(self.mlc);
@@ -364,21 +364,6 @@ impl CrossbarArray {
     /// array (0 on an ideal device).
     pub fn sigma_delta(&self) -> f64 {
         self.sigma_delta
-    }
-
-    /// The array configuration.
-    pub fn config(&self) -> &CrossbarConfig {
-        &self.config
-    }
-
-    /// Number of weight pairs per column.
-    pub fn pairs(&self) -> usize {
-        self.pairs
-    }
-
-    /// Number of programmed columns.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Sensing cycles needed for one full MVM

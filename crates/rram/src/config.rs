@@ -88,7 +88,7 @@ impl MlcConfig {
     /// A parameter out of its physical range (non-positive `g_max`,
     /// negative noise scales, `defect_rate` outside `[0, 1]`, or
     /// unsupported `bits_per_cell`).
-    pub fn check(&self) -> Result<(), &'static str> {
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
         let rules = [
             (
                 (1..=3).contains(&self.bits_per_cell),
@@ -121,7 +121,7 @@ impl MlcConfig {
     /// # Panics
     ///
     /// Panics with the rule [`MlcConfig::check`] names.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(why) = self.check() {
             panic!("{why}");
         }

@@ -24,9 +24,9 @@
 //! of programming, setting the error floor of the 1-bit curve.
 //!
 //! Everything the model computes from a cell's target and age alone is a
-//! [`CellLevel`], built once per distinct level ([`DeviceModel::level`]).
-//! Observing a cell is then two steps: [`CellLevel::draw`] takes the
-//! cell's random words off the stream and [`CellLevel::conductance`]
+//! `CellLevel`, built once per distinct level (`DeviceModel::level`).
+//! Observing a cell is then two steps: `CellLevel::draw` takes the
+//! cell's random words off the stream and `CellLevel::conductance`
 //! evaluates them — so a caller can advance a stream past cells it does
 //! not evaluate and still land on the words the next cell would get.
 
@@ -44,25 +44,20 @@ impl DeviceModel {
     ///
     /// # Panics
     ///
-    /// Panics if `config` fails [`MlcConfig::validate`].
+    /// Panics if `config` fails `MlcConfig::validate`.
     pub fn new(config: MlcConfig) -> DeviceModel {
         config.validate();
         DeviceModel { config }
     }
 
-    /// The underlying configuration.
-    pub fn config(&self) -> &MlcConfig {
-        &self.config
-    }
-
     /// The relaxation time factor `log10(1 + t/τ)`.
-    pub fn time_factor(&self, age_s: f64) -> f64 {
+    pub(crate) fn time_factor(&self, age_s: f64) -> f64 {
         (1.0 + age_s.max(0.0) / self.config.relax_tau_s).log10()
     }
 
     /// Level instability in `[0, 1]`: 0 at the extreme conductances,
     /// 1 at `g_max/2`.
-    pub fn midness(&self, target_g_us: f64) -> f64 {
+    pub(crate) fn midness(&self, target_g_us: f64) -> f64 {
         let t = (target_g_us / self.config.g_max_us).clamp(0.0, 1.0);
         4.0 * t * (1.0 - t)
     }
@@ -77,14 +72,14 @@ impl DeviceModel {
     }
 
     /// Mean downward drift (µS) at `age_s` for a cell at `target_g_us`.
-    pub fn drift(&self, target_g_us: f64, age_s: f64) -> f64 {
+    pub(crate) fn drift(&self, target_g_us: f64, age_s: f64) -> f64 {
         self.config.drift_us * self.time_factor(age_s) * self.midness(target_g_us)
     }
 
     /// The constants of a cell programmed to `target_g_us` and observed
     /// `age_s` seconds later — its λ, drift, defect rate and `g_max` —
     /// for every cell of that level to share.
-    pub fn level(&self, target_g_us: f64, age_s: f64) -> CellLevel {
+    pub(crate) fn level(&self, target_g_us: f64, age_s: f64) -> CellLevel {
         CellLevel {
             target_us: target_g_us,
             lambda_us: self.lambda(target_g_us, age_s),
@@ -96,7 +91,7 @@ impl DeviceModel {
 
     /// Sample the observed conductance of one cell programmed to
     /// `target_g_us`, `age_s` seconds after programming: its
-    /// [`DeviceModel::level`], drawn and evaluated.
+    /// `DeviceModel::level`, drawn and evaluated.
     pub fn sample_conductance<R: Rng>(&self, rng: &mut R, target_g_us: f64, age_s: f64) -> f64 {
         self.level(target_g_us, age_s).sample(rng)
     }
@@ -105,7 +100,7 @@ impl DeviceModel {
 /// One programmed level at one age: what [`DeviceModel::level`] computes
 /// once for every cell of that level.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellLevel {
+pub(crate) struct CellLevel {
     target_us: f64,
     lambda_us: f64,
     drift_us: f64,
@@ -126,7 +121,7 @@ pub enum CellDraw {
 
 impl CellLevel {
     /// The target conductance (µS).
-    pub fn target_us(&self) -> f64 {
+    pub(crate) fn target_us(&self) -> f64 {
         self.target_us
     }
 
@@ -135,7 +130,7 @@ impl CellLevel {
     /// a working cell's Laplace uniform (when λ is positive). Between
     /// none and two words; [`CellLevel::conductance`] needs no more.
     #[inline]
-    pub fn draw<R: Rng>(&self, rng: &mut R) -> CellDraw {
+    pub(crate) fn draw<R: Rng>(&self, rng: &mut R) -> CellDraw {
         if self.defect_rate > 0.0 && rng.gen_bool(self.defect_rate) {
             return CellDraw::Defect(rng.gen_range(0.0..=self.g_max_us));
         }
@@ -150,7 +145,7 @@ impl CellLevel {
     /// cells read their random conductance; a working one reads the
     /// target, less the drift, plus its Laplace deviation.
     #[inline]
-    pub fn conductance(&self, draw: CellDraw) -> f64 {
+    pub(crate) fn conductance(&self, draw: CellDraw) -> f64 {
         let noise = match draw {
             CellDraw::Defect(g) => return g,
             CellDraw::Laplace(u) => laplace(u, self.lambda_us),
@@ -164,7 +159,7 @@ impl CellLevel {
 
     /// Draw and evaluate one cell.
     #[inline]
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
         self.conductance(self.draw(rng))
     }
 }
@@ -310,7 +305,7 @@ mod tests {
         target_g_us: f64,
         age_s: f64,
     ) -> f64 {
-        let config = m.config();
+        let config = &m.config;
         if config.defect_rate > 0.0 && rng.gen_bool(config.defect_rate) {
             return rng.gen_range(0.0..=config.g_max_us);
         }

@@ -7,7 +7,6 @@ use crate::config::MlcConfig;
 /// to midpoint thresholds).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LevelMap {
-    bits: u8,
     targets: Vec<f64>,
 }
 
@@ -19,20 +18,12 @@ impl LevelMap {
         let targets = (0..n)
             .map(|k| k as f64 / (n - 1) as f64 * config.g_max_us)
             .collect();
-        LevelMap {
-            bits: config.bits_per_cell,
-            targets,
-        }
+        LevelMap { targets }
     }
 
     /// Number of levels.
     pub fn levels(&self) -> usize {
         self.targets.len()
-    }
-
-    /// Bits per symbol.
-    pub fn bits(&self) -> u8 {
-        self.bits
     }
 
     /// Target conductance (µS) of `level`.
@@ -45,7 +36,7 @@ impl LevelMap {
     }
 
     /// All target conductances in level order.
-    pub fn targets(&self) -> &[f64] {
+    pub(crate) fn targets(&self) -> &[f64] {
         &self.targets
     }
 
@@ -56,12 +47,6 @@ impl LevelMap {
         let spacing = self.targets[1] - self.targets[0];
         let idx = (g_us / spacing).round();
         idx.clamp(0.0, (n - 1) as f64) as usize
-    }
-
-    /// Number of differing bits between two symbols' natural-binary codes
-    /// (the unit Figure 7 reports errors in).
-    pub fn bit_errors_between(&self, a: usize, b: usize) -> u32 {
-        ((a ^ b) as u32).count_ones()
     }
 }
 
@@ -104,13 +89,5 @@ mod tests {
         let lm = LevelMap::new(&MlcConfig::with_bits(3));
         assert_eq!(lm.decode(-5.0), 0);
         assert_eq!(lm.decode(500.0), 7);
-    }
-
-    #[test]
-    fn bit_errors_between_examples() {
-        let lm = LevelMap::new(&MlcConfig::with_bits(3));
-        assert_eq!(lm.bit_errors_between(3, 4), 3); // 011 vs 100
-        assert_eq!(lm.bit_errors_between(6, 7), 1); // 110 vs 111
-        assert_eq!(lm.bit_errors_between(2, 2), 0);
     }
 }

@@ -11,8 +11,7 @@
 //!   errors, Fig. 7/8), heavy-tailed (Laplace) deviations, and a small
 //!   defect rate;
 //! * **level maps** ([`levels`]): the `2^n` conductance targets of an
-//!   n-bit cell, nearest-level decoding, and natural-binary symbol↔bit
-//!   conversion;
+//!   n-bit cell and nearest-level decoding;
 //! * **crossbar compute** ([`mod@array`]): differential weight mapping
 //!   (Eq. 2/3), matrix-vector multiplication with open-circuit voltage
 //!   sensing (Eq. 4/5), activated-row batching and ADC quantisation —
@@ -24,7 +23,9 @@
 //!
 //! The model is calibrated so the regenerated figures match the paper's
 //! measured magnitudes and orderings; the figure binaries that check this
-//! are listed in docs/BENCHMARKS.md.
+//! are listed in docs/BENCHMARKS.md. The closed-form storage-error
+//! prediction the Monte-Carlo store is tested against is the test-only
+//! `analysis` module.
 //!
 //! # Example
 //!
@@ -44,22 +45,18 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(unsafe_code)]
 
-pub mod analysis;
+#[cfg(test)]
+mod analysis;
 pub mod array;
 pub mod chip;
 pub mod config;
 pub mod device;
 pub mod levels;
 pub mod storage;
-
-pub use array::{CrossbarArray, CrossbarConfig};
-pub use config::MlcConfig;
-pub use device::DeviceModel;
-pub use levels::LevelMap;
-pub use storage::HypervectorStore;
 
 /// Canonical measurement times used by the paper's Figures 7 and 8.
 pub mod times {
@@ -73,5 +70,5 @@ pub mod times {
     pub const AFTER_1DAY: f64 = 86_400.0;
     /// The "at least 2 hours" settling the paper applies before compute
     /// experiments (§5.2.1).
-    pub const COMPUTE_AGE: f64 = 7_200.0;
+    pub(crate) const COMPUTE_AGE: f64 = 7_200.0;
 }

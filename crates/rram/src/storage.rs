@@ -36,15 +36,6 @@ impl StorageStats {
             self.bit_errors as f64 / self.bits_total as f64
         }
     }
-
-    /// Fraction of cells whose symbol decoded incorrectly.
-    pub fn symbol_error_rate(&self) -> f64 {
-        if self.cells_used == 0 {
-            0.0
-        } else {
-            self.symbol_errors as f64 / self.cells_used as f64
-        }
-    }
 }
 
 /// A bank of MLC cells holding a batch of equally-sized hypervectors.
@@ -100,21 +91,6 @@ impl HypervectorStore {
             dim,
             symbols,
         }
-    }
-
-    /// Number of stored hypervectors.
-    pub fn len(&self) -> usize {
-        self.symbols.len()
-    }
-
-    /// Whether the store is empty (never true after `program`).
-    pub fn is_empty(&self) -> bool {
-        self.symbols.is_empty()
-    }
-
-    /// Dimension of the stored hypervectors.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Cells used per hypervector (`ceil(dim / bits_per_cell)`).
@@ -247,8 +223,8 @@ mod tests {
             rates[0] < rates[1] && rates[1] < rates[2],
             "rates {rates:?}"
         );
-        // Magnitudes in the measured ballpark (Fig. 7 at one day:
-        // ≈0.2 % / 3–5 % / 11–14 %).
+        // Magnitudes in the measured ballpark (the paper's read-off of
+        // Fig. 7 is the table `fig7_storage_errors` prints).
         assert!(rates[0] < 0.01, "1 bit/cell rate {}", rates[0]);
         assert!(
             (0.005..0.08).contains(&rates[1]),

@@ -82,6 +82,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(unsafe_code)]
 
@@ -90,8 +91,3 @@ pub mod net;
 pub mod protocol;
 pub mod scheduler;
 pub mod server;
-
-pub use net::Client;
-pub use protocol::{Request, Response};
-pub use scheduler::{Scheduler, SchedulerConfig};
-pub use server::Server;

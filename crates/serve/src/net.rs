@@ -17,11 +17,11 @@ use std::sync::Arc;
 /// `error` response and the connection is closed — without a bound, a
 /// peer writing bytes with no newline would buffer without limit and
 /// take the whole server down.
-pub const MAX_LINE_BYTES: usize = 64 << 20;
+pub(crate) const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// Maximum concurrently served TCP connections; further accepts are
 /// answered with an `error` line and closed immediately.
-pub const MAX_CONNECTIONS: usize = 256;
+pub(crate) const MAX_CONNECTIONS: usize = 256;
 
 /// Serve requests from `reader`, writing one response line per request
 /// line to `writer`, until end-of-stream. This is the transport-agnostic
@@ -103,7 +103,7 @@ fn serve_connection_bounded(
 }
 
 /// Accept connections forever, serving each on its own thread (at most
-/// [`MAX_CONNECTIONS`] concurrently — excess connections are refused
+/// `MAX_CONNECTIONS` concurrently — excess connections are refused
 /// with an `error` line). Returns only if `accept` itself fails.
 ///
 /// # Errors

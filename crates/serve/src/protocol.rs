@@ -41,7 +41,7 @@ use hdoms_prefilter::PrefilterConfig;
 pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Default FDR level applied when a query request omits `"fdr"`.
-pub const DEFAULT_FDR: f64 = 0.01;
+pub(crate) const DEFAULT_FDR: f64 = 0.01;
 
 /// How one kind of value crosses the wire: its canonical JSON form and
 /// the validating decoder that reads it back. `what` names the field
@@ -330,7 +330,7 @@ impl ErrorCode {
     /// # Errors
     ///
     /// Describes the unknown name.
-    pub fn parse(name: &str) -> Result<ErrorCode, String> {
+    pub(crate) fn parse(name: &str) -> Result<ErrorCode, String> {
         match name {
             "busy" => Ok(ErrorCode::Busy),
             "deadline" => Ok(ErrorCode::Deadline),
@@ -435,7 +435,7 @@ pub struct QueryRequest {
     pub index: String,
     /// Precursor window (defaults to open when omitted on the wire).
     pub window: WindowKind,
-    /// FDR acceptance level in (0, 1) (defaults to [`DEFAULT_FDR`]).
+    /// FDR acceptance level in (0, 1) (defaults to `DEFAULT_FDR`).
     pub fdr: f64,
     /// Priority class. [`Tier::Batch`] (the default — omitted on the
     /// wire) queues behind the batch bound; [`Tier::Interactive`] uses
@@ -488,7 +488,7 @@ pub enum Request {
     SessionFinalize {
         /// Session id returned by `session.open`.
         session: u64,
-        /// FDR acceptance level in (0, 1) (defaults to [`DEFAULT_FDR`]).
+        /// FDR acceptance level in (0, 1) (defaults to `DEFAULT_FDR`).
         fdr: f64,
     },
     /// Discard an open session without producing a result (the abort

@@ -94,11 +94,11 @@ pub enum Tier {
 }
 
 /// How many tiers exist (sizes the per-tier state arrays).
-pub const TIER_COUNT: usize = 2;
+pub(crate) const TIER_COUNT: usize = 2;
 
 impl Tier {
     /// The wire name (`"interactive"` / `"batch"`).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Tier::Interactive => "interactive",
             Tier::Batch => "batch",
@@ -171,7 +171,7 @@ impl Default for SchedulerConfig {
 
 impl SchedulerConfig {
     /// The queue bound for `tier`.
-    pub fn depth_for(&self, tier: Tier) -> usize {
+    pub(crate) fn depth_for(&self, tier: Tier) -> usize {
         match tier {
             Tier::Interactive => self.interactive_queue_depth,
             Tier::Batch => self.queue_depth,
@@ -424,11 +424,6 @@ impl Scheduler {
         self.series.workers_busy.set(busy as i64);
     }
 
-    /// The configuration the scheduler runs with.
-    pub fn config(&self) -> SchedulerConfig {
-        self.config
-    }
-
     /// Ask for a worker budget on behalf of `client` at `tier`,
     /// blocking until the queue grants one. Returns a [`WorkPermit`]
     /// whose [`workers()`](WorkPermit::workers) budget the caller must
@@ -665,19 +660,14 @@ impl WorkPermit<'_> {
         self.budget
     }
 
-    /// The tier this batch was admitted under.
-    pub fn tier(&self) -> Tier {
-        self.tier
-    }
-
     /// How long the batch waited in the queue, milliseconds.
-    pub fn wait_ms(&self) -> f64 {
+    pub(crate) fn wait_ms(&self) -> f64 {
         self.wait_ms
     }
 
     /// Batches that were already waiting when this one was submitted
     /// (the queue depth ahead of it at submission time, all tiers).
-    pub fn queued_behind(&self) -> usize {
+    pub(crate) fn queued_behind(&self) -> usize {
         self.queued_behind
     }
 }
@@ -722,7 +712,7 @@ mod tests {
         let permit = scheduler.admit(1, Tier::Batch).unwrap();
         assert_eq!(permit.workers(), 8);
         assert_eq!(permit.queued_behind(), 0);
-        assert_eq!(permit.tier(), Tier::Batch);
+        assert_eq!(permit.tier, Tier::Batch);
         let stats = scheduler.stats();
         assert_eq!(stats.workers_busy, 8);
         assert_eq!(stats.in_flight, 1);

@@ -23,7 +23,7 @@ use std::time::Instant;
 /// Maximum concurrently open sessions; `session.open` beyond this is
 /// refused (a client that never finalizes would otherwise accumulate
 /// PSMs on the server without bound).
-pub const MAX_SESSIONS: usize = 256;
+pub(crate) const MAX_SESSIONS: usize = 256;
 
 /// The client id in-process callers (startup loads through
 /// [`Server::load_index`], embedders, tests) pass to the verbs. Transports
@@ -384,7 +384,7 @@ impl Server {
 
     /// The structured logger transports log connection lifecycle
     /// through.
-    pub fn logger(&self) -> &Logger {
+    pub(crate) fn logger(&self) -> &Logger {
         &self.logger
     }
 
@@ -407,11 +407,6 @@ impl Server {
         let mut state = self.residency.lock().expect("residency lock");
         state.budget = bytes;
         self.enforce_budget(&mut state);
-    }
-
-    /// The configured resident-memory budget in bytes (0 = unlimited).
-    pub fn memory_budget(&self) -> u64 {
-        self.residency.lock().expect("residency lock").budget
     }
 
     /// The batch scheduler (admission control, fair queue, worker
@@ -454,7 +449,7 @@ impl Server {
     /// The `server.metrics` report: every registered counter, gauge, and
     /// latency-histogram summary, sorted by name (the JSON twin of the
     /// Prometheus text exposition).
-    pub fn metrics_report(&self) -> MetricsReport {
+    pub(crate) fn metrics_report(&self) -> MetricsReport {
         let snapshot = self.registry.snapshot();
         MetricsReport {
             counters: snapshot.counters,
@@ -587,7 +582,7 @@ impl Server {
     }
 
     /// Open sessions (for monitoring and tests).
-    pub fn open_sessions(&self) -> usize {
+    pub(crate) fn open_sessions(&self) -> usize {
         self.sessions.lock().expect("session map lock").len()
     }
 
@@ -850,7 +845,7 @@ impl Server {
     /// # Errors
     ///
     /// Unknown index, an invalid prefilter override, or the server is
-    /// at [`MAX_SESSIONS`].
+    /// at `MAX_SESSIONS`.
     pub fn open_session(
         &self,
         index: &str,
@@ -1011,7 +1006,7 @@ impl Server {
     /// # Errors
     ///
     /// Unknown or busy session.
-    pub fn close_session(&self, id: u64) -> Result<(), ServeError> {
+    pub(crate) fn close_session(&self, id: u64) -> Result<(), ServeError> {
         let _ = self.take_session(id)?.consume();
         Ok(())
     }
